@@ -13,7 +13,9 @@
 //!   from the same place;
 //! * **in the drivers** (`k4` backend dispatch, `k6` call-site
 //!   guarantees): `backend.rs` may only dispatch kernels whose feature
-//!   requirements its ISA variant implies, and every micro-panel slice
+//!   requirements its ISA variant implies (and may only select a
+//!   feature-gated scalar instantiation after probing the feature),
+//!   and every micro-panel slice
 //!   passed to `microkernel`/`bt_fn` must have *exactly* the packed
 //!   length the kernel contract consumes (`kc * MR` etc. — overlong
 //!   panels would mask index-arithmetic bugs, so equality is
@@ -61,8 +63,8 @@ pub struct KernelSummary {
 fn isa_allowed(variant: &str) -> Option<&'static [&'static str]> {
     Some(match variant {
         "Scalar" => &[],
-        "Avx2" => &["avx", "avx2", "sse2"],
-        "Avx512" => &["avx", "avx2", "sse2", "avx512f", "avx512dq"],
+        "Avx2" => &["avx", "avx2", "fma", "sse2"],
+        "Avx512" => &["avx", "avx2", "fma", "sse2", "avx512f"],
         "Neon" => &["neon"],
         _ => return None,
     })
@@ -682,6 +684,16 @@ fn panel_len(
         })
     };
     let t = arg.trim();
+    // `<rows>.map(|r| &r[lo..hi])`: an array of row segments, each of
+    // the closure body's length.
+    if let Some(body) = t
+        .strip_suffix(')')
+        .and_then(|t| t.split_once(".map(|"))
+        .and_then(|(_, closure)| closure.split_once('|'))
+        .map(|(_, body)| body)
+    {
+        return panel_len(file, body, call_offset, fn_body, consts);
+    }
     if let Some(rest) = t.strip_prefix('&') {
         let rest = rest.trim_start_matches("mut ").trim();
         let open = rest
@@ -762,7 +774,7 @@ fn check_driver_calls(
             callee: "bt_fn",
             arity: 4,
             kc_idx: 0,
-            panels: &[(1, "MR", "packed A panel"), (2, "1", "B row segment")],
+            panels: &[(1, "MR", "packed A panel"), (2, "1", "B row segments")],
         },
     ];
     for CallSpec {
@@ -838,11 +850,9 @@ fn check_driver_calls(
     }
 }
 
-/// k4(d): `backend.rs` ISA variants may only dispatch kernels whose
-/// feature requirements the variant's runtime gate implies.
-fn check_backend_dispatch(backend: &SourceFile, zone: &[ZoneFile], findings: &mut Vec<Finding>) {
-    // wrapper name -> features its unsafe kernel requires.
-    let mut wrapper_reqs: BTreeMap<String, Vec<String>> = BTreeMap::new();
+/// Wrapper name -> features its unsafe kernel requires.
+fn wrapper_requirements(zone: &[ZoneFile]) -> BTreeMap<String, Vec<String>> {
+    let mut wrapper_reqs = BTreeMap::new();
     for z in zone {
         for imp in z.fns.iter().filter(|f| f.is_unsafe) {
             let Some(req) = &imp.requires else { continue };
@@ -853,6 +863,51 @@ fn check_backend_dispatch(backend: &SourceFile, zone: &[ZoneFile], findings: &mu
             }
         }
     }
+    wrapper_reqs
+}
+
+/// k4(e): the scalar backend picks between instantiations of the
+/// reference loops; a feature-gated one (`kernel::scalar::acc_fma`)
+/// may only be named after the enclosing fn has probed that feature.
+fn check_scalar_selection(
+    backend: &SourceFile,
+    wrapper_reqs: &BTreeMap<String, Vec<String>>,
+    findings: &mut Vec<Finding>,
+) {
+    const PATH: &str = "kernel::scalar::";
+    for body in backend.functions().into_iter().filter_map(|f| f.body) {
+        let mut i = body.start;
+        while let Some(pos) = backend.masked[i..body.end].find(PATH).map(|p| i + p) {
+            i = pos + PATH.len();
+            let name: String = backend.masked[i..]
+                .chars()
+                .take_while(|&c| is_ident_char(c))
+                .collect();
+            for feat in wrapper_reqs.get(&name).into_iter().flatten() {
+                let probe = format!("is_x86_feature_detected!(\"{feat}\")");
+                if !backend.raw[body.start..pos].contains(&probe) {
+                    findings.push(Finding::new(
+                        backend,
+                        K4,
+                        pos,
+                        format!(
+                            "`kernel::scalar::{name}` requires target_feature({feat}) but is \
+                             selected without a preceding {probe}"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// k4(d): `backend.rs` ISA variants may only dispatch kernels whose
+/// feature requirements the variant's runtime gate implies.
+fn check_backend_dispatch(
+    backend: &SourceFile,
+    wrapper_reqs: &BTreeMap<String, Vec<String>>,
+    findings: &mut Vec<Finding>,
+) {
     let masked = &backend.masked;
     let mut i = 0;
     while let Some(pos) = find_word(masked, "impl", i) {
@@ -891,10 +946,10 @@ fn check_backend_dispatch(backend: &SourceFile, zone: &[ZoneFile], findings: &mu
                 continue;
             };
             let name: String = rest3.chars().take_while(|&c| is_ident_char(c)).collect();
-            if module == "scalar" {
-                continue; // Safe generic reference kernels.
-            }
             let Some(reqs) = wrapper_reqs.get(&name) else {
+                if module == "scalar" {
+                    continue; // Safe generic reference kernels.
+                }
                 findings.push(Finding::new(
                     backend,
                     K4,
@@ -947,9 +1002,11 @@ pub fn run(
         check_wrappers(&z.file, &z.fns, consts, &mut findings);
     }
     check_microkernel_def(zone, &mut findings);
+    let wrapper_reqs = wrapper_requirements(zone);
     for d in drivers {
         if d.path.ends_with("backend.rs") {
-            check_backend_dispatch(d, zone, &mut findings);
+            check_backend_dispatch(d, &wrapper_reqs, &mut findings);
+            check_scalar_selection(d, &wrapper_reqs, &mut findings);
         } else {
             check_driver_calls(d, consts, &mut findings);
         }
@@ -1045,7 +1102,11 @@ fn build_coverage(
                         w.preconditions.len(),
                         w.name
                     ));
-                    (!imp.contracts.is_empty() && clean, via)
+                    // A kernel over safe slices has no pointer bounds
+                    // to declare: its feature requirement is its
+                    // whole contract.
+                    let contracted = !imp.contracts.is_empty() || imp.requires.is_some();
+                    (contracted && clean, via)
                 }
                 _ => (false, Vec::new()),
             };
@@ -1106,6 +1167,13 @@ mod tests {
         assert!(satisfies(&a512, "avx2"));
         assert!(!satisfies(&a512, "avx512dq"));
         assert!(!satisfies(&[], "neon"));
+        // FMA is its own CPUID bit: neither AVX2 nor AVX-512F implies
+        // the VEX-encoded fmadd, while the zmm fmadd is plain AVX512F.
+        assert_eq!(feature_of("_mm256_fmadd_ps"), Some("fma"));
+        assert_eq!(feature_of("_mm512_fmadd_pd"), Some("avx512f"));
+        assert!(!satisfies(&avx2, "fma"));
+        assert!(!satisfies(&a512, "fma"));
+        assert!(satisfies(&["avx2".to_string(), "fma".to_string()], "fma"));
     }
 
     #[test]

@@ -198,11 +198,24 @@ pub fn const_table(file: &SourceFile) -> BTreeMap<String, i64> {
 pub fn feature_of(name: &str) -> Option<&'static str> {
     if let Some(rest) = name.strip_prefix("_mm512_") {
         // The f32x8 lane-group ops (broadcast/insert/extract) are the
-        // AVX512DQ subset; everything else _mm512_ here is AVX512F.
+        // AVX512DQ subset; everything else _mm512_ here — the fused
+        // multiply-adds included — is AVX512F.
         if rest.contains("f32x8") {
             return Some("avx512dq");
         }
         return Some("avx512f");
+    }
+    // The VEX-encoded fused multiply-adds are their own CPUID bit.
+    if let Some(rest) = name
+        .strip_prefix("_mm256_")
+        .or_else(|| name.strip_prefix("_mm_"))
+    {
+        if ["fmadd", "fmsub", "fnmadd", "fnmsub"]
+            .iter()
+            .any(|op| rest.starts_with(op))
+        {
+            return Some("fma");
+        }
     }
     if name.starts_with("_mm256_") {
         return Some("avx");

@@ -36,6 +36,7 @@ pub struct MutationResult {
 }
 
 const X86: &str = "crates/tensor/src/gemm/kernel/x86.rs";
+const SCALAR: &str = "crates/tensor/src/gemm/kernel/scalar.rs";
 const NEON: &str = "crates/tensor/src/gemm/kernel/neon.rs";
 const KMOD: &str = "crates/tensor/src/gemm/kernel/mod.rs";
 const PREPACKED: &str = "crates/tensor/src/gemm/prepacked.rs";
@@ -47,8 +48,8 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m01-bp-off-by-one",
             path: X86,
-            from: "let bv = _mm256_loadu_ps(bp.add(kk * NR));",
-            to: "let bv = _mm256_loadu_ps(bp.add(kk * NR + 1));",
+            from: "let bv = _mm256_loadu_ps(bp.add(kk * NR + h * 8));",
+            to: "let bv = _mm256_loadu_ps(bp.add(kk * NR + h * 8 + 1));",
             expected_rule: K1,
             what: "B-panel load shifted one element past the packed stride",
         },
@@ -63,8 +64,8 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m03-store-off-by-one",
             path: X86,
-            from: "_mm256_storeu_ps(acc.add(i * NR), *ri);",
-            to: "_mm256_storeu_ps(acc.add(i * NR + 1), *ri);",
+            from: "_mm256_storeu_ps(acc.add(i * NR + h * 8), *ri);",
+            to: "_mm256_storeu_ps(acc.add(i * NR + h * 8 + 1), *ri);",
             expected_rule: K1,
             what: "accumulator write-back lands one lane past the tile row",
         },
@@ -95,7 +96,7 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m07-weakened-target-feature",
             path: X86,
-            from: "#[target_feature(enable = \"avx2\")]\nunsafe fn acc_f32_avx2_imp",
+            from: "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn acc_f32_avx2_imp",
             to: "#[target_feature(enable = \"sse2\")]\nunsafe fn acc_f32_avx2_imp",
             expected_rule: K4,
             what: "kernel attribute no longer enables the ISA its intrinsics need",
@@ -103,7 +104,7 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m08-dropped-runtime-detect",
             path: X86,
-            from: "    kernel_precondition!(is_x86_feature_detected!(\"avx2\"), \"avx2 not available\");\n",
+            from: "    kernel_precondition!(\n        is_x86_feature_detected!(\"avx2\") && is_x86_feature_detected!(\"fma\"),\n        \"avx2/fma not available\"\n    );\n",
             to: "",
             expected_rule: K4,
             what: "wrapper stops runtime-checking the CPU before entering the kernel",
@@ -127,7 +128,7 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m11-contracts-deleted",
             path: X86,
-            from: "// kernel-contract: ap points-to len >= kc * MR, noalias\n// kernel-contract: brow points-to len >= kc, noalias\n// kernel-contract: acc points-to len >= MR, noalias\n// kernel-contract: requires target_feature(avx512f)\n#[target_feature(enable = \"avx512f\")]\nunsafe fn bt_f64_avx512_imp",
+            from: "// kernel-contract: ap points-to len >= kc * MR, noalias\n// kernel-contract: b0 points-to len >= kc\n// kernel-contract: b1 points-to len >= kc\n// kernel-contract: b2 points-to len >= kc\n// kernel-contract: b3 points-to len >= kc\n// kernel-contract: acc points-to len >= BT_COLS * MR, noalias\n// kernel-contract: requires target_feature(avx512f)\n#[target_feature(enable = \"avx512f\")]\nunsafe fn bt_f64_avx512_imp",
             to: "#[target_feature(enable = \"avx512f\")]\nunsafe fn bt_f64_avx512_imp",
             expected_rule: K2,
             what: "an unsafe kernel loses its contract block entirely",
@@ -135,8 +136,8 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m12-contract-names-ghost-param",
             path: X86,
-            from: "// kernel-contract: brow points-to len >= kc, noalias",
-            to: "// kernel-contract: browz points-to len >= kc, noalias",
+            from: "// kernel-contract: b2 points-to len >= kc",
+            to: "// kernel-contract: b2z points-to len >= kc",
             expected_rule: K2,
             what: "contract names a parameter that does not exist (typo drift)",
         },
@@ -167,10 +168,10 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m16-short-brow-segment",
             path: PREPACKED,
-            from: "&brow[pc..pc + kc_eff]",
-            to: "&brow[pc..pc + kc_eff - 1]",
+            from: "&r[pc..pc + kc_eff]",
+            to: "&r[pc..pc + kc_eff - 1]",
             expected_rule: K6,
-            what: "streaming-B^T row segment one element shorter than kc",
+            what: "streaming-B^T row segments one element shorter than kc",
         },
         Mutation {
             name: "m17-aliased-noalias-operands",
@@ -199,10 +200,58 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m20-brow-off-by-one",
             path: X86,
-            from: "let bv = _mm256_set1_ps(*brow.add(kk));",
-            to: "let bv = _mm256_set1_ps(*brow.add(kk + 1));",
+            from: "_mm256_set1_ps(*b2.add(kk))",
+            to: "_mm256_set1_ps(*b2.add(kk + 1))",
             expected_rule: K1,
-            what: "streaming-B^T broadcast reads one past the row segment",
+            what: "streaming-B^T broadcast reads one past its row segment",
+        },
+        Mutation {
+            name: "m21-fma-not-enabled",
+            path: X86,
+            from: "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn acc_f64_avx2_imp",
+            to: "#[target_feature(enable = \"avx2\")]\nunsafe fn acc_f64_avx2_imp",
+            expected_rule: K4,
+            what: "kernel issues fmadd without enabling the FMA feature",
+        },
+        Mutation {
+            name: "m22-wrapper-forgets-fma-probe",
+            path: X86,
+            from: "is_x86_feature_detected!(\"avx2\") && is_x86_feature_detected!(\"fma\"),",
+            to: "is_x86_feature_detected!(\"avx2\"),",
+            expected_rule: K4,
+            what: "wrapper probes AVX2 but not FMA before a kernel that needs both",
+        },
+        Mutation {
+            name: "m23-scalar-fma-unprobed",
+            path: SCALAR,
+            from: "    kernel_precondition!(is_x86_feature_detected!(\"fma\"), \"fma not available\");\n",
+            to: "",
+            expected_rule: K4,
+            what: "fma-enabled reference instantiation entered without a CPU check",
+        },
+        Mutation {
+            name: "m24-scalar-selection-ungated",
+            path: BACKEND,
+            from: "        if is_x86_feature_detected!(\"fma\") {\n            return ScalarBackend {",
+            to: "        {\n            return ScalarBackend {",
+            expected_rule: K4,
+            what: "scalar backend hands out the fma instantiation without consulting CPUID",
+        },
+        Mutation {
+            name: "m25-dropped-b-row-precondition",
+            path: X86,
+            from: "    kernel_precondition!(b3.len() >= kc, \"bt_f32_avx2: B row 3 too short\");\n",
+            to: "",
+            expected_rule: K5,
+            what: "wrapper stops asserting the length of the fourth B row",
+        },
+        Mutation {
+            name: "m26-extra-column-group",
+            path: NEON,
+            from: "for h in 0..4 {",
+            to: "for h in 0..5 {",
+            expected_rule: K1,
+            what: "NEON kernel walks a fifth 4-lane group past the 16-column tile",
         },
     ]
 }
@@ -251,7 +300,7 @@ mod tests {
     #[test]
     fn battery_is_large_and_covers_every_rule() {
         let ms = mutations();
-        assert!(ms.len() >= 15, "need >= 15 mutations, have {}", ms.len());
+        assert!(ms.len() >= 20, "need >= 20 mutations, have {}", ms.len());
         let names: BTreeSet<_> = ms.iter().map(|m| m.name).collect();
         assert_eq!(names.len(), ms.len(), "mutation names must be unique");
         let rules: BTreeSet<_> = ms.iter().map(|m| m.expected_rule).collect();

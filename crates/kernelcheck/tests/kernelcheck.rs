@@ -55,8 +55,8 @@ fn mutation_battery_is_fully_caught() {
     let baseline = analyze(&tree);
     let results = mutate::run_mutations(&tree, &baseline).expect("clean baseline");
     assert!(
-        results.len() >= 15,
-        "need >= 15 mutations, have {}",
+        results.len() >= 20,
+        "need >= 20 mutations, have {}",
         results.len()
     );
     let names: BTreeSet<_> = results.iter().map(|r| r.name).collect();

@@ -138,25 +138,36 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 /// Quantize to int8 with the deterministic scale `max_abs / 127`.
 /// All-zero (or non-finite-max) inputs use scale 0 and decode to
 /// zeros.
+///
+/// Both passes are branch-free so they vectorize: the allreduce
+/// encodes every chunk it forwards, and an early-return finite check
+/// plus `f32::round` (a libm call on the `x86-64` baseline) made this
+/// 40x slower than decoding.
 fn quantize_i8(v: &[f32]) -> (f32, Vec<i8>) {
-    // Note: an explicit loop, not `fold(max)` — `f32::max` ignores a
-    // NaN operand, which would let a NaN element slip past the guard.
-    let mut max_abs = 0.0f32;
-    for &x in v {
-        if !x.is_finite() {
-            return (0.0, vec![0; v.len()]);
-        }
-        max_abs = max_abs.max(x.abs());
-    }
-    if pdnn_util::float::exactly_zero_f32(max_abs) {
+    // |x| as an integer: orders like the float it encodes, and every
+    // infinity or NaN lands at or above the infinity pattern — so one
+    // max covers the magnitude and the non-finite guard (`f32::max`
+    // would let a NaN element slip past it).
+    const INFINITY_BITS: u32 = 0x7f80_0000;
+    let max_bits = v.iter().fold(0u32, |m, x| m.max(x.to_bits() & 0x7fff_ffff));
+    if max_bits == 0 || max_bits >= INFINITY_BITS {
         return (0.0, vec![0; v.len()]);
     }
-    let scale = max_abs / 127.0;
-    let q = v
-        .iter()
-        .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
+    let scale = f32::from_bits(max_bits) / 127.0;
+    let q = v.iter().map(|&x| round_to_i8(x / scale)).collect();
     (scale, q)
+}
+
+/// `y.round().clamp(-127.0, 127.0) as i8` without the libm call: clamp
+/// first (rounding is monotonic, so the order does not matter),
+/// truncate, then step away from zero when the remainder — exact, as
+/// `|y| <= 127` — is at least a half. NaN maps to 0 either way.
+#[inline]
+fn round_to_i8(y: f32) -> i8 {
+    let y = y.clamp(-127.0, 127.0);
+    let t = y as i32;
+    let r = y - t as f32;
+    (t + i32::from(r >= 0.5) - i32::from(r <= -0.5)) as i8
 }
 
 /// Encode an `F32` payload under `codec`; every other payload kind
@@ -286,6 +297,49 @@ mod tests {
         assert_eq!(q[1], -127);
         let (scale2, q2) = quantize_i8(&v);
         assert_eq!((scale, q), (scale2, q2));
+    }
+
+    /// The expression `round_to_i8` replaces, kept as its oracle.
+    fn round_to_i8_oracle(y: f32) -> i8 {
+        y.round().clamp(-127.0, 127.0) as i8
+    }
+
+    #[test]
+    fn int8_rounding_matches_libm_round_bitwise() {
+        // Every half-integer in range with its two neighbours (the
+        // only places truncate-and-compare could disagree with
+        // `round`), the clamp edges, and the non-finite inputs.
+        for k in -130i32..=130 {
+            let h = k as f32 + 0.5;
+            for y in [h, h.next_up(), h.next_down(), k as f32] {
+                assert_eq!(round_to_i8(y), round_to_i8_oracle(y), "y={y:e}");
+            }
+        }
+        for y in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e30] {
+            assert_eq!(round_to_i8(y), round_to_i8_oracle(y), "y={y:e}");
+        }
+        // A strided sweep of every bit pattern (both signs, all
+        // exponents, NaNs included); the stride is odd so the low
+        // mantissa bits cycle.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            let y = f32::from_bits(bits);
+            assert_eq!(round_to_i8(y), round_to_i8_oracle(y), "bits={bits:#x}");
+        }
+    }
+
+    #[test]
+    fn int8_quantize_matches_the_scalar_definition() {
+        let mut rng = pdnn_util::Prng::new(5);
+        let mut v: Vec<f32> = (0..1000).map(|_| rng.range(-3.0, 3.0) as f32).collect();
+        v[17] = -7.25; // the max, negative
+        v[18] = f32::MIN_POSITIVE / 4.0; // a subnormal element
+        let (scale, q) = quantize_i8(&v);
+        assert_eq!(scale, 7.25 / 127.0);
+        let want: Vec<i8> = v.iter().map(|&x| round_to_i8_oracle(x / scale)).collect();
+        assert_eq!(q, want);
+        // Infinities trip the same guard as NaN, wherever they sit.
+        v[999] = f32::NEG_INFINITY;
+        assert_eq!(quantize_i8(&v), (0.0, vec![0; v.len()]));
     }
 
     #[test]

@@ -20,12 +20,20 @@
 //!    dependency chain — `kk` ascending within a k-block, k-blocks
 //!    merged in order — and the chain of one element never mixes with
 //!    another's. A backend may therefore vectorize *across* elements
-//!    (the `j` lanes of a micro-tile row, or row pairs) freely, as
-//!    long as each lane performs the same scalar operations in the
-//!    same order.
-//! 2. [`crate::scalar::Scalar::mul_add`] is deliberately **unfused**
-//!    (`a * b + c` as two roundings). SIMD kernels must use separate
-//!    multiply and add intrinsics — never `fmadd` — to match it.
+//!    (the `j` lanes of a micro-tile row) freely, as long as each lane
+//!    performs the same scalar operations in the same order.
+//! 2. Every step of a chain is **one fused multiply-add**,
+//!    [`crate::scalar::Scalar::fma`]: `a * b + acc` with a single
+//!    rounding. IEEE 754 fusedMultiplyAdd is exactly rounded, so
+//!    `vfmadd`, FMLA, `f32::mul_add` and libm's `fmaf` all return the
+//!    same bits; a kernel that multiplies and then adds (two
+//!    roundings) does not, and fails the fusion-witness tests.
+//!
+//! Only the chains fuse. The merge of a finished tile into C and
+//! everything in `blas1`/`matrix` use the unfused
+//! [`crate::scalar::Scalar::mul_add`]: that code is shared by all
+//! backends (identical by construction), and compiled for a baseline
+//! without FMA a fused form would be a libm call per element.
 //!
 //! The contract is what keeps the determinism gates (byte-identical
 //! telemetry, the protocheck race detector, bitwise trained weights)
@@ -40,11 +48,17 @@
 //! [`default_backend`] resolves once per process and is what
 //! [`super::GemmContext`] constructors embed; tests that compare
 //! backends in-process use [`super::GemmContext::with_backend`].
+//!
+//! The scalar backend additionally chooses, from CPUID and nothing
+//! else, between two instantiations of the same reference loops (see
+//! [`kernel::scalar`]): on an x86_64 CPU with FMA the one compiled
+//! with the instruction enabled, otherwise the portable one. They
+//! agree bitwise; the choice only keeps the reference off libm.
 
 use std::sync::OnceLock;
 
 use super::kernel;
-use super::{MR, NR};
+use super::{BT_COLS, MR, NR};
 
 /// Packed-panel accumulate kernel: add the `kc`-deep product of one
 /// `MR`-row A micro-panel (`kk`-major, first `kc * MR` elements of
@@ -52,18 +66,19 @@ use super::{MR, NR};
 /// of `bp`) into `acc`.
 ///
 /// Contract: `acc[i][j] += sum_kk ap(kk, i) * bp(kk, j)`, evaluated
-/// per element as an unfused multiply-add chain with `kk` ascending —
+/// per element as a fused multiply-add chain with `kk` ascending —
 /// the exact chain [`kernel::scalar::acc`] runs.
 pub type AccFn<T> = fn(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]);
 
-/// Streaming-B^T column kernel for the `gemm_prepacked_a_bt` driver:
-/// add the `kc`-deep product of one A micro-panel and a `kc`-long
-/// contiguous B-row segment into the `MR` column accumulators.
+/// Streaming-B^T kernel for the `gemm_prepacked_a_bt` driver: add the
+/// `kc`-deep products of one A micro-panel with `BT_COLS` contiguous
+/// B-row segments (each at least `kc` long; they may coincide) into
+/// `BT_COLS` columns of `MR` accumulators.
 ///
-/// Contract: `acc[i] += sum_kk ap(kk, i) * brow[kk]`, per element an
-/// unfused multiply-add chain with `kk` ascending — the exact chain
+/// Contract: `acc[c][i] += sum_kk ap(kk, i) * b[c][kk]`, per element a
+/// fused multiply-add chain with `kk` ascending — the exact chain
 /// [`kernel::scalar::bt`] runs.
-pub type BtFn<T> = fn(kc: usize, ap: &[T], brow: &[T], acc: &mut [T; MR]);
+pub type BtFn<T> = fn(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]);
 
 /// Name of the environment variable that overrides backend selection.
 pub const BACKEND_ENV: &str = "PDNN_BACKEND";
@@ -71,12 +86,12 @@ pub const BACKEND_ENV: &str = "PDNN_BACKEND";
 /// Instruction-set architectures a backend can target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
-    /// Portable reference kernels (autovectorized by LLVM at the
-    /// build target's baseline, SSE2 on `x86-64`).
+    /// Reference kernels (autovectorized by LLVM; on x86_64 compiled
+    /// with FMA enabled where the CPU has it, portable otherwise).
     Scalar,
-    /// 256-bit AVX2 kernels (x86_64).
+    /// 256-bit AVX2+FMA kernels (x86_64).
     Avx2,
-    /// 512-bit AVX-512F/DQ kernels (x86_64).
+    /// 512-bit AVX-512F kernels (x86_64).
     Avx512,
     /// 128-bit NEON kernels (aarch64).
     Neon,
@@ -101,13 +116,10 @@ impl Isa {
         match self {
             Isa::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            Isa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            // The AVX-512 backend reuses the AVX2 f32 B^T kernel.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512dq")
-                    && is_x86_feature_detected!("avx2")
-            }
+            Isa::Avx512 => is_x86_feature_detected!("avx512f") && Isa::Avx2.available(),
             #[cfg(target_arch = "aarch64")]
             Isa::Neon => true, // NEON is baseline on aarch64
             #[allow(unreachable_patterns)] // foreign-arch ISAs
@@ -122,22 +134,19 @@ impl std::fmt::Display for Isa {
     }
 }
 
-/// The *fastest* ISA the running machine supports — not the widest.
+/// The fastest ISA the running machine supports.
 ///
-/// On x86_64 this prefers AVX2 over AVX-512 even when both are
-/// present: measured GEMM throughput on our kernels is higher under
-/// AVX2 (BENCH_5: 29.0 vs 18.6 GFLOPS forward), consistent with the
-/// well-known downclocking and port-width penalties of 512-bit ops on
-/// many cores. `PDNN_BACKEND=avx512` still forces the wider kernels
-/// for machines where they do win.
+/// On x86_64 that is the widest: with the micro-tile one zmm wide the
+/// AVX-512 f32 kernel measures about twice the AVX2 one (ROADMAP item
+/// 5(a)).
 pub fn detect_best() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
-        if Isa::Avx2.available() {
-            return Isa::Avx2;
-        }
         if Isa::Avx512.available() {
             return Isa::Avx512;
+        }
+        if Isa::Avx2.available() {
+            return Isa::Avx2;
         }
     }
     #[cfg(target_arch = "aarch64")]
@@ -173,25 +182,55 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
     fn bt_f64(&self) -> BtFn<f64>;
 }
 
-/// Forced-scalar reference backend (always available).
+/// Forced-scalar reference backend (always available): one of the two
+/// bitwise-equal instantiations of the [`kernel::scalar`] loops, fixed
+/// when the backend is constructed.
 #[derive(Debug)]
-struct ScalarBackend;
+struct ScalarBackend {
+    acc_f32: AccFn<f32>,
+    acc_f64: AccFn<f64>,
+    bt_f32: BtFn<f32>,
+    bt_f64: BtFn<f64>,
+}
+
+impl ScalarBackend {
+    /// The FMA-enabled instantiation where the CPU has the
+    /// instruction, the portable one (libm `fma` on an SSE2 baseline)
+    /// otherwise.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("fma") {
+            return ScalarBackend {
+                acc_f32: kernel::scalar::acc_fma::<f32>,
+                acc_f64: kernel::scalar::acc_fma::<f64>,
+                bt_f32: kernel::scalar::bt_fma::<f32>,
+                bt_f64: kernel::scalar::bt_fma::<f64>,
+            };
+        }
+        ScalarBackend {
+            acc_f32: kernel::scalar::acc::<f32>,
+            acc_f64: kernel::scalar::acc::<f64>,
+            bt_f32: kernel::scalar::bt::<f32>,
+            bt_f64: kernel::scalar::bt::<f64>,
+        }
+    }
+}
 
 impl ComputeBackend for ScalarBackend {
     fn isa(&self) -> Isa {
         Isa::Scalar
     }
     fn acc_f32(&self) -> AccFn<f32> {
-        kernel::scalar::acc::<f32>
+        self.acc_f32
     }
     fn acc_f64(&self) -> AccFn<f64> {
-        kernel::scalar::acc::<f64>
+        self.acc_f64
     }
     fn bt_f32(&self) -> BtFn<f32> {
-        kernel::scalar::bt::<f32>
+        self.bt_f32
     }
     fn bt_f64(&self) -> BtFn<f64> {
-        kernel::scalar::bt::<f64>
+        self.bt_f64
     }
 }
 
@@ -234,7 +273,7 @@ impl ComputeBackend for Avx512Backend {
         kernel::x86::acc_f64_avx512
     }
     fn bt_f32(&self) -> BtFn<f32> {
-        // One ymm covers all MR=8 column accumulators; the AVX2
+        // One ymm covers the MR=8 accumulators of a column; the AVX2
         // kernel is already the right shape (and chain).
         kernel::x86::bt_f32_avx2
     }
@@ -266,7 +305,7 @@ impl ComputeBackend for NeonBackend {
     }
 }
 
-static SCALAR: ScalarBackend = ScalarBackend;
+static SCALAR: OnceLock<ScalarBackend> = OnceLock::new();
 #[cfg(target_arch = "x86_64")]
 static AVX2: Avx2Backend = Avx2Backend;
 #[cfg(target_arch = "x86_64")]
@@ -276,7 +315,7 @@ static NEON: NeonBackend = NeonBackend;
 
 /// The forced-scalar reference backend.
 pub fn scalar_backend() -> &'static dyn ComputeBackend {
-    &SCALAR
+    SCALAR.get_or_init(ScalarBackend::detect)
 }
 
 /// Backend for `isa`, or an error if the running machine lacks it.
@@ -285,7 +324,7 @@ pub fn backend_for(isa: Isa) -> Result<&'static dyn ComputeBackend, BackendError
         return Err(BackendError::Unavailable(isa));
     }
     Ok(match isa {
-        Isa::Scalar => &SCALAR,
+        Isa::Scalar => scalar_backend(),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => &AVX2,
         #[cfg(target_arch = "x86_64")]
@@ -501,24 +540,21 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_prefers_avx2_over_avx512() {
-        // BENCH_5 regression: auto-detection picked AVX-512 (18.6
-        // GFLOPS forward) over AVX2 (29.0). Auto must resolve to AVX2
-        // whenever it is available, even on AVX-512 machines; AVX-512
-        // stays reachable only by explicit selection.
-        if Isa::Avx2.available() {
-            assert_eq!(detect_best(), Isa::Avx2);
-            let cfg = BackendConfig::builder()
-                .auto()
-                .env_override(false)
-                .build()
-                .expect("auto must build");
-            assert_eq!(cfg.resolve().map(|b| b.isa()), Ok(Isa::Avx2));
-        } else {
-            // Without AVX2 the preference question doesn't arise; auto
-            // must still land on something available.
-            assert!(detect_best().available());
-        }
+    fn auto_dispatch_prefers_avx512_over_avx2() {
+        // With one zmm per tile row the AVX-512 kernel is the faster
+        // one, so auto resolves to it wherever it is available and to
+        // AVX2 only on hosts without it.
+        let want = [Isa::Avx512, Isa::Avx2, Isa::Neon]
+            .into_iter()
+            .find(|isa| isa.available())
+            .unwrap_or(Isa::Scalar);
+        assert_eq!(detect_best(), want);
+        let cfg = BackendConfig::builder()
+            .auto()
+            .env_override(false)
+            .build()
+            .expect("auto must build");
+        assert_eq!(cfg.resolve().map(|b| b.isa()), Ok(want));
     }
 
     #[test]
@@ -588,29 +624,42 @@ mod tests {
         assert!(a.isa().available());
     }
 
+    /// Run `backend`'s kernels for `T` on a tiny panel pair against
+    /// the scalar reference.
+    fn kernels_run_and_match_scalar<T: crate::scalar::Scalar>(backend: &dyn ComputeBackend) {
+        let isa = backend.isa();
+        let kc = 3;
+        let ap: Vec<T> = (0..kc * MR)
+            .map(|i| T::from_f64(i as f64 * 0.25 - 1.0))
+            .collect();
+        let bp: Vec<T> = (0..kc * NR)
+            .map(|i| T::from_f64(2.0 - i as f64 * 0.125))
+            .collect();
+        let mut acc = [[T::ZERO; NR]; MR];
+        let mut want = [[T::ZERO; NR]; MR];
+        T::acc_kernel(backend)(kc, &ap, &bp, &mut acc);
+        T::acc_kernel(scalar_backend())(kc, &ap, &bp, &mut want);
+        assert_eq!(acc, want, "acc parity for {isa}");
+
+        let b: [&[T]; BT_COLS] = std::array::from_fn(|c| &bp[c..c + kc]);
+        let mut col = [[T::ZERO; MR]; BT_COLS];
+        let mut col_want = [[T::ZERO; MR]; BT_COLS];
+        T::bt_kernel(backend)(kc, &ap, b, &mut col);
+        T::bt_kernel(scalar_backend())(kc, &ap, b, &mut col_want);
+        assert_eq!(col, col_want, "bt parity for {isa}");
+    }
+
     #[test]
-    fn every_available_backend_hands_out_kernels() {
+    fn every_available_isa_runs_its_kernels() {
+        // `available()` must imply every CPU feature the ISA's kernels
+        // assert at entry (AVX2 needs FMA, AVX-512 borrows an AVX2
+        // kernel): a gap would panic here, not in a training run.
+        // Full parity coverage lives in tests/backend_parity.rs.
         for isa in available_isas() {
             let backend = backend_for(isa).expect("listed as available");
             assert_eq!(backend.isa(), isa);
-            // Smoke: run each kernel on a tiny panel pair and compare
-            // against the scalar reference (full parity coverage lives
-            // in tests/backend_parity.rs).
-            let kc = 3;
-            let ap: Vec<f32> = (0..kc * MR).map(|i| i as f32 * 0.25 - 1.0).collect();
-            let bp: Vec<f32> = (0..kc * NR).map(|i| 2.0 - i as f32 * 0.125).collect();
-            let mut acc = [[0.0f32; NR]; MR];
-            let mut want = [[0.0f32; NR]; MR];
-            backend.acc_f32()(kc, &ap, &bp, &mut acc);
-            scalar_backend().acc_f32()(kc, &ap, &bp, &mut want);
-            assert_eq!(acc, want, "acc_f32 parity for {isa}");
-
-            let brow: Vec<f32> = (0..kc).map(|i| 0.5 + i as f32).collect();
-            let mut col = [0.0f32; MR];
-            let mut col_want = [0.0f32; MR];
-            backend.bt_f32()(kc, &ap, &brow, &mut col);
-            scalar_backend().bt_f32()(kc, &ap, &brow, &mut col_want);
-            assert_eq!(col, col_want, "bt_f32 parity for {isa}");
+            kernels_run_and_match_scalar::<f32>(backend);
+            kernels_run_and_match_scalar::<f64>(backend);
         }
     }
 }

@@ -1,27 +1,28 @@
 //! Explicit NEON microkernels (aarch64).
 //!
 //! Same dataflow as [`super::x86`] at 128-bit width: broadcast one A
-//! element against a vector of B columns and accumulate the 8x8 C tile
-//! in registers. `vmulq`/`vaddq` pairs are used instead of `vmlaq`
-//! (which lowers to fused FMLA) so every lane performs the unfused
-//! rounding sequence of [`crate::scalar::Scalar::mul_add`] — the
+//! element against a vector of B columns and accumulate the `MR x NR`
+//! C tile in registers, walking the 16 columns in register-width
+//! groups (group loop outermost, so every element's `kk` chain is
+//! intact). Each step is one `vfmaq` (FMLA) — a single exact rounding
+//! per lane, i.e. [`crate::scalar::Scalar::fma`] — so results are
+//! bit-identical to the [`super::scalar`] reference, the
 //! bit-exactness contract in [`crate::gemm::backend`]. NEON is
 //! baseline on aarch64, so no runtime detection is needed; the
 //! wrappers still assert panel lengths before the raw-pointer loop.
 
 use core::arch::aarch64::*;
 
-use crate::gemm::{MR, NR};
+use crate::gemm::{BT_COLS, MR, NR};
 
-// The register schedules below hardcode the 8x8 micro-tile.
-const _: () = assert!(MR == 8 && NR == 8);
+// The register schedules below hardcode the micro-tile shape.
+const _: () = assert!(MR == 8 && NR == 16 && BT_COLS == 4);
 
-/// NEON f32 accumulate: the 8 columns split into two 4-lane halves;
-/// the half loop is outermost, so each element's `kk` chain is intact.
+/// NEON f32 accumulate: four 4-lane column groups.
 pub fn acc_f32_neon(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     kernel_precondition!(ap.len() >= kc * MR, "acc_f32_neon: A panel too short");
     kernel_precondition!(bp.len() >= kc * NR, "acc_f32_neon: B panel too short");
-    // Safety: lengths asserted above; NEON is baseline on aarch64.
+    // SAFETY: lengths asserted above; NEON is baseline on aarch64.
     unsafe {
         acc_f32_neon_imp(
             kc,
@@ -38,7 +39,7 @@ pub fn acc_f32_neon(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]
 // kernel-contract: requires target_feature(neon), baseline(aarch64)
 #[target_feature(enable = "neon")]
 unsafe fn acc_f32_neon_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut f32) {
-    for h in 0..2 {
+    for h in 0..4 {
         let mut r = [vdupq_n_f32(0.0); MR];
         for (i, ri) in r.iter_mut().enumerate() {
             *ri = vld1q_f32(acc.add(i * NR + h * 4));
@@ -48,9 +49,8 @@ unsafe fn acc_f32_neon_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut 
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = vdupq_n_f32(*a.add(i));
-                // mul then add, not vmlaq (fused): must match the
-                // unfused scalar chain `ai * b + row` bit for bit.
-                *ri = vaddq_f32(vmulq_f32(av, bv), *ri);
+                // One rounding per step: the scalar chain's `fma`.
+                *ri = vfmaq_f32(*ri, av, bv);
             }
         }
         for (i, ri) in r.iter().enumerate() {
@@ -59,11 +59,11 @@ unsafe fn acc_f32_neon_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut 
     }
 }
 
-/// NEON f64 accumulate: the 8 columns split into four 2-lane quarters.
+/// NEON f64 accumulate: eight 2-lane column groups.
 pub fn acc_f64_neon(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     kernel_precondition!(ap.len() >= kc * MR, "acc_f64_neon: A panel too short");
     kernel_precondition!(bp.len() >= kc * NR, "acc_f64_neon: B panel too short");
-    // Safety: lengths asserted above; NEON is baseline on aarch64.
+    // SAFETY: lengths asserted above; NEON is baseline on aarch64.
     unsafe {
         acc_f64_neon_imp(
             kc,
@@ -80,7 +80,7 @@ pub fn acc_f64_neon(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]
 // kernel-contract: requires target_feature(neon), baseline(aarch64)
 #[target_feature(enable = "neon")]
 unsafe fn acc_f64_neon_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut f64) {
-    for h in 0..4 {
+    for h in 0..8 {
         let mut r = [vdupq_n_f64(0.0); MR];
         for (i, ri) in r.iter_mut().enumerate() {
             *ri = vld1q_f64(acc.add(i * NR + h * 2));
@@ -90,7 +90,7 @@ unsafe fn acc_f64_neon_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut 
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = vdupq_n_f64(*a.add(i));
-                *ri = vaddq_f64(vmulq_f64(av, bv), *ri);
+                *ri = vfmaq_f64(*ri, av, bv);
             }
         }
         for (i, ri) in r.iter().enumerate() {
@@ -99,56 +99,132 @@ unsafe fn acc_f64_neon_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut 
     }
 }
 
-/// NEON f32 streaming-B^T column kernel: two 4-lane halves over the
-/// `MR` column accumulators.
-pub fn bt_f32_neon(kc: usize, ap: &[f32], brow: &[f32], acc: &mut [f32; MR]) {
+/// NEON f32 streaming-B^T kernel: two 4-lane halves per column,
+/// `BT_COLS` independent column chains.
+pub fn bt_f32_neon(kc: usize, ap: &[f32], b: [&[f32]; BT_COLS], acc: &mut [[f32; MR]; BT_COLS]) {
+    let [b0, b1, b2, b3] = b;
     kernel_precondition!(ap.len() >= kc * MR, "bt_f32_neon: A panel too short");
-    kernel_precondition!(brow.len() >= kc, "bt_f32_neon: B row too short");
-    // Safety: lengths asserted above; NEON is baseline on aarch64.
-    unsafe { bt_f32_neon_imp(kc, ap.as_ptr(), brow.as_ptr(), acc.as_mut_ptr()) }
+    kernel_precondition!(b0.len() >= kc, "bt_f32_neon: B row 0 too short");
+    kernel_precondition!(b1.len() >= kc, "bt_f32_neon: B row 1 too short");
+    kernel_precondition!(b2.len() >= kc, "bt_f32_neon: B row 2 too short");
+    kernel_precondition!(b3.len() >= kc, "bt_f32_neon: B row 3 too short");
+    // SAFETY: lengths asserted above; NEON is baseline on aarch64.
+    unsafe {
+        bt_f32_neon_imp(
+            kc,
+            ap.as_ptr(),
+            b0.as_ptr(),
+            b1.as_ptr(),
+            b2.as_ptr(),
+            b3.as_ptr(),
+            acc.as_flattened_mut().as_mut_ptr(),
+        )
+    }
 }
 
+// The B rows are read-only and may coincide (the driver repeats a row
+// to fill a ragged last group), so they carry no `noalias`.
 // kernel-contract: ap points-to len >= kc * MR, noalias
-// kernel-contract: brow points-to len >= kc, noalias
-// kernel-contract: acc points-to len >= MR, noalias
+// kernel-contract: b0 points-to len >= kc
+// kernel-contract: b1 points-to len >= kc
+// kernel-contract: b2 points-to len >= kc
+// kernel-contract: b3 points-to len >= kc
+// kernel-contract: acc points-to len >= BT_COLS * MR, noalias
 // kernel-contract: requires target_feature(neon), baseline(aarch64)
 #[target_feature(enable = "neon")]
-unsafe fn bt_f32_neon_imp(kc: usize, ap: *const f32, brow: *const f32, acc: *mut f32) {
-    let mut r0 = vld1q_f32(acc);
-    let mut r1 = vld1q_f32(acc.add(4));
+unsafe fn bt_f32_neon_imp(
+    kc: usize,
+    ap: *const f32,
+    b0: *const f32,
+    b1: *const f32,
+    b2: *const f32,
+    b3: *const f32,
+    acc: *mut f32,
+) {
+    // r[2c + h]: half `h` of column `c`.
+    let mut r = [vdupq_n_f32(0.0); 2 * BT_COLS];
+    for (q, rq) in r.iter_mut().enumerate() {
+        *rq = vld1q_f32(acc.add(q * 4));
+    }
     for kk in 0..kc {
         let a = ap.add(kk * MR);
-        let bv = vdupq_n_f32(*brow.add(kk));
-        r0 = vaddq_f32(vmulq_f32(vld1q_f32(a), bv), r0);
-        r1 = vaddq_f32(vmulq_f32(vld1q_f32(a.add(4)), bv), r1);
+        let lo = vld1q_f32(a);
+        let hi = vld1q_f32(a.add(4));
+        let v0 = vdupq_n_f32(*b0.add(kk));
+        r[0] = vfmaq_f32(r[0], lo, v0);
+        r[1] = vfmaq_f32(r[1], hi, v0);
+        let v1 = vdupq_n_f32(*b1.add(kk));
+        r[2] = vfmaq_f32(r[2], lo, v1);
+        r[3] = vfmaq_f32(r[3], hi, v1);
+        let v2 = vdupq_n_f32(*b2.add(kk));
+        r[4] = vfmaq_f32(r[4], lo, v2);
+        r[5] = vfmaq_f32(r[5], hi, v2);
+        let v3 = vdupq_n_f32(*b3.add(kk));
+        r[6] = vfmaq_f32(r[6], lo, v3);
+        r[7] = vfmaq_f32(r[7], hi, v3);
     }
-    vst1q_f32(acc, r0);
-    vst1q_f32(acc.add(4), r1);
+    for (q, rq) in r.iter().enumerate() {
+        vst1q_f32(acc.add(q * 4), *rq);
+    }
 }
 
-/// NEON f64 streaming-B^T column kernel: four 2-lane quarters.
-pub fn bt_f64_neon(kc: usize, ap: &[f64], brow: &[f64], acc: &mut [f64; MR]) {
+/// NEON f64 streaming-B^T kernel: four 2-lane quarters per column.
+pub fn bt_f64_neon(kc: usize, ap: &[f64], b: [&[f64]; BT_COLS], acc: &mut [[f64; MR]; BT_COLS]) {
+    let [b0, b1, b2, b3] = b;
     kernel_precondition!(ap.len() >= kc * MR, "bt_f64_neon: A panel too short");
-    kernel_precondition!(brow.len() >= kc, "bt_f64_neon: B row too short");
-    // Safety: lengths asserted above; NEON is baseline on aarch64.
-    unsafe { bt_f64_neon_imp(kc, ap.as_ptr(), brow.as_ptr(), acc.as_mut_ptr()) }
+    kernel_precondition!(b0.len() >= kc, "bt_f64_neon: B row 0 too short");
+    kernel_precondition!(b1.len() >= kc, "bt_f64_neon: B row 1 too short");
+    kernel_precondition!(b2.len() >= kc, "bt_f64_neon: B row 2 too short");
+    kernel_precondition!(b3.len() >= kc, "bt_f64_neon: B row 3 too short");
+    // SAFETY: lengths asserted above; NEON is baseline on aarch64.
+    unsafe {
+        bt_f64_neon_imp(
+            kc,
+            ap.as_ptr(),
+            b0.as_ptr(),
+            b1.as_ptr(),
+            b2.as_ptr(),
+            b3.as_ptr(),
+            acc.as_flattened_mut().as_mut_ptr(),
+        )
+    }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
-// kernel-contract: brow points-to len >= kc, noalias
-// kernel-contract: acc points-to len >= MR, noalias
+// kernel-contract: b0 points-to len >= kc
+// kernel-contract: b1 points-to len >= kc
+// kernel-contract: b2 points-to len >= kc
+// kernel-contract: b3 points-to len >= kc
+// kernel-contract: acc points-to len >= BT_COLS * MR, noalias
 // kernel-contract: requires target_feature(neon), baseline(aarch64)
 #[target_feature(enable = "neon")]
-unsafe fn bt_f64_neon_imp(kc: usize, ap: *const f64, brow: *const f64, acc: *mut f64) {
-    let mut r = [vdupq_n_f64(0.0); 4];
+unsafe fn bt_f64_neon_imp(
+    kc: usize,
+    ap: *const f64,
+    b0: *const f64,
+    b1: *const f64,
+    b2: *const f64,
+    b3: *const f64,
+    acc: *mut f64,
+) {
+    // r[4c + q]: quarter `q` of column `c`.
+    let mut r = [vdupq_n_f64(0.0); 4 * BT_COLS];
     for (q, rq) in r.iter_mut().enumerate() {
         *rq = vld1q_f64(acc.add(q * 2));
     }
     for kk in 0..kc {
         let a = ap.add(kk * MR);
-        let bv = vdupq_n_f64(*brow.add(kk));
-        for (q, rq) in r.iter_mut().enumerate() {
-            *rq = vaddq_f64(vmulq_f64(vld1q_f64(a.add(q * 2)), bv), *rq);
+        let bv = [
+            vdupq_n_f64(*b0.add(kk)),
+            vdupq_n_f64(*b1.add(kk)),
+            vdupq_n_f64(*b2.add(kk)),
+            vdupq_n_f64(*b3.add(kk)),
+        ];
+        for q in 0..4 {
+            let av = vld1q_f64(a.add(q * 2));
+            for (c, &bc) in bv.iter().enumerate() {
+                r[4 * c + q] = vfmaq_f64(r[4 * c + q], av, bc);
+            }
         }
     }
     for (q, rq) in r.iter().enumerate() {
@@ -184,18 +260,24 @@ mod tests {
             scalar::acc(kc, &ap64, &bp64, &mut want);
             assert_eq!(fast, want, "f64 acc kc={kc}");
 
-            let brow32: Vec<f32> = (0..kc).map(|i| (i as f32 * 0.9).tan()).collect();
-            let mut fast = [1.0f32; MR];
-            let mut want = [1.0f32; MR];
-            bt_f32_neon(kc, &ap32, &brow32, &mut fast);
-            scalar::bt(kc, &ap32, &brow32, &mut want);
+            let rows32: Vec<Vec<f32>> = (0..BT_COLS)
+                .map(|c| (0..kc).map(|i| ((i + 7 * c) as f32 * 0.9).tan()).collect())
+                .collect();
+            let b32: [&[f32]; BT_COLS] = std::array::from_fn(|c| rows32[c].as_slice());
+            let mut fast = [[1.0f32; MR]; BT_COLS];
+            let mut want = [[1.0f32; MR]; BT_COLS];
+            bt_f32_neon(kc, &ap32, b32, &mut fast);
+            scalar::bt(kc, &ap32, b32, &mut want);
             assert_eq!(fast, want, "f32 bt kc={kc}");
 
-            let brow64: Vec<f64> = (0..kc).map(|i| (i as f64 * 0.9).tan()).collect();
-            let mut fast = [1.0f64; MR];
-            let mut want = [1.0f64; MR];
-            bt_f64_neon(kc, &ap64, &brow64, &mut fast);
-            scalar::bt(kc, &ap64, &brow64, &mut want);
+            let rows64: Vec<Vec<f64>> = (0..BT_COLS)
+                .map(|c| (0..kc).map(|i| ((i + 7 * c) as f64 * 0.9).tan()).collect())
+                .collect();
+            let b64: [&[f64]; BT_COLS] = std::array::from_fn(|c| rows64[c].as_slice());
+            let mut fast = [[1.0f64; MR]; BT_COLS];
+            let mut want = [[1.0f64; MR]; BT_COLS];
+            bt_f64_neon(kc, &ap64, b64, &mut fast);
+            scalar::bt(kc, &ap64, b64, &mut want);
             assert_eq!(fast, want, "f64 bt kc={kc}");
         }
     }

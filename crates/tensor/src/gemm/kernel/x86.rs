@@ -1,15 +1,19 @@
-//! Explicit AVX2 and AVX-512 microkernels (x86_64).
+//! Explicit AVX2+FMA and AVX-512 microkernels (x86_64).
 //!
 //! The paper's QPX kernel broadcasts one A element against a vector of
-//! B and accumulates an 8x8 C block in registers; these kernels are
-//! the same dataflow in `std::arch` intrinsics. Crucially they use
-//! **separate multiply and add** instructions — never `fmadd` — so
-//! every lane performs exactly the unfused rounding sequence of
-//! [`crate::scalar::Scalar::mul_add`], and results stay bit-identical
-//! to the [`super::scalar`] reference (the backend contract in
-//! [`crate::gemm::backend`]). That trades the FMA throughput win for
-//! determinism across backends; the speedup here comes from register
-//! width, not fusion.
+//! B and accumulates a register-resident C block with fused
+//! multiply-adds; these kernels are the same dataflow in `std::arch`
+//! intrinsics. Every accumulate step is one `fmadd` — a single exact
+//! rounding per lane, which is precisely [`crate::scalar::Scalar::fma`]
+//! — and each C element keeps its own `kk`-ascending chain, so results
+//! are bit-identical to the [`super::scalar`] reference (the backend
+//! contract in [`crate::gemm::backend`]).
+//!
+//! The micro-tile is `MR x NR = 8 x 16`, sized so that one AVX-512
+//! register holds a whole f32 tile row: eight independent zmm chains,
+//! one B load plus eight A broadcasts per `kk` step. Narrower
+//! registers walk the 16 columns in register-width groups with the
+//! group loop outermost, which leaves every element's chain intact.
 //!
 //! Each public kernel is a safe wrapper that asserts panel lengths and
 //! runtime CPU support (a cached flag check, negligible next to the
@@ -19,18 +23,22 @@
 
 use core::arch::x86_64::*;
 
-use crate::gemm::{MR, NR};
+use crate::gemm::{BT_COLS, MR, NR};
 
-// The register schedules below hardcode the 8x8 micro-tile.
-const _: () = assert!(MR == 8 && NR == 8);
+// The register schedules below hardcode the micro-tile shape.
+const _: () = assert!(MR == 8 && NR == 16 && BT_COLS == 4);
 
-/// AVX2 f32 accumulate: one 8-lane ymm per micro-tile row.
+/// AVX2 f32 accumulate: the 16 columns split into two 8-lane halves;
+/// the half loop is outermost, so each element's `kk` chain is intact.
 pub fn acc_f32_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     kernel_precondition!(ap.len() >= kc * MR, "acc_f32_avx2: A panel too short");
     kernel_precondition!(bp.len() >= kc * NR, "acc_f32_avx2: B panel too short");
-    kernel_precondition!(is_x86_feature_detected!("avx2"), "avx2 not available");
-    // Safety: lengths and CPU support asserted above; `acc` is a
-    // fixed-size 8x8 tile.
+    kernel_precondition!(
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+        "avx2/fma not available"
+    );
+    // SAFETY: lengths and CPU support asserted above; `acc` is a
+    // fixed-size MR x NR tile.
     unsafe {
         acc_f32_avx2_imp(
             kc,
@@ -44,35 +52,38 @@ pub fn acc_f32_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
 // kernel-contract: acc points-to len >= MR * NR, noalias
-// kernel-contract: requires target_feature(avx2)
-#[target_feature(enable = "avx2")]
+// kernel-contract: requires target_feature(avx2, fma)
+#[target_feature(enable = "avx2,fma")]
 unsafe fn acc_f32_avx2_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut f32) {
-    let mut r = [_mm256_setzero_ps(); MR];
-    for (i, ri) in r.iter_mut().enumerate() {
-        *ri = _mm256_loadu_ps(acc.add(i * NR));
-    }
-    for kk in 0..kc {
-        let bv = _mm256_loadu_ps(bp.add(kk * NR));
-        let a = ap.add(kk * MR);
+    for h in 0..2 {
+        let mut r = [_mm256_setzero_ps(); MR];
         for (i, ri) in r.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*a.add(i));
-            // mul then add, not fmadd: must match the unfused scalar
-            // chain `ai * b + row` bit for bit.
-            *ri = _mm256_add_ps(_mm256_mul_ps(av, bv), *ri);
+            *ri = _mm256_loadu_ps(acc.add(i * NR + h * 8));
         }
-    }
-    for (i, ri) in r.iter().enumerate() {
-        _mm256_storeu_ps(acc.add(i * NR), *ri);
+        for kk in 0..kc {
+            let bv = _mm256_loadu_ps(bp.add(kk * NR + h * 8));
+            let a = ap.add(kk * MR);
+            for (i, ri) in r.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*a.add(i));
+                // One rounding per step: the scalar chain's `fma`.
+                *ri = _mm256_fmadd_ps(av, bv, *ri);
+            }
+        }
+        for (i, ri) in r.iter().enumerate() {
+            _mm256_storeu_ps(acc.add(i * NR + h * 8), *ri);
+        }
     }
 }
 
-/// AVX2 f64 accumulate: the 8 columns split into two 4-lane halves;
-/// the half loop is outermost, so each element's `kk` chain is intact.
+/// AVX2 f64 accumulate: four 4-lane column groups.
 pub fn acc_f64_avx2(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     kernel_precondition!(ap.len() >= kc * MR, "acc_f64_avx2: A panel too short");
     kernel_precondition!(bp.len() >= kc * NR, "acc_f64_avx2: B panel too short");
-    kernel_precondition!(is_x86_feature_detected!("avx2"), "avx2 not available");
-    // Safety: lengths and CPU support asserted above.
+    kernel_precondition!(
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+        "avx2/fma not available"
+    );
+    // SAFETY: lengths and CPU support asserted above.
     unsafe {
         acc_f64_avx2_imp(
             kc,
@@ -86,10 +97,10 @@ pub fn acc_f64_avx2(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
 // kernel-contract: acc points-to len >= MR * NR, noalias
-// kernel-contract: requires target_feature(avx2)
-#[target_feature(enable = "avx2")]
+// kernel-contract: requires target_feature(avx2, fma)
+#[target_feature(enable = "avx2,fma")]
 unsafe fn acc_f64_avx2_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut f64) {
-    for h in 0..2 {
+    for h in 0..4 {
         let mut r = [_mm256_setzero_pd(); MR];
         for (i, ri) in r.iter_mut().enumerate() {
             *ri = _mm256_loadu_pd(acc.add(i * NR + h * 4));
@@ -99,7 +110,7 @@ unsafe fn acc_f64_avx2_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut 
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = _mm256_set1_pd(*a.add(i));
-                *ri = _mm256_add_pd(_mm256_mul_pd(av, bv), *ri);
+                *ri = _mm256_fmadd_pd(av, bv, *ri);
             }
         }
         for (i, ri) in r.iter().enumerate() {
@@ -108,19 +119,13 @@ unsafe fn acc_f64_avx2_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut 
     }
 }
 
-/// AVX-512 f32 accumulate: rows are paired, one 16-lane zmm covering
-/// rows `2p` and `2p+1`; the B panel row is duplicated into both
-/// 256-bit halves and each half multiplies its own broadcast A value.
+/// AVX-512 f32 accumulate: one 16-lane zmm per micro-tile row — eight
+/// independent chains fed by one B load and eight A broadcasts a step.
 pub fn acc_f32_avx512(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     kernel_precondition!(ap.len() >= kc * MR, "acc_f32_avx512: A panel too short");
     kernel_precondition!(bp.len() >= kc * NR, "acc_f32_avx512: B panel too short");
-    kernel_precondition!(
-        is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512dq"),
-        "avx2/avx512f/avx512dq not available"
-    );
-    // Safety: lengths and CPU support asserted above.
+    kernel_precondition!(is_x86_feature_detected!("avx512f"), "avx512f not available");
+    // SAFETY: lengths and CPU support asserted above.
     unsafe {
         acc_f32_avx512_imp(
             kc,
@@ -134,37 +139,32 @@ pub fn acc_f32_avx512(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; M
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
 // kernel-contract: acc points-to len >= MR * NR, noalias
-// kernel-contract: requires target_feature(avx2, avx512f, avx512dq)
-#[target_feature(enable = "avx2,avx512f,avx512dq")]
+// kernel-contract: requires target_feature(avx512f)
+#[target_feature(enable = "avx512f")]
 unsafe fn acc_f32_avx512_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut f32) {
-    let mut r = [_mm512_setzero_ps(); MR / 2];
-    for (p, rp) in r.iter_mut().enumerate() {
-        // One zmm spans two consecutive 8-wide rows of the tile.
-        *rp = _mm512_loadu_ps(acc.add(p * 2 * NR));
+    let mut r = [_mm512_setzero_ps(); MR];
+    for (i, ri) in r.iter_mut().enumerate() {
+        *ri = _mm512_loadu_ps(acc.add(i * NR));
     }
     for kk in 0..kc {
-        let b8 = _mm256_loadu_ps(bp.add(kk * NR));
-        let bdup = _mm512_broadcast_f32x8(b8);
+        let bv = _mm512_loadu_ps(bp.add(kk * NR));
         let a = ap.add(kk * MR);
-        for (p, rp) in r.iter_mut().enumerate() {
-            let av = _mm512_insertf32x8::<1>(
-                _mm512_castps256_ps512(_mm256_set1_ps(*a.add(2 * p))),
-                _mm256_set1_ps(*a.add(2 * p + 1)),
-            );
-            *rp = _mm512_add_ps(_mm512_mul_ps(av, bdup), *rp);
+        for (i, ri) in r.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*a.add(i));
+            *ri = _mm512_fmadd_ps(av, bv, *ri);
         }
     }
-    for (p, rp) in r.iter().enumerate() {
-        _mm512_storeu_ps(acc.add(p * 2 * NR), *rp);
+    for (i, ri) in r.iter().enumerate() {
+        _mm512_storeu_ps(acc.add(i * NR), *ri);
     }
 }
 
-/// AVX-512 f64 accumulate: one 8-lane zmm per micro-tile row.
+/// AVX-512 f64 accumulate: two 8-lane column halves.
 pub fn acc_f64_avx512(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     kernel_precondition!(ap.len() >= kc * MR, "acc_f64_avx512: A panel too short");
     kernel_precondition!(bp.len() >= kc * NR, "acc_f64_avx512: B panel too short");
     kernel_precondition!(is_x86_feature_detected!("avx512f"), "avx512f not available");
-    // Safety: lengths and CPU support asserted above.
+    // SAFETY: lengths and CPU support asserted above.
     unsafe {
         acc_f64_avx512_imp(
             kc,
@@ -181,101 +181,215 @@ pub fn acc_f64_avx512(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; M
 // kernel-contract: requires target_feature(avx512f)
 #[target_feature(enable = "avx512f")]
 unsafe fn acc_f64_avx512_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut f64) {
-    let mut r = [_mm512_setzero_pd(); MR];
-    for (i, ri) in r.iter_mut().enumerate() {
-        *ri = _mm512_loadu_pd(acc.add(i * NR));
-    }
-    for kk in 0..kc {
-        let bv = _mm512_loadu_pd(bp.add(kk * NR));
-        let a = ap.add(kk * MR);
+    for h in 0..2 {
+        let mut r = [_mm512_setzero_pd(); MR];
         for (i, ri) in r.iter_mut().enumerate() {
-            let av = _mm512_set1_pd(*a.add(i));
-            *ri = _mm512_add_pd(_mm512_mul_pd(av, bv), *ri);
+            *ri = _mm512_loadu_pd(acc.add(i * NR + h * 8));
+        }
+        for kk in 0..kc {
+            let bv = _mm512_loadu_pd(bp.add(kk * NR + h * 8));
+            let a = ap.add(kk * MR);
+            for (i, ri) in r.iter_mut().enumerate() {
+                let av = _mm512_set1_pd(*a.add(i));
+                *ri = _mm512_fmadd_pd(av, bv, *ri);
+            }
+        }
+        for (i, ri) in r.iter().enumerate() {
+            _mm512_storeu_pd(acc.add(i * NR + h * 8), *ri);
         }
     }
-    for (i, ri) in r.iter().enumerate() {
-        _mm512_storeu_pd(acc.add(i * NR), *ri);
+}
+
+/// AVX2 f32 streaming-B^T kernel: one ymm holds the `MR` accumulators
+/// of a column, one register per column. A panel columns are
+/// contiguous (`kk`-major packing), so each step is one A load plus
+/// `BT_COLS` broadcasts feeding `BT_COLS` independent chains.
+pub fn bt_f32_avx2(kc: usize, ap: &[f32], b: [&[f32]; BT_COLS], acc: &mut [[f32; MR]; BT_COLS]) {
+    let [b0, b1, b2, b3] = b;
+    kernel_precondition!(ap.len() >= kc * MR, "bt_f32_avx2: A panel too short");
+    kernel_precondition!(b0.len() >= kc, "bt_f32_avx2: B row 0 too short");
+    kernel_precondition!(b1.len() >= kc, "bt_f32_avx2: B row 1 too short");
+    kernel_precondition!(b2.len() >= kc, "bt_f32_avx2: B row 2 too short");
+    kernel_precondition!(b3.len() >= kc, "bt_f32_avx2: B row 3 too short");
+    kernel_precondition!(
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+        "avx2/fma not available"
+    );
+    // SAFETY: lengths and CPU support asserted above.
+    unsafe {
+        bt_f32_avx2_imp(
+            kc,
+            ap.as_ptr(),
+            b0.as_ptr(),
+            b1.as_ptr(),
+            b2.as_ptr(),
+            b3.as_ptr(),
+            acc.as_flattened_mut().as_mut_ptr(),
+        )
     }
 }
 
-/// AVX2 f32 streaming-B^T column kernel: all `MR` column accumulators
-/// in one ymm; A panel columns are contiguous (`kk`-major packing), so
-/// each step is one load + one broadcast.
-pub fn bt_f32_avx2(kc: usize, ap: &[f32], brow: &[f32], acc: &mut [f32; MR]) {
-    kernel_precondition!(ap.len() >= kc * MR, "bt_f32_avx2: A panel too short");
-    kernel_precondition!(brow.len() >= kc, "bt_f32_avx2: B row too short");
-    kernel_precondition!(is_x86_feature_detected!("avx2"), "avx2 not available");
-    // Safety: lengths and CPU support asserted above.
-    unsafe { bt_f32_avx2_imp(kc, ap.as_ptr(), brow.as_ptr(), acc.as_mut_ptr()) }
-}
-
+// The B rows are read-only and may coincide (the driver repeats a row
+// to fill a ragged last group), so they carry no `noalias`.
 // kernel-contract: ap points-to len >= kc * MR, noalias
-// kernel-contract: brow points-to len >= kc, noalias
-// kernel-contract: acc points-to len >= MR, noalias
-// kernel-contract: requires target_feature(avx2)
-#[target_feature(enable = "avx2")]
-unsafe fn bt_f32_avx2_imp(kc: usize, ap: *const f32, brow: *const f32, acc: *mut f32) {
-    let mut r = _mm256_loadu_ps(acc);
+// kernel-contract: b0 points-to len >= kc
+// kernel-contract: b1 points-to len >= kc
+// kernel-contract: b2 points-to len >= kc
+// kernel-contract: b3 points-to len >= kc
+// kernel-contract: acc points-to len >= BT_COLS * MR, noalias
+// kernel-contract: requires target_feature(avx2, fma)
+#[target_feature(enable = "avx2,fma")]
+unsafe fn bt_f32_avx2_imp(
+    kc: usize,
+    ap: *const f32,
+    b0: *const f32,
+    b1: *const f32,
+    b2: *const f32,
+    b3: *const f32,
+    acc: *mut f32,
+) {
+    let mut r = [_mm256_setzero_ps(); BT_COLS];
+    for (c, rc) in r.iter_mut().enumerate() {
+        *rc = _mm256_loadu_ps(acc.add(c * MR));
+    }
     for kk in 0..kc {
         let av = _mm256_loadu_ps(ap.add(kk * MR));
-        let bv = _mm256_set1_ps(*brow.add(kk));
-        r = _mm256_add_ps(_mm256_mul_ps(av, bv), r);
+        r[0] = _mm256_fmadd_ps(av, _mm256_set1_ps(*b0.add(kk)), r[0]);
+        r[1] = _mm256_fmadd_ps(av, _mm256_set1_ps(*b1.add(kk)), r[1]);
+        r[2] = _mm256_fmadd_ps(av, _mm256_set1_ps(*b2.add(kk)), r[2]);
+        r[3] = _mm256_fmadd_ps(av, _mm256_set1_ps(*b3.add(kk)), r[3]);
     }
-    _mm256_storeu_ps(acc, r);
+    for (c, rc) in r.iter().enumerate() {
+        _mm256_storeu_ps(acc.add(c * MR), *rc);
+    }
 }
 
-/// AVX2 f64 streaming-B^T column kernel: two 4-lane halves.
-pub fn bt_f64_avx2(kc: usize, ap: &[f64], brow: &[f64], acc: &mut [f64; MR]) {
+/// AVX2 f64 streaming-B^T kernel: two 4-lane halves per column.
+pub fn bt_f64_avx2(kc: usize, ap: &[f64], b: [&[f64]; BT_COLS], acc: &mut [[f64; MR]; BT_COLS]) {
+    let [b0, b1, b2, b3] = b;
     kernel_precondition!(ap.len() >= kc * MR, "bt_f64_avx2: A panel too short");
-    kernel_precondition!(brow.len() >= kc, "bt_f64_avx2: B row too short");
-    kernel_precondition!(is_x86_feature_detected!("avx2"), "avx2 not available");
-    // Safety: lengths and CPU support asserted above.
-    unsafe { bt_f64_avx2_imp(kc, ap.as_ptr(), brow.as_ptr(), acc.as_mut_ptr()) }
+    kernel_precondition!(b0.len() >= kc, "bt_f64_avx2: B row 0 too short");
+    kernel_precondition!(b1.len() >= kc, "bt_f64_avx2: B row 1 too short");
+    kernel_precondition!(b2.len() >= kc, "bt_f64_avx2: B row 2 too short");
+    kernel_precondition!(b3.len() >= kc, "bt_f64_avx2: B row 3 too short");
+    kernel_precondition!(
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+        "avx2/fma not available"
+    );
+    // SAFETY: lengths and CPU support asserted above.
+    unsafe {
+        bt_f64_avx2_imp(
+            kc,
+            ap.as_ptr(),
+            b0.as_ptr(),
+            b1.as_ptr(),
+            b2.as_ptr(),
+            b3.as_ptr(),
+            acc.as_flattened_mut().as_mut_ptr(),
+        )
+    }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
-// kernel-contract: brow points-to len >= kc, noalias
-// kernel-contract: acc points-to len >= MR, noalias
-// kernel-contract: requires target_feature(avx2)
-#[target_feature(enable = "avx2")]
-unsafe fn bt_f64_avx2_imp(kc: usize, ap: *const f64, brow: *const f64, acc: *mut f64) {
-    let mut r0 = _mm256_loadu_pd(acc);
-    let mut r1 = _mm256_loadu_pd(acc.add(4));
+// kernel-contract: b0 points-to len >= kc
+// kernel-contract: b1 points-to len >= kc
+// kernel-contract: b2 points-to len >= kc
+// kernel-contract: b3 points-to len >= kc
+// kernel-contract: acc points-to len >= BT_COLS * MR, noalias
+// kernel-contract: requires target_feature(avx2, fma)
+#[target_feature(enable = "avx2,fma")]
+unsafe fn bt_f64_avx2_imp(
+    kc: usize,
+    ap: *const f64,
+    b0: *const f64,
+    b1: *const f64,
+    b2: *const f64,
+    b3: *const f64,
+    acc: *mut f64,
+) {
+    // r[2c + h]: half `h` of column `c`.
+    let mut r = [_mm256_setzero_pd(); 2 * BT_COLS];
+    for (q, rq) in r.iter_mut().enumerate() {
+        *rq = _mm256_loadu_pd(acc.add(q * 4));
+    }
     for kk in 0..kc {
         let a = ap.add(kk * MR);
-        let bv = _mm256_set1_pd(*brow.add(kk));
-        r0 = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(a), bv), r0);
-        r1 = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(a.add(4)), bv), r1);
+        let lo = _mm256_loadu_pd(a);
+        let hi = _mm256_loadu_pd(a.add(4));
+        let v0 = _mm256_set1_pd(*b0.add(kk));
+        r[0] = _mm256_fmadd_pd(lo, v0, r[0]);
+        r[1] = _mm256_fmadd_pd(hi, v0, r[1]);
+        let v1 = _mm256_set1_pd(*b1.add(kk));
+        r[2] = _mm256_fmadd_pd(lo, v1, r[2]);
+        r[3] = _mm256_fmadd_pd(hi, v1, r[3]);
+        let v2 = _mm256_set1_pd(*b2.add(kk));
+        r[4] = _mm256_fmadd_pd(lo, v2, r[4]);
+        r[5] = _mm256_fmadd_pd(hi, v2, r[5]);
+        let v3 = _mm256_set1_pd(*b3.add(kk));
+        r[6] = _mm256_fmadd_pd(lo, v3, r[6]);
+        r[7] = _mm256_fmadd_pd(hi, v3, r[7]);
     }
-    _mm256_storeu_pd(acc, r0);
-    _mm256_storeu_pd(acc.add(4), r1);
+    for (q, rq) in r.iter().enumerate() {
+        _mm256_storeu_pd(acc.add(q * 4), *rq);
+    }
 }
 
-/// AVX-512 f64 streaming-B^T column kernel: all `MR` accumulators in
-/// one zmm. (f32 has no AVX-512 variant: one ymm already covers the
-/// eight columns, so the AVX2 kernel is reused by the AVX-512
-/// backend.)
-pub fn bt_f64_avx512(kc: usize, ap: &[f64], brow: &[f64], acc: &mut [f64; MR]) {
+/// AVX-512 f64 streaming-B^T kernel: one zmm per column. (f32 has no
+/// AVX-512 variant: one ymm already covers the `MR` accumulators of a
+/// column, so the AVX-512 backend reuses the AVX2 kernel.)
+pub fn bt_f64_avx512(kc: usize, ap: &[f64], b: [&[f64]; BT_COLS], acc: &mut [[f64; MR]; BT_COLS]) {
+    let [b0, b1, b2, b3] = b;
     kernel_precondition!(ap.len() >= kc * MR, "bt_f64_avx512: A panel too short");
-    kernel_precondition!(brow.len() >= kc, "bt_f64_avx512: B row too short");
+    kernel_precondition!(b0.len() >= kc, "bt_f64_avx512: B row 0 too short");
+    kernel_precondition!(b1.len() >= kc, "bt_f64_avx512: B row 1 too short");
+    kernel_precondition!(b2.len() >= kc, "bt_f64_avx512: B row 2 too short");
+    kernel_precondition!(b3.len() >= kc, "bt_f64_avx512: B row 3 too short");
     kernel_precondition!(is_x86_feature_detected!("avx512f"), "avx512f not available");
-    // Safety: lengths and CPU support asserted above.
-    unsafe { bt_f64_avx512_imp(kc, ap.as_ptr(), brow.as_ptr(), acc.as_mut_ptr()) }
+    // SAFETY: lengths and CPU support asserted above.
+    unsafe {
+        bt_f64_avx512_imp(
+            kc,
+            ap.as_ptr(),
+            b0.as_ptr(),
+            b1.as_ptr(),
+            b2.as_ptr(),
+            b3.as_ptr(),
+            acc.as_flattened_mut().as_mut_ptr(),
+        )
+    }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
-// kernel-contract: brow points-to len >= kc, noalias
-// kernel-contract: acc points-to len >= MR, noalias
+// kernel-contract: b0 points-to len >= kc
+// kernel-contract: b1 points-to len >= kc
+// kernel-contract: b2 points-to len >= kc
+// kernel-contract: b3 points-to len >= kc
+// kernel-contract: acc points-to len >= BT_COLS * MR, noalias
 // kernel-contract: requires target_feature(avx512f)
 #[target_feature(enable = "avx512f")]
-unsafe fn bt_f64_avx512_imp(kc: usize, ap: *const f64, brow: *const f64, acc: *mut f64) {
-    let mut r = _mm512_loadu_pd(acc);
+unsafe fn bt_f64_avx512_imp(
+    kc: usize,
+    ap: *const f64,
+    b0: *const f64,
+    b1: *const f64,
+    b2: *const f64,
+    b3: *const f64,
+    acc: *mut f64,
+) {
+    let mut r = [_mm512_setzero_pd(); BT_COLS];
+    for (c, rc) in r.iter_mut().enumerate() {
+        *rc = _mm512_loadu_pd(acc.add(c * MR));
+    }
     for kk in 0..kc {
         let av = _mm512_loadu_pd(ap.add(kk * MR));
-        let bv = _mm512_set1_pd(*brow.add(kk));
-        r = _mm512_add_pd(_mm512_mul_pd(av, bv), r);
+        r[0] = _mm512_fmadd_pd(av, _mm512_set1_pd(*b0.add(kk)), r[0]);
+        r[1] = _mm512_fmadd_pd(av, _mm512_set1_pd(*b1.add(kk)), r[1]);
+        r[2] = _mm512_fmadd_pd(av, _mm512_set1_pd(*b2.add(kk)), r[2]);
+        r[3] = _mm512_fmadd_pd(av, _mm512_set1_pd(*b3.add(kk)), r[3]);
     }
-    _mm512_storeu_pd(acc, r);
+    for (c, rc) in r.iter().enumerate() {
+        _mm512_storeu_pd(acc.add(c * MR), *rc);
+    }
 }
 
 #[cfg(test)]
@@ -284,8 +398,8 @@ mod tests {
     use super::*;
 
     fn f32_panels(kc: usize) -> (Vec<f32>, Vec<f32>) {
-        // Non-round values so any reassociation or fusion shows up in
-        // the low bits.
+        // Non-round values so any reassociation or unfused step shows
+        // up in the low bits.
         let ap = (0..kc * MR).map(|i| (i as f32).sin() * 3.7).collect();
         let bp = (0..kc * NR).map(|i| (i as f32).cos() * 1.3 - 0.4).collect();
         (ap, bp)
@@ -297,9 +411,13 @@ mod tests {
         (ap, bp)
     }
 
+    fn avx2_fma() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+    }
+
     #[test]
     fn avx2_acc_bitwise_matches_scalar() {
-        if !is_x86_feature_detected!("avx2") {
+        if !avx2_fma() {
             return;
         }
         for kc in [0, 1, 3, 17, 64] {
@@ -321,7 +439,7 @@ mod tests {
 
     #[test]
     fn avx512_acc_bitwise_matches_scalar() {
-        if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")) {
+        if !is_x86_feature_detected!("avx512f") {
             return;
         }
         for kc in [0, 1, 3, 17, 64] {
@@ -343,28 +461,34 @@ mod tests {
 
     #[test]
     fn bt_kernels_bitwise_match_scalar() {
-        if !is_x86_feature_detected!("avx2") {
+        if !avx2_fma() {
             return;
         }
         for kc in [0, 1, 5, 33] {
             let (ap, _) = f32_panels(kc.max(1));
-            let brow: Vec<f32> = (0..kc).map(|i| (i as f32 * 0.9).tan()).collect();
-            let mut fast = [1.0f32; MR];
-            let mut want = [1.0f32; MR];
-            bt_f32_avx2(kc, &ap, &brow, &mut fast);
-            scalar::bt(kc, &ap, &brow, &mut want);
+            let rows: Vec<Vec<f32>> = (0..BT_COLS)
+                .map(|c| (0..kc).map(|i| ((i + 7 * c) as f32 * 0.9).tan()).collect())
+                .collect();
+            let b: [&[f32]; BT_COLS] = std::array::from_fn(|c| rows[c].as_slice());
+            let mut fast = [[1.0f32; MR]; BT_COLS];
+            let mut want = [[1.0f32; MR]; BT_COLS];
+            bt_f32_avx2(kc, &ap, b, &mut fast);
+            scalar::bt(kc, &ap, b, &mut want);
             assert_eq!(fast, want, "f32 kc={kc}");
 
             let (ap, _) = f64_panels(kc.max(1));
-            let brow: Vec<f64> = (0..kc).map(|i| (i as f64 * 0.9).tan()).collect();
-            let mut fast = [1.0f64; MR];
-            let mut want = [1.0f64; MR];
-            bt_f64_avx2(kc, &ap, &brow, &mut fast);
-            scalar::bt(kc, &ap, &brow, &mut want);
+            let rows: Vec<Vec<f64>> = (0..BT_COLS)
+                .map(|c| (0..kc).map(|i| ((i + 7 * c) as f64 * 0.9).tan()).collect())
+                .collect();
+            let b: [&[f64]; BT_COLS] = std::array::from_fn(|c| rows[c].as_slice());
+            let mut fast = [[1.0f64; MR]; BT_COLS];
+            let mut want = [[1.0f64; MR]; BT_COLS];
+            bt_f64_avx2(kc, &ap, b, &mut fast);
+            scalar::bt(kc, &ap, b, &mut want);
             assert_eq!(fast, want, "f64 kc={kc}");
             if is_x86_feature_detected!("avx512f") {
-                let mut fast = [1.0f64; MR];
-                bt_f64_avx512(kc, &ap, &brow, &mut fast);
+                let mut fast = [[1.0f64; MR]; BT_COLS];
+                bt_f64_avx512(kc, &ap, b, &mut fast);
                 assert_eq!(fast, want, "f64 avx512 kc={kc}");
             }
         }

@@ -6,11 +6,12 @@
 //!
 //! * **Thread level** — [`kernel::microkernel`]: an `MR x NR`
 //!   register-blocked rank-1-update kernel reading zero-padded packed
-//!   panels with unit stride (the paper's 8x8 QPX kernel). The
-//!   accumulate loop itself is supplied by the active
+//!   panels with unit stride (the paper's QPX FMA kernel, with the
+//!   tile sized to this host family's register file instead of
+//!   QPX's). The accumulate loop itself is supplied by the active
 //!   [`backend::ComputeBackend`] — explicit AVX2/AVX-512/NEON
 //!   `std::arch` kernels selected by runtime feature detection, or the
-//!   portable scalar reference.
+//!   scalar reference.
 //! * **Core level** — [`pack`]: operands are reformatted into
 //!   micro-panels so every inner-loop access is stride-one, the
 //!   software analogue of engaging the L1P stream prefetcher.
@@ -36,10 +37,10 @@
 //! backend is required to be **bit-identical** to the forced-scalar
 //! reference: kernels may vectorize across the independent
 //! per-element accumulation chains but must keep each chain's
-//! operation order and use unfused multiply+add (see
-//! [`backend`] module docs). Switching backends therefore never
-//! changes trained weights, telemetry bytes, or any other gated
-//! artifact — only wall-clock time.
+//! operation order — one exactly-rounded fused multiply-add per `kk`
+//! step, `kk` ascending (see [`backend`] module docs). Switching
+//! backends therefore never changes trained weights, telemetry bytes,
+//! or any other gated artifact — only wall-clock time.
 //!
 //! ## Entry points
 //!
@@ -79,10 +80,17 @@ use crate::scalar::Scalar;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Micro-tile rows (register blocking, matches the paper's 8x8 C block).
+/// Micro-tile rows (register blocking; the paper's QPX kernel holds
+/// an 8-row C block the same way).
 pub const MR: usize = 8;
-/// Micro-tile columns.
-pub const NR: usize = 8;
+/// Micro-tile columns: one AVX-512 register of f32, so the widest
+/// kernel keeps a whole tile row in a single register; narrower
+/// kernels walk the row in register-width groups.
+pub const NR: usize = 16;
+/// B rows one streaming-`B^T` kernel call consumes: that many
+/// independent column chains in flight hide the FMA latency a single
+/// chain would serialize on.
+pub const BT_COLS: usize = 4;
 
 /// Transpose flag for a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

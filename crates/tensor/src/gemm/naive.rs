@@ -12,8 +12,11 @@ use super::Trans;
 
 /// `C = alpha * op(A) * op(B) + beta * C`, naive triple loop.
 ///
-/// Shape contract is identical to the blocked driver; the public entry
-/// is [`super::op::GemmOp::run_reference`].
+/// Each element's dot product is the same fused multiply-add chain
+/// (`kk` ascending, one rounding per step) the blocked kernels run, so
+/// within one k-block the oracle and the drivers agree on `op(A) *
+/// op(B)` to the bit. Shape contract is identical to the blocked
+/// driver; the public entry is [`super::op::GemmOp::run_reference`].
 pub(crate) fn reference<T: Scalar>(
     ta: Trans,
     tb: Trans,
@@ -57,7 +60,7 @@ pub(crate) fn reference<T: Scalar>(
         for j in 0..n {
             let mut acc = T::ZERO;
             for kk in 0..k {
-                acc = at(i, kk).mul_add(bt(kk, j), acc);
+                acc = at(i, kk).fma(bt(kk, j), acc);
             }
             c[(i, j)] = alpha * acc + beta * c[(i, j)];
         }

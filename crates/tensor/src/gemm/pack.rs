@@ -191,16 +191,18 @@ mod tests {
 
     #[test]
     fn pack_b_notrans_layout() {
-        let b = sample(5, 20);
-        let (pc, kc, jc, nc): (usize, usize, usize, usize) = (1, 4, 3, 17);
+        // Two full panels plus one live column, whatever NR is.
+        let (pc, kc, jc, nc): (usize, usize, usize, usize) = (1, 4, 3, 2 * NR + 1);
+        let b = sample(5, jc + nc);
         let panels = nc.div_ceil(NR);
+        assert_eq!(panels, 3);
         let mut buf = vec![-1.0f32; panels * kc * NR];
         pack_b(&b, Trans::N, pc, kc, jc, nc, &mut buf);
         // (kk=0, j=0) of panel 0 is B[1, 3].
         assert_eq!(buf[0], b[(1, 3)]);
         // (kk=2, j=5) of panel 0 is B[3, 8].
         assert_eq!(buf[2 * NR + 5], b[(3, 8)]);
-        // Panel 2 starts at column 3 + 2*NR; nc=17 ⇒ 1 live column.
+        // Panel 2 starts at column 3 + 2*NR and has 1 live column.
         let p2 = &buf[2 * kc * NR..3 * kc * NR];
         assert_eq!(p2[0], b[(1, 3 + 2 * NR)]);
         assert_eq!(p2[1], 0.0); // padded column

@@ -25,7 +25,7 @@ use crate::workspace::Workspace;
 use rayon::prelude::*;
 
 use super::backend::{AccFn, BtFn};
-use super::{kernel, pack, Blocking, GemmContext, Trans, MR, NR};
+use super::{kernel, pack, Blocking, GemmContext, Trans, BT_COLS, MR, NR};
 
 /// One `(pc, jc)` block of the packed B operand.
 #[derive(Clone, Copy, Debug)]
@@ -781,7 +781,8 @@ fn stripe_prepacked_ab<T: Scalar>(
 ///
 /// Because `op(B)(kk, j) = B[j * k + kk]`, each output column `j`
 /// consumes one contiguous row of `B`, so the kernel streams `B`
-/// stride-one without the reformat that [`PackedB`] performs. That
+/// stride-one — `BT_COLS` rows, i.e. that many independent column
+/// chains, per call — without the reformat that [`PackedB`] performs. That
 /// wins when `op(A)` is short (few row panels): the whole of `B` is
 /// read once per stripe and the pack's extra write+reread of `B`-sized
 /// memory never happens. For tall `op(A)` the register-blocked packed
@@ -870,9 +871,18 @@ fn stripe_prepacked_a_bt<T: Scalar>(
     let panel0 = ic0 / MR;
     let ir_panels = mc_eff.div_ceil(MR);
 
-    // Column-at-a-time: row j of B is streamed front to back exactly
-    // once per stripe while the A panels stay cache-resident.
-    for (j, brow) in b_rows.chunks_exact(k).enumerate() {
+    // BT_COLS output columns at a time: their rows of B are streamed
+    // front to back exactly once per stripe while the A panels stay
+    // cache-resident.
+    for (group, chunk) in b_rows.chunks(BT_COLS * k).enumerate() {
+        let j0 = group * BT_COLS;
+        let live = chunk.len() / k;
+        // A ragged last group repeats its final row: the kernel shape
+        // stays fixed and the surplus columns are never written to C.
+        let rows: [&[T]; BT_COLS] = std::array::from_fn(|c| {
+            let c = c.min(live - 1);
+            &chunk[c * k..(c + 1) * k]
+        });
         let mut pc = 0;
         let mut first_block = true;
         while pc < k {
@@ -885,30 +895,36 @@ fn stripe_prepacked_a_bt<T: Scalar>(
 
                 // Backend-dispatched column kernel, same FMA chain
                 // as kernel::microkernel: kk ascending within the
-                // block, acc = a.mul_add(b, acc); padded panel rows
+                // block, acc = a.fma(b, acc); padded panel rows
                 // compute garbage-free zeros that the masked C write
                 // below discards.
-                let mut acc = [T::ZERO; MR];
-                bt_fn(kc_eff, ap_panel, &brow[pc..pc + kc_eff], &mut acc);
+                let mut acc = [[T::ZERO; MR]; BT_COLS];
+                bt_fn(
+                    kc_eff,
+                    ap_panel,
+                    rows.map(|r| &r[pc..pc + kc_eff]),
+                    &mut acc,
+                );
 
-                let base = (ir * MR) * n + j;
-                match merge {
-                    // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-                    Some(b0) if b0 == T::ZERO => {
-                        for (i, &v) in acc.iter().enumerate().take(mr_eff) {
-                            stripe[base + i * n] = alpha * v;
+                for i in 0..mr_eff {
+                    let row0 = (ir * MR + i) * n + j0;
+                    let dst = &mut stripe[row0..row0 + live];
+                    match merge {
+                        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
+                        Some(b0) if b0 == T::ZERO => {
+                            for (d, col) in dst.iter_mut().zip(&acc) {
+                                *d = alpha * col[i];
+                            }
                         }
-                    }
-                    Some(b0) => {
-                        for (i, &v) in acc.iter().enumerate().take(mr_eff) {
-                            let d = &mut stripe[base + i * n];
-                            *d = alpha.mul_add(v, b0 * *d);
+                        Some(b0) => {
+                            for (d, col) in dst.iter_mut().zip(&acc) {
+                                *d = alpha.mul_add(col[i], b0 * *d);
+                            }
                         }
-                    }
-                    None => {
-                        for (i, &v) in acc.iter().enumerate().take(mr_eff) {
-                            let d = &mut stripe[base + i * n];
-                            *d = alpha.mul_add(v, *d);
+                        None => {
+                            for (d, col) in dst.iter_mut().zip(&acc) {
+                                *d = alpha.mul_add(col[i], *d);
+                            }
                         }
                     }
                 }
@@ -1070,10 +1086,10 @@ mod tests {
 
     #[test]
     fn packed_size_is_padded_panels() {
-        let b: Matrix<f32> = Matrix::zeros(10, 10);
+        let b: Matrix<f32> = Matrix::zeros(10, NR + 2);
         let packed = PackedB::new(&b, Trans::N, Blocking::default());
-        // 10 cols pad to 2 panels of NR=8: 16 cols x 10 k x 4 bytes.
-        assert_eq!(packed.bytes(), 16 * 10 * 4);
+        // NR + 2 cols pad to 2 panels: 2*NR cols x 10 k x 4 bytes.
+        assert_eq!(packed.bytes(), 2 * NR * 10 * 4);
     }
 
     #[test]

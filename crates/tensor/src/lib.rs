@@ -3,7 +3,7 @@
 //! The compute substrate of the workspace: a row-major [`Matrix`],
 //! level-1 vector kernels ([`blas1`]), and a blocked, packed,
 //! multi-threaded [`gemm`] whose structure mirrors the tuned SGEMM the
-//! paper built for Blue Gene/Q (Section V.A): register-blocked 8x8
+//! paper built for Blue Gene/Q (Section V.A): register-blocked FMA
 //! microkernel, stride-one packed panels, MC/KC/NC cache blocking, and
 //! thread-level parallelism over disjoint C stripes.
 //!

@@ -44,8 +44,20 @@ pub trait Scalar:
     fn from_f64(x: f64) -> Self;
     /// Widening conversion to `f64`.
     fn to_f64(self) -> f64;
-    /// Fused (or contracted) multiply-add `self * a + b`.
+    /// Unfused multiply-add `self * a + b`: two roundings, product
+    /// then sum. This is the arithmetic of everything *outside* the
+    /// GEMM accumulate chains — the C-merge epilogues, `blas1`,
+    /// `matrix` — code shared by every backend, so it is identical
+    /// across backends by construction and never calls libm.
     fn mul_add(self, a: Self, b: Self) -> Self;
+    /// Fused multiply-add `self * a + b` with a single, exact rounding
+    /// (IEEE 754 fusedMultiplyAdd) — one step of a GEMM accumulate
+    /// chain, and the reference semantics every kernel in
+    /// [`crate::gemm::kernel`] reproduces bit for bit. Where the
+    /// enclosing function does not enable a hardware FMA feature this
+    /// is a libm call (still exactly rounded, just slow), which is why
+    /// only the accumulate chains use it.
+    fn fma(self, a: Self, b: Self) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
     /// Square root.
@@ -87,9 +99,11 @@ macro_rules! impl_scalar {
             }
             #[inline(always)]
             fn mul_add(self, a: Self, b: Self) -> Self {
-                // Plain `a*b+c`: letting LLVM contract keeps the kernel
-                // auto-vectorizable on targets without fast FMA.
                 self * a + b
+            }
+            #[inline(always)]
+            fn fma(self, a: Self, b: Self) -> Self {
+                <$t>::mul_add(self, a, b)
             }
             #[inline(always)]
             fn abs(self) -> Self {
@@ -146,6 +160,7 @@ mod tests {
             T::from_f64(2.0).mul_add(T::from_f64(3.0), T::ONE).to_f64(),
             7.0
         );
+        assert_eq!(T::from_f64(2.0).fma(T::from_f64(3.0), T::ONE).to_f64(), 7.0);
         assert!(T::from_f64(4.0).sqrt().to_f64() == 2.0);
         assert!(T::from_f64(-1.5).abs().to_f64() == 1.5);
         assert!(T::from_f64(1.0).is_finite());
@@ -160,6 +175,15 @@ mod tests {
     #[test]
     fn f64_scalar_ops() {
         roundtrip::<f64>();
+    }
+
+    #[test]
+    fn fma_rounds_once_and_mul_add_twice() {
+        // (1 + 2^-13)(1 - 2^-13) = 1 - 2^-26 is not an f32: rounding
+        // the product first gives 1, the fused form keeps the tail.
+        let (a, b) = (1.0f32 + 2f32.powi(-13), 1.0f32 - 2f32.powi(-13));
+        assert_eq!(Scalar::mul_add(a, b, -1.0), 0.0);
+        assert_eq!(Scalar::fma(a, b, -1.0), -(2f32.powi(-26)));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The backend contract (see `gemm::backend`) promises that every
 //! runtime-dispatched microkernel reproduces the forced-scalar
-//! reference *bitwise* — same FMA-free accumulation chains, same
-//! rounding — so that backend selection can never perturb training
+//! reference *bitwise* — same fused multiply-add accumulation chains,
+//! same rounding — so that backend selection can never perturb training
 //! trajectories or telemetry. These tests sweep odd and degenerate
 //! panel shapes (ragged edges, single rows/columns, k = 1, shapes
 //! straddling MR/NR and cache-block boundaries) across every operand
@@ -11,7 +11,7 @@
 
 use pdnn_tensor::gemm::{
     available_isas, backend_for, scalar_backend, Blocking, GemmContext, GemmOp, PackedA, PackedB,
-    Trans, MR, NR,
+    Trans, BT_COLS, MR, NR,
 };
 use pdnn_tensor::{Matrix, Scalar};
 use pdnn_util::Prng;
@@ -31,6 +31,13 @@ fn shapes() -> Vec<(usize, usize, usize)> {
         (37, 29, 41),
         (64, 64, 64),
         (129, 65, 257), // straddles mc=128 and kc=256
+        // Column counts around the micro-tile width, which the SIMD
+        // kernels walk in register-width groups.
+        (MR + 3, 1, 19),
+        (MR + 3, NR - 1, 19),
+        (MR + 3, NR, 19),
+        (MR + 3, NR + 1, 19),
+        (MR + 3, 2 * NR + 8, 19),
     ]
 }
 
@@ -141,4 +148,41 @@ fn parity_holds_threaded() {
         let got = all_forms::<f32>(&ctx, 70, 33, 48, 7);
         assert_eq!(want, got, "isa {isa}");
     }
+}
+
+/// Fusion witness: with `e^2` below the type's precision the product
+/// `(1 + e)(1 - e) = 1 - e^2` is not representable, so a chain that
+/// rounds it before adding `-1` gives 0 where the fused chain keeps
+/// `-e^2`. The `-1` is put into the chain by a first `kk` step of
+/// `-1 * 1`, so both steps run inside the accumulate kernels.
+fn assert_chains_are_fused<T: Scalar>(e: f64) {
+    let (a, b) = (T::from_f64(1.0 + e), T::from_f64(1.0 - e));
+    assert_eq!(a.mul_add(b, -T::ONE), T::ZERO, "witness must need fusion");
+    let want = T::from_f64(-e * e);
+    let (m, n) = (MR + 1, NR + BT_COLS + 1);
+    let am: Matrix<T> = Matrix::from_fn(m, 2, |_, kk| if kk == 0 { -T::ONE } else { a });
+    let bm: Matrix<T> = Matrix::from_fn(n, 2, |_, kk| if kk == 0 { T::ONE } else { b });
+    for isa in available_isas() {
+        let ctx = GemmContext::sequential().with_backend(backend_for(isa).expect("resolves"));
+        let pa = PackedA::new(&am, Trans::N, ctx.blocking());
+        let pb = PackedB::new(&bm, Trans::T, ctx.blocking());
+        let forms = [
+            ("acc", GemmOp::packed_ab(&pa, &pb)),
+            ("bt", GemmOp::packed_a_bt(&pa, bm.as_slice())),
+        ];
+        for (kernel, op) in forms {
+            let mut c = Matrix::zeros(m, n);
+            op.run(&ctx, &mut c);
+            assert!(
+                c.as_slice().iter().all(|&v| v == want),
+                "backend {isa}: the {kernel} kernel's accumulate step is not fused"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_backend_fuses_its_accumulate_chains() {
+    assert_chains_are_fused::<f32>(2f64.powi(-13));
+    assert_chains_are_fused::<f64>(2f64.powi(-27));
 }

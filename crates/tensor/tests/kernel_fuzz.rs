@@ -2,10 +2,10 @@
 //!
 //! Where `backend_parity` spot-checks a curated shape list, this sweep
 //! is *exhaustive* over the adversarial axis set: every combination of
-//! `m, n, k` drawn from {0, 1, MR-1, MR, MR+1, primes straddling the
-//! tile} — the values that historically break hand-indexed kernels
-//! (empty operands, single-lane tails, one-past-a-tile edges, ragged
-//! primes that never divide the micro-tile). Every combination runs
+//! `m, n, k` drawn from {0, 1, MR-1, MR, MR+1, 13, NR-1, NR, NR+1} —
+//! the values that historically break hand-indexed kernels (empty
+//! operands, single-lane tails, one-past-a-tile edges, a ragged prime
+//! that never divides the micro-tile). Every combination runs
 //! through every `GemmOp` operand form on every ISA the host supports
 //! and must match the forced-scalar reference bit for bit, in both
 //! precisions.
@@ -24,10 +24,11 @@ use pdnn_tensor::{Matrix, Scalar};
 use pdnn_util::Prng;
 
 /// The adversarial axis: degenerate, tail-only, full-tile, and
-/// one-past-tile extents plus primes that straddle two tiles.
-/// (MR == NR == 8, so 7/9 cover both MR+-1 and NR+-1.)
+/// one-past-tile extents in both tile dimensions, plus a prime that
+/// divides neither.
 fn axis() -> Vec<usize> {
-    let mut v = vec![0, 1, MR - 1, MR, MR + 1, 13, 17];
+    let mut v = vec![0, 1, MR - 1, MR, MR + 1, 13, NR - 1, NR, NR + 1];
+    v.sort_unstable();
     v.dedup();
     v
 }
