@@ -1,4 +1,4 @@
-//! Distributed Hessian-free training: one master, many workers.
+//! Distributed Hessian-free training: one trainer, two protocols.
 //!
 //! Paper Section IV: "worker processes distributed over a compute
 //! cluster perform data-parallel computation of gradients and
@@ -8,13 +8,37 @@
 //! MPI. The master/worker architecture … is a simple one-layer
 //! architecture, with one master and many workers."
 //!
-//! The master implements [`HfProblem`] over message passing, so the
-//! *identical* [`crate::optimizer::HfOptimizer`] drives both serial
-//! and distributed training — the parity tests exploit this.
+//! What a rank computes does not depend on how the sums travel, so
+//! there is one of everything except the wire protocol:
 //!
-//! Protocol (fan-out is `bcast` from rank 0, fan-in `reduce` to rank
-//! 0, matching the paper's move from sockets to MPI collectives in
-//! Section V.B):
+//! * **Protocol front-ends** — the only code that talks to the
+//!   communicator. `MasterProblem` ⇄ `worker_loop` is the paper's
+//!   rooted command protocol (table below); `DecentralProblem` is the
+//!   symmetric allreduce protocol of [`SyncStrategy::Ring`] /
+//!   [`SyncStrategy::Tree`]. Both implement [`HfProblem`], so the
+//!   *identical* [`crate::optimizer::HfOptimizer`] drives serial,
+//!   master/worker and masterless training — the parity tests exploit
+//!   this.
+//! * **Shard engine** ([`crate::shard`]) — the rank-local compute
+//!   behind the worker arms and the peers. No communication.
+//! * **Fault latch** (`FaultLatch`, `Recovering::settle`) — the first
+//!   failure a front-end observes poisons it: later [`HfProblem`]
+//!   calls short-circuit to degraded values until the loop takes it.
+//! * **Outer loop** (`hf_loop`) — step / stop / snapshot / rewind /
+//!   history re-feed over `Recovering`. *How* to recover — master:
+//!   ack the death and replay the lost shard via `LOAD_DATA`; peers:
+//!   agree on membership under the lowest live rank
+//!   (`TAG_RECOVER_REPORT` / `TAG_RECOVER_AGREE`), re-stitch the
+//!   ring/tree, replay the re-shard on every replica — and whether
+//!   snapshots also go to disk is the front-end's business.
+//! * **World driver** (`train_impl`) — builds the `ShardLedger`
+//!   (who holds which utterance; the one place a dead slot's data is
+//!   re-partitioned), runs one closure that picks the master, worker
+//!   or peer role, and collects once.
+//!
+//! Rooted protocol (fan-out is `bcast` from rank 0, fan-in `reduce` to
+//! rank 0, matching the paper's move from sockets to MPI collectives
+//! in Section V.B):
 //!
 //! | command      | payload after header           | reply (reduce)                 |
 //! |--------------|--------------------------------|--------------------------------|
@@ -29,49 +53,34 @@
 //!
 //! At start-up the master distributes per-worker utterance
 //! assignments point-to-point (`load_data` — the paper's Figures 2
-//! and 4 show this p2p phase growing with rank count).
+//! and 4 show this p2p phase growing with rank count). The peers
+//! exchange the same sums by allreduce: no command headers, no θ
+//! broadcasts, no start-up p2p phase.
 //!
 //! # Fault tolerance
 //!
 //! Under [`train_distributed_faulted`] the communicator runs with a
-//! [`FaultPlan`]: collectives report a failed worker as
-//! [`CommError::RankDead`] instead of hanging. The master then
-//! acknowledges the death, re-partitions the dead worker's shard onto
-//! the survivors (same LPT strategy as start-up, replayed via
-//! `LOAD_DATA`), restores θ from the last periodic snapshot, and
-//! resumes the Hessian-free iteration from there. Because the sample
-//! seeds are a pure function of the iteration index, a replay from
-//! iteration *k* recomputes exactly what an undisturbed run over the
-//! re-sharded data would have, so recovery is bit-deterministic given
-//! the same plan.
-//!
-//! The masterless modes recover without a standing coordinator: the
-//! timed ring/tree hops surface the failure on every survivor, the
-//! survivors run a membership-agreement round coordinated by the
-//! lowest live rank (`TAG_RECOVER_REPORT` / `TAG_RECOVER_AGREE`),
-//! re-stitch the ring/tree over the agreed survivor set, replay the
-//! dead rank's shard through the same LPT partitioner, and rewind
-//! their replicated optimizers to the last in-memory snapshot — the
-//! same bit-deterministic contract as master-mode recovery.
+//! [`FaultPlan`]: collectives report a failed rank as
+//! [`CommError::RankDead`] instead of hanging. The loop then has the
+//! front-end recover the data assignment, restores θ from the last
+//! periodic snapshot and resumes from there. Sample seeds are a pure
+//! function of the iteration index, so a replay from iteration *k*
+//! recomputes exactly what an undisturbed run over the re-sharded
+//! data would have: recovery is bit-deterministic given the plan, in
+//! every sync mode.
 
 use crate::config::HfConfig;
 use crate::optimizer::{HfOptimizer, IterStats};
-use crate::problem::{sample_utterances, HeldoutEval, HfProblem, Objective};
+use crate::problem::{HeldoutEval, HfProblem, Objective};
+use crate::shard::ShardEngine;
 use crate::stopping::StopState;
-use pdnn_dnn::backprop::backprop_ws;
-use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
-use pdnn_dnn::loss::{cross_entropy, cross_entropy_loss_only, softmax_rows};
-use pdnn_dnn::network::{ForwardCache, Network};
-use pdnn_dnn::packed::{PackedActivations, PackedWeights};
-use pdnn_dnn::sequence::mmi_batch;
+use pdnn_dnn::network::Network;
 use pdnn_mpisim::{
-    Comm, CommError, CommEvent, CommTrace, FaultPlan, HbViolation, Payload, RankOutcome, ReduceOp,
-    Src, WireCodec,
+    CollElem, Comm, CommError, CommEvent, CommTrace, FaultPlan, HbViolation, Payload, RankOutcome,
+    ReduceOp, Src, WireCodec,
 };
 use pdnn_obs::{InMemoryRecorder, Recorder, RecorderExt, SpanKind, Telemetry};
-use pdnn_speech::{partition, Corpus, Shard, Strategy};
-use pdnn_tensor::gemm::GemmContext;
-use pdnn_tensor::{Matrix, Workspace};
+use pdnn_speech::{partition, Corpus, Strategy};
 use pdnn_util::{Error, PhaseTimer};
 use std::sync::Arc;
 use std::time::Duration;
@@ -247,60 +256,76 @@ pub struct TrainOutput {
     pub worker_events: Vec<Vec<CommEvent>>,
 }
 
-/// A failure the master observed mid-protocol. The problem stays
-/// poisoned (all collectives short-circuit to degraded values) until
-/// the training loop takes the fault and decides: recover, or abort.
+/// A failure a rank observed mid-protocol.
 #[derive(Debug)]
 enum TrainFault {
     /// The communication layer failed (dead rank, timeout, …).
     Comm(CommError),
-    /// A reduction came back with zero total frames: every worker
-    /// contributed an empty batch, so the mean is undefined. The old
-    /// `max(1.0)` clamp silently trained on a zero gradient instead.
+    /// A reduction came back with zero total frames: every rank
+    /// contributed an empty batch, so the mean is undefined.
     ZeroFrames { phase: &'static str },
+}
+
+fn comm_error(e: CommError) -> Error {
+    Error::Comm(e.to_string())
 }
 
 fn fault_error(fault: TrainFault) -> Error {
     match fault {
-        TrainFault::Comm(e) => Error::Comm(e.to_string()),
+        TrainFault::Comm(e) => comm_error(e),
         TrainFault::ZeroFrames { phase } => {
             Error::Train(format!("reduction over zero frames in {phase}"))
         }
     }
 }
 
-/// Master-side implementation of [`HfProblem`] over the communicator.
-struct MasterProblem<'a> {
-    comm: &'a mut Comm,
+/// What a poisoned front-end reports for a held-out evaluation.
+const DEGRADED_EVAL: HeldoutEval = HeldoutEval {
+    loss: f64::NAN,
+    accuracy: f64::NAN,
+    frames: 0,
+};
+
+/// Turn a sum aggregated over `frames` frames into a mean.
+fn mean_of(mut sum: Vec<f32>, frames: f64, phase: &'static str) -> Result<Vec<f32>, TrainFault> {
+    if frames <= 0.0 {
+        return Err(TrainFault::ZeroFrames { phase });
+    }
+    pdnn_tensor::blas1::scal((1.0 / frames) as f32, &mut sum);
+    Ok(sum)
+}
+
+/// Turn aggregated `[Σloss, Σcorrect, frames]` into a held-out result.
+fn heldout_mean(meta: &[f64]) -> Result<HeldoutEval, TrainFault> {
+    let frames = meta[2];
+    if frames <= 0.0 {
+        return Err(TrainFault::ZeroFrames { phase: "heldout" });
+    }
+    Ok(HeldoutEval {
+        loss: meta[0] / frames,
+        accuracy: meta[1] / frames,
+        frames: frames as u64,
+    })
+}
+
+/// The first failure a protocol front-end observed. While it is
+/// latched the front-end is poisoned — every [`HfProblem`] call
+/// short-circuits to a degraded value — until the outer loop takes the
+/// fault and decides: recover, or abort.
+struct FaultLatch {
     rec: Arc<InMemoryRecorder>,
-    theta: Vec<f32>,
-    train_frames: u64,
-    /// Per-worker corpus utterance ids currently assigned (training) —
-    /// the recovery ledger for re-sharding a dead worker's data.
-    train_assign: Vec<Vec<u64>>,
-    /// Per-worker corpus utterance ids currently assigned (held-out).
-    held_assign: Vec<Vec<u64>>,
-    /// Frame count of every corpus utterance, for LPT re-partition.
-    utt_frames: Vec<usize>,
-    strategy: Strategy,
-    /// First unhandled fault; poisons the problem until taken.
     fault: Option<TrainFault>,
     /// Without a fault plan a communication error is a harness bug:
     /// fail loudly instead of attempting recovery.
     strict: bool,
 }
 
-impl MasterProblem<'_> {
-    fn command(&mut self, header: Vec<u64>) -> Result<(), CommError> {
-        let mut buf = header;
-        self.comm.bcast(&mut buf, 0)
-    }
-
+impl FaultLatch {
     fn poisoned(&self) -> bool {
         self.fault.is_some()
     }
 
-    /// Record a fault and poison the problem. The first fault wins:
+    /// Record a fault and poison the front-end. The first fault wins:
     /// later ones are consequences of the degraded values the
     /// short-circuiting methods return.
     fn on_fault(&mut self, fault: TrainFault) {
@@ -326,6 +351,149 @@ impl MasterProblem<'_> {
     fn take_fault(&mut self) -> Option<TrainFault> {
         self.fault.take()
     }
+}
+
+/// θ snapshot a rank can rewind to after a failure — the master's
+/// checkpoint-restart anchor, or every masterless replica's in-memory
+/// rewind point.
+struct Snapshot {
+    iter: usize,
+    theta: Vec<f32>,
+    lambda: f64,
+}
+
+/// What the recovering outer loop ([`hf_loop`]) needs from a protocol
+/// front-end beyond [`HfProblem`].
+trait Recovering: HfProblem + Sized {
+    fn latch(&mut self) -> &mut FaultLatch;
+
+    /// Bring the live world back to a consistent data assignment after
+    /// a collective reported `rank` dead. θ is restored by the caller.
+    fn recover(&mut self, rank: usize) -> Result<(), Error>;
+
+    /// Make `snap` durable. Snapshots are in-memory unless a front-end
+    /// has somewhere to put them.
+    fn persist(&mut self, _snap: &Snapshot) -> Result<(), Error> {
+        Ok(())
+    }
+
+    /// The θ to rewind to: `snap`'s, or what [`Recovering::persist`]
+    /// stored for it.
+    fn restore(&mut self, snap: &Snapshot) -> Result<Vec<f32>, Error> {
+        Ok(snap.theta.clone())
+    }
+
+    /// Run one fallible protocol exchange unless already poisoned;
+    /// latch its failure. `None` means "report the degraded value".
+    fn settle<T>(&mut self, attempt: impl FnOnce(&mut Self) -> Result<T, TrainFault>) -> Option<T> {
+        if self.latch().poisoned() {
+            return None;
+        }
+        match attempt(self) {
+            Ok(value) => Some(value),
+            Err(fault) => {
+                self.latch().on_fault(fault);
+                None
+            }
+        }
+    }
+}
+
+/// Who holds which utterance: per-slot corpus ids (the wire format of
+/// the assignment messages), for training and held-out data. The
+/// master keeps the only copy; the masterless peers each keep a
+/// replica and replay every change identically, so no ledger owner can
+/// die.
+#[derive(Clone)]
+struct ShardLedger {
+    train: Vec<Vec<u64>>,
+    held: Vec<Vec<u64>>,
+    /// Frame count of every corpus utterance (the LPT weights).
+    utt_frames: Vec<usize>,
+    strategy: Strategy,
+}
+
+impl ShardLedger {
+    /// Split off the held-out set and partition both sets over
+    /// `config.workers` slots by frame count (the paper's equal-data
+    /// objective, Section V.C).
+    fn new(corpus: &Corpus, config: &DistributedConfig) -> Self {
+        let (train_ids, held_ids) = corpus.split_heldout(config.heldout_frac);
+        let as_wire = |ids: Vec<usize>| -> Vec<u64> { ids.iter().map(|&i| i as u64).collect() };
+        let mut ledger = ShardLedger {
+            train: Vec::new(),
+            held: Vec::new(),
+            utt_frames: corpus.utterances().iter().map(|u| u.frames()).collect(),
+            strategy: config.strategy,
+        };
+        ledger.train = ledger.spread(&as_wire(train_ids), config.workers);
+        ledger.held = ledger.spread(&as_wire(held_ids), config.workers);
+        ledger
+    }
+
+    /// Partition `ids` into `parts` by frame count.
+    fn spread(&self, ids: &[u64], parts: usize) -> Vec<Vec<u64>> {
+        let lens: Vec<usize> = ids.iter().map(|&id| self.utt_frames[id as usize]).collect();
+        partition(&lens, parts, self.strategy)
+            .iter()
+            .map(|part| part.iter().map(|&pos| ids[pos]).collect())
+            .collect()
+    }
+
+    /// Global training frame count.
+    fn train_frames(&self) -> u64 {
+        let ids = self.train.iter().flatten();
+        ids.map(|&id| self.utt_frames[id as usize] as u64).sum()
+    }
+
+    /// Move slot `dead`'s utterances onto the `live` slots (same
+    /// strategy as start-up). Returns the `(train, held)` extras each
+    /// live slot gained, in `live` order.
+    fn reassign(&mut self, dead: usize, live: &[usize]) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let orphan_train = std::mem::take(&mut self.train[dead]);
+        let orphan_held = std::mem::take(&mut self.held[dead]);
+        let train = self.spread(&orphan_train, live.len());
+        let held = self.spread(&orphan_held, live.len());
+        let extras: Vec<_> = train.into_iter().zip(held).collect();
+        for (&slot, (t, h)) in live.iter().zip(&extras) {
+            self.train[slot].extend(t);
+            self.held[slot].extend(h);
+        }
+        extras
+    }
+}
+
+/// Master side of the rooted command protocol: [`HfProblem`] over
+/// `bcast`/`reduce` with the workers' [`worker_loop`].
+struct MasterProblem<'a> {
+    comm: &'a mut Comm,
+    rec: Arc<InMemoryRecorder>,
+    config: &'a DistributedConfig,
+    /// Architecture template for writing checkpoints.
+    net0: &'a Network<f32>,
+    theta: Vec<f32>,
+    /// Slot `w` is worker rank `w + 1`.
+    ledger: ShardLedger,
+    latch: FaultLatch,
+}
+
+impl MasterProblem<'_> {
+    fn command(&mut self, header: Vec<u64>) -> Result<(), CommError> {
+        let mut buf = header;
+        self.comm.bcast(&mut buf, 0)
+    }
+
+    /// One command exchange under its collective span (recorded even
+    /// when the poisoned front-end skips the exchange).
+    fn exchange<T>(
+        &mut self,
+        phase: &'static str,
+        attempt: impl FnOnce(&mut Self) -> Result<T, TrainFault>,
+    ) -> Option<T> {
+        let rec = self.rec.clone();
+        let _span = rec.span(phase, SpanKind::CommCollective);
+        self.settle(attempt)
+    }
 
     fn try_set_theta(&mut self) -> Result<(), TrainFault> {
         let c = self.command(vec![CMD_SET_THETA]);
@@ -344,13 +512,8 @@ impl MasterProblem<'_> {
         let mut meta = vec![0.0f64; 2];
         let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(r1).and(r2).map_err(TrainFault::Comm)?;
-        if meta[1] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "gradient" });
-        }
-        let frames = meta[1];
-        let inv = (1.0 / frames) as f32;
-        pdnn_tensor::blas1::scal(inv, &mut grad);
-        Ok((meta[0] / frames, grad))
+        let grad = mean_of(grad, meta[1], "gradient")?;
+        Ok((meta[0] / meta[1], grad))
     }
 
     fn try_sample(&mut self, seed: u64, fraction: f64) -> Result<(), TrainFault> {
@@ -367,14 +530,7 @@ impl MasterProblem<'_> {
         let mut meta = vec![0.0f64; 1];
         let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(b).and(r1).and(r2).map_err(TrainFault::Comm)?;
-        if meta[0] <= 0.0 {
-            return Err(TrainFault::ZeroFrames {
-                phase: "gn_product",
-            });
-        }
-        let inv = (1.0 / meta[0]) as f32;
-        pdnn_tensor::blas1::scal(inv, &mut gv);
-        Ok(gv)
+        mean_of(gv, meta[0], "gn_product")
     }
 
     fn try_fisher(&mut self) -> Result<Vec<f32>, TrainFault> {
@@ -384,11 +540,7 @@ impl MasterProblem<'_> {
         let mut meta = vec![0.0f64; 1];
         let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(r1).and(r2).map_err(TrainFault::Comm)?;
-        if meta[0] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "fisher" });
-        }
-        pdnn_tensor::blas1::scal((1.0 / meta[0]) as f32, &mut diag);
-        Ok(diag)
+        mean_of(diag, meta[0], "fisher")
     }
 
     fn try_heldout(&mut self, theta: &[f32]) -> Result<HeldoutEval, TrainFault> {
@@ -398,51 +550,24 @@ impl MasterProblem<'_> {
         let mut meta = vec![0.0f64; 3];
         let r = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
         c.and(b).and(r).map_err(TrainFault::Comm)?;
-        if meta[2] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "heldout" });
-        }
-        let frames = meta[2];
-        Ok(HeldoutEval {
-            loss: meta[0] / frames,
-            accuracy: meta[1] / frames,
-            frames: meta[2] as u64,
-        })
+        heldout_mean(&meta)
     }
 
-    /// Re-partition a dead worker's utterances onto the survivors
-    /// (same LPT strategy as start-up) and replay the assignments via
-    /// `LOAD_DATA`. The caller has already acknowledged the death, so
-    /// the command broadcast reaches exactly the live workers.
+    /// Re-partition dead worker slot `dead` onto the survivors and
+    /// replay the assignments via `LOAD_DATA`. The caller has already
+    /// acknowledged the death, so the command broadcast reaches
+    /// exactly the live workers.
     fn try_redistribute(&mut self, dead: usize) -> Result<(), TrainFault> {
-        let orphan_train = std::mem::take(&mut self.train_assign[dead]);
-        let orphan_held = std::mem::take(&mut self.held_assign[dead]);
-        let live: Vec<usize> = (0..self.train_assign.len())
+        let live: Vec<usize> = (0..self.config.workers)
             .filter(|&w| !self.comm.is_dead(w + 1))
             .collect();
-        let t_lens: Vec<usize> = orphan_train
-            .iter()
-            .map(|&id| self.utt_frames[id as usize])
-            .collect();
-        let t_parts = partition(&t_lens, live.len(), self.strategy);
-        let h_lens: Vec<usize> = orphan_held
-            .iter()
-            .map(|&id| self.utt_frames[id as usize])
-            .collect();
-        let h_parts = partition(&h_lens, live.len(), self.strategy);
+        let extras = self.ledger.reassign(dead, &live);
         self.command(vec![CMD_LOAD_DATA])
             .map_err(TrainFault::Comm)?;
-        for (i, &w) in live.iter().enumerate() {
-            let t: Vec<u64> = t_parts[i].iter().map(|&p| orphan_train[p]).collect();
-            let h: Vec<u64> = h_parts[i].iter().map(|&p| orphan_held[p]).collect();
-            let s1 = self
-                .comm
-                .send(w + 1, TAG_LOAD_DATA, Payload::U64(t.clone()));
-            let s2 = self
-                .comm
-                .send(w + 1, TAG_LOAD_DATA, Payload::U64(h.clone()));
+        for (&w, (t, h)) in live.iter().zip(extras) {
+            let s1 = self.comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(t));
+            let s2 = self.comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(h));
             s1.and(s2).map_err(TrainFault::Comm)?;
-            self.train_assign[w].extend(t);
-            self.held_assign[w].extend(h);
         }
         Ok(())
     }
@@ -458,224 +583,77 @@ impl HfProblem for MasterProblem<'_> {
     }
 
     fn set_theta(&mut self, theta: &[f32]) {
-        let rec = self.rec.clone();
-        let _span = rec.span("sync_weights_master", SpanKind::CommCollective);
         self.theta = theta.to_vec();
-        if self.poisoned() {
-            return;
-        }
-        if let Err(f) = self.try_set_theta() {
-            self.on_fault(f);
-        }
+        self.exchange("sync_weights_master", Self::try_set_theta);
     }
 
     fn gradient(&mut self) -> (f64, Vec<f32>) {
-        let rec = self.rec.clone();
-        let _span = rec.span("gradient_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return (f64::NAN, vec![0.0f32; self.theta.len()]);
-        }
-        match self.try_gradient() {
-            Ok(out) => out,
-            Err(f) => {
-                self.on_fault(f);
-                (f64::NAN, vec![0.0f32; self.theta.len()])
-            }
-        }
+        self.exchange("gradient_reduce", Self::try_gradient)
+            .unwrap_or_else(|| (f64::NAN, vec![0.0f32; self.theta.len()]))
     }
 
     fn sample_curvature(&mut self, seed: u64, fraction: f64) {
-        let rec = self.rec.clone();
-        let _span = rec.span("sample_curvature", SpanKind::CommCollective);
-        if self.poisoned() {
-            return;
-        }
-        if let Err(f) = self.try_sample(seed, fraction) {
-            self.on_fault(f);
-        }
+        self.exchange("sample_curvature", |p| p.try_sample(seed, fraction));
     }
 
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        let rec = self.rec.clone();
-        let _span = rec.span("curvature_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return vec![0.0f32; v.len()];
-        }
-        match self.try_gn_product(v) {
-            Ok(gv) => gv,
-            Err(f) => {
-                self.on_fault(f);
-                vec![0.0f32; v.len()]
-            }
-        }
+        self.exchange("curvature_reduce", |p| p.try_gn_product(v))
+            .unwrap_or_else(|| vec![0.0f32; v.len()])
     }
 
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
-        let rec = self.rec.clone();
-        let _span = rec.span("curvature_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return None;
-        }
-        match self.try_fisher() {
-            Ok(diag) => Some(diag),
-            Err(f) => {
-                self.on_fault(f);
-                None
-            }
-        }
+        self.exchange("curvature_reduce", Self::try_fisher)
     }
 
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
-        let rec = self.rec.clone();
-        let _span = rec.span("heldout_reduce", SpanKind::CommCollective);
-        if self.poisoned() {
-            return HeldoutEval {
-                loss: f64::NAN,
-                accuracy: f64::NAN,
-                frames: 0,
-            };
-        }
-        match self.try_heldout(theta) {
-            Ok(eval) => eval,
-            Err(f) => {
-                self.on_fault(f);
-                HeldoutEval {
-                    loss: f64::NAN,
-                    accuracy: f64::NAN,
-                    frames: 0,
-                }
-            }
-        }
+        self.exchange("heldout_reduce", |p| p.try_heldout(theta))
+            .unwrap_or(DEGRADED_EVAL)
     }
 
     fn train_frames(&self) -> u64 {
-        self.train_frames
+        self.ledger.train_frames()
     }
 }
 
-/// Worker-side cached curvature minibatch.
-struct WorkerSample {
-    x: Matrix<f32>,
-    labels: Vec<u32>,
-    utt_lens: Vec<usize>,
-    cache: ForwardCache<f32>,
-    dist: Matrix<f32>,
-    /// Prepacked activation operands, reused by every `GN_PRODUCT`
-    /// command of the solve.
-    packed_acts: PackedActivations<f32>,
-}
+/// Checkpoint-restart recovery: acknowledge the death, replay the
+/// lost shard onto the survivors; snapshots also go to
+/// `checkpoint_path` when one is configured, and θ is then restored
+/// from disk, exercising the full checkpoint-restart path.
+impl Recovering for MasterProblem<'_> {
+    fn latch(&mut self) -> &mut FaultLatch {
+        &mut self.latch
+    }
 
-/// Rebuild the worker's weight packs iff the network version moved.
-/// Hit/miss counters are pure functions of the command sequence, so
-/// per-rank telemetry stays byte-identical across runs.
-fn ensure_worker_packs<R: Recorder + ?Sized>(
-    packs: &mut Option<PackedWeights<f32>>,
-    net: &Network<f32>,
-    ctx: &GemmContext,
-    rec: &R,
-) {
-    match packs {
-        Some(p) if p.matches(net) => rec.counter_add("pack_cache_hit", 1),
-        _ => {
-            *packs = Some(PackedWeights::new(net, ctx));
-            rec.counter_add("pack_cache_miss", 1);
+    fn recover(&mut self, rank: usize) -> Result<(), Error> {
+        self.comm.ack_dead(rank);
+        let dead = self.comm.dead_ranks().len();
+        self.rec.gauge_set("dead_workers", dead as f64);
+        if dead >= self.config.workers {
+            return Err(Error::Train("no surviving workers".into()));
+        }
+        self.try_redistribute(rank - 1).map_err(fault_error)
+    }
+
+    fn persist(&mut self, snap: &Snapshot) -> Result<(), Error> {
+        let Some(path) = &self.config.checkpoint_path else {
+            return Ok(());
+        };
+        let mut net = self.net0.clone();
+        net.set_flat(&snap.theta);
+        pdnn_dnn::checkpoint::save_network(&net, path)
+    }
+
+    fn restore(&mut self, snap: &Snapshot) -> Result<Vec<f32>, Error> {
+        match &self.config.checkpoint_path {
+            Some(path) => Ok(pdnn_dnn::checkpoint::load_network(path)?.to_flat()),
+            None => Ok(snap.theta.clone()),
         }
     }
 }
 
-/// Evaluate the objective's summed loss + dlogits on a batch.
-fn eval_objective(
-    objective: &Objective,
-    cache: &ForwardCache<f32>,
-    labels: &[u32],
-    utt_lens: &[usize],
-) -> (f64, Matrix<f32>) {
-    match objective {
-        Objective::CrossEntropy => {
-            let out = cross_entropy(cache.logits(), labels);
-            (out.loss, out.dlogits)
-        }
-        Objective::Sequence(graph) => {
-            let out = mmi_batch(cache.logits(), labels, utt_lens, graph);
-            (out.loss, out.dlogits)
-        }
-    }
-}
-
-/// Curvature distribution (softmax or denominator occupancies).
-fn curvature_dist(
-    objective: &Objective,
-    cache: &ForwardCache<f32>,
-    labels: &[u32],
-    utt_lens: &[usize],
-) -> Matrix<f32> {
-    match objective {
-        Objective::CrossEntropy => softmax_rows(cache.logits()),
-        Objective::Sequence(graph) => {
-            mmi_batch(cache.logits(), labels, utt_lens, graph).den_posteriors
-        }
-    }
-}
-
-/// Heldout loss sum + correct count under the objective.
-fn heldout_objective(
-    objective: &Objective,
-    logits: &Matrix<f32>,
-    labels: &[u32],
-    utt_lens: &[usize],
-) -> (f64, usize) {
-    match objective {
-        Objective::CrossEntropy => cross_entropy_loss_only(logits, labels),
-        Objective::Sequence(graph) => {
-            let out = mmi_batch(logits, labels, utt_lens, graph);
-            let preds = logits.row_argmax();
-            let correct = preds
-                .iter()
-                .zip(labels.iter())
-                .filter(|(&p, &l)| p as u32 == l)
-                .count();
-            (out.loss, correct)
-        }
-    }
-}
-
-/// Extract a curvature sample from a worker's local shard.
-fn draw_sample(
-    train: &Shard,
-    net: &Network<f32>,
-    ctx: &GemmContext,
-    objective: &Objective,
-    seed: u64,
-    fraction: f64,
-    rank: usize,
-) -> Option<WorkerSample> {
-    if train.utt_lens.is_empty() {
-        return None;
-    }
-    // Per-rank stream: the overall sample is the union of per-worker
-    // samples, each a `fraction` of the local utterances.
-    let rank_seed = seed ^ (rank as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-    let ids = sample_utterances(&train.utt_lens, fraction, rank_seed);
-    let (x, labels, utt_lens) = crate::problem::extract_utterances(train, &ids);
-    if x.rows() == 0 {
-        return None;
-    }
-    // The cache outlives this call (it backs every GN_PRODUCT of the
-    // solve), so it is forwarded outside the arena.
-    let cache = net.forward(ctx, &x);
-    let dist = curvature_dist(objective, &cache, &labels, &utt_lens);
-    let packed_acts = PackedActivations::new(&cache, ctx);
-    Some(WorkerSample {
-        x,
-        labels,
-        utt_lens,
-        cache,
-        dist,
-        packed_acts,
-    })
-}
-
-/// Run the worker command loop until `SHUTDOWN`.
+/// Worker side of the rooted command protocol: run the command loop
+/// until `SHUTDOWN`. Each arm is "receive operands → engine call →
+/// reduce".
 ///
 /// All phase accounting goes through the communicator's `pdnn_obs`
 /// recorder; the caller collects it from [`RankOutcome::telemetry`].
@@ -686,47 +664,37 @@ fn worker_loop(
     comm: &mut Comm,
     corpus: &Corpus,
     objective: &Objective,
-    dims: &[usize],
+    net0: &Network<f32>,
     threads: usize,
 ) -> Result<(), CommError> {
     let rec = comm.recorder().clone();
-    let ctx = if threads > 1 {
-        GemmContext::threaded(threads)
-    } else {
-        GemmContext::sequential()
-    };
 
     // load_data: receive this worker's utterance assignments. The
     // typed receive surfaces a tag/kind-mismatched sender as a
     // `CommError::TypeMismatch` instead of a payload panic.
     let load_span = rec.span("load_data", SpanKind::CommP2p);
-    let mut train_ids: Vec<usize> = comm
+    let mut train_ids = comm
         // pdnn-lint: allow(l8-timed-recv): initial rendezvous — the master sends both assignment messages before training starts and faults are only armed at collectives, so blocking here cannot outlive a live master
-        .recv_vec::<u64>(Src::Of(0), TAG_LOAD_DATA)?
-        .into_iter()
-        .map(|v| v as usize)
-        .collect();
-    let mut held_ids: Vec<usize> = comm
+        .recv_vec::<u64>(Src::Of(0), TAG_LOAD_DATA)?;
+    let mut held_ids = comm
         // pdnn-lint: allow(l8-timed-recv): initial rendezvous — second half of the startup shard transfer, same reasoning as the first receive
-        .recv_vec::<u64>(Src::Of(0), TAG_LOAD_DATA)?
-        .into_iter()
-        .map(|v| v as usize)
-        .collect();
-    let mut train = corpus.shard(&train_ids);
-    let mut heldout = corpus.shard(&held_ids);
+        .recv_vec::<u64>(Src::Of(0), TAG_LOAD_DATA)?;
+    // `net0` only fixes the architecture: weights arrive via SET_THETA
+    // before any compute command.
+    let mut engine = ShardEngine::new(
+        rec.clone(),
+        corpus,
+        objective,
+        net0.clone(),
+        threads,
+        &train_ids,
+        &held_ids,
+    );
     drop(load_span);
 
-    let mut net: Network<f32> = {
-        // Architecture comes from dims; weights arrive via SET_THETA
-        // before any compute command, so the init here is irrelevant.
-        let mut rng = pdnn_util::Prng::new(0);
-        Network::new(dims, pdnn_dnn::Activation::Sigmoid, &mut rng)
-    };
-    let mut scratch = net.clone();
-    let mut sample: Option<WorkerSample> = None;
-    let mut ws: Workspace<f32> = Workspace::new();
-    let mut packs: Option<PackedWeights<f32>> = None;
-
+    // The typed re-bindings (`let mut grad: Vec<f32> = grad`) are what
+    // pdnn-protocheck's lexical pass reads a reduce buffer's element
+    // kind from.
     loop {
         let mut header = vec![0u64; 1];
         comm.bcast(&mut header, 0)?;
@@ -737,128 +705,48 @@ fn worker_loop(
                 comm.bcast(&mut theta, 0)?;
                 {
                     let _s = rec.span("sync_weights_worker", SpanKind::MemoryBound);
-                    // Bumps the network version: the next compute
-                    // command repacks the weights (pack_cache_miss).
-                    net.set_flat(&theta);
+                    engine.set_theta(&theta);
                 }
-                if let Some(s) = sample.take() {
-                    s.cache.give_back(&mut ws);
-                    ws.give_matrix(s.x);
-                    ws.give_matrix(s.dist);
-                }
-                ws.give_vec(theta);
+                engine.recycle(theta);
             }
             CMD_GRADIENT => {
-                let (loss_sum, mut grad) = {
-                    let _s = rec.span("gradient_loss", SpanKind::DenseCompute);
-                    if train.frames() == 0 {
-                        (0.0, vec![0.0f32; net.num_params()])
-                    } else {
-                        ensure_worker_packs(&mut packs, &net, &ctx, rec.as_ref());
-                        let cache = net.forward_ws(&ctx, &train.x, packs.as_ref(), &mut ws);
-                        let (loss, dlogits) =
-                            eval_objective(objective, &cache, &train.labels, &train.utt_lens);
-                        let grad =
-                            backprop_ws(&net, &ctx, &cache, &dlogits, packs.as_ref(), &mut ws);
-                        ws.give_matrix(dlogits);
-                        cache.give_back(&mut ws);
-                        (loss, grad)
-                    }
-                };
+                let (loss_sum, grad, frames) = engine.gradient_sums();
+                let mut grad: Vec<f32> = grad;
                 comm.reduce(&mut grad, ReduceOp::Sum, 0)?;
-                let mut meta = vec![loss_sum, train.frames() as f64];
+                let mut meta: Vec<f64> = vec![loss_sum, frames];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                ws.give_vec(grad);
+                engine.recycle(grad);
             }
             CMD_SAMPLE => {
                 assert_eq!(header.len(), 3, "SAMPLE header must carry seed+fraction");
-                let seed = header[1];
-                let fraction = f64::from_bits(header[2]);
-                if let Some(s) = sample.take() {
-                    s.cache.give_back(&mut ws);
-                    ws.give_matrix(s.x);
-                    ws.give_matrix(s.dist);
-                }
-                sample = {
-                    let _s = rec.span("worker_curvature_sample", SpanKind::DenseCompute);
-                    draw_sample(&train, &net, &ctx, objective, seed, fraction, comm.rank())
-                };
+                engine.draw_sample(header[1], f64::from_bits(header[2]), comm.rank());
             }
             CMD_GN => {
                 let mut v: Vec<f32> = Vec::new();
                 comm.bcast(&mut v, 0)?;
-                let (mut gv, frames) = {
-                    let _s = rec.span("worker_curvature_product", SpanKind::DenseCompute);
-                    match &sample {
-                        Some(s) => {
-                            ensure_worker_packs(&mut packs, &net, &ctx, rec.as_ref());
-                            let gv = gn_product_ws(
-                                &net,
-                                &ctx,
-                                &s.cache,
-                                Curvature::Fisher(&s.dist),
-                                &v,
-                                packs.as_ref(),
-                                Some(&s.packed_acts),
-                                &mut ws,
-                            );
-                            (gv, s.x.rows() as f64)
-                        }
-                        None => (vec![0.0f32; net.num_params()], 0.0),
-                    }
-                };
+                let (gv, frames) = engine.gn_sums(&v);
+                let mut gv: Vec<f32> = gv;
                 comm.reduce(&mut gv, ReduceOp::Sum, 0)?;
-                let mut meta = vec![frames];
+                let mut meta: Vec<f64> = vec![frames];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                ws.give_vec(gv);
-                ws.give_vec(v);
-                let stats = ws.stats();
-                rec.gauge_set("arena_bytes_reused", stats.bytes_reused as f64);
-                rec.gauge_set("arena_high_water_bytes", stats.high_water_bytes as f64);
+                engine.recycle(gv);
+                engine.recycle(v);
+                engine.report_arena();
             }
             CMD_FISHER => {
-                let (mut diag, frames) = {
-                    let _s = rec.span("worker_curvature_product", SpanKind::DenseCompute);
-                    match &sample {
-                        Some(s) => {
-                            let (_, dlogits) =
-                                eval_objective(objective, &s.cache, &s.labels, &s.utt_lens);
-                            let diag = pdnn_dnn::fisher::empirical_fisher_diagonal(
-                                &net, &ctx, &s.cache, &dlogits,
-                            );
-                            (diag, s.x.rows() as f64)
-                        }
-                        None => (vec![0.0f32; net.num_params()], 0.0),
-                    }
-                };
+                let (diag, frames) = engine.fisher_sums();
+                let mut diag: Vec<f32> = diag;
                 comm.reduce(&mut diag, ReduceOp::Sum, 0)?;
-                let mut meta = vec![frames];
+                let mut meta: Vec<f64> = vec![frames];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
             }
             CMD_HELDOUT => {
                 let mut trial: Vec<f32> = Vec::new();
                 comm.bcast(&mut trial, 0)?;
-                let mut meta = {
-                    let _s = rec.span("eval_heldout", SpanKind::DenseCompute);
-                    if heldout.frames() == 0 {
-                        vec![0.0f64, 0.0, 0.0]
-                    } else {
-                        // Trial weights change every call: no packs,
-                        // but the arena recycles activation scratch.
-                        scratch.set_flat(&trial);
-                        let logits = scratch.logits_ws(&ctx, &heldout.x, None, &mut ws);
-                        let (loss_sum, correct) = heldout_objective(
-                            objective,
-                            &logits,
-                            &heldout.labels,
-                            &heldout.utt_lens,
-                        );
-                        ws.give_matrix(logits);
-                        vec![loss_sum, correct as f64, heldout.frames() as f64]
-                    }
-                };
+                let [loss_sum, correct, frames] = engine.heldout_sums(&trial);
+                let mut meta: Vec<f64> = vec![loss_sum, correct, frames];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                ws.give_vec(trial);
+                engine.recycle(trial);
             }
             CMD_LOAD_DATA => {
                 // A peer died: the master re-partitioned its shard and
@@ -868,20 +756,11 @@ fn worker_loop(
                 // surfaces Timeout instead of blocking forever.
                 let _s = rec.span("load_data", SpanKind::CommP2p);
                 let timeout = comm.p2p_timeout();
-                let extra_train =
-                    comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
-                let extra_held =
-                    comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
-                train_ids.extend(extra_train.into_iter().map(|v| v as usize));
-                held_ids.extend(extra_held.into_iter().map(|v| v as usize));
-                train = corpus.shard(&train_ids);
-                heldout = corpus.shard(&held_ids);
-                // The cached curvature sample indexes the old shard.
-                if let Some(s) = sample.take() {
-                    s.cache.give_back(&mut ws);
-                    ws.give_matrix(s.x);
-                    ws.give_matrix(s.dist);
-                }
+                let extra = comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
+                train_ids.extend(extra);
+                let extra = comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
+                held_ids.extend(extra);
+                engine.reshard(&train_ids, &held_ids);
                 rec.counter_add("shard_reassignments", 1);
             }
             // pdnn-lint: allow(l3-no-unwrap): an unknown opcode is a protocol bug between master and worker builds, not a runtime condition to recover from
@@ -895,9 +774,9 @@ fn worker_loop(
     Ok(())
 }
 
-/// Peer-rank implementation of [`HfProblem`] for the masterless sync
-/// strategies: local compute over this rank's shard plus symmetric
-/// allreduces. No command headers, no rooted collectives, no p2p.
+/// A peer of the symmetric allreduce protocol (the masterless sync
+/// strategies): engine call → allreduce → normalise. No command
+/// headers, no rooted collectives, no p2p outside recovery.
 ///
 /// Every rank holds one of these and drives its own replicated
 /// [`HfOptimizer`]; because ring and tree allreduce return
@@ -908,17 +787,7 @@ struct DecentralProblem<'a> {
     rec: Arc<InMemoryRecorder>,
     sync: SyncStrategy,
     theta: Vec<f32>,
-    net: Network<f32>,
-    /// Trial-θ evaluation network (heldout probes never disturb the
-    /// packed weights of `net`).
-    scratch: Network<f32>,
-    train: Shard,
-    heldout: Shard,
-    objective: &'a Objective,
-    ctx: GemmContext,
-    ws: Workspace<f32>,
-    packs: Option<PackedWeights<f32>>,
-    sample: Option<WorkerSample>,
+    engine: ShardEngine<'a>,
     /// Global frame count of the current curvature sample, agreed by
     /// one f64 allreduce the first time the sample is used (fisher or
     /// first CG product) and reused for every later product on the
@@ -926,71 +795,20 @@ struct DecentralProblem<'a> {
     /// per-CG-step metadata chaser would be pure collective overhead.
     /// Cleared with the sample (redraw, θ update, re-shard).
     sample_frames: Option<f64>,
-    /// Global training frame count (identical on every rank).
-    train_frames: u64,
-    /// Source corpus, for rebuilding shards after a re-partition.
-    corpus: &'a Corpus,
-    /// Per-rank corpus utterance ids currently assigned (training).
-    /// Replicated on every rank — each survivor replays the identical
-    /// LPT re-partition locally, so no ledger owner can die.
-    train_ids: Vec<Vec<u64>>,
-    /// Per-rank corpus utterance ids currently assigned (held-out).
-    held_ids: Vec<Vec<u64>>,
-    /// Frame count of every corpus utterance, for LPT re-partition.
-    utt_frames: Vec<usize>,
-    strategy: Strategy,
-    /// First unhandled fault; poisons the problem until taken.
-    fault: Option<TrainFault>,
-    /// Without a fault plan a communication error is a harness bug:
-    /// fail loudly instead of attempting recovery.
-    strict: bool,
+    /// Slot `r` is rank `r`.
+    ledger: ShardLedger,
+    latch: FaultLatch,
+    /// Window for the membership-agreement round.
+    recover_timeout: Duration,
 }
 
 impl DecentralProblem<'_> {
     /// Sum-allreduce under the configured masterless strategy.
-    fn sync_f32(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
+    fn allreduce_sum<T: CollElem>(&mut self, buf: &mut [T]) -> Result<(), CommError> {
         match self.sync {
             SyncStrategy::Ring => self.comm.allreduce_ring(buf, ReduceOp::Sum),
             _ => self.comm.allreduce_tree(buf, ReduceOp::Sum),
         }
-    }
-
-    fn sync_f64(&mut self, buf: &mut [f64]) -> Result<(), CommError> {
-        match self.sync {
-            SyncStrategy::Ring => self.comm.allreduce_ring(buf, ReduceOp::Sum),
-            _ => self.comm.allreduce_tree(buf, ReduceOp::Sum),
-        }
-    }
-
-    fn poisoned(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Record a fault and poison the problem. The first fault wins:
-    /// later ones are consequences of the degraded values the
-    /// short-circuiting methods return.
-    fn on_fault(&mut self, fault: TrainFault) {
-        match &fault {
-            TrainFault::Comm(e) => {
-                if self.strict {
-                    // pdnn-lint: allow(l3-no-unwrap): without a fault plan a communication error means the simulated world itself is broken; recovery would mask the harness bug
-                    panic!("decentralized protocol failure: {e}");
-                }
-                self.rec
-                    .event("comm_fault", vec![("error".into(), e.to_string().into())]);
-            }
-            TrainFault::ZeroFrames { phase } => {
-                self.rec
-                    .event("zero_frames", vec![("phase".into(), (*phase).into())]);
-            }
-        }
-        if self.fault.is_none() {
-            self.fault = Some(fault);
-        }
-    }
-
-    fn take_fault(&mut self) -> Option<TrainFault> {
-        self.fault.take()
     }
 
     /// Bitmap of this rank's locally observed dead set (acknowledged
@@ -1000,10 +818,8 @@ impl DecentralProblem<'_> {
             self.comm.size() <= 64,
             "membership bitmap holds at most 64 ranks"
         );
-        self.comm
-            .dead_ranks()
-            .iter()
-            .fold(0u64, |acc, &r| acc | (1u64 << r))
+        let dead = self.comm.dead_ranks();
+        dead.iter().fold(0u64, |acc, &r| acc | (1u64 << r))
     }
 
     /// Membership-agreement round: every survivor reports its locally
@@ -1022,11 +838,11 @@ impl DecentralProblem<'_> {
     /// reporter that stays silent past the window is evicted and
     /// folded into the agreed set; a dead coordinator makes the
     /// survivors retry under the next candidate.
-    fn agree_membership(&mut self, timeout: Duration) -> Result<u64, TrainFault> {
+    fn agree_membership(&mut self, timeout: Duration) -> Result<u64, CommError> {
         loop {
             let me = self.comm.rank();
             let Some(coord) = (0..self.comm.size()).find(|&r| !self.comm.is_dead(r)) else {
-                return Err(TrainFault::Comm(CommError::WorldShutDown));
+                return Err(CommError::WorldShutDown);
             };
             if coord == me {
                 let mut union = self.dead_bitmap();
@@ -1045,7 +861,7 @@ impl DecentralProblem<'_> {
                             self.comm.evict(src);
                             union |= 1u64 << src;
                         }
-                        Err(e) => return Err(TrainFault::Comm(e)),
+                        Err(e) => return Err(e),
                     }
                 }
                 for dst in 0..self.comm.size() {
@@ -1053,18 +869,15 @@ impl DecentralProblem<'_> {
                         continue;
                     }
                     self.comm
-                        .send(dst, TAG_RECOVER_AGREE, Payload::U64(vec![union]))
-                        .map_err(TrainFault::Comm)?;
+                        .send(dst, TAG_RECOVER_AGREE, Payload::U64(vec![union]))?;
                 }
                 return Ok(union);
             }
-            self.comm
-                .send(
-                    coord,
-                    TAG_RECOVER_REPORT,
-                    Payload::U64(vec![self.dead_bitmap()]),
-                )
-                .map_err(TrainFault::Comm)?;
+            self.comm.send(
+                coord,
+                TAG_RECOVER_REPORT,
+                Payload::U64(vec![self.dead_bitmap()]),
+            )?;
             match self
                 .comm
                 .recv_vec_timeout::<u64>(Src::Of(coord), TAG_RECOVER_AGREE, timeout)
@@ -1075,252 +888,56 @@ impl DecentralProblem<'_> {
                     // pass picks the next candidate coordinator.
                 }
                 Err(CommError::Timeout) => self.comm.evict(coord),
-                Err(e) => return Err(TrainFault::Comm(e)),
+                Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Peer-coordinated recovery after a collective aborted on a dead
-    /// rank: agree on membership, acknowledge every agreed death, and
-    /// re-partition each dead rank's shard onto the survivors with the
-    /// same LPT strategy as start-up.
-    ///
-    /// Every survivor replays the identical re-partition from its
-    /// replicated assignment ledger, and the coordinator *also* ships
-    /// each survivor its extras over `TAG_LOAD_DATA` — the same wire
-    /// exchange as master-mode `CMD_LOAD_DATA` recovery — which
-    /// doubles as a cross-check that the replicas agree on the new
-    /// assignment.
-    fn recover(&mut self, timeout: Duration) -> Result<(), TrainFault> {
-        let union = self.agree_membership(timeout)?;
-        let unacked = self.comm.unacked_dead();
-        let newly: Vec<usize> = (0..self.comm.size())
-            .filter(|&r| union & (1u64 << r) != 0)
-            .filter(|&r| unacked.contains(&r) || !self.comm.is_dead(r))
-            .collect();
-        for &r in &newly {
-            self.comm.ack_dead(r);
-        }
-        let me = self.comm.rank();
-        for &d in &newly {
-            let orphan_train = std::mem::take(&mut self.train_ids[d]);
-            let orphan_held = std::mem::take(&mut self.held_ids[d]);
-            let live: Vec<usize> = (0..self.comm.size())
-                .filter(|&r| !self.comm.is_dead(r))
-                .collect();
-            let t_lens: Vec<usize> = orphan_train
-                .iter()
-                .map(|&id| self.utt_frames[id as usize])
-                .collect();
-            let t_parts = partition(&t_lens, live.len(), self.strategy);
-            let h_lens: Vec<usize> = orphan_held
-                .iter()
-                .map(|&id| self.utt_frames[id as usize])
-                .collect();
-            let h_parts = partition(&h_lens, live.len(), self.strategy);
-            let coord = live[0];
-            let mut my_extra: (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
-            for (i, &w) in live.iter().enumerate() {
-                let t: Vec<u64> = t_parts[i].iter().map(|&p| orphan_train[p]).collect();
-                let h: Vec<u64> = h_parts[i].iter().map(|&p| orphan_held[p]).collect();
-                if me == coord && w != coord {
-                    let s1 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(t.clone()));
-                    let s2 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(h.clone()));
-                    s1.and(s2).map_err(TrainFault::Comm)?;
-                }
-                if w == me {
-                    my_extra = (t.clone(), h.clone());
-                }
-                self.train_ids[w].extend(t);
-                self.held_ids[w].extend(h);
-            }
-            if me != coord {
-                let t = self
-                    .comm
-                    .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
-                    .map_err(TrainFault::Comm)?;
-                let h = self
-                    .comm
-                    .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
-                    .map_err(TrainFault::Comm)?;
-                assert!(
-                    t == my_extra.0 && h == my_extra.1,
-                    "replicated re-partition diverged from the coordinator's"
-                );
-            }
-            self.rec.counter_add("shard_reassignments", 1);
-        }
-        if !newly.is_empty() {
-            // Rebuild this rank's shards from the updated ledger and
-            // drop the cached curvature sample: its activations belong
-            // to the pre-failure θ and shard.
-            let mine_t: Vec<usize> = self.train_ids[me].iter().map(|&id| id as usize).collect();
-            let mine_h: Vec<usize> = self.held_ids[me].iter().map(|&id| id as usize).collect();
-            self.train = self.corpus.shard(&mine_t);
-            self.heldout = self.corpus.shard(&mine_h);
-            self.sample_frames = None;
-            if let Some(s) = self.sample.take() {
-                s.cache.give_back(&mut self.ws);
-                self.ws.give_matrix(s.x);
-                self.ws.give_matrix(s.dist);
-            }
-        }
-        Ok(())
-    }
-
-    fn try_gradient(&mut self) -> Result<(f64, Vec<f32>), TrainFault> {
-        let (loss_sum, mut grad) = {
-            let _s = self.rec.span("gradient_loss", SpanKind::DenseCompute);
-            if self.train.frames() == 0 {
-                (0.0, vec![0.0f32; self.net.num_params()])
-            } else {
-                ensure_worker_packs(&mut self.packs, &self.net, &self.ctx, self.rec.as_ref());
-                let cache = self.net.forward_ws(
-                    &self.ctx,
-                    &self.train.x,
-                    self.packs.as_ref(),
-                    &mut self.ws,
-                );
-                let (loss, dlogits) = eval_objective(
-                    self.objective,
-                    &cache,
-                    &self.train.labels,
-                    &self.train.utt_lens,
-                );
-                let grad = backprop_ws(
-                    &self.net,
-                    &self.ctx,
-                    &cache,
-                    &dlogits,
-                    self.packs.as_ref(),
-                    &mut self.ws,
-                );
-                self.ws.give_matrix(dlogits);
-                cache.give_back(&mut self.ws);
-                (loss, grad)
-            }
-        };
-        let rec = self.rec.clone();
-        let _span = rec.span("gradient_allreduce", SpanKind::CommCollective);
-        let r1 = self.sync_f32(&mut grad);
-        let mut meta = vec![loss_sum, self.train.frames() as f64];
-        let r2 = self.sync_f64(&mut meta);
-        r1.and(r2).map_err(TrainFault::Comm)?;
-        if meta[1] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "gradient" });
-        }
-        let frames = meta[1];
-        pdnn_tensor::blas1::scal((1.0 / frames) as f32, &mut grad);
-        Ok((meta[0] / frames, grad))
-    }
-
-    fn try_gn_product(&mut self, v: &[f32]) -> Result<Vec<f32>, TrainFault> {
-        let (mut gv, frames) = {
-            let _s = self
-                .rec
-                .span("worker_curvature_product", SpanKind::DenseCompute);
-            match &self.sample {
-                Some(s) => {
-                    ensure_worker_packs(&mut self.packs, &self.net, &self.ctx, self.rec.as_ref());
-                    let gv = gn_product_ws(
-                        &self.net,
-                        &self.ctx,
-                        &s.cache,
-                        Curvature::Fisher(&s.dist),
-                        v,
-                        self.packs.as_ref(),
-                        Some(&s.packed_acts),
-                        &mut self.ws,
-                    );
-                    (gv, s.x.rows() as f64)
-                }
-                None => (vec![0.0f32; self.net.num_params()], 0.0),
-            }
-        };
-        let rec = self.rec.clone();
-        let _span = rec.span("curvature_allreduce", SpanKind::CommCollective);
-        self.sync_f32(&mut gv).map_err(TrainFault::Comm)?;
-        let total = self.sample_frames_total(frames, "gn_product")?;
-        pdnn_tensor::blas1::scal((1.0 / total) as f32, &mut gv);
-        Ok(gv)
     }
 
     /// Global frame count of the current curvature sample: the cached
     /// agreement if one exists, else one f64 metadata allreduce whose
     /// result is cached until the sample changes.
-    fn sample_frames_total(&mut self, local: f64, phase: &'static str) -> Result<f64, TrainFault> {
-        let total = match self.sample_frames {
-            Some(t) => t,
-            None => {
-                let mut meta = vec![local];
-                self.sync_f64(&mut meta).map_err(TrainFault::Comm)?;
-                self.sample_frames = Some(meta[0]);
-                meta[0]
-            }
-        };
-        if total <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase });
+    fn sample_frames_total(&mut self, local: f64) -> Result<f64, CommError> {
+        if let Some(total) = self.sample_frames {
+            return Ok(total);
         }
-        Ok(total)
+        let mut meta = [local];
+        self.allreduce_sum(&mut meta)?;
+        self.sample_frames = Some(meta[0]);
+        Ok(meta[0])
     }
 
-    fn try_fisher(&mut self) -> Result<Vec<f32>, TrainFault> {
-        let (mut diag, frames) = {
-            let _s = self
-                .rec
-                .span("worker_curvature_product", SpanKind::DenseCompute);
-            match &self.sample {
-                Some(s) => {
-                    let (_, dlogits) =
-                        eval_objective(self.objective, &s.cache, &s.labels, &s.utt_lens);
-                    let diag = pdnn_dnn::fisher::empirical_fisher_diagonal(
-                        &self.net, &self.ctx, &s.cache, &dlogits,
-                    );
-                    (diag, s.x.rows() as f64)
-                }
-                None => (vec![0.0f32; self.net.num_params()], 0.0),
-            }
-        };
+    fn try_gradient(&mut self) -> Result<(f64, Vec<f32>), TrainFault> {
+        let (loss_sum, mut grad, frames) = self.engine.gradient_sums();
+        let rec = self.rec.clone();
+        let _span = rec.span("gradient_allreduce", SpanKind::CommCollective);
+        let r1 = self.allreduce_sum(&mut grad);
+        let mut meta = [loss_sum, frames];
+        let r2 = self.allreduce_sum(&mut meta);
+        r1.and(r2).map_err(TrainFault::Comm)?;
+        let grad = mean_of(grad, meta[1], "gradient")?;
+        Ok((meta[0] / meta[1], grad))
+    }
+
+    /// Aggregate and normalise a sum over the curvature sample (a GN
+    /// product or the Fisher diagonal).
+    fn try_curvature(
+        &mut self,
+        (mut sum, frames): (Vec<f32>, f64),
+        phase: &'static str,
+    ) -> Result<Vec<f32>, TrainFault> {
         let rec = self.rec.clone();
         let _span = rec.span("curvature_allreduce", SpanKind::CommCollective);
-        self.sync_f32(&mut diag).map_err(TrainFault::Comm)?;
-        let total = self.sample_frames_total(frames, "fisher")?;
-        pdnn_tensor::blas1::scal((1.0 / total) as f32, &mut diag);
-        Ok(diag)
+        self.allreduce_sum(&mut sum).map_err(TrainFault::Comm)?;
+        let total = self.sample_frames_total(frames).map_err(TrainFault::Comm)?;
+        mean_of(sum, total, phase)
     }
 
     fn try_heldout(&mut self, theta: &[f32]) -> Result<HeldoutEval, TrainFault> {
-        let mut meta = {
-            let _s = self.rec.span("eval_heldout", SpanKind::DenseCompute);
-            if self.heldout.frames() == 0 {
-                vec![0.0f64, 0.0, 0.0]
-            } else {
-                self.scratch.set_flat(theta);
-                let logits = self
-                    .scratch
-                    .logits_ws(&self.ctx, &self.heldout.x, None, &mut self.ws);
-                let (loss_sum, correct) = heldout_objective(
-                    self.objective,
-                    &logits,
-                    &self.heldout.labels,
-                    &self.heldout.utt_lens,
-                );
-                self.ws.give_matrix(logits);
-                vec![loss_sum, correct as f64, self.heldout.frames() as f64]
-            }
-        };
+        let mut meta = self.engine.heldout_sums(theta);
         let rec = self.rec.clone();
         let _span = rec.span("heldout_allreduce", SpanKind::CommCollective);
-        self.sync_f64(&mut meta).map_err(TrainFault::Comm)?;
-        if meta[2] <= 0.0 {
-            return Err(TrainFault::ZeroFrames { phase: "heldout" });
-        }
-        let frames = meta[2];
-        Ok(HeldoutEval {
-            loss: meta[0] / frames,
-            accuracy: meta[1] / frames,
-            frames: meta[2] as u64,
-        })
+        self.allreduce_sum(&mut meta).map_err(TrainFault::Comm)?;
+        heldout_mean(&meta)
     }
 }
 
@@ -1340,457 +957,143 @@ impl HfProblem for DecentralProblem<'_> {
         let rec = self.rec.clone();
         let _span = rec.span("sync_weights_replicated", SpanKind::MemoryBound);
         self.theta = theta.to_vec();
-        self.net.set_flat(theta);
-        // The cached curvature sample holds activations of the old θ.
+        self.engine.set_theta(theta);
         self.sample_frames = None;
-        if let Some(s) = self.sample.take() {
-            s.cache.give_back(&mut self.ws);
-            self.ws.give_matrix(s.x);
-            self.ws.give_matrix(s.dist);
-        }
     }
 
     fn gradient(&mut self) -> (f64, Vec<f32>) {
-        if self.poisoned() {
-            return (f64::NAN, vec![0.0f32; self.theta.len()]);
-        }
-        match self.try_gradient() {
-            Ok(out) => out,
-            Err(f) => {
-                self.on_fault(f);
-                (f64::NAN, vec![0.0f32; self.theta.len()])
-            }
-        }
+        self.settle(Self::try_gradient)
+            .unwrap_or_else(|| (f64::NAN, vec![0.0f32; self.theta.len()]))
     }
 
     fn sample_curvature(&mut self, seed: u64, fraction: f64) {
-        if self.poisoned() {
+        if self.latch.poisoned() {
             return;
         }
         self.sample_frames = None;
-        if let Some(s) = self.sample.take() {
-            s.cache.give_back(&mut self.ws);
-            self.ws.give_matrix(s.x);
-            self.ws.give_matrix(s.dist);
-        }
-        self.sample = {
-            let _s = self
-                .rec
-                .span("worker_curvature_sample", SpanKind::DenseCompute);
-            draw_sample(
-                &self.train,
-                &self.net,
-                &self.ctx,
-                self.objective,
-                seed,
-                fraction,
-                self.comm.rank(),
-            )
-        };
+        self.engine.draw_sample(seed, fraction, self.comm.rank());
     }
 
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        if self.poisoned() {
-            return vec![0.0f32; v.len()];
-        }
-        match self.try_gn_product(v) {
-            Ok(gv) => gv,
-            Err(f) => {
-                self.on_fault(f);
-                vec![0.0f32; v.len()]
-            }
-        }
+        self.settle(|p| {
+            let sums = p.engine.gn_sums(v);
+            p.try_curvature(sums, "gn_product")
+        })
+        .unwrap_or_else(|| vec![0.0f32; v.len()])
     }
 
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
-        if self.poisoned() {
-            return None;
-        }
-        match self.try_fisher() {
-            Ok(diag) => Some(diag),
-            Err(f) => {
-                self.on_fault(f);
-                None
-            }
-        }
+        self.settle(|p| {
+            let sums = p.engine.fisher_sums();
+            p.try_curvature(sums, "fisher")
+        })
     }
 
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
-        if self.poisoned() {
-            return HeldoutEval {
-                loss: f64::NAN,
-                accuracy: f64::NAN,
-                frames: 0,
-            };
-        }
-        match self.try_heldout(theta) {
-            Ok(eval) => eval,
-            Err(f) => {
-                self.on_fault(f);
-                HeldoutEval {
-                    loss: f64::NAN,
-                    accuracy: f64::NAN,
-                    frames: 0,
-                }
-            }
-        }
+        self.settle(|p| p.try_heldout(theta))
+            .unwrap_or(DEGRADED_EVAL)
     }
 
     fn train_frames(&self) -> u64 {
-        self.train_frames
+        self.ledger.train_frames()
     }
 }
 
-/// The replicated outer loop every masterless rank runs: the same
-/// [`HfOptimizer::step`] / [`StopState`] sequence as [`hf_loop`],
-/// including peer-coordinated recovery when a collective surfaces a
-/// dead rank. Snapshots are in-memory — every rank rewinds to its own
-/// replica of θ, so there is no checkpoint file to race on and
-/// nothing to ship.
-fn decentral_loop(
-    problem: &mut DecentralProblem<'_>,
-    config: &DistributedConfig,
-    rec: &Arc<InMemoryRecorder>,
-    recover_timeout: Duration,
-) -> (Result<Vec<IterStats>, Error>, usize) {
-    let hf = config.hf;
-    let mut opt = HfOptimizer::with_recorder(hf, rec.clone());
-    let mut rule = hf.stop;
-    if rule.target_loss.is_none() {
-        rule.target_loss = hf.target_heldout_loss;
+/// Peer-coordinated recovery; snapshots stay in memory — every rank
+/// rewinds to its own replica of θ, so there is no checkpoint file to
+/// race on and nothing to ship.
+impl Recovering for DecentralProblem<'_> {
+    fn latch(&mut self) -> &mut FaultLatch {
+        &mut self.latch
     }
-    let mut stop = StopState::new(rule);
-    let mut stats: Vec<IterStats> = Vec::with_capacity(hf.max_iters);
-    let mut snap = Snapshot {
-        iter: 0,
-        theta: problem.theta(),
-        lambda: opt.lambda(),
-    };
-    let mut recoveries = 0usize;
-    let mut iter = 0usize;
-    while iter < hf.max_iters {
-        let s = opt.step(problem, iter);
-        match problem.take_fault() {
-            None => {
-                let reason = stop.observe(s.heldout_before, s.heldout_after);
-                stats.push(s);
-                iter += 1;
-                if config.checkpoint_every > 0 && iter.is_multiple_of(config.checkpoint_every) {
-                    snap = Snapshot {
-                        iter,
-                        theta: problem.theta(),
-                        lambda: opt.lambda(),
-                    };
+
+    /// After a collective aborted on a dead rank: agree on membership,
+    /// acknowledge every agreed death (whichever rank the aborted
+    /// collective happened to name), and re-partition each dead rank's
+    /// shard onto the survivors.
+    ///
+    /// Every survivor replays the identical re-partition on its
+    /// replica of the ledger, and the coordinator *also* ships each
+    /// survivor its extras over `TAG_LOAD_DATA` — the same wire
+    /// exchange as master-mode `CMD_LOAD_DATA` recovery — which
+    /// doubles as a cross-check that the replicas agree on the new
+    /// assignment.
+    fn recover(&mut self, _rank: usize) -> Result<(), Error> {
+        let timeout = self.recover_timeout;
+        let union = self.agree_membership(timeout).map_err(comm_error)?;
+        let unacked = self.comm.unacked_dead();
+        let newly: Vec<usize> = (0..self.comm.size())
+            .filter(|&r| union & (1u64 << r) != 0)
+            .filter(|&r| unacked.contains(&r) || !self.comm.is_dead(r))
+            .collect();
+        for &r in &newly {
+            self.comm.ack_dead(r);
+        }
+        let me = self.comm.rank();
+        for &d in &newly {
+            let live: Vec<usize> = (0..self.comm.size())
+                .filter(|&r| !self.comm.is_dead(r))
+                .collect();
+            let extras = self.ledger.reassign(d, &live);
+            let coord = live[0];
+            if me == coord {
+                // `live[0]` is the coordinator itself.
+                for (&w, (t, h)) in live.iter().zip(extras).skip(1) {
+                    let s1 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(t));
+                    let s2 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(h));
+                    s1.and(s2).map_err(comm_error)?;
                 }
-                if reason.is_some() {
-                    break;
-                }
-            }
-            Some(TrainFault::Comm(CommError::RankDead { rank })) => {
-                let _span = rec.span("recovery", SpanKind::Scalar);
-                rec.event(
-                    "worker_failure",
-                    vec![
-                        ("rank".into(), (rank as u64).into()),
-                        ("iter".into(), (iter as u64).into()),
-                    ],
-                );
-                if let Err(f) = problem.recover(recover_timeout) {
-                    return (Err(fault_error(f)), recoveries);
-                }
-                rec.gauge_set("dead_workers", problem.comm.dead_ranks().len() as f64);
-                // Replicated rewind: every survivor restores its own
-                // in-memory snapshot, rebuilds the optimizer at the
-                // snapshot's damping level, and replays. Sample seeds
-                // are a pure function of the iteration index, so the
-                // replay is bit-deterministic.
-                problem.set_theta(&snap.theta);
-                opt = HfOptimizer::resume_with_recorder(hf, snap.lambda, rec.clone());
-                stop = StopState::new(rule);
-                stats.truncate(snap.iter);
-                // Re-feed the surviving history so patience/target
-                // stopping sees the same sequence an undisturbed run
-                // would have.
-                for s in &stats {
-                    let _ = stop.observe(s.heldout_before, s.heldout_after);
-                }
-                iter = snap.iter;
-                recoveries += 1;
-                rec.counter_add("recoveries", 1);
-                rec.event(
-                    "recovery_complete",
-                    vec![("resume_iter".into(), (iter as u64).into())],
+            } else {
+                let t = self
+                    .comm
+                    .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
+                    .map_err(comm_error)?;
+                let h = self
+                    .comm
+                    .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
+                    .map_err(comm_error)?;
+                let mine = live.iter().position(|&w| w == me);
+                assert!(
+                    (t, h) == mine.map(|i| extras[i].clone()).unwrap_or_default(),
+                    "replicated re-partition diverged from the coordinator's"
                 );
             }
-            Some(fault) => return (Err(fault_error(fault)), recoveries),
+            self.rec.counter_add("shard_reassignments", 1);
         }
-    }
-    (Ok(stats), recoveries)
-}
-
-/// What each masterless rank returns from its world closure: the
-/// optimizer outcome, the final flat θ (for the replica-agreement
-/// check at collection time), and this rank's view of the fault
-/// history.
-struct DecentralOut {
-    result: Result<Vec<IterStats>, Error>,
-    theta: Vec<f32>,
-    dead_ranks: Vec<usize>,
-    recoveries: usize,
-}
-
-/// Masterless training: `config.workers` peer ranks, each running a
-/// replicated optimizer over symmetric allreduces. See
-/// [`SyncStrategy`].
-fn train_decentral_impl(
-    net0: &Network<f32>,
-    corpus: &Corpus,
-    objective: &Objective,
-    config: &DistributedConfig,
-    mode: WorldMode,
-) -> Result<TrainOutput, Error> {
-    assert!(config.workers >= 1, "need at least one worker");
-    config.hf.validate();
-
-    let (train_ids, held_ids) = corpus.split_heldout(config.heldout_frac);
-    let train_lens: Vec<usize> = train_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let train_assign = partition(&train_lens, config.workers, config.strategy);
-    let held_lens: Vec<usize> = held_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let held_assign = partition(&held_lens, config.workers, config.strategy);
-    // Corpus-id shards per rank; every rank derives its own from the
-    // shared deterministic partition — nothing is shipped point-to-point.
-    // Kept as u64 ids so the replicated ledger matches the recovery
-    // wire format (`TAG_LOAD_DATA`) and the master-mode ledger.
-    let assigned_train: Vec<Vec<u64>> = train_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| train_ids[pos] as u64).collect())
-        .collect();
-    let assigned_held: Vec<Vec<u64>> = held_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| held_ids[pos] as u64).collect())
-        .collect();
-    let utt_frames: Vec<usize> = corpus.utterances().iter().map(|u| u.frames()).collect();
-
-    let theta0 = net0.to_flat();
-    let total_train_frames: u64 = train_lens.iter().map(|&l| l as u64).sum();
-
-    let world = config.workers;
-    let faulted = matches!(mode, WorldMode::Faulted(_));
-    let recover_timeout = match &mode {
-        WorldMode::Faulted(plan) => plan.worker_timeout,
-        _ => Duration::from_secs(60),
-    };
-    let body = |comm: &mut Comm| {
-        comm.set_wire_codec(config.wire_codec);
-        let rank = comm.rank();
-        let rec = comm.recorder().clone();
-        let ctx = if config.threads_per_rank > 1 {
-            GemmContext::threaded(config.threads_per_rank)
-        } else {
-            GemmContext::sequential()
-        };
-        let mut net = net0.clone();
-        net.set_flat(&theta0);
-        let scratch = net.clone();
-        let my_train: Vec<usize> = assigned_train[rank].iter().map(|&id| id as usize).collect();
-        let my_held: Vec<usize> = assigned_held[rank].iter().map(|&id| id as usize).collect();
-        let mut problem = DecentralProblem {
-            comm,
-            rec: rec.clone(),
-            sync: config.sync,
-            theta: theta0.clone(),
-            net,
-            scratch,
-            train: corpus.shard(&my_train),
-            heldout: corpus.shard(&my_held),
-            objective,
-            ctx,
-            ws: Workspace::new(),
-            packs: None,
-            sample: None,
-            sample_frames: None,
-            train_frames: total_train_frames,
-            corpus,
-            train_ids: assigned_train.clone(),
-            held_ids: assigned_held.clone(),
-            utt_frames: utt_frames.clone(),
-            strategy: config.strategy,
-            fault: None,
-            strict: !faulted,
-        };
-        let (result, recoveries) = decentral_loop(&mut problem, config, &rec, recover_timeout);
-        let theta = problem.theta();
-        // Quiescence barrier closing the protocol, as in Master mode.
-        // A rank dying between the last collective and the barrier is
-        // tolerated — the survivors already hold the final θ.
-        let barrier = problem.comm.barrier();
-        let result = result.and_then(|stats| match barrier {
-            Ok(()) | Err(CommError::RankDead { .. }) => Ok(stats),
-            Err(e) => Err(Error::Comm(e.to_string())),
-        });
-        if faulted {
-            if let Err(e) = &result {
-                rec.event(
-                    "worker_comm_abort",
-                    vec![("error".into(), e.to_string().into())],
-                );
-            }
+        if !newly.is_empty() {
+            // The cached curvature sample belongs to the pre-failure θ
+            // and shard; `reshard` drops it.
+            self.engine
+                .reshard(&self.ledger.train[me], &self.ledger.held[me]);
+            self.sample_frames = None;
         }
-        let dead_ranks = problem.comm.dead_ranks().to_vec();
-        DecentralOut {
-            result,
-            theta,
-            dead_ranks,
-            recoveries,
-        }
-    };
-    let outcomes: Vec<RankOutcome<DecentralOut>> = match &mode {
-        WorldMode::Normal => pdnn_mpisim::run_world(world, body),
-        WorldMode::Deterministic => pdnn_mpisim::run_world_deterministic(world, body),
-        WorldMode::Perturbed(seed) => pdnn_mpisim::run_world_perturbed(world, *seed, body),
-        WorldMode::Faulted(plan) => pdnn_mpisim::run_world_faulted(world, plan, body),
-    };
-    let schedule_seed = match &mode {
-        WorldMode::Perturbed(seed) => Some(*seed),
-        _ => None,
-    };
-
-    let mut network = net0.clone();
-    let mut master_trace = CommTrace::default();
-    let mut master_telemetry = Telemetry::default();
-    let mut master_events = Vec::new();
-    let mut worker_traces = Vec::new();
-    let mut worker_telemetries = Vec::new();
-    let mut worker_events = Vec::new();
-    let mut hb_violations = Vec::new();
-    let mut rank_outs: Vec<(usize, DecentralOut)> = Vec::with_capacity(outcomes.len());
-    for mut outcome in outcomes {
-        outcome.telemetry.schedule_seed = schedule_seed;
-        hb_violations.extend(outcome.hb.into_iter().map(|v| (outcome.rank, v)));
-        if outcome.rank == 0 {
-            master_trace = outcome.trace;
-            master_telemetry = outcome.telemetry;
-            master_events = outcome.events;
-        } else {
-            worker_traces.push(outcome.trace);
-            worker_telemetries.push(outcome.telemetry);
-            worker_events.push(outcome.events);
-        }
-        rank_outs.push((outcome.rank, outcome.result));
-    }
-    rank_outs.sort_by_key(|(rank, _)| *rank);
-    // The reference replica is the lowest rank that finished cleanly
-    // (a kill victim exits early with an error and carries stale θ).
-    // Every other clean rank must match it bitwise — any drift is a
-    // determinism bug in the allreduce or recovery layer.
-    let reference = rank_outs
-        .iter()
-        .position(|(_, o)| o.result.is_ok())
-        .unwrap_or(0);
-    let ref_rank = rank_outs[reference].0;
-    for (rank, out) in &rank_outs {
-        if *rank == ref_rank || out.result.is_err() {
-            continue;
-        }
-        if out.theta != rank_outs[reference].1.theta {
-            return Err(Error::Train(format!(
-                "replicated optimizers diverged: rank {rank} θ differs from rank {ref_rank}"
-            )));
-        }
-    }
-    let (
-        _,
-        DecentralOut {
-            result,
-            theta,
-            dead_ranks,
-            recoveries,
-        },
-    ) = rank_outs.swap_remove(reference);
-    let stats = result?;
-    network.set_flat(&theta);
-
-    let master_phases = master_telemetry.phase_totals();
-    let worker_phases = worker_telemetries
-        .iter()
-        .map(Telemetry::phase_totals)
-        .collect();
-    Ok(TrainOutput {
-        network,
-        stats,
-        master_trace,
-        worker_traces,
-        master_phases,
-        worker_phases,
-        master_telemetry,
-        worker_telemetries,
-        hb_violations,
-        schedule_seed,
-        dead_ranks,
-        recoveries,
-        master_events,
-        worker_events,
-    })
-}
-
-/// θ snapshot a rank can rewind to after a worker failure — the
-/// master's checkpoint-restart anchor, or every masterless replica's
-/// in-memory rewind point.
-struct Snapshot {
-    iter: usize,
-    theta: Vec<f32>,
-    lambda: f64,
-}
-
-fn write_checkpoint(
-    config: &DistributedConfig,
-    net0: &Network<f32>,
-    snap: &Snapshot,
-) -> Result<(), Error> {
-    let Some(path) = &config.checkpoint_path else {
-        return Ok(());
-    };
-    let mut net = net0.clone();
-    net.set_flat(&snap.theta);
-    pdnn_dnn::checkpoint::save_network(&net, path)
-}
-
-fn restore_theta(config: &DistributedConfig, snap: &Snapshot) -> Result<Vec<f32>, Error> {
-    match &config.checkpoint_path {
-        Some(path) => Ok(pdnn_dnn::checkpoint::load_network(path)?.to_flat()),
-        None => Ok(snap.theta.clone()),
+        self.rec
+            .gauge_set("dead_workers", self.comm.dead_ranks().len() as f64);
+        Ok(())
     }
 }
 
-/// The master's outer training loop with checkpoint-restart recovery.
+/// The outer training loop with snapshot-rewind recovery, run by the
+/// master and by every masterless replica.
 ///
 /// Drives the identical [`HfOptimizer::step`] sequence as
 /// [`HfOptimizer::train`]; a run that observes no fault is op-for-op
 /// (and telemetry-byte-for-byte) identical to it. When a step
-/// surfaces a dead worker, the master acknowledges the death,
-/// re-partitions the lost shard onto the survivors, restores θ from
-/// the last snapshot, rebuilds the optimizer at the snapshot's damping
-/// level, and replays from the snapshot iteration. Sample seeds are a
-/// pure function of the iteration index, so the replay is
-/// bit-deterministic.
-fn hf_loop(
-    problem: &mut MasterProblem<'_>,
+/// surfaces a dead rank, the front-end recovers the data assignment
+/// ([`Recovering::recover`]), θ is restored from the last snapshot,
+/// the optimizer is rebuilt at the snapshot's damping level, and the
+/// loop replays from the snapshot iteration. Sample seeds are a pure
+/// function of the iteration index, so the replay is
+/// bit-deterministic. Returns the statistics and the recovery count.
+fn hf_loop<P: Recovering>(
+    problem: &mut P,
     config: &DistributedConfig,
-    net0: &Network<f32>,
     rec: &Arc<InMemoryRecorder>,
-) -> (Result<Vec<IterStats>, Error>, usize) {
+) -> Result<(Vec<IterStats>, usize), Error> {
     let hf = config.hf;
     let mut opt = HfOptimizer::with_recorder(hf, rec.clone());
     let mut rule = hf.stop;
-    if rule.target_loss.is_none() {
-        rule.target_loss = hf.target_heldout_loss;
-    }
+    rule.target_loss = rule.target_loss.or(hf.target_heldout_loss);
     let mut stop = StopState::new(rule);
     let mut stats: Vec<IterStats> = Vec::with_capacity(hf.max_iters);
     let mut snap = Snapshot {
@@ -1798,14 +1101,12 @@ fn hf_loop(
         theta: problem.theta(),
         lambda: opt.lambda(),
     };
-    if let Err(e) = write_checkpoint(config, net0, &snap) {
-        return (Err(e), 0);
-    }
+    problem.persist(&snap)?;
     let mut recoveries = 0usize;
     let mut iter = 0usize;
     while iter < hf.max_iters {
         let s = opt.step(problem, iter);
-        match problem.take_fault() {
+        match problem.latch().take_fault() {
             None => {
                 let reason = stop.observe(s.heldout_before, s.heldout_after);
                 stats.push(s);
@@ -1816,9 +1117,7 @@ fn hf_loop(
                         theta: problem.theta(),
                         lambda: opt.lambda(),
                     };
-                    if let Err(e) = write_checkpoint(config, net0, &snap) {
-                        return (Err(e), recoveries);
-                    }
+                    problem.persist(&snap)?;
                 }
                 if reason.is_some() {
                     break;
@@ -1833,22 +1132,11 @@ fn hf_loop(
                         ("iter".into(), (iter as u64).into()),
                     ],
                 );
-                problem.comm.ack_dead(rank);
-                let dead = problem.comm.dead_ranks().len();
-                rec.gauge_set("dead_workers", dead as f64);
-                if dead >= config.workers {
-                    return (Err(Error::Train("no surviving workers".into())), recoveries);
-                }
-                if let Err(f) = problem.try_redistribute(rank - 1) {
-                    return (Err(fault_error(f)), recoveries);
-                }
-                let theta = match restore_theta(config, &snap) {
-                    Ok(t) => t,
-                    Err(e) => return (Err(e), recoveries),
-                };
+                problem.recover(rank)?;
                 // Replay θ to the survivors. If a further rank dies
                 // during the replay, the problem re-poisons and the
                 // next loop iteration recovers again.
+                let theta = problem.restore(&snap)?;
                 problem.set_theta(&theta);
                 opt = HfOptimizer::resume_with_recorder(hf, snap.lambda, rec.clone());
                 stop = StopState::new(rule);
@@ -1867,16 +1155,18 @@ fn hf_loop(
                     vec![("resume_iter".into(), (iter as u64).into())],
                 );
             }
-            Some(fault) => return (Err(fault_error(fault)), recoveries),
+            Some(fault) => return Err(fault_error(fault)),
         }
     }
-    (Ok(stats), recoveries)
+    Ok((stats, recoveries))
 }
 
 /// Train a network with distributed Hessian-free optimization.
 ///
-/// Spawns `config.workers + 1` ranks (threads): rank 0 runs the
-/// optimizer, ranks 1.. run the worker loop.
+/// Under [`SyncStrategy::Master`] spawns `config.workers + 1` ranks
+/// (threads): rank 0 runs the optimizer, ranks 1.. run the worker
+/// loop. Under the masterless strategies spawns `config.workers` peer
+/// ranks, each running a replica of the optimizer.
 pub fn train_distributed(
     net0: &Network<f32>,
     corpus: &Corpus,
@@ -1961,12 +1251,26 @@ enum WorldMode {
     Faulted(FaultPlan),
 }
 
-/// What the master rank hands back through the world runner.
-struct MasterOut {
-    result: Result<Vec<IterStats>, Error>,
+/// What a rank that ran an optimizer (the master, or a masterless
+/// peer) hands back through the world runner.
+struct RankOut {
+    /// Statistics and recovery count.
+    result: Result<(Vec<IterStats>, usize), Error>,
+    /// Final flat θ (compared across replicas at collection time).
     theta: Vec<f32>,
+    /// This rank's view of who died.
     dead_ranks: Vec<usize>,
-    recoveries: usize,
+}
+
+/// Fold the protocol's closing exchange into an optimizer outcome. A
+/// death first discovered at teardown still reports `RankDead`, which
+/// is tolerable — training already finished and the survivors hold
+/// the final θ.
+fn close<T>(result: Result<T, Error>, teardown: Result<(), CommError>) -> Result<T, Error> {
+    result.and_then(|done| match teardown {
+        Ok(()) | Err(CommError::RankDead { .. }) => Ok(done),
+        Err(e) => Err(comm_error(e)),
+    })
 }
 
 fn train_impl(
@@ -1976,60 +1280,74 @@ fn train_impl(
     config: &DistributedConfig,
     mode: WorldMode,
 ) -> Result<TrainOutput, Error> {
-    if config.sync != SyncStrategy::Master {
-        return train_decentral_impl(net0, corpus, objective, config, mode);
-    }
     assert!(config.workers >= 1, "need at least one worker");
     config.hf.validate();
 
-    let (train_ids, held_ids) = corpus.split_heldout(config.heldout_frac);
-    // Partition by frame counts (the paper's equal-data objective).
-    let train_lens: Vec<usize> = train_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let train_assign = partition(&train_lens, config.workers, config.strategy);
-    let held_lens: Vec<usize> = held_ids
-        .iter()
-        .map(|&i| corpus.utterances()[i].frames())
-        .collect();
-    let held_assign = partition(&held_lens, config.workers, config.strategy);
-
-    // Per-worker corpus-id assignments: the wire format of load_data
-    // and the master's recovery ledger.
-    let assigned_train: Vec<Vec<u64>> = train_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| train_ids[pos] as u64).collect())
-        .collect();
-    let assigned_held: Vec<Vec<u64>> = held_assign
-        .iter()
-        .map(|part| part.iter().map(|&pos| held_ids[pos] as u64).collect())
-        .collect();
-    let utt_frames: Vec<usize> = corpus.utterances().iter().map(|u| u.frames()).collect();
-
-    let dims = net0.dims();
+    let masterless = config.sync != SyncStrategy::Master;
+    let ledger = ShardLedger::new(corpus, config);
     let theta0 = net0.to_flat();
-    let total_train_frames: u64 = train_lens.iter().map(|&l| l as u64).sum();
+    let (faulted, recover_timeout) = match &mode {
+        WorldMode::Faulted(plan) => (true, plan.worker_timeout),
+        _ => (false, Duration::from_secs(60)),
+    };
 
-    enum RoleOutput {
-        Master(Box<MasterOut>),
-        Worker,
-    }
-
-    let faulted = matches!(mode, WorldMode::Faulted(_));
-    let world = config.workers + 1;
-    let body = |comm: &mut Comm| {
+    let body = |comm: &mut Comm| -> Option<RankOut> {
         comm.set_wire_codec(config.wire_codec);
-        if comm.rank() == 0 {
+        // The optimizer shares its rank's recorder, so its spans and
+        // events land in the same per-rank telemetry stream.
+        let rec = comm.recorder().clone();
+        let latch = FaultLatch {
+            rec: rec.clone(),
+            fault: None,
+            strict: !faulted,
+        };
+        if masterless {
+            // ---- peer ----
+            // Every rank derives its shard from the shared ledger —
+            // nothing is shipped point-to-point.
+            let rank = comm.rank();
+            let mut problem = DecentralProblem {
+                engine: ShardEngine::new(
+                    rec.clone(),
+                    corpus,
+                    objective,
+                    net0.clone(),
+                    config.threads_per_rank,
+                    &ledger.train[rank],
+                    &ledger.held[rank],
+                ),
+                comm,
+                rec: rec.clone(),
+                sync: config.sync,
+                theta: theta0.clone(),
+                sample_frames: None,
+                ledger: ledger.clone(),
+                latch,
+                recover_timeout,
+            };
+            let result = hf_loop(&mut problem, config, &rec);
+            // Quiescence barrier closing the protocol, as in Master mode.
+            let result = close(result, problem.comm.barrier());
+            if faulted {
+                if let Err(e) = &result {
+                    rec.event(
+                        "worker_comm_abort",
+                        vec![("error".into(), e.to_string().into())],
+                    );
+                }
+            }
+            Some(RankOut {
+                result,
+                theta: problem.theta(),
+                dead_ranks: problem.comm.dead_ranks().to_vec(),
+            })
+        } else if comm.rank() == 0 {
             // ---- master ----
-            let rec = comm.recorder().clone();
             // load_data: ship each worker its utterance id lists.
             let load_span = rec.span("load_data", SpanKind::CommP2p);
             for w in 0..config.workers {
-                let t_ids: Vec<u64> = assigned_train[w].clone();
-                let h_ids: Vec<u64> = assigned_held[w].clone();
-                let s1 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(t_ids));
-                let s2 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(h_ids));
+                let s1 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(ledger.train[w].clone()));
+                let s2 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(ledger.held[w].clone()));
                 if let Err(e) = s1.and(s2) {
                     // pdnn-lint: allow(l3-no-unwrap): a start-up send can only fail if a worker vanished before training began; under a fault plan sends never error, so this is a harness bug either way
                     panic!("load_data send to worker {w} failed: {e}");
@@ -2040,45 +1358,32 @@ fn train_impl(
             let mut problem = MasterProblem {
                 comm,
                 rec: rec.clone(),
+                config,
+                net0,
                 theta: theta0.clone(),
-                train_frames: total_train_frames,
-                train_assign: assigned_train.clone(),
-                held_assign: assigned_held.clone(),
-                utt_frames: utt_frames.clone(),
-                strategy: config.strategy,
-                fault: None,
-                strict: !faulted,
+                ledger: ledger.clone(),
+                latch,
             };
             // Distribute the initial weights.
-            let t0 = problem.theta();
-            problem.set_theta(&t0);
+            problem.set_theta(&theta0);
 
-            // The optimizer shares the master rank's recorder, so its
-            // spans/events land in the same per-rank telemetry stream.
-            let (result, recoveries) = hf_loop(&mut problem, config, net0, &rec);
-            let theta_final = problem.theta();
+            let result = hf_loop(&mut problem, config, &rec);
+            let theta = problem.theta();
             let shutdown = problem.command(vec![CMD_SHUTDOWN]);
-            // Matching half of the workers' shutdown barrier. A death
-            // first discovered *here* still reports RankDead, which is
-            // tolerable at teardown — training already finished.
+            // Matching half of the workers' shutdown barrier.
             let barrier = comm.barrier();
-            let result = result.and_then(|stats| match shutdown.and(barrier) {
-                Ok(()) | Err(CommError::RankDead { .. }) => Ok(stats),
-                Err(e) => Err(Error::Comm(e.to_string())),
-            });
-            RoleOutput::Master(Box::new(MasterOut {
-                result,
-                theta: theta_final,
+            Some(RankOut {
+                result: close(result, shutdown.and(barrier)),
+                theta,
                 dead_ranks: comm.dead_ranks().to_vec(),
-                recoveries,
-            }))
+            })
         } else {
             // ---- worker ----
-            if let Err(e) = worker_loop(comm, corpus, objective, &dims, config.threads_per_rank) {
+            if let Err(e) = worker_loop(comm, corpus, objective, net0, config.threads_per_rank) {
                 if faulted {
                     // Expected under a fault plan: this rank was
                     // killed, evicted, or orphaned by a peer's death.
-                    comm.recorder().event(
+                    rec.event(
                         "worker_comm_abort",
                         vec![("error".into(), e.to_string().into())],
                     );
@@ -2087,10 +1392,12 @@ fn train_impl(
                     panic!("worker communication failure: {e}");
                 }
             }
-            RoleOutput::Worker
+            None
         }
     };
-    let outcomes: Vec<RankOutcome<RoleOutput>> = match &mode {
+    // Rank 0 of the rooted protocol is the master, on top of the workers.
+    let world = config.workers + usize::from(!masterless);
+    let outcomes: Vec<RankOutcome<Option<RankOut>>> = match &mode {
         WorldMode::Normal => pdnn_mpisim::run_world(world, body),
         WorldMode::Deterministic => pdnn_mpisim::run_world_deterministic(world, body),
         WorldMode::Perturbed(seed) => pdnn_mpisim::run_world_perturbed(world, *seed, body),
@@ -2101,58 +1408,58 @@ fn train_impl(
         _ => None,
     };
 
-    let mut network = net0.clone();
-    let mut master_out: Option<MasterOut> = None;
-    let mut master_trace = CommTrace::default();
-    let mut master_telemetry = Telemetry::default();
-    let mut worker_traces = Vec::new();
-    let mut worker_telemetries = Vec::new();
+    // Outcomes arrive in rank order: rank 0 first, then the workers.
+    let mut traces = Vec::new();
+    let mut telemetries = Vec::new();
+    let mut events = Vec::new();
     let mut hb_violations = Vec::new();
-    let mut master_events = Vec::new();
-    let mut worker_events = Vec::new();
+    let mut rank_outs: Vec<(usize, RankOut)> = Vec::new();
     for mut outcome in outcomes {
         outcome.telemetry.schedule_seed = schedule_seed;
         hb_violations.extend(outcome.hb.into_iter().map(|v| (outcome.rank, v)));
-        match outcome.result {
-            RoleOutput::Master(boxed) => {
-                master_out = Some(*boxed);
-                master_trace = outcome.trace;
-                master_telemetry = outcome.telemetry;
-                master_events = outcome.events;
-            }
-            RoleOutput::Worker => {
-                worker_traces.push(outcome.trace);
-                worker_telemetries.push(outcome.telemetry);
-                worker_events.push(outcome.events);
-            }
+        traces.push(outcome.trace);
+        telemetries.push(outcome.telemetry);
+        events.push(outcome.events);
+        rank_outs.extend(outcome.result.map(|out| (outcome.rank, out)));
+    }
+    // The reference optimizer is the master, or the lowest masterless
+    // replica that finished cleanly (a kill victim exits early with an
+    // error and carries stale θ). Every other clean replica must match
+    // it bitwise — any drift is a determinism bug in the allreduce or
+    // recovery layer.
+    let reference = rank_outs
+        .iter()
+        .position(|(_, o)| o.result.is_ok())
+        .unwrap_or(0);
+    let ref_rank = rank_outs[reference].0;
+    for (rank, out) in &rank_outs {
+        if *rank != ref_rank && out.result.is_ok() && out.theta != rank_outs[reference].1.theta {
+            return Err(Error::Train(format!(
+                "replicated optimizers diverged: rank {rank} θ differs from rank {ref_rank}"
+            )));
         }
     }
-    let Some(master) = master_out else {
-        return Err(Error::Train("master rank produced no output".into()));
-    };
-    let stats = master.result?;
-    network.set_flat(&master.theta);
+    let (_, out) = rank_outs.swap_remove(reference);
+    let (stats, recoveries) = out.result?;
+    let mut network = net0.clone();
+    network.set_flat(&out.theta);
 
-    let master_phases = master_telemetry.phase_totals();
-    let worker_phases = worker_telemetries
-        .iter()
-        .map(Telemetry::phase_totals)
-        .collect();
+    let master_telemetry = telemetries.remove(0);
     Ok(TrainOutput {
         network,
         stats,
-        master_trace,
-        worker_traces,
-        master_phases,
-        worker_phases,
+        master_trace: traces.remove(0),
+        worker_traces: traces,
+        master_phases: master_telemetry.phase_totals(),
+        worker_phases: telemetries.iter().map(Telemetry::phase_totals).collect(),
         master_telemetry,
-        worker_telemetries,
+        worker_telemetries: telemetries,
         hb_violations,
         schedule_seed,
-        dead_ranks: master.dead_ranks,
-        recoveries: master.recoveries,
-        master_events,
-        worker_events,
+        dead_ranks: out.dead_ranks,
+        recoveries,
+        master_events: events.remove(0),
+        worker_events: events,
     })
 }
 
@@ -2161,6 +1468,7 @@ fn train_impl(
 mod tests {
     use super::*;
     use pdnn_speech::CorpusSpec;
+    use pdnn_tensor::gemm::GemmContext;
     use pdnn_util::Prng;
 
     fn small_corpus(seed: u64) -> Corpus {
@@ -2371,5 +1679,73 @@ mod tests {
         let out = train_distributed(&net0, &corpus, &Objective::CrossEntropy, &config).unwrap();
         assert_eq!(out.stats.len(), 2);
         assert!(out.stats.iter().all(|s| s.train_loss.is_finite()));
+    }
+
+    fn ledger_for(workers: usize) -> ShardLedger {
+        let config = DistributedConfig {
+            workers,
+            ..Default::default()
+        };
+        ShardLedger::new(&small_corpus(15), &config)
+    }
+
+    #[test]
+    fn ledger_partitions_every_utterance_once() {
+        let corpus = small_corpus(15);
+        let ledger = ledger_for(4);
+        let mut all: Vec<u64> = ledger
+            .train
+            .iter()
+            .chain(&ledger.held)
+            .flatten()
+            .copied()
+            .collect();
+        all.sort_unstable();
+        let expected: Vec<u64> = (0..corpus.utterances().len() as u64).collect();
+        assert_eq!(all, expected);
+        let (train_ids, _) = corpus.split_heldout(0.2);
+        let frames: usize = train_ids
+            .iter()
+            .map(|&i| corpus.utterances()[i].frames())
+            .sum();
+        assert_eq!(ledger.train_frames(), frames as u64);
+    }
+
+    #[test]
+    fn reassign_moves_every_orphan_to_exactly_one_live_slot() {
+        let mut ledger = ledger_for(4);
+        let before = ledger.clone();
+        let (dead, live) = (1usize, [0usize, 2, 3]);
+        let extras = ledger.reassign(dead, &live);
+        assert!(ledger.train[dead].is_empty() && ledger.held[dead].is_empty());
+        assert_eq!(extras.len(), live.len());
+        for (now, was) in [(&ledger.train, &before.train), (&ledger.held, &before.held)] {
+            // Each live slot kept what it had and gained its extras at
+            // the end; the gains together are exactly the orphans.
+            let mut gained: Vec<u64> = Vec::new();
+            for &slot in &live {
+                let (kept, new) = now[slot].split_at(was[slot].len());
+                assert_eq!(kept, &was[slot][..]);
+                gained.extend(new);
+            }
+            let mut orphans = was[dead].clone();
+            assert!(!orphans.is_empty(), "fixture must orphan something");
+            gained.sort_unstable();
+            orphans.sort_unstable();
+            assert_eq!(gained, orphans);
+        }
+        for (&slot, (t, h)) in live.iter().zip(&extras) {
+            assert!(ledger.train[slot].ends_with(t) && ledger.held[slot].ends_with(h));
+        }
+    }
+
+    #[test]
+    fn reassign_is_a_pure_function_of_the_ledger() {
+        // The masterless replicas rely on this: equal ledgers replay
+        // the identical re-partition with no communication.
+        let (mut a, mut b) = (ledger_for(5), ledger_for(5));
+        assert_eq!(a.reassign(3, &[0, 1, 4]), b.reassign(3, &[0, 1, 4]));
+        assert_eq!(a.reassign(0, &[1, 4]), b.reassign(0, &[1, 4]));
+        assert_eq!((&a.train, &a.held), (&b.train, &b.held));
     }
 }

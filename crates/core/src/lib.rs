@@ -53,6 +53,7 @@ pub mod distributed;
 pub mod line_search;
 pub mod optimizer;
 pub mod problem;
+mod shard;
 pub mod stopping;
 
 pub use cg::{cg_minimize, CgConfig, CgResult, CgStop};

@@ -296,3 +296,26 @@ fn fault_plans_are_accepted_and_recovered_in_masterless_modes() {
         assert_eq!(out.stats.len(), 2, "{sync:?}: run did not complete");
     }
 }
+
+#[test]
+fn empty_heldout_set_is_a_zero_frames_error_in_every_sync_mode() {
+    // With nothing held out, the first held-out reduction sums zero
+    // frames on every rank. The shared fault latch must turn that into
+    // a training error — and the world must still shut down cleanly
+    // (this test returning at all is that half of the contract).
+    let corpus = Corpus::generate(CorpusSpec::tiny(5));
+    let net0 = small_net(&corpus, 2);
+    for sync in [SyncStrategy::Master, SyncStrategy::Ring, SyncStrategy::Tree] {
+        let mut config = config_for(sync, 3, 2);
+        config.heldout_frac = 0.0;
+        let err =
+            train_distributed_deterministic(&net0, &corpus, &Objective::CrossEntropy, &config)
+                .err()
+                .unwrap_or_else(|| panic!("{sync:?}: trained without held-out data"));
+        assert!(
+            err.to_string()
+                .contains("reduction over zero frames in heldout"),
+            "{sync:?}: {err}"
+        );
+    }
+}
