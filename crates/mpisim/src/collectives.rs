@@ -688,10 +688,9 @@ impl Comm {
                 if comm.is_acked(src) {
                     continue;
                 }
-                if comm.is_dead(src) {
-                    first_err.get_or_insert(CommError::RankDead { rank: src });
-                    continue;
-                }
+                // A rank already known dead is still received from:
+                // what it sent before dying is matched first, and
+                // `RankDead` reported only for what it never sent.
                 match comm.recv_vec_timeout::<T>(Src::Of(src), tag, timeout) {
                     Ok(other) => T::combine(op, buf, &other),
                     Err(CommError::RankDead { rank }) => {
@@ -746,10 +745,6 @@ impl Comm {
                 let mut first_err: Option<CommError> = None;
                 for src in 0..size {
                     if src == root || comm.is_acked(src) {
-                        continue;
-                    }
-                    if comm.is_dead(src) {
-                        first_err.get_or_insert(CommError::RankDead { rank: src });
                         continue;
                     }
                     match comm.recv_timeout(Src::Of(src), tag, timeout) {

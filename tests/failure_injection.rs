@@ -228,6 +228,48 @@ fn same_fault_plan_reproduces_identical_outcomes() {
 }
 
 #[test]
+fn contribution_sent_before_death_is_reduced_not_skipped() {
+    // Forced schedule for the race behind the flake the test above
+    // used to show: rank 3 contributes to the first reduce and dies at
+    // its next collective, while ranks 1–2 are still on their way.
+    // The root therefore pulls rank 3's contribution *and* its death
+    // notice out of the inbox while waiting on rank 1. The
+    // contribution was sent, so it must be reduced; the death is the
+    // second reduce's news.
+    let outcomes = run_world_faulted(
+        4,
+        &FaultPlan::new(7)
+            .kill(3, 2)
+            .with_timeouts(Duration::from_millis(1000), Duration::from_secs(5)),
+        |comm| {
+            let mut reduces = Vec::new();
+            for round in 0..2 {
+                let mut theta = vec![0.25f64; 8];
+                let _ = comm.bcast(&mut theta, 0);
+                if round == 0 {
+                    let nap = if comm.rank() == 0 { 50 } else { 200 };
+                    if comm.rank() != 3 {
+                        std::thread::sleep(Duration::from_millis(nap));
+                    }
+                }
+                let mut g = vec![comm.rank() as f64; 8];
+                let r = comm.reduce(&mut g, ReduceOp::Sum, 0);
+                reduces.push((r, g[0]));
+            }
+            (reduces, comm.pending_len())
+        },
+    );
+    let (reduces, pending) = &outcomes[0].result;
+    assert_eq!(
+        reduces[0],
+        (Ok(()), 6.0),
+        "first reduce lost a sent contribution"
+    );
+    assert_eq!(reduces[1].0, Err(CommError::RankDead { rank: 3 }));
+    assert_eq!(*pending, 0, "stale contribution left in the root's inbox");
+}
+
+#[test]
 fn timeout_leaves_comm_usable() {
     // After a timeout the communicator must still deliver later
     // messages correctly (no corrupted matching state).
