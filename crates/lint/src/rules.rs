@@ -183,7 +183,6 @@ const SIM_CRATE_PREFIXES: &[&str] = &[
 const EMISSION_PATHS: &[&str] = &[
     "crates/obs/src/",
     "crates/mpisim/src/trace.rs",
-    "crates/mpisim/src/timeline.rs",
     "crates/perfmodel/src/figures.rs",
     "crates/util/src/report.rs",
     "crates/bgq/src/routing.rs",

@@ -14,7 +14,7 @@
 //! communication into point-to-point and collective classes, mirroring
 //! the paper's Figures 4–5 breakdown.
 //!
-//! Telemetry types ([`CommTrace`], [`ClassTotals`], [`Span`]) are
+//! The comm-statistics types ([`CommTrace`], [`ClassTotals`]) are
 //! defined in `pdnn-obs` and re-exported here under their historical
 //! names; every rank additionally carries a `pdnn_obs` recorder
 //! ([`Comm::recorder`]) whose snapshot rides [`RankOutcome::telemetry`].
@@ -37,7 +37,6 @@ pub mod fault;
 pub mod hb;
 pub mod message;
 pub mod runner;
-pub mod timeline;
 pub mod trace;
 pub mod vtime;
 pub mod wire;
@@ -52,7 +51,6 @@ pub use runner::{
     build_world, build_world_deterministic, run_world, run_world_deterministic, run_world_faulted,
     run_world_perturbed, RankOutcome,
 };
-pub use timeline::{render_gantt, Span, SpanKind, SpanRecorder};
 pub use trace::{ClassTotals, CommClass, CommTrace};
 pub use vtime::{AlphaBeta, LinkModel};
 pub use wire::WireCodec;

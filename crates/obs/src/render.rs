@@ -1,9 +1,7 @@
 //! Terminal rendering: ASCII Gantt charts and summary tables.
 //!
-//! This subsumes the old `pdnn_mpisim::timeline::render_gantt` (which
-//! now delegates here) and builds on [`pdnn_util::report::Table`] for
-//! aligned text / CSV output, so every sink shares one table
-//! implementation.
+//! Builds on [`pdnn_util::report::Table`] for aligned text / CSV
+//! output, so every sink shares one table implementation.
 
 use crate::event::Telemetry;
 use crate::metrics::CommClass;

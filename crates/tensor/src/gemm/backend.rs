@@ -70,7 +70,7 @@ use super::{BT_COLS, MR, NR};
 /// the exact chain [`kernel::scalar::acc`] runs.
 pub type AccFn<T> = fn(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]);
 
-/// Streaming-B^T kernel for the `gemm_prepacked_a_bt` driver: add the
+/// Streaming-B^T kernel for the `GemmOp::packed_a_bt` driver: add the
 /// `kc`-deep products of one A micro-panel with `BT_COLS` contiguous
 /// B-row segments (each at least `kc` long; they may coincide) into
 /// `BT_COLS` columns of `MR` accumulators.

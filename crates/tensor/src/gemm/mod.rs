@@ -51,10 +51,7 @@
 //! of directions against the *same* curvature-minibatch activations —
 //! so the hot path prepacks via [`PackedB`]/[`PackedA`] and runs
 //! `GemmOp` against the cached panels, bitwise equal to the plain
-//! two-matrix form under the same blocking. The legacy free functions
-//! ([`gemm`], [`matmul`], [`naive::gemm_naive`], the four
-//! `gemm_prepacked*`) remain as `#[deprecated]` shims over the same
-//! drivers.
+//! two-matrix form under the same blocking.
 
 pub mod backend;
 pub mod kernel;
@@ -63,10 +60,6 @@ pub mod op;
 pub mod pack;
 pub mod prepacked;
 
-#[allow(deprecated)]
-pub use naive::gemm_naive;
-#[allow(deprecated)]
-pub use prepacked::{gemm_prepacked, gemm_prepacked_a, gemm_prepacked_a_bt, gemm_prepacked_ab};
 pub use prepacked::{PackedA, PackedB};
 
 pub use backend::{
@@ -353,22 +346,6 @@ pub(crate) fn gemm_impl<T: Scalar>(
     });
 }
 
-/// Deprecated free-function entry for the plain two-matrix product.
-#[deprecated(note = "use GemmOp::ab(a, ta, b, tb).alpha(..).beta(..).run(ctx, c)")]
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-pub fn gemm<T: Scalar>(
-    ctx: &GemmContext,
-    ta: Trans,
-    tb: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    gemm_impl(ctx, ta, tb, alpha, a, b, beta, c);
-}
-
 /// Process one horizontal stripe of C (rows `ic0 .. ic0 + stripe_rows`).
 ///
 /// Each stripe packs its own A and B panels. Re-packing B per stripe
@@ -432,15 +409,6 @@ fn stripe_kernel<T: Scalar>(
         pc += kc_eff;
         first_block = false;
     }
-}
-
-/// Convenience product `A * B` on the forced-scalar backend.
-#[deprecated(note = "use GemmOp::ab(a, Trans::N, b, Trans::N).run(&GemmContext::sequential(), c)")]
-pub fn matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    let ctx = GemmContext::sequential().with_backend(backend::scalar_backend());
-    gemm_impl(&ctx, Trans::N, Trans::N, T::ONE, a, b, T::ZERO, &mut c);
-    c
 }
 
 #[cfg(test)]
@@ -646,26 +614,6 @@ mod tests {
         gemm_impl(&ctx, Trans::N, Trans::N, 1.0, &a, &b, 0.0, &mut c1);
         naive::reference(Trans::N, Trans::N, 1.0, &a, &b, 0.0, &mut c2);
         assert!(c1.max_abs_diff(&c2) < 1e-10);
-    }
-
-    #[test]
-    #[allow(deprecated)] // exercising the legacy shims on purpose
-    fn deprecated_shims_still_work() {
-        let a: Matrix<f32> = Matrix::eye(4);
-        let b: Matrix<f32> = Matrix::from_fn(4, 3, |r, c| (r + c) as f32);
-        assert_eq!(matmul(&a, &b), b);
-        let mut c = Matrix::zeros(4, 3);
-        gemm(
-            &GemmContext::sequential(),
-            Trans::N,
-            Trans::N,
-            1.0f32,
-            &a,
-            &b,
-            0.0,
-            &mut c,
-        );
-        assert_eq!(c, b);
     }
 
     #[test]

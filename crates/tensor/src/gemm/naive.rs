@@ -67,20 +67,6 @@ pub(crate) fn reference<T: Scalar>(
     }
 }
 
-/// Deprecated free-function entry for the reference triple loop.
-#[deprecated(note = "use GemmOp::ab(a, ta, b, tb).alpha(..).beta(..).run_reference(c)")]
-pub fn gemm_naive<T: Scalar>(
-    ta: Trans,
-    tb: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    reference(ta, tb, alpha, a, b, beta, c);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,7 @@
 //! The `GemmOp` descriptor: one entry point for every product form.
 //!
-//! The free-function surface this replaces had grown six entries
-//! (`gemm`, `matmul`, `gemm_naive`, and the four `gemm_prepacked*`
-//! variants), each a different argument order over the same blocked
-//! driver family. [`GemmOp`] names the operands once — plain matrix,
+//! Every product runs on the same blocked driver family. [`GemmOp`]
+//! names the operands once — plain matrix,
 //! prepacked panel set, or streamed row-major `B^T` slice — scales
 //! with [`GemmOp::alpha`]/[`GemmOp::beta`], and executes through the
 //! context's [`crate::gemm::backend::ComputeBackend`] with

@@ -8,14 +8,14 @@
 //! and allocating … it greatly reduces timing jitter."
 //!
 //! [`PackedB`] packs `op(B)` once into the micro-panel layout the
-//! kernel consumes; [`gemm_prepacked`] then runs the blocked driver
+//! kernel consumes; [`super::GemmOp::packed_b`] then runs the blocked driver
 //! reading panels straight out of it. [`PackedA`] is the mirror for
 //! the *left* operand: a CG solve holds the curvature-minibatch
 //! activations fixed across dozens of Gauss–Newton products, so the
 //! `a_prev * Vw^T` R-forward GEMMs can read a once-packed A while
 //! only the small direction matrix is packed per call
-//! ([`gemm_prepacked_a`]). Results are bitwise identical to
-//! [`super::gemm`] with the same blocking: packing is pure data
+//! ([`super::GemmOp::packed_a`]). Results are bitwise identical to
+//! [`super::GemmOp::ab`] with the same blocking: packing is pure data
 //! movement and both drivers issue the identical microkernel
 //! sequence.
 
@@ -56,8 +56,8 @@ impl<T: Scalar> PackedB<T> {
     /// Pack `op(B)` (shape `k x n`) under `blocking`.
     ///
     /// Degenerate shapes (`k == 0` or `n == 0`) produce an empty pack
-    /// that [`gemm_prepacked`] handles through the same early-return
-    /// paths as [`super::gemm`] (pure `beta` scaling of C).
+    /// that [`super::GemmOp::packed_b`] handles through the same early-return
+    /// paths as [`super::GemmOp::ab`] (pure `beta` scaling of C).
     pub fn new(b: &Matrix<T>, tb: Trans, blocking: Blocking) -> Self {
         Self::build(b.rows(), b.cols(), b.as_slice(), tb, blocking, |total| {
             vec![T::ZERO; total]
@@ -389,7 +389,7 @@ struct ABlockInfo {
 /// stripe offsets are always `MR` multiples). Panel `ir` of k-block
 /// `pc` lives at `block_offset + ir * kc_eff * MR` — the exact layout
 /// [`pack::pack_a`] produces for a stripe starting at row `ir * MR`,
-/// so [`gemm_prepacked_a`] is bitwise identical to [`super::gemm`].
+/// so [`super::GemmOp::packed_a`] is bitwise identical to [`super::GemmOp::ab`].
 #[derive(Clone, Debug)]
 pub struct PackedA<T: Scalar> {
     data: Vec<T>,
@@ -403,8 +403,8 @@ impl<T: Scalar> PackedA<T> {
     /// Pack `op(A)` (shape `m x k`) under `blocking`.
     ///
     /// Degenerate shapes (`m == 0` or `k == 0`) produce an empty pack
-    /// that [`gemm_prepacked_a`] handles through the same early-return
-    /// paths as [`super::gemm`].
+    /// that [`super::GemmOp::packed_a`] handles through the same early-return
+    /// paths as [`super::GemmOp::ab`].
     pub fn new(a: &Matrix<T>, ta: Trans, blocking: Blocking) -> Self {
         let blocking = blocking.sanitized();
         let (m, k) = match ta {
@@ -649,7 +649,7 @@ fn stripe_prepacked_a<T: Scalar>(
 /// reads straight out of the packs and no packing or buffer
 /// allocation happens inside the multiply at all.
 ///
-/// Bitwise identical to [`super::gemm`] under the same blocking: the
+/// Bitwise identical to [`super::GemmOp::ab`] under the same blocking: the
 /// stripe driver issues the exact microkernel sequence, and both pack
 /// layouts are the ones the per-call drivers would have produced.
 ///
@@ -787,9 +787,9 @@ fn stripe_prepacked_ab<T: Scalar>(
 /// read once per stripe and the pack's extra write+reread of `B`-sized
 /// memory never happens. For tall `op(A)` the register-blocked packed
 /// path amortizes better — callers should prefer
-/// [`gemm_prepacked_ab`] once `m` spans several row panels.
+/// [`super::GemmOp::packed_ab`] once `m` spans several row panels.
 ///
-/// Bitwise identical to [`super::gemm`] with `tb = Trans::T` under the
+/// Bitwise identical to [`super::GemmOp::ab`] with `tb = Trans::T` under the
 /// same blocking: the k loop is split on the same `kc` grid, each
 /// element's FMA chain runs `kk` ascending within a block, and the
 /// per-block beta merge matches [`kernel::microkernel`]'s exactly.
@@ -933,60 +933,6 @@ fn stripe_prepacked_a_bt<T: Scalar>(
             first_block = false;
         }
     }
-}
-
-/// Deprecated free-function entry for the prepacked-B driver.
-#[deprecated(note = "use GemmOp::packed_b(a, ta, b).alpha(..).beta(..).run(ctx, c)")]
-pub fn gemm_prepacked<T: Scalar>(
-    ctx: &GemmContext,
-    ta: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &PackedB<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    prepacked_impl(ctx, ta, alpha, a, b, beta, c);
-}
-
-/// Deprecated free-function entry for the prepacked-A driver.
-#[deprecated(note = "use GemmOp::packed_a(a, b, tb).alpha(..).beta(..).run(ctx, c)")]
-pub fn gemm_prepacked_a<T: Scalar>(
-    ctx: &GemmContext,
-    alpha: T,
-    a: &PackedA<T>,
-    tb: Trans,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    prepacked_a_impl(ctx, alpha, a, tb, b, beta, c);
-}
-
-/// Deprecated free-function entry for the both-operands-prepacked driver.
-#[deprecated(note = "use GemmOp::packed_ab(a, b).alpha(..).beta(..).run(ctx, c)")]
-pub fn gemm_prepacked_ab<T: Scalar>(
-    ctx: &GemmContext,
-    alpha: T,
-    a: &PackedA<T>,
-    b: &PackedB<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    prepacked_ab_impl(ctx, alpha, a, b, beta, c);
-}
-
-/// Deprecated free-function entry for the streamed-`B^T` driver.
-#[deprecated(note = "use GemmOp::packed_a_bt(a, b_rows).alpha(..).beta(..).run(ctx, c)")]
-pub fn gemm_prepacked_a_bt<T: Scalar>(
-    ctx: &GemmContext,
-    alpha: T,
-    a: &PackedA<T>,
-    b_rows: &[T],
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    prepacked_a_bt_impl(ctx, alpha, a, b_rows, beta, c);
 }
 
 #[cfg(test)]

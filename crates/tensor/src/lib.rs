@@ -41,11 +41,6 @@ pub use gemm::{
     BackendConfigBuilder, BackendError, ComputeBackend, GemmContext, GemmOp, Isa, PackedA, PackedB,
     Trans, BACKEND_ENV,
 };
-#[allow(deprecated)]
-pub use gemm::{
-    gemm as gemm_into, gemm_prepacked, gemm_prepacked_a, gemm_prepacked_a_bt, gemm_prepacked_ab,
-    matmul,
-};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use workspace::{Workspace, WorkspaceStats};

@@ -91,11 +91,13 @@ proptest! {
         let mut rng = pdnn_util::Prng::new(seed);
         let a: Matrix<f32> = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b: Matrix<f32> = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-        // The deprecated `matmul` shim must stay behaviourally intact.
-        #[allow(deprecated)]
-        let ab_t = pdnn_tensor::matmul(&a, &b).transposed();
-        #[allow(deprecated)]
-        let bt_at = pdnn_tensor::matmul(&b.transposed(), &a.transposed());
+        let product = |a: &Matrix<f32>, b: &Matrix<f32>| {
+            let mut c = Matrix::zeros(a.rows(), b.cols());
+            GemmOp::ab(a, Trans::N, b, Trans::N).run(&GemmContext::sequential(), &mut c);
+            c
+        };
+        let ab_t = product(&a, &b).transposed();
+        let bt_at = product(&b.transposed(), &a.transposed());
         prop_assert!(ab_t.max_abs_diff(&bt_at) < 1e-3);
     }
 

@@ -13,7 +13,8 @@
 //! ```
 
 use pdnn::bgq::Network;
-use pdnn::mpisim::{render_gantt, run_world, LinkModel, ReduceOp, Span, SpanKind};
+use pdnn::mpisim::{run_world, LinkModel, ReduceOp};
+use pdnn::obs::{render_gantt, SpanKind, SpanRecord};
 use std::sync::Arc;
 
 struct BgqLink(Network);
@@ -73,9 +74,10 @@ fn gantt_of_iteration(workers: usize, params: usize, frames: f64) -> String {
     let results = run_world(workers + 1, move |comm| {
         comm.set_link_model(Arc::new(BgqLink(Network::bgq(64))));
         let is_master = comm.rank() == 0;
-        let mut spans: Vec<Span> = Vec::new();
-        let mut mark =
-            |name: &'static str, kind, start, end| spans.push(Span::new(name, kind, start, end));
+        let mut spans: Vec<SpanRecord> = Vec::new();
+        let mut mark = |name: &'static str, kind, start, end| {
+            spans.push(SpanRecord::new(name, kind, start, end))
+        };
 
         let t0 = comm.vtime();
         let mut theta = if is_master {
@@ -98,7 +100,7 @@ fn gantt_of_iteration(workers: usize, params: usize, frames: f64) -> String {
         mark("reduce", SpanKind::CommCollective, t0, comm.vtime());
         spans
     });
-    let ranks: Vec<Vec<Span>> = results.into_iter().map(|r| r.result).collect();
+    let ranks: Vec<Vec<SpanRecord>> = results.into_iter().map(|r| r.result).collect();
     render_gantt(&ranks, 60)
 }
 
