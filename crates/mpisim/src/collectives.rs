@@ -593,7 +593,8 @@ impl Comm {
     }
 
     /// Fault-tolerant broadcast: flat fan-out from `root` to every
-    /// rank not known dead, with a bounded wait on the receive side.
+    /// rank not acknowledged dead, with a bounded wait on the receive
+    /// side.
     ///
     /// Instead of the binomial tree (where a dead interior node
     /// severs its whole subtree) the root sends to each live rank
@@ -621,8 +622,11 @@ impl Comm {
                 // under a lossy codec.
                 let img = comm.codec_encode(T::wrap(buf.clone()));
                 *buf = decoded_vec::<T>(img.clone(), root, tag)?;
+                // Skip on *acknowledged* deaths only: whether the root
+                // already pulled the notice of a concurrent death is a
+                // race, and its byte trace must not depend on it.
                 for dst in 0..size {
-                    if dst != root && !comm.is_dead(dst) {
+                    if dst != root && !comm.is_acked(dst) {
                         comm.send(dst, tag, img.clone())?;
                     }
                 }
