@@ -19,7 +19,7 @@
 //!   *identical* [`crate::optimizer::HfOptimizer`] drives serial,
 //!   master/worker and masterless training — the parity tests exploit
 //!   this.
-//! * **Shard engine** ([`crate::shard`]) — the rank-local compute
+//! * **Shard engine** (`crate::shard`) — the rank-local compute
 //!   behind the worker arms and the peers. No communication.
 //! * **Fault latch** (`FaultLatch`, `Recovering::settle`) — the first
 //!   failure a front-end observes poisons it: later [`HfProblem`]
@@ -1239,7 +1239,6 @@ pub fn train_distributed_faulted(
 }
 
 /// How the rank world is built and scheduled.
-#[derive(Clone)]
 enum WorldMode {
     /// Real clocks, unperturbed schedule.
     Normal,

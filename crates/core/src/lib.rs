@@ -12,10 +12,10 @@
 //! * [`optimizer`] — Algorithm 1: the outer HF loop.
 //! * [`problem`] — the [`HfProblem`] abstraction and its serial DNN
 //!   implementation (cross-entropy and MMI sequence objectives).
-//! * [`distributed`] — master/worker training over `pdnn-mpisim`
-//!   message passing; the master implements the same [`HfProblem`]
-//!   trait, so serial and distributed runs share the optimizer code
-//!   path exactly.
+//! * [`distributed`] — one trainer over `pdnn-mpisim` under two wire
+//!   protocols (the paper's master/worker commands; masterless
+//!   allreduce). Both front-ends implement [`HfProblem`] over one
+//!   shard engine, so serial and distributed runs share the optimizer.
 //!
 //! ## Quick start
 //!

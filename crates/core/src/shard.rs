@@ -114,11 +114,8 @@ impl<'a> ShardEngine<'a> {
             rec,
             corpus,
             objective,
-            ctx: if threads > 1 {
-                GemmContext::threaded(threads)
-            } else {
-                GemmContext::sequential()
-            },
+            // One thread degrades to the sequential context.
+            ctx: GemmContext::threaded(threads),
             scratch: net.clone(),
             net,
             train: shard_of(corpus, train_ids),
@@ -162,7 +159,8 @@ impl<'a> ShardEngine<'a> {
 
     /// Publish the arena gauges.
     pub(crate) fn report_arena(&self) {
-        let (rec, stats) = (&self.rec, self.ws.stats());
+        let stats = self.ws.stats();
+        let rec = &self.rec;
         rec.gauge_set("arena_bytes_reused", stats.bytes_reused as f64);
         rec.gauge_set("arena_high_water_bytes", stats.high_water_bytes as f64);
     }
@@ -174,7 +172,8 @@ impl<'a> ShardEngine<'a> {
             return (0.0, vec![0.0f32; self.net.num_params()], 0.0);
         }
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &self.rec);
-        let (net, train, packs) = (&self.net, &self.train, self.packs.as_ref());
+        let (net, train) = (&self.net, &self.train);
+        let packs = self.packs.as_ref();
         let cache = net.forward_ws(&self.ctx, &train.x, packs, &mut self.ws);
         let (loss, dlogits) =
             eval_objective(self.objective, &cache, &train.labels, &train.utt_lens);

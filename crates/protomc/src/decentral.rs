@@ -434,7 +434,8 @@ struct RecoveryScenario {
 }
 
 /// Lower the kill placement `(victim, kill_at)` for `size` ranks
-/// under `mode`, mirroring `DecentralProblem::recover`: membership
+/// under `mode`, mirroring `DecentralProblem`'s `Recovering::recover`
+/// (what `hf_loop` calls on a masterless replica): membership
 /// round to the lowest survivor, two reshard shipments per survivor,
 /// one re-issued allreduce over the survivor list, survivor barrier.
 fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> RecoveryScenario {

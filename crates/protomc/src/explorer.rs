@@ -767,8 +767,9 @@ fn enter_header(spec: &ProtoSpec, s: &mut State, ctx: Ctx) {
 fn command_complete(spec: &ProtoSpec, s: &mut State, ctx: Ctx) {
     let quirks = spec.quirks;
     if ctx != Ctx::Shutdown && s.master.fault.is_some() && !quirks.ignore_fault {
-        // hf_loop recovery: the faulted step finished its drains; the
-        // rest of the iteration is skipped (the problem is poisoned).
+        // hf_loop recovery (`MasterProblem`'s `Recovering::recover`):
+        // the faulted step finished its drains; the rest of the
+        // iteration is skipped (the fault latch is poisoned).
         let dead = s.master.fault.take().unwrap_or(0);
         s.master.recoveries = s.master.recoveries.saturating_add(1);
         if s.master.recoveries > s.budget + u8::from(s.killed.is_some()) {

@@ -247,10 +247,12 @@ fn contribution_sent_before_death_is_reduced_not_skipped() {
                 let mut theta = vec![0.25f64; 8];
                 let _ = comm.bcast(&mut theta, 0);
                 if round == 0 {
-                    let nap = if comm.rank() == 0 { 50 } else { 200 };
-                    if comm.rank() != 3 {
-                        std::thread::sleep(Duration::from_millis(nap));
-                    }
+                    let nap_ms = match comm.rank() {
+                        0 => 50,
+                        3 => 0,
+                        _ => 200,
+                    };
+                    std::thread::sleep(Duration::from_millis(nap_ms));
                 }
                 let mut g = vec![comm.rank() as f64; 8];
                 let r = comm.reduce(&mut g, ReduceOp::Sum, 0);
