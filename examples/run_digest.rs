@@ -1,14 +1,16 @@
 //! Run digests for byte-identity gates across refactors of the
-//! distributed trainer: one line per configuration with FNV-1a hashes
-//! of the final θ bits, the per-iteration `stats`, every rank's
-//! telemetry JSONL and every rank's `CommEvent` stream.
+//! trainer: one line per configuration with FNV-1a hashes of the final
+//! θ bits, the per-iteration `stats`, every rank's telemetry JSONL and
+//! every rank's `CommEvent` stream.
 //!
 //! ```sh
 //! cargo run --release --example run_digest > after.txt
 //! diff before.txt after.txt   # `before.txt` from the parent commit
 //! ```
 //!
-//! Covered: {master, ring, tree} × {none, f16, int8} × {CE, sequence}
+//! Covered: the serial `DnnProblem` × {CE, sequence} and CE once more
+//! in 64-frame chunks (telemetry from manual-clock recorders on the
+//! problem and on the optimizer; no comm events), {master, ring, tree} × {none, f16, int8} × {CE, sequence}
 //! under the frozen clock, one perturbed-schedule seed per sync mode,
 //! and one mid-training kill per sync mode (`checkpoint_every` 1; the
 //! master once more with an on-disk checkpoint). No hashes are stored
@@ -16,13 +18,17 @@
 
 use pdnn::core::{
     train_distributed_deterministic, train_distributed_faulted, train_distributed_perturbed,
-    DistributedConfig, Objective, SyncStrategy, TrainOutput,
+    DistributedConfig, DnnProblem, HfConfig, HfOptimizer, HfProblem, IterStats, Objective,
+    SyncStrategy, TrainOutput,
 };
 use pdnn::dnn::{Activation, Network};
 use pdnn::mpisim::{events_to_jsonl, FaultPlan, WireCodec};
 use pdnn::obs::jsonl::to_jsonl_string;
+use pdnn::obs::InMemoryRecorder;
 use pdnn::speech::{Corpus, CorpusSpec};
+use pdnn::tensor::gemm::GemmContext;
 use pdnn::util::Prng;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -31,14 +37,52 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-fn digest(label: &str, out: &TrainOutput) {
-    let theta = fnv1a(
-        out.network
-            .to_flat()
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes()),
+fn theta_hash(theta: &[f32]) -> u64 {
+    fnv1a(theta.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+fn stats_hash(stats: &[IterStats]) -> u64 {
+    fnv1a(format!("{stats:?}").bytes())
+}
+
+/// One serial run: the problem's recorder is telemetry rank 0, the
+/// optimizer's rank 1.
+fn digest_serial(
+    label: &str,
+    corpus: &Corpus,
+    net0: &Network<f32>,
+    objective: &Objective,
+    max_batch_frames: usize,
+) {
+    let (train_ids, held_ids) = corpus.split_heldout(0.2);
+    let problem_rec = Arc::new(InMemoryRecorder::with_manual_clock());
+    let optimizer_rec = Arc::new(InMemoryRecorder::with_manual_clock());
+    let mut problem = DnnProblem::new(
+        net0.clone(),
+        GemmContext::sequential(),
+        corpus.shard(&train_ids),
+        corpus.shard(&held_ids),
+        objective.clone(),
+    )
+    .with_max_batch_frames(max_batch_frames)
+    .with_recorder(problem_rec.clone());
+    let mut hf = HfConfig::small_task();
+    hf.max_iters = 3;
+    let stats = HfOptimizer::with_recorder(hf, optimizer_rec.clone()).train(&mut problem);
+    let mut jsonl = to_jsonl_string(0, &problem_rec.take());
+    jsonl.push_str(&to_jsonl_string(1, &optimizer_rec.take()));
+    println!(
+        "{label:<28} theta={:016x} stats={:016x} telemetry={:016x} iters={}",
+        theta_hash(&problem.theta()),
+        stats_hash(&stats),
+        fnv1a(jsonl.bytes()),
+        stats.len(),
     );
-    let stats = fnv1a(format!("{:?}", out.stats).bytes());
+}
+
+fn digest(label: &str, out: &TrainOutput) {
+    let theta = theta_hash(&out.network.to_flat());
+    let stats = stats_hash(&out.stats);
     let telemetries = std::iter::once(&out.master_telemetry).chain(&out.worker_telemetries);
     let mut jsonl = String::new();
     for (rank, t) in telemetries.enumerate() {
@@ -81,6 +125,11 @@ fn main() {
     };
     let syncs = [SyncStrategy::Master, SyncStrategy::Ring, SyncStrategy::Tree];
 
+    let ce = Objective::CrossEntropy;
+    digest_serial("serial/ce", &corpus, &net0, &ce, usize::MAX);
+    digest_serial("serial/seq", &corpus, &net0, &sequence, usize::MAX);
+    // Several chunks per gradient and per held-out evaluation.
+    digest_serial("serial/ce/chunked", &corpus, &net0, &ce, 64);
     for sync in syncs {
         for codec in [WireCodec::None, WireCodec::F16, WireCodec::Int8] {
             for (name, objective) in [("ce", &Objective::CrossEntropy), ("seq", &sequence)] {
