@@ -80,8 +80,10 @@ use pdnn_mpisim::{
     ReduceOp, Src, WireCodec,
 };
 use pdnn_obs::{InMemoryRecorder, Recorder, RecorderExt, SpanKind, Telemetry};
-use pdnn_speech::{partition, Corpus, Strategy};
+use pdnn_speech::{partition, Corpus, Shard, Strategy};
+use pdnn_tensor::gemm::GemmContext;
 use pdnn_util::{Error, PhaseTimer};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -306,6 +308,13 @@ fn heldout_mean(meta: &[f64]) -> Result<HeldoutEval, TrainFault> {
         accuracy: meta[1] / frames,
         frames: frames as u64,
     })
+}
+
+/// The shard of the given corpus utterance ids (the wire format of the
+/// assignment messages).
+fn shard_of(corpus: &Corpus, ids: &[u64]) -> Shard {
+    let ids: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
+    corpus.shard(&ids)
 }
 
 /// The first failure a protocol front-end observed. While it is
@@ -683,12 +692,12 @@ fn worker_loop(
     // before any compute command.
     let mut engine = ShardEngine::new(
         rec.clone(),
-        corpus,
-        objective,
+        // One thread degrades to the sequential context.
+        GemmContext::threaded(threads),
+        Cow::Borrowed(objective),
         net0.clone(),
-        threads,
-        &train_ids,
-        &held_ids,
+        shard_of(corpus, &train_ids),
+        shard_of(corpus, &held_ids),
     );
     drop(load_span);
 
@@ -760,7 +769,7 @@ fn worker_loop(
                 train_ids.extend(extra);
                 let extra = comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
                 held_ids.extend(extra);
-                engine.reshard(&train_ids, &held_ids);
+                engine.reshard(shard_of(corpus, &train_ids), shard_of(corpus, &held_ids));
                 rec.counter_add("shard_reassignments", 1);
             }
             // pdnn-lint: allow(l3-no-unwrap): an unknown opcode is a protocol bug between master and worker builds, not a runtime condition to recover from
@@ -787,6 +796,7 @@ struct DecentralProblem<'a> {
     rec: Arc<InMemoryRecorder>,
     sync: SyncStrategy,
     theta: Vec<f32>,
+    corpus: &'a Corpus,
     engine: ShardEngine<'a>,
     /// Global frame count of the current curvature sample, agreed by
     /// one f64 allreduce the first time the sample is used (fisher or
@@ -1063,8 +1073,10 @@ impl Recovering for DecentralProblem<'_> {
         if !newly.is_empty() {
             // The cached curvature sample belongs to the pre-failure θ
             // and shard; `reshard` drops it.
-            self.engine
-                .reshard(&self.ledger.train[me], &self.ledger.held[me]);
+            self.engine.reshard(
+                shard_of(self.corpus, &self.ledger.train[me]),
+                shard_of(self.corpus, &self.ledger.held[me]),
+            );
             self.sample_frames = None;
         }
         self.rec
@@ -1308,17 +1320,17 @@ fn train_impl(
             let mut problem = DecentralProblem {
                 engine: ShardEngine::new(
                     rec.clone(),
-                    corpus,
-                    objective,
+                    GemmContext::threaded(config.threads_per_rank),
+                    Cow::Borrowed(objective),
                     net0.clone(),
-                    config.threads_per_rank,
-                    &ledger.train[rank],
-                    &ledger.held[rank],
+                    shard_of(corpus, &ledger.train[rank]),
+                    shard_of(corpus, &ledger.held[rank]),
                 ),
                 comm,
                 rec: rec.clone(),
                 sync: config.sync,
                 theta: theta0.clone(),
+                corpus,
                 sample_frames: None,
                 ledger: ledger.clone(),
                 latch,

@@ -4,23 +4,24 @@
 //! exactly the operations the paper's master performs: evaluate the
 //! gradient over all training data, redraw a curvature minibatch,
 //! compute damped Gauss–Newton products on it, and evaluate trial
-//! parameters on held-out data. [`DnnProblem`] executes those
-//! operations in-process; `crate::distributed` provides the
-//! master/worker implementation of the same trait over message
-//! passing — the optimizer cannot tell the difference, which is what
-//! makes the serial-vs-distributed parity tests meaningful.
+//! parameters on held-out data. Every implementation gets the sums
+//! behind those operations from one `ShardEngine` (`crate::shard`)
+//! and differs only in how they are aggregated: [`DnnProblem`] holds
+//! all the data in one shard, so it just divides by the frame count;
+//! `crate::distributed` reduces them to a master or allreduces them
+//! between peers first. The optimizer cannot tell the difference,
+//! which is what makes the serial-vs-distributed parity tests
+//! meaningful.
 
-use pdnn_dnn::backprop::backprop_ws;
-use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
-use pdnn_dnn::loss::{cross_entropy, cross_entropy_loss_only, softmax_rows};
-use pdnn_dnn::network::{ForwardCache, Network};
-use pdnn_dnn::packed::{PackedActivations, PackedWeights};
-use pdnn_dnn::sequence::{mmi_batch, DenominatorGraph};
+use crate::shard::ShardEngine;
+use pdnn_dnn::network::Network;
+use pdnn_dnn::sequence::DenominatorGraph;
 use pdnn_obs::{NullRecorder, Recorder};
 use pdnn_speech::Shard;
 use pdnn_tensor::gemm::GemmContext;
-use pdnn_tensor::{Matrix, Workspace};
+use pdnn_tensor::Matrix;
 use pdnn_util::Prng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Training objective (the two criteria of the paper's Table I).
@@ -71,49 +72,29 @@ pub trait HfProblem {
     fn train_frames(&self) -> u64;
 }
 
-/// Cached curvature-minibatch state.
-struct SampleState {
-    x: Matrix<f32>,
-    labels: Vec<u32>,
-    utt_lens: Vec<usize>,
-    cache: ForwardCache<f32>,
-    /// Model distribution rows for the Fisher curvature (softmax for
-    /// CE, denominator occupancies for MMI).
-    dist: Matrix<f32>,
-    /// Prepacked activation operands for the repeated `gn_product`
-    /// calls of one CG solve (`None` when packing is disabled).
-    packed_acts: Option<PackedActivations<f32>>,
+/// Serial in-process implementation of [`HfProblem`]: engine call →
+/// normalise.
+pub struct DnnProblem {
+    engine: ShardEngine<'static>,
 }
 
-/// Serial in-process implementation of [`HfProblem`].
-pub struct DnnProblem {
-    net: Network<f32>,
-    ctx: GemmContext,
-    train: Shard,
-    heldout: Shard,
-    objective: Objective,
-    sample: Option<SampleState>,
-    scratch_net: Network<f32>,
-    /// Upper bound on frames materialized per forward pass (chunked
-    /// evaluation); `usize::MAX` = single batch.
-    max_batch_frames: usize,
-    /// Recycled scratch buffers for the training hot path.
-    ws: Workspace<f32>,
-    /// Prepacked weight panels, rebuilt lazily when `net.version()`
-    /// moves (i.e. exactly once per accepted weight update).
-    packs: Option<PackedWeights<f32>>,
-    /// Whether to use the prepacked/arena hot path (on by default;
-    /// the unpacked path exists for parity testing).
-    packing: bool,
-    recorder: Arc<dyn Recorder>,
+/// Turn a sum over `frames` frames into a mean. The constructor rejects
+/// empty shards, so only a curvature call can find nothing to average.
+fn mean_of(mut sum: Vec<f32>, frames: f64) -> Vec<f32> {
+    assert!(
+        frames > 0.0,
+        "no curvature sample: call sample_curvature first"
+    );
+    pdnn_tensor::blas1::scal((1.0 / frames) as f32, &mut sum);
+    sum
 }
 
 impl DnnProblem {
     /// Build a problem around a network and data shards.
     ///
     /// # Panics
-    /// If shard feature widths do not match the network input, or a
-    /// label is out of the network's class range.
+    /// If a shard is empty, shard feature widths do not match the
+    /// network input, or a label is out of the network's class range.
     pub fn new(
         net: Network<f32>,
         ctx: GemmContext,
@@ -123,6 +104,10 @@ impl DnnProblem {
     ) -> Self {
         assert_eq!(train.x.cols(), net.input_dim(), "train feature width");
         assert_eq!(heldout.x.cols(), net.input_dim(), "heldout feature width");
+        // A mean over no frames is not a loss: an empty held-out set
+        // would score every trial as perfect.
+        assert!(train.frames() > 0, "empty training shard");
+        assert!(heldout.frames() > 0, "empty held-out shard");
         let classes = net.output_dim() as u32;
         assert!(
             train.labels.iter().all(|&l| l < classes),
@@ -139,35 +124,16 @@ impl DnnProblem {
                 "denominator graph states != network outputs"
             );
         }
-        let scratch_net = net.clone();
+        let rec = Arc::new(NullRecorder);
         DnnProblem {
-            net,
-            ctx,
-            train,
-            heldout,
-            objective,
-            sample: None,
-            scratch_net,
-            max_batch_frames: usize::MAX,
-            ws: Workspace::new(),
-            packs: None,
-            packing: true,
-            recorder: Arc::new(NullRecorder),
+            engine: ShardEngine::new(rec, ctx, Cow::Owned(objective), net, train, heldout),
         }
     }
 
-    /// Enable or disable the prepacked-weight / workspace-arena hot
-    /// path. Both settings produce bit-identical results; disabling
-    /// exists for parity tests and A/B benchmarks.
-    pub fn with_packing(mut self, enabled: bool) -> Self {
-        self.packing = enabled;
-        self.packs = None;
-        self
-    }
-
-    /// Attach a recorder for pack-cache and arena telemetry.
+    /// Attach a recorder for the compute spans and the pack-cache and
+    /// arena telemetry.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = recorder;
+        self.engine.rec = recorder;
         self
     }
 
@@ -180,263 +146,71 @@ impl DnnProblem {
     /// forms one chunk.
     pub fn with_max_batch_frames(mut self, frames: usize) -> Self {
         assert!(frames > 0, "max_batch_frames must be positive");
-        self.max_batch_frames = frames;
+        self.engine.max_batch_frames = frames;
         self
     }
 
     /// The network being trained.
     pub fn network(&self) -> &Network<f32> {
-        &self.net
+        self.engine.net()
     }
 
     /// Consume, returning the trained network.
     pub fn into_network(self) -> Network<f32> {
-        self.net
+        self.engine.into_net()
     }
 
     /// Arena statistics (allocations avoided, bytes recycled).
     pub fn workspace_stats(&self) -> pdnn_tensor::WorkspaceStats {
-        self.ws.stats()
-    }
-
-    /// Rebuild the weight packs iff the network's version moved since
-    /// they were last built. Counters are pure functions of the call
-    /// sequence, so telemetry stays byte-identical across runs.
-    fn ensure_packs(&mut self) {
-        if !self.packing {
-            return;
-        }
-        match &self.packs {
-            Some(p) if p.matches(&self.net) => {
-                self.recorder.counter_add("pack_cache_hit", 1);
-            }
-            _ => {
-                self.packs = Some(PackedWeights::new(&self.net, &self.ctx));
-                self.recorder.counter_add("pack_cache_miss", 1);
-            }
-        }
-    }
-
-    /// Drop the cached curvature sample, recycling its buffers.
-    fn retire_sample(&mut self) {
-        if let Some(s) = self.sample.take() {
-            s.cache.give_back(&mut self.ws);
-            self.ws.give_matrix(s.x);
-            self.ws.give_matrix(s.dist);
-        }
-    }
-
-    /// Evaluate loss + dlogits + distribution on a batch under the
-    /// objective. Returns (loss_sum, dlogits, dist).
-    fn eval_batch(
-        net: &Network<f32>,
-        ctx: &GemmContext,
-        objective: &Objective,
-        cache: &ForwardCache<f32>,
-        labels: &[u32],
-        utt_lens: &[usize],
-    ) -> (f64, Matrix<f32>, Matrix<f32>) {
-        match objective {
-            Objective::CrossEntropy => {
-                let out = cross_entropy(cache.logits(), labels);
-                let dist = softmax_rows(cache.logits());
-                let _ = (net, ctx);
-                (out.loss, out.dlogits, dist)
-            }
-            Objective::Sequence(graph) => {
-                let out = mmi_batch(cache.logits(), labels, utt_lens, graph);
-                (out.loss, out.dlogits, out.den_posteriors)
-            }
-        }
+        self.engine.arena_stats()
     }
 }
 
 impl HfProblem for DnnProblem {
     fn num_params(&self) -> usize {
-        self.net.num_params()
+        self.engine.net().num_params()
     }
 
     fn theta(&self) -> Vec<f32> {
-        self.net.to_flat()
+        self.engine.net().to_flat()
     }
 
     fn set_theta(&mut self, theta: &[f32]) {
-        // This is the pack-invalidation point: `set_flat` bumps the
-        // network version, so the next `ensure_packs` repacks.
-        self.net.set_flat(theta);
-        self.retire_sample();
+        self.engine.set_theta(theta);
     }
 
     fn gradient(&mut self) -> (f64, Vec<f32>) {
-        self.ensure_packs();
-        let frames = self.train.frames().max(1) as f64;
-        let mut loss_sum = 0.0f64;
-        let mut grad = vec![0.0f32; self.net.num_params()];
-        for (utt_range, frame_range) in chunk_ranges(&self.train.utt_lens, self.max_batch_frames) {
-            let x = self.train.x.rows_copy(frame_range.start, frame_range.end);
-            let labels = &self.train.labels[frame_range.clone()];
-            let utt_lens = &self.train.utt_lens[utt_range];
-            let cache = self
-                .net
-                .forward_ws(&self.ctx, &x, self.packs.as_ref(), &mut self.ws);
-            let (chunk_loss, dlogits, dist) = Self::eval_batch(
-                &self.net,
-                &self.ctx,
-                &self.objective,
-                &cache,
-                labels,
-                utt_lens,
-            );
-            loss_sum += chunk_loss;
-            let chunk_grad = backprop_ws(
-                &self.net,
-                &self.ctx,
-                &cache,
-                &dlogits,
-                self.packs.as_ref(),
-                &mut self.ws,
-            );
-            pdnn_tensor::blas1::add(&chunk_grad, &mut grad);
-            self.ws.give_vec(chunk_grad);
-            self.ws.give_matrix(dlogits);
-            self.ws.give_matrix(dist);
-            cache.give_back(&mut self.ws);
-            self.ws.give_matrix(x);
-        }
-        let inv = (1.0 / frames) as f32;
-        pdnn_tensor::blas1::scal(inv, &mut grad);
-        (loss_sum / frames, grad)
+        let (loss_sum, grad, frames) = self.engine.gradient_sums();
+        (loss_sum / frames, mean_of(grad, frames))
     }
 
     fn sample_curvature(&mut self, seed: u64, fraction: f64) {
-        self.retire_sample();
-        let ids = sample_utterances(&self.train.utt_lens, fraction, seed);
-        let (x, labels, utt_lens) = extract_utterances(&self.train, &ids);
-        // The cache outlives this call (it backs every `gn_product`
-        // of the solve), so it is forwarded outside the arena.
-        let cache = self.net.forward(&self.ctx, &x);
-        let (_, _, dist) = Self::eval_batch(
-            &self.net,
-            &self.ctx,
-            &self.objective,
-            &cache,
-            &labels,
-            &utt_lens,
-        );
-        let packed_acts = if self.packing {
-            Some(PackedActivations::new(&cache, &self.ctx))
-        } else {
-            None
-        };
-        self.sample = Some(SampleState {
-            x,
-            labels,
-            utt_lens,
-            cache,
-            dist,
-            packed_acts,
-        });
+        self.engine.draw_sample(seed, fraction, 0);
     }
 
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        self.ensure_packs();
-        let sample = self
-            .sample
-            .as_ref()
-            // pdnn-lint: allow(l3-no-unwrap): HfProblem contract — the optimizer always samples curvature first
-            .expect("gn_product called before sample_curvature");
-        let frames = sample.x.rows().max(1) as f64;
-        let _ = &sample.utt_lens;
-        let mut gv = gn_product_ws(
-            &self.net,
-            &self.ctx,
-            &sample.cache,
-            Curvature::Fisher(&sample.dist),
-            v,
-            self.packs.as_ref(),
-            sample.packed_acts.as_ref(),
-            &mut self.ws,
-        );
-        let inv = (1.0 / frames) as f32;
-        pdnn_tensor::blas1::scal(inv, &mut gv);
-        let stats = self.ws.stats();
-        self.recorder
-            .gauge_set("arena_bytes_reused", stats.bytes_reused as f64);
-        self.recorder
-            .gauge_set("arena_high_water_bytes", stats.high_water_bytes as f64);
+        let (gv, frames) = self.engine.gn_sums(v);
+        let gv = mean_of(gv, frames);
+        self.engine.report_arena();
         gv
     }
 
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
-        let sample = self
-            .sample
-            .as_ref()
-            // pdnn-lint: allow(l3-no-unwrap): HfProblem contract — the optimizer always samples curvature first
-            .expect("fisher_diagonal called before sample_curvature");
-        let frames = sample.x.rows().max(1) as f64;
-        let (_, dlogits, _) = Self::eval_batch(
-            &self.net,
-            &self.ctx,
-            &self.objective,
-            &sample.cache,
-            &sample.labels,
-            &sample.utt_lens,
-        );
-        let mut diag = pdnn_dnn::fisher::empirical_fisher_diagonal(
-            &self.net,
-            &self.ctx,
-            &sample.cache,
-            &dlogits,
-        );
-        pdnn_tensor::blas1::scal((1.0 / frames) as f32, &mut diag);
-        Some(diag)
+        let (diag, frames) = self.engine.fisher_sums();
+        Some(mean_of(diag, frames))
     }
 
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
-        self.scratch_net.set_flat(theta);
-        let frames = self.heldout.frames().max(1) as f64;
-        let mut loss_sum = 0.0f64;
-        let mut correct = 0usize;
-        for (utt_range, frame_range) in chunk_ranges(&self.heldout.utt_lens, self.max_batch_frames)
-        {
-            let x = self.heldout.x.rows_copy(frame_range.start, frame_range.end);
-            let labels = &self.heldout.labels[frame_range.clone()];
-            let utt_lens = &self.heldout.utt_lens[utt_range];
-            // Trial parameters change every call, so no weight packs;
-            // the arena still recycles the activation scratch.
-            let logits = self
-                .scratch_net
-                .logits_ws(&self.ctx, &x, None, &mut self.ws);
-            match &self.objective {
-                Objective::CrossEntropy => {
-                    let (l, c) = cross_entropy_loss_only(&logits, labels);
-                    loss_sum += l;
-                    correct += c;
-                }
-                Objective::Sequence(graph) => {
-                    let out = mmi_batch(&logits, labels, utt_lens, graph);
-                    loss_sum += out.loss;
-                    // Frame accuracy is still argmax-vs-alignment.
-                    let preds = logits.row_argmax();
-                    correct += preds
-                        .iter()
-                        .zip(labels.iter())
-                        .filter(|(&p, &l)| p as u32 == l)
-                        .count();
-                }
-            }
-            self.ws.give_matrix(logits);
-            self.ws.give_matrix(x);
-        }
+        let [loss_sum, correct, frames] = self.engine.heldout_sums(theta);
         HeldoutEval {
             loss: loss_sum / frames,
-            accuracy: correct as f64 / frames,
-            frames: self.heldout.frames() as u64,
+            accuracy: correct / frames,
+            frames: frames as u64,
         }
     }
 
     fn train_frames(&self) -> u64 {
-        self.train.frames() as u64
+        self.engine.train_frames() as u64
     }
 }
 
@@ -647,6 +421,27 @@ mod tests {
             GemmContext::sequential(),
             shard.clone(),
             shard,
+            Objective::CrossEntropy,
+        );
+    }
+
+    /// A mean over no held-out frames would read as a perfect trial.
+    #[test]
+    #[should_panic(expected = "empty held-out shard")]
+    fn empty_heldout_shard_rejected() {
+        let corpus = Corpus::generate(CorpusSpec::tiny(5));
+        let all: Vec<usize> = (0..corpus.utterances().len()).collect();
+        let mut rng = Prng::new(1);
+        let net = Network::new(
+            &[corpus.spec().feature_dim, 4, corpus.spec().states],
+            Activation::Sigmoid,
+            &mut rng,
+        );
+        DnnProblem::new(
+            net,
+            GemmContext::sequential(),
+            corpus.shard(&all),
+            corpus.shard(&[]),
             Objective::CrossEntropy,
         );
     }

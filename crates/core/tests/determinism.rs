@@ -9,16 +9,22 @@
 //! emission paths. If either regresses, the byte comparison below is
 //! the test that goes red.
 
+use pdnn_core::problem::{extract_utterances, sample_utterances};
 use pdnn_core::{
-    train_distributed_deterministic, DistributedConfig, DnnProblem, HfConfig, HfOptimizer,
-    HfProblem, Objective, TrainOutput,
+    train_distributed_deterministic, DistributedConfig, DnnProblem, HeldoutEval, HfConfig,
+    HfOptimizer, HfProblem, Objective, TrainOutput,
 };
-use pdnn_dnn::{Activation, Network};
+use pdnn_dnn::loss::cross_entropy_loss_only;
+use pdnn_dnn::{
+    backprop_dlogits, cross_entropy, gn_product, softmax_rows, Activation, Curvature, ForwardCache,
+    Network,
+};
 use pdnn_mpisim::{events_from_jsonl, events_to_jsonl};
 use pdnn_obs::jsonl::to_jsonl_string;
 use pdnn_obs::Telemetry;
-use pdnn_speech::{Corpus, CorpusSpec};
+use pdnn_speech::{Corpus, CorpusSpec, Shard};
 use pdnn_tensor::gemm::{scalar_backend, GemmContext};
+use pdnn_tensor::Matrix;
 use pdnn_util::Prng;
 use std::sync::Arc;
 
@@ -83,57 +89,130 @@ fn identical_runs_emit_byte_identical_telemetry() {
     }
 }
 
+/// The serial problem written out against the plain kernels: no weight
+/// packs, no activation packs, no arena. CE only.
+struct UnpackedProblem {
+    net: Network<f32>,
+    scratch: Network<f32>,
+    ctx: GemmContext,
+    train: Shard,
+    heldout: Shard,
+    /// Forward cache and softmax rows of the curvature sample.
+    sample: Option<(ForwardCache<f32>, Matrix<f32>)>,
+}
+
+fn mean_of(mut sum: Vec<f32>, frames: usize) -> Vec<f32> {
+    pdnn_tensor::blas1::scal((1.0 / frames as f64) as f32, &mut sum);
+    sum
+}
+
+impl HfProblem for UnpackedProblem {
+    fn num_params(&self) -> usize {
+        self.net.num_params()
+    }
+
+    fn theta(&self) -> Vec<f32> {
+        self.net.to_flat()
+    }
+
+    fn set_theta(&mut self, theta: &[f32]) {
+        self.net.set_flat(theta);
+        self.sample = None;
+    }
+
+    fn gradient(&mut self) -> (f64, Vec<f32>) {
+        let cache = self.net.forward(&self.ctx, &self.train.x);
+        let out = cross_entropy(cache.logits(), &self.train.labels);
+        let grad = backprop_dlogits(&self.net, &self.ctx, &cache, &out.dlogits);
+        let frames = self.train.frames();
+        (out.loss / frames as f64, mean_of(grad, frames))
+    }
+
+    fn sample_curvature(&mut self, seed: u64, fraction: f64) {
+        let ids = sample_utterances(&self.train.utt_lens, fraction, seed);
+        let (x, _, _) = extract_utterances(&self.train, &ids);
+        let cache = self.net.forward(&self.ctx, &x);
+        let dist = softmax_rows(cache.logits());
+        self.sample = Some((cache, dist));
+    }
+
+    fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
+        let (cache, dist) = self.sample.as_ref().expect("sample drawn");
+        let gv = gn_product(&self.net, &self.ctx, cache, Curvature::Fisher(dist), v);
+        mean_of(gv, dist.rows())
+    }
+
+    fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
+        self.scratch.set_flat(theta);
+        let logits = self.scratch.logits(&self.ctx, &self.heldout.x);
+        let (loss, correct) = cross_entropy_loss_only(&logits, &self.heldout.labels);
+        let frames = self.heldout.frames();
+        HeldoutEval {
+            loss: loss / frames as f64,
+            accuracy: correct as f64 / frames as f64,
+            frames: frames as u64,
+        }
+    }
+
+    fn train_frames(&self) -> u64 {
+        self.train.frames() as u64
+    }
+}
+
 /// The prepacked-weight / workspace-arena hot path must be a pure
 /// optimization: multiple HF iterations (CG solve → line-search
-/// weight update → repack → next solve) with packing on and off must
-/// agree on every parameter, bit for bit.
+/// weight update → repack → next solve) on [`DnnProblem`] and on the
+/// plain-kernel [`UnpackedProblem`] must agree on every parameter, bit
+/// for bit.
 #[test]
 fn packed_hot_path_is_bit_identical_to_unpacked() {
     let corpus = Corpus::generate(CorpusSpec::tiny(17));
     let (train_ids, held_ids) = corpus.split_heldout(0.25);
-
-    let run = |packing: bool| -> (Vec<f32>, Vec<u64>) {
-        let mut rng = Prng::new(5);
-        let net = Network::new(
-            &[corpus.spec().feature_dim, 12, corpus.spec().states],
-            Activation::Sigmoid,
-            &mut rng,
-        );
-        let recorder = Arc::new(pdnn_obs::InMemoryRecorder::new());
-        let mut problem = DnnProblem::new(
-            net,
-            GemmContext::sequential(),
-            corpus.shard(&train_ids),
-            corpus.shard(&held_ids),
-            Objective::CrossEntropy,
-        )
-        .with_packing(packing)
-        .with_recorder(recorder.clone());
+    let mut rng = Prng::new(5);
+    let net = Network::new(
+        &[corpus.spec().feature_dim, 12, corpus.spec().states],
+        Activation::Sigmoid,
+        &mut rng,
+    );
+    fn train(problem: &mut impl HfProblem) -> (Vec<f32>, Vec<u64>) {
         let mut config = HfConfig::small_task();
         config.max_iters = 3; // 3 solves → 2 line-search updates in between
-        let mut opt = HfOptimizer::new(config);
-        let stats = opt.train(&mut problem);
+        let stats = HfOptimizer::new(config).train(problem);
         assert_eq!(stats.len(), 3);
         let loss_bits = stats.iter().map(|s| s.train_loss.to_bits()).collect();
-        let data = recorder.take();
-        if packing {
-            assert!(
-                data.counter("pack_cache_miss") >= 1,
-                "packing run never built a pack"
-            );
-            assert!(
-                data.counter("pack_cache_hit") > data.counter("pack_cache_miss"),
-                "weights are constant across each CG solve, so hits must dominate"
-            );
-        } else {
-            assert_eq!(data.counter("pack_cache_miss"), 0);
-            assert_eq!(data.counter("pack_cache_hit"), 0);
-        }
         (problem.theta(), loss_bits)
-    };
+    }
 
-    let (theta_packed, loss_packed) = run(true);
-    let (theta_plain, loss_plain) = run(false);
+    let recorder = Arc::new(pdnn_obs::InMemoryRecorder::new());
+    let mut packed = DnnProblem::new(
+        net.clone(),
+        GemmContext::sequential(),
+        corpus.shard(&train_ids),
+        corpus.shard(&held_ids),
+        Objective::CrossEntropy,
+    )
+    .with_recorder(recorder.clone());
+    let (theta_packed, loss_packed) = train(&mut packed);
+    let data = recorder.take();
+    assert!(
+        data.counter("pack_cache_miss") >= 1,
+        "packing run never built a pack"
+    );
+    assert!(
+        data.counter("pack_cache_hit") > data.counter("pack_cache_miss"),
+        "weights are constant across each CG solve, so hits must dominate"
+    );
+
+    let mut plain = UnpackedProblem {
+        scratch: net.clone(),
+        net,
+        ctx: GemmContext::sequential(),
+        train: corpus.shard(&train_ids),
+        heldout: corpus.shard(&held_ids),
+        sample: None,
+    };
+    let (theta_plain, loss_plain) = train(&mut plain);
+
     assert_eq!(loss_packed, loss_plain, "per-iteration losses diverge");
     assert_eq!(theta_packed.len(), theta_plain.len());
     for (i, (a, b)) in theta_packed.iter().zip(&theta_plain).enumerate() {
@@ -169,7 +248,9 @@ fn forced_scalar_and_auto_backends_train_identically() {
             Activation::Sigmoid,
             &mut rng,
         );
-        let recorder = Arc::new(pdnn_obs::InMemoryRecorder::new());
+        // Manual clock: the problem's compute spans are part of the
+        // bytes compared.
+        let recorder = Arc::new(pdnn_obs::InMemoryRecorder::with_manual_clock());
         let mut problem = DnnProblem::new(
             net,
             ctx,
