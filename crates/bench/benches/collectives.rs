@@ -40,19 +40,6 @@ fn bench_collectives(c: &mut Criterion) {
                 })
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("allreduce_rabenseifner", ranks),
-            &ranks,
-            |b, &r| {
-                b.iter(|| {
-                    run_world(r, |comm| {
-                        let mut buf = vec![comm.rank() as f32; elems];
-                        comm.allreduce_rabenseifner(&mut buf, ReduceOp::Sum)
-                            .unwrap();
-                    })
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -161,10 +161,6 @@ fn wire_counters(name: &'static str) -> (&'static str, &'static str) {
         "reduce" => ("wire_sent_reduce", "wire_recv_reduce"),
         "barrier" => ("wire_sent_barrier", "wire_recv_barrier"),
         "allreduce" => ("wire_sent_allreduce", "wire_recv_allreduce"),
-        "allreduce_rabenseifner" => (
-            "wire_sent_allreduce_rabenseifner",
-            "wire_recv_allreduce_rabenseifner",
-        ),
         "allreduce_ring" => ("wire_sent_allreduce_ring", "wire_recv_allreduce_ring"),
         "allreduce_tree" => ("wire_sent_allreduce_tree", "wire_recv_allreduce_tree"),
         "gather" => ("wire_sent_gather", "wire_recv_gather"),
@@ -184,9 +180,9 @@ fn wire_counters(name: &'static str) -> (&'static str, &'static str) {
 /// `codec` arms the wire codec for the invocation: only collectives
 /// whose algorithm stays rank-consistent under lossy narrowing
 /// (broadcast/reduce shapes and the ring/tree allreduces) pass
-/// `true`; the rank-symmetric exchanges in recursive doubling and
-/// Rabenseifner would leave partners with different lossy views of
-/// each other's data, so they run uncompressed.
+/// `true`; the rank-symmetric exchanges in recursive doubling would
+/// leave partners with different lossy views of each other's data, so
+/// they run uncompressed.
 fn with_collective<R>(
     comm: &mut Comm,
     name: &'static str,
@@ -861,106 +857,6 @@ impl Comm {
         }
     }
 
-    /// Allreduce via Rabenseifner's algorithm: reduce-scatter by
-    /// recursive halving, then allgather by recursive doubling.
-    ///
-    /// Moves `2·(P−1)/P · n` elements per rank instead of the
-    /// `2·log₂(P)·n` of recursive doubling — the bandwidth-optimal
-    /// choice for the large parameter-vector reductions this
-    /// application is dominated by. Requires a power-of-two world and
-    /// identical vector lengths on every rank; other cases fall back
-    /// to [`Comm::allreduce`].
-    pub fn allreduce_rabenseifner<T: CollElem>(
-        &mut self,
-        buf: &mut Vec<T>,
-        op: ReduceOp,
-    ) -> Result<(), CommError> {
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        if !size.is_power_of_two() || buf.len() < size {
-            // Tiny vectors gain nothing from scattering; odd worlds
-            // complicate the halving. Use the standard path.
-            return self.allreduce(buf, op);
-        }
-        with_collective(self, "allreduce_rabenseifner", false, |comm, tag| {
-            let rank = comm.rank();
-            let n = buf.len();
-            // Block b owns range [bounds[b], bounds[b+1]).
-            let bounds: Vec<usize> = (0..=size).map(|b| b * n / size).collect();
-
-            // ---- reduce-scatter by recursive halving ----
-            // Invariant: this rank holds partially reduced data for
-            // the block range [lo, hi).
-            let mut lo = 0usize;
-            let mut hi = size;
-            let mut mask = size / 2;
-            while mask > 0 {
-                let partner = rank ^ mask;
-                // Split the live range; keep the half containing us.
-                let mid = lo + (hi - lo) / 2;
-                let (keep, send) = if rank & mask == 0 {
-                    ((lo, mid), (mid, hi))
-                } else {
-                    ((mid, hi), (lo, mid))
-                };
-                let send_slice = buf[bounds[send.0]..bounds[send.1]].to_vec();
-                comm.send(partner, tag + 1, T::wrap(send_slice))?;
-                let incoming = comm.recv_vec::<T>(Src::Of(partner), tag + 1)?;
-                let own = &mut buf[bounds[keep.0]..bounds[keep.1]];
-                // Rank-independent operand order for bitwise
-                // reproducibility.
-                if rank < partner {
-                    T::combine(op, own, &incoming);
-                } else {
-                    let mut acc = incoming;
-                    T::combine(op, &mut acc, own);
-                    own.copy_from_slice(&acc);
-                }
-                lo = keep.0;
-                hi = keep.1;
-                mask >>= 1;
-            }
-            debug_assert_eq!(hi - lo, 1);
-            debug_assert_eq!(lo, rank, "halving leaves rank r with block r");
-
-            // ---- allgather by recursive doubling ----
-            // At each level this rank and its partner hold sibling
-            // block ranges of equal span; exchanging them doubles the
-            // held range.
-            let mut mask = 1usize;
-            while mask < size {
-                let partner = rank ^ mask;
-                let send_slice = buf[bounds[lo]..bounds[hi]].to_vec();
-                comm.send(partner, tag + 2, T::wrap(send_slice))?;
-                let incoming = comm.recv_vec::<T>(Src::Of(partner), tag + 2)?;
-                let span = hi - lo;
-                let (nlo, nhi) = if (lo / span).is_multiple_of(2) {
-                    (lo, hi + span) // sibling is to the right
-                } else {
-                    (lo - span, hi) // sibling is to the left
-                };
-                let (ilo, ihi) = if nlo == lo { (hi, nhi) } else { (nlo, lo) };
-                buf[bounds[ilo]..bounds[ihi]].copy_from_slice(&incoming);
-                lo = nlo;
-                hi = nhi;
-                mask <<= 1;
-            }
-            debug_assert_eq!((lo, hi), (0, size));
-            comm.push_event(CommEvent::Coll {
-                op: "allreduce_rabenseifner",
-                root: 0,
-                kind: T::KIND,
-                len: buf.len(),
-                first: None,
-                ok: true,
-            });
-            comm.trace_collective_done();
-            Ok(())
-        })
-    }
-
     /// Allreduce via a bandwidth-optimal ring: chunked reduce-scatter
     /// followed by a ring allgather.
     ///
@@ -1386,60 +1282,6 @@ mod tests {
         });
         for r in results {
             assert_eq!(r.result, (3.0, 0.0));
-        }
-    }
-
-    #[test]
-    fn rabenseifner_matches_standard_allreduce() {
-        for size in [2usize, 4, 8] {
-            for len in [size, size + 3, 257] {
-                let results = run_world(size, move |comm| {
-                    let mut rng = pdnn_util::Prng::new(comm.rank() as u64 + 1);
-                    let data: Vec<f64> = (0..len).map(|_| rng.range(-2.0, 2.0)).collect();
-                    let mut a = data.clone();
-                    let mut b = data;
-                    comm.allreduce(&mut a, ReduceOp::Sum).unwrap();
-                    comm.allreduce_rabenseifner(&mut b, ReduceOp::Sum).unwrap();
-                    (a, b)
-                });
-                for r in &results {
-                    for (x, y) in r.result.0.iter().zip(r.result.1.iter()) {
-                        assert!(
-                            (x - y).abs() < 1e-12 * (1.0 + x.abs()),
-                            "size={size} len={len}: {x} vs {y}"
-                        );
-                    }
-                }
-                // All ranks agree bitwise.
-                for r in &results[1..] {
-                    assert_eq!(r.result.1, results[0].result.1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rabenseifner_short_vector_falls_back() {
-        // len < size triggers the fallback path; results still exact.
-        let results = run_world(8, |comm| {
-            let mut v = vec![comm.rank() as f64 + 1.0];
-            comm.allreduce_rabenseifner(&mut v, ReduceOp::Sum).unwrap();
-            v[0]
-        });
-        for r in results {
-            assert_eq!(r.result, 36.0);
-        }
-    }
-
-    #[test]
-    fn rabenseifner_max_operator() {
-        let results = run_world(4, |comm| {
-            let mut v: Vec<f64> = (0..16).map(|i| ((comm.rank() + i) % 4) as f64).collect();
-            comm.allreduce_rabenseifner(&mut v, ReduceOp::Max).unwrap();
-            v
-        });
-        for r in &results {
-            assert!(r.result.iter().all(|&x| x == 3.0));
         }
     }
 

@@ -88,7 +88,6 @@ fn intern_op(s: &str) -> Option<&'static str> {
         "reduce" => Some("reduce"),
         "barrier" => Some("barrier"),
         "allreduce" => Some("allreduce"),
-        "allreduce_rabenseifner" => Some("allreduce_rabenseifner"),
         "allreduce_ring" => Some("allreduce_ring"),
         "allreduce_tree" => Some("allreduce_tree"),
         "gather" => Some("gather"),

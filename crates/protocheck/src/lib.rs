@@ -183,7 +183,6 @@ mod tests {
             "bcast",
             "reduce",
             "allreduce",
-            "allreduce_rabenseifner",
             "ring_exchange",
             "tree_exchange",
             "barrier",
