@@ -4,17 +4,25 @@
 //! every rank's `CommEvent` stream.
 //!
 //! ```sh
-//! cargo run --release --example run_digest > after.txt
-//! diff before.txt after.txt   # `before.txt` from the parent commit
+//! cargo run --release --example run_digest | diff results/run_digest.txt -
 //! ```
+//!
+//! `results/run_digest.txt` is the committed output and
+//! `scripts/verify.sh` runs the command above: a refactor must leave
+//! every line equal, and a change that means to move a line
+//! regenerates the file and says which lines moved and why. Every run
+//! is seeded and clocked manually, so the output is the same from run
+//! to run and under every compute backend; it does pass through the
+//! platform's `exp`/`ln`, so on a host with another libm regenerate
+//! the file at the parent commit before comparing.
 //!
 //! Covered: the serial `DnnProblem` × {CE, sequence} and CE once more
 //! in 64-frame chunks (telemetry from manual-clock recorders on the
-//! problem and on the optimizer; no comm events), {master, ring, tree} × {none, f16, int8} × {CE, sequence}
-//! under the frozen clock, one perturbed-schedule seed per sync mode,
-//! and one mid-training kill per sync mode (`checkpoint_every` 1; the
-//! master once more with an on-disk checkpoint). No hashes are stored
-//! in the repo: compare two checkouts.
+//! problem and on the optimizer; no comm events); {master, ring, tree}
+//! × {none, f16, int8} × {CE, sequence} under the frozen clock; one
+//! perturbed-schedule seed per sync mode; and one mid-training kill
+//! per sync mode (`checkpoint_every` 1; the master once more with an
+//! on-disk checkpoint).
 
 use pdnn::core::{
     train_distributed_deterministic, train_distributed_faulted, train_distributed_perturbed,

@@ -27,6 +27,16 @@ else
 fi
 PDNN_BACKEND=auto cargo test -q "${backend_suite[@]}"
 
+echo "== identity: run_digest against results/run_digest.txt =="
+# One hash line per trainer configuration (theta bits, stats, per-rank
+# telemetry, comm events). A refactor must leave every line equal; a
+# change that means to move one regenerates the file and says which
+# lines moved and why. The hashes pass through the platform's libm
+# (exp/ln), so on another host first regenerate at the parent commit.
+cargo run -q --release --example run_digest | diff results/run_digest.txt - \
+  || { echo "run_digest differs from results/run_digest.txt; if intended, regenerate with:" >&2
+       echo "  cargo run --release --example run_digest > results/run_digest.txt" >&2; exit 1; }
+
 echo "== style: rustfmt =="
 cargo fmt --check
 
