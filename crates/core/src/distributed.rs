@@ -19,8 +19,9 @@
 //!   *identical* [`crate::optimizer::HfOptimizer`] drives serial,
 //!   master/worker and masterless training — the parity tests exploit
 //!   this.
-//! * **Shard engine** (`crate::shard`) — the rank-local compute
-//!   behind the worker arms and the peers. No communication.
+//! * **Shard engine** (`crate::shard`) — the shard-local compute
+//!   behind the worker arms and the peers, and behind the serial
+//!   [`crate::DnnProblem`]. No communication.
 //! * **Fault latch** (`FaultLatch`, `Recovering::settle`) — the first
 //!   failure a front-end observes poisons it: later [`HfProblem`]
 //!   calls short-circuit to degraded values until the loop takes it.

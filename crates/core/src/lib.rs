@@ -10,12 +10,19 @@
 //!   paper-literal variant for the ablation bench).
 //! * [`line_search`] — Armijo backtracking.
 //! * [`optimizer`] — Algorithm 1: the outer HF loop.
-//! * [`problem`] — the [`HfProblem`] abstraction and its serial DNN
-//!   implementation (cross-entropy and MMI sequence objectives).
+//! * [`problem`] — the [`HfProblem`] abstraction and [`DnnProblem`],
+//!   its serial implementation (cross-entropy and MMI sequence
+//!   objectives).
 //! * [`distributed`] — one trainer over `pdnn-mpisim` under two wire
 //!   protocols (the paper's master/worker commands; masterless
-//!   allreduce). Both front-ends implement [`HfProblem`] over one
-//!   shard engine, so serial and distributed runs share the optimizer.
+//!   allreduce).
+//!
+//! Three clients, one engine: the gradient, curvature-sample,
+//! Gauss–Newton, Fisher-diagonal and held-out sums over a shard are
+//! computed in one place, the private `shard` module. The serial
+//! problem divides them by its frame count, a worker reduces them to
+//! the master, a masterless peer allreduces them — so serial and
+//! distributed runs share the kernels as well as the optimizer.
 //!
 //! ## Quick start
 //!
