@@ -107,6 +107,7 @@ fn recycle_chunk(x: Cow<'_, Matrix<f32>>, ws: &mut Workspace<f32>) {
 /// frame count they cover; dividing by the global count is the
 /// caller's job, after aggregation.
 pub(crate) struct ShardEngine<'a> {
+    /// Sink of the compute spans, pack-cache counters and arena gauges.
     pub(crate) rec: Arc<dyn Recorder>,
     ctx: GemmContext,
     objective: Cow<'a, Objective>,
