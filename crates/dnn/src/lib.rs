@@ -8,8 +8,8 @@
 //! * [`loss`] — frame criteria: softmax cross-entropy (fused, stable)
 //!   and squared error.
 //! * [`sequence`] — the utterance-level MMI criterion (the paper's
-//!   "sequence" objective), with exact forward–backward over a bigram
-//!   denominator graph.
+//!   "sequence" objective), with a scaled probability-space
+//!   forward–backward over a bigram denominator graph.
 //! * [`backprop`] — exact gradients.
 //! * [`gauss_newton`] — curvature matrix–vector products `G(θ)v` via
 //!   the Pearlmutter R-operator; `G` is PSD by construction, the

@@ -110,13 +110,23 @@ proptest! {
         frames in 1usize..10,
         states in 2usize..6,
         self_loop in 0.1f64..0.9,
+        sparse in prop_oneof![Just(false), Just(true)],
         seed in 0u64..1000,
     ) {
         let mut rng = Prng::new(seed);
-        let other = (1.0 - self_loop) / (states - 1) as f64;
-        let mut trans = vec![other; states * states];
+        let mut trans = vec![0.0; states * states];
         for i in 0..states {
-            trans[i * states + i] = self_loop;
+            if sparse {
+                // The corpus chain: self, +1 and +2 arcs, the rest exact zeros.
+                trans[i * states + i] = self_loop;
+                trans[i * states + (i + 1) % states] += (1.0 - self_loop) * 0.7;
+                trans[i * states + (i + 2) % states] += (1.0 - self_loop) * 0.3;
+            } else {
+                let other = (1.0 - self_loop) / (states - 1) as f64;
+                for j in 0..states {
+                    trans[i * states + j] = if i == j { self_loop } else { other };
+                }
+            }
         }
         let g = DenominatorGraph::new(&vec![1.0 / states as f64; states], &trans);
         let logits: Matrix<f64> = Matrix::random_normal(frames, states, 1.5, &mut rng);
