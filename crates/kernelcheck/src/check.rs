@@ -13,9 +13,10 @@
 //!   from the same place;
 //! * **in the drivers** (`k4` backend dispatch, `k6` call-site
 //!   guarantees): `backend.rs` may only dispatch kernels whose feature
-//!   requirements its ISA variant implies (and may only select a
-//!   feature-gated scalar instantiation after probing the feature),
-//!   and every micro-panel slice
+//!   requirements its ISA variant implies, `backend.rs` and `vmath.rs`
+//!   may only name a feature-gated instantiation of the reference or
+//!   element-wise loops after probing its features, and every
+//!   micro-panel slice
 //!   passed to `microkernel`/`bt_fn` must have *exactly* the packed
 //!   length the kernel contract consumes (`kc * MR` etc. — overlong
 //!   panels would mask index-arithmetic bugs, so equality is
@@ -866,35 +867,42 @@ fn wrapper_requirements(zone: &[ZoneFile]) -> BTreeMap<String, Vec<String>> {
     wrapper_reqs
 }
 
-/// k4(e): the scalar backend picks between instantiations of the
-/// reference loops; a feature-gated one (`kernel::scalar::acc_fma`)
-/// may only be named after the enclosing fn has probed that feature.
-fn check_scalar_selection(
-    backend: &SourceFile,
+/// Zone modules whose loops exist in several instantiations, picked by
+/// CPUID in the drivers rather than by a backend's ISA gate.
+const INSTANTIATED_MODULES: [&str; 2] = ["kernel::scalar::", "kernel::elementwise::"];
+
+/// k4(e): the scalar backend (`backend.rs`) and the element-wise
+/// dispatch (`vmath.rs`) pick between instantiations of one loop; a
+/// feature-gated one (`kernel::scalar::acc_fma`,
+/// `kernel::elementwise::row_op_avx2`) may only be named after the
+/// enclosing fn has probed every feature it requires.
+fn check_instantiation_selection(
+    driver: &SourceFile,
     wrapper_reqs: &BTreeMap<String, Vec<String>>,
     findings: &mut Vec<Finding>,
 ) {
-    const PATH: &str = "kernel::scalar::";
-    for body in backend.functions().into_iter().filter_map(|f| f.body) {
-        let mut i = body.start;
-        while let Some(pos) = backend.masked[i..body.end].find(PATH).map(|p| i + p) {
-            i = pos + PATH.len();
-            let name: String = backend.masked[i..]
-                .chars()
-                .take_while(|&c| is_ident_char(c))
-                .collect();
-            for feat in wrapper_reqs.get(&name).into_iter().flatten() {
-                let probe = format!("is_x86_feature_detected!(\"{feat}\")");
-                if !backend.raw[body.start..pos].contains(&probe) {
-                    findings.push(Finding::new(
-                        backend,
-                        K4,
-                        pos,
-                        format!(
-                            "`kernel::scalar::{name}` requires target_feature({feat}) but is \
-                             selected without a preceding {probe}"
-                        ),
-                    ));
+    for body in driver.functions().into_iter().filter_map(|f| f.body) {
+        for path in INSTANTIATED_MODULES {
+            let mut i = body.start;
+            while let Some(pos) = driver.masked[i..body.end].find(path).map(|p| i + p) {
+                i = pos + path.len();
+                let name: String = driver.masked[i..]
+                    .chars()
+                    .take_while(|&c| is_ident_char(c))
+                    .collect();
+                for feat in wrapper_reqs.get(&name).into_iter().flatten() {
+                    let probe = format!("is_x86_feature_detected!(\"{feat}\")");
+                    if !driver.raw[body.start..pos].contains(&probe) {
+                        findings.push(Finding::new(
+                            driver,
+                            K4,
+                            pos,
+                            format!(
+                                "`{path}{name}` requires target_feature({feat}) but is \
+                                 selected without a preceding {probe}"
+                            ),
+                        ));
+                    }
                 }
             }
         }
@@ -1006,7 +1014,9 @@ pub fn run(
     for d in drivers {
         if d.path.ends_with("backend.rs") {
             check_backend_dispatch(d, &wrapper_reqs, &mut findings);
-            check_scalar_selection(d, &wrapper_reqs, &mut findings);
+            check_instantiation_selection(d, &wrapper_reqs, &mut findings);
+        } else if d.path.ends_with("vmath.rs") {
+            check_instantiation_selection(d, &wrapper_reqs, &mut findings);
         } else {
             check_driver_calls(d, consts, &mut findings);
         }

@@ -41,6 +41,8 @@ const NEON: &str = "crates/tensor/src/gemm/kernel/neon.rs";
 const KMOD: &str = "crates/tensor/src/gemm/kernel/mod.rs";
 const PREPACKED: &str = "crates/tensor/src/gemm/prepacked.rs";
 const BACKEND: &str = "crates/tensor/src/gemm/backend.rs";
+const ELEMENTWISE: &str = "crates/tensor/src/gemm/kernel/elementwise.rs";
+const VMATH: &str = "crates/tensor/src/vmath.rs";
 
 /// The battery. Every entry must be caught for the self-test to pass.
 pub fn mutations() -> Vec<Mutation> {
@@ -253,6 +255,38 @@ pub fn mutations() -> Vec<Mutation> {
             expected_rule: K1,
             what: "NEON kernel walks a fifth 4-lane group past the 16-column tile",
         },
+        Mutation {
+            name: "m27-elementwise-drops-fma",
+            path: ELEMENTWISE,
+            from: "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn row_op_avx2_imp",
+            to: "#[target_feature(enable = \"avx2\")]\nunsafe fn row_op_avx2_imp",
+            expected_rule: K4,
+            what: "element-wise instantiation compiled without the FMA its contract declares",
+        },
+        Mutation {
+            name: "m28-elementwise-wrapper-forgets-fma-probe",
+            path: ELEMENTWISE,
+            from: "is_x86_feature_detected!(\"avx512f\") && is_x86_feature_detected!(\"fma\"),",
+            to: "is_x86_feature_detected!(\"avx512f\"),",
+            expected_rule: K4,
+            what: "AVX-512 element-wise wrapper enters its kernel without probing FMA",
+        },
+        Mutation {
+            name: "m29-elementwise-fma-listed-unprobed",
+            path: VMATH,
+            from: "        if is_x86_feature_detected!(\"fma\") {\n",
+            to: "        {\n",
+            expected_rule: K4,
+            what: "element-wise dispatch names the FMA instantiations without consulting CPUID",
+        },
+        Mutation {
+            name: "m30-elementwise-avx512-listed-unprobed",
+            path: VMATH,
+            from: "            if is_x86_feature_detected!(\"avx512f\") {\n",
+            to: "            {\n",
+            expected_rule: K4,
+            what: "element-wise dispatch names the AVX-512 instantiation on an FMA-only probe",
+        },
     ]
 }
 
@@ -300,7 +334,7 @@ mod tests {
     #[test]
     fn battery_is_large_and_covers_every_rule() {
         let ms = mutations();
-        assert!(ms.len() >= 20, "need >= 20 mutations, have {}", ms.len());
+        assert!(ms.len() >= 30, "need >= 30 mutations, have {}", ms.len());
         let names: BTreeSet<_> = ms.iter().map(|m| m.name).collect();
         assert_eq!(names.len(), ms.len(), "mutation names must be unique");
         let rules: BTreeSet<_> = ms.iter().map(|m| m.expected_rule).collect();

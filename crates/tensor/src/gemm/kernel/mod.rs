@@ -11,6 +11,10 @@
 //! regardless of `kc` — the property the paper's "reduce bandwidth to
 //! a level the caches can feed" goal is about.
 //!
+//! [`elementwise`] holds the other hot loop of training built the same
+//! way: the vectorized `exp` and bias + activation row passes of
+//! [`crate::vmath`], one loop instantiated per ISA.
+//!
 //! These submodules are the **only** place in the workspace where
 //! `unsafe` is permitted (lint rule `l7-unsafe-outside-kernel`): the
 //! SIMD kernels need raw intrinsics, and everything they touch is
@@ -43,6 +47,7 @@ macro_rules! kernel_precondition {
     };
 }
 
+pub mod elementwise;
 pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]

@@ -18,7 +18,10 @@
 //! [`ComputeBackend`] supplies runtime-dispatched `std::arch`
 //! microkernels (AVX2/AVX-512/NEON) that are bit-identical to the
 //! forced-scalar reference — see the [`gemm::backend`] module docs for
-//! the contract.
+//! the contract. [`vmath`] gives the element-wise math of training —
+//! `exp`, `ln`, bias + sigmoid/tanh — the same treatment: portable
+//! functions of IEEE operations only, vectorized per ISA, bitwise equal
+//! everywhere.
 //!
 //! ```
 //! use pdnn_tensor::{Matrix, gemm::{GemmContext, GemmOp, Trans}};
@@ -34,6 +37,7 @@ pub mod blas1;
 pub mod gemm;
 pub mod matrix;
 pub mod scalar;
+pub mod vmath;
 pub mod workspace;
 
 pub use gemm::{

@@ -7,12 +7,15 @@
 //! trajectories or telemetry. These tests sweep odd and degenerate
 //! panel shapes (ragged edges, single rows/columns, k = 1, shapes
 //! straddling MR/NR and cache-block boundaries) across every operand
-//! form of [`GemmOp`] for every ISA the host actually supports.
+//! form of [`GemmOp`] for every ISA the host actually supports, and
+//! hold every instantiation of the element-wise `exp`/sigmoid/tanh
+//! row kernels to the portable loop's bits.
 
 use pdnn_tensor::gemm::{
     available_isas, backend_for, scalar_backend, Blocking, GemmContext, GemmOp, PackedA, PackedB,
     Trans, BT_COLS, MR, NR,
 };
+use pdnn_tensor::vmath::{self, RowOp};
 use pdnn_tensor::{Matrix, Scalar};
 use pdnn_util::Prng;
 
@@ -185,4 +188,73 @@ fn assert_chains_are_fused<T: Scalar>(e: f64) {
 fn every_backend_fuses_its_accumulate_chains() {
     assert_chains_are_fused::<f32>(2f64.powi(-13));
     assert_chains_are_fused::<f64>(2f64.powi(-27));
+}
+
+/// Inputs for the element-wise kernels: both tails, both flush and
+/// overflow edges, signed zeros, subnormals, infinities, NaN and a wide
+/// random spread; 1031 of them, so every vector width leaves a tail.
+fn elementwise_inputs<T: Scalar>(edge: f64, rng: &mut Prng) -> Vec<T> {
+    let mut xs: Vec<T> = [
+        0.0,
+        -0.0,
+        1e-310,
+        -1e-40,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        edge,
+        -edge,
+        edge + 1.0,
+        -edge - 1.0,
+    ]
+    .into_iter()
+    .map(T::from_f64)
+    .collect();
+    while xs.len() < 1031 {
+        let scale = [1.0, 10.0, edge][xs.len() % 3];
+        xs.push(T::from_f64((rng.uniform() * 2.0 - 1.0) * scale));
+    }
+    xs
+}
+
+/// Every instantiation of the element-wise row kernel (portable, and
+/// FMA, AVX2 and AVX-512 where the CPU has them) gives the portable
+/// loop's bits for every pass, at every length up to a few vectors.
+fn row_kernels_bitwise_match_portable<T: Scalar>(edge: f64) {
+    let mut rng = Prng::new(26);
+    let xs: Vec<T> = elementwise_inputs(edge, &mut rng);
+    let bias: Vec<T> = (0..xs.len())
+        .map(|_| T::from_f64(rng.uniform() * 4.0 - 2.0))
+        .collect();
+    let kernels = vmath::instantiations::<T>();
+    let (_, portable) = kernels[0];
+    for op in [RowOp::Exp, RowOp::BiasSigmoid, RowOp::BiasTanh] {
+        for len in (0..40).chain([xs.len()]) {
+            let mut want = xs[..len].to_vec();
+            portable(op, &mut want, &bias[..len]);
+            for &(name, kernel) in &kernels {
+                let mut got = xs[..len].to_vec();
+                kernel(op, &mut got, &bias[..len]);
+                let same = got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_f64().to_bits() == w.to_f64().to_bits());
+                assert!(same, "{name} {op:?} len {len} differs from portable");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_elementwise_instantiation_is_bitwise_equal() {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
+        let names: Vec<&str> = vmath::instantiations::<f32>()
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(names, ["portable", "fma", "avx2", "avx512"]);
+    }
+    row_kernels_bitwise_match_portable::<f32>(88.0);
+    row_kernels_bitwise_match_portable::<f64>(709.0);
 }
