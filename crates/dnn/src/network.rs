@@ -70,8 +70,7 @@ impl<T: Scalar> Layer<T> {
     pub fn forward(&self, ctx: &GemmContext, a_in: &Matrix<T>) -> Matrix<T> {
         let mut z = Matrix::zeros(a_in.rows(), self.outputs());
         GemmOp::ab(a_in, Trans::N, &self.w, Trans::T).run(ctx, &mut z);
-        z.add_row_broadcast(&self.b);
-        self.act.apply(&mut z);
+        self.act.apply_with_bias(&mut z, &self.b);
         z
     }
 }
@@ -269,8 +268,7 @@ impl<T: Scalar> Network<T> {
                 Some(p) => GemmOp::packed_b(a_in, Trans::N, p.forward(l)).run(ctx, &mut z),
                 None => GemmOp::ab(a_in, Trans::N, &layer.w, Trans::T).run(ctx, &mut z),
             }
-            z.add_row_broadcast(&layer.b);
-            layer.act.apply(&mut z);
+            layer.act.apply_with_bias(&mut z, &layer.b);
             acts.push(z);
         }
         ForwardCache { acts }
@@ -306,8 +304,7 @@ impl<T: Scalar> Network<T> {
                 Some(p) => GemmOp::packed_b(input, Trans::N, p.forward(i)).run(ctx, &mut z),
                 None => GemmOp::ab(input, Trans::N, &layer.w, Trans::T).run(ctx, &mut z),
             }
-            z.add_row_broadcast(&layer.b);
-            layer.act.apply(&mut z);
+            layer.act.apply_with_bias(&mut z, &layer.b);
             if let Some(prev) = a.take() {
                 ws.give_matrix(prev);
             }

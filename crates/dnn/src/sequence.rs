@@ -47,7 +47,9 @@
 //! numerator and denominator and is never computed. The numerator's
 //! transition terms come from the log tables of [`DenominatorGraph`].
 //!
-//! **Cost per frame:** `S` calls of `exp` and one of `ln` (`ln c_t`);
+//! **Cost per frame:** `S` calls of `exp` (one vectorized slice kernel)
+//! and one of `ln` (`ln c_t`), both [`pdnn_tensor::vmath`]'s portable
+//! functions, not libm;
 //! `S²` multiply-adds for `α̂_{t−1} A` and `S²` for `A (e ∘ β̂)` — the
 //! `4S²` FLOPs of [`crate::flops::mmi_extra_flops_per_frame`] — plus its
 //! `O(S)` element-wise products. No transcendental is evaluated per arc.
@@ -90,7 +92,7 @@
 //! `f32` as in `f64` — peaked posteriors cannot slow the Gauss–Newton
 //! products that consume them, on any ISA and without FTZ/DAZ.
 
-use pdnn_tensor::{Matrix, Scalar};
+use pdnn_tensor::{vmath, Matrix, Scalar};
 use pdnn_util::float::exactly_zero;
 
 /// Log of the emission floor `ε`: `e_t(s) = exp(max(x, LN_EMISSION_FLOOR))`.
@@ -164,7 +166,8 @@ impl DenominatorGraph {
                 .collect()
         };
         let eps = 1e-300f64; // avoid log(0); forbidden arcs get ~ -690
-        let logs = |ps: &[f64]| -> Vec<f64> { ps.iter().map(|&p| (p + eps).ln()).collect() };
+        let logs =
+            |ps: &[f64]| -> Vec<f64> { ps.iter().map(|&p| vmath::ln_f64(p + eps)).collect() };
         let trans_t = (0..states * states)
             .map(|k| trans[(k % states) * states + k / states])
             .collect::<Vec<_>>();
@@ -317,9 +320,11 @@ impl Scratch {
             let max = row
                 .iter()
                 .fold(f64::NEG_INFINITY, |m, &v| m.max(v.to_f64()));
-            for (e, &v) in self.emit[t * s..(t + 1) * s].iter_mut().zip(row) {
-                *e = (v.to_f64() - max).max(LN_EMISSION_FLOOR).exp();
+            let emit = &mut self.emit[t * s..(t + 1) * s];
+            for (e, &v) in emit.iter_mut().zip(row) {
+                *e = (v.to_f64() - max).max(LN_EMISSION_FLOOR);
             }
+            vmath::exp_slice(emit);
             let a = align[t] as usize;
             log_num += row[a].to_f64() - max;
             if t > 0 {
@@ -363,7 +368,7 @@ impl Scratch {
                 *q *= inv;
             }
             self.scale[t] = c;
-            log_den += c.ln();
+            log_den += vmath::ln_f64(c);
         }
 
         // Backward: β̂_t = A (e_{t+1} ∘ β̂_{t+1}) / c_{t+1}; γ_t = α̂_t ∘ β̂_t.
