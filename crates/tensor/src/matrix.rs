@@ -172,13 +172,6 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// New matrix with `f` applied elementwise.
     pub fn map(&self, mut f: impl FnMut(T) -> T) -> Matrix<T> {
         Matrix {
