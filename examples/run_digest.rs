@@ -12,9 +12,12 @@
 //! every line equal, and a change that means to move a line
 //! regenerates the file and says which lines moved and why. Every run
 //! is seeded and clocked manually, so the output is the same from run
-//! to run and under every compute backend; it does pass through the
-//! platform's `exp`/`ln`, so on a host with another libm regenerate
-//! the file at the parent commit before comparing.
+//! to run and under every compute backend. Training itself calls no
+//! libm (`exp`/`ln` are `pdnn_tensor::vmath`'s portable functions), but
+//! the corpus generator draws through the platform's `ln`/`exp`
+//! (`Prng::normal`, `log_normal`): on a host whose libm rounds those
+//! differently, regenerate the file at the parent commit before
+//! comparing.
 //!
 //! Covered: the serial `DnnProblem` × {CE, sequence} and CE once more
 //! in 64-frame chunks (telemetry from manual-clock recorders on the
