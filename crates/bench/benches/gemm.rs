@@ -1,8 +1,8 @@
 //! Criterion microbenches for the GEMM kernels (Section V.A).
 //!
 //! Covers the blocking ablation DESIGN.md calls out: default MC/KC/NC
-//! vs deliberately bad block sizes, plus the naive reference and the
-//! thread ladder.
+//! vs deliberately bad block sizes, plus the naive reference, the
+//! thread ladder and the awkward shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pdnn_tensor::gemm::{gemm_flops, Blocking, GemmContext, GemmOp, PackedB, Trans};
@@ -94,10 +94,36 @@ fn bench_threads(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper's "dimensions that do not lend themselves to full
+/// SIMDization": tile-ragged edges, a deep-k skinny product and a
+/// shallow-k wide one, single-threaded.
+fn bench_awkward_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_awkward_shapes");
+    group.sample_size(10);
+    let mut rng = Prng::new(11);
+    let ctx = GemmContext::sequential();
+    for (m, k, n) in [
+        (1000usize, 440usize, 1024usize),
+        (999, 441, 1023),
+        (64, 10000, 64),
+        (4096, 32, 4096),
+    ] {
+        let a: Matrix<f32> = Matrix::random_normal(m, k, 1.0, &mut rng);
+        let b: Matrix<f32> = Matrix::random_normal(k, n, 1.0, &mut rng);
+        group.throughput(Throughput::Elements(gemm_flops(m, n, k)));
+        group.bench_function(format!("{m}x{k}x{n}"), |bch| {
+            let mut out = Matrix::zeros(m, n);
+            bch.iter(|| GemmOp::<f32>::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut out));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_kernels,
     bench_blocking_ablation,
-    bench_threads
+    bench_threads,
+    bench_awkward_shapes
 );
 criterion_main!(benches);

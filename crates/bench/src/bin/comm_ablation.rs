@@ -4,37 +4,10 @@
 //! optimized torus collectives — across model sizes and rank counts.
 
 use pdnn_bench::emit;
-use pdnn_bgq::comm_model::{ethernet_1g, socket_1g, Network};
-use pdnn_util::report::Table;
+use pdnn_perfmodel::figures::comm_ablation;
 
 fn main() {
-    let mut t = Table::new(
-        "Weight-broadcast time by transport (seconds)",
-        &[
-            "params",
-            "ranks",
-            "BG/Q torus",
-            "Ethernet MPI",
-            "socket fan-out",
-        ],
-    );
-    for &params in &[10_000_000u64, 50_000_000, 100_000_000] {
-        let bytes = params * 4;
-        for &ranks in &[96usize, 1024, 4096, 8192] {
-            let nodes = (ranks / 4).max(1);
-            let bgq = Network::bgq(nodes).bcast_time(bytes, ranks);
-            let eth = ethernet_1g().bcast_time(bytes, ranks);
-            let sock = socket_1g().bcast_time(bytes, ranks);
-            t.row(&[
-                pdnn_util::fmt_count(params),
-                format!("{ranks}"),
-                format!("{bgq:.3}"),
-                format!("{eth:.1}"),
-                format!("{sock:.0}"),
-            ]);
-        }
-    }
-    emit(&t, "comm_ablation");
+    emit(&comm_ablation(), "comm_ablation");
     println!(
         "The socket transport serializes the fan-out (linear in ranks); the\n\
          paper replaced it with MPI_Bcast to exploit the optimized torus\n\

@@ -3,37 +3,10 @@
 //! training run.
 
 use pdnn_bench::emit;
-use pdnn_perfmodel::{bgq_energy, xeon_energy, BgqRun, JobSpec};
-use pdnn_util::report::Table;
+use pdnn_perfmodel::figures::energy_table;
 
 fn main() {
-    let mut t = Table::new(
-        "Energy per completed training run",
-        &["job", "system", "hours", "avg kW", "kWh"],
-    );
-    let run = BgqRun::new(4096, 4, 16);
-    for (job_name, job) in [
-        ("50-hour CE", JobSpec::ce_50h()),
-        ("50-hour sequence", JobSpec::seq_50h()),
-    ] {
-        let b = bgq_energy(&job, &run);
-        let x = xeon_energy(&job, 96);
-        t.row(&[
-            job_name.to_string(),
-            "BG/Q 1024 nodes".to_string(),
-            format!("{:.2}", b.hours),
-            format!("{:.1}", b.kilowatts),
-            format!("{:.0}", b.kwh),
-        ]);
-        t.row(&[
-            job_name.to_string(),
-            "Xeon cluster (96 procs)".to_string(),
-            format!("{:.2}", x.hours),
-            format!("{:.1}", x.kilowatts),
-            format!("{:.0}", x.kwh),
-        ]);
-    }
-    emit(&t, "energy");
+    emit(&energy_table(), "energy");
     println!(
         "The rack draws ~4x the cluster's power but finishes ~5x sooner:\n\
          energy per training run favors BG/Q — the job-level restatement of\n\

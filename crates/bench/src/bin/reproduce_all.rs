@@ -2,10 +2,11 @@
 //! figure of the paper into `results/` (override with
 //! `PDNN_RESULTS_DIR`).
 //!
-//! Functional experiments that train for real (`parity`,
-//! `lambda_rule`, `preconditioner`, `gemm_scaling`) are separate
-//! binaries — run them individually; this driver covers everything
-//! that evaluates in milliseconds.
+//! Functional experiments that train or partition real data
+//! (`parity`, `lambda_rule`, `preconditioner`, `loadbalance`) are
+//! separate binaries — run them individually; this driver covers
+//! everything that evaluates in milliseconds. GEMM throughput is
+//! measured by `benchmark/` and `cargo bench`.
 
 use pdnn_bench::emit;
 use pdnn_perfmodel::figures;
@@ -28,35 +29,14 @@ fn main() {
         "scaling",
     );
     emit(&figures::billions_table(), "billions");
-    emit(&figures::comm_ablation(64 << 20, 4096), "comm_ablation");
-
-    // Energy restatement of Table I.
-    {
-        use pdnn_perfmodel::{bgq_energy, xeon_energy, BgqRun};
-        use pdnn_util::report::Table;
-        let mut t = Table::new("Energy per training run", &["job", "system", "kWh"]);
-        let run = BgqRun::new(4096, 4, 16);
-        for (name, job) in [("50h CE", &ce50), ("50h seq", &JobSpec::seq_50h())] {
-            t.row(&[
-                name.into(),
-                "BG/Q".into(),
-                format!("{:.0}", bgq_energy(job, &run).kwh),
-            ]);
-            t.row(&[
-                name.into(),
-                "Xeon-96".into(),
-                format!("{:.0}", xeon_energy(job, 96).kwh),
-            ]);
-        }
-        emit(&t, "energy");
-    }
+    emit(&figures::comm_ablation(), "comm_ablation");
+    emit(&figures::energy_table(), "energy");
 
     println!(
-        "Done. Functional experiments (train for real):\n\
+        "Done. Functional experiments (run separately):\n\
          cargo run --release -p pdnn-bench --bin parity\n\
          cargo run --release -p pdnn-bench --bin lambda_rule\n\
          cargo run --release -p pdnn-bench --bin preconditioner\n\
-         cargo run --release -p pdnn-bench --bin loadbalance\n\
-         cargo run --release -p pdnn-bench --bin gemm_scaling"
+         cargo run --release -p pdnn-bench --bin loadbalance"
     );
 }

@@ -27,7 +27,8 @@ fn main() {
     // Masterless sync moves the byte hotspot off rank 0: the
     // master-centric curve grows with log2(ranks), the ring curves do
     // not, and wire compression shifts the crossover to smaller
-    // worlds (measured counterpart: BENCH_6.json).
+    // worlds (measured counterpart: crates/core/tests/sync_strategies.rs,
+    // `ring_mode_slashes_rank0_bytes_at_8_ranks`).
     let sync_ranks = [2usize, 4, 8, 16, 64, 256, 1024, 4096];
     emit(&sync_crossover_table(&job, &sync_ranks), "sync_crossover");
     let at = |factor: f64| {

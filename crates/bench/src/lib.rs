@@ -1,7 +1,9 @@
 //! # pdnn-bench — benchmark harness
 //!
 //! One binary per paper table/figure (see DESIGN.md's per-experiment
-//! index) plus criterion microbenches for the kernels:
+//! index) plus criterion microbenches for the kernels (GEMM, training
+//! phases, collectives). Timings of the trainer itself come from the
+//! end-to-end `benchmark/` package, not from these binaries.
 //!
 //! | target            | regenerates                                   |
 //! |-------------------|-----------------------------------------------|
@@ -11,9 +13,12 @@
 //! | `table1`          | Table I: Xeon vs BG/Q speedups                 |
 //! | `parity`          | "no loss in accuracy": serial vs distributed   |
 //! | `loadbalance`     | Section V.C: partitioning strategies           |
-//! | `gemm_scaling`    | Section V.A: measured GEMM throughput          |
 //! | `comm_ablation`   | Section V.B: socket vs MPI weight sync         |
+//! | `scaling`         | strong-scaling curve + sync crossover          |
+//! | `energy`          | the conclusion's energy-efficiency claim       |
 //! | `lambda_rule`     | DESIGN.md §2: Martens vs paper-literal λ rule  |
+//! | `preconditioner`  | CG preconditioning (the paper's future work)   |
+//! | `reproduce_all`   | every model-driven target above, in one go     |
 //!
 //! Each binary prints the series and writes a CSV under `results/`
 //! (override with `PDNN_RESULTS_DIR`).
@@ -29,22 +34,26 @@ pub fn emit(table: &Table, name: &str) {
     }
 }
 
-/// Minimal flag parser: `--key value` pairs from `std::env::args`.
-pub fn arg_value(key: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == key {
-            return args.next();
-        }
-    }
-    None
+/// Print `--key: <problem>` to stderr and exit with status 2.
+fn bad_flag(key: &str, problem: &str) -> ! {
+    eprintln!("{key}: {problem}");
+    std::process::exit(2)
 }
 
-/// Parse `--key` as a number with a default.
+/// Parse `--key value` from `std::env::args` as a number, or `default`
+/// when the flag is absent. A flag with no value or an unparsable one
+/// exits with status 2, naming the flag and the value.
 pub fn arg_num<T: std::str::FromStr>(key: &str, default: T) -> T {
-    arg_value(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let mut args = std::env::args().skip(1);
+    if !args.any(|a| a == key) {
+        return default;
+    }
+    match args.next() {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| bad_flag(key, &format!("invalid value `{v}`"))),
+        None => bad_flag(key, "missing value"),
+    }
 }
 
 #[cfg(test)]

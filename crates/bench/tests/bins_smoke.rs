@@ -2,9 +2,9 @@
 //! emit its CSV. Fast configurations only — the full runs are
 //! documented in EXPERIMENTS.md.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn run_bin(name: &str, args: &[&str]) -> String {
+fn spawn(name: &str, args: &[&str]) -> Output {
     let exe = match name {
         "fig1" => env!("CARGO_BIN_EXE_fig1"),
         "fig2_3" => env!("CARGO_BIN_EXE_fig2_3"),
@@ -17,15 +17,18 @@ fn run_bin(name: &str, args: &[&str]) -> String {
         "lambda_rule" => env!("CARGO_BIN_EXE_lambda_rule"),
         "preconditioner" => env!("CARGO_BIN_EXE_preconditioner"),
         "parity" => env!("CARGO_BIN_EXE_parity"),
-        "gemm_scaling" => env!("CARGO_BIN_EXE_gemm_scaling"),
         other => panic!("unknown bin {other}"),
     };
     let results = std::env::temp_dir().join(format!("pdnn-smoke-{}", std::process::id()));
-    let out = Command::new(exe)
+    Command::new(exe)
         .args(args)
         .env("PDNN_RESULTS_DIR", &results)
         .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"))
+}
+
+fn run_bin(name: &str, args: &[&str]) -> String {
+    let out = spawn(name, args);
     assert!(
         out.status.success(),
         "{name} failed\nstdout: {}\nstderr: {}",
@@ -58,7 +61,16 @@ fn functional_training_bins_run() {
 }
 
 #[test]
-fn gemm_bin_runs() {
-    let out = run_bin("gemm_scaling", &["--max-size", "128", "--threads", "1"]);
-    assert!(out.contains("GFLOP/s"), "{out}");
+fn bad_flag_values_are_rejected() {
+    // `4OO` (letter O) must not fall back to the 50-hour default, and
+    // neither may a flag with no value.
+    for args in [&["--hours", "4OO"][..], &["--hours"]] {
+        let out = spawn("fig1", args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "fig1 {args:?} succeeded");
+        assert!(
+            args.iter().all(|a| stderr.contains(a)),
+            "fig1 {args:?} stderr: {stderr}"
+        );
+    }
 }

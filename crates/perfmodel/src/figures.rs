@@ -5,6 +5,7 @@
 //! in this module assert the *shape* claims (orderings, ratios,
 //! crossovers) rather than absolute numbers — see EXPERIMENTS.md.
 
+use crate::energy::{bgq_energy, xeon_energy};
 use crate::model::{bgq_time, xeon_time, BgqRun};
 use crate::workload::JobSpec;
 use pdnn_bgq::counters::{classify_cycles, PhaseKind};
@@ -434,9 +435,11 @@ pub fn sync_crossover_rank(
 /// the master-centric curve grows with `log₂P` while the ring curves
 /// stay flat, so the reduction factor rises with scale — and wire
 /// compression shifts the whole ring curve down, moving the ≥2x
-/// crossover (the BENCH_6 gate tier) from mid-size worlds to the
-/// smallest. Validated against the simulator's measured counters in
-/// `BENCH_6.json` (P=8: ring ~2.1x, ring+int8 ~8x).
+/// crossover from mid-size worlds to the smallest. The measured
+/// counterpart is the simulator's byte counters at P=8, asserted in
+/// `crates/core/tests/sync_strategies.rs`
+/// (`ring_mode_slashes_rank0_bytes_at_8_ranks`: ring ≥2x, ring+int8
+/// ≥4x).
 pub fn sync_crossover_table(job: &JobSpec, rank_counts: &[usize]) -> Table {
     let mut t = Table::new(
         "Rank-0 sync traffic per HF iteration, by sync strategy",
@@ -462,26 +465,62 @@ pub fn sync_crossover_table(job: &JobSpec, rank_counts: &[usize]) -> Table {
     t
 }
 
-/// Helper for the comm ablation: total weight-sync time per network.
-pub fn comm_ablation(param_bytes: u64, ranks: usize) -> Table {
+/// Section V.B: weight-broadcast time by transport — BG/Q's torus
+/// collectives, commodity-cluster MPI and the original socket fan-out
+/// — across model sizes and rank counts (4 ranks per BG/Q node).
+pub fn comm_ablation() -> Table {
     use pdnn_bgq::comm_model::{ethernet_1g, socket_1g, Network};
     let mut t = Table::new(
-        format!(
-            "Weight synchronization cost, {} MB model, {ranks} ranks",
-            param_bytes >> 20
-        ),
-        &["transport", "bcast time (s)"],
+        "Weight-broadcast time by transport (seconds)",
+        &[
+            "params (M)",
+            "ranks",
+            "BG/Q torus",
+            "Ethernet MPI",
+            "socket fan-out",
+        ],
     );
-    let nodes = (ranks / 4).max(1);
-    for (name, net) in [
-        ("BG/Q MPI collectives", Network::bgq(nodes)),
-        ("Ethernet cluster MPI", ethernet_1g()),
-        ("socket (sequential fan-out)", socket_1g()),
+    for mparams in [10u64, 50, 100] {
+        let bytes = mparams * 4_000_000;
+        for ranks in [96usize, 1024, 4096, 8192] {
+            let nodes = (ranks / 4).max(1);
+            t.row(&[
+                format!("{mparams}"),
+                format!("{ranks}"),
+                format!("{:.3}", Network::bgq(nodes).bcast_time(bytes, ranks)),
+                format!("{:.1}", ethernet_1g().bcast_time(bytes, ranks)),
+                format!("{:.0}", socket_1g().bcast_time(bytes, ranks)),
+            ]);
+        }
+    }
+    t
+}
+
+/// The conclusion's energy claim: Table I's 50-hour jobs in
+/// kilowatt-hours per completed training run, one BG/Q rack
+/// (4096-4-16) against the 96-process Xeon cluster.
+pub fn energy_table() -> Table {
+    let mut t = Table::new(
+        "Energy per completed training run",
+        &["job", "system", "hours", "avg kW", "kWh"],
+    );
+    let run = BgqRun::new(4096, 4, 16);
+    for (job_name, job) in [
+        ("50-hour CE", JobSpec::ce_50h()),
+        ("50-hour sequence", JobSpec::seq_50h()),
     ] {
-        t.row(&[
-            name.to_string(),
-            format!("{:.4}", net.bcast_time(param_bytes, ranks)),
-        ]);
+        for (system, e) in [
+            ("BG/Q 1024 nodes", bgq_energy(&job, &run)),
+            ("Xeon cluster (96 procs)", xeon_energy(&job, 96)),
+        ] {
+            t.row(&[
+                job_name.to_string(),
+                system.to_string(),
+                format!("{:.2}", e.hours),
+                format!("{:.1}", e.kilowatts),
+                format!("{:.0}", e.kwh),
+            ]);
+        }
     }
     t
 }
@@ -615,6 +654,7 @@ mod tests {
         assert_eq!(fig4(&job).len(), 15);
         assert_eq!(fig5(&job).len(), 15);
         assert_eq!(table1().len(), 2);
+        assert_eq!(energy_table().len(), 4); // 2 jobs x 2 systems
         assert!(!fig1(&job, &fig1a_configs()).render().is_empty());
     }
 
@@ -695,8 +735,9 @@ mod tests {
         for (_, _, ring, _) in &v {
             assert!(*ring < asymptote);
         }
-        // The model tracks the simulator's measured counters
-        // (BENCH_6.json, P=8: ring 2.08x, ring+int8 8.01x).
+        // The model tracks the simulator's measured counters at P=8
+        // (`ring_mode_slashes_rank0_bytes_at_8_ranks` in
+        // crates/core/tests/sync_strategies.rs: ring ≥2x, ring+int8 ≥4x).
         let (_, master8, ring8, i8_8) = v[1];
         assert!(
             (1.5..2.6).contains(&(master8 / ring8)),
@@ -723,15 +764,17 @@ mod tests {
 
     #[test]
     fn comm_ablation_orders_transports() {
-        let t = comm_ablation(64 << 20, 1024);
-        assert_eq!(t.len(), 3);
-        let csv = t.to_csv();
-        // Extract times in row order: bgq, ethernet, socket.
-        let times: Vec<f64> = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.rsplit(',').next().unwrap().parse::<f64>().unwrap())
-            .collect();
-        assert!(times[0] < times[1] && times[1] < times[2], "{times:?}");
+        // 3 model sizes x 4 rank counts; in every row BG/Q torus <
+        // Ethernet MPI < socket fan-out.
+        let t = comm_ablation();
+        assert_eq!(t.len(), 12);
+        for row in t.to_csv().lines().skip(1) {
+            let times: Vec<f64> = row
+                .split(',')
+                .skip(2)
+                .map(|c| c.parse::<f64>().unwrap())
+                .collect();
+            assert!(times[0] < times[1] && times[1] < times[2], "{row}");
+        }
     }
 }

@@ -624,6 +624,48 @@ mod tests {
         assert!(a.isa().available());
     }
 
+    #[test]
+    fn default_backend_follows_pdnn_backend() {
+        // Unset or `auto` dispatches the detected best ISA; a name
+        // dispatches exactly that ISA. Run under each `PDNN_BACKEND`
+        // setting, this checks which kernels the process really uses.
+        let want = match std::env::var(BACKEND_ENV) {
+            Ok(name) if !name.trim().is_empty() => parse_selection(&name)
+                .expect("PDNN_BACKEND must name a backend")
+                .unwrap_or_else(detect_best),
+            _ => detect_best(),
+        };
+        assert_eq!(default_backend().isa(), want);
+    }
+
+    #[test]
+    fn scalar_reference_runs_the_fma_instantiation_where_the_cpu_has_fma() {
+        // The portable instantiation compiles each fused multiply-add
+        // to a libm `fma` call on the x86-64 baseline, ~60x slower, and
+        // agrees bitwise, so only the kernel pointers can tell the two
+        // apart.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("fma") {
+            let s = scalar_backend();
+            assert!(std::ptr::fn_addr_eq(
+                s.acc_f32(),
+                kernel::scalar::acc_fma::<f32> as AccFn<f32>
+            ));
+            assert!(std::ptr::fn_addr_eq(
+                s.acc_f64(),
+                kernel::scalar::acc_fma::<f64> as AccFn<f64>
+            ));
+            assert!(std::ptr::fn_addr_eq(
+                s.bt_f32(),
+                kernel::scalar::bt_fma::<f32> as BtFn<f32>
+            ));
+            assert!(std::ptr::fn_addr_eq(
+                s.bt_f64(),
+                kernel::scalar::bt_fma::<f64> as BtFn<f64>
+            ));
+        }
+    }
+
     /// Run `backend`'s kernels for `T` on a tiny panel pair against
     /// the scalar reference.
     fn kernels_run_and_match_scalar<T: crate::scalar::Scalar>(backend: &dyn ComputeBackend) {

@@ -21,7 +21,8 @@ fn all_generators_emit_csv() {
         ("fig4", figures::fig4(&job)),
         ("fig5", figures::fig5(&job)),
         ("table1", figures::table1()),
-        ("comm", figures::comm_ablation(64 << 20, 1024)),
+        ("comm", figures::comm_ablation()),
+        ("energy", figures::energy_table()),
     ];
     for (name, table) in targets {
         assert!(!table.is_empty(), "{name} has no rows");
