@@ -360,7 +360,7 @@ fn masterless_empty_plan_is_byte_identical_to_fault_free_ring() {
 
 #[test]
 fn codec_armed_kill_matches_uncompressed_faulted_ring() {
-    use pdnn_mpisim::{CommError, ReduceOp, WireCodec};
+    use pdnn_mpisim::{CommError, Payload, ReduceOp, Src, WireCodec};
     // Integer-valued f32 inputs are exact in binary16, so the F16
     // codec is lossless here — any half-decoded wire image left in a
     // survivor's buffer by the aborted reduce-scatter would surface as
@@ -381,9 +381,25 @@ fn codec_armed_kill_matches_uncompressed_faulted_ring() {
                 Err(CommError::RankDead { rank }) => comm.ack_dead(rank),
                 other => panic!("unexpected first allreduce outcome: {other:?}"),
             }
+            // Survivors abort up to one detect window apart, so they
+            // meet at the lowest survivor under the worker window
+            // first, as the trainer's membership round does.
+            let wide = Duration::from_secs(30);
+            if comm.rank() == 0 {
+                for r in [1, 3, 4] {
+                    comm.recv_timeout(Src::Of(r), 9, wide)
+                        .expect("survivor report");
+                }
+                for r in [1, 3, 4] {
+                    comm.send(r, 9, Payload::Empty).expect("release");
+                }
+            } else {
+                comm.send(0, 9, Payload::Empty).expect("report");
+                comm.recv_timeout(Src::Of(0), 9, wide).expect("release");
+            }
             // Survivors re-seed and rerun over the re-stitched ring.
             let mut buf = seed_buf(comm.rank());
-            comm.allreduce_ring_timed(&mut buf, ReduceOp::Sum, Duration::from_secs(30))
+            comm.allreduce_ring(&mut buf, ReduceOp::Sum)
                 .expect("re-stitched ring must complete");
             Some(buf.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
         });

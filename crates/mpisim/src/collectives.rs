@@ -9,9 +9,14 @@
 //! * reduce — binomial tree (mirrored), deterministic combine order;
 //! * allreduce — recursive doubling when `P` is a power of two, else
 //!   reduce + broadcast;
-//! * barrier — dissemination;
-//! * gather / scatter — rooted linear exchange;
-//! * allgather — ring.
+//! * ring / tree allreduce — the masterless chunked ring and binomial
+//!   tree;
+//! * barrier — dissemination.
+//!
+//! The masterless shapes (ring, tree, dissemination barrier and the
+//! timed star barrier) are not coded here: [`crate::schedule`] returns
+//! each position's hop list, `exchange` and the two barriers
+//! interpret it, and `pdnn-protomc` model-checks the same lists.
 //!
 //! Every collective invocation draws a fresh tag window from the
 //! communicator's sequence counter, so back-to-back collectives can
@@ -20,6 +25,7 @@
 use crate::comm::{Comm, CommError, COLLECTIVE_TAG_BASE};
 use crate::events::CommEvent;
 use crate::message::{Payload, Src};
+use crate::schedule::{self, Apply, Hop, Schedule};
 use pdnn_obs::{Recorder, RecorderExt, SpanKind};
 use std::time::Duration;
 
@@ -163,9 +169,6 @@ fn wire_counters(name: &'static str) -> (&'static str, &'static str) {
         "allreduce" => ("wire_sent_allreduce", "wire_recv_allreduce"),
         "allreduce_ring" => ("wire_sent_allreduce_ring", "wire_recv_allreduce_ring"),
         "allreduce_tree" => ("wire_sent_allreduce_tree", "wire_recv_allreduce_tree"),
-        "gather" => ("wire_sent_gather", "wire_recv_gather"),
-        "scatter" => ("wire_sent_scatter", "wire_recv_scatter"),
-        "allgather" => ("wire_sent_allgather", "wire_recv_allgather"),
         _ => ("wire_sent_other", "wire_recv_other"),
     }
 }
@@ -258,7 +261,7 @@ fn use_tree_shape(m: usize, n: usize) -> bool {
     m > RING_LATENCY_WORLD && n < RING_CHUNK_FLOOR * m
 }
 
-/// Ring/tree participants: every rank whose death has not been
+/// Ring/tree/star participants: every rank whose death has not been
 /// *acknowledged*, in rank order. Freshly-dead-but-unacknowledged
 /// ranks stay in the topology — every survivor keys the shape on the
 /// same acknowledged set, so re-stitching happens only through the
@@ -294,181 +297,84 @@ fn decode_chunk_into<T: CollElem>(
     Ok(())
 }
 
-/// The chunked-ring exchange body shared by the fault-free and timed
-/// [`Comm::allreduce_ring`] paths: reduce-scatter then ring
-/// allgather, run over `parts` — the participating ranks in rank
-/// order (all ranks fault-free; the surviving membership after a
-/// re-stitch). Positions in `parts` take the role ranks play in the
-/// full-world ring, so a re-stitched ring is exactly the textbook
-/// ring over `m = parts.len()` members.
+/// Interpret one position's hop list from `schedule` over `parts` —
+/// the participating ranks in rank order (all ranks fault-free; the
+/// surviving membership after a re-stitch). Position `q` of the
+/// schedule is rank `parts[q]`, so a re-stitched collective is exactly
+/// the textbook one over `m = parts.len()` members.
 ///
-/// With `timeout` set, every hop receive is bounded and a miss is
-/// mapped through [`Comm::hop_failure`] so the caller sees
-/// [`CommError::RankDead`] for the rank the recovery round must
-/// evict — not for the innocent upstream neighbour the timeout
-/// happened to fire on.
-fn ring_exchange<T: CollElem>(
+/// Window-1 receives fold in the operand order the hop names;
+/// window-2 sends forward the wire image last owned or received,
+/// moved on its last send, so every rank installs identical bytes for
+/// every chunk. With `timeout` set, every receive is bounded and a
+/// miss is mapped through [`Comm::hop_failure`] so the caller sees
+/// [`CommError::RankDead`] for the rank the recovery round must evict
+/// — not for the innocent upstream neighbour the timeout happened to
+/// fire on.
+fn exchange<T: CollElem>(
     comm: &mut Comm,
     buf: &mut [T],
     op: ReduceOp,
     tag: u64,
     parts: &[usize],
+    schedule: Schedule,
     timeout: Option<Duration>,
 ) -> Result<(), CommError> {
-    let m = parts.len();
     let Some(p) = parts.iter().position(|&r| r == comm.rank()) else {
         // A rank acknowledged as dead must not re-enter the topology;
         // its own fate check surfaces the eviction.
         return Err(CommError::RankDead { rank: comm.rank() });
     };
-    if m == 1 {
-        return Ok(());
-    }
     let n = buf.len();
-    // Chunk b owns range [bounds[b], bounds[b+1]).
-    let bounds: Vec<usize> = (0..=m).map(|b| b * n / m).collect();
-    let next = parts[(p + 1) % m];
-    let prev = parts[(p + m - 1) % m];
-
-    // ---- reduce-scatter ----
-    // At step s position p sends its accumulation of chunk
-    // (p − s) mod m downstream and folds the incoming accumulation
-    // into chunk (p − s − 1) mod m. After m − 1 steps position p owns
-    // the fully reduced chunk (p + 1) mod m.
-    for step in 0..m - 1 {
-        let send_c = (p + m - step) % m;
-        let recv_c = (p + 2 * m - step - 1) % m;
-        let send_slice = buf[bounds[send_c]..bounds[send_c + 1]].to_vec();
-        comm.send(next, tag + 1, T::wrap(send_slice))?;
-        let incoming = match timeout {
-            None => comm.recv_vec::<T>(Src::Of(prev), tag + 1)?,
-            Some(t) => match comm.recv_vec_timeout::<T>(Src::Of(prev), tag + 1, t) {
-                Ok(v) => v,
-                Err(e) => return Err(comm.hop_failure(prev, e)),
-            },
-        };
-        // Upstream accumulation is the left operand, so the fold
-        // stays left-deep in ring order.
-        T::fold_into(op, &incoming, &mut buf[bounds[recv_c]..bounds[recv_c + 1]]);
-    }
-
-    // ---- ring allgather ----
-    // The owner encodes its reduced chunk once and installs the
-    // decoded image locally; relays forward the wire image untouched,
-    // so every rank installs identical bytes for every chunk.
-    let owned = (p + 1) % m;
-    let img = comm.codec_encode(T::wrap(buf[bounds[owned]..bounds[owned + 1]].to_vec()));
-    let self_rank = comm.rank();
-    decode_chunk_into::<T>(
-        &img,
-        &mut buf[bounds[owned]..bounds[owned + 1]],
-        self_rank,
-        tag + 2,
-    )?;
-    let mut fwd = img;
-    for step in 0..m - 1 {
-        comm.send(next, tag + 2, fwd)?;
-        let pkt = match timeout {
-            None => comm.recv(Src::Of(prev), tag + 2)?,
-            Some(t) => match comm.recv_timeout(Src::Of(prev), tag + 2, t) {
-                Ok(pkt) => pkt,
-                Err(e) => return Err(comm.hop_failure(prev, e)),
-            },
-        };
-        // At step s the chunk arriving from upstream is (p − s) mod m
-        // (its owner is prev at s = 0).
-        let recv_c = (p + m - step) % m;
-        decode_chunk_into::<T>(
-            &pkt.payload,
-            &mut buf[bounds[recv_c]..bounds[recv_c + 1]],
-            pkt.src,
-            tag + 2,
-        )?;
-        fwd = pkt.payload;
-    }
-    Ok(())
-}
-
-/// The binomial-tree exchange body shared by the fault-free and
-/// timed [`Comm::allreduce_tree`] paths (and by the small-vector
-/// fallback of [`Comm::allreduce_ring`]): binomial reduce to
-/// `parts[0]` then binomial broadcast of the root's wire image, run
-/// over `parts` positions exactly like [`ring_exchange`]. With all
-/// ranks participating this reproduces the flat reduce-to-0 + bcast
-/// bits exactly. Timed receives map misses through
-/// [`Comm::hop_failure`].
-fn tree_exchange<T: CollElem>(
-    comm: &mut Comm,
-    buf: &mut [T],
-    op: ReduceOp,
-    tag: u64,
-    parts: &[usize],
-    timeout: Option<Duration>,
-) -> Result<(), CommError> {
-    let m = parts.len();
-    let Some(p) = parts.iter().position(|&r| r == comm.rank()) else {
-        return Err(CommError::RankDead { rank: comm.rank() });
-    };
-    if m == 1 {
-        return Ok(());
-    }
-
-    // ---- binomial reduce to parts[0] (same tree and operand order
-    // as `Comm::reduce` with root 0, over positions) ----
-    let mut mask = 1usize;
-    while mask < m {
-        if p & mask == 0 {
-            let src_p = p | mask;
-            if src_p < m {
-                let src = parts[src_p];
-                let other = match timeout {
-                    None => comm.recv_vec::<T>(Src::Of(src), tag + 1)?,
-                    Some(t) => match comm.recv_vec_timeout::<T>(Src::Of(src), tag + 1, t) {
-                        Ok(v) => v,
+    let hops = schedule(p, parts.len());
+    let mut image = Payload::Empty;
+    for (i, hop) in hops.iter().enumerate() {
+        match *hop {
+            Hop::Send { to, window, chunk } => {
+                let t = tag + u64::from(window);
+                let payload = if window != 2 {
+                    T::wrap(buf[chunk.range(n)].to_vec())
+                } else if matches!(hops.get(i + 1), Some(Hop::Send { window: 2, .. })) {
+                    // A tree fan-out: later children get the same image.
+                    image.clone()
+                } else {
+                    std::mem::replace(&mut image, Payload::Empty)
+                };
+                comm.send(parts[to], t, payload)?;
+            }
+            Hop::Recv {
+                from,
+                window,
+                chunk,
+                apply,
+            } => {
+                let t = tag + u64::from(window);
+                let src = parts[from];
+                let pkt = match timeout {
+                    None => comm.recv(Src::Of(src), t)?,
+                    Some(d) => match comm.recv_timeout(Src::Of(src), t, d) {
+                        Ok(pkt) => pkt,
                         Err(e) => return Err(comm.hop_failure(src, e)),
                     },
                 };
-                T::combine(op, buf, &other);
+                let own = &mut buf[chunk.range(n)];
+                match apply {
+                    Apply::FoldIncomingLeft => T::fold_into(op, &Comm::typed::<T>(pkt, t)?, own),
+                    Apply::FoldOwnLeft => T::combine(op, own, &Comm::typed::<T>(pkt, t)?),
+                    Apply::Install => {
+                        decode_chunk_into::<T>(&pkt.payload, own, pkt.src, t)?;
+                        image = pkt.payload;
+                    }
+                    Apply::Discard => {}
+                }
             }
-        } else {
-            let dst = parts[p & !mask];
-            comm.send(dst, tag + 1, T::wrap(buf.to_vec()))?;
-            break;
+            Hop::Own { chunk } => {
+                let range = chunk.range(n);
+                image = comm.codec_encode(T::wrap(buf[range.clone()].to_vec()));
+                let self_rank = comm.rank();
+                decode_chunk_into::<T>(&image, &mut buf[range], self_rank, tag + 2)?;
+            }
         }
-        mask <<= 1;
-    }
-
-    // ---- binomial broadcast from parts[0] (same tree as
-    // `Comm::bcast`, forwarding the root's wire image) ----
-    let mut mask = 1usize;
-    let mut received: Option<(Payload, usize)> = None;
-    while mask < m {
-        if p & mask != 0 {
-            let src = parts[p - mask];
-            let pkt = match timeout {
-                None => comm.recv(Src::Of(src), tag + 2)?,
-                Some(t) => match comm.recv_timeout(Src::Of(src), tag + 2, t) {
-                    Ok(pkt) => pkt,
-                    Err(e) => return Err(comm.hop_failure(src, e)),
-                },
-            };
-            received = Some((pkt.payload, pkt.src));
-            break;
-        }
-        mask <<= 1;
-    }
-    let self_rank = comm.rank();
-    let (img, origin) = match received {
-        Some(image) => image,
-        None => (comm.codec_encode(T::wrap(buf.to_vec())), self_rank),
-    };
-    decode_chunk_into::<T>(&img, buf, origin, tag + 2)?;
-    mask >>= 1;
-    while mask > 0 {
-        if p + mask < m {
-            comm.send(parts[p + mask], tag + 2, img.clone())?;
-        }
-        mask >>= 1;
     }
     Ok(())
 }
@@ -599,13 +505,12 @@ impl Comm {
     /// `timeout`, or [`CommError::RankDead`] as soon as the root is
     /// known dead. [`Comm::bcast`] dispatches here automatically when
     /// fault injection is armed.
-    pub fn bcast_timed<T: CollElem>(
+    fn bcast_timed<T: CollElem>(
         &mut self,
         buf: &mut Vec<T>,
         root: usize,
         timeout: Duration,
     ) -> Result<(), CommError> {
-        assert!(root < self.size(), "bcast: root out of range");
         self.fault_gate()?;
         let size = self.size();
         if size == 1 {
@@ -653,14 +558,13 @@ impl Comm {
     /// evicting a rank whose contribution timed out without a death
     /// notice. [`Comm::reduce`] dispatches here automatically when
     /// fault injection is armed.
-    pub fn reduce_timed<T: CollElem>(
+    fn reduce_timed<T: CollElem>(
         &mut self,
         buf: &mut [T],
         op: ReduceOp,
         root: usize,
         timeout: Duration,
     ) -> Result<(), CommError> {
-        assert!(root < self.size(), "reduce: root out of range");
         self.fault_gate()?;
         let size = self.size();
         if size == 1 {
@@ -725,81 +629,69 @@ impl Comm {
         })
     }
 
-    /// Fault-tolerant barrier: the lowest rank not acknowledged dead
-    /// collects an arrival from every live rank (evicting any that
-    /// miss the window) and then releases them with an
-    /// acknowledgement. In master mode the root is always rank 0; in
-    /// a re-stitched masterless world it is the surviving
-    /// coordinator. Reports the first failure as
+    /// Fault-tolerant barrier: the star of [`schedule::star`] over the
+    /// ranks not acknowledged dead, rooted at the lowest of them. The
+    /// root collects an arrival from every member (evicting any that
+    /// miss the window) and then releases them. In master mode the
+    /// root is always rank 0; in a re-stitched masterless world it is
+    /// the surviving coordinator. Reports the first failure as
     /// [`CommError::RankDead`]; [`Comm::barrier`] dispatches here
     /// automatically when fault injection is armed.
-    fn barrier_timed(&mut self, timeout: Duration) -> Result<(), CommError> {
+    fn barrier_timed(&mut self) -> Result<(), CommError> {
         self.fault_gate()?;
-        let size = self.size();
-        if size == 1 {
+        if self.size() == 1 {
             return Ok(());
         }
-        let root = self.barrier_root();
+        let parts = live_parts(self);
+        let Some(pos) = parts.iter().position(|&r| r == self.rank()) else {
+            return Err(CommError::RankDead { rank: self.rank() });
+        };
+        let root = parts[0];
+        let timeout = self.ft_timeout_for_root(root);
         with_collective(self, "barrier", false, |comm, tag| {
-            if comm.rank() == root {
-                let mut first_err: Option<CommError> = None;
-                for src in 0..size {
-                    if src == root || comm.is_acked(src) {
-                        continue;
-                    }
-                    match comm.recv_timeout(Src::Of(src), tag, timeout) {
-                        Ok(_) => {}
-                        Err(CommError::RankDead { rank }) => {
-                            first_err.get_or_insert(CommError::RankDead { rank });
-                        }
-                        Err(CommError::Timeout) => {
-                            comm.evict(src);
-                            first_err.get_or_insert(CommError::RankDead { rank: src });
-                        }
-                        Err(e) => {
-                            first_err.get_or_insert(e);
+            let mut first_err: Option<CommError> = None;
+            for hop in schedule::star(pos, parts.len()) {
+                match hop {
+                    Hop::Send { to, window, .. } => {
+                        let t = tag + u64::from(window);
+                        // The root skips the release to a rank it knows
+                        // is dead.
+                        if pos != 0 || !comm.is_dead(parts[to]) {
+                            comm.send(parts[to], t, Payload::Empty)?;
                         }
                     }
-                }
-                for dst in 0..size {
-                    if dst != root && !comm.is_dead(dst) {
-                        comm.send(dst, tag + 1, Payload::Empty)?;
+                    Hop::Recv { from, window, .. } => {
+                        let t = tag + u64::from(window);
+                        let src = parts[from];
+                        match comm.recv_timeout(Src::Of(src), t, timeout) {
+                            Ok(_) => {}
+                            // A member waiting on its release gives up.
+                            Err(e) if pos != 0 => return Err(e),
+                            // The root drains every arrival, keeping the
+                            // first failure.
+                            Err(CommError::Timeout) => {
+                                comm.evict(src);
+                                first_err.get_or_insert(CommError::RankDead { rank: src });
+                            }
+                            Err(e) => {
+                                first_err.get_or_insert(e);
+                            }
+                        }
                     }
+                    Hop::Own { .. } => {}
                 }
-                comm.push_event(CommEvent::Coll {
-                    op: "barrier",
-                    root,
-                    kind: "Empty",
-                    len: 0,
-                    first: None,
-                    ok: first_err.is_none(),
-                });
-                comm.trace_collective_done();
-                match first_err {
-                    None => Ok(()),
-                    Some(e) => Err(e),
-                }
-            } else {
-                comm.send(root, tag, Payload::Empty)?;
-                comm.recv_timeout(Src::Of(root), tag + 1, timeout)?;
-                comm.push_event(CommEvent::Coll {
-                    op: "barrier",
-                    root,
-                    kind: "Empty",
-                    len: 0,
-                    first: None,
-                    ok: true,
-                });
-                comm.trace_collective_done();
-                Ok(())
             }
+            comm.push_event(CommEvent::Coll {
+                op: "barrier",
+                root,
+                kind: "Empty",
+                len: 0,
+                first: None,
+                ok: first_err.is_none(),
+            });
+            comm.trace_collective_done();
+            first_err.map_or(Ok(()), Err)
         })
-    }
-
-    /// Root of the timed barrier: the lowest rank whose death has not
-    /// been acknowledged (rank 0 until a recovery round evicts it).
-    fn barrier_root(&self) -> usize {
-        (0..self.size()).find(|&r| !self.is_acked(r)).unwrap_or(0)
     }
 
     /// Allreduce: every rank ends with the full reduction.
@@ -857,15 +749,16 @@ impl Comm {
         }
     }
 
-    /// Allreduce via a bandwidth-optimal ring: chunked reduce-scatter
-    /// followed by a ring allgather.
+    /// Allreduce via a bandwidth-optimal ring ([`schedule::ring`]):
+    /// chunked reduce-scatter followed by a ring allgather.
     ///
     /// Each rank moves `2·(P−1)/P · n` elements total and — unlike
     /// the rooted reduce + bcast decomposition — no rank ever
     /// rendezvouses at rank 0: every rank talks only to its ring
     /// neighbours `(rank ± 1) mod P`. Works for any world size and
     /// any vector length (short vectors simply leave some chunks
-    /// empty).
+    /// empty). Large worlds with sub-floor chunks run the tree shape
+    /// inside the same collective instead (`use_tree_shape`).
     ///
     /// Determinism: chunk `c` is folded in ring order starting at
     /// rank `c` — `((x_c ⊕ x_{c+1}) ⊕ x_{c+2}) ⊕ …` — a fixed
@@ -878,85 +771,37 @@ impl Comm {
     /// Codec-armed: under a lossy wire codec the fully reduced chunk
     /// is encoded once by its owner and forwarded around the ring as
     /// an opaque wire image, so all ranks still end bit-identical.
+    ///
+    /// Fault-tolerant under a non-empty fault plan: every hop receive
+    /// is bounded by the plan's peer window, and a dead neighbour
+    /// surfaces as [`CommError::RankDead`] naming the lowest
+    /// unacknowledged dead rank — the rank the recovery round will
+    /// evict — rather than wedging the ring. The exchange runs over
+    /// the *acknowledged-live* membership, so after the recovery
+    /// driver's membership-agreement round the same entry point is the
+    /// re-stitched ring over survivors. Starvation is structural: when
+    /// a member dies mid-collective, its downstream neighbour fails on
+    /// the missing hop and every rank further downstream starves in
+    /// turn within the same invocation, so all survivors abort the
+    /// *same* collective sequence number and re-enter recovery in
+    /// lockstep.
     pub fn allreduce_ring<T: CollElem>(
         &mut self,
         buf: &mut [T],
         op: ReduceOp,
     ) -> Result<(), CommError> {
-        if self.ft() {
-            let timeout = self.ft_timeout_peer();
-            return self.allreduce_ring_timed(buf, op, timeout);
-        }
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        let parts: Vec<usize> = (0..size).collect();
         let n = buf.len();
-        with_collective(self, "allreduce_ring", true, |comm, tag| {
-            let r = if use_tree_shape(size, n) {
-                tree_exchange(comm, buf, op, tag, &parts, None)
+        self.allreduce_masterless("allreduce_ring", buf, op, |m| {
+            if use_tree_shape(m, n) {
+                schedule::tree
             } else {
-                ring_exchange(comm, buf, op, tag, &parts, None)
-            };
-            comm.push_event(CommEvent::Coll {
-                op: "allreduce_ring",
-                root: parts[0],
-                kind: T::KIND,
-                len: n,
-                first: None,
-                ok: r.is_ok(),
-            });
-            comm.trace_collective_done();
-            r
+                schedule::ring
+            }
         })
     }
 
-    /// Fault-tolerant ring allreduce: every hop receive is bounded,
-    /// and a dead neighbour surfaces as [`CommError::RankDead`]
-    /// naming the lowest unacknowledged dead rank — the rank the
-    /// recovery round will evict — rather than wedging the ring.
-    ///
-    /// The exchange runs over the *acknowledged-live* membership, so
-    /// after the recovery driver's membership-agreement round the
-    /// same entry point is the re-stitched ring over survivors.
-    /// Starvation is structural: when a member dies mid-collective,
-    /// its downstream neighbour fails on the missing hop and every
-    /// rank further downstream starves in turn within the same
-    /// invocation, so all survivors abort the *same* collective
-    /// sequence number and re-enter recovery in lockstep.
-    /// [`Comm::allreduce_ring`] dispatches here automatically when a
-    /// non-empty fault plan is armed.
-    pub fn allreduce_ring_timed<T: CollElem>(
-        &mut self,
-        buf: &mut [T],
-        op: ReduceOp,
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        self.fault_gate()?;
-        let parts = live_parts(self);
-        let n = buf.len();
-        with_collective(self, "allreduce_ring", true, |comm, tag| {
-            let r = if use_tree_shape(parts.len(), n) {
-                tree_exchange(comm, buf, op, tag, &parts, Some(timeout))
-            } else {
-                ring_exchange(comm, buf, op, tag, &parts, Some(timeout))
-            };
-            comm.push_event(CommEvent::Coll {
-                op: "allreduce_ring",
-                root: parts[0],
-                kind: T::KIND,
-                len: n,
-                first: None,
-                ok: r.is_ok(),
-            });
-            comm.trace_collective_done();
-            r
-        })
-    }
-
-    /// Allreduce via a binomial tree: reduce to rank 0 and broadcast
-    /// back, inside one collective invocation.
+    /// Allreduce via a binomial tree ([`schedule::tree`]): reduce to
+    /// rank 0 and broadcast back, inside one collective invocation.
     ///
     /// Reuses the exact tree shape and combine order of
     /// [`Comm::reduce`] with root 0 followed by [`Comm::bcast`], so
@@ -969,59 +814,47 @@ impl Comm {
     /// Codec-armed: rank 0 encodes the reduced vector once and the
     /// broadcast phase forwards the wire image untouched, so all
     /// ranks end bit-identical even under a lossy codec.
+    ///
+    /// Fault-tolerant under a non-empty fault plan exactly like
+    /// [`Comm::allreduce_ring`]: the tree is re-parented over the
+    /// acknowledged-live membership, and a dead interior node starves
+    /// its parent in the reduce and its subtree in the broadcast,
+    /// within this invocation's tag window.
     pub fn allreduce_tree<T: CollElem>(
         &mut self,
         buf: &mut [T],
         op: ReduceOp,
     ) -> Result<(), CommError> {
-        if self.ft() {
-            let timeout = self.ft_timeout_peer();
-            return self.allreduce_tree_timed(buf, op, timeout);
-        }
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        let parts: Vec<usize> = (0..size).collect();
-        let n = buf.len();
-        with_collective(self, "allreduce_tree", true, |comm, tag| {
-            let r = tree_exchange(comm, buf, op, tag, &parts, None);
-            comm.push_event(CommEvent::Coll {
-                op: "allreduce_tree",
-                root: parts[0],
-                kind: T::KIND,
-                len: n,
-                first: None,
-                ok: r.is_ok(),
-            });
-            comm.trace_collective_done();
-            r
-        })
+        self.allreduce_masterless("allreduce_tree", buf, op, |_| schedule::tree)
     }
 
-    /// Fault-tolerant tree allreduce: the binomial exchange of
-    /// [`Comm::allreduce_tree`] over the acknowledged-live membership
-    /// (re-parented over survivors after a re-stitch), with bounded
-    /// hop receives mapping a dead relay to [`CommError::RankDead`]
-    /// for the lowest unacknowledged dead rank. All survivors abort
-    /// the same collective invocation — a dead interior node starves
-    /// its parent in the reduce and its subtree in the drain
-    /// broadcast, within this invocation's tag window.
-    /// [`Comm::allreduce_tree`] dispatches here automatically when a
-    /// non-empty fault plan is armed.
-    pub fn allreduce_tree_timed<T: CollElem>(
+    /// The entry body shared by the two masterless allreduces: run the
+    /// schedule `pick` chooses for the participant count over the
+    /// acknowledged-live ranks. Hops are unbounded fault-free and
+    /// bounded by the plan's peer window when a non-empty fault plan
+    /// is armed.
+    fn allreduce_masterless<T: CollElem>(
         &mut self,
+        name: &'static str,
         buf: &mut [T],
         op: ReduceOp,
-        timeout: Duration,
+        pick: impl FnOnce(usize) -> Schedule,
     ) -> Result<(), CommError> {
-        self.fault_gate()?;
+        let timeout = if self.ft() {
+            self.fault_gate()?;
+            Some(self.ft_timeout_peer())
+        } else if self.size() == 1 {
+            return Ok(());
+        } else {
+            None
+        };
         let parts = live_parts(self);
+        let schedule = pick(parts.len());
         let n = buf.len();
-        with_collective(self, "allreduce_tree", true, |comm, tag| {
-            let r = tree_exchange(comm, buf, op, tag, &parts, Some(timeout));
+        with_collective(self, name, true, |comm, tag| {
+            let r = exchange(comm, buf, op, tag, &parts, schedule, timeout);
             comm.push_event(CommEvent::Coll {
-                op: "allreduce_tree",
+                op: name,
                 root: parts[0],
                 kind: T::KIND,
                 len: n,
@@ -1033,146 +866,30 @@ impl Comm {
         })
     }
 
-    /// Gather each rank's `data` to `root`; returns `Some(vec of
-    /// per-rank vectors, rank order)` on the root, `None` elsewhere.
-    pub fn gather<T: CollElem>(
-        &mut self,
-        data: Vec<T>,
-        root: usize,
-    ) -> Result<Option<Vec<Vec<T>>>, CommError> {
-        assert!(root < self.size(), "gather: root out of range");
-        let size = self.size();
-        let dlen = data.len();
-        with_collective(self, "gather", false, |comm, tag| {
-            let ev = CommEvent::Coll {
-                op: "gather",
-                root,
-                kind: T::KIND,
-                len: dlen,
-                first: None,
-                ok: true,
-            };
-            if comm.rank() == root {
-                let mut out: Vec<Vec<T>> = Vec::with_capacity(size);
-                for r in 0..size {
-                    if r == root {
-                        out.push(data.clone());
-                    } else {
-                        out.push(comm.recv_vec::<T>(Src::Of(r), tag)?);
-                    }
-                }
-                comm.push_event(ev);
-                comm.trace_collective_done();
-                Ok(Some(out))
-            } else {
-                comm.send(root, tag, T::wrap(data))?;
-                comm.push_event(ev);
-                comm.trace_collective_done();
-                Ok(None)
-            }
-        })
-    }
-
-    /// Scatter per-rank chunks from `root`. The root passes
-    /// `Some(chunks)` (one per rank); everyone receives their chunk.
-    pub fn scatter<T: CollElem>(
-        &mut self,
-        chunks: Option<Vec<Vec<T>>>,
-        root: usize,
-    ) -> Result<Vec<T>, CommError> {
-        assert!(root < self.size(), "scatter: root out of range");
-        let size = self.size();
-        with_collective(self, "scatter", false, |comm, tag| {
-            if comm.rank() == root {
-                // pdnn-lint: allow(l3-no-unwrap): documented API contract — the root rank must pass Some(chunks)
-                let chunks = chunks.expect("scatter root must provide chunks");
-                assert_eq!(chunks.len(), size, "scatter needs one chunk per rank");
-                let mut own = Vec::new();
-                for (r, chunk) in chunks.into_iter().enumerate() {
-                    if r == root {
-                        own = chunk;
-                    } else {
-                        comm.send(r, tag, T::wrap(chunk))?;
-                    }
-                }
-                comm.push_event(CommEvent::Coll {
-                    op: "scatter",
-                    root,
-                    kind: T::KIND,
-                    len: own.len(),
-                    first: None,
-                    ok: true,
-                });
-                comm.trace_collective_done();
-                Ok(own)
-            } else {
-                let chunk = comm.recv_vec::<T>(Src::Of(root), tag)?;
-                comm.push_event(CommEvent::Coll {
-                    op: "scatter",
-                    root,
-                    kind: T::KIND,
-                    len: chunk.len(),
-                    first: None,
-                    ok: true,
-                });
-                comm.trace_collective_done();
-                Ok(chunk)
-            }
-        })
-    }
-
-    /// Allgather via ring: returns all ranks' vectors in rank order.
-    pub fn allgather<T: CollElem>(&mut self, data: Vec<T>) -> Result<Vec<Vec<T>>, CommError> {
-        let size = self.size();
-        let dlen = data.len();
-        with_collective(self, "allgather", false, |comm, tag| {
-            let rank = comm.rank();
-            let mut slots: Vec<Option<Vec<T>>> = (0..size).map(|_| None).collect();
-            let mut current = data;
-            let next = (rank + 1) % size;
-            let prev = (rank + size - 1) % size;
-            for step in 0..size - 1 {
-                comm.send(next, tag, T::wrap(current.clone()))?;
-                slots[(rank + size - step) % size] = Some(std::mem::take(&mut current));
-                current = comm.recv_vec::<T>(Src::Of(prev), tag)?;
-            }
-            slots[(rank + 1) % size] = Some(current);
-            comm.push_event(CommEvent::Coll {
-                op: "allgather",
-                root: 0,
-                kind: T::KIND,
-                len: dlen,
-                first: None,
-                ok: true,
-            });
-            comm.trace_collective_done();
-            Ok(slots
-                .into_iter()
-                // pdnn-lint: allow(l3-no-unwrap): the ring walks exactly size steps, filling every slot once
-                .map(|s| s.expect("ring allgather filled every slot"))
-                .collect())
-        })
-    }
-
-    /// Dissemination barrier.
+    /// Dissemination barrier ([`schedule::dissemination`]); the timed
+    /// star barrier when a non-empty fault plan is armed.
     pub fn barrier(&mut self) -> Result<(), CommError> {
         if self.ft() {
-            let timeout = self.ft_timeout_for_root(self.barrier_root());
-            return self.barrier_timed(timeout);
+            return self.barrier_timed();
         }
         let size = self.size();
         if size == 1 {
             return Ok(());
         }
+        let rank = self.rank();
         with_collective(self, "barrier", false, |comm, tag| {
-            let rank = comm.rank();
-            let mut step = 1usize;
-            while step < size {
-                let dst = (rank + step) % size;
-                let src = (rank + size - step) % size;
-                comm.send(dst, tag, Payload::Empty)?;
-                comm.recv(Src::Of(src), tag)?;
-                step <<= 1;
+            for hop in schedule::dissemination(rank, size) {
+                match hop {
+                    Hop::Send { to, window, .. } => {
+                        let t = tag + u64::from(window);
+                        comm.send(to, t, Payload::Empty)?;
+                    }
+                    Hop::Recv { from, window, .. } => {
+                        let t = tag + u64::from(window);
+                        comm.recv(Src::Of(from), t)?;
+                    }
+                    Hop::Own { .. } => {}
+                }
             }
             comm.push_event(CommEvent::Coll {
                 op: "barrier",
@@ -1521,21 +1238,30 @@ mod tests {
                 comm.rank()
             );
             comm.ack_dead(2);
-            // Once acknowledged, the same exchanges run re-stitched
-            // over the four survivors. Survivors abort the failed
-            // collective up to one detect-timeout apart (the victim's
-            // successor fails instantly, the furthest downstream rank
-            // waits out its whole window), so the first re-stitched
-            // hop uses the generous post-agreement window the recovery
-            // driver grants — the driver's membership round plays this
-            // role in training runs.
+            // Survivors abort the failed collective up to one detect
+            // window apart (the victim's successor fails instantly, the
+            // ranks downstream wait out their whole window), so they
+            // meet at the lowest survivor under the wide window first,
+            // as the recovery driver's membership round does in
+            // training runs.
             let wide = Duration::from_secs(30);
+            if comm.rank() == 0 {
+                for r in [1, 3, 4] {
+                    comm.recv_timeout(Src::Of(r), 9, wide).unwrap();
+                }
+                for r in [1, 3, 4] {
+                    comm.send(r, 9, Payload::Empty).unwrap();
+                }
+            } else {
+                comm.send(0, 9, Payload::Empty).unwrap();
+                comm.recv_timeout(Src::Of(0), 9, wide).unwrap();
+            }
+            // Once acknowledged, the same entry points run re-stitched
+            // over the four survivors, on the plan's peer window.
             let mut w = gen_f32(comm.rank(), 40);
-            comm.allreduce_ring_timed(&mut w, ReduceOp::Sum, wide)
-                .unwrap();
+            comm.allreduce_ring(&mut w, ReduceOp::Sum).unwrap();
             let mut t = gen_f32(comm.rank(), 40);
-            comm.allreduce_tree_timed(&mut t, ReduceOp::Sum, wide)
-                .unwrap();
+            comm.allreduce_tree(&mut t, ReduceOp::Sum).unwrap();
             Some((w, t))
         });
         let survivors: Vec<_> = results.iter().filter_map(|r| r.result.clone()).collect();
@@ -1647,47 +1373,6 @@ mod tests {
                     .map(|x| x.to_bits())
                     .collect::<Vec<_>>()
             );
-        }
-    }
-
-    #[test]
-    fn gather_orders_by_rank() {
-        let results = run_world(5, |comm| {
-            comm.gather(vec![comm.rank() as u64 * 10], 2).unwrap()
-        });
-        let gathered = results[2].result.as_ref().unwrap();
-        assert_eq!(
-            gathered,
-            &vec![vec![0], vec![10], vec![20], vec![30], vec![40]]
-        );
-        assert!(results[0].result.is_none());
-    }
-
-    #[test]
-    fn scatter_delivers_chunks() {
-        let results = run_world(4, |comm| {
-            let chunks = if comm.rank() == 0 {
-                Some((0..4).map(|r| vec![r as f32; r + 1]).collect())
-            } else {
-                None
-            };
-            comm.scatter(chunks, 0).unwrap()
-        });
-        for (r, res) in results.iter().enumerate() {
-            assert_eq!(res.result, vec![r as f32; r + 1]);
-        }
-    }
-
-    #[test]
-    fn allgather_ring() {
-        for size in [1usize, 2, 3, 5, 8] {
-            let results = run_world(size, move |comm| {
-                comm.allgather(vec![comm.rank() as u64]).unwrap()
-            });
-            let expect: Vec<Vec<u64>> = (0..size as u64).map(|r| vec![r]).collect();
-            for r in &results {
-                assert_eq!(r.result, expect, "size={size}");
-            }
         }
     }
 

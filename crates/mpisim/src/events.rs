@@ -90,9 +90,6 @@ fn intern_op(s: &str) -> Option<&'static str> {
         "allreduce" => Some("allreduce"),
         "allreduce_ring" => Some("allreduce_ring"),
         "allreduce_tree" => Some("allreduce_tree"),
-        "gather" => Some("gather"),
-        "scatter" => Some("scatter"),
-        "allgather" => Some("allgather"),
         _ => None,
     }
 }

@@ -5,7 +5,8 @@
 //! point-to-point messages carry MPI semantics (tag and source
 //! matching, per-pair FIFO, `ANY_SOURCE`), and the textbook collective
 //! algorithms are built on top — binomial broadcast/reduce, recursive-
-//! doubling allreduce, dissemination barrier, ring allgather.
+//! doubling allreduce, dissemination barrier, and the masterless ring
+//! and tree allreduces, whose hop lists live as data in [`schedule`].
 //!
 //! Functional correctness of the distributed trainer is tested on this
 //! runtime for real (actual threads, actual data movement, actual
@@ -37,6 +38,7 @@ pub mod fault;
 pub mod hb;
 pub mod message;
 pub mod runner;
+pub mod schedule;
 pub mod trace;
 pub mod vtime;
 pub mod wire;

@@ -86,8 +86,11 @@ proptest! {
             let mut m: Vec<f64> = vec![comm.rank() as f64];
             comm.reduce(&mut m, ReduceOp::Max, 0).unwrap();
             comm.barrier().unwrap();
-            let gathered = comm.allgather(vec![comm.rank() as u64]).unwrap();
-            (v, m, gathered)
+            let mut ring: Vec<f64> = (0..len).map(|_| rng.range(-4.0, 4.0)).collect();
+            comm.allreduce_ring(&mut ring, ReduceOp::Sum).unwrap();
+            let mut tree: Vec<f64> = (0..len).map(|_| rng.range(-4.0, 4.0)).collect();
+            comm.allreduce_tree(&mut tree, ReduceOp::Sum).unwrap();
+            (v, m, ring, tree)
         };
         let baseline = run_world_deterministic(size, body);
         let perturbed = run_world_perturbed(size, sched_seed, body);
@@ -97,7 +100,8 @@ proptest! {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&b.result.0), bits(&p.result.0));
             prop_assert_eq!(bits(&b.result.1), bits(&p.result.1));
-            prop_assert_eq!(&b.result.2, &p.result.2);
+            prop_assert_eq!(bits(&b.result.2), bits(&p.result.2));
+            prop_assert_eq!(bits(&b.result.3), bits(&p.result.3));
         }
     }
 

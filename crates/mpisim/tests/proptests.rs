@@ -76,44 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn allgather_collects_everyone_in_order(
-        size in 1usize..9,
-        len in 0usize..20,
-    ) {
-        let results = run_world(size, move |comm| {
-            let data: Vec<u64> = (0..len).map(|i| (comm.rank() * 1000 + i) as u64).collect();
-            comm.allgather(data).unwrap()
-        });
-        for r in &results {
-            prop_assert_eq!(r.result.len(), size);
-            for (rank, chunk) in r.result.iter().enumerate() {
-                let expect: Vec<u64> = (0..len).map(|i| (rank * 1000 + i) as u64).collect();
-                prop_assert_eq!(chunk, &expect);
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_then_gather_roundtrips(
-        size in 1usize..8,
-        len in 1usize..10,
-    ) {
-        let results = run_world(size, move |comm| {
-            let chunks = if comm.rank() == 0 {
-                Some((0..size).map(|r| vec![r as f32; len]).collect())
-            } else {
-                None
-            };
-            let mine = comm.scatter(chunks, 0).unwrap();
-            comm.gather(mine, 0).unwrap()
-        });
-        let gathered = results[0].result.as_ref().unwrap();
-        for (r, chunk) in gathered.iter().enumerate() {
-            prop_assert_eq!(chunk, &vec![r as f32; len]);
-        }
-    }
-
-    #[test]
     fn collective_sequences_stay_in_lockstep(
         size in 2usize..7,
         rounds in 1usize..6,

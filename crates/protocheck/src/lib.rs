@@ -174,18 +174,18 @@ mod tests {
         assert_eq!(m.startup_sends.len(), 2);
         assert_eq!(m.startup_recvs.len(), 2);
         // The collective algorithms were all modeled — the masterless
-        // ring and binomial-tree tag windows now live in the shared
-        // `ring_exchange` / `tree_exchange` bodies (the dispatchers
-        // hold no send/recv sites of their own) — plus the
-        // peer-coordinated recovery sub-protocol from distributed.rs,
-        // whose symmetric fns fall under the same p2 pairing rule.
+        // ring and binomial-tree tag windows live in `exchange`, the
+        // one interpreter of their schedules (the entry points hold no
+        // send/recv sites of their own) — plus the peer-coordinated
+        // recovery sub-protocol from distributed.rs, whose symmetric
+        // fns fall under the same p2 pairing rule.
         for name in [
             "bcast",
             "reduce",
             "allreduce",
-            "ring_exchange",
-            "tree_exchange",
+            "exchange",
             "barrier",
+            "barrier_timed",
             "agree_membership",
             "recover",
         ] {

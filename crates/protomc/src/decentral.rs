@@ -7,18 +7,21 @@
 //! every rank runs the same replicated program whose only
 //! communication is symmetric allreduces plus one closing barrier.
 //! This module lowers that program into per-rank *micro-step*
-//! automata, one [`MOp`] per blocking primitive inside the collective
-//! algorithms of `crates/mpisim/src/collectives.rs`:
+//! automata, one [`MOp`] per send or receive in the hop lists of
+//! `pdnn_mpisim::schedule` — the same lists `Comm::allreduce_ring`,
+//! `Comm::allreduce_tree` and `Comm::barrier` interpret at run time,
+//! so the checked hops are the executed hops:
 //!
-//! * **ring allreduce** — `P − 1` reduce-scatter hops (send the
-//!   outgoing chunk to `(rank + 1) % P`, receive from
-//!   `(rank + P − 1) % P` on the `tag + 1` window) followed by
-//!   `P − 1` allgather hops on the `tag + 2` window;
-//! * **tree allreduce** — a binomial reduce to rank 0 on `tag + 1`
-//!   followed by a binomial broadcast from rank 0 on `tag + 2`,
-//!   mirroring the exact mask arithmetic of `allreduce_tree`;
-//! * **barrier** — the dissemination pattern (`log₂ P` rounds of
-//!   send-to-`(rank + step) % P` / receive-from-`(rank − step) % P`).
+//! * **ring allreduce** (`schedule::ring`) — `P − 1` reduce-scatter
+//!   hops to the downstream neighbour on window 1, then `P − 1`
+//!   allgather hops on window 2;
+//! * **tree allreduce** (`schedule::tree`) — a binomial reduce to
+//!   rank 0 on window 1, then a binomial broadcast from rank 0 on
+//!   window 2;
+//! * **barrier** — the dissemination rounds (`schedule::dissemination`)
+//!   closing a fault-free run, and the star to the coordinator
+//!   (`schedule::star`) that `Comm::barrier` runs under a fault plan,
+//!   closing a recovered one.
 //!
 //! The explorer enumerates every interleaving of those micro-steps on
 //! 2–4 rank worlds and proves the shared properties: `p5` (no
@@ -27,19 +30,19 @@
 //! terminates completed — structural here, since program counters only
 //! advance and `p5` rules out stuck states).
 //!
-//! **Recovery model** (`check_recovery_worlds`): since ISSUE 10 the
-//! masterless modes accept fault plans, so the failure path is modeled
-//! too. For every kill placement — every victim × every collective
-//! entry, mirroring `fault_gate` which only fires kills at collective
-//! boundaries — the victim's program is truncated at its death and
-//! each survivor gains a nondeterministic *abort* transition: once the
-//! victim is dead, a survivor blocked on an empty receive window of
-//! the aborted collective may abandon it and jump to its recovery
-//! program (the membership round to the lowest-surviving-rank
-//! coordinator on the `REPORT`/`AGREE` windows, the coordinator's two
-//! reshard shipments per survivor, one re-stitched allreduce lowered
-//! over the survivor positions, and the survivor-only closing
-//! barrier). Interleaving freedom makes the abort fire at *every*
+//! **Recovery model** (`check_recovery_worlds`): the masterless modes
+//! accept fault plans, so the failure path is modeled too. For every
+//! kill placement — every victim × every collective entry, mirroring
+//! `fault_gate` which only fires kills at collective boundaries — the
+//! victim's program is truncated at its death and each survivor gains
+//! a nondeterministic *abort* transition: once the victim is dead, a
+//! survivor blocked on an empty receive window of the aborted
+//! collective may abandon it and jump to its recovery program (the
+//! membership round to the lowest-surviving-rank coordinator on the
+//! `REPORT`/`AGREE` windows, the coordinator's two reshard shipments
+//! per survivor, one re-stitched allreduce lowered over the survivor
+//! positions, and the survivors' star barrier rooted at the
+//! coordinator). Interleaving freedom makes the abort fire at *every*
 //! feasible hop of the aborted collective, including spuriously-early
 //! timeouts the real clock would rarely produce. `p6` is weakened to
 //! `p6'` exactly as in the implementation: messages stranded on the
@@ -67,6 +70,7 @@
 use crate::conformance::{RankReplay, RunReplay};
 use crate::explorer::{Violation, P5, P6, P7};
 use crate::mutate::MutationResult;
+use pdnn_mpisim::schedule::{self, Hop, Schedule};
 use pdnn_mpisim::CommEvent;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
@@ -92,125 +96,49 @@ impl DMode {
             DMode::Tree => "tree",
         }
     }
+
+    /// The schedule this mode's allreduces run (the small worlds
+    /// explored here never take the ring's large-world tree shape).
+    fn schedule(self) -> Schedule {
+        match self {
+            DMode::Ring => schedule::ring,
+            DMode::Tree => schedule::tree,
+        }
+    }
 }
 
 /// One blocking micro-step inside a collective. `coll` numbers the
 /// collective within the replicated program (the fresh-tag-window
-/// discipline of `with_collective`); `phase` is the sub-window
-/// (`1`/`2` for the two halves of an allreduce, `0` for the barrier).
+/// discipline of `with_collective`); `phase` is the hop's tag window
+/// (`1`/`2` for the two halves of an allreduce, `0`/`1` for a barrier).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum MOp {
     Send { to: u8, coll: u8, phase: u8 },
     Recv { from: u8, coll: u8, phase: u8 },
 }
 
-/// Lower one ring allreduce (collective number `c`) for the rank at
-/// position `pos` of the participant list `parts`: the reduce-scatter
-/// ring on phase 1, the allgather ring on phase 2. Chunk indices
-/// don't affect blocking so they are elided. Fault-free lowering
-/// passes `parts = [0, 1, …, P−1]`; the re-stitched post-recovery
-/// collectives pass the sorted survivor list, mirroring
-/// `allreduce_ring_timed`'s `live_parts`.
-fn lower_ring(c: u8, pos: usize, parts: &[usize], out: &mut Vec<MOp>) {
-    let m = parts.len();
-    if m < 2 {
-        return;
-    }
-    let next = parts[(pos + 1) % m] as u8;
-    let prev = parts[(pos + m - 1) % m] as u8;
-    for phase in [1u8, 2u8] {
-        for _step in 0..m - 1 {
-            out.push(MOp::Send {
-                to: next,
+/// Lower one position's hop list from a [`pdnn_mpisim::schedule`]
+/// function into micro-steps for collective number `c`, mapping
+/// positions to ranks through `parts`. Chunks and the owner's local
+/// encode step don't affect blocking, so they are elided. Fault-free
+/// lowering passes `parts = [0, 1, …, P−1]`; the re-stitched
+/// post-recovery collectives pass the sorted survivor list, as the
+/// runtime's acknowledged-live membership does.
+fn lower(c: u8, hops: &[Hop], parts: &[usize], out: &mut Vec<MOp>) {
+    for hop in hops {
+        match *hop {
+            Hop::Send { to, window, .. } => out.push(MOp::Send {
+                to: parts[to] as u8,
                 coll: c,
-                phase,
-            });
-            out.push(MOp::Recv {
-                from: prev,
+                phase: window,
+            }),
+            Hop::Recv { from, window, .. } => out.push(MOp::Recv {
+                from: parts[from] as u8,
                 coll: c,
-                phase,
-            });
+                phase: window,
+            }),
+            Hop::Own { .. } => {}
         }
-    }
-}
-
-/// Lower one tree allreduce over `parts`: binomial reduce to
-/// `parts[0]` (phase 1) then binomial broadcast from `parts[0]`
-/// (phase 2), with the same virtual-position mask walk as
-/// `Comm::allreduce_tree` / `tree_exchange`.
-fn lower_tree(c: u8, pos: usize, parts: &[usize], out: &mut Vec<MOp>) {
-    let m = parts.len();
-    if m < 2 {
-        return;
-    }
-    let mut mask = 1usize;
-    while mask < m {
-        if pos & mask == 0 {
-            let src = pos | mask;
-            if src < m {
-                out.push(MOp::Recv {
-                    from: parts[src] as u8,
-                    coll: c,
-                    phase: 1,
-                });
-            }
-        } else {
-            let dst = pos & !mask;
-            out.push(MOp::Send {
-                to: parts[dst] as u8,
-                coll: c,
-                phase: 1,
-            });
-            break;
-        }
-        mask <<= 1;
-    }
-    let mut mask = 1usize;
-    while mask < m {
-        if pos & mask != 0 {
-            let src = pos - mask;
-            out.push(MOp::Recv {
-                from: parts[src] as u8,
-                coll: c,
-                phase: 2,
-            });
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    while mask > 0 {
-        if pos + mask < m {
-            let dst = pos + mask;
-            out.push(MOp::Send {
-                to: parts[dst] as u8,
-                coll: c,
-                phase: 2,
-            });
-        }
-        mask >>= 1;
-    }
-}
-
-/// Lower the dissemination barrier closing the protocol, over the
-/// positions of `parts`.
-fn lower_barrier(c: u8, pos: usize, parts: &[usize], out: &mut Vec<MOp>) {
-    let m = parts.len();
-    let mut step = 1usize;
-    while step < m {
-        let dst = parts[(pos + step) % m] as u8;
-        let src = parts[(pos + m - step) % m] as u8;
-        out.push(MOp::Send {
-            to: dst,
-            coll: c,
-            phase: 0,
-        });
-        out.push(MOp::Recv {
-            from: src,
-            coll: c,
-            phase: 0,
-        });
-        step <<= 1;
     }
 }
 
@@ -231,12 +159,10 @@ fn programs(mode: DMode, size: usize) -> Vec<Vec<MOp>> {
         .map(|rank| {
             let mut ops = Vec::new();
             for c in 0..CANONICAL_ALLREDUCES {
-                match mode {
-                    DMode::Ring => lower_ring(c, rank, &parts, &mut ops),
-                    DMode::Tree => lower_tree(c, rank, &parts, &mut ops),
-                }
+                lower(c, &mode.schedule()(rank, size), &parts, &mut ops);
             }
-            lower_barrier(CANONICAL_ALLREDUCES, rank, &parts, &mut ops);
+            let barrier = schedule::dissemination(rank, size);
+            lower(CANONICAL_ALLREDUCES, &barrier, &parts, &mut ops);
             ops
         })
         .collect()
@@ -448,10 +374,7 @@ fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> Re
             // emits nothing for the aborted one.
             let colls = if rank == victim { kill_at } else { kill_at + 1 };
             for c in 0..colls {
-                match mode {
-                    DMode::Ring => lower_ring(c, rank, &parts, &mut ops),
-                    DMode::Tree => lower_tree(c, rank, &parts, &mut ops),
-                }
+                lower(c, &mode.schedule()(rank, size), &parts, &mut ops);
             }
             ops
         })
@@ -509,11 +432,11 @@ fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> Re
             }
             // pdnn-lint: allow(l3-no-unwrap): this program is only built for a survivor, which is in `live` by the membership agreement above; a miss is a checker bug worth a loud stop
             let pos = live.iter().position(|&w| w == rank).unwrap();
-            match mode {
-                DMode::Ring => lower_ring(REC_RESUME, pos, &live, &mut ops),
-                DMode::Tree => lower_tree(REC_RESUME, pos, &live, &mut ops),
-            }
-            lower_barrier(REC_BARRIER, pos, &live, &mut ops);
+            let m = live.len();
+            lower(REC_RESUME, &mode.schedule()(pos, m), &live, &mut ops);
+            // Under a fault plan `Comm::barrier` runs the star rooted at
+            // the lowest acknowledged-live rank: the coordinator.
+            lower(REC_BARRIER, &schedule::star(pos, m), &live, &mut ops);
             ops
         })
         .collect();
@@ -978,7 +901,8 @@ fn recovery_mutations() -> Vec<DRecoveryMutation> {
                 // old 4-ring has it receiving from the dead rank 1.
                 let old_parts: Vec<usize> = (0..REC_MUT_RANKS).collect();
                 let mut old_ring = Vec::new();
-                lower_ring(REC_RESUME, 2, &old_parts, &mut old_ring);
+                let hops = schedule::ring(2, REC_MUT_RANKS);
+                lower(REC_RESUME, &hops, &old_parts, &mut old_ring);
                 let prog = &mut sc.recovery[2];
                 let at = prog
                     .iter()
@@ -1433,47 +1357,29 @@ mod tests {
     }
 
     #[test]
-    fn micro_programs_conserve_messages_pairwise() {
-        // Every (src, dst, coll, window) send has exactly one matching
-        // recv — the static invariant behind the p6 verdict.
-        for mode in [DMode::Ring, DMode::Tree] {
-            for size in [2usize, 3, 4, 5, 8] {
-                let progs = programs(mode, size);
-                let mut balance: BTreeMap<(u8, u8, u8, u8), i64> = BTreeMap::new();
-                for (rank, prog) in progs.iter().enumerate() {
-                    for op in prog {
-                        match *op {
-                            MOp::Send { to, coll, phase } => {
-                                *balance.entry((rank as u8, to, coll, phase)).or_default() += 1;
-                            }
-                            MOp::Recv { from, coll, phase } => {
-                                *balance.entry((from, rank as u8, coll, phase)).or_default() -= 1;
-                            }
-                        }
-                    }
-                }
-                assert!(
-                    balance.values().all(|&v| v == 0),
-                    "{} mode, {size} ranks: unbalanced channels {balance:?}",
-                    mode.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ring_programs_match_the_implementation_hop_count() {
-        // 2·(P−1) hops per allreduce per rank (reduce-scatter +
-        // allgather), each hop one send and one recv.
-        for size in [2usize, 3, 4, 8] {
-            let progs = programs(DMode::Ring, size);
-            let barrier_ops = 2 * (usize::BITS - (size - 1).leading_zeros()) as usize;
-            for prog in &progs {
-                assert_eq!(
-                    prog.len(),
-                    CANONICAL_ALLREDUCES as usize * 4 * (size - 1) + barrier_ops
-                );
-            }
+    fn fault_free_worlds_explore_the_pinned_state_spaces() {
+        // (states, transitions, terminals) per (mode, ranks): the model
+        // lowered from `pdnn_mpisim::schedule` is the one the hand
+        // lowerings it replaced explored.
+        let expect = [
+            (DMode::Ring, 2, (87, 128, 1)),
+            (DMode::Ring, 3, (813, 1662, 1)),
+            (DMode::Ring, 4, (5951, 15624, 1)),
+            (DMode::Tree, 2, (28, 30, 1)),
+            (DMode::Tree, 3, (141, 241, 1)),
+            (DMode::Tree, 4, (426, 950, 1)),
+        ];
+        let worlds = check_worlds();
+        assert_eq!(worlds.len(), expect.len());
+        for (w, (mode, ranks, counts)) in worlds.iter().zip(expect) {
+            assert_eq!((w.mode, w.ranks), (mode, ranks));
+            let o = &w.outcome;
+            assert_eq!(
+                (o.states, o.transitions, o.terminals),
+                counts,
+                "{} mode, {ranks} ranks",
+                mode.label()
+            );
         }
     }
 

@@ -6,8 +6,8 @@
 //!   Gaussian sampling (Box–Muller), stream splitting, and shuffling.
 //!   Every stochastic component in the workspace takes an explicit
 //!   `u64` seed so experiments are reproducible bit-for-bit.
-//! * [`stats`] — descriptive statistics (Welford online moments,
-//!   percentiles, histograms) used by the benchmark harness.
+//! * [`stats`] — percentiles and the load-imbalance factor used by
+//!   the corpus statistics and partitioners of `pdnn-speech`.
 //! * [`report`] — plain-text table and CSV emitters used by the
 //!   figure/table generators.
 //! * [`timing`] — named phase timers used to attribute wall-clock time
@@ -36,30 +36,7 @@ pub mod timing;
 
 pub use error::{Error, Result};
 pub use rng::Prng;
-pub use stats::OnlineStats;
 pub use timing::{Clock, ManualClock, PhaseTimer, WallClock};
-
-/// Format a duration given in seconds as a human-readable string.
-///
-/// Chooses among `µs`, `ms`, `s`, `min`, and `h` so that figure output
-/// stays readable across nine orders of magnitude.
-pub fn fmt_seconds(secs: f64) -> String {
-    if !secs.is_finite() {
-        return format!("{secs}");
-    }
-    let abs = secs.abs();
-    if abs < 1e-3 {
-        format!("{:.1}µs", secs * 1e6)
-    } else if abs < 1.0 {
-        format!("{:.2}ms", secs * 1e3)
-    } else if abs < 120.0 {
-        format!("{secs:.2}s")
-    } else if abs < 7200.0 {
-        format!("{:.1}min", secs / 60.0)
-    } else {
-        format!("{:.2}h", secs / 3600.0)
-    }
-}
 
 /// Format a count with thousands separators (`18432000` → `18,432,000`).
 pub fn fmt_count(n: u64) -> String {
@@ -78,21 +55,6 @@ pub fn fmt_count(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fmt_seconds_picks_sensible_units() {
-        assert!(fmt_seconds(0.0000005).ends_with("µs"));
-        assert!(fmt_seconds(0.005).ends_with("ms"));
-        assert!(fmt_seconds(3.0).ends_with('s'));
-        assert!(fmt_seconds(600.0).ends_with("min"));
-        assert!(fmt_seconds(22_680.0).ends_with('h'));
-    }
-
-    #[test]
-    fn fmt_seconds_survives_non_finite() {
-        assert_eq!(fmt_seconds(f64::NAN), "NaN");
-        assert_eq!(fmt_seconds(f64::INFINITY), "inf");
-    }
 
     #[test]
     fn fmt_count_inserts_separators() {

@@ -1,103 +1,6 @@
-//! Descriptive statistics for benchmark and simulation output.
-
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// Numerically stable for long streams; used to summarize per-rank
-/// timings and per-iteration losses without storing every sample.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-}
+//! Sample statistics for corpus summaries and load balance: the
+//! percentiles of `pdnn-speech`'s corpus statistics and the
+//! imbalance factor of its partitioners.
 
 /// Percentile of a sample via linear interpolation on sorted data.
 ///
@@ -135,117 +38,9 @@ pub fn imbalance_factor(loads: &[f64]) -> f64 {
     max / mean
 }
 
-/// Fixed-width histogram over `[lo, hi)` with saturating edge bins.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-}
-
-impl Histogram {
-    /// Create a histogram with `nbins` equal-width bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0, "Histogram needs at least one bin");
-        assert!(hi > lo, "Histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-        }
-    }
-
-    /// Add an observation; values outside the range clamp to edge bins.
-    pub fn push(&mut self, x: f64) {
-        let nbins = self.bins.len();
-        let t = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((t * nbins as f64).floor() as i64).clamp(0, nbins as i64 - 1) as usize;
-        self.bins[idx] += 1;
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_matches_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Unbiased variance of this classic dataset is 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_are_benign() {
-        let s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.sum(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-10);
-        assert!((left.variance() - all.variance()).abs() < 1e-10);
-        assert_eq!(left.min(), all.min());
-        assert_eq!(left.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&OnlineStats::new());
-        assert_eq!(before, (a.count(), a.mean(), a.variance()));
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn percentile_interpolates() {
@@ -274,24 +69,5 @@ mod tests {
         // One worker has 2x the mean load.
         let f = imbalance_factor(&[1.0, 1.0, 1.0, 5.0]);
         assert!((f - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 9.9, -3.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.bins()[0], 3); // 0.5, 1.5, -3.0 (clamped)
-        assert_eq!(h.bins()[4], 2); // 9.9, 42.0 (clamped)
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -75,11 +75,12 @@ echo "== protocol: pdnn-protomc model check + mutation self-test + trace conform
 # one-kill fault budget, cross-checked against a sleep-set-reduced
 # run, plus the masterless ring/tree worlds at the same sizes —
 # fault-free and with a one-kill budget at every (victim,
-# collective-entry) placement of the peer-coordinated recovery model;
-# then the seeded-mutation battery (master + decentral + recovery)
-# and replay of five real 4-rank training traces (fault-free,
-# injected kill, ring sync, tree sync, ring sync with a mid-training
-# kill) through the automata.
+# collective-entry) placement of the peer-coordinated recovery model,
+# their automata lowered from the hop lists of pdnn_mpisim::schedule
+# that the runtime interprets; then the seeded-mutation battery
+# (master + decentral + recovery) and replay of five real 4-rank
+# training traces (fault-free, injected kill, ring sync, tree sync,
+# ring sync with a mid-training kill) through the automata.
 cargo run -q --release -p pdnn-protomc
 pm_report=results/protomc_report.json
 grep -q '"findings": 0,' "$pm_report" \
