@@ -663,7 +663,8 @@ impl Recovering for MasterProblem<'_> {
 
 /// Worker side of the rooted command protocol: run the command loop
 /// until `SHUTDOWN`. Each arm is "receive operands → engine call →
-/// reduce".
+/// reduce". Reduced results go back to the engine's arena; received
+/// operands are dropped, since the arena never handed them out.
 ///
 /// All phase accounting goes through the communicator's `pdnn_obs`
 /// recorder; the caller collects it from [`RankOutcome::telemetry`].
@@ -717,7 +718,6 @@ fn worker_loop(
                     let _s = rec.span("sync_weights_worker", SpanKind::MemoryBound);
                     engine.set_theta(&theta);
                 }
-                engine.recycle(theta);
             }
             CMD_GRADIENT => {
                 let (loss_sum, grad, frames) = engine.gradient_sums();
@@ -740,7 +740,6 @@ fn worker_loop(
                 let mut meta: Vec<f64> = vec![frames];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
                 engine.recycle(gv);
-                engine.recycle(v);
                 engine.report_arena();
             }
             CMD_FISHER => {
@@ -756,7 +755,6 @@ fn worker_loop(
                 let [loss_sum, correct, frames] = engine.heldout_sums(&trial);
                 let mut meta: Vec<f64> = vec![loss_sum, correct, frames];
                 comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                engine.recycle(trial);
             }
             CMD_LOAD_DATA => {
                 // A peer died: the master re-partitioned its shard and

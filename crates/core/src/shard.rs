@@ -167,13 +167,11 @@ impl<'a> ShardEngine<'a> {
         self.ws.stats()
     }
 
-    /// Give the curvature sample's buffers back to the arena.
+    /// Drop the curvature sample. Its buffers were allocated outside
+    /// the arena (see [`Self::draw_sample`]), so they are freed, not
+    /// parked.
     fn drop_sample(&mut self) {
-        if let Some(s) = self.sample.take() {
-            s.cache.give_back(&mut self.ws);
-            self.ws.give_matrix(s.x);
-            self.ws.give_matrix(s.dist);
-        }
+        self.sample = None;
     }
 
     /// Install new weights. Bumps the network version (the next
@@ -192,8 +190,11 @@ impl<'a> ShardEngine<'a> {
         self.drop_sample();
     }
 
-    /// Hand a buffer the caller is done with (a received operand, a
-    /// reduced result) to the arena.
+    /// Give back a buffer this engine handed out (a `*_sums` result
+    /// the caller has reduced). Only such buffers: the arena's takes
+    /// consume what it gets back, so a buffer it never took (a received
+    /// operand) would stay parked for good and grow it by one vector
+    /// per call.
     pub(crate) fn recycle(&mut self, buf: Vec<f32>) {
         self.ws.give_vec(buf);
     }
@@ -230,7 +231,8 @@ impl<'a> ShardEngine<'a> {
                 &train.utt_lens[utts],
             );
             let grad = backprop_ws(net, &self.ctx, &cache, &dlogits, packs, ws);
-            ws.give_matrix(dlogits);
+            // `dlogits` is the loss's own allocation: freed, not parked.
+            drop(dlogits);
             cache.give_back(ws);
             recycle_chunk(x, ws);
             loss_sum += loss;
@@ -262,7 +264,8 @@ impl<'a> ShardEngine<'a> {
             return;
         }
         // The cache outlives this call (it backs every product of the
-        // solve), so it is forwarded outside the arena.
+        // solve), so it is forwarded outside the arena, and freed with
+        // the sample.
         let cache = self.net.forward(&self.ctx, &x);
         let dist = match &*self.objective {
             Objective::CrossEntropy => softmax_rows(cache.logits()),

@@ -37,7 +37,13 @@ pub struct WorkspaceStats {
 #[derive(Clone, Debug, Default)]
 pub struct Workspace<T: Scalar> {
     free: Vec<Vec<T>>,
+    /// Total capacity of `free`, in bytes.
+    parked_bytes: u64,
     stats: WorkspaceStats,
+}
+
+fn bytes_of<T>(elems: usize) -> u64 {
+    (elems * std::mem::size_of::<T>()) as u64
 }
 
 impl<T: Scalar> Workspace<T> {
@@ -45,6 +51,7 @@ impl<T: Scalar> Workspace<T> {
     pub fn new() -> Self {
         Workspace {
             free: Vec::new(),
+            parked_bytes: 0,
             stats: WorkspaceStats::default(),
         }
     }
@@ -64,8 +71,10 @@ impl<T: Scalar> Workspace<T> {
         match best {
             Some(i) => {
                 self.stats.reuses += 1;
-                self.stats.bytes_reused += (len * std::mem::size_of::<T>()) as u64;
-                self.free.swap_remove(i)
+                self.stats.bytes_reused += bytes_of::<T>(len);
+                let buf = self.free.swap_remove(i);
+                self.parked_bytes -= bytes_of::<T>(buf.capacity());
+                buf
             }
             None => {
                 self.stats.allocs += 1;
@@ -123,13 +132,9 @@ impl<T: Scalar> Workspace<T> {
         if buf.capacity() == 0 {
             return;
         }
+        self.parked_bytes += bytes_of::<T>(buf.capacity());
         self.free.push(buf);
-        let held: u64 = self
-            .free
-            .iter()
-            .map(|b| (b.capacity() * std::mem::size_of::<T>()) as u64)
-            .sum();
-        self.stats.high_water_bytes = self.stats.high_water_bytes.max(held);
+        self.stats.high_water_bytes = self.stats.high_water_bytes.max(self.parked_bytes);
     }
 
     /// Return a matrix's backing storage for later reuse.
@@ -228,6 +233,35 @@ mod tests {
         ws.give_vec(a);
         ws.give_vec(b);
         assert!(ws.stats().high_water_bytes >= 300 * 4);
+    }
+
+    /// The high water is the largest capacity ever parked at once:
+    /// a take lowers the parked total, a give raises it.
+    #[test]
+    fn high_water_is_the_peak_parked_total() {
+        let mut ws: Workspace<f32> = Workspace::new();
+        let (a, b) = (ws.take_vec(100), ws.take_vec(200));
+        let (cap_a, cap_b) = (a.capacity() as u64 * 4, b.capacity() as u64 * 4);
+        ws.give_vec(a);
+        ws.give_vec(b);
+        assert_eq!(ws.stats().high_water_bytes, cap_a + cap_b);
+        // Take-and-give cycles inside the parked set leave it alone.
+        for _ in 0..3 {
+            let v = ws.take_vec(50);
+            ws.give_vec(v);
+        }
+        assert_eq!(ws.stats().high_water_bytes, cap_a + cap_b);
+        // With `b` out, a fresh buffer parks beside `a` only.
+        let b = ws.take_vec(200);
+        let c = ws.take_vec(300);
+        let cap_c = c.capacity() as u64 * 4;
+        ws.give_vec(c);
+        assert_eq!(
+            ws.stats().high_water_bytes,
+            (cap_a + cap_b).max(cap_a + cap_c)
+        );
+        ws.give_vec(b);
+        assert_eq!(ws.stats().high_water_bytes, cap_a + cap_b + cap_c);
     }
 
     #[test]
