@@ -80,7 +80,7 @@ impl CgResult {
         &self
             .iterates
             .last()
-            // pdnn-lint: allow(l3-no-unwrap): cg_minimize_precond always pushes a final iterate before returning
+            // pdnn-lint: allow(l3-no-unwrap): cg_minimize always pushes a final iterate before returning
             .expect("CG always stores the final iterate")
             .d
     }
@@ -107,52 +107,9 @@ pub enum CgStop {
     NegativeCurvature,
 }
 
-/// Minimize `q(d) = g·d + ½ d·A d` starting from `d0`.
-///
-/// `apply_a` must compute the (damped) curvature product `A v`.
-pub fn cg_minimize(
-    g: &[f32],
-    d0: &[f32],
-    apply_a: impl FnMut(&[f32]) -> Vec<f32>,
-    config: &CgConfig,
-) -> CgResult {
-    cg_minimize_precond(g, d0, apply_a, None, config)
-}
-
-/// [`cg_minimize_precond`] instrumented with a `pdnn_obs` recorder.
-///
-/// Wraps the solve in a `"cg_minimize"` span, bumps the `"cg_iters"`
-/// counter by the iterations executed and `"cg_curvature_products"`
-/// by the exact number of `apply_a` evaluations, and publishes the
-/// final quadratic value as the `"cg_q_final"` gauge. Numerically
-/// identical to the uninstrumented solve.
-pub fn cg_minimize_recorded(
-    g: &[f32],
-    d0: &[f32],
-    mut apply_a: impl FnMut(&[f32]) -> Vec<f32>,
-    precond: Option<&[f32]>,
-    config: &CgConfig,
-    recorder: &dyn Recorder,
-) -> CgResult {
-    let _span = recorder.span("cg_minimize", SpanKind::DenseCompute);
-    let mut products = 0u64;
-    let result = cg_minimize_precond(
-        g,
-        d0,
-        |v| {
-            products += 1;
-            apply_a(v)
-        },
-        precond,
-        config,
-    );
-    recorder.counter_add("cg_iters", result.iters as u64);
-    recorder.counter_add("cg_curvature_products", products);
-    recorder.gauge_set("cg_q_final", result.final_q());
-    result
-}
-
-/// Preconditioned variant of [`cg_minimize`].
+/// Minimize `q(d) = g·d + ½ d·(G + σI)d` from `d0`, where `apply_g`
+/// computes the curvature product `G v` and `shift` is σ (the damping
+/// λ plus any L2 weight; σ is applied in `f32`).
 ///
 /// `precond`, when given, is the diagonal of the preconditioner `M`;
 /// CG then solves the implicitly transformed system (standard PCG
@@ -162,17 +119,30 @@ pub fn cg_minimize_recorded(
 /// diagonal supplied by the optimizer (see `HfConfig::preconditioner`
 /// and the `preconditioner` ablation bench).
 ///
+/// A step costs three passes over the vectors besides the product:
+/// `Ap = Gp + σp` with `p·Ap` ([`blas1::axpy_dot`]); the `d`/`r`/`z`
+/// update with `r·z` and `q` ([`blas1::cg_update`]); and `p = −z + βp`.
+/// The solve allocates its work vectors once; per step it allocates
+/// nothing beyond what `apply_g` returns and the stored iterates.
+///
+/// Recorded on `recorder`: a `"cg_minimize"` span around the solve,
+/// the `"cg_iters"` counter (iterations executed), the
+/// `"cg_curvature_products"` counter (exact number of `apply_g`
+/// calls) and the `"cg_q_final"` gauge.
+///
 /// # Panics
 /// If lengths mismatch or any preconditioner entry is not strictly
 /// positive (M must be SPD).
-// pdnn-lint: allow(l5-phase-span): pure math kernel; the phase entry point is cg_minimize_recorded, which wraps this in a "cg_minimize" span
-pub fn cg_minimize_precond(
+pub fn cg_minimize(
     g: &[f32],
     d0: &[f32],
-    mut apply_a: impl FnMut(&[f32]) -> Vec<f32>,
+    mut apply_g: impl FnMut(&[f32]) -> Vec<f32>,
+    shift: f64,
     precond: Option<&[f32]>,
     config: &CgConfig,
+    recorder: &dyn Recorder,
 ) -> CgResult {
+    let _span = recorder.span("cg_minimize", SpanKind::DenseCompute);
     let n = g.len();
     assert_eq!(d0.len(), n, "cg: d0 length mismatch");
     assert!(config.max_iters >= 1, "cg: max_iters must be >= 1");
@@ -184,62 +154,69 @@ pub fn cg_minimize_precond(
             "cg: preconditioner must be strictly positive"
         );
     }
-    let apply_minv = |r: &[f32]| -> Vec<f32> {
-        match precond {
-            Some(m) => r.iter().zip(m.iter()).map(|(&ri, &mi)| ri / mi).collect(),
-            None => r.to_vec(),
-        }
+    let sigma = shift as f32;
+    let mut products = 0u64;
+    let mut apply_a = |v: &[f32]| {
+        products += 1;
+        let gv = apply_g(v);
+        assert_eq!(gv.len(), n, "cg: curvature product length mismatch");
+        gv
     };
 
     let mut d = d0.to_vec();
-    // r = A d + g
+    // r = (G + σI) d + g
     let mut r = apply_a(&d);
-    blas1::add(g, &mut r);
-    // z = M⁻¹ r; p = -z
-    let z = apply_minv(&r);
-    let mut p: Vec<f32> = z.iter().map(|&v| -v).collect();
-    let mut rr = blas1::dot(&r, &z);
-
-    let q_of = |d: &[f32], r: &[f32]| -> f64 {
-        // q(d) = ½ d·(r + g)
-        let mut s = 0.0f64;
-        for i in 0..d.len() {
-            s += d[i] as f64 * (r[i] as f64 + g[i] as f64);
-        }
-        0.5 * s
+    for ((ri, &di), &gi) in r.iter_mut().zip(&d).zip(g) {
+        *ri = (sigma * di + *ri) + gi;
+    }
+    // z = M⁻¹ r (kept only under a preconditioner; otherwise z is r);
+    // p = −z.
+    let mut z: Vec<f32> = match precond {
+        Some(m) => r.iter().zip(m).map(|(&ri, &mi)| ri / mi).collect(),
+        None => Vec::new(),
     };
+    let z0 = if precond.is_some() { &z } else { &r };
+    let mut p: Vec<f32> = z0.iter().map(|&v| -v).collect();
+    let mut rz = blas1::dot(&r, z0);
 
-    let mut q_hist: Vec<f64> = vec![q_of(&d, &r)];
-    let mut iterates: Vec<CgIterate> = Vec::new();
+    // q(d) = ½ d·(r + g)
+    let mut q_sum = 0.0f64;
+    for ((&di, &ri), &gi) in d.iter().zip(&r).zip(g) {
+        q_sum += di as f64 * (ri as f64 + gi as f64);
+    }
+    // Sized once: one entry per iteration at most, plus q(d0) or the
+    // final iterate.
+    let mut q_hist: Vec<f64> = Vec::with_capacity(config.max_iters + 1);
+    q_hist.push(0.5 * q_sum);
+    let mut iterates: Vec<CgIterate> = Vec::with_capacity(config.max_iters + 1);
     let mut next_store = 1usize;
     let mut store_exp = 0u32;
     let mut stop = CgStop::MaxIters;
     let mut iters = 0usize;
 
     for i in 1..=config.max_iters {
-        let ap = apply_a(&p);
-        let pap = blas1::dot(&p, &ap);
+        let mut ap = apply_a(&p);
+        let pap = blas1::axpy_dot(sigma, &p, &mut ap);
         if pap <= 0.0 {
-            stop = if exactly_zero(rr) {
+            stop = if exactly_zero(rz) {
                 CgStop::Converged
             } else {
                 CgStop::NegativeCurvature
             };
             break;
         }
-        let alpha = rr / pap;
-        blas1::axpy(alpha as f32, &p, &mut d);
-        blas1::axpy(alpha as f32, &ap, &mut r);
-        let z = apply_minv(&r);
-        let rr_new = blas1::dot(&r, &z);
-        let beta = rr_new / rr;
-        rr = rr_new;
-        for j in 0..n {
-            p[j] = -z[j] + beta as f32 * p[j];
+        let alpha = (rz / pap) as f32;
+        let mz = precond.map(|m| (m, &mut z[..]));
+        let (rz_new, q_sum) = blas1::cg_update(alpha, &p, &ap, g, &mut d, &mut r, mz);
+        let beta = (rz_new / rz) as f32;
+        rz = rz_new;
+        let z_now = if precond.is_some() { &z } else { &r };
+        for (pi, &zi) in p.iter_mut().zip(z_now) {
+            *pi = -zi + beta * *pi;
         }
 
         iters = i;
-        let q = q_of(&d, &r);
+        let q = 0.5 * q_sum;
         q_hist.push(q);
 
         if i == next_store {
@@ -255,7 +232,7 @@ pub fn cg_minimize_precond(
             }
         }
 
-        if rr < 1e-24 {
+        if rz < 1e-24 {
             stop = CgStop::Converged;
             break;
         }
@@ -272,7 +249,7 @@ pub fn cg_minimize_precond(
     }
 
     // Always include the final iterate.
-    // pdnn-lint: allow(l3-no-unwrap): q_hist is seeded with q(0) before the loop
+    // pdnn-lint: allow(l3-no-unwrap): q_hist is seeded with q(d0) before the loop
     let last_q = *q_hist.last().unwrap();
     let need_final = iterates.last().map(|it| it.iter != iters).unwrap_or(true);
     if need_final {
@@ -283,17 +260,35 @@ pub fn cg_minimize_precond(
         });
     }
 
-    CgResult {
+    let result = CgResult {
         iterates,
         iters: iters.max(1),
         stop,
-    }
+    };
+    recorder.counter_add("cg_iters", result.iters as u64);
+    recorder.counter_add("cg_curvature_products", products);
+    recorder.gauge_set("cg_q_final", result.final_q());
+    result
 }
 
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default, clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use pdnn_obs::NullRecorder;
+
+    /// Unshifted, unpreconditioned solve under the default config.
+    fn solve(g: &[f32], d0: &[f32], apply_g: impl FnMut(&[f32]) -> Vec<f32>) -> CgResult {
+        cg_minimize(
+            g,
+            d0,
+            apply_g,
+            0.0,
+            None,
+            &CgConfig::default(),
+            &NullRecorder,
+        )
+    }
 
     /// Dense SPD multiply used as the oracle.
     fn dense_apply(a: &[Vec<f64>]) -> impl FnMut(&[f32]) -> Vec<f32> + '_ {
@@ -369,7 +364,7 @@ mod tests {
             epsilon: 1e-12,
             store_gamma: 1.3,
         };
-        let result = cg_minimize(&g, &d0, dense_apply(&a), &cfg);
+        let result = cg_minimize(&g, &d0, dense_apply(&a), 0.0, None, &cfg, &NullRecorder);
         // Exact answer: A d* = -g.
         let neg_g: Vec<f64> = g.iter().map(|&v| -v as f64).collect();
         let d_star = dense_solve(&a, &neg_g);
@@ -387,7 +382,7 @@ mod tests {
         let n = 20;
         let a = spd_matrix(n, 2);
         let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).cos()).collect();
-        let result = cg_minimize(&g, &vec![0.0; n], dense_apply(&a), &CgConfig::default());
+        let result = solve(&g, &vec![0.0; n], dense_apply(&a));
         for w in result.iterates.windows(2) {
             // Exact CG decreases q monotonically; f32 arithmetic and
             // the incrementally updated residual allow small wobble.
@@ -407,9 +402,9 @@ mod tests {
         let n = 10;
         let a = spd_matrix(n, 3);
         let g: Vec<f32> = vec![1.0; n];
-        let cold = cg_minimize(&g, &vec![0.0; n], dense_apply(&a), &CgConfig::default());
+        let cold = solve(&g, &vec![0.0; n], dense_apply(&a));
         let warm_start: Vec<f32> = cold.final_d().iter().map(|&v| 0.5 * v).collect();
-        let warm = cg_minimize(&g, &warm_start, dense_apply(&a), &CgConfig::default());
+        let warm = solve(&g, &warm_start, dense_apply(&a));
         // Warm-started CG must do at least as well at the end.
         assert!(warm.final_q() <= cold.final_q() + 1e-8);
     }
@@ -420,7 +415,7 @@ mod tests {
         // progress (or convergence) test must stop it long before 200.
         let n = 50;
         let g: Vec<f32> = (0..n).map(|i| (i as f32 + 1.0) * 0.01).collect();
-        let result = cg_minimize(&g, &vec![0.0; n], |v| v.to_vec(), &CgConfig::default());
+        let result = solve(&g, &vec![0.0; n], |v| v.to_vec());
         assert!(result.iters <= 3, "iters = {}", result.iters);
         assert!(matches!(
             result.stop,
@@ -439,7 +434,15 @@ mod tests {
             epsilon: 0.0,
             store_gamma: 1.3,
         };
-        let result = cg_minimize(&g, &vec![0.0; n], dense_apply(&a), &cfg);
+        let result = cg_minimize(
+            &g,
+            &vec![0.0; n],
+            dense_apply(&a),
+            0.0,
+            None,
+            &cfg,
+            &NullRecorder,
+        );
         let idx: Vec<usize> = result.iterates.iter().map(|it| it.iter).collect();
         // Strictly increasing and far fewer than 60 entries.
         assert!(idx.windows(2).all(|w| w[0] < w[1]), "{idx:?}");
@@ -452,7 +455,7 @@ mod tests {
     fn zero_gradient_returns_zero_step() {
         let n = 8;
         let g = vec![0.0f32; n];
-        let result = cg_minimize(&g, &vec![0.0; n], |v| v.to_vec(), &CgConfig::default());
+        let result = solve(&g, &vec![0.0; n], |v| v.to_vec());
         assert!(result.final_d().iter().all(|&v| v == 0.0));
         assert_eq!(result.final_q(), 0.0);
     }
@@ -461,19 +464,14 @@ mod tests {
     fn negative_curvature_is_detected() {
         // A = -I: every direction has negative curvature.
         let g = vec![1.0f32; 4];
-        let result = cg_minimize(
-            &g,
-            &[0.0; 4],
-            |v| v.iter().map(|&x| -x).collect(),
-            &CgConfig::default(),
-        );
+        let result = solve(&g, &[0.0; 4], |v| v.iter().map(|&x| -x).collect());
         assert_eq!(result.stop, CgStop::NegativeCurvature);
     }
 
     #[test]
     #[should_panic(expected = "d0 length mismatch")]
     fn length_mismatch_panics() {
-        cg_minimize(&[1.0], &[1.0, 2.0], |v| v.to_vec(), &CgConfig::default());
+        solve(&[1.0], &[1.0, 2.0], |v| v.to_vec());
     }
 
     /// A badly conditioned diagonal system: plain CG needs many
@@ -498,9 +496,9 @@ mod tests {
             epsilon: 1e-10,
             store_gamma: 1.3,
         };
-        let plain = cg_minimize(&g, &vec![0.0; n], apply, &cfg);
+        let plain = cg_minimize(&g, &vec![0.0; n], apply, 0.0, None, &cfg, &NullRecorder);
         let m: Vec<f32> = diag.iter().map(|&d| d as f32).collect();
-        let pre = cg_minimize_precond(&g, &vec![0.0; n], apply, Some(&m), &cfg);
+        let pre = cg_minimize(&g, &vec![0.0; n], apply, 0.0, Some(&m), &cfg, &NullRecorder);
         assert!(
             pre.iters * 3 < plain.iters,
             "precond {} vs plain {} iterations",
@@ -521,9 +519,25 @@ mod tests {
         let a = spd_matrix(n, 5);
         let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).sin()).collect();
         let cfg = CgConfig::default();
-        let plain = cg_minimize(&g, &vec![0.0; n], dense_apply(&a), &cfg);
+        let plain = cg_minimize(
+            &g,
+            &vec![0.0; n],
+            dense_apply(&a),
+            0.0,
+            None,
+            &cfg,
+            &NullRecorder,
+        );
         let m = vec![1.0f32; n];
-        let pre = cg_minimize_precond(&g, &vec![0.0; n], dense_apply(&a), Some(&m), &cfg);
+        let pre = cg_minimize(
+            &g,
+            &vec![0.0; n],
+            dense_apply(&a),
+            0.0,
+            Some(&m),
+            &cfg,
+            &NullRecorder,
+        );
         assert_eq!(plain.iters, pre.iters);
         assert_eq!(plain.final_d(), pre.final_d());
     }
@@ -533,12 +547,14 @@ mod tests {
     fn nonpositive_preconditioner_rejected() {
         let g = vec![1.0f32; 4];
         let m = vec![1.0f32, 0.0, 1.0, 1.0];
-        cg_minimize_precond(
+        cg_minimize(
             &g,
             &[0.0; 4],
             |v| v.to_vec(),
+            0.0,
             Some(&m),
             &CgConfig::default(),
+            &NullRecorder,
         );
     }
 
@@ -547,10 +563,10 @@ mod tests {
         let n = 16;
         let a = spd_matrix(n, 6);
         let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.9).cos()).collect();
-        let cfg = CgConfig::default();
-        let plain = cg_minimize(&g, &vec![0.0; n], dense_apply(&a), &cfg);
+        let plain = solve(&g, &vec![0.0; n], dense_apply(&a));
         let rec = pdnn_obs::InMemoryRecorder::new();
-        let recorded = cg_minimize_recorded(&g, &vec![0.0; n], dense_apply(&a), None, &cfg, &rec);
+        let cfg = CgConfig::default();
+        let recorded = cg_minimize(&g, &vec![0.0; n], dense_apply(&a), 0.0, None, &cfg, &rec);
         assert_eq!(plain.iters, recorded.iters);
         assert_eq!(plain.final_d(), recorded.final_d());
         let data = rec.take();
@@ -562,5 +578,44 @@ mod tests {
         assert_eq!(data.spans.len(), 1);
         assert_eq!(data.spans[0].name(), "cg_minimize");
         assert_eq!(data.spans[0].kind, SpanKind::DenseCompute);
+    }
+
+    /// The shift σ is the same operator as a product that adds σv in
+    /// `f32` itself (`σ·v + Gv`, two roundings).
+    #[test]
+    fn shift_equals_a_shifted_product() {
+        let n = 24;
+        let a = spd_matrix(n, 7);
+        let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.4).sin()).collect();
+        let d0: Vec<f32> = (0..n).map(|i| 0.01 * i as f32).collect();
+        let m: Vec<f32> = (0..n).map(|i| 1.0 + 0.1 * i as f32).collect();
+        let sigma = 0.75f64;
+        let cfg = CgConfig::default();
+        for precond in [None, Some(&m[..])] {
+            let shifted = cg_minimize(
+                &g,
+                &d0,
+                dense_apply(&a),
+                sigma,
+                precond,
+                &cfg,
+                &NullRecorder,
+            );
+            let mut gv = dense_apply(&a);
+            let by_hand = |v: &[f32]| {
+                let mut out = gv(v);
+                pdnn_tensor::blas1::axpy(sigma as f32, v, &mut out);
+                out
+            };
+            let manual = cg_minimize(&g, &d0, by_hand, 0.0, precond, &cfg, &NullRecorder);
+            assert_eq!(shifted.iters, manual.iters);
+            assert_eq!(shifted.stop, manual.stop);
+            for (x, y) in shifted.iterates.iter().zip(&manual.iterates) {
+                assert_eq!(x.iter, y.iter);
+                assert_eq!(x.q.to_bits(), y.q.to_bits());
+                let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x.d), bits(&y.d));
+            }
+        }
     }
 }

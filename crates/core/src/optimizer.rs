@@ -19,7 +19,7 @@
 //! 6. Armijo backtracking line search on the chosen iterate, then
 //!    `θ ← θ + α d_i`, momentum `d_0 ← β d_N`.
 
-use crate::cg::{cg_minimize_recorded, CgStop};
+use crate::cg::{cg_minimize, CgStop};
 use crate::config::{HfConfig, Preconditioner};
 use crate::damping::Damping;
 use crate::line_search::armijo_search;
@@ -210,15 +210,12 @@ impl HfOptimizer {
                     .collect()
             }),
         };
-        let cg = cg_minimize_recorded(
+        // CG's shift: damping plus the exact curvature of the L2 penalty.
+        let cg = cg_minimize(
             &g,
             &d0,
-            |v| {
-                let mut gv = problem.gn_product(v);
-                // Damping plus the exact curvature of the L2 penalty.
-                blas1::axpy((lambda + l2) as f32, v, &mut gv);
-                gv
-            },
+            |v| problem.gn_product(v),
+            lambda + l2,
             precond.as_deref(),
             &self.config.cg,
             rec.as_ref(),
@@ -229,9 +226,12 @@ impl HfOptimizer {
         let d_final = cg.final_d().to_vec();
         let q_final = cg.final_q();
 
-        // 3. Backtracking over the iterate series on held-out loss.
+        // 3. Backtracking over the iterate series on held-out loss. One
+        // trial-θ buffer serves every evaluation here and in the line
+        // search.
+        let mut trial = vec![0.0f32; n];
         let mut eval_at = |d: &[f32], evals: &mut usize| {
-            let mut trial = theta0.clone();
+            trial.copy_from_slice(&theta0);
             blas1::add(d, &mut trial);
             *evals += 1;
             problem.heldout_eval(&trial).loss
@@ -301,7 +301,7 @@ impl HfOptimizer {
             loss_prev,
             slope,
             |alpha| {
-                let mut trial = theta0.clone();
+                trial.copy_from_slice(&theta0);
                 blas1::axpy(alpha as f32, &chosen.d, &mut trial);
                 heldout_evals += 1;
                 problem.heldout_eval(&trial).loss
