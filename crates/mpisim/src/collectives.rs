@@ -709,6 +709,14 @@ impl Comm {
             return Ok(());
         }
         if size.is_power_of_two() {
+            // Under a fault plan the exchange is gated and its hops are
+            // bounded by the peer window, like the masterless allreduces.
+            let timeout = if self.ft() {
+                self.fault_gate()?;
+                Some(self.ft_timeout_peer())
+            } else {
+                None
+            };
             with_collective(self, "allreduce", false, |comm, tag| {
                 let rank = comm.rank();
                 let mut mask = 1usize;
@@ -717,7 +725,12 @@ impl Comm {
                     // Deterministic exchange: send then receive (the
                     // unbounded channels make this deadlock-free).
                     comm.send(partner, tag + 1, T::wrap(buf.clone()))?;
-                    let other = comm.recv_vec::<T>(Src::Of(partner), tag + 1)?;
+                    let other = match timeout {
+                        None => comm.recv_vec::<T>(Src::Of(partner), tag + 1)?,
+                        Some(d) => comm
+                            .recv_vec_timeout::<T>(Src::Of(partner), tag + 1, d)
+                            .map_err(|e| comm.hop_failure(partner, e))?,
+                    };
                     // Combine in a rank-independent order: lower rank's
                     // data is always the left operand, so all ranks
                     // compute bitwise-identical results.

@@ -118,6 +118,28 @@ fn killed_rank_unwinds_and_root_sees_rank_dead() {
 }
 
 #[test]
+fn killed_rank_fires_at_a_power_of_two_allreduce() {
+    // Recursive doubling is gated like every other collective: a kill
+    // planned before collective 0 fires there, and every survivor
+    // aborts the exchange naming the victim.
+    let plan = FaultPlan::new(5)
+        .kill(1, 0)
+        .with_timeouts(Duration::from_millis(200), Duration::from_secs(5));
+    let results = run_world_faulted(4, &plan, |comm| {
+        let mut v = vec![comm.rank() as f64; 4];
+        comm.allreduce(&mut v, ReduceOp::Sum)
+    });
+    assert_eq!(results[1].result, Err(CommError::Killed));
+    for r in [0, 2, 3] {
+        assert_eq!(
+            results[r].result,
+            Err(CommError::RankDead { rank: 1 }),
+            "rank {r}"
+        );
+    }
+}
+
+#[test]
 fn acknowledged_death_lets_survivors_continue() {
     // After the root acknowledges a death, later collectives run
     // cleanly on the survivors; an unacknowledged death keeps being
