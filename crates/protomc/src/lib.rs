@@ -182,6 +182,39 @@ mod tests {
         assert!(check.is_clean());
     }
 
+    #[test]
+    fn master_worlds_explore_the_pinned_state_spaces() {
+        // (ranks, states, full transitions, reduced transitions,
+        // terminals, kill placements) of the budget-1 master worlds:
+        // any change to how the explorer lowers a collective must leave
+        // every count equal.
+        let (spec, path, line) = load_spec(&workspace_root()).expect("spec loads");
+        let check = run_check(&spec, &[(1, 1), (2, 1), (3, 1)], &path, line);
+        let got: Vec<_> = check
+            .worlds
+            .iter()
+            .map(|w| {
+                (
+                    w.ranks,
+                    w.full.states,
+                    w.full.transitions,
+                    w.reduced.transitions,
+                    w.full.terminals,
+                    w.full.kill_placements,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (2, 116, 154, 154, 16, 10),
+                (3, 3_082, 5_218, 5_194, 31, 20),
+                (4, 38_834, 97_911, 97_776, 46, 30),
+            ]
+        );
+        assert!(check.is_clean());
+    }
+
     /// Violations must surface as findings under the shared lint rule
     /// ids so downstream report tooling treats all checkers uniformly.
     #[test]
