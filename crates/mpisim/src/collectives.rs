@@ -2,21 +2,18 @@
 //!
 //! The paper replaced socket/file weight synchronization with
 //! `MPI_Bcast` specifically "to take advantage of the optimized MPI
-//! collectives" (Section V.B). We implement the textbook algorithms
-//! MPICH uses at these message sizes:
+//! collectives" (Section V.B). We run the textbook algorithms MPICH
+//! uses at these message sizes — binomial broadcast and reduce,
+//! recursive-doubling allreduce, dissemination barrier — plus the
+//! masterless ring and tree allreduces, and under a non-empty fault
+//! plan the flat stars, where one death never severs an unrelated
+//! rank's subtree and every receive is bounded.
 //!
-//! * broadcast — binomial tree, `⌈log2 P⌉` rounds;
-//! * reduce — binomial tree (mirrored), deterministic combine order;
-//! * allreduce — recursive doubling when `P` is a power of two, else
-//!   reduce + broadcast;
-//! * ring / tree allreduce — the masterless chunked ring and binomial
-//!   tree;
-//! * barrier — dissemination.
-//!
-//! The masterless shapes (ring, tree, dissemination barrier and the
-//! timed star barrier) are not coded here: [`crate::schedule`] returns
-//! each position's hop list, `exchange` and the two barriers
-//! interpret it, and `pdnn-protomc` model-checks the same lists.
+//! None of these shapes is coded here: [`crate::schedule`] holds each
+//! as per-position hop lists, one interpreter (`exchange`) runs them,
+//! and `pdnn-protomc` model-checks the same lists. Each public entry
+//! only picks a shape and a participant list with the root at
+//! position 0.
 //!
 //! Every collective invocation draws a fresh tag window from the
 //! communicator's sequence counter, so back-to-back collectives can
@@ -25,7 +22,7 @@
 use crate::comm::{Comm, CommError, COLLECTIVE_TAG_BASE};
 use crate::events::CommEvent;
 use crate::message::{Payload, Src};
-use crate::schedule::{self, Apply, Hop, Schedule};
+use crate::schedule::{self, Apply, Chunk, Hop, Schedule};
 use pdnn_obs::{Recorder, RecorderExt, SpanKind};
 use std::time::Duration;
 
@@ -38,8 +35,6 @@ pub trait CollElem: Copy + Send + 'static {
     /// Checked unwrap: `Err` returns the payload untouched on a kind
     /// mismatch so the caller can report what actually arrived.
     fn unwrap_checked(p: Payload) -> Result<Vec<Self>, Payload>;
-    /// Unwrap a payload (panics on type mismatch — protocol bug).
-    fn unwrap(p: Payload) -> Vec<Self>;
     /// Borrow the payload's elements when it carries exactly this
     /// type (no wire decode, no copy).
     fn try_slice(p: &Payload) -> Option<&[Self]>;
@@ -74,17 +69,6 @@ macro_rules! impl_coll_elem {
                 match p {
                     Payload::$variant(v) => Ok(v),
                     other => Err(other),
-                }
-            }
-            fn unwrap(p: Payload) -> Vec<Self> {
-                match Self::unwrap_checked(p) {
-                    Ok(v) => v,
-                    // pdnn-lint: allow(l3-no-unwrap): payload type mismatch inside a collective is a protocol bug, not a recoverable condition
-                    Err(other) => panic!(
-                        "collective type mismatch: expected {}, got {}",
-                        stringify!($variant),
-                        other.kind()
-                    ),
                 }
             }
             fn try_slice(p: &Payload) -> Option<&[Self]> {
@@ -159,81 +143,71 @@ impl_coll_elem!(f32, F32);
 impl_coll_elem!(f64, F64);
 impl_coll_elem!(u64, U64);
 
-/// Per-collective wire-byte counter names (recorder counters take
-/// `&'static str`, so the mapping is a closed table).
-fn wire_counters(name: &'static str) -> (&'static str, &'static str) {
+/// The barrier's element: a collective over `()` moves
+/// [`Payload::Empty`] messages and combines nothing.
+impl CollElem for () {
+    const KIND: &'static str = "Empty";
+    fn wrap(_: Vec<()>) -> Payload {
+        Payload::Empty
+    }
+    fn unwrap_checked(p: Payload) -> Result<Vec<()>, Payload> {
+        match p {
+            Payload::Empty => Ok(Vec::new()),
+            other => Err(other),
+        }
+    }
+    fn try_slice(p: &Payload) -> Option<&[()]> {
+        matches!(p, Payload::Empty).then_some(&[])
+    }
+    fn combine(_: ReduceOp, _: &mut [()], _: &[()]) {}
+    fn fold_into(_: ReduceOp, _: &[()], _: &mut [()]) {}
+}
+
+/// A collective's buffer as the interpreter sees it: its elements, and
+/// a whole-buffer install that may change a vector's length (a
+/// broadcast's non-roots may start empty).
+trait Buffer<T> {
+    fn elems(&mut self) -> &mut [T];
+    fn install(&mut self, image: &[T]);
+}
+
+impl<T: Copy> Buffer<T> for [T] {
+    fn elems(&mut self) -> &mut [T] {
+        self
+    }
+    fn install(&mut self, image: &[T]) {
+        self.copy_from_slice(image);
+    }
+}
+
+impl<T: Copy> Buffer<T> for Vec<T> {
+    fn elems(&mut self) -> &mut [T] {
+        self
+    }
+    fn install(&mut self, image: &[T]) {
+        self.clear();
+        self.extend_from_slice(image);
+    }
+}
+
+/// Per-collective wire-byte counter names, sent then received
+/// (recorder counters take `&'static str`, so the mapping is a closed
+/// table).
+fn wire_counters(name: &'static str) -> [&'static str; 2] {
     match name {
-        "bcast" => ("wire_sent_bcast", "wire_recv_bcast"),
-        "reduce" => ("wire_sent_reduce", "wire_recv_reduce"),
-        "barrier" => ("wire_sent_barrier", "wire_recv_barrier"),
-        "allreduce" => ("wire_sent_allreduce", "wire_recv_allreduce"),
-        "allreduce_ring" => ("wire_sent_allreduce_ring", "wire_recv_allreduce_ring"),
-        "allreduce_tree" => ("wire_sent_allreduce_tree", "wire_recv_allreduce_tree"),
-        _ => ("wire_sent_other", "wire_recv_other"),
+        "bcast" => ["wire_sent_bcast", "wire_recv_bcast"],
+        "reduce" => ["wire_sent_reduce", "wire_recv_reduce"],
+        "barrier" => ["wire_sent_barrier", "wire_recv_barrier"],
+        "allreduce" => ["wire_sent_allreduce", "wire_recv_allreduce"],
+        "allreduce_ring" => ["wire_sent_allreduce_ring", "wire_recv_allreduce_ring"],
+        "allreduce_tree" => ["wire_sent_allreduce_tree", "wire_recv_allreduce_tree"],
+        _ => ["wire_sent_other", "wire_recv_other"],
     }
 }
 
-/// RAII-ish helper: run `f` with the communicator in collective
-/// tracing mode and a fresh tag window, recording the whole
-/// invocation as a named `CommCollective` span on the rank's
-/// telemetry recorder, and attributing the bytes it moved to
-/// per-collective wire-byte counters (`wire_sent_<op>` /
-/// `wire_recv_<op>`).
-///
-/// `codec` arms the wire codec for the invocation: only collectives
-/// whose algorithm stays rank-consistent under lossy narrowing
-/// (broadcast/reduce shapes and the ring/tree allreduces) pass
-/// `true`; the rank-symmetric exchanges in recursive doubling would
-/// leave partners with different lossy views of each other's data, so
-/// they run uncompressed.
-fn with_collective<R>(
-    comm: &mut Comm,
-    name: &'static str,
-    codec: bool,
-    f: impl FnOnce(&mut Comm, u64) -> R,
-) -> R {
-    let recorder = comm.recorder().clone();
-    let _span = recorder.span(name, SpanKind::CommCollective);
-    let tag = COLLECTIVE_TAG_BASE + comm.coll_seq * 8;
-    comm.coll_seq += 1;
-    let was = comm.in_collective;
-    comm.in_collective = true;
-    let was_codec = comm.codec_armed;
-    comm.codec_armed = codec;
-    let sent0 = comm.trace.collective.bytes_sent;
-    let recv0 = comm.trace.collective.bytes_received;
-    let out = f(comm, tag);
-    let sent = comm.trace.collective.bytes_sent - sent0;
-    let received = comm.trace.collective.bytes_received - recv0;
-    let (sent_ctr, recv_ctr) = wire_counters(name);
-    if sent > 0 {
-        recorder.counter_add(sent_ctr, sent);
-    }
-    if received > 0 {
-        recorder.counter_add(recv_ctr, received);
-    }
-    comm.codec_armed = was_codec;
-    comm.in_collective = was;
-    out
-}
-
-/// Decode a forwarded wire image and unwrap it as `T`, reporting a
-/// kind mismatch with the on-wire kind (mirrors `Comm::typed`).
-fn decoded_vec<T: CollElem>(payload: Payload, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
-    let got = payload.kind();
-    T::unwrap_checked(crate::wire::decode(payload)).map_err(|_| CommError::TypeMismatch {
-        src,
-        tag,
-        expected: T::KIND,
-        got,
-    })
-}
-
-/// First element of a collective buffer when the element type is
-/// `u64` — the command opcode for protocol header broadcasts — else
-/// `None`. Rides every collective's [`CommEvent::Coll`] entry so the
-/// trace-conformance replay can dispatch on the command a header
-/// broadcast carried.
+/// First element of a `u64` buffer — a header broadcast's command
+/// opcode, which its [`CommEvent::Coll`] carries so the conformance
+/// replay can dispatch on it — else `None`.
 fn first_u64<T: CollElem>(buf: &[T]) -> Option<u64> {
     let first = *buf.first()?;
     match T::wrap(vec![first]) {
@@ -261,85 +235,134 @@ fn use_tree_shape(m: usize, n: usize) -> bool {
     m > RING_LATENCY_WORLD && n < RING_CHUNK_FLOOR * m
 }
 
-/// Ring/tree/star participants: every rank whose death has not been
-/// *acknowledged*, in rank order. Freshly-dead-but-unacknowledged
-/// ranks stay in the topology — every survivor keys the shape on the
-/// same acknowledged set, so re-stitching happens only through the
-/// recovery driver's membership-agreement round, never from raced
-/// death observations mid-collective.
-fn live_parts(comm: &Comm) -> Vec<usize> {
-    (0..comm.size()).filter(|&r| !comm.is_acked(r)).collect()
+/// A rooted collective: its name, its fault-free shape, and the timed
+/// star it runs under a non-empty fault plan.
+type Rooted = (&'static str, Schedule, Schedule);
+const BCAST: Rooted = ("bcast", schedule::binomial_bcast, schedule::fan_out);
+const REDUCE: Rooted = ("reduce", schedule::binomial_reduce, schedule::fan_in);
+const BARRIER: Rooted = ("barrier", schedule::dissemination, schedule::star);
+
+/// Participants of a collective rooted at `root`: the root, then every
+/// other rank whose death has not been *acknowledged*, in rotation
+/// order `root + 1, …, root − 1`. Unacknowledged deaths stay in the
+/// topology: every survivor keys the shape on the same acknowledged
+/// set, so re-stitching happens only through the recovery driver's
+/// membership round, never from raced death observations.
+fn participants(comm: &Comm, root: usize) -> Vec<usize> {
+    let size = comm.size();
+    (0..size)
+        .map(|k| (root + k) % size)
+        .filter(|&r| r == root || !comm.is_acked(r))
+        .collect()
 }
 
-/// Decode a received chunk into `dst` without cloning the payload:
-/// payloads already carrying `T` are copied straight out of the
-/// borrow; wire images are decoded by reference first. Reports a
-/// kind mismatch with the on-wire kind (mirrors [`decoded_vec`]).
-fn decode_chunk_into<T: CollElem>(
+/// The lowest rank not acknowledged dead: position 0 of the masterless
+/// collectives and the root of the barrier.
+fn lowest_live(comm: &Comm) -> usize {
+    (0..comm.size()).find(|&r| !comm.is_acked(r)).unwrap_or(0)
+}
+
+/// Install a received or owned wire image as `chunk` of `buf` without
+/// cloning the payload: payloads already carrying `T` are copied
+/// straight out of the borrow; wire images are decoded by reference
+/// first. The whole chunk replaces the buffer. Reports a kind mismatch
+/// with the on-wire kind.
+fn install<T: CollElem, B: Buffer<T> + ?Sized>(
     payload: &Payload,
-    dst: &mut [T],
+    buf: &mut B,
+    chunk: Chunk,
     src: usize,
     tag: u64,
 ) -> Result<(), CommError> {
-    if let Some(slice) = T::try_slice(payload) {
-        dst.copy_from_slice(slice);
-        return Ok(());
-    }
     let mismatch = || CommError::TypeMismatch {
         src,
         tag,
         expected: T::KIND,
         got: payload.kind(),
     };
-    let decoded = crate::wire::decode_ref(payload).ok_or_else(mismatch)?;
-    let slice = T::try_slice(&decoded).ok_or_else(mismatch)?;
-    dst.copy_from_slice(slice);
+    let decoded;
+    let image = match T::try_slice(payload) {
+        Some(slice) => slice,
+        None => {
+            decoded = crate::wire::decode_ref(payload).ok_or_else(mismatch)?;
+            T::try_slice(&decoded).ok_or_else(mismatch)?
+        }
+    };
+    if chunk == Chunk::WHOLE {
+        buf.install(image);
+    } else {
+        let elems = buf.elems();
+        let range = chunk.range(elems.len());
+        elems[range].copy_from_slice(image);
+    }
     Ok(())
 }
 
-/// Interpret one position's hop list from `schedule` over `parts` —
-/// the participating ranks in rank order (all ranks fault-free; the
-/// surviving membership after a re-stitch). Position `q` of the
-/// schedule is rank `parts[q]`, so a re-stitched collective is exactly
-/// the textbook one over `m = parts.len()` members.
+/// What a failed receive (or a payload that cannot be applied) does to
+/// a walk.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OnFail {
+    /// Abort with the error as it is: the fault-free rooted collectives.
+    Abort,
+    /// Abort with the death the recovery round must evict
+    /// ([`Comm::hop_failure`]): the symmetric allreduces, whose event is
+    /// recorded even for an aborted walk.
+    Attribute,
+    /// The timed star. Its root drains every arrival: it keeps the
+    /// first failure, evicts a member that went silent and skips later
+    /// sends to a member whose receive failed. Any other member aborts
+    /// with the error as it is.
+    RootDrains,
+}
+
+/// Interpret one position's hop list from `schedule` over `parts`, the
+/// participating ranks: position `q` is rank `parts[q]`, so a
+/// re-stitched or re-rooted collective is exactly the textbook one
+/// over `m = parts.len()` members.
 ///
-/// Window-1 receives fold in the operand order the hop names;
-/// window-2 sends forward the wire image last owned or received,
-/// moved on its last send, so every rank installs identical bytes for
-/// every chunk. With `timeout` set, every receive is bounded and a
-/// miss is mapped through [`Comm::hop_failure`] so the caller sees
-/// [`CommError::RankDead`] for the rank the recovery round must evict
-/// — not for the innocent upstream neighbour the timeout happened to
-/// fire on.
-fn exchange<T: CollElem>(
+/// Window-1 receives fold in the operand order the hop names; window-2
+/// sends forward the wire image last owned or received, moved on its
+/// last send, so every rank installs identical bytes for every chunk.
+/// With `timeout` set every receive is bounded, and `on_fail` says what
+/// a failed one does. Returns the failure a draining root kept
+/// (`Ok(None)` when the walk was clean), or `Err` for an aborted walk.
+#[allow(clippy::too_many_arguments)]
+fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
     comm: &mut Comm,
-    buf: &mut [T],
+    buf: &mut B,
     op: ReduceOp,
     tag: u64,
     parts: &[usize],
     schedule: Schedule,
     timeout: Option<Duration>,
-) -> Result<(), CommError> {
+    on_fail: OnFail,
+) -> Result<Option<CommError>, CommError> {
     let Some(p) = parts.iter().position(|&r| r == comm.rank()) else {
         // A rank acknowledged as dead must not re-enter the topology;
         // its own fate check surfaces the eviction.
         return Err(CommError::RankDead { rank: comm.rank() });
     };
-    let n = buf.len();
     let hops = schedule(p, parts.len());
+    let drains = on_fail == OnFail::RootDrains && p == 0;
     let mut image = Payload::Empty;
+    let mut first_err = None;
+    let mut failed = Vec::new();
     for (i, hop) in hops.iter().enumerate() {
         match *hop {
             Hop::Send { to, window, chunk } => {
-                let t = tag + u64::from(window);
+                if failed.contains(&to) {
+                    continue;
+                }
                 let payload = if window != 2 {
-                    T::wrap(buf[chunk.range(n)].to_vec())
+                    let elems = buf.elems();
+                    T::wrap(elems[chunk.range(elems.len())].to_vec())
                 } else if matches!(hops.get(i + 1), Some(Hop::Send { window: 2, .. })) {
-                    // A tree fan-out: later children get the same image.
+                    // A fan-out: later children get the same image.
                     image.clone()
                 } else {
                     std::mem::replace(&mut image, Payload::Empty)
                 };
+                let t = tag + u64::from(window);
                 comm.send(parts[to], t, payload)?;
             }
             Hop::Recv {
@@ -350,102 +373,92 @@ fn exchange<T: CollElem>(
             } => {
                 let t = tag + u64::from(window);
                 let src = parts[from];
-                let pkt = match timeout {
-                    None => comm.recv(Src::Of(src), t)?,
-                    Some(d) => match comm.recv_timeout(Src::Of(src), t, d) {
-                        Ok(pkt) => pkt,
-                        Err(e) => return Err(comm.hop_failure(src, e)),
-                    },
+                let got = match timeout {
+                    None => comm.recv(Src::Of(src), t),
+                    Some(d) => comm.recv_timeout(Src::Of(src), t, d),
                 };
-                let own = &mut buf[chunk.range(n)];
-                match apply {
-                    Apply::FoldIncomingLeft => T::fold_into(op, &Comm::typed::<T>(pkt, t)?, own),
-                    Apply::FoldOwnLeft => T::combine(op, own, &Comm::typed::<T>(pkt, t)?),
-                    Apply::Install => {
-                        decode_chunk_into::<T>(&pkt.payload, own, pkt.src, t)?;
-                        image = pkt.payload;
+                let applied = got.and_then(|pkt| {
+                    let elems = buf.elems();
+                    let range = chunk.range(elems.len());
+                    let own = &mut elems[range];
+                    match apply {
+                        Apply::FoldIncomingLeft => {
+                            T::fold_into(op, &Comm::typed::<T>(pkt, t)?, own)
+                        }
+                        Apply::FoldOwnLeft => T::combine(op, own, &Comm::typed::<T>(pkt, t)?),
+                        Apply::Install => {
+                            install(&pkt.payload, buf, chunk, pkt.src, t)?;
+                            image = pkt.payload;
+                        }
+                        Apply::Discard => {}
                     }
-                    Apply::Discard => {}
+                    Ok(())
+                });
+                match applied {
+                    Ok(()) => {}
+                    Err(e) if drains => {
+                        failed.push(from);
+                        if e != CommError::Timeout {
+                            first_err.get_or_insert(e);
+                            continue;
+                        }
+                        comm.evict(src);
+                        first_err.get_or_insert(CommError::RankDead { rank: src });
+                    }
+                    Err(e) if on_fail == OnFail::Attribute => return Err(comm.hop_failure(src, e)),
+                    Err(e) => return Err(e),
                 }
             }
             Hop::Own { chunk } => {
-                let range = chunk.range(n);
-                image = comm.codec_encode(T::wrap(buf[range.clone()].to_vec()));
-                let self_rank = comm.rank();
-                decode_chunk_into::<T>(&image, &mut buf[range], self_rank, tag + 2)?;
+                let elems = buf.elems();
+                let owned = T::wrap(elems[chunk.range(elems.len())].to_vec());
+                image = comm.codec_encode(owned);
+                install(&image, buf, chunk, comm.rank(), tag + 2)?;
             }
         }
     }
-    Ok(())
+    Ok(first_err)
 }
 
 impl Comm {
-    /// Broadcast `buf` from `root` to all ranks (binomial tree).
+    /// Broadcast `buf` from `root` to all ranks; on non-roots it is
+    /// replaced by the root's data (it may change length).
     ///
-    /// On non-root ranks the buffer is replaced by the root's data
-    /// (it may change length).
+    /// Fault-free this is the binomial tree
+    /// ([`schedule::binomial_bcast`]); under a non-empty fault plan, the
+    /// flat fan-out ([`schedule::fan_out`]) to every rank not
+    /// acknowledged dead, where non-roots give up with
+    /// [`CommError::Timeout`] after the plan's worker window, or
+    /// [`CommError::RankDead`] once the root is known dead. Either way
+    /// the root encodes the buffer once and every rank — root included
+    /// — installs that wire image, so buffers end bit-identical even
+    /// under a lossy codec.
     pub fn bcast<T: CollElem>(&mut self, buf: &mut Vec<T>, root: usize) -> Result<(), CommError> {
         assert!(root < self.size(), "bcast: root out of range");
-        if self.ft() {
-            let timeout = self.ft_timeout_for_root(root);
-            return self.bcast_timed(buf, root, timeout);
-        }
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        with_collective(self, "bcast", true, |comm, tag| {
-            let rank = comm.rank();
-            let vrank = (rank + size - root) % size;
-            // The root encodes the buffer once; relays forward the
-            // received wire image untouched. Every rank — root
-            // included — installs the decoded image, so the buffer
-            // ends bit-identical across ranks even under a lossy
-            // codec (re-encoding at each relay could wobble the int8
-            // scale by one ULP).
-            let mut mask = 1usize;
-            let mut received: Option<(Payload, usize)> = None;
-            while mask < size {
-                if vrank & mask != 0 {
-                    let src = (vrank - mask + root) % size;
-                    let pkt = comm.recv(Src::Of(src), tag)?;
-                    received = Some((pkt.payload, pkt.src));
-                    break;
-                }
-                mask <<= 1;
-            }
-            let (img, origin) = match received {
-                Some(image) => image,
-                None => (comm.codec_encode(T::wrap(buf.clone())), rank),
-            };
-            *buf = decoded_vec::<T>(img.clone(), origin, tag)?;
-            mask >>= 1;
-            while mask > 0 {
-                if vrank + mask < size {
-                    let dst = (vrank + mask + root) % size;
-                    comm.send(dst, tag, img.clone())?;
-                }
-                mask >>= 1;
-            }
-            comm.push_event(CommEvent::Coll {
-                op: "bcast",
-                root,
-                kind: T::KIND,
-                len: buf.len(),
-                first: first_u64(buf),
-                ok: true,
-            });
-            comm.trace_collective_done();
-            Ok(())
-        })
+        self.rooted(BCAST, buf, ReduceOp::Sum, root)
     }
 
-    /// Reduce `buf` elementwise under `op` to `root` (binomial tree).
+    /// Reduce `buf` elementwise under `op` to `root`.
     ///
     /// After the call `buf` on the root holds the reduction; on other
     /// ranks it holds intermediate partial sums (treat as garbage).
-    /// The combine order is a fixed tree, so results are bitwise
-    /// deterministic for a given world size.
+    /// Participants are the root, then the other ranks not
+    /// acknowledged dead in rotation order `root + 1, …, root − 1`, and
+    /// the shape fixes the combine order over those positions:
+    ///
+    /// * fault-free, the binomial tree ([`schedule::binomial_reduce`]):
+    ///   each position folds its children in ascending mask order, its
+    ///   own operand on the left;
+    /// * under a non-empty fault plan, the flat fan-in
+    ///   ([`schedule::fan_in`]): the root folds the contributions
+    ///   left-deep in participant order,
+    ///   `((x_root ⊕ x_root+1) ⊕ …) ⊕ x_root−1`. It *drains* every live
+    ///   contribution even after a failure (so the tag window closes
+    ///   cleanly and survivors stay in lockstep), evicts a contributor
+    ///   that missed its window without a death notice, and reports the
+    ///   first failure as [`CommError::RankDead`].
+    ///
+    /// Both orders are bitwise deterministic for a given membership.
     pub fn reduce<T: CollElem>(
         &mut self,
         buf: &mut [T],
@@ -453,310 +466,73 @@ impl Comm {
         root: usize,
     ) -> Result<(), CommError> {
         assert!(root < self.size(), "reduce: root out of range");
-        if self.ft() {
-            let timeout = self.ft_timeout_for_root(root);
-            return self.reduce_timed(buf, op, root, timeout);
-        }
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        with_collective(self, "reduce", true, |comm, tag| {
-            let rank = comm.rank();
-            let vrank = (rank + size - root) % size;
-            let mut mask = 1usize;
-            while mask < size {
-                if vrank & mask == 0 {
-                    let vsrc = vrank | mask;
-                    if vsrc < size {
-                        let src = (vsrc + root) % size;
-                        let other = comm.recv_vec::<T>(Src::Of(src), tag)?;
-                        T::combine(op, buf, &other);
-                    }
-                } else {
-                    let vdst = vrank & !mask;
-                    let dst = (vdst + root) % size;
-                    comm.send(dst, tag, T::wrap(buf.to_vec()))?;
-                    break;
-                }
-                mask <<= 1;
-            }
-            comm.push_event(CommEvent::Coll {
-                op: "reduce",
-                root,
-                kind: T::KIND,
-                len: buf.len(),
-                first: None,
-                ok: true,
-            });
-            comm.trace_collective_done();
-            Ok(())
-        })
+        self.rooted(REDUCE, buf, op, root)
     }
 
-    /// Fault-tolerant broadcast: flat fan-out from `root` to every
-    /// rank not acknowledged dead, with a bounded wait on the receive
-    /// side.
-    ///
-    /// Instead of the binomial tree (where a dead interior node
-    /// severs its whole subtree) the root sends to each live rank
-    /// directly, so one death never blocks an unrelated rank.
-    /// Non-root ranks give up with [`CommError::Timeout`] after
-    /// `timeout`, or [`CommError::RankDead`] as soon as the root is
-    /// known dead. [`Comm::bcast`] dispatches here automatically when
-    /// fault injection is armed.
-    fn bcast_timed<T: CollElem>(
-        &mut self,
-        buf: &mut Vec<T>,
-        root: usize,
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        self.fault_gate()?;
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        with_collective(self, "bcast", true, |comm, tag| {
-            if comm.rank() == root {
-                // Encode once and install the decoded image locally,
-                // so the root agrees bitwise with every receiver even
-                // under a lossy codec.
-                let img = comm.codec_encode(T::wrap(buf.clone()));
-                *buf = decoded_vec::<T>(img.clone(), root, tag)?;
-                // Skip on *acknowledged* deaths only: whether the root
-                // already pulled the notice of a concurrent death is a
-                // race, and its byte trace must not depend on it.
-                for dst in 0..size {
-                    if dst != root && !comm.is_acked(dst) {
-                        comm.send(dst, tag, img.clone())?;
-                    }
-                }
-            } else {
-                *buf = comm.recv_vec_timeout::<T>(Src::Of(root), tag, timeout)?;
-            }
-            comm.push_event(CommEvent::Coll {
-                op: "bcast",
-                root,
-                kind: T::KIND,
-                len: buf.len(),
-                first: first_u64(buf),
-                ok: true,
-            });
-            comm.trace_collective_done();
-            Ok(())
-        })
+    /// Dissemination barrier ([`schedule::dissemination`]). Under a
+    /// non-empty fault plan, the star ([`schedule::star`]) rooted at
+    /// the lowest rank not acknowledged dead — rank 0 in master mode,
+    /// the surviving coordinator in a re-stitched masterless world —
+    /// which collects an arrival from every member (evicting any that
+    /// miss the window), releases them, and reports the first failure
+    /// as [`CommError::RankDead`].
+    pub fn barrier(&mut self) -> Result<(), CommError> {
+        let none: &mut [()] = &mut [];
+        self.rooted(BARRIER, none, ReduceOp::Sum, lowest_live(self))
     }
 
-    /// Fault-tolerant reduce: flat fan-in to `root` with a bounded
-    /// wait per contribution and deterministic recovery semantics.
-    ///
-    /// The root combines contributions in ascending rank order (so
-    /// the result is bitwise deterministic), *drains* every live
-    /// contribution even after a failure is observed (so the tag
-    /// window closes cleanly and survivors stay in lockstep), and
-    /// reports the first failure as [`CommError::RankDead`] — after
-    /// evicting a rank whose contribution timed out without a death
-    /// notice. [`Comm::reduce`] dispatches here automatically when
-    /// fault injection is armed.
-    fn reduce_timed<T: CollElem>(
+    /// The entry body shared by the rooted collectives: the fault-free
+    /// shape, or under a non-empty fault plan (after its gate) the timed
+    /// star, the root's receives bounded by the plan's detect window and
+    /// every other member's by its worker window.
+    fn rooted<T: CollElem, B: Buffer<T> + ?Sized>(
         &mut self,
-        buf: &mut [T],
+        (name, fault_free, timed): Rooted,
+        buf: &mut B,
         op: ReduceOp,
         root: usize,
-        timeout: Duration,
     ) -> Result<(), CommError> {
-        self.fault_gate()?;
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        with_collective(self, "reduce", true, |comm, tag| {
-            if comm.rank() != root {
-                comm.send(root, tag, T::wrap(buf.to_vec()))?;
-                comm.push_event(CommEvent::Coll {
-                    op: "reduce",
-                    root,
-                    kind: T::KIND,
-                    len: buf.len(),
-                    first: None,
-                    ok: true,
-                });
-                comm.trace_collective_done();
-                return Ok(());
-            }
-            let mut first_err: Option<CommError> = None;
-            for src in 0..size {
-                if src == root {
-                    continue;
-                }
-                if comm.is_acked(src) {
-                    continue;
-                }
-                // A rank already known dead is still received from:
-                // what it sent before dying is matched first, and
-                // `RankDead` reported only for what it never sent.
-                match comm.recv_vec_timeout::<T>(Src::Of(src), tag, timeout) {
-                    Ok(other) => T::combine(op, buf, &other),
-                    Err(CommError::RankDead { rank }) => {
-                        first_err.get_or_insert(CommError::RankDead { rank });
-                    }
-                    Err(CommError::Timeout) => {
-                        comm.evict(src);
-                        first_err.get_or_insert(CommError::RankDead { rank: src });
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-            // The drain above completes the collective structurally
-            // even when a contribution failed, so the event is
-            // recorded either way — with `ok` carrying the verdict —
-            // keeping the root's trace command-aligned under faults.
-            comm.push_event(CommEvent::Coll {
-                op: "reduce",
-                root,
-                kind: T::KIND,
-                len: buf.len(),
-                first: None,
-                ok: first_err.is_none(),
-            });
-            comm.trace_collective_done();
-            match first_err {
-                None => Ok(()),
-                Some(e) => Err(e),
-            }
-        })
-    }
-
-    /// Fault-tolerant barrier: the star of [`schedule::star`] over the
-    /// ranks not acknowledged dead, rooted at the lowest of them. The
-    /// root collects an arrival from every member (evicting any that
-    /// miss the window) and then releases them. In master mode the
-    /// root is always rank 0; in a re-stitched masterless world it is
-    /// the surviving coordinator. Reports the first failure as
-    /// [`CommError::RankDead`]; [`Comm::barrier`] dispatches here
-    /// automatically when fault injection is armed.
-    fn barrier_timed(&mut self) -> Result<(), CommError> {
-        self.fault_gate()?;
+        let timeout = if self.ft() {
+            self.fault_gate()?;
+            Some(self.ft_timeout_for_root(root))
+        } else {
+            None
+        };
         if self.size() == 1 {
             return Ok(());
         }
-        let parts = live_parts(self);
-        let Some(pos) = parts.iter().position(|&r| r == self.rank()) else {
-            return Err(CommError::RankDead { rank: self.rank() });
+        let parts = participants(self, root);
+        let (schedule, on_fail) = match timeout {
+            None => (fault_free, OnFail::Abort),
+            Some(_) => (timed, OnFail::RootDrains),
         };
-        let root = parts[0];
-        let timeout = self.ft_timeout_for_root(root);
-        with_collective(self, "barrier", false, |comm, tag| {
-            let mut first_err: Option<CommError> = None;
-            for hop in schedule::star(pos, parts.len()) {
-                match hop {
-                    Hop::Send { to, window, .. } => {
-                        let t = tag + u64::from(window);
-                        // The root skips the release to a rank it knows
-                        // is dead.
-                        if pos != 0 || !comm.is_dead(parts[to]) {
-                            comm.send(parts[to], t, Payload::Empty)?;
-                        }
-                    }
-                    Hop::Recv { from, window, .. } => {
-                        let t = tag + u64::from(window);
-                        let src = parts[from];
-                        match comm.recv_timeout(Src::Of(src), t, timeout) {
-                            Ok(_) => {}
-                            // A member waiting on its release gives up.
-                            Err(e) if pos != 0 => return Err(e),
-                            // The root drains every arrival, keeping the
-                            // first failure.
-                            Err(CommError::Timeout) => {
-                                comm.evict(src);
-                                first_err.get_or_insert(CommError::RankDead { rank: src });
-                            }
-                            Err(e) => {
-                                first_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                    Hop::Own { .. } => {}
-                }
-            }
-            comm.push_event(CommEvent::Coll {
-                op: "barrier",
-                root,
-                kind: "Empty",
-                len: 0,
-                first: None,
-                ok: first_err.is_none(),
-            });
-            comm.trace_collective_done();
-            first_err.map_or(Ok(()), Err)
-        })
+        self.collective(name, buf, op, &parts, schedule, timeout, on_fail)
     }
 
     /// Allreduce: every rank ends with the full reduction.
     ///
-    /// Uses recursive doubling for power-of-two world sizes (the BG/Q
-    /// partition sizes 1024/2048/4096/8192 all are), otherwise
-    /// reduce-to-0 followed by broadcast.
+    /// Recursive doubling ([`schedule::recursive_doubling`]) when the
+    /// ranks not acknowledged dead number a power of two (the BG/Q
+    /// partition sizes 1024/2048/4096/8192 all are): partners exchange
+    /// whole buffers and fold with the lower rank's operand on the
+    /// left, so every rank computes identical bits (uncompressed: a
+    /// lossy codec would give partners different views of each other).
+    /// Otherwise reduce to rank 0, then broadcast. Under a non-empty
+    /// fault plan recursive doubling is gated and its hops are bounded
+    /// by the plan's peer window, like [`Comm::allreduce_ring`]; the
+    /// decomposition inherits the rooted collectives' timed stars.
     pub fn allreduce<T: CollElem>(
         &mut self,
         buf: &mut Vec<T>,
         op: ReduceOp,
     ) -> Result<(), CommError> {
-        let size = self.size();
-        if size == 1 {
+        if self.size() == 1 {
             return Ok(());
         }
-        if size.is_power_of_two() {
-            // Under a fault plan the exchange is gated and its hops are
-            // bounded by the peer window, like the masterless allreduces.
-            let timeout = if self.ft() {
-                self.fault_gate()?;
-                Some(self.ft_timeout_peer())
-            } else {
-                None
-            };
-            with_collective(self, "allreduce", false, |comm, tag| {
-                let rank = comm.rank();
-                let mut mask = 1usize;
-                while mask < size {
-                    let partner = rank ^ mask;
-                    // Deterministic exchange: send then receive (the
-                    // unbounded channels make this deadlock-free).
-                    comm.send(partner, tag + 1, T::wrap(buf.clone()))?;
-                    let other = match timeout {
-                        None => comm.recv_vec::<T>(Src::Of(partner), tag + 1)?,
-                        Some(d) => comm
-                            .recv_vec_timeout::<T>(Src::Of(partner), tag + 1, d)
-                            .map_err(|e| comm.hop_failure(partner, e))?,
-                    };
-                    // Combine in a rank-independent order: lower rank's
-                    // data is always the left operand, so all ranks
-                    // compute bitwise-identical results.
-                    if rank < partner {
-                        T::combine(op, buf, &other);
-                    } else {
-                        let mut acc = other;
-                        T::combine(op, &mut acc, buf);
-                        *buf = acc;
-                    }
-                    mask <<= 1;
-                }
-                comm.push_event(CommEvent::Coll {
-                    op: "allreduce",
-                    root: 0,
-                    kind: T::KIND,
-                    len: buf.len(),
-                    first: None,
-                    ok: true,
-                });
-                comm.trace_collective_done();
-                Ok(())
-            })
+        let members = participants(self, lowest_live(self)).len();
+        if members.is_power_of_two() {
+            self.allreduce_masterless("allreduce", buf, op, |_| schedule::recursive_doubling)
         } else {
-            // Non-power-of-two worlds decompose into reduce + bcast,
-            // which record their own events.
             self.reduce(buf, op, 0)?;
             self.bcast(buf, 0)
         }
@@ -785,19 +561,14 @@ impl Comm {
     /// is encoded once by its owner and forwarded around the ring as
     /// an opaque wire image, so all ranks still end bit-identical.
     ///
-    /// Fault-tolerant under a non-empty fault plan: every hop receive
-    /// is bounded by the plan's peer window, and a dead neighbour
+    /// Fault-tolerant under a non-empty fault plan: a dead neighbour
     /// surfaces as [`CommError::RankDead`] naming the lowest
-    /// unacknowledged dead rank — the rank the recovery round will
-    /// evict — rather than wedging the ring. The exchange runs over
-    /// the *acknowledged-live* membership, so after the recovery
-    /// driver's membership-agreement round the same entry point is the
-    /// re-stitched ring over survivors. Starvation is structural: when
-    /// a member dies mid-collective, its downstream neighbour fails on
-    /// the missing hop and every rank further downstream starves in
-    /// turn within the same invocation, so all survivors abort the
-    /// *same* collective sequence number and re-enter recovery in
-    /// lockstep.
+    /// unacknowledged dead rank — the one the recovery round will
+    /// evict. The ring runs over the *acknowledged-live* membership, so
+    /// after that round the same entry point is the re-stitched ring.
+    /// Starvation is structural: every rank downstream of a death
+    /// starves within the same invocation, so all survivors abort the
+    /// *same* collective and re-enter recovery in lockstep.
     pub fn allreduce_ring<T: CollElem>(
         &mut self,
         buf: &mut [T],
@@ -830,9 +601,7 @@ impl Comm {
     ///
     /// Fault-tolerant under a non-empty fault plan exactly like
     /// [`Comm::allreduce_ring`]: the tree is re-parented over the
-    /// acknowledged-live membership, and a dead interior node starves
-    /// its parent in the reduce and its subtree in the broadcast,
-    /// within this invocation's tag window.
+    /// acknowledged-live membership.
     pub fn allreduce_tree<T: CollElem>(
         &mut self,
         buf: &mut [T],
@@ -841,15 +610,17 @@ impl Comm {
         self.allreduce_masterless("allreduce_tree", buf, op, |_| schedule::tree)
     }
 
-    /// The entry body shared by the two masterless allreduces: run the
+    /// The entry body shared by the symmetric allreduces: run the
     /// schedule `pick` chooses for the participant count over the
-    /// acknowledged-live ranks. Hops are unbounded fault-free and
-    /// bounded by the plan's peer window when a non-empty fault plan
-    /// is armed.
-    fn allreduce_masterless<T: CollElem>(
+    /// acknowledged-live ranks in rank order. Hops are unbounded
+    /// fault-free and bounded by the plan's peer window when a
+    /// non-empty fault plan is armed — there is no asymmetric root to
+    /// out-wait, and the membership-agreement round re-synchronizes
+    /// the survivors after a failure.
+    fn allreduce_masterless<T: CollElem, B: Buffer<T> + ?Sized>(
         &mut self,
         name: &'static str,
-        buf: &mut [T],
+        buf: &mut B,
         op: ReduceOp,
         pick: impl FnOnce(usize) -> Schedule,
     ) -> Result<(), CommError> {
@@ -861,64 +632,68 @@ impl Comm {
         } else {
             None
         };
-        let parts = live_parts(self);
+        let parts = participants(self, lowest_live(self));
         let schedule = pick(parts.len());
-        let n = buf.len();
-        with_collective(self, name, true, |comm, tag| {
-            let r = exchange(comm, buf, op, tag, &parts, schedule, timeout);
-            comm.push_event(CommEvent::Coll {
+        self.collective(name, buf, op, &parts, schedule, timeout, OnFail::Attribute)
+    }
+
+    /// Run one collective invocation: claim a fresh tag window, walk
+    /// `schedule` over `parts` with the codec armed (except for the
+    /// barrier and recursive doubling), and record a `CommCollective`
+    /// span, the `wire_sent_<op>` / `wire_recv_<op>` counters and one
+    /// [`CommEvent::Coll`] rooted at `parts[0]`. The event is recorded
+    /// once the walk completes — a draining root's included, `ok`
+    /// carrying its verdict — and, for the symmetric allreduces, after
+    /// an aborted walk too.
+    #[allow(clippy::too_many_arguments)]
+    fn collective<T: CollElem, B: Buffer<T> + ?Sized>(
+        &mut self,
+        name: &'static str,
+        buf: &mut B,
+        op: ReduceOp,
+        parts: &[usize],
+        schedule: Schedule,
+        timeout: Option<Duration>,
+        on_fail: OnFail,
+    ) -> Result<(), CommError> {
+        let recorder = self.recorder().clone();
+        let _span = recorder.span(name, SpanKind::CommCollective);
+        let tag = COLLECTIVE_TAG_BASE + self.coll_seq * 8;
+        self.coll_seq += 1;
+        let was = std::mem::replace(&mut self.in_collective, true);
+        let codec = !matches!(name, "barrier" | "allreduce");
+        let was_codec = std::mem::replace(&mut self.codec_armed, codec);
+        let before = self.trace.collective;
+        let walked = exchange(self, buf, op, tag, parts, schedule, timeout, on_fail);
+        let (completed, result) = match walked {
+            Ok(first_err) => (true, first_err.map_or(Ok(()), Err)),
+            Err(e) => (false, Err(e)),
+        };
+        if completed || on_fail == OnFail::Attribute {
+            let elems = buf.elems();
+            self.push_event(CommEvent::Coll {
                 op: name,
                 root: parts[0],
                 kind: T::KIND,
-                len: n,
-                first: None,
-                ok: r.is_ok(),
+                len: elems.len(),
+                first: first_u64(elems).filter(|_| name == "bcast"),
+                ok: result.is_ok(),
             });
-            comm.trace_collective_done();
-            r
-        })
-    }
-
-    /// Dissemination barrier ([`schedule::dissemination`]); the timed
-    /// star barrier when a non-empty fault plan is armed.
-    pub fn barrier(&mut self) -> Result<(), CommError> {
-        if self.ft() {
-            return self.barrier_timed();
+            self.trace.on_collective_done();
         }
-        let size = self.size();
-        if size == 1 {
-            return Ok(());
-        }
-        let rank = self.rank();
-        with_collective(self, "barrier", false, |comm, tag| {
-            for hop in schedule::dissemination(rank, size) {
-                match hop {
-                    Hop::Send { to, window, .. } => {
-                        let t = tag + u64::from(window);
-                        comm.send(to, t, Payload::Empty)?;
-                    }
-                    Hop::Recv { from, window, .. } => {
-                        let t = tag + u64::from(window);
-                        comm.recv(Src::Of(from), t)?;
-                    }
-                    Hop::Own { .. } => {}
-                }
+        let after = self.trace.collective;
+        let moved = [
+            after.bytes_sent - before.bytes_sent,
+            after.bytes_received - before.bytes_received,
+        ];
+        for (counter, bytes) in wire_counters(name).into_iter().zip(moved) {
+            if bytes > 0 {
+                recorder.counter_add(counter, bytes);
             }
-            comm.push_event(CommEvent::Coll {
-                op: "barrier",
-                root: 0,
-                kind: "Empty",
-                len: 0,
-                first: None,
-                ok: true,
-            });
-            comm.trace_collective_done();
-            Ok(())
-        })
-    }
-
-    fn trace_collective_done(&mut self) {
-        self.trace.on_collective_done();
+        }
+        self.codec_armed = was_codec;
+        self.in_collective = was;
+        result
     }
 }
 
@@ -1079,6 +854,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn timed_bcast_and_reduce_at_every_root_follow_the_participant_order() {
+        use crate::fault::FaultPlan;
+        use crate::runner::run_world_faulted;
+        // Armed but never firing: every rooted collective runs its
+        // timed star over the participants root, root + 1, …, root − 1.
+        let plan = FaultPlan::new(3).kill(4, 10_000);
+        let (size, n) = (5usize, 33usize);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Left-deep fold of the ranks' inputs in `order`.
+        let fold = |order: Vec<usize>| {
+            let mut acc = gen_f32(order[0], n);
+            for &r in &order[1..] {
+                f32::combine(ReduceOp::Sum, &mut acc, &gen_f32(r, n));
+            }
+            acc
+        };
+        let mut order_matters = false;
+        for root in 0..size {
+            let results = run_world_faulted(size, &plan, move |comm| {
+                let mut b = if comm.rank() == root {
+                    gen_f32(root + 7, n)
+                } else {
+                    Vec::new()
+                };
+                comm.bcast(&mut b, root).unwrap();
+                let mut r = gen_f32(comm.rank(), n);
+                comm.reduce(&mut r, ReduceOp::Sum, root).unwrap();
+                (b, r)
+            });
+            for r in &results {
+                assert_eq!(
+                    bits(&r.result.0),
+                    bits(&gen_f32(root + 7, n)),
+                    "root={root}"
+                );
+            }
+            let expect = fold((0..size).map(|k| (root + k) % size).collect());
+            assert_eq!(bits(&results[root].result.1), bits(&expect), "root={root}");
+            // The order the flat reduce folded in before participants
+            // were rotated: the root, then the others ascending.
+            let others = (0..size).filter(|&r| r != root);
+            let ascending = fold(std::iter::once(root).chain(others).collect());
+            order_matters |= bits(&ascending) != bits(&expect);
+        }
+        assert!(
+            order_matters,
+            "the fold order is not observable in these bits"
+        );
     }
 
     #[test]

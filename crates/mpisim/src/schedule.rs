@@ -1,32 +1,46 @@
-//! The masterless collective schedules as data.
+//! Every collective schedule as data.
 //!
 //! Each function returns one position's ordered hop list for `m`
 //! participants. Positions are indices into a participant list
 //! (`parts`): the caller maps position `q` to rank `parts[q]`, so the
-//! same list describes the full-world collective and the one
-//! re-stitched over the survivors of a failure.
+//! same list describes the full-world collective, the one re-stitched
+//! over the survivors of a failure, and a rooted collective whose root
+//! the caller put at position 0.
 //!
-//! Two consumers read the same lists: [`Comm::allreduce_ring`],
-//! [`Comm::allreduce_tree`] and [`Comm::barrier`] interpret them, and
-//! `pdnn-protomc` lowers them into the micro-step programs it
-//! explores. The model checker therefore checks the hops the runtime
-//! executes, not a second copy of them.
+//! Two consumers read the same lists: every collective of
+//! [`Comm`] interprets them through one hop interpreter, and
+//! `pdnn-protomc` lowers them into the micro-step programs it explores
+//! (the masterless model and the master/worker model alike). The model
+//! checker therefore checks the hops the runtime executes, not a
+//! second copy of them.
+//!
+//! | shape | runs in | windows |
+//! |---|---|---|
+//! | [`binomial_reduce`], [`binomial_bcast`] | fault-free `reduce` / `bcast` | 1 / 2 |
+//! | [`tree`] = reduce half ++ broadcast half | `allreduce_tree`; `allreduce_ring` on large worlds with small chunks | 1, 2 |
+//! | [`ring`] | `allreduce_ring` | 1, 2 |
+//! | [`recursive_doubling`] | `allreduce` on a power-of-two membership | 1 |
+//! | [`dissemination`] | fault-free `barrier` | 0 |
+//! | [`fan_in`], [`fan_out`] | `reduce` / `bcast` under a fault plan | 1 / 2 |
+//! | [`star`] = fan-in ++ fan-out | `barrier` under a fault plan | 1, 2 |
 //!
 //! A hop moves data in a tag window, an offset from the collective's
 //! base tag:
 //!
+//! * window 0 — the dissemination barrier's rounds, which carry no
+//!   data;
 //! * window 1 — the reduce phase: a position sends a copy of its
 //!   partial of a chunk and folds what it receives in a fixed operand
 //!   order;
 //! * window 2 — the broadcast phase: the chunk's owner encodes it once
 //!   ([`Hop::Own`]), and every position installs and forwards that wire
 //!   image untouched, so all ranks end with the same bytes under a
-//!   lossy codec;
-//! * windows 0 and 1 of the barriers — empty arrivals and releases.
+//!   lossy codec.
 //!
-//! [`Comm::allreduce_ring`]: crate::Comm::allreduce_ring
-//! [`Comm::allreduce_tree`]: crate::Comm::allreduce_tree
-//! [`Comm::barrier`]: crate::Comm::barrier
+//! A barrier is the star or the dissemination rounds over an empty
+//! buffer, so its folds and installs move nothing.
+//!
+//! [`Comm`]: crate::Comm
 
 use std::ops::Range;
 
@@ -41,8 +55,9 @@ pub struct Chunk {
 }
 
 impl Chunk {
-    /// The whole buffer.
-    const WHOLE: Chunk = Chunk { index: 0, of: 1 };
+    /// The whole buffer. Installing it replaces the buffer, so a
+    /// broadcast's receivers may start with any length.
+    pub(crate) const WHOLE: Chunk = Chunk { index: 0, of: 1 };
 
     /// Element range of this chunk in a buffer of `n` elements.
     pub(crate) fn range(self, n: usize) -> Range<usize> {
@@ -53,13 +68,13 @@ impl Chunk {
 /// What a receive does with the payload it takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Apply {
-    /// Nothing: barrier arrivals and releases carry no data.
+    /// Nothing: the dissemination barrier's messages carry no data.
     Discard,
     /// Fold the partial into the chunk with the incoming operand on the
     /// left (the ring: each chunk folds left-deep in ring order).
     FoldIncomingLeft,
     /// Fold the partial into the chunk with this position's operand on
-    /// the left (the tree: the operand order of `Comm::reduce`).
+    /// the left (the binomial reduce and the fan-in).
     FoldOwnLeft,
     /// Install the wire image as the chunk and keep it for forwarding.
     Install,
@@ -70,7 +85,7 @@ pub enum Apply {
 pub enum Hop {
     /// Send to position `to`: on window 1 a copy of this position's
     /// partial of `chunk`, on window 2 the chunk's wire image as
-    /// received or owned, on a barrier window an empty message.
+    /// received or owned, on window 0 an empty message.
     Send { to: usize, window: u8, chunk: Chunk },
     /// Receive from position `from` and `apply` the payload to `chunk`.
     Recv {
@@ -82,6 +97,23 @@ pub enum Hop {
     /// Encode the fully reduced `chunk` once and install the decoded
     /// image: the owner's local step that opens its broadcast.
     Own { chunk: Chunk },
+}
+
+fn send(to: usize, window: u8) -> Hop {
+    Hop::Send {
+        to,
+        window,
+        chunk: Chunk::WHOLE,
+    }
+}
+
+fn recv(from: usize, window: u8, apply: Apply) -> Hop {
+    Hop::Recv {
+        from,
+        window,
+        chunk: Chunk::WHOLE,
+        apply,
+    }
 }
 
 /// Chunked ring allreduce: `m − 1` reduce-scatter hops, after which
@@ -131,62 +163,82 @@ pub fn ring(pos: usize, m: usize) -> Vec<Hop> {
     hops
 }
 
-/// Binomial-tree allreduce over the whole buffer: the reduce of
-/// `Comm::reduce` to position 0, then the broadcast of `Comm::bcast`
-/// from position 0 (same masks, same operand order).
-pub fn tree(pos: usize, m: usize) -> Vec<Hop> {
+/// Binomial reduce of the whole buffer to position 0 on window 1: a
+/// position folds its children `pos | mask` in ascending mask order,
+/// its own operand on the left, then sends its partial to its parent
+/// (`pos` with its lowest set bit cleared).
+pub fn binomial_reduce(pos: usize, m: usize) -> Vec<Hop> {
+    let mut hops = Vec::new();
+    let mut mask = 1usize;
+    while mask < m {
+        if pos & mask != 0 {
+            hops.push(send(pos & !mask, 1));
+            break;
+        }
+        if pos | mask < m {
+            hops.push(recv(pos | mask, 1, Apply::FoldOwnLeft));
+        }
+        mask <<= 1;
+    }
+    hops
+}
+
+/// Binomial broadcast of the whole buffer from position 0 on window 2:
+/// a position installs its parent's image (the root owns its own), then
+/// forwards it to its children in descending mask order. A one-member
+/// tree moves nothing.
+pub fn binomial_bcast(pos: usize, m: usize) -> Vec<Hop> {
     let mut hops = Vec::new();
     if m < 2 {
         return hops;
     }
-    let chunk = Chunk::WHOLE;
     let mut mask = 1usize;
-    while mask < m {
-        if pos & mask == 0 {
-            if pos | mask < m {
-                hops.push(Hop::Recv {
-                    from: pos | mask,
-                    window: 1,
-                    chunk,
-                    apply: Apply::FoldOwnLeft,
-                });
-            }
-        } else {
-            hops.push(Hop::Send {
-                to: pos & !mask,
-                window: 1,
-                chunk,
-            });
-            break;
-        }
+    while mask < m && pos & mask == 0 {
         mask <<= 1;
     }
-    let mut mask = 1usize;
-    while mask < m {
-        if pos & mask != 0 {
-            hops.push(Hop::Recv {
-                from: pos - mask,
-                window: 2,
-                chunk,
-                apply: Apply::Install,
-            });
-            break;
-        }
-        mask <<= 1;
-    }
-    if pos == 0 {
-        hops.push(Hop::Own { chunk });
+    if mask < m {
+        hops.push(recv(pos - mask, 2, Apply::Install));
+    } else {
+        hops.push(Hop::Own {
+            chunk: Chunk::WHOLE,
+        });
     }
     mask >>= 1;
     while mask > 0 {
         if pos + mask < m {
-            hops.push(Hop::Send {
-                to: pos + mask,
-                window: 2,
-                chunk,
-            });
+            hops.push(send(pos + mask, 2));
         }
         mask >>= 1;
+    }
+    hops
+}
+
+/// Binomial-tree allreduce over the whole buffer: [`binomial_reduce`]
+/// to position 0, then [`binomial_bcast`] from it.
+pub fn tree(pos: usize, m: usize) -> Vec<Hop> {
+    let mut hops = binomial_reduce(pos, m);
+    hops.extend(binomial_bcast(pos, m));
+    hops
+}
+
+/// Recursive-doubling allreduce for a power-of-two `m`: at round `k`
+/// position `pos` exchanges its whole partial with `pos ^ 2^k` on
+/// window 1 and folds with the lower position's operand on the left, so
+/// both partners compute identical bits.
+pub fn recursive_doubling(pos: usize, m: usize) -> Vec<Hop> {
+    debug_assert!(m.is_power_of_two(), "recursive doubling needs 2^k members");
+    let mut hops = Vec::new();
+    let mut mask = 1usize;
+    while mask < m {
+        let partner = pos ^ mask;
+        let apply = if pos < partner {
+            Apply::FoldOwnLeft
+        } else {
+            Apply::FoldIncomingLeft
+        };
+        hops.push(send(partner, 1));
+        hops.push(recv(partner, 1, apply));
+        mask <<= 1;
     }
     hops
 }
@@ -197,53 +249,47 @@ pub fn dissemination(pos: usize, m: usize) -> Vec<Hop> {
     let mut hops = Vec::new();
     let mut step = 1usize;
     while step < m {
-        hops.push(Hop::Send {
-            to: (pos + step) % m,
-            window: 0,
-            chunk: Chunk::WHOLE,
-        });
-        hops.push(Hop::Recv {
-            from: (pos + m - step) % m,
-            window: 0,
-            chunk: Chunk::WHOLE,
-            apply: Apply::Discard,
-        });
+        hops.push(send((pos + step) % m, 0));
+        hops.push(recv((pos + m - step) % m, 0, Apply::Discard));
         step <<= 1;
     }
     hops
 }
 
-/// Star barrier rooted at position 0: every other position arrives on
-/// window 0, then the root releases each on window 1.
-pub fn star(pos: usize, m: usize) -> Vec<Hop> {
-    let arrive = |from| Hop::Recv {
-        from,
-        window: 0,
-        chunk: Chunk::WHOLE,
-        apply: Apply::Discard,
-    };
-    let release = |to| Hop::Send {
-        to,
-        window: 1,
-        chunk: Chunk::WHOLE,
-    };
+/// Flat fan-in to position 0 on window 1: every other position sends
+/// its buffer, and the root folds them in position order, its own
+/// operand on the left — `((x_0 ⊕ x_1) ⊕ x_2) ⊕ …`.
+pub fn fan_in(pos: usize, m: usize) -> Vec<Hop> {
     if pos == 0 {
-        (1..m).map(arrive).chain((1..m).map(release)).collect()
+        (1..m).map(|q| recv(q, 1, Apply::FoldOwnLeft)).collect()
     } else {
-        vec![
-            Hop::Send {
-                to: 0,
-                window: 0,
-                chunk: Chunk::WHOLE,
-            },
-            Hop::Recv {
-                from: 0,
-                window: 1,
-                chunk: Chunk::WHOLE,
-                apply: Apply::Discard,
-            },
-        ]
+        vec![send(0, 1)]
     }
+}
+
+/// Flat fan-out from position 0 on window 2: the root owns its image
+/// (even with no receivers, so its buffer holds the decoded bits
+/// whatever the membership) and sends it to every other position in
+/// order; each installs it.
+pub fn fan_out(pos: usize, m: usize) -> Vec<Hop> {
+    if pos == 0 {
+        let own = Hop::Own {
+            chunk: Chunk::WHOLE,
+        };
+        std::iter::once(own)
+            .chain((1..m).map(|q| send(q, 2)))
+            .collect()
+    } else {
+        vec![recv(0, 2, Apply::Install)]
+    }
+}
+
+/// Star rooted at position 0: [`fan_in`] then [`fan_out`]. Every other
+/// position arrives, then the root releases each.
+pub fn star(pos: usize, m: usize) -> Vec<Hop> {
+    let mut hops = fan_in(pos, m);
+    hops.extend(fan_out(pos, m));
+    hops
 }
 
 #[cfg(test)]
@@ -251,10 +297,15 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    const SCHEDULES: [(&str, Schedule); 4] = [
+    const SCHEDULES: [(&str, Schedule); 9] = [
         ("ring", ring),
+        ("binomial_reduce", binomial_reduce),
+        ("binomial_bcast", binomial_bcast),
         ("tree", tree),
+        ("recursive_doubling", recursive_doubling),
         ("dissemination", dissemination),
+        ("fan_in", fan_in),
+        ("fan_out", fan_out),
         ("star", star),
     ];
 
@@ -270,21 +321,29 @@ mod tests {
             .collect()
     }
 
-    /// Parent of `v` in the binomial tree rooted at 0 that
-    /// `Comm::reduce` and `Comm::bcast` walk: `v` with its lowest set
-    /// bit cleared.
+    /// Parent of `v` in the binomial tree rooted at 0: `v` with its
+    /// lowest set bit cleared.
     fn binomial_parent(v: usize) -> usize {
         v & (v - 1)
+    }
+
+    /// Peers of the hops matching `pick`, in hop order.
+    fn peers(hops: &[Hop], pick: impl Fn(&Hop) -> Option<usize>) -> Vec<usize> {
+        hops.iter().filter_map(pick).collect()
     }
 
     #[test]
     fn every_channel_balances() {
         for (name, schedule) in SCHEDULES {
-            for m in 1..=17 {
+            for m in 1..=17usize {
+                if name == "recursive_doubling" && !m.is_power_of_two() {
+                    continue;
+                }
                 let mut balance: BTreeMap<(usize, usize, u8), i64> = BTreeMap::new();
                 for pos in 0..m {
                     for (key, d) in wire(pos, &schedule(pos, m)) {
                         assert_ne!(key.0, key.1, "{name} m={m}: self-hop at {pos}");
+                        assert!(key.0 < m && key.1 < m, "{name} m={m}: {key:?}");
                         *balance.entry(key).or_default() += d;
                     }
                 }
@@ -292,6 +351,20 @@ mod tests {
                     balance.values().all(|&v| v == 0),
                     "{name} m={m}: unbalanced channels {balance:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn composite_shapes_are_concatenations_of_their_halves() {
+        for m in 1..=17 {
+            for pos in 0..m {
+                let mut halves = binomial_reduce(pos, m);
+                halves.extend(binomial_bcast(pos, m));
+                assert_eq!(tree(pos, m), halves, "tree m={m} pos={pos}");
+                let mut halves = fan_in(pos, m);
+                halves.extend(fan_out(pos, m));
+                assert_eq!(star(pos, m), halves, "star m={m} pos={pos}");
             }
         }
     }
@@ -332,53 +405,49 @@ mod tests {
     }
 
     #[test]
-    fn tree_edges_are_the_binomial_reduce_and_bcast_edges_at_root_0() {
+    fn binomial_halves_walk_the_binomial_edges_at_root_0() {
         for m in 1..=17 {
             let mut reduce_edges = Vec::new();
             let mut bcast_edges = Vec::new();
             for pos in 0..m {
-                let hops = tree(pos, m);
-                for ((src, dst, window), d) in wire(pos, &hops) {
-                    match (window, d) {
-                        (1, 1) => reduce_edges.push((src, dst)),
-                        (2, 1) => bcast_edges.push((src, dst)),
-                        _ => {}
+                let (reduce, bcast) = (binomial_reduce(pos, m), binomial_bcast(pos, m));
+                for ((src, dst, _), d) in wire(pos, &reduce) {
+                    if d == 1 {
+                        reduce_edges.push((src, dst));
                     }
                 }
-                // Combine order: children in ascending mask order, as
-                // `Comm::reduce` folds them; fan-out in descending mask
-                // order, as `Comm::bcast` sends.
-                let folds: Vec<usize> = hops
-                    .iter()
-                    .filter_map(|h| match *h {
-                        Hop::Recv {
-                            from,
-                            window: 1,
-                            apply,
-                            ..
-                        } => {
-                            assert_eq!(apply, Apply::FoldOwnLeft);
-                            Some(from)
-                        }
-                        _ => None,
-                    })
-                    .collect();
+                for ((src, dst, _), d) in wire(pos, &bcast) {
+                    if d == 1 {
+                        bcast_edges.push((src, dst));
+                    }
+                }
+                // Combine order: children in ascending mask order, own
+                // operand on the left; fan-out in descending mask order.
+                let folds = peers(&reduce, |h| match *h {
+                    Hop::Recv {
+                        from,
+                        window: 1,
+                        apply: Apply::FoldOwnLeft,
+                        ..
+                    } => Some(from),
+                    _ => None,
+                });
                 let children: Vec<usize> = (pos + 1..m)
                     .filter(|&c| binomial_parent(c) == pos)
                     .collect();
                 assert_eq!(folds, children, "m={m} pos={pos}");
-                let fan_out: Vec<usize> = hops
-                    .iter()
-                    .filter_map(|h| match *h {
-                        Hop::Send { to, window: 2, .. } => Some(to),
-                        _ => None,
-                    })
-                    .collect();
+                let fan_out = peers(&bcast, |h| match *h {
+                    Hop::Send { to, window: 2, .. } => Some(to),
+                    _ => None,
+                });
                 assert_eq!(
                     fan_out,
                     children.iter().rev().copied().collect::<Vec<_>>(),
                     "m={m} pos={pos}"
                 );
+                // Exactly the root owns the image of a multi-member tree.
+                let owns = bcast.iter().any(|h| matches!(h, Hop::Own { .. }));
+                assert_eq!(owns, pos == 0 && m > 1, "m={m} pos={pos}");
             }
             reduce_edges.sort_unstable();
             bcast_edges.sort_unstable();
@@ -394,28 +463,60 @@ mod tests {
     }
 
     #[test]
+    fn recursive_doubling_pairs_pos_xor_mask_with_the_lower_operand_left() {
+        for m in [1usize, 2, 4, 8, 16] {
+            for pos in 0..m {
+                let hops = recursive_doubling(pos, m);
+                assert_eq!(hops.len(), 2 * m.trailing_zeros() as usize, "m={m}");
+                for (round, pair) in hops.chunks(2).enumerate() {
+                    let partner = pos ^ (1 << round);
+                    let apply = if pos < partner {
+                        Apply::FoldOwnLeft
+                    } else {
+                        Apply::FoldIncomingLeft
+                    };
+                    assert_eq!(pair[0], send(partner, 1), "m={m} pos={pos}");
+                    assert_eq!(pair[1], recv(partner, 1, apply), "m={m} pos={pos}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn star_root_collects_then_releases_every_other_position() {
         for m in 1..=17 {
             let hops = star(0, m);
-            let arrivals: Vec<usize> = hops
-                .iter()
-                .filter_map(|h| match *h {
-                    Hop::Recv {
-                        from, window: 0, ..
-                    } => Some(from),
-                    _ => None,
-                })
-                .collect();
-            let releases: Vec<usize> = hops
-                .iter()
-                .filter_map(|h| match *h {
-                    Hop::Send { to, window: 1, .. } => Some(to),
-                    _ => None,
-                })
-                .collect();
+            let arrivals = peers(&hops, |h| match *h {
+                Hop::Recv {
+                    from,
+                    window: 1,
+                    apply: Apply::FoldOwnLeft,
+                    ..
+                } => Some(from),
+                _ => None,
+            });
+            let releases = peers(&hops, |h| match *h {
+                Hop::Send { to, window: 2, .. } => Some(to),
+                _ => None,
+            });
             assert_eq!(arrivals, (1..m).collect::<Vec<_>>(), "m={m}");
             assert_eq!(releases, (1..m).collect::<Vec<_>>(), "m={m}");
-            assert_eq!(hops.len(), 2 * (m - 1), "m={m}");
+            // The root owns its image between the two phases.
+            assert_eq!(
+                hops[m - 1],
+                Hop::Own {
+                    chunk: Chunk::WHOLE
+                },
+                "m={m}"
+            );
+            assert_eq!(hops.len(), 2 * (m - 1) + 1, "m={m}");
+            for pos in 1..m {
+                assert_eq!(
+                    star(pos, m),
+                    vec![send(0, 1), recv(0, 2, Apply::Install)],
+                    "m={m} pos={pos}"
+                );
+            }
         }
     }
 }

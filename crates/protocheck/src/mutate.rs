@@ -203,9 +203,9 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m10-allreduce-internal-tag-skew",
             expected_rule: P2,
-            describes: "allreduce's gather phase receives on tag+3 while sending on tag+1",
+            describes: "the hop interpreter receives on tag+3 while sending on its hop window",
             apply: |m| {
-                if let Some(f) = m.collective_fns.iter_mut().find(|f| f.name == "allreduce") {
+                if let Some(f) = m.collective_fns.iter_mut().find(|f| f.name == "exchange") {
                     if let Some(t) = f.recv_tags.first_mut() {
                         *t = "tag+3".to_string();
                     }
