@@ -3,12 +3,18 @@
 //! A global state is the master automaton, one worker automaton per
 //! worker rank, the per-pair FIFO channels, and the remaining fault
 //! budget. Transitions are micro-steps: one point-to-point message
-//! send or receive (collectives are their flat fan-out/drain message
-//! sequences), or one injected kill. The explorer enumerates every
-//! reachable interleaving ([`explore`] is the unreduced ground truth;
-//! [`crate::por::explore_reduced`] is the sleep-set run that must
-//! agree with it) and checks three global properties at every
-//! transition-free state:
+//! send or receive, or one injected kill. A collective's micro-steps
+//! are the hops of the timed star a faulted run executes —
+//! `pdnn_mpisim::schedule::{fan_out, fan_in, star}` for broadcasts
+//! (the command header included), reductions and the barrier — lowered
+//! over the master plus the workers it believes alive, exactly as
+//! `Comm` orders its participants. (The binomial fault-free halves are
+//! explored inside the masterless model's `schedule::tree`.)
+//!
+//! The explorer enumerates every reachable interleaving ([`explore`]
+//! is the unreduced ground truth; [`crate::por::explore_reduced`] is
+//! the sleep-set run that must agree with it) and checks three global
+//! properties at every transition-free state:
 //!
 //! * **p5-deadlock-free** — a state with no enabled protocol
 //!   transition must have every rank finished (`Done` or killed).
@@ -30,17 +36,19 @@
 //! covered in a single exploration.
 
 use crate::spec::{AOp, APeer, ProtoSpec};
+use pdnn_mpisim::schedule::{self, Hop, Schedule};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 pub const P5: &str = "p5-deadlock-free";
 pub const P6: &str = "p6-no-lost-message";
 pub const P7: &str = "p7-recovery-termination";
 
-/// Message key: collective sequence window or p2p tag, mirroring the
-/// simulator's tag matching (mismatched keys park, FIFO per key).
+/// Message key: a collective's sequence number and hop window, or a
+/// p2p tag, mirroring the simulator's tag matching (mismatched keys
+/// park, FIFO per key).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub(crate) enum Key {
-    Coll { seq: u16, release: bool },
+    Coll { seq: u16, window: u8 },
     P2p { tag: u64 },
 }
 
@@ -72,12 +80,12 @@ enum MPhase {
         w: u8,
         half: u8,
     },
-    /// Header broadcast fan-out, believed-live target `sub`.
+    /// Header broadcast, micro-step `sub`.
     Header {
         ctx: Ctx,
         sub: u8,
     },
-    /// Command body, op `op`, fan-out/drain position `sub`.
+    /// Command body, op `op`, micro-step `sub`.
     Ops {
         ctx: Ctx,
         op: u8,
@@ -109,8 +117,10 @@ enum WPhase {
     Startup {
         half: u8,
     },
-    /// Blocked on the next header broadcast.
-    AwaitHeader,
+    /// In the next header broadcast, micro-step `sub`.
+    AwaitHeader {
+        sub: u8,
+    },
     /// Executing a match arm.
     Arm {
         cmd: u8,
@@ -225,7 +235,7 @@ impl State {
         }
         if spec.startup_recvs == 0 {
             for w in &mut st.workers {
-                w.phase = WPhase::AwaitHeader;
+                w.phase = WPhase::AwaitHeader { sub: 0 };
             }
         }
         st
@@ -261,8 +271,8 @@ impl State {
             b.push(chan.len() as u8);
             for m in chan {
                 match m.key {
-                    Key::Coll { seq, release } => {
-                        b.push(1 + u8::from(release));
+                    Key::Coll { seq, window } => {
+                        b.push(window);
                         b.extend_from_slice(&seq.to_le_bytes());
                     }
                     Key::P2p { tag } => {
@@ -314,7 +324,7 @@ fn enc_ctx(c: &Ctx, b: &mut Vec<u8>) {
 fn enc_wphase(p: &WPhase, b: &mut Vec<u8>) {
     match p {
         WPhase::Startup { half } => b.extend_from_slice(&[0, *half, 0, 0]),
-        WPhase::AwaitHeader => b.extend_from_slice(&[1, 0, 0, 0]),
+        WPhase::AwaitHeader { sub } => b.extend_from_slice(&[1, *sub, 0, 0]),
         WPhase::Arm { cmd, op, sub } => b.extend_from_slice(&[2, *cmd, *op, *sub]),
         WPhase::Wedged => b.extend_from_slice(&[3, 0, 0, 0]),
         WPhase::Done => b.extend_from_slice(&[4, 0, 0, 0]),
@@ -342,24 +352,6 @@ fn opcode(spec: &ProtoSpec, ctx: Ctx) -> u64 {
     spec.commands[cmd_idx(spec, ctx)].opcode
 }
 
-/// Does this master-side op fan out / drain over the live target set?
-fn master_fanout(op: &AOp) -> bool {
-    matches!(
-        op,
-        AOp::Bcast { root: 0, .. }
-            | AOp::Reduce { root: 0, .. }
-            | AOp::Barrier
-            | AOp::Send {
-                to: APeer::EachWorker,
-                ..
-            }
-            | AOp::Recv {
-                from: APeer::EachWorker,
-                ..
-            }
-    )
-}
-
 fn is_collective(op: &AOp) -> bool {
     matches!(op, AOp::Bcast { .. } | AOp::Reduce { .. } | AOp::Barrier)
 }
@@ -381,95 +373,119 @@ enum Act {
     },
 }
 
-fn plan_master(spec: &ProtoSpec, st: &State) -> Option<Act> {
-    let m = &st.master;
-    let coll = Key::Coll {
-        seq: m.seq,
-        release: false,
+/// Participants of a collective rooted at `root`, as `Comm` orders
+/// them: the root, then the master and the workers it believes alive
+/// in rotation order from the root.
+fn members(st: &State, root: usize) -> Vec<usize> {
+    let world = st.world();
+    let alive = |r: usize| r == 0 || st.master.known_dead & bit(r as u8) == 0;
+    (0..world)
+        .map(|k| (root + k) % world)
+        .filter(|&r| r == root || alive(r))
+        .collect()
+}
+
+/// `rank`'s hops of `schedule` over `parts`, lowered to the micro-steps
+/// of collective `seq` (the local encode step blocks nothing, so it is
+/// elided); `val` rides every send. Only the master's receives may
+/// complete as a surfaced death.
+fn lower(schedule: Schedule, parts: &[usize], rank: u8, seq: u16, val: Option<u64>) -> Vec<Act> {
+    let Some(pos) = parts.iter().position(|&r| r == rank as usize) else {
+        return Vec::new();
     };
-    match m.phase {
-        MPhase::Startup { w, .. } => Some(Act::Send {
-            to: w,
-            key: Key::P2p {
-                tag: spec.startup_tag,
-            },
-            val: None,
-        }),
-        MPhase::Header { ctx, sub } => Some(Act::Send {
-            to: targets(st)[sub as usize],
-            key: coll,
-            val: Some(opcode(spec, ctx)),
-        }),
-        MPhase::Ops { ctx, op, sub } => {
-            let t = targets(st);
-            let n = t.len();
-            match &spec.commands[cmd_idx(spec, ctx)].master[op as usize] {
-                AOp::Bcast { root: 0, .. } => Some(Act::Send {
-                    to: t[sub as usize],
-                    key: coll,
-                    val: None,
-                }),
-                AOp::Bcast { root, .. } => Some(Act::Recv {
-                    from: *root as u8,
-                    key: coll,
-                    may_fail: true,
-                }),
-                AOp::Reduce { root: 0, .. } => Some(Act::Recv {
-                    from: t[sub as usize],
-                    key: coll,
-                    may_fail: true,
-                }),
-                AOp::Reduce { root, .. } => Some(Act::Send {
-                    to: *root as u8,
-                    key: coll,
-                    val: None,
-                }),
-                AOp::Barrier => {
-                    if (sub as usize) < n {
-                        Some(Act::Recv {
-                            from: t[sub as usize],
-                            key: coll,
-                            may_fail: true,
-                        })
-                    } else {
-                        Some(Act::Send {
-                            to: t[sub as usize - n],
-                            key: Key::Coll {
-                                seq: m.seq,
-                                release: true,
-                            },
-                            val: None,
-                        })
-                    }
-                }
-                AOp::Send { to, tag, .. } => Some(Act::Send {
-                    to: match to {
-                        APeer::Rank(r) => *r as u8,
-                        APeer::EachWorker => t[sub as usize],
-                    },
-                    key: Key::P2p { tag: *tag },
-                    val: None,
-                }),
-                AOp::Recv { from, tag, .. } => Some(Act::Recv {
-                    from: match from {
-                        APeer::Rank(r) => *r as u8,
-                        APeer::EachWorker => t[sub as usize],
-                    },
-                    key: Key::P2p { tag: *tag },
-                    may_fail: true,
-                }),
-            }
-        }
-        MPhase::Done { .. } => None,
+    let key = |window| Key::Coll { seq, window };
+    schedule(pos, parts.len())
+        .into_iter()
+        .filter_map(|hop| match hop {
+            Hop::Send { to, window, .. } => Some(Act::Send {
+                to: parts[to] as u8,
+                key: key(window),
+                val,
+            }),
+            Hop::Recv { from, window, .. } => Some(Act::Recv {
+                from: parts[from] as u8,
+                key: key(window),
+                may_fail: rank == 0,
+            }),
+            Hop::Own { .. } => None,
+        })
+        .collect()
+}
+
+/// The micro-steps `rank` runs for `op` as collective `seq` (`val` is
+/// a header broadcast's opcode): a collective's timed star over its
+/// members, a point-to-point op's message per peer. `EachWorker` never
+/// appears in a worker arm of a well-formed model; a mutated model
+/// gets no steps there and wedges.
+fn steps(st: &State, rank: u8, op: &AOp, seq: u16, val: Option<u64>) -> Vec<Act> {
+    let peers = |peer: &APeer| match peer {
+        APeer::Rank(r) => vec![*r as u8],
+        APeer::EachWorker if rank == 0 => targets(st),
+        APeer::EachWorker => Vec::new(),
+    };
+    match op {
+        AOp::Bcast { root, .. } => lower(schedule::fan_out, &members(st, *root), rank, seq, val),
+        AOp::Reduce { root, .. } => lower(schedule::fan_in, &members(st, *root), rank, seq, val),
+        AOp::Barrier => lower(schedule::star, &members(st, 0), rank, seq, val),
+        AOp::Send { to, tag, .. } => peers(to)
+            .into_iter()
+            .map(|to| Act::Send {
+                to,
+                key: Key::P2p { tag: *tag },
+                val,
+            })
+            .collect(),
+        AOp::Recv { from, tag, .. } => peers(from)
+            .into_iter()
+            .map(|from| Act::Recv {
+                from,
+                key: Key::P2p { tag: *tag },
+                may_fail: rank == 0,
+            })
+            .collect(),
     }
 }
 
-fn plan_worker(spec: &ProtoSpec, st: &State, rank: u8) -> Option<Act> {
-    let w = &st.workers[rank as usize - 1];
-    let coll = Key::Coll {
-        seq: w.seq,
-        release: false,
+/// The header broadcast as `rank` runs it: rooted at rank 0 on the
+/// master, at the spec's dispatch root on a worker.
+fn header_steps(spec: &ProtoSpec, st: &State, rank: u8, seq: u16, val: Option<u64>) -> Vec<Act> {
+    let root = if rank == 0 { 0 } else { spec.dispatch_root };
+    let op = AOp::Bcast {
+        root,
+        kind: pdnn_protocheck::model::ElemKind::U64,
     };
+    steps(st, rank, &op, seq, val)
+}
+
+fn master_op(spec: &ProtoSpec, ctx: Ctx, op: u8) -> &AOp {
+    &spec.commands[cmd_idx(spec, ctx)].master[op as usize]
+}
+
+fn plan(spec: &ProtoSpec, st: &State, rank: u8) -> Option<Act> {
+    if rank == 0 {
+        let m = &st.master;
+        return match m.phase {
+            MPhase::Startup { w, .. } => Some(Act::Send {
+                to: w,
+                key: Key::P2p {
+                    tag: spec.startup_tag,
+                },
+                val: None,
+            }),
+            MPhase::Header { ctx, sub } => {
+                let val = Some(opcode(spec, ctx));
+                header_steps(spec, st, 0, m.seq, val)
+                    .get(sub as usize)
+                    .copied()
+            }
+            MPhase::Ops { ctx, op, sub } => {
+                let aop = master_op(spec, ctx, op);
+                steps(st, 0, aop, m.seq, None).get(sub as usize).copied()
+            }
+            MPhase::Done { .. } => None,
+        };
+    }
+    let w = &st.workers[rank as usize - 1];
     match w.phase {
         WPhase::Startup { .. } => Some(Act::Recv {
             from: 0,
@@ -478,71 +494,14 @@ fn plan_worker(spec: &ProtoSpec, st: &State, rank: u8) -> Option<Act> {
             },
             may_fail: false,
         }),
-        WPhase::AwaitHeader => Some(Act::Recv {
-            from: spec.dispatch_root as u8,
-            key: coll,
-            may_fail: false,
-        }),
-        WPhase::Arm { cmd, op, sub } => match &spec.commands[cmd as usize].worker[op as usize] {
-            AOp::Bcast { root, .. } => Some(Act::Recv {
-                from: *root as u8,
-                key: coll,
-                may_fail: false,
-            }),
-            AOp::Reduce { root, .. } => Some(Act::Send {
-                to: *root as u8,
-                key: coll,
-                val: None,
-            }),
-            AOp::Barrier => {
-                if sub == 0 {
-                    Some(Act::Send {
-                        to: 0,
-                        key: coll,
-                        val: None,
-                    })
-                } else {
-                    Some(Act::Recv {
-                        from: 0,
-                        key: Key::Coll {
-                            seq: w.seq,
-                            release: true,
-                        },
-                        may_fail: false,
-                    })
-                }
-            }
-            AOp::Send {
-                to: APeer::Rank(r),
-                tag,
-                ..
-            } => Some(Act::Send {
-                to: *r as u8,
-                key: Key::P2p { tag: *tag },
-                val: None,
-            }),
-            AOp::Recv {
-                from: APeer::Rank(r),
-                tag,
-                ..
-            } => Some(Act::Recv {
-                from: *r as u8,
-                key: Key::P2p { tag: *tag },
-                may_fail: false,
-            }),
-            // `EachWorker` never appears in a worker arm of a
-            // well-formed model; a mutated model wedges here.
-            AOp::Send { .. } | AOp::Recv { .. } => None,
-        },
+        WPhase::AwaitHeader { sub } => header_steps(spec, st, rank, w.seq, None)
+            .get(sub as usize)
+            .copied(),
+        WPhase::Arm { cmd, op, sub } => {
+            let aop = &spec.commands[cmd as usize].worker[op as usize];
+            steps(st, rank, aop, w.seq, None).get(sub as usize).copied()
+        }
         WPhase::Wedged | WPhase::Done | WPhase::Dead => None,
-    }
-}
-
-fn plan(spec: &ProtoSpec, st: &State, rank: u8) -> Option<Act> {
-    if rank == 0 {
-        plan_master(spec, st)
-    } else {
-        plan_worker(spec, st, rank)
     }
 }
 
@@ -579,7 +538,7 @@ fn kill_footprint(rank: u8) -> Footprint {
 /// to join a collective)?
 fn at_kill_point(spec: &ProtoSpec, st: &State, rank: u8) -> bool {
     match st.workers[rank as usize - 1].phase {
-        WPhase::AwaitHeader => true,
+        WPhase::AwaitHeader { sub } => sub == 0,
         WPhase::Arm { cmd, op, sub } => {
             sub == 0 && is_collective(&spec.commands[cmd as usize].worker[op as usize])
         }
@@ -680,7 +639,6 @@ fn advance(spec: &ProtoSpec, s: &mut State, rank: u8, msg: Option<Msg>) {
 }
 
 fn advance_master(spec: &ProtoSpec, s: &mut State) {
-    let n = targets(s).len();
     match s.master.phase {
         MPhase::Startup { w, half } => {
             if half as usize + 1 < spec.startup_sends {
@@ -699,7 +657,8 @@ fn advance_master(spec: &ProtoSpec, s: &mut State) {
             }
         }
         MPhase::Header { ctx, sub } => {
-            if sub as usize + 1 < n {
+            let val = Some(opcode(spec, ctx));
+            if sub as usize + 1 < header_steps(spec, s, 0, s.master.seq, val).len() {
                 s.master.phase = MPhase::Header { ctx, sub: sub + 1 };
             } else {
                 s.master.seq += 1;
@@ -707,15 +666,8 @@ fn advance_master(spec: &ProtoSpec, s: &mut State) {
             }
         }
         MPhase::Ops { ctx, op, sub } => {
-            let aop = &spec.commands[cmd_idx(spec, ctx)].master[op as usize];
-            let width = if matches!(aop, AOp::Barrier) {
-                2 * n
-            } else if master_fanout(aop) {
-                n
-            } else {
-                1
-            };
-            if sub as usize + 1 < width {
+            let aop = master_op(spec, ctx, op);
+            if sub as usize + 1 < steps(s, 0, aop, s.master.seq, None).len() {
                 s.master.phase = MPhase::Ops {
                     ctx,
                     op,
@@ -733,7 +685,8 @@ fn advance_master(spec: &ProtoSpec, s: &mut State) {
 }
 
 /// Position the master at op `op` of `ctx`'s command, skipping ops
-/// with an empty target set and completing the command at the end.
+/// with no micro-steps (nobody left to exchange with) and completing
+/// the command at the end.
 fn enter_ops(spec: &ProtoSpec, s: &mut State, ctx: Ctx, mut op: u8) {
     loop {
         let ops = &spec.commands[cmd_idx(spec, ctx)].master;
@@ -742,7 +695,7 @@ fn enter_ops(spec: &ProtoSpec, s: &mut State, ctx: Ctx, mut op: u8) {
             return;
         }
         let aop = &ops[op as usize];
-        if master_fanout(aop) && targets(s).is_empty() {
+        if steps(s, 0, aop, s.master.seq, None).is_empty() {
             if is_collective(aop) {
                 s.master.seq += 1;
             }
@@ -844,16 +797,29 @@ fn after_theta(spec: &ProtoSpec, s: &mut State) {
 }
 
 fn advance_worker(spec: &ProtoSpec, s: &mut State, rank: u8, msg: Option<Msg>) {
+    let w = &s.workers[rank as usize - 1];
+    // Micro-steps of the broadcast or arm op the worker is in.
+    let width = match w.phase {
+        WPhase::AwaitHeader { .. } => header_steps(spec, s, rank, w.seq, None).len(),
+        WPhase::Arm { cmd, op, .. } => {
+            let aop = &spec.commands[cmd as usize].worker[op as usize];
+            steps(s, rank, aop, w.seq, None).len()
+        }
+        _ => 0,
+    };
     let w = &mut s.workers[rank as usize - 1];
     match w.phase {
         WPhase::Startup { half } => {
             if half as usize + 1 < spec.startup_recvs {
                 w.phase = WPhase::Startup { half: half + 1 };
             } else {
-                w.phase = WPhase::AwaitHeader;
+                w.phase = WPhase::AwaitHeader { sub: 0 };
             }
         }
-        WPhase::AwaitHeader => {
+        WPhase::AwaitHeader { sub } if sub as usize + 1 < width => {
+            w.phase = WPhase::AwaitHeader { sub: sub + 1 };
+        }
+        WPhase::AwaitHeader { .. } => {
             w.seq += 1;
             let cmd = msg
                 .and_then(|m| m.val)
@@ -863,13 +829,15 @@ fn advance_worker(spec: &ProtoSpec, s: &mut State, rank: u8, msg: Option<Msg>) {
                 None => w.phase = WPhase::Wedged,
             }
         }
-        WPhase::Arm { cmd, op, sub } => {
-            let aop = &spec.commands[cmd as usize].worker[op as usize];
-            if matches!(aop, AOp::Barrier) && sub == 0 {
-                w.phase = WPhase::Arm { cmd, op, sub: 1 };
-                return;
-            }
-            if is_collective(aop) {
+        WPhase::Arm { cmd, op, sub } if sub as usize + 1 < width => {
+            w.phase = WPhase::Arm {
+                cmd,
+                op,
+                sub: sub + 1,
+            };
+        }
+        WPhase::Arm { cmd, op, .. } => {
+            if is_collective(&spec.commands[cmd as usize].worker[op as usize]) {
                 w.seq += 1;
             }
             enter_arm(spec, w, cmd, op + 1);
@@ -883,7 +851,7 @@ fn enter_arm(spec: &ProtoSpec, w: &mut WorkerSt, cmd: u8, op: u8) {
         if cmd as usize == spec.shutdown {
             w.phase = WPhase::Done;
         } else {
-            w.phase = WPhase::AwaitHeader;
+            w.phase = WPhase::AwaitHeader { sub: 0 };
         }
     } else {
         w.phase = WPhase::Arm { cmd, op, sub: 0 };

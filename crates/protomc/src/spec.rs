@@ -12,13 +12,14 @@
 //! Two deliberate abstractions, documented here because every verdict
 //! is relative to them:
 //!
-//! * **Collectives are flat.** `bcast` is root-fans-out, `reduce` is
-//!   root-drains-ascending, `barrier` is collect-then-release through
-//!   rank 0 — the semantics of the `*_timed` fault-tolerant variants
-//!   the faulted runtime actually uses. The tree-shaped fast paths are
-//!   op-for-op equivalent at the protocol level (same per-rank
-//!   collective counts, same root), which `pdnn-protocheck` p1 already
-//!   enforces.
+//! * **Collectives are the timed stars.** The explorer lowers `bcast`,
+//!   `reduce` and `barrier` from the hop lists of
+//!   `pdnn_mpisim::schedule::{fan_out, fan_in, star}` — the shapes the
+//!   faulted runtime runs, read from the same functions it interprets.
+//!   The binomial fault-free paths are op-for-op equivalent at the
+//!   protocol level (same per-rank collective counts, same root), which
+//!   `pdnn-protocheck` p1 already enforces; their halves are explored
+//!   inside the masterless model's `schedule::tree`.
 //! * **One canonical training iteration.** The optimizer issues
 //!   `SET_THETA, GRADIENT, SAMPLE, GN, HELDOUT` per iteration (CG
 //!   re-issues `GN` and the line search re-issues `HELDOUT`; repeating
