@@ -32,7 +32,8 @@
 use crate::sgd::{evaluate, EpochStats, SgdConfig};
 use pdnn_dnn::loss::cross_entropy;
 use pdnn_dnn::network::Network;
-use pdnn_mpisim::{comm_ok, run_world, CommTrace, Payload, ReduceOp, Src};
+use pdnn_mpisim::{comm_ok, run_world, Payload, ReduceOp, Src};
+use pdnn_obs::CommStats;
 use pdnn_speech::Shard;
 use pdnn_tensor::gemm::GemmContext;
 use pdnn_tensor::{blas1, Matrix};
@@ -52,7 +53,7 @@ pub struct AdpsgdOutput {
     /// Per-rank communication traces. Training traffic is pure
     /// point-to-point; the collective class holds only the per-epoch
     /// measurement allreduces.
-    pub traces: Vec<CommTrace>,
+    pub traces: Vec<CommStats>,
     /// Total local SGD updates across all ranks.
     pub updates: usize,
     /// Gossip rounds executed (same on every rank).

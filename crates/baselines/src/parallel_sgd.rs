@@ -19,7 +19,8 @@
 use crate::sgd::{evaluate, EpochStats, SgdConfig};
 use pdnn_dnn::loss::cross_entropy;
 use pdnn_dnn::network::Network;
-use pdnn_mpisim::{comm_ok, run_world, CommTrace, ReduceOp};
+use pdnn_mpisim::{comm_ok, run_world, ReduceOp};
+use pdnn_obs::CommStats;
 use pdnn_speech::Shard;
 use pdnn_tensor::gemm::GemmContext;
 use pdnn_tensor::{blas1, Matrix};
@@ -32,7 +33,7 @@ pub struct ParallelSgdOutput {
     /// Per-epoch statistics (evaluated on rank 0).
     pub stats: Vec<EpochStats>,
     /// Per-rank communication traces.
-    pub traces: Vec<CommTrace>,
+    pub traces: Vec<CommStats>,
     /// Gradient allreduces performed (== parameter updates).
     pub updates: usize,
 }

@@ -77,10 +77,10 @@ use crate::shard::ShardEngine;
 use crate::stopping::StopState;
 use pdnn_dnn::network::Network;
 use pdnn_mpisim::{
-    CollElem, Comm, CommError, CommEvent, CommTrace, FaultPlan, HbViolation, Payload, RankOutcome,
-    ReduceOp, Src, WireCodec,
+    CollElem, Comm, CommError, CommEvent, FaultPlan, HbViolation, Payload, RankOutcome, ReduceOp,
+    Src, WireCodec,
 };
-use pdnn_obs::{InMemoryRecorder, Recorder, RecorderExt, SpanKind, Telemetry};
+use pdnn_obs::{CommStats, InMemoryRecorder, Recorder, RecorderExt, SpanKind, Telemetry};
 use pdnn_speech::{partition, Corpus, Shard, Strategy};
 use pdnn_tensor::gemm::GemmContext;
 use pdnn_util::{Error, PhaseTimer};
@@ -216,7 +216,7 @@ impl Default for DistributedConfig {
 /// Result of a distributed training run.
 ///
 /// All accounting flows through each rank's `pdnn_obs` recorder (the
-/// [`Telemetry`] fields); the [`PhaseTimer`] and [`CommTrace`] fields
+/// [`Telemetry`] fields); the [`PhaseTimer`] and [`CommStats`] fields
 /// are derived views kept for convenience and compatibility.
 pub struct TrainOutput {
     /// The trained network (reconstructed on the master).
@@ -224,9 +224,9 @@ pub struct TrainOutput {
     /// Per-iteration optimizer statistics.
     pub stats: Vec<IterStats>,
     /// Master communication trace (p2p vs collective split).
-    pub master_trace: CommTrace,
+    pub master_trace: CommStats,
     /// Worker communication traces, worker order.
-    pub worker_traces: Vec<CommTrace>,
+    pub worker_traces: Vec<CommStats>,
     /// Master compute/coordination phase times (derived from
     /// `master_telemetry` spans).
     pub master_phases: PhaseTimer,

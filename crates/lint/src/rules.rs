@@ -182,7 +182,6 @@ const SIM_CRATE_PREFIXES: &[&str] = &[
 /// ordering leaks into bytes on disk.
 const EMISSION_PATHS: &[&str] = &[
     "crates/obs/src/",
-    "crates/mpisim/src/trace.rs",
     "crates/perfmodel/src/figures.rs",
     "crates/util/src/report.rs",
     "crates/bgq/src/routing.rs",

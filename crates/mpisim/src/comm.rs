@@ -12,11 +12,10 @@ use crate::events::CommEvent;
 use crate::fault::{FaultAction, FaultPlan, FAULT_TICK};
 use crate::hb::{HbTracker, HbViolation};
 use crate::message::{Packet, Payload, Src};
-use crate::trace::{CommClass, CommTrace};
 use crate::vtime::LinkModel;
 use crate::wire::{self, WireCodec};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use pdnn_obs::{InMemoryRecorder, Recorder, Telemetry};
+use pdnn_obs::{CommClass, CommStats, InMemoryRecorder, Recorder, Telemetry};
 use pdnn_util::timing::{Clock, WallClock};
 use pdnn_util::Prng;
 use std::sync::Arc;
@@ -119,7 +118,7 @@ pub struct Comm {
     inbox: Receiver<Packet>,
     peers: Vec<Sender<Packet>>,
     pending: Vec<Packet>,
-    pub(crate) trace: CommTrace,
+    pub(crate) trace: CommStats,
     /// Ordered protocol-visible event trace (see `crate::events`):
     /// point-to-point ops outside collectives plus one entry per
     /// completed collective invocation. Replayed by `pdnn-protomc`
@@ -233,7 +232,7 @@ impl Comm {
             inbox,
             peers,
             pending: Vec::new(),
-            trace: CommTrace::default(),
+            trace: CommStats::default(),
             events: Vec::new(),
             recorder: Arc::new(InMemoryRecorder::with_clock(clock.clone())),
             in_collective: false,
@@ -593,13 +592,13 @@ impl Comm {
     }
 
     /// Communication trace accumulated so far.
-    pub fn trace(&self) -> &CommTrace {
+    pub fn trace(&self) -> &CommStats {
         &self.trace
     }
 
     /// Take the trace, leaving an empty one (used by the runner at
     /// rank exit).
-    pub fn take_trace(&mut self) -> CommTrace {
+    pub fn take_trace(&mut self) -> CommStats {
         std::mem::take(&mut self.trace)
     }
 

@@ -1,7 +1,7 @@
 //! Comm-event trace: the ordered, per-rank record of every abstract
 //! protocol action a rank performed.
 //!
-//! Where [`CommTrace`](crate::CommTrace) aggregates *how much* a rank
+//! Where [`CommStats`](pdnn_obs::CommStats) aggregates *how much* a rank
 //! communicated (bytes, ops, seconds), the event trace records *what*
 //! it did, in order: each point-to-point send/receive outside a
 //! collective, and each completed collective invocation. This is the

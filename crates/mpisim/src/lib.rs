@@ -5,20 +5,20 @@
 //! point-to-point messages carry MPI semantics (tag and source
 //! matching, per-pair FIFO, `ANY_SOURCE`), and the textbook collective
 //! algorithms are built on top — binomial broadcast/reduce, recursive-
-//! doubling allreduce, dissemination barrier, and the masterless ring
-//! and tree allreduces, whose hop lists live as data in [`schedule`].
+//! doubling allreduce, dissemination barrier, the masterless ring and
+//! tree allreduces, and the flat timed stars a fault plan switches the
+//! rooted collectives to. Every one of them is a hop list in
+//! [`schedule`], run by one interpreter in [`collectives`] and
+//! model-checked from the same lists by `pdnn-protomc`.
 //!
 //! Functional correctness of the distributed trainer is tested on this
 //! runtime for real (actual threads, actual data movement, actual
 //! synchronization); large-scale *timing* comes from the machine model
-//! in `pdnn-bgq`. Each rank accumulates a [`CommTrace`] splitting its
-//! communication into point-to-point and collective classes, mirroring
-//! the paper's Figures 4–5 breakdown.
-//!
-//! The comm-statistics types ([`CommTrace`], [`ClassTotals`]) are
-//! defined in `pdnn-obs` and re-exported here under their historical
-//! names; every rank additionally carries a `pdnn_obs` recorder
-//! ([`Comm::recorder`]) whose snapshot rides [`RankOutcome::telemetry`].
+//! in `pdnn-bgq`. Each rank accumulates a [`pdnn_obs::CommStats`]
+//! splitting its communication into point-to-point and collective
+//! classes, mirroring the paper's Figures 4–5 breakdown, and carries a
+//! `pdnn_obs` recorder ([`Comm::recorder`]) whose snapshot rides
+//! [`RankOutcome::telemetry`].
 //!
 //! ```
 //! use pdnn_mpisim::{run_world, ReduceOp};
@@ -39,7 +39,6 @@ pub mod hb;
 pub mod message;
 pub mod runner;
 pub mod schedule;
-pub mod trace;
 pub mod vtime;
 pub mod wire;
 
@@ -49,10 +48,13 @@ pub use events::{events_from_jsonl, events_to_jsonl, CommEvent};
 pub use fault::{FaultAction, FaultPlan, FAULT_TICK};
 pub use hb::{HbTracker, HbViolation};
 pub use message::{Packet, Payload, Src};
+/// The old name of [`pdnn_obs::CommStats`]. Its last caller is the
+/// benchmark harness (`benchmark/src/layers.rs`); the alias goes when
+/// that harness names `CommStats`.
+pub use pdnn_obs::CommStats as CommTrace;
 pub use runner::{
     build_world, build_world_deterministic, run_world, run_world_deterministic, run_world_faulted,
     run_world_perturbed, RankOutcome,
 };
-pub use trace::{ClassTotals, CommClass, CommTrace};
 pub use vtime::{AlphaBeta, LinkModel};
 pub use wire::WireCodec;

@@ -7,9 +7,8 @@ use crate::events::CommEvent;
 use crate::fault::FaultPlan;
 use crate::hb::HbViolation;
 use crate::message::Packet;
-use crate::trace::CommTrace;
 use crossbeam::channel::unbounded;
-use pdnn_obs::Telemetry;
+use pdnn_obs::{CommStats, Telemetry};
 use pdnn_util::timing::Clock;
 use pdnn_util::ManualClock;
 use std::sync::Arc;
@@ -23,7 +22,7 @@ pub struct RankOutcome<R> {
     pub result: R,
     /// Communication trace accumulated by the rank (also available as
     /// `telemetry.comm`; kept as a field for convenience).
-    pub trace: CommTrace,
+    pub trace: CommStats,
     /// Full telemetry snapshot for the rank: spans opened by
     /// collectives and user code, counters, gauges, events, and the
     /// communication trace.

@@ -8,7 +8,7 @@
 //! codec-armed collective is running; decoding happens in the typed
 //! receive path, so user code and the collective algorithms never see
 //! the wire image. Byte accounting uses the *encoded* size, which is
-//! what flows into [`CommTrace`] and the per-collective wire-byte
+//! what flows into [`CommStats`] and the per-collective wire-byte
 //! counters.
 //!
 //! Both codecs are deterministic (same input → same wire bytes) and
@@ -20,7 +20,7 @@
 //! "encode-once" pattern in `crate::collectives`.
 //!
 //! [`Comm::send`]: crate::Comm::send
-//! [`CommTrace`]: crate::CommTrace
+//! [`CommStats`]: pdnn_obs::CommStats
 
 use crate::message::Payload;
 

@@ -4,7 +4,7 @@
 //! *collective* and *point-to-point* categories per function. These
 //! types record, for every rank, time blocked in and bytes moved by
 //! each category. They are the single definition of the accounting
-//! structures; `pdnn_mpisim::trace` re-exports them unchanged.
+//! structures; the communication layer only calls into them.
 
 /// Communication category, matching the paper's figure split.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,8 +42,7 @@ pub struct ClassTotals {
 
 /// Per-rank communication statistics.
 ///
-/// Historically `pdnn_mpisim::CommTrace`; the old name remains as a
-/// type alias. The accounting *primitives* ([`CommStats::add_seconds`],
+/// The accounting *primitives* ([`CommStats::add_seconds`],
 /// [`CommStats::on_send`], [`CommStats::on_recv`],
 /// [`CommStats::on_collective_done`]) live here so the communication
 /// layer carries no bookkeeping logic of its own.
