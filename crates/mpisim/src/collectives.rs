@@ -425,7 +425,7 @@ impl Comm {
     /// replaced by the root's data (it may change length).
     ///
     /// Fault-free this is the binomial tree
-    /// ([`schedule::binomial_bcast`]); under a non-empty fault plan, the
+    /// (`schedule::binomial_bcast`); under a non-empty fault plan, the
     /// flat fan-out ([`schedule::fan_out`]) to every rank not
     /// acknowledged dead, where non-roots give up with
     /// [`CommError::Timeout`] after the plan's worker window, or
@@ -446,7 +446,7 @@ impl Comm {
     /// acknowledged dead in rotation order `root + 1, …, root − 1`, and
     /// the shape fixes the combine order over those positions:
     ///
-    /// * fault-free, the binomial tree ([`schedule::binomial_reduce`]):
+    /// * fault-free, the binomial tree (`schedule::binomial_reduce`):
     ///   each position folds its children in ascending mask order, its
     ///   own operand on the left;
     /// * under a non-empty fault plan, the flat fan-in
@@ -511,7 +511,7 @@ impl Comm {
 
     /// Allreduce: every rank ends with the full reduction.
     ///
-    /// Recursive doubling ([`schedule::recursive_doubling`]) when the
+    /// Recursive doubling (`schedule::recursive_doubling`) when the
     /// ranks not acknowledged dead number a power of two (the BG/Q
     /// partition sizes 1024/2048/4096/8192 all are): partners exchange
     /// whole buffers and fold with the lower rank's operand on the

@@ -16,10 +16,10 @@
 //!
 //! | shape | runs in | windows |
 //! |---|---|---|
-//! | [`binomial_reduce`], [`binomial_bcast`] | fault-free `reduce` / `bcast` | 1 / 2 |
+//! | `binomial_reduce`, `binomial_bcast` | fault-free `reduce` / `bcast` | 1 / 2 |
 //! | [`tree`] = reduce half ++ broadcast half | `allreduce_tree`; `allreduce_ring` on large worlds with small chunks | 1, 2 |
 //! | [`ring`] | `allreduce_ring` | 1, 2 |
-//! | [`recursive_doubling`] | `allreduce` on a power-of-two membership | 1 |
+//! | `recursive_doubling` | `allreduce` on a power-of-two membership | 1 |
 //! | [`dissemination`] | fault-free `barrier` | 0 |
 //! | [`fan_in`], [`fan_out`] | `reduce` / `bcast` under a fault plan | 1 / 2 |
 //! | [`star`] = fan-in ++ fan-out | `barrier` under a fault plan | 1, 2 |
@@ -167,7 +167,7 @@ pub fn ring(pos: usize, m: usize) -> Vec<Hop> {
 /// position folds its children `pos | mask` in ascending mask order,
 /// its own operand on the left, then sends its partial to its parent
 /// (`pos` with its lowest set bit cleared).
-pub fn binomial_reduce(pos: usize, m: usize) -> Vec<Hop> {
+pub(crate) fn binomial_reduce(pos: usize, m: usize) -> Vec<Hop> {
     let mut hops = Vec::new();
     let mut mask = 1usize;
     while mask < m {
@@ -187,7 +187,7 @@ pub fn binomial_reduce(pos: usize, m: usize) -> Vec<Hop> {
 /// a position installs its parent's image (the root owns its own), then
 /// forwards it to its children in descending mask order. A one-member
 /// tree moves nothing.
-pub fn binomial_bcast(pos: usize, m: usize) -> Vec<Hop> {
+pub(crate) fn binomial_bcast(pos: usize, m: usize) -> Vec<Hop> {
     let mut hops = Vec::new();
     if m < 2 {
         return hops;
@@ -213,8 +213,8 @@ pub fn binomial_bcast(pos: usize, m: usize) -> Vec<Hop> {
     hops
 }
 
-/// Binomial-tree allreduce over the whole buffer: [`binomial_reduce`]
-/// to position 0, then [`binomial_bcast`] from it.
+/// Binomial-tree allreduce over the whole buffer: `binomial_reduce`
+/// to position 0, then `binomial_bcast` from it.
 pub fn tree(pos: usize, m: usize) -> Vec<Hop> {
     let mut hops = binomial_reduce(pos, m);
     hops.extend(binomial_bcast(pos, m));
@@ -225,7 +225,7 @@ pub fn tree(pos: usize, m: usize) -> Vec<Hop> {
 /// position `pos` exchanges its whole partial with `pos ^ 2^k` on
 /// window 1 and folds with the lower position's operand on the left, so
 /// both partners compute identical bits.
-pub fn recursive_doubling(pos: usize, m: usize) -> Vec<Hop> {
+pub(crate) fn recursive_doubling(pos: usize, m: usize) -> Vec<Hop> {
     debug_assert!(m.is_power_of_two(), "recursive doubling needs 2^k members");
     let mut hops = Vec::new();
     let mut mask = 1usize;
