@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Print every tracked number of ROADMAP.md, each by the method the
+# ROADMAP states for it, over the files git tracks. Print-only: it
+# gates nothing. Run from anywhere: scripts/tracked_numbers.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Non-test lines of the given files: each file counts up to its first
+# `#[cfg(test)]` line.
+nontest() {
+  [ "$#" -gt 0 ] || { echo 0; return; }
+  awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' "$@"
+}
+
+# Every tracked line of the given files.
+total() {
+  [ "$#" -gt 0 ] || { echo 0; return; }
+  cat "$@" | wc -l | tr -d ' '
+}
+
+# Tracked `.rs` files matching the pathspecs, minus `benchmark/`, every
+# `tests/` directory and `run_digest.rs`.
+sources() {
+  git ls-files -- "$@" | grep -v -e '^benchmark/' -e '/tests/' -e '^tests/' -e 'run_digest\.rs$' || true
+}
+
+mapfile -t workspace < <(sources '*.rs')
+mapfile -t core < <(git ls-files -- 'crates/core/src/*.rs')
+echo "workspace non-test .rs lines: $(nontest "${workspace[@]}")"
+echo "pdnn-core non-test lines: $(nontest "${core[@]}")"
+
+# The four checker crates: every tracked `.rs` line (src, tests,
+# benches), and the non-test lines of their sources.
+all=0
+src=0
+parts=()
+for c in lint protocheck protomc kernelcheck; do
+  mapfile -t every < <(git ls-files -- "crates/$c/*.rs")
+  mapfile -t srcs < <(sources "crates/$c/*.rs")
+  n=$(total "${every[@]}")
+  all=$((all + n))
+  src=$((src + $(nontest "${srcs[@]}")))
+  parts+=("$c $n")
+done
+joined=$(printf ' / %s' "${parts[@]}")
+echo "checker crates: $all lines all told (${joined:3}), $src non-test"
+
+echo "pdnn-lint: allow( sites: $(git grep -F 'pdnn-lint: allow(' -- '*.rs' | wc -l | tr -d ' ')"
+
+coll=crates/mpisim/src/collectives.rs
+echo "mpisim/collectives.rs: $(total "$coll") lines ($(nontest "$coll") non-test)"
+
+mapfile -t crate_srcs < <(git ls-files -- 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | sort -u)
+pub_re='^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) '
+echo "public-API proxy (pub declarations in crates/*/src): $(cat "${crate_srcs[@]}" | grep -cE "$pub_re")"

@@ -171,4 +171,7 @@ smoke_out="$(cargo run -q --release --example fault_recovery)"
 echo "$smoke_out" | grep -q "fault recovery OK: dead_ranks=\[1\] recoveries=1 iters=3" \
   || { echo "fault_recovery smoke did not report a clean recovery" >&2; exit 1; }
 
+echo "== tracked numbers (print-only, no gate) =="
+scripts/tracked_numbers.sh
+
 echo "verify: OK"
