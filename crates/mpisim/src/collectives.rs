@@ -398,12 +398,13 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                     Ok(()) => {}
                     Err(e) if drains => {
                         failed.push(from);
-                        if e != CommError::Timeout {
-                            first_err.get_or_insert(e);
-                            continue;
-                        }
-                        comm.evict(src);
-                        first_err.get_or_insert(CommError::RankDead { rank: src });
+                        let e = if e == CommError::Timeout {
+                            comm.evict(src);
+                            CommError::RankDead { rank: src }
+                        } else {
+                            e
+                        };
+                        first_err.get_or_insert(e);
                     }
                     Err(e) if on_fail == OnFail::Attribute => return Err(comm.hop_failure(src, e)),
                     Err(e) => return Err(e),
@@ -589,11 +590,9 @@ impl Comm {
     ///
     /// Reuses the exact tree shape and combine order of
     /// [`Comm::reduce`] with root 0 followed by [`Comm::bcast`], so
-    /// the result is bitwise identical to that flat decomposition —
-    /// the hierarchical drop-in for code that previously
-    /// rendezvoused at the master. Latency is `2·⌈log₂ P⌉` hops with
-    /// the full vector per hop; prefer [`Comm::allreduce_ring`] for
-    /// bandwidth-bound sizes.
+    /// the result is bitwise identical to that flat decomposition.
+    /// Latency is `2·⌈log₂ P⌉` hops with the full vector per hop;
+    /// prefer [`Comm::allreduce_ring`] for bandwidth-bound sizes.
     ///
     /// Codec-armed: rank 0 encodes the reduced vector once and the
     /// broadcast phase forwards the wire image untouched, so all
@@ -895,8 +894,8 @@ mod tests {
             }
             let expect = fold((0..size).map(|k| (root + k) % size).collect());
             assert_eq!(bits(&results[root].result.1), bits(&expect), "root={root}");
-            // The order the flat reduce folded in before participants
-            // were rotated: the root, then the others ascending.
+            // Another fixed order, the root then the others ascending:
+            // the check above only bites where the two folds differ.
             let others = (0..size).filter(|&r| r != root);
             let ascending = fold(std::iter::once(root).chain(others).collect());
             order_matters |= bits(&ascending) != bits(&expect);

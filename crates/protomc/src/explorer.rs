@@ -657,8 +657,7 @@ fn advance_master(spec: &ProtoSpec, s: &mut State) {
             }
         }
         MPhase::Header { ctx, sub } => {
-            let val = Some(opcode(spec, ctx));
-            if sub as usize + 1 < header_steps(spec, s, 0, s.master.seq, val).len() {
+            if sub as usize + 1 < header_steps(spec, s, 0, s.master.seq, None).len() {
                 s.master.phase = MPhase::Header { ctx, sub: sub + 1 };
             } else {
                 s.master.seq += 1;
