@@ -450,11 +450,7 @@ fn steps(st: &State, rank: u8, op: &AOp, seq: u16, val: Option<u64>) -> Vec<Act>
 /// master, at the spec's dispatch root on a worker.
 fn header_steps(spec: &ProtoSpec, st: &State, rank: u8, seq: u16, val: Option<u64>) -> Vec<Act> {
     let root = if rank == 0 { 0 } else { spec.dispatch_root };
-    let op = AOp::Bcast {
-        root,
-        kind: pdnn_protocheck::model::ElemKind::U64,
-    };
-    steps(st, rank, &op, seq, val)
+    lower(schedule::fan_out, &members(st, root), rank, seq, val)
 }
 
 fn master_op(spec: &ProtoSpec, ctx: Ctx, op: u8) -> &AOp {
