@@ -13,7 +13,8 @@
 //!
 //! * **Protocol front-ends** — the only code that talks to the
 //!   communicator. `MasterProblem` ⇄ `worker_loop` is the paper's
-//!   rooted command protocol (table below); `DecentralProblem` is the
+//!   rooted command protocol, both roles interpreting the rows of
+//!   [`crate::protocol::COMMANDS`]; `DecentralProblem` is the
 //!   symmetric allreduce protocol of [`SyncStrategy::Ring`] /
 //!   [`SyncStrategy::Tree`]. Both implement [`HfProblem`], so the
 //!   *identical* [`crate::optimizer::HfOptimizer`] drives serial,
@@ -29,7 +30,7 @@
 //!   history re-feed over `Recovering`. *How* to recover — master:
 //!   ack the death and replay the lost shard via `LOAD_DATA`; peers:
 //!   agree on membership under the lowest live rank
-//!   (`TAG_RECOVER_REPORT` / `TAG_RECOVER_AGREE`), re-stitch the
+//!   ([`TAG_RECOVER_REPORT`] / [`TAG_RECOVER_AGREE`]), re-stitch the
 //!   ring/tree, replay the re-shard on every replica — and whether
 //!   snapshots also go to disk is the front-end's business.
 //! * **World driver** (`train_impl`) — builds the `ShardLedger`
@@ -37,24 +38,15 @@
 //!   re-partitioned), runs one closure that picks the master, worker
 //!   or peer role, and collects once.
 //!
-//! Rooted protocol (fan-out is `bcast` from rank 0, fan-in `reduce` to
-//! rank 0, matching the paper's move from sockets to MPI collectives
-//! in Section V.B):
-//!
-//! | command      | payload after header           | reply (reduce)                 |
-//! |--------------|--------------------------------|--------------------------------|
-//! | `SET_THETA`  | f32 θ                          | —                              |
-//! | `GRADIENT`   | —                              | f32 Σgrad, f64 [Σloss, frames] |
-//! | `SAMPLE`     | header carries seed + fraction | —                              |
-//! | `GN_PRODUCT` | f32 v                          | f32 ΣGv, f64 [frames]          |
-//! | `HELDOUT`    | f32 trial θ                    | f64 [Σloss, Σcorrect, frames]  |
-//! | `FISHER`     | —                              | f32 Σdiag, f64 [frames]        |
-//! | `LOAD_DATA`  | u64 extra ids ×2 (p2p)         | —                              |
-//! | `SHUTDOWN`   | —                              | —                              |
-//!
-//! At start-up the master distributes per-worker utterance
-//! assignments point-to-point (`load_data` — the paper's Figures 2
-//! and 4 show this p2p phase growing with rank count). The peers
+//! The rooted protocol's fan-out is `bcast` from rank 0 and its fan-in
+//! `reduce` to rank 0, matching the paper's move from sockets to MPI
+//! collectives in Section V.B; [`crate::protocol`] holds its command
+//! table. The metadata reduces carry `[Σloss, frames]` (GRADIENT),
+//! `[frames]` (GN_PRODUCT, FISHER) and `[Σloss, Σcorrect, frames]`
+//! (HELDOUT). At start-up the master distributes per-worker utterance
+//! assignments point-to-point (`load_data`, the `LOAD_DATA` row's
+//! shipments — the paper's Figures 2 and 4 show this p2p phase growing
+//! with rank count). The peers
 //! exchange the same sums by allreduce: no command headers, no θ
 //! broadcasts, no start-up p2p phase.
 //!
@@ -73,6 +65,7 @@
 use crate::config::HfConfig;
 use crate::optimizer::{HfOptimizer, IterStats};
 use crate::problem::{HeldoutEval, HfProblem, Objective};
+use crate::protocol::{self, Frame, Opcode, TAG_LOAD_DATA, TAG_RECOVER_AGREE, TAG_RECOVER_REPORT};
 use crate::shard::ShardEngine;
 use crate::stopping::StopState;
 use pdnn_dnn::network::Network;
@@ -87,28 +80,6 @@ use pdnn_util::{Error, PhaseTimer};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
-
-const CMD_SHUTDOWN: u64 = 0;
-const CMD_SET_THETA: u64 = 1;
-const CMD_GRADIENT: u64 = 2;
-const CMD_SAMPLE: u64 = 3;
-const CMD_GN: u64 = 4;
-const CMD_HELDOUT: u64 = 5;
-const CMD_FISHER: u64 = 6;
-/// Shard-reassignment replay after a worker death (fault recovery).
-const CMD_LOAD_DATA: u64 = 7;
-
-/// Tag for the utterance-assignment messages (`load_data`, both the
-/// start-up distribution and the recovery replay).
-const TAG_LOAD_DATA: u64 = 17;
-
-/// Tag for a survivor's dead-set report to the membership coordinator
-/// (masterless recovery).
-const TAG_RECOVER_REPORT: u64 = 18;
-
-/// Tag for the coordinator's agreed dead-set broadcast back to the
-/// survivors (masterless recovery).
-const TAG_RECOVER_AGREE: u64 = 19;
 
 /// How ranks synchronize gradients, curvature products, and weights.
 ///
@@ -318,6 +289,15 @@ fn shard_of(corpus: &Corpus, ids: &[u64]) -> Shard {
     corpus.shard(&ids)
 }
 
+/// The `LOAD_DATA` shipments giving each worker rank its `(train,
+/// held)` ids, in wire order.
+fn shipments(
+    lists: impl IntoIterator<Item = (usize, (Vec<u64>, Vec<u64>))>,
+) -> Vec<(usize, Vec<u64>)> {
+    let ship = |(rank, (train, held))| [(rank, train), (rank, held)];
+    lists.into_iter().flat_map(ship).collect()
+}
+
 /// The first failure a protocol front-end observed. While it is
 /// latched the front-end is poisoned — every [`HfProblem`] call
 /// short-circuits to a degraded value — until the outer loop takes the
@@ -488,98 +468,47 @@ struct MasterProblem<'a> {
 }
 
 impl MasterProblem<'_> {
-    fn command(&mut self, header: Vec<u64>) -> Result<(), CommError> {
-        let mut buf = header;
-        self.comm.bcast(&mut buf, 0)
-    }
-
-    /// One command exchange under its collective span (recorded even
-    /// when the poisoned front-end skips the exchange).
+    /// One command exchange under the row's span (recorded even when
+    /// the poisoned front-end skips the exchange): broadcast `operand`,
+    /// contribute zeros to the row's reduces, and `finish` the sums.
     fn exchange<T>(
         &mut self,
-        phase: &'static str,
-        attempt: impl FnOnce(&mut Self) -> Result<T, TrainFault>,
+        op: Opcode,
+        args: &[u64],
+        operand: &[f32],
+        finish: impl FnOnce(Frame) -> Result<T, TrainFault>,
     ) -> Option<T> {
+        let cmd = op.command();
         let rec = self.rec.clone();
-        let _span = rec.span(phase, SpanKind::CommCollective);
-        self.settle(attempt)
-    }
-
-    fn try_set_theta(&mut self) -> Result<(), TrainFault> {
-        let c = self.command(vec![CMD_SET_THETA]);
-        let mut buf = self.theta.clone();
-        let b = self.comm.bcast(&mut buf, 0);
-        c.and(b).map_err(TrainFault::Comm)
-    }
-
-    fn try_gradient(&mut self) -> Result<(f64, Vec<f32>), TrainFault> {
-        // Issue every collective of the command before inspecting any
-        // error (`Result::and` keeps the first), so master and workers
-        // never skew even when an op in the middle fails.
-        let c = self.command(vec![CMD_GRADIENT]);
-        let mut grad = vec![0.0f32; self.theta.len()];
-        let r1 = self.comm.reduce(&mut grad, ReduceOp::Sum, 0);
-        let mut meta = vec![0.0f64; 2];
-        let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
-        c.and(r1).and(r2).map_err(TrainFault::Comm)?;
-        let grad = mean_of(grad, meta[1], "gradient")?;
-        Ok((meta[0] / meta[1], grad))
-    }
-
-    fn try_sample(&mut self, seed: u64, fraction: f64) -> Result<(), TrainFault> {
-        self.command(vec![CMD_SAMPLE, seed, fraction.to_bits()])
-            .map_err(TrainFault::Comm)
-    }
-
-    fn try_gn_product(&mut self, v: &[f32]) -> Result<Vec<f32>, TrainFault> {
-        let c = self.command(vec![CMD_GN]);
-        let mut buf = v.to_vec();
-        let b = self.comm.bcast(&mut buf, 0);
-        let mut gv = vec![0.0f32; v.len()];
-        let r1 = self.comm.reduce(&mut gv, ReduceOp::Sum, 0);
-        let mut meta = vec![0.0f64; 1];
-        let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
-        c.and(b).and(r1).and(r2).map_err(TrainFault::Comm)?;
-        mean_of(gv, meta[0], "gn_product")
-    }
-
-    fn try_fisher(&mut self) -> Result<Vec<f32>, TrainFault> {
-        let c = self.command(vec![CMD_FISHER]);
-        let mut diag = vec![0.0f32; self.theta.len()];
-        let r1 = self.comm.reduce(&mut diag, ReduceOp::Sum, 0);
-        let mut meta = vec![0.0f64; 1];
-        let r2 = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
-        c.and(r1).and(r2).map_err(TrainFault::Comm)?;
-        mean_of(diag, meta[0], "fisher")
-    }
-
-    fn try_heldout(&mut self, theta: &[f32]) -> Result<HeldoutEval, TrainFault> {
-        let c = self.command(vec![CMD_HELDOUT]);
-        let mut buf = theta.to_vec();
-        let b = self.comm.bcast(&mut buf, 0);
-        let mut meta = vec![0.0f64; 3];
-        let r = self.comm.reduce(&mut meta, ReduceOp::Sum, 0);
-        c.and(b).and(r).map_err(TrainFault::Comm)?;
-        heldout_mean(&meta)
+        let _span = cmd
+            .span
+            .map(|name| rec.span(name, SpanKind::CommCollective));
+        self.settle(|p| {
+            let mut frame = Frame {
+                operand: operand.to_vec(),
+                sum: vec![0.0f32; if cmd.sum { p.theta.len() } else { 0 }],
+                meta: vec![0.0f64; cmd.meta],
+                ..Frame::default()
+            };
+            protocol::issue(p.comm, cmd, args, &mut frame).map_err(TrainFault::Comm)?;
+            finish(frame)
+        })
     }
 
     /// Re-partition dead worker slot `dead` onto the survivors and
     /// replay the assignments via `LOAD_DATA`. The caller has already
     /// acknowledged the death, so the command broadcast reaches
     /// exactly the live workers.
-    fn try_redistribute(&mut self, dead: usize) -> Result<(), TrainFault> {
+    fn redistribute(&mut self, dead: usize) -> Result<(), CommError> {
         let live: Vec<usize> = (0..self.config.workers)
             .filter(|&w| !self.comm.is_dead(w + 1))
             .collect();
         let extras = self.ledger.reassign(dead, &live);
-        self.command(vec![CMD_LOAD_DATA])
-            .map_err(TrainFault::Comm)?;
-        for (&w, (t, h)) in live.iter().zip(extras) {
-            let s1 = self.comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(t));
-            let s2 = self.comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(h));
-            s1.and(s2).map_err(TrainFault::Comm)?;
-        }
-        Ok(())
+        let mut frame = Frame {
+            shipments: shipments(live.iter().map(|w| w + 1).zip(extras)),
+            ..Frame::default()
+        };
+        protocol::issue(self.comm, Opcode::LoadData.command(), &[], &mut frame)
     }
 }
 
@@ -594,29 +523,37 @@ impl HfProblem for MasterProblem<'_> {
 
     fn set_theta(&mut self, theta: &[f32]) {
         self.theta = theta.to_vec();
-        self.exchange("sync_weights_master", Self::try_set_theta);
+        self.exchange(Opcode::SetTheta, &[], theta, |_| Ok(()));
     }
 
     fn gradient(&mut self) -> (f64, Vec<f32>) {
-        self.exchange("gradient_reduce", Self::try_gradient)
-            .unwrap_or_else(|| (f64::NAN, vec![0.0f32; self.theta.len()]))
+        self.exchange(Opcode::Gradient, &[], &[], |f| {
+            let grad = mean_of(f.sum, f.meta[1], "gradient")?;
+            Ok((f.meta[0] / f.meta[1], grad))
+        })
+        .unwrap_or_else(|| (f64::NAN, vec![0.0f32; self.theta.len()]))
     }
 
     fn sample_curvature(&mut self, seed: u64, fraction: f64) {
-        self.exchange("sample_curvature", |p| p.try_sample(seed, fraction));
+        let args = [seed, fraction.to_bits()];
+        self.exchange(Opcode::Sample, &args, &[], |_| Ok(()));
     }
 
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        self.exchange("curvature_reduce", |p| p.try_gn_product(v))
-            .unwrap_or_else(|| vec![0.0f32; v.len()])
+        self.exchange(Opcode::GnProduct, &[], v, |f| {
+            mean_of(f.sum, f.meta[0], "gn_product")
+        })
+        .unwrap_or_else(|| vec![0.0f32; v.len()])
     }
 
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
-        self.exchange("curvature_reduce", Self::try_fisher)
+        self.exchange(Opcode::Fisher, &[], &[], |f| {
+            mean_of(f.sum, f.meta[0], "fisher")
+        })
     }
 
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
-        self.exchange("heldout_reduce", |p| p.try_heldout(theta))
+        self.exchange(Opcode::Heldout, &[], theta, |f| heldout_mean(&f.meta))
             .unwrap_or(DEGRADED_EVAL)
     }
 
@@ -641,7 +578,7 @@ impl Recovering for MasterProblem<'_> {
         if dead >= self.config.workers {
             return Err(Error::Train("no surviving workers".into()));
         }
-        self.try_redistribute(rank - 1).map_err(fault_error)
+        self.redistribute(rank - 1).map_err(comm_error)
     }
 
     fn persist(&mut self, snap: &Snapshot) -> Result<(), Error> {
@@ -662,9 +599,11 @@ impl Recovering for MasterProblem<'_> {
 }
 
 /// Worker side of the rooted command protocol: run the command loop
-/// until `SHUTDOWN`. Each arm is "receive operands → engine call →
-/// reduce". Reduced results go back to the engine's arena; received
-/// operands are dropped, since the arena never handed them out.
+/// until `SHUTDOWN`. Each command runs its row through
+/// [`protocol::run`] with this worker's engine call between the
+/// received operands and the reduced sums. Reduced sums go back to the
+/// engine's arena; received operands are dropped, since the arena
+/// never handed them out.
 ///
 /// All phase accounting goes through the communicator's `pdnn_obs`
 /// recorder; the caller collects it from [`RankOutcome::telemetry`].
@@ -679,17 +618,16 @@ fn worker_loop(
     threads: usize,
 ) -> Result<(), CommError> {
     let rec = comm.recorder().clone();
+    let rank = comm.rank();
+    let load = Opcode::LoadData.command();
 
-    // load_data: receive this worker's utterance assignments. The
+    // load_data: the LOAD_DATA row's shipments without a header. The
     // typed receive surfaces a tag/kind-mismatched sender as a
     // `CommError::TypeMismatch` instead of a payload panic.
     let load_span = rec.span("load_data", SpanKind::CommP2p);
-    let mut train_ids = comm
-        // pdnn-lint: allow(l8-timed-recv): initial rendezvous — the master sends both assignment messages before training starts and faults are only armed at collectives, so blocking here cannot outlive a live master
-        .recv_vec::<u64>(Src::Of(0), TAG_LOAD_DATA)?;
-    let mut held_ids = comm
-        // pdnn-lint: allow(l8-timed-recv): initial rendezvous — second half of the startup shard transfer, same reasoning as the first receive
-        .recv_vec::<u64>(Src::Of(0), TAG_LOAD_DATA)?;
+    let mut ids = [Vec::new(), Vec::new()];
+    let mut frame = Frame::default();
+    protocol::run(comm, load, &mut frame, |f| absorb(&mut ids, f))?;
     // `net0` only fixes the architecture: weights arrive via SET_THETA
     // before any compute command.
     let mut engine = ShardEngine::new(
@@ -698,88 +636,66 @@ fn worker_loop(
         GemmContext::threaded(threads),
         Cow::Borrowed(objective),
         net0.clone(),
-        shard_of(corpus, &train_ids),
-        shard_of(corpus, &held_ids),
+        shard_of(corpus, &ids[0]),
+        shard_of(corpus, &ids[1]),
     );
     drop(load_span);
 
-    // The typed re-bindings (`let mut grad: Vec<f32> = grad`) are what
-    // pdnn-protocheck's lexical pass reads a reduce buffer's element
-    // kind from.
     loop {
-        let mut header = vec![0u64; 1];
-        comm.bcast(&mut header, 0)?;
-        match header[0] {
-            CMD_SHUTDOWN => break,
-            CMD_SET_THETA => {
-                let mut theta: Vec<f32> = Vec::new();
-                comm.bcast(&mut theta, 0)?;
-                {
-                    let _s = rec.span("sync_weights_worker", SpanKind::MemoryBound);
-                    engine.set_theta(&theta);
-                }
+        let (cmd, header) = protocol::next_command(comm)?;
+        // A re-shard replay ships data under the start-up span's name.
+        let _span = (cmd.shipments > 0).then(|| rec.span("load_data", SpanKind::CommP2p));
+        let mut frame = Frame::default();
+        protocol::run(comm, cmd, &mut frame, |f| match cmd.opcode {
+            Opcode::Shutdown => {}
+            Opcode::SetTheta => {
+                let _s = rec.span("sync_weights_worker", SpanKind::MemoryBound);
+                engine.set_theta(&f.operand);
             }
-            CMD_GRADIENT => {
+            Opcode::Gradient => {
                 let (loss_sum, grad, frames) = engine.gradient_sums();
-                let mut grad: Vec<f32> = grad;
-                comm.reduce(&mut grad, ReduceOp::Sum, 0)?;
-                let mut meta: Vec<f64> = vec![loss_sum, frames];
-                comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                engine.recycle(grad);
+                (f.sum, f.meta) = (grad, vec![loss_sum, frames]);
             }
-            CMD_SAMPLE => {
-                assert_eq!(header.len(), 3, "SAMPLE header must carry seed+fraction");
-                engine.draw_sample(header[1], f64::from_bits(header[2]), comm.rank());
+            Opcode::Sample => engine.draw_sample(header[1], f64::from_bits(header[2]), rank),
+            Opcode::GnProduct => {
+                let (gv, frames) = engine.gn_sums(&f.operand);
+                (f.sum, f.meta) = (gv, vec![frames]);
             }
-            CMD_GN => {
-                let mut v: Vec<f32> = Vec::new();
-                comm.bcast(&mut v, 0)?;
-                let (gv, frames) = engine.gn_sums(&v);
-                let mut gv: Vec<f32> = gv;
-                comm.reduce(&mut gv, ReduceOp::Sum, 0)?;
-                let mut meta: Vec<f64> = vec![frames];
-                comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-                engine.recycle(gv);
-                engine.report_arena();
-            }
-            CMD_FISHER => {
+            Opcode::Heldout => f.meta = engine.heldout_sums(&f.operand).to_vec(),
+            Opcode::Fisher => {
                 let (diag, frames) = engine.fisher_sums();
-                let mut diag: Vec<f32> = diag;
-                comm.reduce(&mut diag, ReduceOp::Sum, 0)?;
-                let mut meta: Vec<f64> = vec![frames];
-                comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
+                (f.sum, f.meta) = (diag, vec![frames]);
             }
-            CMD_HELDOUT => {
-                let mut trial: Vec<f32> = Vec::new();
-                comm.bcast(&mut trial, 0)?;
-                let [loss_sum, correct, frames] = engine.heldout_sums(&trial);
-                let mut meta: Vec<f64> = vec![loss_sum, correct, frames];
-                comm.reduce(&mut meta, ReduceOp::Sum, 0)?;
-            }
-            CMD_LOAD_DATA => {
+            Opcode::LoadData => {
                 // A peer died: the master re-partitioned its shard and
-                // ships this worker its extra utterance assignments.
-                // The timed receive keeps recovery itself recoverable:
-                // if the master dies mid-redistribute, the worker
-                // surfaces Timeout instead of blocking forever.
-                let _s = rec.span("load_data", SpanKind::CommP2p);
-                let timeout = comm.p2p_timeout();
-                let extra = comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
-                train_ids.extend(extra);
-                let extra = comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
-                held_ids.extend(extra);
-                engine.reshard(shard_of(corpus, &train_ids), shard_of(corpus, &held_ids));
+                // shipped this worker its extra utterance assignments.
+                absorb(&mut ids, f);
+                engine.reshard(shard_of(corpus, &ids[0]), shard_of(corpus, &ids[1]));
                 rec.counter_add("shard_reassignments", 1);
             }
-            // pdnn-lint: allow(l3-no-unwrap): an unknown opcode is a protocol bug between master and worker builds, not a runtime condition to recover from
-            other => panic!("unknown command {other}"),
+        })?;
+        match cmd.opcode {
+            Opcode::Gradient => engine.recycle(frame.sum),
+            Opcode::GnProduct => {
+                engine.recycle(frame.sum);
+                engine.report_arena();
+            }
+            // The shutdown row's closing barrier means no rank exits
+            // while another may still be mid-collective, so the
+            // quiescence check at exit (p6, UnconsumedAtExit) is
+            // meaningful.
+            Opcode::Shutdown => return Ok(()),
+            _ => {}
         }
     }
-    // Epoch barrier closing the protocol: no rank exits while another
-    // may still be mid-collective, so the quiescence check at exit
-    // (static p3 / dynamic UnconsumedAtExit) is meaningful.
-    comm.barrier()?;
-    Ok(())
+}
+
+/// Append each received `LOAD_DATA` shipment to its id list (training
+/// ids, then held-out ids).
+fn absorb(ids: &mut [Vec<u64>; 2], frame: &mut Frame) {
+    for (list, (_, extra)) in ids.iter_mut().zip(frame.shipments.drain(..)) {
+        list.extend(extra);
+    }
 }
 
 /// A peer of the symmetric allreduce protocol (the masterless sync
@@ -822,11 +738,8 @@ impl DecentralProblem<'_> {
 
     /// Bitmap of this rank's locally observed dead set (acknowledged
     /// or not).
+    /// [`train_distributed_faulted`] keeps the world within its 64 bits.
     fn dead_bitmap(&self) -> u64 {
-        debug_assert!(
-            self.comm.size() <= 64,
-            "membership bitmap holds at most 64 ranks"
-        );
         let dead = self.comm.dead_ranks();
         dead.iter().fold(0u64, |acc, &r| acc | (1u64 << r))
     }
@@ -1024,7 +937,7 @@ impl Recovering for DecentralProblem<'_> {
     /// Every survivor replays the identical re-partition on its
     /// replica of the ledger, and the coordinator *also* ships each
     /// survivor its extras over `TAG_LOAD_DATA` — the same wire
-    /// exchange as master-mode `CMD_LOAD_DATA` recovery — which
+    /// exchange as master-mode `LOAD_DATA` recovery — which
     /// doubles as a cross-check that the replicas agree on the new
     /// assignment.
     fn recover(&mut self, _rank: usize) -> Result<(), Error> {
@@ -1209,8 +1122,7 @@ pub fn train_distributed_deterministic(
 /// reorderings and every rank runs a vector-clock happens-before
 /// tracker. A schedule-independent protocol produces bit-identical
 /// weights and telemetry for every `seed` and an empty
-/// [`TrainOutput::hb_violations`]; `pdnn-protocheck` pass 2 sweeps K
-/// seeds asserting exactly that.
+/// [`TrainOutput::hb_violations`], which the determinism tests assert.
 pub fn train_distributed_perturbed(
     net0: &Network<f32>,
     corpus: &Corpus,
@@ -1233,6 +1145,10 @@ pub fn train_distributed_perturbed(
 /// byte-identical telemetry. (Stall and message-drop faults are
 /// best-effort in the masterless modes: the protocol only guarantees
 /// recovery for kills, which is what the test suite exercises.)
+///
+/// The masterless membership round packs the dead set into a `u64`
+/// bitmap, so a masterless world above 64 peers is an
+/// [`Error::Config`], reported before any rank starts.
 pub fn train_distributed_faulted(
     net0: &Network<f32>,
     corpus: &Corpus,
@@ -1240,6 +1156,13 @@ pub fn train_distributed_faulted(
     config: &DistributedConfig,
     plan: &FaultPlan,
 ) -> Result<TrainOutput, Error> {
+    if config.sync != SyncStrategy::Master && config.workers > u64::BITS as usize {
+        return Err(Error::Config(format!(
+            "a masterless fault plan supports at most {} peers, not {}",
+            u64::BITS,
+            config.workers
+        )));
+    }
     train_impl(
         net0,
         corpus,
@@ -1353,15 +1276,18 @@ fn train_impl(
             })
         } else if comm.rank() == 0 {
             // ---- master ----
-            // load_data: ship each worker its utterance id lists.
+            // load_data: ship each worker its utterance id lists (the
+            // LOAD_DATA row's shipments without a header).
             let load_span = rec.span("load_data", SpanKind::CommP2p);
-            for w in 0..config.workers {
-                let s1 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(ledger.train[w].clone()));
-                let s2 = comm.send(w + 1, TAG_LOAD_DATA, Payload::U64(ledger.held[w].clone()));
-                if let Err(e) = s1.and(s2) {
-                    // pdnn-lint: allow(l3-no-unwrap): a start-up send can only fail if a worker vanished before training began; under a fault plan sends never error, so this is a harness bug either way
-                    panic!("load_data send to worker {w} failed: {e}");
-                }
+            let lists = (0..config.workers)
+                .map(|w| (w + 1, (ledger.train[w].clone(), ledger.held[w].clone())));
+            let mut frame = Frame {
+                shipments: shipments(lists),
+                ..Frame::default()
+            };
+            if let Err(e) = protocol::run(comm, Opcode::LoadData.command(), &mut frame, |_| ()) {
+                // pdnn-lint: allow(l3-no-unwrap): a start-up send can only fail if a worker vanished before training began; under a fault plan sends never error, so this is a harness bug either way
+                panic!("load_data send failed: {e}");
             }
             drop(load_span);
 
@@ -1379,11 +1305,10 @@ fn train_impl(
 
             let result = hf_loop(&mut problem, config, &rec);
             let theta = problem.theta();
-            let shutdown = problem.command(vec![CMD_SHUTDOWN]);
-            // Matching half of the workers' shutdown barrier.
-            let barrier = comm.barrier();
+            let shutdown = Opcode::Shutdown.command();
+            let shutdown = protocol::issue(comm, shutdown, &[], &mut Frame::default());
             Some(RankOut {
-                result: close(result, shutdown.and(barrier)),
+                result: close(result, shutdown),
                 theta,
                 dead_ranks: comm.dead_ranks().to_vec(),
             })
@@ -1674,7 +1599,75 @@ mod tests {
                 baseline.network.to_flat(),
                 "seed {seed}: weights diverged under perturbation"
             );
+            // ... and so is every rank's telemetry, but for the line
+            // stamping the seed itself.
+            assert_eq!(
+                telemetry_without_seed(&out),
+                telemetry_without_seed(&baseline),
+                "seed {seed}: telemetry diverged under perturbation"
+            );
         }
+    }
+
+    /// Every rank's telemetry JSONL minus the `"type":"schedule"` line.
+    fn telemetry_without_seed(out: &TrainOutput) -> Vec<String> {
+        let ranks = std::iter::once(&out.master_telemetry).chain(&out.worker_telemetries);
+        ranks
+            .enumerate()
+            .map(|(rank, t)| {
+                let jsonl = pdnn_obs::jsonl::to_jsonl_string(rank as u64, t);
+                let lines = jsonl
+                    .lines()
+                    .filter(|l| !l.contains("\"type\":\"schedule\""));
+                lines.collect::<Vec<_>>().join("\n")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn startup_rendezvous_is_the_load_data_rows_shipments() {
+        // Before its first collective, the master sends every worker
+        // LOAD_DATA's shipments and each worker receives exactly them.
+        let corpus = small_corpus(17);
+        let mut config = DistributedConfig::default();
+        config.workers = 3;
+        config.hf.max_iters = 1;
+        let out = train_distributed_deterministic(
+            &small_net(&corpus, 7),
+            &corpus,
+            &Objective::CrossEntropy,
+            &config,
+        )
+        .unwrap();
+        let p2p_prefix = |events: &[CommEvent]| {
+            let n = events
+                .iter()
+                .position(|e| matches!(e, CommEvent::Coll { .. }));
+            events[..n.unwrap_or(events.len())].to_vec()
+        };
+        let shipments = Opcode::LoadData.command().shipments;
+        let sent = p2p_prefix(&out.master_events);
+        assert_eq!(sent.len(), shipments * config.workers);
+        for (w, events) in out.worker_events.iter().enumerate() {
+            let received = p2p_prefix(events);
+            assert_eq!(received.len(), shipments, "worker {}", w + 1);
+            assert!(received.iter().all(|e| matches!(
+                e,
+                CommEvent::Recv {
+                    from: 0,
+                    tag: TAG_LOAD_DATA,
+                    kind: "U64",
+                    ..
+                }
+            )));
+        }
+        assert!(sent.iter().all(|e| matches!(
+            e,
+            CommEvent::Send {
+                tag: TAG_LOAD_DATA,
+                ..
+            }
+        )));
     }
 
     #[test]

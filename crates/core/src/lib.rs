@@ -60,6 +60,7 @@ pub mod distributed;
 pub mod line_search;
 pub mod optimizer;
 pub mod problem;
+pub mod protocol;
 mod shard;
 pub mod stopping;
 

@@ -303,6 +303,22 @@ fn tree_kill_recovers_at_8_ranks() {
 }
 
 #[test]
+fn masterless_fault_plan_above_64_peers_is_a_config_error() {
+    // The membership round's dead set is a u64 bitmap: a 65th peer
+    // would alias rank 0 (`1u64 << 64` wraps in release builds), so the
+    // world is refused before any rank starts.
+    let (corpus, net0) = corpus_and_net(31);
+    let cfg = masterless_config(SyncStrategy::Ring, 65, 1);
+    let plan = kill_plan(64, 0);
+    let result = train_distributed_faulted(&net0, &corpus, &Objective::CrossEntropy, &cfg, &plan);
+    assert!(
+        matches!(result, Err(pdnn_util::Error::Config(_))),
+        "{:?}",
+        result.err()
+    );
+}
+
+#[test]
 fn masterless_kill_of_rank0_elects_next_coordinator() {
     // Rank 0 is the default membership coordinator; killing it forces
     // the survivors to elect rank 1 and the collection layer to report

@@ -176,6 +176,19 @@ fn masterless_modes_are_schedule_independent() {
                 baseline.network.to_flat(),
                 "{sync:?} seed {seed}: weights diverged under perturbation"
             );
+            // Every rank's telemetry is byte-identical too, but for the
+            // line stamping the seed itself.
+            let without_seed = |jsonl: String| -> Vec<String> {
+                let lines = jsonl
+                    .lines()
+                    .filter(|l| !l.contains("\"type\":\"schedule\""));
+                lines.map(str::to_string).collect()
+            };
+            assert_eq!(
+                without_seed(telemetry_jsonl(&out)),
+                without_seed(telemetry_jsonl(&baseline)),
+                "{sync:?} seed {seed}: telemetry diverged under perturbation"
+            );
         }
     }
 }

@@ -24,7 +24,7 @@
 //! * the safe drivers slice micro-panels to *exactly* the lengths the
 //!   contracts consume (`k6`).
 //!
-//! Like `pdnn-protocheck`, the pass is self-testing: a battery of
+//! Like `pdnn-protomc`, the pass is self-testing: a battery of
 //! seeded source mutations must each be caught by the expected rule,
 //! proving the checker has teeth, while the clean tree must produce
 //! zero findings, proving it has no false positives.

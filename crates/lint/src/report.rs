@@ -20,7 +20,7 @@ use std::io;
 use std::path::Path;
 
 /// Escape a string for embedding in a JSON double-quoted literal.
-/// Shared with `pdnn-protocheck`, whose report writer reuses this
+/// Shared with the other checkers, whose report writers reuse this
 /// crate's hand-rolled serialization conventions.
 pub fn json_escape(s: &str) -> String {
     esc(s)
@@ -29,7 +29,7 @@ pub fn json_escape(s: &str) -> String {
 /// Append a compact JSON array of finding objects
 /// (`{"rule":…,"path":…,"line":…,"col":…,"message":…}`). The shared
 /// scaffolding for every checker report in the workspace
-/// (`pdnn-protocheck`, `pdnn-kernelcheck`, `pdnn-protomc`).
+/// (`pdnn-kernelcheck`, `pdnn-protomc`).
 pub fn push_findings(out: &mut String, findings: &[Finding]) {
     out.push('[');
     for (i, f) in findings.iter().enumerate() {

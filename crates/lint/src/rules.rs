@@ -66,37 +66,10 @@ pub const L6: &str = "l6-lossy-cast";
 pub const L7: &str = "l7-unsafe-outside-kernel";
 pub const L8: &str = "l8-timed-recv";
 
-/// Rule ids owned by `pdnn-protocheck` but registered here so the
-/// shared suppression machinery (`pdnn_lint::suppressions`) accepts
-/// `// pdnn-lint: allow(p...)` directives. The linter itself never
-/// emits these; protocheck validates and consumes them.
-pub const PROTOCHECK_RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "p1-collective-order",
-        summary: "master and worker must issue the same collective \
-                  sequence, in the same order, for every command",
-    },
-    RuleInfo {
-        id: "p2-tag-match",
-        summary: "every point-to-point send tag must have a matching \
-                  recv with a compatible payload type, and vice versa",
-    },
-    RuleInfo {
-        id: "p3-unconsumed-message",
-        summary: "no message may be left unconsumed at the shutdown \
-                  barrier; send/recv site counts must balance per tag",
-    },
-    RuleInfo {
-        id: "p4-command-space",
-        summary: "command opcodes must be unique and handled by both \
-                  the master and the worker loop",
-    },
-];
-
-/// Rule ids owned by `pdnn-kernelcheck`, registered here for the same
-/// reason as [`PROTOCHECK_RULES`]: the shared suppression machinery
-/// must accept `// pdnn-lint: allow(k...)` directives inside the
-/// kernel zone, while kernelcheck itself validates and consumes them.
+/// Rule ids owned by `pdnn-kernelcheck` but registered here so the
+/// shared suppression machinery accepts `// pdnn-lint: allow(k...)`
+/// directives inside the kernel zone, while kernelcheck itself
+/// validates and consumes them.
 pub const KERNELCHECK_RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "k1-oob-access",
@@ -162,7 +135,6 @@ pub const PROTOMC_RULES: &[RuleInfo] = &[
 /// Is `id` a rule id the suppression parser should accept?
 pub fn known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
-        || PROTOCHECK_RULES.iter().any(|r| r.id == id)
         || KERNELCHECK_RULES.iter().any(|r| r.id == id)
         || PROTOMC_RULES.iter().any(|r| r.id == id)
 }
@@ -785,21 +757,14 @@ fn f(x: f64, n: u32) -> bool {
     }
 
     #[test]
-    fn protocheck_rule_ids_are_known() {
-        assert!(known_rule("p1-collective-order"));
-        assert!(known_rule("p2-tag-match"));
-        assert!(known_rule("p3-unconsumed-message"));
-        assert!(known_rule("p4-command-space"));
-        assert!(known_rule(L6));
-        assert!(!known_rule("p9-nonsense"));
-    }
-
-    #[test]
     fn protomc_rule_ids_are_known() {
         assert!(known_rule("p5-deadlock-free"));
         assert!(known_rule("p6-no-lost-message"));
         assert!(known_rule("p7-recovery-termination"));
+        assert!(known_rule(L6));
         assert!(!known_rule("p8-nonsense"));
+        // p1–p4 hold by construction of the command table now.
+        assert!(!known_rule("p1-collective-order"));
     }
 
     #[test]

@@ -621,7 +621,7 @@ impl Comm {
     }
 
     /// Timeout window for protocol point-to-point receives outside
-    /// collectives (the `CMD_LOAD_DATA` shard transfers): the worker
+    /// collectives (the `LOAD_DATA` shard shipments): the worker
     /// window when fault tolerance is armed — it must outlast a whole
     /// recovery cycle at the root — else the generous fault-free
     /// default.

@@ -1,5 +1,6 @@
 //! Vector-clock happens-before tracking for the schedule-perturbation
-//! race detector (`pdnn-protocheck` pass 2).
+//! race detector (the perturbed-schedule determinism tests of
+//! `pdnn-core`).
 //!
 //! Every rank carries a vector clock; each send ticks the sender's own
 //! component and stamps the clock onto the packet, each consumed
@@ -19,7 +20,7 @@
 //! * **Quiescence at exit** — no packet may remain parked or in
 //!   flight when the rank body returns
 //!   ([`HbViolation::UnconsumedAtExit`]); the dynamic counterpart of
-//!   protocheck's static `p3-unconsumed-message` rule.
+//!   `pdnn-protomc`'s `p6-no-lost-message` property.
 //!
 //! The tracker is off by default (packets carry no clock and nothing
 //! is checked); [`crate::run_world_perturbed`] switches it on.

@@ -112,7 +112,7 @@ where
 ///
 /// A schedule-independent protocol produces identical results,
 /// telemetry, and zero violations for every `seed`; that is exactly
-/// what `pdnn-protocheck` pass 2 asserts across K seeds.
+/// what `pdnn-core`'s perturbed-schedule tests assert.
 pub fn run_world_perturbed<R, F>(n: usize, seed: u64, f: F) -> Vec<RankOutcome<R>>
 where
     R: Send,

@@ -1,5 +1,5 @@
-//! Property tests for the two invariants `pdnn-protocheck` pass 2
-//! leans on (ISSUE 3 satellite):
+//! Property tests for the two invariants the perturbed-schedule
+//! determinism tests lean on:
 //!
 //! * **Arrival-order independence** — collectives run under a seeded
 //!   schedule perturbation ([`run_world_perturbed`]) return bitwise

@@ -100,8 +100,8 @@ pub struct Telemetry {
     /// Communication statistics (Figures 4–5).
     pub comm: CommStats,
     /// Seed of the schedule perturbation this snapshot ran under
-    /// (`None` for unperturbed runs). Set by the protocheck pass-2
-    /// harness so a JSONL dump records which schedule produced it; the
+    /// (`None` for unperturbed runs). Set by the perturbed trainer so a
+    /// JSONL dump records which schedule produced it; the
     /// byte-identity comparison normalizes this line away.
     pub schedule_seed: Option<u64>,
 }

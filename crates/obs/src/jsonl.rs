@@ -19,8 +19,9 @@
 //! ```
 //!
 //! The `schedule` line only appears for snapshots taken under a
-//! perturbed schedule (see `Telemetry::schedule_seed`); protocheck's
-//! determinism harness strips it before comparing dumps byte-for-byte.
+//! perturbed schedule (see `Telemetry::schedule_seed`); the
+//! perturbed-schedule determinism tests strip it before comparing
+//! dumps byte-for-byte.
 //!
 //! Floats are written with Rust's shortest round-trip formatting
 //! (always containing `.` or `e`), so the parser can reconstruct the

@@ -22,6 +22,7 @@
 //! (shutdown barrier, stream exhausted).
 
 use crate::spec::{AOp, APeer, CmdSpec, ProtoSpec};
+use pdnn_core::protocol::{Opcode, TAG_LOAD_DATA};
 use pdnn_mpisim::CommEvent;
 
 /// Replay verdict for one rank's stream.
@@ -271,9 +272,9 @@ fn replay_rank(spec: &ProtoSpec, rank: usize, workers: usize, events: &[CommEven
             None => return prefix(pos),
             Some(ev) => {
                 let ok = if is_master {
-                    is_send(ev, spec.startup_tag)
+                    is_send(ev, TAG_LOAD_DATA)
                 } else {
-                    is_recv(ev, spec.startup_tag, Some(spec.dispatch_root))
+                    is_recv(ev, TAG_LOAD_DATA, Some(spec.dispatch_root))
                 };
                 if !ok {
                     return fail(
@@ -309,7 +310,7 @@ fn replay_rank(spec: &ProtoSpec, rank: usize, workers: usize, events: &[CommEven
             Step::End(p) => return prefix(p),
             Step::Err(p, msg) => return fail(p, format!("in {}: {msg}", cmd.name)),
         }
-        if cmd.name == "CMD_SHUTDOWN" {
+        if cmd.opcode == Opcode::Shutdown as u64 {
             return if pos == total {
                 RankReplay {
                     rank,
@@ -376,16 +377,6 @@ mod tests {
     use super::*;
     use crate::spec;
 
-    fn workspace_spec() -> ProtoSpec {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(std::path::Path::to_path_buf)
-            .unwrap_or_default();
-        let outcome = pdnn_protocheck::run_static(&root).expect("surfaces readable");
-        spec::compile(&outcome.model).expect("model compiles")
-    }
-
     fn header(opcode: u64) -> CommEvent {
         CommEvent::Coll {
             op: "bcast",
@@ -399,7 +390,7 @@ mod tests {
 
     #[test]
     fn an_empty_stream_is_a_prefix_only_for_dead_ranks() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         let empty: &[CommEvent] = &[];
         let run = replay_run(&spec, &[empty, empty], &[]);
         assert!(!run.accepted, "alive ranks with empty streams conformed");
@@ -410,7 +401,7 @@ mod tests {
 
     #[test]
     fn a_wrong_first_event_is_rejected_with_position() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         // A header broadcast where the rendezvous send should be.
         let master = vec![header(1)];
         let worker: &[CommEvent] = &[];
@@ -423,12 +414,12 @@ mod tests {
 
     #[test]
     fn an_unknown_opcode_is_rejected() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         let mut master = Vec::new();
         for _ in 0..spec.startup_sends {
             master.push(CommEvent::Send {
                 to: 1,
-                tag: spec.startup_tag,
+                tag: TAG_LOAD_DATA,
                 kind: "U64",
                 len: 1,
             });

@@ -70,6 +70,7 @@
 use crate::conformance::{RankReplay, RunReplay};
 use crate::explorer::{Violation, P5, P6, P7};
 use crate::mutate::MutationResult;
+use pdnn_core::protocol::{TAG_LOAD_DATA, TAG_RECOVER_AGREE, TAG_RECOVER_REPORT};
 use pdnn_mpisim::schedule::{self, Hop, Schedule};
 use pdnn_mpisim::CommEvent;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -1118,13 +1119,6 @@ pub fn replay_decentral_run(mode: DMode, rank_events: &[&[CommEvent]]) -> RunRep
         coll_events,
     }
 }
-
-/// The recovery sub-protocol's point-to-point tags, mirroring
-/// `crates/core/src/distributed.rs`: shard shipment, membership
-/// report, membership agreement.
-const TAG_LOAD_DATA: u64 = 17;
-const TAG_RECOVER_REPORT: u64 = 18;
-const TAG_RECOVER_AGREE: u64 = 19;
 
 /// Replay one rank of a *killed* masterless run. The victim's stream
 /// is a silent clean prefix (the kill fires at `fault_gate`, before

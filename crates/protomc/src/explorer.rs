@@ -28,14 +28,15 @@
 //!   flagged as a livelock.
 //!
 //! Fault model: kills only (the runtime's stall/eviction paths reuse
-//! the same message structure and are exercised by the dynamic
-//! pdnn-protocheck pass), placed nondeterministically before any
+//! the same message structure and are exercised by mpisim's
+//! failure-injection suite), placed nondeterministically before any
 //! collective a worker is about to join — exactly where the
 //! simulator's `fault_gate` injects them — with a budget of at most
 //! one kill per run, so both the 0-kill and every 1-kill placement are
 //! covered in a single exploration.
 
 use crate::spec::{AOp, APeer, ProtoSpec};
+use pdnn_core::protocol::{Opcode, TAG_LOAD_DATA};
 use pdnn_mpisim::schedule::{self, Hop, Schedule};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
@@ -65,11 +66,11 @@ pub(crate) struct Msg {
 enum Ctx {
     /// `iteration[idx]`; `replay` marks the post-recovery re-run.
     Iter { idx: u8, replay: bool },
-    /// Recovery shard redistribution (`CMD_LOAD_DATA`).
+    /// Recovery shard redistribution (`LOAD_DATA`).
     RecLoad,
-    /// Recovery θ restore (`CMD_SET_THETA`).
+    /// Recovery θ restore (`SET_THETA`).
     RecTheta,
-    /// `CMD_SHUTDOWN` plus the teardown barrier.
+    /// `SHUTDOWN` and its teardown barrier.
     Shutdown,
 }
 
@@ -342,9 +343,9 @@ fn targets(st: &State) -> Vec<u8> {
 fn cmd_idx(spec: &ProtoSpec, ctx: Ctx) -> usize {
     match ctx {
         Ctx::Iter { idx, .. } => spec.iteration[idx as usize],
-        Ctx::RecLoad => spec.load_data,
-        Ctx::RecTheta => spec.set_theta,
-        Ctx::Shutdown => spec.shutdown,
+        Ctx::RecLoad => Opcode::LoadData as usize,
+        Ctx::RecTheta => Opcode::SetTheta as usize,
+        Ctx::Shutdown => Opcode::Shutdown as usize,
     }
 }
 
@@ -463,9 +464,7 @@ fn plan(spec: &ProtoSpec, st: &State, rank: u8) -> Option<Act> {
         return match m.phase {
             MPhase::Startup { w, .. } => Some(Act::Send {
                 to: w,
-                key: Key::P2p {
-                    tag: spec.startup_tag,
-                },
+                key: Key::P2p { tag: TAG_LOAD_DATA },
                 val: None,
             }),
             MPhase::Header { ctx, sub } => {
@@ -485,9 +484,7 @@ fn plan(spec: &ProtoSpec, st: &State, rank: u8) -> Option<Act> {
     match w.phase {
         WPhase::Startup { .. } => Some(Act::Recv {
             from: 0,
-            key: Key::P2p {
-                tag: spec.startup_tag,
-            },
+            key: Key::P2p { tag: TAG_LOAD_DATA },
             may_fail: false,
         }),
         WPhase::AwaitHeader { sub } => header_steps(spec, st, rank, w.seq, None)
@@ -843,7 +840,7 @@ fn advance_worker(spec: &ProtoSpec, s: &mut State, rank: u8, msg: Option<Msg>) {
 
 fn enter_arm(spec: &ProtoSpec, w: &mut WorkerSt, cmd: u8, op: u8) {
     if op as usize >= spec.commands[cmd as usize].worker.len() {
-        if cmd as usize == spec.shutdown {
+        if cmd as usize == Opcode::Shutdown as usize {
             w.phase = WPhase::Done;
         } else {
             w.phase = WPhase::AwaitHeader { sub: 0 };
@@ -1005,19 +1002,9 @@ mod tests {
     use super::*;
     use crate::spec;
 
-    fn workspace_spec() -> ProtoSpec {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(std::path::Path::to_path_buf)
-            .unwrap_or_default();
-        let outcome = pdnn_protocheck::run_static(&root).expect("surfaces readable");
-        spec::compile(&outcome.model).expect("model compiles")
-    }
-
     #[test]
     fn fault_free_two_rank_world_is_clean_and_terminates() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         let out = explore(&spec, 1, 0);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.terminals >= 1);
@@ -1027,7 +1014,7 @@ mod tests {
 
     #[test]
     fn one_kill_two_rank_world_recovers_or_aborts_cleanly() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         let out = explore(&spec, 1, 1);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         // With a single worker every kill ends in a no-survivor abort;
@@ -1037,7 +1024,7 @@ mod tests {
 
     #[test]
     fn one_kill_three_rank_world_is_clean() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         let out = explore(&spec, 2, 1);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.terminals >= 2);

@@ -1,14 +1,15 @@
 //! `pdnn-protomc`: explicit-state model checking and trace
 //! conformance for the distributed HF training protocol.
 //!
-//! `pdnn-protocheck` extracts the master/worker protocol from
-//! `crates/core/src/distributed.rs` and checks it *structurally*
-//! (matched collective sequences, tag discipline). This crate checks
-//! it *behaviorally*: [`spec::compile`] lowers the extracted model
-//! into executable per-role automata, and the explorer walks every
-//! interleaving of their micro-steps for small worlds (2–4 ranks)
-//! under a bounded fault budget (0 or 1 injected worker kill at every
-//! feasible collective boundary), proving three global properties —
+//! The master/worker protocol is one command table,
+//! `pdnn_core::protocol::COMMANDS`, that both roles interpret: the
+//! collective order, tag and opcode discipline hold by construction
+//! (see `PROTOCOL.md`). This crate checks the protocol *behaviorally*:
+//! [`spec::compile`] lowers the table into executable per-role
+//! automata, and the explorer walks every interleaving of their
+//! micro-steps for small worlds (2–4 ranks) under a bounded fault
+//! budget (0 or 1 injected worker kill at every feasible collective
+//! boundary), proving three global properties —
 //!
 //! * `p5-deadlock-free` — no reachable state wedges a live rank;
 //! * `p6-no-lost-message` — no undelivered message between two live
@@ -27,14 +28,14 @@
 //!   runs (fault-free and faulted) through the same automata, so the
 //!   model provably speaks the language the implementation emits.
 //!
-//! A seeded mutation battery ([`mutate`]) injects ≥ 12 protocol bugs
+//! A seeded mutation battery ([`mutate`]) injects 21 protocol bugs
 //! and requires each to be caught by its expected rule. Violations
 //! are reported as [`pdnn_lint::Finding`]s under the shared
 //! `p5`/`p6`/`p7` rule ids registered in `pdnn_lint::rules`, and the
 //! CLI writes `results/protomc_report.json` for the verify.sh gate.
 //!
 //! The masterless sync strategies (`--sync ring` / `--sync tree`)
-//! have no command loop to extract, so [`decentral`] models them
+//! have no command table, so [`decentral`] models them
 //! directly: per-rank micro-step automata of the ring and binomial
 //! tree allreduce algorithms, explored exhaustively on 2–4 rank
 //! worlds, with their own mutation battery and a trace-conformance
@@ -79,16 +80,18 @@ impl CheckOutcome {
     }
 }
 
-/// Load the extracted protocol model from the workspace at `root` and
-/// compile it into an executable spec. Returns the spec plus the
-/// source anchor (path, line) findings should point at.
+/// Compile the command table into an executable spec. Returns the
+/// spec plus the source anchor (path, line) findings point at: the
+/// table's definition in the workspace at `root`.
 pub fn load_spec(root: &Path) -> Result<(ProtoSpec, String, usize), String> {
-    let outcome = pdnn_protocheck::run_static(root)
-        .map_err(|e| format!("cannot read protocol surfaces under {root:?}: {e}"))?;
-    let anchor = &outcome.model.worker_match_site;
-    let (path, line) = (anchor.path.clone(), anchor.line);
-    let spec = spec::compile(&outcome.model)?;
-    Ok((spec, path, line))
+    let path = "crates/core/src/protocol.rs";
+    let text = std::fs::read_to_string(root.join(path))
+        .map_err(|e| format!("cannot read the command table under {root:?}: {e}"))?;
+    let line = text
+        .lines()
+        .position(|l| l.starts_with("pub const COMMANDS"))
+        .ok_or_else(|| format!("{path} defines no COMMANDS table"))?;
+    Ok((spec::compile(), path.to_string(), line + 1))
 }
 
 /// Model-check the spec on each `(workers, budget)` world, full and
@@ -155,7 +158,7 @@ mod tests {
     #[test]
     fn workspace_protocol_is_clean_on_small_worlds() {
         let (spec, path, line) = load_spec(&workspace_root()).expect("spec loads");
-        assert!(path.ends_with("distributed.rs"), "{path}");
+        assert!(path.ends_with("protocol.rs"), "{path}");
         assert!(line > 0);
         let check = run_check(&spec, &[(1, 1), (2, 1)], &path, line);
         for w in &check.worlds {

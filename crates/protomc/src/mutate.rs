@@ -1,16 +1,21 @@
 //! Mutation self-test: seed protocol bugs into the compiled spec and
 //! require the explorer to flag each with the expected rule.
 //!
-//! Each mutation is the abstract image of a realistic editing mistake
-//! in `distributed.rs` (dropping a collective from one role, adding an
-//! extra one, unbalancing the startup rendezvous, breaking a recovery
-//! step). A mutation is *caught* when exploring the mutated spec on
+//! Each mutation is the abstract image of a protocol bug on one side
+//! (dropping, adding or reordering a collective, re-rooting or
+//! re-tagging a receive, unbalancing the startup rendezvous, breaking
+//! a recovery step) — bugs the shared command table rules out in the
+//! code, kept here so the explorer provably notices each (PROTOCOL.md
+//! maps the old static checker's m01–m18 onto them). A mutation is *caught*
+//! when exploring the mutated spec on
 //! the 3-rank world with fault budget 1 fires the rule the mutation
 //! was designed to break; the clean spec must fire none (checked by
 //! the explorer's own tests and the CLI gate).
 
 use crate::explorer::{explore, P5, P6, P7};
 use crate::spec::{AOp, APeer, ProtoSpec};
+use pdnn_core::protocol::{Opcode, TAG_LOAD_DATA};
+use pdnn_mpisim::CollElem;
 
 /// One seeded protocol bug.
 pub struct Mutation {
@@ -31,78 +36,65 @@ pub struct MutationResult {
     pub fired_rules: Vec<&'static str>,
 }
 
-fn grad(spec: &ProtoSpec) -> usize {
-    spec.commands
-        .iter()
-        .position(|c| c.name == "CMD_GRADIENT")
-        .unwrap_or(0)
-}
-
-fn gn(spec: &ProtoSpec) -> usize {
-    spec.commands
-        .iter()
-        .position(|c| c.name == "CMD_GN")
-        .unwrap_or(0)
-}
-
-fn sample(spec: &ProtoSpec) -> usize {
-    spec.commands
-        .iter()
-        .position(|c| c.name == "CMD_SAMPLE")
-        .unwrap_or(0)
-}
-
 fn pop_last_matching(ops: &mut Vec<AOp>, pred: fn(&AOp) -> bool) {
     if let Some(i) = ops.iter().rposition(pred) {
         ops.remove(i);
     }
 }
 
-/// The full mutation battery (≥ 12 per the acceptance gate).
+fn master(s: &mut ProtoSpec, op: Opcode) -> &mut Vec<AOp> {
+    &mut s.commands[op as usize].master
+}
+
+fn worker(s: &mut ProtoSpec, op: Opcode) -> &mut Vec<AOp> {
+    &mut s.commands[op as usize].worker
+}
+
+fn is_reduce(op: &AOp) -> bool {
+    matches!(op, AOp::Reduce { .. })
+}
+
+fn is_barrier(op: &AOp) -> bool {
+    matches!(op, AOp::Barrier)
+}
+
+const EXTRA_SEND: AOp = AOp::Send {
+    to: APeer::EachWorker,
+    tag: TAG_LOAD_DATA,
+};
+
+/// The full mutation battery.
 pub fn mutations() -> Vec<Mutation> {
     vec![
         Mutation {
             name: "worker-drops-gradient-reduce",
             expected_rule: P5,
             summary: "worker arm skips its half of a gradient reduction",
-            apply: |s| {
-                let g = grad(s);
-                pop_last_matching(&mut s.commands[g].worker, |o| {
-                    matches!(o, AOp::Reduce { .. })
-                });
-            },
+            apply: |s| pop_last_matching(worker(s, Opcode::Gradient), is_reduce),
         },
         Mutation {
             name: "master-extra-gn-reduce",
             expected_rule: P5,
             summary: "master drains one more GN reduction than workers send",
             apply: |s| {
-                let g = gn(s);
-                s.commands[g].master.push(AOp::Reduce {
+                let extra = AOp::Reduce {
                     root: 0,
-                    kind: pdnn_protocheck::model::ElemKind::F32,
-                });
+                    kind: f32::KIND,
+                };
+                master(s, Opcode::GnProduct).push(extra);
             },
         },
         Mutation {
             name: "worker-drops-theta-recv",
             expected_rule: P5,
             summary: "worker arm skips the SET_THETA broadcast receive",
-            apply: |s| {
-                let t = s.set_theta;
-                pop_last_matching(&mut s.commands[t].worker, |o| {
-                    matches!(o, AOp::Bcast { .. })
-                });
-            },
+            apply: |s| worker(s, Opcode::SetTheta).clear(),
         },
         Mutation {
             name: "master-skips-shutdown-barrier",
             expected_rule: P5,
             summary: "master exits without joining the teardown barrier",
-            apply: |s| {
-                let d = s.shutdown;
-                pop_last_matching(&mut s.commands[d].master, |o| matches!(o, AOp::Barrier));
-            },
+            apply: |s| pop_last_matching(master(s, Opcode::Shutdown), is_barrier),
         },
         Mutation {
             name: "startup-send-missing",
@@ -127,36 +119,71 @@ pub fn mutations() -> Vec<Mutation> {
             expected_rule: P6,
             summary: "worker consumes one of the two redistribution messages",
             apply: |s| {
-                let l = s.load_data;
-                pop_last_matching(&mut s.commands[l].worker, |o| matches!(o, AOp::Recv { .. }));
+                worker(s, Opcode::LoadData).pop();
             },
         },
         Mutation {
             name: "sample-extra-p2p-send",
             expected_rule: P6,
             summary: "master sends an unsolicited tagged message during SAMPLE",
-            apply: |s| {
-                let c = sample(s);
-                let tag = s.startup_tag;
-                s.commands[c].master.push(AOp::Send {
-                    to: APeer::EachWorker,
-                    tag,
-                    kind: pdnn_protocheck::model::ElemKind::U64,
-                });
-            },
+            apply: |s| master(s, Opcode::Sample).push(EXTRA_SEND),
         },
         Mutation {
             name: "recovery-extra-send",
             expected_rule: P6,
             summary: "redistribution sends three messages per worker, arm reads two",
+            apply: |s| master(s, Opcode::LoadData).push(EXTRA_SEND),
+        },
+        Mutation {
+            name: "master-reorders-gn-ops",
+            expected_rule: P5,
+            summary: "master reduces the GN sum before broadcasting the operand",
+            apply: |s| master(s, Opcode::GnProduct).swap(0, 1),
+        },
+        Mutation {
+            name: "master-drops-gradient-reduce",
+            expected_rule: P6,
+            summary: "master forgets the GRADIENT metadata reduce",
+            apply: |s| pop_last_matching(master(s, Opcode::Gradient), is_reduce),
+        },
+        Mutation {
+            name: "worker-drops-heldout-reduce",
+            expected_rule: P5,
+            summary: "worker skips its half of the held-out reduction",
+            apply: |s| pop_last_matching(worker(s, Opcode::Heldout), is_reduce),
+        },
+        Mutation {
+            name: "worker-theta-wrong-root",
+            expected_rule: P5,
+            summary: "worker receives the theta broadcast from root 1",
             apply: |s| {
-                let l = s.load_data;
-                let tag = s.startup_tag;
-                s.commands[l].master.push(AOp::Send {
-                    to: APeer::EachWorker,
-                    tag,
-                    kind: pdnn_protocheck::model::ElemKind::U64,
-                });
+                worker(s, Opcode::SetTheta)[0] = AOp::Bcast {
+                    root: 1,
+                    kind: f32::KIND,
+                }
+            },
+        },
+        Mutation {
+            name: "worker-skips-shutdown-barrier",
+            expected_rule: P5,
+            summary: "worker exits without joining the teardown barrier",
+            apply: |s| pop_last_matching(worker(s, Opcode::Shutdown), is_barrier),
+        },
+        Mutation {
+            name: "startup-recv-missing",
+            expected_rule: P6,
+            summary: "worker consumes one of the two rendezvous messages",
+            apply: |s| s.startup_recvs = s.startup_recvs.saturating_sub(1),
+        },
+        Mutation {
+            name: "loaddata-recv-wrong-tag",
+            expected_rule: P5,
+            summary: "worker listens for its re-shard ids on tag 18, not 17",
+            apply: |s| {
+                worker(s, Opcode::LoadData)[0] = AOp::Recv {
+                    from: APeer::Rank(0),
+                    tag: 18,
+                }
             },
         },
         Mutation {
@@ -214,15 +241,8 @@ mod tests {
 
     #[test]
     fn every_seeded_mutation_is_caught() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(std::path::Path::to_path_buf)
-            .unwrap_or_default();
-        let outcome = pdnn_protocheck::run_static(&root).expect("surfaces readable");
-        let spec = spec::compile(&outcome.model).expect("model compiles");
-        let results = run_mutations(&spec);
-        assert!(results.len() >= 12, "battery shrank to {}", results.len());
+        let results = run_mutations(&spec::compile());
+        assert!(results.len() >= 21, "battery shrank to {}", results.len());
         let missed: Vec<String> = results
             .iter()
             .filter(|r| !r.caught)

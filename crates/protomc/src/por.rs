@@ -200,19 +200,9 @@ mod tests {
     use super::*;
     use crate::spec;
 
-    fn workspace_spec() -> ProtoSpec {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(std::path::Path::to_path_buf)
-            .unwrap_or_default();
-        let outcome = pdnn_protocheck::run_static(&root).expect("surfaces readable");
-        spec::compile(&outcome.model).expect("model compiles")
-    }
-
     #[test]
     fn reduced_run_agrees_with_full_run_and_prunes_transitions() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         for (workers, budget) in [(1usize, 0u8), (1, 1), (2, 1)] {
             let full = crate::explorer::explore(&spec, workers, budget);
             let reduced = explore_reduced(&spec, workers, budget);
@@ -245,7 +235,7 @@ mod tests {
     /// states), so terminal counts must agree exactly.
     #[test]
     fn reduced_run_sees_every_terminal() {
-        let spec = workspace_spec();
+        let spec = spec::compile();
         let full = crate::explorer::explore(&spec, 2, 1);
         let reduced = explore_reduced(&spec, 2, 1);
         assert_eq!(full.terminals, reduced.terminals);

@@ -1,12 +1,11 @@
 //! The abstract protocol specification the checker executes.
 //!
-//! [`compile`] lowers `pdnn-protocheck`'s extracted [`Model`] — the
-//! per-command master/worker operation sequences scraped from
-//! `crates/core/src/distributed.rs` — into a [`ProtoSpec`]: a closed,
-//! executable description of both roles. The explorer
-//! ([`crate::explorer`]) instantiates the spec for a concrete world
-//! size and walks every interleaving; the conformance replayer
-//! ([`crate::conformance`]) drives the same spec with recorded
+//! [`compile`] lowers the rows of `pdnn_core::protocol::COMMANDS` —
+//! the command table both the master and the workers interpret — into
+//! a [`ProtoSpec`]: a closed, executable description of both roles.
+//! The explorer ([`crate::explorer`]) instantiates the spec for a
+//! concrete world size and walks every interleaving; the conformance
+//! replayer ([`crate::conformance`]) drives the same spec with recorded
 //! [`pdnn_mpisim::CommEvent`] streams from real training runs.
 //!
 //! Two deliberate abstractions, documented here because every verdict
@@ -17,34 +16,32 @@
 //!   `pdnn_mpisim::schedule::{fan_out, fan_in, star}` — the shapes the
 //!   faulted runtime runs, read from the same functions it interprets.
 //!   The binomial fault-free paths are op-for-op equivalent at the
-//!   protocol level (same per-rank collective counts, same root), which
-//!   `pdnn-protocheck` p1 already enforces; their halves are explored
-//!   inside the masterless model's `schedule::tree`.
+//!   protocol level (same per-rank collective counts, same root);
+//!   their halves are explored inside the masterless model's
+//!   `schedule::tree`.
 //! * **One canonical training iteration.** The optimizer issues
-//!   `SET_THETA, GRADIENT, SAMPLE, GN, HELDOUT` per iteration (CG
-//!   re-issues `GN` and the line search re-issues `HELDOUT`; repeating
-//!   a verified command block cannot create new protocol states, so
-//!   the model runs each once).
+//!   `SET_THETA, GRADIENT, SAMPLE, GN_PRODUCT, HELDOUT` per iteration
+//!   (CG re-issues `GN_PRODUCT` and the line search re-issues
+//!   `HELDOUT`; repeating a verified command block cannot create new
+//!   protocol states, so the model runs each once).
 
-use pdnn_protocheck::model::{ElemKind, Model, Op, Peer};
+use pdnn_core::protocol::{Command, Opcode, Step, COMMANDS, TAG_LOAD_DATA};
+use pdnn_mpisim::CollElem;
 
-/// Abstract communication operation, as one role executes it.
+/// Abstract communication operation, as one role executes it. `kind`
+/// is the buffer's [`CollElem::KIND`], for the diagram only.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AOp {
     /// Collective broadcast rooted at `root`.
-    Bcast { root: usize, kind: ElemKind },
+    Bcast { root: usize, kind: &'static str },
     /// Collective reduction rooted at `root`.
-    Reduce { root: usize, kind: ElemKind },
+    Reduce { root: usize, kind: &'static str },
     /// Collect-then-release barrier through rank 0.
     Barrier,
     /// Point-to-point send.
-    Send { to: APeer, tag: u64, kind: ElemKind },
+    Send { to: APeer, tag: u64 },
     /// Point-to-point receive.
-    Recv {
-        from: APeer,
-        tag: u64,
-        kind: ElemKind,
-    },
+    Recv { from: APeer, tag: u64 },
 }
 
 /// Peer of a point-to-point op.
@@ -58,11 +55,11 @@ pub enum APeer {
 /// One protocol command: opcode plus both roles' post-header bodies.
 #[derive(Clone, Debug)]
 pub struct CmdSpec {
-    pub name: String,
+    pub name: &'static str,
     pub opcode: u64,
     /// Master ops after the header broadcast.
     pub master: Vec<AOp>,
-    /// Worker match-arm ops.
+    /// Worker ops after the header broadcast.
     pub worker: Vec<AOp>,
 }
 
@@ -84,128 +81,78 @@ pub struct Quirks {
 /// The whole compiled protocol.
 #[derive(Clone, Debug)]
 pub struct ProtoSpec {
-    /// Every command, indexable by the values below.
+    /// Every command, indexed by opcode.
     pub commands: Vec<CmdSpec>,
     /// Indices into `commands` forming one canonical iteration.
     pub iteration: Vec<usize>,
-    pub shutdown: usize,
-    pub set_theta: usize,
-    pub load_data: usize,
-    /// Startup rendezvous: p2p messages per worker, master side.
+    /// Startup rendezvous on [`TAG_LOAD_DATA`]: p2p messages per
+    /// worker, master side.
     pub startup_sends: usize,
     /// ... and worker side (identical unless mutated).
     pub startup_recvs: usize,
-    pub startup_tag: u64,
     /// Rank the worker's dispatch header is received from.
     pub dispatch_root: usize,
     pub quirks: Quirks,
 }
 
 /// The canonical iteration block, in optimizer issue order.
-const ITERATION: [&str; 5] = [
-    "CMD_SET_THETA",
-    "CMD_GRADIENT",
-    "CMD_SAMPLE",
-    "CMD_GN",
-    "CMD_HELDOUT",
+const ITERATION: [Opcode; 5] = [
+    Opcode::SetTheta,
+    Opcode::Gradient,
+    Opcode::Sample,
+    Opcode::GnProduct,
+    Opcode::Heldout,
 ];
 
-fn lower_op(op: &Op) -> Result<AOp, String> {
-    let peer = |p: &Peer| match p {
-        Peer::Rank(r) => Ok(APeer::Rank(*r)),
-        Peer::EachWorker => Ok(APeer::EachWorker),
-        Peer::AnySource => Err("wildcard receive is not modeled".to_string()),
-    };
-    match op {
-        Op::Bcast { root, kind, .. } => Ok(AOp::Bcast {
-            root: root.ok_or("bcast with unresolved root")?,
-            kind: *kind,
-        }),
-        Op::Reduce { root, kind, .. } => Ok(AOp::Reduce {
-            root: root.ok_or("reduce with unresolved root")?,
-            kind: *kind,
-        }),
-        Op::Barrier => Ok(AOp::Barrier),
-        Op::Send { to, tag, kind } => Ok(AOp::Send {
-            to: peer(to)?,
-            tag: tag.ok_or("send with unresolved tag")?,
-            kind: *kind,
-        }),
-        Op::Recv { from, tag, kind } => Ok(AOp::Recv {
-            from: peer(from)?,
-            tag: tag.ok_or("recv with unresolved tag")?,
-            kind: *kind,
-        }),
+/// `step` as rank 0 (`master`) or a worker runs it.
+fn lower(step: Step, master: bool) -> AOp {
+    match step {
+        Step::Operand => AOp::Bcast {
+            root: 0,
+            kind: f32::KIND,
+        },
+        Step::Shipment if master => AOp::Send {
+            to: APeer::EachWorker,
+            tag: TAG_LOAD_DATA,
+        },
+        Step::Shipment => AOp::Recv {
+            from: APeer::Rank(0),
+            tag: TAG_LOAD_DATA,
+        },
+        Step::Sum => AOp::Reduce {
+            root: 0,
+            kind: f32::KIND,
+        },
+        Step::Meta => AOp::Reduce {
+            root: 0,
+            kind: f64::KIND,
+        },
+        Step::Barrier => AOp::Barrier,
     }
 }
 
-fn lower_seq(ops: Option<&Vec<pdnn_protocheck::model::SeqOp>>) -> Result<Vec<AOp>, String> {
-    ops.map(|seq| seq.iter().map(|s| lower_op(&s.op)).collect())
-        .unwrap_or_else(|| Ok(Vec::new()))
+fn lower_command(cmd: &Command) -> CmdSpec {
+    let ops = |master| cmd.steps().into_iter().map(|s| lower(s, master)).collect();
+    CmdSpec {
+        name: cmd.name,
+        opcode: cmd.opcode as u64,
+        master: ops(true),
+        worker: ops(false),
+    }
 }
 
-/// Compile the extracted model into an executable spec.
-pub fn compile(model: &Model) -> Result<ProtoSpec, String> {
-    let mut commands = Vec::new();
-    for cmd in &model.commands {
-        let opcode = cmd
-            .value
-            .ok_or_else(|| format!("{}: unresolved opcode", cmd.name))?;
-        let mut master =
-            lower_seq(cmd.master.as_ref()).map_err(|e| format!("{}: {e}", cmd.name))?;
-        let mut worker =
-            lower_seq(cmd.worker.as_ref()).map_err(|e| format!("{}: {e}", cmd.name))?;
-        if cmd.name == "CMD_SHUTDOWN" {
-            // The post-loop teardown ops live outside the match in the
-            // source; fold them into the shutdown command body.
-            master.extend(
-                model
-                    .shutdown_master
-                    .iter()
-                    .map(|s| lower_op(&s.op))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
-            worker.extend(
-                model
-                    .shutdown_worker
-                    .iter()
-                    .map(|s| lower_op(&s.op))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
-        }
-        commands.push(CmdSpec {
-            name: cmd.name.clone(),
-            opcode,
-            master,
-            worker,
-        });
-    }
-    let find = |name: &str| -> Result<usize, String> {
-        commands
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| format!("command {name} not extracted"))
-    };
-    let iteration = ITERATION
-        .iter()
-        .map(|n| find(n))
-        .collect::<Result<Vec<_>, _>>()?;
-    let startup_tag = match model.startup_sends.first().map(|s| &s.op) {
-        Some(Op::Send { tag: Some(t), .. }) => *t,
-        _ => model.const_value("TAG_LOAD_DATA").unwrap_or(17),
-    };
-    Ok(ProtoSpec {
-        shutdown: find("CMD_SHUTDOWN")?,
-        set_theta: find("CMD_SET_THETA")?,
-        load_data: find("CMD_LOAD_DATA")?,
-        iteration,
-        startup_sends: model.startup_sends.len(),
-        startup_recvs: model.startup_recvs.len(),
-        startup_tag,
+/// Compile the command table into an executable spec. Start-up is the
+/// `LOAD_DATA` row's shipments without a header.
+pub fn compile() -> ProtoSpec {
+    let shipments = Opcode::LoadData.command().shipments;
+    ProtoSpec {
+        commands: COMMANDS.iter().map(lower_command).collect(),
+        iteration: ITERATION.iter().map(|&op| op as usize).collect(),
+        startup_sends: shipments,
+        startup_recvs: shipments,
         dispatch_root: 0,
         quirks: Quirks::default(),
-        commands,
-    })
+    }
 }
 
 impl ProtoSpec {
@@ -216,14 +163,14 @@ impl ProtoSpec {
 
 fn op_label(op: &AOp) -> String {
     match op {
-        AOp::Bcast { root, kind } => format!("bcast root {root} ({})", kind.name()),
-        AOp::Reduce { root, kind } => format!("reduce to {root} ({})", kind.name()),
+        AOp::Bcast { root, kind } => format!("bcast root {root} ({})", kind.to_lowercase()),
+        AOp::Reduce { root, kind } => format!("reduce to {root} ({})", kind.to_lowercase()),
         AOp::Barrier => "barrier".to_string(),
-        AOp::Send { to, tag, .. } => match to {
+        AOp::Send { to, tag } => match to {
             APeer::Rank(r) => format!("send tag {tag} to {r}"),
             APeer::EachWorker => format!("send tag {tag} to live workers"),
         },
-        AOp::Recv { from, tag, .. } => match from {
+        AOp::Recv { from, tag } => match from {
             APeer::Rank(r) => format!("recv tag {tag} from {r}"),
             APeer::EachWorker => format!("recv tag {tag} from live workers"),
         },
@@ -232,14 +179,14 @@ fn op_label(op: &AOp) -> String {
 
 /// Render both role automata as a mermaid `stateDiagram-v2`
 /// (`pdnn-protomc --emit-diagram`; embedded in
-/// `crates/protocheck/PROTOCOL.md`).
+/// `crates/protomc/PROTOCOL.md`).
 pub fn mermaid(spec: &ProtoSpec) -> String {
     let mut out = String::new();
     out.push_str("stateDiagram-v2\n");
     out.push_str("    state Master {\n");
     out.push_str(&format!(
         "        [*] --> M_Startup : {}x send tag {} per worker\n",
-        spec.startup_sends, spec.startup_tag
+        spec.startup_sends, TAG_LOAD_DATA
     ));
     out.push_str("        M_Startup --> M_Command : header bcast (opcode)\n");
     for &idx in &spec.iteration {
@@ -251,27 +198,27 @@ pub fn mermaid(spec: &ProtoSpec) -> String {
             body.join("; ")
         ));
     }
-    let c = &spec.commands[spec.load_data];
+    let c = &spec.commands[Opcode::LoadData as usize];
     let body: Vec<String> = c.master.iter().map(op_label).collect();
     out.push_str(&format!(
         "        M_Command --> M_Recover : worker death [ack; {}; restore theta; replay]\n",
         body.join("; ")
     ));
     out.push_str("        M_Recover --> M_Command : resume from snapshot\n");
-    let c = &spec.commands[spec.shutdown];
+    let c = &spec.commands[Opcode::Shutdown as usize];
     let body: Vec<String> = c.master.iter().map(op_label).collect();
     out.push_str(&format!(
-        "        M_Command --> [*] : CMD_SHUTDOWN [{}]\n",
+        "        M_Command --> [*] : SHUTDOWN [{}]\n",
         body.join("; ")
     ));
     out.push_str("    }\n");
     out.push_str("    state Worker {\n");
     out.push_str(&format!(
         "        [*] --> W_Dispatch : {}x recv tag {} from master\n",
-        spec.startup_recvs, spec.startup_tag
+        spec.startup_recvs, TAG_LOAD_DATA
     ));
     for c in &spec.commands {
-        if c.name == "CMD_SHUTDOWN" {
+        if c.opcode == Opcode::Shutdown as u64 {
             continue;
         }
         let body: Vec<String> = c.worker.iter().map(op_label).collect();
@@ -285,10 +232,10 @@ pub fn mermaid(spec: &ProtoSpec) -> String {
             c.name, label
         ));
     }
-    let c = &spec.commands[spec.shutdown];
+    let c = &spec.commands[Opcode::Shutdown as usize];
     let body: Vec<String> = c.worker.iter().map(op_label).collect();
     out.push_str(&format!(
-        "        W_Dispatch --> [*] : CMD_SHUTDOWN [{}]\n",
+        "        W_Dispatch --> [*] : SHUTDOWN [{}]\n",
         body.join("; ")
     ));
     out.push_str("    }\n");
@@ -299,54 +246,65 @@ pub fn mermaid(spec: &ProtoSpec) -> String {
 mod tests {
     use super::*;
 
-    pub(crate) fn workspace_root() -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(std::path::Path::to_path_buf)
-            .unwrap_or_default()
-    }
-
     #[test]
-    fn compiles_the_extracted_workspace_model() {
-        let outcome = pdnn_protocheck::run_static(&workspace_root()).expect("surfaces readable");
-        let spec = compile(&outcome.model).expect("model compiles");
+    fn compiles_the_command_table() {
+        let spec = compile();
         assert_eq!(spec.iteration.len(), 5);
         assert_eq!(spec.startup_sends, 2);
         assert_eq!(spec.startup_recvs, 2);
-        assert_eq!(spec.startup_tag, 17);
-        assert_eq!(spec.commands[spec.shutdown].opcode, 0);
+        for (i, c) in spec.commands.iter().enumerate() {
+            assert_eq!(spec.command_by_opcode(c.opcode), Some(i), "{}", c.name);
+        }
+        assert_eq!(spec.commands[Opcode::Shutdown as usize].opcode, 0);
         // GRADIENT: two reductions on the master side, mirrored by the
-        // worker arm.
-        let grad = &spec.commands[spec
-            .command_by_opcode(2)
-            .expect("CMD_GRADIENT opcode extracted")];
-        assert_eq!(
-            grad.master
-                .iter()
-                .filter(|o| matches!(o, AOp::Reduce { .. }))
-                .count(),
-            2
-        );
-        assert_eq!(grad.master.len(), grad.worker.len());
-        // The shutdown command absorbed both teardown barriers.
-        assert!(spec.commands[spec.shutdown]
+        // worker.
+        let grad = &spec.commands[Opcode::Gradient as usize];
+        let reduces = grad
             .master
             .iter()
-            .any(|o| matches!(o, AOp::Barrier)));
-        assert!(spec.commands[spec.shutdown]
-            .worker
-            .iter()
-            .any(|o| matches!(o, AOp::Barrier)));
+            .filter(|o| matches!(o, AOp::Reduce { .. }));
+        assert_eq!(reduces.count(), 2);
+        assert_eq!(grad.master, grad.worker);
+        // The shutdown command closes both roles with the barrier.
+        assert_eq!(
+            spec.commands[Opcode::Shutdown as usize].master,
+            vec![AOp::Barrier]
+        );
+        assert_eq!(
+            spec.commands[Opcode::Shutdown as usize].worker,
+            vec![AOp::Barrier]
+        );
+    }
+
+    #[test]
+    fn both_roles_lower_the_same_collectives_and_mirrored_p2p() {
+        // A send from rank 0 to each worker is received from rank 0;
+        // every collective is identical on both sides.
+        for c in compile().commands {
+            assert_eq!(c.master.len(), c.worker.len(), "{}", c.name);
+            for (m, w) in c.master.iter().zip(&c.worker) {
+                match (m, w) {
+                    (
+                        AOp::Send {
+                            to: APeer::EachWorker,
+                            tag: t,
+                        },
+                        AOp::Recv {
+                            from: APeer::Rank(0),
+                            tag: u,
+                        },
+                    ) => assert_eq!(t, u, "{}", c.name),
+                    _ => assert_eq!(m, w, "{}", c.name),
+                }
+            }
+        }
     }
 
     #[test]
     fn mermaid_diagram_names_both_roles_and_every_command() {
-        let outcome = pdnn_protocheck::run_static(&workspace_root()).expect("surfaces readable");
-        let spec = compile(&outcome.model).expect("model compiles");
-        let mmd = mermaid(&spec);
+        let mmd = mermaid(&compile());
         assert!(mmd.starts_with("stateDiagram-v2"));
-        for name in ["Master", "Worker", "CMD_GRADIENT", "CMD_SHUTDOWN", "replay"] {
+        for name in ["Master", "Worker", "GRADIENT", "SHUTDOWN", "replay"] {
             assert!(mmd.contains(name), "diagram missing {name}");
         }
     }

@@ -1,5 +1,5 @@
 //! Trace conformance against real training runs: the abstract
-//! automata compiled from the extracted protocol model must accept
+//! automata compiled from the command table must accept
 //! the comm-event streams a genuine 4-rank training job records —
 //! fault-free and with an injected mid-gradient worker kill.
 
@@ -13,16 +13,6 @@ use pdnn_protomc::{conformance, ProtoSpec};
 use pdnn_speech::{Corpus, CorpusSpec};
 use pdnn_util::Prng;
 use std::time::Duration;
-
-fn workspace_spec() -> ProtoSpec {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(std::path::Path::to_path_buf)
-        .expect("workspace root exists");
-    let outcome = pdnn_protocheck::run_static(&root).expect("surfaces readable");
-    pdnn_protomc::compile(&outcome.model).expect("model compiles")
-}
 
 fn tiny_world() -> (Network, Corpus, DistributedConfig) {
     let corpus = Corpus::generate(CorpusSpec::tiny(23));
@@ -48,7 +38,7 @@ fn replay(spec: &ProtoSpec, out: &TrainOutput) -> conformance::RunReplay {
 
 #[test]
 fn fault_free_four_rank_run_conforms() {
-    let spec = workspace_spec();
+    let spec = pdnn_protomc::compile();
     let (net0, corpus, config) = tiny_world();
     let out = train_distributed_deterministic(&net0, &corpus, &Objective::CrossEntropy, &config)
         .expect("fault-free training succeeds");
@@ -75,7 +65,7 @@ fn fault_free_four_rank_run_conforms() {
 
 #[test]
 fn faulted_four_rank_run_conforms_with_dead_rank_prefix() {
-    let spec = workspace_spec();
+    let spec = pdnn_protomc::compile();
     let (net0, corpus, config) = tiny_world();
     // Rank 2 dies entering the first GRADIENT (collective index 5; see
     // the collective-index map in core's fault_tolerance tests).
@@ -102,7 +92,7 @@ fn faulted_four_rank_run_conforms_with_dead_rank_prefix() {
 
 #[test]
 fn truncated_survivor_stream_is_rejected() {
-    let spec = workspace_spec();
+    let spec = pdnn_protomc::compile();
     let (net0, corpus, config) = tiny_world();
     let out = train_distributed_deterministic(&net0, &corpus, &Objective::CrossEntropy, &config)
         .expect("fault-free training succeeds");

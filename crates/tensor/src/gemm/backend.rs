@@ -36,7 +36,7 @@
 //! without FMA a fused form would be a libm call per element.
 //!
 //! The contract is what keeps the determinism gates (byte-identical
-//! telemetry, the protocheck race detector, bitwise trained weights)
+//! telemetry, the perturbed-schedule race detector, bitwise trained weights)
 //! valid under every backend, and it is enforced by the parity tests
 //! in `tests/backend_parity.rs`.
 //!

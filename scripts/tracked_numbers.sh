@@ -29,12 +29,12 @@ mapfile -t core < <(git ls-files -- 'crates/core/src/*.rs')
 echo "workspace non-test .rs lines: $(nontest "${workspace[@]}")"
 echo "pdnn-core non-test lines: $(nontest "${core[@]}")"
 
-# The four checker crates: every tracked `.rs` line (src, tests,
+# The three checker crates: every tracked `.rs` line (src, tests,
 # benches), and the non-test lines of their sources.
 all=0
 src=0
 parts=()
-for c in lint protocheck protomc kernelcheck; do
+for c in lint protomc kernelcheck; do
   mapfile -t every < <(git ls-files -- "crates/$c/*.rs")
   mapfile -t srcs < <(sources "crates/$c/*.rs")
   n=$(total "${every[@]}")

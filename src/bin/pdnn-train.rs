@@ -60,10 +60,20 @@ fn arg_value(key: &str) -> Option<String> {
     None
 }
 
-fn arg_num<T: std::str::FromStr>(key: &str, default: T) -> T {
-    arg_value(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parse `key`'s value, or `default` when the flag is absent. An
+/// unparsable value exits with status 1, naming the flag, like
+/// `--sync` and `--backend`.
+fn arg_num<T: std::str::FromStr>(key: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    match arg_value(key) {
+        None => default,
+        Some(v) => v.parse().unwrap_or_else(|e| {
+            eprintln!("invalid {key}: `{v}` ({e})");
+            std::process::exit(1)
+        }),
+    }
 }
 
 fn arg_flag(key: &str) -> bool {

@@ -97,6 +97,18 @@ fn bad_flags_fail_cleanly() {
         "{stderr}"
     );
 
+    // An unparsable number names its flag instead of falling back to
+    // the default (`--workers 4x` used to train serially).
+    for (flag, value) in [("--workers", "4x"), ("--seed", "-1")] {
+        let out = Command::new(train_bin())
+            .args([flag, value])
+            .output()
+            .expect("spawn failed");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("invalid {flag}: ")), "{stderr}");
+    }
+
     let out = Command::new(train_bin())
         .args(["--resume", "/nonexistent/path.pdnn"])
         .output()
