@@ -1404,6 +1404,33 @@ mod tests {
     }
 
     #[test]
+    fn recovery_worlds_explore_the_pinned_state_spaces() {
+        // (states, transitions, terminals, kill placements) per
+        // (mode, ranks): the identity gate for any change to how the
+        // recovery programs are lowered.
+        let expect = [
+            (DMode::Ring, 2, (42, 52, 4, 4)),
+            (DMode::Ring, 3, (938, 1585, 12, 6)),
+            (DMode::Ring, 4, (15843, 35047, 40, 8)),
+            (DMode::Tree, 2, (18, 14, 4, 4)),
+            (DMode::Tree, 3, (260, 328, 8, 6)),
+            (DMode::Tree, 4, (2142, 4015, 16, 8)),
+        ];
+        let worlds = check_recovery_worlds();
+        assert_eq!(worlds.len(), expect.len());
+        for (w, (mode, ranks, counts)) in worlds.iter().zip(expect) {
+            assert_eq!((w.mode, w.ranks), (mode, ranks));
+            let o = &w.outcome;
+            assert_eq!(
+                (o.states, o.transitions, o.terminals, w.kill_placements),
+                counts,
+                "{} mode, {ranks} ranks",
+                mode.label()
+            );
+        }
+    }
+
+    #[test]
     fn survivors_abort_at_every_feasible_hop() {
         // With victim 1 dead from the first collective on the 4-ring,
         // the abort transition fires from many distinct survivor
