@@ -30,8 +30,8 @@
 //!   history re-feed over `Recovering`. *How* to recover — master:
 //!   ack the death and replay the lost shard via `LOAD_DATA`; peers:
 //!   agree on membership under the lowest live rank
-//!   ([`TAG_RECOVER_REPORT`] / [`TAG_RECOVER_AGREE`]), re-stitch the
-//!   ring/tree, replay the re-shard on every replica — and whether
+//!   (`protocol::agree_membership`), re-stitch the ring/tree, replay
+//!   the re-shard on every replica — and whether
 //!   snapshots also go to disk is the front-end's business.
 //! * **World driver** (`train_impl`) — builds the `ShardLedger`
 //!   (who holds which utterance; the one place a dead slot's data is
@@ -65,13 +65,12 @@
 use crate::config::HfConfig;
 use crate::optimizer::{HfOptimizer, IterStats};
 use crate::problem::{HeldoutEval, HfProblem, Objective};
-use crate::protocol::{self, Frame, Opcode, TAG_LOAD_DATA, TAG_RECOVER_AGREE, TAG_RECOVER_REPORT};
+use crate::protocol::{self, Frame, Opcode};
 use crate::shard::ShardEngine;
 use crate::stopping::StopState;
 use pdnn_dnn::network::Network;
 use pdnn_mpisim::{
-    CollElem, Comm, CommError, CommEvent, FaultPlan, HbViolation, Payload, RankOutcome, ReduceOp,
-    Src, WireCodec,
+    CollElem, Comm, CommError, CommEvent, FaultPlan, HbViolation, RankOutcome, ReduceOp, WireCodec,
 };
 use pdnn_obs::{CommStats, InMemoryRecorder, Recorder, RecorderExt, SpanKind, Telemetry};
 use pdnn_speech::{partition, Corpus, Shard, Strategy};
@@ -79,7 +78,6 @@ use pdnn_tensor::gemm::GemmContext;
 use pdnn_util::{Error, PhaseTimer};
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How ranks synchronize gradients, curvature products, and weights.
 ///
@@ -723,8 +721,6 @@ struct DecentralProblem<'a> {
     /// Slot `r` is rank `r`.
     ledger: ShardLedger,
     latch: FaultLatch,
-    /// Window for the membership-agreement round.
-    recover_timeout: Duration,
 }
 
 impl DecentralProblem<'_> {
@@ -733,85 +729,6 @@ impl DecentralProblem<'_> {
         match self.sync {
             SyncStrategy::Ring => self.comm.allreduce_ring(buf, ReduceOp::Sum),
             _ => self.comm.allreduce_tree(buf, ReduceOp::Sum),
-        }
-    }
-
-    /// Bitmap of this rank's locally observed dead set (acknowledged
-    /// or not).
-    /// [`train_distributed_faulted`] keeps the world within its 64 bits.
-    fn dead_bitmap(&self) -> u64 {
-        let dead = self.comm.dead_ranks();
-        dead.iter().fold(0u64, |acc, &r| acc | (1u64 << r))
-    }
-
-    /// Membership-agreement round: every survivor reports its locally
-    /// observed dead set to a coordinator — the lowest rank it does
-    /// not know to be dead — which unions the reports and sends the
-    /// agreed set back. Deterministic: the coordinator is a pure
-    /// function of the dead set, reports are collected in ascending
-    /// rank order, and the agreed bitmap is identical on every
-    /// survivor.
-    ///
-    /// Survivors abort the failed collective up to one detect-timeout
-    /// apart, so this round runs under the generous `timeout`
-    /// (the plan's worker timeout); once AGREE lands everybody is
-    /// re-synchronized to within one hop and the re-stitched
-    /// collectives can safely use the short detect-timeout again. A
-    /// reporter that stays silent past the window is evicted and
-    /// folded into the agreed set; a dead coordinator makes the
-    /// survivors retry under the next candidate.
-    fn agree_membership(&mut self, timeout: Duration) -> Result<u64, CommError> {
-        loop {
-            let me = self.comm.rank();
-            let Some(coord) = (0..self.comm.size()).find(|&r| !self.comm.is_dead(r)) else {
-                return Err(CommError::WorldShutDown);
-            };
-            if coord == me {
-                let mut union = self.dead_bitmap();
-                for src in 0..self.comm.size() {
-                    if src == me || self.comm.is_dead(src) {
-                        continue;
-                    }
-                    match self.comm.recv_vec_timeout::<u64>(
-                        Src::Of(src),
-                        TAG_RECOVER_REPORT,
-                        timeout,
-                    ) {
-                        Ok(bits) => union |= bits.first().copied().unwrap_or(0),
-                        Err(CommError::RankDead { rank }) => union |= 1u64 << rank,
-                        Err(CommError::Timeout) => {
-                            self.comm.evict(src);
-                            union |= 1u64 << src;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                for dst in 0..self.comm.size() {
-                    if dst == me || union & (1u64 << dst) != 0 {
-                        continue;
-                    }
-                    self.comm
-                        .send(dst, TAG_RECOVER_AGREE, Payload::U64(vec![union]))?;
-                }
-                return Ok(union);
-            }
-            self.comm.send(
-                coord,
-                TAG_RECOVER_REPORT,
-                Payload::U64(vec![self.dead_bitmap()]),
-            )?;
-            match self
-                .comm
-                .recv_vec_timeout::<u64>(Src::Of(coord), TAG_RECOVER_AGREE, timeout)
-            {
-                Ok(bits) => return Ok(bits.first().copied().unwrap_or(0)),
-                Err(CommError::RankDead { .. }) => {
-                    // Already marked dead by the receive path; the next
-                    // pass picks the next candidate coordinator.
-                }
-                Err(CommError::Timeout) => self.comm.evict(coord),
-                Err(e) => return Err(e),
-            }
         }
     }
 
@@ -936,13 +853,12 @@ impl Recovering for DecentralProblem<'_> {
     ///
     /// Every survivor replays the identical re-partition on its
     /// replica of the ledger, and the coordinator *also* ships each
-    /// survivor its extras over `TAG_LOAD_DATA` — the same wire
-    /// exchange as master-mode `LOAD_DATA` recovery — which
-    /// doubles as a cross-check that the replicas agree on the new
-    /// assignment.
+    /// survivor its extras through the `LOAD_DATA` row's shipment step
+    /// (`protocol::ship`, rooted at the coordinator) — the step
+    /// master-mode recovery runs from rank 0 — which doubles as a
+    /// cross-check that the replicas agree on the new assignment.
     fn recover(&mut self, _rank: usize) -> Result<(), Error> {
-        let timeout = self.recover_timeout;
-        let union = self.agree_membership(timeout).map_err(comm_error)?;
+        let union = protocol::agree_membership(self.comm).map_err(comm_error)?;
         let unacked = self.comm.unacked_dead();
         let newly: Vec<usize> = (0..self.comm.size())
             .filter(|&r| union & (1u64 << r) != 0)
@@ -958,28 +874,14 @@ impl Recovering for DecentralProblem<'_> {
                 .collect();
             let extras = self.ledger.reassign(d, &live);
             let coord = live[0];
-            if me == coord {
-                // `live[0]` is the coordinator itself.
-                for (&w, (t, h)) in live.iter().zip(extras).skip(1) {
-                    let s1 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(t));
-                    let s2 = self.comm.send(w, TAG_LOAD_DATA, Payload::U64(h));
-                    s1.and(s2).map_err(comm_error)?;
-                }
-            } else {
-                let t = self
-                    .comm
-                    .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
-                    .map_err(comm_error)?;
-                let h = self
-                    .comm
-                    .recv_vec_timeout::<u64>(Src::Of(coord), TAG_LOAD_DATA, timeout)
-                    .map_err(comm_error)?;
-                let mine = live.iter().position(|&w| w == me);
-                assert!(
-                    (t, h) == mine.map(|i| extras[i].clone()).unwrap_or_default(),
-                    "replicated re-partition diverged from the coordinator's"
-                );
-            }
+            let lists = shipments(live.iter().copied().zip(extras));
+            let (mine, others): (Vec<_>, Vec<_>) = lists.into_iter().partition(|&(w, _)| w == me);
+            let mut wire = if me == coord { others } else { Vec::new() };
+            protocol::ship(self.comm, coord, &mut wire).map_err(comm_error)?;
+            assert!(
+                me == coord || wire == mine,
+                "replicated re-partition diverged from the coordinator's"
+            );
             self.rec.counter_add("shard_reassignments", 1);
         }
         if !newly.is_empty() {
@@ -1219,10 +1121,7 @@ fn train_impl(
     let masterless = config.sync != SyncStrategy::Master;
     let ledger = ShardLedger::new(corpus, config);
     let theta0 = net0.to_flat();
-    let (faulted, recover_timeout) = match &mode {
-        WorldMode::Faulted(plan) => (true, plan.worker_timeout),
-        _ => (false, Duration::from_secs(60)),
-    };
+    let faulted = matches!(mode, WorldMode::Faulted(_));
 
     let body = |comm: &mut Comm| -> Option<RankOut> {
         comm.set_wire_codec(config.wire_codec);
@@ -1256,7 +1155,6 @@ fn train_impl(
                 sample_frames: None,
                 ledger: ledger.clone(),
                 latch,
-                recover_timeout,
             };
             let result = hf_loop(&mut problem, config, &rec);
             // Quiescence barrier closing the protocol, as in Master mode.
@@ -1402,6 +1300,7 @@ fn train_impl(
 #[allow(clippy::field_reassign_with_default, clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::protocol::TAG_LOAD_DATA;
     use pdnn_speech::CorpusSpec;
     use pdnn_tensor::gemm::GemmContext;
     use pdnn_util::Prng;

@@ -13,7 +13,7 @@
 //! `LOAD_DATA` row's shipments without its header. PROTOCOL.md in
 //! `pdnn-protomc` describes the protocol as a whole.
 
-use pdnn_mpisim::{Comm, CommError, Payload, ReduceOp, Src};
+use pdnn_mpisim::{schedule, Comm, CommError, Payload, ReduceOp, Src};
 
 /// Tag of the utterance-assignment shipments (start-up, and the
 /// `LOAD_DATA` replay after a worker death; the masterless re-shard
@@ -189,8 +189,8 @@ pub const COMMANDS: [Command; 8] = [
 pub(crate) struct Frame {
     /// The `f32` operand: rank 0's to send, a worker's as received.
     pub operand: Vec<f32>,
-    /// `(peer, ids)` shipments in wire order: rank 0's to send, a
-    /// worker's as received from rank 0.
+    /// `(destination, ids)` shipments in wire order: rank 0's to send,
+    /// a worker's as received (see [`ship`]).
     pub shipments: Vec<(usize, Vec<u64>)>,
     /// This rank's `f32` contribution; on rank 0, the sum afterwards.
     pub sum: Vec<f32>,
@@ -227,16 +227,8 @@ pub(crate) fn run(
     if cmd.operand {
         settle(comm.bcast(&mut frame.operand, 0))?;
     }
-    if root {
-        for (to, ids) in std::mem::take(&mut frame.shipments) {
-            settle(comm.send(to, TAG_LOAD_DATA, Payload::U64(ids)))?;
-        }
-    } else {
-        let timeout = comm.p2p_timeout();
-        for _ in 0..cmd.shipments {
-            let ids = comm.recv_vec_timeout::<u64>(Src::Of(0), TAG_LOAD_DATA, timeout)?;
-            frame.shipments.push((0, ids));
-        }
+    if cmd.shipments > 0 {
+        settle(ship(comm, 0, &mut frame.shipments))?;
     }
     contribute(frame);
     if cmd.sum {
@@ -249,6 +241,97 @@ pub(crate) fn run(
         settle(comm.barrier())?;
     }
     first
+}
+
+/// The `LOAD_DATA` row's shipment step, rooted at `root`: `root` sends
+/// each `(destination, ids)` of `shipments` on [`TAG_LOAD_DATA`] in
+/// order and reports the first failure after the last send; any other
+/// rank receives the row's [`Command::shipments`] lists from `root`,
+/// each bounded by [`Comm::p2p_timeout`], appends them as
+/// `(itself, ids)`, and stops at its first failure. Start-up and the
+/// master's re-shard run it from rank 0, the masterless re-shard from
+/// the membership coordinator.
+pub(crate) fn ship(
+    comm: &mut Comm,
+    root: usize,
+    shipments: &mut Vec<(usize, Vec<u64>)>,
+) -> Result<(), CommError> {
+    if comm.rank() == root {
+        let mut first = Ok(());
+        for (to, ids) in std::mem::take(shipments) {
+            first = first.and(comm.send(to, TAG_LOAD_DATA, Payload::U64(ids)));
+        }
+        return first;
+    }
+    let timeout = comm.p2p_timeout();
+    for _ in 0..Opcode::LoadData.command().shipments {
+        let ids = comm.recv_vec_timeout::<u64>(Src::Of(root), TAG_LOAD_DATA, timeout)?;
+        shipments.push((comm.rank(), ids));
+    }
+    Ok(())
+}
+
+/// Base of the membership round's tags: REPORT runs on its window 1
+/// ([`TAG_RECOVER_REPORT`]), AGREE on window 2 ([`TAG_RECOVER_AGREE`]).
+const MEMBERSHIP_TAGS: u64 = TAG_RECOVER_REPORT - 1;
+
+/// Bitmap of the ranks `comm` knows to be dead, acknowledged or not.
+/// `train_distributed_faulted` keeps a masterless world within its 64
+/// bits.
+fn dead_bitmap(comm: &Comm) -> u64 {
+    comm.dead_ranks().iter().fold(0, |acc, &r| acc | (1 << r))
+}
+
+/// The masterless membership round: the survivors agree on one dead
+/// set under a coordinator, the lowest rank not known dead, and return
+/// it as a bitmap.
+///
+/// REPORT is `schedule::fan_in` on [`TAG_RECOVER_REPORT`] over the
+/// coordinator and then, in rank order, every survivor it has not seen
+/// die: each sends its dead-set bitmap, and the coordinator ORs them
+/// together, draining every report and evicting a reporter that stays
+/// silent past [`Comm::p2p_timeout`]. The coordinator then ORs in its
+/// own dead set, which now holds every dead or evicted reporter. AGREE
+/// is `schedule::fan_out` on [`TAG_RECOVER_AGREE`] to the survivors
+/// outside the agreed set. A survivor whose coordinator dies or goes
+/// silent retries under the next candidate.
+///
+/// Survivors abort the failed collective up to one detect-timeout
+/// apart, so the round runs under the plan's generous worker window;
+/// once AGREE lands everybody is re-synchronized to within one hop and
+/// the re-stitched collectives can use the short detect-timeout again.
+pub(crate) fn agree_membership(comm: &mut Comm) -> Result<u64, CommError> {
+    loop {
+        let alive: Vec<usize> = (0..comm.size()).filter(|&r| !comm.is_dead(r)).collect();
+        let Some(&coord) = alive.first() else {
+            return Err(CommError::WorldShutDown);
+        };
+        let mut bits = [dead_bitmap(comm)];
+        let or = ReduceOp::BitOr;
+        let report = comm.p2p_schedule(&mut bits, or, MEMBERSHIP_TAGS, &alive, schedule::fan_in);
+        if coord == comm.rank() {
+            match report {
+                Ok(()) | Err(CommError::RankDead { .. }) => {}
+                Err(e) => return Err(e),
+            }
+            bits[0] |= dead_bitmap(comm);
+            let agreed: Vec<usize> = alive
+                .into_iter()
+                .filter(|&r| bits[0] & (1 << r) == 0)
+                .collect();
+            comm.p2p_schedule(&mut bits, or, MEMBERSHIP_TAGS, &agreed, schedule::fan_out)?;
+            return Ok(bits[0]);
+        }
+        report?;
+        match comm.p2p_schedule(&mut bits, or, MEMBERSHIP_TAGS, &alive, schedule::fan_out) {
+            Ok(()) => return Ok(bits[0]),
+            // Already marked dead by the receive path; the next pass
+            // picks the next candidate coordinator.
+            Err(CommError::RankDead { .. }) => {}
+            Err(CommError::Timeout) => comm.evict(coord),
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Rank 0's side of a command: the header (opcode, then `args`), then
@@ -283,6 +366,52 @@ pub(crate) fn next_command(comm: &mut Comm) -> Result<(&'static Command, Vec<u64
 mod tests {
     use super::*;
     use pdnn_mpisim::CommEvent;
+
+    /// Rank 3's REPORT is held back past the coordinator's window: the
+    /// coordinator evicts it and the other survivors agree on it.
+    /// Reporters 1 and 2 out-wait the coordinator's drain on a longer
+    /// window: with equal windows the last reporter's wait for AGREE
+    /// expires about when the coordinator's wait for the silent rank
+    /// does.
+    #[test]
+    fn a_silent_reporter_is_evicted_and_agreed_dead() {
+        use pdnn_mpisim::{FaultPlan, FAULT_TICK};
+        use std::sync::Arc;
+        use std::time::Duration;
+        const SILENT: usize = 3;
+        let window = Duration::from_millis(200);
+        let plan = FaultPlan::new(7)
+            .delay_message(
+                SILENT,
+                0,
+                0,
+                5 * (window.as_millis() / FAULT_TICK.as_millis()) as u32,
+            )
+            .with_timeouts(window, window);
+        let outcomes = pdnn_mpisim::run_world_faulted(4, &plan, |comm| {
+            if matches!(comm.rank(), 1 | 2) {
+                comm.enable_faults(Arc::new(plan.clone().with_timeouts(window, 20 * window)));
+            }
+            agree_membership(comm)
+        });
+        for o in &outcomes {
+            let evictions = o
+                .telemetry
+                .events
+                .iter()
+                .filter(|e| e.name == "rank_evicted");
+            assert_eq!(
+                evictions.count(),
+                usize::from(o.rank == 0),
+                "rank {}",
+                o.rank
+            );
+            match o.rank {
+                SILENT => assert_eq!(o.result, Err(CommError::Evicted)),
+                r => assert_eq!(o.result, Ok(1 << SILENT), "rank {r}"),
+            }
+        }
+    }
 
     #[test]
     fn opcodes_are_the_row_indices_and_unique() {

@@ -56,10 +56,13 @@ pub enum ReduceOp {
     Max,
     /// Elementwise minimum.
     Min,
+    /// Elementwise bitwise OR of the elements' bit patterns (the
+    /// membership round's dead-set bitmaps).
+    BitOr,
 }
 
 macro_rules! impl_coll_elem {
-    ($t:ty, $variant:ident) => {
+    ($t:ty, $variant:ident, $bits:path, $from_bits:path) => {
         impl CollElem for $t {
             const KIND: &'static str = stringify!($variant);
             fn wrap(v: Vec<Self>) -> Payload {
@@ -99,6 +102,11 @@ macro_rules! impl_coll_elem {
                             }
                         }
                     }
+                    ReduceOp::BitOr => {
+                        for (x, &y) in a.iter_mut().zip(b) {
+                            *x = $from_bits($bits(*x) | $bits(y));
+                        }
+                    }
                 }
             }
             fn fold_into(op: ReduceOp, incoming: &[Self], own: &mut [Self]) {
@@ -133,15 +141,20 @@ macro_rules! impl_coll_elem {
                             }
                         }
                     }
+                    ReduceOp::BitOr => {
+                        for (y, &x) in own.iter_mut().zip(incoming) {
+                            *y = $from_bits($bits(x) | $bits(*y));
+                        }
+                    }
                 }
             }
         }
     };
 }
 
-impl_coll_elem!(f32, F32);
-impl_coll_elem!(f64, F64);
-impl_coll_elem!(u64, U64);
+impl_coll_elem!(f32, F32, f32::to_bits, f32::from_bits);
+impl_coll_elem!(f64, F64, f64::to_bits, f64::from_bits);
+impl_coll_elem!(u64, U64, u64::from, u64::from);
 
 /// The barrier's element: a collective over `()` moves
 /// [`Payload::Empty`] messages and combines nothing.
@@ -636,6 +649,37 @@ impl Comm {
         self.collective(name, buf, op, &parts, schedule, timeout, OnFail::Attribute)
     }
 
+    /// Run `schedule` over `parts` as point-to-point traffic on the user
+    /// tags `tag + window`: no collective tag window, span, wire counter
+    /// or [`CommEvent::Coll`] — every hop is recorded as the p2p send or
+    /// receive it is, and no fault-plan gate runs. Receives are bounded
+    /// by [`Comm::p2p_timeout`]. Position 0 drains like a timed star's
+    /// root: it evicts a member that stays silent past the window and
+    /// reports the first failure ([`CommError::RankDead`] for a dead or
+    /// evicted member) after the walk; any other position stops at its
+    /// first failure. The masterless membership round runs on this.
+    pub fn p2p_schedule<T: CollElem>(
+        &mut self,
+        buf: &mut [T],
+        op: ReduceOp,
+        tag: u64,
+        parts: &[usize],
+        schedule: Schedule,
+    ) -> Result<(), CommError> {
+        let timeout = Some(self.p2p_timeout());
+        let drained = exchange(
+            self,
+            buf,
+            op,
+            tag,
+            parts,
+            schedule,
+            timeout,
+            OnFail::RootDrains,
+        )?;
+        drained.map_or(Ok(()), Err)
+    }
+
     /// Run one collective invocation: claim a fresh tag window, walk
     /// `schedule` over `parts` with the codec armed (except for the
     /// barrier and recursive doubling), and record a `CommCollective`
@@ -786,6 +830,55 @@ mod tests {
         });
         for r in results {
             assert_eq!(r.result, (3.0, 0.0));
+        }
+    }
+
+    #[test]
+    fn bit_or_folds_the_bit_patterns_of_every_kind() {
+        let mut a = [1u64 << 3];
+        u64::combine(ReduceOp::BitOr, &mut a, &[1 << 5]);
+        assert_eq!(a, [(1 << 3) | (1 << 5)]);
+        let (x, y) = (1.5f32, -0.25f32);
+        let want = f32::from_bits(x.to_bits() | y.to_bits());
+        let mut own = [y];
+        f32::fold_into(ReduceOp::BitOr, &[x], &mut own);
+        assert_eq!(own[0].to_bits(), want.to_bits());
+        let mut a = [2.0f64];
+        f64::combine(ReduceOp::BitOr, &mut a, &[0.5]);
+        assert_eq!(a[0].to_bits(), 2.0f64.to_bits() | 0.5f64.to_bits());
+    }
+
+    #[test]
+    fn p2p_schedule_runs_user_tags_as_point_to_point_traffic() {
+        // Fan-in then fan-out rooted at rank 2: every hop is a p2p
+        // event on `tag + window`, and no collective window is claimed.
+        const TAG: u64 = 40;
+        let results = run_world(4, |comm| {
+            let parts = [2, 0, 1, 3];
+            let mut bits = [1u64 << comm.rank()];
+            comm.p2p_schedule(&mut bits, ReduceOp::BitOr, TAG, &parts, schedule::fan_in)
+                .unwrap();
+            comm.p2p_schedule(&mut bits, ReduceOp::BitOr, TAG, &parts, schedule::fan_out)
+                .unwrap();
+            bits[0]
+        });
+        for r in &results {
+            assert_eq!(r.result, 0b1111, "rank {}", r.rank);
+            assert_eq!(r.trace.collectives_completed, 0);
+            let tags: Vec<u64> = r
+                .events
+                .iter()
+                .map(|e| match e {
+                    CommEvent::Send { tag, .. } | CommEvent::Recv { tag, .. } => *tag,
+                    CommEvent::Coll { .. } => panic!("rank {}: collective event", r.rank),
+                })
+                .collect();
+            let want = if r.rank == 2 {
+                vec![TAG + 1, TAG + 1, TAG + 1, TAG + 2, TAG + 2, TAG + 2]
+            } else {
+                vec![TAG + 1, TAG + 2]
+            };
+            assert_eq!(tags, want, "rank {}", r.rank);
         }
     }
 

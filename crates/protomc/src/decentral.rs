@@ -38,9 +38,10 @@
 //! a nondeterministic *abort* transition: once the victim is dead, a
 //! survivor blocked on an empty receive window of the aborted
 //! collective may abandon it and jump to its recovery program (the
-//! membership round to the lowest-surviving-rank coordinator on the
-//! `REPORT`/`AGREE` windows, the coordinator's two reshard shipments
-//! per survivor, one re-stitched allreduce lowered over the survivor
+//! membership round to the lowest-surviving-rank coordinator, lowered
+//! from `schedule::fan_in` (`REPORT`) and `schedule::fan_out`
+//! (`AGREE`), the coordinator's `LOAD_DATA` reshard shipments to each
+//! survivor, one re-stitched allreduce lowered over the survivor
 //! positions, and the survivors' star barrier rooted at the
 //! coordinator). Interleaving freedom makes the abort fire at *every*
 //! feasible hop of the aborted collective, including spuriously-early
@@ -63,14 +64,15 @@
 //! the replicated-optimizer design), and end in exactly one barrier.
 //! [`replay_decentral_faulted_run`] extends that grammar to real
 //! killed runs: the victim's stream is a silent clean prefix, each
-//! survivor shows the aborted collective (`ok: false`), recovery
-//! point-to-point traffic on the `REPORT`/`AGREE`/`LOAD_DATA` tags,
-//! and a resumed schedule rooted at the lowest survivor.
+//! survivor shows the aborted collective (`ok: false`), its recovery
+//! point-to-point traffic — direction, peer, tag and order of the same
+//! lowered membership round and shipments the recovery model explores
+//! — and a resumed schedule rooted at the lowest survivor.
 
 use crate::conformance::{RankReplay, RunReplay};
 use crate::explorer::{Violation, P5, P6, P7};
 use crate::mutate::MutationResult;
-use pdnn_core::protocol::{TAG_LOAD_DATA, TAG_RECOVER_AGREE, TAG_RECOVER_REPORT};
+use pdnn_core::protocol::{Opcode, TAG_LOAD_DATA, TAG_RECOVER_AGREE, TAG_RECOVER_REPORT};
 use pdnn_mpisim::schedule::{self, Hop, Schedule};
 use pdnn_mpisim::CommEvent;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -340,8 +342,8 @@ const KILL_WINDOWS: u8 = 2;
 /// Collective numbers for the recovery sub-protocol's tag windows,
 /// kept disjoint from the clean schedule. `REC_MEMBER` phase 1/2 are
 /// the `TAG_RECOVER_REPORT`/`TAG_RECOVER_AGREE` membership round,
-/// `REC_SHARD` the coordinator's two `TAG_LOAD_DATA` shipments per
-/// survivor, `REC_RESUME`/`REC_BARRIER` the re-stitched collectives.
+/// `REC_SHARD` the coordinator's `TAG_LOAD_DATA` shipments,
+/// `REC_RESUME`/`REC_BARRIER` the re-stitched collectives.
 const REC_MEMBER: u8 = 100;
 const REC_SHARD: u8 = 101;
 const REC_RESUME: u8 = 102;
@@ -360,11 +362,36 @@ struct RecoveryScenario {
     aborted_coll: u8,
 }
 
+/// The point-to-point part of recovery at position `pos` of the
+/// survivors `live`, the coordinator `live[0]` at position 0, as
+/// `protocol::agree_membership` and `protocol::ship` run it: the
+/// membership round — `schedule::fan_in` (REPORT) then
+/// `schedule::fan_out` (AGREE) — then the `LOAD_DATA` row's shipment
+/// step, a fan-out of [`Command::shipments`] lists to each survivor in
+/// turn.
+///
+/// [`Command::shipments`]: pdnn_core::protocol::Command::shipments
+fn recovery_p2p(pos: usize, live: &[usize]) -> Vec<MOp> {
+    let m = live.len();
+    let mut round = schedule::fan_in(pos, m);
+    round.extend(schedule::fan_out(pos, m));
+    let lists = Opcode::LoadData.command().shipments;
+    let shipments: Vec<Hop> = schedule::fan_out(pos, m)
+        .into_iter()
+        .flat_map(|hop| std::iter::repeat_n(hop, lists))
+        .collect();
+    let mut ops = Vec::new();
+    lower(REC_MEMBER, &round, live, &mut ops);
+    lower(REC_SHARD, &shipments, live, &mut ops);
+    ops
+}
+
 /// Lower the kill placement `(victim, kill_at)` for `size` ranks
 /// under `mode`, mirroring `DecentralProblem`'s `Recovering::recover`
 /// (what `hf_loop` calls on a masterless replica): membership
-/// round to the lowest survivor, two reshard shipments per survivor,
-/// one re-issued allreduce over the survivor list, survivor barrier.
+/// round to the lowest survivor and its reshard shipments
+/// ([`recovery_p2p`]), one re-issued allreduce over the survivor list,
+/// survivor barrier.
 fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> RecoveryScenario {
     let parts: Vec<usize> = (0..size).collect();
     let main: Vec<Vec<MOp>> = (0..size)
@@ -381,58 +408,12 @@ fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> Re
         })
         .collect();
     let live: Vec<usize> = (0..size).filter(|&r| r != victim).collect();
-    let coord = live[0];
     let recovery: Vec<Vec<MOp>> = (0..size)
         .map(|rank| {
-            let mut ops = Vec::new();
-            if rank == victim {
-                return ops;
-            }
-            if rank == coord {
-                for &w in live.iter().filter(|&&w| w != coord) {
-                    ops.push(MOp::Recv {
-                        from: w as u8,
-                        coll: REC_MEMBER,
-                        phase: 1,
-                    });
-                }
-                for &w in live.iter().filter(|&&w| w != coord) {
-                    ops.push(MOp::Send {
-                        to: w as u8,
-                        coll: REC_MEMBER,
-                        phase: 2,
-                    });
-                }
-                for &w in live.iter().filter(|&&w| w != coord) {
-                    for _shipment in 0..2 {
-                        ops.push(MOp::Send {
-                            to: w as u8,
-                            coll: REC_SHARD,
-                            phase: 1,
-                        });
-                    }
-                }
-            } else {
-                ops.push(MOp::Send {
-                    to: coord as u8,
-                    coll: REC_MEMBER,
-                    phase: 1,
-                });
-                ops.push(MOp::Recv {
-                    from: coord as u8,
-                    coll: REC_MEMBER,
-                    phase: 2,
-                });
-                for _shipment in 0..2 {
-                    ops.push(MOp::Recv {
-                        from: coord as u8,
-                        coll: REC_SHARD,
-                        phase: 1,
-                    });
-                }
-            }
-            // pdnn-lint: allow(l3-no-unwrap): this program is only built for a survivor, which is in `live` by the membership agreement above; a miss is a checker bug worth a loud stop
-            let pos = live.iter().position(|&w| w == rank).unwrap();
+            let Some(pos) = live.iter().position(|&w| w == rank) else {
+                return Vec::new();
+            };
+            let mut ops = recovery_p2p(pos, &live);
             let m = live.len();
             lower(REC_RESUME, &mode.schedule()(pos, m), &live, &mut ops);
             // Under a fault plan `Comm::barrier` runs the star rooted at
@@ -1120,21 +1101,51 @@ pub fn replay_decentral_run(mode: DMode, rank_events: &[&[CommEvent]]) -> RunRep
     }
 }
 
-/// Replay one rank of a *killed* masterless run. The victim's stream
-/// is a silent clean prefix (the kill fires at `fault_gate`, before
-/// any event for the fatal collective is recorded). A survivor's
-/// stream is the clean prefix, the aborted collective (`ok: false`),
-/// recovery point-to-point traffic on the report/agree/shard tags,
-/// and the resumed schedule — re-stitched over the survivors, so
-/// rooted at `post_root` (the lowest survivor) — closed by the
-/// survivor barrier.
+/// The wire tag of a recovery micro-step of [`recovery_p2p`].
+fn recovery_tag(coll: u8, phase: u8) -> u64 {
+    match (coll, phase) {
+        (REC_MEMBER, 1) => TAG_RECOVER_REPORT,
+        (REC_MEMBER, _) => TAG_RECOVER_AGREE,
+        _ => TAG_LOAD_DATA,
+    }
+}
+
+/// Whether `ev` is the point-to-point event recovery micro-step `op`
+/// records: same direction, peer and tag.
+fn records(op: MOp, ev: &CommEvent) -> bool {
+    match (op, ev) {
+        (MOp::Send { to, coll, phase }, CommEvent::Send { to: peer, tag, .. })
+        | (
+            MOp::Recv {
+                from: to,
+                coll,
+                phase,
+            },
+            CommEvent::Recv {
+                from: peer, tag, ..
+            },
+        ) => *peer == usize::from(to) && *tag == recovery_tag(coll, phase),
+        _ => false,
+    }
+}
+
+/// Replay one rank of a *killed* masterless run over the survivors
+/// `live`. The victim's stream is a silent clean prefix (the kill
+/// fires at `fault_gate`, before any event for the fatal collective is
+/// recorded). A survivor's stream is the clean prefix, the aborted
+/// collective (`ok: false`), its recovery point-to-point traffic —
+/// exactly the lowered [`recovery_p2p`] programme, in order — and the
+/// resumed schedule — re-stitched over the survivors, so rooted at the
+/// lowest survivor — closed by the survivor barrier.
 fn replay_decentral_faulted_rank(
     mode: DMode,
     rank: usize,
     events: &[CommEvent],
-    is_victim: bool,
-    post_root: usize,
+    live: &[usize],
 ) -> RankReplay {
+    let survivor = live.iter().position(|&w| w == rank);
+    let is_victim = survivor.is_none();
+    let post_root = live.first().copied().unwrap_or(0);
     let total = events.len();
     let want = mode.op_name();
     let fail = |pos: usize, msg: String| RankReplay {
@@ -1167,7 +1178,7 @@ fn replay_decentral_faulted_rank(
             // until the error reaches the recovery arm (e.g. the f64
             // chaser of a killed f32 gradient exchange) — after which
             // recovery p2p follows.
-            CommEvent::Coll { op, ok: false, .. } if *op == want && !is_victim => {
+            CommEvent::Coll { op, ok: false, .. } if *op == want && survivor.is_some() => {
                 if aborted {
                     return fail(pos, "second aborted collective in one stream".to_string());
                 }
@@ -1180,19 +1191,28 @@ fn replay_decentral_faulted_rank(
                 ) {
                     pos += 1;
                 }
-                // Recovery traffic: membership round and reshard
-                // shipments, the only p2p a masterless stream may
-                // ever contain.
-                while let Some(ev @ (CommEvent::Send { tag, .. } | CommEvent::Recv { tag, .. })) =
-                    events.get(pos)
-                {
-                    if !matches!(*tag, TAG_LOAD_DATA | TAG_RECOVER_REPORT | TAG_RECOVER_AGREE) {
-                        return fail(
-                            pos,
-                            format!("non-recovery p2p event during recovery: {ev:?}"),
-                        );
+                // Recovery traffic: the membership round and the
+                // reshard shipments as this survivor's lowered
+                // programme runs them, the only p2p a masterless stream
+                // may ever contain.
+                for op in recovery_p2p(survivor.unwrap_or(0), live) {
+                    match events.get(pos) {
+                        Some(ev) if records(op, ev) => pos += 1,
+                        Some(ev @ (CommEvent::Send { tag, .. } | CommEvent::Recv { tag, .. }))
+                            if !matches!(
+                                *tag,
+                                TAG_LOAD_DATA | TAG_RECOVER_REPORT | TAG_RECOVER_AGREE
+                            ) =>
+                        {
+                            return fail(
+                                pos,
+                                format!("non-recovery p2p event during recovery: {ev:?}"),
+                            );
+                        }
+                        got => {
+                            return fail(pos, format!("recovery expected {op:?}, saw {got:?}"));
+                        }
                     }
-                    pos += 1;
                 }
             }
             CommEvent::Coll {
@@ -1269,9 +1289,9 @@ pub fn replay_decentral_faulted_run(
     rank_events: &[&[CommEvent]],
     dead_ranks: &[usize],
 ) -> RunReplay {
-    let post_root = (0..rank_events.len())
-        .find(|r| !dead_ranks.contains(r))
-        .unwrap_or(0);
+    let live: Vec<usize> = (0..rank_events.len())
+        .filter(|r| !dead_ranks.contains(r))
+        .collect();
     let shape0: Vec<CollShape> = rank_events
         .iter()
         .enumerate()
@@ -1290,7 +1310,7 @@ pub fn replay_decentral_faulted_run(
             }
         }
         let is_victim = dead_ranks.contains(&rank);
-        let mut r = replay_decentral_faulted_rank(mode, rank, events, is_victim, post_root);
+        let mut r = replay_decentral_faulted_rank(mode, rank, events, &live);
         if r.accepted {
             let shape: Vec<CollShape> = events.iter().filter_map(coll_shape).collect();
             let ok = if is_victim {
@@ -1664,6 +1684,28 @@ mod tests {
         assert!(run.accepted);
         assert_eq!(run.unmapped, 0);
         assert_eq!(run.p2p_events, 8);
+    }
+
+    #[test]
+    fn recovery_traffic_must_follow_the_lowered_round_and_shipments() {
+        let (victim, coord, peer) = killed_ring_streams();
+        let rejects = |coord: &[CommEvent], peer: &[CommEvent]| {
+            let run = replay_decentral_faulted_run(DMode::Ring, &[&victim, coord, peer], &[0]);
+            assert!(!run.accepted);
+            run.ranks.iter().find_map(|r| r.error.clone()).unwrap_or_default()
+        };
+        // AGREE before REPORT on the survivor.
+        let mut agree_first = peer.clone();
+        agree_first.swap(3, 4);
+        assert!(rejects(&coord, &agree_first).contains("recovery expected"));
+        // A shipment from a non-coordinator (the dead rank 0).
+        let mut stray_shipment = peer.clone();
+        stray_shipment[5] = p2p_recv(0, TAG_LOAD_DATA);
+        assert!(rejects(&coord, &stray_shipment).contains("recovery expected"));
+        // The coordinator ships before it agrees.
+        let mut ship_first = coord.clone();
+        ship_first.swap(4, 5);
+        assert!(rejects(&ship_first, &peer).contains("recovery expected"));
     }
 
     #[test]
