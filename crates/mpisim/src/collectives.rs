@@ -666,18 +666,9 @@ impl Comm {
         parts: &[usize],
         schedule: Schedule,
     ) -> Result<(), CommError> {
-        let timeout = Some(self.p2p_timeout());
-        let drained = exchange(
-            self,
-            buf,
-            op,
-            tag,
-            parts,
-            schedule,
-            timeout,
-            OnFail::RootDrains,
-        )?;
-        drained.map_or(Ok(()), Err)
+        let (timeout, on_fail) = (Some(self.p2p_timeout()), OnFail::RootDrains);
+        let walked = exchange(self, buf, op, tag, parts, schedule, timeout, on_fail);
+        walked?.map_or(Ok(()), Err)
     }
 
     /// Run one collective invocation: claim a fresh tag window, walk

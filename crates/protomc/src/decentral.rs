@@ -62,7 +62,7 @@
 //! silent,
 //! be byte-identical in shape across ranks (the SPMD invariant behind
 //! the replicated-optimizer design), and end in exactly one barrier.
-//! [`replay_decentral_faulted_run`] extends that grammar to real
+//! [`replay_decentral_run`] extends that grammar to real
 //! killed runs: the victim's stream is a silent clean prefix, each
 //! survivor shows the aborted collective (`ok: false`), its recovery
 //! point-to-point traffic — direction, peer, tag and order of the same
@@ -974,133 +974,6 @@ fn coll_shape(ev: &CommEvent) -> Option<CollShape> {
     }
 }
 
-/// Replay one masterless rank's stream against the `DecentralProblem`
-/// phase grammar: `(f32-allreduce f64-allreduce? | f64-allreduce)*
-/// barrier`, with every allreduce carrying the mode's op name. The
-/// f64 metadata chaser is optional per f32 payload: the gradient pair
-/// always carries one, but curvature products agree on the sample's
-/// frame count once per draw and skip the chaser afterwards
-/// (`DecentralProblem::sample_frames_total`).
-fn replay_decentral_rank(mode: DMode, rank: usize, events: &[CommEvent]) -> RankReplay {
-    let total = events.len();
-    let want = mode.op_name();
-    let fail = |pos: usize, msg: String| RankReplay {
-        rank,
-        consumed: pos,
-        total,
-        completed: false,
-        accepted: false,
-        error: Some(format!("event {pos}: {msg}")),
-    };
-    let mut pos = 0usize;
-    let mut allreduces = 0usize;
-    while pos < total {
-        let (op, kind) = match &events[pos] {
-            CommEvent::Coll {
-                op,
-                kind,
-                root: 0,
-                ok: true,
-                ..
-            } => (*op, *kind),
-            other => {
-                let what = match other {
-                    CommEvent::Coll { op, root, .. } => {
-                        format!("collective {op} with root {root} or a failed verdict")
-                    }
-                    CommEvent::Send { to, tag, .. } => format!("p2p send(to {to}, tag {tag})"),
-                    CommEvent::Recv { from, tag, .. } => {
-                        format!("p2p recv(from {from}, tag {tag})")
-                    }
-                };
-                return fail(pos, format!("masterless stream contains {what}"));
-            }
-        };
-        match (op, kind) {
-            ("barrier", _) => {
-                if pos + 1 != total {
-                    return fail(
-                        pos,
-                        format!("{} event(s) after the closing barrier", total - pos - 1),
-                    );
-                }
-                if allreduces == 0 {
-                    return fail(pos, "barrier before any allreduce".to_string());
-                }
-                return RankReplay {
-                    rank,
-                    consumed: total,
-                    total,
-                    completed: true,
-                    accepted: true,
-                    error: None,
-                };
-            }
-            (o, "F32") | (o, "F64") if o == want => {
-                allreduces += 1;
-                pos += 1;
-            }
-            (o, k) => {
-                return fail(
-                    pos,
-                    format!("expected {want} or barrier, saw {o} ({k} payload)"),
-                )
-            }
-        }
-    }
-    fail(pos, "stream ended without the closing barrier".to_string())
-}
-
-/// Replay a whole masterless run. On top of the per-rank grammar,
-/// enforces the SPMD invariant: every rank's collective sequence must
-/// be shape-identical (op, payload kind, element count) to rank 0's —
-/// the property the replicated-optimizer design rests on.
-pub fn replay_decentral_run(mode: DMode, rank_events: &[&[CommEvent]]) -> RunReplay {
-    let mut ranks = Vec::new();
-    let mut unmapped = 0usize;
-    let mut p2p_events = 0usize;
-    let mut coll_events = 0usize;
-    let shape0: Vec<CollShape> = rank_events
-        .first()
-        .map(|evs| evs.iter().filter_map(coll_shape).collect())
-        .unwrap_or_default();
-    for (rank, events) in rank_events.iter().enumerate() {
-        for ev in events.iter() {
-            match ev {
-                CommEvent::Coll { .. } => coll_events += 1,
-                _ => p2p_events += 1,
-            }
-        }
-        let mut r = replay_decentral_rank(mode, rank, events);
-        if r.accepted {
-            let shape: Vec<CollShape> = events.iter().filter_map(coll_shape).collect();
-            if shape != shape0 {
-                let at = shape
-                    .iter()
-                    .zip(&shape0)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(shape.len().min(shape0.len()));
-                r.accepted = false;
-                r.completed = false;
-                r.consumed = at;
-                r.error = Some(format!(
-                    "SPMD divergence: collective {at} differs in shape from rank 0"
-                ));
-            }
-        }
-        unmapped += r.total - r.consumed;
-        ranks.push(r);
-    }
-    let accepted = !ranks.is_empty() && ranks.iter().all(|r| r.accepted && r.completed);
-    RunReplay {
-        ranks,
-        unmapped,
-        accepted,
-        p2p_events,
-        coll_events,
-    }
-}
-
 /// The wire tag of a recovery micro-step of [`recovery_p2p`].
 fn recovery_tag(coll: u8, phase: u8) -> u64 {
     match (coll, phase) {
@@ -1129,23 +1002,30 @@ fn records(op: MOp, ev: &CommEvent) -> bool {
     }
 }
 
-/// Replay one rank of a *killed* masterless run over the survivors
-/// `live`. The victim's stream is a silent clean prefix (the kill
-/// fires at `fault_gate`, before any event for the fatal collective is
-/// recorded). A survivor's stream is the clean prefix, the aborted
-/// collective (`ok: false`), its recovery point-to-point traffic —
-/// exactly the lowered [`recovery_p2p`] programme, in order — and the
-/// resumed schedule — re-stitched over the survivors, so rooted at the
-/// lowest survivor — closed by the survivor barrier.
-fn replay_decentral_faulted_rank(
+/// Replay one masterless rank's stream, `live` being the run's
+/// survivors, against the `DecentralProblem` phase grammar:
+/// `(f32-allreduce f64-allreduce? | f64-allreduce)* barrier`, every
+/// allreduce carrying the mode's op name. The f64 metadata chaser is
+/// optional per f32 payload: the gradient pair always carries one, but
+/// curvature products agree on the sample's frame count once per draw
+/// and skip the chaser afterwards
+/// (`DecentralProblem::sample_frames_total`).
+///
+/// In a run that `killed` a rank, the victim's stream is a silent clean
+/// prefix (the kill fires at `fault_gate`, before any event for the
+/// fatal collective is recorded). A survivor's stream shows the
+/// aborted collective (`ok: false`), then its recovery point-to-point
+/// traffic — exactly the lowered [`recovery_p2p`] programme, in order —
+/// then the schedule resumed over the survivors, so rooted at the
+/// lowest survivor, and the barrier.
+fn replay_decentral_rank(
     mode: DMode,
     rank: usize,
     events: &[CommEvent],
     live: &[usize],
+    killed: bool,
 ) -> RankReplay {
     let survivor = live.iter().position(|&w| w == rank);
-    let is_victim = survivor.is_none();
-    let post_root = live.first().copied().unwrap_or(0);
     let total = events.len();
     let want = mode.op_name();
     let fail = |pos: usize, msg: String| RankReplay {
@@ -1156,16 +1036,16 @@ fn replay_decentral_faulted_rank(
         accepted: false,
         error: Some(format!("event {pos}: {msg}")),
     };
-    let accept = |consumed: usize| RankReplay {
+    let accept = RankReplay {
         rank,
-        consumed,
+        consumed: total,
         total,
         completed: true,
         accepted: true,
         error: None,
     };
     // `root` is the expected root of healthy collectives: 0 until the
-    // first abort, the lowest survivor afterwards.
+    // abort, the lowest survivor afterwards.
     let mut root = 0usize;
     let mut aborted = false;
     let mut pos = 0usize;
@@ -1178,12 +1058,15 @@ fn replay_decentral_faulted_rank(
             // until the error reaches the recovery arm (e.g. the f64
             // chaser of a killed f32 gradient exchange) — after which
             // recovery p2p follows.
-            CommEvent::Coll { op, ok: false, .. } if *op == want && survivor.is_some() => {
-                if aborted {
-                    return fail(pos, "second aborted collective in one stream".to_string());
-                }
+            CommEvent::Coll { op, ok: false, .. } if *op == want && killed => {
+                let Some(at) = survivor.filter(|_| !aborted) else {
+                    return fail(
+                        pos,
+                        "a second or the victim's aborted collective".to_string(),
+                    );
+                };
                 aborted = true;
-                root = post_root;
+                root = live[0];
                 pos += 1;
                 while matches!(
                     events.get(pos),
@@ -1191,11 +1074,9 @@ fn replay_decentral_faulted_rank(
                 ) {
                     pos += 1;
                 }
-                // Recovery traffic: the membership round and the
-                // reshard shipments as this survivor's lowered
-                // programme runs them, the only p2p a masterless stream
+                // Recovery traffic, the only p2p a masterless stream
                 // may ever contain.
-                for op in recovery_p2p(survivor.unwrap_or(0), live) {
+                for op in recovery_p2p(at, live) {
                     match events.get(pos) {
                         Some(ev) if records(op, ev) => pos += 1,
                         Some(ev @ (CommEvent::Send { tag, .. } | CommEvent::Recv { tag, .. }))
@@ -1221,14 +1102,17 @@ fn replay_decentral_faulted_rank(
                 ok: true,
                 ..
             } => {
-                if is_victim {
+                if survivor.is_none() {
                     return fail(pos, "the victim's stream reaches the barrier".to_string());
                 }
-                if !aborted {
+                if killed && !aborted {
                     return fail(
                         pos,
                         "survivor stream has a barrier but no aborted collective".to_string(),
                     );
+                }
+                if pos == 0 {
+                    return fail(pos, "barrier before any allreduce".to_string());
                 }
                 if *r != root {
                     return fail(pos, format!("barrier rooted at {r}, expected {root}"));
@@ -1239,7 +1123,7 @@ fn replay_decentral_faulted_rank(
                         format!("{} event(s) after the closing barrier", total - pos - 1),
                     );
                 }
-                return accept(total);
+                return accept;
             }
             CommEvent::Coll {
                 op,
@@ -1260,31 +1144,26 @@ fn replay_decentral_faulted_rank(
             other => {
                 return fail(
                     pos,
-                    format!("unexpected event in a killed masterless stream: {other:?}"),
+                    format!("unexpected event in a masterless stream: {other:?}"),
                 )
             }
         }
     }
-    if is_victim {
+    match survivor {
         // The whole stream was clean collectives: the silent death.
-        return accept(total);
+        None => accept,
+        Some(_) => fail(pos, "stream ended without the closing barrier".to_string()),
     }
-    fail(
-        pos,
-        if aborted {
-            "survivor stream ended without the closing barrier".to_string()
-        } else {
-            "survivor stream shows neither an aborted collective nor a barrier".to_string()
-        },
-    )
 }
 
-/// Replay a whole *killed* masterless run: per-rank faulted grammar
-/// plus the SPMD invariants of the recovery design — every survivor's
-/// collective shape sequence is identical, and each victim's stream
-/// is a shape-prefix of it (the victim ran the same replicated
-/// program until its death at a collective entry).
-pub fn replay_decentral_faulted_run(
+/// Replay a whole masterless run in which `dead_ranks` were killed
+/// (none for a fault-free run): the per-rank grammar plus the SPMD
+/// invariants the replicated-optimizer design rests on — every
+/// survivor's collective shape sequence (op, payload kind, element
+/// count) is identical, and each victim's is a strict prefix of it
+/// (the victim ran the same replicated program until its death at a
+/// collective entry).
+pub fn replay_decentral_run(
     mode: DMode,
     rank_events: &[&[CommEvent]],
     dead_ranks: &[usize],
@@ -1292,11 +1171,12 @@ pub fn replay_decentral_faulted_run(
     let live: Vec<usize> = (0..rank_events.len())
         .filter(|r| !dead_ranks.contains(r))
         .collect();
-    let shape0: Vec<CollShape> = rank_events
-        .iter()
-        .enumerate()
-        .find(|(r, _)| !dead_ranks.contains(r))
-        .map(|(_, evs)| evs.iter().filter_map(coll_shape).collect())
+    let killed = live.len() < rank_events.len();
+    let shapes =
+        |evs: &[CommEvent]| -> Vec<CollShape> { evs.iter().filter_map(coll_shape).collect() };
+    let shape0 = live
+        .first()
+        .map(|&r| shapes(rank_events[r]))
         .unwrap_or_default();
     let mut ranks = Vec::new();
     let mut unmapped = 0usize;
@@ -1309,14 +1189,13 @@ pub fn replay_decentral_faulted_run(
                 _ => p2p_events += 1,
             }
         }
-        let is_victim = dead_ranks.contains(&rank);
-        let mut r = replay_decentral_faulted_rank(mode, rank, events, &live);
+        let mut r = replay_decentral_rank(mode, rank, events, &live, killed);
         if r.accepted {
-            let shape: Vec<CollShape> = events.iter().filter_map(coll_shape).collect();
-            let ok = if is_victim {
-                shape0.starts_with(&shape) && shape.len() < shape0.len()
-            } else {
+            let shape = shapes(events);
+            let ok = if live.contains(&rank) {
                 shape == shape0
+            } else {
+                shape0.starts_with(&shape) && shape.len() < shape0.len()
             };
             if !ok {
                 let at = shape
@@ -1526,7 +1405,7 @@ mod tests {
             ar(DMode::Ring, "F64", 3),
             barrier(),
         ];
-        let run = replay_decentral_run(DMode::Ring, &[&stream, &stream, &stream]);
+        let run = replay_decentral_run(DMode::Ring, &[&stream, &stream, &stream], &[]);
         assert!(run.accepted, "{:?}", run.ranks[0].error);
         assert_eq!(run.unmapped, 0);
         assert_eq!(run.p2p_events, 0);
@@ -1537,7 +1416,7 @@ mod tests {
         let good = vec![ar(DMode::Ring, "F64", 3), barrier()];
         // Tree ops in a ring-mode replay.
         let tree = vec![ar(DMode::Tree, "F64", 3), barrier()];
-        let run = replay_decentral_run(DMode::Ring, &[&good, &tree]);
+        let run = replay_decentral_run(DMode::Ring, &[&good, &tree], &[]);
         assert!(!run.accepted);
         assert!(run.ranks[1]
             .error
@@ -1554,12 +1433,12 @@ mod tests {
             },
             barrier(),
         ];
-        let run = replay_decentral_run(DMode::Ring, &[&good, &p2p]);
+        let run = replay_decentral_run(DMode::Ring, &[&good, &p2p], &[]);
         assert!(!run.accepted);
         assert_eq!(run.p2p_events, 1);
         // Shape-divergent but individually grammatical streams.
         let other = vec![ar(DMode::Ring, "F64", 4), barrier()];
-        let run = replay_decentral_run(DMode::Ring, &[&good, &other]);
+        let run = replay_decentral_run(DMode::Ring, &[&good, &other], &[]);
         assert!(!run.accepted);
         assert!(run.ranks[1].error.as_deref().unwrap_or("").contains("SPMD"));
     }
@@ -1567,21 +1446,21 @@ mod tests {
     #[test]
     fn truncated_and_trailing_streams_are_rejected() {
         let no_barrier = vec![ar(DMode::Ring, "F64", 3)];
-        let run = replay_decentral_run(DMode::Ring, &[&no_barrier]);
+        let run = replay_decentral_run(DMode::Ring, &[&no_barrier], &[]);
         assert!(!run.accepted);
         let trailing = vec![
             ar(DMode::Ring, "F64", 3),
             barrier(),
             ar(DMode::Ring, "F64", 3),
         ];
-        let run = replay_decentral_run(DMode::Ring, &[&trailing]);
+        let run = replay_decentral_run(DMode::Ring, &[&trailing], &[]);
         assert!(!run.accepted);
         assert!(run.unmapped > 0);
         // An f32 allreduce with no f64 chaser is legal (curvature
         // products reuse the sample's agreed frame count), but a
         // rooted collective in a masterless stream is not.
         let bare = vec![ar(DMode::Ring, "F32", 100), barrier()];
-        let run = replay_decentral_run(DMode::Ring, &[&bare]);
+        let run = replay_decentral_run(DMode::Ring, &[&bare], &[]);
         assert!(run.accepted, "{:?}", run.ranks[0].error);
         let rooted = vec![
             CommEvent::Coll {
@@ -1594,7 +1473,7 @@ mod tests {
             },
             barrier(),
         ];
-        let run = replay_decentral_run(DMode::Ring, &[&rooted]);
+        let run = replay_decentral_run(DMode::Ring, &[&rooted], &[]);
         assert!(!run.accepted);
     }
 
@@ -1677,7 +1556,7 @@ mod tests {
     #[test]
     fn a_killed_ring_trace_conforms_with_zero_unmapped() {
         let (victim, coord, peer) = killed_ring_streams();
-        let run = replay_decentral_faulted_run(DMode::Ring, &[&victim, &coord, &peer], &[0]);
+        let run = replay_decentral_run(DMode::Ring, &[&victim, &coord, &peer], &[0]);
         for r in &run.ranks {
             assert!(r.accepted, "rank {}: {:?}", r.rank, r.error);
         }
@@ -1690,9 +1569,12 @@ mod tests {
     fn recovery_traffic_must_follow_the_lowered_round_and_shipments() {
         let (victim, coord, peer) = killed_ring_streams();
         let rejects = |coord: &[CommEvent], peer: &[CommEvent]| {
-            let run = replay_decentral_faulted_run(DMode::Ring, &[&victim, coord, peer], &[0]);
+            let run = replay_decentral_run(DMode::Ring, &[&victim, coord, peer], &[0]);
             assert!(!run.accepted);
-            run.ranks.iter().find_map(|r| r.error.clone()).unwrap_or_default()
+            run.ranks
+                .iter()
+                .find_map(|r| r.error.clone())
+                .unwrap_or_default()
         };
         // AGREE before REPORT on the survivor.
         let mut agree_first = peer.clone();
@@ -1714,7 +1596,7 @@ mod tests {
         // A non-recovery p2p tag inside the recovery window.
         let mut stray = coord.clone();
         stray[3] = p2p_recv(2, 9);
-        let run = replay_decentral_faulted_run(DMode::Ring, &[&victim, &stray, &peer], &[0]);
+        let run = replay_decentral_run(DMode::Ring, &[&victim, &stray, &peer], &[0]);
         assert!(!run.accepted);
         assert!(run.ranks[1]
             .error
@@ -1723,14 +1605,14 @@ mod tests {
             .contains("non-recovery p2p"));
         // A survivor that never aborted yet reaches the barrier.
         let healthy: Vec<CommEvent> = victim.iter().cloned().chain([barrier_at(1)]).collect();
-        let run = replay_decentral_faulted_run(DMode::Ring, &[&victim, &coord, &healthy], &[0]);
+        let run = replay_decentral_run(DMode::Ring, &[&victim, &coord, &healthy], &[0]);
         assert!(!run.accepted);
         // The resumed schedule keeps the dead root.
         let mut stale_root = coord.clone();
         let n = stale_root.len();
         stale_root[n - 3] = arf(DMode::Ring, "F32", 100, 0, true);
         stale_root[n - 2] = arf(DMode::Ring, "F64", 2, 0, true);
-        let run = replay_decentral_faulted_run(DMode::Ring, &[&victim, &stale_root, &peer], &[0]);
+        let run = replay_decentral_run(DMode::Ring, &[&victim, &stale_root, &peer], &[0]);
         assert!(!run.accepted);
         // The victim's stream must be a strict shape-prefix of the
         // survivors' — a diverging victim is an SPMD violation.
@@ -1739,7 +1621,7 @@ mod tests {
             .cloned()
             .chain([arf(DMode::Ring, "F64", 7, 0, true)])
             .collect();
-        let run = replay_decentral_faulted_run(DMode::Ring, &[&long_victim, &coord, &peer], &[0]);
+        let run = replay_decentral_run(DMode::Ring, &[&long_victim, &coord, &peer], &[0]);
         assert!(!run.accepted);
         assert!(run.ranks[0].error.as_deref().unwrap_or("").contains("SPMD"));
     }

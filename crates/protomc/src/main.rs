@@ -159,7 +159,7 @@ fn run_training_traces(spec: &pdnn_protomc::ProtoSpec) -> Result<Vec<NamedRun>, 
         runs.push(NamedRun {
             name: name.to_string(),
             dead_ranks: Vec::new(),
-            replay: decentral::replay_decentral_run(dmode, &streams),
+            replay: decentral::replay_decentral_run(dmode, &streams, &[]),
         });
     }
 
@@ -192,7 +192,7 @@ fn run_training_traces(spec: &pdnn_protomc::ProtoSpec) -> Result<Vec<NamedRun>, 
     runs.push(NamedRun {
         name: "ring-masterless-4rank-kill-rank2".to_string(),
         dead_ranks: killed_ring.dead_ranks.clone(),
-        replay: decentral::replay_decentral_faulted_run(
+        replay: decentral::replay_decentral_run(
             decentral::DMode::Ring,
             &streams,
             &killed_ring.dead_ranks,
