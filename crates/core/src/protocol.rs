@@ -10,7 +10,12 @@
 //! then `run` — so what the master sends and what a worker expects
 //! cannot drift apart, and `pdnn-protomc` model-checks automata
 //! lowered from the same rows. Start-up data loading is the
-//! `LOAD_DATA` row's shipments without its header. PROTOCOL.md in
+//! `LOAD_DATA` row's shipment step (`ship`) without its header.
+//!
+//! The masterless recovery round lives here too: `agree_membership`
+//! runs REPORT/AGREE as `pdnn_mpisim::schedule` fan-in/fan-out through
+//! the runtime's hop interpreter, and the coordinator's re-shard is the
+//! same `ship` step rooted at the coordinator. PROTOCOL.md in
 //! `pdnn-protomc` describes the protocol as a whole.
 
 use pdnn_mpisim::{schedule, Comm, CommError, Payload, ReduceOp, Src};
@@ -375,18 +380,14 @@ mod tests {
     /// does.
     #[test]
     fn a_silent_reporter_is_evicted_and_agreed_dead() {
-        use pdnn_mpisim::{FaultPlan, FAULT_TICK};
+        use pdnn_mpisim::FaultPlan;
         use std::sync::Arc;
         use std::time::Duration;
         const SILENT: usize = 3;
         let window = Duration::from_millis(200);
+        // 1,000 fault ticks of 1 ms: five windows.
         let plan = FaultPlan::new(7)
-            .delay_message(
-                SILENT,
-                0,
-                0,
-                5 * (window.as_millis() / FAULT_TICK.as_millis()) as u32,
-            )
+            .delay_message(SILENT, 0, 0, 1_000)
             .with_timeouts(window, window);
         let outcomes = pdnn_mpisim::run_world_faulted(4, &plan, |comm| {
             if matches!(comm.rank(), 1 | 2) {

@@ -621,7 +621,8 @@ impl Comm {
     }
 
     /// Timeout window for protocol point-to-point receives outside
-    /// collectives (the `LOAD_DATA` shard shipments): the worker
+    /// collectives (the `LOAD_DATA` shard shipments and
+    /// [`Comm::p2p_schedule`]'s membership round): the worker
     /// window when fault tolerance is armed — it must outlast a whole
     /// recovery cycle at the root — else the generous fault-free
     /// default.

@@ -7,12 +7,13 @@
 //! over the survivors of a failure, and a rooted collective whose root
 //! the caller put at position 0.
 //!
-//! Two consumers read the same lists: every collective of
-//! [`Comm`] interprets them through one hop interpreter, and
-//! `pdnn-protomc` lowers them into the micro-step programs it explores
-//! (the masterless model and the master/worker model alike). The model
-//! checker therefore checks the hops the runtime executes, not a
-//! second copy of them.
+//! Two consumers read the same lists: every collective of [`Comm`],
+//! and [`Comm::p2p_schedule`] which runs a list as plain point-to-point
+//! traffic on user tags, interprets them through one hop interpreter,
+//! and `pdnn-protomc` lowers them into the micro-step programs it
+//! explores (the masterless model, its recovery round and the
+//! master/worker model alike). The model checker therefore checks the
+//! hops the runtime executes, not a second copy of them.
 //!
 //! | shape | runs in | windows |
 //! |---|---|---|
@@ -23,6 +24,7 @@
 //! | [`dissemination`] | fault-free `barrier` | 0 |
 //! | [`fan_in`], [`fan_out`] | `reduce` / `bcast` under a fault plan | 1 / 2 |
 //! | [`star`] = fan-in ++ fan-out | `barrier` under a fault plan | 1, 2 |
+//! | [`fan_in`] (REPORT), then [`fan_out`] (AGREE) to the agreed survivors | the masterless membership round, through `Comm::p2p_schedule` on user tags 18 / 19 | 1 / 2 |
 //!
 //! A hop moves data in a tag window, an offset from the collective's
 //! base tag:
@@ -41,6 +43,7 @@
 //! buffer, so its folds and installs move nothing.
 //!
 //! [`Comm`]: crate::Comm
+//! [`Comm::p2p_schedule`]: crate::Comm::p2p_schedule
 
 use std::ops::Range;
 

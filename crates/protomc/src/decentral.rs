@@ -59,10 +59,9 @@
 //! an optional `f64` metadata chaser — the gradient always carries
 //! one, curvature products agree on the sample's frame count once
 //! per draw — or a standalone `f64` allreduce), stay point-to-point
-//! silent,
-//! be byte-identical in shape across ranks (the SPMD invariant behind
-//! the replicated-optimizer design), and end in exactly one barrier.
-//! [`replay_decentral_run`] extends that grammar to real
+//! silent, be byte-identical in shape across ranks (the SPMD invariant
+//! behind the replicated-optimizer design), and end in exactly one
+//! barrier. Given the killed ranks, the same replay accepts real
 //! killed runs: the victim's stream is a silent clean prefix, each
 //! survivor shows the aborted collective (`ok: false`), its recovery
 //! point-to-point traffic — direction, peer, tag and order of the same
