@@ -372,25 +372,23 @@ mod tests {
     use super::*;
     use pdnn_mpisim::CommEvent;
 
-    /// Rank 3's REPORT is held back past the coordinator's window: the
-    /// coordinator evicts it and the other survivors agree on it.
-    /// Reporters 1 and 2 out-wait the coordinator's drain on a longer
-    /// window: with equal windows the last reporter's wait for AGREE
-    /// expires about when the coordinator's wait for the silent rank
-    /// does.
+    /// Rank 3's REPORT is lost: the coordinator evicts it once the
+    /// window passes, and the other survivors agree on it. The
+    /// reporters out-wait the coordinator's drain on a longer window:
+    /// with equal windows the last reporter's wait for AGREE expires
+    /// about when the coordinator's wait for the silent rank does.
     #[test]
     fn a_silent_reporter_is_evicted_and_agreed_dead() {
         use pdnn_mpisim::FaultPlan;
         use std::sync::Arc;
         use std::time::Duration;
         const SILENT: usize = 3;
-        let window = Duration::from_millis(200);
-        // 1,000 fault ticks of 1 ms: five windows.
+        let window = Duration::from_millis(500);
         let plan = FaultPlan::new(7)
-            .delay_message(SILENT, 0, 0, 1_000)
+            .drop_message(SILENT, 0, 0)
             .with_timeouts(window, window);
         let outcomes = pdnn_mpisim::run_world_faulted(4, &plan, |comm| {
-            if matches!(comm.rank(), 1 | 2) {
+            if comm.rank() != 0 {
                 comm.enable_faults(Arc::new(plan.clone().with_timeouts(window, 20 * window)));
             }
             agree_membership(comm)
