@@ -141,11 +141,8 @@ macro_rules! impl_coll_elem {
                             }
                         }
                     }
-                    ReduceOp::BitOr => {
-                        for (y, &x) in own.iter_mut().zip(incoming) {
-                            *y = $from_bits($bits(x) | $bits(*y));
-                        }
-                    }
+                    // OR commutes: the operand order cannot show.
+                    ReduceOp::BitOr => Self::combine(op, own, incoming),
                 }
             }
         }

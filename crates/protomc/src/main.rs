@@ -167,8 +167,8 @@ fn run_training_traces(spec: &pdnn_protomc::ProtoSpec) -> Result<Vec<NamedRun>, 
     // survivors run the peer-coordinated recovery, and the recorded
     // streams must map onto the faulted grammar with nothing left
     // over — victim silent, one aborted collective per survivor,
-    // recovery p2p only on the report/agree/shard tags, resumed
-    // schedule re-rooted at the lowest survivor.
+    // recovery p2p hop for hop as the lowered membership round and
+    // shipments, resumed schedule re-rooted at the lowest survivor.
     let mut ring_cfg = DistributedConfig {
         workers: 4,
         sync: SyncStrategy::Ring,
