@@ -17,7 +17,7 @@
 //!   may only name a feature-gated instantiation of the reference or
 //!   element-wise loops after probing its features, and every
 //!   micro-panel slice
-//!   passed to `microkernel`/`bt_fn` must have *exactly* the packed
+//!   passed to `tile_fn`/`bt_fn` must have *exactly* the packed
 //!   length the kernel contract consumes (`kc * MR` etc. — overlong
 //!   panels would mask index-arithmetic bugs, so equality is
 //!   enforced, not just sufficiency).
@@ -342,7 +342,16 @@ fn check_kernel_body(
                 continue;
             }
         };
-        let end = off.add(&Poly::constant(acc.width));
+        // A masked access traced to `lanes(cols, start)` touches at most
+        // `cols - start` elements from its pointer. Loop variables take
+        // their maxima in both terms; the zone's group loops advance the
+        // pointer and `start` by the same width, so the sum is the same
+        // at every group.
+        let width = match acc.lanes.as_deref().map(|t| ctx.eval(t, acc.offset, 0)) {
+            Some(Ok(lanes)) => lanes,
+            _ => Poly::constant(acc.width),
+        };
+        let end = off.add(&width);
         let slack = bound.sub(&end);
         if !slack.ge_zero(&ctx.mins(acc.offset)) {
             findings.push(Finding::new(
@@ -635,40 +644,6 @@ fn check_wrappers(
     }
 }
 
-/// k6 part 1: the shared `microkernel` entry must assert the packing
-/// invariants every backend kernel's contract consumes.
-fn check_microkernel_def(zone: &[ZoneFile], findings: &mut Vec<Finding>) {
-    for z in zone {
-        for f in &z.fns {
-            if f.name != "microkernel" {
-                continue;
-            }
-            let have: Vec<String> = f
-                .preconditions
-                .iter()
-                .map(|p| p.cond.chars().filter(|c| !c.is_whitespace()).collect())
-                .collect();
-            for (needed, what) in [
-                ("ap.len()>=kc*MR", "the packed A panel length"),
-                ("bp.len()>=kc*NR", "the packed B panel length"),
-                ("mr_eff<=MR&&nr_eff<=NR", "the micro-tile bounds"),
-            ] {
-                if !have.iter().any(|h| h == needed) {
-                    findings.push(Finding::new(
-                        &z.file,
-                        K6,
-                        offset_of_line(&z.file, f.line),
-                        format!(
-                            "`microkernel` no longer asserts {what} (`{needed}`); backend \
-                             kernel contracts assume it"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
 /// Resolve a driver panel argument (`ap_panel`, `&bp[lo..hi]`) to its
 /// symbolic slice length.
 fn panel_len(
@@ -743,8 +718,8 @@ fn panel_len(
     Err(format!("cannot resolve panel argument `{t}`"))
 }
 
-/// k6 part 2: every driver call site passes exactly the panel lengths
-/// the kernel contracts consume.
+/// k6: every driver call site passes exactly the panel lengths the
+/// kernel contracts consume.
 fn check_driver_calls(
     driver: &SourceFile,
     consts: &BTreeMap<String, i64>,
@@ -766,10 +741,10 @@ fn check_driver_calls(
     }
     const SPECS: [CallSpec; 2] = [
         CallSpec {
-            callee: "microkernel",
-            arity: 11,
-            kc_idx: 1,
-            panels: &[(3, "MR", "packed A panel"), (4, "NR", "packed B panel")],
+            callee: "tile_fn",
+            arity: 9,
+            kc_idx: 0,
+            panels: &[(1, "MR", "packed A panel"), (2, "NR", "packed B panel")],
         },
         CallSpec {
             callee: "bt_fn",
@@ -851,15 +826,25 @@ fn check_driver_calls(
     }
 }
 
-/// Wrapper name -> features its unsafe kernel requires.
+/// Safe fn name -> features the unsafe kernel it enters requires,
+/// directly (the wrapper) or through other safe fns of its file (an
+/// `acc_*` view over a tile wrapper).
 fn wrapper_requirements(zone: &[ZoneFile]) -> BTreeMap<String, Vec<String>> {
-    let mut wrapper_reqs = BTreeMap::new();
+    let mut wrapper_reqs: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for z in zone {
-        for imp in z.fns.iter().filter(|f| f.is_unsafe) {
-            let Some(req) = &imp.requires else { continue };
+        let mut callees: Vec<(String, Vec<String>)> = z
+            .fns
+            .iter()
+            .filter(|f| f.is_unsafe)
+            .filter_map(|imp| Some((imp.name.clone(), imp.requires.as_ref()?.features.clone())))
+            .collect();
+        while let Some((callee, features)) = callees.pop() {
             for w in z.fns.iter().filter(|w| !w.is_unsafe) {
-                if find_call_in(&z.file, &w.body, &imp.name).is_some() {
-                    wrapper_reqs.insert(w.name.clone(), req.features.clone());
+                if !wrapper_reqs.contains_key(&w.name)
+                    && find_call_in(&z.file, &w.body, &callee).is_some()
+                {
+                    wrapper_reqs.insert(w.name.clone(), features.clone());
+                    callees.push((w.name.clone(), features.clone()));
                 }
             }
         }
@@ -1009,7 +994,6 @@ pub fn run(
         }
         check_wrappers(&z.file, &z.fns, consts, &mut findings);
     }
-    check_microkernel_def(zone, &mut findings);
     let wrapper_reqs = wrapper_requirements(zone);
     for d in drivers {
         if d.path.ends_with("backend.rs") {

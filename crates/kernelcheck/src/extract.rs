@@ -61,6 +61,10 @@ pub struct MemAccess {
     pub add_expr: Option<String>,
     /// Elements touched starting at the effective offset.
     pub width: i64,
+    /// For a masked intrinsic whose mask is built from
+    /// `lanes(cols, start)`: the tighter bound `(cols) - (start)` on the
+    /// elements it touches.
+    pub lanes: Option<String>,
     /// Alignment in bytes the operation demands; 0 = unaligned-ok.
     pub req_align: u32,
     /// Intrinsic name, or `None` for a plain `*p` deref.
@@ -135,6 +139,9 @@ pub struct KernelFn {
     pub ptr_lets: BTreeMap<String, PtrLet>,
     /// Local fixed-size arrays: name -> length expression text.
     pub arrays: BTreeMap<String, String>,
+    /// Every other `let NAME = <rhs>;`: name -> right-hand side text
+    /// (how a mask argument is traced to its `lanes(..)` bound).
+    pub values: BTreeMap<String, String>,
     pub preconditions: Vec<Precondition>,
 }
 
@@ -251,6 +258,57 @@ pub fn mem_intrinsic(name: &str) -> Option<(i64, u32)> {
         "vld1q_f64" | "vst1q_f64" => (2, 0),
         _ => return None,
     })
+}
+
+/// (pointer argument index, mask argument index, lanes) for the masked
+/// memory intrinsics. They touch only their mask's live lanes, so the
+/// checker bounds them by the mask's `lanes(..)` count (falling back to
+/// the full register when the mask cannot be traced to one).
+pub fn masked_intrinsic(name: &str) -> Option<(usize, usize, i64)> {
+    Some(match name {
+        "_mm512_maskz_loadu_ps" => (1, 0, 16),
+        "_mm512_maskz_loadu_pd" => (1, 0, 8),
+        "_mm512_mask_storeu_ps" => (0, 1, 16),
+        "_mm512_mask_storeu_pd" => (0, 1, 8),
+        "_mm256_maskload_ps" | "_mm256_maskstore_ps" => (0, 1, 8),
+        "_mm256_maskload_pd" | "_mm256_maskstore_pd" => (0, 1, 4),
+        _ => return None,
+    })
+}
+
+/// The `(cols) - (start)` bound of the first `lanes(cols, start)` call
+/// in `text`, or in the `let` binding of an identifier it names
+/// (followed a few levels deep).
+fn lanes_bound(text: &str, values: &BTreeMap<String, String>, depth: u32) -> Option<String> {
+    if let Some(pos) = find_word(text, "lanes", 0) {
+        let open = skip_ws(text.as_bytes(), pos + "lanes".len());
+        if text.as_bytes().get(open) == Some(&b'(') {
+            let close = match_delim(text, open)?;
+            let args = split_top_commas(&text[open + 1..close]);
+            if let [cols, start] = args.as_slice() {
+                return Some(format!("({}) - ({})", cols.trim(), start.trim()));
+            }
+        }
+    }
+    if depth == 0 {
+        return None;
+    }
+    let b = text.as_bytes();
+    let mut i = 0;
+    while i < b.len() {
+        match ident_at(text, i) {
+            Some((name, end)) => {
+                if let Some(rhs) = values.get(&name) {
+                    if let Some(bound) = lanes_bound(rhs, values, depth - 1) {
+                        return Some(bound);
+                    }
+                }
+                i = end;
+            }
+            None => i += 1,
+        }
+    }
+    None
 }
 
 fn skip_ws(b: &[u8], mut i: usize) -> usize {
@@ -420,6 +478,7 @@ pub fn parse_zone_file(path: &str, text: &str) -> ZoneFile {
             loops: Vec::new(),
             ptr_lets: BTreeMap::new(),
             arrays: BTreeMap::new(),
+            values: BTreeMap::new(),
             preconditions: Vec::new(),
         };
         scan_lets(&file, &mut f);
@@ -666,6 +725,8 @@ fn scan_lets(file: &SourceFile, f: &mut KernelFn) {
             }
             k += 1;
         }
+        f.values
+            .insert(name.clone(), masked[rhs_start..k].trim().to_string());
         if let Some((base, add_expr)) = parse_ptr_expr(&masked[rhs_start..k]) {
             let base_is_ptr = f.ptr_lets.contains_key(&base)
                 || f.params.iter().any(|p| {
@@ -728,10 +789,21 @@ fn scan_loops(file: &SourceFile, f: &mut KernelFn) {
             let Some((arr, arr_end)) = ident_at(masked, after_in) else {
                 continue;
             };
-            let max = if masked[arr_end..].starts_with(".iter") {
-                LoopMax::ArrayLen(arr)
-            } else {
-                LoopMax::Unknown
+            // `.take(n)` caps the index at `n - 1` whatever the array.
+            let header = &masked[arr_end..f.body.end];
+            let header = &header[..header.find('{').unwrap_or(header.len())];
+            let take = header.find(".take(").and_then(|t| {
+                let open = t + ".take".len();
+                let close = match_delim(header, open)?;
+                Some(header[open + 1..close].trim().to_string())
+            });
+            let max = match take {
+                Some(n) => LoopMax::Expr {
+                    text: lanes_bound(&n, &BTreeMap::new(), 0).unwrap_or(n),
+                    inclusive: false,
+                },
+                None if masked[arr_end..].starts_with(".iter") => LoopMax::ArrayLen(arr),
+                None => LoopMax::Unknown,
             };
             (var, max, after_in)
         } else {
@@ -821,9 +893,15 @@ fn scan_intrinsics(file: &SourceFile, f: &mut KernelFn) {
             feature,
             offset: i,
         });
-        if let Some((width, req_align)) = mem_intrinsic(&name) {
-            // First argument is the pointer. Skip a turbofish
-            // (`::<1>`) between name and `(`.
+        // (pointer argument, mask argument, lanes, alignment) of a
+        // memory-touching intrinsic.
+        let mem = mem_intrinsic(&name)
+            .map(|(width, align)| (0, None, width, align))
+            .or_else(|| {
+                masked_intrinsic(&name).map(|(ptr, mask, width)| (ptr, Some(mask), width, 0))
+            });
+        if let Some((ptr_idx, mask_idx, width, req_align)) = mem {
+            // Skip a turbofish (`::<1>`) between name and `(`.
             let mut j = end;
             if masked[j..].starts_with("::<") {
                 let mut depth = 0i32;
@@ -846,25 +924,21 @@ fn scan_intrinsics(file: &SourceFile, f: &mut KernelFn) {
             if b.get(open) == Some(&b'(') {
                 if let Some(close) = match_delim(masked, open) {
                     let args = split_top_commas(&masked[open + 1..close]);
-                    let first = args.first().map(|a| a.trim()).unwrap_or("");
-                    match parse_ptr_expr(first) {
-                        Some((base, add_expr)) => f.accesses.push(MemAccess {
-                            base,
-                            add_expr,
-                            width,
-                            req_align,
-                            intrinsic: Some(name),
-                            offset: i,
-                        }),
-                        None => f.accesses.push(MemAccess {
-                            base: first.to_string(),
-                            add_expr: None,
-                            width,
-                            req_align,
-                            intrinsic: Some(name),
-                            offset: i,
-                        }),
-                    }
+                    let ptr = args.get(ptr_idx).map(|a| a.trim()).unwrap_or("");
+                    let (base, add_expr) =
+                        parse_ptr_expr(ptr).unwrap_or_else(|| (ptr.to_string(), None));
+                    let lanes = mask_idx
+                        .and_then(|m| args.get(m))
+                        .and_then(|m| lanes_bound(m, &f.values, 3));
+                    f.accesses.push(MemAccess {
+                        base,
+                        add_expr,
+                        width,
+                        lanes,
+                        req_align,
+                        intrinsic: Some(name),
+                        offset: i,
+                    });
                 }
             }
         }
@@ -904,6 +978,7 @@ fn scan_derefs(file: &SourceFile, f: &mut KernelFn) {
             base: name,
             add_expr,
             width: 1,
+            lanes: None,
             req_align: 0,
             intrinsic: None,
             offset: i,
@@ -1063,6 +1138,42 @@ unsafe fn acc_f32_imp(kc: usize, ap: *const f32, acc: *mut f32) {
         let i_loops: Vec<_> = imp.loops.iter().filter(|l| l.var == "i").collect();
         assert_eq!(i_loops.len(), 2);
         assert!(matches!(&i_loops[0].max, LoopMax::ArrayLen(a) if a == "r"));
+    }
+
+    #[test]
+    fn masked_accesses_and_take_loops_are_bounded_by_lanes() {
+        let src = r#"
+unsafe fn t_imp(c: *mut f32, ldc: usize, mr_eff: usize, nr_eff: usize) {
+    let r = [_mm512_setzero_ps(); MR];
+    for g in 0..NR / 16 {
+        let m = mask16(lanes(nr_eff, g * 16));
+        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+            let p = c.add(i * ldc + g * 16);
+            _mm512_mask_storeu_ps(p, m, ri);
+        }
+    }
+    for (j, x) in r.iter().enumerate().take(lanes(nr_eff, 4)) {}
+}
+"#;
+        let z = parse_zone_file("k.rs", src);
+        let f = &z.fns[0];
+        let store = f
+            .accesses
+            .iter()
+            .find(|a| a.intrinsic.as_deref() == Some("_mm512_mask_storeu_ps"))
+            .expect("masked store is an access");
+        assert_eq!(store.base, "p");
+        assert_eq!(store.lanes.as_deref(), Some("(nr_eff) - (g * 16)"));
+        let maxes: Vec<_> = f
+            .loops
+            .iter()
+            .filter_map(|l| match &l.max {
+                LoopMax::Expr { text, .. } => Some((l.var.as_str(), text.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert!(maxes.contains(&("i", "mr_eff")), "{maxes:?}");
+        assert!(maxes.contains(&("j", "(nr_eff) - (4)")), "{maxes:?}");
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub struct MutationResult {
 const X86: &str = "crates/tensor/src/gemm/kernel/x86.rs";
 const SCALAR: &str = "crates/tensor/src/gemm/kernel/scalar.rs";
 const NEON: &str = "crates/tensor/src/gemm/kernel/neon.rs";
-const KMOD: &str = "crates/tensor/src/gemm/kernel/mod.rs";
 const PREPACKED: &str = "crates/tensor/src/gemm/prepacked.rs";
 const BACKEND: &str = "crates/tensor/src/gemm/backend.rs";
 const ELEMENTWISE: &str = "crates/tensor/src/gemm/kernel/elementwise.rs";
@@ -50,8 +49,8 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m01-bp-off-by-one",
             path: X86,
-            from: "let bv = _mm256_loadu_ps(bp.add(kk * NR + h * 8));",
-            to: "let bv = _mm256_loadu_ps(bp.add(kk * NR + h * 8 + 1));",
+            from: "let bv = _mm256_loadu_ps(bp.add(kk * NR + g * 8));",
+            to: "let bv = _mm256_loadu_ps(bp.add(kk * NR + g * 8 + 1));",
             expected_rule: K1,
             what: "B-panel load shifted one element past the packed stride",
         },
@@ -64,12 +63,12 @@ pub fn mutations() -> Vec<Mutation> {
             what: "k-loop runs one extra iteration past the panel depth",
         },
         Mutation {
-            name: "m03-store-off-by-one",
+            name: "m03-c-row-off-by-one",
             path: X86,
-            from: "_mm256_storeu_ps(acc.add(i * NR + h * 8), *ri);",
-            to: "_mm256_storeu_ps(acc.add(i * NR + h * 8 + 1), *ri);",
+            from: "let p = c.add(i * ldc + g * 8);",
+            to: "let p = c.add(i * ldc + g * 8 + 1);",
             expected_rule: K1,
-            what: "accumulator write-back lands one lane past the tile row",
+            what: "masked C merge lands one lane past the tile's live columns",
         },
         Mutation {
             name: "m04-extra-register-row",
@@ -98,8 +97,8 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m07-weakened-target-feature",
             path: X86,
-            from: "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn acc_f32_avx2_imp",
-            to: "#[target_feature(enable = \"sse2\")]\nunsafe fn acc_f32_avx2_imp",
+            from: "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn tile_f32_avx2_imp",
+            to: "#[target_feature(enable = \"sse2\")]\nunsafe fn tile_f32_avx2_imp",
             expected_rule: K4,
             what: "kernel attribute no longer enables the ISA its intrinsics need",
         },
@@ -122,7 +121,7 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m10-dropped-length-precondition",
             path: X86,
-            from: "    kernel_precondition!(ap.len() >= kc * MR, \"acc_f32_avx2: A panel too short\");\n",
+            from: "    kernel_precondition!(ap.len() >= kc * MR, \"tile_f32_avx2: A panel too short\");\n",
             to: "",
             expected_rule: K5,
             what: "wrapper stops asserting the A-panel length the contract relies on",
@@ -144,20 +143,20 @@ pub fn mutations() -> Vec<Mutation> {
             what: "contract names a parameter that does not exist (typo drift)",
         },
         Mutation {
-            name: "m13-dropped-tile-bound",
-            path: KMOD,
-            from: "    kernel_precondition!(mr_eff <= MR && nr_eff <= NR, \"microkernel: tile overrun\");\n",
+            name: "m13-dropped-c-tile-bound",
+            path: X86,
+            from: "    kernel_precondition!(\n        c.len() >= (mr_eff - 1) * ldc + nr_eff,\n        \"tile_f32_avx512: C tile too short\"\n    );\n",
             to: "",
-            expected_rule: K6,
-            what: "shared microkernel entry stops bounding the effective tile",
+            expected_rule: K5,
+            what: "tile wrapper stops asserting the C-tile length the merge writes through",
         },
         Mutation {
-            name: "m14-dropped-panel-bound",
-            path: KMOD,
-            from: "    kernel_precondition!(ap.len() >= kc * MR, \"microkernel: A panel too short\");\n",
+            name: "m14-dropped-b-panel-bound",
+            path: X86,
+            from: "    kernel_precondition!(bp.len() >= kc * NR, \"tile_f64_avx512: B panel too short\");\n",
             to: "",
-            expected_rule: K6,
-            what: "shared microkernel entry stops asserting the A-panel length",
+            expected_rule: K5,
+            what: "AVX-512 f64 tile wrapper stops asserting the B-panel length",
         },
         Mutation {
             name: "m15-overlong-driver-panel",
@@ -210,8 +209,8 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m21-fma-not-enabled",
             path: X86,
-            from: "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn acc_f64_avx2_imp",
-            to: "#[target_feature(enable = \"avx2\")]\nunsafe fn acc_f64_avx2_imp",
+            from: "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn tile_f64_avx2_imp",
+            to: "#[target_feature(enable = \"avx2\")]\nunsafe fn tile_f64_avx2_imp",
             expected_rule: K4,
             what: "kernel issues fmadd without enabling the FMA feature",
         },
@@ -250,10 +249,10 @@ pub fn mutations() -> Vec<Mutation> {
         Mutation {
             name: "m26-extra-column-group",
             path: NEON,
-            from: "for h in 0..4 {",
-            to: "for h in 0..5 {",
+            from: "for g in 0..NR / 4 {",
+            to: "for g in 0..NR / 4 + 1 {",
             expected_rule: K1,
-            what: "NEON kernel walks a fifth 4-lane group past the 16-column tile",
+            what: "NEON kernel walks a ninth 4-lane group past the 32-column tile",
         },
         Mutation {
             name: "m27-elementwise-drops-fma",
@@ -286,6 +285,38 @@ pub fn mutations() -> Vec<Mutation> {
             to: "            {\n",
             expected_rule: K4,
             what: "element-wise dispatch names the AVX-512 instantiation on an FMA-only probe",
+        },
+        Mutation {
+            name: "m31-mask-past-the-edge",
+            path: X86,
+            from: "let m = mask16(lanes(nr_eff, g * 16));",
+            to: "let m = mask16(lanes(nr_eff + 1, g * 16));",
+            expected_rule: K1,
+            what: "AVX-512 merge mask enables one lane past the tile's live columns",
+        },
+        Mutation {
+            name: "m32-inclusive-merge-rows",
+            path: X86,
+            from: "for (i, &ri) in r.iter().enumerate().take(mr_eff) {",
+            to: "for (i, &ri) in r.iter().enumerate().take(mr_eff + 1) {",
+            expected_rule: K1,
+            what: "merge walks one row past the tile's live rows",
+        },
+        Mutation {
+            name: "m33-widened-c-contract",
+            path: X86,
+            from: "// kernel-contract: c points-to len >= (mr_eff - 1) * ldc + nr_eff, noalias",
+            to: "// kernel-contract: c points-to len >= mr_eff * ldc + nr_eff, noalias",
+            expected_rule: K5,
+            what: "C-tile contract claims a whole extra row the wrapper never asserts",
+        },
+        Mutation {
+            name: "m34-neon-lane-past-the-edge",
+            path: NEON,
+            from: "let p = c.add(i * ldc + g * 4 + j);",
+            to: "let p = c.add(i * ldc + g * 4 + j + 1);",
+            expected_rule: K1,
+            what: "NEON lane-wise merge writes one column past the live corner",
         },
     ]
 }

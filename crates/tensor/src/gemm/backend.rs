@@ -13,7 +13,7 @@
 //! ## The bit-exactness contract
 //!
 //! Every backend must produce **bit-identical** results to
-//! [`ScalarBackend`] for the same logical GEMM. Two properties make
+//! [`ScalarBackend`] for the same logical GEMM. Three properties make
 //! that possible:
 //!
 //! 1. The blocked drivers accumulate each C element along a single
@@ -28,17 +28,20 @@
 //!    `vfmadd`, FMLA, `f32::mul_add` and libm's `fmaf` all return the
 //!    same bits; a kernel that multiplies and then adds (two
 //!    roundings) does not, and fails the fusion-witness tests.
+//! 3. Each tile kernel merges its finished tile into C itself, with the
+//!    unfused arithmetic of [`Merge`]: `α·Σ` rounded, then (for
+//!    [`Merge::Scale`]) `β·C` rounded, then the sum rounded. Only the
+//!    chains fuse; the merge and everything in `blas1`/`matrix` use
+//!    [`crate::scalar::Scalar::mul_add`], which compiled for a baseline
+//!    without FMA never becomes a libm call.
 //!
-//! Only the chains fuse. The merge of a finished tile into C and
-//! everything in `blas1`/`matrix` use the unfused
-//! [`crate::scalar::Scalar::mul_add`]: that code is shared by all
-//! backends (identical by construction), and compiled for a baseline
-//! without FMA a fused form would be a libm call per element.
-//!
-//! The contract is what keeps the determinism gates (byte-identical
-//! telemetry, the perturbed-schedule race detector, bitwise trained weights)
-//! valid under every backend, and it is enforced by the parity tests
-//! in `tests/backend_parity.rs`.
+//! Every backend implements the merge in its own tile kernel, so
+//! nothing makes the merge identical by construction: the contract is
+//! enforced by the parity tests in `tests/backend_parity.rs` (every
+//! merge mode, every edge-tile shape, guard cells around C) and the
+//! shape sweep in `tests/kernel_fuzz.rs`. It is what keeps the
+//! determinism gates (byte-identical telemetry, the perturbed-schedule
+//! race detector, bitwise trained weights) valid under every backend.
 //!
 //! ## Selection
 //!
@@ -59,15 +62,62 @@ use std::sync::OnceLock;
 
 use super::kernel;
 use super::{BT_COLS, MR, NR};
+use crate::scalar::Scalar;
 
-/// Packed-panel accumulate kernel: add the `kc`-deep product of one
-/// `MR`-row A micro-panel (`kk`-major, first `kc * MR` elements of
-/// `ap`) and one `NR`-column B micro-panel (first `kc * NR` elements
-/// of `bp`) into `acc`.
+/// How a finished micro-tile lands in C, `Σ` being the tile's
+/// accumulated product.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Merge<T> {
+    /// `C = α·Σ`: a product's first k-block under `β = 0`. C is never
+    /// read, so NaN or garbage already in it cannot leak in
+    /// (`0 · NaN` is NaN).
+    Overwrite,
+    /// `C = α·Σ + β·C`, both products rounded before the sum: the
+    /// first k-block under any other `β`.
+    Scale(T),
+    /// `C = α·Σ + C`: every later k-block.
+    Accumulate,
+}
+
+impl<T: Scalar> Merge<T> {
+    /// The merge of a product's first k-block under `beta`.
+    pub fn first_block(beta: T) -> Merge<T> {
+        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
+        if beta == T::ZERO {
+            Merge::Overwrite
+        } else {
+            Merge::Scale(beta)
+        }
+    }
+}
+
+/// Micro-tile kernel: multiply one `MR`-row A micro-panel (`kk`-major,
+/// first `kc * MR` elements of `ap`) by one `NR`-column B micro-panel
+/// (first `kc * NR` elements of `bp`) and merge the product into the
+/// live `mr_eff x nr_eff` corner of the C tile that starts at `c[0]`
+/// with row stride `ldc`.
 ///
-/// Contract: `acc[i][j] += sum_kk ap(kk, i) * bp(kk, j)`, evaluated
-/// per element as a fused multiply-add chain with `kk` ascending —
-/// the exact chain [`kernel::scalar::acc`] runs.
+/// Contract: per element, `Σ = sum_kk ap(kk, i) * bp(kk, j)` is a
+/// fused multiply-add chain from zero with `kk` ascending, and
+/// `C[i * ldc + j]` becomes `merge(α, Σ, C)` as [`Merge`] spells out —
+/// the exact arithmetic [`kernel::scalar::tile`] runs. No element of
+/// `c` outside the live corner is read or written.
+pub type TileFn<T> = fn(
+    kc: usize,
+    ap: &[T],
+    bp: &[T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+);
+
+/// A backend's f32 [`TileFn`] on one whole `MR x NR` tile in overwrite
+/// mode with `α = 1`: `acc[i][j] = sum_kk ap(kk, i) * bp(kk, j)`. It
+/// runs the tile kernel itself (no second FMA loop); the benchmark's
+/// peak probe times it on L1-resident panels.
 pub type AccFn<T> = fn(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]);
 
 /// Streaming-B^T kernel for the `GemmOp::packed_a_bt` driver: add the
@@ -136,9 +186,9 @@ impl std::fmt::Display for Isa {
 
 /// The fastest ISA the running machine supports.
 ///
-/// On x86_64 that is the widest: with the micro-tile one zmm wide the
-/// AVX-512 f32 kernel measures about twice the AVX2 one (ROADMAP item
-/// 5(a)).
+/// On x86_64 that is the widest: with each f32 tile row two zmm wide
+/// the AVX-512 tile kernel outruns the AVX2 one, which walks the row
+/// in four ymm groups (ROADMAP item 5(a)).
 pub fn detect_best() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
@@ -166,16 +216,19 @@ pub fn available_isas() -> Vec<Isa> {
 /// Implementations are stateless singletons handed out as `&'static`
 /// references by [`backend_for`]; a [`super::GemmContext`] carries one
 /// and the drivers fetch per-type kernel function pointers through
-/// [`crate::scalar::Scalar::acc_kernel`] /
+/// [`crate::scalar::Scalar::tile_kernel`] /
 /// [`crate::scalar::Scalar::bt_kernel`] once per call. Every kernel a
 /// backend returns must honor the module-level bit-exactness contract.
 pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
     /// Which ISA the kernels target.
     fn isa(&self) -> Isa;
-    /// f32 packed-panel accumulate kernel.
+    /// f32 micro-tile kernel.
+    fn tile_f32(&self) -> TileFn<f32>;
+    /// f64 micro-tile kernel.
+    fn tile_f64(&self) -> TileFn<f64>;
+    /// [`Self::tile_f32`] on a whole tile in overwrite mode (the peak
+    /// probe's entry point).
     fn acc_f32(&self) -> AccFn<f32>;
-    /// f64 packed-panel accumulate kernel.
-    fn acc_f64(&self) -> AccFn<f64>;
     /// f32 streaming-B^T column kernel.
     fn bt_f32(&self) -> BtFn<f32>;
     /// f64 streaming-B^T column kernel.
@@ -187,8 +240,9 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
 /// when the backend is constructed.
 #[derive(Debug)]
 struct ScalarBackend {
+    tile_f32: TileFn<f32>,
+    tile_f64: TileFn<f64>,
     acc_f32: AccFn<f32>,
-    acc_f64: AccFn<f64>,
     bt_f32: BtFn<f32>,
     bt_f64: BtFn<f64>,
 }
@@ -201,15 +255,17 @@ impl ScalarBackend {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("fma") {
             return ScalarBackend {
+                tile_f32: kernel::scalar::tile_fma::<f32>,
+                tile_f64: kernel::scalar::tile_fma::<f64>,
                 acc_f32: kernel::scalar::acc_fma::<f32>,
-                acc_f64: kernel::scalar::acc_fma::<f64>,
                 bt_f32: kernel::scalar::bt_fma::<f32>,
                 bt_f64: kernel::scalar::bt_fma::<f64>,
             };
         }
         ScalarBackend {
+            tile_f32: kernel::scalar::tile::<f32>,
+            tile_f64: kernel::scalar::tile::<f64>,
             acc_f32: kernel::scalar::acc::<f32>,
-            acc_f64: kernel::scalar::acc::<f64>,
             bt_f32: kernel::scalar::bt::<f32>,
             bt_f64: kernel::scalar::bt::<f64>,
         }
@@ -220,11 +276,14 @@ impl ComputeBackend for ScalarBackend {
     fn isa(&self) -> Isa {
         Isa::Scalar
     }
+    fn tile_f32(&self) -> TileFn<f32> {
+        self.tile_f32
+    }
+    fn tile_f64(&self) -> TileFn<f64> {
+        self.tile_f64
+    }
     fn acc_f32(&self) -> AccFn<f32> {
         self.acc_f32
-    }
-    fn acc_f64(&self) -> AccFn<f64> {
-        self.acc_f64
     }
     fn bt_f32(&self) -> BtFn<f32> {
         self.bt_f32
@@ -243,11 +302,14 @@ impl ComputeBackend for Avx2Backend {
     fn isa(&self) -> Isa {
         Isa::Avx2
     }
+    fn tile_f32(&self) -> TileFn<f32> {
+        kernel::x86::tile_f32_avx2
+    }
+    fn tile_f64(&self) -> TileFn<f64> {
+        kernel::x86::tile_f64_avx2
+    }
     fn acc_f32(&self) -> AccFn<f32> {
         kernel::x86::acc_f32_avx2
-    }
-    fn acc_f64(&self) -> AccFn<f64> {
-        kernel::x86::acc_f64_avx2
     }
     fn bt_f32(&self) -> BtFn<f32> {
         kernel::x86::bt_f32_avx2
@@ -266,11 +328,14 @@ impl ComputeBackend for Avx512Backend {
     fn isa(&self) -> Isa {
         Isa::Avx512
     }
+    fn tile_f32(&self) -> TileFn<f32> {
+        kernel::x86::tile_f32_avx512
+    }
+    fn tile_f64(&self) -> TileFn<f64> {
+        kernel::x86::tile_f64_avx512
+    }
     fn acc_f32(&self) -> AccFn<f32> {
         kernel::x86::acc_f32_avx512
-    }
-    fn acc_f64(&self) -> AccFn<f64> {
-        kernel::x86::acc_f64_avx512
     }
     fn bt_f32(&self) -> BtFn<f32> {
         // One ymm covers the MR=8 accumulators of a column; the AVX2
@@ -291,11 +356,14 @@ impl ComputeBackend for NeonBackend {
     fn isa(&self) -> Isa {
         Isa::Neon
     }
+    fn tile_f32(&self) -> TileFn<f32> {
+        kernel::neon::tile_f32_neon
+    }
+    fn tile_f64(&self) -> TileFn<f64> {
+        kernel::neon::tile_f64_neon
+    }
     fn acc_f32(&self) -> AccFn<f32> {
         kernel::neon::acc_f32_neon
-    }
-    fn acc_f64(&self) -> AccFn<f64> {
-        kernel::neon::acc_f64_neon
     }
     fn bt_f32(&self) -> BtFn<f32> {
         kernel::neon::bt_f32_neon
@@ -541,7 +609,7 @@ mod tests {
 
     #[test]
     fn auto_dispatch_prefers_avx512_over_avx2() {
-        // With one zmm per tile row the AVX-512 kernel is the faster
+        // With two zmm per tile row the AVX-512 kernel is the faster
         // one, so auto resolves to it wherever it is available and to
         // AVX2 only on hosts without it.
         let want = [Isa::Avx512, Isa::Avx2, Isa::Neon]
@@ -648,12 +716,16 @@ mod tests {
         if is_x86_feature_detected!("fma") {
             let s = scalar_backend();
             assert!(std::ptr::fn_addr_eq(
-                s.acc_f32(),
-                kernel::scalar::acc_fma::<f32> as AccFn<f32>
+                s.tile_f32(),
+                kernel::scalar::tile_fma::<f32> as TileFn<f32>
             ));
             assert!(std::ptr::fn_addr_eq(
-                s.acc_f64(),
-                kernel::scalar::acc_fma::<f64> as AccFn<f64>
+                s.tile_f64(),
+                kernel::scalar::tile_fma::<f64> as TileFn<f64>
+            ));
+            assert!(std::ptr::fn_addr_eq(
+                s.acc_f32(),
+                kernel::scalar::acc_fma::<f32> as AccFn<f32>
             ));
             assert!(std::ptr::fn_addr_eq(
                 s.bt_f32(),
@@ -677,11 +749,12 @@ mod tests {
         let bp: Vec<T> = (0..kc * NR)
             .map(|i| T::from_f64(2.0 - i as f64 * 0.125))
             .collect();
-        let mut acc = [[T::ZERO; NR]; MR];
-        let mut want = [[T::ZERO; NR]; MR];
-        T::acc_kernel(backend)(kc, &ap, &bp, &mut acc);
-        T::acc_kernel(scalar_backend())(kc, &ap, &bp, &mut want);
-        assert_eq!(acc, want, "acc parity for {isa}");
+        let mut tile = [T::ZERO; MR * NR];
+        let mut want = [T::ZERO; MR * NR];
+        let merge = Merge::Scale(T::from_f64(0.5));
+        T::tile_kernel(backend)(kc, &ap, &bp, T::ONE, merge, &mut tile, NR, MR, NR);
+        T::tile_kernel(scalar_backend())(kc, &ap, &bp, T::ONE, merge, &mut want, NR, MR, NR);
+        assert_eq!(tile, want, "tile parity for {isa}");
 
         let b: [&[T]; BT_COLS] = std::array::from_fn(|c| &bp[c..c + kc]);
         let mut col = [[T::ZERO; MR]; BT_COLS];
@@ -702,6 +775,10 @@ mod tests {
             assert_eq!(backend.isa(), isa);
             kernels_run_and_match_scalar::<f32>(backend);
             kernels_run_and_match_scalar::<f64>(backend);
+            let (ap, bp) = ([1.0f32; 2 * MR], [0.5f32; 2 * NR]);
+            let mut acc = [[f32::NAN; NR]; MR];
+            backend.acc_f32()(2, &ap, &bp, &mut acc);
+            assert_eq!(acc, [[1.0; NR]; MR], "{isa}: acc_f32 overwrites");
         }
     }
 }

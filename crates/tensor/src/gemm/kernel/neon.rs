@@ -1,51 +1,96 @@
-//! Explicit NEON microkernels (aarch64).
+//! Explicit NEON micro-tile kernels (aarch64).
 //!
 //! Same dataflow as [`super::x86`] at 128-bit width: broadcast one A
 //! element against a vector of B columns and accumulate the `MR x NR`
-//! C tile in registers, walking the 16 columns in register-width
-//! groups (group loop outermost, so every element's `kk` chain is
-//! intact). Each step is one `vfmaq` (FMLA) — a single exact rounding
-//! per lane, i.e. [`crate::scalar::Scalar::fma`] — so results are
-//! bit-identical to the [`super::scalar`] reference, the
-//! bit-exactness contract in [`crate::gemm::backend`]. NEON is
-//! baseline on aarch64, so no runtime detection is needed; the
-//! wrappers still assert panel lengths before the raw-pointer loop.
+//! C tile in registers, walking the 32 columns in register-width
+//! groups (`NR / 4` for f32, `NR / 2` for f64; group loop outermost,
+//! so every element's `kk` chain is intact, and groups wholly past an
+//! edge tile's last column are skipped). Each step is one `vfmaq`
+//! (FMLA) — a single exact rounding per lane, i.e.
+//! [`crate::scalar::Scalar::fma`] — so results are bit-identical to the
+//! [`super::scalar`] reference, the bit-exactness contract in
+//! [`crate::gemm::backend`].
+//!
+//! Each finished group merges into C with the [`Merge`] arithmetic:
+//! `α·Σ` in the register, then the `β`-scale or accumulate per lane.
+//! NEON has no masked load or store, so the merge walks each group's
+//! live lanes one element at a time and an edge tile touches only its
+//! live corner. NEON is baseline on aarch64, so no runtime detection is
+//! needed; the wrappers still assert panel and C-tile lengths before
+//! the raw-pointer loop.
 
 use core::arch::aarch64::*;
 
+use super::lanes;
+use crate::gemm::backend::Merge;
 use crate::gemm::{BT_COLS, MR, NR};
 
 // The register schedules below hardcode the micro-tile shape.
-const _: () = assert!(MR == 8 && NR == 16 && BT_COLS == 4);
+const _: () = assert!(MR == 8 && NR == 32 && BT_COLS == 4);
 
-/// NEON f32 accumulate: four 4-lane column groups.
-pub fn acc_f32_neon(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    kernel_precondition!(ap.len() >= kc * MR, "acc_f32_neon: A panel too short");
-    kernel_precondition!(bp.len() >= kc * NR, "acc_f32_neon: B panel too short");
+/// NEON f32 tile: eight 4-lane column groups.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_f32_neon(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    alpha: f32,
+    merge: Merge<f32>,
+    c: &mut [f32],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    kernel_precondition!(ap.len() >= kc * MR, "tile_f32_neon: A panel too short");
+    kernel_precondition!(bp.len() >= kc * NR, "tile_f32_neon: B panel too short");
+    kernel_precondition!(
+        (1..=MR).contains(&mr_eff) && nr_eff <= NR,
+        "tile_f32_neon: tile overrun"
+    );
+    kernel_precondition!(
+        c.len() >= (mr_eff - 1) * ldc + nr_eff,
+        "tile_f32_neon: C tile too short"
+    );
     // SAFETY: lengths asserted above; NEON is baseline on aarch64.
     unsafe {
-        acc_f32_neon_imp(
+        tile_f32_neon_imp(
             kc,
             ap.as_ptr(),
             bp.as_ptr(),
-            acc.as_flattened_mut().as_mut_ptr(),
+            alpha,
+            merge,
+            c.as_mut_ptr(),
+            ldc,
+            mr_eff,
+            nr_eff,
         )
     }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
-// kernel-contract: acc points-to len >= MR * NR, noalias
+// kernel-contract: c points-to len >= (mr_eff - 1) * ldc + nr_eff, noalias
 // kernel-contract: requires target_feature(neon), baseline(aarch64)
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "neon")]
-unsafe fn acc_f32_neon_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut f32) {
-    for h in 0..4 {
-        let mut r = [vdupq_n_f32(0.0); MR];
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = vld1q_f32(acc.add(i * NR + h * 4));
+unsafe fn tile_f32_neon_imp(
+    kc: usize,
+    ap: *const f32,
+    bp: *const f32,
+    alpha: f32,
+    merge: Merge<f32>,
+    c: *mut f32,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    for g in 0..NR / 4 {
+        if g * 4 >= nr_eff {
+            break; // Columns past the edge: no chain to run.
         }
+        let mut r = [vdupq_n_f32(0.0); MR];
         for kk in 0..kc {
-            let bv = vld1q_f32(bp.add(kk * NR + h * 4));
+            let bv = vld1q_f32(bp.add(kk * NR + g * 4));
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = vdupq_n_f32(*a.add(i));
@@ -53,48 +98,118 @@ unsafe fn acc_f32_neon_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut 
                 *ri = vfmaq_f32(*ri, av, bv);
             }
         }
-        for (i, ri) in r.iter().enumerate() {
-            vst1q_f32(acc.add(i * NR + h * 4), *ri);
+        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+            // α·Σ rounded per lane, then merged lane by lane.
+            let s = core::mem::transmute::<float32x4_t, [f32; 4]>(vmulq_n_f32(ri, alpha));
+            for (j, &sj) in s.iter().enumerate().take(lanes(nr_eff, g * 4)) {
+                let p = c.add(i * ldc + g * 4 + j);
+                *p = match merge {
+                    Merge::Overwrite => sj,
+                    Merge::Scale(beta) => sj + beta * *p,
+                    Merge::Accumulate => sj + *p,
+                };
+            }
         }
     }
 }
 
-/// NEON f64 accumulate: eight 2-lane column groups.
-pub fn acc_f64_neon(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    kernel_precondition!(ap.len() >= kc * MR, "acc_f64_neon: A panel too short");
-    kernel_precondition!(bp.len() >= kc * NR, "acc_f64_neon: B panel too short");
+/// [`crate::gemm::backend::AccFn`] view of [`tile_f32_neon`]: the whole
+/// tile in overwrite mode, `acc` standing in for C.
+pub fn acc_f32_neon(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+    tile_f32_neon(
+        kc,
+        ap,
+        bp,
+        1.0,
+        Merge::Overwrite,
+        acc.as_flattened_mut(),
+        NR,
+        MR,
+        NR,
+    );
+}
+
+/// NEON f64 tile: sixteen 2-lane column groups.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_f64_neon(
+    kc: usize,
+    ap: &[f64],
+    bp: &[f64],
+    alpha: f64,
+    merge: Merge<f64>,
+    c: &mut [f64],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    kernel_precondition!(ap.len() >= kc * MR, "tile_f64_neon: A panel too short");
+    kernel_precondition!(bp.len() >= kc * NR, "tile_f64_neon: B panel too short");
+    kernel_precondition!(
+        (1..=MR).contains(&mr_eff) && nr_eff <= NR,
+        "tile_f64_neon: tile overrun"
+    );
+    kernel_precondition!(
+        c.len() >= (mr_eff - 1) * ldc + nr_eff,
+        "tile_f64_neon: C tile too short"
+    );
     // SAFETY: lengths asserted above; NEON is baseline on aarch64.
     unsafe {
-        acc_f64_neon_imp(
+        tile_f64_neon_imp(
             kc,
             ap.as_ptr(),
             bp.as_ptr(),
-            acc.as_flattened_mut().as_mut_ptr(),
+            alpha,
+            merge,
+            c.as_mut_ptr(),
+            ldc,
+            mr_eff,
+            nr_eff,
         )
     }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
-// kernel-contract: acc points-to len >= MR * NR, noalias
+// kernel-contract: c points-to len >= (mr_eff - 1) * ldc + nr_eff, noalias
 // kernel-contract: requires target_feature(neon), baseline(aarch64)
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "neon")]
-unsafe fn acc_f64_neon_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut f64) {
-    for h in 0..8 {
-        let mut r = [vdupq_n_f64(0.0); MR];
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = vld1q_f64(acc.add(i * NR + h * 2));
+unsafe fn tile_f64_neon_imp(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    alpha: f64,
+    merge: Merge<f64>,
+    c: *mut f64,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    for g in 0..NR / 2 {
+        if g * 2 >= nr_eff {
+            break; // Columns past the edge: no chain to run.
         }
+        let mut r = [vdupq_n_f64(0.0); MR];
         for kk in 0..kc {
-            let bv = vld1q_f64(bp.add(kk * NR + h * 2));
+            let bv = vld1q_f64(bp.add(kk * NR + g * 2));
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = vdupq_n_f64(*a.add(i));
+                // One rounding per step: the scalar chain's `fma`.
                 *ri = vfmaq_f64(*ri, av, bv);
             }
         }
-        for (i, ri) in r.iter().enumerate() {
-            vst1q_f64(acc.add(i * NR + h * 2), *ri);
+        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+            // α·Σ rounded per lane, then merged lane by lane.
+            let s = core::mem::transmute::<float64x2_t, [f64; 2]>(vmulq_n_f64(ri, alpha));
+            for (j, &sj) in s.iter().enumerate().take(lanes(nr_eff, g * 2)) {
+                let p = c.add(i * ldc + g * 2 + j);
+                *p = match merge {
+                    Merge::Overwrite => sj,
+                    Merge::Scale(beta) => sj + beta * *p,
+                    Merge::Accumulate => sj + *p,
+                };
+            }
         }
     }
 }
@@ -244,21 +359,29 @@ mod tests {
                 .map(|i| (i as f32).sin() * 3.7)
                 .collect();
             let bp32: Vec<f32> = (0..kc * NR).map(|i| (i as f32).cos() * 1.3 - 0.4).collect();
-            let mut fast = [[0.5f32; NR]; MR];
-            let mut want = [[0.5f32; NR]; MR];
-            acc_f32_neon(kc, &ap32, &bp32, &mut fast);
-            scalar::acc(kc, &ap32, &bp32, &mut want);
-            assert_eq!(fast, want, "f32 acc kc={kc}");
+            let ap64: Vec<f64> = ap32.iter().map(|&v| f64::from(v)).collect();
+            let bp64: Vec<f64> = bp32.iter().map(|&v| f64::from(v)).collect();
+            let ldc = NR + 3;
+            for (mr_eff, nr_eff) in [(MR, NR), (MR - 3, NR - 7), (1, 9)] {
+                for merge in [Merge::Overwrite, Merge::Scale(0.5), Merge::Accumulate] {
+                    let mut fast = vec![0.25f32; MR * ldc];
+                    let mut want = fast.clone();
+                    tile_f32_neon(kc, &ap32, &bp32, 1.5, merge, &mut fast, ldc, mr_eff, nr_eff);
+                    scalar::tile(kc, &ap32, &bp32, 1.5, merge, &mut want, ldc, mr_eff, nr_eff);
+                    assert_eq!(fast, want, "f32 tile kc={kc} {mr_eff}x{nr_eff}");
 
-            let ap64: Vec<f64> = (0..kc.max(1) * MR)
-                .map(|i| (i as f64).sin() * 3.7)
-                .collect();
-            let bp64: Vec<f64> = (0..kc * NR).map(|i| (i as f64).cos() * 1.3 - 0.4).collect();
-            let mut fast = [[0.5f64; NR]; MR];
-            let mut want = [[0.5f64; NR]; MR];
-            acc_f64_neon(kc, &ap64, &bp64, &mut fast);
-            scalar::acc(kc, &ap64, &bp64, &mut want);
-            assert_eq!(fast, want, "f64 acc kc={kc}");
+                    let merge = match merge {
+                        Merge::Scale(b) => Merge::Scale(f64::from(b)),
+                        Merge::Overwrite => Merge::Overwrite,
+                        Merge::Accumulate => Merge::Accumulate,
+                    };
+                    let mut fast = vec![0.25f64; MR * ldc];
+                    let mut want = fast.clone();
+                    tile_f64_neon(kc, &ap64, &bp64, 1.5, merge, &mut fast, ldc, mr_eff, nr_eff);
+                    scalar::tile(kc, &ap64, &bp64, 1.5, merge, &mut want, ldc, mr_eff, nr_eff);
+                    assert_eq!(fast, want, "f64 tile kc={kc} {mr_eff}x{nr_eff}");
+                }
+            }
 
             let rows32: Vec<Vec<f32>> = (0..BT_COLS)
                 .map(|c| (0..kc).map(|i| ((i + 7 * c) as f32 * 0.9).tan()).collect())

@@ -3,15 +3,16 @@
 //! These loops define the bit-exactness contract every SIMD backend
 //! must reproduce: each C element accumulates along its own chain of
 //! exactly-rounded fused multiply-adds ([`Scalar::fma`]) with `kk`
-//! ascending ([`crate::gemm::backend`] module docs).
+//! ascending, and a finished tile lands in C through the unfused
+//! [`Merge`] arithmetic ([`crate::gemm::backend`] module docs).
 //!
 //! Each loop exists in two instantiations that produce the same bits:
 //!
-//! * [`acc`] / [`bt`] — portable. On a target whose baseline has no
+//! * [`tile`] / [`bt`] — portable. On a target whose baseline has no
 //!   FMA instruction (`x86-64`: SSE2 only) every `fma` is a call into
 //!   libm, exactly rounded but ~60x slower than the hardware
 //!   instruction; aarch64 lowers it to `fmadd` natively.
-//! * [`acc_fma`] / [`bt_fma`] (x86_64) — the same loop
+//! * [`tile_fma`] / [`bt_fma`] (x86_64) — the same loop
 //!   (`#[inline(always)]`) inlined into a `#[target_feature(enable = "fma")]` function, where `fma`
 //!   is one `vfmadd` and LLVM autovectorizes the `j` lanes. This is
 //!   what keeps the forced-scalar backend fast enough to be the
@@ -20,27 +21,79 @@
 
 use crate::scalar::Scalar;
 
+use crate::gemm::backend::Merge;
 use crate::gemm::{BT_COLS, MR, NR};
 
-/// Reference packed-panel accumulate kernel
-/// ([`crate::gemm::backend::AccFn`] shape), portable instantiation.
+/// Reference micro-tile kernel ([`crate::gemm::backend::TileFn`]
+/// shape), portable instantiation.
 ///
-/// `acc[i][j] += sum_kk ap(kk, i) * bp(kk, j)`; both panels are walked
-/// front to back with unit stride (this is what packing buys us).
+/// `Σ[i][j] = sum_kk ap(kk, i) * bp(kk, j)` over the whole tile, both
+/// panels walked front to back with unit stride (this is what packing
+/// buys us), then the live `mr_eff x nr_eff` corner of C takes
+/// `merge(α, Σ, C)`.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
+pub fn tile<T: Scalar>(
+    kc: usize,
+    ap: &[T],
+    bp: &[T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    kernel_precondition!(mr_eff <= MR && nr_eff <= NR, "tile: tile overrun");
+    let mut sums = [[T::ZERO; NR]; MR];
     for (a_row, b_row) in ap[..kc * MR]
         .chunks_exact(MR)
         .zip(bp[..kc * NR].chunks_exact(NR))
     {
         for i in 0..MR {
             let ai = a_row[i];
-            let row = &mut acc[i];
+            let row = &mut sums[i];
             for j in 0..NR {
                 row[j] = ai.fma(b_row[j], row[j]);
             }
         }
     }
+    for (i, row) in sums.iter().enumerate().take(mr_eff) {
+        let dst = &mut c[i * ldc..i * ldc + nr_eff];
+        match merge {
+            Merge::Overwrite => {
+                for (d, &s) in dst.iter_mut().zip(row) {
+                    *d = alpha * s;
+                }
+            }
+            Merge::Scale(beta) => {
+                for (d, &s) in dst.iter_mut().zip(row) {
+                    *d = alpha.mul_add(s, beta * *d);
+                }
+            }
+            Merge::Accumulate => {
+                for (d, &s) in dst.iter_mut().zip(row) {
+                    *d = alpha.mul_add(s, *d);
+                }
+            }
+        }
+    }
+}
+
+/// [`crate::gemm::backend::AccFn`] view of [`tile`]: the whole tile in
+/// overwrite mode, `acc` standing in for C.
+pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
+    tile(
+        kc,
+        ap,
+        bp,
+        T::ONE,
+        Merge::Overwrite,
+        acc.as_flattened_mut(),
+        NR,
+        MR,
+        NR,
+    );
 }
 
 /// Reference streaming-B^T kernel ([`crate::gemm::backend::BtFn`]
@@ -63,20 +116,58 @@ pub fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]
     }
 }
 
-/// [`acc`] compiled with the hardware FMA instruction enabled.
+/// [`tile`] compiled with the hardware FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
-pub fn acc_fma<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
+#[allow(clippy::too_many_arguments)]
+pub fn tile_fma<T: Scalar>(
+    kc: usize,
+    ap: &[T],
+    bp: &[T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
     kernel_precondition!(is_x86_feature_detected!("fma"), "fma not available");
     // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { acc_fma_imp(kc, ap, bp, acc) }
+    unsafe { tile_fma_imp(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff) }
 }
 
 // kernel-contract: requires target_feature(fma)
 #[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "fma")]
-unsafe fn acc_fma_imp<T: Scalar>(kc: usize, ap: &[T], bp: &[T], out: &mut [[T; NR]; MR]) {
+unsafe fn tile_fma_imp<T: Scalar>(
+    kc: usize,
+    ap: &[T],
+    bp: &[T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
     // Inlined here, so its `fma` steps compile to `vfmadd`.
-    acc(kc, ap, bp, out);
+    tile(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
+}
+
+/// [`acc`] over [`tile_fma`].
+#[cfg(target_arch = "x86_64")]
+pub fn acc_fma<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
+    tile_fma(
+        kc,
+        ap,
+        bp,
+        T::ONE,
+        Merge::Overwrite,
+        acc.as_flattened_mut(),
+        NR,
+        MR,
+        NR,
+    );
 }
 
 /// [`bt`] compiled with the hardware FMA instruction enabled.
@@ -118,7 +209,8 @@ mod tests {
             bp[j] = j as f32;
             bp[NR + j] = 1.0;
         }
-        let mut out = [[0.0f32; NR]; MR];
+        // Overwrite mode: whatever the tile held is gone.
+        let mut out = [[f32::NAN; NR]; MR];
         acc(kc, &ap, &bp, &mut out);
         for (i, row) in out.iter().enumerate() {
             for (j, &got) in row.iter().enumerate() {
@@ -150,11 +242,77 @@ mod tests {
         }
     }
 
+    /// Packed panels with `ap(kk, i) = i + 1` and `bp(kk, j) = 1` where
+    /// `kk == j % kc`, so `Σ[i][j] = i + 1`.
+    fn panels(kc: usize) -> (Vec<f32>, Vec<f32>) {
+        let ap = (0..kc * MR).map(|x| (x % MR + 1) as f32).collect();
+        let bp = (0..kc * NR)
+            .map(|x| f32::from(u8::from(x / NR == (x % NR) % kc)))
+            .collect();
+        (ap, bp)
+    }
+
     #[test]
-    fn kc_zero_is_noop() {
+    fn overwrite_ignores_nan_in_c() {
+        let (ap, bp) = panels(4);
+        let mut c = vec![f32::NAN; MR * NR];
+        tile(4, &ap, &bp, 1.0, Merge::Overwrite, &mut c, NR, MR, NR);
+        for (x, &v) in c.iter().enumerate() {
+            assert_eq!(v, (x / NR + 1) as f32, "element {x}");
+        }
+    }
+
+    #[test]
+    fn scale_and_accumulate_merge_unfused() {
+        let (ap, bp) = panels(1);
+        let mut c = vec![4.0f32; MR * NR];
+        tile(1, &ap, &bp, 1.0, Merge::Scale(0.5), &mut c, NR, MR, NR);
+        // c = 1 * (i + 1) + 0.5 * 4
+        assert_eq!(c[0], 1.0 + 2.0);
+        assert_eq!(c[NR], 2.0 + 2.0);
+        tile(1, &ap, &bp, 2.0, Merge::Accumulate, &mut c, NR, MR, NR);
+        // c += 2 * (i + 1)
+        assert_eq!(c[0], 3.0 + 2.0);
+        assert_eq!(c[(MR - 1) * NR], (MR + 2) as f32 + 2.0 * MR as f32);
+    }
+
+    #[test]
+    fn edge_tile_leaves_outside_untouched() {
+        let (ap, bp) = panels(3);
+        let ldc = NR + 2; // wider C stripe
+        let mut c = vec![-7.0f32; (MR + 1) * ldc];
+        let (mr_eff, nr_eff) = (MR - 3, NR - 2);
+        tile(
+            3,
+            &ap,
+            &bp,
+            1.0,
+            Merge::Overwrite,
+            &mut c,
+            ldc,
+            mr_eff,
+            nr_eff,
+        );
+        for i in 0..MR + 1 {
+            for j in 0..ldc {
+                let v = c[i * ldc + j];
+                if i < mr_eff && j < nr_eff {
+                    assert_eq!(v, (i + 1) as f32);
+                } else {
+                    assert_eq!(v, -7.0, "({i},{j}) was clobbered");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kc_zero_applies_the_merge_to_a_zero_sum() {
         let mut a = [[1.0f32; NR]; MR];
         acc(0, &[], &[], &mut a);
-        assert!(a.iter().all(|r| r.iter().all(|&v| v == 1.0)));
+        assert!(a.iter().all(|r| r.iter().all(|&v| v == 0.0)));
+        let mut c = vec![3.0f32; MR * NR];
+        tile(0, &[], &[], 1.0, Merge::Scale(0.5), &mut c, NR, MR, NR);
+        assert!(c.iter().all(|&v| v == 1.5));
         let mut col = [[2.0f64; MR]; BT_COLS];
         bt(0, &[], [&[]; BT_COLS], &mut col);
         assert!(col.iter().all(|c| c.iter().all(|&v| v == 2.0)));
@@ -163,10 +321,13 @@ mod tests {
     #[test]
     fn chain_is_fused() {
         // (1 + 2^-13)(1 - 2^-13) = 1 - 2^-26 is not an f32: a chain
-        // that rounds the product before adding gives 0.
+        // that rounds the product before adding the -1 of the first
+        // step (-1 * 1) gives 0.
         let (a, b) = (1.0f32 + 2f32.powi(-13), 1.0f32 - 2f32.powi(-13));
-        let mut out = [[-1.0f32; NR]; MR];
-        acc(1, &[a; MR], &[b; NR], &mut out);
+        let ap: Vec<f32> = [[-1.0; MR], [a; MR]].concat();
+        let bp: Vec<f32> = [[1.0; NR], [b; NR]].concat();
+        let mut out = [[0.0f32; NR]; MR];
+        acc(2, &ap, &bp, &mut out);
         assert!(out
             .iter()
             .all(|r| r.iter().all(|&v| v == -(2f32.powi(-26)))));
@@ -187,11 +348,18 @@ mod tests {
             let bp: Vec<T> = (0..kc * NR)
                 .map(|i| T::from_f64((i as f64).cos() * 1.3 - 0.4))
                 .collect();
-            let mut fast = [[T::from_f64(0.5); NR]; MR];
-            let mut want = fast;
-            acc_fma(kc, &ap, &bp, &mut fast);
-            acc(kc, &ap, &bp, &mut want);
-            assert_eq!(fast, want, "acc kc={kc}");
+            let c0: Vec<T> = (0..MR * NR).map(|i| T::from_f64(i as f64 * 0.3)).collect();
+            for merge in [
+                Merge::Overwrite,
+                Merge::Scale(T::from_f64(-0.7)),
+                Merge::Accumulate,
+            ] {
+                let alpha = T::from_f64(1.1);
+                let (mut fast, mut want) = (c0.clone(), c0.clone());
+                tile_fma(kc, &ap, &bp, alpha, merge, &mut fast, NR, MR - 1, NR - 3);
+                tile(kc, &ap, &bp, alpha, merge, &mut want, NR, MR - 1, NR - 3);
+                assert_eq!(fast, want, "tile kc={kc} {merge:?}");
+            }
 
             let b: [&[T]; BT_COLS] = std::array::from_fn(|c| &bp[c * kc..(c + 1) * kc]);
             let mut fast = [[T::ONE; MR]; BT_COLS];

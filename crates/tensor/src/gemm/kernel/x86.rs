@@ -1,4 +1,4 @@
-//! Explicit AVX2+FMA and AVX-512 microkernels (x86_64).
+//! Explicit AVX2+FMA and AVX-512 micro-tile kernels (x86_64).
 //!
 //! The paper's QPX kernel broadcasts one A element against a vector of
 //! B and accumulates a register-resident C block with fused
@@ -9,59 +9,126 @@
 //! are bit-identical to the [`super::scalar`] reference (the backend
 //! contract in [`crate::gemm::backend`]).
 //!
-//! The micro-tile is `MR x NR = 8 x 16`, sized so that one AVX-512
-//! register holds a whole f32 tile row: eight independent zmm chains,
-//! one B load plus eight A broadcasts per `kk` step. Narrower
-//! registers walk the 16 columns in register-width groups with the
-//! group loop outermost, which leaves every element's chain intact.
+//! The micro-tile is `MR x NR = 8 x 32`: on AVX-512 each f32 tile row
+//! is two zmm accumulators, so a `kk` step is two B loads and eight A
+//! broadcasts feeding sixteen independent FMA chains. Narrower
+//! registers (and f64) walk the 32 columns in register-width groups
+//! with the group loop outermost, which leaves every element's chain
+//! intact and skips the groups of an edge tile that lie wholly past
+//! its last column.
 //!
-//! Each public kernel is a safe wrapper that asserts panel lengths and
-//! runtime CPU support (a cached flag check, negligible next to the
-//! `MR x NR x kc` FLOP loop) before entering the `#[target_feature]`
-//! implementation. This module is inside the workspace's single
-//! lint-sanctioned `unsafe` zone (`l7-unsafe-outside-kernel`).
+//! Each kernel finishes by merging `α·Σ` into C from the registers
+//! ([`Merge`]: multiply, then add, each rounded — never fused). The C
+//! accesses are masked to the tile's live columns (`__mmask16` /
+//! `__mmask8` on AVX-512, `vmaskmov` sign-bit masks on AVX2), so a
+//! ragged edge tile reads and writes exactly its live corner and a
+//! full tile runs the same code with every lane live.
+//!
+//! Each public kernel is a safe wrapper that asserts panel and C-tile
+//! lengths and runtime CPU support (a cached flag check, negligible
+//! next to the `MR x NR x kc` FLOP loop) before entering the
+//! `#[target_feature]` implementation. This module is inside the
+//! workspace's single lint-sanctioned `unsafe` zone
+//! (`l7-unsafe-outside-kernel`).
 
 use core::arch::x86_64::*;
 
+use super::lanes;
+use crate::gemm::backend::Merge;
 use crate::gemm::{BT_COLS, MR, NR};
 
 // The register schedules below hardcode the micro-tile shape.
-const _: () = assert!(MR == 8 && NR == 16 && BT_COLS == 4);
+const _: () = assert!(MR == 8 && NR == 32 && BT_COLS == 4);
 
-/// AVX2 f32 accumulate: the 16 columns split into two 8-lane halves;
-/// the half loop is outermost, so each element's `kk` chain is intact.
-pub fn acc_f32_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    kernel_precondition!(ap.len() >= kc * MR, "acc_f32_avx2: A panel too short");
-    kernel_precondition!(bp.len() >= kc * NR, "acc_f32_avx2: B panel too short");
+/// The first `live` lanes of a 16-lane mask (all of them from 16 up).
+fn mask16(live: usize) -> __mmask16 {
+    if live >= 16 {
+        u16::MAX
+    } else {
+        (1u16 << live) - 1
+    }
+}
+
+/// The first `live` lanes of an 8-lane mask (all of them from 8 up).
+fn mask8(live: usize) -> __mmask8 {
+    if live >= 8 {
+        u8::MAX
+    } else {
+        (1u8 << live) - 1
+    }
+}
+
+/// AVX2 f32 tile: four 8-lane column groups, eight row chains each.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_f32_avx2(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    alpha: f32,
+    merge: Merge<f32>,
+    c: &mut [f32],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    kernel_precondition!(ap.len() >= kc * MR, "tile_f32_avx2: A panel too short");
+    kernel_precondition!(bp.len() >= kc * NR, "tile_f32_avx2: B panel too short");
+    kernel_precondition!(
+        (1..=MR).contains(&mr_eff) && nr_eff <= NR,
+        "tile_f32_avx2: tile overrun"
+    );
+    kernel_precondition!(
+        c.len() >= (mr_eff - 1) * ldc + nr_eff,
+        "tile_f32_avx2: C tile too short"
+    );
     kernel_precondition!(
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
         "avx2/fma not available"
     );
-    // SAFETY: lengths and CPU support asserted above; `acc` is a
-    // fixed-size MR x NR tile.
+    // SAFETY: lengths and CPU support asserted above.
     unsafe {
-        acc_f32_avx2_imp(
+        tile_f32_avx2_imp(
             kc,
             ap.as_ptr(),
             bp.as_ptr(),
-            acc.as_flattened_mut().as_mut_ptr(),
+            alpha,
+            merge,
+            c.as_mut_ptr(),
+            ldc,
+            mr_eff,
+            nr_eff,
         )
     }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
-// kernel-contract: acc points-to len >= MR * NR, noalias
+// kernel-contract: c points-to len >= (mr_eff - 1) * ldc + nr_eff, noalias
 // kernel-contract: requires target_feature(avx2, fma)
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn acc_f32_avx2_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut f32) {
-    for h in 0..2 {
-        let mut r = [_mm256_setzero_ps(); MR];
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = _mm256_loadu_ps(acc.add(i * NR + h * 8));
+unsafe fn tile_f32_avx2_imp(
+    kc: usize,
+    ap: *const f32,
+    bp: *const f32,
+    alpha: f32,
+    merge: Merge<f32>,
+    c: *mut f32,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    // Lane `j` of a group mask is live (sign bit set) when `j` is below
+    // the group's live column count.
+    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let va = _mm256_set1_ps(alpha);
+    for g in 0..NR / 8 {
+        if g * 8 >= nr_eff {
+            break; // Columns past the edge: no chain to run.
         }
+        let mut r = [_mm256_setzero_ps(); MR];
         for kk in 0..kc {
-            let bv = _mm256_loadu_ps(bp.add(kk * NR + h * 8));
+            let bv = _mm256_loadu_ps(bp.add(kk * NR + g * 8));
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = _mm256_set1_ps(*a.add(i));
@@ -69,133 +136,322 @@ unsafe fn acc_f32_avx2_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut 
                 *ri = _mm256_fmadd_ps(av, bv, *ri);
             }
         }
-        for (i, ri) in r.iter().enumerate() {
-            _mm256_storeu_ps(acc.add(i * NR + h * 8), *ri);
+        let m = _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes(nr_eff, g * 8) as i32), iota);
+        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+            let p = c.add(i * ldc + g * 8);
+            let s = _mm256_mul_ps(va, ri);
+            let v = match merge {
+                Merge::Overwrite => s,
+                Merge::Scale(beta) => _mm256_add_ps(
+                    s,
+                    _mm256_mul_ps(_mm256_set1_ps(beta), _mm256_maskload_ps(p, m)),
+                ),
+                Merge::Accumulate => _mm256_add_ps(s, _mm256_maskload_ps(p, m)),
+            };
+            _mm256_maskstore_ps(p, m, v);
         }
     }
 }
 
-/// AVX2 f64 accumulate: four 4-lane column groups.
-pub fn acc_f64_avx2(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    kernel_precondition!(ap.len() >= kc * MR, "acc_f64_avx2: A panel too short");
-    kernel_precondition!(bp.len() >= kc * NR, "acc_f64_avx2: B panel too short");
+/// [`crate::gemm::backend::AccFn`] view of [`tile_f32_avx2`]: the whole
+/// tile in overwrite mode, `acc` standing in for C.
+pub fn acc_f32_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+    tile_f32_avx2(
+        kc,
+        ap,
+        bp,
+        1.0,
+        Merge::Overwrite,
+        acc.as_flattened_mut(),
+        NR,
+        MR,
+        NR,
+    );
+}
+
+/// AVX2 f64 tile: eight 4-lane column groups.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_f64_avx2(
+    kc: usize,
+    ap: &[f64],
+    bp: &[f64],
+    alpha: f64,
+    merge: Merge<f64>,
+    c: &mut [f64],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    kernel_precondition!(ap.len() >= kc * MR, "tile_f64_avx2: A panel too short");
+    kernel_precondition!(bp.len() >= kc * NR, "tile_f64_avx2: B panel too short");
+    kernel_precondition!(
+        (1..=MR).contains(&mr_eff) && nr_eff <= NR,
+        "tile_f64_avx2: tile overrun"
+    );
+    kernel_precondition!(
+        c.len() >= (mr_eff - 1) * ldc + nr_eff,
+        "tile_f64_avx2: C tile too short"
+    );
     kernel_precondition!(
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
         "avx2/fma not available"
     );
     // SAFETY: lengths and CPU support asserted above.
     unsafe {
-        acc_f64_avx2_imp(
+        tile_f64_avx2_imp(
             kc,
             ap.as_ptr(),
             bp.as_ptr(),
-            acc.as_flattened_mut().as_mut_ptr(),
+            alpha,
+            merge,
+            c.as_mut_ptr(),
+            ldc,
+            mr_eff,
+            nr_eff,
         )
     }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
-// kernel-contract: acc points-to len >= MR * NR, noalias
+// kernel-contract: c points-to len >= (mr_eff - 1) * ldc + nr_eff, noalias
 // kernel-contract: requires target_feature(avx2, fma)
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn acc_f64_avx2_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut f64) {
-    for h in 0..4 {
-        let mut r = [_mm256_setzero_pd(); MR];
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = _mm256_loadu_pd(acc.add(i * NR + h * 4));
+unsafe fn tile_f64_avx2_imp(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    alpha: f64,
+    merge: Merge<f64>,
+    c: *mut f64,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    // Lane `j` of a group mask is live (sign bit set) when `j` is below
+    // the group's live column count.
+    let iota = _mm256_setr_epi64x(0, 1, 2, 3);
+    let va = _mm256_set1_pd(alpha);
+    for g in 0..NR / 4 {
+        if g * 4 >= nr_eff {
+            break; // Columns past the edge: no chain to run.
         }
+        let mut r = [_mm256_setzero_pd(); MR];
         for kk in 0..kc {
-            let bv = _mm256_loadu_pd(bp.add(kk * NR + h * 4));
+            let bv = _mm256_loadu_pd(bp.add(kk * NR + g * 4));
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = _mm256_set1_pd(*a.add(i));
                 *ri = _mm256_fmadd_pd(av, bv, *ri);
             }
         }
-        for (i, ri) in r.iter().enumerate() {
-            _mm256_storeu_pd(acc.add(i * NR + h * 4), *ri);
+        let m = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes(nr_eff, g * 4) as i64), iota);
+        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+            let p = c.add(i * ldc + g * 4);
+            let s = _mm256_mul_pd(va, ri);
+            let v = match merge {
+                Merge::Overwrite => s,
+                Merge::Scale(beta) => _mm256_add_pd(
+                    s,
+                    _mm256_mul_pd(_mm256_set1_pd(beta), _mm256_maskload_pd(p, m)),
+                ),
+                Merge::Accumulate => _mm256_add_pd(s, _mm256_maskload_pd(p, m)),
+            };
+            _mm256_maskstore_pd(p, m, v);
         }
     }
 }
 
-/// AVX-512 f32 accumulate: one 16-lane zmm per micro-tile row — eight
-/// independent chains fed by one B load and eight A broadcasts a step.
-pub fn acc_f32_avx512(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    kernel_precondition!(ap.len() >= kc * MR, "acc_f32_avx512: A panel too short");
-    kernel_precondition!(bp.len() >= kc * NR, "acc_f32_avx512: B panel too short");
+/// AVX-512 f32 tile: two zmm per tile row — sixteen independent chains
+/// fed by two B loads and eight A broadcasts a step.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_f32_avx512(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    alpha: f32,
+    merge: Merge<f32>,
+    c: &mut [f32],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    kernel_precondition!(ap.len() >= kc * MR, "tile_f32_avx512: A panel too short");
+    kernel_precondition!(bp.len() >= kc * NR, "tile_f32_avx512: B panel too short");
+    kernel_precondition!(
+        (1..=MR).contains(&mr_eff) && nr_eff <= NR,
+        "tile_f32_avx512: tile overrun"
+    );
+    kernel_precondition!(
+        c.len() >= (mr_eff - 1) * ldc + nr_eff,
+        "tile_f32_avx512: C tile too short"
+    );
     kernel_precondition!(is_x86_feature_detected!("avx512f"), "avx512f not available");
     // SAFETY: lengths and CPU support asserted above.
     unsafe {
-        acc_f32_avx512_imp(
+        tile_f32_avx512_imp(
             kc,
             ap.as_ptr(),
             bp.as_ptr(),
-            acc.as_flattened_mut().as_mut_ptr(),
+            alpha,
+            merge,
+            c.as_mut_ptr(),
+            ldc,
+            mr_eff,
+            nr_eff,
         )
     }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
-// kernel-contract: acc points-to len >= MR * NR, noalias
+// kernel-contract: c points-to len >= (mr_eff - 1) * ldc + nr_eff, noalias
 // kernel-contract: requires target_feature(avx512f)
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn acc_f32_avx512_imp(kc: usize, ap: *const f32, bp: *const f32, acc: *mut f32) {
-    let mut r = [_mm512_setzero_ps(); MR];
-    for (i, ri) in r.iter_mut().enumerate() {
-        *ri = _mm512_loadu_ps(acc.add(i * NR));
-    }
+unsafe fn tile_f32_avx512_imp(
+    kc: usize,
+    ap: *const f32,
+    bp: *const f32,
+    alpha: f32,
+    merge: Merge<f32>,
+    c: *mut f32,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    // r[i] = the two zmm halves of tile row i.
+    let mut r = [[_mm512_setzero_ps(); 2]; MR];
     for kk in 0..kc {
-        let bv = _mm512_loadu_ps(bp.add(kk * NR));
+        let b0 = _mm512_loadu_ps(bp.add(kk * NR));
+        let b1 = _mm512_loadu_ps(bp.add(kk * NR + 16));
         let a = ap.add(kk * MR);
         for (i, ri) in r.iter_mut().enumerate() {
             let av = _mm512_set1_ps(*a.add(i));
-            *ri = _mm512_fmadd_ps(av, bv, *ri);
+            ri[0] = _mm512_fmadd_ps(av, b0, ri[0]);
+            ri[1] = _mm512_fmadd_ps(av, b1, ri[1]);
         }
     }
-    for (i, ri) in r.iter().enumerate() {
-        _mm512_storeu_ps(acc.add(i * NR), *ri);
+    let va = _mm512_set1_ps(alpha);
+    for g in 0..NR / 16 {
+        let m = mask16(lanes(nr_eff, g * 16));
+        for (i, ri) in r.iter().enumerate().take(mr_eff) {
+            let p = c.add(i * ldc + g * 16);
+            let s = _mm512_mul_ps(va, ri[g]);
+            let v = match merge {
+                Merge::Overwrite => s,
+                Merge::Scale(beta) => _mm512_add_ps(
+                    s,
+                    _mm512_mul_ps(_mm512_set1_ps(beta), _mm512_maskz_loadu_ps(m, p)),
+                ),
+                Merge::Accumulate => _mm512_add_ps(s, _mm512_maskz_loadu_ps(m, p)),
+            };
+            _mm512_mask_storeu_ps(p, m, v);
+        }
     }
 }
 
-/// AVX-512 f64 accumulate: two 8-lane column halves.
-pub fn acc_f64_avx512(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    kernel_precondition!(ap.len() >= kc * MR, "acc_f64_avx512: A panel too short");
-    kernel_precondition!(bp.len() >= kc * NR, "acc_f64_avx512: B panel too short");
+/// [`crate::gemm::backend::AccFn`] view of [`tile_f32_avx512`]: the whole
+/// tile in overwrite mode, `acc` standing in for C.
+pub fn acc_f32_avx512(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+    tile_f32_avx512(
+        kc,
+        ap,
+        bp,
+        1.0,
+        Merge::Overwrite,
+        acc.as_flattened_mut(),
+        NR,
+        MR,
+        NR,
+    );
+}
+
+/// AVX-512 f64 tile: four 8-lane column groups.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_f64_avx512(
+    kc: usize,
+    ap: &[f64],
+    bp: &[f64],
+    alpha: f64,
+    merge: Merge<f64>,
+    c: &mut [f64],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    kernel_precondition!(ap.len() >= kc * MR, "tile_f64_avx512: A panel too short");
+    kernel_precondition!(bp.len() >= kc * NR, "tile_f64_avx512: B panel too short");
+    kernel_precondition!(
+        (1..=MR).contains(&mr_eff) && nr_eff <= NR,
+        "tile_f64_avx512: tile overrun"
+    );
+    kernel_precondition!(
+        c.len() >= (mr_eff - 1) * ldc + nr_eff,
+        "tile_f64_avx512: C tile too short"
+    );
     kernel_precondition!(is_x86_feature_detected!("avx512f"), "avx512f not available");
     // SAFETY: lengths and CPU support asserted above.
     unsafe {
-        acc_f64_avx512_imp(
+        tile_f64_avx512_imp(
             kc,
             ap.as_ptr(),
             bp.as_ptr(),
-            acc.as_flattened_mut().as_mut_ptr(),
+            alpha,
+            merge,
+            c.as_mut_ptr(),
+            ldc,
+            mr_eff,
+            nr_eff,
         )
     }
 }
 
 // kernel-contract: ap points-to len >= kc * MR, noalias
 // kernel-contract: bp points-to len >= kc * NR, noalias
-// kernel-contract: acc points-to len >= MR * NR, noalias
+// kernel-contract: c points-to len >= (mr_eff - 1) * ldc + nr_eff, noalias
 // kernel-contract: requires target_feature(avx512f)
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn acc_f64_avx512_imp(kc: usize, ap: *const f64, bp: *const f64, acc: *mut f64) {
-    for h in 0..2 {
-        let mut r = [_mm512_setzero_pd(); MR];
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = _mm512_loadu_pd(acc.add(i * NR + h * 8));
+unsafe fn tile_f64_avx512_imp(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    alpha: f64,
+    merge: Merge<f64>,
+    c: *mut f64,
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    let va = _mm512_set1_pd(alpha);
+    for g in 0..NR / 8 {
+        if g * 8 >= nr_eff {
+            break; // Columns past the edge: no chain to run.
         }
+        let mut r = [_mm512_setzero_pd(); MR];
         for kk in 0..kc {
-            let bv = _mm512_loadu_pd(bp.add(kk * NR + h * 8));
+            let bv = _mm512_loadu_pd(bp.add(kk * NR + g * 8));
             let a = ap.add(kk * MR);
             for (i, ri) in r.iter_mut().enumerate() {
                 let av = _mm512_set1_pd(*a.add(i));
                 *ri = _mm512_fmadd_pd(av, bv, *ri);
             }
         }
-        for (i, ri) in r.iter().enumerate() {
-            _mm512_storeu_pd(acc.add(i * NR + h * 8), *ri);
+        let m = mask8(lanes(nr_eff, g * 8));
+        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+            let p = c.add(i * ldc + g * 8);
+            let s = _mm512_mul_pd(va, ri);
+            let v = match merge {
+                Merge::Overwrite => s,
+                Merge::Scale(beta) => _mm512_add_pd(
+                    s,
+                    _mm512_mul_pd(_mm512_set1_pd(beta), _mm512_maskz_loadu_pd(m, p)),
+                ),
+                Merge::Accumulate => _mm512_add_pd(s, _mm512_maskz_loadu_pd(m, p)),
+            };
+            _mm512_mask_storeu_pd(p, m, v);
         }
     }
 }
@@ -415,48 +671,70 @@ mod tests {
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
 
+    /// Every merge mode on a full tile and on a ragged corner of a
+    /// wider C, against the scalar reference.
+    fn tile_matches_scalar<T: crate::scalar::Scalar>(
+        kernel: crate::gemm::backend::TileFn<T>,
+        ap: &[T],
+        bp: &[T],
+        kc: usize,
+    ) {
+        let ldc = NR + 3;
+        let c0: Vec<T> = (0..MR * ldc)
+            .map(|i| T::from_f64(i as f64 * 0.37 - 5.0))
+            .collect();
+        let merges = [
+            Merge::Overwrite,
+            Merge::Scale(T::from_f64(0.5)),
+            Merge::Accumulate,
+        ];
+        for merge in merges {
+            for (mr_eff, nr_eff) in [(MR, NR), (MR - 3, NR - 7), (1, 9)] {
+                let alpha = T::from_f64(-1.5);
+                let (mut fast, mut want) = (c0.clone(), c0.clone());
+                kernel(kc, ap, bp, alpha, merge, &mut fast, ldc, mr_eff, nr_eff);
+                scalar::tile(kc, ap, bp, alpha, merge, &mut want, ldc, mr_eff, nr_eff);
+                assert_eq!(fast, want, "kc={kc} {merge:?} {mr_eff}x{nr_eff}");
+            }
+        }
+    }
+
     #[test]
-    fn avx2_acc_bitwise_matches_scalar() {
+    fn avx2_tiles_bitwise_match_scalar() {
         if !avx2_fma() {
             return;
         }
         for kc in [0, 1, 3, 17, 64] {
             let (ap, bp) = f32_panels(kc);
-            let mut fast = [[0.5f32; NR]; MR];
-            let mut want = [[0.5f32; NR]; MR];
-            acc_f32_avx2(kc, &ap, &bp, &mut fast);
-            scalar::acc(kc, &ap, &bp, &mut want);
-            assert_eq!(fast, want, "f32 kc={kc}");
-
+            tile_matches_scalar::<f32>(tile_f32_avx2, &ap, &bp, kc);
             let (ap, bp) = f64_panels(kc);
-            let mut fast = [[0.5f64; NR]; MR];
-            let mut want = [[0.5f64; NR]; MR];
-            acc_f64_avx2(kc, &ap, &bp, &mut fast);
-            scalar::acc(kc, &ap, &bp, &mut want);
-            assert_eq!(fast, want, "f64 kc={kc}");
+            tile_matches_scalar::<f64>(tile_f64_avx2, &ap, &bp, kc);
         }
     }
 
     #[test]
-    fn avx512_acc_bitwise_matches_scalar() {
+    fn avx512_tiles_bitwise_match_scalar() {
         if !is_x86_feature_detected!("avx512f") {
             return;
         }
         for kc in [0, 1, 3, 17, 64] {
             let (ap, bp) = f32_panels(kc);
-            let mut fast = [[-0.25f32; NR]; MR];
-            let mut want = [[-0.25f32; NR]; MR];
-            acc_f32_avx512(kc, &ap, &bp, &mut fast);
-            scalar::acc(kc, &ap, &bp, &mut want);
-            assert_eq!(fast, want, "f32 kc={kc}");
-
+            tile_matches_scalar::<f32>(tile_f32_avx512, &ap, &bp, kc);
             let (ap, bp) = f64_panels(kc);
-            let mut fast = [[-0.25f64; NR]; MR];
-            let mut want = [[-0.25f64; NR]; MR];
-            acc_f64_avx512(kc, &ap, &bp, &mut fast);
-            scalar::acc(kc, &ap, &bp, &mut want);
-            assert_eq!(fast, want, "f64 kc={kc}");
+            tile_matches_scalar::<f64>(tile_f64_avx512, &ap, &bp, kc);
         }
+    }
+
+    #[test]
+    fn masks_cover_exactly_the_live_lanes() {
+        assert_eq!(mask16(0), 0);
+        assert_eq!(mask16(3), 0b111);
+        assert_eq!(mask16(16), u16::MAX);
+        assert_eq!(mask16(40), u16::MAX);
+        assert_eq!(mask8(7), 0x7f);
+        assert_eq!(mask8(9), u8::MAX);
+        assert_eq!(lanes(17, 16), 1);
+        assert_eq!(lanes(15, 16), 0);
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! (Section V.A): node, core, and thread levels are handled by
 //! separate mechanisms that are designed together.
 //!
-//! * **Thread level** — [`kernel::microkernel`]: an `MR x NR`
-//!   register-blocked rank-1-update kernel reading zero-padded packed
-//!   panels with unit stride (the paper's QPX FMA kernel, with the
-//!   tile sized to this host family's register file instead of
-//!   QPX's). The accumulate loop itself is supplied by the active
-//!   [`backend::ComputeBackend`] — explicit AVX2/AVX-512/NEON
-//!   `std::arch` kernels selected by runtime feature detection, or the
-//!   scalar reference.
+//! * **Thread level** — [`kernel`]: an `MR x NR` register-blocked
+//!   rank-1-update tile kernel reading zero-padded packed panels with
+//!   unit stride (the paper's QPX FMA kernel, with the tile sized to
+//!   this host family's register file instead of QPX's). The active
+//!   [`backend::ComputeBackend`] supplies it — explicit
+//!   AVX2/AVX-512/NEON `std::arch` kernels selected by runtime feature
+//!   detection, or the scalar reference — and it owns the whole tile
+//!   update: the `kc`-deep FMA chains in registers, then the
+//!   `alpha`/`beta` merge into C ([`backend::Merge`]), masked to the
+//!   live corner of an edge tile.
 //! * **Core level** — [`pack`]: operands are reformatted into
 //!   micro-panels so every inner-loop access is stride-one, the
 //!   software analogue of engaging the L1P stream prefetcher.
@@ -70,16 +72,19 @@ pub use op::GemmOp;
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use backend::Merge;
 use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Micro-tile rows (register blocking; the paper's QPX kernel holds
 /// an 8-row C block the same way).
 pub const MR: usize = 8;
-/// Micro-tile columns: one AVX-512 register of f32, so the widest
-/// kernel keeps a whole tile row in a single register; narrower
-/// kernels walk the row in register-width groups.
-pub const NR: usize = 16;
+/// Micro-tile columns: two AVX-512 registers of f32, so each `kk`
+/// step of the widest kernel is eight A broadcasts and two B loads
+/// feeding sixteen FMAs (with one register per row, nine loads fed
+/// eight FMAs and the loads bound the step). Narrower registers walk
+/// the row in register-width groups.
+pub const NR: usize = 32;
 /// B rows one streaming-`B^T` kernel call consumes: that many
 /// independent column chains in flight hide the FMA latency a single
 /// chain would serialize on.
@@ -293,7 +298,7 @@ pub(crate) fn gemm_impl<T: Scalar>(
 
     let blocking = ctx.blocking;
     // Backend kernel resolved once per call, not per micro-tile.
-    let acc_fn = T::acc_kernel(ctx.backend());
+    let tile_fn = T::tile_kernel(ctx.backend());
     // Stripe height: small enough to give the pool ~3 tasks per
     // thread for load balance, but never below the micro-tile and
     // never above MC (the L2 A-panel budget).
@@ -308,7 +313,7 @@ pub(crate) fn gemm_impl<T: Scalar>(
         if ctx.threads == 1 {
             for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
                 stripe_kernel(
-                    acc_fn,
+                    tile_fn,
                     ta,
                     tb,
                     alpha,
@@ -328,7 +333,7 @@ pub(crate) fn gemm_impl<T: Scalar>(
                 .enumerate()
                 .for_each(|(si, stripe)| {
                     stripe_kernel(
-                        acc_fn,
+                        tile_fn,
                         ta,
                         tb,
                         alpha,
@@ -354,7 +359,7 @@ pub(crate) fn gemm_impl<T: Scalar>(
 /// with zero shared mutable state.
 #[allow(clippy::too_many_arguments)]
 fn stripe_kernel<T: Scalar>(
-    acc_fn: backend::AccFn<T>,
+    tile_fn: backend::TileFn<T>,
     ta: Trans,
     tb: Trans,
     alpha: T,
@@ -378,11 +383,10 @@ fn stripe_kernel<T: Scalar>(
     let mut bp = vec![T::ZERO; b_panels * NR * kc];
 
     let mut pc = 0;
-    let mut first_block = true;
+    let mut merge = Merge::first_block(beta);
     while pc < k {
         let kc_eff = kc.min(k - pc);
         pack::pack_a(a, ta, ic0, mc_eff, pc, kc_eff, &mut ap);
-        let merge = if first_block { Some(beta) } else { None };
 
         let mut jc = 0;
         while jc < n {
@@ -398,16 +402,23 @@ fn stripe_kernel<T: Scalar>(
                     let mr_eff = MR.min(mc_eff - ir * MR);
                     let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];
                     let c_off = (ir * MR) * n + jc + jr * NR;
-                    kernel::microkernel(
-                        acc_fn, kc_eff, alpha, ap_panel, bp_panel, stripe, c_off, n, mr_eff,
-                        nr_eff, merge,
+                    tile_fn(
+                        kc_eff,
+                        ap_panel,
+                        bp_panel,
+                        alpha,
+                        merge,
+                        &mut stripe[c_off..],
+                        n,
+                        mr_eff,
+                        nr_eff,
                     );
                 }
             }
             jc += nc_eff;
         }
         pc += kc_eff;
-        first_block = false;
+        merge = Merge::Accumulate;
     }
 }
 

@@ -16,7 +16,7 @@
 //! only the small direction matrix is packed per call
 //! ([`super::GemmOp::packed_a`]). Results are bitwise identical to
 //! [`super::GemmOp::ab`] with the same blocking: packing is pure data
-//! movement and both drivers issue the identical microkernel
+//! movement and both drivers issue the identical tile-kernel
 //! sequence.
 
 use crate::matrix::Matrix;
@@ -24,8 +24,8 @@ use crate::scalar::Scalar;
 use crate::workspace::Workspace;
 use rayon::prelude::*;
 
-use super::backend::{AccFn, BtFn};
-use super::{kernel, pack, Blocking, GemmContext, Trans, BT_COLS, MR, NR};
+use super::backend::{BtFn, Merge, TileFn};
+use super::{pack, Blocking, GemmContext, Trans, BT_COLS, MR, NR};
 
 /// One `(pc, jc)` block of the packed B operand.
 #[derive(Clone, Copy, Debug)]
@@ -266,7 +266,7 @@ pub(crate) fn prepacked_impl<T: Scalar>(
     }
 
     let blocking = b.blocking();
-    let acc_fn = T::acc_kernel(ctx.backend());
+    let tile_fn = T::tile_kernel(ctx.backend());
     let target_tasks = ctx.threads() * 3;
     let sh = m
         .div_ceil(target_tasks)
@@ -278,7 +278,7 @@ pub(crate) fn prepacked_impl<T: Scalar>(
         if ctx.threads() == 1 {
             for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
                 stripe_prepacked(
-                    acc_fn,
+                    tile_fn,
                     ta,
                     alpha,
                     a,
@@ -297,7 +297,7 @@ pub(crate) fn prepacked_impl<T: Scalar>(
                 .enumerate()
                 .for_each(|(si, stripe)| {
                     stripe_prepacked(
-                        acc_fn,
+                        tile_fn,
                         ta,
                         alpha,
                         a,
@@ -316,7 +316,7 @@ pub(crate) fn prepacked_impl<T: Scalar>(
 
 #[allow(clippy::too_many_arguments)]
 fn stripe_prepacked<T: Scalar>(
-    acc_fn: AccFn<T>,
+    tile_fn: TileFn<T>,
     ta: Trans,
     alpha: T,
     a: &Matrix<T>,
@@ -335,11 +335,10 @@ fn stripe_prepacked<T: Scalar>(
     let mut ap = vec![T::ZERO; a_panels * MR * kc];
 
     let mut pc = 0;
-    let mut first_block = true;
+    let mut merge = Merge::first_block(beta);
     while pc < k {
         let kc_eff = kc.min(k - pc);
         pack::pack_a(a, ta, ic0, mc_eff, pc, kc_eff, &mut ap);
-        let merge = if first_block { Some(beta) } else { None };
 
         let mut jc = 0;
         while jc < n {
@@ -357,16 +356,23 @@ fn stripe_prepacked<T: Scalar>(
                     let mr_eff = MR.min(mc_eff - ir * MR);
                     let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];
                     let c_off = (ir * MR) * n + jc + jr * NR;
-                    kernel::microkernel(
-                        acc_fn, kc_eff, alpha, ap_panel, bp_panel, stripe, c_off, n, mr_eff,
-                        nr_eff, merge,
+                    tile_fn(
+                        kc_eff,
+                        ap_panel,
+                        bp_panel,
+                        alpha,
+                        merge,
+                        &mut stripe[c_off..],
+                        n,
+                        mr_eff,
+                        nr_eff,
                     );
                 }
             }
             jc += nc_eff;
         }
         pc += kc_eff;
-        first_block = false;
+        merge = Merge::Accumulate;
     }
 }
 
@@ -538,7 +544,7 @@ pub(crate) fn prepacked_a_impl<T: Scalar>(
     }
 
     let blocking = a.blocking();
-    let acc_fn = T::acc_kernel(ctx.backend());
+    let tile_fn = T::tile_kernel(ctx.backend());
     let target_tasks = ctx.threads() * 3;
     let sh = m
         .div_ceil(target_tasks)
@@ -550,7 +556,7 @@ pub(crate) fn prepacked_a_impl<T: Scalar>(
         if ctx.threads() == 1 {
             for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
                 stripe_prepacked_a(
-                    acc_fn,
+                    tile_fn,
                     alpha,
                     a,
                     tb,
@@ -569,7 +575,7 @@ pub(crate) fn prepacked_a_impl<T: Scalar>(
                 .enumerate()
                 .for_each(|(si, stripe)| {
                     stripe_prepacked_a(
-                        acc_fn,
+                        tile_fn,
                         alpha,
                         a,
                         tb,
@@ -588,7 +594,7 @@ pub(crate) fn prepacked_a_impl<T: Scalar>(
 
 #[allow(clippy::too_many_arguments)]
 fn stripe_prepacked_a<T: Scalar>(
-    acc_fn: AccFn<T>,
+    tile_fn: TileFn<T>,
     alpha: T,
     a: &PackedA<T>,
     tb: Trans,
@@ -610,11 +616,10 @@ fn stripe_prepacked_a<T: Scalar>(
     let panel0 = ic0 / MR;
 
     let mut pc = 0;
-    let mut first_block = true;
+    let mut merge = Merge::first_block(beta);
     while pc < k {
         let (ap, kc_eff) = a.block(pc);
         debug_assert_eq!(kc_eff, kc.min(k - pc));
-        let merge = if first_block { Some(beta) } else { None };
 
         let mut jc = 0;
         while jc < n {
@@ -631,16 +636,23 @@ fn stripe_prepacked_a<T: Scalar>(
                     let p = panel0 + ir;
                     let ap_panel = &ap[p * kc_eff * MR..(p + 1) * kc_eff * MR];
                     let c_off = (ir * MR) * n + jc + jr * NR;
-                    kernel::microkernel(
-                        acc_fn, kc_eff, alpha, ap_panel, bp_panel, stripe, c_off, n, mr_eff,
-                        nr_eff, merge,
+                    tile_fn(
+                        kc_eff,
+                        ap_panel,
+                        bp_panel,
+                        alpha,
+                        merge,
+                        &mut stripe[c_off..],
+                        n,
+                        mr_eff,
+                        nr_eff,
                     );
                 }
             }
             jc += nc_eff;
         }
         pc += kc_eff;
-        first_block = false;
+        merge = Merge::Accumulate;
     }
 }
 
@@ -650,7 +662,7 @@ fn stripe_prepacked_a<T: Scalar>(
 /// allocation happens inside the multiply at all.
 ///
 /// Bitwise identical to [`super::GemmOp::ab`] under the same blocking: the
-/// stripe driver issues the exact microkernel sequence, and both pack
+/// stripe driver issues the exact tile-kernel sequence, and both pack
 /// layouts are the ones the per-call drivers would have produced.
 ///
 /// # Panics
@@ -694,7 +706,7 @@ pub(crate) fn prepacked_ab_impl<T: Scalar>(
     }
 
     let blocking = a.blocking();
-    let acc_fn = T::acc_kernel(ctx.backend());
+    let tile_fn = T::tile_kernel(ctx.backend());
     let target_tasks = ctx.threads() * 3;
     let sh = m
         .div_ceil(target_tasks)
@@ -705,14 +717,25 @@ pub(crate) fn prepacked_ab_impl<T: Scalar>(
     ctx.run_pool(|| {
         if ctx.threads() == 1 {
             for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
-                stripe_prepacked_ab(acc_fn, alpha, a, b, beta, stripe, si * sh, k, n, blocking);
+                stripe_prepacked_ab(tile_fn, alpha, a, b, beta, stripe, si * sh, k, n, blocking);
             }
         } else {
             c_slice
                 .par_chunks_mut(sh * n)
                 .enumerate()
                 .for_each(|(si, stripe)| {
-                    stripe_prepacked_ab(acc_fn, alpha, a, b, beta, stripe, si * sh, k, n, blocking);
+                    stripe_prepacked_ab(
+                        tile_fn,
+                        alpha,
+                        a,
+                        b,
+                        beta,
+                        stripe,
+                        si * sh,
+                        k,
+                        n,
+                        blocking,
+                    );
                 });
         }
     });
@@ -720,7 +743,7 @@ pub(crate) fn prepacked_ab_impl<T: Scalar>(
 
 #[allow(clippy::too_many_arguments)]
 fn stripe_prepacked_ab<T: Scalar>(
-    acc_fn: AccFn<T>,
+    tile_fn: TileFn<T>,
     alpha: T,
     a: &PackedA<T>,
     b: &PackedB<T>,
@@ -739,11 +762,10 @@ fn stripe_prepacked_ab<T: Scalar>(
     let panel0 = ic0 / MR;
 
     let mut pc = 0;
-    let mut first_block = true;
+    let mut merge = Merge::first_block(beta);
     while pc < k {
         let (ap, kc_eff) = a.block(pc);
         debug_assert_eq!(kc_eff, kc.min(k - pc));
-        let merge = if first_block { Some(beta) } else { None };
 
         let mut jc = 0;
         while jc < n {
@@ -762,16 +784,23 @@ fn stripe_prepacked_ab<T: Scalar>(
                     let p = panel0 + ir;
                     let ap_panel = &ap[p * kc_eff * MR..(p + 1) * kc_eff * MR];
                     let c_off = (ir * MR) * n + jc + jr * NR;
-                    kernel::microkernel(
-                        acc_fn, kc_eff, alpha, ap_panel, bp_panel, stripe, c_off, n, mr_eff,
-                        nr_eff, merge,
+                    tile_fn(
+                        kc_eff,
+                        ap_panel,
+                        bp_panel,
+                        alpha,
+                        merge,
+                        &mut stripe[c_off..],
+                        n,
+                        mr_eff,
+                        nr_eff,
                     );
                 }
             }
             jc += nc_eff;
         }
         pc += kc_eff;
-        first_block = false;
+        merge = Merge::Accumulate;
     }
 }
 
@@ -792,7 +821,7 @@ fn stripe_prepacked_ab<T: Scalar>(
 /// Bitwise identical to [`super::GemmOp::ab`] with `tb = Trans::T` under the
 /// same blocking: the k loop is split on the same `kc` grid, each
 /// element's FMA chain runs `kk` ascending within a block, and the
-/// per-block beta merge matches [`kernel::microkernel`]'s exactly.
+/// per-block merge is the [`Merge`] arithmetic the tile kernels apply.
 ///
 /// # Panics
 /// On inner-dimension or `C` shape mismatch, or if `b_rows.len()`
@@ -884,17 +913,16 @@ fn stripe_prepacked_a_bt<T: Scalar>(
             &chunk[c * k..(c + 1) * k]
         });
         let mut pc = 0;
-        let mut first_block = true;
+        let mut merge = Merge::first_block(beta);
         while pc < k {
             let (ap, kc_eff) = a.block(pc);
-            let merge = if first_block { Some(beta) } else { None };
             for ir in 0..ir_panels {
                 let mr_eff = MR.min(mc_eff - ir * MR);
                 let p = panel0 + ir;
                 let ap_panel = &ap[p * kc_eff * MR..(p + 1) * kc_eff * MR];
 
                 // Backend-dispatched column kernel, same FMA chain
-                // as kernel::microkernel: kk ascending within the
+                // as the tile kernels: kk ascending within the
                 // block, acc = a.fma(b, acc); padded panel rows
                 // compute garbage-free zeros that the masked C write
                 // below discards.
@@ -910,18 +938,17 @@ fn stripe_prepacked_a_bt<T: Scalar>(
                     let row0 = (ir * MR + i) * n + j0;
                     let dst = &mut stripe[row0..row0 + live];
                     match merge {
-                        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-                        Some(b0) if b0 == T::ZERO => {
+                        Merge::Overwrite => {
                             for (d, col) in dst.iter_mut().zip(&acc) {
                                 *d = alpha * col[i];
                             }
                         }
-                        Some(b0) => {
+                        Merge::Scale(b0) => {
                             for (d, col) in dst.iter_mut().zip(&acc) {
                                 *d = alpha.mul_add(col[i], b0 * *d);
                             }
                         }
-                        None => {
+                        Merge::Accumulate => {
                             for (d, col) in dst.iter_mut().zip(&acc) {
                                 *d = alpha.mul_add(col[i], *d);
                             }
@@ -930,7 +957,7 @@ fn stripe_prepacked_a_bt<T: Scalar>(
                 }
             }
             pc += kc_eff;
-            first_block = false;
+            merge = Merge::Accumulate;
         }
     }
 }

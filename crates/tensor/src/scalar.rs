@@ -11,7 +11,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 
 use std::sync::OnceLock;
 
-use crate::gemm::backend::{default_backend, AccFn, BtFn, ComputeBackend};
+use crate::gemm::backend::{default_backend, BtFn, ComputeBackend, TileFn};
 use crate::vmath::{self, RowOpFn};
 
 /// Floating-point element type usable by the kernels.
@@ -52,9 +52,9 @@ pub trait Scalar:
     fn to_f64(self) -> f64;
     /// Unfused multiply-add `self * a + b`: two roundings, product
     /// then sum. This is the arithmetic of everything *outside* the
-    /// GEMM accumulate chains — the C-merge epilogues, `blas1`,
-    /// `matrix` — code shared by every backend, so it is identical
-    /// across backends by construction and never calls libm.
+    /// GEMM accumulate chains — the C merge every tile kernel applies
+    /// (see [`crate::gemm::backend::Merge`]), `blas1`, `matrix` — and
+    /// it never calls libm.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Fused multiply-add `self * a + b` with a single, exact rounding
     /// (IEEE 754 fusedMultiplyAdd) — one step of a GEMM accumulate
@@ -82,10 +82,10 @@ pub trait Scalar:
     /// True when the value is finite.
     fn is_finite(self) -> bool;
 
-    /// The `backend`'s packed-panel accumulate kernel for this type
-    /// (per-type projection of [`ComputeBackend::acc_f32`]/`acc_f64`;
-    /// resolved once per GEMM driver call, not per micro-tile).
-    fn acc_kernel(backend: &dyn ComputeBackend) -> AccFn<Self>;
+    /// The `backend`'s micro-tile kernel for this type (per-type
+    /// projection of [`ComputeBackend::tile_f32`]/`tile_f64`; resolved
+    /// once per GEMM driver call, not per micro-tile).
+    fn tile_kernel(backend: &dyn ComputeBackend) -> TileFn<Self>;
     /// The `backend`'s streaming-B^T column kernel for this type.
     fn bt_kernel(backend: &dyn ComputeBackend) -> BtFn<Self>;
     /// The element-wise row kernel for this type, picked once per
@@ -94,7 +94,7 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $acc:ident, $bt:ident, $exp:expr, $ln:expr) => {
+    ($t:ty, $tile:ident, $bt:ident, $exp:expr, $ln:expr) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -146,8 +146,8 @@ macro_rules! impl_scalar {
                 <$t>::is_finite(self)
             }
             #[inline(always)]
-            fn acc_kernel(backend: &dyn ComputeBackend) -> AccFn<Self> {
-                backend.$acc()
+            fn tile_kernel(backend: &dyn ComputeBackend) -> TileFn<Self> {
+                backend.$tile()
             }
             #[inline(always)]
             fn bt_kernel(backend: &dyn ComputeBackend) -> BtFn<Self> {
@@ -162,8 +162,8 @@ macro_rules! impl_scalar {
     };
 }
 
-impl_scalar!(f32, acc_f32, bt_f32, vmath::exp_f32, vmath::ln_f32);
-impl_scalar!(f64, acc_f64, bt_f64, vmath::exp_f64, vmath::ln_f64);
+impl_scalar!(f32, tile_f32, bt_f32, vmath::exp_f32, vmath::ln_f32);
+impl_scalar!(f64, tile_f64, bt_f64, vmath::exp_f64, vmath::ln_f64);
 
 #[cfg(test)]
 mod tests {

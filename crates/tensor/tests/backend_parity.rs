@@ -11,9 +11,10 @@
 //! hold every instantiation of the element-wise `exp`/sigmoid/tanh
 //! row kernels to the portable loop's bits.
 
+use pdnn_tensor::gemm::backend::{Merge, TileFn};
 use pdnn_tensor::gemm::{
-    available_isas, backend_for, scalar_backend, Blocking, GemmContext, GemmOp, PackedA, PackedB,
-    Trans, BT_COLS, MR, NR,
+    available_isas, backend_for, scalar_backend, Blocking, ComputeBackend, GemmContext, GemmOp,
+    PackedA, PackedB, Trans, BT_COLS, MR, NR,
 };
 use pdnn_tensor::vmath::{self, RowOp};
 use pdnn_tensor::{Matrix, Scalar};
@@ -40,6 +41,9 @@ fn shapes() -> Vec<(usize, usize, usize)> {
         (MR + 3, NR - 1, 19),
         (MR + 3, NR, 19),
         (MR + 3, NR + 1, 19),
+        (MR + 3, NR + 8, 19),
+        (MR + 3, 2 * NR - 1, 19),
+        (MR + 3, 2 * NR + 1, 19),
         (MR + 3, 2 * NR + 8, 19),
     ]
 }
@@ -151,6 +155,105 @@ fn parity_holds_threaded() {
         let got = all_forms::<f32>(&ctx, 70, 33, 48, 7);
         assert_eq!(want, got, "isa {isa}");
     }
+}
+
+/// C rows and columns of guard cells around the tile under test.
+const GUARD: usize = 3;
+
+/// The tile contract, kernel by kernel: every merge mode (`β = 0` over
+/// NaN-filled C, `β = 1`, `β = 0.5`, and the accumulate of later
+/// k-blocks), `α ∈ {1, -1, 2.5}`, every live row count, live column
+/// counts on both sides of each register-group edge, and panel depths
+/// from empty to a full cache block. The tile sits inside a C buffer
+/// ringed by `GUARD` cells of a sentinel pattern, which must come back
+/// bit for bit.
+fn assert_tile_contract<T: Scalar>(kernel: fn(&dyn ComputeBackend) -> TileFn<T>) {
+    let kc_full = Blocking::default().kc;
+    let ldc = NR + 2 * GUARD;
+    let sentinel = T::from_f64(-12345.678);
+    let mut rng = Prng::new(34);
+    for kc in [0, 1, 3, kc_full] {
+        let ap: Vec<T> = (0..kc * MR)
+            .map(|_| T::from_f64(rng.uniform() * 2.0 - 1.0))
+            .collect();
+        let bp: Vec<T> = (0..kc * NR)
+            .map(|_| T::from_f64(rng.uniform() * 2.0 - 1.0))
+            .collect();
+        let merges = [
+            (Merge::first_block(T::ZERO), f64::NAN),
+            (Merge::first_block(T::ONE), 0.5),
+            (Merge::first_block(T::from_f64(0.5)), 0.5),
+            (Merge::Accumulate, 0.5),
+        ];
+        for (merge, c_scale) in merges {
+            // Live cells start as NaN for the overwrite mode, random
+            // values otherwise; guard cells always hold the sentinel.
+            let mut c0 = vec![sentinel; (MR + 2 * GUARD) * ldc];
+            for i in 0..MR {
+                for j in 0..NR {
+                    c0[(GUARD + i) * ldc + GUARD + j] =
+                        T::from_f64(c_scale * (rng.uniform() * 2.0 - 1.0));
+                }
+            }
+            for alpha in [1.0, -1.0, 2.5].map(T::from_f64) {
+                for mr_eff in 1..=MR {
+                    for nr_eff in [1, 15, 16, 17, 31, 32] {
+                        let origin = GUARD * ldc + GUARD;
+                        let mut want = c0.clone();
+                        kernel(scalar_backend())(
+                            kc,
+                            &ap,
+                            &bp,
+                            alpha,
+                            merge,
+                            &mut want[origin..],
+                            ldc,
+                            mr_eff,
+                            nr_eff,
+                        );
+                        for (x, (&w, &c)) in want.iter().zip(&c0).enumerate() {
+                            let (i, j) = (x / ldc, x % ldc);
+                            let live = (GUARD..GUARD + mr_eff).contains(&i)
+                                && (GUARD..GUARD + nr_eff).contains(&j);
+                            if !live {
+                                assert!(bits(w) == bits(c), "scalar wrote guard cell ({i},{j})");
+                            }
+                        }
+                        for isa in available_isas() {
+                            let mut got = c0.clone();
+                            kernel(backend_for(isa).expect("resolves"))(
+                                kc,
+                                &ap,
+                                &bp,
+                                alpha,
+                                merge,
+                                &mut got[origin..],
+                                ldc,
+                                mr_eff,
+                                nr_eff,
+                            );
+                            let same = got.iter().zip(&want).all(|(&g, &w)| bits(g) == bits(w));
+                            assert!(
+                                same,
+                                "{isa} tile differs from scalar: kc={kc} {merge:?} \
+                                 alpha={alpha} {mr_eff}x{nr_eff}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn bits<T: Scalar>(x: T) -> u64 {
+    x.to_f64().to_bits()
+}
+
+#[test]
+fn every_tile_kernel_honors_the_tile_contract() {
+    assert_tile_contract::<f32>(|b| b.tile_f32());
+    assert_tile_contract::<f64>(|b| b.tile_f64());
 }
 
 /// Fusion witness: with `e^2` below the type's precision the product

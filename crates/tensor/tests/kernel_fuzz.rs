@@ -5,7 +5,10 @@
 //! `m, n, k` drawn from {0, 1, MR-1, MR, MR+1, 13, NR-1, NR, NR+1} —
 //! the values that historically break hand-indexed kernels (empty
 //! operands, single-lane tails, one-past-a-tile edges, a ragged prime
-//! that never divides the micro-tile). Every combination runs
+//! that never divides the micro-tile) — with `n` also at a
+//! quarter-tile past one tile and one either side of two tiles
+//! (NR+8, 2NR-1, 2NR+1), where the register groups of a second,
+//! partly live tile start and stop. Every combination runs
 //! through every `GemmOp` operand form on every ISA the host supports
 //! and must match the forced-scalar reference bit for bit, in both
 //! precisions.
@@ -30,6 +33,13 @@ fn axis() -> Vec<usize> {
     let mut v = vec![0, 1, MR - 1, MR, MR + 1, 13, NR - 1, NR, NR + 1];
     v.sort_unstable();
     v.dedup();
+    v
+}
+
+/// The `n` axis: [`axis`] plus edges that land inside a second tile.
+fn columns() -> Vec<usize> {
+    let mut v = axis();
+    v.extend([NR + 8, 2 * NR - 1, 2 * NR + 1]);
     v
 }
 
@@ -77,11 +87,12 @@ fn all_forms<T: Scalar>(
 fn exhaustive_sweep<T: Scalar>() {
     let scalar_ctx = GemmContext::sequential().with_backend(scalar_backend());
     let axis = axis();
+    let columns = columns();
     for isa in available_isas() {
         let backend = backend_for(isa).expect("available ISA must resolve");
         let ctx = GemmContext::sequential().with_backend(backend);
         for &m in &axis {
-            for &n in &axis {
+            for &n in &columns {
                 for &k in &axis {
                     let seed = (m * 83_777 + n * 911 + k) as u64 ^ 0x5eed;
                     let want = all_forms::<T>(&scalar_ctx, m, n, k, seed);

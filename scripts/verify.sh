@@ -126,8 +126,8 @@ kc_covered="$(sed -n 's/.*"covered": \([0-9]*\),.*/\1/p' "$kc_report")"
   || { echo "kernelcheck coverage gap: $kc_covered/$kc_sites unsafe sites covered (need all of >= 32)" >&2; exit 1; }
 kc_muts="$(sed -n 's/.*"mutations": \([0-9]*\),.*/\1/p' "$kc_report")"
 kc_caught="$(sed -n 's/.*"caught": \([0-9]*\),.*/\1/p' "$kc_report")"
-[ -n "$kc_muts" ] && [ "$kc_muts" -ge 30 ] && [ "$kc_caught" = "$kc_muts" ] \
-  || { echo "kernelcheck mutation self-test: $kc_caught/$kc_muts caught (need all of >= 30)" >&2; exit 1; }
+[ -n "$kc_muts" ] && [ "$kc_muts" -ge 34 ] && [ "$kc_caught" = "$kc_muts" ] \
+  || { echo "kernelcheck mutation self-test: $kc_caught/$kc_muts caught (need all of >= 34)" >&2; exit 1; }
 echo "kernelcheck: $kc_covered/$kc_sites sites covered, $kc_caught/$kc_muts mutations caught"
 
 echo "== kernel safety: miri (pack / tail / scalar-kernel tests) =="
@@ -136,7 +136,7 @@ echo "== kernel safety: miri (pack / tail / scalar-kernel tests) =="
 # CPU detection and vendor intrinsics are outside Miri's remit).
 if cargo +nightly miri --version >/dev/null 2>&1; then
   cargo +nightly miri test -q -p pdnn-tensor --lib -- \
-    gemm::pack gemm::kernel::scalar gemm::kernel::elementwise gemm::kernel::tests blas1
+    gemm::pack gemm::kernel::scalar gemm::kernel::elementwise blas1
 else
   echo "miri is not installed for the nightly toolchain; skipping"
   echo "(offline image cannot add rustup components; gate runs where miri is available)"
@@ -166,6 +166,17 @@ echo "== fault tolerance: kill-and-recover smoke (checkpoint restore) =="
 smoke_out="$(cargo run -q --release --example fault_recovery)"
 echo "$smoke_out" | grep -q "fault recovery OK: dead_ranks=\[1\] recoveries=1 iters=3" \
   || { echo "fault_recovery smoke did not report a clean recovery" >&2; exit 1; }
+
+echo "== benchmark: frozen harness smoke run =="
+# benchmark/ builds against the public API (MR, NR,
+# ComputeBackend::acc_f32, GemmOp::packed_*): an API change that breaks
+# it, or a kernel change that fails one of its output checks, must fail
+# here rather than only in a later benchmark run.
+bench_out="$(benchmark/run.sh --smoke)" \
+  || { echo "$bench_out" >&2; echo "benchmark smoke run exited non-zero" >&2; exit 1; }
+echo "$bench_out" | grep -q ": failed 0 of attempted " \
+  || { echo "$bench_out" >&2; echo "benchmark smoke run reports failed operations" >&2; exit 1; }
+echo "benchmark smoke: failed 0"
 
 echo "== tracked numbers (print-only, no gate) =="
 scripts/tracked_numbers.sh
