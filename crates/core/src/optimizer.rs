@@ -60,7 +60,9 @@ pub struct IterStats {
     pub alpha: f64,
     /// Whether the update was applied.
     pub accepted: bool,
-    /// Held-out evaluations consumed this iteration.
+    /// Held-out evaluations performed this iteration: calls of
+    /// [`HfProblem::heldout_eval`], so a point whose evaluation is
+    /// reused counts once.
     pub heldout_evals: usize,
 }
 
@@ -234,20 +236,24 @@ impl HfOptimizer {
             trial.copy_from_slice(&theta0);
             blas1::add(d, &mut trial);
             *evals += 1;
-            problem.heldout_eval(&trial).loss
+            problem.heldout_eval(&trial)
         };
         let bt_span = rec.span("backtracking", SpanKind::DenseCompute);
         let n_stored = cg.iterates.len();
         let mut best_pos = n_stored - 1;
-        let mut l_best = eval_at(&cg.iterates[best_pos].d, &mut heldout_evals);
+        // The chosen iterate's whole evaluation is kept: the full step
+        // θ₀ + d_best is where the line search starts and, usually,
+        // where the iteration lands.
+        let mut best = eval_at(&cg.iterates[best_pos].d, &mut heldout_evals);
         for pos in (0..n_stored.saturating_sub(1)).rev() {
-            let l_curr = eval_at(&cg.iterates[pos].d, &mut heldout_evals);
-            if loss_prev >= l_best && l_curr >= l_best {
+            let curr = eval_at(&cg.iterates[pos].d, &mut heldout_evals);
+            if loss_prev >= best.loss && curr.loss >= best.loss {
                 break;
             }
-            l_best = l_curr;
+            best = curr;
             best_pos = pos;
         }
+        let l_best = best.loss;
         drop(bt_span);
 
         // 4. Rejection: no iterate improves held-out loss.
@@ -293,14 +299,20 @@ impl HfOptimizer {
             self.damping.adjust(rho);
         }
 
-        // 6. Armijo line search along the chosen iterate.
+        // 6. Armijo line search along the chosen iterate. The trial at
+        // α = 1 is θ₀ + d_best again — `axpy(1, …)` rounds exactly like
+        // the backtracking's `add` — so it reuses that evaluation.
         let ls_span = rec.span("line_search", SpanKind::DenseCompute);
+        let full_step = |alpha: f64| exactly_zero(alpha - 1.0);
         let chosen = &cg.iterates[best_pos];
         let slope = blas1::dot(&g, &chosen.d);
         let search = armijo_search(
             loss_prev,
             slope,
             |alpha| {
+                if full_step(alpha) {
+                    return l_best;
+                }
                 trial.copy_from_slice(&theta0);
                 blas1::axpy(alpha as f32, &chosen.d, &mut trial);
                 heldout_evals += 1;
@@ -331,8 +343,13 @@ impl HfOptimizer {
             None
         };
 
-        heldout_evals += 1;
-        let after = problem.heldout_eval(&theta_new);
+        // A full step lands on the point the backtracking evaluated.
+        let after = if full_step(alpha) {
+            best
+        } else {
+            heldout_evals += 1;
+            problem.heldout_eval(&theta_new)
+        };
         self.loss_prev = Some(after.loss);
 
         rec.event(
@@ -575,6 +592,168 @@ mod tests {
             events[0].get("iter").and_then(pdnn_obs::Value::as_f64),
             Some(0.0)
         );
+    }
+
+    /// Training loss ½‖θ − t‖² (G = I); held-out loss either the same
+    /// or a function of `s`, the fraction of the way from the starting
+    /// θ₀ to `t` a point lies. Records the bits of every θ it is asked
+    /// to evaluate on held-out data.
+    struct Counting {
+        quad: Quadratic,
+        theta0: Vec<f32>,
+        heldout: Option<fn(f64) -> f64>,
+        evaluated: Vec<Vec<u32>>,
+    }
+
+    impl Counting {
+        fn new(theta: Vec<f32>, target: Vec<f32>, heldout: Option<fn(f64) -> f64>) -> Self {
+            Counting {
+                theta0: theta.clone(),
+                quad: Quadratic { theta, target },
+                heldout,
+                evaluated: Vec::new(),
+            }
+        }
+
+        fn fraction_of_the_way(&self, theta: &[f32]) -> f64 {
+            let (mut along, mut norm) = (0.0f64, 0.0f64);
+            for ((&x, &x0), &t) in theta.iter().zip(&self.theta0).zip(&self.quad.target) {
+                let to_target = f64::from(t - x0);
+                along += f64::from(x - x0) * to_target;
+                norm += to_target * to_target;
+            }
+            along / norm
+        }
+
+        /// How often the bits of `theta` were evaluated.
+        fn times_evaluated(&self, theta: &[f32]) -> usize {
+            let bits: Vec<u32> = theta.iter().map(|x| x.to_bits()).collect();
+            self.evaluated.iter().filter(|e| **e == bits).count()
+        }
+    }
+
+    impl HfProblem for Counting {
+        fn num_params(&self) -> usize {
+            self.quad.num_params()
+        }
+        fn theta(&self) -> Vec<f32> {
+            self.quad.theta()
+        }
+        fn set_theta(&mut self, theta: &[f32]) {
+            self.quad.set_theta(theta);
+        }
+        fn gradient(&mut self) -> (f64, Vec<f32>) {
+            self.quad.gradient()
+        }
+        fn sample_curvature(&mut self, _seed: u64, _fraction: f64) {}
+        fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
+            v.to_vec()
+        }
+        fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
+            self.evaluated
+                .push(theta.iter().map(|x| x.to_bits()).collect());
+            let loss = match self.heldout {
+                Some(f) => f(self.fraction_of_the_way(theta)),
+                None => self.quad.loss_of(theta),
+            };
+            HeldoutEval {
+                loss,
+                accuracy: 0.5,
+                frames: 1,
+            }
+        }
+        fn train_frames(&self) -> u64 {
+            1
+        }
+    }
+
+    /// An accepted full step evaluates θ₀ + d_best once: the Armijo
+    /// trial at α = 1 and the post-step evaluation reuse the
+    /// backtracking's, and the next iteration's `L_prev` is that same
+    /// evaluation.
+    #[test]
+    fn an_accepted_full_step_evaluates_no_point_twice() {
+        let mut problem = Counting::new(vec![0.5; 6], vec![0.0; 6], None);
+        let mut opt = HfOptimizer::new(HfConfig::small_task());
+        for iter in 0..2 {
+            problem.evaluated.clear();
+            let before = problem.theta();
+            let s = opt.step(&mut problem, iter);
+            assert!(s.accepted && s.alpha == 1.0, "iter {iter}: {s:?}");
+            let mut distinct = problem.evaluated.clone();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(distinct.len(), problem.evaluated.len(), "iter {iter}");
+            assert_eq!(problem.times_evaluated(&problem.theta()), 1, "iter {iter}");
+            // Only the first iteration evaluates its starting point.
+            let want_start = usize::from(iter == 0);
+            assert_eq!(problem.times_evaluated(&before), want_start, "iter {iter}");
+            assert_eq!(s.heldout_evals, problem.evaluated.len(), "iter {iter}");
+        }
+    }
+
+    /// Held-out loss with a deep dip halfway to the target and a rise
+    /// back to just under the start there: the backtracking accepts
+    /// the full step, Armijo does not (its decrease is under
+    /// `c · |g·d|`), and α = ½ is taken.
+    fn dip_halfway(s: f64) -> f64 {
+        1.0 - 0.4 * s * (1.0 - s) - 1e-6 * s
+    }
+
+    #[test]
+    fn a_shortened_step_still_evaluates_the_post_step_point() {
+        let mut problem = Counting::new(vec![0.0; 4], vec![0.5; 4], Some(dip_halfway));
+        let mut cfg = HfConfig::small_task();
+        cfg.lambda0 = 1e-9;
+        let mut opt = HfOptimizer::new(cfg);
+        let s = opt.step(&mut problem, 0);
+        assert!(s.accepted && s.alpha == 0.5, "{s:?}");
+        // The post-step θ is the accepted Armijo trial's point; it is
+        // evaluated again, and last.
+        let theta = problem.theta();
+        let bits: Vec<u32> = theta.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(problem.evaluated.last(), Some(&bits));
+        assert_eq!(problem.times_evaluated(&theta), 2);
+        assert_eq!(
+            s.heldout_after,
+            dip_halfway(problem.fraction_of_the_way(&theta))
+        );
+        // The full step θ₀ + d_best is evaluated once, for the
+        // backtracking and the Armijo trial at α = 1 alike.
+        let mut distinct = problem.evaluated.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), problem.evaluated.len() - 1);
+        assert_eq!(s.heldout_evals, problem.evaluated.len());
+    }
+
+    /// `IterStats::heldout_evals` is the number of evaluations
+    /// performed, iteration by iteration: accepted full steps,
+    /// shortened steps and rejections alike.
+    #[test]
+    fn heldout_evals_counts_every_evaluation() {
+        fn never_improves(s: f64) -> f64 {
+            1.0 + s.abs()
+        }
+        for heldout in [
+            None,
+            Some(dip_halfway as fn(f64) -> f64),
+            Some(never_improves),
+        ] {
+            let mut problem = Counting::new(vec![0.0; 4], vec![0.5; 4], heldout);
+            let mut cfg = HfConfig::small_task();
+            cfg.lambda0 = 1e-9;
+            let mut opt = HfOptimizer::new(cfg);
+            for iter in 0..4 {
+                problem.evaluated.clear();
+                let s = opt.step(&mut problem, iter);
+                assert_eq!(
+                    s.heldout_evals,
+                    problem.evaluated.len(),
+                    "iter {iter}: {s:?}"
+                );
+            }
+        }
     }
 
     #[test]

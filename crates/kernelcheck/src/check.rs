@@ -13,9 +13,10 @@
 //!   from the same place;
 //! * **in the drivers** (`k4` backend dispatch, `k6` call-site
 //!   guarantees): `backend.rs` may only dispatch kernels whose feature
-//!   requirements its ISA variant implies, `backend.rs` and `vmath.rs`
-//!   may only name a feature-gated instantiation of the reference or
-//!   element-wise loops after probing its features, and every
+//!   requirements its ISA variant implies, `backend.rs`, `vmath.rs`
+//!   and `codec.rs` may only name a feature-gated instantiation of the
+//!   reference, element-wise or wire-codec loops after probing its
+//!   features, and every
 //!   micro-panel slice
 //!   passed to `tile_fn`/`bt_fn` must have *exactly* the packed
 //!   length the kernel contract consumes (`kc * MR` etc. — overlong
@@ -854,12 +855,17 @@ fn wrapper_requirements(zone: &[ZoneFile]) -> BTreeMap<String, Vec<String>> {
 
 /// Zone modules whose loops exist in several instantiations, picked by
 /// CPUID in the drivers rather than by a backend's ISA gate.
-const INSTANTIATED_MODULES: [&str; 2] = ["kernel::scalar::", "kernel::elementwise::"];
+const INSTANTIATED_MODULES: [&str; 3] = [
+    "kernel::scalar::",
+    "kernel::elementwise::",
+    "kernel::codec::",
+];
 
-/// k4(e): the scalar backend (`backend.rs`) and the element-wise
-/// dispatch (`vmath.rs`) pick between instantiations of one loop; a
-/// feature-gated one (`kernel::scalar::acc_fma`,
-/// `kernel::elementwise::row_op_avx2`) may only be named after the
+/// k4(e): the scalar backend (`backend.rs`), the element-wise dispatch
+/// (`vmath.rs`) and the wire-codec dispatch (`codec.rs`) pick between
+/// instantiations of one loop; a feature-gated one
+/// (`kernel::scalar::acc_fma`, `kernel::elementwise::row_op_avx2`,
+/// `kernel::codec::codec_pass_avx512`) may only be named after the
 /// enclosing fn has probed every feature it requires.
 fn check_instantiation_selection(
     driver: &SourceFile,
@@ -999,7 +1005,7 @@ pub fn run(
         if d.path.ends_with("backend.rs") {
             check_backend_dispatch(d, &wrapper_reqs, &mut findings);
             check_instantiation_selection(d, &wrapper_reqs, &mut findings);
-        } else if d.path.ends_with("vmath.rs") {
+        } else if d.path.ends_with("vmath.rs") || d.path.ends_with("codec.rs") {
             check_instantiation_selection(d, &wrapper_reqs, &mut findings);
         } else {
             check_driver_calls(d, consts, &mut findings);

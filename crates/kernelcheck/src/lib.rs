@@ -69,6 +69,7 @@ pub const DRIVER_FILES: &[&str] = &[
     "crates/tensor/src/gemm/prepacked.rs",
     "crates/tensor/src/gemm/backend.rs",
     "crates/tensor/src/vmath.rs",
+    "crates/tensor/src/codec.rs",
 ];
 
 /// An in-memory snapshot of the checked sources, so the mutation

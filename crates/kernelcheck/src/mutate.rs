@@ -42,6 +42,8 @@ const PREPACKED: &str = "crates/tensor/src/gemm/prepacked.rs";
 const BACKEND: &str = "crates/tensor/src/gemm/backend.rs";
 const ELEMENTWISE: &str = "crates/tensor/src/gemm/kernel/elementwise.rs";
 const VMATH: &str = "crates/tensor/src/vmath.rs";
+const CODEC_KERNEL: &str = "crates/tensor/src/gemm/kernel/codec.rs";
+const CODEC: &str = "crates/tensor/src/codec.rs";
 
 /// The battery. Every entry must be caught for the self-test to pass.
 pub fn mutations() -> Vec<Mutation> {
@@ -317,6 +319,30 @@ pub fn mutations() -> Vec<Mutation> {
             to: "let p = c.add(i * ldc + g * 4 + j + 1);",
             expected_rule: K1,
             what: "NEON lane-wise merge writes one column past the live corner",
+        },
+        Mutation {
+            name: "m35-codec-instantiation-drops-avx512",
+            path: CODEC_KERNEL,
+            from: "#[target_feature(enable = \"avx512f\")]\nunsafe fn codec_pass_avx512_imp",
+            to: "#[target_feature(enable = \"avx2\")]\nunsafe fn codec_pass_avx512_imp",
+            expected_rule: K4,
+            what: "wire-codec instantiation compiled without the AVX-512 its contract declares",
+        },
+        Mutation {
+            name: "m36-codec-wrapper-unprobed",
+            path: CODEC_KERNEL,
+            from: "    kernel_precondition!(is_x86_feature_detected!(\"avx2\"), \"avx2 not available\");\n",
+            to: "",
+            expected_rule: K4,
+            what: "AVX2 wire-codec wrapper enters its kernel without probing the CPU",
+        },
+        Mutation {
+            name: "m37-codec-avx512-listed-unprobed",
+            path: CODEC,
+            from: "        if is_x86_feature_detected!(\"avx512f\") {\n",
+            to: "        {\n",
+            expected_rule: K4,
+            what: "wire-codec dispatch names the AVX-512 instantiation without consulting CPUID",
         },
     ]
 }

@@ -23,11 +23,12 @@ use crate::comm::{Comm, CommError, COLLECTIVE_TAG_BASE};
 use crate::events::CommEvent;
 use crate::message::{Payload, Src};
 use crate::schedule::{self, Apply, Chunk, Hop, Schedule};
+use crate::wire::{self, WireCodec};
 use pdnn_obs::{Recorder, RecorderExt, SpanKind};
 use std::time::Duration;
 
 /// Element type usable in typed collectives.
-pub trait CollElem: Copy + Send + 'static {
+pub trait CollElem: Copy + Default + Send + 'static {
     /// The payload kind name this element maps to (for diagnostics).
     const KIND: &'static str;
     /// Wrap a vector into a payload.
@@ -45,6 +46,17 @@ pub trait CollElem: Copy + Send + 'static {
     /// copy of `incoming` and writing the copy back, without the
     /// allocation. The ring reduce-scatter hot loop runs on this.
     fn fold_into(op: ReduceOp, incoming: &[Self], own: &mut [Self]);
+    /// The payload `v` travels as under `codec`: only `f32` narrows to
+    /// a wire image; every other type travels as a plain copy.
+    fn encode(_codec: WireCodec, v: &[Self]) -> Payload {
+        Self::wrap(v.to_vec())
+    }
+    /// Decode elements `start .. start + out.len()` of the wire image
+    /// `p` into `out`; `false`, leaving `out` untouched, when `p` is not
+    /// a wire image of this type.
+    fn decode_into(_p: &Payload, _start: usize, _out: &mut [Self]) -> bool {
+        false
+    }
 }
 
 /// Reduction operator.
@@ -62,8 +74,9 @@ pub enum ReduceOp {
 }
 
 macro_rules! impl_coll_elem {
-    ($t:ty, $variant:ident, $bits:path, $from_bits:path) => {
+    ($t:ty, $variant:ident, $bits:path, $from_bits:path; $($wire:tt)*) => {
         impl CollElem for $t {
+            $($wire)*
             const KIND: &'static str = stringify!($variant);
             fn wrap(v: Vec<Self>) -> Payload {
                 Payload::$variant(v)
@@ -149,9 +162,16 @@ macro_rules! impl_coll_elem {
     };
 }
 
-impl_coll_elem!(f32, F32, f32::to_bits, f32::from_bits);
-impl_coll_elem!(f64, F64, f64::to_bits, f64::from_bits);
-impl_coll_elem!(u64, U64, u64::from, u64::from);
+impl_coll_elem!(f32, F32, f32::to_bits, f32::from_bits;
+    fn encode(codec: WireCodec, v: &[f32]) -> Payload {
+        wire::encode_f32(codec, v)
+    }
+    fn decode_into(p: &Payload, start: usize, out: &mut [f32]) -> bool {
+        wire::decode_into(p, start, out)
+    }
+);
+impl_coll_elem!(f64, F64, f64::to_bits, f64::from_bits;);
+impl_coll_elem!(u64, U64, u64::from, u64::from;);
 
 /// The barrier's element: a collective over `()` moves
 /// [`Payload::Empty`] messages and combines nothing.
@@ -174,29 +194,30 @@ impl CollElem for () {
 }
 
 /// A collective's buffer as the interpreter sees it: its elements, and
-/// a whole-buffer install that may change a vector's length (a
-/// broadcast's non-roots may start empty).
+/// the elements a whole-buffer install overwrites, which may change a
+/// vector's length (a broadcast's non-roots may start empty).
 trait Buffer<T> {
     fn elems(&mut self) -> &mut [T];
-    fn install(&mut self, image: &[T]);
+    fn resized(&mut self, len: usize) -> &mut [T];
 }
 
 impl<T: Copy> Buffer<T> for [T] {
     fn elems(&mut self) -> &mut [T] {
         self
     }
-    fn install(&mut self, image: &[T]) {
-        self.copy_from_slice(image);
+    fn resized(&mut self, len: usize) -> &mut [T] {
+        assert_eq!(self.len(), len, "collective length mismatch across ranks");
+        self
     }
 }
 
-impl<T: Copy> Buffer<T> for Vec<T> {
+impl<T: Copy + Default> Buffer<T> for Vec<T> {
     fn elems(&mut self) -> &mut [T] {
         self
     }
-    fn install(&mut self, image: &[T]) {
-        self.clear();
-        self.extend_from_slice(image);
+    fn resized(&mut self, len: usize) -> &mut [T] {
+        self.resize(len, T::default());
+        self
     }
 }
 
@@ -272,11 +293,25 @@ fn lowest_live(comm: &Comm) -> usize {
     (0..comm.size()).find(|&r| !comm.is_acked(r)).unwrap_or(0)
 }
 
-/// Install a received or owned wire image as `chunk` of `buf` without
-/// cloning the payload: payloads already carrying `T` are copied
-/// straight out of the borrow; wire images are decoded by reference
-/// first. The whole chunk replaces the buffer. Reports a kind mismatch
-/// with the on-wire kind.
+/// Whether `payload` carries `T`, as itself or as a wire image of it;
+/// else the kind mismatch, reported with the on-wire kind.
+fn readable<T: CollElem>(payload: &Payload, src: usize, tag: u64) -> Result<(), CommError> {
+    if T::try_slice(payload).is_some() || T::decode_into(payload, 0, &mut []) {
+        Ok(())
+    } else {
+        Err(CommError::TypeMismatch {
+            src,
+            tag,
+            expected: T::KIND,
+            got: payload.kind(),
+        })
+    }
+}
+
+/// Install a received wire image as `chunk` of `buf` straight from the
+/// borrow: a payload carrying `T` is copied, a wire image decoded in
+/// place. The whole chunk replaces the buffer. A kind mismatch leaves
+/// `buf` untouched.
 fn install<T: CollElem, B: Buffer<T> + ?Sized>(
     payload: &Payload,
     buf: &mut B,
@@ -284,26 +319,57 @@ fn install<T: CollElem, B: Buffer<T> + ?Sized>(
     src: usize,
     tag: u64,
 ) -> Result<(), CommError> {
-    let mismatch = || CommError::TypeMismatch {
-        src,
-        tag,
-        expected: T::KIND,
-        got: payload.kind(),
-    };
-    let decoded;
-    let image = match T::try_slice(payload) {
-        Some(slice) => slice,
-        None => {
-            decoded = crate::wire::decode_ref(payload).ok_or_else(mismatch)?;
-            T::try_slice(&decoded).ok_or_else(mismatch)?
-        }
-    };
-    if chunk == Chunk::WHOLE {
-        buf.install(image);
+    readable::<T>(payload, src, tag)?;
+    let dst = if chunk == Chunk::WHOLE {
+        buf.resized(payload.elems())
     } else {
         let elems = buf.elems();
         let range = chunk.range(elems.len());
-        elems[range].copy_from_slice(image);
+        &mut elems[range]
+    };
+    match T::try_slice(payload) {
+        Some(image) => dst.copy_from_slice(image),
+        None => {
+            T::decode_into(payload, 0, dst);
+        }
+    }
+    Ok(())
+}
+
+/// Elements of a wire image decoded onto the stack per fold step.
+const FOLD_BLOCK: usize = 256;
+
+/// Fold a received partial into `own` under `op`, in the operand order
+/// `apply` names, straight from the borrow: a wire image is decoded a
+/// block at a time onto the stack, so the fold allocates nothing and
+/// its bits equal folding the whole decoded vector.
+fn fold<T: CollElem>(
+    op: ReduceOp,
+    apply: Apply,
+    payload: &Payload,
+    own: &mut [T],
+    src: usize,
+    tag: u64,
+) -> Result<(), CommError> {
+    let step = |incoming: &[T], own: &mut [T]| match apply {
+        Apply::FoldIncomingLeft => T::fold_into(op, incoming, own),
+        _ => T::combine(op, own, incoming),
+    };
+    if let Some(incoming) = T::try_slice(payload) {
+        step(incoming, own);
+        return Ok(());
+    }
+    readable::<T>(payload, src, tag)?;
+    assert_eq!(
+        payload.elems(),
+        own.len(),
+        "collective length mismatch across ranks"
+    );
+    let mut block = [T::default(); FOLD_BLOCK];
+    for (k, own) in own.chunks_mut(FOLD_BLOCK).enumerate() {
+        let incoming = &mut block[..own.len()];
+        T::decode_into(payload, k * FOLD_BLOCK, incoming);
+        step(incoming, own);
     }
     Ok(())
 }
@@ -330,12 +396,14 @@ enum OnFail {
 /// re-stitched or re-rooted collective is exactly the textbook one
 /// over `m = parts.len()` members.
 ///
-/// Window-1 receives fold in the operand order the hop names; window-2
-/// sends forward the wire image last owned or received, moved on its
-/// last send, so every rank installs identical bytes for every chunk.
-/// With `timeout` set every receive is bounded, and `on_fail` says what
-/// a failed one does. Returns the failure a draining root kept
-/// (`Ok(None)` when the walk was clean), or `Err` for an aborted walk.
+/// Window-1 sends encode the chunk under `codec` straight from `buf`,
+/// and window-1 receives fold the payload in the operand order the hop
+/// names; window-2 sends forward the wire image last owned or received,
+/// moved on its last send, so every rank installs identical bytes for
+/// every chunk. With `timeout` set every receive is bounded, and
+/// `on_fail` says what a failed one does. Returns the failure a
+/// draining root kept (`Ok(None)` when the walk was clean), or `Err`
+/// for an aborted walk.
 #[allow(clippy::too_many_arguments)]
 fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
     comm: &mut Comm,
@@ -346,6 +414,7 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
     schedule: Schedule,
     timeout: Option<Duration>,
     on_fail: OnFail,
+    codec: WireCodec,
 ) -> Result<Option<CommError>, CommError> {
     let Some(p) = parts.iter().position(|&r| r == comm.rank()) else {
         // A rank acknowledged as dead must not re-enter the topology;
@@ -365,7 +434,7 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                 }
                 let payload = if window != 2 {
                     let elems = buf.elems();
-                    T::wrap(elems[chunk.range(elems.len())].to_vec())
+                    T::encode(codec, &elems[chunk.range(elems.len())])
                 } else if matches!(hops.get(i + 1), Some(Hop::Send { window: 2, .. })) {
                     // A fan-out: later children get the same image.
                     image.clone()
@@ -392,10 +461,9 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                     let range = chunk.range(elems.len());
                     let own = &mut elems[range];
                     match apply {
-                        Apply::FoldIncomingLeft => {
-                            T::fold_into(op, &Comm::typed::<T>(pkt, t)?, own)
+                        Apply::FoldIncomingLeft | Apply::FoldOwnLeft => {
+                            fold(op, apply, &pkt.payload, own, pkt.src, t)?
                         }
-                        Apply::FoldOwnLeft => T::combine(op, own, &Comm::typed::<T>(pkt, t)?),
                         Apply::Install => {
                             install(&pkt.payload, buf, chunk, pkt.src, t)?;
                             image = pkt.payload;
@@ -421,10 +489,11 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                 }
             }
             Hop::Own { chunk } => {
+                // The owner keeps what its receivers will decode.
                 let elems = buf.elems();
-                let owned = T::wrap(elems[chunk.range(elems.len())].to_vec());
-                image = comm.codec_encode(owned);
-                install(&image, buf, chunk, comm.rank(), tag + 2)?;
+                let range = chunk.range(elems.len());
+                image = T::encode(codec, &elems[range.clone()]);
+                T::decode_into(&image, 0, &mut elems[range]);
             }
         }
     }
@@ -664,7 +733,8 @@ impl Comm {
         schedule: Schedule,
     ) -> Result<(), CommError> {
         let (timeout, on_fail) = (Some(self.p2p_timeout()), OnFail::RootDrains);
-        let walked = exchange(self, buf, op, tag, parts, schedule, timeout, on_fail);
+        let codec = WireCodec::None;
+        let walked = exchange(self, buf, op, tag, parts, schedule, timeout, on_fail, codec);
         walked?.map_or(Ok(()), Err)
     }
 
@@ -692,10 +762,12 @@ impl Comm {
         let tag = COLLECTIVE_TAG_BASE + self.coll_seq * 8;
         self.coll_seq += 1;
         let was = std::mem::replace(&mut self.in_collective, true);
-        let codec = !matches!(name, "barrier" | "allreduce");
-        let was_codec = std::mem::replace(&mut self.codec_armed, codec);
+        let codec = match name {
+            "barrier" | "allreduce" => WireCodec::None,
+            _ => self.wire_codec(),
+        };
         let before = self.trace.collective;
-        let walked = exchange(self, buf, op, tag, parts, schedule, timeout, on_fail);
+        let walked = exchange(self, buf, op, tag, parts, schedule, timeout, on_fail, codec);
         let (completed, result) = match walked {
             Ok(first_err) => (true, first_err.map_or(Ok(()), Err)),
             Err(e) => (false, Err(e)),
@@ -722,7 +794,6 @@ impl Comm {
                 recorder.counter_add(counter, bytes);
             }
         }
-        self.codec_armed = was_codec;
         self.in_collective = was;
         result
     }
@@ -1292,6 +1363,158 @@ mod tests {
                     .map(|x| x.to_bits())
                     .collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// `schedule` over `m` positions run one hop at a time on plain
+    /// vectors the way the interpreter used to: every received payload
+    /// decoded into a fresh vector by the scalar reference codec, then
+    /// folded or installed; every window-1 send and every owned chunk
+    /// encoded by it from a copy. Returns each position's buffer and the
+    /// bytes it sent and received.
+    fn decode_then_fold(
+        schedule: Schedule,
+        mut bufs: Vec<Vec<f32>>,
+        op: ReduceOp,
+        codec: crate::wire::WireCodec,
+    ) -> (Vec<Vec<f32>>, Vec<[u64; 2]>) {
+        use crate::wire::reference::{decode, encode};
+        use std::collections::{HashMap, VecDeque};
+        let m = bufs.len();
+        let hops: Vec<Vec<Hop>> = (0..m).map(|p| schedule(p, m)).collect();
+        let mut next = vec![0usize; m];
+        let mut images = vec![Payload::Empty; m];
+        let mut bytes = vec![[0u64; 2]; m];
+        let mut wire: HashMap<(usize, usize, u8), VecDeque<Payload>> = HashMap::new();
+        while (0..m).any(|p| next[p] < hops[p].len()) {
+            let mut progressed = false;
+            for p in 0..m {
+                while let Some(&hop) = hops[p].get(next[p]) {
+                    let len = bufs[p].len();
+                    match hop {
+                        Hop::Send { to, window, chunk } => {
+                            let payload = if window == 2 {
+                                images[p].clone()
+                            } else {
+                                encode(codec, &bufs[p][chunk.range(len)])
+                            };
+                            bytes[p][0] += payload.size_bytes();
+                            wire.entry((p, to, window)).or_default().push_back(payload);
+                        }
+                        Hop::Recv {
+                            from,
+                            window,
+                            chunk,
+                            apply,
+                        } => {
+                            let queue = wire.entry((from, p, window)).or_default();
+                            let Some(payload) = queue.pop_front() else {
+                                break;
+                            };
+                            bytes[p][1] += payload.size_bytes();
+                            let incoming = decode(&payload);
+                            match apply {
+                                Apply::FoldIncomingLeft => {
+                                    f32::fold_into(op, &incoming, &mut bufs[p][chunk.range(len)])
+                                }
+                                Apply::FoldOwnLeft => {
+                                    f32::combine(op, &mut bufs[p][chunk.range(len)], &incoming)
+                                }
+                                Apply::Install if chunk == Chunk::WHOLE => {
+                                    bufs[p] = incoming;
+                                    images[p] = payload;
+                                }
+                                Apply::Install => {
+                                    bufs[p][chunk.range(len)].copy_from_slice(&incoming);
+                                    images[p] = payload;
+                                }
+                                Apply::Discard => {}
+                            }
+                        }
+                        Hop::Own { chunk } => {
+                            images[p] = encode(codec, &bufs[p][chunk.range(len)]);
+                            let owned = decode(&images[p]);
+                            bufs[p][chunk.range(len)].copy_from_slice(&owned);
+                        }
+                    }
+                    next[p] += 1;
+                    progressed = true;
+                }
+            }
+            assert!(progressed, "schedule deadlocked");
+        }
+        (bufs, bytes)
+    }
+
+    /// Rank `rank`'s operand: mixed signs and magnitudes, so int8
+    /// chunks have their own scales and f16 rounds.
+    fn operand(rank: usize, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|i| ((rank * 97 + i * 13) as f32).sin() * (1.0 + (i % 7) as f32) * 0.37)
+            .collect()
+    }
+
+    /// The copy-free hops — encode straight from the buffer, fold or
+    /// install straight from the received image — leave every rank's
+    /// buffer bitwise equal to decoding into fresh vectors and folding
+    /// those, and move the same bytes, for every codec-armed shape at
+    /// 2–5 ranks over lengths that leave chunks empty, uneven, or
+    /// longer than a fold block.
+    #[test]
+    fn codec_hops_match_decode_then_fold_bitwise() {
+        use crate::wire::WireCodec;
+        type Run = fn(&mut Comm, &mut Vec<f32>, ReduceOp, usize) -> Result<(), CommError>;
+        let shapes: [(&str, Schedule, Run); 4] = [
+            ("allreduce_ring", schedule::ring, |c, b, op, _| {
+                c.allreduce_ring(b, op)
+            }),
+            ("allreduce_tree", schedule::tree, |c, b, op, _| {
+                c.allreduce_tree(b, op)
+            }),
+            ("bcast", schedule::binomial_bcast, |c, b, _, root| {
+                if c.rank() != root {
+                    b.clear();
+                }
+                c.bcast(b, root)
+            }),
+            ("reduce", schedule::binomial_reduce, |c, b, op, root| {
+                c.reduce(b, op, root)
+            }),
+        ];
+        for codec in [WireCodec::F16, WireCodec::Int8] {
+            for size in 2..=5usize {
+                for n in [1, size - 1, size + 1, 3 * FOLD_BLOCK + size] {
+                    for (name, schedule, run) in shapes {
+                        for op in [ReduceOp::Sum, ReduceOp::Max] {
+                            let root = (n + size - 1) % size;
+                            let got = run_world(size, move |comm| {
+                                comm.set_wire_codec(codec);
+                                let mut buf = operand(comm.rank(), n);
+                                run(comm, &mut buf, op, root).unwrap();
+                                buf
+                            });
+                            // Position q is rank (root + q) mod size for
+                            // the rooted shapes, rank q for the others.
+                            let rooted = matches!(name, "bcast" | "reduce");
+                            let rank_at = |q: usize| if rooted { (root + q) % size } else { q };
+                            let bufs = (0..size).map(|q| operand(rank_at(q), n)).collect();
+                            let (want, bytes) = decode_then_fold(schedule, bufs, op, codec);
+                            for (q, (want, moved)) in want.iter().zip(&bytes).enumerate() {
+                                let r = &got[rank_at(q)];
+                                let case = format!(
+                                    "{name} {codec:?} {op:?} P={size} n={n} rank={}",
+                                    r.rank
+                                );
+                                let bits =
+                                    |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(bits(&r.result), bits(want), "{case}");
+                                let c = &r.trace.collective;
+                                assert_eq!([c.bytes_sent, c.bytes_received], *moved, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -13,7 +13,7 @@ use crate::fault::{FaultAction, FaultPlan, FAULT_TICK};
 use crate::hb::{HbTracker, HbViolation};
 use crate::message::{Packet, Payload, Src};
 use crate::vtime::LinkModel;
-use crate::wire::{self, WireCodec};
+use crate::wire::WireCodec;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pdnn_obs::{CommClass, CommStats, InMemoryRecorder, Recorder, Telemetry};
 use pdnn_util::timing::{Clock, WallClock};
@@ -164,13 +164,10 @@ pub struct Comm {
     /// Fault-injection context (`None` = fault-free world; every
     /// injection hook is a no-op).
     fault: Option<FaultCtx>,
-    /// Wire codec applied to `F32` payloads while a codec-armed
-    /// collective is running (see `crate::wire`).
+    /// Wire codec applied to `F32` payloads by the collectives that are
+    /// safe under a lossy codec: broadcast/reduce shapes and the
+    /// ring/tree allreduces (see `crate::wire`).
     wire_codec: WireCodec,
-    /// Set by the collectives that are safe under a lossy codec
-    /// (broadcast/reduce shapes and the ring/tree allreduces);
-    /// [`Comm::send`] only encodes while this is on.
-    pub(crate) codec_armed: bool,
 }
 
 /// Tag bit reserved for collective-internal messages; user tags must
@@ -247,7 +244,6 @@ impl Comm {
             fate: Fate::Alive,
             fault: None,
             wire_codec: WireCodec::None,
-            codec_armed: false,
         }
     }
 
@@ -260,15 +256,6 @@ impl Comm {
     /// The wire codec currently configured on this rank.
     pub fn wire_codec(&self) -> WireCodec {
         self.wire_codec
-    }
-
-    /// Encode a payload under this rank's codec (identity when the
-    /// codec is `None` or the payload is not `F32`). Collectives that
-    /// must distribute one canonical wire image (broadcast shapes)
-    /// call this once at the data's origin and forward the image
-    /// untouched, so every receiver decodes identical bytes.
-    pub(crate) fn codec_encode(&self, payload: Payload) -> Payload {
-        wire::encode(self.wire_codec, payload)
     }
 
     /// Arm fault injection against the given plan. Every rank of a
@@ -666,15 +653,6 @@ impl Comm {
             "user tag {tag} collides with collective tag space"
         );
         self.fate_check()?;
-        // Wire compression: narrow F32 payloads while a codec-armed
-        // collective is running, so byte accounting below sees the
-        // encoded size. Non-F32 payloads (including already-encoded
-        // wire images being forwarded) pass through untouched.
-        let payload = if self.codec_armed {
-            wire::encode(self.wire_codec, payload)
-        } else {
-            payload
-        };
         let start = self.clock.now();
         let bytes = payload.size_bytes();
         let kind = payload.kind();
@@ -942,18 +920,13 @@ impl Comm {
         Self::typed(pkt, tag)
     }
 
-    pub(crate) fn typed<T: CollElem>(pkt: Packet, tag: u64) -> Result<Vec<T>, CommError> {
-        let src_rank = pkt.src;
-        let got = pkt.payload.kind();
-        // Decode wire images first: F16/QI8 payloads only originate
-        // from the codec narrowing an F32 payload, so decoding is
-        // always the right inverse. The mismatch diagnostic keeps the
-        // on-wire kind.
-        T::unwrap_checked(wire::decode(pkt.payload)).map_err(|_| CommError::TypeMismatch {
-            src: src_rank,
+    fn typed<T: CollElem>(pkt: Packet, tag: u64) -> Result<Vec<T>, CommError> {
+        let src = pkt.src;
+        T::unwrap_checked(pkt.payload).map_err(|other| CommError::TypeMismatch {
+            src,
             tag,
             expected: T::KIND,
-            got,
+            got: other.kind(),
         })
     }
 

@@ -18,7 +18,8 @@
 //!
 //! [`elementwise`] holds the other hot loop of training built the same
 //! way: the vectorized `exp` and bias + activation row passes of
-//! [`crate::vmath`], one loop instantiated per ISA.
+//! [`crate::vmath`], one loop instantiated per ISA; [`codec`] does the
+//! same for the wire codecs of [`crate::codec`].
 //!
 //! These submodules are the **only** place in the workspace where
 //! `unsafe` is permitted (lint rule `l7-unsafe-outside-kernel`): the
@@ -47,6 +48,7 @@ macro_rules! kernel_precondition {
     };
 }
 
+pub mod codec;
 pub mod elementwise;
 pub mod scalar;
 

@@ -34,6 +34,7 @@
 //! ```
 
 pub mod blas1;
+pub mod codec;
 pub mod gemm;
 pub mod matrix;
 pub mod scalar;

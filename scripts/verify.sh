@@ -119,15 +119,16 @@ grep -q '"meta": 0,' "$kc_report" \
   || { echo "kernelcheck report shows suppression-directive problems" >&2; exit 1; }
 kc_sites="$(sed -n 's/.*"unsafe_sites": \([0-9]*\),.*/\1/p' "$kc_report")"
 kc_covered="$(sed -n 's/.*"covered": \([0-9]*\),.*/\1/p' "$kc_report")"
-# 32 = 16 unsafe kernels (7 x86, 4 NEON, 2 fma-enabled scalar
-# instantiations, 3 element-wise instantiations: fma, avx2, avx512)
-# plus the unsafe block in each one's safe wrapper.
-[ -n "$kc_sites" ] && [ "$kc_sites" -ge 32 ] && [ "$kc_sites" = "$kc_covered" ] \
-  || { echo "kernelcheck coverage gap: $kc_covered/$kc_sites unsafe sites covered (need all of >= 32)" >&2; exit 1; }
+# 36 = 18 unsafe kernels (7 x86, 4 NEON, 2 fma-enabled scalar
+# instantiations, 3 element-wise instantiations: fma, avx2, avx512,
+# 2 wire-codec instantiations: avx2, avx512) plus the unsafe block in
+# each one's safe wrapper.
+[ -n "$kc_sites" ] && [ "$kc_sites" -ge 36 ] && [ "$kc_sites" = "$kc_covered" ] \
+  || { echo "kernelcheck coverage gap: $kc_covered/$kc_sites unsafe sites covered (need all of >= 36)" >&2; exit 1; }
 kc_muts="$(sed -n 's/.*"mutations": \([0-9]*\),.*/\1/p' "$kc_report")"
 kc_caught="$(sed -n 's/.*"caught": \([0-9]*\),.*/\1/p' "$kc_report")"
-[ -n "$kc_muts" ] && [ "$kc_muts" -ge 34 ] && [ "$kc_caught" = "$kc_muts" ] \
-  || { echo "kernelcheck mutation self-test: $kc_caught/$kc_muts caught (need all of >= 34)" >&2; exit 1; }
+[ -n "$kc_muts" ] && [ "$kc_muts" -ge 37 ] && [ "$kc_caught" = "$kc_muts" ] \
+  || { echo "kernelcheck mutation self-test: $kc_caught/$kc_muts caught (need all of >= 37)" >&2; exit 1; }
 echo "kernelcheck: $kc_covered/$kc_sites sites covered, $kc_caught/$kc_muts mutations caught"
 
 echo "== kernel safety: miri (pack / tail / scalar-kernel tests) =="
@@ -144,13 +145,13 @@ fi
 
 echo "== kernel safety: AddressSanitizer smoke (parity + fuzz sweeps) =="
 # ASan catches any out-of-bounds the static contracts might have
-# missed, on exactly the adversarial shapes the fuzz sweep drives
-# through every ISA. Separate target dir so sanitized artifacts never
-# mix with the normal cache.
+# missed, on exactly the adversarial shapes the fuzz sweep and the
+# wire-codec parity sweep drive through every ISA. Separate target dir
+# so sanitized artifacts never mix with the normal cache.
 if [ "$(uname -m)" = "x86_64" ] && cargo +nightly --version >/dev/null 2>&1; then
   RUSTFLAGS="-Zsanitizer=address" CARGO_TARGET_DIR=target/asan \
     cargo +nightly test -q -p pdnn-tensor --test backend_parity --test kernel_fuzz \
-    --target x86_64-unknown-linux-gnu
+    --test codec_parity --target x86_64-unknown-linux-gnu
 else
   echo "nightly toolchain or x86_64 target unavailable; skipping the sanitizer smoke"
 fi
