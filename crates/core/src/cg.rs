@@ -80,7 +80,7 @@ impl CgResult {
         &self
             .iterates
             .last()
-            // pdnn-lint: allow(l3-no-unwrap): cg_minimize always pushes a final iterate before returning
+            // pdnn-lint: allow(l3-no-unwrap): a solve always pushes a final iterate before returning
             .expect("CG always stores the final iterate")
             .d
     }
@@ -107,168 +107,235 @@ pub enum CgStop {
     NegativeCurvature,
 }
 
-/// Minimize `q(d) = g·d + ½ d·(G + σI)d` from `d0`, where `apply_g`
-/// computes the curvature product `G v` and `shift` is σ (the damping
-/// λ plus any L2 weight; σ is applied in `f32`).
+/// A truncated-CG solver that keeps its work vectors across solves.
 ///
-/// `precond`, when given, is the diagonal of the preconditioner `M`;
-/// CG then solves the implicitly transformed system (standard PCG
-/// with `z = M⁻¹ r`). The paper's implementation "currently does not
-/// use a preconditioner" and cites Chapelle/Kingsbury's as future
-/// work — this is that extension, with Martens' empirical-Fisher
-/// diagonal supplied by the optimizer (see `HfConfig::preconditioner`
-/// and the `preconditioner` ablation bench).
-///
-/// A step costs three passes over the vectors besides the product:
-/// `Ap = Gp + σp` with `p·Ap` ([`blas1::axpy_dot`]); the `d`/`r`/`z`
-/// update with `r·z` and `q` ([`blas1::cg_update`]); and `p = −z + βp`.
-/// The solve allocates its work vectors once; per step it allocates
-/// nothing beyond what `apply_g` returns and the stored iterates.
-///
-/// Recorded on `recorder`: a `"cg_minimize"` span around the solve,
-/// the `"cg_iters"` counter (iterations executed), the
-/// `"cg_curvature_products"` counter (exact number of `apply_g`
-/// calls) and the `"cg_q_final"` gauge.
-///
-/// # Panics
-/// If lengths mismatch or any preconditioner entry is not strictly
-/// positive (M must be SPD).
-pub fn cg_minimize(
-    g: &[f32],
-    d0: &[f32],
-    mut apply_g: impl FnMut(&[f32]) -> Vec<f32>,
-    shift: f64,
-    precond: Option<&[f32]>,
-    config: &CgConfig,
-    recorder: &dyn Recorder,
-) -> CgResult {
-    let _span = recorder.span("cg_minimize", SpanKind::DenseCompute);
-    let n = g.len();
-    assert_eq!(d0.len(), n, "cg: d0 length mismatch");
-    assert!(config.max_iters >= 1, "cg: max_iters must be >= 1");
-    assert!(config.store_gamma > 1.0, "cg: store_gamma must exceed 1");
-    if let Some(m) = precond {
-        assert_eq!(m.len(), n, "cg: preconditioner length mismatch");
-        assert!(
-            m.iter().all(|&v| v > 0.0 && v.is_finite()),
-            "cg: preconditioner must be strictly positive"
-        );
+/// The residual, direction, preconditioned residual, the quadratic
+/// history, the iterate list and the iterate vectors themselves all
+/// live here between solves: once [`Self::reclaim`] has handed a
+/// result's iterates back, a solve of no more stored iterates than an
+/// earlier one allocates nothing. The curvature products cycle too:
+/// each call of the product closure is handed the product buffer the
+/// solve has retired (the previous `Ap`, or the previous solve's
+/// residual) to give back to whoever made it.
+#[derive(Clone, Debug, Default)]
+pub struct CgSolver {
+    config: CgConfig,
+    /// The residual `r`: the first product of a solve, kept.
+    r: Vec<f32>,
+    /// The last `Ap` product.
+    ap: Vec<f32>,
+    p: Vec<f32>,
+    z: Vec<f32>,
+    q_hist: Vec<f64>,
+    /// Emptied iterate list of the last reclaimed result.
+    iterates: Vec<CgIterate>,
+    /// Iterate vectors of reclaimed results, reused for `d` and for
+    /// every stored iterate.
+    spare: Vec<Vec<f32>>,
+}
+
+impl CgSolver {
+    /// A solver with no work vectors yet; the first solve sizes them.
+    pub fn new(config: CgConfig) -> Self {
+        CgSolver {
+            config,
+            ..CgSolver::default()
+        }
     }
-    let sigma = shift as f32;
-    let mut products = 0u64;
-    let mut apply_a = |v: &[f32]| {
-        products += 1;
-        let gv = apply_g(v);
-        assert_eq!(gv.len(), n, "cg: curvature product length mismatch");
-        gv
-    };
 
-    let mut d = d0.to_vec();
-    // r = (G + σI) d + g
-    let mut r = apply_a(&d);
-    for ((ri, &di), &gi) in r.iter_mut().zip(&d).zip(g) {
-        *ri = (sigma * di + *ri) + gi;
+    /// Keep a finished solve's iterate vectors for the next solve.
+    pub fn reclaim(&mut self, mut result: CgResult) {
+        self.spare.extend(result.iterates.drain(..).map(|it| it.d));
+        self.iterates = result.iterates;
     }
-    // z = M⁻¹ r (kept only under a preconditioner; otherwise z is r);
-    // p = −z.
-    let mut z: Vec<f32> = match precond {
-        Some(m) => r.iter().zip(m).map(|(&ri, &mi)| ri / mi).collect(),
-        None => Vec::new(),
-    };
-    let z0 = if precond.is_some() { &z } else { &r };
-    let mut p: Vec<f32> = z0.iter().map(|&v| -v).collect();
-    let mut rz = blas1::dot(&r, z0);
 
-    // q(d) = ½ d·(r + g)
-    let mut q_sum = 0.0f64;
-    for ((&di, &ri), &gi) in d.iter().zip(&r).zip(g) {
-        q_sum += di as f64 * (ri as f64 + gi as f64);
+    /// A vector holding a copy of `src`, from the spare iterates.
+    fn copy_of(&mut self, src: &[f32]) -> Vec<f32> {
+        let mut v = self.spare.pop().unwrap_or_default();
+        v.clear();
+        v.extend_from_slice(src);
+        v
     }
-    // Sized once: one entry per iteration at most, plus q(d0) or the
-    // final iterate.
-    let mut q_hist: Vec<f64> = Vec::with_capacity(config.max_iters + 1);
-    q_hist.push(0.5 * q_sum);
-    let mut iterates: Vec<CgIterate> = Vec::with_capacity(config.max_iters + 1);
-    let mut next_store = 1usize;
-    let mut store_exp = 0u32;
-    let mut stop = CgStop::MaxIters;
-    let mut iters = 0usize;
 
-    for i in 1..=config.max_iters {
-        let mut ap = apply_a(&p);
-        let pap = blas1::axpy_dot(sigma, &p, &mut ap);
-        if pap <= 0.0 {
-            stop = if exactly_zero(rz) {
-                CgStop::Converged
-            } else {
-                CgStop::NegativeCurvature
-            };
-            break;
+    /// Minimize `q(d) = g·d + ½ d·(G + σI)d` from `d0`, where `apply_g`
+    /// computes the curvature product `G v` and `shift` is σ (the
+    /// damping λ plus any L2 weight; σ is applied in `f32`).
+    /// `apply_g(v, retired)` returns `G v`; `retired` is a product
+    /// buffer this solver no longer needs (empty on the first calls of
+    /// a fresh solver), for the closure to give back to the product's
+    /// producer or reuse.
+    ///
+    /// `precond`, when given, is the diagonal of the preconditioner
+    /// `M`; CG then solves the implicitly transformed system (standard
+    /// PCG with `z = M⁻¹ r`). The paper's implementation "currently
+    /// does not use a preconditioner" and cites Chapelle/Kingsbury's as
+    /// future work — this is that extension, with Martens'
+    /// empirical-Fisher diagonal supplied by the optimizer (see
+    /// `HfConfig::preconditioner` and the `preconditioner` ablation
+    /// bench).
+    ///
+    /// A step costs three passes over the vectors besides the product:
+    /// `Ap = Gp + σp` with `p·Ap` ([`blas1::axpy_dot`]); the `d`/`r`/`z`
+    /// update with `r·z` and `q` ([`blas1::cg_update`]); and
+    /// `p = −z + βp`.
+    ///
+    /// Recorded on `recorder`: a `"cg_minimize"` span around the solve,
+    /// the `"cg_iters"` counter (iterations executed), the
+    /// `"cg_curvature_products"` counter (exact number of `apply_g`
+    /// calls) and the `"cg_q_final"` gauge.
+    ///
+    /// # Panics
+    /// If lengths mismatch or any preconditioner entry is not strictly
+    /// positive (M must be SPD).
+    pub fn solve(
+        &mut self,
+        g: &[f32],
+        d0: &[f32],
+        mut apply_g: impl FnMut(&[f32], Vec<f32>) -> Vec<f32>,
+        shift: f64,
+        precond: Option<&[f32]>,
+        recorder: &dyn Recorder,
+    ) -> CgResult {
+        let _span = recorder.span("cg_minimize", SpanKind::DenseCompute);
+        let config = self.config;
+        let n = g.len();
+        assert_eq!(d0.len(), n, "cg: d0 length mismatch");
+        assert!(config.max_iters >= 1, "cg: max_iters must be >= 1");
+        assert!(config.store_gamma > 1.0, "cg: store_gamma must exceed 1");
+        if let Some(m) = precond {
+            assert_eq!(m.len(), n, "cg: preconditioner length mismatch");
+            assert!(
+                m.iter().all(|&v| v > 0.0 && v.is_finite()),
+                "cg: preconditioner must be strictly positive"
+            );
         }
-        let alpha = (rz / pap) as f32;
-        let mz = precond.map(|m| (m, &mut z[..]));
-        let (rz_new, q_sum) = blas1::cg_update(alpha, &p, &ap, g, &mut d, &mut r, mz);
-        let beta = (rz_new / rz) as f32;
-        rz = rz_new;
-        let z_now = if precond.is_some() { &z } else { &r };
-        for (pi, &zi) in p.iter_mut().zip(z_now) {
-            *pi = -zi + beta * *pi;
+        let sigma = shift as f32;
+        let mut products = 0u64;
+        let mut apply_a = |v: &[f32], retired: Vec<f32>| {
+            products += 1;
+            let gv = apply_g(v, retired);
+            assert_eq!(gv.len(), n, "cg: curvature product length mismatch");
+            gv
+        };
+
+        let mut d = self.copy_of(d0);
+        // r = (G + σI) d + g
+        let mut r = apply_a(&d, std::mem::take(&mut self.r));
+        for ((ri, &di), &gi) in r.iter_mut().zip(&d).zip(g) {
+            *ri = (sigma * di + *ri) + gi;
         }
-
-        iters = i;
-        let q = 0.5 * q_sum;
-        q_hist.push(q);
-
-        if i == next_store {
-            iterates.push(CgIterate {
-                iter: i,
-                d: d.clone(),
-                q,
-            });
-            store_exp += 1;
-            next_store = next_store.max(config.store_gamma.powi(store_exp as i32).ceil() as usize);
-            if next_store <= i {
-                next_store = i + 1;
-            }
+        // z = M⁻¹ r (kept only under a preconditioner; otherwise z is r);
+        // p = −z.
+        let mut z = std::mem::take(&mut self.z);
+        z.clear();
+        if let Some(m) = precond {
+            z.extend(r.iter().zip(m).map(|(&ri, &mi)| ri / mi));
         }
+        let z0 = if precond.is_some() { &z } else { &r };
+        let mut p = std::mem::take(&mut self.p);
+        p.clear();
+        p.extend(z0.iter().map(|&v| -v));
+        let mut rz = blas1::dot(&r, z0);
 
-        if rz < 1e-24 {
-            stop = CgStop::Converged;
-            break;
+        // q(d) = ½ d·(r + g)
+        let mut q_sum = 0.0f64;
+        for ((&di, &ri), &gi) in d.iter().zip(&r).zip(g) {
+            q_sum += di as f64 * (ri as f64 + gi as f64);
         }
+        // Sized once: one entry per iteration at most, plus q(d0) or the
+        // final iterate.
+        let mut q_hist = std::mem::take(&mut self.q_hist);
+        q_hist.clear();
+        q_hist.reserve(config.max_iters + 1);
+        q_hist.push(0.5 * q_sum);
+        let mut iterates = std::mem::take(&mut self.iterates);
+        iterates.reserve(config.max_iters + 1);
+        let mut next_store = 1usize;
+        let mut store_exp = 0u32;
+        let mut stop = CgStop::MaxIters;
+        let mut iters = 0usize;
+        let mut ap = std::mem::take(&mut self.ap);
 
-        // Martens relative-progress test.
-        let k = (10.0f64).max(0.1 * i as f64).floor() as usize;
-        if i >= config.min_iters.max(k) && q < 0.0 {
-            let q_prev = q_hist[i - k];
-            if (q - q_prev) / q < k as f64 * config.epsilon {
-                stop = CgStop::RelativeProgress;
+        for i in 1..=config.max_iters {
+            ap = apply_a(&p, ap);
+            let pap = blas1::axpy_dot(sigma, &p, &mut ap);
+            if pap <= 0.0 {
+                stop = if exactly_zero(rz) {
+                    CgStop::Converged
+                } else {
+                    CgStop::NegativeCurvature
+                };
                 break;
             }
+            let alpha = (rz / pap) as f32;
+            let mz = precond.map(|m| (m, &mut z[..]));
+            let (rz_new, q_sum) = blas1::cg_update(alpha, &p, &ap, g, &mut d, &mut r, mz);
+            let beta = (rz_new / rz) as f32;
+            rz = rz_new;
+            let z_now = if precond.is_some() { &z } else { &r };
+            for (pi, &zi) in p.iter_mut().zip(z_now) {
+                *pi = -zi + beta * *pi;
+            }
+
+            iters = i;
+            let q = 0.5 * q_sum;
+            q_hist.push(q);
+
+            if i == next_store {
+                iterates.push(CgIterate {
+                    iter: i,
+                    d: self.copy_of(&d),
+                    q,
+                });
+                store_exp += 1;
+                next_store =
+                    next_store.max(config.store_gamma.powi(store_exp as i32).ceil() as usize);
+                if next_store <= i {
+                    next_store = i + 1;
+                }
+            }
+
+            if rz < 1e-24 {
+                stop = CgStop::Converged;
+                break;
+            }
+
+            // Martens relative-progress test.
+            let k = (10.0f64).max(0.1 * i as f64).floor() as usize;
+            if i >= config.min_iters.max(k) && q < 0.0 {
+                let q_prev = q_hist[i - k];
+                if (q - q_prev) / q < k as f64 * config.epsilon {
+                    stop = CgStop::RelativeProgress;
+                    break;
+                }
+            }
         }
-    }
 
-    // Always include the final iterate.
-    // pdnn-lint: allow(l3-no-unwrap): q_hist is seeded with q(d0) before the loop
-    let last_q = *q_hist.last().unwrap();
-    let need_final = iterates.last().map(|it| it.iter != iters).unwrap_or(true);
-    if need_final {
-        iterates.push(CgIterate {
-            iter: iters.max(1),
-            d,
-            q: last_q,
-        });
-    }
+        // Always include the final iterate.
+        // pdnn-lint: allow(l3-no-unwrap): q_hist is seeded with q(d0) before the loop
+        let last_q = *q_hist.last().unwrap();
+        let need_final = iterates.last().map(|it| it.iter != iters).unwrap_or(true);
+        if need_final {
+            iterates.push(CgIterate {
+                iter: iters.max(1),
+                d,
+                q: last_q,
+            });
+        } else {
+            self.spare.push(d);
+        }
+        (self.r, self.ap, self.p, self.z, self.q_hist) = (r, ap, p, z, q_hist);
 
-    let result = CgResult {
-        iterates,
-        iters: iters.max(1),
-        stop,
-    };
-    recorder.counter_add("cg_iters", result.iters as u64);
-    recorder.counter_add("cg_curvature_products", products);
-    recorder.gauge_set("cg_q_final", result.final_q());
-    result
+        let result = CgResult {
+            iterates,
+            iters: iters.max(1),
+            stop,
+        };
+        recorder.counter_add("cg_iters", result.iters as u64);
+        recorder.counter_add("cg_curvature_products", products);
+        recorder.gauge_set("cg_q_final", result.final_q());
+        result
+    }
 }
 
 #[cfg(test)]
@@ -277,8 +344,22 @@ mod tests {
     use super::*;
     use pdnn_obs::NullRecorder;
 
+    /// A one-off solve on a fresh solver, the product allocating its
+    /// own vector.
+    fn cg_minimize(
+        g: &[f32],
+        d0: &[f32],
+        mut apply_g: impl FnMut(&[f32]) -> Vec<f32>,
+        shift: f64,
+        precond: Option<&[f32]>,
+        config: &CgConfig,
+        recorder: &dyn Recorder,
+    ) -> CgResult {
+        CgSolver::new(*config).solve(g, d0, |v, _| apply_g(v), shift, precond, recorder)
+    }
+
     /// Unshifted, unpreconditioned solve under the default config.
-    fn solve(g: &[f32], d0: &[f32], apply_g: impl FnMut(&[f32]) -> Vec<f32>) -> CgResult {
+    fn default_solve(g: &[f32], d0: &[f32], apply_g: impl FnMut(&[f32]) -> Vec<f32>) -> CgResult {
         cg_minimize(
             g,
             d0,
@@ -382,7 +463,7 @@ mod tests {
         let n = 20;
         let a = spd_matrix(n, 2);
         let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).cos()).collect();
-        let result = solve(&g, &vec![0.0; n], dense_apply(&a));
+        let result = default_solve(&g, &vec![0.0; n], dense_apply(&a));
         for w in result.iterates.windows(2) {
             // Exact CG decreases q monotonically; f32 arithmetic and
             // the incrementally updated residual allow small wobble.
@@ -402,9 +483,9 @@ mod tests {
         let n = 10;
         let a = spd_matrix(n, 3);
         let g: Vec<f32> = vec![1.0; n];
-        let cold = solve(&g, &vec![0.0; n], dense_apply(&a));
+        let cold = default_solve(&g, &vec![0.0; n], dense_apply(&a));
         let warm_start: Vec<f32> = cold.final_d().iter().map(|&v| 0.5 * v).collect();
-        let warm = solve(&g, &warm_start, dense_apply(&a));
+        let warm = default_solve(&g, &warm_start, dense_apply(&a));
         // Warm-started CG must do at least as well at the end.
         assert!(warm.final_q() <= cold.final_q() + 1e-8);
     }
@@ -415,7 +496,7 @@ mod tests {
         // progress (or convergence) test must stop it long before 200.
         let n = 50;
         let g: Vec<f32> = (0..n).map(|i| (i as f32 + 1.0) * 0.01).collect();
-        let result = solve(&g, &vec![0.0; n], |v| v.to_vec());
+        let result = default_solve(&g, &vec![0.0; n], |v| v.to_vec());
         assert!(result.iters <= 3, "iters = {}", result.iters);
         assert!(matches!(
             result.stop,
@@ -455,7 +536,7 @@ mod tests {
     fn zero_gradient_returns_zero_step() {
         let n = 8;
         let g = vec![0.0f32; n];
-        let result = solve(&g, &vec![0.0; n], |v| v.to_vec());
+        let result = default_solve(&g, &vec![0.0; n], |v| v.to_vec());
         assert!(result.final_d().iter().all(|&v| v == 0.0));
         assert_eq!(result.final_q(), 0.0);
     }
@@ -464,14 +545,14 @@ mod tests {
     fn negative_curvature_is_detected() {
         // A = -I: every direction has negative curvature.
         let g = vec![1.0f32; 4];
-        let result = solve(&g, &[0.0; 4], |v| v.iter().map(|&x| -x).collect());
+        let result = default_solve(&g, &[0.0; 4], |v| v.iter().map(|&x| -x).collect());
         assert_eq!(result.stop, CgStop::NegativeCurvature);
     }
 
     #[test]
     #[should_panic(expected = "d0 length mismatch")]
     fn length_mismatch_panics() {
-        solve(&[1.0], &[1.0, 2.0], |v| v.to_vec());
+        default_solve(&[1.0], &[1.0, 2.0], |v| v.to_vec());
     }
 
     /// A badly conditioned diagonal system: plain CG needs many
@@ -563,7 +644,7 @@ mod tests {
         let n = 16;
         let a = spd_matrix(n, 6);
         let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.9).cos()).collect();
-        let plain = solve(&g, &vec![0.0; n], dense_apply(&a));
+        let plain = default_solve(&g, &vec![0.0; n], dense_apply(&a));
         let rec = pdnn_obs::InMemoryRecorder::new();
         let cfg = CgConfig::default();
         let recorded = cg_minimize(&g, &vec![0.0; n], dense_apply(&a), 0.0, None, &cfg, &rec);

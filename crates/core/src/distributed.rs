@@ -66,7 +66,7 @@ use crate::config::HfConfig;
 use crate::optimizer::{HfOptimizer, IterStats};
 use crate::problem::{HeldoutEval, HfProblem, Objective};
 use crate::protocol::{self, Frame, Opcode};
-use crate::shard::ShardEngine;
+use crate::shard::{report_gemm_scratch, ShardEngine};
 use crate::stopping::StopState;
 use pdnn_dnn::network::Network;
 use pdnn_mpisim::{
@@ -257,6 +257,14 @@ const DEGRADED_EVAL: HeldoutEval = HeldoutEval {
     accuracy: f64::NAN,
     frames: 0,
 };
+
+/// Publish the `payload_pool_high_water_bytes` gauge: the most
+/// retired wire-payload bytes this rank's communicator has held.
+fn report_pool(comm: &Comm) {
+    let bytes = comm.payload_pool().high_water_bytes();
+    comm.recorder()
+        .gauge_set("payload_pool_high_water_bytes", bytes as f64);
+}
 
 /// Turn a sum aggregated over `frames` frames into a mean.
 fn mean_of(mut sum: Vec<f32>, frames: f64, phase: &'static str) -> Result<Vec<f32>, TrainFault> {
@@ -463,18 +471,25 @@ struct MasterProblem<'a> {
     /// Slot `w` is worker rank `w + 1`.
     ledger: ShardLedger,
     latch: FaultLatch,
+    /// The operand buffer every command exchange broadcasts from.
+    operand: Vec<f32>,
+    /// Sum buffers: a reduce's result goes out as a gradient or
+    /// curvature product and comes back through `give_back`.
+    sums: Vec<Vec<f32>>,
 }
 
 impl MasterProblem<'_> {
     /// One command exchange under the row's span (recorded even when
     /// the poisoned front-end skips the exchange): broadcast `operand`,
-    /// contribute zeros to the row's reduces, and `finish` the sums.
+    /// contribute zeros to the row's reduces, and `finish` the sums
+    /// (taking the `sum` buffer if it returns it). The operand and sum
+    /// buffers are the problem's own, reused by every exchange.
     fn exchange<T>(
         &mut self,
         op: Opcode,
         args: &[u64],
         operand: &[f32],
-        finish: impl FnOnce(Frame) -> Result<T, TrainFault>,
+        finish: impl FnOnce(&mut Frame) -> Result<T, TrainFault>,
     ) -> Option<T> {
         let cmd = op.command();
         let rec = self.rec.clone();
@@ -483,13 +498,22 @@ impl MasterProblem<'_> {
             .map(|name| rec.span(name, SpanKind::CommCollective));
         self.settle(|p| {
             let mut frame = Frame {
-                operand: operand.to_vec(),
-                sum: vec![0.0f32; if cmd.sum { p.theta.len() } else { 0 }],
+                operand: std::mem::take(&mut p.operand),
                 meta: vec![0.0f64; cmd.meta],
                 ..Frame::default()
             };
-            protocol::issue(p.comm, cmd, args, &mut frame).map_err(TrainFault::Comm)?;
-            finish(frame)
+            frame.operand.clear();
+            frame.operand.extend_from_slice(operand);
+            if cmd.sum {
+                frame.sum = p.sums.pop().unwrap_or_default();
+                frame.sum.clear();
+                frame.sum.resize(p.theta.len(), 0.0);
+            }
+            let issued = protocol::issue(p.comm, cmd, args, &mut frame).map_err(TrainFault::Comm);
+            let out = issued.and_then(|()| finish(&mut frame));
+            p.operand = frame.operand;
+            p.give_back(frame.sum);
+            out
         })
     }
 
@@ -519,14 +543,20 @@ impl HfProblem for MasterProblem<'_> {
         self.theta.clone()
     }
 
+    fn theta_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(&self.theta);
+    }
+
     fn set_theta(&mut self, theta: &[f32]) {
-        self.theta = theta.to_vec();
+        self.theta.clear();
+        self.theta.extend_from_slice(theta);
         self.exchange(Opcode::SetTheta, &[], theta, |_| Ok(()));
     }
 
     fn gradient(&mut self) -> (f64, Vec<f32>) {
         self.exchange(Opcode::Gradient, &[], &[], |f| {
-            let grad = mean_of(f.sum, f.meta[1], "gradient")?;
+            let grad = mean_of(std::mem::take(&mut f.sum), f.meta[1], "gradient")?;
             Ok((f.meta[0] / f.meta[1], grad))
         })
         .unwrap_or_else(|| (f64::NAN, vec![0.0f32; self.theta.len()]))
@@ -538,16 +568,26 @@ impl HfProblem for MasterProblem<'_> {
     }
 
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        self.exchange(Opcode::GnProduct, &[], v, |f| {
-            mean_of(f.sum, f.meta[0], "gn_product")
-        })
-        .unwrap_or_else(|| vec![0.0f32; v.len()])
+        let gv = self
+            .exchange(Opcode::GnProduct, &[], v, |f| {
+                mean_of(std::mem::take(&mut f.sum), f.meta[0], "gn_product")
+            })
+            .unwrap_or_else(|| vec![0.0f32; v.len()]);
+        report_gemm_scratch(&*self.rec);
+        report_pool(self.comm);
+        gv
     }
 
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
         self.exchange(Opcode::Fisher, &[], &[], |f| {
-            mean_of(f.sum, f.meta[0], "fisher")
+            mean_of(std::mem::take(&mut f.sum), f.meta[0], "fisher")
         })
+    }
+
+    fn give_back(&mut self, buf: Vec<f32>) {
+        if buf.capacity() > 0 {
+            self.sums.push(buf);
+        }
     }
 
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
@@ -639,11 +679,13 @@ fn worker_loop(
     );
     drop(load_span);
 
+    // One frame serves every command: the received operand refills
+    // its buffer in place.
+    let mut frame = Frame::default();
     loop {
         let (cmd, header) = protocol::next_command(comm)?;
         // A re-shard replay ships data under the start-up span's name.
         let _span = (cmd.shipments > 0).then(|| rec.span("load_data", SpanKind::CommP2p));
-        let mut frame = Frame::default();
         protocol::run(comm, cmd, &mut frame, |f| match cmd.opcode {
             Opcode::Shutdown => {}
             Opcode::SetTheta => {
@@ -673,10 +715,11 @@ fn worker_loop(
             }
         })?;
         match cmd.opcode {
-            Opcode::Gradient => engine.recycle(frame.sum),
+            Opcode::Gradient | Opcode::Fisher => engine.recycle(std::mem::take(&mut frame.sum)),
             Opcode::GnProduct => {
-                engine.recycle(frame.sum);
+                engine.recycle(std::mem::take(&mut frame.sum));
                 engine.report_arena();
+                report_pool(comm);
             }
             // The shutdown row's closing barrier means no rank exits
             // while another may still be mid-collective, so the
@@ -789,13 +832,19 @@ impl HfProblem for DecentralProblem<'_> {
         self.theta.clone()
     }
 
+    fn theta_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(&self.theta);
+    }
+
     fn set_theta(&mut self, theta: &[f32]) {
         // Replicated state: every rank applies the identical update
         // locally. Zero communication — this is the masterless win
         // over the Master-mode θ broadcast.
         let rec = self.rec.clone();
         let _span = rec.span("sync_weights_replicated", SpanKind::MemoryBound);
-        self.theta = theta.to_vec();
+        self.theta.clear();
+        self.theta.extend_from_slice(theta);
         self.engine.set_theta(theta);
         self.sample_frames = None;
     }
@@ -814,11 +863,15 @@ impl HfProblem for DecentralProblem<'_> {
     }
 
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        self.settle(|p| {
-            let sums = p.engine.gn_sums(v);
-            p.try_curvature(sums, "gn_product")
-        })
-        .unwrap_or_else(|| vec![0.0f32; v.len()])
+        let gv = self
+            .settle(|p| {
+                let sums = p.engine.gn_sums(v);
+                p.try_curvature(sums, "gn_product")
+            })
+            .unwrap_or_else(|| vec![0.0f32; v.len()]);
+        self.engine.report_arena();
+        report_pool(self.comm);
+        gv
     }
 
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
@@ -831,6 +884,10 @@ impl HfProblem for DecentralProblem<'_> {
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
         self.settle(|p| p.try_heldout(theta))
             .unwrap_or(DEGRADED_EVAL)
+    }
+
+    fn give_back(&mut self, buf: Vec<f32>) {
+        self.engine.recycle(buf);
     }
 
     fn train_frames(&self) -> u64 {
@@ -1197,6 +1254,8 @@ fn train_impl(
                 theta: theta0.clone(),
                 ledger: ledger.clone(),
                 latch,
+                operand: Vec::new(),
+                sums: Vec::new(),
             };
             // Distribute the initial weights.
             problem.set_theta(&theta0);

@@ -19,7 +19,7 @@
 //! 6. Armijo backtracking line search on the chosen iterate, then
 //!    `θ ← θ + α d_i`, momentum `d_0 ← β d_N`.
 
-use crate::cg::{cg_minimize, CgStop};
+use crate::cg::{CgSolver, CgStop};
 use crate::config::{HfConfig, Preconditioner};
 use crate::damping::Damping;
 use crate::line_search::armijo_search;
@@ -68,12 +68,28 @@ pub struct IterStats {
 
 /// The Hessian-free optimizer (stateful across iterations: damping
 /// level, momentum direction, last held-out loss).
+///
+/// Its per-iteration vectors — θ₀ and the updated θ, the trial θ of
+/// every held-out evaluation, the CG start `d₀` (the momentum
+/// direction), the preconditioner and the CG solver's work vectors —
+/// are kept across iterations, and every vector the problem returns
+/// goes back to it ([`HfProblem::give_back`]), so after the first
+/// iteration a step allocates no vector of θ's size.
 pub struct HfOptimizer {
     config: HfConfig,
     damping: Damping,
-    d_prev: Option<Vec<f32>>,
+    /// `β d_N` of the last accepted step, the next CG start, while
+    /// `momentum` holds; zeros otherwise.
+    d0: Vec<f32>,
+    momentum: bool,
     loss_prev: Option<f64>,
     recorder: Arc<dyn Recorder>,
+    cg: CgSolver,
+    /// θ₀ of the current step, updated in place to the new θ.
+    theta: Vec<f32>,
+    /// The trial θ of every held-out evaluation.
+    trial: Vec<f32>,
+    precond: Vec<f32>,
 }
 
 impl HfOptimizer {
@@ -87,16 +103,9 @@ impl HfOptimizer {
     /// `hf_iteration`/`gradient`/`backtracking`/`line_search` spans, a
     /// `cg_iters` counter, a `lambda` gauge, and one `hf_iteration`
     /// event per step — to the given recorder.
-    // pdnn-lint: allow(l5-phase-span): constructor, not a phase — spans open in step()/run(), which this merely wires up
     pub fn with_recorder(config: HfConfig, recorder: Arc<dyn Recorder>) -> Self {
         config.validate();
-        HfOptimizer {
-            damping: Damping::new(config.lambda0, config.lambda_rule),
-            config,
-            d_prev: None,
-            loss_prev: None,
-            recorder,
-        }
+        Self::resume_with_recorder(config, config.lambda0, recorder)
     }
 
     /// Rebuild an optimizer mid-run for checkpoint-restart: same
@@ -114,10 +123,15 @@ impl HfOptimizer {
         config.validate();
         HfOptimizer {
             damping: Damping::new(lambda, config.lambda_rule),
+            cg: CgSolver::new(config.cg),
             config,
-            d_prev: None,
+            d0: Vec::new(),
+            momentum: false,
             loss_prev: None,
             recorder,
+            theta: Vec::new(),
+            trial: Vec::new(),
+            precond: Vec::new(),
         }
     }
 
@@ -162,15 +176,15 @@ impl HfOptimizer {
         let _iter_span = rec.span("hf_iteration", SpanKind::Scalar);
         rec.counter_add("hf_iterations", 1);
         let n = problem.num_params();
-        let theta0 = problem.theta();
-        assert_eq!(theta0.len(), n);
+        problem.theta_into(&mut self.theta);
+        assert_eq!(self.theta.len(), n);
         let mut heldout_evals = 0usize;
 
         let loss_prev = match self.loss_prev {
             Some(l) => l,
             None => {
                 heldout_evals += 1;
-                let e = problem.heldout_eval(&theta0);
+                let e = problem.heldout_eval(&self.theta);
                 self.loss_prev = Some(e.loss);
                 e.loss
             }
@@ -181,8 +195,8 @@ impl HfOptimizer {
         let (mut train_loss, mut g) = problem.gradient();
         let l2 = self.config.l2;
         if l2 > 0.0 {
-            blas1::axpy(l2 as f32, &theta0, &mut g);
-            train_loss += 0.5 * l2 * blas1::dot(&theta0, &theta0);
+            blas1::axpy(l2 as f32, &self.theta, &mut g);
+            train_loss += 0.5 * l2 * blas1::dot(&self.theta, &self.theta);
         }
         let g = g;
         let train_loss = train_loss;
@@ -199,44 +213,49 @@ impl HfOptimizer {
 
         let lambda = self.damping.lambda();
         rec.gauge_set("lambda", lambda);
-        let d0: Vec<f32> = match &self.d_prev {
-            Some(d) => d.clone(),
-            None => vec![0.0; n],
-        };
+        if !self.momentum {
+            self.d0.clear();
+            self.d0.resize(n, 0.0);
+        }
         // Optional Martens preconditioner: M = (diag(Fisher) + λ)^ξ.
-        let precond: Option<Vec<f32>> = match self.config.preconditioner {
+        let precond = match self.config.preconditioner {
             Preconditioner::None => None,
             Preconditioner::EmpiricalFisher { exponent } => problem.fisher_diagonal().map(|diag| {
-                diag.into_iter()
-                    .map(|d| ((d.max(0.0) as f64 + lambda).powf(exponent)) as f32)
-                    .collect()
+                self.precond.clear();
+                self.precond.extend(
+                    diag.iter()
+                        .map(|&d| ((d.max(0.0) as f64 + lambda).powf(exponent)) as f32),
+                );
+                problem.give_back(diag);
+                &self.precond[..]
             }),
         };
         // CG's shift: damping plus the exact curvature of the L2 penalty.
-        let cg = cg_minimize(
+        // Each product hands the buffer CG retired back to the problem.
+        let cg = self.cg.solve(
             &g,
-            &d0,
-            |v| problem.gn_product(v),
+            &self.d0,
+            |v, retired| {
+                problem.give_back(retired);
+                problem.gn_product(v)
+            },
             lambda + l2,
-            precond.as_deref(),
-            &self.config.cg,
+            precond,
             rec.as_ref(),
         );
-
-        // Momentum for the *next* iteration uses the final direction
-        // regardless of which iterate the backtracking picks.
-        let d_final = cg.final_d().to_vec();
         let q_final = cg.final_q();
 
         // 3. Backtracking over the iterate series on held-out loss. One
         // trial-θ buffer serves every evaluation here and in the line
         // search.
-        let mut trial = vec![0.0f32; n];
+        let theta0 = &self.theta;
+        let trial = &mut self.trial;
+        trial.resize(n, 0.0);
         let mut eval_at = |d: &[f32], evals: &mut usize| {
-            trial.copy_from_slice(&theta0);
-            blas1::add(d, &mut trial);
+            trial.copy_from_slice(theta0);
+            blas1::add(d, trial);
             *evals += 1;
-            problem.heldout_eval(&trial)
+            problem.heldout_eval(trial)
         };
         let bt_span = rec.span("backtracking", SpanKind::DenseCompute);
         let n_stored = cg.iterates.len();
@@ -259,14 +278,17 @@ impl HfOptimizer {
         // 4. Rejection: no iterate improves held-out loss.
         if loss_prev < l_best || !l_best.is_finite() {
             self.damping.on_reject();
-            self.d_prev = None; // d_0 ← 0
+            self.momentum = false; // d_0 ← 0
+            let (cg_iters, cg_stop) = (cg.iters, cg.stop);
+            self.cg.reclaim(cg);
+            problem.give_back(g);
             rec.event(
                 "hf_iteration",
                 vec![
                     ("iter".into(), (iter as u64).into()),
                     ("train_loss".into(), train_loss.into()),
                     ("lambda".into(), lambda.into()),
-                    ("cg_iters".into(), (cg.iters as u64).into()),
+                    ("cg_iters".into(), (cg_iters as u64).into()),
                     ("rho".into(), f64::NAN.into()),
                     ("accepted".into(), 0u64.into()),
                 ],
@@ -280,8 +302,8 @@ impl HfOptimizer {
                 heldout_accuracy: f64::NAN,
                 lambda,
                 rho: f64::NAN,
-                cg_iters: cg.iters,
-                cg_stop: cg.stop,
+                cg_iters,
+                cg_stop,
                 chosen_iter: 0,
                 alpha: 0.0,
                 accepted: false,
@@ -313,10 +335,10 @@ impl HfOptimizer {
                 if full_step(alpha) {
                     return l_best;
                 }
-                trial.copy_from_slice(&theta0);
-                blas1::axpy(alpha as f32, &chosen.d, &mut trial);
+                trial.copy_from_slice(theta0);
+                blas1::axpy(alpha as f32, &chosen.d, trial);
                 heldout_evals += 1;
-                problem.heldout_eval(&trial).loss
+                problem.heldout_eval(trial).loss
             },
             &self.config.armijo,
         );
@@ -326,30 +348,33 @@ impl HfOptimizer {
         let alpha = search.map(|r| r.alpha).unwrap_or(1.0);
         drop(ls_span);
 
-        let mut theta_new = theta0;
-        blas1::axpy(alpha as f32, &chosen.d, &mut theta_new);
+        let (chosen_iter, chosen_d) = (chosen.iter, &chosen.d);
+        let theta_new = &mut self.theta;
+        blas1::axpy(alpha as f32, chosen_d, theta_new);
         // The sole weight update of the iteration — prepacked weight
         // caches downstream (DnnProblem, workers) invalidate exactly
         // here, and stay valid across every CG product in between.
-        problem.set_theta(&theta_new);
+        problem.set_theta(theta_new);
 
-        // Momentum warm start: d_0 ← β d_N.
+        // Momentum warm start: d_0 ← β d_N, from the final direction
+        // regardless of which iterate the backtracking picked.
         let beta = self.config.momentum as f32;
-        self.d_prev = if beta > 0.0 {
-            let mut d = d_final;
-            blas1::scal(beta, &mut d);
-            Some(d)
-        } else {
-            None
-        };
+        self.momentum = beta > 0.0;
+        if self.momentum {
+            self.d0.copy_from_slice(cg.final_d());
+            blas1::scal(beta, &mut self.d0);
+        }
 
         // A full step lands on the point the backtracking evaluated.
         let after = if full_step(alpha) {
             best
         } else {
             heldout_evals += 1;
-            problem.heldout_eval(&theta_new)
+            problem.heldout_eval(&self.theta)
         };
+        let (cg_iters, cg_stop) = (cg.iters, cg.stop);
+        self.cg.reclaim(cg);
+        problem.give_back(g);
         self.loss_prev = Some(after.loss);
 
         rec.event(
@@ -358,7 +383,7 @@ impl HfOptimizer {
                 ("iter".into(), (iter as u64).into()),
                 ("train_loss".into(), train_loss.into()),
                 ("lambda".into(), lambda.into()),
-                ("cg_iters".into(), (cg.iters as u64).into()),
+                ("cg_iters".into(), (cg_iters as u64).into()),
                 ("rho".into(), rho.into()),
                 ("accepted".into(), 1u64.into()),
             ],
@@ -373,9 +398,9 @@ impl HfOptimizer {
             heldout_accuracy: after.accuracy,
             lambda,
             rho,
-            cg_iters: cg.iters,
-            cg_stop: cg.stop,
-            chosen_iter: chosen.iter,
+            cg_iters,
+            cg_stop,
+            chosen_iter,
             alpha,
             accepted: true,
             heldout_evals,

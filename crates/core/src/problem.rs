@@ -50,6 +50,12 @@ pub trait HfProblem {
     fn num_params(&self) -> usize;
     /// Current parameters.
     fn theta(&self) -> Vec<f32>;
+    /// Current parameters, written into `out` (resized to fit): the
+    /// optimizer's per-step read of θ into a buffer it keeps. The
+    /// default copies [`Self::theta`].
+    fn theta_into(&self, out: &mut Vec<f32>) {
+        *out = self.theta();
+    }
     /// Overwrite parameters (invalidates any cached curvature state).
     fn set_theta(&mut self, theta: &[f32]);
     /// Mean-per-frame training loss and gradient at the current θ.
@@ -68,6 +74,12 @@ pub trait HfProblem {
     }
     /// Held-out loss/accuracy at arbitrary trial parameters.
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval;
+    /// Take back a vector this problem returned — a gradient, GN
+    /// product or Fisher diagonal — once the caller is done with it,
+    /// so a later call fills it again instead of allocating. Callers
+    /// may also hand back an empty vector, which is ignored. The
+    /// default drops it.
+    fn give_back(&mut self, _buf: Vec<f32>) {}
     /// Total training frames (for reporting).
     fn train_frames(&self) -> u64;
 }
@@ -175,6 +187,11 @@ impl HfProblem for DnnProblem {
         self.engine.net().to_flat()
     }
 
+    fn theta_into(&self, out: &mut Vec<f32>) {
+        out.resize(self.num_params(), 0.0);
+        self.engine.net().write_flat(out);
+    }
+
     fn set_theta(&mut self, theta: &[f32]) {
         self.engine.set_theta(theta);
     }
@@ -198,6 +215,10 @@ impl HfProblem for DnnProblem {
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
         let (diag, frames) = self.engine.fisher_sums();
         Some(mean_of(diag, frames))
+    }
+
+    fn give_back(&mut self, buf: Vec<f32>) {
+        self.engine.recycle(buf);
     }
 
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
@@ -260,6 +281,20 @@ pub fn sample_utterances(utt_lens: &[usize], fraction: f64, seed: u64) -> Vec<us
 
 /// Copy the given utterances out of a shard into a contiguous batch.
 pub fn extract_utterances(shard: &Shard, ids: &[usize]) -> (Matrix<f32>, Vec<u32>, Vec<usize>) {
+    let (mut x, mut labels, mut utt_lens) = (Matrix::zeros(0, 0), Vec::new(), Vec::new());
+    extract_utterances_into(shard, ids, &mut x, &mut labels, &mut utt_lens);
+    (x, labels, utt_lens)
+}
+
+/// [`extract_utterances`] into the given buffers, which keep their
+/// memory: a batch no larger than the last one allocates nothing.
+pub fn extract_utterances_into(
+    shard: &Shard,
+    ids: &[usize],
+    x: &mut Matrix<f32>,
+    labels: &mut Vec<u32>,
+    utt_lens: &mut Vec<usize>,
+) {
     // Row offsets of each utterance in the shard.
     let mut offsets = Vec::with_capacity(shard.utt_lens.len() + 1);
     let mut acc = 0usize;
@@ -270,13 +305,18 @@ pub fn extract_utterances(shard: &Shard, ids: &[usize]) -> (Matrix<f32>, Vec<u32
     offsets.push(acc);
 
     let dim = shard.x.cols();
-    let total: usize = ids.iter().map(|&i| shard.utt_lens[i]).sum();
-    let mut x = Matrix::zeros(total, dim);
-    let mut labels = Vec::with_capacity(total);
-    let mut utt_lens = Vec::with_capacity(ids.len());
+    let total: usize = ids
+        .iter()
+        .map(|&i| {
+            assert!(i < shard.utt_lens.len(), "utterance id {i} out of range");
+            shard.utt_lens[i]
+        })
+        .sum();
+    x.reshape_reusing(total, dim);
+    labels.clear();
+    utt_lens.clear();
     let mut row = 0usize;
     for &i in ids {
-        assert!(i < shard.utt_lens.len(), "utterance id {i} out of range");
         let (lo, hi) = (offsets[i], offsets[i + 1]);
         let len = hi - lo;
         x.as_mut_slice()[row * dim..(row + len) * dim].copy_from_slice(shard.x.rows_slice(lo, hi));
@@ -284,7 +324,6 @@ pub fn extract_utterances(shard: &Shard, ids: &[usize]) -> (Matrix<f32>, Vec<u32
         utt_lens.push(len);
         row += len;
     }
-    (x, labels, utt_lens)
 }
 
 #[cfg(test)]

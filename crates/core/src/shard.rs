@@ -14,10 +14,10 @@
 //! the same under every sync strategy, and the serial baseline runs
 //! the very kernel sequence the ranks run.
 
-use crate::problem::{chunk_ranges, extract_utterances, sample_utterances, Objective};
+use crate::problem::{chunk_ranges, extract_utterances_into, sample_utterances, Objective};
 use pdnn_dnn::backprop::backprop_ws;
 use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
-use pdnn_dnn::loss::{cross_entropy, cross_entropy_loss_only, softmax_rows};
+use pdnn_dnn::loss::{cross_entropy_into, cross_entropy_loss_only, softmax_rows_into};
 use pdnn_dnn::network::{ForwardCache, Network};
 use pdnn_dnn::packed::{PackedActivations, PackedWeights};
 use pdnn_dnn::sequence::mmi_batch;
@@ -29,11 +29,15 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The cached curvature minibatch of one CG solve.
+/// The cached curvature minibatch of one CG solve. A dropped sample
+/// keeps its buffers for the next draw to refill, outside the arena:
+/// parked there, they would add every sample size's high water to the
+/// arena's.
 struct CurvatureSample {
-    x: Matrix<f32>,
     labels: Vec<u32>,
     utt_lens: Vec<usize>,
+    /// The forward pass of the sample; its input `acts[0]` is the
+    /// gathered frames.
     cache: ForwardCache<f32>,
     /// Softmax rows (CE) or denominator occupancies (MMI).
     dist: Matrix<f32>,
@@ -42,9 +46,15 @@ struct CurvatureSample {
     packed_acts: PackedActivations<f32>,
 }
 
-/// Rebuild the weight packs iff the network version moved. Hit/miss
-/// counters are pure functions of the call sequence, so per-rank
-/// telemetry stays byte-identical across runs.
+impl CurvatureSample {
+    fn frames(&self) -> f64 {
+        self.cache.acts[0].rows() as f64
+    }
+}
+
+/// Re-pack the weights, into the packs' own buffers, iff the network
+/// version moved. Hit/miss counters are pure functions of the call
+/// sequence, so per-rank telemetry stays byte-identical across runs.
 fn ensure_packs(
     packs: &mut Option<PackedWeights<f32>>,
     net: &Network<f32>,
@@ -53,29 +63,53 @@ fn ensure_packs(
 ) {
     match packs {
         Some(p) if p.matches(net) => rec.counter_add("pack_cache_hit", 1),
-        _ => {
+        Some(p) => {
+            p.repack(net, ctx);
+            rec.counter_add("pack_cache_miss", 1);
+        }
+        None => {
             *packs = Some(PackedWeights::new(net, ctx));
             rec.counter_add("pack_cache_miss", 1);
         }
     }
 }
 
-/// Summed loss + dlogits of a batch under the objective.
+/// Publish the `gemm_scratch_bytes` gauge: the GEMM packing scratch
+/// the calling thread (a rank) retains.
+pub(crate) fn report_gemm_scratch(rec: &dyn Recorder) {
+    let bytes = pdnn_tensor::gemm::scratch::retained_bytes();
+    rec.gauge_set("gemm_scratch_bytes", bytes as f64);
+}
+
+/// Summed loss + dlogits of a batch under the objective. Cross-entropy
+/// writes its dlogits into an arena take; hand them back with
+/// [`recycle_dlogits`].
 fn eval_objective(
     objective: &Objective,
     cache: &ForwardCache<f32>,
     labels: &[u32],
     utt_lens: &[usize],
+    ws: &mut Workspace<f32>,
 ) -> (f64, Matrix<f32>) {
+    let logits = cache.logits();
     match objective {
         Objective::CrossEntropy => {
-            let out = cross_entropy(cache.logits(), labels);
-            (out.loss, out.dlogits)
+            let mut dlogits = ws.take_matrix_scratch(logits.rows(), logits.cols());
+            let (loss, _) = cross_entropy_into(logits, labels, &mut dlogits);
+            (loss, dlogits)
         }
         Objective::Sequence(graph) => {
-            let out = mmi_batch(cache.logits(), labels, utt_lens, graph);
+            let out = mmi_batch(logits, labels, utt_lens, graph);
             (out.loss, out.dlogits)
         }
+    }
+}
+
+/// Return [`eval_objective`]'s dlogits to the arena they came from
+/// (MMI's are its own allocation, freed here).
+fn recycle_dlogits(objective: &Objective, dlogits: Matrix<f32>, ws: &mut Workspace<f32>) {
+    if let Objective::CrossEntropy = objective {
+        ws.give_matrix(dlogits);
     }
 }
 
@@ -123,6 +157,8 @@ pub(crate) struct ShardEngine<'a> {
     ws: Workspace<f32>,
     packs: Option<PackedWeights<f32>>,
     sample: Option<CurvatureSample>,
+    /// The last dropped sample, whose buffers the next draw refills.
+    retired: Option<CurvatureSample>,
 }
 
 impl<'a> ShardEngine<'a> {
@@ -148,6 +184,7 @@ impl<'a> ShardEngine<'a> {
             ws: Workspace::new(),
             packs: None,
             sample: None,
+            retired: None,
         }
     }
 
@@ -167,11 +204,12 @@ impl<'a> ShardEngine<'a> {
         self.ws.stats()
     }
 
-    /// Drop the curvature sample. Its buffers were allocated outside
-    /// the arena (see [`Self::draw_sample`]), so they are freed, not
-    /// parked.
+    /// Drop the curvature sample, keeping its buffers for the next
+    /// draw.
     fn drop_sample(&mut self) {
-        self.sample = None;
+        if let Some(s) = self.sample.take() {
+            self.retired = Some(s);
+        }
     }
 
     /// Install new weights. Bumps the network version (the next
@@ -199,12 +237,13 @@ impl<'a> ShardEngine<'a> {
         self.ws.give_vec(buf);
     }
 
-    /// Publish the arena gauges.
+    /// Publish the arena gauges and the GEMM scratch gauge.
     pub(crate) fn report_arena(&self) {
         let stats = self.arena_stats();
         let rec = &self.rec;
         rec.gauge_set("arena_bytes_reused", stats.bytes_reused as f64);
         rec.gauge_set("arena_high_water_bytes", stats.high_water_bytes as f64);
+        report_gemm_scratch(&**rec);
     }
 
     /// `(Σ loss, Σ gradient, frames)` over the training shard, at most
@@ -214,7 +253,7 @@ impl<'a> ShardEngine<'a> {
     pub(crate) fn gradient_sums(&mut self) -> (f64, Vec<f32>, f64) {
         let _s = self.rec.span("gradient_loss", SpanKind::DenseCompute);
         if self.train.frames() == 0 {
-            return (0.0, vec![0.0f32; self.net.num_params()], 0.0);
+            return (0.0, self.ws.take_vec(self.net.num_params()), 0.0);
         }
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
         let (net, train, ws) = (&self.net, &self.train, &mut self.ws);
@@ -229,10 +268,10 @@ impl<'a> ShardEngine<'a> {
                 &cache,
                 &train.labels[rows],
                 &train.utt_lens[utts],
+                ws,
             );
             let grad = backprop_ws(net, &self.ctx, &cache, &dlogits, packs, ws);
-            // `dlogits` is the loss's own allocation: freed, not parked.
-            drop(dlogits);
+            recycle_dlogits(&self.objective, dlogits, ws);
             cache.give_back(ws);
             recycle_chunk(x, ws);
             loss_sum += loss;
@@ -259,29 +298,38 @@ impl<'a> ShardEngine<'a> {
         }
         let rank_seed = seed ^ (rank as u64).wrapping_mul(0xA24B_AED4_963E_E407);
         let ids = sample_utterances(&self.train.utt_lens, fraction, rank_seed);
-        let (x, labels, utt_lens) = extract_utterances(&self.train, &ids);
+        // Refill the last sample's buffers; the first draw builds them.
+        let mut s = self.retired.take().unwrap_or_else(|| CurvatureSample {
+            labels: Vec::new(),
+            utt_lens: Vec::new(),
+            cache: ForwardCache {
+                acts: vec![Matrix::zeros(0, 0)],
+            },
+            dist: Matrix::zeros(0, 0),
+            packed_acts: PackedActivations::empty(),
+        });
+        let (x, labels, utt_lens) = (&mut s.cache.acts[0], &mut s.labels, &mut s.utt_lens);
+        extract_utterances_into(&self.train, &ids, x, labels, utt_lens);
         if x.rows() == 0 {
             return;
         }
-        // The cache outlives this call (it backs every product of the
-        // solve), so it is forwarded outside the arena, and freed with
-        // the sample.
-        let cache = self.net.forward(&self.ctx, &x);
-        let dist = match &*self.objective {
-            Objective::CrossEntropy => softmax_rows(cache.logits()),
-            Objective::Sequence(graph) => {
-                mmi_batch(cache.logits(), &labels, &utt_lens, graph).den_posteriors
+        // The weight packs serve the sample forward too: bitwise the
+        // unpacked forward.
+        ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
+        self.net
+            .forward_in_place(&self.ctx, self.packs.as_ref(), &mut s.cache);
+        let logits = s.cache.logits();
+        match &*self.objective {
+            Objective::CrossEntropy => {
+                s.dist.reshape_reusing(logits.rows(), logits.cols());
+                softmax_rows_into(logits, &mut s.dist);
             }
-        };
-        let packed_acts = PackedActivations::new(&cache, &self.ctx);
-        self.sample = Some(CurvatureSample {
-            x,
-            labels,
-            utt_lens,
-            cache,
-            dist,
-            packed_acts,
-        });
+            Objective::Sequence(graph) => {
+                s.dist = mmi_batch(logits, &s.labels, &s.utt_lens, graph).den_posteriors;
+            }
+        }
+        s.packed_acts.repack(&s.cache, &self.ctx);
+        self.sample = Some(s);
     }
 
     /// `(Σ G·v, frames)` over the curvature sample; zeros over zero
@@ -291,7 +339,7 @@ impl<'a> ShardEngine<'a> {
             .rec
             .span("worker_curvature_product", SpanKind::DenseCompute);
         let Some(s) = &self.sample else {
-            return (vec![0.0f32; self.net.num_params()], 0.0);
+            return (self.ws.take_vec(self.net.num_params()), 0.0);
         };
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
         let gv = gn_product_ws(
@@ -304,7 +352,7 @@ impl<'a> ShardEngine<'a> {
             Some(&s.packed_acts),
             &mut self.ws,
         );
-        (gv, s.x.rows() as f64)
+        (gv, s.frames())
     }
 
     /// `(Σ empirical-Fisher diagonal, frames)` over the curvature
@@ -314,12 +362,18 @@ impl<'a> ShardEngine<'a> {
             .rec
             .span("worker_curvature_product", SpanKind::DenseCompute);
         let Some(s) = &self.sample else {
-            return (vec![0.0f32; self.net.num_params()], 0.0);
+            return (self.ws.take_vec(self.net.num_params()), 0.0);
         };
-        let (_, dlogits) = eval_objective(&self.objective, &s.cache, &s.labels, &s.utt_lens);
+        let ws = &mut self.ws;
+        let (_, dlogits) = eval_objective(&self.objective, &s.cache, &s.labels, &s.utt_lens, ws);
         let diag =
             pdnn_dnn::fisher::empirical_fisher_diagonal(&self.net, &self.ctx, &s.cache, &dlogits);
-        (diag, s.x.rows() as f64)
+        recycle_dlogits(&self.objective, dlogits, ws);
+        // Returned in an arena buffer, so handing it back parks only
+        // what the arena gave out.
+        let mut out = self.ws.take_vec_scratch(diag.len());
+        out.copy_from_slice(&diag);
+        (out, s.frames())
     }
 
     /// `[Σ loss, Σ correct, frames]` of trial weights `theta` over the
@@ -398,12 +452,21 @@ mod tests {
             Objective::Sequence(corpus.denominator_graph()),
         ] {
             let mut e = engine(&net, objective, corpus.shard(&[]));
-            assert_eq!(e.gradient_sums(), (0.0, vec![0.0; n], 0.0));
+            let (loss, grad, frames) = e.gradient_sums();
+            assert_eq!((loss, &grad, frames), (0.0, &vec![0.0; n], 0.0));
+            e.recycle(grad);
             e.draw_sample(3, 0.5, 0);
-            assert_eq!(e.gn_sums(&vec![1.0; n]), (vec![0.0; n], 0.0));
-            assert_eq!(e.fisher_sums(), (vec![0.0; n], 0.0));
+            let gv = e.gn_sums(&vec![1.0; n]);
+            assert_eq!(gv, (vec![0.0; n], 0.0));
+            e.recycle(gv.0);
+            let diag = e.fisher_sums();
+            assert_eq!(diag, (vec![0.0; n], 0.0));
+            e.recycle(diag.0);
             assert_eq!(e.heldout_sums(&net.to_flat()), [0.0; 3]);
-            assert_eq!(e.arena_stats(), WorkspaceStats::default());
+            // The zero sums are arena buffers, so handing them back
+            // parks nothing foreign: one allocation serves all three.
+            let s = e.arena_stats();
+            assert_eq!((s.allocs, s.reuses), (1, 2));
         }
     }
 
@@ -424,11 +487,13 @@ mod tests {
         let mut ws = Workspace::new();
         let packs = PackedWeights::new(&net, &ctx);
         let cache = net.forward_ws(&ctx, &shard.x, Some(&packs), &mut ws);
-        let out = cross_entropy(cache.logits(), &shard.labels);
-        let want = backprop_ws(&net, &ctx, &cache, &out.dlogits, Some(&packs), &mut ws);
+        let logits = cache.logits();
+        let mut dlogits = ws.take_matrix_scratch(logits.rows(), logits.cols());
+        let (want_loss, _) = cross_entropy_into(logits, &shard.labels, &mut dlogits);
+        let want = backprop_ws(&net, &ctx, &cache, &dlogits, Some(&packs), &mut ws);
         assert_eq!(
             (loss, grad, frames),
-            (out.loss, want, shard.frames() as f64)
+            (want_loss, want, shard.frames() as f64)
         );
         assert_eq!(traffic(e.arena_stats()), traffic(ws.stats()));
 

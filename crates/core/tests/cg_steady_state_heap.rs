@@ -1,17 +1,22 @@
-//! A CG solve allocates its work vectors once, not per step.
+//! A CG solver allocates its work vectors once, not per step or per
+//! solve.
 //!
-//! Each step of `cg_minimize` runs its vector algebra in place, so the
-//! heap allocations of a whole solve are the curvature products (one
-//! vector each, made by the caller's closure), one copy per stored
-//! iterate, and a fixed set of work buffers that does not depend on
-//! how many steps ran. A counting global allocator checks that count
-//! exactly, with and without a preconditioner, for solves of 12 and
-//! 30 steps.
+//! Each step of a solve runs its vector algebra in place, and the
+//! curvature product is handed the product buffer the solver has
+//! retired, so a product allocates nothing once two exist. A first
+//! solve on a fresh [`CgSolver`] therefore allocates exactly: the
+//! direction `p`, the iterate `d`, the quadratic history and the
+//! iterate list (plus `z` under a preconditioner), one copy per stored
+//! iterate, and the two products that found no retired buffer (the
+//! residual and the first `Ap`). Once the result is reclaimed, a second
+//! solve of the same length allocates nothing at all. A counting
+//! global allocator checks both counts exactly, with and without a
+//! preconditioner, for solves of 12 and 30 steps.
 //!
 //! The allocator counts the whole process, so this is the only test in
 //! its binary and nothing prints inside the measured window.
 
-use pdnn_core::{cg_minimize, CgConfig, CgResult};
+use pdnn_core::{CgConfig, CgResult, CgSolver};
 use pdnn_obs::NullRecorder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,40 +55,44 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Run a solve forced to exactly `steps` iterations on an
-/// ill-conditioned diagonal system; return it with the allocations it
-/// made beyond its products and its stored iterates.
-fn overhead(steps: usize, precond: Option<&[f32]>, diag: &[f32], g: &[f32]) -> (CgResult, u64) {
-    let n = g.len();
-    let d0 = vec![0.0f32; n];
-    let config = CgConfig {
+fn config(steps: usize) -> CgConfig {
+    CgConfig {
         max_iters: steps,
         min_iters: steps,
         epsilon: 0.0,
         store_gamma: 1.3,
-    };
-    let mut products = 0u64;
+    }
+}
+
+/// Run one solve on `solver`, forced to its configured step count on an
+/// ill-conditioned diagonal system; return it with the allocations it
+/// made. The product reuses the buffer the solver retires.
+fn solve(
+    solver: &mut CgSolver,
+    precond: Option<&[f32]>,
+    diag: &[f32],
+    g: &[f32],
+) -> (CgResult, u64) {
+    let d0 = vec![0.0f32; g.len()];
     let before = ALLOCS.load(Ordering::Relaxed);
-    let result = cg_minimize(
+    let result = solver.solve(
         g,
         &d0,
-        |v| {
-            products += 1;
-            v.iter().zip(diag).map(|(&x, &a)| x * a).collect()
+        |v, mut retired| {
+            retired.clear();
+            retired.extend(v.iter().zip(diag).map(|(&x, &a)| x * a));
+            retired
         },
         0.5,
         precond,
-        &config,
         &NullRecorder,
     );
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(result.iters, steps, "solve stopped early");
-    let stored = result.iterates.len() as u64;
-    (result, allocs - products - stored)
+    (result, allocs)
 }
 
 #[test]
-fn cg_solve_allocates_only_products_iterates_and_a_constant() {
+fn cg_solver_allocates_its_buffers_once_and_then_nothing() {
     let n = 4099;
     let diag: Vec<f32> = (0..n)
         .map(|i| 10f32.powf(4.0 * i as f32 / n as f32))
@@ -91,25 +100,37 @@ fn cg_solve_allocates_only_products_iterates_and_a_constant() {
     let g: Vec<f32> = (0..n).map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.1).collect();
     let m: Vec<f32> = diag.iter().map(|&a| a.sqrt()).collect();
 
-    // Work buffers: p, the q history and the iterate list. The
-    // residual is the first product's own vector, and `d` itself
-    // becomes the final iterate (neither 12 nor 30 is in the thinned
-    // series 1…9, 11, 14, 18, 24, 31, …). A preconditioner adds z.
-    for (precond, buffers) in [(None, 3), (Some(&m[..]), 4)] {
-        let (short, extra_short) = overhead(12, precond, &diag, &g);
-        let (long, extra_long) = overhead(30, precond, &diag, &g);
-        assert!(long.iterates.len() > short.iterates.len());
-        assert_eq!(
-            extra_short,
-            buffers,
-            "12-step solve (preconditioned: {})",
-            precond.is_some()
-        );
-        assert_eq!(
-            extra_long,
-            buffers,
-            "30-step solve (preconditioned: {})",
-            precond.is_some()
+    // Work buffers: p, d, the q history and the iterate list; `d`
+    // itself becomes the final iterate (neither 12 nor 30 is in the
+    // thinned series 1…9, 11, 14, 18, 24, 31, …), so the stored copies
+    // are all the other iterates. A preconditioner adds z.
+    for (precond, buffers) in [(None, 4), (Some(&m[..]), 5)] {
+        let mut stored = Vec::new();
+        for steps in [12, 30] {
+            let mut solver = CgSolver::new(config(steps));
+            let (first, cold) = solve(&mut solver, precond, &diag, &g);
+            assert_eq!(first.iters, steps, "solve stopped early");
+            let copies = first.iterates.len() as u64 - 1;
+            stored.push(copies);
+            assert_eq!(
+                cold,
+                buffers + copies + 2,
+                "first {steps}-step solve (preconditioned: {})",
+                precond.is_some()
+            );
+            solver.reclaim(first);
+            let (second, warm) = solve(&mut solver, precond, &diag, &g);
+            assert_eq!(second.iters, steps);
+            assert_eq!(
+                warm,
+                0,
+                "second {steps}-step solve (preconditioned: {})",
+                precond.is_some()
+            );
+        }
+        assert!(
+            stored[1] > stored[0],
+            "the longer solve stores more iterates"
         );
     }
 }

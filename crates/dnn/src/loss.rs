@@ -75,11 +75,21 @@ fn argmax<T: Scalar>(row: &[T]) -> usize {
 /// Row-wise softmax (stable: shifts by the row max).
 pub fn softmax_rows<T: Scalar>(logits: &Matrix<T>) -> Matrix<T> {
     let mut out = Matrix::zeros(logits.rows(), logits.cols());
+    softmax_rows_into(logits, &mut out);
+    out
+}
+
+/// [`softmax_rows`] written into `out`, which must have the shape of
+/// `logits`; every element is overwritten.
+///
+/// # Panics
+/// If the shapes differ.
+pub fn softmax_rows_into<T: Scalar>(logits: &Matrix<T>, out: &mut Matrix<T>) {
+    assert_eq!(out.shape(), logits.shape(), "softmax_rows_into: shape");
     for r in 0..out.rows() {
         let (_, inv) = shifted_exp(logits.row(r), out.row_mut(r));
         normalize(out.row_mut(r), inv);
     }
-    out
 }
 
 /// Summed softmax cross-entropy and its logits-gradient.
@@ -87,6 +97,26 @@ pub fn softmax_rows<T: Scalar>(logits: &Matrix<T>) -> Matrix<T> {
 /// # Panics
 /// If `labels.len() != logits.rows()` or a label is out of range.
 pub fn cross_entropy<T: Scalar>(logits: &Matrix<T>, labels: &[u32]) -> LossOutput<T> {
+    let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
+    let (loss, correct) = cross_entropy_into(logits, labels, &mut dlogits);
+    LossOutput {
+        loss,
+        dlogits,
+        correct,
+    }
+}
+
+/// [`cross_entropy`] with the logits-gradient written into `dlogits`
+/// (every element overwritten); returns the summed loss and the frames
+/// whose argmax matched.
+///
+/// # Panics
+/// As [`cross_entropy`], or if `dlogits` is not shaped like `logits`.
+pub fn cross_entropy_into<T: Scalar>(
+    logits: &Matrix<T>,
+    labels: &[u32],
+    dlogits: &mut Matrix<T>,
+) -> (f64, usize) {
     assert_eq!(
         labels.len(),
         logits.rows(),
@@ -94,8 +124,12 @@ pub fn cross_entropy<T: Scalar>(logits: &Matrix<T>, labels: &[u32]) -> LossOutpu
         labels.len(),
         logits.rows()
     );
+    assert_eq!(
+        dlogits.shape(),
+        logits.shape(),
+        "cross_entropy: dlogits shape"
+    );
     let classes = logits.cols();
-    let mut dlogits = Matrix::zeros(logits.rows(), classes);
     let mut loss = 0.0f64;
     let mut correct = 0usize;
     for (r, &label) in labels.iter().enumerate() {
@@ -114,11 +148,7 @@ pub fn cross_entropy<T: Scalar>(logits: &Matrix<T>, labels: &[u32]) -> LossOutpu
         normalize(row_out, inv);
         row_out[label] -= T::ONE;
     }
-    LossOutput {
-        loss,
-        dlogits,
-        correct,
-    }
+    (loss, correct)
 }
 
 /// Summed cross-entropy only (no gradient) — used by the held-out

@@ -222,6 +222,53 @@ impl<T: Scalar> Network<T> {
         ForwardCache { acts }
     }
 
+    /// Recompute every layer of `cache` from its input `cache.acts[0]`,
+    /// refilling each activation buffer in place (a buffer grows only
+    /// past its high water), with optionally prepacked weights.
+    /// Bitwise identical to [`Self::forward`] of that input: the
+    /// `beta = 0` GEMMs overwrite every output element.
+    ///
+    /// # Panics
+    /// If `cache` has no input, its width is not the network's input
+    /// dim, or `packs` was built from a different weight version.
+    pub fn forward_in_place(
+        &self,
+        ctx: &GemmContext,
+        packs: Option<&PackedWeights<T>>,
+        cache: &mut ForwardCache<T>,
+    ) {
+        assert_eq!(
+            cache.acts[0].cols(),
+            self.input_dim(),
+            "input width {} != network input dim {}",
+            cache.acts[0].cols(),
+            self.input_dim()
+        );
+        if let Some(p) = packs {
+            assert!(
+                p.matches(self),
+                "forward_in_place: stale PackedWeights (pack v{} != net v{})",
+                p.version(),
+                self.version
+            );
+        }
+        let rows = cache.acts[0].rows();
+        cache.acts.truncate(self.layers.len() + 1);
+        cache
+            .acts
+            .resize_with(self.layers.len() + 1, || Matrix::zeros(0, 0));
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = cache.acts.split_at_mut(l + 1);
+            let (a_in, z) = (&done[l], &mut rest[0]);
+            z.reshape_reusing(rows, layer.outputs());
+            match packs {
+                Some(p) => GemmOp::packed_b(a_in, Trans::N, p.forward(l)).run(ctx, z),
+                None => GemmOp::ab(a_in, Trans::N, &layer.w, Trans::T).run(ctx, z),
+            }
+            layer.act.apply_with_bias(z, &layer.b);
+        }
+    }
+
     /// Forward pass with arena-recycled activations and optionally
     /// prepacked weights.
     ///

@@ -53,6 +53,24 @@ impl<T: Scalar> PackedWeights<T> {
         }
     }
 
+    /// Re-pack every layer of `net` into this pack's own buffers
+    /// (bitwise what [`Self::new`] builds): a θ update refills the
+    /// panels instead of freeing and reallocating them.
+    pub fn repack(&mut self, net: &Network<T>, ctx: &GemmContext) {
+        assert_eq!(
+            self.forward.len(),
+            net.layers().len(),
+            "repack: layer count changed"
+        );
+        let blocking = ctx.blocking();
+        let packs = self.forward.iter_mut().zip(&mut self.backward);
+        for ((fwd, bwd), layer) in packs.zip(net.layers()) {
+            fwd.repack(&layer.w, Trans::T, blocking);
+            bwd.repack(&layer.w, Trans::N, blocking);
+        }
+        self.version = net.version();
+    }
+
     /// Whether this pack still reflects `net`'s current weights.
     pub fn matches(&self, net: &Network<T>) -> bool {
         self.version == net.version()
@@ -105,6 +123,36 @@ impl<T: Scalar> PackedActivations<T> {
             right.push(PackedB::new(a, Trans::N, blocking));
         }
         PackedActivations { left, right }
+    }
+
+    /// A pack of no layers, for [`Self::repack`] to fill.
+    pub fn empty() -> Self {
+        PackedActivations {
+            left: Vec::new(),
+            right: Vec::new(),
+        }
+    }
+
+    /// Re-pack the activations of `cache` into this pack's own
+    /// buffers (bitwise what [`Self::new`] builds), for a redrawn
+    /// curvature sample: a buffer grows only past its high water.
+    pub fn repack(&mut self, cache: &ForwardCache<T>, ctx: &GemmContext) {
+        let blocking = ctx.blocking();
+        let n = cache.acts.len() - 1;
+        self.left.truncate(n);
+        self.right.truncate(n);
+        for (l, a) in cache.acts[..n].iter().enumerate() {
+            match (self.left.get_mut(l), self.right.get_mut(l)) {
+                (Some(left), Some(right)) => {
+                    left.repack(a, Trans::N, blocking);
+                    right.repack(a, Trans::N, blocking);
+                }
+                _ => {
+                    self.left.push(PackedA::new(a, Trans::N, blocking));
+                    self.right.push(PackedB::new(a, Trans::N, blocking));
+                }
+            }
+        }
     }
 
     /// Packed left-operand activations for layer `l`.
@@ -165,6 +213,57 @@ mod tests {
         twin.axpy_flat(0.1, &vec![1.0; twin.num_params()]);
         assert!(!packs.matches(&twin));
         assert!(packs.matches(&net), "the original is untouched");
+    }
+
+    /// A repack into buffers last filled for another network or batch
+    /// multiplies bitwise like a fresh pack.
+    #[test]
+    fn repack_matches_a_fresh_pack_bitwise() {
+        use pdnn_tensor::gemm::GemmOp;
+        let mut rng = Prng::new(5);
+        let ctx = GemmContext::sequential();
+        let net: Network<f32> = Network::new(&[6, 40, 3], Activation::Sigmoid, &mut rng);
+        let mut other = net.clone();
+        other.axpy_flat(0.5, &vec![1.0; net.num_params()]);
+        let mut packs = PackedWeights::new(&other, &ctx);
+        packs.repack(&net, &ctx);
+        assert!(packs.matches(&net));
+        let fresh = PackedWeights::new(&net, &ctx);
+        let big: Matrix<f32> = Matrix::random_normal(70, 6, 1.0, &mut rng);
+        let small: Matrix<f32> = Matrix::random_normal(9, 6, 1.0, &mut rng);
+        let mut acts = PackedActivations::empty();
+        acts.repack(&net.forward(&ctx, &big), &ctx);
+        let cache = net.forward(&ctx, &small);
+        acts.repack(&cache, &ctx);
+        let fresh_acts = PackedActivations::new(&cache, &ctx);
+        let a: Matrix<f32> = Matrix::random_normal(9, 6, 1.0, &mut rng);
+        let run = |op: GemmOp<f32>, rows, cols| {
+            let mut c = Matrix::zeros(rows, cols);
+            op.run(&ctx, &mut c);
+            c
+        };
+        for l in 0..2 {
+            let (out, inp) = net.layers()[l].w.shape();
+            let x: Matrix<f32> = Matrix::random_normal(9, inp, 1.0, &mut rng);
+            assert_eq!(
+                run(GemmOp::packed_b(&x, Trans::N, packs.forward(l)), 9, out),
+                run(GemmOp::packed_b(&x, Trans::N, fresh.forward(l)), 9, out)
+            );
+            let d: Matrix<f32> = Matrix::random_normal(9, out, 1.0, &mut rng);
+            assert_eq!(
+                run(GemmOp::packed_b(&d, Trans::N, packs.backward(l)), 9, inp),
+                run(GemmOp::packed_b(&d, Trans::N, fresh.backward(l)), 9, inp)
+            );
+        }
+        let w = &net.layers()[0].w;
+        assert_eq!(
+            run(GemmOp::packed_a(acts.left(0), w, Trans::T), 9, 40),
+            run(GemmOp::packed_a(fresh_acts.left(0), w, Trans::T), 9, 40)
+        );
+        assert_eq!(
+            run(GemmOp::packed_b(&a, Trans::T, acts.right(0)), 6, 6),
+            run(GemmOp::packed_b(&a, Trans::T, fresh_acts.right(0)), 6, 6)
+        );
     }
 
     #[test]

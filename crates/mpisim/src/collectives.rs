@@ -18,10 +18,19 @@
 //! Every collective invocation draws a fresh tag window from the
 //! communicator's sequence counter, so back-to-back collectives can
 //! never cross-match even with `Src::Any` receives in user code.
+//!
+//! A hop allocates no wire buffer in steady state: the interpreter
+//! builds every payload it sends (an encoded chunk, or a fan-out copy
+//! of a wire image) in a buffer drawn from the rank's payload pool
+//! (`crate::pool`), and returns every payload it has consumed — folded,
+//! installed and not forwarded, or discarded — to that pool. The wire
+//! format, the hop order and the reduction order are those of the
+//! schedules; only where the bytes live changes.
 
 use crate::comm::{Comm, CommError, COLLECTIVE_TAG_BASE};
 use crate::events::CommEvent;
 use crate::message::{Payload, Src};
+use crate::pool::PayloadPool;
 use crate::schedule::{self, Apply, Chunk, Hop, Schedule};
 use crate::wire::{self, WireCodec};
 use pdnn_obs::{Recorder, RecorderExt, SpanKind};
@@ -47,8 +56,9 @@ pub trait CollElem: Copy + Default + Send + 'static {
     /// allocation. The ring reduce-scatter hot loop runs on this.
     fn fold_into(op: ReduceOp, incoming: &[Self], own: &mut [Self]);
     /// The payload `v` travels as under `codec`: only `f32` narrows to
-    /// a wire image; every other type travels as a plain copy.
-    fn encode(_codec: WireCodec, v: &[Self]) -> Payload {
+    /// a wire image, built in a buffer drawn from `pool`; every other
+    /// type travels as a plain copy.
+    fn encode(_codec: WireCodec, v: &[Self], _pool: &mut PayloadPool) -> Payload {
         Self::wrap(v.to_vec())
     }
     /// Decode elements `start .. start + out.len()` of the wire image
@@ -163,8 +173,8 @@ macro_rules! impl_coll_elem {
 }
 
 impl_coll_elem!(f32, F32, f32::to_bits, f32::from_bits;
-    fn encode(codec: WireCodec, v: &[f32]) -> Payload {
-        wire::encode_f32(codec, v)
+    fn encode(codec: WireCodec, v: &[f32], pool: &mut PayloadPool) -> Payload {
+        wire::encode_f32_in(codec, v, pool)
     }
     fn decode_into(p: &Payload, start: usize, out: &mut [f32]) -> bool {
         wire::decode_into(p, start, out)
@@ -400,7 +410,10 @@ enum OnFail {
 /// and window-1 receives fold the payload in the operand order the hop
 /// names; window-2 sends forward the wire image last owned or received,
 /// moved on its last send, so every rank installs identical bytes for
-/// every chunk. With `timeout` set every receive is bounded, and
+/// every chunk. Every encode and fan-out copy draws its buffer from the
+/// rank's payload pool, and every payload the walk is done with —
+/// folded, installed and not forwarded, or discarded — goes back to
+/// it. With `timeout` set every receive is bounded, and
 /// `on_fail` says what a failed one does. Returns the failure a
 /// draining root kept (`Ok(None)` when the walk was clean), or `Err`
 /// for an aborted walk.
@@ -434,10 +447,10 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                 }
                 let payload = if window != 2 {
                     let elems = buf.elems();
-                    T::encode(codec, &elems[chunk.range(elems.len())])
+                    T::encode(codec, &elems[chunk.range(elems.len())], &mut comm.pool)
                 } else if matches!(hops.get(i + 1), Some(Hop::Send { window: 2, .. })) {
                     // A fan-out: later children get the same image.
-                    image.clone()
+                    comm.pool.copy_of(&image)
                 } else {
                     std::mem::replace(&mut image, Payload::Empty)
                 };
@@ -456,19 +469,21 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                     None => comm.recv(Src::Of(src), t),
                     Some(d) => comm.recv_timeout(Src::Of(src), t, d),
                 };
+                let pool = &mut comm.pool;
                 let applied = got.and_then(|pkt| {
                     let elems = buf.elems();
                     let range = chunk.range(elems.len());
                     let own = &mut elems[range];
                     match apply {
                         Apply::FoldIncomingLeft | Apply::FoldOwnLeft => {
-                            fold(op, apply, &pkt.payload, own, pkt.src, t)?
+                            fold(op, apply, &pkt.payload, own, pkt.src, t)?;
+                            pool.retire(pkt.payload);
                         }
                         Apply::Install => {
                             install(&pkt.payload, buf, chunk, pkt.src, t)?;
-                            image = pkt.payload;
+                            pool.retire(std::mem::replace(&mut image, pkt.payload));
                         }
-                        Apply::Discard => {}
+                        Apply::Discard => pool.retire(pkt.payload),
                     }
                     Ok(())
                 });
@@ -492,11 +507,13 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                 // The owner keeps what its receivers will decode.
                 let elems = buf.elems();
                 let range = chunk.range(elems.len());
-                image = T::encode(codec, &elems[range.clone()]);
+                let own = T::encode(codec, &elems[range.clone()], &mut comm.pool);
+                comm.pool.retire(std::mem::replace(&mut image, own));
                 T::decode_into(&image, 0, &mut elems[range]);
             }
         }
     }
+    comm.pool.retire(image);
     Ok(first_err)
 }
 

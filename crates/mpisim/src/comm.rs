@@ -12,6 +12,7 @@ use crate::events::CommEvent;
 use crate::fault::{FaultAction, FaultPlan, FAULT_TICK};
 use crate::hb::{HbTracker, HbViolation};
 use crate::message::{Packet, Payload, Src};
+use crate::pool::{PayloadPool, WorldPool};
 use crate::vtime::LinkModel;
 use crate::wire::WireCodec;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -168,6 +169,9 @@ pub struct Comm {
     /// safe under a lossy codec: broadcast/reduce shapes and the
     /// ring/tree allreduces (see `crate::wire`).
     wire_codec: WireCodec,
+    /// Retired collective payloads whose buffers the next sends reuse
+    /// (see `crate::pool`).
+    pub(crate) pool: PayloadPool,
 }
 
 /// Tag bit reserved for collective-internal messages; user tags must
@@ -208,8 +212,9 @@ impl Comm {
         size: usize,
         inbox: Receiver<Packet>,
         peers: Vec<Sender<Packet>>,
+        world: WorldPool,
     ) -> Self {
-        Self::with_clock(rank, size, inbox, peers, Arc::new(WallClock::new()))
+        Self::with_clock(rank, size, inbox, peers, world, Arc::new(WallClock::new()))
     }
 
     /// Build a communicator whose trace timing *and* telemetry
@@ -221,6 +226,7 @@ impl Comm {
         size: usize,
         inbox: Receiver<Packet>,
         peers: Vec<Sender<Packet>>,
+        world: WorldPool,
         clock: Arc<dyn Clock>,
     ) -> Self {
         Comm {
@@ -244,7 +250,13 @@ impl Comm {
             fate: Fate::Alive,
             fault: None,
             wire_codec: WireCodec::None,
+            pool: PayloadPool::in_world(world, size),
         }
+    }
+
+    /// This rank's pool of retired collective payloads.
+    pub fn payload_pool(&self) -> &PayloadPool {
+        &self.pool
     }
 
     /// Set the wire codec applied to `F32` payloads inside

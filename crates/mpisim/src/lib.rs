@@ -37,6 +37,7 @@ pub mod events;
 pub mod fault;
 pub mod hb;
 pub mod message;
+mod pool;
 pub mod runner;
 pub mod schedule;
 pub mod vtime;
@@ -52,6 +53,7 @@ pub use message::{Packet, Payload, Src};
 /// benchmark harness (`benchmark/src/layers.rs`); the alias goes when
 /// that harness names `CommStats`.
 pub use pdnn_obs::CommStats as CommTrace;
+pub use pool::PayloadPool;
 pub use runner::{
     build_world, build_world_deterministic, run_world, run_world_deterministic, run_world_faulted,
     run_world_perturbed, RankOutcome,

@@ -7,6 +7,7 @@ use crate::events::CommEvent;
 use crate::fault::FaultPlan;
 use crate::hb::HbViolation;
 use crate::message::Packet;
+use crate::pool::WorldPool;
 use crossbeam::channel::unbounded;
 use pdnn_obs::{CommStats, Telemetry};
 use pdnn_util::timing::Clock;
@@ -42,6 +43,7 @@ pub struct RankOutcome<R> {
 /// threads (for single-threaded tests or custom schedulers).
 pub fn build_world(n: usize) -> Vec<Comm> {
     assert!(n > 0, "world needs at least one rank");
+    let world = WorldPool::default();
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
@@ -52,7 +54,7 @@ pub fn build_world(n: usize) -> Vec<Comm> {
     receivers
         .into_iter()
         .enumerate()
-        .map(|(rank, rx)| Comm::new(rank, n, rx, senders.clone()))
+        .map(|(rank, rx)| Comm::new(rank, n, rx, senders.clone(), world.clone()))
         .collect()
 }
 
@@ -64,6 +66,7 @@ pub fn build_world(n: usize) -> Vec<Comm> {
 pub fn build_world_deterministic(n: usize) -> Vec<Comm> {
     assert!(n > 0, "world needs at least one rank");
     let clock: Arc<dyn Clock> = ManualClock::shared();
+    let world = WorldPool::default();
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
@@ -74,7 +77,9 @@ pub fn build_world_deterministic(n: usize) -> Vec<Comm> {
     receivers
         .into_iter()
         .enumerate()
-        .map(|(rank, rx)| Comm::with_clock(rank, n, rx, senders.clone(), clock.clone()))
+        .map(|(rank, rx)| {
+            Comm::with_clock(rank, n, rx, senders.clone(), world.clone(), clock.clone())
+        })
         .collect()
 }
 
@@ -151,6 +156,7 @@ where
     assert!(n > 0, "world needs at least one rank");
     let clock: Arc<dyn Clock> = ManualClock::shared();
     let plan = Arc::new(plan.clone());
+    let world = WorldPool::default();
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
@@ -162,7 +168,8 @@ where
         .into_iter()
         .enumerate()
         .map(|(rank, rx)| {
-            let mut comm = Comm::with_clock(rank, n, rx, senders.clone(), clock.clone());
+            let mut comm =
+                Comm::with_clock(rank, n, rx, senders.clone(), world.clone(), clock.clone());
             comm.enable_faults(plan.clone());
             comm
         })

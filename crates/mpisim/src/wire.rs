@@ -8,8 +8,10 @@
 //! (`crate::collectives`) encodes a chunk straight from the caller's
 //! buffer ([`encode_f32`]) while a codec-armed collective runs, and
 //! folds or installs a received image straight into the buffer
-//! ([`decode_into`]), so user code never sees the wire image and a hop
-//! allocates nothing but the image it sends. Byte accounting uses the
+//! ([`decode_into`]), so user code never sees the wire image. The image
+//! a hop sends is built in a buffer the rank's payload pool
+//! (`crate::pool`) recycled from an image it consumed, so in steady
+//! state a hop allocates nothing. Byte accounting uses the
 //! *encoded* size, which is what flows into [`CommStats`] and the
 //! per-collective wire-byte counters.
 //!
@@ -34,6 +36,7 @@
 //! [`CommStats`]: pdnn_obs::CommStats
 
 use crate::message::Payload;
+use crate::pool::PayloadPool;
 use pdnn_tensor::codec::{self, CodecFn, CodecPass};
 
 /// Compression applied to `F32` payloads inside codec-armed
@@ -77,14 +80,25 @@ impl WireCodec {
 /// Narrow `v` to its wire image under `codec`; under
 /// `WireCodec::None` the image is a plain `F32` copy.
 pub fn encode_f32(codec: WireCodec, v: &[f32]) -> Payload {
-    encode_with(codec::selected(), codec, v)
+    encode_f32_in(codec, v, &mut PayloadPool::default())
 }
 
-fn encode_with(pass: CodecFn, codec: WireCodec, v: &[f32]) -> Payload {
+/// [`encode_f32`] into a buffer drawn from `pool`: a retired payload
+/// of the image's kind when one fits, whatever it holds (the passes
+/// overwrite every element).
+pub(crate) fn encode_f32_in(codec: WireCodec, v: &[f32], pool: &mut PayloadPool) -> Payload {
+    encode_with(codec::selected(), codec, v, pool)
+}
+
+fn encode_with(pass: CodecFn, codec: WireCodec, v: &[f32], pool: &mut PayloadPool) -> Payload {
     match codec {
-        WireCodec::None => Payload::F32(v.to_vec()),
+        WireCodec::None => {
+            let mut out = pool.f32_vec(v.len());
+            out.extend_from_slice(v);
+            Payload::F32(out)
+        }
         WireCodec::F16 => {
-            let mut h = vec![0; v.len()];
+            let mut h = pool.f16_vec(v.len());
             pass(CodecPass::F16Encode {
                 src: v,
                 out: &mut h,
@@ -99,8 +113,9 @@ fn encode_with(pass: CodecFn, codec: WireCodec, v: &[f32]) -> Payload {
                 src: v,
                 out: &mut max_bits,
             });
-            let mut q = vec![0; v.len()];
+            let mut q = pool.i8_vec(v.len());
             if max_bits == 0 || max_bits >= f32::INFINITY.to_bits() {
+                q.fill(0);
                 return Payload::QI8 { scale: 0.0, q };
             }
             let scale = f32::from_bits(max_bits) / 127.0;
@@ -310,7 +325,7 @@ mod tests {
     }
 
     fn i8_with(pass: CodecFn, v: &[f32]) -> (f32, Vec<i8>) {
-        match encode_with(pass, WireCodec::Int8, v) {
+        match encode_with(pass, WireCodec::Int8, v, &mut PayloadPool::default()) {
             Payload::QI8 { scale, q } => (scale, q),
             other => panic!("int8 encode gave {}", other.kind()),
         }
@@ -343,7 +358,9 @@ mod tests {
     fn assert_f16_matches(xs: &[f32]) {
         let want: Vec<u16> = xs.iter().map(|&x| f32_to_f16_bits(x)).collect();
         for (name, pass) in codec::instantiations() {
-            let Payload::F16(got) = encode_with(pass, WireCodec::F16, xs) else {
+            let Payload::F16(got) =
+                encode_with(pass, WireCodec::F16, xs, &mut PayloadPool::default())
+            else {
                 panic!("{name}: f16 encode gave another kind");
             };
             for ((&x, &h), &w) in xs.iter().zip(&got).zip(&want) {
@@ -615,6 +632,51 @@ mod tests {
         ] {
             assert_eq!(fast_i8(&v), (0.0, vec![0; v.len()]), "{v:?}");
             assert_i8_matches(&v);
+        }
+    }
+
+    /// A pooled buffer arrives holding a previous image; the all-zero
+    /// and non-finite guards must still write every element, and every
+    /// codec must overwrite what it reuses.
+    #[test]
+    fn encodes_into_dirty_pooled_buffers_match_the_oracle() {
+        let dirty = |len: usize| {
+            let mut pool = PayloadPool::default();
+            pool.retire(Payload::QI8 {
+                scale: 3.0,
+                q: vec![-77; len],
+            });
+            pool.retire(Payload::F16(vec![0x7bff; len]));
+            pool.retire(Payload::F32(vec![9.5; len]));
+            pool
+        };
+        let mut rng = pdnn_util::Prng::new(41);
+        let random: Vec<f32> = (0..300).map(|_| rng.normal() as f32).collect();
+        for v in [
+            vec![0.0f32; 300],
+            vec![-0.0; 17],
+            vec![1.0, f32::NAN, -2.0],
+            vec![f32::INFINITY; 40],
+            random,
+        ] {
+            for codec in [WireCodec::None, WireCodec::F16, WireCodec::Int8] {
+                // Same length and a shorter image in a longer buffer.
+                for mut pool in [dirty(v.len()), dirty(v.len() + 9)] {
+                    let got = encode_f32_in(codec, &v, &mut pool);
+                    let want = reference::encode(codec, &v);
+                    let same = match (&got, &want) {
+                        (Payload::F32(a), Payload::F32(b)) => a
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .eq(b.iter().map(|x| x.to_bits())),
+                        (Payload::QI8 { scale: s, q }, Payload::QI8 { scale: t, q: r }) => {
+                            s.to_bits() == t.to_bits() && q == r
+                        }
+                        _ => got == want,
+                    };
+                    assert!(same, "{codec:?} on {v:?}: {got:?} != {want:?}");
+                }
+            }
         }
     }
 

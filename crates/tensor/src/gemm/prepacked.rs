@@ -25,7 +25,7 @@ use crate::workspace::Workspace;
 use rayon::prelude::*;
 
 use super::backend::{BtFn, Merge, TileFn};
-use super::{pack, Blocking, GemmContext, Trans, BT_COLS, MR, NR};
+use super::{pack, scratch, Blocking, GemmContext, Trans, BT_COLS, MR, NR};
 
 /// One `(pc, jc)` block of the packed B operand.
 #[derive(Clone, Copy, Debug)]
@@ -109,6 +109,22 @@ impl<T: Scalar> PackedB<T> {
         ws.give_vec(self.data);
     }
 
+    /// Re-pack `op(B)` into this pack's own buffer, which grows only
+    /// if the new operand needs more room: when the weights (or the
+    /// sampled activations) change, the pack is refilled instead of
+    /// freed and rebuilt. Bitwise the pack [`Self::new`] would build.
+    pub fn repack(&mut self, b: &Matrix<T>, tb: Trans, blocking: Blocking) {
+        let data = std::mem::take(&mut self.data);
+        *self = Self::build(b.rows(), b.cols(), b.as_slice(), tb, blocking, |total| {
+            let mut data = data;
+            scratch::grow_to(&mut data, total);
+            data
+        });
+    }
+
+    /// Pack `src` into the buffer `alloc` returns for the pack's
+    /// element count; the buffer may be longer (a repacked buffer keeps
+    /// its high-water length), and the tail past the blocks is unused.
     fn build(
         rows: usize,
         cols: usize,
@@ -157,7 +173,7 @@ impl<T: Scalar> PackedB<T> {
         }
 
         let mut data = alloc(total);
-        debug_assert_eq!(data.len(), total);
+        debug_assert!(data.len() >= total);
         for info in &blocks {
             let size = info.nc_eff.div_ceil(NR) * NR * info.kc_eff;
             pack::pack_b_rows(
@@ -196,7 +212,8 @@ impl<T: Scalar> PackedB<T> {
         self.blocking
     }
 
-    /// Packed bytes held.
+    /// Bytes held: the pack, plus any tail a repack into a larger
+    /// buffer left unused.
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
     }
@@ -314,6 +331,8 @@ pub(crate) fn prepacked_impl<T: Scalar>(
     });
 }
 
+/// One stripe of C against a prepacked B, packing this stripe's
+/// `op(A)` into the thread's A scratch.
 #[allow(clippy::too_many_arguments)]
 fn stripe_prepacked<T: Scalar>(
     tile_fn: TileFn<T>,
@@ -332,13 +351,14 @@ fn stripe_prepacked<T: Scalar>(
     let kc = blocking.kc.min(k);
     let nc = blocking.nc.min(n);
     let a_panels = mc_eff.div_ceil(MR);
-    let mut ap = vec![T::ZERO; a_panels * MR * kc];
+    let mut ap_buf = scratch::take::<T>(scratch::Slot::A, a_panels * MR * kc);
+    let ap = &mut ap_buf[..a_panels * MR * kc];
 
     let mut pc = 0;
     let mut merge = Merge::first_block(beta);
     while pc < k {
         let kc_eff = kc.min(k - pc);
-        pack::pack_a(a, ta, ic0, mc_eff, pc, kc_eff, &mut ap);
+        pack::pack_a(a, ta, ic0, mc_eff, pc, kc_eff, ap);
 
         let mut jc = 0;
         while jc < n {
@@ -374,6 +394,7 @@ fn stripe_prepacked<T: Scalar>(
         pc += kc_eff;
         merge = Merge::Accumulate;
     }
+    scratch::put_back(scratch::Slot::A, ap_buf);
 }
 
 /// One k-block of the packed A operand.
@@ -412,6 +433,29 @@ impl<T: Scalar> PackedA<T> {
     /// that [`super::GemmOp::packed_a`] handles through the same early-return
     /// paths as [`super::GemmOp::ab`].
     pub fn new(a: &Matrix<T>, ta: Trans, blocking: Blocking) -> Self {
+        Self::build(a, ta, blocking, |total| vec![T::ZERO; total])
+    }
+
+    /// Re-pack `op(A)` into this pack's own buffer, which grows only
+    /// if the new operand needs more room (see [`PackedB::repack`]).
+    pub fn repack(&mut self, a: &Matrix<T>, ta: Trans, blocking: Blocking) {
+        let data = std::mem::take(&mut self.data);
+        *self = Self::build(a, ta, blocking, |total| {
+            let mut data = data;
+            scratch::grow_to(&mut data, total);
+            data
+        });
+    }
+
+    /// Pack into the buffer `alloc` returns for the pack's element
+    /// count; it may be longer (a repacked buffer keeps its high-water
+    /// length), and the tail past the blocks is unused.
+    fn build(
+        a: &Matrix<T>,
+        ta: Trans,
+        blocking: Blocking,
+        alloc: impl FnOnce(usize) -> Vec<T>,
+    ) -> Self {
         let blocking = blocking.sanitized();
         let (m, k) = match ta {
             Trans::N => a.shape(),
@@ -446,7 +490,7 @@ impl<T: Scalar> PackedA<T> {
             pc += kc_eff;
         }
 
-        let mut data = vec![T::ZERO; total];
+        let mut data = alloc(total);
         for info in &blocks {
             let size = panels * info.kc_eff * MR;
             pack::pack_a(
@@ -484,7 +528,8 @@ impl<T: Scalar> PackedA<T> {
         self.blocking
     }
 
-    /// Packed bytes held.
+    /// Bytes held: the pack, plus any tail a repack into a larger
+    /// buffer left unused.
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
     }
@@ -610,7 +655,8 @@ fn stripe_prepacked_a<T: Scalar>(
     let kc = blocking.kc.min(k);
     let nc = blocking.nc.min(n);
     let b_panels = nc.div_ceil(NR);
-    let mut bp = vec![T::ZERO; b_panels * NR * kc];
+    let mut bp_buf = scratch::take::<T>(scratch::Slot::B, b_panels * NR * kc);
+    let bp = &mut bp_buf[..b_panels * NR * kc];
     // ic0 is a multiple of MR (sh is rounded up to MR), so the
     // stripe's rows start exactly at a packed panel boundary.
     let panel0 = ic0 / MR;
@@ -624,7 +670,7 @@ fn stripe_prepacked_a<T: Scalar>(
         let mut jc = 0;
         while jc < n {
             let nc_eff = nc.min(n - jc);
-            pack::pack_b(b, tb, pc, kc_eff, jc, nc_eff, &mut bp);
+            pack::pack_b(b, tb, pc, kc_eff, jc, nc_eff, bp);
 
             let jr_panels = nc_eff.div_ceil(NR);
             let ir_panels = mc_eff.div_ceil(MR);
@@ -654,6 +700,7 @@ fn stripe_prepacked_a<T: Scalar>(
         pc += kc_eff;
         merge = Merge::Accumulate;
     }
+    scratch::put_back(scratch::Slot::B, bp_buf);
 }
 
 /// `C = alpha * A_packed * B_packed + beta * C` with **both** operands

@@ -50,6 +50,20 @@ impl<T: Scalar> Matrix<T> {
         Matrix { rows, cols, data }
     }
 
+    /// Reshape to `rows x cols` in this matrix's own buffer, for a
+    /// caller that overwrites every element: the buffer keeps its
+    /// memory, grows (by exactly what it lacks) only past its high
+    /// water, and the elements hold whatever they held, or zero where
+    /// it grew.
+    pub fn reshape_reusing(&mut self, rows: usize, cols: usize) {
+        let len = rows * cols;
+        if len > self.data.len() {
+            self.data.reserve_exact(len - self.data.len());
+        }
+        self.data.resize(len, T::ZERO);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
     /// Build by evaluating `f(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -343,6 +357,20 @@ mod tests {
                 assert_eq!(m[(r, c)], if r == c { 1.0 } else { 0.0 });
             }
         }
+    }
+
+    #[test]
+    fn reshape_reusing_keeps_the_buffer() {
+        let mut m: Matrix<f32> = Matrix::filled(4, 5, 2.0);
+        let ptr = m.as_slice().as_ptr();
+        m.reshape_reusing(2, 3);
+        assert_eq!((m.shape(), m.as_slice().as_ptr()), ((2, 3), ptr));
+        assert!(m.as_slice().iter().all(|&v| v == 2.0));
+        m.reshape_reusing(5, 4);
+        assert_eq!((m.shape(), m.as_slice().as_ptr()), ((5, 4), ptr));
+        m.reshape_reusing(3, 7);
+        assert_eq!(m.len(), 21);
+        assert_eq!(m[(2, 6)], 0.0, "grown elements are zero");
     }
 
     #[test]

@@ -10,8 +10,10 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 use crate::gemm::backend::{default_backend, BtFn, ComputeBackend, TileFn};
+use crate::gemm::scratch::{self, PackScratch};
 use crate::vmath::{self, RowOpFn};
 
 /// Floating-point element type usable by the kernels.
@@ -91,10 +93,13 @@ pub trait Scalar:
     /// The element-wise row kernel for this type, picked once per
     /// process from the default backend's ISA.
     fn row_op_kernel() -> RowOpFn<Self>;
+    /// The calling thread's retained GEMM packing buffers for this
+    /// type (see [`crate::gemm::scratch`]).
+    fn pack_scratch() -> &'static LocalKey<PackScratch<Self>>;
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $tile:ident, $bt:ident, $exp:expr, $ln:expr) => {
+    ($t:ty, $tile:ident, $bt:ident, $exp:expr, $ln:expr, $scratch:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -158,12 +163,30 @@ macro_rules! impl_scalar {
                 static KERNEL: OnceLock<RowOpFn<$t>> = OnceLock::new();
                 *KERNEL.get_or_init(|| vmath::select::<$t>(default_backend().isa()))
             }
+            #[inline(always)]
+            fn pack_scratch() -> &'static LocalKey<PackScratch<Self>> {
+                &scratch::$scratch
+            }
         }
     };
 }
 
-impl_scalar!(f32, tile_f32, bt_f32, vmath::exp_f32, vmath::ln_f32);
-impl_scalar!(f64, tile_f64, bt_f64, vmath::exp_f64, vmath::ln_f64);
+impl_scalar!(
+    f32,
+    tile_f32,
+    bt_f32,
+    vmath::exp_f32,
+    vmath::ln_f32,
+    F32_SCRATCH
+);
+impl_scalar!(
+    f64,
+    tile_f64,
+    bt_f64,
+    vmath::exp_f64,
+    vmath::ln_f64,
+    F64_SCRATCH
+);
 
 #[cfg(test)]
 mod tests {

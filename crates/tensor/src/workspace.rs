@@ -8,10 +8,22 @@
 //! so a steady-state training loop allocates only until every phase
 //! has hit its high-water mark and then runs allocation-free.
 //!
+//! The reuse contract: a buffer is reused by capacity, so it may be as
+//! large as the phase's high-water mark requires and nothing is kept
+//! beyond what was handed out and given back. Nothing the arena holds
+//! goes back to the allocator mid-run. That matters because ranks are
+//! threads of one process: a large block the allocator hands back to
+//! the OS is faulted in again on its next use and flushes the TLBs of
+//! the CPUs running the other ranks. An arena parks only buffers it
+//! handed out; a caller that hands in a foreign buffer grows it by
+//! that buffer for good.
+//!
 //! Buffers are handed out zero-filled at their exact requested length,
 //! so a `take_matrix` is a drop-in replacement for `Matrix::zeros` —
 //! callers that forget to `give_*` a buffer back merely lose the reuse
-//! (the buffer drops normally), never correctness.
+//! (the buffer drops normally), never correctness. The GEMM drivers'
+//! pack panels live outside any arena, in per-thread retained scratch
+//! ([`crate::gemm::scratch`]).
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;

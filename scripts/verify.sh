@@ -20,16 +20,23 @@ echo "== backends: tier-1 under forced-scalar, forced-avx2 and auto dispatch =="
 # ISA the process dispatched against PDNN_BACKEND, that auto picks the
 # widest ISA, and that the scalar reference runs its FMA instantiation
 # (not libm `fma`) where the CPU has FMA; pdnn-dnn's steady_state_heap
-# checks zero heap growth per packed training step.
+# checks zero heap growth and no large allocation per packed training
+# step. Each pass also runs pdnn-core's steady_state_allocs gate in
+# release: no rank allocates a 64 KiB+ buffer after the first HF
+# iteration, in serial, master, ring and tree mode.
 backend_suite=(-p pdnn-tensor -p pdnn-dnn -p pdnn-core)
 cpu_has() { grep -qw "$1" /proc/cpuinfo 2>/dev/null; }
-PDNN_BACKEND=scalar cargo test -q "${backend_suite[@]}"
+backend_pass() {
+  PDNN_BACKEND="$1" cargo test -q "${backend_suite[@]}"
+  PDNN_BACKEND="$1" cargo test -q --release -p pdnn-core --test steady_state_allocs
+}
+backend_pass scalar
 if cpu_has avx2 && cpu_has fma; then
-  PDNN_BACKEND=avx2 cargo test -q "${backend_suite[@]}"
+  backend_pass avx2
 else
   echo "avx2+fma unavailable; skipping the PDNN_BACKEND=avx2 pass"
 fi
-PDNN_BACKEND=auto cargo test -q "${backend_suite[@]}"
+backend_pass auto
 
 echo "== identity: run_digest against results/run_digest.txt, per backend =="
 # One hash line per trainer configuration (theta bits, stats, per-rank
