@@ -107,35 +107,34 @@ pub enum CgStop {
     NegativeCurvature,
 }
 
-/// A truncated-CG solver that keeps its work vectors across solves.
-///
-/// The residual, direction, preconditioned residual, the quadratic
-/// history, the iterate list and the iterate vectors themselves all
-/// live here between solves: once [`Self::reclaim`] has handed a
-/// result's iterates back, a solve of no more stored iterates than an
-/// earlier one allocates nothing. The curvature products cycle too:
-/// each call of the product closure is handed the product buffer the
-/// solve has retired (the previous `Ap`, or the previous solve's
-/// residual) to give back to whoever made it.
+/// What a CG solve runs against: the curvature product, and the owner
+/// of its work vectors. A solve gives back every vector it leased or
+/// took from [`Self::product`] except the stored iterates (see
+/// [`CgSolver::reclaim`]), each `Ap` before it asks for the next.
+pub trait CgOperator {
+    /// The curvature product `G v`, in a buffer the operator owns.
+    fn product(&mut self, v: &[f32]) -> Vec<f32>;
+    /// A buffer of exactly `len` elements, contents unspecified.
+    fn lease(&mut self, len: usize) -> Vec<f32>;
+    /// Take back a leased buffer or a product; an empty vector is
+    /// ignored.
+    fn give_back(&mut self, buf: Vec<f32>);
+}
+
+/// A truncated-CG solver. Its vectors are leased per solve from the
+/// [`CgOperator`]; between solves it keeps only its quadratic history
+/// and the emptied iterate list, so a solve of no more iterations than
+/// an earlier one allocates nothing of its own.
 #[derive(Clone, Debug, Default)]
 pub struct CgSolver {
     config: CgConfig,
-    /// The residual `r`: the first product of a solve, kept.
-    r: Vec<f32>,
-    /// The last `Ap` product.
-    ap: Vec<f32>,
-    p: Vec<f32>,
-    z: Vec<f32>,
     q_hist: Vec<f64>,
     /// Emptied iterate list of the last reclaimed result.
     iterates: Vec<CgIterate>,
-    /// Iterate vectors of reclaimed results, reused for `d` and for
-    /// every stored iterate.
-    spare: Vec<Vec<f32>>,
 }
 
 impl CgSolver {
-    /// A solver with no work vectors yet; the first solve sizes them.
+    /// A solver with no buffers yet; the first solve sizes them.
     pub fn new(config: CgConfig) -> Self {
         CgSolver {
             config,
@@ -143,27 +142,19 @@ impl CgSolver {
         }
     }
 
-    /// Keep a finished solve's iterate vectors for the next solve.
-    pub fn reclaim(&mut self, mut result: CgResult) {
-        self.spare.extend(result.iterates.drain(..).map(|it| it.d));
+    /// Hand a finished solve's iterate vectors to `give_back` and keep
+    /// its iterate list for the next solve.
+    pub fn reclaim(&mut self, mut result: CgResult, mut give_back: impl FnMut(Vec<f32>)) {
+        for it in result.iterates.drain(..) {
+            give_back(it.d);
+        }
         self.iterates = result.iterates;
     }
 
-    /// A vector holding a copy of `src`, from the spare iterates.
-    fn copy_of(&mut self, src: &[f32]) -> Vec<f32> {
-        let mut v = self.spare.pop().unwrap_or_default();
-        v.clear();
-        v.extend_from_slice(src);
-        v
-    }
-
-    /// Minimize `q(d) = g·d + ½ d·(G + σI)d` from `d0`, where `apply_g`
-    /// computes the curvature product `G v` and `shift` is σ (the
-    /// damping λ plus any L2 weight; σ is applied in `f32`).
-    /// `apply_g(v, retired)` returns `G v`; `retired` is a product
-    /// buffer this solver no longer needs (empty on the first calls of
-    /// a fresh solver), for the closure to give back to the product's
-    /// producer or reuse.
+    /// Minimize `q(d) = g·d + ½ d·(G + σI)d` from `d0`, where `op`
+    /// computes the curvature product `G v` and lends the work vectors,
+    /// and `shift` is σ (the damping λ plus any L2 weight; σ is applied
+    /// in `f32`).
     ///
     /// `precond`, when given, is the diagonal of the preconditioner
     /// `M`; CG then solves the implicitly transformed system (standard
@@ -181,17 +172,17 @@ impl CgSolver {
     ///
     /// Recorded on `recorder`: a `"cg_minimize"` span around the solve,
     /// the `"cg_iters"` counter (iterations executed), the
-    /// `"cg_curvature_products"` counter (exact number of `apply_g`
-    /// calls) and the `"cg_q_final"` gauge.
+    /// `"cg_curvature_products"` counter (exact number of
+    /// [`CgOperator::product`] calls) and the `"cg_q_final"` gauge.
     ///
     /// # Panics
     /// If lengths mismatch or any preconditioner entry is not strictly
     /// positive (M must be SPD).
-    pub fn solve(
+    pub fn solve<O: CgOperator>(
         &mut self,
         g: &[f32],
         d0: &[f32],
-        mut apply_g: impl FnMut(&[f32], Vec<f32>) -> Vec<f32>,
+        op: &mut O,
         shift: f64,
         precond: Option<&[f32]>,
         recorder: &dyn Recorder,
@@ -211,30 +202,34 @@ impl CgSolver {
         }
         let sigma = shift as f32;
         let mut products = 0u64;
-        let mut apply_a = |v: &[f32], retired: Vec<f32>| {
+        let mut apply_a = |op: &mut O, v: &[f32]| {
             products += 1;
-            let gv = apply_g(v, retired);
+            let gv = op.product(v);
             assert_eq!(gv.len(), n, "cg: curvature product length mismatch");
             gv
         };
 
-        let mut d = self.copy_of(d0);
+        let mut d = op.lease(n);
+        d.copy_from_slice(d0);
         // r = (G + σI) d + g
-        let mut r = apply_a(&d, std::mem::take(&mut self.r));
+        let mut r = apply_a(op, &d);
         for ((ri, &di), &gi) in r.iter_mut().zip(&d).zip(g) {
             *ri = (sigma * di + *ri) + gi;
         }
         // z = M⁻¹ r (kept only under a preconditioner; otherwise z is r);
         // p = −z.
-        let mut z = std::mem::take(&mut self.z);
-        z.clear();
+        let mut z = Vec::new();
         if let Some(m) = precond {
-            z.extend(r.iter().zip(m).map(|(&ri, &mi)| ri / mi));
+            z = op.lease(n);
+            for ((zi, &ri), &mi) in z.iter_mut().zip(&r).zip(m) {
+                *zi = ri / mi;
+            }
         }
         let z0 = if precond.is_some() { &z } else { &r };
-        let mut p = std::mem::take(&mut self.p);
-        p.clear();
-        p.extend(z0.iter().map(|&v| -v));
+        let mut p = op.lease(n);
+        for (pi, &zi) in p.iter_mut().zip(z0) {
+            *pi = -zi;
+        }
         let mut rz = blas1::dot(&r, z0);
 
         // q(d) = ½ d·(r + g)
@@ -254,10 +249,11 @@ impl CgSolver {
         let mut store_exp = 0u32;
         let mut stop = CgStop::MaxIters;
         let mut iters = 0usize;
-        let mut ap = std::mem::take(&mut self.ap);
+        let mut ap = Vec::new();
 
         for i in 1..=config.max_iters {
-            ap = apply_a(&p, ap);
+            op.give_back(ap);
+            ap = apply_a(op, &p);
             let pap = blas1::axpy_dot(sigma, &p, &mut ap);
             if pap <= 0.0 {
                 stop = if exactly_zero(rz) {
@@ -282,9 +278,11 @@ impl CgSolver {
             q_hist.push(q);
 
             if i == next_store {
+                let mut copy = op.lease(n);
+                copy.copy_from_slice(&d);
                 iterates.push(CgIterate {
                     iter: i,
-                    d: self.copy_of(&d),
+                    d: copy,
                     q,
                 });
                 store_exp += 1;
@@ -322,9 +320,12 @@ impl CgSolver {
                 q: last_q,
             });
         } else {
-            self.spare.push(d);
+            op.give_back(d);
         }
-        (self.r, self.ap, self.p, self.z, self.q_hist) = (r, ap, p, z, q_hist);
+        for buf in [r, ap, p, z] {
+            op.give_back(buf);
+        }
+        self.q_hist = q_hist;
 
         let result = CgResult {
             iterates,
@@ -344,18 +345,31 @@ mod tests {
     use super::*;
     use pdnn_obs::NullRecorder;
 
+    /// A product closure as an operator whose leases are fresh vectors.
+    struct Fresh<F>(F);
+
+    impl<F: FnMut(&[f32]) -> Vec<f32>> CgOperator for Fresh<F> {
+        fn product(&mut self, v: &[f32]) -> Vec<f32> {
+            (self.0)(v)
+        }
+        fn lease(&mut self, len: usize) -> Vec<f32> {
+            vec![0.0; len]
+        }
+        fn give_back(&mut self, _buf: Vec<f32>) {}
+    }
+
     /// A one-off solve on a fresh solver, the product allocating its
     /// own vector.
     fn cg_minimize(
         g: &[f32],
         d0: &[f32],
-        mut apply_g: impl FnMut(&[f32]) -> Vec<f32>,
+        apply_g: impl FnMut(&[f32]) -> Vec<f32>,
         shift: f64,
         precond: Option<&[f32]>,
         config: &CgConfig,
         recorder: &dyn Recorder,
     ) -> CgResult {
-        CgSolver::new(*config).solve(g, d0, |v, _| apply_g(v), shift, precond, recorder)
+        CgSolver::new(*config).solve(g, d0, &mut Fresh(apply_g), shift, precond, recorder)
     }
 
     /// Unshifted, unpreconditioned solve under the default config.

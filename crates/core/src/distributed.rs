@@ -66,7 +66,7 @@ use crate::config::HfConfig;
 use crate::optimizer::{HfOptimizer, IterStats};
 use crate::problem::{HeldoutEval, HfProblem, Objective};
 use crate::protocol::{self, Frame, Opcode};
-use crate::shard::{report_gemm_scratch, ShardEngine};
+use crate::shard::{report_memory, ShardEngine};
 use crate::stopping::StopState;
 use pdnn_dnn::network::Network;
 use pdnn_mpisim::{
@@ -75,6 +75,7 @@ use pdnn_mpisim::{
 use pdnn_obs::{CommStats, InMemoryRecorder, Recorder, RecorderExt, SpanKind, Telemetry};
 use pdnn_speech::{partition, Corpus, Shard, Strategy};
 use pdnn_tensor::gemm::GemmContext;
+use pdnn_tensor::Workspace;
 use pdnn_util::{Error, PhaseTimer};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -257,14 +258,6 @@ const DEGRADED_EVAL: HeldoutEval = HeldoutEval {
     accuracy: f64::NAN,
     frames: 0,
 };
-
-/// Publish the `payload_pool_high_water_bytes` gauge: the most
-/// retired wire-payload bytes this rank's communicator has held.
-fn report_pool(comm: &Comm) {
-    let bytes = comm.payload_pool().high_water_bytes();
-    comm.recorder()
-        .gauge_set("payload_pool_high_water_bytes", bytes as f64);
-}
 
 /// Turn a sum aggregated over `frames` frames into a mean.
 fn mean_of(mut sum: Vec<f32>, frames: f64, phase: &'static str) -> Result<Vec<f32>, TrainFault> {
@@ -471,11 +464,11 @@ struct MasterProblem<'a> {
     /// Slot `w` is worker rank `w + 1`.
     ledger: ShardLedger,
     latch: FaultLatch,
-    /// The operand buffer every command exchange broadcasts from.
-    operand: Vec<f32>,
-    /// Sum buffers: a reduce's result goes out as a gradient or
-    /// curvature product and comes back through `give_back`.
-    sums: Vec<Vec<f32>>,
+    /// Rank 0's memory owner: the optimizer's leases, and the operand
+    /// and sum buffers of every command exchange (a reduced sum goes
+    /// out as a gradient or curvature product and comes back through
+    /// `give_back`).
+    ws: Workspace<f32>,
 }
 
 impl MasterProblem<'_> {
@@ -483,7 +476,7 @@ impl MasterProblem<'_> {
     /// the poisoned front-end skips the exchange): broadcast `operand`,
     /// contribute zeros to the row's reduces, and `finish` the sums
     /// (taking the `sum` buffer if it returns it). The operand and sum
-    /// buffers are the problem's own, reused by every exchange.
+    /// buffers are takes from the problem's arena.
     fn exchange<T>(
         &mut self,
         op: Opcode,
@@ -498,21 +491,18 @@ impl MasterProblem<'_> {
             .map(|name| rec.span(name, SpanKind::CommCollective));
         self.settle(|p| {
             let mut frame = Frame {
-                operand: std::mem::take(&mut p.operand),
+                operand: p.ws.take_vec_scratch(operand.len()),
                 meta: vec![0.0f64; cmd.meta],
                 ..Frame::default()
             };
-            frame.operand.clear();
-            frame.operand.extend_from_slice(operand);
+            frame.operand.copy_from_slice(operand);
             if cmd.sum {
-                frame.sum = p.sums.pop().unwrap_or_default();
-                frame.sum.clear();
-                frame.sum.resize(p.theta.len(), 0.0);
+                frame.sum = p.ws.take_vec(p.theta.len());
             }
             let issued = protocol::issue(p.comm, cmd, args, &mut frame).map_err(TrainFault::Comm);
             let out = issued.and_then(|()| finish(&mut frame));
-            p.operand = frame.operand;
-            p.give_back(frame.sum);
+            p.ws.give_vec(frame.operand);
+            p.ws.give_vec(frame.sum);
             out
         })
     }
@@ -573,8 +563,8 @@ impl HfProblem for MasterProblem<'_> {
                 mean_of(std::mem::take(&mut f.sum), f.meta[0], "gn_product")
             })
             .unwrap_or_else(|| vec![0.0f32; v.len()]);
-        report_gemm_scratch(&*self.rec);
-        report_pool(self.comm);
+        let pool = self.comm.payload_pool().high_water_bytes();
+        report_memory(&*self.rec, self.ws.stats(), Some(pool));
         gv
     }
 
@@ -584,10 +574,12 @@ impl HfProblem for MasterProblem<'_> {
         })
     }
 
+    fn lease(&mut self, len: usize) -> Vec<f32> {
+        self.ws.lease_vec(len)
+    }
+
     fn give_back(&mut self, buf: Vec<f32>) {
-        if buf.capacity() > 0 {
-            self.sums.push(buf);
-        }
+        self.ws.give_vec(buf);
     }
 
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
@@ -718,8 +710,8 @@ fn worker_loop(
             Opcode::Gradient | Opcode::Fisher => engine.recycle(std::mem::take(&mut frame.sum)),
             Opcode::GnProduct => {
                 engine.recycle(std::mem::take(&mut frame.sum));
-                engine.report_arena();
-                report_pool(comm);
+                let pool = comm.payload_pool().high_water_bytes();
+                report_memory(&*engine.rec, engine.arena_stats(), Some(pool));
             }
             // The shutdown row's closing barrier means no rank exits
             // while another may still be mid-collective, so the
@@ -751,7 +743,6 @@ struct DecentralProblem<'a> {
     comm: &'a mut Comm,
     rec: Arc<InMemoryRecorder>,
     sync: SyncStrategy,
-    theta: Vec<f32>,
     corpus: &'a Corpus,
     engine: ShardEngine<'a>,
     /// Global frame count of the current curvature sample, agreed by
@@ -825,16 +816,16 @@ impl DecentralProblem<'_> {
 
 impl HfProblem for DecentralProblem<'_> {
     fn num_params(&self) -> usize {
-        self.theta.len()
+        self.engine.net().num_params()
     }
 
     fn theta(&self) -> Vec<f32> {
-        self.theta.clone()
+        self.engine.net().to_flat()
     }
 
     fn theta_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(&self.theta);
+        out.resize(self.num_params(), 0.0);
+        self.engine.net().write_flat(out);
     }
 
     fn set_theta(&mut self, theta: &[f32]) {
@@ -843,15 +834,13 @@ impl HfProblem for DecentralProblem<'_> {
         // over the Master-mode θ broadcast.
         let rec = self.rec.clone();
         let _span = rec.span("sync_weights_replicated", SpanKind::MemoryBound);
-        self.theta.clear();
-        self.theta.extend_from_slice(theta);
         self.engine.set_theta(theta);
         self.sample_frames = None;
     }
 
     fn gradient(&mut self) -> (f64, Vec<f32>) {
         self.settle(Self::try_gradient)
-            .unwrap_or_else(|| (f64::NAN, vec![0.0f32; self.theta.len()]))
+            .unwrap_or_else(|| (f64::NAN, vec![0.0f32; self.num_params()]))
     }
 
     fn sample_curvature(&mut self, seed: u64, fraction: f64) {
@@ -869,8 +858,8 @@ impl HfProblem for DecentralProblem<'_> {
                 p.try_curvature(sums, "gn_product")
             })
             .unwrap_or_else(|| vec![0.0f32; v.len()]);
-        self.engine.report_arena();
-        report_pool(self.comm);
+        let pool = self.comm.payload_pool().high_water_bytes();
+        report_memory(&*self.rec, self.engine.arena_stats(), Some(pool));
         gv
     }
 
@@ -884,6 +873,10 @@ impl HfProblem for DecentralProblem<'_> {
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
         self.settle(|p| p.try_heldout(theta))
             .unwrap_or(DEGRADED_EVAL)
+    }
+
+    fn lease(&mut self, len: usize) -> Vec<f32> {
+        self.engine.lease(len)
     }
 
     fn give_back(&mut self, buf: Vec<f32>) {
@@ -1207,7 +1200,6 @@ fn train_impl(
                 comm,
                 rec: rec.clone(),
                 sync: config.sync,
-                theta: theta0.clone(),
                 corpus,
                 sample_frames: None,
                 ledger: ledger.clone(),
@@ -1254,8 +1246,7 @@ fn train_impl(
                 theta: theta0.clone(),
                 ledger: ledger.clone(),
                 latch,
-                operand: Vec::new(),
-                sums: Vec::new(),
+                ws: Workspace::new(),
             };
             // Distribute the initial weights.
             problem.set_theta(&theta0);

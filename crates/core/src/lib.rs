@@ -64,7 +64,7 @@ pub mod protocol;
 mod shard;
 pub mod stopping;
 
-pub use cg::{CgConfig, CgResult, CgSolver, CgStop};
+pub use cg::{CgConfig, CgOperator, CgResult, CgSolver, CgStop};
 pub use config::HfConfig;
 pub use damping::{Damping, LambdaRule};
 pub use distributed::{

@@ -19,7 +19,7 @@
 //! 6. Armijo backtracking line search on the chosen iterate, then
 //!    `θ ← θ + α d_i`, momentum `d_0 ← β d_N`.
 
-use crate::cg::{CgSolver, CgStop};
+use crate::cg::{CgOperator, CgSolver, CgStop};
 use crate::config::{HfConfig, Preconditioner};
 use crate::damping::Damping;
 use crate::line_search::armijo_search;
@@ -69,27 +69,40 @@ pub struct IterStats {
 /// The Hessian-free optimizer (stateful across iterations: damping
 /// level, momentum direction, last held-out loss).
 ///
-/// Its per-iteration vectors — θ₀ and the updated θ, the trial θ of
-/// every held-out evaluation, the CG start `d₀` (the momentum
-/// direction), the preconditioner and the CG solver's work vectors —
-/// are kept across iterations, and every vector the problem returns
-/// goes back to it ([`HfProblem::give_back`]), so after the first
-/// iteration a step allocates no vector of θ's size.
+/// Every vector of θ's size a step uses — θ₀ and the updated θ, the
+/// trial θ of the held-out evaluations, the CG start `d₀`, the
+/// preconditioner and the CG solver's vectors — is leased from the
+/// problem ([`HfProblem::lease`]) and given back when its phase ends,
+/// as is every vector the problem returns ([`HfProblem::give_back`]).
+/// Between steps it holds only the momentum direction.
 pub struct HfOptimizer {
     config: HfConfig,
     damping: Damping,
     /// `β d_N` of the last accepted step, the next CG start, while
-    /// `momentum` holds; zeros otherwise.
+    /// `momentum` holds (a leased buffer); empty otherwise.
     d0: Vec<f32>,
     momentum: bool,
     loss_prev: Option<f64>,
     recorder: Arc<dyn Recorder>,
     cg: CgSolver,
-    /// θ₀ of the current step, updated in place to the new θ.
-    theta: Vec<f32>,
-    /// The trial θ of every held-out evaluation.
-    trial: Vec<f32>,
-    precond: Vec<f32>,
+}
+
+/// A problem as CG's operator: its Gauss–Newton products, and its
+/// owner for CG's work vectors.
+struct GnOperator<'p, P>(&'p mut P);
+
+impl<P: HfProblem> CgOperator for GnOperator<'_, P> {
+    fn product(&mut self, v: &[f32]) -> Vec<f32> {
+        self.0.gn_product(v)
+    }
+
+    fn lease(&mut self, len: usize) -> Vec<f32> {
+        self.0.lease(len)
+    }
+
+    fn give_back(&mut self, buf: Vec<f32>) {
+        self.0.give_back(buf);
+    }
 }
 
 impl HfOptimizer {
@@ -129,9 +142,6 @@ impl HfOptimizer {
             momentum: false,
             loss_prev: None,
             recorder,
-            theta: Vec::new(),
-            trial: Vec::new(),
-            precond: Vec::new(),
         }
     }
 
@@ -176,15 +186,16 @@ impl HfOptimizer {
         let _iter_span = rec.span("hf_iteration", SpanKind::Scalar);
         rec.counter_add("hf_iterations", 1);
         let n = problem.num_params();
-        problem.theta_into(&mut self.theta);
-        assert_eq!(self.theta.len(), n);
+        let mut theta = problem.lease(n);
+        problem.theta_into(&mut theta);
+        assert_eq!(theta.len(), n);
         let mut heldout_evals = 0usize;
 
         let loss_prev = match self.loss_prev {
             Some(l) => l,
             None => {
                 heldout_evals += 1;
-                let e = problem.heldout_eval(&self.theta);
+                let e = problem.heldout_eval(&theta);
                 self.loss_prev = Some(e.loss);
                 e.loss
             }
@@ -195,8 +206,8 @@ impl HfOptimizer {
         let (mut train_loss, mut g) = problem.gradient();
         let l2 = self.config.l2;
         if l2 > 0.0 {
-            blas1::axpy(l2 as f32, &self.theta, &mut g);
-            train_loss += 0.5 * l2 * blas1::dot(&self.theta, &self.theta);
+            blas1::axpy(l2 as f32, &theta, &mut g);
+            train_loss += 0.5 * l2 * blas1::dot(&theta, &theta);
         }
         let g = g;
         let train_loss = train_loss;
@@ -213,49 +224,49 @@ impl HfOptimizer {
 
         let lambda = self.damping.lambda();
         rec.gauge_set("lambda", lambda);
-        if !self.momentum {
-            self.d0.clear();
-            self.d0.resize(n, 0.0);
-        }
-        // Optional Martens preconditioner: M = (diag(Fisher) + λ)^ξ.
+        let d0 = if self.momentum {
+            std::mem::take(&mut self.d0)
+        } else {
+            let mut zeros = problem.lease(n);
+            zeros.fill(0.0);
+            zeros
+        };
+        // Optional Martens preconditioner: M = (diag(Fisher) + λ)^ξ,
+        // formed in the diagonal's own buffer.
         let precond = match self.config.preconditioner {
             Preconditioner::None => None,
-            Preconditioner::EmpiricalFisher { exponent } => problem.fisher_diagonal().map(|diag| {
-                self.precond.clear();
-                self.precond.extend(
-                    diag.iter()
-                        .map(|&d| ((d.max(0.0) as f64 + lambda).powf(exponent)) as f32),
-                );
-                problem.give_back(diag);
-                &self.precond[..]
-            }),
+            Preconditioner::EmpiricalFisher { exponent } => {
+                problem.fisher_diagonal().map(|mut diag| {
+                    for d in &mut diag {
+                        *d = ((d.max(0.0) as f64 + lambda).powf(exponent)) as f32;
+                    }
+                    diag
+                })
+            }
         };
         // CG's shift: damping plus the exact curvature of the L2 penalty.
-        // Each product hands the buffer CG retired back to the problem.
         let cg = self.cg.solve(
             &g,
-            &self.d0,
-            |v, retired| {
-                problem.give_back(retired);
-                problem.gn_product(v)
-            },
+            &d0,
+            &mut GnOperator(problem),
             lambda + l2,
-            precond,
+            precond.as_deref(),
             rec.as_ref(),
         );
+        problem.give_back(d0);
+        problem.give_back(precond.unwrap_or_default());
         let q_final = cg.final_q();
 
         // 3. Backtracking over the iterate series on held-out loss. One
         // trial-θ buffer serves every evaluation here and in the line
         // search.
-        let theta0 = &self.theta;
-        let trial = &mut self.trial;
-        trial.resize(n, 0.0);
+        let theta0 = &theta;
+        let mut trial = problem.lease(n);
         let mut eval_at = |d: &[f32], evals: &mut usize| {
             trial.copy_from_slice(theta0);
-            blas1::add(d, trial);
+            blas1::add(d, &mut trial);
             *evals += 1;
-            problem.heldout_eval(trial)
+            problem.heldout_eval(&trial)
         };
         let bt_span = rec.span("backtracking", SpanKind::DenseCompute);
         let n_stored = cg.iterates.len();
@@ -280,8 +291,10 @@ impl HfOptimizer {
             self.damping.on_reject();
             self.momentum = false; // d_0 ← 0
             let (cg_iters, cg_stop) = (cg.iters, cg.stop);
-            self.cg.reclaim(cg);
-            problem.give_back(g);
+            self.cg.reclaim(cg, |d| problem.give_back(d));
+            for buf in [trial, g, theta] {
+                problem.give_back(buf);
+            }
             rec.event(
                 "hf_iteration",
                 vec![
@@ -336,31 +349,32 @@ impl HfOptimizer {
                     return l_best;
                 }
                 trial.copy_from_slice(theta0);
-                blas1::axpy(alpha as f32, &chosen.d, trial);
+                blas1::axpy(alpha as f32, &chosen.d, &mut trial);
                 heldout_evals += 1;
-                problem.heldout_eval(trial).loss
+                problem.heldout_eval(&trial).loss
             },
             &self.config.armijo,
         );
+        problem.give_back(trial);
         // The backtracking already certified d_i improves held-out
         // loss at α = 1, so a failed search falls back to the full
         // step rather than rejecting.
         let alpha = search.map(|r| r.alpha).unwrap_or(1.0);
         drop(ls_span);
 
-        let (chosen_iter, chosen_d) = (chosen.iter, &chosen.d);
-        let theta_new = &mut self.theta;
-        blas1::axpy(alpha as f32, chosen_d, theta_new);
+        let chosen_iter = chosen.iter;
+        blas1::axpy(alpha as f32, &chosen.d, &mut theta);
         // The sole weight update of the iteration — prepacked weight
         // caches downstream (DnnProblem, workers) invalidate exactly
         // here, and stay valid across every CG product in between.
-        problem.set_theta(theta_new);
+        problem.set_theta(&theta);
 
         // Momentum warm start: d_0 ← β d_N, from the final direction
         // regardless of which iterate the backtracking picked.
         let beta = self.config.momentum as f32;
         self.momentum = beta > 0.0;
         if self.momentum {
+            self.d0 = problem.lease(n);
             self.d0.copy_from_slice(cg.final_d());
             blas1::scal(beta, &mut self.d0);
         }
@@ -370,11 +384,12 @@ impl HfOptimizer {
             best
         } else {
             heldout_evals += 1;
-            problem.heldout_eval(&self.theta)
+            problem.heldout_eval(&theta)
         };
         let (cg_iters, cg_stop) = (cg.iters, cg.stop);
-        self.cg.reclaim(cg);
+        self.cg.reclaim(cg, |d| problem.give_back(d));
         problem.give_back(g);
+        problem.give_back(theta);
         self.loss_prev = Some(after.loss);
 
         rec.event(

@@ -13,7 +13,7 @@
 //! which is what makes the serial-vs-distributed parity tests
 //! meaningful.
 
-use crate::shard::ShardEngine;
+use crate::shard::{report_memory, ShardEngine};
 use pdnn_dnn::network::Network;
 use pdnn_dnn::sequence::DenominatorGraph;
 use pdnn_obs::{NullRecorder, Recorder};
@@ -51,7 +51,7 @@ pub trait HfProblem {
     /// Current parameters.
     fn theta(&self) -> Vec<f32>;
     /// Current parameters, written into `out` (resized to fit): the
-    /// optimizer's per-step read of θ into a buffer it keeps. The
+    /// optimizer's per-step read of θ into a buffer it leased. The
     /// default copies [`Self::theta`].
     fn theta_into(&self, out: &mut Vec<f32>) {
         *out = self.theta();
@@ -74,11 +74,18 @@ pub trait HfProblem {
     }
     /// Held-out loss/accuracy at arbitrary trial parameters.
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval;
+    /// A buffer of exactly `len` elements, contents unspecified, from
+    /// the problem's memory owner: the optimizer leases every vector of
+    /// a phase here and gives it back through [`Self::give_back`] when
+    /// the phase ends. The default allocates.
+    fn lease(&mut self, len: usize) -> Vec<f32> {
+        vec![0.0; len]
+    }
     /// Take back a vector this problem returned — a gradient, GN
-    /// product or Fisher diagonal — once the caller is done with it,
-    /// so a later call fills it again instead of allocating. Callers
-    /// may also hand back an empty vector, which is ignored. The
-    /// default drops it.
+    /// product or Fisher diagonal — or leased, once the caller is done
+    /// with it, so a later call fills it again instead of allocating.
+    /// Callers may also hand back an empty vector, which is ignored.
+    /// The default drops it.
     fn give_back(&mut self, _buf: Vec<f32>) {}
     /// Total training frames (for reporting).
     fn train_frames(&self) -> u64;
@@ -171,11 +178,6 @@ impl DnnProblem {
     pub fn into_network(self) -> Network<f32> {
         self.engine.into_net()
     }
-
-    /// Arena statistics (allocations avoided, bytes recycled).
-    pub fn workspace_stats(&self) -> pdnn_tensor::WorkspaceStats {
-        self.engine.arena_stats()
-    }
 }
 
 impl HfProblem for DnnProblem {
@@ -208,13 +210,17 @@ impl HfProblem for DnnProblem {
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
         let (gv, frames) = self.engine.gn_sums(v);
         let gv = mean_of(gv, frames);
-        self.engine.report_arena();
+        report_memory(&*self.engine.rec, self.engine.arena_stats(), None);
         gv
     }
 
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
         let (diag, frames) = self.engine.fisher_sums();
         Some(mean_of(diag, frames))
+    }
+
+    fn lease(&mut self, len: usize) -> Vec<f32> {
+        self.engine.lease(len)
     }
 
     fn give_back(&mut self, buf: Vec<f32>) {

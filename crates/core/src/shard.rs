@@ -20,7 +20,7 @@ use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
 use pdnn_dnn::loss::{cross_entropy_into, cross_entropy_loss_only, softmax_rows_into};
 use pdnn_dnn::network::{ForwardCache, Network};
 use pdnn_dnn::packed::{PackedActivations, PackedWeights};
-use pdnn_dnn::sequence::mmi_batch;
+use pdnn_dnn::sequence::mmi_batch_ws;
 use pdnn_obs::{Recorder, RecorderExt, SpanKind};
 use pdnn_speech::Shard;
 use pdnn_tensor::gemm::GemmContext;
@@ -29,10 +29,8 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The cached curvature minibatch of one CG solve. A dropped sample
-/// keeps its buffers for the next draw to refill, outside the arena:
-/// parked there, they would add every sample size's high water to the
-/// arena's.
+/// The cached curvature minibatch of one CG solve. Its activations and
+/// distribution are arena takes, given back when the sample is dropped.
 struct CurvatureSample {
     labels: Vec<u32>,
     utt_lens: Vec<usize>,
@@ -41,9 +39,6 @@ struct CurvatureSample {
     cache: ForwardCache<f32>,
     /// Softmax rows (CE) or denominator occupancies (MMI).
     dist: Matrix<f32>,
-    /// Prepacked activation operands, reused by every product of the
-    /// solve.
-    packed_acts: PackedActivations<f32>,
 }
 
 impl CurvatureSample {
@@ -74,22 +69,31 @@ fn ensure_packs(
     }
 }
 
-/// Publish the `gemm_scratch_bytes` gauge: the GEMM packing scratch
-/// the calling thread (a rank) retains.
-pub(crate) fn report_gemm_scratch(rec: &dyn Recorder) {
-    let bytes = pdnn_tensor::gemm::scratch::retained_bytes();
-    rec.gauge_set("gemm_scratch_bytes", bytes as f64);
+/// Publish a rank's memory gauges: its owner's `arena_*` counters,
+/// its thread's `gemm_scratch_bytes`, its communicator's
+/// `payload_pool_high_water_bytes` (if any), and their sum
+/// `memory_high_water_bytes`.
+pub(crate) fn report_memory(rec: &dyn Recorder, arena: WorkspaceStats, pool: Option<u64>) {
+    let scratch = pdnn_tensor::gemm::scratch::retained_bytes() as u64;
+    rec.gauge_set("arena_bytes_reused", arena.bytes_reused as f64);
+    rec.gauge_set("arena_high_water_bytes", arena.high_water_bytes as f64);
+    rec.gauge_set("gemm_scratch_bytes", scratch as f64);
+    if let Some(bytes) = pool {
+        rec.gauge_set("payload_pool_high_water_bytes", bytes as f64);
+    }
+    let total = arena.high_water_bytes + scratch + pool.unwrap_or(0);
+    rec.gauge_set("memory_high_water_bytes", total as f64);
 }
 
-/// Summed loss + dlogits of a batch under the objective. Cross-entropy
-/// writes its dlogits into an arena take; hand them back with
-/// [`recycle_dlogits`].
+/// Summed loss + dlogits of a batch under the objective, the dlogits
+/// an arena take: hand them back to `ws`.
 fn eval_objective(
     objective: &Objective,
     cache: &ForwardCache<f32>,
     labels: &[u32],
     utt_lens: &[usize],
     ws: &mut Workspace<f32>,
+    tables: &mut Workspace<f64>,
 ) -> (f64, Matrix<f32>) {
     let logits = cache.logits();
     match objective {
@@ -99,17 +103,10 @@ fn eval_objective(
             (loss, dlogits)
         }
         Objective::Sequence(graph) => {
-            let out = mmi_batch(logits, labels, utt_lens, graph);
+            let out = mmi_batch_ws(logits, labels, utt_lens, graph, ws, tables);
+            ws.give_matrix(out.den_posteriors);
             (out.loss, out.dlogits)
         }
-    }
-}
-
-/// Return [`eval_objective`]'s dlogits to the arena they came from
-/// (MMI's are its own allocation, freed here).
-fn recycle_dlogits(objective: &Objective, dlogits: Matrix<f32>, ws: &mut Workspace<f32>) {
-    if let Objective::CrossEntropy = objective {
-        ws.give_matrix(dlogits);
     }
 }
 
@@ -154,11 +151,17 @@ pub(crate) struct ShardEngine<'a> {
     /// Upper bound on frames materialized per forward pass of the
     /// gradient and held-out sums; `usize::MAX` = the shard at once.
     pub(crate) max_batch_frames: usize,
+    /// The rank's memory owner: every `f32` buffer of every phase is
+    /// a take from it, given back when the phase ends.
     ws: Workspace<f32>,
+    /// The sequence objective's `f64` forward–backward tables, gauged
+    /// with `ws`.
+    tables: Workspace<f64>,
     packs: Option<PackedWeights<f32>>,
     sample: Option<CurvatureSample>,
-    /// The last dropped sample, whose buffers the next draw refills.
-    retired: Option<CurvatureSample>,
+    /// Prepacked activation operands of the sample, reused by every
+    /// product of the solve and repacked in place by the next draw.
+    sample_packs: PackedActivations<f32>,
 }
 
 impl<'a> ShardEngine<'a> {
@@ -182,9 +185,10 @@ impl<'a> ShardEngine<'a> {
             heldout,
             max_batch_frames: usize::MAX,
             ws: Workspace::new(),
+            tables: Workspace::new(),
             packs: None,
             sample: None,
-            retired: None,
+            sample_packs: PackedActivations::empty(),
         }
     }
 
@@ -200,15 +204,18 @@ impl<'a> ShardEngine<'a> {
         self.train.frames()
     }
 
+    /// The arena's counters; its high water counts the sequence tables.
     pub(crate) fn arena_stats(&self) -> WorkspaceStats {
-        self.ws.stats()
+        let mut stats = self.ws.stats();
+        stats.high_water_bytes += self.tables.stats().high_water_bytes;
+        stats
     }
 
-    /// Drop the curvature sample, keeping its buffers for the next
-    /// draw.
+    /// Drop the curvature sample, giving its buffers back.
     fn drop_sample(&mut self) {
         if let Some(s) = self.sample.take() {
-            self.retired = Some(s);
+            s.cache.give_back(&mut self.ws);
+            self.ws.give_matrix(s.dist);
         }
     }
 
@@ -228,22 +235,19 @@ impl<'a> ShardEngine<'a> {
         self.drop_sample();
     }
 
-    /// Give back a buffer this engine handed out (a `*_sums` result
-    /// the caller has reduced). Only such buffers: the arena's takes
-    /// consume what it gets back, so a buffer it never took (a received
-    /// operand) would stay parked for good and grow it by one vector
-    /// per call.
-    pub(crate) fn recycle(&mut self, buf: Vec<f32>) {
-        self.ws.give_vec(buf);
+    /// A buffer of `len` elements, contents unspecified, from the
+    /// engine's arena ([`crate::HfProblem::lease`]).
+    pub(crate) fn lease(&mut self, len: usize) -> Vec<f32> {
+        self.ws.lease_vec(len)
     }
 
-    /// Publish the arena gauges and the GEMM scratch gauge.
-    pub(crate) fn report_arena(&self) {
-        let stats = self.arena_stats();
-        let rec = &self.rec;
-        rec.gauge_set("arena_bytes_reused", stats.bytes_reused as f64);
-        rec.gauge_set("arena_high_water_bytes", stats.high_water_bytes as f64);
-        report_gemm_scratch(&**rec);
+    /// Give back a buffer this engine handed out (a `*_sums` result
+    /// the caller has reduced, or a lease). Only such buffers: the
+    /// arena's takes consume what it gets back, so a buffer it never
+    /// took (a received operand) would stay parked for good and grow it
+    /// by one vector per call.
+    pub(crate) fn recycle(&mut self, buf: Vec<f32>) {
+        self.ws.give_vec(buf);
     }
 
     /// `(Σ loss, Σ gradient, frames)` over the training shard, at most
@@ -256,7 +260,7 @@ impl<'a> ShardEngine<'a> {
             return (0.0, self.ws.take_vec(self.net.num_params()), 0.0);
         }
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
-        let (net, train, ws) = (&self.net, &self.train, &mut self.ws);
+        let (net, train, ws, tables) = (&self.net, &self.train, &mut self.ws, &mut self.tables);
         let packs = self.packs.as_ref();
         let mut loss_sum = 0.0f64;
         let mut total: Vec<f32> = Vec::new();
@@ -269,9 +273,10 @@ impl<'a> ShardEngine<'a> {
                 &train.labels[rows],
                 &train.utt_lens[utts],
                 ws,
+                tables,
             );
             let grad = backprop_ws(net, &self.ctx, &cache, &dlogits, packs, ws);
-            recycle_dlogits(&self.objective, dlogits, ws);
+            ws.give_matrix(dlogits);
             cache.give_back(ws);
             recycle_chunk(x, ws);
             loss_sum += loss;
@@ -298,38 +303,40 @@ impl<'a> ShardEngine<'a> {
         }
         let rank_seed = seed ^ (rank as u64).wrapping_mul(0xA24B_AED4_963E_E407);
         let ids = sample_utterances(&self.train.utt_lens, fraction, rank_seed);
-        // Refill the last sample's buffers; the first draw builds them.
-        let mut s = self.retired.take().unwrap_or_else(|| CurvatureSample {
-            labels: Vec::new(),
-            utt_lens: Vec::new(),
-            cache: ForwardCache {
-                acts: vec![Matrix::zeros(0, 0)],
-            },
-            dist: Matrix::zeros(0, 0),
-            packed_acts: PackedActivations::empty(),
-        });
-        let (x, labels, utt_lens) = (&mut s.cache.acts[0], &mut s.labels, &mut s.utt_lens);
-        extract_utterances_into(&self.train, &ids, x, labels, utt_lens);
-        if x.rows() == 0 {
+        let rows: usize = ids.iter().map(|&i| self.train.utt_lens[i]).sum();
+        if rows == 0 {
             return;
         }
+        let ws = &mut self.ws;
+        let mut x = ws.take_matrix_scratch(rows, self.train.x.cols());
+        let (mut labels, mut utt_lens) = (Vec::new(), Vec::new());
+        extract_utterances_into(&self.train, &ids, &mut x, &mut labels, &mut utt_lens);
         // The weight packs serve the sample forward too: bitwise the
         // unpacked forward.
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
-        self.net
-            .forward_in_place(&self.ctx, self.packs.as_ref(), &mut s.cache);
-        let logits = s.cache.logits();
-        match &*self.objective {
+        let cache = self
+            .net
+            .forward_taken(&self.ctx, x, self.packs.as_ref(), ws);
+        let logits = cache.logits();
+        let dist = match &*self.objective {
             Objective::CrossEntropy => {
-                s.dist.reshape_reusing(logits.rows(), logits.cols());
-                softmax_rows_into(logits, &mut s.dist);
+                let mut dist = ws.take_matrix_scratch(logits.rows(), logits.cols());
+                softmax_rows_into(logits, &mut dist);
+                dist
             }
             Objective::Sequence(graph) => {
-                s.dist = mmi_batch(logits, &s.labels, &s.utt_lens, graph).den_posteriors;
+                let out = mmi_batch_ws(logits, &labels, &utt_lens, graph, ws, &mut self.tables);
+                ws.give_matrix(out.dlogits);
+                out.den_posteriors
             }
-        }
-        s.packed_acts.repack(&s.cache, &self.ctx);
-        self.sample = Some(s);
+        };
+        self.sample_packs.repack(&cache, &self.ctx);
+        self.sample = Some(CurvatureSample {
+            labels,
+            utt_lens,
+            cache,
+            dist,
+        });
     }
 
     /// `(Σ G·v, frames)` over the curvature sample; zeros over zero
@@ -349,7 +356,7 @@ impl<'a> ShardEngine<'a> {
             Curvature::Fisher(&s.dist),
             v,
             self.packs.as_ref(),
-            Some(&s.packed_acts),
+            Some(&self.sample_packs),
             &mut self.ws,
         );
         (gv, s.frames())
@@ -364,11 +371,18 @@ impl<'a> ShardEngine<'a> {
         let Some(s) = &self.sample else {
             return (self.ws.take_vec(self.net.num_params()), 0.0);
         };
-        let ws = &mut self.ws;
-        let (_, dlogits) = eval_objective(&self.objective, &s.cache, &s.labels, &s.utt_lens, ws);
+        let (ws, tables) = (&mut self.ws, &mut self.tables);
+        let (_, dlogits) = eval_objective(
+            &self.objective,
+            &s.cache,
+            &s.labels,
+            &s.utt_lens,
+            ws,
+            tables,
+        );
         let diag =
             pdnn_dnn::fisher::empirical_fisher_diagonal(&self.net, &self.ctx, &s.cache, &dlogits);
-        recycle_dlogits(&self.objective, dlogits, ws);
+        ws.give_matrix(dlogits);
         // Returned in an arena buffer, so handing it back parks only
         // what the arena gave out.
         let mut out = self.ws.take_vec_scratch(diag.len());
@@ -386,7 +400,7 @@ impl<'a> ShardEngine<'a> {
         // Trial weights change every call: no packs, but the arena
         // recycles the activation scratch.
         self.scratch.set_flat(theta);
-        let (heldout, ws) = (&self.heldout, &mut self.ws);
+        let (heldout, ws, tables) = (&self.heldout, &mut self.ws, &mut self.tables);
         let mut loss_sum = 0.0f64;
         let mut correct = 0usize;
         for (utts, rows) in chunk_ranges(&heldout.utt_lens, self.max_batch_frames) {
@@ -396,7 +410,10 @@ impl<'a> ShardEngine<'a> {
             let (loss, hits) = match &*self.objective {
                 Objective::CrossEntropy => cross_entropy_loss_only(&logits, labels),
                 Objective::Sequence(graph) => {
-                    let out = mmi_batch(&logits, labels, &heldout.utt_lens[utts], graph);
+                    let utt_lens = &heldout.utt_lens[utts];
+                    let out = mmi_batch_ws(&logits, labels, utt_lens, graph, ws, tables);
+                    ws.give_matrix(out.dlogits);
+                    ws.give_matrix(out.den_posteriors);
                     // Frame accuracy is still argmax-vs-alignment.
                     let hits = logits
                         .row_argmax()

@@ -2,55 +2,24 @@
 //! solve.
 //!
 //! Each step of a solve runs its vector algebra in place, and the
-//! curvature product is handed the product buffer the solver has
-//! retired, so a product allocates nothing once two exist. A first
-//! solve on a fresh [`CgSolver`] therefore allocates exactly: the
-//! direction `p`, the iterate `d`, the quadratic history and the
-//! iterate list (plus `z` under a preconditioner), one copy per stored
-//! iterate, and the two products that found no retired buffer (the
-//! residual and the first `Ap`). Once the result is reclaimed, a second
-//! solve of the same length allocates nothing at all. A counting
-//! global allocator checks both counts exactly, with and without a
-//! preconditioner, for solves of 12 and 30 steps.
+//! solver gives the previous product back to its operator before it
+//! asks for the next, so a product allocates nothing once two exist.
+//! A first solve on a fresh [`CgSolver`], against an operator with
+//! nothing to lend yet, therefore allocates exactly: the leased
+//! direction `p` and iterate `d`, the quadratic history and the
+//! iterate list (plus `z` under a preconditioner), one leased copy per
+//! stored iterate, and the two products that found no returned buffer
+//! (the residual and the first `Ap`). Once the result's iterates are
+//! given back, a second solve of the same length allocates nothing at
+//! all. A counting global allocator checks both counts exactly, with
+//! and without a preconditioner, for solves of 12 and 30 steps.
 //!
 //! The allocator counts the whole process, so this is the only test in
 //! its binary and nothing prints inside the measured window.
 
-use pdnn_core::{CgConfig, CgResult, CgSolver};
+use pdnn_core::{CgConfig, CgOperator, CgResult, CgSolver};
 use pdnn_obs::NullRecorder;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// System allocator wrapper counting allocation calls.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// pdnn-lint: allow(l7-unsafe-outside-kernel): GlobalAlloc is an unsafe trait; this wrapper only counts and delegates to System
-unsafe impl GlobalAlloc for CountingAlloc {
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
+use pdnn_util::alloc_count::{self, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -64,30 +33,49 @@ fn config(steps: usize) -> CgConfig {
     }
 }
 
+/// A diagonal curvature whose products and leases come from a free
+/// list, which allocates only when it is empty.
+struct Diagonal<'a> {
+    diag: &'a [f32],
+    free: Vec<Vec<f32>>,
+}
+
+impl CgOperator for Diagonal<'_> {
+    fn product(&mut self, v: &[f32]) -> Vec<f32> {
+        let mut out = self.lease(v.len());
+        for ((o, &x), &a) in out.iter_mut().zip(v).zip(self.diag) {
+            *o = x * a;
+        }
+        out
+    }
+
+    fn lease(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    fn give_back(&mut self, buf: Vec<f32>) {
+        if buf.capacity() > 0 {
+            self.free.push(buf);
+        }
+    }
+}
+
 /// Run one solve on `solver`, forced to its configured step count on an
 /// ill-conditioned diagonal system; return it with the allocations it
-/// made. The product reuses the buffer the solver retires.
+/// made. The operator's free list holds every vector the solver gives
+/// back.
 fn solve(
     solver: &mut CgSolver,
+    op: &mut Diagonal<'_>,
     precond: Option<&[f32]>,
-    diag: &[f32],
     g: &[f32],
 ) -> (CgResult, u64) {
     let d0 = vec![0.0f32; g.len()];
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let result = solver.solve(
-        g,
-        &d0,
-        |v, mut retired| {
-            retired.clear();
-            retired.extend(v.iter().zip(diag).map(|(&x, &a)| x * a));
-            retired
-        },
-        0.5,
-        precond,
-        &NullRecorder,
-    );
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let before = alloc_count::allocs();
+    let result = solver.solve(g, &d0, op, 0.5, precond, &NullRecorder);
+    let allocs = alloc_count::allocs() - before;
     (result, allocs)
 }
 
@@ -108,7 +96,11 @@ fn cg_solver_allocates_its_buffers_once_and_then_nothing() {
         let mut stored = Vec::new();
         for steps in [12, 30] {
             let mut solver = CgSolver::new(config(steps));
-            let (first, cold) = solve(&mut solver, precond, &diag, &g);
+            let mut op = Diagonal {
+                diag: &diag,
+                free: Vec::with_capacity(64),
+            };
+            let (first, cold) = solve(&mut solver, &mut op, precond, &g);
             assert_eq!(first.iters, steps, "solve stopped early");
             let copies = first.iterates.len() as u64 - 1;
             stored.push(copies);
@@ -118,8 +110,8 @@ fn cg_solver_allocates_its_buffers_once_and_then_nothing() {
                 "first {steps}-step solve (preconditioned: {})",
                 precond.is_some()
             );
-            solver.reclaim(first);
-            let (second, warm) = solve(&mut solver, precond, &diag, &g);
+            solver.reclaim(first, |d| op.give_back(d));
+            let (second, warm) = solve(&mut solver, &mut op, precond, &g);
             assert_eq!(second.iters, steps);
             assert_eq!(
                 warm,

@@ -4,8 +4,10 @@
 //! rank needs — GEMM pack panels, activation and curvature-sample
 //! buffers, gradient and Gauss–Newton sums, CG work vectors, wire
 //! payloads — is one it already holds. So a 4-iteration run makes no
-//! more such allocations than a 2-iteration run, in serial, master,
-//! ring (int8 wire) and tree (f16 wire) mode. The curvature fraction
+//! more such allocations than a 2-iteration run, and holds no more
+//! bytes in such blocks at its peak, in serial, master, ring (int8
+//! wire) and tree (f16 wire) mode under cross-entropy, and in serial
+//! and ring mode under the sequence objective. The curvature fraction
 //! is 1, so every sample has the same size and no buffer has a
 //! high-water mark still to reach after the first iteration.
 //!
@@ -27,53 +29,15 @@ use pdnn_dnn::{Activation, Network};
 use pdnn_mpisim::WireCodec;
 use pdnn_speech::{Corpus, CorpusSpec};
 use pdnn_tensor::gemm::GemmContext;
+use pdnn_util::alloc_count::{self, CountingAlloc};
 use pdnn_util::Prng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapper counting large allocation calls.
-struct CountingAlloc;
-
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Allocations at least this large are the ones steady state must not
 /// make.
 const LARGE: usize = 64 << 10;
-
-fn count_large(size: usize) {
-    if size >= LARGE {
-        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// pdnn-lint: allow(l7-unsafe-outside-kernel): GlobalAlloc is an unsafe trait; this wrapper only counts and delegates to System
-unsafe impl GlobalAlloc for CountingAlloc {
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_large(layout.size());
-        System.alloc(layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_large(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_large(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[derive(Clone, Copy, Debug)]
 enum Mode {
@@ -97,8 +61,10 @@ fn hf(iters: usize) -> HfConfig {
     hf
 }
 
-/// Large allocations of one `iters`-iteration CE run in `mode`.
-fn large_allocs(corpus: &Corpus, mode: Mode, iters: usize) -> u64 {
+/// Large allocations of one `iters`-iteration run in `mode` under
+/// `objective`, and the most bytes live in large blocks at once
+/// during it beyond those live before it.
+fn large_allocs(corpus: &Corpus, mode: Mode, objective: &Objective, iters: usize) -> (u64, i64) {
     let mut rng = Prng::new(3);
     let spec = corpus.spec();
     let net0 = Network::new(
@@ -106,7 +72,8 @@ fn large_allocs(corpus: &Corpus, mode: Mode, iters: usize) -> u64 {
         Activation::Sigmoid,
         &mut rng,
     );
-    let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+    let before = alloc_count::large_allocs();
+    let live_before = alloc_count::reset_large_peak();
     let ran = match mode {
         // On a thread of its own, like a rank: the thread's GEMM
         // scratch starts empty in every run, as it does in the ranks.
@@ -118,7 +85,7 @@ fn large_allocs(corpus: &Corpus, mode: Mode, iters: usize) -> u64 {
                     GemmContext::sequential(),
                     corpus.shard(&train_ids),
                     corpus.shard(&held_ids),
-                    Objective::CrossEntropy,
+                    objective.clone(),
                 );
                 HfOptimizer::new(hf(iters)).train(&mut problem).len()
             })
@@ -133,30 +100,51 @@ fn large_allocs(corpus: &Corpus, mode: Mode, iters: usize) -> u64 {
                 hf: hf(iters),
                 ..DistributedConfig::default()
             };
-            train_distributed_deterministic(&net0, corpus, &Objective::CrossEntropy, &config)
+            train_distributed_deterministic(&net0, corpus, objective, &config)
                 .expect("training failed")
                 .stats
                 .len()
         }
     };
     assert_eq!(ran, iters, "{mode:?}: training stopped early");
-    LARGE_ALLOCS.load(Ordering::Relaxed) - before
+    let peak = alloc_count::large_peak_bytes() - live_before;
+    (alloc_count::large_allocs() - before, peak)
 }
 
 #[test]
 fn later_iterations_allocate_no_large_buffer_in_any_mode() {
+    alloc_count::set_large(LARGE);
     let corpus = corpus();
-    for mode in [
-        Mode::Serial,
-        Mode::Distributed(SyncStrategy::Master, WireCodec::None),
-        Mode::Distributed(SyncStrategy::Ring, WireCodec::Int8),
-        Mode::Distributed(SyncStrategy::Tree, WireCodec::F16),
+    let ce = Objective::CrossEntropy;
+    let mmi = Objective::Sequence(corpus.denominator_graph());
+    for (mode, objective) in [
+        (Mode::Serial, &ce),
+        (
+            Mode::Distributed(SyncStrategy::Master, WireCodec::None),
+            &ce,
+        ),
+        (Mode::Distributed(SyncStrategy::Ring, WireCodec::Int8), &ce),
+        (Mode::Distributed(SyncStrategy::Tree, WireCodec::F16), &ce),
+        (Mode::Serial, &mmi),
+        (Mode::Distributed(SyncStrategy::Ring, WireCodec::Int8), &mmi),
     ] {
-        let short = large_allocs(&corpus, mode, 2);
-        let long = large_allocs(&corpus, mode, 4);
+        let what = format!("{mode:?}, {}", objective_name(objective));
+        let (short, short_peak) = large_allocs(&corpus, mode, objective, 2);
+        let (long, long_peak) = large_allocs(&corpus, mode, objective, 4);
         assert!(
             long <= short,
-            "{mode:?}: {short} allocations of 64 KiB or more in 2 iterations, {long} in 4"
+            "{what}: {short} allocations of 64 KiB or more in 2 iterations, {long} in 4"
         );
+        assert_eq!(
+            long_peak, short_peak,
+            "{what}: peak bytes live in 64 KiB+ blocks grew from 2 iterations to 4"
+        );
+    }
+}
+
+fn objective_name(objective: &Objective) -> &'static str {
+    match objective {
+        Objective::CrossEntropy => "cross-entropy",
+        Objective::Sequence(_) => "sequence",
     }
 }

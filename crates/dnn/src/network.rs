@@ -65,14 +65,6 @@ impl<T: Scalar> Layer<T> {
     pub fn num_params(&self) -> usize {
         self.w.len() + self.b.len()
     }
-
-    /// Affine + activation forward for a batch `[frames x in]`.
-    pub fn forward(&self, ctx: &GemmContext, a_in: &Matrix<T>) -> Matrix<T> {
-        let mut z = Matrix::zeros(a_in.rows(), self.outputs());
-        GemmOp::ab(a_in, Trans::N, &self.w, Trans::T).run(ctx, &mut z);
-        self.act.apply_with_bias(&mut z, &self.b);
-        z
-    }
 }
 
 /// A feed-forward deep neural network.
@@ -205,85 +197,39 @@ impl<T: Scalar> Network<T> {
 
     /// Forward pass keeping every intermediate activation.
     pub fn forward(&self, ctx: &GemmContext, x: &Matrix<T>) -> ForwardCache<T> {
-        assert_eq!(
-            x.cols(),
-            self.input_dim(),
-            "input width {} != network input dim {}",
-            x.cols(),
-            self.input_dim()
-        );
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.clone());
-        for layer in &self.layers {
-            // pdnn-lint: allow(l3-no-unwrap): acts is seeded with the input activation before the loop
-            let next = layer.forward(ctx, acts.last().unwrap());
-            acts.push(next);
-        }
-        ForwardCache { acts }
-    }
-
-    /// Recompute every layer of `cache` from its input `cache.acts[0]`,
-    /// refilling each activation buffer in place (a buffer grows only
-    /// past its high water), with optionally prepacked weights.
-    /// Bitwise identical to [`Self::forward`] of that input: the
-    /// `beta = 0` GEMMs overwrite every output element.
-    ///
-    /// # Panics
-    /// If `cache` has no input, its width is not the network's input
-    /// dim, or `packs` was built from a different weight version.
-    pub fn forward_in_place(
-        &self,
-        ctx: &GemmContext,
-        packs: Option<&PackedWeights<T>>,
-        cache: &mut ForwardCache<T>,
-    ) {
-        assert_eq!(
-            cache.acts[0].cols(),
-            self.input_dim(),
-            "input width {} != network input dim {}",
-            cache.acts[0].cols(),
-            self.input_dim()
-        );
-        if let Some(p) = packs {
-            assert!(
-                p.matches(self),
-                "forward_in_place: stale PackedWeights (pack v{} != net v{})",
-                p.version(),
-                self.version
-            );
-        }
-        let rows = cache.acts[0].rows();
-        cache.acts.truncate(self.layers.len() + 1);
-        cache
-            .acts
-            .resize_with(self.layers.len() + 1, || Matrix::zeros(0, 0));
-        for (l, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = cache.acts.split_at_mut(l + 1);
-            let (a_in, z) = (&done[l], &mut rest[0]);
-            z.reshape_reusing(rows, layer.outputs());
-            match packs {
-                Some(p) => GemmOp::packed_b(a_in, Trans::N, p.forward(l)).run(ctx, z),
-                None => GemmOp::ab(a_in, Trans::N, &layer.w, Trans::T).run(ctx, z),
-            }
-            layer.act.apply_with_bias(z, &layer.b);
-        }
+        self.forward_ws(ctx, x, None, &mut Workspace::new())
     }
 
     /// Forward pass with arena-recycled activations and optionally
     /// prepacked weights.
     ///
     /// Bitwise identical to [`Self::forward`]: the prepacked driver
-    /// replays the exact blocked GEMM, and arena buffers are handed
-    /// out zero-filled like `Matrix::zeros`. Pass the returned cache
-    /// to [`ForwardCache::give_back`] when done to close the recycle
-    /// loop.
+    /// replays the exact blocked GEMM, and the `beta = 0` GEMMs
+    /// overwrite every element of the arena buffers. Pass the returned
+    /// cache to [`ForwardCache::give_back`] when done to close the
+    /// recycle loop.
     ///
     /// # Panics
-    /// If `packs` was built from a different weight version.
+    /// If `x` is not as wide as the network's input, or `packs` was
+    /// built from a different weight version.
     pub fn forward_ws(
         &self,
         ctx: &GemmContext,
         x: &Matrix<T>,
+        packs: Option<&PackedWeights<T>>,
+        ws: &mut Workspace<T>,
+    ) -> ForwardCache<T> {
+        let mut a0 = ws.take_matrix_scratch(x.rows(), x.cols());
+        a0.as_mut_slice().copy_from_slice(x.as_slice());
+        self.forward_taken(ctx, a0, packs, ws)
+    }
+
+    /// [`Self::forward_ws`] of an input that is already an arena take;
+    /// it becomes the cache's input `acts[0]`.
+    pub fn forward_taken(
+        &self,
+        ctx: &GemmContext,
+        x: Matrix<T>,
         packs: Option<&PackedWeights<T>>,
         ws: &mut Workspace<T>,
     ) -> ForwardCache<T> {
@@ -297,15 +243,13 @@ impl<T: Scalar> Network<T> {
         if let Some(p) = packs {
             assert!(
                 p.matches(self),
-                "forward_ws: stale PackedWeights (pack v{} != net v{})",
+                "forward: stale PackedWeights (pack v{} != net v{})",
                 p.version(),
                 self.version
             );
         }
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        let mut a0 = ws.take_matrix_scratch(x.rows(), x.cols());
-        a0.as_mut_slice().copy_from_slice(x.as_slice());
-        acts.push(a0);
+        acts.push(x);
         for (l, layer) in self.layers.iter().enumerate() {
             // pdnn-lint: allow(l3-no-unwrap): acts is seeded with the input activation before the loop
             let a_in = acts.last().unwrap();
@@ -363,14 +307,7 @@ impl<T: Scalar> Network<T> {
 
     /// Forward pass returning only the logits (no cache).
     pub fn logits(&self, ctx: &GemmContext, x: &Matrix<T>) -> Matrix<T> {
-        let mut a = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            // pdnn-lint: allow(l3-no-unwrap): a is assigned on iteration 0 and only read from iteration 1 on
-            let input = if i == 0 { x } else { a.as_ref().unwrap() };
-            a = Some(layer.forward(ctx, input));
-        }
-        // pdnn-lint: allow(l3-no-unwrap): Network::new asserts at least one layer, so the loop assigns a
-        a.expect("network has at least one layer")
+        self.logits_ws(ctx, x, None, &mut Workspace::new())
     }
 
     // ---- flat parameter-vector view -------------------------------

@@ -114,15 +114,9 @@ impl<T: Scalar> PackedActivations<T> {
     /// Pack the input-side activations of `cache` (everything except
     /// the logits) under `ctx`'s blocking.
     pub fn new(cache: &ForwardCache<T>, ctx: &GemmContext) -> Self {
-        let blocking = ctx.blocking();
-        let n = cache.acts.len() - 1;
-        let mut left = Vec::with_capacity(n);
-        let mut right = Vec::with_capacity(n);
-        for a in &cache.acts[..n] {
-            left.push(PackedA::new(a, Trans::N, blocking));
-            right.push(PackedB::new(a, Trans::N, blocking));
-        }
-        PackedActivations { left, right }
+        let mut packs = Self::empty();
+        packs.repack(cache, ctx);
+        packs
     }
 
     /// A pack of no layers, for [`Self::repack`] to fill.

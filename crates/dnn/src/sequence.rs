@@ -92,7 +92,7 @@
 //! `f32` as in `f64` — peaked posteriors cannot slow the Gauss–Newton
 //! products that consume them, on any ISA and without FTZ/DAZ.
 
-use pdnn_tensor::{vmath, Matrix, Scalar};
+use pdnn_tensor::{vmath, Matrix, Scalar, Workspace};
 use pdnn_util::float::exactly_zero;
 
 /// Log of the emission floor `ε`: `e_t(s) = exp(max(x, LN_EMISSION_FLOOR))`.
@@ -239,6 +239,22 @@ pub fn mmi_batch<T: Scalar>(
     utt_lens: &[usize],
     graph: &DenominatorGraph,
 ) -> SequenceLossOutput<T> {
+    let (mut ws, mut tables) = (Workspace::new(), Workspace::new());
+    mmi_batch_ws(logits, alignment, utt_lens, graph, &mut ws, &mut tables)
+}
+
+/// [`mmi_batch`] drawing its outputs from `ws` and its forward–backward
+/// tables from `tables` (bitwise the same result). The tables go back
+/// to `tables` before it returns; give the output matrices back to
+/// `ws` when done with them.
+pub fn mmi_batch_ws<T: Scalar>(
+    logits: &Matrix<T>,
+    alignment: &[u32],
+    utt_lens: &[usize],
+    graph: &DenominatorGraph,
+    ws: &mut Workspace<T>,
+    tables: &mut Workspace<f64>,
+) -> SequenceLossOutput<T> {
     let s = graph.states();
     let total: usize = utt_lens.iter().sum();
     assert_eq!(total, logits.rows(), "utterance lengths do not cover batch");
@@ -248,9 +264,11 @@ pub fn mmi_batch<T: Scalar>(
         alignment.iter().all(|&a| (a as usize) < s),
         "alignment state out of range"
     );
-    let mut fb = Scratch::new(utt_lens.iter().copied().max().unwrap_or(0), s);
-    let mut dlogits = Matrix::zeros(total, s);
-    let mut gamma = Matrix::zeros(total, s);
+    let longest = utt_lens.iter().copied().max().unwrap_or(0);
+    let mut fb = Scratch::take(longest, s, tables);
+    // Every row of both is written below: the utterances cover the batch.
+    let mut dlogits = ws.take_matrix_scratch(total, s);
+    let mut gamma = ws.take_matrix_scratch(total, s);
     let mut loss = 0.0f64;
     let mut start = 0usize;
     for &len in utt_lens {
@@ -265,6 +283,7 @@ pub fn mmi_batch<T: Scalar>(
         );
         start += len;
     }
+    fb.give_back(tables);
     SequenceLossOutput {
         loss,
         dlogits,
@@ -289,14 +308,23 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn new(frames: usize, states: usize) -> Self {
+    /// Tables for utterances of up to `frames` frames, from `ws`. Every
+    /// entry is written before it is read, so their contents do not
+    /// matter.
+    fn take(frames: usize, states: usize, ws: &mut Workspace<f64>) -> Self {
         Scratch {
             states,
-            emit: vec![0.0; frames * states],
-            alpha: vec![0.0; frames * states],
-            scale: vec![0.0; frames],
-            beta: vec![0.0; states],
-            weighted: vec![0.0; states],
+            emit: ws.take_vec_scratch(frames * states),
+            alpha: ws.take_vec_scratch(frames * states),
+            scale: ws.take_vec_scratch(frames),
+            beta: ws.take_vec_scratch(states),
+            weighted: ws.take_vec_scratch(states),
+        }
+    }
+
+    fn give_back(self, ws: &mut Workspace<f64>) {
+        for table in [self.emit, self.alpha, self.scale, self.beta, self.weighted] {
+            ws.give_vec(table);
         }
     }
 
@@ -800,6 +828,31 @@ mod tests {
         assert!((batch.loss - (u1.loss + u2.loss)).abs() < 1e-10);
         assert_eq!(batch.dlogits.row(0), u1.dlogits.row(0));
         assert_eq!(batch.dlogits.row(5), u2.dlogits.row(2));
+    }
+
+    /// The arena variant matches the allocating one bit for bit, also
+    /// on recycled buffers full of stale values.
+    #[test]
+    fn arena_batch_is_bitwise_the_allocating_batch() {
+        let g = chain_graph(4, 0.6);
+        let logits: Matrix<f32> = Matrix::from_fn(9, 4, |r, c| ((r * 5 + c * 3) % 7) as f32 - 3.0);
+        let align = vec![0u32, 1, 2, 3, 3, 0, 1, 1, 2];
+        let lens = [4usize, 5];
+        let want = mmi_batch(&logits, &align, &lens, &g);
+        let (mut ws, mut tables) = (Workspace::new(), Workspace::new());
+        ws.give_vec(vec![f32::NAN; 64]);
+        tables.give_vec(vec![f64::NAN; 64]);
+        for _ in 0..2 {
+            let got = mmi_batch_ws(&logits, &align, &lens, &g, &mut ws, &mut tables);
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+            let bits =
+                |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.dlogits), bits(&want.dlogits));
+            assert_eq!(bits(&got.den_posteriors), bits(&want.den_posteriors));
+            assert_eq!(tables.parked(), 5, "tables handed back");
+            ws.give_matrix(got.dlogits);
+            ws.give_matrix(got.den_posteriors);
+        }
     }
 
     #[test]

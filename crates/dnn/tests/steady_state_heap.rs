@@ -27,62 +27,19 @@ use pdnn_dnn::loss::{cross_entropy, softmax_rows};
 use pdnn_dnn::{Activation, Network, PackedActivations, PackedWeights};
 use pdnn_tensor::gemm::GemmContext;
 use pdnn_tensor::{Matrix, Workspace};
+use pdnn_util::alloc_count::{self, CountingAlloc};
 use pdnn_util::Prng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-/// System allocator wrapper tracking live heap bytes and counting
-/// large allocation calls.
-struct CountingAlloc;
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Allocations at least this large are the ones a steady-state step
 /// must not make.
 const LARGE: usize = 64 << 10;
 
-fn count_large(size: usize) {
-    if size >= LARGE {
-        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// pdnn-lint: allow(l7-unsafe-outside-kernel): GlobalAlloc is an unsafe trait; this wrapper only counts and delegates to System
-unsafe impl GlobalAlloc for CountingAlloc {
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        count_large(layout.size());
-        System.alloc(layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        count_large(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        count_large(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
 #[test]
 fn packed_step_has_zero_steady_state_heap_growth() {
+    alloc_count::set_large(LARGE);
     let dims = [40usize, 96, 48];
     let frames = 300;
     let mut rng = Prng::new(4);
@@ -124,14 +81,14 @@ fn packed_step_has_zero_steady_state_heap_growth() {
 
     // One unmeasured step brings the arena to its high-water mark.
     step(&mut ws);
-    let live0 = LIVE_BYTES.load(Ordering::Relaxed);
-    let large0 = LARGE_ALLOCS.load(Ordering::Relaxed);
+    let live0 = alloc_count::live_bytes();
+    let large0 = alloc_count::large_allocs();
     let fresh0 = ws.stats().allocs;
     for _ in 0..3 {
         step(&mut ws);
     }
-    let growth = LIVE_BYTES.load(Ordering::Relaxed) - live0;
-    let large = LARGE_ALLOCS.load(Ordering::Relaxed) - large0;
+    let growth = alloc_count::live_bytes() - live0;
+    let large = alloc_count::large_allocs() - large0;
     let fresh = ws.stats().allocs - fresh0;
     assert_eq!(
         growth, 0,

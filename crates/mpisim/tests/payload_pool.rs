@@ -15,52 +15,14 @@
 //! its binary.
 
 use pdnn_mpisim::{run_world, ReduceOp, WireCodec};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use pdnn_util::alloc_count::{self, CountingAlloc};
 
-/// System allocator wrapper counting large allocation calls.
-struct CountingAlloc;
-
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Smaller than any payload of the loop, larger than any other
 /// allocation a collective makes.
 const LARGE: usize = 16 << 10;
-
-fn count_large(size: usize) {
-    if size >= LARGE {
-        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// pdnn-lint: allow(l7-unsafe-outside-kernel): GlobalAlloc is an unsafe trait; this wrapper only counts and delegates to System
-unsafe impl GlobalAlloc for CountingAlloc {
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_large(layout.size());
-        System.alloc(layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_large(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // pdnn-lint: allow(l7-unsafe-outside-kernel): unsafe signature required by the GlobalAlloc trait; body delegates to System
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_large(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Elements per collective: an int8 ring chunk at 5 ranks is ~26 KiB.
 const N: usize = 1 << 17;
@@ -68,6 +30,7 @@ const ROUNDS: usize = 3;
 
 #[test]
 fn collective_loop_allocates_payloads_in_its_first_round_only() {
+    alloc_count::set_large(LARGE);
     for size in 2..=5 {
         let out = run_world(size, |comm| {
             let me = comm.rank();
@@ -94,12 +57,12 @@ fn collective_loop_allocates_payloads_in_its_first_round_only() {
                 // counter, and none starts the next before it has.
                 comm.barrier().unwrap();
                 if round == 0 && me == 0 {
-                    after_first = LARGE_ALLOCS.load(Ordering::SeqCst);
+                    after_first = alloc_count::large_allocs();
                 }
                 comm.barrier().unwrap();
             }
             let pool = comm.payload_pool();
-            let later = LARGE_ALLOCS.load(Ordering::SeqCst);
+            let later = alloc_count::large_allocs();
             (after_first, later, pool.high_water_bytes(), pool.len())
         });
         let (first_allocs, later_allocs, _, _) = out[0].result;

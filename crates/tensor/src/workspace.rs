@@ -8,9 +8,14 @@
 //! so a steady-state training loop allocates only until every phase
 //! has hit its high-water mark and then runs allocation-free.
 //!
-//! The reuse contract: a buffer is reused by capacity, so it may be as
-//! large as the phase's high-water mark requires and nothing is kept
-//! beyond what was handed out and given back. Nothing the arena holds
+//! A rank's engine holds one `Workspace` as its memory owner: every
+//! phase takes its buffers here and gives them back when the phase
+//! ends, so the bytes one phase parks are the next phase's and the
+//! rank's peak is its largest phase. The reuse contract: a buffer is
+//! reused by capacity, so it may be as large as the largest phase
+//! requires, and a take that finds nothing large enough grows the
+//! largest parked buffer rather than allocating beside it, so varying
+//! request sizes cannot ratchet the arena up. Nothing the arena holds
 //! goes back to the allocator mid-run. That matters because ranks are
 //! threads of one process: a large block the allocator hands back to
 //! the OS is faulted in again on its next use and flushes the TLBs of
@@ -18,11 +23,13 @@
 //! handed out; a caller that hands in a foreign buffer grows it by
 //! that buffer for good.
 //!
-//! Buffers are handed out zero-filled at their exact requested length,
-//! so a `take_matrix` is a drop-in replacement for `Matrix::zeros` —
-//! callers that forget to `give_*` a buffer back merely lose the reuse
-//! (the buffer drops normally), never correctness. The GEMM drivers'
-//! pack panels live outside any arena, in per-thread retained scratch
+//! `take_vec`/`take_matrix` hand buffers out zero-filled at their
+//! exact requested length, a drop-in replacement for `Matrix::zeros`;
+//! the `_scratch` takes and [`Workspace::lease_vec`] skip the fill for
+//! callers that overwrite every element. A caller that forgets to
+//! `give_*` a buffer back merely loses the reuse (the buffer drops
+//! normally), never correctness. The GEMM drivers' pack panels live
+//! outside any arena, in per-thread retained scratch
 //! ([`crate::gemm::scratch`]).
 
 use crate::matrix::Matrix;
@@ -31,7 +38,8 @@ use crate::scalar::Scalar;
 /// Cumulative counters for one [`Workspace`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
-    /// `take_*` calls that had to allocate a fresh buffer.
+    /// `take_*` calls that had to allocate: a fresh buffer, or a
+    /// parked one grown because none fit.
     pub allocs: u64,
     /// `take_*` calls satisfied from the free list.
     pub reuses: u64,
@@ -68,39 +76,61 @@ impl<T: Scalar> Workspace<T> {
         }
     }
 
-    /// Best-fit lookup shared by the `take_*` variants: the smallest
-    /// parked buffer whose capacity fits, or a fresh allocation.
-    /// Length is whatever the recycled buffer held — callers fix it up.
-    fn take_raw(&mut self, len: usize) -> Vec<T> {
-        let mut best: Option<usize> = None;
+    /// Lookup shared by the `take_*` variants: the smallest parked
+    /// buffer whose capacity fits and is at most `max_cap` (best fit);
+    /// if no parked buffer fits at all, the largest one, grown to `len`;
+    /// a fresh allocation otherwise. Growing instead of allocating
+    /// beside the parked set keeps a caller whose request sizes vary (a
+    /// sampled minibatch) from ratcheting the arena up by one buffer per
+    /// new size. Length is whatever the recycled buffer held — callers
+    /// fix it up.
+    fn take_raw(&mut self, len: usize, max_cap: usize) -> Vec<T> {
+        let (mut best, mut largest, mut any_fits) = (None::<usize>, None::<usize>, false);
         for (i, buf) in self.free.iter().enumerate() {
-            if buf.capacity() >= len
-                && best.is_none_or(|j| buf.capacity() < self.free[j].capacity())
+            let cap = buf.capacity();
+            any_fits |= cap >= len;
+            if (len..=max_cap).contains(&cap) && best.is_none_or(|j| cap < self.free[j].capacity())
             {
                 best = Some(i);
             }
-        }
-        match best {
-            Some(i) => {
-                self.stats.reuses += 1;
-                self.stats.bytes_reused += bytes_of::<T>(len);
-                let buf = self.free.swap_remove(i);
-                self.parked_bytes -= bytes_of::<T>(buf.capacity());
-                buf
-            }
-            None => {
-                self.stats.allocs += 1;
-                Vec::with_capacity(len)
+            if largest.is_none_or(|j| cap > self.free[j].capacity()) {
+                largest = Some(i);
             }
         }
+        if best.is_some() {
+            self.stats.reuses += 1;
+            self.stats.bytes_reused += bytes_of::<T>(len);
+        } else {
+            self.stats.allocs += 1;
+        }
+        let Some(i) = best.or(largest.filter(|_| !any_fits)) else {
+            return Vec::with_capacity(len);
+        };
+        let mut buf = self.free.swap_remove(i);
+        self.parked_bytes -= bytes_of::<T>(buf.capacity());
+        if buf.capacity() < len {
+            buf.clear();
+            buf.reserve_exact(len);
+        }
+        buf
+    }
+
+    /// [`Self::take_raw`] cut or extended to exactly `len` elements;
+    /// only an extended tail is zeroed.
+    fn take_exact(&mut self, len: usize, max_cap: usize) -> Vec<T> {
+        let mut buf = self.take_raw(len, max_cap);
+        buf.truncate(len);
+        buf.resize(len, T::ZERO);
+        buf
     }
 
     /// Take a zero-filled buffer of exactly `len` elements.
     ///
     /// Reuses the smallest parked buffer whose capacity fits (best
-    /// fit); allocates fresh only when none does.
+    /// fit); grows the largest parked buffer when none does, and
+    /// allocates fresh only when nothing is parked.
     pub fn take_vec(&mut self, len: usize) -> Vec<T> {
-        let mut buf = self.take_raw(len);
+        let mut buf = self.take_raw(len, usize::MAX);
         buf.clear();
         buf.resize(len, T::ZERO);
         buf
@@ -115,15 +145,16 @@ impl<T: Scalar> Workspace<T> {
     /// scratch buffer through `take_vec` would memset it only for
     /// every byte to be overwritten again.
     pub fn take_vec_scratch(&mut self, len: usize) -> Vec<T> {
-        let mut buf = self.take_raw(len);
-        if buf.len() > len {
-            buf.truncate(len);
-        } else {
-            // Only the grown tail needs initializing; the recycled
-            // prefix stays as-is (contents are unspecified anyway).
-            buf.resize(len, T::ZERO);
-        }
-        buf
+        self.take_exact(len, usize::MAX)
+    }
+
+    /// [`Self::take_vec_scratch`] for a vector held through a whole
+    /// phase (a lease): it reuses only a parked buffer at most a
+    /// quarter larger, else allocates one. In a much larger buffer the
+    /// vector would idle the rest of it for the phase, and the phase's
+    /// shorter-lived takes would allocate beside it.
+    pub fn lease_vec(&mut self, len: usize) -> Vec<T> {
+        self.take_exact(len, len + len / 4)
     }
 
     /// Take a zero-filled `rows x cols` matrix (arena-backed
@@ -154,14 +185,9 @@ impl<T: Scalar> Workspace<T> {
         self.give_vec(m.into_vec());
     }
 
-    /// Counters since construction (or the last [`Self::reset_stats`]).
+    /// Counters since construction.
     pub fn stats(&self) -> WorkspaceStats {
         self.stats
-    }
-
-    /// Zero the counters, keeping the parked buffers.
-    pub fn reset_stats(&mut self) {
-        self.stats = WorkspaceStats::default();
     }
 
     /// Number of buffers currently parked on the free list.
@@ -217,13 +243,39 @@ mod tests {
     #[test]
     fn smaller_buffers_grow_in_place_of_fresh_alloc() {
         let mut ws: Workspace<f32> = Workspace::new();
-        let v = ws.take_vec(10);
-        ws.give_vec(v);
-        // Nothing fits 100: counts as a fresh alloc, parked buffer stays.
+        let small = ws.take_vec(10);
+        let large = ws.take_vec(20);
+        ws.give_vec(small);
+        ws.give_vec(large);
+        // Nothing fits 100: the largest parked buffer grows to it (an
+        // allocation), and the smaller one stays parked.
         let v = ws.take_vec(100);
-        assert_eq!(ws.stats().allocs, 2);
+        assert_eq!(v.len(), 100);
+        assert!(v.iter().all(|&x| x == 0.0));
+        assert_eq!((ws.stats().allocs, ws.parked()), (3, 1));
         ws.give_vec(v);
         assert_eq!(ws.parked(), 2);
+        assert_eq!(ws.stats().high_water_bytes, (10 + 100) * 4);
+    }
+
+    /// A lease takes a parked buffer only if it is at most a quarter
+    /// larger, and otherwise leaves it for a take of its own size.
+    #[test]
+    fn lease_skips_much_larger_buffers() {
+        let mut ws: Workspace<f32> = Workspace::new();
+        let (a, b) = (ws.take_vec(100), ws.take_vec(400));
+        ws.give_vec(a);
+        ws.give_vec(b);
+        let near = ws.lease_vec(90);
+        assert_eq!((near.len(), near.capacity()), (90, 100));
+        let far = ws.lease_vec(120);
+        assert_eq!((far.len(), far.capacity()), (120, 120), "400 is too large");
+        assert_eq!((ws.stats().allocs, ws.parked()), (3, 1));
+        // Nothing parked fits at all: the largest grows, as for a take.
+        ws.give_vec(far);
+        let grown = ws.lease_vec(1000);
+        assert_eq!(grown.capacity(), 1000);
+        assert_eq!(ws.parked(), 1);
     }
 
     #[test]
@@ -263,17 +315,15 @@ mod tests {
             ws.give_vec(v);
         }
         assert_eq!(ws.stats().high_water_bytes, cap_a + cap_b);
-        // With `b` out, a fresh buffer parks beside `a` only.
+        // With `b` out, nothing parked fits 300: `a` grows to it.
         let b = ws.take_vec(200);
         let c = ws.take_vec(300);
         let cap_c = c.capacity() as u64 * 4;
+        assert_eq!(ws.parked(), 0);
         ws.give_vec(c);
-        assert_eq!(
-            ws.stats().high_water_bytes,
-            (cap_a + cap_b).max(cap_a + cap_c)
-        );
+        assert_eq!(ws.stats().high_water_bytes, (cap_a + cap_b).max(cap_c));
         ws.give_vec(b);
-        assert_eq!(ws.stats().high_water_bytes, cap_a + cap_b + cap_c);
+        assert_eq!(ws.stats().high_water_bytes, cap_b + cap_c);
     }
 
     #[test]
@@ -293,9 +343,10 @@ mod tests {
         assert_eq!(v3.len(), 9);
         assert_eq!(v3[8], 0.0);
         ws.give_vec(v3);
-        // Fresh allocation arrives zeroed by construction.
+        // A parked buffer grown past its capacity arrives zeroed.
         let v4 = ws.take_vec_scratch(100);
         assert_eq!(v4.len(), 100);
+        assert!(v4.iter().all(|&x| x == 0.0));
         assert_eq!(ws.stats().allocs, 2);
     }
 

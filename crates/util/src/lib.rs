@@ -24,7 +24,10 @@
 //! * [`cast`] — checked numeric conversions for cycle/byte accounting
 //!   paths (`pdnn-lint` rule `l6-lossy-cast` bans bare `as` casts
 //!   there).
+//! * [`alloc_count`] — the counting global allocator of the
+//!   workspace's allocation tests.
 
+pub mod alloc_count;
 pub mod cast;
 pub mod error;
 pub mod float;

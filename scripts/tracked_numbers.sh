@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Print every tracked number of ROADMAP.md, each by the method the
-# ROADMAP states for it, over the files git tracks. Print-only: it
-# gates nothing. Run from anywhere: scripts/tracked_numbers.sh
+# ROADMAP states for it, over the files git tracks plus the untracked
+# ones it does not ignore, so new files count before they are staged.
+# Print-only: it gates nothing. Run from anywhere:
+# scripts/tracked_numbers.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,14 +20,19 @@ total() {
   cat "$@" | wc -l | tr -d ' '
 }
 
-# Tracked `.rs` files matching the pathspecs, minus `benchmark/`, every
+# Tracked and untracked-but-not-ignored files matching the pathspecs.
+files() {
+  git ls-files --cached --others --exclude-standard -- "$@"
+}
+
+# `.rs` files matching the pathspecs, minus `benchmark/`, every
 # `tests/` directory and `run_digest.rs`.
 sources() {
-  git ls-files -- "$@" | grep -v -e '^benchmark/' -e '/tests/' -e '^tests/' -e 'run_digest\.rs$' || true
+  files "$@" | grep -v -e '^benchmark/' -e '/tests/' -e '^tests/' -e 'run_digest\.rs$' || true
 }
 
 mapfile -t workspace < <(sources '*.rs')
-mapfile -t core < <(git ls-files -- 'crates/core/src/*.rs')
+mapfile -t core < <(files 'crates/core/src/*.rs')
 echo "workspace non-test .rs lines: $(nontest "${workspace[@]}")"
 echo "pdnn-core non-test lines: $(nontest "${core[@]}")"
 
@@ -35,7 +42,7 @@ all=0
 src=0
 parts=()
 for c in lint protomc kernelcheck; do
-  mapfile -t every < <(git ls-files -- "crates/$c/*.rs")
+  mapfile -t every < <(files "crates/$c/*.rs")
   mapfile -t srcs < <(sources "crates/$c/*.rs")
   n=$(total "${every[@]}")
   all=$((all + n))
@@ -45,11 +52,11 @@ done
 joined=$(printf ' / %s' "${parts[@]}")
 echo "checker crates: $all lines all told (${joined:3}), $src non-test"
 
-echo "pdnn-lint: allow( sites: $(git grep -F 'pdnn-lint: allow(' -- '*.rs' | wc -l | tr -d ' ')"
+echo "pdnn-lint: allow( sites: $(files '*.rs' | xargs grep -hF 'pdnn-lint: allow(' | wc -l | tr -d ' ')"
 
 coll=crates/mpisim/src/collectives.rs
 echo "mpisim/collectives.rs: $(total "$coll") lines ($(nontest "$coll") non-test)"
 
-mapfile -t crate_srcs < <(git ls-files -- 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | sort -u)
+mapfile -t crate_srcs < <(files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | sort -u)
 pub_re='^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) '
 echo "public-API proxy (pub declarations in crates/*/src): $(cat "${crate_srcs[@]}" | grep -cE "$pub_re")"
