@@ -26,6 +26,7 @@
 use pdnn_obs::{Recorder, RecorderExt, SpanKind};
 use pdnn_tensor::blas1;
 use pdnn_util::float::exactly_zero;
+use std::ops::Range;
 
 /// Configuration for one CG solve.
 #[derive(Clone, Copy, Debug)]
@@ -107,18 +108,34 @@ pub enum CgStop {
     NegativeCurvature,
 }
 
-/// What a CG solve runs against: the curvature product, and the owner
-/// of its work vectors. A solve gives back every vector it leased or
-/// took from [`Self::product`] except the stored iterates (see
-/// [`CgSolver::reclaim`]), each `Ap` before it asks for the next.
+/// What a CG solve runs against: the curvature product, the owner of
+/// its work vectors, and the ranks it shares them with. A solve gives
+/// back every vector it leased or took from [`Self::product`] except
+/// the stored iterates (see [`CgSolver::reclaim`]), each `Ap` before it
+/// asks for the next.
+///
+/// A rank may own only part of the solve ([`Self::cg_range`]): it then
+/// keeps and updates that range of every vector, gathers the whole `p`
+/// for each product ([`Self::gather`]) and folds its partial dot
+/// products with the other owners' ([`Self::fold_partials`]). The
+/// defaults own everything, and then the two are no-ops.
 pub trait CgOperator {
-    /// The curvature product `G v`, in a buffer the operator owns.
+    /// The curvature product `G v` of a whole `v`, over
+    /// [`Self::cg_range`], in a buffer the operator owns.
     fn product(&mut self, v: &[f32]) -> Vec<f32>;
     /// A buffer of exactly `len` elements, contents unspecified.
     fn lease(&mut self, len: usize) -> Vec<f32>;
     /// Take back a leased buffer or a product; an empty vector is
     /// ignored.
     fn give_back(&mut self, buf: Vec<f32>);
+    /// The coordinates this rank owns, of a vector of `n`.
+    fn cg_range(&self, n: usize) -> Range<usize> {
+        0..n
+    }
+    /// Sum partial sums over the owners, in a fixed order.
+    fn fold_partials(&mut self, _partials: &mut [f64]) {}
+    /// Fill `full` outside [`Self::cg_range`] from its owners.
+    fn gather(&mut self, _full: &mut [f32]) {}
 }
 
 /// A truncated-CG solver. Its vectors are leased per solve from the
@@ -165,10 +182,16 @@ impl CgSolver {
     /// `HfConfig::preconditioner` and the `preconditioner` ablation
     /// bench).
     ///
-    /// A step costs three passes over the vectors besides the product:
-    /// `Ap = Gp + σp` with `p·Ap` ([`blas1::axpy_dot`]); the `d`/`r`/`z`
-    /// update with `r·z` and `q` ([`blas1::cg_update`]); and
-    /// `p = −z + βp`.
+    /// `g` is the whole gradient; `d0`, `precond`, every vector of the
+    /// solve and the returned iterates cover the operator's
+    /// [`CgOperator::cg_range`] of it. A step costs three passes over
+    /// that range besides the product: `Ap = Gp + σp` with `p·Ap`
+    /// ([`blas1::axpy_dot`]); the `d`/`r`/`z` update with `r·z` and `q`
+    /// ([`blas1::cg_update`]); and `p = −z + βp`. A rank that owns a
+    /// part of the range makes them over its part only, and talks to
+    /// the other owners three times a step: it gathers the whole `p`
+    /// for the product, then folds its partial `p·Ap`, then its
+    /// partial `(r·z, q)`. A sole owner folds and gathers nothing.
     ///
     /// Recorded on `recorder`: a `"cg_minimize"` span around the solve,
     /// the `"cg_iters"` counter (iterations executed), the
@@ -190,11 +213,14 @@ impl CgSolver {
         let _span = recorder.span("cg_minimize", SpanKind::DenseCompute);
         let config = self.config;
         let n = g.len();
-        assert_eq!(d0.len(), n, "cg: d0 length mismatch");
+        let range = op.cg_range(n);
+        let g = &g[range.clone()];
+        let len = g.len();
+        assert_eq!(d0.len(), len, "cg: d0 length mismatch");
         assert!(config.max_iters >= 1, "cg: max_iters must be >= 1");
         assert!(config.store_gamma > 1.0, "cg: store_gamma must exceed 1");
         if let Some(m) = precond {
-            assert_eq!(m.len(), n, "cg: preconditioner length mismatch");
+            assert_eq!(m.len(), len, "cg: preconditioner length mismatch");
             assert!(
                 m.iter().all(|&v| v > 0.0 && v.is_finite()),
                 "cg: preconditioner must be strictly positive"
@@ -202,14 +228,22 @@ impl CgSolver {
         }
         let sigma = shift as f32;
         let mut products = 0u64;
+        // A part owner gathers the whole operand of each product here.
+        let mut whole = if len < n { op.lease(n) } else { Vec::new() };
         let mut apply_a = |op: &mut O, v: &[f32]| {
             products += 1;
-            let gv = op.product(v);
-            assert_eq!(gv.len(), n, "cg: curvature product length mismatch");
+            let gv = if whole.is_empty() {
+                op.product(v)
+            } else {
+                whole[range.clone()].copy_from_slice(v);
+                op.gather(&mut whole);
+                op.product(&whole)
+            };
+            assert_eq!(gv.len(), len, "cg: curvature product length mismatch");
             gv
         };
 
-        let mut d = op.lease(n);
+        let mut d = op.lease(len);
         d.copy_from_slice(d0);
         // r = (G + σI) d + g
         let mut r = apply_a(op, &d);
@@ -220,23 +254,26 @@ impl CgSolver {
         // p = −z.
         let mut z = Vec::new();
         if let Some(m) = precond {
-            z = op.lease(n);
+            z = op.lease(len);
             for ((zi, &ri), &mi) in z.iter_mut().zip(&r).zip(m) {
                 *zi = ri / mi;
             }
         }
         let z0 = if precond.is_some() { &z } else { &r };
-        let mut p = op.lease(n);
+        let mut p = op.lease(len);
         for (pi, &zi) in p.iter_mut().zip(z0) {
             *pi = -zi;
         }
-        let mut rz = blas1::dot(&r, z0);
+        let rz = blas1::dot(&r, z0);
 
         // q(d) = ½ d·(r + g)
         let mut q_sum = 0.0f64;
         for ((&di, &ri), &gi) in d.iter().zip(&r).zip(g) {
             q_sum += di as f64 * (ri as f64 + gi as f64);
         }
+        let mut sums = [rz, q_sum];
+        op.fold_partials(&mut sums);
+        let [mut rz, q_sum] = sums;
         // Sized once: one entry per iteration at most, plus q(d0) or the
         // final iterate.
         let mut q_hist = std::mem::take(&mut self.q_hist);
@@ -254,7 +291,9 @@ impl CgSolver {
         for i in 1..=config.max_iters {
             op.give_back(ap);
             ap = apply_a(op, &p);
-            let pap = blas1::axpy_dot(sigma, &p, &mut ap);
+            let mut pap = [blas1::axpy_dot(sigma, &p, &mut ap)];
+            op.fold_partials(&mut pap);
+            let [pap] = pap;
             if pap <= 0.0 {
                 stop = if exactly_zero(rz) {
                     CgStop::Converged
@@ -265,7 +304,9 @@ impl CgSolver {
             }
             let alpha = (rz / pap) as f32;
             let mz = precond.map(|m| (m, &mut z[..]));
-            let (rz_new, q_sum) = blas1::cg_update(alpha, &p, &ap, g, &mut d, &mut r, mz);
+            let mut sums: [f64; 2] = blas1::cg_update(alpha, &p, &ap, g, &mut d, &mut r, mz).into();
+            op.fold_partials(&mut sums);
+            let [rz_new, q_sum] = sums;
             let beta = (rz_new / rz) as f32;
             rz = rz_new;
             let z_now = if precond.is_some() { &z } else { &r };
@@ -278,7 +319,7 @@ impl CgSolver {
             q_hist.push(q);
 
             if i == next_store {
-                let mut copy = op.lease(n);
+                let mut copy = op.lease(len);
                 copy.copy_from_slice(&d);
                 iterates.push(CgIterate {
                     iter: i,
@@ -322,7 +363,7 @@ impl CgSolver {
         } else {
             op.give_back(d);
         }
-        for buf in [r, ap, p, z] {
+        for buf in [r, ap, p, z, whole] {
             op.give_back(buf);
         }
         self.q_hist = q_hist;

@@ -78,6 +78,7 @@ use pdnn_tensor::gemm::GemmContext;
 use pdnn_tensor::Workspace;
 use pdnn_util::{Error, PhaseTimer};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How ranks synchronize gradients, curvature products, and weights.
@@ -94,7 +95,11 @@ use std::sync::Arc;
 /// headers, no θ broadcasts, and no start-up `load_data` p2p phase.
 /// Every decision the replicated optimizers take is a function of
 /// bit-identical allreduce results, so all replicas stay bitwise in
-/// lockstep (asserted at the end of every run).
+/// lockstep (asserted at the end of every run). Under `Ring` they also
+/// share the CG state: each rank keeps and updates the ring slice of
+/// every CG vector its reduce-scatter leaves it, and gathers whole
+/// vectors and folds dot products from the slices
+/// ([`HfProblem::cg_range`]); `Tree` replicas keep the whole state.
 ///
 /// All three strategies support fault plans. `Master` recovers via
 /// the coordinator's checkpoint-restart; the masterless modes elect
@@ -109,7 +114,7 @@ pub enum SyncStrategy {
     Master,
     /// Masterless replicated optimizer over chunked ring allreduce
     /// (bandwidth-optimal: each rank moves `2(P-1)/P · n` elements,
-    /// neighbour-only traffic).
+    /// neighbour-only traffic), its CG state sharded over the ring.
     Ring,
     /// Masterless replicated optimizer over binomial-tree allreduce
     /// (latency-optimal: `2⌈log2 P⌉` rounds).
@@ -738,7 +743,12 @@ fn absorb(ids: &mut [Vec<u64>; 2], frame: &mut Frame) {
 /// Every rank holds one of these and drives its own replicated
 /// [`HfOptimizer`]; because ring and tree allreduce return
 /// bit-identical results on every rank, the replicas make identical
-/// decisions and their θ vectors never diverge.
+/// decisions and their θ vectors never diverge. In ring mode the
+/// optimizer's CG state is sharded: a rank owns its ring slice
+/// ([`HfProblem::cg_range`]), curvature sums are reduce-scattered into
+/// it, and dot products and whole vectors come from the slices through
+/// scalar allreduces and raw allgathers, so every replica still reads
+/// the same bits.
 struct DecentralProblem<'a> {
     comm: &'a mut Comm,
     rec: Arc<InMemoryRecorder>,
@@ -791,8 +801,17 @@ impl DecentralProblem<'_> {
         Ok((meta[0] / meta[1], grad))
     }
 
+    /// Whether this rank owns only its ring slice of the CG state
+    /// ([`HfProblem::cg_range`]). The tree's shape has no scatter half,
+    /// so its replicas keep the whole state.
+    fn sharded(&self) -> bool {
+        self.sync == SyncStrategy::Ring
+    }
+
     /// Aggregate and normalise a sum over the curvature sample (a GN
-    /// product or the Fisher diagonal).
+    /// product or the Fisher diagonal) over [`HfProblem::cg_range`]:
+    /// the ring reduce-scatters the sum into this rank's slice, the
+    /// tree allreduces the whole of it.
     fn try_curvature(
         &mut self,
         (mut sum, frames): (Vec<f32>, f64),
@@ -800,9 +819,18 @@ impl DecentralProblem<'_> {
     ) -> Result<Vec<f32>, TrainFault> {
         let rec = self.rec.clone();
         let _span = rec.span("curvature_allreduce", SpanKind::CommCollective);
-        self.allreduce_sum(&mut sum).map_err(TrainFault::Comm)?;
-        let total = self.sample_frames_total(frames).map_err(TrainFault::Comm)?;
-        mean_of(sum, total, phase)
+        if !self.sharded() {
+            self.allreduce_sum(&mut sum).map_err(TrainFault::Comm)?;
+            let total = self.sample_frames_total(frames).map_err(TrainFault::Comm)?;
+            return mean_of(sum, total, phase);
+        }
+        let reduced = self.comm.reduce_scatter(&mut sum, ReduceOp::Sum);
+        let total = reduced.and_then(|()| self.sample_frames_total(frames));
+        let own = self.cg_range();
+        let mut mine = self.engine.lease(own.len());
+        mine.copy_from_slice(&sum[own]);
+        self.engine.recycle(sum);
+        mean_of(mine, total.map_err(TrainFault::Comm)?, phase)
     }
 
     fn try_heldout(&mut self, theta: &[f32]) -> Result<HeldoutEval, TrainFault> {
@@ -857,7 +885,7 @@ impl HfProblem for DecentralProblem<'_> {
                 let sums = p.engine.gn_sums(v);
                 p.try_curvature(sums, "gn_product")
             })
-            .unwrap_or_else(|| vec![0.0f32; v.len()]);
+            .unwrap_or_else(|| vec![0.0f32; self.cg_range().len()]);
         let pool = self.comm.payload_pool().high_water_bytes();
         report_memory(&*self.rec, self.engine.arena_stats(), Some(pool));
         gv
@@ -885,6 +913,31 @@ impl HfProblem for DecentralProblem<'_> {
 
     fn train_frames(&self) -> u64 {
         self.ledger.train_frames()
+    }
+
+    /// The ring slice the reduce-scatter leaves this rank; the whole
+    /// vector in tree mode.
+    fn cg_range(&self) -> Range<usize> {
+        let n = self.num_params();
+        if self.sharded() {
+            self.comm.ring_slice(n)
+        } else {
+            0..n
+        }
+    }
+
+    fn fold_partials(&mut self, partials: &mut [f64]) {
+        if self.sharded() {
+            self.settle(|p| p.allreduce_sum(partials).map_err(TrainFault::Comm));
+        }
+    }
+
+    /// A raw-`f32` ring allgather under every codec: a trial θ or a CG
+    /// operand is its owners' bits on every rank.
+    fn gather(&mut self, full: &mut [f32]) {
+        if self.sharded() {
+            self.settle(|p| p.comm.allgather(full).map_err(TrainFault::Comm));
+        }
     }
 }
 

@@ -28,6 +28,7 @@ use crate::stopping::{StopReason, StopState};
 use pdnn_obs::{NullRecorder, Recorder, RecorderExt, SpanKind};
 use pdnn_tensor::blas1;
 use pdnn_util::float::exactly_zero;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Statistics from one outer HF iteration.
@@ -69,12 +70,16 @@ pub struct IterStats {
 /// The Hessian-free optimizer (stateful across iterations: damping
 /// level, momentum direction, last held-out loss).
 ///
-/// Every vector of θ's size a step uses — θ₀ and the updated θ, the
-/// trial θ of the held-out evaluations, the CG start `d₀`, the
-/// preconditioner and the CG solver's vectors — is leased from the
-/// problem ([`HfProblem::lease`]) and given back when its phase ends,
-/// as is every vector the problem returns ([`HfProblem::give_back`]).
-/// Between steps it holds only the momentum direction.
+/// Every vector a step uses is leased from the problem
+/// ([`HfProblem::lease`]) and given back when its phase ends, as is
+/// every vector the problem returns ([`HfProblem::give_back`]). Whole
+/// vectors are θ₀ and the updated θ, the gradient and the trial θ of
+/// the held-out evaluations. The CG start `d₀`, the preconditioner,
+/// the CG solver's vectors and its stored iterates cover only the
+/// problem's [`HfProblem::cg_range`]: a rank that owns a slice of the
+/// solve keeps and updates that slice, and a trial or updated θ is its
+/// slice of `θ₀ + α·d` gathered whole ([`HfProblem::gather`]). Between
+/// steps it holds only the momentum direction, over the same range.
 pub struct HfOptimizer {
     config: HfConfig,
     damping: Damping,
@@ -102,6 +107,18 @@ impl<P: HfProblem> CgOperator for GnOperator<'_, P> {
 
     fn give_back(&mut self, buf: Vec<f32>) {
         self.0.give_back(buf);
+    }
+
+    fn cg_range(&self, _n: usize) -> Range<usize> {
+        self.0.cg_range()
+    }
+
+    fn fold_partials(&mut self, partials: &mut [f64]) {
+        self.0.fold_partials(partials);
+    }
+
+    fn gather(&mut self, full: &mut [f32]) {
+        self.0.gather(full);
     }
 }
 
@@ -186,6 +203,7 @@ impl HfOptimizer {
         let _iter_span = rec.span("hf_iteration", SpanKind::Scalar);
         rec.counter_add("hf_iterations", 1);
         let n = problem.num_params();
+        let own = problem.cg_range();
         let mut theta = problem.lease(n);
         problem.theta_into(&mut theta);
         assert_eq!(theta.len(), n);
@@ -227,7 +245,7 @@ impl HfOptimizer {
         let d0 = if self.momentum {
             std::mem::take(&mut self.d0)
         } else {
-            let mut zeros = problem.lease(n);
+            let mut zeros = problem.lease(own.len());
             zeros.fill(0.0);
             zeros
         };
@@ -263,8 +281,9 @@ impl HfOptimizer {
         let theta0 = &theta;
         let mut trial = problem.lease(n);
         let mut eval_at = |d: &[f32], evals: &mut usize| {
-            trial.copy_from_slice(theta0);
-            blas1::add(d, &mut trial);
+            trial[own.clone()].copy_from_slice(&theta0[own.clone()]);
+            blas1::add(d, &mut trial[own.clone()]);
+            problem.gather(&mut trial);
             *evals += 1;
             problem.heldout_eval(&trial)
         };
@@ -340,16 +359,18 @@ impl HfOptimizer {
         let ls_span = rec.span("line_search", SpanKind::DenseCompute);
         let full_step = |alpha: f64| exactly_zero(alpha - 1.0);
         let chosen = &cg.iterates[best_pos];
-        let slope = blas1::dot(&g, &chosen.d);
+        let mut slope = [blas1::dot(&g[own.clone()], &chosen.d)];
+        problem.fold_partials(&mut slope);
         let search = armijo_search(
             loss_prev,
-            slope,
+            slope[0],
             |alpha| {
                 if full_step(alpha) {
                     return l_best;
                 }
-                trial.copy_from_slice(theta0);
-                blas1::axpy(alpha as f32, &chosen.d, &mut trial);
+                trial[own.clone()].copy_from_slice(&theta0[own.clone()]);
+                blas1::axpy(alpha as f32, &chosen.d, &mut trial[own.clone()]);
+                problem.gather(&mut trial);
                 heldout_evals += 1;
                 problem.heldout_eval(&trial).loss
             },
@@ -363,7 +384,8 @@ impl HfOptimizer {
         drop(ls_span);
 
         let chosen_iter = chosen.iter;
-        blas1::axpy(alpha as f32, &chosen.d, &mut theta);
+        blas1::axpy(alpha as f32, &chosen.d, &mut theta[own.clone()]);
+        problem.gather(&mut theta);
         // The sole weight update of the iteration — prepacked weight
         // caches downstream (DnnProblem, workers) invalidate exactly
         // here, and stay valid across every CG product in between.
@@ -374,7 +396,7 @@ impl HfOptimizer {
         let beta = self.config.momentum as f32;
         self.momentum = beta > 0.0;
         if self.momentum {
-            self.d0 = problem.lease(n);
+            self.d0 = problem.lease(own.len());
             self.d0.copy_from_slice(cg.final_d());
             blas1::scal(beta, &mut self.d0);
         }

@@ -22,6 +22,7 @@ use pdnn_tensor::gemm::GemmContext;
 use pdnn_tensor::Matrix;
 use pdnn_util::Prng;
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Training objective (the two criteria of the paper's Table I).
@@ -64,14 +65,34 @@ pub trait HfProblem {
     /// deterministic in `seed`) and cache the forward state at the
     /// current θ.
     fn sample_curvature(&mut self, seed: u64, fraction: f64);
-    /// Undamped Gauss–Newton product, mean per sampled frame.
+    /// Undamped Gauss–Newton product `G v`, mean per sampled frame, of
+    /// a whole `v`: the coordinates in [`Self::cg_range`].
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32>;
     /// Mean-per-frame empirical-Fisher diagonal over the curvature
     /// sample (`diag(Σ ∇L_f²)/frames`), used by the optional CG
-    /// preconditioner. `None` when the problem does not support it.
+    /// preconditioner: the coordinates in [`Self::cg_range`]. `None`
+    /// when the problem does not support it.
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
         None
     }
+    /// The coordinates of θ-sized vectors whose CG state this rank owns:
+    /// the optimizer keeps the CG vectors, the preconditioner, the
+    /// stored iterates and the momentum direction over this range only,
+    /// and the curvature products and Fisher diagonal return it. The
+    /// default owns them all.
+    fn cg_range(&self) -> Range<usize> {
+        0..self.num_params()
+    }
+    /// Sum per-range partial sums (dot products over
+    /// [`Self::cg_range`]) over every rank that owns a range, in a
+    /// fixed order, so every rank reads the same totals. The default,
+    /// sole owner, leaves them as they are.
+    fn fold_partials(&mut self, _partials: &mut [f64]) {}
+    /// Fill the coordinates of the whole vector `full` outside
+    /// [`Self::cg_range`] from the ranks that own them, whose own range
+    /// the caller has written. The default, sole owner, has nothing to
+    /// fetch.
+    fn gather(&mut self, _full: &mut [f32]) {}
     /// Held-out loss/accuracy at arbitrary trial parameters.
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval;
     /// A buffer of exactly `len` elements, contents unspecified, from

@@ -242,6 +242,8 @@ fn wire_counters(name: &'static str) -> [&'static str; 2] {
         "allreduce" => ["wire_sent_allreduce", "wire_recv_allreduce"],
         "allreduce_ring" => ["wire_sent_allreduce_ring", "wire_recv_allreduce_ring"],
         "allreduce_tree" => ["wire_sent_allreduce_tree", "wire_recv_allreduce_tree"],
+        "reduce_scatter" => ["wire_sent_reduce_scatter", "wire_recv_reduce_scatter"],
+        "allgather" => ["wire_sent_allgather", "wire_recv_allgather"],
         _ => ["wire_sent_other", "wire_recv_other"],
     }
 }
@@ -445,7 +447,10 @@ fn exchange<T: CollElem, B: Buffer<T> + ?Sized>(
                 if failed.contains(&to) {
                     continue;
                 }
-                let payload = if window != 2 {
+                // A window-2 send forwards the image last owned or
+                // received; a walk that opens on one (the allgather) has
+                // none yet and encodes its chunk from the buffer.
+                let payload = if window != 2 || matches!(image, Payload::Empty) {
                     let elems = buf.elems();
                     T::encode(codec, &elems[chunk.range(elems.len())], &mut comm.pool)
                 } else if matches!(hops.get(i + 1), Some(Hop::Send { window: 2, .. })) {
@@ -705,6 +710,51 @@ impl Comm {
         self.allreduce_masterless("allreduce_tree", buf, op, |_| schedule::tree)
     }
 
+    /// The reduce-scatter half of [`Comm::allreduce_ring`]
+    /// ([`schedule::ring_reduce_scatter`]): afterwards this rank's
+    /// [`Comm::ring_slice`] of `buf` holds the full reduction, with the
+    /// ring's codec and fold order, bit for bit what
+    /// [`Comm::allreduce_ring`] leaves there on a world of at most
+    /// eight ranks or with chunks of at least 128 elements; the rest of
+    /// `buf` holds partial sums (treat as garbage). Under a lossy codec
+    /// the owned slice holds the decoded image its owner would
+    /// broadcast. Gated and re-stitched over the acknowledged-live
+    /// membership like [`Comm::allreduce_ring`], but always the
+    /// chunked ring, whatever the world size.
+    pub fn reduce_scatter<T: CollElem>(
+        &mut self,
+        buf: &mut [T],
+        op: ReduceOp,
+    ) -> Result<(), CommError> {
+        self.allreduce_masterless("reduce_scatter", buf, op, |_| schedule::ring_reduce_scatter)
+    }
+
+    /// The allgather half of [`Comm::allreduce_ring`]
+    /// ([`schedule::ring_allgather`]): every rank contributes its
+    /// [`Comm::ring_slice`] of `buf` and ends with every rank's slice in
+    /// place. Codec-free: the slices travel as the senders' raw
+    /// elements under every wire codec, so a gathered `f32` vector is
+    /// exactly its owners' bits. Gated and re-stitched like
+    /// [`Comm::reduce_scatter`].
+    pub fn allgather<T: CollElem>(&mut self, buf: &mut [T]) -> Result<(), CommError> {
+        self.allreduce_masterless("allgather", buf, ReduceOp::Sum, |_| {
+            schedule::ring_allgather
+        })
+    }
+
+    /// The elements of an `n`-element buffer this rank owns in
+    /// [`Comm::reduce_scatter`] and contributes to [`Comm::allgather`]:
+    /// at position `q` of the acknowledged-live membership, ring chunk
+    /// `(q + 1) mod m`. The whole buffer on a one-member world; empty on a
+    /// rank acknowledged dead.
+    pub fn ring_slice(&self, n: usize) -> std::ops::Range<usize> {
+        let parts = participants(self, lowest_live(self));
+        match parts.iter().position(|&r| r == self.rank()) {
+            Some(pos) => schedule::ring_owned(pos, parts.len()).range(n),
+            None => 0..0,
+        }
+    }
+
     /// The entry body shared by the symmetric allreduces: run the
     /// schedule `pick` chooses for the participant count over the
     /// acknowledged-live ranks in rank order. Hops are unbounded
@@ -780,7 +830,7 @@ impl Comm {
         self.coll_seq += 1;
         let was = std::mem::replace(&mut self.in_collective, true);
         let codec = match name {
-            "barrier" | "allreduce" => WireCodec::None,
+            "barrier" | "allreduce" | "allgather" => WireCodec::None,
             _ => self.wire_codec(),
         };
         let before = self.trace.collective;
@@ -1284,6 +1334,158 @@ mod tests {
                 b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 b0.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// `reduce_scatter` then `allgather` is `allreduce_ring`, bit for
+    /// bit, under every codec: the reduce-scatter leaves each rank's
+    /// ring slice holding the ring's (decoded) reduction, and the raw
+    /// allgather delivers exactly those bits — for 1–5 ranks and
+    /// lengths that leave chunks empty (`n < P`), uneven, or longer
+    /// than a fold block.
+    #[test]
+    fn reduce_scatter_then_allgather_is_allreduce_ring_bitwise() {
+        use crate::wire::WireCodec;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for codec in [WireCodec::None, WireCodec::F16, WireCodec::Int8] {
+            for size in 1..=5usize {
+                for n in [
+                    0,
+                    1,
+                    size.saturating_sub(1),
+                    size + 1,
+                    3 * FOLD_BLOCK + size,
+                ] {
+                    let results = run_world(size, move |comm| {
+                        comm.set_wire_codec(codec);
+                        let mut whole = operand(comm.rank(), n);
+                        comm.allreduce_ring(&mut whole, ReduceOp::Sum).unwrap();
+                        let mut halves = operand(comm.rank(), n);
+                        comm.reduce_scatter(&mut halves, ReduceOp::Sum).unwrap();
+                        let slice = comm.ring_slice(n);
+                        let owned = halves[slice.clone()].to_vec();
+                        comm.allgather(&mut halves).unwrap();
+                        (whole, halves, slice, owned)
+                    });
+                    let mut covered = vec![0usize; n];
+                    for r in &results {
+                        let case = format!("{codec:?} P={size} n={n} rank={}", r.rank);
+                        let (whole, halves, slice, owned) = &r.result;
+                        assert_eq!(bits(owned), bits(&whole[slice.clone()]), "{case}");
+                        assert_eq!(bits(halves), bits(whole), "{case}");
+                        assert_eq!(bits(whole), bits(&results[0].result.0), "{case}");
+                        for c in &mut covered[slice.clone()] {
+                            *c += 1;
+                        }
+                    }
+                    // The ring slices partition the buffer.
+                    assert!(covered.iter().all(|&c| c == 1), "{codec:?} P={size} n={n}");
+                }
+            }
+        }
+    }
+
+    /// The allgather is codec-free: under `F16` and `Int8` every rank
+    /// ends with the owners' `f32` bits, none rounded, and the payloads
+    /// travel as four bytes an element.
+    #[test]
+    fn allgather_moves_raw_f32_under_lossy_codecs() {
+        use crate::wire::WireCodec;
+        let n = 1001usize;
+        // 1 + 2⁻²⁰·k: not representable in binary16, and int8 would
+        // collapse it.
+        let value = |i: usize| 1.0 + (i as f32) * f32::EPSILON * 8.0;
+        for codec in [WireCodec::F16, WireCodec::Int8] {
+            for size in 2..=4usize {
+                let results = run_world(size, move |comm| {
+                    comm.set_wire_codec(codec);
+                    let mut buf = vec![f32::NAN; n];
+                    for i in comm.ring_slice(n) {
+                        buf[i] = value(i);
+                    }
+                    comm.allgather(&mut buf).unwrap();
+                    buf
+                });
+                for r in &results {
+                    for (i, x) in r.result.iter().enumerate() {
+                        assert_eq!(x.to_bits(), value(i).to_bits(), "{codec:?} P={size} i={i}");
+                    }
+                    let moved = r.trace.collective.bytes_received;
+                    let foreign = n - {
+                        let parts: Vec<_> = (0..size).collect();
+                        let pos = parts.iter().position(|&q| q == r.rank).unwrap();
+                        schedule::ring_owned(pos, size).range(n).len()
+                    };
+                    assert_eq!(moved, 4 * foreign as u64, "{codec:?} P={size}");
+                }
+            }
+        }
+    }
+
+    /// Both halves pass the fault gate and abort with the death the
+    /// recovery round evicts, as `allreduce_ring` does; once the death
+    /// is acknowledged they run re-stitched over the survivors, whose
+    /// ring slices partition the buffer again.
+    #[test]
+    fn killed_halves_surface_rank_dead_and_restitch_over_survivors() {
+        use crate::fault::FaultPlan;
+        use crate::runner::run_world_faulted;
+        let n = 40usize;
+        for kill_at in [0u64, 1] {
+            let plan = FaultPlan::new(7)
+                .kill(2, kill_at)
+                .with_timeouts(Duration::from_millis(200), Duration::from_secs(30));
+            let results = run_world_faulted(5, &plan, move |comm| {
+                let mut v = gen_f32(comm.rank(), n);
+                let mut first = comm.reduce_scatter(&mut v, ReduceOp::Sum);
+                if first.is_ok() {
+                    first = comm.allgather(&mut v);
+                }
+                if matches!(first, Err(CommError::Killed)) {
+                    return None;
+                }
+                assert!(
+                    matches!(first, Err(CommError::RankDead { rank: 2 })),
+                    "kill_at={kill_at} rank={}: {first:?}",
+                    comm.rank()
+                );
+                comm.ack_dead(2);
+                let wide = Duration::from_secs(30);
+                if comm.rank() == 0 {
+                    for r in [1, 3, 4] {
+                        comm.recv_timeout(Src::Of(r), 9, wide).unwrap();
+                    }
+                    for r in [1, 3, 4] {
+                        comm.send(r, 9, Payload::Empty).unwrap();
+                    }
+                } else {
+                    comm.send(0, 9, Payload::Empty).unwrap();
+                    comm.recv_timeout(Src::Of(0), 9, wide).unwrap();
+                }
+                let mut whole = gen_f32(comm.rank(), n);
+                comm.allreduce_ring(&mut whole, ReduceOp::Sum).unwrap();
+                let mut halves = gen_f32(comm.rank(), n);
+                comm.reduce_scatter(&mut halves, ReduceOp::Sum).unwrap();
+                comm.allgather(&mut halves).unwrap();
+                Some((whole, halves, comm.ring_slice(n)))
+            });
+            let survivors: Vec<_> = results.iter().filter_map(|r| r.result.clone()).collect();
+            assert_eq!(
+                survivors.len(),
+                4,
+                "kill_at={kill_at}: exactly the victim is missing"
+            );
+            assert!(results[2].result.is_none());
+            let mut covered = vec![0usize; n];
+            for (whole, halves, slice) in &survivors {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(halves), bits(whole), "kill_at={kill_at}");
+                assert_eq!(bits(whole), bits(&survivors[0].0), "kill_at={kill_at}");
+                for c in &mut covered[slice.clone()] {
+                    *c += 1;
+                }
+            }
+            assert!(covered.iter().all(|&c| c == 1), "kill_at={kill_at}");
         }
     }
 

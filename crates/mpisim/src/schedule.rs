@@ -19,7 +19,9 @@
 //! |---|---|---|
 //! | `binomial_reduce`, `binomial_bcast` | fault-free `reduce` / `bcast` | 1 / 2 |
 //! | [`tree`] = reduce half ++ broadcast half | `allreduce_tree`; `allreduce_ring` on large worlds with small chunks | 1, 2 |
-//! | [`ring`] | `allreduce_ring` | 1, 2 |
+//! | [`ring`] = [`ring_reduce_scatter`] ++ [`ring_allgather`] | `allreduce_ring` | 1, 2 |
+//! | [`ring_reduce_scatter`] | `reduce_scatter` | 1 |
+//! | [`ring_allgather`] | `allgather` | 2 |
 //! | `recursive_doubling` | `allreduce` on a power-of-two membership | 1 |
 //! | [`dissemination`] | fault-free `barrier` | 0 |
 //! | [`fan_in`], [`fan_out`] | `reduce` / `bcast` under a fault plan | 1 / 2 |
@@ -37,7 +39,9 @@
 //! * window 2 — the broadcast phase: the chunk's owner encodes it once
 //!   ([`Hop::Own`]), and every position installs and forwards that wire
 //!   image untouched, so all ranks end with the same bytes under a
-//!   lossy codec.
+//!   lossy codec. A walk that opens on a window-2 send (the standalone
+//!   [`ring_allgather`]) has no image yet, and sends its owned chunk as
+//!   it stands in the buffer.
 //!
 //! A barrier is the star or the dissemination rounds over an empty
 //! buffer, so its folds and installs move nothing.
@@ -119,47 +123,78 @@ fn recv(from: usize, window: u8, apply: Apply) -> Hop {
     }
 }
 
-/// Chunked ring allreduce: `m − 1` reduce-scatter hops, after which
-/// position `pos` owns the fully reduced chunk `(pos + 1) mod m`, then
-/// `m − 1` allgather hops forwarding each owner's image downstream.
+/// Chunked ring allreduce: [`ring_reduce_scatter`] then
+/// [`ring_allgather`].
 pub fn ring(pos: usize, m: usize) -> Vec<Hop> {
-    let mut hops = Vec::with_capacity(4 * m.saturating_sub(1) + 1);
+    let mut hops = ring_reduce_scatter(pos, m);
+    hops.extend(ring_allgather(pos, m));
+    hops
+}
+
+/// Chunk `index` of `m` ring chunks.
+fn ring_chunk(index: usize, m: usize) -> Chunk {
+    Chunk { index, of: m }
+}
+
+/// The chunk position `pos` of an `m`-member ring holds fully reduced
+/// after [`ring_reduce_scatter`], and the one it contributes to
+/// [`ring_allgather`]: `(pos + 1) mod m`.
+pub(crate) fn ring_owned(pos: usize, m: usize) -> Chunk {
+    ring_chunk((pos + 1) % m, m)
+}
+
+/// The reduce-scatter half of the ring: `m − 1` hops on window 1, after
+/// which position `pos` holds the fully reduced chunk `(pos + 1) mod m`,
+/// then the owner's [`Hop::Own`] of it.
+pub fn ring_reduce_scatter(pos: usize, m: usize) -> Vec<Hop> {
+    let mut hops = Vec::with_capacity(2 * m.saturating_sub(1) + 1);
     if m < 2 {
         return hops;
     }
     let next = (pos + 1) % m;
     let prev = (pos + m - 1) % m;
-    let chunk = |index: usize| Chunk { index, of: m };
     // At step s position p sends its accumulation of chunk (p − s) mod m
     // and folds the incoming accumulation into chunk (p − s − 1) mod m.
     for step in 0..m - 1 {
         hops.push(Hop::Send {
             to: next,
             window: 1,
-            chunk: chunk((pos + m - step) % m),
+            chunk: ring_chunk((pos + m - step) % m, m),
         });
         hops.push(Hop::Recv {
             from: prev,
             window: 1,
-            chunk: chunk((pos + 2 * m - step - 1) % m),
+            chunk: ring_chunk((pos + 2 * m - step - 1) % m, m),
             apply: Apply::FoldIncomingLeft,
         });
     }
     hops.push(Hop::Own {
-        chunk: chunk((pos + 1) % m),
+        chunk: ring_owned(pos, m),
     });
-    // At step s position p forwards the image it owned (s = 0) or last
-    // received, chunk (p + 1 − s) mod m, and receives chunk (p − s) mod m.
+    hops
+}
+
+/// The allgather half of the ring: `m − 1` hops on window 2 forwarding
+/// each position's owned chunk downstream. At step s position p forwards
+/// the image it owns (s = 0) or last received, chunk (p + 1 − s) mod m,
+/// and receives chunk (p − s) mod m.
+pub fn ring_allgather(pos: usize, m: usize) -> Vec<Hop> {
+    let mut hops = Vec::with_capacity(2 * m.saturating_sub(1));
+    if m < 2 {
+        return hops;
+    }
+    let next = (pos + 1) % m;
+    let prev = (pos + m - 1) % m;
     for step in 0..m - 1 {
         hops.push(Hop::Send {
             to: next,
             window: 2,
-            chunk: chunk((pos + 1 + m - step) % m),
+            chunk: ring_chunk((pos + 1 + m - step) % m, m),
         });
         hops.push(Hop::Recv {
             from: prev,
             window: 2,
-            chunk: chunk((pos + m - step) % m),
+            chunk: ring_chunk((pos + m - step) % m, m),
             apply: Apply::Install,
         });
     }
@@ -300,8 +335,10 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    const SCHEDULES: [(&str, Schedule); 9] = [
+    const SCHEDULES: [(&str, Schedule); 11] = [
         ("ring", ring),
+        ("ring_reduce_scatter", ring_reduce_scatter),
+        ("ring_allgather", ring_allgather),
         ("binomial_reduce", binomial_reduce),
         ("binomial_bcast", binomial_bcast),
         ("tree", tree),
@@ -368,6 +405,9 @@ mod tests {
                 let mut halves = fan_in(pos, m);
                 halves.extend(fan_out(pos, m));
                 assert_eq!(star(pos, m), halves, "star m={m} pos={pos}");
+                let mut halves = ring_reduce_scatter(pos, m);
+                halves.extend(ring_allgather(pos, m));
+                assert_eq!(ring(pos, m), halves, "ring m={m} pos={pos}");
             }
         }
     }

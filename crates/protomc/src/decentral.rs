@@ -18,6 +18,11 @@
 //! * **tree allreduce** (`schedule::tree`) — a binomial reduce to
 //!   rank 0 on window 1, then a binomial broadcast from rank 0 on
 //!   window 2;
+//! * **sharded CG step** (`schedule::ring_allgather`, then
+//!   `schedule::ring_reduce_scatter`, then two scalar ring allreduces)
+//!   — what one CG step of ring mode runs: `Comm::allgather` of the
+//!   operand, `Comm::reduce_scatter` of the product into each rank's
+//!   slice, and the folds of `p·Ap` and `(r·z, q)`;
 //! * **barrier** — the dissemination rounds (`schedule::dissemination`)
 //!   closing a fault-free run, and the star to the coordinator
 //!   (`schedule::star`) that `Comm::barrier` runs under a fault plan,
@@ -54,11 +59,12 @@
 //! Fidelity is closed from the trace side by
 //! [`replay_decentral_run`], which accepts the per-rank
 //! [`CommEvent`] streams of *real* ring-/tree-mode training runs: all
-//! collectives must carry the mode's op name, follow the
+//! collectives must carry one of the mode's op names, follow the
 //! `DecentralProblem` phase grammar (an `f32` payload allreduce with
 //! an optional `f64` metadata chaser — the gradient always carries
 //! one, curvature products agree on the sample's frame count once
-//! per draw — or a standalone `f64` allreduce), stay point-to-point
+//! per draw — or a standalone `f64` allreduce; in ring mode also the
+//! sharded CG state's `f32` allgathers and reduce-scatters), stay point-to-point
 //! silent, be byte-identical in shape across ranks (the SPMD invariant
 //! behind the replicated-optimizer design), and end in exactly one
 //! barrier. Given the killed ranks, the same replay accepts real
@@ -89,6 +95,16 @@ impl DMode {
         match self {
             DMode::Ring => "allreduce_ring",
             DMode::Tree => "allreduce_tree",
+        }
+    }
+
+    /// Every `CommEvent::Coll` op name this mode's replicas record
+    /// besides the barrier: the allreduce, and in ring mode the two
+    /// halves the sharded CG state runs on their own.
+    pub fn ops(self) -> &'static [&'static str] {
+        match self {
+            DMode::Ring => &["allreduce_ring", "reduce_scatter", "allgather"],
+            DMode::Tree => &["allreduce_tree"],
         }
     }
 
@@ -165,6 +181,33 @@ fn programs(mode: DMode, size: usize) -> Vec<Vec<MOp>> {
             }
             let barrier = schedule::dissemination(rank, size);
             lower(CANONICAL_ALLREDUCES, &barrier, &parts, &mut ops);
+            ops
+        })
+        .collect()
+}
+
+/// The collectives of one CG step of ring mode, in program order: the
+/// operand's allgather, the product's reduce-scatter, the `p·Ap` fold
+/// and the `(r·z, q)` fold.
+const CG_STEP: [Schedule; 4] = [
+    schedule::ring_allgather,
+    schedule::ring_reduce_scatter,
+    schedule::ring,
+    schedule::ring,
+];
+
+/// Per-rank micro-step programs of one sharded CG step on `size`
+/// ranks, closed by the dissemination barrier.
+fn step_programs(size: usize) -> Vec<Vec<MOp>> {
+    let parts: Vec<usize> = (0..size).collect();
+    (0..size)
+        .map(|rank| {
+            let mut ops = Vec::new();
+            for (c, sched) in CG_STEP.iter().enumerate() {
+                lower(c as u8, &sched(rank, size), &parts, &mut ops);
+            }
+            let barrier = schedule::dissemination(rank, size);
+            lower(CG_STEP.len() as u8, &barrier, &parts, &mut ops);
             ops
         })
         .collect()
@@ -293,11 +336,25 @@ fn explore_programs(progs: &[Vec<MOp>]) -> DecentralOutcome {
 /// One model-checked masterless world for the report.
 pub struct DecentralWorld {
     pub mode: DMode,
+    /// Whether the world runs the sharded CG step ([`CG_STEP`]) rather
+    /// than the canonical allreduce program.
+    pub cg_step: bool,
     pub ranks: usize,
     /// `(victim, collective-entry)` kill placements folded into
     /// `outcome` — `0` for the fault-free worlds.
     pub kill_placements: usize,
     pub outcome: DecentralOutcome,
+}
+
+impl DecentralWorld {
+    /// The world's name in the report: the mode, or `ring-cg-step`.
+    pub fn label(&self) -> &'static str {
+        if self.cg_step {
+            "ring-cg-step"
+        } else {
+            self.mode.label()
+        }
+    }
 }
 
 /// The checked masterless worlds: both modes at 2, 3, and 4 ranks.
@@ -307,6 +364,7 @@ pub fn check_worlds() -> Vec<DecentralWorld> {
         for ranks in [2usize, 3, 4] {
             out.push(DecentralWorld {
                 mode,
+                cg_step: false,
                 ranks,
                 kill_placements: 0,
                 outcome: explore_programs(&programs(mode, ranks)),
@@ -342,11 +400,12 @@ const KILL_WINDOWS: u8 = 2;
 /// kept disjoint from the clean schedule. `REC_MEMBER` phase 1/2 are
 /// the `TAG_RECOVER_REPORT`/`TAG_RECOVER_AGREE` membership round,
 /// `REC_SHARD` the coordinator's `TAG_LOAD_DATA` shipments,
-/// `REC_RESUME`/`REC_BARRIER` the re-stitched collectives.
+/// `REC_RESUME` onwards the re-stitched collectives and `REC_BARRIER`
+/// the survivors' barrier.
 const REC_MEMBER: u8 = 100;
 const REC_SHARD: u8 = 101;
 const REC_RESUME: u8 = 102;
-const REC_BARRIER: u8 = 103;
+const REC_BARRIER: u8 = 110;
 
 /// One kill placement lowered to micro-step programs: the truncated
 /// `main` programs (the victim's ends at its death; survivors' end
@@ -392,6 +451,21 @@ fn recovery_p2p(pos: usize, live: &[usize]) -> Vec<MOp> {
 /// ([`recovery_p2p`]), one re-issued allreduce over the survivor list,
 /// survivor barrier.
 fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> RecoveryScenario {
+    let main = [mode.schedule(); KILL_WINDOWS as usize];
+    scenario_of(&main, &[mode.schedule()], size, victim, kill_at)
+}
+
+/// The kill placement `(victim, kill_at)` of a program whose
+/// collectives are `main`, in order: the victim dies entering
+/// collective `kill_at`, and the survivors recover and re-run
+/// `resume` re-stitched over themselves, then their barrier.
+fn scenario_of(
+    main: &[Schedule],
+    resume: &[Schedule],
+    size: usize,
+    victim: usize,
+    kill_at: u8,
+) -> RecoveryScenario {
     let parts: Vec<usize> = (0..size).collect();
     let main: Vec<Vec<MOp>> = (0..size)
         .map(|rank| {
@@ -400,8 +474,8 @@ fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> Re
             // entry: the victim completes `kill_at` collectives and
             // emits nothing for the aborted one.
             let colls = if rank == victim { kill_at } else { kill_at + 1 };
-            for c in 0..colls {
-                lower(c, &mode.schedule()(rank, size), &parts, &mut ops);
+            for (c, sched) in main.iter().enumerate().take(colls as usize) {
+                lower(c as u8, &sched(rank, size), &parts, &mut ops);
             }
             ops
         })
@@ -414,7 +488,9 @@ fn recovery_scenario(mode: DMode, size: usize, victim: usize, kill_at: u8) -> Re
             };
             let mut ops = recovery_p2p(pos, &live);
             let m = live.len();
-            lower(REC_RESUME, &mode.schedule()(pos, m), &live, &mut ops);
+            for (i, sched) in resume.iter().enumerate() {
+                lower(REC_RESUME + i as u8, &sched(pos, m), &live, &mut ops);
+            }
             // Under a fault plan `Comm::barrier` runs the star rooted at
             // the lowest acknowledged-live rank: the coordinator.
             lower(REC_BARRIER, &schedule::star(pos, m), &live, &mut ops);
@@ -610,6 +686,7 @@ pub fn check_recovery_worlds() -> Vec<DecentralWorld> {
             }
             out.push(DecentralWorld {
                 mode,
+                cg_step: false,
                 ranks,
                 kill_placements: placements,
                 outcome: agg,
@@ -617,6 +694,42 @@ pub fn check_recovery_worlds() -> Vec<DecentralWorld> {
         }
     }
     out
+}
+
+/// Ranks of the sharded-CG-step recovery world.
+const STEP_RANKS: usize = 3;
+
+/// The sharded CG step under a one-kill budget on [`STEP_RANKS`]
+/// ranks: every victim dying entering each of the step's four
+/// collectives, the survivors recovering and re-running the whole
+/// step re-stitched over themselves.
+pub fn check_step_recovery_world() -> DecentralWorld {
+    let mut agg = DecentralOutcome::default();
+    let mut placements = 0usize;
+    for victim in 0..STEP_RANKS {
+        for kill_at in 0..CG_STEP.len() as u8 {
+            let sc = scenario_of(&CG_STEP, &CG_STEP, STEP_RANKS, victim, kill_at);
+            let o = explore_recovery(&sc);
+            agg.states += o.states;
+            agg.transitions += o.transitions;
+            agg.terminals += o.terminals;
+            for mut v in o.violations {
+                v.detail = format!(
+                    "victim {victim} killed entering step collective {kill_at}: {}",
+                    v.detail
+                );
+                agg.violations.push(v);
+            }
+            placements += 1;
+        }
+    }
+    DecentralWorld {
+        mode: DMode::Ring,
+        cg_step: true,
+        ranks: STEP_RANKS,
+        kill_placements: placements,
+        outcome: agg,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -630,6 +743,9 @@ struct DMutation {
     expected_rule: &'static str,
     summary: &'static str,
     mode: DMode,
+    /// Mutates the sharded CG step ([`step_programs`]) instead of the
+    /// canonical program.
+    cg_step: bool,
     apply: fn(&mut Vec<Vec<MOp>>),
 }
 
@@ -642,6 +758,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P5,
             summary: "one rank's reduce-scatter hops send upstream instead of downstream",
             mode: DMode::Ring,
+            cg_step: false,
             apply: |progs| {
                 for op in progs[1].iter_mut() {
                     if let MOp::Send {
@@ -661,6 +778,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P5,
             summary: "one rank skips its first allgather forward, starving its successor",
             mode: DMode::Ring,
+            cg_step: false,
             apply: |progs| {
                 if let Some(i) = progs[1].iter().position(|o| {
                     matches!(
@@ -681,6 +799,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P5,
             summary: "one rank runs an extra reduce-scatter hop nobody pairs with",
             mode: DMode::Ring,
+            cg_step: false,
             apply: |progs| {
                 if let Some(i) = progs[0].iter().rposition(|o| {
                     matches!(
@@ -716,6 +835,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P5,
             summary: "one rank skips a whole collective, desynchronizing tag windows",
             mode: DMode::Ring,
+            cg_step: false,
             apply: |progs| {
                 progs[2].retain(|o| {
                     !matches!(o, MOp::Send { coll: 0, .. } | MOp::Recv { coll: 0, .. })
@@ -727,6 +847,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P5,
             summary: "one rank exits without joining the closing dissemination barrier",
             mode: DMode::Ring,
+            cg_step: false,
             apply: |progs| {
                 let c = CANONICAL_ALLREDUCES;
                 progs[0].retain(|o| match o {
@@ -739,6 +860,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P6,
             summary: "one rank emits a trailing message nobody ever receives",
             mode: DMode::Ring,
+            cg_step: false,
             apply: |progs| {
                 progs[0].push(MOp::Send {
                     to: 1,
@@ -752,6 +874,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P6,
             summary: "one rank broadcasts as if it were the root, stranding the real root's sends",
             mode: DMode::Tree,
+            cg_step: false,
             apply: |progs| {
                 // Rank 1 runs the broadcast half of collective 0 as the
                 // vrank-0 root of a root-1 tree (sends to ranks 0 and
@@ -783,6 +906,28 @@ fn decentral_mutations() -> Vec<DMutation> {
                             },
                         ],
                     );
+                }
+            },
+        },
+        DMutation {
+            name: "ring-allgather-skipped-hop",
+            expected_rule: P5,
+            summary:
+                "one rank skips its first hop of the CG operand's allgather, starving its successor",
+            mode: DMode::Ring,
+            cg_step: true,
+            apply: |progs| {
+                if let Some(i) = progs[1].iter().position(|o| {
+                    matches!(
+                        o,
+                        MOp::Send {
+                            coll: 0,
+                            phase: 2,
+                            ..
+                        }
+                    )
+                }) {
+                    progs[1].remove(i);
                 }
             },
         },
@@ -928,7 +1073,11 @@ pub fn run_decentral_mutations() -> Vec<MutationResult> {
     let mut results: Vec<MutationResult> = decentral_mutations()
         .into_iter()
         .map(|m| {
-            let mut progs = programs(m.mode, MUT_RANKS);
+            let mut progs = if m.cg_step {
+                step_programs(MUT_RANKS)
+            } else {
+                programs(m.mode, MUT_RANKS)
+            };
             (m.apply)(&mut progs);
             let out = explore_programs(&progs);
             let mut fired: Vec<&'static str> = out.violations.iter().map(|v| v.rule).collect();
@@ -1008,7 +1157,11 @@ fn records(op: MOp, ev: &CommEvent) -> bool {
 /// optional per f32 payload: the gradient pair always carries one, but
 /// curvature products agree on the sample's frame count once per draw
 /// and skip the chaser afterwards
-/// (`DecentralProblem::sample_frames_total`).
+/// (`DecentralProblem::sample_frames_total`). Ring mode's sharded CG
+/// state adds two `f32` collectives anywhere in that sequence: the
+/// allgather of a CG operand, trial θ or updated θ, and the
+/// reduce-scatter of a curvature product; its `p·Ap` and `(r·z, q)`
+/// folds are standalone `f64` allreduces.
 ///
 /// In a run that `killed` a rank, the victim's stream is a silent clean
 /// prefix (the kill fires at `fault_gate`, before any event for the
@@ -1026,7 +1179,7 @@ fn replay_decentral_rank(
 ) -> RankReplay {
     let survivor = live.iter().position(|&w| w == rank);
     let total = events.len();
-    let want = mode.op_name();
+    let ops = mode.ops();
     let fail = |pos: usize, msg: String| RankReplay {
         rank,
         consumed: pos,
@@ -1057,7 +1210,7 @@ fn replay_decentral_rank(
             // until the error reaches the recovery arm (e.g. the f64
             // chaser of a killed f32 gradient exchange) — after which
             // recovery p2p follows.
-            CommEvent::Coll { op, ok: false, .. } if *op == want && killed => {
+            CommEvent::Coll { op, ok: false, .. } if ops.contains(op) && killed => {
                 let Some(at) = survivor.filter(|_| !aborted) else {
                     return fail(
                         pos,
@@ -1069,7 +1222,7 @@ fn replay_decentral_rank(
                 pos += 1;
                 while matches!(
                     events.get(pos),
-                    Some(CommEvent::Coll { op, ok: false, .. }) if *op == want
+                    Some(CommEvent::Coll { op, ok: false, .. }) if ops.contains(op)
                 ) {
                     pos += 1;
                 }
@@ -1130,14 +1283,18 @@ fn replay_decentral_rank(
                 root: r,
                 ok: true,
                 ..
-            } if *op == want && *r == root => {
-                match *kind {
+            } if ops.contains(op) && *r == root => {
+                match (*op, *kind) {
                     // Payload allreduce or (optional) f64 metadata
-                    // chaser: a following aborted collective or the
-                    // victim's silent end of stream are handled by the
-                    // outer loop's other arms.
-                    "F32" | "F64" => pos += 1,
-                    other => return fail(pos, format!("{op} carries unexpected {other} payload")),
+                    // chaser, or an `f32` half of the sharded CG
+                    // state's ring: a following aborted collective or
+                    // the victim's silent end of stream are handled by
+                    // the outer loop's other arms.
+                    ("reduce_scatter" | "allgather", "F32") => pos += 1,
+                    ("allreduce_ring" | "allreduce_tree", "F32" | "F64") => pos += 1,
+                    (_, other) => {
+                        return fail(pos, format!("{op} carries unexpected {other} payload"))
+                    }
                 }
             }
             other => {
@@ -1329,6 +1486,50 @@ mod tests {
     }
 
     #[test]
+    fn the_sharded_cg_step_recovers_at_every_kill_placement() {
+        // (states, transitions, terminals, kill placements) of the
+        // 3-rank ring-cg-step world: every victim dying entering each of
+        // the allgather, the reduce-scatter and the two scalar folds.
+        let w = check_step_recovery_world();
+        assert!(
+            w.outcome.violations.is_empty(),
+            "{:?}",
+            w.outcome.violations
+        );
+        assert_eq!((w.label(), w.ranks), ("ring-cg-step", STEP_RANKS));
+        let o = &w.outcome;
+        assert_eq!(
+            (o.states, o.transitions, o.terminals, w.kill_placements),
+            (3304, 5669, 24, 12)
+        );
+        // The fault-free step is clean too.
+        let clean = explore_programs(&step_programs(STEP_RANKS));
+        assert!(clean.violations.is_empty(), "{:?}", clean.violations);
+        assert_eq!(clean.terminals, 1);
+    }
+
+    #[test]
+    fn the_cg_step_lowers_the_runtime_halves_of_the_ring() {
+        // Allgather then reduce-scatter carry, hop for hop, the two
+        // halves of the ring allreduce the runtime interprets.
+        let m = STEP_RANKS;
+        let parts: Vec<usize> = (0..m).collect();
+        for (rank, prog) in step_programs(m).iter().enumerate() {
+            let (mut ag, mut rs) = (Vec::new(), Vec::new());
+            lower(0, &schedule::ring_allgather(rank, m), &parts, &mut ag);
+            lower(1, &schedule::ring_reduce_scatter(rank, m), &parts, &mut rs);
+            assert!(prog.starts_with(&ag), "rank {rank}");
+            assert!(prog[ag.len()..].starts_with(&rs), "rank {rank}");
+            assert!(ag
+                .iter()
+                .all(|o| matches!(o, MOp::Send { phase: 2, .. } | MOp::Recv { phase: 2, .. })));
+            assert!(rs
+                .iter()
+                .all(|o| matches!(o, MOp::Send { phase: 1, .. } | MOp::Recv { phase: 1, .. })));
+        }
+    }
+
+    #[test]
     fn survivors_abort_at_every_feasible_hop() {
         // With victim 1 dead from the first collective on the 4-ring,
         // the abort transition fires from many distinct survivor
@@ -1355,6 +1556,7 @@ mod tests {
             "recovery-missing-agree",
             "reshard-to-dead",
             "recovery-no-restitch",
+            "ring-allgather-skipped-hop",
         ] {
             assert!(
                 results.iter().any(|r| r.name == name),
@@ -1408,6 +1610,97 @@ mod tests {
         assert!(run.accepted, "{:?}", run.ranks[0].error);
         assert_eq!(run.unmapped, 0);
         assert_eq!(run.p2p_events, 0);
+    }
+
+    fn half(op: &'static str, kind: &'static str, len: usize) -> CommEvent {
+        CommEvent::Coll {
+            op,
+            root: 0,
+            kind,
+            len,
+            first: None,
+            ok: true,
+        }
+    }
+
+    /// A ring rank's stream with the sharded CG state: the gradient
+    /// pair, then per CG step the operand's allgather, the product's
+    /// reduce-scatter (with the sample's frame count once) and the two
+    /// scalar folds, then a trial θ's allgather and its held-out sums.
+    fn sharded_ring_stream() -> Vec<CommEvent> {
+        let m = DMode::Ring;
+        vec![
+            ar(m, "F32", 100),
+            ar(m, "F64", 2),
+            half("allgather", "F32", 100),
+            half("reduce_scatter", "F32", 100),
+            ar(m, "F64", 1),
+            ar(m, "F64", 2),
+            half("allgather", "F32", 100),
+            half("reduce_scatter", "F32", 100),
+            ar(m, "F64", 1),
+            ar(m, "F64", 2),
+            half("allgather", "F32", 100),
+            ar(m, "F64", 3),
+            barrier(),
+        ]
+    }
+
+    #[test]
+    fn a_sharded_cg_ring_stream_conforms() {
+        let stream = sharded_ring_stream();
+        let run = replay_decentral_run(DMode::Ring, &[&stream, &stream], &[]);
+        assert!(run.accepted, "{:?}", run.ranks[0].error);
+        assert_eq!(run.unmapped, 0);
+        // The halves belong to ring mode only, and carry f32 only.
+        let run = replay_decentral_run(DMode::Tree, &[&stream, &stream], &[]);
+        assert!(!run.accepted);
+        let mut f64_gather = stream.clone();
+        f64_gather[2] = half("allgather", "F64", 100);
+        let run = replay_decentral_run(DMode::Ring, &[&f64_gather, &f64_gather], &[]);
+        assert!(!run.accepted);
+        assert!(run.ranks[0]
+            .error
+            .as_deref()
+            .unwrap_or("")
+            .contains("unexpected F64"));
+        // A rank that skips a step's allgather diverges from its peers.
+        let mut skipped = stream.clone();
+        skipped.remove(6);
+        let run = replay_decentral_run(DMode::Ring, &[&stream, &skipped], &[]);
+        assert!(!run.accepted);
+        assert!(run.ranks[1].error.as_deref().unwrap_or("").contains("SPMD"));
+    }
+
+    #[test]
+    fn a_ring_killed_inside_an_allgather_conforms() {
+        // Victim 0 dies entering the second step's allgather: the
+        // survivors record it aborted, recover, and resume re-rooted.
+        let (_, coord, peer) = killed_ring_streams();
+        let clean = &sharded_ring_stream()[..6];
+        let aborted = CommEvent::Coll {
+            op: "allgather",
+            root: 0,
+            kind: "F32",
+            len: 100,
+            first: None,
+            ok: false,
+        };
+        let rebuild = |tail: &[CommEvent]| -> Vec<CommEvent> {
+            let mut v = clean.to_vec();
+            v.push(aborted.clone());
+            // Recovery p2p and the resumed schedule of the killed-ring
+            // fixture, after its two clean and one aborted collective.
+            v.extend(tail[3..].iter().cloned());
+            v
+        };
+        let victim = clean.to_vec();
+        let (coord, peer) = (rebuild(&coord), rebuild(&peer));
+        let run = replay_decentral_run(DMode::Ring, &[&victim, &coord, &peer], &[0]);
+        for r in &run.ranks {
+            assert!(r.accepted, "rank {}: {:?}", r.rank, r.error);
+        }
+        assert_eq!(run.unmapped, 0);
     }
 
     #[test]

@@ -267,11 +267,12 @@ fn main() -> ExitCode {
     let decentral_worlds = if cli.run_check {
         let mut worlds = decentral::check_worlds();
         worlds.extend(decentral::check_recovery_worlds());
+        worlds.push(decentral::check_step_recovery_world());
         for w in &worlds {
             println!(
                 "protomc decentral: {} mode, {}-rank world ({}): {} states / {} transitions, \
                  {} terminals, {} violation(s)",
-                w.mode.label(),
+                w.label(),
                 w.ranks,
                 if w.kill_placements == 0 {
                     "fault-free".to_string()

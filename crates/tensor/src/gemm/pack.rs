@@ -43,15 +43,15 @@ pub fn pack_a<T: Scalar>(
         match trans {
             Trans::N => {
                 // op(A)(i, kk) = A[ic + i, pc + kk]; source rows are
-                // contiguous, so walk k in the inner loop per row to
-                // keep reads stride-one, writing strided into the
-                // panel (the panel is small and cache-resident).
-                for i in 0..rows {
-                    let src = &a.row(ic + row0 + i)[pc..pc + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        dst[kk * MR + i] = v;
+                // contiguous in kk, the panel in i: transposing tiles.
+                let src: [&[T]; MR] = std::array::from_fn(|i| {
+                    if i < rows {
+                        &a.row(ic + row0 + i)[pc..pc + kc]
+                    } else {
+                        &[]
                     }
-                }
+                });
+                transpose_into::<T, MR, PACK_DEPTH>(&src[..rows], dst);
             }
             Trans::T => {
                 // op(A)(i, kk) = A[pc + kk, ic + i]; source row kk is
@@ -61,13 +61,35 @@ pub fn pack_a<T: Scalar>(
                     let src = &a.row(pc + kk)[ic + row0..ic + row0 + rows];
                     dst[kk * MR..kk * MR + rows].copy_from_slice(src);
                 }
+                if rows < MR {
+                    for kk in 0..kc {
+                        for i in rows..MR {
+                            dst[kk * MR + i] = T::ZERO;
+                        }
+                    }
+                }
             }
         }
-        if rows < MR {
-            for kk in 0..kc {
-                for i in rows..MR {
-                    dst[kk * MR + i] = T::ZERO;
+    }
+}
+
+/// Write the `kc x W` panel `dst[kk * W + w] = src[w][kk]` from up to
+/// `W` source rows of `kc` elements each; columns past `src.len()` are
+/// zero. Column by column, `D` panel rows at a time so the block stays
+/// in L1: each source row is read stride-one, and a column's bounds
+/// check is loop-invariant, so the compiler hoists it out of the copy.
+fn transpose_into<T: Scalar, const W: usize, const D: usize>(src: &[&[T]], dst: &mut [T]) {
+    let (rows, _) = dst.as_chunks_mut::<W>();
+    for (b, block) in rows.chunks_mut(D).enumerate() {
+        let (k0, depth) = (b * D, block.len());
+        for w in 0..W {
+            match src.get(w) {
+                Some(s) => {
+                    for (out, &v) in block.iter_mut().zip(&s[k0..k0 + depth]) {
+                        out[w] = v;
+                    }
                 }
+                None => block.iter_mut().for_each(|out| out[w] = T::ZERO),
             }
         }
     }
@@ -126,27 +148,33 @@ pub fn pack_b_rows<T: Scalar>(
                     let src = &row(pc + kk)[jc + col0..jc + col0 + cols];
                     dst[kk * NR..kk * NR + cols].copy_from_slice(src);
                 }
-            }
-            Trans::T => {
-                // op(B)(kk, j) = B[jc + j, pc + kk]; source rows are
-                // the j dimension.
-                for j in 0..cols {
-                    let src = &row(jc + col0 + j)[pc..pc + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        dst[kk * NR + j] = v;
+                if cols < NR {
+                    for kk in 0..kc {
+                        for j in cols..NR {
+                            dst[kk * NR + j] = T::ZERO;
+                        }
                     }
                 }
             }
-        }
-        if cols < NR {
-            for kk in 0..kc {
-                for j in cols..NR {
-                    dst[kk * NR + j] = T::ZERO;
-                }
+            Trans::T => {
+                // op(B)(kk, j) = B[jc + j, pc + kk]; source rows are the
+                // j dimension, contiguous in kk: transposing tiles.
+                let src: [&[T]; NR] = std::array::from_fn(|j| {
+                    if j < cols {
+                        &row(jc + col0 + j)[pc..pc + kc]
+                    } else {
+                        &[]
+                    }
+                });
+                transpose_into::<T, NR, PACK_DEPTH>(&src[..cols], dst);
             }
         }
     }
 }
+
+/// Panel rows a transposing pack fills per block: 64 rows of an
+/// `NR`-wide panel are 8 KiB of `f32`.
+const PACK_DEPTH: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -219,6 +247,105 @@ mod tests {
         pack_b(&b, Trans::T, pc, kc, jc, nc, &mut buf1);
         pack_b(&bt, Trans::N, pc, kc, jc, nc, &mut buf2);
         assert_eq!(buf1, buf2);
+    }
+
+    /// `pack_a` one element at a time: the loops the tiled copy
+    /// replaced, kept as the reference.
+    fn pack_a_by_element(
+        a: &Matrix<f32>,
+        trans: Trans,
+        (ic, mc, pc, kc): (usize, usize, usize, usize),
+        out: &mut [f32],
+    ) {
+        for p in 0..mc.div_ceil(MR) {
+            for kk in 0..kc {
+                for i in 0..MR {
+                    let r = p * MR + i;
+                    out[p * kc * MR + kk * MR + i] = match (r < mc, trans) {
+                        (false, _) => 0.0,
+                        (true, Trans::N) => a[(ic + r, pc + kk)],
+                        (true, Trans::T) => a[(pc + kk, ic + r)],
+                    };
+                }
+            }
+        }
+    }
+
+    /// `pack_b` one element at a time.
+    fn pack_b_by_element(
+        b: &Matrix<f32>,
+        trans: Trans,
+        (pc, kc, jc, nc): (usize, usize, usize, usize),
+        out: &mut [f32],
+    ) {
+        for p in 0..nc.div_ceil(NR) {
+            for kk in 0..kc {
+                for j in 0..NR {
+                    let c = p * NR + j;
+                    out[p * kc * NR + kk * NR + j] = match (c < nc, trans) {
+                        (false, _) => 0.0,
+                        (true, Trans::N) => b[(pc + kk, jc + c)],
+                        (true, Trans::T) => b[(jc + c, pc + kk)],
+                    };
+                }
+            }
+        }
+    }
+
+    /// Tiled packs write the bytes of the element loops, padding
+    /// included, on shapes ragged against `MR`, `NR` and the tile
+    /// depths, from offset blocks.
+    #[test]
+    fn packs_match_the_element_loops_on_ragged_shapes() {
+        let m = sample(2 * NR + 11, 2 * NR + 13);
+        let sizes = [
+            1,
+            3,
+            MR - 1,
+            MR,
+            MR + 1,
+            2 * MR + 5,
+            NR - 1,
+            NR + 3,
+            2 * NR + 1,
+        ];
+        for trans in [Trans::N, Trans::T] {
+            for &outer in &sizes {
+                for &depth in &sizes {
+                    for (off_o, off_d) in [(0, 0), (3, 7), (9, 1)] {
+                        // op(M) of `trans`: the outer dimension indexes
+                        // op's rows (A) or columns (B).
+                        let (rows, cols) = match trans {
+                            Trans::N => (off_o + outer, off_d + depth),
+                            Trans::T => (off_d + depth, off_o + outer),
+                        };
+                        if rows > m.rows() || cols > m.cols() {
+                            continue;
+                        }
+                        let case =
+                            format!("{trans:?} outer={outer} depth={depth} at ({off_o}, {off_d})");
+                        let len = outer.div_ceil(MR) * depth * MR;
+                        let (mut got, mut want) = (vec![-1.0f32; len], vec![-2.0f32; len]);
+                        pack_a(&m, trans, off_o, outer, off_d, depth, &mut got);
+                        pack_a_by_element(&m, trans, (off_o, outer, off_d, depth), &mut want);
+                        assert_eq!(got, want, "pack_a {case}");
+                        // For B, op(B) is depth x outer from (off_d, off_o).
+                        let (rows, cols) = match trans {
+                            Trans::N => (off_d + depth, off_o + outer),
+                            Trans::T => (off_o + outer, off_d + depth),
+                        };
+                        if rows > m.rows() || cols > m.cols() {
+                            continue;
+                        }
+                        let len = outer.div_ceil(NR) * depth * NR;
+                        let (mut got, mut want) = (vec![-1.0f32; len], vec![-2.0f32; len]);
+                        pack_b(&m, trans, off_d, depth, off_o, outer, &mut got);
+                        pack_b_by_element(&m, trans, (off_d, depth, off_o, outer), &mut want);
+                        assert_eq!(got, want, "pack_b {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

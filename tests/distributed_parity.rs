@@ -64,8 +64,11 @@ fn distributed_matches_serial_across_worker_counts() {
             .rev()
             .find(|s| s.accepted)
             .unwrap_or_else(|| panic!("{workers} workers: no accepted step"));
-        // Same data, same optimizer; only f32 reduction order differs,
-        // which can steer CG slightly — quality must match.
+        // Same data, same optimizer, two differences: the f32 sums
+        // reduce in another order, and each worker draws its part of
+        // the curvature sample from its own stream, so a W-worker run
+        // trains on a different sample from the serial one. Both steer
+        // CG slightly — quality must match.
         assert!(
             (last.heldout_after - serial_loss).abs() < 0.05 * (1.0 + serial_loss),
             "{workers} workers: loss {} vs serial {serial_loss}",
