@@ -826,7 +826,7 @@ impl DecentralProblem<'_> {
         }
         let reduced = self.comm.reduce_scatter(&mut sum, ReduceOp::Sum);
         let total = reduced.and_then(|()| self.sample_frames_total(frames));
-        let own = self.cg_range();
+        let own = self.cg_range(self.num_params());
         let mut mine = self.engine.lease(own.len());
         mine.copy_from_slice(&sum[own]);
         self.engine.recycle(sum);
@@ -885,7 +885,7 @@ impl HfProblem for DecentralProblem<'_> {
                 let sums = p.engine.gn_sums(v);
                 p.try_curvature(sums, "gn_product")
             })
-            .unwrap_or_else(|| vec![0.0f32; self.cg_range().len()]);
+            .unwrap_or_else(|| vec![0.0f32; self.cg_range(v.len()).len()]);
         let pool = self.comm.payload_pool().high_water_bytes();
         report_memory(&*self.rec, self.engine.arena_stats(), Some(pool));
         gv
@@ -917,8 +917,7 @@ impl HfProblem for DecentralProblem<'_> {
 
     /// The ring slice the reduce-scatter leaves this rank; the whole
     /// vector in tree mode.
-    fn cg_range(&self) -> Range<usize> {
-        let n = self.num_params();
+    fn cg_range(&self, n: usize) -> Range<usize> {
         if self.sharded() {
             self.comm.ring_slice(n)
         } else {

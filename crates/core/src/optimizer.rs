@@ -109,8 +109,8 @@ impl<P: HfProblem> CgOperator for GnOperator<'_, P> {
         self.0.give_back(buf);
     }
 
-    fn cg_range(&self, _n: usize) -> Range<usize> {
-        self.0.cg_range()
+    fn cg_range(&self, n: usize) -> Range<usize> {
+        self.0.cg_range(n)
     }
 
     fn fold_partials(&mut self, partials: &mut [f64]) {
@@ -203,7 +203,7 @@ impl HfOptimizer {
         let _iter_span = rec.span("hf_iteration", SpanKind::Scalar);
         rec.counter_add("hf_iterations", 1);
         let n = problem.num_params();
-        let own = problem.cg_range();
+        let own = problem.cg_range(n);
         let mut theta = problem.lease(n);
         problem.theta_into(&mut theta);
         assert_eq!(theta.len(), n);

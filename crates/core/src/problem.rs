@@ -75,13 +75,13 @@ pub trait HfProblem {
     fn fisher_diagonal(&mut self) -> Option<Vec<f32>> {
         None
     }
-    /// The coordinates of θ-sized vectors whose CG state this rank owns:
-    /// the optimizer keeps the CG vectors, the preconditioner, the
-    /// stored iterates and the momentum direction over this range only,
-    /// and the curvature products and Fisher diagonal return it. The
-    /// default owns them all.
-    fn cg_range(&self) -> Range<usize> {
-        0..self.num_params()
+    /// The coordinates of a θ-sized vector of `n` whose CG state this
+    /// rank owns: the optimizer keeps the CG vectors, the
+    /// preconditioner, the stored iterates and the momentum direction
+    /// over this range only, and the curvature products and Fisher
+    /// diagonal return it. The default owns them all.
+    fn cg_range(&self, n: usize) -> Range<usize> {
+        0..n
     }
     /// Sum per-range partial sums (dot products over
     /// [`Self::cg_range`]) over every rank that owns a range, in a

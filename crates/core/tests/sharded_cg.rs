@@ -279,7 +279,9 @@ impl HfProblem for ShardedQuadratic<'_> {
     }
     fn sample_curvature(&mut self, _seed: u64, _fraction: f64) {}
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
-        self.cg_range().map(|i| Self::curvature(i) * v[i]).collect()
+        self.cg_range(v.len())
+            .map(|i| Self::curvature(i) * v[i])
+            .collect()
     }
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
         self.seen.push(bits(theta));
@@ -292,8 +294,8 @@ impl HfProblem for ShardedQuadratic<'_> {
     fn train_frames(&self) -> u64 {
         1
     }
-    fn cg_range(&self) -> Range<usize> {
-        self.comm.ring_slice(self.theta.len())
+    fn cg_range(&self, n: usize) -> Range<usize> {
+        self.comm.ring_slice(n)
     }
     fn fold_partials(&mut self, partials: &mut [f64]) {
         self.comm.allreduce_ring(partials, ReduceOp::Sum).unwrap();

@@ -720,7 +720,11 @@ impl Comm {
     /// the owned slice holds the decoded image its owner would
     /// broadcast. Gated and re-stitched over the acknowledged-live
     /// membership like [`Comm::allreduce_ring`], but always the
-    /// chunked ring, whatever the world size.
+    /// chunked ring, whatever the world size: where
+    /// [`Comm::allreduce_ring`] falls back to the tree's `2⌈log2 P⌉`
+    /// rounds (above eight ranks, chunks under 128 elements), a
+    /// reduce-scatter plus [`Comm::allgather`] still takes `2(P−1)`
+    /// sequential hops. That latency is unmeasured above two ranks.
     pub fn reduce_scatter<T: CollElem>(
         &mut self,
         buf: &mut [T],

@@ -336,25 +336,14 @@ fn explore_programs(progs: &[Vec<MOp>]) -> DecentralOutcome {
 /// One model-checked masterless world for the report.
 pub struct DecentralWorld {
     pub mode: DMode,
-    /// Whether the world runs the sharded CG step ([`CG_STEP`]) rather
-    /// than the canonical allreduce program.
-    pub cg_step: bool,
+    /// The world's name in the report: the mode, or `ring-cg-step` for
+    /// the sharded CG step ([`CG_STEP`]).
+    pub label: &'static str,
     pub ranks: usize,
     /// `(victim, collective-entry)` kill placements folded into
     /// `outcome` — `0` for the fault-free worlds.
     pub kill_placements: usize,
     pub outcome: DecentralOutcome,
-}
-
-impl DecentralWorld {
-    /// The world's name in the report: the mode, or `ring-cg-step`.
-    pub fn label(&self) -> &'static str {
-        if self.cg_step {
-            "ring-cg-step"
-        } else {
-            self.mode.label()
-        }
-    }
 }
 
 /// The checked masterless worlds: both modes at 2, 3, and 4 ranks.
@@ -364,7 +353,7 @@ pub fn check_worlds() -> Vec<DecentralWorld> {
         for ranks in [2usize, 3, 4] {
             out.push(DecentralWorld {
                 mode,
-                cg_step: false,
+                label: mode.label(),
                 ranks,
                 kill_placements: 0,
                 outcome: explore_programs(&programs(mode, ranks)),
@@ -686,7 +675,7 @@ pub fn check_recovery_worlds() -> Vec<DecentralWorld> {
             }
             out.push(DecentralWorld {
                 mode,
-                cg_step: false,
+                label: mode.label(),
                 ranks,
                 kill_placements: placements,
                 outcome: agg,
@@ -725,7 +714,7 @@ pub fn check_step_recovery_world() -> DecentralWorld {
     }
     DecentralWorld {
         mode: DMode::Ring,
-        cg_step: true,
+        label: "ring-cg-step",
         ranks: STEP_RANKS,
         kill_placements: placements,
         outcome: agg,
@@ -742,10 +731,8 @@ struct DMutation {
     name: &'static str,
     expected_rule: &'static str,
     summary: &'static str,
-    mode: DMode,
-    /// Mutates the sharded CG step ([`step_programs`]) instead of the
-    /// canonical program.
-    cg_step: bool,
+    /// The per-rank programs the bug is seeded into, for `ranks` ranks.
+    programs: fn(usize) -> Vec<Vec<MOp>>,
     apply: fn(&mut Vec<Vec<MOp>>),
 }
 
@@ -757,8 +744,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             name: "ring-wrong-neighbor",
             expected_rule: P5,
             summary: "one rank's reduce-scatter hops send upstream instead of downstream",
-            mode: DMode::Ring,
-            cg_step: false,
+            programs: |r| programs(DMode::Ring, r),
             apply: |progs| {
                 for op in progs[1].iter_mut() {
                     if let MOp::Send {
@@ -777,8 +763,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             name: "ring-skipped-hop",
             expected_rule: P5,
             summary: "one rank skips its first allgather forward, starving its successor",
-            mode: DMode::Ring,
-            cg_step: false,
+            programs: |r| programs(DMode::Ring, r),
             apply: |progs| {
                 if let Some(i) = progs[1].iter().position(|o| {
                     matches!(
@@ -798,8 +783,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             name: "ring-extra-step",
             expected_rule: P5,
             summary: "one rank runs an extra reduce-scatter hop nobody pairs with",
-            mode: DMode::Ring,
-            cg_step: false,
+            programs: |r| programs(DMode::Ring, r),
             apply: |progs| {
                 if let Some(i) = progs[0].iter().rposition(|o| {
                     matches!(
@@ -834,8 +818,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             name: "ring-seq-skew",
             expected_rule: P5,
             summary: "one rank skips a whole collective, desynchronizing tag windows",
-            mode: DMode::Ring,
-            cg_step: false,
+            programs: |r| programs(DMode::Ring, r),
             apply: |progs| {
                 progs[2].retain(|o| {
                     !matches!(o, MOp::Send { coll: 0, .. } | MOp::Recv { coll: 0, .. })
@@ -846,8 +829,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             name: "ring-barrier-dropped",
             expected_rule: P5,
             summary: "one rank exits without joining the closing dissemination barrier",
-            mode: DMode::Ring,
-            cg_step: false,
+            programs: |r| programs(DMode::Ring, r),
             apply: |progs| {
                 let c = CANONICAL_ALLREDUCES;
                 progs[0].retain(|o| match o {
@@ -859,8 +841,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             name: "ring-stray-final-send",
             expected_rule: P6,
             summary: "one rank emits a trailing message nobody ever receives",
-            mode: DMode::Ring,
-            cg_step: false,
+            programs: |r| programs(DMode::Ring, r),
             apply: |progs| {
                 progs[0].push(MOp::Send {
                     to: 1,
@@ -873,8 +854,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             name: "tree-wrong-root",
             expected_rule: P6,
             summary: "one rank broadcasts as if it were the root, stranding the real root's sends",
-            mode: DMode::Tree,
-            cg_step: false,
+            programs: |r| programs(DMode::Tree, r),
             apply: |progs| {
                 // Rank 1 runs the broadcast half of collective 0 as the
                 // vrank-0 root of a root-1 tree (sends to ranks 0 and
@@ -914,8 +894,7 @@ fn decentral_mutations() -> Vec<DMutation> {
             expected_rule: P5,
             summary:
                 "one rank skips its first hop of the CG operand's allgather, starving its successor",
-            mode: DMode::Ring,
-            cg_step: true,
+            programs: step_programs,
             apply: |progs| {
                 if let Some(i) = progs[1].iter().position(|o| {
                     matches!(
@@ -1073,11 +1052,7 @@ pub fn run_decentral_mutations() -> Vec<MutationResult> {
     let mut results: Vec<MutationResult> = decentral_mutations()
         .into_iter()
         .map(|m| {
-            let mut progs = if m.cg_step {
-                step_programs(MUT_RANKS)
-            } else {
-                programs(m.mode, MUT_RANKS)
-            };
+            let mut progs = (m.programs)(MUT_RANKS);
             (m.apply)(&mut progs);
             let out = explore_programs(&progs);
             let mut fired: Vec<&'static str> = out.violations.iter().map(|v| v.rule).collect();
@@ -1496,7 +1471,7 @@ mod tests {
             "{:?}",
             w.outcome.violations
         );
-        assert_eq!((w.label(), w.ranks), ("ring-cg-step", STEP_RANKS));
+        assert_eq!((w.label, w.ranks), ("ring-cg-step", STEP_RANKS));
         let o = &w.outcome;
         assert_eq!(
             (o.states, o.transitions, o.terminals, w.kill_placements),

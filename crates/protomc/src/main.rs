@@ -272,7 +272,7 @@ fn main() -> ExitCode {
             println!(
                 "protomc decentral: {} mode, {}-rank world ({}): {} states / {} transitions, \
                  {} terminals, {} violation(s)",
-                w.label(),
+                w.label,
                 w.ranks,
                 if w.kill_placements == 0 {
                     "fault-free".to_string()

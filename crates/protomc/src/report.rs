@@ -98,7 +98,7 @@ fn push_decentral(out: &mut String, worlds: &[DecentralWorld]) {
             out,
             "{{\"mode\": \"{}\", \"ranks\": {}, \"kill_placements\": {}, \"states\": {}, \
              \"transitions\": {}, \"terminals\": {}",
-            w.label(),
+            w.label,
             w.ranks,
             w.kill_placements,
             w.outcome.states,

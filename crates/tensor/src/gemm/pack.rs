@@ -43,15 +43,15 @@ pub fn pack_a<T: Scalar>(
         match trans {
             Trans::N => {
                 // op(A)(i, kk) = A[ic + i, pc + kk]; source rows are
-                // contiguous in kk, the panel in i: transposing tiles.
-                let src: [&[T]; MR] = std::array::from_fn(|i| {
-                    if i < rows {
-                        &a.row(ic + row0 + i)[pc..pc + kc]
-                    } else {
-                        &[]
+                // contiguous, so walk k in the inner loop per row to
+                // keep reads stride-one, writing strided into the
+                // panel (the panel is small and cache-resident).
+                for i in 0..rows {
+                    let src = &a.row(ic + row0 + i)[pc..pc + kc];
+                    for (kk, &v) in src.iter().enumerate() {
+                        dst[kk * MR + i] = v;
                     }
-                });
-                transpose_into::<T, MR, PACK_DEPTH>(&src[..rows], dst);
+                }
             }
             Trans::T => {
                 // op(A)(i, kk) = A[pc + kk, ic + i]; source row kk is
@@ -61,35 +61,13 @@ pub fn pack_a<T: Scalar>(
                     let src = &a.row(pc + kk)[ic + row0..ic + row0 + rows];
                     dst[kk * MR..kk * MR + rows].copy_from_slice(src);
                 }
-                if rows < MR {
-                    for kk in 0..kc {
-                        for i in rows..MR {
-                            dst[kk * MR + i] = T::ZERO;
-                        }
-                    }
-                }
             }
         }
-    }
-}
-
-/// Write the `kc x W` panel `dst[kk * W + w] = src[w][kk]` from up to
-/// `W` source rows of `kc` elements each; columns past `src.len()` are
-/// zero. Column by column, `D` panel rows at a time so the block stays
-/// in L1: each source row is read stride-one, and a column's bounds
-/// check is loop-invariant, so the compiler hoists it out of the copy.
-fn transpose_into<T: Scalar, const W: usize, const D: usize>(src: &[&[T]], dst: &mut [T]) {
-    let (rows, _) = dst.as_chunks_mut::<W>();
-    for (b, block) in rows.chunks_mut(D).enumerate() {
-        let (k0, depth) = (b * D, block.len());
-        for w in 0..W {
-            match src.get(w) {
-                Some(s) => {
-                    for (out, &v) in block.iter_mut().zip(&s[k0..k0 + depth]) {
-                        out[w] = v;
-                    }
+        if rows < MR {
+            for kk in 0..kc {
+                for i in rows..MR {
+                    dst[kk * MR + i] = T::ZERO;
                 }
-                None => block.iter_mut().for_each(|out| out[w] = T::ZERO),
             }
         }
     }
@@ -148,13 +126,6 @@ pub fn pack_b_rows<T: Scalar>(
                     let src = &row(pc + kk)[jc + col0..jc + col0 + cols];
                     dst[kk * NR..kk * NR + cols].copy_from_slice(src);
                 }
-                if cols < NR {
-                    for kk in 0..kc {
-                        for j in cols..NR {
-                            dst[kk * NR + j] = T::ZERO;
-                        }
-                    }
-                }
             }
             Trans::T => {
                 // op(B)(kk, j) = B[jc + j, pc + kk]; source rows are the
@@ -166,15 +137,41 @@ pub fn pack_b_rows<T: Scalar>(
                         &[]
                     }
                 });
-                transpose_into::<T, NR, PACK_DEPTH>(&src[..cols], dst);
+                transpose_into(&src[..cols], dst);
+            }
+        }
+        if cols < NR {
+            for kk in 0..kc {
+                for j in cols..NR {
+                    dst[kk * NR + j] = T::ZERO;
+                }
             }
         }
     }
 }
 
-/// Panel rows a transposing pack fills per block: 64 rows of an
+/// Panel rows [`transpose_into`] fills per block: 64 rows of an
 /// `NR`-wide panel are 8 KiB of `f32`.
 const PACK_DEPTH: usize = 64;
+
+/// Write columns `j < src.len()` of a `kc x NR` B panel,
+/// `dst[kk * NR + j] = src[j][kk]`, from up to `NR` source rows of `kc`
+/// elements each; the caller pads the rest. Column by column,
+/// [`PACK_DEPTH`] panel rows at a time so the block stays in L1: each
+/// source row is read stride-one, and a column's bounds check is
+/// loop-invariant, so the compiler hoists it out of the copy. The
+/// element-at-a-time loop it replaced packed 512-column blocks about 3x
+/// slower.
+fn transpose_into<T: Scalar>(src: &[&[T]], dst: &mut [T]) {
+    let (rows, _) = dst.as_chunks_mut::<NR>();
+    for (b, block) in rows.chunks_mut(PACK_DEPTH).enumerate() {
+        for (j, s) in src.iter().enumerate() {
+            for (out, &v) in block.iter_mut().zip(&s[b * PACK_DEPTH..]) {
+                out[j] = v;
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -249,8 +246,7 @@ mod tests {
         assert_eq!(buf1, buf2);
     }
 
-    /// `pack_a` one element at a time: the loops the tiled copy
-    /// replaced, kept as the reference.
+    /// `pack_a` one element at a time, the reference.
     fn pack_a_by_element(
         a: &Matrix<f32>,
         trans: Trans,
@@ -271,7 +267,8 @@ mod tests {
         }
     }
 
-    /// `pack_b` one element at a time.
+    /// `pack_b` one element at a time: the loops the tiled copy
+    /// replaced, kept as the reference.
     fn pack_b_by_element(
         b: &Matrix<f32>,
         trans: Trans,
@@ -292,7 +289,7 @@ mod tests {
         }
     }
 
-    /// Tiled packs write the bytes of the element loops, padding
+    /// The packs write the bytes of the element loops, padding
     /// included, on shapes ragged against `MR`, `NR` and the tile
     /// depths, from offset blocks.
     #[test]
