@@ -126,10 +126,12 @@ impl Default for Blocking {
 
 impl Blocking {
     /// Validate and clamp degenerate values (zero block sizes would
-    /// loop forever; clamp to the micro-tile).
+    /// loop forever; clamp to the micro-tile). `mc` is also rounded
+    /// down to a multiple of `MR`, so every stripe starts on a row
+    /// panel of a [`PackedA`].
     pub fn sanitized(self) -> Blocking {
         Blocking {
-            mc: self.mc.max(MR),
+            mc: (self.mc / MR * MR).max(MR),
             kc: self.kc.max(1),
             nc: self.nc.max(NR),
         }
@@ -558,9 +560,10 @@ mod tests {
         check_against_naive(&ctx, Trans::N, Trans::N, 64, 64, 64, 1.0, 0.0, 1);
     }
 
-    /// The one-thread driver (B packed once per k-block row) and the
-    /// threaded driver (B packed per stripe) agree bit for bit, also
-    /// under blockings whose `nc` is no multiple of the tile width.
+    /// Every `GemmOp` form, on one thread and on a pool of two, agrees
+    /// bit for bit with the one-thread `ab` product, also under
+    /// blockings whose `nc` is no multiple of the tile width or whose
+    /// `mc` is no multiple of `MR`.
     #[test]
     fn one_thread_and_threaded_drivers_agree_bitwise() {
         let odd = [
@@ -573,6 +576,11 @@ mod tests {
             Blocking {
                 mc: 8,
                 kc: 64,
+                nc: 40,
+            },
+            Blocking {
+                mc: 12,
+                kc: 16,
                 nc: 40,
             },
         ];
@@ -591,10 +599,34 @@ mod tests {
                         Trans::T => random_matrix(n, k, &mut rng),
                     };
                     let c0 = random_matrix(m, n, &mut rng);
-                    let (mut c1, mut c2) = (c0.clone(), c0);
-                    gemm_impl(&seq, ta, tb, 0.5, &a, &b, 0.25, &mut c1);
-                    gemm_impl(&par, ta, tb, 0.5, &a, &b, 0.25, &mut c2);
-                    assert_eq!(c1, c2, "{blocking:?} m={m} n={n} k={k} {ta:?}{tb:?}");
+                    let pa = PackedA::new(&a, ta, blocking);
+                    let pb = PackedB::new(&b, tb, blocking);
+                    let mut forms = vec![
+                        ("ab", GemmOp::ab(&a, ta, &b, tb)),
+                        ("packed_b", GemmOp::packed_b(&a, ta, &pb)),
+                        ("packed_a", GemmOp::packed_a(&pa, &b, tb)),
+                        ("packed_ab", GemmOp::packed_ab(&pa, &pb)),
+                    ];
+                    if tb == Trans::T {
+                        // b is stored n x k: the rows the streamed form reads.
+                        forms.push(("packed_a_bt", GemmOp::packed_a_bt(&pa, b.as_slice())));
+                    }
+                    let run = |op: GemmOp<'_, f32>, ctx: &GemmContext| {
+                        let mut c = c0.clone();
+                        op.alpha(0.5).beta(0.25).run(ctx, &mut c);
+                        c
+                    };
+                    let want = run(forms[0].1, &seq);
+                    for (label, op) in forms {
+                        for ctx in [&seq, &par] {
+                            assert_eq!(
+                                run(op, ctx),
+                                want,
+                                "{label} threads={} {blocking:?} m={m} n={n} k={k} {ta:?}{tb:?}",
+                                ctx.threads()
+                            );
+                        }
+                    }
                 }
             }
         }
