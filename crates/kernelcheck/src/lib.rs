@@ -66,7 +66,7 @@ pub const ZONE_DIR: &str = "crates/tensor/src/gemm/kernel";
 /// (`k4`) the checker verifies against the zone contracts.
 pub const DRIVER_FILES: &[&str] = &[
     "crates/tensor/src/gemm/mod.rs",
-    "crates/tensor/src/gemm/prepacked.rs",
+    "crates/tensor/src/gemm/driver.rs",
     "crates/tensor/src/gemm/backend.rs",
     "crates/tensor/src/vmath.rs",
     "crates/tensor/src/codec.rs",
@@ -156,7 +156,7 @@ pub fn analyze(tree: &Tree) -> StaticOutcome {
             drivers.push(SourceFile::parse(path, text));
         }
     }
-    // Micro-tile constants (MR/NR) live in the driver `gemm/mod.rs`;
+    // Micro-tile constants (MR/NR) live in `gemm/mod.rs`;
     // zone-local constants fold in on top.
     let mut consts = BTreeMap::new();
     for d in &drivers {

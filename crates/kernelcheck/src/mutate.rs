@@ -38,7 +38,7 @@ pub struct MutationResult {
 const X86: &str = "crates/tensor/src/gemm/kernel/x86.rs";
 const SCALAR: &str = "crates/tensor/src/gemm/kernel/scalar.rs";
 const NEON: &str = "crates/tensor/src/gemm/kernel/neon.rs";
-const PREPACKED: &str = "crates/tensor/src/gemm/prepacked.rs";
+const DRIVER: &str = "crates/tensor/src/gemm/driver.rs";
 const BACKEND: &str = "crates/tensor/src/gemm/backend.rs";
 const ELEMENTWISE: &str = "crates/tensor/src/gemm/kernel/elementwise.rs";
 const VMATH: &str = "crates/tensor/src/vmath.rs";
@@ -162,7 +162,7 @@ pub fn mutations() -> Vec<Mutation> {
         },
         Mutation {
             name: "m15-overlong-driver-panel",
-            path: PREPACKED,
+            path: DRIVER,
             from: "let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];",
             to: "let ap_panel = &ap[ir * kc_eff * MR..(ir + 2) * kc_eff * MR];",
             expected_rule: K6,
@@ -170,7 +170,7 @@ pub fn mutations() -> Vec<Mutation> {
         },
         Mutation {
             name: "m16-short-brow-segment",
-            path: PREPACKED,
+            path: DRIVER,
             from: "&r[pc..pc + kc_eff]",
             to: "&r[pc..pc + kc_eff - 1]",
             expected_rule: K6,

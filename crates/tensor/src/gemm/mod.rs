@@ -17,15 +17,22 @@
 //! * **Core level** — [`pack`]: operands are reformatted into
 //!   micro-panels so every inner-loop access is stride-one, the
 //!   software analogue of engaging the L1P stream prefetcher.
-//! * **Node level** — this module: cache blocking (`MC/KC/NC`) plus
-//!   row-stripe parallelism across a rayon pool (the paper's OpenMP
-//!   ranks-per-node times threads-per-rank grid). On a pool each
-//!   stripe packs its own operands, so no synchronization is needed
-//!   between threads — C stripes are disjoint `&mut` chunks and Rust's
-//!   borrow checker proves the decomposition race-free; on one thread
-//!   `op(B)` is packed once per call and shared by every stripe. Pack
-//!   buffers come from per-thread retained [`scratch`], never from a
-//!   per-stripe allocation.
+//! * **Node level** — the private `driver` module: cache blocking
+//!   (`MC/KC/NC`) in one BLIS-style loop nest for every [`GemmOp`]
+//!   form, plus row-stripe parallelism across a rayon pool (the
+//!   paper's OpenMP ranks-per-node times threads-per-rank grid). The
+//!   k-block loop is outermost on every thread count: each `kc x n`
+//!   block row of `op(B)` is packed once (or borrowed from a
+//!   [`PackedB`]) and shared by every stripe, and each stripe packs its
+//!   own A panels (or borrows them from a [`PackedA`]). C stripes are
+//!   disjoint `&mut` chunks, so Rust's borrow checker proves the
+//!   decomposition race-free; the only synchronization is the join
+//!   that ends each k-block's parallel region. Packing B once instead
+//!   of once per stripe is worth a third of the throughput at the
+//!   training shapes (m = 650, n = k = 512 on one thread of a 2-vCPU
+//!   AVX-512 host: 84 GFLOP/s against 57 with B packed per stripe).
+//!   Pack buffers come from per-thread retained [`scratch`], never
+//!   from a per-stripe allocation.
 //!
 //! The paper's "implicitly synchronized threads" (partner threads
 //! cooperatively prefetching each other's cache lines) relies on
@@ -59,6 +66,7 @@
 //! two-matrix form under the same blocking.
 
 pub mod backend;
+mod driver;
 pub mod kernel;
 pub mod naive;
 pub mod op;
@@ -74,10 +82,6 @@ pub use backend::{
 };
 pub use op::GemmOp;
 
-use crate::matrix::Matrix;
-use crate::scalar::Scalar;
-use backend::Merge;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Micro-tile rows (register blocking; the paper's QPX kernel holds
@@ -101,6 +105,14 @@ pub enum Trans {
     N,
     /// Use the transpose of the operand.
     T,
+}
+
+/// Shape of `op(X)` for an `X` of `shape`.
+fn op_shape(t: Trans, (rows, cols): (usize, usize)) -> (usize, usize) {
+    match t {
+        Trans::N => (rows, cols),
+        Trans::T => (cols, rows),
+    }
 }
 
 /// Cache-blocking parameters (`MC/KC/NC` in BLIS terminology).
@@ -248,272 +260,10 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
     2 * m as u64 * n as u64 * k as u64
 }
 
-/// `C = alpha * op(A) * op(B) + beta * C`.
-///
-/// Shapes: `op(A)` is `m x k`, `op(B)` is `k x n`, `C` is `m x n`.
-///
-/// # Panics
-/// On any shape mismatch.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-pub(crate) fn gemm_impl<T: Scalar>(
-    ctx: &GemmContext,
-    ta: Trans,
-    tb: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let (m, k) = match ta {
-        Trans::N => a.shape(),
-        Trans::T => {
-            let (r, cc) = a.shape();
-            (cc, r)
-        }
-    };
-    let (kb, n) = match tb {
-        Trans::N => b.shape(),
-        Trans::T => {
-            let (r, cc) = b.shape();
-            (cc, r)
-        }
-    };
-    assert_eq!(k, kb, "gemm: inner dimensions {k} != {kb}");
-    assert_eq!(
-        c.shape(),
-        (m, n),
-        "gemm: C is {:?}, want ({m},{n})",
-        c.shape()
-    );
-
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // Pure C scaling; beta == 0 must overwrite (NaN-safe).
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        if beta == T::ZERO {
-            c.as_mut_slice().fill(T::ZERO);
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        } else if beta != T::ONE {
-            c.scale(beta);
-        }
-        return;
-    }
-
-    let blocking = ctx.blocking;
-    // Backend kernel resolved once per call, not per micro-tile.
-    let tile_fn = T::tile_kernel(ctx.backend());
-    // Stripe height: small enough to give the pool ~3 tasks per
-    // thread for load balance, but never below the micro-tile and
-    // never above MC (the L2 A-panel budget).
-    let target_tasks = ctx.threads * 3;
-    let sh = m
-        .div_ceil(target_tasks)
-        .next_multiple_of(MR)
-        .clamp(MR, blocking.mc.max(MR));
-
-    let c_slice = c.as_mut_slice();
-    if ctx.threads == 1 {
-        one_thread(
-            tile_fn, ta, tb, alpha, a, b, beta, c_slice, sh, k, n, blocking,
-        );
-        return;
-    }
-    ctx.run_pool(|| {
-        c_slice
-            .par_chunks_mut(sh * n)
-            .enumerate()
-            .for_each(|(si, stripe)| {
-                stripe_kernel(
-                    tile_fn,
-                    ta,
-                    tb,
-                    alpha,
-                    a,
-                    b,
-                    beta,
-                    stripe,
-                    si * sh,
-                    k,
-                    n,
-                    blocking,
-                );
-            });
-    });
-}
-
-/// The one-thread driver: each `kc`-deep block row of `op(B)` is packed
-/// once, into this thread's B scratch, and every stripe of C runs its
-/// tiles against it, packing its own A block into the A scratch.
-///
-/// Each C tile still meets the k-blocks in `pc` order with the same
-/// merges, and every block's panels are the ones a per-stripe pack
-/// produces, so the result is bitwise that of [`stripe_kernel`]. B is
-/// packed once per call rather than once per stripe, and the B scratch
-/// holds one `kc x n` block row rather than all of `op(B)`.
-#[allow(clippy::too_many_arguments)]
-fn one_thread<T: Scalar>(
-    tile_fn: backend::TileFn<T>,
-    ta: Trans,
-    tb: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut [T],
-    sh: usize,
-    k: usize,
-    n: usize,
-    blocking: Blocking,
-) {
-    let kc = blocking.kc.min(k);
-    let nc = blocking.nc.min(n);
-    // A block row holds its column blocks back to back, each in whole
-    // NR-wide panels; every block before `jc` is a full `nc` wide.
-    let block_panels = nc.div_ceil(NR);
-    let block_at = |jc: usize, kc_eff: usize| (jc / nc) * block_panels * NR * kc_eff;
-    let b_len = n.div_ceil(nc) * block_panels * NR * kc;
-    let mut bp_buf = scratch::take::<T>(scratch::Slot::B, b_len);
-    let mut ap_buf = scratch::take::<T>(scratch::Slot::A, sh.div_ceil(MR) * MR * kc);
-
-    let mut pc = 0;
-    let mut merge = Merge::first_block(beta);
-    while pc < k {
-        let kc_eff = kc.min(k - pc);
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            let at = block_at(jc, kc_eff);
-            let dst = &mut bp_buf[at..at + nc_eff.div_ceil(NR) * NR * kc_eff];
-            pack::pack_b(b, tb, pc, kc_eff, jc, nc_eff, dst);
-            jc += nc_eff;
-        }
-        for (si, stripe) in c.chunks_mut(sh * n).enumerate() {
-            let mc_eff = stripe.len() / n;
-            let ap = &mut ap_buf[..mc_eff.div_ceil(MR) * MR * kc_eff];
-            pack::pack_a(a, ta, si * sh, mc_eff, pc, kc_eff, ap);
-
-            let mut jc = 0;
-            while jc < n {
-                let nc_eff = nc.min(n - jc);
-                let bp = &bp_buf[block_at(jc, kc_eff)..];
-                let jr_panels = nc_eff.div_ceil(NR);
-                let ir_panels = mc_eff.div_ceil(MR);
-                for jr in 0..jr_panels {
-                    let nr_eff = NR.min(nc_eff - jr * NR);
-                    let bp_panel = &bp[jr * kc_eff * NR..(jr + 1) * kc_eff * NR];
-                    for ir in 0..ir_panels {
-                        let mr_eff = MR.min(mc_eff - ir * MR);
-                        let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];
-                        let c_off = (ir * MR) * n + jc + jr * NR;
-                        tile_fn(
-                            kc_eff,
-                            ap_panel,
-                            bp_panel,
-                            alpha,
-                            merge,
-                            &mut stripe[c_off..],
-                            n,
-                            mr_eff,
-                            nr_eff,
-                        );
-                    }
-                }
-                jc += nc_eff;
-            }
-        }
-        pc += kc_eff;
-        merge = Merge::Accumulate;
-    }
-    scratch::put_back(scratch::Slot::A, ap_buf);
-    scratch::put_back(scratch::Slot::B, bp_buf);
-}
-
-/// Process one horizontal stripe of C (rows `ic0 .. ic0 + stripe_rows`)
-/// on the threaded path.
-///
-/// Each stripe packs its own A and B panels into its thread's scratch,
-/// which buys a decomposition with zero shared mutable state. The
-/// re-packing of B per stripe is not free: on one thread it cost a
-/// third of the throughput at the training shapes (m = 650,
-/// n = k = 512: 57 GFLOP/s against 84 with B packed once, on a
-/// 2-vCPU AVX-512 host), which is why [`one_thread`] packs B once per
-/// call instead. Sharing one B pack across threads is the
-/// persistent-thread-team change this path still waits for.
-#[allow(clippy::too_many_arguments)]
-fn stripe_kernel<T: Scalar>(
-    tile_fn: backend::TileFn<T>,
-    ta: Trans,
-    tb: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    stripe: &mut [T],
-    ic0: usize,
-    k: usize,
-    n: usize,
-    blocking: Blocking,
-) {
-    let mc_eff = stripe.len() / n;
-    debug_assert_eq!(stripe.len(), mc_eff * n);
-    let kc = blocking.kc.min(k);
-    let nc = blocking.nc.min(n);
-
-    let a_panels = mc_eff.div_ceil(MR);
-    let b_panels = nc.div_ceil(NR);
-    let mut ap_buf = scratch::take::<T>(scratch::Slot::A, a_panels * MR * kc);
-    let mut bp_buf = scratch::take::<T>(scratch::Slot::B, b_panels * NR * kc);
-    let ap = &mut ap_buf[..a_panels * MR * kc];
-    let bp = &mut bp_buf[..b_panels * NR * kc];
-
-    let mut pc = 0;
-    let mut merge = Merge::first_block(beta);
-    while pc < k {
-        let kc_eff = kc.min(k - pc);
-        pack::pack_a(a, ta, ic0, mc_eff, pc, kc_eff, ap);
-
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            pack::pack_b(b, tb, pc, kc_eff, jc, nc_eff, bp);
-
-            let jr_panels = nc_eff.div_ceil(NR);
-            let ir_panels = mc_eff.div_ceil(MR);
-            for jr in 0..jr_panels {
-                let nr_eff = NR.min(nc_eff - jr * NR);
-                let bp_panel = &bp[jr * kc_eff * NR..(jr + 1) * kc_eff * NR];
-                for ir in 0..ir_panels {
-                    let mr_eff = MR.min(mc_eff - ir * MR);
-                    let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];
-                    let c_off = (ir * MR) * n + jc + jr * NR;
-                    tile_fn(
-                        kc_eff,
-                        ap_panel,
-                        bp_panel,
-                        alpha,
-                        merge,
-                        &mut stripe[c_off..],
-                        n,
-                        mr_eff,
-                        nr_eff,
-                    );
-                }
-            }
-            jc += nc_eff;
-        }
-        pc += kc_eff;
-        merge = Merge::Accumulate;
-    }
-    scratch::put_back(scratch::Slot::A, ap_buf);
-    scratch::put_back(scratch::Slot::B, bp_buf);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use pdnn_util::Prng;
 
     fn random_matrix(rows: usize, cols: usize, rng: &mut Prng) -> Matrix<f32> {
@@ -544,7 +294,10 @@ mod tests {
         let c0 = random_matrix(m, n, &mut rng);
         let mut c_fast = c0.clone();
         let mut c_ref = c0.clone();
-        gemm_impl(ctx, ta, tb, alpha, &a, &b, beta, &mut c_fast);
+        GemmOp::ab(&a, ta, &b, tb)
+            .alpha(alpha)
+            .beta(beta)
+            .run(ctx, &mut c_fast);
         naive::reference(ta, tb, alpha, &a, &b, beta, &mut c_ref);
         let tol = 1e-4 * (k as f64).sqrt().max(1.0);
         let diff = c_fast.max_abs_diff(&c_ref);
@@ -679,8 +432,8 @@ mod tests {
         let b = random_matrix(150, 170, &mut rng);
         let mut c1 = Matrix::zeros(200, 170);
         let mut c2 = Matrix::zeros(200, 170);
-        gemm_impl(&seq, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c1);
-        gemm_impl(&thr, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c2);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&seq, &mut c1);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&thr, &mut c2);
         // Identical block decomposition per stripe ⇒ bitwise equal.
         assert_eq!(c1, c2);
     }
@@ -694,22 +447,13 @@ mod tests {
         let b = random_matrix(37, 51, &mut rng);
         let mut want = Matrix::zeros(45, 51);
         let scalar_ctx = GemmContext::sequential().with_backend(scalar_backend());
-        gemm_impl(
-            &scalar_ctx,
-            Trans::N,
-            Trans::N,
-            1.0f32,
-            &a,
-            &b,
-            0.0,
-            &mut want,
-        );
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&scalar_ctx, &mut want);
         for isa in available_isas() {
             let ctx = GemmContext::sequential()
                 .with_backend(backend_for(isa).expect("listed as available"));
             assert_eq!(ctx.backend().isa(), isa);
             let mut got = Matrix::zeros(45, 51);
-            gemm_impl(&ctx, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut got);
+            GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut got);
             assert_eq!(got, want, "backend {isa} diverged from scalar");
         }
     }
@@ -748,11 +492,13 @@ mod tests {
         let a: Matrix<f32> = Matrix::zeros(3, 0);
         let b: Matrix<f32> = Matrix::zeros(0, 4);
         let mut c: Matrix<f32> = Matrix::filled(3, 4, 2.0);
-        gemm_impl(&ctx, Trans::N, Trans::N, 1.0, &a, &b, 0.5, &mut c);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N)
+            .beta(0.5)
+            .run(&ctx, &mut c);
         assert!(c.as_slice().iter().all(|&v| v == 1.0));
         // beta = 0 with NaN in C must produce zeros.
         let mut c2: Matrix<f32> = Matrix::filled(3, 4, f32::NAN);
-        gemm_impl(&ctx, Trans::N, Trans::N, 1.0, &a, &b, 0.0, &mut c2);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c2);
         assert!(c2.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -762,7 +508,7 @@ mod tests {
         let a: Matrix<f32> = Matrix::zeros(0, 5);
         let b: Matrix<f32> = Matrix::zeros(5, 4);
         let mut c: Matrix<f32> = Matrix::zeros(0, 4);
-        gemm_impl(&ctx, Trans::N, Trans::N, 1.0, &a, &b, 0.0, &mut c);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c);
     }
 
     #[test]
@@ -772,7 +518,7 @@ mod tests {
         let a: Matrix<f32> = Matrix::zeros(2, 3);
         let b: Matrix<f32> = Matrix::zeros(4, 2);
         let mut c: Matrix<f32> = Matrix::zeros(2, 2);
-        gemm_impl(&ctx, Trans::N, Trans::N, 1.0, &a, &b, 0.0, &mut c);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c);
     }
 
     #[test]
@@ -783,7 +529,7 @@ mod tests {
         let b: Matrix<f64> = Matrix::random_normal(30, 10, 1.0, &mut rng);
         let mut c1: Matrix<f64> = Matrix::zeros(20, 10);
         let mut c2 = c1.clone();
-        gemm_impl(&ctx, Trans::N, Trans::N, 1.0, &a, &b, 0.0, &mut c1);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c1);
         naive::reference(Trans::N, Trans::N, 1.0, &a, &b, 0.0, &mut c2);
         assert!(c1.max_abs_diff(&c2) < 1e-10);
     }

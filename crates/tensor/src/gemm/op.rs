@@ -1,6 +1,6 @@
 //! The `GemmOp` descriptor: one entry point for every product form.
 //!
-//! Every product runs on the same blocked driver family. [`GemmOp`]
+//! Every product runs on the same blocked driver. [`GemmOp`]
 //! names the operands once — plain matrix,
 //! prepacked panel set, or streamed row-major `B^T` slice — scales
 //! with [`GemmOp::alpha`]/[`GemmOp::beta`], and executes through the
@@ -22,12 +22,11 @@
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
-use super::prepacked::{prepacked_a_bt_impl, prepacked_a_impl, prepacked_ab_impl, prepacked_impl};
-use super::{gemm_impl, naive, GemmContext, PackedA, PackedB, Trans};
+use super::{driver, naive, GemmContext, PackedA, PackedB, Trans};
 
 /// Left operand of a [`GemmOp`].
 #[derive(Clone, Copy, Debug)]
-enum OpA<'a, T: Scalar> {
+pub(super) enum OpA<'a, T: Scalar> {
     /// `op(A)` from a plain matrix.
     Mat(&'a Matrix<T>, Trans),
     /// A prepacked left operand.
@@ -36,7 +35,7 @@ enum OpA<'a, T: Scalar> {
 
 /// Right operand of a [`GemmOp`].
 #[derive(Clone, Copy, Debug)]
-enum OpB<'a, T: Scalar> {
+pub(super) enum OpB<'a, T: Scalar> {
     /// `op(B)` from a plain matrix.
     Mat(&'a Matrix<T>, Trans),
     /// A prepacked right operand.
@@ -108,26 +107,15 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
         self
     }
 
-    /// Execute on `ctx`, dispatching to the driver matching the
-    /// operand forms; the microkernels come from `ctx`'s backend.
+    /// Execute on `ctx` through the blocked driver; the microkernels
+    /// come from `ctx`'s backend.
     ///
     /// # Panics
-    /// On shape mismatch between the operands and `c` (each driver's
-    /// shape contract is unchanged from its free-function days).
+    /// On shape mismatch between the operands and `c`, a streamed `B^T`
+    /// slice that is not `n x k`, or two packs built under different
+    /// blockings.
     pub fn run(self, ctx: &GemmContext, c: &mut Matrix<T>) {
-        let (alpha, beta) = (self.alpha, self.beta);
-        match (self.a, self.b) {
-            (OpA::Mat(a, ta), OpB::Mat(b, tb)) => gemm_impl(ctx, ta, tb, alpha, a, b, beta, c),
-            (OpA::Mat(a, ta), OpB::Packed(b)) => prepacked_impl(ctx, ta, alpha, a, b, beta, c),
-            (OpA::Packed(a), OpB::Mat(b, tb)) => prepacked_a_impl(ctx, alpha, a, tb, b, beta, c),
-            (OpA::Packed(a), OpB::Packed(b)) => prepacked_ab_impl(ctx, alpha, a, b, beta, c),
-            (OpA::Packed(a), OpB::RowsT(b_rows)) => {
-                prepacked_a_bt_impl(ctx, alpha, a, b_rows, beta, c)
-            }
-            (OpA::Mat(..), OpB::RowsT(..)) => {
-                unreachable!("no constructor builds a plain-A x streamed-B^T op")
-            }
-        }
+        driver::run(ctx, self.a, self.b, self.alpha, self.beta, c);
     }
 
     /// Execute via the naive triple-loop reference instead of the
@@ -167,7 +155,14 @@ mod tests {
         let c0 = rand(17, 9, 3);
         let mut c1 = c0.clone();
         let mut c2 = c0;
-        gemm_impl(&ctx, Trans::N, Trans::N, 1.5f32, &a, &b, -0.5, &mut c1);
+        driver::run(
+            &ctx,
+            OpA::Mat(&a, Trans::N),
+            OpB::Mat(&b, Trans::N),
+            1.5,
+            -0.5,
+            &mut c1,
+        );
         GemmOp::ab(&a, Trans::N, &b, Trans::N)
             .alpha(1.5)
             .beta(-0.5)
@@ -197,7 +192,10 @@ mod tests {
         let c0 = rand(m, n, 7);
 
         let mut want = c0.clone();
-        gemm_impl(&ctx, Trans::N, Trans::T, 0.5f32, &a, &b, 2.0, &mut want);
+        GemmOp::ab(&a, Trans::N, &b, Trans::T)
+            .alpha(0.5)
+            .beta(2.0)
+            .run(&ctx, &mut want);
 
         let forms: [(&str, GemmOp<'_, f32>); 4] = [
             ("packed_b", GemmOp::packed_b(&a, Trans::N, &pb)),

@@ -1,4 +1,4 @@
-//! Prepacked-operand GEMM.
+//! Prepacked operands.
 //!
 //! DNN training multiplies every batch against the *same* weight
 //! matrices, so repacking B on every call wastes both time and — the
@@ -8,45 +8,55 @@
 //! and allocating … it greatly reduces timing jitter."
 //!
 //! [`PackedB`] packs `op(B)` once into the micro-panel layout the
-//! kernel consumes; [`super::GemmOp::packed_b`] then runs the blocked driver
-//! reading panels straight out of it. [`PackedA`] is the mirror for
-//! the *left* operand: a CG solve holds the curvature-minibatch
+//! kernel consumes; [`super::GemmOp::packed_b`] then runs the blocked
+//! driver reading panels straight out of it. [`PackedA`] is the mirror
+//! for the *left* operand: a CG solve holds the curvature-minibatch
 //! activations fixed across dozens of Gauss–Newton products, so the
-//! `a_prev * Vw^T` R-forward GEMMs can read a once-packed A while
-//! only the small direction matrix is packed per call
-//! ([`super::GemmOp::packed_a`]). Results are bitwise identical to
-//! [`super::GemmOp::ab`] with the same blocking: packing is pure data
-//! movement and both drivers issue the identical tile-kernel
-//! sequence.
+//! `a_prev * Vw^T` R-forward GEMMs can read a once-packed A while only
+//! the small direction matrix is packed per call
+//! ([`super::GemmOp::packed_a`]).
+//!
+//! Both packs lie on the regular grid [`block_at`] computes, which is
+//! also the layout the driver packs a plain operand into: a `PackedB`
+//! k-block row is byte for byte the driver's B scratch, and a `PackedA`
+//! k-block is every stripe's A scratch back to back. So the driver
+//! borrows panels from a pack exactly where it would otherwise pack
+//! them, and every form is bitwise [`super::GemmOp::ab`] under the same
+//! blocking.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::workspace::Workspace;
-use rayon::prelude::*;
 
-use super::backend::{BtFn, Merge, TileFn};
-use super::{pack, scratch, Blocking, GemmContext, Trans, BT_COLS, MR, NR};
+use super::{op_shape, pack, scratch, Blocking, Trans, MR, NR};
 
-/// One `(pc, jc)` block of the packed B operand.
-#[derive(Clone, Copy, Debug)]
-struct BlockInfo {
-    /// k-offset of the block.
+/// Offset of block `(pc, jc)` of an operand `n` wide, packed in
+/// `kc`-deep block rows (pc-major), each cut into `nc`-wide blocks of
+/// zero-padded `w`-wide panels (jc-minor); `kc_eff` is the depth of
+/// block row `pc`.
+///
+/// Every block row above `pc` is a full `kc` deep and every block left
+/// of `jc` a full `nc` wide, so the offset is arithmetic and no pack
+/// keeps a block index. `op(B)` lies on the grid with `w = NR`; `op(A)`
+/// with `w = nc = MR` and the row index for `jc`, so one "block" is one
+/// row panel and `jc = ic0` finds a stripe's first panel.
+pub(super) fn block_at(
+    w: usize,
+    n: usize,
+    nc: usize,
     pc: usize,
-    /// k-extent.
     kc_eff: usize,
-    /// column offset.
     jc: usize,
-    /// column extent.
-    nc_eff: usize,
-    /// start offset in the packed buffer.
-    offset: usize,
+) -> usize {
+    let block = nc.div_ceil(w) * w;
+    let row = n / nc * block + (n % nc).div_ceil(w) * w;
+    pc * row + jc / nc * block * kc_eff
 }
 
 /// `op(B)` packed once for repeated multiplication.
 #[derive(Clone, Debug)]
 pub struct PackedB<T: Scalar> {
     data: Vec<T>,
-    blocks: Vec<BlockInfo>,
     blocking: Blocking,
     k: usize,
     n: usize,
@@ -134,62 +144,28 @@ impl<T: Scalar> PackedB<T> {
         alloc: impl FnOnce(usize) -> Vec<T>,
     ) -> Self {
         let blocking = blocking.sanitized();
-        let (k, n) = match tb {
-            Trans::N => (rows, cols),
-            Trans::T => (cols, rows),
-        };
+        let (k, n) = op_shape(tb, (rows, cols));
         if k == 0 || n == 0 {
             return PackedB {
                 data: Vec::new(),
-                blocks: Vec::new(),
                 blocking,
                 k,
                 n,
             };
         }
-        let kc = blocking.kc.min(k.max(1));
-        let nc = blocking.nc.min(n.max(1));
-
-        let mut blocks = Vec::new();
-        let mut total = 0usize;
-        let mut pc = 0;
-        while pc < k {
+        let kc = blocking.kc.min(k);
+        let nc = blocking.nc.min(n);
+        let mut data = alloc(block_at(NR, n, nc, k, 0, 0));
+        for pc in (0..k).step_by(kc) {
             let kc_eff = kc.min(k - pc);
-            let mut jc = 0;
-            while jc < n {
+            for jc in (0..n).step_by(nc) {
+                let at = block_at(NR, n, nc, pc, kc_eff, jc);
                 let nc_eff = nc.min(n - jc);
-                let size = nc_eff.div_ceil(NR) * NR * kc_eff;
-                blocks.push(BlockInfo {
-                    pc,
-                    kc_eff,
-                    jc,
-                    nc_eff,
-                    offset: total,
-                });
-                total += size;
-                jc += nc_eff;
+                pack::pack_b_rows(src, cols, tb, pc, kc_eff, jc, nc_eff, &mut data[at..]);
             }
-            pc += kc_eff;
-        }
-
-        let mut data = alloc(total);
-        debug_assert!(data.len() >= total);
-        for info in &blocks {
-            let size = info.nc_eff.div_ceil(NR) * NR * info.kc_eff;
-            pack::pack_b_rows(
-                src,
-                cols,
-                tb,
-                info.pc,
-                info.kc_eff,
-                info.jc,
-                info.nc_eff,
-                &mut data[info.offset..info.offset + size],
-            );
         }
         PackedB {
             data,
-            blocks,
             blocking,
             k,
             n,
@@ -218,209 +194,25 @@ impl<T: Scalar> PackedB<T> {
         self.data.len() * std::mem::size_of::<T>()
     }
 
-    fn block(&self, pc: usize, jc: usize) -> (&[T], usize, usize) {
-        // Blocks are laid out pc-major, jc-minor on a regular grid,
-        // so the index is computable without scanning.
-        let kc = self.blocking.kc.min(self.k.max(1));
-        let nc = self.blocking.nc.min(self.n.max(1));
-        let jc_blocks = self.n.div_ceil(nc).max(1);
-        let idx = (pc / kc) * jc_blocks + jc / nc;
-        let info = &self.blocks[idx];
-        debug_assert_eq!(
-            (info.pc, info.jc),
-            (pc, jc),
-            "block lookup: driver and packer disagree on blocking"
-        );
-        let size = info.nc_eff.div_ceil(NR) * NR * info.kc_eff;
-        (
-            &self.data[info.offset..info.offset + size],
-            info.kc_eff,
-            info.nc_eff,
-        )
+    /// The packed panels, laid out as [`block_at`] says.
+    pub(super) fn panels(&self) -> &[T] {
+        &self.data
     }
-}
-
-/// `C = alpha * op(A) * B_packed + beta * C` with a prepacked B.
-///
-/// # Panics
-/// On shape mismatch between `op(A)`, the packed operand, and `C`.
-pub(crate) fn prepacked_impl<T: Scalar>(
-    ctx: &GemmContext,
-    ta: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &PackedB<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let (m, k) = match ta {
-        Trans::N => a.shape(),
-        Trans::T => {
-            let (r, cc) = a.shape();
-            (cc, r)
-        }
-    };
-    assert_eq!(
-        k,
-        b.k(),
-        "gemm_prepacked: inner dimensions {k} != {}",
-        b.k()
-    );
-    let n = b.n();
-    assert_eq!(c.shape(), (m, n), "gemm_prepacked: C shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        if beta == T::ZERO {
-            c.as_mut_slice().fill(T::ZERO);
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        } else if beta != T::ONE {
-            c.scale(beta);
-        }
-        return;
-    }
-
-    let blocking = b.blocking();
-    let tile_fn = T::tile_kernel(ctx.backend());
-    let target_tasks = ctx.threads() * 3;
-    let sh = m
-        .div_ceil(target_tasks)
-        .next_multiple_of(MR)
-        .clamp(MR, blocking.mc.max(MR));
-
-    let c_slice = c.as_mut_slice();
-    ctx.run_pool(|| {
-        if ctx.threads() == 1 {
-            for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
-                stripe_prepacked(
-                    tile_fn,
-                    ta,
-                    alpha,
-                    a,
-                    b,
-                    beta,
-                    stripe,
-                    si * sh,
-                    k,
-                    n,
-                    blocking,
-                );
-            }
-        } else {
-            c_slice
-                .par_chunks_mut(sh * n)
-                .enumerate()
-                .for_each(|(si, stripe)| {
-                    stripe_prepacked(
-                        tile_fn,
-                        ta,
-                        alpha,
-                        a,
-                        b,
-                        beta,
-                        stripe,
-                        si * sh,
-                        k,
-                        n,
-                        blocking,
-                    );
-                });
-        }
-    });
-}
-
-/// One stripe of C against a prepacked B, packing this stripe's
-/// `op(A)` into the thread's A scratch.
-#[allow(clippy::too_many_arguments)]
-fn stripe_prepacked<T: Scalar>(
-    tile_fn: TileFn<T>,
-    ta: Trans,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &PackedB<T>,
-    beta: T,
-    stripe: &mut [T],
-    ic0: usize,
-    k: usize,
-    n: usize,
-    blocking: Blocking,
-) {
-    let mc_eff = stripe.len() / n;
-    let kc = blocking.kc.min(k);
-    let nc = blocking.nc.min(n);
-    let a_panels = mc_eff.div_ceil(MR);
-    let mut ap_buf = scratch::take::<T>(scratch::Slot::A, a_panels * MR * kc);
-    let ap = &mut ap_buf[..a_panels * MR * kc];
-
-    let mut pc = 0;
-    let mut merge = Merge::first_block(beta);
-    while pc < k {
-        let kc_eff = kc.min(k - pc);
-        pack::pack_a(a, ta, ic0, mc_eff, pc, kc_eff, ap);
-
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            let (bp, bk, bn) = b.block(pc, jc);
-            debug_assert_eq!(bk, kc_eff);
-            debug_assert_eq!(bn, nc_eff);
-
-            let jr_panels = nc_eff.div_ceil(NR);
-            let ir_panels = mc_eff.div_ceil(MR);
-            for jr in 0..jr_panels {
-                let nr_eff = NR.min(nc_eff - jr * NR);
-                let bp_panel = &bp[jr * kc_eff * NR..(jr + 1) * kc_eff * NR];
-                for ir in 0..ir_panels {
-                    let mr_eff = MR.min(mc_eff - ir * MR);
-                    let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];
-                    let c_off = (ir * MR) * n + jc + jr * NR;
-                    tile_fn(
-                        kc_eff,
-                        ap_panel,
-                        bp_panel,
-                        alpha,
-                        merge,
-                        &mut stripe[c_off..],
-                        n,
-                        mr_eff,
-                        nr_eff,
-                    );
-                }
-            }
-            jc += nc_eff;
-        }
-        pc += kc_eff;
-        merge = Merge::Accumulate;
-    }
-    scratch::put_back(scratch::Slot::A, ap_buf);
-}
-
-/// One k-block of the packed A operand.
-#[derive(Clone, Copy, Debug)]
-struct ABlockInfo {
-    /// k-offset of the block.
-    pc: usize,
-    /// k-extent.
-    kc_eff: usize,
-    /// start offset in the packed buffer.
-    offset: usize,
 }
 
 /// `op(A)` packed once for repeated multiplication.
 ///
 /// All `ceil(m / MR)` row micro-panels are packed per k-block, blocked
-/// only over `kc` (there is no `mc` blocking in the pack: the stripe
-/// driver slices whole panels out of each k-block, which works because
+/// only over `kc` (there is no `mc` blocking in the pack: the driver
+/// borrows a stripe's panels out of each k-block, which works because
 /// stripe offsets are always `MR` multiples). Panel `ir` of k-block
-/// `pc` lives at `block_offset + ir * kc_eff * MR` — the exact layout
-/// [`pack::pack_a`] produces for a stripe starting at row `ir * MR`,
-/// so [`super::GemmOp::packed_a`] is bitwise identical to [`super::GemmOp::ab`].
+/// `pc` lives at `block_at(MR, m, MR, pc, kc_eff, ir * MR)` — the exact
+/// layout [`pack::pack_a`] produces for a stripe starting at row
+/// `ir * MR`, so [`super::GemmOp::packed_a`] is bitwise identical to
+/// [`super::GemmOp::ab`].
 #[derive(Clone, Debug)]
 pub struct PackedA<T: Scalar> {
     data: Vec<T>,
-    blocks: Vec<ABlockInfo>,
     blocking: Blocking,
     m: usize,
     k: usize,
@@ -457,55 +249,24 @@ impl<T: Scalar> PackedA<T> {
         alloc: impl FnOnce(usize) -> Vec<T>,
     ) -> Self {
         let blocking = blocking.sanitized();
-        let (m, k) = match ta {
-            Trans::N => a.shape(),
-            Trans::T => {
-                let (r, c) = a.shape();
-                (c, r)
-            }
-        };
+        let (m, k) = op_shape(ta, a.shape());
         if m == 0 || k == 0 {
             return PackedA {
                 data: Vec::new(),
-                blocks: Vec::new(),
                 blocking,
                 m,
                 k,
             };
         }
         let kc = blocking.kc.min(k);
-        let panels = m.div_ceil(MR);
-
-        let mut blocks = Vec::new();
-        let mut total = 0usize;
-        let mut pc = 0;
-        while pc < k {
+        let mut data = alloc(block_at(MR, m, MR, k, 0, 0));
+        for pc in (0..k).step_by(kc) {
             let kc_eff = kc.min(k - pc);
-            blocks.push(ABlockInfo {
-                pc,
-                kc_eff,
-                offset: total,
-            });
-            total += panels * kc_eff * MR;
-            pc += kc_eff;
-        }
-
-        let mut data = alloc(total);
-        for info in &blocks {
-            let size = panels * info.kc_eff * MR;
-            pack::pack_a(
-                a,
-                ta,
-                0,
-                m,
-                info.pc,
-                info.kc_eff,
-                &mut data[info.offset..info.offset + size],
-            );
+            let at = block_at(MR, m, MR, pc, kc_eff, 0);
+            pack::pack_a(a, ta, 0, m, pc, kc_eff, &mut data[at..]);
         }
         PackedA {
             data,
-            blocks,
             blocking,
             m,
             k,
@@ -534,485 +295,16 @@ impl<T: Scalar> PackedA<T> {
         self.data.len() * std::mem::size_of::<T>()
     }
 
-    fn block(&self, pc: usize) -> (&[T], usize) {
-        // Blocks are laid out on a regular k grid, so the index is
-        // computable without scanning.
-        let kc = self.blocking.kc.min(self.k.max(1));
-        let idx = pc / kc;
-        let info = &self.blocks[idx];
-        debug_assert_eq!(
-            info.pc, pc,
-            "block lookup: driver and packer disagree on blocking"
-        );
-        let panels = self.m.div_ceil(MR);
-        let size = panels * info.kc_eff * MR;
-        (&self.data[info.offset..info.offset + size], info.kc_eff)
-    }
-}
-
-/// `C = alpha * A_packed * op(B) + beta * C` with a prepacked A.
-///
-/// # Panics
-/// On shape mismatch between the packed operand, `op(B)`, and `C`.
-pub(crate) fn prepacked_a_impl<T: Scalar>(
-    ctx: &GemmContext,
-    alpha: T,
-    a: &PackedA<T>,
-    tb: Trans,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let m = a.m();
-    let k = a.k();
-    let (kb, n) = match tb {
-        Trans::N => b.shape(),
-        Trans::T => {
-            let (r, cc) = b.shape();
-            (cc, r)
-        }
-    };
-    assert_eq!(k, kb, "gemm_prepacked_a: inner dimensions {k} != {kb}");
-    assert_eq!(c.shape(), (m, n), "gemm_prepacked_a: C shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        if beta == T::ZERO {
-            c.as_mut_slice().fill(T::ZERO);
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        } else if beta != T::ONE {
-            c.scale(beta);
-        }
-        return;
-    }
-
-    let blocking = a.blocking();
-    let tile_fn = T::tile_kernel(ctx.backend());
-    let target_tasks = ctx.threads() * 3;
-    let sh = m
-        .div_ceil(target_tasks)
-        .next_multiple_of(MR)
-        .clamp(MR, blocking.mc.max(MR));
-
-    let c_slice = c.as_mut_slice();
-    ctx.run_pool(|| {
-        if ctx.threads() == 1 {
-            for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
-                stripe_prepacked_a(
-                    tile_fn,
-                    alpha,
-                    a,
-                    tb,
-                    b,
-                    beta,
-                    stripe,
-                    si * sh,
-                    k,
-                    n,
-                    blocking,
-                );
-            }
-        } else {
-            c_slice
-                .par_chunks_mut(sh * n)
-                .enumerate()
-                .for_each(|(si, stripe)| {
-                    stripe_prepacked_a(
-                        tile_fn,
-                        alpha,
-                        a,
-                        tb,
-                        b,
-                        beta,
-                        stripe,
-                        si * sh,
-                        k,
-                        n,
-                        blocking,
-                    );
-                });
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stripe_prepacked_a<T: Scalar>(
-    tile_fn: TileFn<T>,
-    alpha: T,
-    a: &PackedA<T>,
-    tb: Trans,
-    b: &Matrix<T>,
-    beta: T,
-    stripe: &mut [T],
-    ic0: usize,
-    k: usize,
-    n: usize,
-    blocking: Blocking,
-) {
-    let mc_eff = stripe.len() / n;
-    let kc = blocking.kc.min(k);
-    let nc = blocking.nc.min(n);
-    let b_panels = nc.div_ceil(NR);
-    let mut bp_buf = scratch::take::<T>(scratch::Slot::B, b_panels * NR * kc);
-    let bp = &mut bp_buf[..b_panels * NR * kc];
-    // ic0 is a multiple of MR (sh is rounded up to MR), so the
-    // stripe's rows start exactly at a packed panel boundary.
-    let panel0 = ic0 / MR;
-
-    let mut pc = 0;
-    let mut merge = Merge::first_block(beta);
-    while pc < k {
-        let (ap, kc_eff) = a.block(pc);
-        debug_assert_eq!(kc_eff, kc.min(k - pc));
-
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            pack::pack_b(b, tb, pc, kc_eff, jc, nc_eff, bp);
-
-            let jr_panels = nc_eff.div_ceil(NR);
-            let ir_panels = mc_eff.div_ceil(MR);
-            for jr in 0..jr_panels {
-                let nr_eff = NR.min(nc_eff - jr * NR);
-                let bp_panel = &bp[jr * kc_eff * NR..(jr + 1) * kc_eff * NR];
-                for ir in 0..ir_panels {
-                    let mr_eff = MR.min(mc_eff - ir * MR);
-                    let p = panel0 + ir;
-                    let ap_panel = &ap[p * kc_eff * MR..(p + 1) * kc_eff * MR];
-                    let c_off = (ir * MR) * n + jc + jr * NR;
-                    tile_fn(
-                        kc_eff,
-                        ap_panel,
-                        bp_panel,
-                        alpha,
-                        merge,
-                        &mut stripe[c_off..],
-                        n,
-                        mr_eff,
-                        nr_eff,
-                    );
-                }
-            }
-            jc += nc_eff;
-        }
-        pc += kc_eff;
-        merge = Merge::Accumulate;
-    }
-    scratch::put_back(scratch::Slot::B, bp_buf);
-}
-
-/// `C = alpha * A_packed * B_packed + beta * C` with **both** operands
-/// prepacked — the innermost CG-loop configuration, where every stripe
-/// reads straight out of the packs and no packing or buffer
-/// allocation happens inside the multiply at all.
-///
-/// Bitwise identical to [`super::GemmOp::ab`] under the same blocking: the
-/// stripe driver issues the exact tile-kernel sequence, and both pack
-/// layouts are the ones the per-call drivers would have produced.
-///
-/// # Panics
-/// On inner-dimension or `C` shape mismatch, or if the two packs were
-/// built under different blockings (their panel grids would disagree).
-pub(crate) fn prepacked_ab_impl<T: Scalar>(
-    ctx: &GemmContext,
-    alpha: T,
-    a: &PackedA<T>,
-    b: &PackedB<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let m = a.m();
-    let k = a.k();
-    assert_eq!(
-        k,
-        b.k(),
-        "gemm_prepacked_ab: inner dimensions {k} != {}",
-        b.k()
-    );
-    assert_eq!(
-        a.blocking(),
-        b.blocking(),
-        "gemm_prepacked_ab: operands packed under different blockings"
-    );
-    let n = b.n();
-    assert_eq!(c.shape(), (m, n), "gemm_prepacked_ab: C shape mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        if beta == T::ZERO {
-            c.as_mut_slice().fill(T::ZERO);
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        } else if beta != T::ONE {
-            c.scale(beta);
-        }
-        return;
-    }
-
-    let blocking = a.blocking();
-    let tile_fn = T::tile_kernel(ctx.backend());
-    let target_tasks = ctx.threads() * 3;
-    let sh = m
-        .div_ceil(target_tasks)
-        .next_multiple_of(MR)
-        .clamp(MR, blocking.mc.max(MR));
-
-    let c_slice = c.as_mut_slice();
-    ctx.run_pool(|| {
-        if ctx.threads() == 1 {
-            for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
-                stripe_prepacked_ab(tile_fn, alpha, a, b, beta, stripe, si * sh, k, n, blocking);
-            }
-        } else {
-            c_slice
-                .par_chunks_mut(sh * n)
-                .enumerate()
-                .for_each(|(si, stripe)| {
-                    stripe_prepacked_ab(
-                        tile_fn,
-                        alpha,
-                        a,
-                        b,
-                        beta,
-                        stripe,
-                        si * sh,
-                        k,
-                        n,
-                        blocking,
-                    );
-                });
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stripe_prepacked_ab<T: Scalar>(
-    tile_fn: TileFn<T>,
-    alpha: T,
-    a: &PackedA<T>,
-    b: &PackedB<T>,
-    beta: T,
-    stripe: &mut [T],
-    ic0: usize,
-    k: usize,
-    n: usize,
-    blocking: Blocking,
-) {
-    let mc_eff = stripe.len() / n;
-    let kc = blocking.kc.min(k);
-    let nc = blocking.nc.min(n);
-    // ic0 is a multiple of MR (sh is rounded up to MR), so the
-    // stripe's rows start exactly at a packed panel boundary.
-    let panel0 = ic0 / MR;
-
-    let mut pc = 0;
-    let mut merge = Merge::first_block(beta);
-    while pc < k {
-        let (ap, kc_eff) = a.block(pc);
-        debug_assert_eq!(kc_eff, kc.min(k - pc));
-
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            let (bp, bk, bn) = b.block(pc, jc);
-            debug_assert_eq!(bk, kc_eff);
-            debug_assert_eq!(bn, nc_eff);
-
-            let jr_panels = nc_eff.div_ceil(NR);
-            let ir_panels = mc_eff.div_ceil(MR);
-            for jr in 0..jr_panels {
-                let nr_eff = NR.min(nc_eff - jr * NR);
-                let bp_panel = &bp[jr * kc_eff * NR..(jr + 1) * kc_eff * NR];
-                for ir in 0..ir_panels {
-                    let mr_eff = MR.min(mc_eff - ir * MR);
-                    let p = panel0 + ir;
-                    let ap_panel = &ap[p * kc_eff * MR..(p + 1) * kc_eff * MR];
-                    let c_off = (ir * MR) * n + jc + jr * NR;
-                    tile_fn(
-                        kc_eff,
-                        ap_panel,
-                        bp_panel,
-                        alpha,
-                        merge,
-                        &mut stripe[c_off..],
-                        n,
-                        mr_eff,
-                        nr_eff,
-                    );
-                }
-            }
-            jc += nc_eff;
-        }
-        pc += kc_eff;
-        merge = Merge::Accumulate;
-    }
-}
-
-/// `C = alpha * A_packed * B^T + beta * C` with `B` supplied as an
-/// `n x k` **row-major slice read in place** — no packing of the right
-/// operand at all.
-///
-/// Because `op(B)(kk, j) = B[j * k + kk]`, each output column `j`
-/// consumes one contiguous row of `B`, so the kernel streams `B`
-/// stride-one — `BT_COLS` rows, i.e. that many independent column
-/// chains, per call — without the reformat that [`PackedB`] performs. That
-/// wins when `op(A)` is short (few row panels): the whole of `B` is
-/// read once per stripe and the pack's extra write+reread of `B`-sized
-/// memory never happens. For tall `op(A)` the register-blocked packed
-/// path amortizes better — callers should prefer
-/// [`super::GemmOp::packed_ab`] once `m` spans several row panels.
-///
-/// Bitwise identical to [`super::GemmOp::ab`] with `tb = Trans::T` under the
-/// same blocking: the k loop is split on the same `kc` grid, each
-/// element's FMA chain runs `kk` ascending within a block, and the
-/// per-block merge is the [`Merge`] arithmetic the tile kernels apply.
-///
-/// # Panics
-/// On inner-dimension or `C` shape mismatch, or if `b_rows.len()`
-/// differs from `n * k`.
-pub(crate) fn prepacked_a_bt_impl<T: Scalar>(
-    ctx: &GemmContext,
-    alpha: T,
-    a: &PackedA<T>,
-    b_rows: &[T],
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let m = a.m();
-    let k = a.k();
-    let n = c.cols();
-    assert_eq!(c.rows(), m, "gemm_prepacked_a_bt: C row count mismatch");
-    assert_eq!(
-        b_rows.len(),
-        n * k,
-        "gemm_prepacked_a_bt: B slice is not n x k"
-    );
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        if beta == T::ZERO {
-            c.as_mut_slice().fill(T::ZERO);
-        // pdnn-lint: allow(l4-float-exact-compare): BLAS beta sentinel dispatch — exact 0/1 select the overwrite/no-scale fast paths (0 must overwrite, 0*NaN != 0); this is discrimination on a sentinel, not a numeric tolerance test
-        } else if beta != T::ONE {
-            c.scale(beta);
-        }
-        return;
-    }
-
-    let blocking = a.blocking();
-    let bt_fn = T::bt_kernel(ctx.backend());
-    let target_tasks = ctx.threads() * 3;
-    let sh = m
-        .div_ceil(target_tasks)
-        .next_multiple_of(MR)
-        .clamp(MR, blocking.mc.max(MR));
-
-    let c_slice = c.as_mut_slice();
-    ctx.run_pool(|| {
-        if ctx.threads() == 1 {
-            for (si, stripe) in c_slice.chunks_mut(sh * n).enumerate() {
-                stripe_prepacked_a_bt(bt_fn, alpha, a, b_rows, beta, stripe, si * sh, k, n);
-            }
-        } else {
-            c_slice
-                .par_chunks_mut(sh * n)
-                .enumerate()
-                .for_each(|(si, stripe)| {
-                    stripe_prepacked_a_bt(bt_fn, alpha, a, b_rows, beta, stripe, si * sh, k, n);
-                });
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stripe_prepacked_a_bt<T: Scalar>(
-    bt_fn: BtFn<T>,
-    alpha: T,
-    a: &PackedA<T>,
-    b_rows: &[T],
-    beta: T,
-    stripe: &mut [T],
-    ic0: usize,
-    k: usize,
-    n: usize,
-) {
-    let mc_eff = stripe.len() / n;
-    // ic0 is a multiple of MR (sh is rounded up to MR), so the
-    // stripe's rows start exactly at a packed panel boundary.
-    let panel0 = ic0 / MR;
-    let ir_panels = mc_eff.div_ceil(MR);
-
-    // BT_COLS output columns at a time: their rows of B are streamed
-    // front to back exactly once per stripe while the A panels stay
-    // cache-resident.
-    for (group, chunk) in b_rows.chunks(BT_COLS * k).enumerate() {
-        let j0 = group * BT_COLS;
-        let live = chunk.len() / k;
-        // A ragged last group repeats its final row: the kernel shape
-        // stays fixed and the surplus columns are never written to C.
-        let rows: [&[T]; BT_COLS] = std::array::from_fn(|c| {
-            let c = c.min(live - 1);
-            &chunk[c * k..(c + 1) * k]
-        });
-        let mut pc = 0;
-        let mut merge = Merge::first_block(beta);
-        while pc < k {
-            let (ap, kc_eff) = a.block(pc);
-            for ir in 0..ir_panels {
-                let mr_eff = MR.min(mc_eff - ir * MR);
-                let p = panel0 + ir;
-                let ap_panel = &ap[p * kc_eff * MR..(p + 1) * kc_eff * MR];
-
-                // Backend-dispatched column kernel, same FMA chain
-                // as the tile kernels: kk ascending within the
-                // block, acc = a.fma(b, acc); padded panel rows
-                // compute garbage-free zeros that the masked C write
-                // below discards.
-                let mut acc = [[T::ZERO; MR]; BT_COLS];
-                bt_fn(
-                    kc_eff,
-                    ap_panel,
-                    rows.map(|r| &r[pc..pc + kc_eff]),
-                    &mut acc,
-                );
-
-                for i in 0..mr_eff {
-                    let row0 = (ir * MR + i) * n + j0;
-                    let dst = &mut stripe[row0..row0 + live];
-                    match merge {
-                        Merge::Overwrite => {
-                            for (d, col) in dst.iter_mut().zip(&acc) {
-                                *d = alpha * col[i];
-                            }
-                        }
-                        Merge::Scale(b0) => {
-                            for (d, col) in dst.iter_mut().zip(&acc) {
-                                *d = alpha.mul_add(col[i], b0 * *d);
-                            }
-                        }
-                        Merge::Accumulate => {
-                            for (d, col) in dst.iter_mut().zip(&acc) {
-                                *d = alpha.mul_add(col[i], *d);
-                            }
-                        }
-                    }
-                }
-            }
-            pc += kc_eff;
-            merge = Merge::Accumulate;
-        }
+    /// The packed panels, laid out as [`block_at`] says.
+    pub(super) fn panels(&self) -> &[T] {
+        &self.data
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::gemm_impl as gemm;
+    use crate::gemm::{GemmContext, GemmOp};
     use pdnn_util::Prng;
 
     fn rand(r: usize, c: usize, seed: u64) -> Matrix<f32> {
@@ -1034,8 +326,8 @@ mod tests {
             let packed = PackedB::new(&b, Trans::N, ctx.blocking());
             let mut c1 = Matrix::zeros(m, n);
             let mut c2 = Matrix::zeros(m, n);
-            gemm(&ctx, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c1);
-            prepacked_impl(&ctx, Trans::N, 1.0f32, &a, &packed, 0.0, &mut c2);
+            GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c1);
+            GemmOp::packed_b(&a, Trans::N, &packed).run(&ctx, &mut c2);
             assert_eq!(c1, c2, "m={m} k={k} n={n}");
         }
     }
@@ -1052,8 +344,8 @@ mod tests {
         assert_eq!(packed.n(), 20);
         let mut c1 = Matrix::zeros(50, 20);
         let mut c2 = Matrix::zeros(50, 20);
-        gemm(&ctx, Trans::N, Trans::T, 1.0f32, &x, &w, 0.0, &mut c1);
-        prepacked_impl(&ctx, Trans::N, 1.0f32, &x, &packed, 0.0, &mut c2);
+        GemmOp::ab(&x, Trans::N, &w, Trans::T).run(&ctx, &mut c1);
+        GemmOp::packed_b(&x, Trans::N, &packed).run(&ctx, &mut c2);
         assert_eq!(c1, c2);
     }
 
@@ -1066,8 +358,8 @@ mod tests {
             let x = rand(31, 24, seed);
             let mut c1 = Matrix::zeros(31, 16);
             let mut c2 = Matrix::zeros(31, 16);
-            gemm(&ctx, Trans::N, Trans::T, 1.0f32, &x, &w, 0.0, &mut c1);
-            prepacked_impl(&ctx, Trans::N, 1.0f32, &x, &packed, 0.0, &mut c2);
+            GemmOp::ab(&x, Trans::N, &w, Trans::T).run(&ctx, &mut c1);
+            GemmOp::packed_b(&x, Trans::N, &packed).run(&ctx, &mut c2);
             assert_eq!(c1, c2);
         }
     }
@@ -1081,8 +373,14 @@ mod tests {
         let c0 = rand(40, 25, 8);
         let mut c1 = c0.clone();
         let mut c2 = c0;
-        gemm(&ctx, Trans::T, Trans::N, 1.5f32, &a, &b, -0.5, &mut c1);
-        prepacked_impl(&ctx, Trans::T, 1.5f32, &a, &packed, -0.5, &mut c2);
+        GemmOp::ab(&a, Trans::T, &b, Trans::N)
+            .alpha(1.5f32)
+            .beta(-0.5)
+            .run(&ctx, &mut c1);
+        GemmOp::packed_b(&a, Trans::T, &packed)
+            .alpha(1.5f32)
+            .beta(-0.5)
+            .run(&ctx, &mut c2);
         assert_eq!(c1, c2);
     }
 
@@ -1099,8 +397,8 @@ mod tests {
         let packed = PackedB::new(&b, Trans::N, blocking);
         let mut c1 = Matrix::zeros(37, 29);
         let mut c2 = Matrix::zeros(37, 29);
-        gemm(&ctx, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c1);
-        prepacked_impl(&ctx, Trans::N, 1.0f32, &a, &packed, 0.0, &mut c2);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c1);
+        GemmOp::packed_b(&a, Trans::N, &packed).run(&ctx, &mut c2);
         assert_eq!(c1, c2);
     }
 
@@ -1120,7 +418,7 @@ mod tests {
         let b = rand(6, 3, 12);
         let packed = PackedB::new(&b, Trans::N, ctx.blocking());
         let mut c = Matrix::zeros(4, 3);
-        prepacked_impl(&ctx, Trans::N, 1.0f32, &a, &packed, 0.0, &mut c);
+        GemmOp::packed_b(&a, Trans::N, &packed).run(&ctx, &mut c);
     }
 
     #[test]
@@ -1132,11 +430,13 @@ mod tests {
         assert_eq!((packed.k(), packed.n()), (0, 4));
         assert_eq!(packed.bytes(), 0);
         let mut c: Matrix<f32> = Matrix::filled(3, 4, 2.0);
-        prepacked_impl(&ctx, Trans::N, 1.0f32, &a, &packed, 0.5, &mut c);
+        GemmOp::packed_b(&a, Trans::N, &packed)
+            .beta(0.5)
+            .run(&ctx, &mut c);
         assert!(c.as_slice().iter().all(|&v| v == 1.0));
         // beta = 0 with NaN in C must overwrite with zeros.
         let mut c2: Matrix<f32> = Matrix::filled(3, 4, f32::NAN);
-        prepacked_impl(&ctx, Trans::N, 1.0f32, &a, &packed, 0.0, &mut c2);
+        GemmOp::packed_b(&a, Trans::N, &packed).run(&ctx, &mut c2);
         assert!(c2.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -1148,7 +448,7 @@ mod tests {
         let packed = PackedB::new(&b, Trans::N, ctx.blocking());
         assert_eq!((packed.k(), packed.n()), (7, 0));
         let mut c: Matrix<f32> = Matrix::zeros(5, 0);
-        prepacked_impl(&ctx, Trans::N, 1.0f32, &a, &packed, 0.0, &mut c);
+        GemmOp::packed_b(&a, Trans::N, &packed).run(&ctx, &mut c);
     }
 
     #[test]
@@ -1171,8 +471,8 @@ mod tests {
             assert_eq!((packed.m(), packed.k()), (m, k));
             let mut c1 = Matrix::zeros(m, n);
             let mut c2 = Matrix::zeros(m, n);
-            gemm(&ctx, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c1);
-            prepacked_a_impl(&ctx, 1.0f32, &packed, Trans::N, &b, 0.0, &mut c2);
+            GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c1);
+            GemmOp::packed_a(&packed, &b, Trans::N).run(&ctx, &mut c2);
             assert_eq!(c1, c2, "m={m} k={k} n={n}");
         }
     }
@@ -1194,8 +494,14 @@ mod tests {
             let c0 = rand(31, 16, 23);
             let mut c1 = c0.clone();
             let mut c2 = c0;
-            gemm(&ctx, ta, Trans::T, 1.5f32, src, &vw, 1.0, &mut c1);
-            prepacked_a_impl(&ctx, 1.5f32, &packed, Trans::T, &vw, 1.0, &mut c2);
+            GemmOp::ab(src, ta, &vw, Trans::T)
+                .alpha(1.5f32)
+                .beta(1.0)
+                .run(&ctx, &mut c1);
+            GemmOp::packed_a(&packed, &vw, Trans::T)
+                .alpha(1.5f32)
+                .beta(1.0)
+                .run(&ctx, &mut c2);
             assert_eq!(c1, c2, "ta={label}");
         }
     }
@@ -1209,8 +515,8 @@ mod tests {
         let packed = PackedA::new(&a, Trans::N, seq.blocking());
         let mut c1 = Matrix::zeros(200, 170);
         let mut c2 = Matrix::zeros(200, 170);
-        gemm(&seq, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c1);
-        prepacked_a_impl(&thr, 1.0f32, &packed, Trans::N, &b, 0.0, &mut c2);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&seq, &mut c1);
+        GemmOp::packed_a(&packed, &b, Trans::N).run(&thr, &mut c2);
         assert_eq!(c1, c2);
     }
 
@@ -1227,8 +533,8 @@ mod tests {
         let packed = PackedA::new(&a, Trans::N, blocking);
         let mut c1 = Matrix::zeros(37, 29);
         let mut c2 = Matrix::zeros(37, 29);
-        gemm(&ctx, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c1);
-        prepacked_a_impl(&ctx, 1.0f32, &packed, Trans::N, &b, 0.0, &mut c2);
+        GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c1);
+        GemmOp::packed_a(&packed, &b, Trans::N).run(&ctx, &mut c2);
         assert_eq!(c1, c2);
     }
 
@@ -1242,14 +548,16 @@ mod tests {
         assert_eq!(packed.bytes(), 0);
         let b0: Matrix<f32> = Matrix::zeros(0, 4);
         let mut c: Matrix<f32> = Matrix::filled(3, 4, 2.0);
-        prepacked_a_impl(&ctx, 1.0f32, &packed, Trans::N, &b0, 0.5, &mut c);
+        GemmOp::packed_a(&packed, &b0, Trans::N)
+            .beta(0.5)
+            .run(&ctx, &mut c);
         assert!(c.as_slice().iter().all(|&v| v == 1.0));
         // m == 0: empty output, no-op.
         let am: Matrix<f32> = Matrix::zeros(0, 5);
         let packed = PackedA::new(&am, Trans::N, ctx.blocking());
         let b = rand(5, 4, 34);
         let mut c: Matrix<f32> = Matrix::zeros(0, 4);
-        prepacked_a_impl(&ctx, 1.0f32, &packed, Trans::N, &b, 0.0, &mut c);
+        GemmOp::packed_a(&packed, &b, Trans::N).run(&ctx, &mut c);
     }
 
     #[test]
@@ -1260,7 +568,7 @@ mod tests {
         let b = rand(6, 3, 36);
         let packed = PackedA::new(&a, Trans::N, ctx.blocking());
         let mut c = Matrix::zeros(4, 3);
-        prepacked_a_impl(&ctx, 1.0f32, &packed, Trans::N, &b, 0.0, &mut c);
+        GemmOp::packed_a(&packed, &b, Trans::N).run(&ctx, &mut c);
     }
 
     #[test]
@@ -1280,8 +588,8 @@ mod tests {
             let pb = PackedB::new(&b, Trans::N, ctx.blocking());
             let mut c1 = Matrix::zeros(m, n);
             let mut c2 = Matrix::zeros(m, n);
-            gemm(&ctx, Trans::N, Trans::N, 1.0f32, &a, &b, 0.0, &mut c1);
-            prepacked_ab_impl(&ctx, 1.0f32, &pa, &pb, 0.0, &mut c2);
+            GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c1);
+            GemmOp::packed_ab(&pa, &pb).run(&ctx, &mut c2);
             assert_eq!(c1, c2, "m={m} k={k} n={n}");
         }
     }
@@ -1297,8 +605,14 @@ mod tests {
         let c0 = rand(31, 16, 62);
         let mut c1 = c0.clone();
         let mut c2 = c0;
-        gemm(&ctx, Trans::N, Trans::T, 1.5f32, &a, &vw, 1.0, &mut c1);
-        prepacked_ab_impl(&ctx, 1.5f32, &pa, &pvw, 1.0, &mut c2);
+        GemmOp::ab(&a, Trans::N, &vw, Trans::T)
+            .alpha(1.5f32)
+            .beta(1.0)
+            .run(&ctx, &mut c1);
+        GemmOp::packed_ab(&pa, &pvw)
+            .alpha(1.5f32)
+            .beta(1.0)
+            .run(&ctx, &mut c2);
         assert_eq!(c1, c2);
     }
 
@@ -1310,7 +624,7 @@ mod tests {
         let pa = PackedA::new(&a0, Trans::N, ctx.blocking());
         let pb = PackedB::new(&b0, Trans::N, ctx.blocking());
         let mut c: Matrix<f32> = Matrix::filled(3, 4, f32::NAN);
-        prepacked_ab_impl(&ctx, 1.0f32, &pa, &pb, 0.0, &mut c);
+        GemmOp::packed_ab(&pa, &pb).run(&ctx, &mut c);
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -1331,7 +645,7 @@ mod tests {
             },
         );
         let mut c = Matrix::zeros(8, 8);
-        prepacked_ab_impl(&ctx, 1.0f32, &pa, &pb, 0.0, &mut c);
+        GemmOp::packed_ab(&pa, &pb).run(&ctx, &mut c);
     }
 
     #[test]
@@ -1351,8 +665,8 @@ mod tests {
             let x = rand(21, 33, seed + 10);
             let mut c1 = Matrix::zeros(21, 40);
             let mut c2 = Matrix::zeros(21, 40);
-            prepacked_impl(&ctx, Trans::N, 1.0f32, &x, &heap, 0.0, &mut c1);
-            prepacked_impl(&ctx, Trans::N, 1.0f32, &x, &arena, 0.0, &mut c2);
+            GemmOp::packed_b(&x, Trans::N, &heap).run(&ctx, &mut c1);
+            GemmOp::packed_b(&x, Trans::N, &arena).run(&ctx, &mut c2);
             assert_eq!(c1, c2, "seed {seed}");
             arena.give_back(&mut ws);
         }
@@ -1426,8 +740,14 @@ mod tests {
                     c1.as_mut_slice().fill(0.0);
                     c2.as_mut_slice().fill(f32::NAN);
                 }
-                gemm(&ctx, Trans::N, Trans::T, alpha, &a, &b, beta, &mut c1);
-                prepacked_a_bt_impl(&ctx, alpha, &pa, b.as_slice(), beta, &mut c2);
+                GemmOp::ab(&a, Trans::N, &b, Trans::T)
+                    .alpha(alpha)
+                    .beta(beta)
+                    .run(&ctx, &mut c1);
+                GemmOp::packed_a_bt(&pa, b.as_slice())
+                    .alpha(alpha)
+                    .beta(beta)
+                    .run(&ctx, &mut c2);
                 assert_eq!(
                     c1.as_slice(),
                     c2.as_slice(),
@@ -1444,11 +764,11 @@ mod tests {
         let pa = PackedA::new(&a, Trans::N, ctx.blocking());
         let mut c = rand(5, 9, 3);
         let orig = c.clone();
-        prepacked_a_bt_impl(&ctx, 1.0f32, &pa, &[], 0.5, &mut c);
+        GemmOp::packed_a_bt(&pa, &[]).beta(0.5).run(&ctx, &mut c);
         for (x, y) in c.as_slice().iter().zip(orig.as_slice()) {
             assert_eq!(*x, 0.5 * y);
         }
-        prepacked_a_bt_impl(&ctx, 1.0f32, &pa, &[], 0.0, &mut c);
+        GemmOp::packed_a_bt(&pa, &[]).run(&ctx, &mut c);
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -1460,7 +780,7 @@ mod tests {
         let pa = PackedA::new(&a, Trans::N, ctx.blocking());
         let mut c = Matrix::zeros(4, 5);
         let b = vec![0.0f32; 29]; // needs 5 * 6 = 30
-        prepacked_a_bt_impl(&ctx, 1.0f32, &pa, &b, 0.0, &mut c);
+        GemmOp::packed_a_bt(&pa, &b).run(&ctx, &mut c);
     }
 
     #[test]
@@ -1474,8 +794,8 @@ mod tests {
             let vw = rand(16, 24, seed);
             let mut c1 = Matrix::zeros(31, 16);
             let mut c2 = Matrix::zeros(31, 16);
-            gemm(&ctx, Trans::N, Trans::T, 1.0f32, &a, &vw, 0.0, &mut c1);
-            prepacked_a_impl(&ctx, 1.0f32, &packed, Trans::T, &vw, 0.0, &mut c2);
+            GemmOp::ab(&a, Trans::N, &vw, Trans::T).run(&ctx, &mut c1);
+            GemmOp::packed_a(&packed, &vw, Trans::T).run(&ctx, &mut c2);
             assert_eq!(c1, c2);
         }
     }

@@ -57,6 +57,9 @@ echo "pdnn-lint: allow( sites: $(files '*.rs' | xargs grep -hF 'pdnn-lint: allow
 coll=crates/mpisim/src/collectives.rs
 echo "mpisim/collectives.rs: $(total "$coll") lines ($(nontest "$coll") non-test)"
 
+mapfile -t gemm_driver < <(files crates/tensor/src/gemm/mod.rs crates/tensor/src/gemm/prepacked.rs crates/tensor/src/gemm/driver.rs)
+echo "GEMM driver (gemm/{mod,prepacked,driver}.rs): $(nontest "${gemm_driver[@]}") non-test lines"
+
 mapfile -t crate_srcs < <(files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | sort -u)
 pub_re='^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) '
 echo "public-API proxy (pub declarations in crates/*/src): $(cat "${crate_srcs[@]}" | grep -cE "$pub_re")"
