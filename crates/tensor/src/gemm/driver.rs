@@ -4,9 +4,9 @@
 //! 2015), with the k-block loop outermost and the same for every thread
 //! count. For each `kc`-deep k-block:
 //!
-//! * the `kc x n` block row of `op(B)` is borrowed from a [`PackedB`]
-//!   or packed once into this thread's B scratch (both hold it in the
-//!   [`block_at`] layout);
+//! * the `kc x n` block row of `op(B)` is borrowed from a
+//!   [`super::PackedB`] or packed once into this thread's B scratch
+//!   (both hold it in the [`block_at`] layout);
 //! * the `sh`-row stripes of C run, as a plain loop on one thread or as
 //!   one `par_chunks_mut` region on the context's pool;
 //! * each stripe borrows its A panels from a [`PackedA`] or packs them

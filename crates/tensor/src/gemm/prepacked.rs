@@ -16,7 +16,7 @@
 //! the small direction matrix is packed per call
 //! ([`super::GemmOp::packed_a`]).
 //!
-//! Both packs lie on the regular grid [`block_at`] computes, which is
+//! Both packs lie on the regular grid `block_at` computes, which is
 //! also the layout the driver packs a plain operand into: a `PackedB`
 //! k-block row is byte for byte the driver's B scratch, and a `PackedA`
 //! k-block is every stripe's A scratch back to back. So the driver
@@ -194,7 +194,7 @@ impl<T: Scalar> PackedB<T> {
         self.data.len() * std::mem::size_of::<T>()
     }
 
-    /// The packed panels, laid out as [`block_at`] says.
+    /// The packed panels, laid out as `block_at` says.
     pub(super) fn panels(&self) -> &[T] {
         &self.data
     }
@@ -295,7 +295,7 @@ impl<T: Scalar> PackedA<T> {
         self.data.len() * std::mem::size_of::<T>()
     }
 
-    /// The packed panels, laid out as [`block_at`] says.
+    /// The packed panels, laid out as `block_at` says.
     pub(super) fn panels(&self) -> &[T] {
         &self.data
     }
