@@ -2,7 +2,7 @@
 //!
 //! The suppression grammar is owned by pdnn-lint but consumed by every
 //! static pass in the workspace (the linter itself and
-//! `pdnn-kernelcheck`). Each consumer supplies its own known-rule
+//! `pdnn-protomc`). Each consumer supplies its own known-rule
 //! predicate so a directive naming a rule outside that consumer's
 //! vocabulary is rejected at parse time rather than silently ignored.
 

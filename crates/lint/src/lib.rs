@@ -81,8 +81,8 @@ impl fmt::Display for Finding {
 }
 
 /// Extract suppression directives from a file's comments, validating
-/// rule names against the full workspace vocabulary (lint,
-/// kernelcheck and protomc rules). Malformed directives become meta
+/// rule names against the full workspace vocabulary (lint and protomc
+/// rules). Malformed directives become meta
 /// diagnostics immediately. See [`directives::parse`] for a version
 /// with a caller-supplied rule predicate.
 pub fn suppressions(file: &SourceFile) -> (Vec<Suppression>, Vec<MetaDiag>) {
@@ -123,13 +123,6 @@ pub fn lint_text(path: &str, text: &str) -> FileOutcome {
     }
     for (i, s) in sups.iter().enumerate() {
         if !used[i] {
-            // Kernelcheck-owned rules (`k*`) are validated and
-            // consumed by its own pass, which sees the whole kernel
-            // zone; the per-file pass cannot tell whether they are
-            // used.
-            if s.rule.starts_with('k') {
-                continue;
-            }
             meta.push(MetaDiag {
                 path: path.to_string(),
                 line: s.comment_line,

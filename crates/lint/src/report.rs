@@ -29,7 +29,7 @@ pub fn json_escape(s: &str) -> String {
 /// Append a compact JSON array of finding objects
 /// (`{"rule":…,"path":…,"line":…,"col":…,"message":…}`). The shared
 /// scaffolding for every checker report in the workspace
-/// (`pdnn-kernelcheck`, `pdnn-protomc`).
+/// (`pdnn-protomc`).
 pub fn push_findings(out: &mut String, findings: &[Finding]) {
     out.push('[');
     for (i, f) in findings.iter().enumerate() {

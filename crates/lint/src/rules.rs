@@ -45,9 +45,10 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: L7,
-        summary: "`unsafe` is confined to the tensor GEMM kernel backend \
-                  modules (explicit SIMD microkernels); everywhere else \
-                  needs a reasoned suppression",
+        summary: "`unsafe` is confined to the per-ISA `mem` modules of \
+                  the GEMM kernels and the token-guarded kernel dispatch \
+                  in gemm/backend.rs; everywhere else needs a reasoned \
+                  suppression",
     },
     RuleInfo {
         id: L8,
@@ -65,48 +66,6 @@ pub const L5: &str = "l5-phase-span";
 pub const L6: &str = "l6-lossy-cast";
 pub const L7: &str = "l7-unsafe-outside-kernel";
 pub const L8: &str = "l8-timed-recv";
-
-/// Rule ids owned by `pdnn-kernelcheck` but registered here so the
-/// shared suppression machinery accepts `// pdnn-lint: allow(k...)`
-/// directives inside the kernel zone, while kernelcheck itself
-/// validates and consumes them.
-pub const KERNELCHECK_RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "k1-oob-access",
-        summary: "every raw-pointer access in a kernel must be provably \
-                  in bounds under the declared kernel-contract lengths",
-    },
-    RuleInfo {
-        id: "k2-missing-contract",
-        summary: "every unsafe kernel fn and every raw-pointer parameter \
-                  must carry a kernel-contract annotation",
-    },
-    RuleInfo {
-        id: "k3-alignment",
-        summary: "aligned load/store intrinsics require an align(N) \
-                  kernel-contract on the pointer they dereference",
-    },
-    RuleInfo {
-        id: "k4-feature-guard",
-        summary: "every SIMD intrinsic must be covered by target_feature, \
-                  a runtime detection guard, and a matching dispatch path",
-    },
-    RuleInfo {
-        id: "k5-wrapper-precondition",
-        summary: "safe kernel wrappers must establish every declared \
-                  contract via kernel_precondition! or slice types",
-    },
-    RuleInfo {
-        id: "k6-driver-guarantee",
-        summary: "safe GEMM drivers must slice panels to exactly the \
-                  lengths the kernel contracts require",
-    },
-    RuleInfo {
-        id: "k7-noalias",
-        summary: "operands annotated noalias must be fed from distinct \
-                  sources, with *mut params sourced from &mut slices",
-    },
-];
 
 /// Rule ids owned by `pdnn-protomc`, the explicit-state model checker:
 /// global protocol properties proved by exhaustive exploration of the
@@ -134,9 +93,7 @@ pub const PROTOMC_RULES: &[RuleInfo] = &[
 
 /// Is `id` a rule id the suppression parser should accept?
 pub fn known_rule(id: &str) -> bool {
-    RULES.iter().any(|r| r.id == id)
-        || KERNELCHECK_RULES.iter().any(|r| r.id == id)
-        || PROTOMC_RULES.iter().any(|r| r.id == id)
+    RULES.iter().any(|r| r.id == id) || PROTOMC_RULES.iter().any(|r| r.id == id)
 }
 
 /// Crates whose behaviour (and telemetry) must be a pure function of
@@ -441,24 +398,34 @@ fn l6_lossy_cast(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// The only modules allowed to contain `unsafe`: the explicit SIMD
-/// microkernels behind the `ComputeBackend` seam, where raw-pointer
-/// `std::arch` code is the entire point and every entry is a safe
-/// wrapper that asserts lengths and runtime CPU features first.
-const KERNEL_BACKEND_PATHS: &[&str] = &["crates/tensor/src/gemm/kernel/"];
+/// Is `path` one of the files allowed to contain `unsafe`: a per-ISA
+/// `mem` module of the SIMD kernels (whole-register and masked loads
+/// and stores, `crates/tensor/src/gemm/kernel/**/mem*.rs`), or the
+/// dispatch, whose one `unsafe` call per kernel entry holds the ISA
+/// token that detection made?
+fn unsafe_allowed(path: &str) -> bool {
+    const KERNEL: &str = "crates/tensor/src/gemm/kernel/";
+    const DISPATCH: &str = "crates/tensor/src/gemm/backend.rs";
+    let in_mem = path.strip_prefix(KERNEL).is_some_and(|rest| {
+        let file = rest.rsplit('/').next().unwrap_or(rest);
+        file.starts_with("mem")
+    });
+    in_mem || path == DISPATCH
+}
 
 fn l7_unsafe_outside_kernel(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !file.path.ends_with(".rs") || in_any(&file.path, KERNEL_BACKEND_PATHS) {
+    if !file.path.ends_with(".rs") || unsafe_allowed(&file.path) {
         return;
     }
     flag_word(
         file,
         "unsafe",
         L7,
-        "`unsafe` outside the GEMM kernel backend modules \
-         (crates/tensor/src/gemm/kernel/); move the code behind the \
-         ComputeBackend seam or suppress with the reason the block is \
-         unavoidable and sound",
+        "`unsafe` outside the kernels' `mem` modules \
+         (crates/tensor/src/gemm/kernel/**/mem*.rs) and the dispatch \
+         (crates/tensor/src/gemm/backend.rs); use a safe \
+         `#[target_feature]` fn over slices, or suppress with the reason \
+         the block is unavoidable and sound",
         out,
     );
 }
@@ -740,16 +707,29 @@ fn f(x: f64, n: u32) -> bool {
     }
 
     #[test]
-    fn l7_confines_unsafe_to_kernel_backends() {
+    fn l7_confines_unsafe_to_mem_modules_and_the_dispatch() {
         let src = "fn f(p: *mut u8) { unsafe { p.write(0) } }\n";
-        // Anywhere else: flagged.
-        let hits = findings_for("crates/core/src/x.rs", src);
-        assert_eq!(hits.iter().filter(|f| f.rule == L7).count(), 1);
-        let hits = findings_for("src/bin/pdnn-train.rs", src);
-        assert_eq!(hits.iter().filter(|f| f.rule == L7).count(), 1);
-        // Inside the kernel backend dir: allowed.
-        let hits = findings_for("crates/tensor/src/gemm/kernel/x86.rs", src);
-        assert!(hits.iter().all(|f| f.rule != L7), "{hits:?}");
+        // Anywhere else: flagged, kernels included.
+        for path in [
+            "crates/core/src/x.rs",
+            "src/bin/pdnn-train.rs",
+            "crates/tensor/src/gemm/kernel/x86/mod.rs",
+            "crates/tensor/src/gemm/kernel/scalar.rs",
+            "crates/tensor/src/gemm/driver.rs",
+            "crates/tensor/src/memo.rs",
+        ] {
+            let hits = findings_for(path, src);
+            assert_eq!(hits.iter().filter(|f| f.rule == L7).count(), 1, "{path}");
+        }
+        // The per-ISA mem modules and the dispatch: allowed.
+        for path in [
+            "crates/tensor/src/gemm/kernel/x86/mem.rs",
+            "crates/tensor/src/gemm/kernel/neon/mem.rs",
+            "crates/tensor/src/gemm/backend.rs",
+        ] {
+            let hits = findings_for(path, src);
+            assert!(hits.iter().all(|f| f.rule != L7), "{path}: {hits:?}");
+        }
         // Test code and strings don't count.
         let masked = "#[cfg(test)]\nmod tests {\n    fn t(p: *mut u8) { unsafe { p.write(0) } }\n}\nfn f() { let s = \"unsafe\"; }\n";
         let hits = findings_for("crates/core/src/x.rs", masked);

@@ -9,28 +9,18 @@
 //! ([`selected`]), so `PDNN_BACKEND=scalar` runs the portable loop.
 
 use crate::gemm::backend::{default_backend, Isa};
-use crate::gemm::kernel;
 use std::sync::OnceLock;
 
 pub use crate::gemm::kernel::codec::CodecPass;
 
 /// One instantiation of the codec pass.
-pub type CodecFn = fn(pass: CodecPass<'_>);
+pub type CodecFn = &'static (dyn Fn(CodecPass<'_>) + Send + Sync);
 
-/// Every instantiation this CPU can run, portable first, by name.
+/// Every instantiation this CPU can run, portable first, by name. A
+/// feature-gated one is listed only with the ISA token its features
+/// were detected into ([`crate::gemm::backend`]).
 pub fn instantiations() -> Vec<(&'static str, CodecFn)> {
-    let mut out: Vec<(&'static str, CodecFn)> =
-        vec![("portable", kernel::codec::codec_pass as CodecFn)];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            out.push(("avx2", kernel::codec::codec_pass_avx2));
-        }
-        if is_x86_feature_detected!("avx512f") {
-            out.push(("avx512", kernel::codec::codec_pass_avx512));
-        }
-    }
-    out
+    crate::gemm::backend::codec_instantiations()
 }
 
 /// Name of the instantiation for a backend ISA: the one of the same
@@ -48,10 +38,11 @@ pub fn selected() -> CodecFn {
     static PASS: OnceLock<CodecFn> = OnceLock::new();
     *PASS.get_or_init(|| {
         let want = instantiation_for(default_backend().isa());
-        instantiations()
-            .into_iter()
+        let all = instantiations();
+        let portable = all[0].1;
+        all.into_iter()
             .find(|(name, _)| *name == want)
-            .map_or(kernel::codec::codec_pass as CodecFn, |(_, f)| f)
+            .map_or(portable, |(_, f)| f)
     })
 }
 

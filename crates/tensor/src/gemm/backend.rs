@@ -57,12 +57,39 @@
 //! [`kernel::scalar`]): on an x86_64 CPU with FMA the one compiled
 //! with the instruction enabled, otherwise the portable one. They
 //! agree bitwise; the choice only keeps the reference off libm.
+//!
+//! ## ISA tokens: the one `unsafe` call per kernel entry
+//!
+//! Every SIMD kernel under [`kernel`] is a safe `#[target_feature]` fn
+//! over slices: its intrinsics need no `unsafe`, and an out-of-bounds
+//! index panics. What stays unsafe is calling such a fn from code
+//! compiled without those features, so each kernel takes, as its
+//! first argument, a zero-sized token (`Avx2`, `Avx512`, `Fma`,
+//! `Neon`) that proves the running CPU has them. A token's field is
+//! private to this module, and the only constructor is its `detect`,
+//! which probes the CPU. The dispatch tables below build every entry
+//! from a token in hand, and the `unsafe` call inside the entry is
+//! the only one outside the per-ISA `mem` modules (lint rule
+//! `l7-unsafe-outside-kernel`). No kernel call probes the CPU again.
+//!
+//! ```compile_fail
+//! // Outside this module a token cannot be made without detection.
+//! let token = pdnn_tensor::gemm::backend::Avx2(());
+//! ```
+//!
+//! ```
+//! # #[cfg(target_arch = "x86_64")]
+//! let token: Option<pdnn_tensor::gemm::backend::Avx2> =
+//!     pdnn_tensor::gemm::backend::Avx2::detect();
+//! ```
 
 use std::sync::OnceLock;
 
 use super::kernel;
 use super::{BT_COLS, MR, NR};
+use crate::codec::{CodecFn, CodecPass};
 use crate::scalar::Scalar;
+use crate::vmath::{RowOp, RowOpFn};
 
 /// How a finished micro-tile lands in C, `Σ` being the tile's
 /// accumulated product.
@@ -91,9 +118,10 @@ impl<T: Scalar> Merge<T> {
     }
 }
 
-/// Micro-tile kernel: multiply one `MR`-row A micro-panel (`kk`-major,
-/// first `kc * MR` elements of `ap`) by one `NR`-column B micro-panel
-/// (first `kc * NR` elements of `bp`) and merge the product into the
+/// Micro-tile kernel `(kc, ap, bp, α, merge, c, ldc, mr_eff, nr_eff)`:
+/// multiply one `MR`-row A micro-panel (`kk`-major, the first
+/// `kc * MR` elements of `ap`) by one `NR`-column B micro-panel (the
+/// first `kc * NR` elements of `bp`) and merge the product into the
 /// live `mr_eff x nr_eff` corner of the C tile that starts at `c[0]`
 /// with row stride `ldc`.
 ///
@@ -101,34 +129,136 @@ impl<T: Scalar> Merge<T> {
 /// fused multiply-add chain from zero with `kk` ascending, and
 /// `C[i * ldc + j]` becomes `merge(α, Σ, C)` as [`Merge`] spells out —
 /// the exact arithmetic [`kernel::scalar::tile`] runs. No element of
-/// `c` outside the live corner is read or written.
-pub type TileFn<T> = fn(
-    kc: usize,
-    ap: &[T],
-    bp: &[T],
-    alpha: T,
-    merge: Merge<T>,
-    c: &mut [T],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-);
+/// `c` outside the live corner is read or written. A panel or C tile
+/// shorter than that panics.
+pub type TileFn<T> =
+    &'static (dyn Fn(usize, &[T], &[T], T, Merge<T>, &mut [T], usize, usize, usize) + Send + Sync);
 
 /// A backend's f32 [`TileFn`] on one whole `MR x NR` tile in overwrite
-/// mode with `α = 1`: `acc[i][j] = sum_kk ap(kk, i) * bp(kk, j)`. It
-/// runs the tile kernel itself (no second FMA loop); the benchmark's
-/// peak probe times it on L1-resident panels.
-pub type AccFn<T> = fn(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]);
+/// mode with `α = 1`, `(kc, ap, bp, acc)`:
+/// `acc[i][j] = sum_kk ap(kk, i) * bp(kk, j)`. It runs the tile kernel
+/// itself (no second FMA loop); the benchmark's peak probe times it on
+/// L1-resident panels.
+pub type AccFn<T> = &'static (dyn Fn(usize, &[T], &[T], &mut [[T; NR]; MR]) + Send + Sync);
 
-/// Streaming-B^T kernel for the `GemmOp::packed_a_bt` driver: add the
-/// `kc`-deep products of one A micro-panel with `BT_COLS` contiguous
-/// B-row segments (each at least `kc` long; they may coincide) into
-/// `BT_COLS` columns of `MR` accumulators.
+/// Streaming-B^T kernel `(kc, ap, b, acc)` for the
+/// `GemmOp::packed_a_bt` driver: add the `kc`-deep products of one A
+/// micro-panel with `BT_COLS` contiguous B-row segments (each at least
+/// `kc` long; they may coincide) into `BT_COLS` columns of `MR`
+/// accumulators.
 ///
 /// Contract: `acc[c][i] += sum_kk ap(kk, i) * b[c][kk]`, per element a
 /// fused multiply-add chain with `kk` ascending — the exact chain
 /// [`kernel::scalar::bt`] runs.
-pub type BtFn<T> = fn(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]);
+pub type BtFn<T> =
+    &'static (dyn Fn(usize, &[T], [&[T]; BT_COLS], &mut [[T; MR]; BT_COLS]) + Send + Sync);
+
+/// Proof that the running CPU has FMA, the one feature of the
+/// FMA-enabled reference loops ([`kernel::scalar::tile_fma`], the
+/// `fma` element-wise pass). Only [`Fma::detect`] makes one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Fma(());
+
+#[cfg(target_arch = "x86_64")]
+impl Fma {
+    /// The token, if the CPU has FMA.
+    pub fn detect() -> Option<Fma> {
+        is_x86_feature_detected!("fma").then_some(Fma(()))
+    }
+}
+
+/// Proof that the running CPU has AVX2 and FMA, every feature an AVX2
+/// kernel of [`kernel::x86`] enables. Only [`Avx2::detect`] makes one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Avx2(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// The token, if the CPU has AVX2 and FMA.
+    pub fn detect() -> Option<Avx2> {
+        (is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")).then_some(Avx2(()))
+    }
+}
+
+/// Proof that the running CPU has AVX-512F, AVX2 and FMA: every
+/// feature an AVX-512 kernel enables, and those of the AVX2 f32 B^T
+/// kernel the AVX-512 backend borrows. Only [`Avx512::detect`] makes
+/// one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Avx512(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx512 {
+    /// The token, if the CPU has AVX-512F, AVX2 and FMA.
+    pub fn detect() -> Option<Avx512> {
+        Avx2::detect()?;
+        is_x86_feature_detected!("avx512f").then_some(Avx512(()))
+    }
+
+    /// The AVX2 token this one implies.
+    pub fn avx2(self) -> Avx2 {
+        Avx2(())
+    }
+}
+
+/// Proof that the CPU has NEON, which is baseline on aarch64. Only
+/// [`Neon::detect`] makes one.
+#[cfg(target_arch = "aarch64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Neon(());
+
+#[cfg(target_arch = "aarch64")]
+impl Neon {
+    /// The token: every aarch64 CPU has NEON.
+    pub fn detect() -> Option<Neon> {
+        Some(Neon(()))
+    }
+}
+
+/// `'static` home for a kernel entry. Every entry is a closure over at
+/// most an ISA token, or a fn item, so it is zero-sized: boxing it
+/// allocates nothing and leaking the box leaks nothing.
+fn leak<F: Send + Sync + 'static>(f: F) -> &'static F {
+    const { assert!(std::mem::size_of::<F>() == 0) };
+    Box::leak(Box::new(f))
+}
+
+/// An entry that calls the `#[target_feature]` kernel `$kernel` with
+/// the ISA token `$token` and the arguments `$arg`.
+macro_rules! entry {
+    ($token:expr, $kernel:path, |$($arg:ident: $ty:ty),*|) => {{
+        let token = $token;
+        leak(move |$($arg: $ty),*| {
+            // SAFETY: `token` was made by its `detect`, so the CPU has
+            // every feature the token's kernels enable.
+            unsafe { $kernel(token, $($arg),*) }
+        })
+    }};
+}
+
+/// A [`TileFn`] entry for element type `$t`.
+macro_rules! tile_entry {
+    ($t:ty, $token:expr, $kernel:path) => {
+        entry!($token, $kernel, |kc: usize, ap: &[$t], bp: &[$t], alpha: $t, merge: Merge<$t>, c: &mut [$t], ldc: usize, mr_eff: usize, nr_eff: usize|)
+    };
+}
+
+/// An [`AccFn`] entry for element type `$t`.
+macro_rules! acc_entry {
+    ($t:ty, $token:expr, $kernel:path) => {
+        entry!($token, $kernel, |kc: usize, ap: &[$t], bp: &[$t], acc: &mut [[$t; NR]; MR]|)
+    };
+}
+
+/// A [`BtFn`] entry for element type `$t`.
+macro_rules! bt_entry {
+    ($t:ty, $token:expr, $kernel:path) => {
+        entry!($token, $kernel, |kc: usize, ap: &[$t], b: [&[$t]; BT_COLS], acc: &mut [[$t; MR]; BT_COLS]|)
+    };
+}
 
 /// Name of the environment variable that overrides backend selection.
 pub const BACKEND_ENV: &str = "PDNN_BACKEND";
@@ -163,18 +293,7 @@ impl Isa {
 
     /// Is this ISA usable on the running machine?
     pub fn available(self) -> bool {
-        match self {
-            Isa::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
-            // The AVX-512 backend reuses the AVX2 f32 B^T kernel.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => is_x86_feature_detected!("avx512f") && Isa::Avx2.available(),
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => true, // NEON is baseline on aarch64
-            #[allow(unreachable_patterns)] // foreign-arch ISAs
-            _ => false,
-        }
+        backend_for(self).is_ok()
     }
 }
 
@@ -190,32 +309,20 @@ impl std::fmt::Display for Isa {
 /// the AVX-512 tile kernel outruns the AVX2 one, which walks the row
 /// in four ymm groups (ROADMAP item 5(a)).
 pub fn detect_best() -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if Isa::Avx512.available() {
-            return Isa::Avx512;
-        }
-        if Isa::Avx2.available() {
-            return Isa::Avx2;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if Isa::Neon.available() {
-        return Isa::Neon;
-    }
-    Isa::Scalar
+    // `detected` lists the tables narrowest first.
+    detected().last().map_or(Isa::Scalar, |k| k.isa)
 }
 
 /// All ISAs usable on the running machine, scalar first.
 pub fn available_isas() -> Vec<Isa> {
-    Isa::ALL.into_iter().filter(|i| i.available()).collect()
+    detected().iter().map(|k| k.isa).collect()
 }
 
 /// One set of microkernels for the blocked GEMM drivers.
 ///
 /// Implementations are stateless singletons handed out as `&'static`
 /// references by [`backend_for`]; a [`super::GemmContext`] carries one
-/// and the drivers fetch per-type kernel function pointers through
+/// and the drivers fetch per-type kernels through
 /// [`crate::scalar::Scalar::tile_kernel`] /
 /// [`crate::scalar::Scalar::bt_kernel`] once per call. Every kernel a
 /// backend returns must honor the module-level bit-exactness contract.
@@ -235,11 +342,12 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
     fn bt_f64(&self) -> BtFn<f64>;
 }
 
-/// Forced-scalar reference backend (always available): one of the two
-/// bitwise-equal instantiations of the [`kernel::scalar`] loops, fixed
-/// when the backend is constructed.
-#[derive(Debug)]
-struct ScalarBackend {
+/// The kernel table of one ISA, built from its token by detection.
+struct Kernels {
+    isa: Isa,
+    /// Which instantiation the table runs, for `Debug`: the scalar
+    /// backend's reference loops are `portable` or `fma`.
+    variant: &'static str,
     tile_f32: TileFn<f32>,
     tile_f64: TileFn<f64>,
     acc_f32: AccFn<f32>,
@@ -247,34 +355,90 @@ struct ScalarBackend {
     bt_f64: BtFn<f64>,
 }
 
-impl ScalarBackend {
-    /// The FMA-enabled instantiation where the CPU has the
-    /// instruction, the portable one (libm `fma` on an SSE2 baseline)
-    /// otherwise.
-    fn detect() -> Self {
+impl Kernels {
+    /// The reference loops: the FMA-enabled instantiation where the
+    /// CPU has the instruction, the portable one (libm `fma` on an SSE2
+    /// baseline) otherwise.
+    fn scalar() -> Kernels {
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("fma") {
-            return ScalarBackend {
-                tile_f32: kernel::scalar::tile_fma::<f32>,
-                tile_f64: kernel::scalar::tile_fma::<f64>,
-                acc_f32: kernel::scalar::acc_fma::<f32>,
-                bt_f32: kernel::scalar::bt_fma::<f32>,
-                bt_f64: kernel::scalar::bt_fma::<f64>,
+        if let Some(t) = Fma::detect() {
+            use kernel::scalar::{acc_fma, bt_fma, tile_fma};
+            return Kernels {
+                isa: Isa::Scalar,
+                variant: "fma",
+                tile_f32: tile_entry!(f32, t, tile_fma::<f32>),
+                tile_f64: tile_entry!(f64, t, tile_fma::<f64>),
+                acc_f32: acc_entry!(f32, t, acc_fma::<f32>),
+                bt_f32: bt_entry!(f32, t, bt_fma::<f32>),
+                bt_f64: bt_entry!(f64, t, bt_fma::<f64>),
             };
         }
-        ScalarBackend {
-            tile_f32: kernel::scalar::tile::<f32>,
-            tile_f64: kernel::scalar::tile::<f64>,
-            acc_f32: kernel::scalar::acc::<f32>,
-            bt_f32: kernel::scalar::bt::<f32>,
-            bt_f64: kernel::scalar::bt::<f64>,
+        use kernel::scalar::{acc, bt, tile};
+        Kernels {
+            isa: Isa::Scalar,
+            variant: "portable",
+            tile_f32: leak(tile::<f32>),
+            tile_f64: leak(tile::<f64>),
+            acc_f32: leak(acc::<f32>),
+            bt_f32: leak(bt::<f32>),
+            bt_f64: leak(bt::<f64>),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx2(t: Avx2) -> Kernels {
+        use kernel::x86::*;
+        Kernels {
+            isa: Isa::Avx2,
+            variant: "avx2",
+            tile_f32: tile_entry!(f32, t, tile_f32_avx2),
+            tile_f64: tile_entry!(f64, t, tile_f64_avx2),
+            acc_f32: acc_entry!(f32, t, acc_f32_avx2),
+            bt_f32: bt_entry!(f32, t, bt_f32_avx2),
+            bt_f64: bt_entry!(f64, t, bt_f64_avx2),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn avx512(t: Avx512) -> Kernels {
+        use kernel::x86::*;
+        Kernels {
+            isa: Isa::Avx512,
+            variant: "avx512",
+            tile_f32: tile_entry!(f32, t, tile_f32_avx512),
+            tile_f64: tile_entry!(f64, t, tile_f64_avx512),
+            acc_f32: acc_entry!(f32, t, acc_f32_avx512),
+            // One ymm covers the MR=8 accumulators of a column; the
+            // AVX2 kernel is already the right shape (and chain).
+            bt_f32: bt_entry!(f32, t.avx2(), bt_f32_avx2),
+            bt_f64: bt_entry!(f64, t, bt_f64_avx512),
+        }
+    }
+
+    #[cfg(target_arch = "aarch64")]
+    fn neon(t: Neon) -> Kernels {
+        use kernel::neon::*;
+        Kernels {
+            isa: Isa::Neon,
+            variant: "neon",
+            tile_f32: tile_entry!(f32, t, tile_f32_neon),
+            tile_f64: tile_entry!(f64, t, tile_f64_neon),
+            acc_f32: acc_entry!(f32, t, acc_f32_neon),
+            bt_f32: bt_entry!(f32, t, bt_f32_neon),
+            bt_f64: bt_entry!(f64, t, bt_f64_neon),
         }
     }
 }
 
-impl ComputeBackend for ScalarBackend {
+impl std::fmt::Debug for Kernels {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Kernels({}, {})", self.isa, self.variant)
+    }
+}
+
+impl ComputeBackend for Kernels {
     fn isa(&self) -> Isa {
-        Isa::Scalar
+        self.isa
     }
     fn tile_f32(&self) -> TileFn<f32> {
         self.tile_f32
@@ -293,115 +457,88 @@ impl ComputeBackend for ScalarBackend {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug)]
-struct Avx2Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl ComputeBackend for Avx2Backend {
-    fn isa(&self) -> Isa {
-        Isa::Avx2
-    }
-    fn tile_f32(&self) -> TileFn<f32> {
-        kernel::x86::tile_f32_avx2
-    }
-    fn tile_f64(&self) -> TileFn<f64> {
-        kernel::x86::tile_f64_avx2
-    }
-    fn acc_f32(&self) -> AccFn<f32> {
-        kernel::x86::acc_f32_avx2
-    }
-    fn bt_f32(&self) -> BtFn<f32> {
-        kernel::x86::bt_f32_avx2
-    }
-    fn bt_f64(&self) -> BtFn<f64> {
-        kernel::x86::bt_f64_avx2
-    }
+/// The kernel table of every ISA the running machine has, scalar
+/// first, detected once per process.
+fn detected() -> &'static [Kernels] {
+    static ALL: OnceLock<Vec<Kernels>> = OnceLock::new();
+    ALL.get_or_init(|| {
+        #[allow(unused_mut)] // only the scalar table off x86_64/aarch64
+        let mut all = vec![Kernels::scalar()];
+        #[cfg(target_arch = "x86_64")]
+        {
+            all.extend(Avx2::detect().map(Kernels::avx2));
+            all.extend(Avx512::detect().map(Kernels::avx512));
+        }
+        #[cfg(target_arch = "aarch64")]
+        all.extend(Neon::detect().map(Kernels::neon));
+        all
+    })
 }
-
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug)]
-struct Avx512Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl ComputeBackend for Avx512Backend {
-    fn isa(&self) -> Isa {
-        Isa::Avx512
-    }
-    fn tile_f32(&self) -> TileFn<f32> {
-        kernel::x86::tile_f32_avx512
-    }
-    fn tile_f64(&self) -> TileFn<f64> {
-        kernel::x86::tile_f64_avx512
-    }
-    fn acc_f32(&self) -> AccFn<f32> {
-        kernel::x86::acc_f32_avx512
-    }
-    fn bt_f32(&self) -> BtFn<f32> {
-        // One ymm covers the MR=8 accumulators of a column; the AVX2
-        // kernel is already the right shape (and chain).
-        kernel::x86::bt_f32_avx2
-    }
-    fn bt_f64(&self) -> BtFn<f64> {
-        kernel::x86::bt_f64_avx512
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[derive(Debug)]
-struct NeonBackend;
-
-#[cfg(target_arch = "aarch64")]
-impl ComputeBackend for NeonBackend {
-    fn isa(&self) -> Isa {
-        Isa::Neon
-    }
-    fn tile_f32(&self) -> TileFn<f32> {
-        kernel::neon::tile_f32_neon
-    }
-    fn tile_f64(&self) -> TileFn<f64> {
-        kernel::neon::tile_f64_neon
-    }
-    fn acc_f32(&self) -> AccFn<f32> {
-        kernel::neon::acc_f32_neon
-    }
-    fn bt_f32(&self) -> BtFn<f32> {
-        kernel::neon::bt_f32_neon
-    }
-    fn bt_f64(&self) -> BtFn<f64> {
-        kernel::neon::bt_f64_neon
-    }
-}
-
-static SCALAR: OnceLock<ScalarBackend> = OnceLock::new();
-#[cfg(target_arch = "x86_64")]
-static AVX2: Avx2Backend = Avx2Backend;
-#[cfg(target_arch = "x86_64")]
-static AVX512: Avx512Backend = Avx512Backend;
-#[cfg(target_arch = "aarch64")]
-static NEON: NeonBackend = NeonBackend;
 
 /// The forced-scalar reference backend.
 pub fn scalar_backend() -> &'static dyn ComputeBackend {
-    SCALAR.get_or_init(ScalarBackend::detect)
+    &detected()[0]
 }
 
 /// Backend for `isa`, or an error if the running machine lacks it.
 pub fn backend_for(isa: Isa) -> Result<&'static dyn ComputeBackend, BackendError> {
-    if !isa.available() {
-        return Err(BackendError::Unavailable(isa));
+    match detected().iter().find(|k| k.isa == isa) {
+        Some(k) => Ok(k),
+        None => Err(BackendError::Unavailable(isa)),
     }
-    Ok(match isa {
-        Isa::Scalar => scalar_backend(),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => &AVX2,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => &AVX512,
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => &NEON,
-        #[allow(unreachable_patterns)] // foreign-arch ISAs fail available() above
-        _ => unreachable!("ISA {isa} passed the availability check on an arch without it"),
-    })
+}
+
+/// Every instantiation of the element-wise row kernel the running CPU
+/// can execute, portable first, each named after its features (see
+/// [`crate::vmath::instantiations`]).
+pub(crate) fn row_op_instantiations<T: Scalar>() -> Vec<(&'static str, RowOpFn<T>)> {
+    #[allow(unused_mut)] // only the portable loop off x86_64
+    let mut out: Vec<(&'static str, RowOpFn<T>)> =
+        vec![("portable", leak(kernel::elementwise::row_op::<T>))];
+    #[cfg(target_arch = "x86_64")]
+    {
+        use kernel::elementwise::{row_op_avx2, row_op_avx512, row_op_fma};
+        if let Some(t) = Fma::detect() {
+            out.push((
+                "fma",
+                entry!(t, row_op_fma::<T>, |op: RowOp, row: &mut [T], bias: &[T]|),
+            ));
+        }
+        if let Some(t) = Avx2::detect() {
+            out.push((
+                "avx2",
+                entry!(t, row_op_avx2::<T>, |op: RowOp, row: &mut [T], bias: &[T]|),
+            ));
+        }
+        if let Some(t) = Avx512::detect() {
+            out.push((
+                "avx512",
+                entry!(t, row_op_avx512::<T>, |op: RowOp, row: &mut [T], bias: &[T]|),
+            ));
+        }
+    }
+    out
+}
+
+/// Every instantiation of the wire-codec pass the running CPU can
+/// execute, portable first (see [`crate::codec::instantiations`]).
+pub(crate) fn codec_instantiations() -> Vec<(&'static str, CodecFn)> {
+    #[allow(unused_mut)] // only the portable loop off x86_64
+    let mut out: Vec<(&'static str, CodecFn)> = vec![("portable", leak(kernel::codec::codec_pass))];
+    #[cfg(target_arch = "x86_64")]
+    {
+        use kernel::codec::{codec_pass_avx2, codec_pass_avx512};
+        if let Some(t) = Avx2::detect() {
+            out.push(("avx2", entry!(t, codec_pass_avx2, |pass: CodecPass<'_>|)));
+        }
+        if let Some(t) = Avx512::detect() {
+            out.push((
+                "avx512",
+                entry!(t, codec_pass_avx512, |pass: CodecPass<'_>|),
+            ));
+        }
+    }
+    out
 }
 
 /// Why a backend selection could not be honored.
@@ -710,31 +847,11 @@ mod tests {
     fn scalar_reference_runs_the_fma_instantiation_where_the_cpu_has_fma() {
         // The portable instantiation compiles each fused multiply-add
         // to a libm `fma` call on the x86-64 baseline, ~60x slower, and
-        // agrees bitwise, so only the kernel pointers can tell the two
+        // agrees bitwise, so only the table's variant tells the two
         // apart.
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("fma") {
-            let s = scalar_backend();
-            assert!(std::ptr::fn_addr_eq(
-                s.tile_f32(),
-                kernel::scalar::tile_fma::<f32> as TileFn<f32>
-            ));
-            assert!(std::ptr::fn_addr_eq(
-                s.tile_f64(),
-                kernel::scalar::tile_fma::<f64> as TileFn<f64>
-            ));
-            assert!(std::ptr::fn_addr_eq(
-                s.acc_f32(),
-                kernel::scalar::acc_fma::<f32> as AccFn<f32>
-            ));
-            assert!(std::ptr::fn_addr_eq(
-                s.bt_f32(),
-                kernel::scalar::bt_fma::<f32> as BtFn<f32>
-            ));
-            assert!(std::ptr::fn_addr_eq(
-                s.bt_f64(),
-                kernel::scalar::bt_fma::<f64> as BtFn<f64>
-            ));
+        if Fma::detect().is_some() {
+            assert_eq!(format!("{:?}", scalar_backend()), "Kernels(scalar, fma)");
         }
     }
 
@@ -766,10 +883,9 @@ mod tests {
 
     #[test]
     fn every_available_isa_runs_its_kernels() {
-        // `available()` must imply every CPU feature the ISA's kernels
-        // assert at entry (AVX2 needs FMA, AVX-512 borrows an AVX2
-        // kernel): a gap would panic here, not in a training run.
-        // Full parity coverage lives in tests/backend_parity.rs.
+        // Each listed ISA's table runs (AVX-512 borrows an AVX2
+        // kernel). Full parity coverage lives in
+        // tests/backend_parity.rs.
         for isa in available_isas() {
             let backend = backend_for(isa).expect("listed as available");
             assert_eq!(backend.isa(), isa);

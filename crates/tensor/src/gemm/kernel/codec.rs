@@ -5,15 +5,19 @@
 //! ([`codec_pass`]) is compiled several times. The portable
 //! instantiation is the reference and already vectorizes on the
 //! `x86-64` baseline (SSE2); on x86_64 the same loop is inlined into
-//! functions with `avx2` and `avx512f` enabled, where LLVM runs it 8
-//! and 16 lanes wide. Every lane is a fixed sequence of IEEE and
+//! safe `#[target_feature]` fns with `avx2` and `avx512f` enabled, each
+//! taking its ISA token, where LLVM runs it 8 and 16 lanes wide. Every lane is a fixed sequence of IEEE and
 //! integer operations with no data-dependent branch — each lane
 //! computes every candidate result and selects one — so all
 //! instantiations agree bitwise; [`crate::codec::instantiations`]
 //! lists the ones the CPU can run.
 
+#[cfg(target_arch = "x86_64")]
+use crate::gemm::backend::{Avx2, Avx512};
+
 /// One pass over a chunk of a collective's payload. Slices pair up
-/// element by element; a pass touches the shorter of its two.
+/// element by element, and a pass with `src` and `out` of different
+/// lengths panics.
 pub enum CodecPass<'a> {
     /// The largest `|x|` of `src` as its bit pattern (0 when empty).
     /// The integer orders like the float it encodes, and every
@@ -167,8 +171,22 @@ fn quantize(src: &[f32], scale: f32, out: &mut [i8]) {
     }
 }
 
+/// `out`, checked to pair up with `src` element by element.
+#[inline(always)]
+fn paired<'a, S, T>(src: &[S], out: &'a mut [T]) -> &'a mut [T] {
+    assert_eq!(
+        src.len(),
+        out.len(),
+        "codec pass: src and out lengths differ"
+    );
+    out
+}
+
 /// Reference codec pass ([`crate::codec::CodecFn`] shape), portable
 /// instantiation.
+///
+/// # Panics
+/// If `src` and `out` differ in length.
 #[inline(always)]
 pub fn codec_pass(pass: CodecPass<'_>) {
     match pass {
@@ -178,18 +196,18 @@ pub fn codec_pass(pass: CodecPass<'_>) {
                 .fold(0u32, |m, x| m.max(x.to_bits() & 0x7fff_ffff));
         }
         CodecPass::F16Encode { src, out } => {
-            for (h, &x) in out.iter_mut().zip(src) {
+            for (h, &x) in paired(src, out).iter_mut().zip(src) {
                 *h = f16_from_f32(x);
             }
         }
         CodecPass::F16Decode { src, out } => {
-            for (x, &h) in out.iter_mut().zip(src) {
+            for (x, &h) in paired(src, out).iter_mut().zip(src) {
                 *x = f16_to_f32(h);
             }
         }
-        CodecPass::I8Quantize { src, scale, out } => quantize(src, scale, out),
+        CodecPass::I8Quantize { src, scale, out } => quantize(src, scale, paired(src, out)),
         CodecPass::I8Decode { src, scale, out } => {
-            for (x, &q) in out.iter_mut().zip(src) {
+            for (x, &q) in paired(src, out).iter_mut().zip(src) {
                 *x = f32::from(q) * scale;
             }
         }
@@ -198,31 +216,15 @@ pub fn codec_pass(pass: CodecPass<'_>) {
 
 /// [`codec_pass`] compiled for 256-bit AVX2 registers.
 #[cfg(target_arch = "x86_64")]
-pub fn codec_pass_avx2(pass: CodecPass<'_>) {
-    kernel_precondition!(is_x86_feature_detected!("avx2"), "avx2 not available");
-    // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { codec_pass_avx2_imp(pass) }
-}
-
-// kernel-contract: requires target_feature(avx2)
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn codec_pass_avx2_imp(pass: CodecPass<'_>) {
+pub fn codec_pass_avx2(_: Avx2, pass: CodecPass<'_>) {
     codec_pass(pass);
 }
 
 /// [`codec_pass`] compiled for 512-bit AVX-512 registers.
 #[cfg(target_arch = "x86_64")]
-pub fn codec_pass_avx512(pass: CodecPass<'_>) {
-    kernel_precondition!(is_x86_feature_detected!("avx512f"), "avx512f not available");
-    // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { codec_pass_avx512_imp(pass) }
-}
-
-// kernel-contract: requires target_feature(avx512f)
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn codec_pass_avx512_imp(pass: CodecPass<'_>) {
+pub fn codec_pass_avx512(_: Avx512, pass: CodecPass<'_>) {
     codec_pass(pass);
 }
 

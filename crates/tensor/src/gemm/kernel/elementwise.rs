@@ -3,8 +3,9 @@
 //!
 //! Like [`super::scalar`], one `#[inline(always)]` loop ([`row_op`])
 //! is compiled several times. The portable instantiation is the
-//! reference; on x86_64 the same loop is inlined into functions with
-//! `fma`, `avx2,fma` and `avx512f,fma` enabled, where each
+//! reference; on x86_64 the same loop is inlined into safe
+//! `#[target_feature]` fns with `fma`, `avx2,fma` and `avx512f,fma`
+//! enabled, each taking the ISA token that proves them, where each
 //! [`crate::scalar::Scalar::fma`] step of [`crate::vmath`]'s `exp` is
 //! one `vfmadd` and LLVM vectorizes the loop across elements. The
 //! elements are independent and each lane runs the same IEEE
@@ -12,6 +13,8 @@
 //! [`crate::vmath::instantiations`] lists the ones the CPU can run and
 //! picks among them.
 
+#[cfg(target_arch = "x86_64")]
+use crate::gemm::backend::{Avx2, Avx512, Fma};
 use crate::scalar::Scalar;
 use crate::vmath::RowOp;
 
@@ -37,8 +40,10 @@ fn tanh<T: Scalar>(z: T) -> T {
 }
 
 /// Reference row kernel ([`crate::vmath::RowOpFn`] shape), portable
-/// instantiation. `bias` is read only by the bias passes, which need it
-/// at least as long as `row`.
+/// instantiation. `bias` is read only by the bias passes.
+///
+/// # Panics
+/// If a bias pass gets a `bias` shorter than `row`.
 #[inline(always)]
 pub fn row_op<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
     match op {
@@ -48,11 +53,13 @@ pub fn row_op<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
             }
         }
         RowOp::BiasSigmoid => {
+            let bias = &bias[..row.len()];
             for (v, &b) in row.iter_mut().zip(bias) {
                 *v = sigmoid(*v + b);
             }
         }
         RowOp::BiasTanh => {
+            let bias = &bias[..row.len()];
             for (v, &b) in row.iter_mut().zip(bias) {
                 *v = tanh(*v + b);
             }
@@ -62,52 +69,22 @@ pub fn row_op<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
 
 /// [`row_op`] compiled with the scalar FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
-pub fn row_op_fma<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
-    kernel_precondition!(is_x86_feature_detected!("fma"), "fma not available");
-    // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { row_op_fma_imp(op, row, bias) }
-}
-
-// kernel-contract: requires target_feature(fma)
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn row_op_fma_imp<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
+pub fn row_op_fma<T: Scalar>(_: Fma, op: RowOp, row: &mut [T], bias: &[T]) {
     row_op(op, row, bias);
 }
 
 /// [`row_op`] compiled for 256-bit AVX2 registers with FMA.
 #[cfg(target_arch = "x86_64")]
-pub fn row_op_avx2<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
-    kernel_precondition!(
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
-        "avx2/fma not available"
-    );
-    // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { row_op_avx2_imp(op, row, bias) }
-}
-
-// kernel-contract: requires target_feature(avx2, fma)
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn row_op_avx2_imp<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
+pub fn row_op_avx2<T: Scalar>(_: Avx2, op: RowOp, row: &mut [T], bias: &[T]) {
     row_op(op, row, bias);
 }
 
 /// [`row_op`] compiled for 512-bit AVX-512 registers with FMA.
 #[cfg(target_arch = "x86_64")]
-pub fn row_op_avx512<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
-    kernel_precondition!(
-        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma"),
-        "avx512f/fma not available"
-    );
-    // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { row_op_avx512_imp(op, row, bias) }
-}
-
-// kernel-contract: requires target_feature(avx512f, fma)
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-unsafe fn row_op_avx512_imp<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
+pub fn row_op_avx512<T: Scalar>(_: Avx512, op: RowOp, row: &mut [T], bias: &[T]) {
     row_op(op, row, bias);
 }
 

@@ -21,32 +21,16 @@
 //! [`crate::vmath`], one loop instantiated per ISA; [`codec`] does the
 //! same for the wire codecs of [`crate::codec`].
 //!
-//! These submodules are the **only** place in the workspace where
-//! `unsafe` is permitted (lint rule `l7-unsafe-outside-kernel`): the
-//! SIMD kernels need raw intrinsics, and everything they touch is
-//! bounds-asserted in a safe wrapper first.
-
-/// Kernel-zone precondition: an always-on assert in a standardized
-/// shape that `pdnn-kernelcheck` parses as the machine-checkable
-/// guarantee backing a `// kernel-contract:` annotation.
-///
-/// The first argument must be either a slice-length bound
-/// (`<slice>.len() >= <expr>`), a micro-tile bound (`x <= MR`), or a
-/// runtime CPU-feature check (`is_x86_feature_detected!("...")`
-/// conjunction) — the forms the checker knows how to match against
-/// declared contracts. Using one macro for both the debug-build story
-/// and the static pass keeps the contract text in a single place: a
-/// kernel entry point whose declared contract is not backed by a
-/// `kernel_precondition!` (or by the parameter's own type) is a
-/// `k5-wrapper-precondition` finding.
-///
-/// Cost: a handful of integer compares per micro-panel call, noise
-/// next to the `MR x NR x kc` FLOP loop each call performs.
-macro_rules! kernel_precondition {
-    ($cond:expr, $($msg:tt)+) => {
-        assert!($cond, $($msg)+)
-    };
-}
+//! Every kernel is safe Rust over slices. The SIMD ones are
+//! `#[target_feature]` fns whose intrinsics need no `unsafe`; each
+//! takes the zero-sized ISA token that proves the CPU has its features
+//! ([`crate::gemm::backend`] constructs the tokens and makes the one
+//! `unsafe` call per dispatch entry). Their loads and stores go through
+//! one small `mem` module per ISA — a whole register to or from a
+//! fixed-size array, or the first `len().min(W)` lanes of a slice —
+//! and those modules hold the only `unsafe` blocks here (lint rule
+//! `l7-unsafe-outside-kernel`). An index past a panel or a C tile
+//! panics; it cannot read or write outside the slice.
 
 pub mod codec;
 pub mod elementwise;
@@ -58,17 +42,30 @@ pub mod x86;
 #[cfg(target_arch = "aarch64")]
 pub mod neon;
 
-/// Live columns of a register group that starts at tile column
-/// `start` when the tile's live columns are `0..cols`: `cols - start`,
-/// or zero for a group wholly past the edge. Callers clamp it to the
-/// register width.
+use super::{MR, NR};
+
+/// The first `kc` rows of a packed panel (`kk`-major, `N` values a
+/// row) as fixed-size arrays, so a loop over them indexes nothing it
+/// has to check.
 ///
-/// `pdnn-kernelcheck` reads `lanes(cols, start)` as "columns below
-/// `cols`": a masked access whose mask is built from it, or a lane
-/// loop it bounds, touches at most `cols - start` elements from the
-/// group's first column.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+/// # Panics
+/// If the panel is shorter than `kc` rows.
 #[inline(always)]
-fn lanes(cols: usize, start: usize) -> usize {
-    cols.saturating_sub(start)
+fn rows<T, const N: usize>(panel: &[T], kc: usize) -> &[[T; N]] {
+    &panel.as_chunks().0[..kc]
+}
+
+/// The `kc` steps of a micro-panel pair: step `kk` is row `kk` of the
+/// A panel (`MR` values, one per tile row) and of the B panel (`NR`
+/// values, one per tile column).
+///
+/// # Panics
+/// If either panel is shorter than `kc` steps.
+#[inline(always)]
+fn steps<'a, T>(
+    kc: usize,
+    ap: &'a [T],
+    bp: &'a [T],
+) -> impl Iterator<Item = (&'a [T; MR], &'a [T; NR])> {
+    rows(ap, kc).iter().zip(rows(bp, kc))
 }

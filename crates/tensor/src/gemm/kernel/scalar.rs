@@ -13,16 +13,20 @@
 //!   libm, exactly rounded but ~60x slower than the hardware
 //!   instruction; aarch64 lowers it to `fmadd` natively.
 //! * [`tile_fma`] / [`bt_fma`] (x86_64) — the same loop
-//!   (`#[inline(always)]`) inlined into a `#[target_feature(enable = "fma")]` function, where `fma`
-//!   is one `vfmadd` and LLVM autovectorizes the `j` lanes. This is
-//!   what keeps the forced-scalar backend fast enough to be the
-//!   determinism oracle of whole training runs;
-//!   [`crate::gemm::backend`] picks it from CPUID.
+//!   (`#[inline(always)]`) inlined into a safe
+//!   `#[target_feature(enable = "fma")]` fn that takes the
+//!   [`Fma`] token, where `fma` is one `vfmadd` and LLVM
+//!   autovectorizes the `j` lanes. This is what keeps the
+//!   forced-scalar backend fast enough to be the determinism oracle of
+//!   whole training runs; [`crate::gemm::backend`] picks it from
+//!   CPUID.
 
-use crate::scalar::Scalar;
-
+use super::{rows, steps};
+#[cfg(target_arch = "x86_64")]
+use crate::gemm::backend::Fma;
 use crate::gemm::backend::Merge;
 use crate::gemm::{BT_COLS, MR, NR};
+use crate::scalar::Scalar;
 
 /// Reference micro-tile kernel ([`crate::gemm::backend::TileFn`]
 /// shape), portable instantiation.
@@ -44,12 +48,9 @@ pub fn tile<T: Scalar>(
     mr_eff: usize,
     nr_eff: usize,
 ) {
-    kernel_precondition!(mr_eff <= MR && nr_eff <= NR, "tile: tile overrun");
+    assert!(mr_eff <= MR && nr_eff <= NR, "tile: tile overrun");
     let mut sums = [[T::ZERO; NR]; MR];
-    for (a_row, b_row) in ap[..kc * MR]
-        .chunks_exact(MR)
-        .zip(bp[..kc * NR].chunks_exact(NR))
-    {
+    for (a_row, b_row) in steps(kc, ap, bp) {
         for i in 0..MR {
             let ai = a_row[i];
             let row = &mut sums[i];
@@ -82,6 +83,7 @@ pub fn tile<T: Scalar>(
 
 /// [`crate::gemm::backend::AccFn`] view of [`tile`]: the whole tile in
 /// overwrite mode, `acc` standing in for C.
+#[inline(always)]
 pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
     tile(
         kc,
@@ -105,10 +107,10 @@ pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
 /// hides the FMA latency a single column would serialize on.
 #[inline(always)]
 pub fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]) {
-    let b = b.map(|row| &row[..kc]);
-    for (kk, a_row) in ap[..kc * MR].chunks_exact(MR).enumerate() {
-        for (col, row) in acc.iter_mut().zip(b) {
-            let bv = row[kk];
+    let [b0, b1, b2, b3] = b.map(|row| &row[..kc]);
+    let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
+    for ((((a_row, &x0), &x1), &x2), &x3) in steps {
+        for (col, bv) in acc.iter_mut().zip([x0, x1, x2, x3]) {
             for i in 0..MR {
                 col[i] = a_row[i].fma(bv, col[i]);
             }
@@ -119,27 +121,9 @@ pub fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]
 /// [`tile`] compiled with the hardware FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-pub fn tile_fma<T: Scalar>(
-    kc: usize,
-    ap: &[T],
-    bp: &[T],
-    alpha: T,
-    merge: Merge<T>,
-    c: &mut [T],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    kernel_precondition!(is_x86_feature_detected!("fma"), "fma not available");
-    // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { tile_fma_imp(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff) }
-}
-
-// kernel-contract: requires target_feature(fma)
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "fma")]
-unsafe fn tile_fma_imp<T: Scalar>(
+pub fn tile_fma<T: Scalar>(
+    _: Fma,
     kc: usize,
     ap: &[T],
     bp: &[T],
@@ -154,34 +138,18 @@ unsafe fn tile_fma_imp<T: Scalar>(
     tile(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
 }
 
-/// [`acc`] over [`tile_fma`].
+/// [`acc`] compiled with the hardware FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
-pub fn acc_fma<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
-    tile_fma(
-        kc,
-        ap,
-        bp,
-        T::ONE,
-        Merge::Overwrite,
-        acc.as_flattened_mut(),
-        NR,
-        MR,
-        NR,
-    );
+#[target_feature(enable = "fma")]
+pub fn acc_fma<T: Scalar>(_: Fma, kc: usize, ap: &[T], bp: &[T], out: &mut [[T; NR]; MR]) {
+    acc(kc, ap, bp, out);
 }
 
 /// [`bt`] compiled with the hardware FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
-pub fn bt_fma<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]) {
-    kernel_precondition!(is_x86_feature_detected!("fma"), "fma not available");
-    // SAFETY: CPU support asserted above; the operands are safe slices.
-    unsafe { bt_fma_imp(kc, ap, b, acc) }
-}
-
-// kernel-contract: requires target_feature(fma)
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn bt_fma_imp<T: Scalar>(
+pub fn bt_fma<T: Scalar>(
+    _: Fma,
     kc: usize,
     ap: &[T],
     b: [&[T]; BT_COLS],
@@ -340,6 +308,8 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     fn fma_matches_portable<T: Scalar>() {
+        let fast_tile = T::tile_kernel(crate::gemm::scalar_backend());
+        let fast_bt = T::bt_kernel(crate::gemm::scalar_backend());
         for kc in [0usize, 1, 3, 17, 64] {
             // Non-round values so a differently rounded step shows up.
             let ap: Vec<T> = (0..kc * MR)
@@ -356,7 +326,7 @@ mod tests {
             ] {
                 let alpha = T::from_f64(1.1);
                 let (mut fast, mut want) = (c0.clone(), c0.clone());
-                tile_fma(kc, &ap, &bp, alpha, merge, &mut fast, NR, MR - 1, NR - 3);
+                fast_tile(kc, &ap, &bp, alpha, merge, &mut fast, NR, MR - 1, NR - 3);
                 tile(kc, &ap, &bp, alpha, merge, &mut want, NR, MR - 1, NR - 3);
                 assert_eq!(fast, want, "tile kc={kc} {merge:?}");
             }
@@ -364,7 +334,7 @@ mod tests {
             let b: [&[T]; BT_COLS] = std::array::from_fn(|c| &bp[c * kc..(c + 1) * kc]);
             let mut fast = [[T::ONE; MR]; BT_COLS];
             let mut want = fast;
-            bt_fma(kc, &ap, b, &mut fast);
+            fast_bt(kc, &ap, b, &mut fast);
             bt(kc, &ap, b, &mut want);
             assert_eq!(fast, want, "bt kc={kc}");
         }
@@ -373,7 +343,8 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn fma_instantiation_bitwise_matches_portable() {
-        if is_x86_feature_detected!("fma") {
+        // The scalar backend runs the FMA instantiation on this CPU.
+        if Fma::detect().is_some() {
             fma_matches_portable::<f32>();
             fma_matches_portable::<f64>();
         }

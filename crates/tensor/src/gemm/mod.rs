@@ -67,7 +67,7 @@
 
 pub mod backend;
 mod driver;
-pub mod kernel;
+pub(crate) mod kernel;
 pub mod naive;
 pub mod op;
 pub mod pack;

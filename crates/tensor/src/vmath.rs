@@ -42,7 +42,6 @@
 //! rounded `fma`, which returns the same bits as the instruction.)
 
 use crate::gemm::backend::Isa;
-use crate::gemm::kernel;
 use crate::scalar::Scalar;
 
 /// Which element-wise pass a row kernel runs.
@@ -56,8 +55,9 @@ pub enum RowOp {
     BiasTanh,
 }
 
-/// One instantiation of the element-wise row kernel.
-pub type RowOpFn<T> = fn(op: RowOp, row: &mut [T], bias: &[T]);
+/// One instantiation of the element-wise row kernel,
+/// `(op, row, bias)`.
+pub type RowOpFn<T> = &'static (dyn Fn(RowOp, &mut [T], &[T]) + Send + Sync);
 
 // Cephes `expf`: reduction constants and the polynomial of
 // `(exp(r) − 1 − r) / r²` on `|r| ≤ ln 2 / 2`.
@@ -236,23 +236,10 @@ pub fn bias_tanh<T: Scalar>(row: &mut [T], bias: &[T]) {
 
 /// Every instantiation of the row kernel the running CPU can execute,
 /// portable first, each named after the features it is compiled for.
-/// A feature-gated one is listed only after its features are probed.
+/// A feature-gated one is listed only with the ISA token its features
+/// were detected into ([`crate::gemm::backend`]).
 pub fn instantiations<T: Scalar>() -> Vec<(&'static str, RowOpFn<T>)> {
-    let mut out: Vec<(&'static str, RowOpFn<T>)> =
-        vec![("portable", kernel::elementwise::row_op::<T>)];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("fma") {
-            out.push(("fma", kernel::elementwise::row_op_fma::<T>));
-            if is_x86_feature_detected!("avx2") {
-                out.push(("avx2", kernel::elementwise::row_op_avx2::<T>));
-            }
-            if is_x86_feature_detected!("avx512f") {
-                out.push(("avx512", kernel::elementwise::row_op_avx512::<T>));
-            }
-        }
-    }
-    out
+    crate::gemm::backend::row_op_instantiations()
 }
 
 /// Name of the instantiation for a backend ISA: the one of the same
@@ -268,10 +255,11 @@ fn instantiation_for(isa: Isa) -> &'static str {
 /// The instantiation for a backend ISA (portable if the CPU lacks it).
 pub(crate) fn select<T: Scalar>(isa: Isa) -> RowOpFn<T> {
     let want = instantiation_for(isa);
-    instantiations::<T>()
-        .into_iter()
+    let all = instantiations::<T>();
+    let portable = all[0].1;
+    all.into_iter()
         .find(|(name, _)| *name == want)
-        .map_or(kernel::elementwise::row_op::<T>, |(_, f)| f)
+        .map_or(portable, |(_, f)| f)
 }
 
 #[cfg(test)]

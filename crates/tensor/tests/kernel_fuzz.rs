@@ -13,11 +13,11 @@
 //! and must match the forced-scalar reference bit for bit, in both
 //! precisions.
 //!
-//! This is the dynamic complement to `pdnn-kernelcheck`: the static
-//! pass proves the accesses are in bounds under the contracts; this
-//! sweep checks the *values* those accesses produce on exactly the
-//! shapes where a masked out-of-bounds read or a short tail loop
-//! would still yield a wrong-but-in-bounds answer.
+//! The kernels are safe Rust, so an access past a panel or C tile
+//! panics (`kernel_bounds.rs` checks that at every entry); this sweep
+//! checks the *values* the in-bounds accesses produce, on exactly the
+//! shapes where a mask one lane off or a short tail loop would still
+//! yield a wrong-but-in-bounds answer.
 
 use pdnn_tensor::gemm::{
     available_isas, backend_for, scalar_backend, GemmContext, GemmOp, PackedA, PackedB, Trans, MR,

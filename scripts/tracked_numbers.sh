@@ -36,12 +36,12 @@ mapfile -t core < <(files 'crates/core/src/*.rs')
 echo "workspace non-test .rs lines: $(nontest "${workspace[@]}")"
 echo "pdnn-core non-test lines: $(nontest "${core[@]}")"
 
-# The three checker crates: every tracked `.rs` line (src, tests,
+# The two checker crates: every tracked `.rs` line (src, tests,
 # benches), and the non-test lines of their sources.
 all=0
 src=0
 parts=()
-for c in lint protomc kernelcheck; do
+for c in lint protomc; do
   mapfile -t every < <(files "crates/$c/*.rs")
   mapfile -t srcs < <(sources "crates/$c/*.rs")
   n=$(total "${every[@]}")

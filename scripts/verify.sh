@@ -112,35 +112,9 @@ ring_out="$(cargo run -q --release --bin pdnn-train -- --workers 4 --sync ring -
 echo "$ring_out" | grep -q "peer ranks, ring allreduce sync" \
   || { echo "pdnn-train --sync ring did not run in masterless ring mode" >&2; exit 1; }
 
-echo "== kernel safety: pdnn-kernelcheck static + mutation self-test =="
-cargo run -q -p pdnn-kernelcheck -- --static --mutations
-# The report is an acceptance artifact: the clean tree must verify
-# with zero findings and zero waivers, every unsafe site covered by a
-# verified contract, and the full mutation battery caught.
-kc_report=results/kernelcheck_report.json
-grep -q '"findings": 0,' "$kc_report" \
-  || { echo "kernelcheck report shows findings" >&2; exit 1; }
-grep -q '"suppressed": 0,' "$kc_report" \
-  || { echo "kernelcheck report shows waivers; the kernel zone must verify without allows" >&2; exit 1; }
-grep -q '"meta": 0,' "$kc_report" \
-  || { echo "kernelcheck report shows suppression-directive problems" >&2; exit 1; }
-kc_sites="$(sed -n 's/.*"unsafe_sites": \([0-9]*\),.*/\1/p' "$kc_report")"
-kc_covered="$(sed -n 's/.*"covered": \([0-9]*\),.*/\1/p' "$kc_report")"
-# 36 = 18 unsafe kernels (7 x86, 4 NEON, 2 fma-enabled scalar
-# instantiations, 3 element-wise instantiations: fma, avx2, avx512,
-# 2 wire-codec instantiations: avx2, avx512) plus the unsafe block in
-# each one's safe wrapper.
-[ -n "$kc_sites" ] && [ "$kc_sites" -ge 36 ] && [ "$kc_sites" = "$kc_covered" ] \
-  || { echo "kernelcheck coverage gap: $kc_covered/$kc_sites unsafe sites covered (need all of >= 36)" >&2; exit 1; }
-kc_muts="$(sed -n 's/.*"mutations": \([0-9]*\),.*/\1/p' "$kc_report")"
-kc_caught="$(sed -n 's/.*"caught": \([0-9]*\),.*/\1/p' "$kc_report")"
-[ -n "$kc_muts" ] && [ "$kc_muts" -ge 37 ] && [ "$kc_caught" = "$kc_muts" ] \
-  || { echo "kernelcheck mutation self-test: $kc_caught/$kc_muts caught (need all of >= 37)" >&2; exit 1; }
-echo "kernelcheck: $kc_covered/$kc_sites sites covered, $kc_caught/$kc_muts mutations caught"
-
 echo "== kernel safety: miri (pack / tail / scalar-kernel tests) =="
 # Miri interprets the safe packing and scalar-kernel paths with full
-# UB checking. SIMD wrapper tests are excluded by the filters (runtime
+# UB checking. SIMD kernel tests are excluded by the filters (runtime
 # CPU detection and vendor intrinsics are outside Miri's remit).
 if cargo +nightly miri --version >/dev/null 2>&1; then
   cargo +nightly miri test -q -p pdnn-tensor --lib -- \
@@ -151,10 +125,12 @@ else
 fi
 
 echo "== kernel safety: AddressSanitizer smoke (parity + fuzz sweeps) =="
-# ASan catches any out-of-bounds the static contracts might have
-# missed, on exactly the adversarial shapes the fuzz sweep and the
-# wire-codec parity sweep drive through every ISA. Separate target dir
-# so sanitized artifacts never mix with the normal cache.
+# The kernels are safe Rust; their `unsafe` is the per-ISA `mem`
+# loads and stores and the token-guarded dispatch calls (lint l7).
+# ASan catches any out-of-bounds access those might still make, on
+# exactly the adversarial shapes the fuzz sweep and the wire-codec
+# parity sweep drive through every ISA. Separate target dir so
+# sanitized artifacts never mix with the normal cache.
 if [ "$(uname -m)" = "x86_64" ] && cargo +nightly --version >/dev/null 2>&1; then
   RUSTFLAGS="-Zsanitizer=address" CARGO_TARGET_DIR=target/asan \
     cargo +nightly test -q -p pdnn-tensor --test backend_parity --test kernel_fuzz \
