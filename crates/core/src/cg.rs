@@ -173,6 +173,12 @@ impl CgSolver {
     /// and `shift` is σ (the damping λ plus any L2 weight; σ is applied
     /// in `f32`).
     ///
+    /// `d0 = None` is a cold start from `d = 0`. Its first residual is
+    /// `g` itself, formed as `g + 0.0` (the bits a product of exact
+    /// zeros gives), so it costs no curvature product and, on a rank
+    /// that owns part of the range, no gather. Every owner must make
+    /// the same choice, since each product is a collective.
+    ///
     /// `precond`, when given, is the diagonal of the preconditioner
     /// `M`; CG then solves the implicitly transformed system (standard
     /// PCG with `z = M⁻¹ r`). The paper's implementation "currently
@@ -204,7 +210,7 @@ impl CgSolver {
     pub fn solve<O: CgOperator>(
         &mut self,
         g: &[f32],
-        d0: &[f32],
+        d0: Option<&[f32]>,
         op: &mut O,
         shift: f64,
         precond: Option<&[f32]>,
@@ -216,7 +222,9 @@ impl CgSolver {
         let range = op.cg_range(n);
         let g = &g[range.clone()];
         let len = g.len();
-        assert_eq!(d0.len(), len, "cg: d0 length mismatch");
+        if let Some(d0) = d0 {
+            assert_eq!(d0.len(), len, "cg: d0 length mismatch");
+        }
         assert!(config.max_iters >= 1, "cg: max_iters must be >= 1");
         assert!(config.store_gamma > 1.0, "cg: store_gamma must exceed 1");
         if let Some(m) = precond {
@@ -244,12 +252,25 @@ impl CgSolver {
         };
 
         let mut d = op.lease(len);
-        d.copy_from_slice(d0);
         // r = (G + σI) d + g
-        let mut r = apply_a(op, &d);
-        for ((ri, &di), &gi) in r.iter_mut().zip(&d).zip(g) {
-            *ri = (sigma * di + *ri) + gi;
-        }
+        let mut r = match d0 {
+            Some(d0) => {
+                d.copy_from_slice(d0);
+                let mut r = apply_a(op, &d);
+                for ((ri, &di), &gi) in r.iter_mut().zip(&d).zip(g) {
+                    *ri = (sigma * di + *ri) + gi;
+                }
+                r
+            }
+            None => {
+                d.fill(0.0);
+                let mut r = op.lease(len);
+                for (ri, &gi) in r.iter_mut().zip(g) {
+                    *ri = gi + 0.0;
+                }
+                r
+            }
+        };
         // z = M⁻¹ r (kept only under a preconditioner; otherwise z is r);
         // p = −z.
         let mut z = Vec::new();
@@ -410,7 +431,7 @@ mod tests {
         config: &CgConfig,
         recorder: &dyn Recorder,
     ) -> CgResult {
-        CgSolver::new(*config).solve(g, d0, &mut Fresh(apply_g), shift, precond, recorder)
+        CgSolver::new(*config).solve(g, Some(d0), &mut Fresh(apply_g), shift, precond, recorder)
     }
 
     /// Unshifted, unpreconditioned solve under the default config.
@@ -486,6 +507,62 @@ mod tests {
             }
         }
         (0..n).map(|i| m[i][n] / m[i][i]).collect()
+    }
+
+    /// A shifted solve of `a` from `d0`: the result, the quadratic
+    /// history and the number of curvature products.
+    fn counted_solve(
+        a: &[Vec<f64>],
+        g: &[f32],
+        d0: Option<&[f32]>,
+        config: CgConfig,
+    ) -> (CgResult, Vec<f64>, usize) {
+        let mut products = 0;
+        let mut apply = dense_apply(a);
+        let mut op = Fresh(|v: &[f32]| {
+            products += 1;
+            apply(v)
+        });
+        let mut solver = CgSolver::new(config);
+        let result = solver.solve(g, d0, &mut op, 0.25, None, &NullRecorder);
+        (result, solver.q_hist, products)
+    }
+
+    #[test]
+    fn cold_start_skips_the_zero_product_and_keeps_every_bit() {
+        let n = 16;
+        let a = spd_matrix(n, 5);
+        let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).cos() - 0.2).collect();
+        let cfg = CgConfig {
+            max_iters: 40,
+            min_iters: 1,
+            epsilon: 1e-9,
+            store_gamma: 1.3,
+        };
+        let (cold, cold_q, cold_products) = counted_solve(&a, &g, None, cfg);
+        let zeros = vec![0.0f32; n];
+        let (warm, warm_q, warm_products) = counted_solve(&a, &g, Some(&zeros), cfg);
+        // One product per iteration; the explicit zero start pays one
+        // more for its first residual.
+        assert!(cold.iters > 1);
+        assert_eq!(cold_products, cold.iters);
+        assert_eq!(warm_products, cold_products + 1);
+        let bits = |r: &CgResult| -> Vec<(usize, u64, Vec<u32>)> {
+            r.iterates
+                .iter()
+                .map(|it| {
+                    (
+                        it.iter,
+                        it.q.to_bits(),
+                        it.d.iter().map(|x| x.to_bits()).collect(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(bits(&cold), bits(&warm));
+        assert_eq!(cold.stop, warm.stop);
+        let q_bits = |q: &[f64]| q.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+        assert_eq!(q_bits(&cold_q), q_bits(&warm_q));
     }
 
     #[test]

@@ -242,13 +242,10 @@ impl HfOptimizer {
 
         let lambda = self.damping.lambda();
         rec.gauge_set("lambda", lambda);
-        let d0 = if self.momentum {
-            std::mem::take(&mut self.d0)
-        } else {
-            let mut zeros = problem.lease(own.len());
-            zeros.fill(0.0);
-            zeros
-        };
+        // The momentum direction, or a cold start from d = 0. The flag
+        // is replicated, so every rank takes the same branch and the
+        // ring's collectives stay matched.
+        let d0 = self.momentum.then(|| std::mem::take(&mut self.d0));
         // Optional Martens preconditioner: M = (diag(Fisher) + λ)^ξ,
         // formed in the diagonal's own buffer.
         let precond = match self.config.preconditioner {
@@ -265,13 +262,13 @@ impl HfOptimizer {
         // CG's shift: damping plus the exact curvature of the L2 penalty.
         let cg = self.cg.solve(
             &g,
-            &d0,
+            d0.as_deref(),
             &mut GnOperator(problem),
             lambda + l2,
             precond.as_deref(),
             rec.as_ref(),
         );
-        problem.give_back(d0);
+        problem.give_back(d0.unwrap_or_default());
         problem.give_back(precond.unwrap_or_default());
         let q_final = cg.final_q();
 

@@ -72,9 +72,8 @@ fn solve(
     precond: Option<&[f32]>,
     g: &[f32],
 ) -> (CgResult, u64) {
-    let d0 = vec![0.0f32; g.len()];
     let before = alloc_count::allocs();
-    let result = solver.solve(g, &d0, op, 0.5, precond, &NullRecorder);
+    let result = solver.solve(g, None, op, 0.5, precond, &NullRecorder);
     let allocs = alloc_count::allocs() - before;
     (result, allocs)
 }

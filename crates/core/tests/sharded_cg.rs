@@ -113,7 +113,7 @@ fn sliced_solves(ranks: usize, config: CgConfig, precond: bool) -> Vec<(CgResult
         let mut op = Sliced { a: &a, comm };
         let result = CgSolver::new(config).solve(
             &gradient(),
-            &d0[own.clone()],
+            Some(&d0[own.clone()]),
             &mut op,
             0.5,
             m,
@@ -140,7 +140,7 @@ fn whole_solve(config: CgConfig, precond: bool) -> CgResult {
     let m = precond.then_some(&m[..]);
     CgSolver::new(config).solve(
         &gradient(),
-        &warm_start(),
+        Some(&warm_start()),
         &mut Whole(&a),
         0.5,
         m,
