@@ -49,39 +49,6 @@ pub fn push_findings(out: &mut String, findings: &[Finding]) {
     out.push(']');
 }
 
-/// Append a compact JSON array of strings.
-pub fn push_str_list(out: &mut String, items: &[String]) {
-    out.push('[');
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", esc(s));
-    }
-    out.push(']');
-}
-
-/// Append a compact JSON array of suppression objects
-/// (`{"rule":…,"path":…,"line":…,"reason":…}`) from the
-/// `(finding, reason)` pairs the checkers collect.
-pub fn push_suppressions(out: &mut String, suppressed: &[(Finding, String)]) {
-    out.push('[');
-    for (i, (f, reason)) in suppressed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"reason\":\"{}\"}}",
-            esc(f.rule),
-            esc(&f.path),
-            f.line,
-            esc(reason),
-        );
-    }
-    out.push(']');
-}
-
 /// Write a rendered report under `<root>/results/<file_name>`,
 /// creating the directory if needed — the one place the checkers'
 /// acceptance artifacts land.

@@ -80,11 +80,6 @@ impl SourceFile {
         self.raw.lines().nth(line).unwrap_or("")
     }
 
-    /// Iterate over masked lines.
-    pub fn masked_lines(&self) -> impl Iterator<Item = (usize, &str)> {
-        self.masked.lines().enumerate()
-    }
-
     fn mark_test_regions(&mut self) {
         let lines: Vec<&str> = self.masked.lines().collect();
         let mut line_starts = Vec::with_capacity(lines.len());

@@ -199,7 +199,7 @@ impl Avx512 {
     }
 
     /// The AVX2 token this one implies.
-    pub fn avx2(self) -> Avx2 {
+    fn avx2(self) -> Avx2 {
         Avx2(())
     }
 }
