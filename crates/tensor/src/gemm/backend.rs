@@ -58,7 +58,7 @@
 //! with the instruction enabled, otherwise the portable one. They
 //! agree bitwise; the choice only keeps the reference off libm.
 //!
-//! ## ISA tokens: the one `unsafe` call per kernel entry
+//! ## ISA tokens: the `unsafe` of the dispatch
 //!
 //! Every SIMD kernel under [`kernel`] is a safe `#[target_feature]` fn
 //! over slices: its intrinsics need no `unsafe`, and an out-of-bounds
@@ -67,10 +67,18 @@
 //! first argument, a zero-sized token (`Avx2`, `Avx512`, `Fma`,
 //! `Neon`) that proves the running CPU has them. A token's field is
 //! private to this module, and the only constructor is its `detect`,
-//! which probes the CPU. The dispatch tables below build every entry
-//! from a token in hand, and the `unsafe` call inside the entry is
-//! the only one outside the per-ISA `mem` modules (lint rule
-//! `l7-unsafe-outside-kernel`). No kernel call probes the CPU again.
+//! which probes the CPU.
+//!
+//! Each ISA's kernel table is built by a `#[target_feature]` fn of this
+//! module from that ISA's token. The table's entries are closures
+//! defined there, so they inherit the features: they call their
+//! kernels without `unsafe`, the kernels inline into them, and a
+//! driver's call through the table lands in the kernel's own code.
+//! Calling the table's fn is the one `unsafe` call per table (and per
+//! element-wise or codec instantiation), made with a detected token
+//! in hand; with the per-ISA `mem` modules these are the only `unsafe`
+//! of the kernels (lint rule `l7-unsafe-outside-kernel`). No kernel
+//! call probes the CPU again.
 //!
 //! ```compile_fail
 //! // Outside this module a token cannot be made without detection.
@@ -226,37 +234,56 @@ fn leak<F: Send + Sync + 'static>(f: F) -> &'static F {
     Box::leak(Box::new(f))
 }
 
-/// An entry that calls the `#[target_feature]` kernel `$kernel` with
-/// the ISA token `$token` and the arguments `$arg`.
-macro_rules! entry {
-    ($token:expr, $kernel:path, |$($arg:ident: $ty:ty),*|) => {{
-        let token = $token;
-        leak(move |$($arg: $ty),*| {
-            // SAFETY: `token` was made by its `detect`, so the CPU has
-            // every feature the token's kernels enable.
-            unsafe { $kernel(token, $($arg),*) }
-        })
-    }};
+fn tile_fn<T: Scalar>(
+    f: impl Fn(usize, &[T], &[T], T, Merge<T>, &mut [T], usize, usize, usize) + Send + Sync + 'static,
+) -> TileFn<T> {
+    leak(f)
 }
 
-/// A [`TileFn`] entry for element type `$t`.
+fn acc_fn(
+    f: impl Fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]) + Send + Sync + 'static,
+) -> AccFn<f32> {
+    leak(f)
+}
+
+fn bt_fn<T: Scalar>(
+    f: impl Fn(usize, &[T], [&[T]; BT_COLS], &mut [[T; MR]; BT_COLS]) + Send + Sync + 'static,
+) -> BtFn<T> {
+    leak(f)
+}
+
+fn row_op_fn<T: Scalar>(f: impl Fn(RowOp, &mut [T], &[T]) + Send + Sync + 'static) -> RowOpFn<T> {
+    leak(f)
+}
+
+fn codec_fn(f: impl Fn(CodecPass<'_>) + Send + Sync + 'static) -> CodecFn {
+    leak(f)
+}
+
+/// The [`TileFn`] entry of tile kernel `$kernel` under token `$t`.
 macro_rules! tile_entry {
-    ($t:ty, $token:expr, $kernel:path) => {
-        entry!($token, $kernel, |kc: usize, ap: &[$t], bp: &[$t], alpha: $t, merge: Merge<$t>, c: &mut [$t], ldc: usize, mr_eff: usize, nr_eff: usize|)
+    ($t:ident, $kernel:path) => {
+        tile_fn(move |kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff| {
+            $kernel($t, kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff)
+        })
     };
 }
 
-/// An [`AccFn`] entry for element type `$t`.
+/// The [`AccFn`] entry of f32 tile kernel `$kernel` under token `$t`:
+/// the whole tile in overwrite mode, `acc` standing in for C.
 macro_rules! acc_entry {
-    ($t:ty, $token:expr, $kernel:path) => {
-        entry!($token, $kernel, |kc: usize, ap: &[$t], bp: &[$t], acc: &mut [[$t; NR]; MR]|)
+    ($t:ident, $kernel:path) => {
+        acc_fn(move |kc, ap, bp, acc| {
+            let c = acc.as_flattened_mut();
+            $kernel($t, kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR)
+        })
     };
 }
 
-/// A [`BtFn`] entry for element type `$t`.
+/// The [`BtFn`] entry of streaming-B^T kernel `$kernel` under `$t`.
 macro_rules! bt_entry {
-    ($t:ty, $token:expr, $kernel:path) => {
-        entry!($token, $kernel, |kc: usize, ap: &[$t], b: [&[$t]; BT_COLS], acc: &mut [[$t; MR]; BT_COLS]|)
+    ($t:ident, $kernel:path) => {
+        bt_fn(move |kc, ap, b, acc| $kernel($t, kc, ap, b, acc))
     };
 }
 
@@ -355,24 +382,15 @@ struct Kernels {
     bt_f64: BtFn<f64>,
 }
 
+// Each table below is built inside a `#[target_feature]` fn from the
+// token of its ISA. Its closures inherit those features, so calling a
+// kernel in them needs no `unsafe` and the kernel inlines into the
+// closure: a driver's call through the table lands in the kernel's own
+// code. Building a table is the `unsafe` call, made in `detected` with
+// a token in hand.
 impl Kernels {
-    /// The reference loops: the FMA-enabled instantiation where the
-    /// CPU has the instruction, the portable one (libm `fma` on an SSE2
-    /// baseline) otherwise.
-    fn scalar() -> Kernels {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(t) = Fma::detect() {
-            use kernel::scalar::{acc_fma, bt_fma, tile_fma};
-            return Kernels {
-                isa: Isa::Scalar,
-                variant: "fma",
-                tile_f32: tile_entry!(f32, t, tile_fma::<f32>),
-                tile_f64: tile_entry!(f64, t, tile_fma::<f64>),
-                acc_f32: acc_entry!(f32, t, acc_fma::<f32>),
-                bt_f32: bt_entry!(f32, t, bt_fma::<f32>),
-                bt_f64: bt_entry!(f64, t, bt_fma::<f64>),
-            };
-        }
+    /// The portable reference loops (libm `fma` on an SSE2 baseline).
+    fn portable() -> Kernels {
         use kernel::scalar::{acc, bt, tile};
         Kernels {
             isa: Isa::Scalar,
@@ -385,47 +403,67 @@ impl Kernels {
         }
     }
 
+    /// The reference loops compiled with the FMA instruction.
     #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "fma")]
+    fn scalar_fma(t: Fma) -> Kernels {
+        use kernel::scalar::{bt_fma, tile_fma};
+        Kernels {
+            isa: Isa::Scalar,
+            variant: "fma",
+            tile_f32: tile_entry!(t, tile_fma::<f32>),
+            tile_f64: tile_entry!(t, tile_fma::<f64>),
+            acc_f32: acc_entry!(t, tile_fma::<f32>),
+            bt_f32: bt_entry!(t, bt_fma::<f32>),
+            bt_f64: bt_entry!(t, bt_fma::<f64>),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
     fn avx2(t: Avx2) -> Kernels {
         use kernel::x86::*;
         Kernels {
             isa: Isa::Avx2,
             variant: "avx2",
-            tile_f32: tile_entry!(f32, t, tile_f32_avx2),
-            tile_f64: tile_entry!(f64, t, tile_f64_avx2),
-            acc_f32: acc_entry!(f32, t, acc_f32_avx2),
-            bt_f32: bt_entry!(f32, t, bt_f32_avx2),
-            bt_f64: bt_entry!(f64, t, bt_f64_avx2),
+            tile_f32: tile_entry!(t, tile_f32_avx2),
+            tile_f64: tile_entry!(t, tile_f64_avx2),
+            acc_f32: acc_entry!(t, tile_f32_avx2),
+            bt_f32: bt_entry!(t, bt_f32_avx2),
+            bt_f64: bt_entry!(t, bt_f64_avx2),
         }
     }
 
     #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
     fn avx512(t: Avx512) -> Kernels {
         use kernel::x86::*;
+        // One ymm covers the MR=8 accumulators of a column; the AVX2
+        // kernel is already the right shape (and chain).
+        let t2 = t.avx2();
         Kernels {
             isa: Isa::Avx512,
             variant: "avx512",
-            tile_f32: tile_entry!(f32, t, tile_f32_avx512),
-            tile_f64: tile_entry!(f64, t, tile_f64_avx512),
-            acc_f32: acc_entry!(f32, t, acc_f32_avx512),
-            // One ymm covers the MR=8 accumulators of a column; the
-            // AVX2 kernel is already the right shape (and chain).
-            bt_f32: bt_entry!(f32, t.avx2(), bt_f32_avx2),
-            bt_f64: bt_entry!(f64, t, bt_f64_avx512),
+            tile_f32: tile_entry!(t, tile_f32_avx512),
+            tile_f64: tile_entry!(t, tile_f64_avx512),
+            acc_f32: acc_entry!(t, tile_f32_avx512),
+            bt_f32: bt_entry!(t2, bt_f32_avx2),
+            bt_f64: bt_entry!(t, bt_f64_avx512),
         }
     }
 
     #[cfg(target_arch = "aarch64")]
+    #[target_feature(enable = "neon")]
     fn neon(t: Neon) -> Kernels {
         use kernel::neon::*;
         Kernels {
             isa: Isa::Neon,
             variant: "neon",
-            tile_f32: tile_entry!(f32, t, tile_f32_neon),
-            tile_f64: tile_entry!(f64, t, tile_f64_neon),
-            acc_f32: acc_entry!(f32, t, acc_f32_neon),
-            bt_f32: bt_entry!(f32, t, bt_f32_neon),
-            bt_f64: bt_entry!(f64, t, bt_f64_neon),
+            tile_f32: tile_entry!(t, tile_f32_neon),
+            tile_f64: tile_entry!(t, tile_f64_neon),
+            acc_f32: acc_entry!(t, tile_f32_neon),
+            bt_f32: bt_entry!(t, bt_f32_neon),
+            bt_f64: bt_entry!(t, bt_f64_neon),
         }
     }
 }
@@ -462,15 +500,27 @@ impl ComputeBackend for Kernels {
 fn detected() -> &'static [Kernels] {
     static ALL: OnceLock<Vec<Kernels>> = OnceLock::new();
     ALL.get_or_init(|| {
-        #[allow(unused_mut)] // only the scalar table off x86_64/aarch64
-        let mut all = vec![Kernels::scalar()];
+        #[allow(unused_mut)] // only the portable table off x86_64/aarch64
+        let mut all = vec![Kernels::portable()];
+        // SAFETY (each block below): the token was made by its
+        // `detect`, so the CPU has every feature the table's fn
+        // enables.
         #[cfg(target_arch = "x86_64")]
         {
-            all.extend(Avx2::detect().map(Kernels::avx2));
-            all.extend(Avx512::detect().map(Kernels::avx512));
+            if let Some(t) = Fma::detect() {
+                all[0] = unsafe { Kernels::scalar_fma(t) };
+            }
+            if let Some(t) = Avx2::detect() {
+                all.push(unsafe { Kernels::avx2(t) });
+            }
+            if let Some(t) = Avx512::detect() {
+                all.push(unsafe { Kernels::avx512(t) });
+            }
         }
         #[cfg(target_arch = "aarch64")]
-        all.extend(Neon::detect().map(Kernels::neon));
+        if let Some(t) = Neon::detect() {
+            all.push(unsafe { Kernels::neon(t) });
+        }
         all
     })
 }
@@ -493,28 +543,19 @@ pub fn backend_for(isa: Isa) -> Result<&'static dyn ComputeBackend, BackendError
 /// [`crate::vmath::instantiations`]).
 pub(crate) fn row_op_instantiations<T: Scalar>() -> Vec<(&'static str, RowOpFn<T>)> {
     #[allow(unused_mut)] // only the portable loop off x86_64
-    let mut out: Vec<(&'static str, RowOpFn<T>)> =
-        vec![("portable", leak(kernel::elementwise::row_op::<T>))];
+    let mut out = vec![("portable", row_op_fn(kernel::elementwise::row_op::<T>))];
+    // SAFETY (each block below): the token was made by its `detect`, so
+    // the CPU has every feature the entry's fn enables.
     #[cfg(target_arch = "x86_64")]
     {
-        use kernel::elementwise::{row_op_avx2, row_op_avx512, row_op_fma};
         if let Some(t) = Fma::detect() {
-            out.push((
-                "fma",
-                entry!(t, row_op_fma::<T>, |op: RowOp, row: &mut [T], bias: &[T]|),
-            ));
+            out.push(("fma", unsafe { x86_entries::row_op_fma(t) }));
         }
         if let Some(t) = Avx2::detect() {
-            out.push((
-                "avx2",
-                entry!(t, row_op_avx2::<T>, |op: RowOp, row: &mut [T], bias: &[T]|),
-            ));
+            out.push(("avx2", unsafe { x86_entries::row_op_avx2(t) }));
         }
         if let Some(t) = Avx512::detect() {
-            out.push((
-                "avx512",
-                entry!(t, row_op_avx512::<T>, |op: RowOp, row: &mut [T], bias: &[T]|),
-            ));
+            out.push(("avx512", unsafe { x86_entries::row_op_avx512(t) }));
         }
     }
     out
@@ -524,21 +565,52 @@ pub(crate) fn row_op_instantiations<T: Scalar>() -> Vec<(&'static str, RowOpFn<T
 /// execute, portable first (see [`crate::codec::instantiations`]).
 pub(crate) fn codec_instantiations() -> Vec<(&'static str, CodecFn)> {
     #[allow(unused_mut)] // only the portable loop off x86_64
-    let mut out: Vec<(&'static str, CodecFn)> = vec![("portable", leak(kernel::codec::codec_pass))];
+    let mut out = vec![("portable", codec_fn(kernel::codec::codec_pass))];
+    // SAFETY (each block below): as in `row_op_instantiations`.
     #[cfg(target_arch = "x86_64")]
     {
-        use kernel::codec::{codec_pass_avx2, codec_pass_avx512};
         if let Some(t) = Avx2::detect() {
-            out.push(("avx2", entry!(t, codec_pass_avx2, |pass: CodecPass<'_>|)));
+            out.push(("avx2", unsafe { x86_entries::codec_avx2(t) }));
         }
         if let Some(t) = Avx512::detect() {
-            out.push((
-                "avx512",
-                entry!(t, codec_pass_avx512, |pass: CodecPass<'_>|),
-            ));
+            out.push(("avx512", unsafe { x86_entries::codec_avx512(t) }));
         }
     }
     out
+}
+
+/// The element-wise and codec entries of the x86 instantiations, each
+/// built inside a fn with its kernel's features, like the tables.
+#[cfg(target_arch = "x86_64")]
+mod x86_entries {
+    use super::*;
+    use kernel::codec::{codec_pass_avx2, codec_pass_avx512};
+    use kernel::elementwise::{row_op_avx2 as avx2, row_op_avx512 as avx512, row_op_fma as fma};
+
+    #[target_feature(enable = "fma")]
+    pub(super) fn row_op_fma<T: Scalar>(t: Fma) -> RowOpFn<T> {
+        row_op_fn(move |op, row, bias| fma(t, op, row, bias))
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn row_op_avx2<T: Scalar>(t: Avx2) -> RowOpFn<T> {
+        row_op_fn(move |op, row, bias| avx2(t, op, row, bias))
+    }
+
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) fn row_op_avx512<T: Scalar>(t: Avx512) -> RowOpFn<T> {
+        row_op_fn(move |op, row, bias| avx512(t, op, row, bias))
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn codec_avx2(t: Avx2) -> CodecFn {
+        codec_fn(move |pass| codec_pass_avx2(t, pass))
+    }
+
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) fn codec_avx512(t: Avx512) -> CodecFn {
+        codec_fn(move |pass| codec_pass_avx512(t, pass))
+    }
 }
 
 /// Why a backend selection could not be honored.

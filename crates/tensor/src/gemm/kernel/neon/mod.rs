@@ -75,14 +75,6 @@ pub fn tile_f32_neon(
     }
 }
 
-/// [`crate::gemm::backend::AccFn`] view of [`tile_f32_neon`]: the whole
-/// tile in overwrite mode, `acc` standing in for C.
-#[target_feature(enable = "neon")]
-pub fn acc_f32_neon(t: Neon, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let c = acc.as_flattened_mut();
-    tile_f32_neon(t, kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR);
-}
-
 /// NEON f64 tile: sixteen 2-lane column groups.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "neon")]
@@ -135,7 +127,8 @@ pub fn bt_f32_neon(
     b: [&[f32]; BT_COLS],
     acc: &mut [[f32; MR]; BT_COLS],
 ) {
-    let [b0, b1, b2, b3] = b.map(|row| &row[..kc]);
+    let [b0, b1, b2, b3] = b;
+    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
     let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
     // r[2c + h]: half `h` of column `c`.
     let mut r = [vdupq_n_f32(0.0); 2 * BT_COLS];
@@ -174,7 +167,8 @@ pub fn bt_f64_neon(
     b: [&[f64]; BT_COLS],
     acc: &mut [[f64; MR]; BT_COLS],
 ) {
-    let [b0, b1, b2, b3] = b.map(|row| &row[..kc]);
+    let [b0, b1, b2, b3] = b;
+    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
     let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
     // r[4c + q]: quarter `q` of column `c`.
     let mut r = [vdupq_n_f64(0.0); 4 * BT_COLS];

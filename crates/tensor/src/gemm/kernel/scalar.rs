@@ -83,7 +83,6 @@ pub fn tile<T: Scalar>(
 
 /// [`crate::gemm::backend::AccFn`] view of [`tile`]: the whole tile in
 /// overwrite mode, `acc` standing in for C.
-#[inline(always)]
 pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
     tile(
         kc,
@@ -107,7 +106,8 @@ pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
 /// hides the FMA latency a single column would serialize on.
 #[inline(always)]
 pub fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]) {
-    let [b0, b1, b2, b3] = b.map(|row| &row[..kc]);
+    let [b0, b1, b2, b3] = b;
+    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
     let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
     for ((((a_row, &x0), &x1), &x2), &x3) in steps {
         for (col, bv) in acc.iter_mut().zip([x0, x1, x2, x3]) {
@@ -136,13 +136,6 @@ pub fn tile_fma<T: Scalar>(
 ) {
     // Inlined here, so its `fma` steps compile to `vfmadd`.
     tile(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
-}
-
-/// [`acc`] compiled with the hardware FMA instruction enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-pub fn acc_fma<T: Scalar>(_: Fma, kc: usize, ap: &[T], bp: &[T], out: &mut [[T; NR]; MR]) {
-    acc(kc, ap, bp, out);
 }
 
 /// [`bt`] compiled with the hardware FMA instruction enabled.

@@ -88,14 +88,6 @@ pub fn tile_f32_avx2(
     }
 }
 
-/// [`crate::gemm::backend::AccFn`] view of [`tile_f32_avx2`]: the whole
-/// tile in overwrite mode, `acc` standing in for C.
-#[target_feature(enable = "avx2,fma")]
-pub fn acc_f32_avx2(t: Avx2, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let c = acc.as_flattened_mut();
-    tile_f32_avx2(t, kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR);
-}
-
 /// AVX2 f64 tile: eight 4-lane column groups.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
@@ -195,14 +187,6 @@ pub fn tile_f32_avx512(
     }
 }
 
-/// [`crate::gemm::backend::AccFn`] view of [`tile_f32_avx512`]: the whole
-/// tile in overwrite mode, `acc` standing in for C.
-#[target_feature(enable = "avx512f")]
-pub fn acc_f32_avx512(t: Avx512, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let c = acc.as_flattened_mut();
-    tile_f32_avx512(t, kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR);
-}
-
 /// AVX-512 f64 tile: four 8-lane column groups.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
@@ -263,7 +247,8 @@ pub fn bt_f32_avx2(
     b: [&[f32]; BT_COLS],
     acc: &mut [[f32; MR]; BT_COLS],
 ) {
-    let [b0, b1, b2, b3] = b.map(|row| &row[..kc]);
+    let [b0, b1, b2, b3] = b;
+    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
     let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
     let mut r = [_mm256_setzero_ps(); BT_COLS];
     for (rc, col) in r.iter_mut().zip(acc.iter()) {
@@ -290,7 +275,8 @@ pub fn bt_f64_avx2(
     b: [&[f64]; BT_COLS],
     acc: &mut [[f64; MR]; BT_COLS],
 ) {
-    let [b0, b1, b2, b3] = b.map(|row| &row[..kc]);
+    let [b0, b1, b2, b3] = b;
+    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
     let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
     // r[2c + h]: half `h` of column `c`.
     let mut r = [_mm256_setzero_pd(); 2 * BT_COLS];
@@ -331,7 +317,8 @@ pub fn bt_f64_avx512(
     b: [&[f64]; BT_COLS],
     acc: &mut [[f64; MR]; BT_COLS],
 ) {
-    let [b0, b1, b2, b3] = b.map(|row| &row[..kc]);
+    let [b0, b1, b2, b3] = b;
+    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
     let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
     let mut r = [_mm512_setzero_pd(); BT_COLS];
     for (rc, col) in r.iter_mut().zip(acc.iter()) {
