@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 pub use crate::gemm::kernel::codec::CodecPass;
 
 /// One instantiation of the codec pass.
-pub type CodecFn = &'static (dyn Fn(CodecPass<'_>) + Send + Sync);
+pub type CodecFn = fn(pass: CodecPass<'_>);
 
 /// Every instantiation this CPU can run, portable first, by name. A
 /// feature-gated one is listed only with the ISA token its features

@@ -69,16 +69,16 @@
 //! private to this module, and the only constructor is its `detect`,
 //! which probes the CPU.
 //!
-//! Each ISA's kernel table is built by a `#[target_feature]` fn of this
-//! module from that ISA's token. The table's entries are closures
-//! defined there, so they inherit the features: they call their
-//! kernels without `unsafe`, the kernels inline into them, and a
-//! driver's call through the table lands in the kernel's own code.
-//! Calling the table's fn is the one `unsafe` call per table (and per
-//! element-wise or codec instantiation), made with a detected token
-//! in hand; with the per-ISA `mem` modules these are the only `unsafe`
-//! of the kernels (lint rule `l7-unsafe-outside-kernel`). No kernel
-//! call probes the CPU again.
+//! Each ISA's kernel table is built by a fn of this module that takes
+//! that ISA's token, and the table's entries are fns nested in that
+//! builder: nothing else can name them, and the builder runs only with
+//! a token its `detect` made. Each entry makes the one `unsafe` call
+//! into its kernel (one per kernel entry; the element-wise and codec
+//! instantiations are built the same way), so the table that holds an
+//! entry's fn pointer is the proof that the CPU can run it. With the
+//! per-ISA `mem` modules these are the only `unsafe` of the kernels
+//! (lint rule `l7-unsafe-outside-kernel`). No kernel call probes the
+//! CPU again.
 //!
 //! ```compile_fail
 //! // Outside this module a token cannot be made without detection.
@@ -126,8 +126,7 @@ impl<T: Scalar> Merge<T> {
     }
 }
 
-/// Micro-tile kernel `(kc, ap, bp, α, merge, c, ldc, mr_eff, nr_eff)`:
-/// multiply one `MR`-row A micro-panel (`kk`-major, the first
+/// Micro-tile kernel: multiply one `MR`-row A micro-panel (`kk`-major, the first
 /// `kc * MR` elements of `ap`) by one `NR`-column B micro-panel (the
 /// first `kc * NR` elements of `bp`) and merge the product into the
 /// live `mr_eff x nr_eff` corner of the C tile that starts at `c[0]`
@@ -139,17 +138,25 @@ impl<T: Scalar> Merge<T> {
 /// the exact arithmetic [`kernel::scalar::tile`] runs. No element of
 /// `c` outside the live corner is read or written. A panel or C tile
 /// shorter than that panics.
-pub type TileFn<T> =
-    &'static (dyn Fn(usize, &[T], &[T], T, Merge<T>, &mut [T], usize, usize, usize) + Send + Sync);
+pub type TileFn<T> = fn(
+    kc: usize,
+    ap: &[T],
+    bp: &[T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+);
 
 /// A backend's f32 [`TileFn`] on one whole `MR x NR` tile in overwrite
-/// mode with `α = 1`, `(kc, ap, bp, acc)`:
-/// `acc[i][j] = sum_kk ap(kk, i) * bp(kk, j)`. It runs the tile kernel
+/// mode with `α = 1`: `acc[i][j] = sum_kk ap(kk, i) * bp(kk, j)`. It runs the tile kernel
 /// itself (no second FMA loop); the benchmark's peak probe times it on
 /// L1-resident panels.
-pub type AccFn<T> = &'static (dyn Fn(usize, &[T], &[T], &mut [[T; NR]; MR]) + Send + Sync);
+pub type AccFn<T> = fn(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]);
 
-/// Streaming-B^T kernel `(kc, ap, b, acc)` for the
+/// Streaming-B^T kernel for the
 /// `GemmOp::packed_a_bt` driver: add the `kc`-deep products of one A
 /// micro-panel with `BT_COLS` contiguous B-row segments (each at least
 /// `kc` long; they may coincide) into `BT_COLS` columns of `MR`
@@ -158,8 +165,7 @@ pub type AccFn<T> = &'static (dyn Fn(usize, &[T], &[T], &mut [[T; NR]; MR]) + Se
 /// Contract: `acc[c][i] += sum_kk ap(kk, i) * b[c][kk]`, per element a
 /// fused multiply-add chain with `kk` ascending — the exact chain
 /// [`kernel::scalar::bt`] runs.
-pub type BtFn<T> =
-    &'static (dyn Fn(usize, &[T], [&[T]; BT_COLS], &mut [[T; MR]; BT_COLS]) + Send + Sync);
+pub type BtFn<T> = fn(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]);
 
 /// Proof that the running CPU has FMA, the one feature of the
 /// FMA-enabled reference loops ([`kernel::scalar::tile_fma`], the
@@ -205,11 +211,6 @@ impl Avx512 {
         Avx2::detect()?;
         is_x86_feature_detected!("avx512f").then_some(Avx512(()))
     }
-
-    /// The AVX2 token this one implies.
-    fn avx2(self) -> Avx2 {
-        Avx2(())
-    }
 }
 
 /// Proof that the CPU has NEON, which is baseline on aarch64. Only
@@ -226,65 +227,59 @@ impl Neon {
     }
 }
 
-/// `'static` home for a kernel entry. Every entry is a closure over at
-/// most an ISA token, or a fn item, so it is zero-sized: boxing it
-/// allocates nothing and leaking the box leaks nothing.
-fn leak<F: Send + Sync + 'static>(f: F) -> &'static F {
-    const { assert!(std::mem::size_of::<F>() == 0) };
-    Box::leak(Box::new(f))
-}
+// The entries of a kernel table are fns nested in the builder that
+// takes the ISA's token (`Kernels::avx2(_: Avx2)`, ...), so nothing
+// outside that builder can name them, and the builder runs only with a
+// token its `detect` made. Each entry makes the one `unsafe` call into
+// its `#[target_feature]` kernel, re-making the token it was built
+// under: the table that holds the fn pointer is the proof.
 
-fn tile_fn<T: Scalar>(
-    f: impl Fn(usize, &[T], &[T], T, Merge<T>, &mut [T], usize, usize, usize) + Send + Sync + 'static,
-) -> TileFn<T> {
-    leak(f)
-}
-
-fn acc_fn(
-    f: impl Fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]) + Send + Sync + 'static,
-) -> AccFn<f32> {
-    leak(f)
-}
-
-fn bt_fn<T: Scalar>(
-    f: impl Fn(usize, &[T], [&[T]; BT_COLS], &mut [[T; MR]; BT_COLS]) + Send + Sync + 'static,
-) -> BtFn<T> {
-    leak(f)
-}
-
-fn row_op_fn<T: Scalar>(f: impl Fn(RowOp, &mut [T], &[T]) + Send + Sync + 'static) -> RowOpFn<T> {
-    leak(f)
-}
-
-fn codec_fn(f: impl Fn(CodecPass<'_>) + Send + Sync + 'static) -> CodecFn {
-    leak(f)
-}
-
-/// The [`TileFn`] entry of tile kernel `$kernel` under token `$t`.
+/// The [`TileFn`] entry of tile kernel `$kernel` for element type `$t`,
+/// under ISA token type `$isa`.
 macro_rules! tile_entry {
-    ($t:ident, $kernel:path) => {
-        tile_fn(move |kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff| {
-            $kernel($t, kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff)
-        })
-    };
+    ($t:ty, $isa:ident, $kernel:path) => {{
+        #[allow(clippy::too_many_arguments)]
+        fn entry(
+            kc: usize,
+            ap: &[$t],
+            bp: &[$t],
+            alpha: $t,
+            merge: Merge<$t>,
+            c: &mut [$t],
+            ldc: usize,
+            mr_eff: usize,
+            nr_eff: usize,
+        ) {
+            // SAFETY: nameable only in the builder that got a detected
+            // `$isa` token (see above).
+            unsafe { $kernel($isa(()), kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff) }
+        }
+        entry as TileFn<$t>
+    }};
 }
 
-/// The [`AccFn`] entry of f32 tile kernel `$kernel` under token `$t`:
-/// the whole tile in overwrite mode, `acc` standing in for C.
+/// The [`AccFn`] entry of f32 tile kernel `$kernel` under `$isa`: the
+/// whole tile in overwrite mode, `acc` standing in for C.
 macro_rules! acc_entry {
-    ($t:ident, $kernel:path) => {
-        acc_fn(move |kc, ap, bp, acc| {
+    ($isa:ident, $kernel:path) => {{
+        fn entry(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
             let c = acc.as_flattened_mut();
-            $kernel($t, kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR)
-        })
-    };
+            // SAFETY: as in `tile_entry!`.
+            unsafe { $kernel($isa(()), kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR) }
+        }
+        entry as AccFn<f32>
+    }};
 }
 
-/// The [`BtFn`] entry of streaming-B^T kernel `$kernel` under `$t`.
+/// The [`BtFn`] entry of streaming-B^T kernel `$kernel` under `$isa`.
 macro_rules! bt_entry {
-    ($t:ident, $kernel:path) => {
-        bt_fn(move |kc, ap, b, acc| $kernel($t, kc, ap, b, acc))
-    };
+    ($t:ty, $isa:ident, $kernel:path) => {{
+        fn entry(kc: usize, ap: &[$t], b: [&[$t]; BT_COLS], acc: &mut [[$t; MR]; BT_COLS]) {
+            // SAFETY: as in `tile_entry!`.
+            unsafe { $kernel($isa(()), kc, ap, b, acc) }
+        }
+        entry as BtFn<$t>
+    }};
 }
 
 /// Name of the environment variable that overrides backend selection.
@@ -382,12 +377,6 @@ struct Kernels {
     bt_f64: BtFn<f64>,
 }
 
-// Each table below is built inside a `#[target_feature]` fn from the
-// token of its ISA. Its closures inherit those features, so calling a
-// kernel in them needs no `unsafe` and the kernel inlines into the
-// closure: a driver's call through the table lands in the kernel's own
-// code. Building a table is the `unsafe` call, made in `detected` with
-// a token in hand.
 impl Kernels {
     /// The portable reference loops (libm `fma` on an SSE2 baseline).
     fn portable() -> Kernels {
@@ -395,75 +384,71 @@ impl Kernels {
         Kernels {
             isa: Isa::Scalar,
             variant: "portable",
-            tile_f32: leak(tile::<f32>),
-            tile_f64: leak(tile::<f64>),
-            acc_f32: leak(acc::<f32>),
-            bt_f32: leak(bt::<f32>),
-            bt_f64: leak(bt::<f64>),
+            tile_f32: tile::<f32>,
+            tile_f64: tile::<f64>,
+            acc_f32: acc::<f32>,
+            bt_f32: bt::<f32>,
+            bt_f64: bt::<f64>,
         }
     }
 
     /// The reference loops compiled with the FMA instruction.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "fma")]
-    fn scalar_fma(t: Fma) -> Kernels {
+    fn scalar_fma(_: Fma) -> Kernels {
         use kernel::scalar::{bt_fma, tile_fma};
         Kernels {
             isa: Isa::Scalar,
             variant: "fma",
-            tile_f32: tile_entry!(t, tile_fma::<f32>),
-            tile_f64: tile_entry!(t, tile_fma::<f64>),
-            acc_f32: acc_entry!(t, tile_fma::<f32>),
-            bt_f32: bt_entry!(t, bt_fma::<f32>),
-            bt_f64: bt_entry!(t, bt_fma::<f64>),
+            tile_f32: tile_entry!(f32, Fma, tile_fma::<f32>),
+            tile_f64: tile_entry!(f64, Fma, tile_fma::<f64>),
+            acc_f32: acc_entry!(Fma, tile_fma::<f32>),
+            bt_f32: bt_entry!(f32, Fma, bt_fma::<f32>),
+            bt_f64: bt_entry!(f64, Fma, bt_fma::<f64>),
         }
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    fn avx2(t: Avx2) -> Kernels {
+    fn avx2(_: Avx2) -> Kernels {
         use kernel::x86::*;
         Kernels {
             isa: Isa::Avx2,
             variant: "avx2",
-            tile_f32: tile_entry!(t, tile_f32_avx2),
-            tile_f64: tile_entry!(t, tile_f64_avx2),
-            acc_f32: acc_entry!(t, tile_f32_avx2),
-            bt_f32: bt_entry!(t, bt_f32_avx2),
-            bt_f64: bt_entry!(t, bt_f64_avx2),
+            tile_f32: tile_entry!(f32, Avx2, tile_f32_avx2),
+            tile_f64: tile_entry!(f64, Avx2, tile_f64_avx2),
+            acc_f32: acc_entry!(Avx2, tile_f32_avx2),
+            bt_f32: bt_entry!(f32, Avx2, bt_f32_avx2),
+            bt_f64: bt_entry!(f64, Avx2, bt_f64_avx2),
         }
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    fn avx512(t: Avx512) -> Kernels {
+    fn avx512(_: Avx512) -> Kernels {
         use kernel::x86::*;
-        // One ymm covers the MR=8 accumulators of a column; the AVX2
-        // kernel is already the right shape (and chain).
-        let t2 = t.avx2();
         Kernels {
             isa: Isa::Avx512,
             variant: "avx512",
-            tile_f32: tile_entry!(t, tile_f32_avx512),
-            tile_f64: tile_entry!(t, tile_f64_avx512),
-            acc_f32: acc_entry!(t, tile_f32_avx512),
-            bt_f32: bt_entry!(t2, bt_f32_avx2),
-            bt_f64: bt_entry!(t, bt_f64_avx512),
+            tile_f32: tile_entry!(f32, Avx512, tile_f32_avx512),
+            tile_f64: tile_entry!(f64, Avx512, tile_f64_avx512),
+            acc_f32: acc_entry!(Avx512, tile_f32_avx512),
+            // One ymm covers the MR=8 accumulators of a column; the
+            // AVX2 kernel is already the right shape (and chain). An
+            // `Avx512` token implies the `Avx2` one.
+            bt_f32: bt_entry!(f32, Avx2, bt_f32_avx2),
+            bt_f64: bt_entry!(f64, Avx512, bt_f64_avx512),
         }
     }
 
     #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    fn neon(t: Neon) -> Kernels {
+    fn neon(_: Neon) -> Kernels {
         use kernel::neon::*;
         Kernels {
             isa: Isa::Neon,
             variant: "neon",
-            tile_f32: tile_entry!(t, tile_f32_neon),
-            tile_f64: tile_entry!(t, tile_f64_neon),
-            acc_f32: acc_entry!(t, tile_f32_neon),
-            bt_f32: bt_entry!(t, bt_f32_neon),
-            bt_f64: bt_entry!(t, bt_f64_neon),
+            tile_f32: tile_entry!(f32, Neon, tile_f32_neon),
+            tile_f64: tile_entry!(f64, Neon, tile_f64_neon),
+            acc_f32: acc_entry!(Neon, tile_f32_neon),
+            bt_f32: bt_entry!(f32, Neon, bt_f32_neon),
+            bt_f64: bt_entry!(f64, Neon, bt_f64_neon),
         }
     }
 }
@@ -502,25 +487,16 @@ fn detected() -> &'static [Kernels] {
     ALL.get_or_init(|| {
         #[allow(unused_mut)] // only the portable table off x86_64/aarch64
         let mut all = vec![Kernels::portable()];
-        // SAFETY (each block below): the token was made by its
-        // `detect`, so the CPU has every feature the table's fn
-        // enables.
         #[cfg(target_arch = "x86_64")]
         {
             if let Some(t) = Fma::detect() {
-                all[0] = unsafe { Kernels::scalar_fma(t) };
+                all[0] = Kernels::scalar_fma(t);
             }
-            if let Some(t) = Avx2::detect() {
-                all.push(unsafe { Kernels::avx2(t) });
-            }
-            if let Some(t) = Avx512::detect() {
-                all.push(unsafe { Kernels::avx512(t) });
-            }
+            all.extend(Avx2::detect().map(Kernels::avx2));
+            all.extend(Avx512::detect().map(Kernels::avx512));
         }
         #[cfg(target_arch = "aarch64")]
-        if let Some(t) = Neon::detect() {
-            all.push(unsafe { Kernels::neon(t) });
-        }
+        all.extend(Neon::detect().map(Kernels::neon));
         all
     })
 }
@@ -543,20 +519,13 @@ pub fn backend_for(isa: Isa) -> Result<&'static dyn ComputeBackend, BackendError
 /// [`crate::vmath::instantiations`]).
 pub(crate) fn row_op_instantiations<T: Scalar>() -> Vec<(&'static str, RowOpFn<T>)> {
     #[allow(unused_mut)] // only the portable loop off x86_64
-    let mut out = vec![("portable", row_op_fn(kernel::elementwise::row_op::<T>))];
-    // SAFETY (each block below): the token was made by its `detect`, so
-    // the CPU has every feature the entry's fn enables.
+    let mut out: Vec<(&'static str, RowOpFn<T>)> =
+        vec![("portable", kernel::elementwise::row_op::<T>)];
     #[cfg(target_arch = "x86_64")]
     {
-        if let Some(t) = Fma::detect() {
-            out.push(("fma", unsafe { x86_entries::row_op_fma(t) }));
-        }
-        if let Some(t) = Avx2::detect() {
-            out.push(("avx2", unsafe { x86_entries::row_op_avx2(t) }));
-        }
-        if let Some(t) = Avx512::detect() {
-            out.push(("avx512", unsafe { x86_entries::row_op_avx512(t) }));
-        }
+        out.extend(Fma::detect().map(|t| ("fma", x86_entries::row_op_fma(t))));
+        out.extend(Avx2::detect().map(|t| ("avx2", x86_entries::row_op_avx2(t))));
+        out.extend(Avx512::detect().map(|t| ("avx512", x86_entries::row_op_avx512(t))));
     }
     out
 }
@@ -565,51 +534,63 @@ pub(crate) fn row_op_instantiations<T: Scalar>() -> Vec<(&'static str, RowOpFn<T
 /// execute, portable first (see [`crate::codec::instantiations`]).
 pub(crate) fn codec_instantiations() -> Vec<(&'static str, CodecFn)> {
     #[allow(unused_mut)] // only the portable loop off x86_64
-    let mut out = vec![("portable", codec_fn(kernel::codec::codec_pass))];
-    // SAFETY (each block below): as in `row_op_instantiations`.
+    let mut out: Vec<(&'static str, CodecFn)> =
+        vec![("portable", kernel::codec::codec_pass as CodecFn)];
     #[cfg(target_arch = "x86_64")]
     {
-        if let Some(t) = Avx2::detect() {
-            out.push(("avx2", unsafe { x86_entries::codec_avx2(t) }));
-        }
-        if let Some(t) = Avx512::detect() {
-            out.push(("avx512", unsafe { x86_entries::codec_avx512(t) }));
-        }
+        out.extend(Avx2::detect().map(|t| ("avx2", x86_entries::codec_avx2(t))));
+        out.extend(Avx512::detect().map(|t| ("avx512", x86_entries::codec_avx512(t))));
     }
     out
 }
 
 /// The element-wise and codec entries of the x86 instantiations, each
-/// built inside a fn with its kernel's features, like the tables.
+/// nested in a builder that takes its token, like the tables'.
 #[cfg(target_arch = "x86_64")]
 mod x86_entries {
     use super::*;
-    use kernel::codec::{codec_pass_avx2, codec_pass_avx512};
-    use kernel::elementwise::{row_op_avx2 as avx2, row_op_avx512 as avx512, row_op_fma as fma};
+    use kernel::{codec, elementwise};
 
-    #[target_feature(enable = "fma")]
-    pub(super) fn row_op_fma<T: Scalar>(t: Fma) -> RowOpFn<T> {
-        row_op_fn(move |op, row, bias| fma(t, op, row, bias))
+    /// A [`RowOpFn`] entry calling `$kernel` under `$isa`.
+    macro_rules! row_op_entry {
+        ($isa:ident, $kernel:path) => {{
+            fn entry<U: Scalar>(op: RowOp, row: &mut [U], bias: &[U]) {
+                // SAFETY: as in `tile_entry!`.
+                unsafe { $kernel($isa(()), op, row, bias) }
+            }
+            entry::<T> as RowOpFn<T>
+        }};
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn row_op_avx2<T: Scalar>(t: Avx2) -> RowOpFn<T> {
-        row_op_fn(move |op, row, bias| avx2(t, op, row, bias))
+    /// A [`CodecFn`] entry calling `$kernel` under `$isa`.
+    macro_rules! codec_entry {
+        ($isa:ident, $kernel:path) => {{
+            fn entry(pass: CodecPass<'_>) {
+                // SAFETY: as in `tile_entry!`.
+                unsafe { $kernel($isa(()), pass) }
+            }
+            entry as CodecFn
+        }};
     }
 
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) fn row_op_avx512<T: Scalar>(t: Avx512) -> RowOpFn<T> {
-        row_op_fn(move |op, row, bias| avx512(t, op, row, bias))
+    pub(super) fn row_op_fma<T: Scalar>(_: Fma) -> RowOpFn<T> {
+        row_op_entry!(Fma, elementwise::row_op_fma)
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn codec_avx2(t: Avx2) -> CodecFn {
-        codec_fn(move |pass| codec_pass_avx2(t, pass))
+    pub(super) fn row_op_avx2<T: Scalar>(_: Avx2) -> RowOpFn<T> {
+        row_op_entry!(Avx2, elementwise::row_op_avx2)
     }
 
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) fn codec_avx512(t: Avx512) -> CodecFn {
-        codec_fn(move |pass| codec_pass_avx512(t, pass))
+    pub(super) fn row_op_avx512<T: Scalar>(_: Avx512) -> RowOpFn<T> {
+        row_op_entry!(Avx512, elementwise::row_op_avx512)
+    }
+
+    pub(super) fn codec_avx2(_: Avx2) -> CodecFn {
+        codec_entry!(Avx2, codec::codec_pass_avx2)
+    }
+
+    pub(super) fn codec_avx512(_: Avx512) -> CodecFn {
+        codec_entry!(Avx512, codec::codec_pass_avx512)
     }
 }
 

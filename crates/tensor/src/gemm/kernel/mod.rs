@@ -25,7 +25,7 @@
 //! `#[target_feature]` fns whose intrinsics need no `unsafe`; each
 //! takes the zero-sized ISA token that proves the CPU has its features
 //! ([`crate::gemm::backend`] constructs the tokens and makes the one
-//! `unsafe` call per kernel table). Their loads and stores go through
+//! `unsafe` call per kernel entry). Their loads and stores go through
 //! one small `mem` module per ISA — a whole register to or from a
 //! fixed-size array, or the first `len().min(W)` lanes of a slice —
 //! and those modules hold the only `unsafe` blocks here (lint rule

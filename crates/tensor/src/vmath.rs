@@ -55,9 +55,8 @@ pub enum RowOp {
     BiasTanh,
 }
 
-/// One instantiation of the element-wise row kernel,
-/// `(op, row, bias)`.
-pub type RowOpFn<T> = &'static (dyn Fn(RowOp, &mut [T], &[T]) + Send + Sync);
+/// One instantiation of the element-wise row kernel.
+pub type RowOpFn<T> = fn(op: RowOp, row: &mut [T], bias: &[T]);
 
 // Cephes `expf`: reduction constants and the polynomial of
 // `(exp(r) − 1 − r) / r²` on `|r| ≤ ln 2 / 2`.
