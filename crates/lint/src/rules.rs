@@ -402,7 +402,7 @@ fn l6_lossy_cast(file: &SourceFile, out: &mut Vec<Finding>) {
 /// `mem` module of the SIMD kernels (whole-register and masked loads
 /// and stores, `crates/tensor/src/gemm/kernel/**/mem*.rs`), or the
 /// dispatch, whose one `unsafe` call per kernel entry is nested in a
-/// builder that took the ISA token detection made?
+/// constructor that took the ISA token detection made?
 fn unsafe_allowed(path: &str) -> bool {
     const KERNEL: &str = "crates/tensor/src/gemm/kernel/";
     const DISPATCH: &str = "crates/tensor/src/gemm/backend.rs";

@@ -71,7 +71,7 @@
 //!
 //! Each ISA's kernel table is built by a fn of this module that takes
 //! that ISA's token, and the table's entries are fns nested in that
-//! builder: nothing else can name them, and the builder runs only with
+//! constructor: nothing else can name them, and the constructor runs only with
 //! a token its `detect` made. Each entry makes the one `unsafe` call
 //! into its kernel (one per kernel entry; the element-wise and codec
 //! instantiations are built the same way), so the table that holds an
@@ -227,9 +227,9 @@ impl Neon {
     }
 }
 
-// The entries of a kernel table are fns nested in the builder that
+// The entries of a kernel table are fns nested in the constructor that
 // takes the ISA's token (`Kernels::avx2(_: Avx2)`, ...), so nothing
-// outside that builder can name them, and the builder runs only with a
+// outside that constructor can name them, and the constructor runs only with a
 // token its `detect` made. Each entry makes the one `unsafe` call into
 // its `#[target_feature]` kernel, re-making the token it was built
 // under: the table that holds the fn pointer is the proof.
@@ -250,7 +250,7 @@ macro_rules! tile_entry {
             mr_eff: usize,
             nr_eff: usize,
         ) {
-            // SAFETY: nameable only in the builder that got a detected
+            // SAFETY: nameable only in the constructor that got a detected
             // `$isa` token (see above).
             unsafe { $kernel($isa(()), kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff) }
         }
@@ -545,7 +545,7 @@ pub(crate) fn codec_instantiations() -> Vec<(&'static str, CodecFn)> {
 }
 
 /// The element-wise and codec entries of the x86 instantiations, each
-/// nested in a builder that takes its token, like the tables'.
+/// nested in a constructor that takes its token, like the tables'.
 #[cfg(target_arch = "x86_64")]
 mod x86_entries {
     use super::*;
