@@ -365,11 +365,8 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
 }
 
 /// The kernel table of one ISA, built from its token by detection.
-struct Kernels {
+pub(crate) struct Kernels {
     isa: Isa,
-    /// Which instantiation the table runs, for `Debug`: the scalar
-    /// backend's reference loops are `portable` or `fma`.
-    variant: &'static str,
     tile_f32: TileFn<f32>,
     tile_f64: TileFn<f64>,
     acc_f32: AccFn<f32>,
@@ -383,7 +380,6 @@ impl Kernels {
         use kernel::scalar::{acc, bt, tile};
         Kernels {
             isa: Isa::Scalar,
-            variant: "portable",
             tile_f32: tile::<f32>,
             tile_f64: tile::<f64>,
             acc_f32: acc::<f32>,
@@ -394,11 +390,10 @@ impl Kernels {
 
     /// The reference loops compiled with the FMA instruction.
     #[cfg(target_arch = "x86_64")]
-    fn scalar_fma(_: Fma) -> Kernels {
+    pub(crate) fn scalar_fma(_: Fma) -> Kernels {
         use kernel::scalar::{bt_fma, tile_fma};
         Kernels {
             isa: Isa::Scalar,
-            variant: "fma",
             tile_f32: tile_entry!(f32, Fma, tile_fma::<f32>),
             tile_f64: tile_entry!(f64, Fma, tile_fma::<f64>),
             acc_f32: acc_entry!(Fma, tile_fma::<f32>),
@@ -412,7 +407,6 @@ impl Kernels {
         use kernel::x86::*;
         Kernels {
             isa: Isa::Avx2,
-            variant: "avx2",
             tile_f32: tile_entry!(f32, Avx2, tile_f32_avx2),
             tile_f64: tile_entry!(f64, Avx2, tile_f64_avx2),
             acc_f32: acc_entry!(Avx2, tile_f32_avx2),
@@ -426,7 +420,6 @@ impl Kernels {
         use kernel::x86::*;
         Kernels {
             isa: Isa::Avx512,
-            variant: "avx512",
             tile_f32: tile_entry!(f32, Avx512, tile_f32_avx512),
             tile_f64: tile_entry!(f64, Avx512, tile_f64_avx512),
             acc_f32: acc_entry!(Avx512, tile_f32_avx512),
@@ -443,7 +436,6 @@ impl Kernels {
         use kernel::neon::*;
         Kernels {
             isa: Isa::Neon,
-            variant: "neon",
             tile_f32: tile_entry!(f32, Neon, tile_f32_neon),
             tile_f64: tile_entry!(f64, Neon, tile_f64_neon),
             acc_f32: acc_entry!(Neon, tile_f32_neon),
@@ -455,7 +447,7 @@ impl Kernels {
 
 impl std::fmt::Debug for Kernels {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Kernels({}, {})", self.isa, self.variant)
+        write!(f, "Kernels({})", self.isa)
     }
 }
 
@@ -900,11 +892,24 @@ mod tests {
     fn scalar_reference_runs_the_fma_instantiation_where_the_cpu_has_fma() {
         // The portable instantiation compiles each fused multiply-add
         // to a libm `fma` call on the x86-64 baseline, ~60x slower, and
-        // agrees bitwise, so only the table's variant tells the two
-        // apart.
+        // agrees bitwise, so only the kernel pointers can tell the two
+        // apart. Each entry of the FMA table is one nested fn item, so
+        // every build of that table holds the same five pointers.
         #[cfg(target_arch = "x86_64")]
-        if Fma::detect().is_some() {
-            assert_eq!(format!("{:?}", scalar_backend()), "Kernels(scalar, fma)");
+        if let Some(t) = Fma::detect() {
+            let (s, fma, portable) = (
+                scalar_backend(),
+                Kernels::scalar_fma(t),
+                Kernels::portable(),
+            );
+            macro_rules! check {
+                ($($entry:ident),*) => {$(
+                    let name = stringify!($entry);
+                    assert!(std::ptr::fn_addr_eq(s.$entry(), fma.$entry), "{name}: not the FMA table's");
+                    assert!(!std::ptr::fn_addr_eq(fma.$entry, portable.$entry), "{name}: the FMA table runs the portable loop");
+                )*};
+            }
+            check!(tile_f32, tile_f64, acc_f32, bt_f32, bt_f64);
         }
     }
 

@@ -300,9 +300,12 @@ mod tests {
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn fma_matches_portable<T: Scalar>() {
-        let fast_tile = T::tile_kernel(crate::gemm::scalar_backend());
-        let fast_bt = T::bt_kernel(crate::gemm::scalar_backend());
+    fn fma_matches_portable<T: Scalar>(t: Fma) {
+        // The FMA table's entries; `backend`'s tests check that they
+        // are not the portable loops and that the scalar backend runs
+        // them.
+        let fma = crate::gemm::backend::Kernels::scalar_fma(t);
+        let (fast_tile, fast_bt) = (T::tile_kernel(&fma), T::bt_kernel(&fma));
         for kc in [0usize, 1, 3, 17, 64] {
             // Non-round values so a differently rounded step shows up.
             let ap: Vec<T> = (0..kc * MR)
@@ -336,10 +339,9 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn fma_instantiation_bitwise_matches_portable() {
-        // The scalar backend runs the FMA instantiation on this CPU.
-        if Fma::detect().is_some() {
-            fma_matches_portable::<f32>();
-            fma_matches_portable::<f64>();
+        if let Some(t) = Fma::detect() {
+            fma_matches_portable::<f32>(t);
+            fma_matches_portable::<f64>(t);
         }
     }
 }
