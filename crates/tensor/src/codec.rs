@@ -20,7 +20,7 @@ pub type CodecFn = fn(pass: CodecPass<'_>);
 /// feature-gated one is listed only with the ISA token its features
 /// were detected into ([`crate::gemm::backend`]).
 pub fn instantiations() -> Vec<(&'static str, CodecFn)> {
-    crate::gemm::backend::codec_instantiations()
+    crate::gemm::dispatch::codec_instantiations()
 }
 
 /// Name of the instantiation for a backend ISA: the one of the same

@@ -5,15 +5,16 @@
 //! ([`codec_pass`]) is compiled several times. The portable
 //! instantiation is the reference and already vectorizes on the
 //! `x86-64` baseline (SSE2); on x86_64 the same loop is inlined into
-//! safe `#[target_feature]` fns with `avx2` and `avx512f` enabled, each
-//! taking its ISA token, where LLVM runs it 8 and 16 lanes wide. Every lane is a fixed sequence of IEEE and
+//! safe `#[target_feature]` fns with the features of the [`Avx2`] and
+//! [`Avx512`] tokens enabled, each taking its token, where LLVM runs it
+//! 8 and 16 lanes wide. Every lane is a fixed sequence of IEEE and
 //! integer operations with no data-dependent branch — each lane
 //! computes every candidate result and selects one — so all
 //! instantiations agree bitwise; [`crate::codec::instantiations`]
 //! lists the ones the CPU can run.
 
 #[cfg(target_arch = "x86_64")]
-use crate::gemm::backend::{Avx2, Avx512};
+use crate::gemm::dispatch::{avx2_kernel, avx512_kernel, Avx2, Avx512};
 
 /// One pass over a chunk of a collective's payload. Slices pair up
 /// element by element, and a pass with `src` and `out` of different
@@ -214,18 +215,20 @@ pub fn codec_pass(pass: CodecPass<'_>) {
     }
 }
 
-/// [`codec_pass`] compiled for 256-bit AVX2 registers.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub fn codec_pass_avx2(_: Avx2, pass: CodecPass<'_>) {
-    codec_pass(pass);
+avx2_kernel! {
+    /// [`codec_pass`] compiled for 256-bit AVX2 registers.
+    pub fn codec_pass_avx2(_: Avx2, pass: CodecPass<'_>) {
+        codec_pass(pass);
+    }
 }
 
-/// [`codec_pass`] compiled for 512-bit AVX-512 registers.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub fn codec_pass_avx512(_: Avx512, pass: CodecPass<'_>) {
-    codec_pass(pass);
+avx512_kernel! {
+    /// [`codec_pass`] compiled for 512-bit AVX-512 registers.
+    pub fn codec_pass_avx512(_: Avx512, pass: CodecPass<'_>) {
+        codec_pass(pass);
+    }
 }
 
 #[cfg(test)]

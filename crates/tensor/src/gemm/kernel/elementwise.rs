@@ -4,8 +4,9 @@
 //! Like [`super::scalar`], one `#[inline(always)]` loop ([`row_op`])
 //! is compiled several times. The portable instantiation is the
 //! reference; on x86_64 the same loop is inlined into safe
-//! `#[target_feature]` fns with `fma`, `avx2,fma` and `avx512f,fma`
-//! enabled, each taking the ISA token that proves them, where each
+//! `#[target_feature]` fns with `fma`, `avx2,fma` and
+//! `avx512f,avx2,fma` enabled, each taking the ISA token that proves
+//! them (and enabling its features: `fma_kernel!` and so on), where each
 //! [`crate::scalar::Scalar::fma`] step of [`crate::vmath`]'s `exp` is
 //! one `vfmadd` and LLVM vectorizes the loop across elements. The
 //! elements are independent and each lane runs the same IEEE
@@ -14,7 +15,7 @@
 //! picks among them.
 
 #[cfg(target_arch = "x86_64")]
-use crate::gemm::backend::{Avx2, Avx512, Fma};
+use crate::gemm::dispatch::{avx2_kernel, avx512_kernel, fma_kernel, Avx2, Avx512, Fma};
 use crate::scalar::Scalar;
 use crate::vmath::RowOp;
 
@@ -67,25 +68,28 @@ pub fn row_op<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
     }
 }
 
-/// [`row_op`] compiled with the scalar FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-pub fn row_op_fma<T: Scalar>(_: Fma, op: RowOp, row: &mut [T], bias: &[T]) {
-    row_op(op, row, bias);
+fma_kernel! {
+    /// [`row_op`] compiled with the scalar FMA instruction enabled.
+    pub fn row_op_fma<T: Scalar>(_: Fma, op: RowOp, row: &mut [T], bias: &[T]) {
+        row_op(op, row, bias);
+    }
 }
 
-/// [`row_op`] compiled for 256-bit AVX2 registers with FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub fn row_op_avx2<T: Scalar>(_: Avx2, op: RowOp, row: &mut [T], bias: &[T]) {
-    row_op(op, row, bias);
+avx2_kernel! {
+    /// [`row_op`] compiled for 256-bit AVX2 registers with FMA.
+    pub fn row_op_avx2<T: Scalar>(_: Avx2, op: RowOp, row: &mut [T], bias: &[T]) {
+        row_op(op, row, bias);
+    }
 }
 
-/// [`row_op`] compiled for 512-bit AVX-512 registers with FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-pub fn row_op_avx512<T: Scalar>(_: Avx512, op: RowOp, row: &mut [T], bias: &[T]) {
-    row_op(op, row, bias);
+avx512_kernel! {
+    /// [`row_op`] compiled for 512-bit AVX-512 registers with FMA.
+    pub fn row_op_avx512<T: Scalar>(_: Avx512, op: RowOp, row: &mut [T], bias: &[T]) {
+        row_op(op, row, bias);
+    }
 }
 
 #[cfg(test)]

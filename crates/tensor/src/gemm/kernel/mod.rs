@@ -24,8 +24,10 @@
 //! Every kernel is safe Rust over slices. The SIMD ones are
 //! `#[target_feature]` fns whose intrinsics need no `unsafe`; each
 //! takes the zero-sized ISA token that proves the CPU has its features
-//! ([`crate::gemm::backend`] constructs the tokens and makes the one
-//! `unsafe` call per kernel entry). Their loads and stores go through
+//! (`gemm::dispatch` constructs the tokens and makes the one `unsafe`
+//! call per kernel entry). A kernel takes its token's features by
+//! sitting in the token's wrapper (`avx2_kernel! { ... }` and so on),
+//! which enables exactly the features the token's `detect` probes. Their loads and stores go through
 //! one small `mem` module per ISA — a whole register to or from a
 //! fixed-size array, or the first `len().min(W)` lanes of a slice —
 //! and those modules hold the only `unsafe` blocks here (lint rule

@@ -25,7 +25,8 @@
 use core::arch::aarch64::*;
 
 use super::{rows, steps};
-use crate::gemm::backend::{Merge, Neon};
+use crate::gemm::backend::Merge;
+use crate::gemm::dispatch::{neon_kernel, Neon};
 use crate::gemm::{BT_COLS, MR, NR};
 
 mod mem;
@@ -33,165 +34,169 @@ mod mem;
 // The register schedules below hardcode the micro-tile shape.
 const _: () = assert!(MR == 8 && NR == 32 && BT_COLS == 4);
 
-/// NEON f32 tile: eight 4-lane column groups.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "neon")]
-pub fn tile_f32_neon(
-    _: Neon,
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    alpha: f32,
-    merge: Merge<f32>,
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(mr_eff <= MR && nr_eff <= NR, "tile_f32_neon: tile overrun");
-    for g in 0..NR / 4 {
-        if g * 4 >= nr_eff {
-            break; // Columns past the edge: no chain to run.
-        }
-        let mut r = [vdupq_n_f32(0.0); MR];
-        for (a, b) in steps(kc, ap, bp) {
-            let bv = mem::load_f32(&b.as_chunks().0[g]);
-            for (ri, &ai) in r.iter_mut().zip(a) {
-                // One rounding per step: the scalar chain's `fma`.
-                *ri = vfmaq_f32(*ri, vdupq_n_f32(ai), bv);
+neon_kernel! {
+    /// NEON f32 tile: eight 4-lane column groups.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile_f32_neon(
+        _: Neon,
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        alpha: f32,
+        merge: Merge<f32>,
+        c: &mut [f32],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        assert!(mr_eff <= MR && nr_eff <= NR, "tile_f32_neon: tile overrun");
+        for g in 0..NR / 4 {
+            if g * 4 >= nr_eff {
+                break; // Columns past the edge: no chain to run.
             }
-        }
-        let live = (nr_eff - g * 4).min(4);
-        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
-            let row = &mut c[i * ldc + g * 4..][..live];
-            let s = vmulq_n_f32(ri, alpha);
-            let v = match merge {
-                Merge::Overwrite => s,
-                Merge::Scale(beta) => vaddq_f32(s, vmulq_n_f32(mem::load_masked_f32(row), beta)),
-                Merge::Accumulate => vaddq_f32(s, mem::load_masked_f32(row)),
-            };
-            mem::store_masked_f32(row, v);
+            let mut r = [vdupq_n_f32(0.0); MR];
+            for (a, b) in steps(kc, ap, bp) {
+                let bv = mem::load_f32(&b.as_chunks().0[g]);
+                for (ri, &ai) in r.iter_mut().zip(a) {
+                    // One rounding per step: the scalar chain's `fma`.
+                    *ri = vfmaq_f32(*ri, vdupq_n_f32(ai), bv);
+                }
+            }
+            let live = (nr_eff - g * 4).min(4);
+            for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+                let row = &mut c[i * ldc + g * 4..][..live];
+                let s = vmulq_n_f32(ri, alpha);
+                let v = match merge {
+                    Merge::Overwrite => s,
+                    Merge::Scale(beta) => vaddq_f32(s, vmulq_n_f32(mem::load_masked_f32(row), beta)),
+                    Merge::Accumulate => vaddq_f32(s, mem::load_masked_f32(row)),
+                };
+                mem::store_masked_f32(row, v);
+            }
         }
     }
 }
 
-/// NEON f64 tile: sixteen 2-lane column groups.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "neon")]
-pub fn tile_f64_neon(
-    _: Neon,
-    kc: usize,
-    ap: &[f64],
-    bp: &[f64],
-    alpha: f64,
-    merge: Merge<f64>,
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(mr_eff <= MR && nr_eff <= NR, "tile_f64_neon: tile overrun");
-    for g in 0..NR / 2 {
-        if g * 2 >= nr_eff {
-            break; // Columns past the edge: no chain to run.
-        }
-        let mut r = [vdupq_n_f64(0.0); MR];
-        for (a, b) in steps(kc, ap, bp) {
-            let bv = mem::load_f64(&b.as_chunks().0[g]);
-            for (ri, &ai) in r.iter_mut().zip(a) {
-                // One rounding per step: the scalar chain's `fma`.
-                *ri = vfmaq_f64(*ri, vdupq_n_f64(ai), bv);
+neon_kernel! {
+    /// NEON f64 tile: sixteen 2-lane column groups.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile_f64_neon(
+        _: Neon,
+        kc: usize,
+        ap: &[f64],
+        bp: &[f64],
+        alpha: f64,
+        merge: Merge<f64>,
+        c: &mut [f64],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        assert!(mr_eff <= MR && nr_eff <= NR, "tile_f64_neon: tile overrun");
+        for g in 0..NR / 2 {
+            if g * 2 >= nr_eff {
+                break; // Columns past the edge: no chain to run.
             }
-        }
-        let live = (nr_eff - g * 2).min(2);
-        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
-            let row = &mut c[i * ldc + g * 2..][..live];
-            let s = vmulq_n_f64(ri, alpha);
-            let v = match merge {
-                Merge::Overwrite => s,
-                Merge::Scale(beta) => vaddq_f64(s, vmulq_n_f64(mem::load_masked_f64(row), beta)),
-                Merge::Accumulate => vaddq_f64(s, mem::load_masked_f64(row)),
-            };
-            mem::store_masked_f64(row, v);
+            let mut r = [vdupq_n_f64(0.0); MR];
+            for (a, b) in steps(kc, ap, bp) {
+                let bv = mem::load_f64(&b.as_chunks().0[g]);
+                for (ri, &ai) in r.iter_mut().zip(a) {
+                    // One rounding per step: the scalar chain's `fma`.
+                    *ri = vfmaq_f64(*ri, vdupq_n_f64(ai), bv);
+                }
+            }
+            let live = (nr_eff - g * 2).min(2);
+            for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+                let row = &mut c[i * ldc + g * 2..][..live];
+                let s = vmulq_n_f64(ri, alpha);
+                let v = match merge {
+                    Merge::Overwrite => s,
+                    Merge::Scale(beta) => vaddq_f64(s, vmulq_n_f64(mem::load_masked_f64(row), beta)),
+                    Merge::Accumulate => vaddq_f64(s, mem::load_masked_f64(row)),
+                };
+                mem::store_masked_f64(row, v);
+            }
         }
     }
 }
 
-/// NEON f32 streaming-B^T kernel: two 4-lane halves per column,
-/// `BT_COLS` independent column chains.
-#[target_feature(enable = "neon")]
-pub fn bt_f32_neon(
-    _: Neon,
-    kc: usize,
-    ap: &[f32],
-    b: [&[f32]; BT_COLS],
-    acc: &mut [[f32; MR]; BT_COLS],
-) {
-    let [b0, b1, b2, b3] = b;
-    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
-    let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
-    // r[2c + h]: half `h` of column `c`.
-    let mut r = [vdupq_n_f32(0.0); 2 * BT_COLS];
-    for (rq, q) in r.iter_mut().zip(acc.as_flattened().as_chunks().0) {
-        *rq = mem::load_f32(q);
-    }
-    for ((((a, &x0), &x1), &x2), &x3) in steps {
-        let (halves, _) = a.as_chunks();
-        let lo = mem::load_f32(&halves[0]);
-        let hi = mem::load_f32(&halves[1]);
-        let v0 = vdupq_n_f32(x0);
-        r[0] = vfmaq_f32(r[0], lo, v0);
-        r[1] = vfmaq_f32(r[1], hi, v0);
-        let v1 = vdupq_n_f32(x1);
-        r[2] = vfmaq_f32(r[2], lo, v1);
-        r[3] = vfmaq_f32(r[3], hi, v1);
-        let v2 = vdupq_n_f32(x2);
-        r[4] = vfmaq_f32(r[4], lo, v2);
-        r[5] = vfmaq_f32(r[5], hi, v2);
-        let v3 = vdupq_n_f32(x3);
-        r[6] = vfmaq_f32(r[6], lo, v3);
-        r[7] = vfmaq_f32(r[7], hi, v3);
-    }
-    let (quarters, _) = acc.as_flattened_mut().as_chunks_mut();
-    for (q, &rq) in quarters.iter_mut().zip(&r) {
-        mem::store_f32(q, rq);
+neon_kernel! {
+    /// NEON f32 streaming-B^T kernel: two 4-lane halves per column,
+    /// `BT_COLS` independent column chains.
+    pub fn bt_f32_neon(
+        _: Neon,
+        kc: usize,
+        ap: &[f32],
+        b: [&[f32]; BT_COLS],
+        acc: &mut [[f32; MR]; BT_COLS],
+    ) {
+        let [b0, b1, b2, b3] = b;
+        let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
+        let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
+        // r[2c + h]: half `h` of column `c`.
+        let mut r = [vdupq_n_f32(0.0); 2 * BT_COLS];
+        for (rq, q) in r.iter_mut().zip(acc.as_flattened().as_chunks().0) {
+            *rq = mem::load_f32(q);
+        }
+        for ((((a, &x0), &x1), &x2), &x3) in steps {
+            let (halves, _) = a.as_chunks();
+            let lo = mem::load_f32(&halves[0]);
+            let hi = mem::load_f32(&halves[1]);
+            let v0 = vdupq_n_f32(x0);
+            r[0] = vfmaq_f32(r[0], lo, v0);
+            r[1] = vfmaq_f32(r[1], hi, v0);
+            let v1 = vdupq_n_f32(x1);
+            r[2] = vfmaq_f32(r[2], lo, v1);
+            r[3] = vfmaq_f32(r[3], hi, v1);
+            let v2 = vdupq_n_f32(x2);
+            r[4] = vfmaq_f32(r[4], lo, v2);
+            r[5] = vfmaq_f32(r[5], hi, v2);
+            let v3 = vdupq_n_f32(x3);
+            r[6] = vfmaq_f32(r[6], lo, v3);
+            r[7] = vfmaq_f32(r[7], hi, v3);
+        }
+        let (quarters, _) = acc.as_flattened_mut().as_chunks_mut();
+        for (q, &rq) in quarters.iter_mut().zip(&r) {
+            mem::store_f32(q, rq);
+        }
     }
 }
 
-/// NEON f64 streaming-B^T kernel: four 2-lane quarters per column.
-#[target_feature(enable = "neon")]
-pub fn bt_f64_neon(
-    _: Neon,
-    kc: usize,
-    ap: &[f64],
-    b: [&[f64]; BT_COLS],
-    acc: &mut [[f64; MR]; BT_COLS],
-) {
-    let [b0, b1, b2, b3] = b;
-    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
-    let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
-    // r[4c + q]: quarter `q` of column `c`.
-    let mut r = [vdupq_n_f64(0.0); 4 * BT_COLS];
-    for (rq, q) in r.iter_mut().zip(acc.as_flattened().as_chunks().0) {
-        *rq = mem::load_f64(q);
-    }
-    for ((((a, &x0), &x1), &x2), &x3) in steps {
-        let bv = [
-            vdupq_n_f64(x0),
-            vdupq_n_f64(x1),
-            vdupq_n_f64(x2),
-            vdupq_n_f64(x3),
-        ];
-        for (q, pair) in a.as_chunks().0.iter().enumerate() {
-            let av = mem::load_f64(pair);
-            for (c, &bc) in bv.iter().enumerate() {
-                r[4 * c + q] = vfmaq_f64(r[4 * c + q], av, bc);
+neon_kernel! {
+    /// NEON f64 streaming-B^T kernel: four 2-lane quarters per column.
+    pub fn bt_f64_neon(
+        _: Neon,
+        kc: usize,
+        ap: &[f64],
+        b: [&[f64]; BT_COLS],
+        acc: &mut [[f64; MR]; BT_COLS],
+    ) {
+        let [b0, b1, b2, b3] = b;
+        let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
+        let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
+        // r[4c + q]: quarter `q` of column `c`.
+        let mut r = [vdupq_n_f64(0.0); 4 * BT_COLS];
+        for (rq, q) in r.iter_mut().zip(acc.as_flattened().as_chunks().0) {
+            *rq = mem::load_f64(q);
+        }
+        for ((((a, &x0), &x1), &x2), &x3) in steps {
+            let bv = [
+                vdupq_n_f64(x0),
+                vdupq_n_f64(x1),
+                vdupq_n_f64(x2),
+                vdupq_n_f64(x3),
+            ];
+            for (q, pair) in a.as_chunks().0.iter().enumerate() {
+                let av = mem::load_f64(pair);
+                for (c, &bc) in bv.iter().enumerate() {
+                    r[4 * c + q] = vfmaq_f64(r[4 * c + q], av, bc);
+                }
             }
         }
-    }
-    let (pairs, _) = acc.as_flattened_mut().as_chunks_mut();
-    for (q, &rq) in pairs.iter_mut().zip(&r) {
-        mem::store_f64(q, rq);
+        let (pairs, _) = acc.as_flattened_mut().as_chunks_mut();
+        for (q, &rq) in pairs.iter_mut().zip(&r) {
+            mem::store_f64(q, rq);
+        }
     }
 }
 

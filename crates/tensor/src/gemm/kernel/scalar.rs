@@ -22,9 +22,9 @@
 //!   CPUID.
 
 use super::{rows, steps};
-#[cfg(target_arch = "x86_64")]
-use crate::gemm::backend::Fma;
 use crate::gemm::backend::Merge;
+#[cfg(target_arch = "x86_64")]
+use crate::gemm::dispatch::{fma_kernel, Fma};
 use crate::gemm::{BT_COLS, MR, NR};
 use crate::scalar::Scalar;
 
@@ -118,37 +118,39 @@ pub fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]
     }
 }
 
-/// [`tile`] compiled with the hardware FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "fma")]
-pub fn tile_fma<T: Scalar>(
-    _: Fma,
-    kc: usize,
-    ap: &[T],
-    bp: &[T],
-    alpha: T,
-    merge: Merge<T>,
-    c: &mut [T],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    // Inlined here, so its `fma` steps compile to `vfmadd`.
-    tile(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
+fma_kernel! {
+    /// [`tile`] compiled with the hardware FMA instruction enabled.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile_fma<T: Scalar>(
+        _: Fma,
+        kc: usize,
+        ap: &[T],
+        bp: &[T],
+        alpha: T,
+        merge: Merge<T>,
+        c: &mut [T],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        // Inlined here, so its `fma` steps compile to `vfmadd`.
+        tile(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
+    }
 }
 
-/// [`bt`] compiled with the hardware FMA instruction enabled.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-pub fn bt_fma<T: Scalar>(
-    _: Fma,
-    kc: usize,
-    ap: &[T],
-    b: [&[T]; BT_COLS],
-    acc: &mut [[T; MR]; BT_COLS],
-) {
-    bt(kc, ap, b, acc);
+fma_kernel! {
+    /// [`bt`] compiled with the hardware FMA instruction enabled.
+    pub fn bt_fma<T: Scalar>(
+        _: Fma,
+        kc: usize,
+        ap: &[T],
+        b: [&[T]; BT_COLS],
+        acc: &mut [[T; MR]; BT_COLS],
+    ) {
+        bt(kc, ap, b, acc);
+    }
 }
 
 #[cfg(test)]
@@ -304,7 +306,7 @@ mod tests {
         // The FMA table's entries; `backend`'s tests check that they
         // are not the portable loops and that the scalar backend runs
         // them.
-        let fma = crate::gemm::backend::Kernels::scalar_fma(t);
+        let fma = crate::gemm::dispatch::Kernels::scalar_fma(t);
         let (fast_tile, fast_bt) = (T::tile_kernel(&fma), T::bt_kernel(&fma));
         for kc in [0usize, 1, 3, 17, 64] {
             // Non-round values so a differently rounded step shows up.

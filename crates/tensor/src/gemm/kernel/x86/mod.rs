@@ -25,7 +25,9 @@
 //! with every lane live.
 //!
 //! Every kernel is a safe `#[target_feature]` fn over slices that
-//! takes its ISA token ([`Avx2`], [`Avx512`]) first. The panels are
+//! takes its ISA token ([`Avx2`], [`Avx512`]) first and is compiled
+//! with exactly that token's features (`avx2_kernel!`,
+//! `avx512_kernel!`). The panels are
 //! walked as fixed-size rows ([`super::steps`]), so no index in a `kk`
 //! loop is checked at run time, and a panel or C tile shorter than the
 //! call needs panics. [`mem`] holds the only `unsafe` blocks.
@@ -33,7 +35,8 @@
 use core::arch::x86_64::*;
 
 use super::{rows, steps};
-use crate::gemm::backend::{Avx2, Avx512, Merge};
+use crate::gemm::backend::Merge;
+use crate::gemm::dispatch::{avx2_kernel, avx512_kernel, Avx2, Avx512};
 use crate::gemm::{BT_COLS, MR, NR};
 
 mod mem;
@@ -42,297 +45,304 @@ use mem::{avx2, avx512};
 // The register schedules below hardcode the micro-tile shape.
 const _: () = assert!(MR == 8 && NR == 32 && BT_COLS == 4);
 
-/// AVX2 f32 tile: four 8-lane column groups, eight row chains each.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-pub fn tile_f32_avx2(
-    _: Avx2,
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    alpha: f32,
-    merge: Merge<f32>,
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(mr_eff <= MR && nr_eff <= NR, "tile_f32_avx2: tile overrun");
-    let va = _mm256_set1_ps(alpha);
-    for g in 0..NR / 8 {
-        if g * 8 >= nr_eff {
-            break; // Columns past the edge: no chain to run.
-        }
-        let mut r = [_mm256_setzero_ps(); MR];
-        for (a, b) in steps(kc, ap, bp) {
-            let bv = avx2::load_f32(&b.as_chunks().0[g]);
-            for (ri, &ai) in r.iter_mut().zip(a) {
-                // One rounding per step: the scalar chain's `fma`.
-                *ri = _mm256_fmadd_ps(_mm256_set1_ps(ai), bv, *ri);
+avx2_kernel! {
+    /// AVX2 f32 tile: four 8-lane column groups, eight row chains each.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile_f32_avx2(
+        _: Avx2,
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        alpha: f32,
+        merge: Merge<f32>,
+        c: &mut [f32],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        assert!(mr_eff <= MR && nr_eff <= NR, "tile_f32_avx2: tile overrun");
+        let va = _mm256_set1_ps(alpha);
+        for g in 0..NR / 8 {
+            if g * 8 >= nr_eff {
+                break; // Columns past the edge: no chain to run.
+            }
+            let mut r = [_mm256_setzero_ps(); MR];
+            for (a, b) in steps(kc, ap, bp) {
+                let bv = avx2::load_f32(&b.as_chunks().0[g]);
+                for (ri, &ai) in r.iter_mut().zip(a) {
+                    // One rounding per step: the scalar chain's `fma`.
+                    *ri = _mm256_fmadd_ps(_mm256_set1_ps(ai), bv, *ri);
+                }
+            }
+            let live = (nr_eff - g * 8).min(8);
+            for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+                let row = &mut c[i * ldc + g * 8..][..live];
+                let s = _mm256_mul_ps(va, ri);
+                let v = match merge {
+                    Merge::Overwrite => s,
+                    Merge::Scale(beta) => _mm256_add_ps(
+                        s,
+                        _mm256_mul_ps(_mm256_set1_ps(beta), avx2::load_masked_f32(row)),
+                    ),
+                    Merge::Accumulate => _mm256_add_ps(s, avx2::load_masked_f32(row)),
+                };
+                avx2::store_masked_f32(row, v);
             }
         }
-        let live = (nr_eff - g * 8).min(8);
-        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
-            let row = &mut c[i * ldc + g * 8..][..live];
-            let s = _mm256_mul_ps(va, ri);
-            let v = match merge {
-                Merge::Overwrite => s,
-                Merge::Scale(beta) => _mm256_add_ps(
-                    s,
-                    _mm256_mul_ps(_mm256_set1_ps(beta), avx2::load_masked_f32(row)),
-                ),
-                Merge::Accumulate => _mm256_add_ps(s, avx2::load_masked_f32(row)),
-            };
-            avx2::store_masked_f32(row, v);
-        }
     }
 }
 
-/// AVX2 f64 tile: eight 4-lane column groups.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-pub fn tile_f64_avx2(
-    _: Avx2,
-    kc: usize,
-    ap: &[f64],
-    bp: &[f64],
-    alpha: f64,
-    merge: Merge<f64>,
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(mr_eff <= MR && nr_eff <= NR, "tile_f64_avx2: tile overrun");
-    let va = _mm256_set1_pd(alpha);
-    for g in 0..NR / 4 {
-        if g * 4 >= nr_eff {
-            break; // Columns past the edge: no chain to run.
-        }
-        let mut r = [_mm256_setzero_pd(); MR];
-        for (a, b) in steps(kc, ap, bp) {
-            let bv = avx2::load_f64(&b.as_chunks().0[g]);
-            for (ri, &ai) in r.iter_mut().zip(a) {
-                *ri = _mm256_fmadd_pd(_mm256_set1_pd(ai), bv, *ri);
+avx2_kernel! {
+    /// AVX2 f64 tile: eight 4-lane column groups.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile_f64_avx2(
+        _: Avx2,
+        kc: usize,
+        ap: &[f64],
+        bp: &[f64],
+        alpha: f64,
+        merge: Merge<f64>,
+        c: &mut [f64],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        assert!(mr_eff <= MR && nr_eff <= NR, "tile_f64_avx2: tile overrun");
+        let va = _mm256_set1_pd(alpha);
+        for g in 0..NR / 4 {
+            if g * 4 >= nr_eff {
+                break; // Columns past the edge: no chain to run.
+            }
+            let mut r = [_mm256_setzero_pd(); MR];
+            for (a, b) in steps(kc, ap, bp) {
+                let bv = avx2::load_f64(&b.as_chunks().0[g]);
+                for (ri, &ai) in r.iter_mut().zip(a) {
+                    *ri = _mm256_fmadd_pd(_mm256_set1_pd(ai), bv, *ri);
+                }
+            }
+            let live = (nr_eff - g * 4).min(4);
+            for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+                let row = &mut c[i * ldc + g * 4..][..live];
+                let s = _mm256_mul_pd(va, ri);
+                let v = match merge {
+                    Merge::Overwrite => s,
+                    Merge::Scale(beta) => _mm256_add_pd(
+                        s,
+                        _mm256_mul_pd(_mm256_set1_pd(beta), avx2::load_masked_f64(row)),
+                    ),
+                    Merge::Accumulate => _mm256_add_pd(s, avx2::load_masked_f64(row)),
+                };
+                avx2::store_masked_f64(row, v);
             }
         }
-        let live = (nr_eff - g * 4).min(4);
-        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
-            let row = &mut c[i * ldc + g * 4..][..live];
-            let s = _mm256_mul_pd(va, ri);
-            let v = match merge {
-                Merge::Overwrite => s,
-                Merge::Scale(beta) => _mm256_add_pd(
-                    s,
-                    _mm256_mul_pd(_mm256_set1_pd(beta), avx2::load_masked_f64(row)),
-                ),
-                Merge::Accumulate => _mm256_add_pd(s, avx2::load_masked_f64(row)),
-            };
-            avx2::store_masked_f64(row, v);
-        }
     }
 }
 
-/// AVX-512 f32 tile: two zmm per tile row — sixteen independent chains
-/// fed by two B loads and eight A broadcasts a step.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f")]
-pub fn tile_f32_avx512(
-    _: Avx512,
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    alpha: f32,
-    merge: Merge<f32>,
-    c: &mut [f32],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        mr_eff <= MR && nr_eff <= NR,
-        "tile_f32_avx512: tile overrun"
-    );
-    // r[i] = the two zmm halves of tile row i.
-    let mut r = [[_mm512_setzero_ps(); 2]; MR];
-    for (a, b) in steps(kc, ap, bp) {
-        let (halves, _) = b.as_chunks();
-        let b0 = avx512::load_f32(&halves[0]);
-        let b1 = avx512::load_f32(&halves[1]);
-        for (ri, &ai) in r.iter_mut().zip(a) {
-            let av = _mm512_set1_ps(ai);
-            ri[0] = _mm512_fmadd_ps(av, b0, ri[0]);
-            ri[1] = _mm512_fmadd_ps(av, b1, ri[1]);
-        }
-    }
-    let va = _mm512_set1_ps(alpha);
-    for g in 0..NR / 16 {
-        if g * 16 >= nr_eff {
-            break; // Columns past the edge: nothing to merge.
-        }
-        let live = (nr_eff - g * 16).min(16);
-        for (i, ri) in r.iter().enumerate().take(mr_eff) {
-            let row = &mut c[i * ldc + g * 16..][..live];
-            let s = _mm512_mul_ps(va, ri[g]);
-            let v = match merge {
-                Merge::Overwrite => s,
-                Merge::Scale(beta) => _mm512_add_ps(
-                    s,
-                    _mm512_mul_ps(_mm512_set1_ps(beta), avx512::load_masked_f32(row)),
-                ),
-                Merge::Accumulate => _mm512_add_ps(s, avx512::load_masked_f32(row)),
-            };
-            avx512::store_masked_f32(row, v);
-        }
-    }
-}
-
-/// AVX-512 f64 tile: four 8-lane column groups.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f")]
-pub fn tile_f64_avx512(
-    _: Avx512,
-    kc: usize,
-    ap: &[f64],
-    bp: &[f64],
-    alpha: f64,
-    merge: Merge<f64>,
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        mr_eff <= MR && nr_eff <= NR,
-        "tile_f64_avx512: tile overrun"
-    );
-    let va = _mm512_set1_pd(alpha);
-    for g in 0..NR / 8 {
-        if g * 8 >= nr_eff {
-            break; // Columns past the edge: no chain to run.
-        }
-        let mut r = [_mm512_setzero_pd(); MR];
+avx512_kernel! {
+    /// AVX-512 f32 tile: two zmm per tile row — sixteen independent chains
+    /// fed by two B loads and eight A broadcasts a step.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile_f32_avx512(
+        _: Avx512,
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        alpha: f32,
+        merge: Merge<f32>,
+        c: &mut [f32],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        assert!(
+            mr_eff <= MR && nr_eff <= NR,
+            "tile_f32_avx512: tile overrun"
+        );
+        // r[i] = the two zmm halves of tile row i.
+        let mut r = [[_mm512_setzero_ps(); 2]; MR];
         for (a, b) in steps(kc, ap, bp) {
-            let bv = avx512::load_f64(&b.as_chunks().0[g]);
+            let (halves, _) = b.as_chunks();
+            let b0 = avx512::load_f32(&halves[0]);
+            let b1 = avx512::load_f32(&halves[1]);
             for (ri, &ai) in r.iter_mut().zip(a) {
-                *ri = _mm512_fmadd_pd(_mm512_set1_pd(ai), bv, *ri);
+                let av = _mm512_set1_ps(ai);
+                ri[0] = _mm512_fmadd_ps(av, b0, ri[0]);
+                ri[1] = _mm512_fmadd_ps(av, b1, ri[1]);
             }
         }
-        let live = (nr_eff - g * 8).min(8);
-        for (i, &ri) in r.iter().enumerate().take(mr_eff) {
-            let row = &mut c[i * ldc + g * 8..][..live];
-            let s = _mm512_mul_pd(va, ri);
-            let v = match merge {
-                Merge::Overwrite => s,
-                Merge::Scale(beta) => _mm512_add_pd(
-                    s,
-                    _mm512_mul_pd(_mm512_set1_pd(beta), avx512::load_masked_f64(row)),
-                ),
-                Merge::Accumulate => _mm512_add_pd(s, avx512::load_masked_f64(row)),
-            };
-            avx512::store_masked_f64(row, v);
+        let va = _mm512_set1_ps(alpha);
+        for g in 0..NR / 16 {
+            if g * 16 >= nr_eff {
+                break; // Columns past the edge: nothing to merge.
+            }
+            let live = (nr_eff - g * 16).min(16);
+            for (i, ri) in r.iter().enumerate().take(mr_eff) {
+                let row = &mut c[i * ldc + g * 16..][..live];
+                let s = _mm512_mul_ps(va, ri[g]);
+                let v = match merge {
+                    Merge::Overwrite => s,
+                    Merge::Scale(beta) => _mm512_add_ps(
+                        s,
+                        _mm512_mul_ps(_mm512_set1_ps(beta), avx512::load_masked_f32(row)),
+                    ),
+                    Merge::Accumulate => _mm512_add_ps(s, avx512::load_masked_f32(row)),
+                };
+                avx512::store_masked_f32(row, v);
+            }
         }
     }
 }
 
-/// AVX2 f32 streaming-B^T kernel: one ymm holds the `MR` accumulators
-/// of a column, one register per column. A panel columns are
-/// contiguous (`kk`-major packing), so each step is one A load plus
-/// `BT_COLS` broadcasts feeding `BT_COLS` independent chains.
-#[target_feature(enable = "avx2,fma")]
-pub fn bt_f32_avx2(
-    _: Avx2,
-    kc: usize,
-    ap: &[f32],
-    b: [&[f32]; BT_COLS],
-    acc: &mut [[f32; MR]; BT_COLS],
-) {
-    let [b0, b1, b2, b3] = b;
-    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
-    let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
-    let mut r = [_mm256_setzero_ps(); BT_COLS];
-    for (rc, col) in r.iter_mut().zip(acc.iter()) {
-        *rc = avx2::load_f32(col);
-    }
-    for ((((a, &x0), &x1), &x2), &x3) in steps {
-        let av = avx2::load_f32(a);
-        r[0] = _mm256_fmadd_ps(av, _mm256_set1_ps(x0), r[0]);
-        r[1] = _mm256_fmadd_ps(av, _mm256_set1_ps(x1), r[1]);
-        r[2] = _mm256_fmadd_ps(av, _mm256_set1_ps(x2), r[2]);
-        r[3] = _mm256_fmadd_ps(av, _mm256_set1_ps(x3), r[3]);
-    }
-    for (col, &rc) in acc.iter_mut().zip(&r) {
-        avx2::store_f32(col, rc);
-    }
-}
-
-/// AVX2 f64 streaming-B^T kernel: two 4-lane halves per column.
-#[target_feature(enable = "avx2,fma")]
-pub fn bt_f64_avx2(
-    _: Avx2,
-    kc: usize,
-    ap: &[f64],
-    b: [&[f64]; BT_COLS],
-    acc: &mut [[f64; MR]; BT_COLS],
-) {
-    let [b0, b1, b2, b3] = b;
-    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
-    let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
-    // r[2c + h]: half `h` of column `c`.
-    let mut r = [_mm256_setzero_pd(); 2 * BT_COLS];
-    for (rq, q) in r.iter_mut().zip(acc.as_flattened().as_chunks().0) {
-        *rq = avx2::load_f64(q);
-    }
-    for ((((a, &x0), &x1), &x2), &x3) in steps {
-        let (halves, _) = a.as_chunks();
-        let lo = avx2::load_f64(&halves[0]);
-        let hi = avx2::load_f64(&halves[1]);
-        let v0 = _mm256_set1_pd(x0);
-        r[0] = _mm256_fmadd_pd(lo, v0, r[0]);
-        r[1] = _mm256_fmadd_pd(hi, v0, r[1]);
-        let v1 = _mm256_set1_pd(x1);
-        r[2] = _mm256_fmadd_pd(lo, v1, r[2]);
-        r[3] = _mm256_fmadd_pd(hi, v1, r[3]);
-        let v2 = _mm256_set1_pd(x2);
-        r[4] = _mm256_fmadd_pd(lo, v2, r[4]);
-        r[5] = _mm256_fmadd_pd(hi, v2, r[5]);
-        let v3 = _mm256_set1_pd(x3);
-        r[6] = _mm256_fmadd_pd(lo, v3, r[6]);
-        r[7] = _mm256_fmadd_pd(hi, v3, r[7]);
-    }
-    let (quarters, _) = acc.as_flattened_mut().as_chunks_mut();
-    for (q, &rq) in quarters.iter_mut().zip(&r) {
-        avx2::store_f64(q, rq);
+avx512_kernel! {
+    /// AVX-512 f64 tile: four 8-lane column groups.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile_f64_avx512(
+        _: Avx512,
+        kc: usize,
+        ap: &[f64],
+        bp: &[f64],
+        alpha: f64,
+        merge: Merge<f64>,
+        c: &mut [f64],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        assert!(
+            mr_eff <= MR && nr_eff <= NR,
+            "tile_f64_avx512: tile overrun"
+        );
+        let va = _mm512_set1_pd(alpha);
+        for g in 0..NR / 8 {
+            if g * 8 >= nr_eff {
+                break; // Columns past the edge: no chain to run.
+            }
+            let mut r = [_mm512_setzero_pd(); MR];
+            for (a, b) in steps(kc, ap, bp) {
+                let bv = avx512::load_f64(&b.as_chunks().0[g]);
+                for (ri, &ai) in r.iter_mut().zip(a) {
+                    *ri = _mm512_fmadd_pd(_mm512_set1_pd(ai), bv, *ri);
+                }
+            }
+            let live = (nr_eff - g * 8).min(8);
+            for (i, &ri) in r.iter().enumerate().take(mr_eff) {
+                let row = &mut c[i * ldc + g * 8..][..live];
+                let s = _mm512_mul_pd(va, ri);
+                let v = match merge {
+                    Merge::Overwrite => s,
+                    Merge::Scale(beta) => _mm512_add_pd(
+                        s,
+                        _mm512_mul_pd(_mm512_set1_pd(beta), avx512::load_masked_f64(row)),
+                    ),
+                    Merge::Accumulate => _mm512_add_pd(s, avx512::load_masked_f64(row)),
+                };
+                avx512::store_masked_f64(row, v);
+            }
+        }
     }
 }
 
-/// AVX-512 f64 streaming-B^T kernel: one zmm per column. (f32 has no
-/// AVX-512 variant: one ymm already covers the `MR` accumulators of a
-/// column, so the AVX-512 backend reuses the AVX2 kernel.)
-#[target_feature(enable = "avx512f")]
-pub fn bt_f64_avx512(
-    _: Avx512,
-    kc: usize,
-    ap: &[f64],
-    b: [&[f64]; BT_COLS],
-    acc: &mut [[f64; MR]; BT_COLS],
-) {
-    let [b0, b1, b2, b3] = b;
-    let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
-    let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
-    let mut r = [_mm512_setzero_pd(); BT_COLS];
-    for (rc, col) in r.iter_mut().zip(acc.iter()) {
-        *rc = avx512::load_f64(col);
+avx2_kernel! {
+    /// AVX2 f32 streaming-B^T kernel: one ymm holds the `MR` accumulators
+    /// of a column, one register per column. A panel columns are
+    /// contiguous (`kk`-major packing), so each step is one A load plus
+    /// `BT_COLS` broadcasts feeding `BT_COLS` independent chains.
+    pub fn bt_f32_avx2(
+        _: Avx2,
+        kc: usize,
+        ap: &[f32],
+        b: [&[f32]; BT_COLS],
+        acc: &mut [[f32; MR]; BT_COLS],
+    ) {
+        let [b0, b1, b2, b3] = b;
+        let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
+        let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
+        let mut r = [_mm256_setzero_ps(); BT_COLS];
+        for (rc, col) in r.iter_mut().zip(acc.iter()) {
+            *rc = avx2::load_f32(col);
+        }
+        for ((((a, &x0), &x1), &x2), &x3) in steps {
+            let av = avx2::load_f32(a);
+            r[0] = _mm256_fmadd_ps(av, _mm256_set1_ps(x0), r[0]);
+            r[1] = _mm256_fmadd_ps(av, _mm256_set1_ps(x1), r[1]);
+            r[2] = _mm256_fmadd_ps(av, _mm256_set1_ps(x2), r[2]);
+            r[3] = _mm256_fmadd_ps(av, _mm256_set1_ps(x3), r[3]);
+        }
+        for (col, &rc) in acc.iter_mut().zip(&r) {
+            avx2::store_f32(col, rc);
+        }
     }
-    for ((((a, &x0), &x1), &x2), &x3) in steps {
-        let av = avx512::load_f64(a);
-        r[0] = _mm512_fmadd_pd(av, _mm512_set1_pd(x0), r[0]);
-        r[1] = _mm512_fmadd_pd(av, _mm512_set1_pd(x1), r[1]);
-        r[2] = _mm512_fmadd_pd(av, _mm512_set1_pd(x2), r[2]);
-        r[3] = _mm512_fmadd_pd(av, _mm512_set1_pd(x3), r[3]);
+}
+
+avx2_kernel! {
+    /// AVX2 f64 streaming-B^T kernel: two 4-lane halves per column.
+    pub fn bt_f64_avx2(
+        _: Avx2,
+        kc: usize,
+        ap: &[f64],
+        b: [&[f64]; BT_COLS],
+        acc: &mut [[f64; MR]; BT_COLS],
+    ) {
+        let [b0, b1, b2, b3] = b;
+        let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
+        let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
+        // r[2c + h]: half `h` of column `c`.
+        let mut r = [_mm256_setzero_pd(); 2 * BT_COLS];
+        for (rq, q) in r.iter_mut().zip(acc.as_flattened().as_chunks().0) {
+            *rq = avx2::load_f64(q);
+        }
+        for ((((a, &x0), &x1), &x2), &x3) in steps {
+            let (halves, _) = a.as_chunks();
+            let lo = avx2::load_f64(&halves[0]);
+            let hi = avx2::load_f64(&halves[1]);
+            let v0 = _mm256_set1_pd(x0);
+            r[0] = _mm256_fmadd_pd(lo, v0, r[0]);
+            r[1] = _mm256_fmadd_pd(hi, v0, r[1]);
+            let v1 = _mm256_set1_pd(x1);
+            r[2] = _mm256_fmadd_pd(lo, v1, r[2]);
+            r[3] = _mm256_fmadd_pd(hi, v1, r[3]);
+            let v2 = _mm256_set1_pd(x2);
+            r[4] = _mm256_fmadd_pd(lo, v2, r[4]);
+            r[5] = _mm256_fmadd_pd(hi, v2, r[5]);
+            let v3 = _mm256_set1_pd(x3);
+            r[6] = _mm256_fmadd_pd(lo, v3, r[6]);
+            r[7] = _mm256_fmadd_pd(hi, v3, r[7]);
+        }
+        let (quarters, _) = acc.as_flattened_mut().as_chunks_mut();
+        for (q, &rq) in quarters.iter_mut().zip(&r) {
+            avx2::store_f64(q, rq);
+        }
     }
-    for (col, &rc) in acc.iter_mut().zip(&r) {
-        avx512::store_f64(col, rc);
+}
+
+avx512_kernel! {
+    /// AVX-512 f64 streaming-B^T kernel: one zmm per column. (f32 has no
+    /// AVX-512 variant: one ymm already covers the `MR` accumulators of a
+    /// column, so the AVX-512 backend reuses the AVX2 kernel.)
+    pub fn bt_f64_avx512(
+        _: Avx512,
+        kc: usize,
+        ap: &[f64],
+        b: [&[f64]; BT_COLS],
+        acc: &mut [[f64; MR]; BT_COLS],
+    ) {
+        let [b0, b1, b2, b3] = b;
+        let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
+        let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
+        let mut r = [_mm512_setzero_pd(); BT_COLS];
+        for (rc, col) in r.iter_mut().zip(acc.iter()) {
+            *rc = avx512::load_f64(col);
+        }
+        for ((((a, &x0), &x1), &x2), &x3) in steps {
+            let av = avx512::load_f64(a);
+            r[0] = _mm512_fmadd_pd(av, _mm512_set1_pd(x0), r[0]);
+            r[1] = _mm512_fmadd_pd(av, _mm512_set1_pd(x1), r[1]);
+            r[2] = _mm512_fmadd_pd(av, _mm512_set1_pd(x2), r[2]);
+            r[3] = _mm512_fmadd_pd(av, _mm512_set1_pd(x3), r[3]);
+        }
+        for (col, &rc) in acc.iter_mut().zip(&r) {
+            avx512::store_f64(col, rc);
+        }
     }
 }
 

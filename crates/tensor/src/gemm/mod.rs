@@ -66,6 +66,7 @@
 //! two-matrix form under the same blocking.
 
 pub mod backend;
+pub(crate) mod dispatch;
 mod driver;
 pub(crate) mod kernel;
 pub mod naive;

@@ -31,7 +31,7 @@
 //! [`exp_slice`], [`bias_sigmoid`] and [`bias_tanh`] run one
 //! `#[inline(always)]` loop ([`crate::gemm::kernel::elementwise`])
 //! compiled several times: portable, and on x86_64 under
-//! `target_feature` `fma`, `avx2,fma` and `avx512f,fma`, where the
+//! `target_feature` `fma`, `avx2,fma` and `avx512f,avx2,fma`, where the
 //! `fma` steps become `vfmadd` and LLVM vectorizes the loop across
 //! elements. Each lane performs the same scalar operations in the same
 //! order, so every instantiation returns the same bits
@@ -238,7 +238,7 @@ pub fn bias_tanh<T: Scalar>(row: &mut [T], bias: &[T]) {
 /// A feature-gated one is listed only with the ISA token its features
 /// were detected into ([`crate::gemm::backend`]).
 pub fn instantiations<T: Scalar>() -> Vec<(&'static str, RowOpFn<T>)> {
-    crate::gemm::backend::row_op_instantiations()
+    crate::gemm::dispatch::row_op_instantiations()
 }
 
 /// Name of the instantiation for a backend ISA: the one of the same
