@@ -175,6 +175,18 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, Str
     Ok(out)
 }
 
+/// The workspace root at or above `dir`: the nearest directory whose
+/// `Cargo.toml` has a `[workspace]` table. `None` if no ancestor has
+/// one.
+pub fn find_workspace_root(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .find(|d| {
+            std::fs::read_to_string(d.join("Cargo.toml"))
+                .is_ok_and(|t| t.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
+}
+
 /// Lint the whole workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<FileOutcome>, usize)> {
     let files = collect_workspace_files(root)?;
@@ -196,6 +208,32 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<FileOutcome>, usize)>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workspace_root_is_the_nearest_ancestor_with_a_workspace_table() {
+        let tmp = std::env::temp_dir().join(format!("pdnn-lint-root-{}", std::process::id()));
+        let member = tmp.join("ws/crates/member/src");
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::write(tmp.join("Cargo.toml"), "[workspace]\n").unwrap();
+        std::fs::write(
+            tmp.join("ws/Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n\n[workspace.package]\n",
+        )
+        .unwrap();
+        std::fs::write(
+            tmp.join("ws/crates/member/Cargo.toml"),
+            "[package]\nname = \"member\"\n[workspace.dependencies]\n",
+        )
+        .unwrap();
+        std::fs::create_dir_all(tmp.join("other")).unwrap();
+        let from_member = find_workspace_root(&member);
+        let from_other = find_workspace_root(&tmp.join("other"));
+        std::fs::remove_dir_all(&tmp).unwrap();
+        // The member's own manifest has no `[workspace]` table, and the
+        // outer workspace is farther up than the inner one.
+        assert_eq!(from_member, Some(tmp.join("ws")));
+        assert_eq!(from_other, Some(tmp));
+    }
 
     #[test]
     fn same_line_suppression_waives_and_is_used() {

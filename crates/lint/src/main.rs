@@ -2,28 +2,35 @@
 //! diagnostics, write `results/lint_report.json`, and exit nonzero on
 //! any violation or suppression problem.
 //!
-//! Usage: `pdnn-lint [workspace-root]` (default: `CARGO_MANIFEST_DIR`'s
-//! grandparent, i.e. the repo root when run via cargo).
+//! Usage: `pdnn-lint [workspace-root]` (default: the nearest directory
+//! at or above the current one whose `Cargo.toml` has a `[workspace]`
+//! table, so a copy of the repo lints and reports into itself).
 
-use pdnn_lint::{lint_workspace, report, rules};
+use pdnn_lint::{find_workspace_root, lint_workspace, report, rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn workspace_root() -> PathBuf {
+fn workspace_root() -> Result<PathBuf, String> {
     if let Some(arg) = std::env::args().nth(1) {
-        return PathBuf::from(arg);
+        return Ok(PathBuf::from(arg));
     }
-    // crates/lint -> crates -> repo root.
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .unwrap_or(manifest)
+    let cwd = std::env::current_dir().map_err(|e| format!("no current directory: {e}"))?;
+    find_workspace_root(&cwd).ok_or_else(|| {
+        format!(
+            "no Cargo.toml with a [workspace] table at or above {}; pass the root",
+            cwd.display()
+        )
+    })
 }
 
 fn main() -> ExitCode {
-    let root = workspace_root();
+    let root = match workspace_root() {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("pdnn-lint: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let (outcomes, files_scanned) = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {

@@ -5,9 +5,10 @@
 //! index panics. What stays unsafe is calling such a fn from code
 //! compiled without those features, so each kernel takes, as its
 //! first argument, a zero-sized token ([`Avx2`], [`Avx512`], [`Fma`],
-//! `Neon`) that proves the running CPU has them. A token's field is
-//! private to this module, and the only constructor is its `detect`,
-//! which probes the CPU.
+//! `Neon`) that proves the running CPU has them. The tokens live in a
+//! private `token` submodule, so their field is private even to the
+//! tables below: the only safe constructor is a token's `detect`,
+//! which probes the CPU, and writing `Avx2(())` here does not compile.
 //!
 //! One list of features per token, in its `isa_token!` line, drives
 //! both sides: `detect` probes exactly those features, and the token's
@@ -24,10 +25,12 @@
 //! constructor: nothing else can name them, and the constructor runs
 //! only with a token its `detect` made. Each entry makes the one
 //! `unsafe` call into its kernel (one per kernel entry; the
-//! element-wise and codec instantiations are built the same way), so
-//! the table that holds an entry's fn pointer is the proof that the
-//! CPU can run it. With the per-ISA `mem` modules these are the only
-//! `unsafe` of the kernels (l7). No kernel call probes the CPU again.
+//! element-wise and codec instantiations are built the same way),
+//! re-making the token it was built under with the token's one
+//! `unsafe fn remake`, so the table that holds an entry's fn pointer is
+//! the proof that the CPU can run it. With the per-ISA `mem` modules
+//! these are the only `unsafe` of the kernels (l7). No kernel call
+//! probes the CPU again.
 
 use std::sync::OnceLock;
 
@@ -38,73 +41,92 @@ use crate::codec::{CodecFn, CodecPass};
 use crate::scalar::Scalar;
 use crate::vmath::{RowOp, RowOpFn};
 
-/// Define ISA token `$token` from the features `$feature` its kernels
-/// may assume: the token, its `detect` (probing each feature with
-/// `$probe!`), and `$enable!`, which compiles one item with each
-/// feature enabled.
-macro_rules! isa_token {
-    ($(#[$doc:meta])* $token:ident, $enable:ident, $probe:ident, [$($feature:tt),+]) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, Debug)]
-        pub struct $token(());
+pub use token::*;
 
-        impl $token {
-            /// The token, if the running CPU has every feature of the
-            /// kernels that take it.
-            pub fn detect() -> Option<$token> {
-                ($($probe!($feature))&&+).then_some($token(()))
+/// The ISA tokens, apart from the tables so that their field is private
+/// to the tokens' own code.
+mod token {
+    /// Define ISA token `$token` from the features `$feature` its
+    /// kernels may assume: the token, its `detect` (probing each
+    /// feature with `$probe!`) and `remake`, and `$enable!`, which
+    /// compiles one item with each feature enabled.
+    macro_rules! isa_token {
+        ($(#[$doc:meta])* $token:ident, $enable:ident, $probe:ident, [$($feature:tt),+]) => {
+            $(#[$doc])*
+            #[derive(Clone, Copy, Debug)]
+            pub struct $token(());
+
+            impl $token {
+                /// The token, if the running CPU has every feature of
+                /// the kernels that take it.
+                pub fn detect() -> Option<$token> {
+                    ($($probe!($feature))&&+).then_some($token(()))
+                }
+
+                /// The token again, for a table entry to call its
+                /// kernel with.
+                ///
+                /// # Safety
+                /// The running CPU has the token's features: the caller
+                /// is an entry of a table built from a detected token.
+                pub(in crate::gemm::dispatch) unsafe fn remake() -> $token {
+                    $token(())
+                }
             }
-        }
 
-        /// Compile one kernel that takes the token with its features.
-        macro_rules! $enable {
-            ($item:item) => {
-                $(#[target_feature(enable = $feature)])+
-                $item
-            };
-        }
-        pub(crate) use $enable;
-    };
-}
+            /// Compile one kernel that takes the token with its
+            /// features.
+            macro_rules! $enable {
+                ($item:item) => {
+                    $(#[target_feature(enable = $feature)])+
+                    $item
+                };
+            }
+            pub(crate) use $enable;
+        };
+    }
 
-#[cfg(target_arch = "x86_64")]
-isa_token! {
-    /// Proof that the running CPU has FMA, the one feature of the
-    /// FMA-enabled reference loops ([`kernel::scalar::tile_fma`], the
-    /// `fma` element-wise pass). Only [`Fma::detect`] makes one.
-    Fma, fma_kernel, is_x86_feature_detected, ["fma"]
-}
+    #[cfg(target_arch = "x86_64")]
+    isa_token! {
+        /// Proof that the running CPU has FMA, the one feature of the
+        /// FMA-enabled reference loops
+        /// ([`crate::gemm::kernel::scalar::tile_fma`], the `fma`
+        /// element-wise pass). Only [`Fma::detect`] makes one.
+        Fma, fma_kernel, is_x86_feature_detected, ["fma"]
+    }
 
-#[cfg(target_arch = "x86_64")]
-isa_token! {
-    /// Proof that the running CPU has AVX2 and FMA, the features of the
-    /// AVX2 kernels of [`kernel::x86`]. Only [`Avx2::detect`] makes
-    /// one.
-    Avx2, avx2_kernel, is_x86_feature_detected, ["avx2", "fma"]
-}
+    #[cfg(target_arch = "x86_64")]
+    isa_token! {
+        /// Proof that the running CPU has AVX2 and FMA, the features of
+        /// the AVX2 kernels of [`crate::gemm::kernel::x86`]. Only
+        /// [`Avx2::detect`] makes one.
+        Avx2, avx2_kernel, is_x86_feature_detected, ["avx2", "fma"]
+    }
 
-#[cfg(target_arch = "x86_64")]
-isa_token! {
-    /// Proof that the running CPU has AVX-512F, AVX2 and FMA, the
-    /// features of the AVX-512 kernels; a superset of [`Avx2`]'s, so
-    /// the AVX-512 table may also run the AVX2 f32 B^T kernel. Only
-    /// [`Avx512::detect`] makes one.
-    Avx512, avx512_kernel, is_x86_feature_detected, ["avx512f", "avx2", "fma"]
-}
+    #[cfg(target_arch = "x86_64")]
+    isa_token! {
+        /// Proof that the running CPU has AVX-512F, AVX2 and FMA, the
+        /// features of the AVX-512 kernels; a superset of [`Avx2`]'s,
+        /// so the AVX-512 table may also run the AVX2 f32 B^T kernel.
+        /// Only [`Avx512::detect`] makes one.
+        Avx512, avx512_kernel, is_x86_feature_detected, ["avx512f", "avx2", "fma"]
+    }
 
-#[cfg(target_arch = "aarch64")]
-isa_token! {
-    /// Proof that the CPU has NEON, which is baseline on aarch64. Only
-    /// `Neon::detect` makes one.
-    Neon, neon_kernel, is_aarch64_feature_detected, ["neon"]
+    #[cfg(target_arch = "aarch64")]
+    isa_token! {
+        /// Proof that the CPU has NEON, which is baseline on aarch64.
+        /// Only `Neon::detect` makes one.
+        Neon, neon_kernel, is_aarch64_feature_detected, ["neon"]
+    }
 }
 
 // The entries of a kernel table are fns nested in the constructor that
 // takes the ISA's token (`Kernels::avx2(_: Avx2)`, ...), so nothing
-// outside that constructor can name them, and the constructor runs only with a
-// token its `detect` made. Each entry makes the one `unsafe` call into
-// its `#[target_feature]` kernel, re-making the token it was built
-// under: the table that holds the fn pointer is the proof.
+// outside that constructor can name them, and the constructor runs only
+// with a token its `detect` made. Each entry makes the one `unsafe`
+// call into its `#[target_feature]` kernel, re-making the token it was
+// built under (`remake`): the table that holds the fn pointer is the
+// proof.
 
 /// The [`TileFn`] entry of tile kernel `$kernel` for element type `$t`,
 /// under ISA token type `$isa`.
@@ -123,8 +145,11 @@ macro_rules! tile_entry {
             nr_eff: usize,
         ) {
             // SAFETY: nameable only in the constructor that got a detected
-            // `$isa` token (see above).
-            unsafe { $kernel($isa(()), kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff) }
+            // `$isa` token (see above), so the CPU has its features.
+            unsafe {
+                let isa = $isa::remake();
+                $kernel(isa, kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff)
+            }
         }
         entry as TileFn<$t>
     }};
@@ -137,7 +162,10 @@ macro_rules! acc_entry {
         fn entry(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
             let c = acc.as_flattened_mut();
             // SAFETY: as in `tile_entry!`.
-            unsafe { $kernel($isa(()), kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR) }
+            unsafe {
+                let isa = $isa::remake();
+                $kernel(isa, kc, ap, bp, 1.0, Merge::Overwrite, c, NR, MR, NR)
+            }
         }
         entry as AccFn<f32>
     }};
@@ -148,7 +176,7 @@ macro_rules! bt_entry {
     ($t:ty, $isa:ident, $kernel:path) => {{
         fn entry(kc: usize, ap: &[$t], b: [&[$t]; BT_COLS], acc: &mut [[$t; MR]; BT_COLS]) {
             // SAFETY: as in `tile_entry!`.
-            unsafe { $kernel($isa(()), kc, ap, b, acc) }
+            unsafe { $kernel($isa::remake(), kc, ap, b, acc) }
         }
         entry as BtFn<$t>
     }};
@@ -325,7 +353,7 @@ mod x86_entries {
         ($isa:ident, $kernel:path) => {{
             fn entry<U: Scalar>(op: RowOp, row: &mut [U], bias: &[U]) {
                 // SAFETY: as in `tile_entry!`.
-                unsafe { $kernel($isa(()), op, row, bias) }
+                unsafe { $kernel($isa::remake(), op, row, bias) }
             }
             entry::<T> as RowOpFn<T>
         }};
@@ -336,7 +364,7 @@ mod x86_entries {
         ($isa:ident, $kernel:path) => {{
             fn entry(pass: CodecPass<'_>) {
                 // SAFETY: as in `tile_entry!`.
-                unsafe { $kernel($isa(()), pass) }
+                unsafe { $kernel($isa::remake(), pass) }
             }
             entry as CodecFn
         }};

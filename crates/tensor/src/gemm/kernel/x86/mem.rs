@@ -119,6 +119,14 @@ pub mod avx512 {
         unsafe { _mm512_loadu_ps(src.as_ptr()) }
     }
 
+    #[allow(dead_code)] // The AVX-512 table runs the AVX2 f32 B^T kernel.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub fn store_f32(dst: &mut [f32; 16], v: __m512) {
+        // SAFETY: `dst` is 16 writable f32s; the store is unaligned.
+        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), v) }
+    }
+
     /// The first `src.len().min(16)` lanes from `src`, the rest zero.
     #[inline]
     #[target_feature(enable = "avx512f")]

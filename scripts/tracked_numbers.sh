@@ -60,6 +60,18 @@ echo "mpisim/collectives.rs: $(total "$coll") lines ($(nontest "$coll") non-test
 mapfile -t gemm_driver < <(files crates/tensor/src/gemm/mod.rs crates/tensor/src/gemm/prepacked.rs crates/tensor/src/gemm/driver.rs)
 echo "GEMM driver (gemm/{mod,prepacked,driver}.rs): $(nontest "${gemm_driver[@]}") non-test lines"
 
+# The GEMM kernels, each file by name (its path under kernel/, less
+# `.rs`), then the total.
+kdir=crates/tensor/src/gemm/kernel
+mapfile -t kernel < <(files "$kdir/*.rs" | sort)
+kparts=()
+for f in "${kernel[@]}"; do
+  name=${f#"$kdir/"}
+  kparts+=("${name%.rs} $(nontest "$f")")
+done
+kjoined=$(printf ', %s' "${kparts[@]}")
+echo "gemm/kernel/** non-test lines: $(nontest "${kernel[@]}") (${kjoined:2})"
+
 mapfile -t crate_srcs < <(files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | sort -u)
 pub_re='^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) '
 echo "public-API proxy (pub declarations in crates/*/src): $(cat "${crate_srcs[@]}" | grep -cE "$pub_re")"
