@@ -1,14 +1,14 @@
 //! ADPSGD — asynchronous decentralized parallel SGD (Lian et al.,
 //! ICML 2018), the masterless first-order baseline.
 //!
-//! Where [`crate::parallel_sgd`] reproduces the paper's *synchronous*
-//! data-parallel pathology (a global Θ(parameters) allreduce per
-//! minibatch), ADPSGD removes both the master and the global barrier:
-//! each rank takes SGD steps on its own partition of the data and,
-//! after every local update, averages weights with exactly one
-//! neighbor — `θᵢ, θⱼ ← (θᵢ + θⱼ)/2`. Per-update traffic is a single
-//! point-to-point weight exchange per rank, independent of world
-//! size, and no rank is a hotspot.
+//! Synchronous data-parallel SGD pays a global Θ(parameters) allreduce
+//! per minibatch, the pathology the paper cites against distributed
+//! SGD. ADPSGD removes both the master and the global barrier: each
+//! rank takes SGD steps on its own partition of the data and, after
+//! every local update, averages weights with exactly one neighbor —
+//! `θᵢ, θⱼ ← (θᵢ + θⱼ)/2`. Per-update traffic is a single
+//! point-to-point weight exchange per rank, independent of world size,
+//! and no rank is a hotspot.
 //!
 //! ## What is (and is not) simulated
 //!

@@ -3,24 +3,18 @@
 //! * [`sgd`] — serial minibatch SGD with momentum: "the most popular
 //!   methodology to train DNNs" (paper Section II.A), executed on one
 //!   multi-core machine.
-//! * [`parallel_sgd`] — synchronous data-parallel SGD, implemented to
-//!   *measure* the communication pathology the paper cites as the
-//!   reason distributed SGD loses to serial SGD: a Θ(parameters)
-//!   allreduce per O(hundreds-of-frames) minibatch.
-//! * [`adpsgd`] — asynchronous decentralized parallel SGD (Lian et
+//! * `adpsgd` — asynchronous decentralized parallel SGD (Lian et
 //!   al. 2018): masterless first-order training via neighbor-pair
 //!   weight averaging, the gossip counterpart to the masterless
 //!   allreduce sync modes in `pdnn-core`.
-//! * [`pretrain`] — greedy discriminative layer-wise pretraining (the
-//!   paper's refs [6][8] pipeline), producing the deep-network
+//! * `pretrain` — greedy discriminative layer-wise pretraining (the
+//!   paper's refs \[6\]\[8\] pipeline), producing the deep-network
 //!   initialization Hessian-free training fine-tunes.
 
-pub mod adpsgd;
-pub mod parallel_sgd;
-pub mod pretrain;
+mod adpsgd;
+mod pretrain;
 pub mod sgd;
 
 pub use adpsgd::{train_adpsgd, AdpsgdOutput};
-pub use parallel_sgd::{train_parallel_sgd, ParallelSgdOutput};
 pub use pretrain::{discriminative_pretrain, PretrainConfig};
 pub use sgd::{evaluate, train_sgd, EpochStats, SgdConfig};

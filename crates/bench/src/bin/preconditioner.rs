@@ -1,5 +1,5 @@
 //! Preconditioner ablation — the extension the paper defers ("it
-//! currently does not use a preconditioner [25]"): Martens'
+//! currently does not use a preconditioner \[25\]"): Martens'
 //! empirical-Fisher diagonal preconditioner for the inner CG solves.
 //!
 //! Reports total CG iterations (= curvature products = the dominant

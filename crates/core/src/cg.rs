@@ -77,7 +77,7 @@ pub struct CgResult {
 
 impl CgResult {
     /// The final direction `d_N`.
-    pub fn final_d(&self) -> &[f32] {
+    pub(crate) fn final_d(&self) -> &[f32] {
         &self
             .iterates
             .last()

@@ -111,7 +111,7 @@ impl HfConfig {
     }
 
     /// Validate invariants, returning a composable error.
-    pub fn try_validate(&self) -> Result<(), Error> {
+    fn try_validate(&self) -> Result<(), Error> {
         let fail = |m: &str| Err(Error::Config(m.to_string()));
         if let Preconditioner::EmpiricalFisher { exponent } = self.preconditioner {
             if !(exponent > 0.0 && exponent <= 1.0) {
@@ -139,8 +139,8 @@ impl HfConfig {
     /// Validate invariants; called by the optimizer at start.
     ///
     /// # Panics
-    /// Panics with the violated invariant's message; use
-    /// [`HfConfig::try_validate`] (or the builder) for a `Result`.
+    /// Panics with the violated invariant's message; the builder's
+    /// [`HfConfigBuilder::build`] returns it as a `Result` instead.
     pub fn validate(&self) {
         if let Err(Error::Config(m)) = self.try_validate() {
             // pdnn-lint: allow(l3-no-unwrap): validate() is the documented panicking variant of try_validate()
@@ -179,12 +179,6 @@ impl HfConfigBuilder {
         self
     }
 
-    /// Full inner CG configuration.
-    pub fn cg(mut self, cg: CgConfig) -> Self {
-        self.config.cg = cg;
-        self
-    }
-
     /// Fraction of training data resampled for curvature products
     /// (`curvature_fraction`).
     pub fn sample_fraction(mut self, fraction: f64) -> Self {
@@ -216,18 +210,6 @@ impl HfConfigBuilder {
         self
     }
 
-    /// Armijo line-search parameters.
-    pub fn armijo(mut self, armijo: ArmijoConfig) -> Self {
-        self.config.armijo = armijo;
-        self
-    }
-
-    /// Base seed for curvature resampling.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
     /// Early-stop target on held-out loss.
     pub fn target_heldout_loss(mut self, target: Option<f64>) -> Self {
         self.config.target_heldout_loss = target;
@@ -237,18 +219,6 @@ impl HfConfigBuilder {
     /// CG preconditioning policy.
     pub fn preconditioner(mut self, preconditioner: Preconditioner) -> Self {
         self.config.preconditioner = preconditioner;
-        self
-    }
-
-    /// Convergence criteria beyond the iteration cap.
-    pub fn stop(mut self, stop: StopRule) -> Self {
-        self.config.stop = stop;
-        self
-    }
-
-    /// L2 weight decay coefficient.
-    pub fn l2(mut self, l2: f64) -> Self {
-        self.config.l2 = l2;
         self
     }
 
@@ -294,14 +264,11 @@ mod tests {
             .max_iters(7)
             .lambda0(0.5)
             .momentum(0.9)
-            .seed(42)
-            .l2(1e-4)
             .build()
             .unwrap();
         assert_eq!(c.cg.max_iters, 40);
         assert!((c.curvature_fraction - 0.1).abs() < 1e-12);
         assert_eq!(c.max_iters, 7);
-        assert_eq!(c.seed, 42);
         let err = HfConfig::builder()
             .sample_fraction(0.0)
             .build()

@@ -30,13 +30,13 @@ pub struct Damping {
 }
 
 /// Multiplier applied when a step is rejected or ρ is poor.
-pub const BOOST: f64 = 1.5;
+const BOOST: f64 = 1.5;
 /// Multiplier applied when the model agrees well.
-pub const DROP: f64 = 2.0 / 3.0;
+const DROP: f64 = 2.0 / 3.0;
 
 impl Damping {
     /// Start with `λ = lambda0`.
-    pub fn new(lambda0: f64, rule: LambdaRule) -> Self {
+    pub(crate) fn new(lambda0: f64, rule: LambdaRule) -> Self {
         assert!(lambda0 > 0.0, "λ0 must be positive");
         Damping {
             lambda: lambda0,
@@ -45,23 +45,18 @@ impl Damping {
     }
 
     /// Current λ.
-    pub fn lambda(&self) -> f64 {
+    pub(crate) fn lambda(&self) -> f64 {
         self.lambda
-    }
-
-    /// The rule in effect.
-    pub fn rule(&self) -> LambdaRule {
-        self.rule
     }
 
     /// Step rejected (no held-out improvement): `λ ← (3/2)λ`, matching
     /// the paper's failure branch.
-    pub fn on_reject(&mut self) {
+    pub(crate) fn on_reject(&mut self) {
         self.lambda = (self.lambda * BOOST).clamp(1e-12, 1e12);
     }
 
     /// Adapt λ from the reduction ratio ρ.
-    pub fn adjust(&mut self, rho: f64) {
+    pub(crate) fn adjust(&mut self, rho: f64) {
         let (low_factor, high_factor) = match self.rule {
             LambdaRule::Martens => (BOOST, DROP),
             LambdaRule::PaperLiteral => (DROP, BOOST),

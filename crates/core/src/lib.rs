@@ -3,13 +3,13 @@
 //! The paper's primary contribution: second-order optimization of deep
 //! networks, data-parallel across a master/worker cluster.
 //!
-//! * [`cg`] — truncated conjugate gradient with Martens'
+//! * `cg` — truncated conjugate gradient with Martens'
 //!   relative-progress stopping rule and the backtracking iterate
 //!   series.
-//! * [`damping`] — Levenberg–Marquardt λ adaptation (including the
+//! * `damping` — Levenberg–Marquardt λ adaptation (including the
 //!   paper-literal variant for the ablation bench).
-//! * [`line_search`] — Armijo backtracking.
-//! * [`optimizer`] — Algorithm 1: the outer HF loop.
+//! * `line_search` — Armijo backtracking.
+//! * `optimizer` — Algorithm 1: the outer HF loop.
 //! * [`problem`] — the [`HfProblem`] abstraction and [`DnnProblem`],
 //!   its serial implementation (cross-entropy and MMI sequence
 //!   objectives).
@@ -53,12 +53,12 @@
 //! assert_eq!(stats.len(), 2);
 //! ```
 
-pub mod cg;
+mod cg;
 pub mod config;
-pub mod damping;
+mod damping;
 pub mod distributed;
-pub mod line_search;
-pub mod optimizer;
+mod line_search;
+mod optimizer;
 pub mod problem;
 pub mod protocol;
 mod shard;
@@ -71,7 +71,5 @@ pub use distributed::{
     train_distributed, train_distributed_deterministic, train_distributed_faulted,
     train_distributed_perturbed, DistributedConfig, SyncStrategy, TrainOutput,
 };
-pub use line_search::{armijo_search, ArmijoConfig};
 pub use optimizer::{HfOptimizer, IterStats};
 pub use problem::{DnnProblem, HeldoutEval, HfProblem, Objective};
-pub use stopping::{StopReason, StopRule};

@@ -36,7 +36,7 @@ impl Default for ArmijoConfig {
 
 /// Outcome of a successful search.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ArmijoResult {
+pub(crate) struct ArmijoResult {
     /// Accepted step length.
     pub alpha: f64,
     /// Loss at the accepted point.
@@ -50,7 +50,7 @@ pub struct ArmijoResult {
 ///
 /// Returns `None` when `slope >= 0` or the budget is exhausted without
 /// satisfying the Armijo condition.
-pub fn armijo_search(
+pub(crate) fn armijo_search(
     loss0: f64,
     slope: f64,
     mut eval: impl FnMut(f64) -> f64,

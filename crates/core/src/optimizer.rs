@@ -145,7 +145,7 @@ impl HfOptimizer {
     /// warm-start accelerations, and resetting them is deterministic,
     /// so two recoveries from the same snapshot replay identically.
     // pdnn-lint: allow(l5-phase-span): constructor, not a phase — spans open in step()/train(), which this merely wires up
-    pub fn resume_with_recorder(
+    pub(crate) fn resume_with_recorder(
         config: HfConfig,
         lambda: f64,
         recorder: Arc<dyn Recorder>,
@@ -198,7 +198,7 @@ impl HfOptimizer {
     }
 
     /// Execute one outer iteration.
-    pub fn step<P: HfProblem>(&mut self, problem: &mut P, iter: usize) -> IterStats {
+    pub(crate) fn step<P: HfProblem>(&mut self, problem: &mut P, iter: usize) -> IterStats {
         let rec = self.recorder.clone();
         let _iter_span = rec.span("hf_iteration", SpanKind::Scalar);
         rec.counter_add("hf_iterations", 1);

@@ -190,11 +190,6 @@ impl DnnProblem {
         self
     }
 
-    /// The network being trained.
-    pub fn network(&self) -> &Network<f32> {
-        self.engine.net()
-    }
-
     /// Consume, returning the trained network.
     pub fn into_network(self) -> Network<f32> {
         self.engine.into_net()
@@ -315,7 +310,7 @@ pub fn extract_utterances(shard: &Shard, ids: &[usize]) -> (Matrix<f32>, Vec<u32
 
 /// [`extract_utterances`] into the given buffers, which keep their
 /// memory: a batch no larger than the last one allocates nothing.
-pub fn extract_utterances_into(
+pub(crate) fn extract_utterances_into(
     shard: &Shard,
     ids: &[usize],
     x: &mut Matrix<f32>,

@@ -47,14 +47,14 @@ pub enum StopReason {
 
 /// Stateful evaluator for a [`StopRule`].
 #[derive(Clone, Debug)]
-pub struct StopState {
+pub(crate) struct StopState {
     rule: StopRule,
     stall_count: usize,
 }
 
 impl StopState {
     /// Fresh evaluator.
-    pub fn new(rule: StopRule) -> Self {
+    pub(crate) fn new(rule: StopRule) -> Self {
         assert!(
             rule.min_rel_improvement >= 0.0,
             "min_rel_improvement must be non-negative"
@@ -67,7 +67,7 @@ impl StopState {
 
     /// Record one iteration's held-out transition; returns a stop
     /// reason when a criterion fires.
-    pub fn observe(&mut self, loss_before: f64, loss_after: f64) -> Option<StopReason> {
+    pub(crate) fn observe(&mut self, loss_before: f64, loss_after: f64) -> Option<StopReason> {
         if let Some(target) = self.rule.target_loss {
             if loss_after <= target {
                 return Some(StopReason::TargetReached);
@@ -89,11 +89,6 @@ impl StopState {
             }
         }
         None
-    }
-
-    /// Consecutive low-improvement iterations so far.
-    pub fn stall_count(&self) -> usize {
-        self.stall_count
     }
 }
 
@@ -121,9 +116,9 @@ mod tests {
         // Two stalls, then progress resets the counter.
         assert_eq!(s.observe(1.0, 0.9995), None);
         assert_eq!(s.observe(0.9995, 0.999), None);
-        assert_eq!(s.stall_count(), 2);
+        assert_eq!(s.stall_count, 2);
         assert_eq!(s.observe(0.999, 0.5), None);
-        assert_eq!(s.stall_count(), 0);
+        assert_eq!(s.stall_count, 0);
         // Three consecutive stalls fire.
         assert_eq!(s.observe(0.5, 0.4999), None);
         assert_eq!(s.observe(0.4999, 0.4999), None);

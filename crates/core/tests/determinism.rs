@@ -12,23 +12,28 @@
 use pdnn_core::problem::{extract_utterances, sample_utterances};
 use pdnn_core::{
     train_distributed_deterministic, DistributedConfig, DnnProblem, HeldoutEval, HfConfig,
-    HfOptimizer, HfProblem, Objective, TrainOutput,
+    HfOptimizer, HfProblem, Objective, SyncStrategy, TrainOutput,
 };
 use pdnn_dnn::loss::cross_entropy_loss_only;
 use pdnn_dnn::{
     backprop_dlogits, cross_entropy, gn_product, softmax_rows, Activation, Curvature, ForwardCache,
     Network,
 };
-use pdnn_mpisim::{events_from_jsonl, events_to_jsonl};
+use pdnn_mpisim::{events_from_jsonl, events_to_jsonl, CommEvent};
 use pdnn_obs::jsonl::to_jsonl_string;
 use pdnn_obs::Telemetry;
 use pdnn_speech::{Corpus, CorpusSpec, Shard};
 use pdnn_tensor::gemm::{scalar_backend, GemmContext};
 use pdnn_tensor::Matrix;
 use pdnn_util::Prng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn run_once(corpus: &Corpus) -> TrainOutput {
+    run_synced(corpus, SyncStrategy::Master)
+}
+
+fn run_synced(corpus: &Corpus, sync: SyncStrategy) -> TrainOutput {
     let mut rng = Prng::new(11);
     let net0 = Network::new(
         &[corpus.spec().feature_dim, 10, corpus.spec().states],
@@ -36,7 +41,8 @@ fn run_once(corpus: &Corpus) -> TrainOutput {
         &mut rng,
     );
     let mut config = DistributedConfig {
-        workers: 3, // 4 ranks: master + 3 workers
+        workers: 3, // master mode: 4 ranks, master + 3 workers
+        sync,
         ..DistributedConfig::default()
     };
     config.hf.max_iters = 3;
@@ -336,15 +342,40 @@ fn identical_runs_emit_byte_identical_comm_events() {
         );
     }
 
-    // Round trip every rank's stream through the codec.
-    let mut ranks = vec![&first.master_events];
-    ranks.extend(first.worker_events.iter());
+    round_trip_every_rank(&first);
+}
+
+/// Round trip every rank's stream through the codec; returns the
+/// collective ops the streams hold.
+fn round_trip_every_rank(out: &TrainOutput) -> BTreeSet<&'static str> {
+    let mut ops = BTreeSet::new();
+    let mut ranks = vec![&out.master_events];
+    ranks.extend(out.worker_events.iter());
     for (rank, events) in ranks.into_iter().enumerate() {
         let encoded = events_to_jsonl(events);
         let decoded = events_from_jsonl(&encoded)
             .unwrap_or_else(|e| panic!("rank {rank} stream failed to parse: {e}"));
         assert_eq!(&decoded, events, "rank {rank} events do not round-trip");
+        ops.extend(events.iter().filter_map(|e| match e {
+            CommEvent::Coll { op, .. } => Some(*op),
+            _ => None,
+        }));
     }
+    ops
+}
+
+/// The masterless modes record collectives the master mode never
+/// does (the sharded ring's `reduce_scatter` and `allgather`, the
+/// tree's own allreduce); their streams must parse back too.
+#[test]
+fn ring_and_tree_comm_events_round_trip() {
+    let corpus = Corpus::generate(CorpusSpec::tiny(23));
+    let ring = round_trip_every_rank(&run_synced(&corpus, SyncStrategy::Ring));
+    for op in ["allreduce_ring", "reduce_scatter", "allgather"] {
+        assert!(ring.contains(op), "ring streams hold no {op}: {ring:?}");
+    }
+    let tree = round_trip_every_rank(&run_synced(&corpus, SyncStrategy::Tree));
+    assert!(tree.contains("allreduce_tree"), "{tree:?}");
 }
 
 #[test]

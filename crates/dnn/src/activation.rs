@@ -38,7 +38,7 @@ impl Activation {
     ///
     /// # Panics
     /// If `bias.len() != z.cols()`.
-    pub fn apply_with_bias<T: Scalar>(self, z: &mut Matrix<T>, bias: &[T]) {
+    pub(crate) fn apply_with_bias<T: Scalar>(self, z: &mut Matrix<T>, bias: &[T]) {
         assert_eq!(bias.len(), z.cols(), "bias length != cols");
         if bias.is_empty() {
             return;
@@ -63,7 +63,7 @@ impl Activation {
 
     /// Derivative `f'(z)` expressed in terms of the activation `a = f(z)`.
     #[inline]
-    pub fn derivative_from_output<T: Scalar>(self, a: T) -> T {
+    pub(crate) fn derivative_from_output<T: Scalar>(self, a: T) -> T {
         match self {
             Activation::Sigmoid => a * (T::ONE - a),
             Activation::Tanh => T::ONE - a * a,
@@ -80,7 +80,7 @@ impl Activation {
 
     /// Multiply `m` elementwise by `f'` evaluated from the stored
     /// activations `a` (the `delta ∘ f'(z)` step of backprop).
-    pub fn mask_derivative<T: Scalar>(self, m: &mut Matrix<T>, a: &Matrix<T>) {
+    pub(crate) fn mask_derivative<T: Scalar>(self, m: &mut Matrix<T>, a: &Matrix<T>) {
         assert_eq!(m.shape(), a.shape(), "mask_derivative shape mismatch");
         if self == Activation::Identity {
             return;

@@ -23,14 +23,6 @@ pub fn fd_gradient(mut f: impl FnMut(&[f64]) -> f64, theta: &[f64], h: f64) -> V
     grad
 }
 
-/// Central finite-difference directional derivative of `f` along `v`.
-pub fn fd_directional(mut f: impl FnMut(&[f64]) -> f64, theta: &[f64], v: &[f64], h: f64) -> f64 {
-    assert_eq!(theta.len(), v.len(), "fd_directional length mismatch");
-    let plus: Vec<f64> = theta.iter().zip(v).map(|(&t, &d)| t + h * d).collect();
-    let minus: Vec<f64> = theta.iter().zip(v).map(|(&t, &d)| t - h * d).collect();
-    (f(&plus) - f(&minus)) / (2.0 * h)
-}
-
 /// Largest relative error between two vectors,
 /// `max_i |a_i - b_i| / (1 + max(|a_i|, |b_i|))`.
 pub fn max_rel_error(a: &[f64], b: &[f64]) -> f64 {
@@ -44,6 +36,14 @@ pub fn max_rel_error(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Central finite-difference directional derivative of `f` along `v`.
+    fn fd_directional(mut f: impl FnMut(&[f64]) -> f64, theta: &[f64], v: &[f64], h: f64) -> f64 {
+        assert_eq!(theta.len(), v.len(), "fd_directional length mismatch");
+        let plus: Vec<f64> = theta.iter().zip(v).map(|(&t, &d)| t + h * d).collect();
+        let minus: Vec<f64> = theta.iter().zip(v).map(|(&t, &d)| t - h * d).collect();
+        (f(&plus) - f(&minus)) / (2.0 * h)
+    }
 
     #[test]
     fn fd_gradient_of_quadratic() {

@@ -22,10 +22,10 @@
 //! (SGEMM-bound, as in the paper) while the derivative tests
 //! instantiate `f64` for tight finite-difference tolerances.
 
-pub mod activation;
+mod activation;
 pub mod backprop;
 pub mod checkpoint;
-pub mod decode;
+mod decode;
 pub mod fisher;
 pub mod flops;
 pub mod gauss_newton;
@@ -39,7 +39,6 @@ pub use activation::Activation;
 pub use backprop::{backprop as backprop_dlogits, backprop_ws, loss_and_gradient};
 pub use checkpoint::{load_network, save_network, CheckpointError};
 pub use decode::{state_error_rate, viterbi_decode, viterbi_decode_batch};
-pub use fisher::empirical_fisher_diagonal;
 pub use gauss_newton::{gn_product, gn_product_ws, Curvature};
 pub use loss::{cross_entropy, softmax_rows, FrameLoss, LossOutput};
 pub use network::{ForwardCache, Layer, Network};

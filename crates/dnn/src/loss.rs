@@ -173,7 +173,7 @@ pub fn cross_entropy_loss_only<T: Scalar>(logits: &Matrix<T>, labels: &[u32]) ->
 }
 
 /// Summed `0.5 * ||logits - targets||^2` and its gradient.
-pub fn squared_error<T: Scalar>(logits: &Matrix<T>, targets: &Matrix<T>) -> LossOutput<T> {
+pub(crate) fn squared_error<T: Scalar>(logits: &Matrix<T>, targets: &Matrix<T>) -> LossOutput<T> {
     assert_eq!(
         logits.shape(),
         targets.shape(),

@@ -57,12 +57,12 @@ impl<T: Scalar> Layer<T> {
     }
 
     /// Output width.
-    pub fn outputs(&self) -> usize {
+    pub(crate) fn outputs(&self) -> usize {
         self.w.rows()
     }
 
     /// Parameters in this layer (weights + biases).
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.w.len() + self.b.len()
     }
 }
@@ -191,7 +191,7 @@ impl<T: Scalar> Network<T> {
     ///
     /// A [`PackedWeights`] sidecar built from this network is valid
     /// exactly while the stamp it recorded still matches.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
@@ -369,7 +369,7 @@ impl<T: Scalar> Network<T> {
     /// Split a flat vector into per-layer `(W-part, b-part)` slices in
     /// layer order. Used by backprop/R-op to read directions without
     /// copying.
-    pub fn split_flat<'v>(&self, v: &'v [T]) -> Vec<(&'v [T], &'v [T])> {
+    pub(crate) fn split_flat<'v>(&self, v: &'v [T]) -> Vec<(&'v [T], &'v [T])> {
         assert_eq!(v.len(), self.num_params(), "split_flat length mismatch");
         let mut out = Vec::with_capacity(self.layers.len());
         let mut rest = v;

@@ -17,16 +17,16 @@
 //!   `PackedB` as the right operand of the linearized backward).
 //!
 //! All packing uses the caller's [`GemmContext`] blocking, so the
-//! prepacked drivers are bitwise identical to the plain [`gemm`]
+//! prepacked drivers are bitwise identical to the plain [`GemmOp`]
 //! calls they replace.
 //!
-//! [`gemm`]: pdnn_tensor::gemm::gemm
+//! [`GemmOp`]: pdnn_tensor::gemm::GemmOp
 
 use crate::network::{ForwardCache, Network};
 use pdnn_tensor::gemm::{GemmContext, PackedA, PackedB, Trans};
 use pdnn_tensor::Scalar;
 
-/// Per-layer packed weight panels, valid for one [`Network::version`].
+/// Per-layer packed weight panels, valid for one `Network::version`.
 #[derive(Clone, Debug)]
 pub struct PackedWeights<T: Scalar> {
     version: u64,
@@ -77,24 +77,18 @@ impl<T: Scalar> PackedWeights<T> {
     }
 
     /// The [`Network::version`] the pack was built from.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
     /// Packed `W^T` for layer `l` (forward / R-forward operand).
-    pub fn forward(&self, l: usize) -> &PackedB<T> {
+    pub(crate) fn forward(&self, l: usize) -> &PackedB<T> {
         &self.forward[l]
     }
 
     /// Packed `W` for layer `l` (backward delta-propagation operand).
-    pub fn backward(&self, l: usize) -> &PackedB<T> {
+    pub(crate) fn backward(&self, l: usize) -> &PackedB<T> {
         &self.backward[l]
-    }
-
-    /// Total packed bytes held.
-    pub fn bytes(&self) -> usize {
-        self.forward.iter().map(PackedB::bytes).sum::<usize>()
-            + self.backward.iter().map(PackedB::bytes).sum::<usize>()
     }
 }
 
@@ -150,24 +144,18 @@ impl<T: Scalar> PackedActivations<T> {
     }
 
     /// Packed left-operand activations for layer `l`.
-    pub fn left(&self, l: usize) -> &PackedA<T> {
+    pub(crate) fn left(&self, l: usize) -> &PackedA<T> {
         &self.left[l]
     }
 
     /// Packed right-operand activations for layer `l`.
-    pub fn right(&self, l: usize) -> &PackedB<T> {
+    pub(crate) fn right(&self, l: usize) -> &PackedB<T> {
         &self.right[l]
     }
 
     /// Number of packed layers.
-    pub fn layers(&self) -> usize {
+    pub(crate) fn layers(&self) -> usize {
         self.left.len()
-    }
-
-    /// Total packed bytes held.
-    pub fn bytes(&self) -> usize {
-        self.left.iter().map(PackedA::bytes).sum::<usize>()
-            + self.right.iter().map(PackedB::bytes).sum::<usize>()
     }
 }
 
@@ -185,7 +173,6 @@ mod tests {
         let ctx = GemmContext::sequential();
         let packs = PackedWeights::new(&net, &ctx);
         assert!(packs.matches(&net));
-        assert!(packs.bytes() > 0);
         let theta = net.to_flat();
         net.set_flat(&theta); // same values, but a mutation nonetheless
         assert!(!packs.matches(&net), "set_flat must invalidate packs");
@@ -273,6 +260,5 @@ mod tests {
         assert_eq!(packed.left(0).k(), 4);
         assert_eq!(packed.right(2).k(), 9); // delta^T side: frames
         assert_eq!(packed.right(2).n(), 5);
-        assert!(packed.bytes() > 0);
     }
 }

@@ -181,12 +181,6 @@ impl DenominatorGraph {
         }
     }
 
-    /// Fully-connected uniform graph over `states` states.
-    pub fn uniform(states: usize) -> Self {
-        let p = 1.0 / states as f64;
-        DenominatorGraph::new(&vec![p; states], &vec![p; states * states])
-    }
-
     /// Number of states.
     pub fn states(&self) -> usize {
         self.states
@@ -194,13 +188,13 @@ impl DenominatorGraph {
 
     /// Initial log-probability of state `j`.
     #[inline]
-    pub fn log_prior(&self, j: usize) -> f64 {
+    pub(crate) fn log_prior(&self, j: usize) -> f64 {
         self.log_prior[j]
     }
 
     /// Transition log-probability `log P(j | i)`.
     #[inline]
-    pub fn log_transition(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn log_transition(&self, i: usize, j: usize) -> f64 {
         self.log_trans[i * self.states + j]
     }
 }
@@ -433,6 +427,15 @@ impl Scratch {
         }
 
         log_den - log_num
+    }
+}
+
+#[cfg(test)]
+impl DenominatorGraph {
+    /// Fully-connected uniform graph over `states` states.
+    fn uniform(states: usize) -> Self {
+        let p = 1.0 / states as f64;
+        DenominatorGraph::new(&vec![p; states], &vec![p; states * states])
     }
 }
 

@@ -11,7 +11,7 @@ use std::fmt;
 
 /// A parsed `// pdnn-lint: allow(<rule>): <reason>` directive.
 #[derive(Clone, Debug)]
-pub struct Suppression {
+pub(crate) struct Suppression {
     pub rule: String,
     pub reason: Option<String>,
     /// 1-based line the directive waives.
@@ -40,7 +40,10 @@ const DIRECTIVE: &str = "pdnn-lint:";
 /// Extract suppression directives from a file's comments, validating
 /// rule names against `known`. Malformed directives become meta
 /// diagnostics immediately.
-pub fn parse(file: &SourceFile, known: &dyn Fn(&str) -> bool) -> (Vec<Suppression>, Vec<MetaDiag>) {
+pub(crate) fn parse(
+    file: &SourceFile,
+    known: &dyn Fn(&str) -> bool,
+) -> (Vec<Suppression>, Vec<MetaDiag>) {
     let mut sup = Vec::new();
     let mut meta = Vec::new();
     let masked_lines: Vec<&str> = file.masked.lines().collect();

@@ -10,7 +10,7 @@
 //!
 //! The pass is lexical, not syntactic: the build environment has no
 //! registry access, so instead of `syn` each file is run through a
-//! masking lexer ([`source::SourceFile`]) that blanks comments and
+//! masking lexer (`source::SourceFile`) that blanks comments and
 //! literal interiors before token matching. That is precise enough
 //! for every rule here and keeps the linter dependency-free.
 //!
@@ -28,12 +28,13 @@
 //! itself an error (`meta-suppression`) so the allow-list can never
 //! rot silently.
 
-pub mod directives;
+pub mod api;
+mod directives;
 pub mod report;
 pub mod rules;
-pub mod source;
+mod source;
 
-pub use directives::{MetaDiag, Suppression};
+pub(crate) use directives::{MetaDiag, Suppression};
 
 use source::SourceFile;
 use std::fmt;
@@ -56,7 +57,7 @@ pub struct Finding {
 
 impl Finding {
     /// Build a finding anchored at byte `offset` of the masked text.
-    pub fn new(file: &SourceFile, rule: &'static str, offset: usize, message: String) -> Finding {
+    fn new(file: &SourceFile, rule: &'static str, offset: usize, message: String) -> Finding {
         let line0 = file.line_of(offset);
         Finding {
             rule,
@@ -85,7 +86,7 @@ impl fmt::Display for Finding {
 /// rules). Malformed directives become meta
 /// diagnostics immediately. See [`directives::parse`] for a version
 /// with a caller-supplied rule predicate.
-pub fn suppressions(file: &SourceFile) -> (Vec<Suppression>, Vec<MetaDiag>) {
+fn suppressions(file: &SourceFile) -> (Vec<Suppression>, Vec<MetaDiag>) {
     directives::parse(file, &rules::known_rule)
 }
 
@@ -101,7 +102,7 @@ pub struct FileOutcome {
 }
 
 /// Lint one file's text.
-pub fn lint_text(path: &str, text: &str) -> FileOutcome {
+fn lint_text(path: &str, text: &str) -> FileOutcome {
     let file = SourceFile::parse(path, text);
     let raw = rules::run_all(&file);
     let (sups, mut meta) = suppressions(&file);
@@ -144,7 +145,7 @@ pub fn lint_text(path: &str, text: &str) -> FileOutcome {
 /// repo-relative path) pairs in deterministic order. `third_party/`
 /// shims and target dirs are out of scope (vendored stand-in code,
 /// not project code).
-pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {

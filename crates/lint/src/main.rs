@@ -5,13 +5,17 @@
 //! Usage: `pdnn-lint [workspace-root]` (default: the nearest directory
 //! at or above the current one whose `Cargo.toml` has a `[workspace]`
 //! table, so a copy of the repo lints and reports into itself).
+//!
+//! `pdnn-lint --api [workspace-root]` prints the public-API listing
+//! instead (see `pdnn_lint::api`); `results/public_api.txt` is its
+//! output: `cargo run -q -p pdnn-lint -- --api > results/public_api.txt`.
 
-use pdnn_lint::{find_workspace_root, lint_workspace, report, rules};
+use pdnn_lint::{api, find_workspace_root, lint_workspace, report, rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn workspace_root() -> Result<PathBuf, String> {
-    if let Some(arg) = std::env::args().nth(1) {
+fn workspace_root(arg: Option<String>) -> Result<PathBuf, String> {
+    if let Some(arg) = arg {
         return Ok(PathBuf::from(arg));
     }
     let cwd = std::env::current_dir().map_err(|e| format!("no current directory: {e}"))?;
@@ -24,13 +28,27 @@ fn workspace_root() -> Result<PathBuf, String> {
 }
 
 fn main() -> ExitCode {
-    let root = match workspace_root() {
+    let mut args = std::env::args().skip(1).peekable();
+    let api_only = args.next_if(|a| a == "--api").is_some();
+    let root = match workspace_root(args.next()) {
         Ok(root) => root,
         Err(e) => {
             eprintln!("pdnn-lint: {e}");
             return ExitCode::from(2);
         }
     };
+    if api_only {
+        return match api::workspace_api(&root) {
+            Ok(listing) => {
+                print!("{listing}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("pdnn-lint: cannot list the API of {}: {e}", root.display());
+                ExitCode::from(2)
+            }
+        };
+    }
     let (outcomes, files_scanned) = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {

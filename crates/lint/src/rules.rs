@@ -1,4 +1,4 @@
-//! The seven project rules. Each rule takes a [`SourceFile`] and emits
+//! The seven project rules. Each rule takes a `SourceFile` and emits
 //! findings; scoping (which paths a rule applies to) lives here so
 //! RULES.md and the code stay side by side.
 
@@ -58,21 +58,21 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-pub const L1: &str = "l1-sim-wall-clock";
-pub const L2: &str = "l2-iteration-order";
-pub const L3: &str = "l3-no-unwrap";
-pub const L4: &str = "l4-float-exact-compare";
-pub const L5: &str = "l5-phase-span";
-pub const L6: &str = "l6-lossy-cast";
-pub const L7: &str = "l7-unsafe-outside-kernel";
-pub const L8: &str = "l8-timed-recv";
+const L1: &str = "l1-sim-wall-clock";
+const L2: &str = "l2-iteration-order";
+const L3: &str = "l3-no-unwrap";
+const L4: &str = "l4-float-exact-compare";
+const L5: &str = "l5-phase-span";
+const L6: &str = "l6-lossy-cast";
+const L7: &str = "l7-unsafe-outside-kernel";
+const L8: &str = "l8-timed-recv";
 
 /// Rule ids owned by `pdnn-protomc`, the explicit-state model checker:
 /// global protocol properties proved by exhaustive exploration of the
 /// abstract state machines, not by lexical analysis. Registered here
 /// so the shared suppression machinery accepts them; protomc emits
 /// findings under these ids when a property fails.
-pub const PROTOMC_RULES: &[RuleInfo] = &[
+const PROTOMC_RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "p5-deadlock-free",
         summary: "no reachable global protocol state leaves a live rank \
@@ -101,7 +101,6 @@ pub fn known_rule(id: &str) -> bool {
 /// the performance model, and the telemetry layer itself.
 const SIM_CRATE_PREFIXES: &[&str] = &[
     "crates/mpisim/src/",
-    "crates/bgq/src/",
     "crates/perfmodel/src/",
     "crates/core/src/",
     "crates/obs/src/",
@@ -113,8 +112,7 @@ const EMISSION_PATHS: &[&str] = &[
     "crates/obs/src/",
     "crates/perfmodel/src/figures.rs",
     "crates/util/src/report.rs",
-    "crates/bgq/src/routing.rs",
-    "crates/bgq/src/counters.rs",
+    "crates/perfmodel/src/bgq/counters.rs",
 ];
 
 /// Modules whose public functions are training phases in the paper's
@@ -133,13 +131,9 @@ const PHASE_MIN_BODY_LINES: usize = 10;
 /// Cycle/byte accounting paths where a silently-lossy `as` cast skews
 /// the performance model: the BG/Q machine model, the analytic
 /// perf-model crate, and the simulator's virtual-time layer.
-const ACCOUNTING_PATHS: &[&str] = &[
-    "crates/bgq/src/",
-    "crates/perfmodel/src/",
-    "crates/mpisim/src/vtime.rs",
-];
+const ACCOUNTING_PATHS: &[&str] = &["crates/perfmodel/src/", "crates/mpisim/src/vtime.rs"];
 
-pub fn run_all(file: &SourceFile) -> Vec<Finding> {
+pub(crate) fn run_all(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     l1_sim_wall_clock(file, &mut out);
     l2_iteration_order(file, &mut out);
@@ -351,7 +345,7 @@ fn l4_float_exact_compare(file: &SourceFile, out: &mut Vec<Finding>) {
                 L4,
                 i,
                 format!(
-                    "exact float comparison `{} {} {}`; use `pdnn_util::float::{{approx_eq, close, exactly_zero}}`",
+                    "exact float comparison `{} {} {}`; compare within a tolerance, or use `pdnn_util::float::exactly_zero` for an intended exact test",
                     if lhs.is_empty() { "_" } else { lhs },
                     two,
                     if rhs.is_empty() { "_" } else { rhs },
@@ -599,7 +593,7 @@ mod tests {
     #[test]
     fn l1_ignores_test_code_and_strings() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { let i = std::time::Instant::now(); }\n}\nfn f() { let s = \"Instant\"; }\n";
-        let hits = findings_for("crates/bgq/src/x.rs", src);
+        let hits = findings_for("crates/perfmodel/src/x.rs", src);
         assert!(hits.iter().all(|f| f.rule != L1), "{hits:?}");
     }
 
@@ -607,8 +601,11 @@ mod tests {
     fn l2_flags_hashmap_in_emission_paths() {
         let src = "use std::collections::HashMap;\n";
         assert_eq!(findings_for("crates/obs/src/x.rs", src).len(), 1);
-        assert_eq!(findings_for("crates/bgq/src/routing.rs", src).len(), 1);
-        assert!(findings_for("crates/bgq/src/torus.rs", src).is_empty());
+        assert_eq!(
+            findings_for("crates/perfmodel/src/bgq/counters.rs", src).len(),
+            1
+        );
+        assert!(findings_for("crates/perfmodel/src/bgq/torus.rs", src).is_empty());
     }
 
     #[test]
@@ -686,7 +683,7 @@ fn f(x: f64, n: u32) -> bool {
     fn l6_flags_numeric_casts_in_accounting_paths_only() {
         let src =
             "fn f(bytes: u64) -> f64 {\n    bytes as f64\n}\nfn g(x: f64) -> u64 { x as u64 }\n";
-        let hits = findings_for("crates/bgq/src/torus.rs", src);
+        let hits = findings_for("crates/perfmodel/src/bgq/torus.rs", src);
         assert_eq!(hits.iter().filter(|f| f.rule == L6).count(), 2, "{hits:?}");
         let hits = findings_for("crates/mpisim/src/vtime.rs", src);
         assert_eq!(hits.iter().filter(|f| f.rule == L6).count(), 2);

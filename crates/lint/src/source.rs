@@ -11,7 +11,7 @@
 
 /// One comment (line or block) with the line it starts on (0-based).
 #[derive(Clone, Debug)]
-pub struct Comment {
+pub(crate) struct Comment {
     pub line: usize,
     /// Comment text without the `//` / `/* */` delimiters.
     pub text: String,
@@ -22,7 +22,7 @@ pub struct Comment {
 
 /// A `fn` item found in the masked source.
 #[derive(Clone, Debug)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     pub name: String,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
@@ -33,7 +33,7 @@ pub struct FnItem {
 }
 
 /// Lexical view of one source file.
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Repo-relative path, `/`-separated.
     pub path: String,
     /// Raw text (for diagnostic snippets).
@@ -47,7 +47,7 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    pub fn parse(path: &str, raw: &str) -> SourceFile {
+    pub(crate) fn parse(path: &str, raw: &str) -> SourceFile {
         let (masked, comments) = mask(raw);
         let line_count = raw.lines().count();
         let mut file = SourceFile {
@@ -62,7 +62,7 @@ impl SourceFile {
     }
 
     /// 0-based line number of byte `offset` in the masked text.
-    pub fn line_of(&self, offset: usize) -> usize {
+    pub(crate) fn line_of(&self, offset: usize) -> usize {
         self.masked[..offset]
             .bytes()
             .filter(|&b| b == b'\n')
@@ -70,13 +70,13 @@ impl SourceFile {
     }
 
     /// 1-based column of byte `offset`.
-    pub fn col_of(&self, offset: usize) -> usize {
+    pub(crate) fn col_of(&self, offset: usize) -> usize {
         let start = self.masked[..offset].rfind('\n').map_or(0, |p| p + 1);
         offset - start + 1
     }
 
     /// The raw text of a (0-based) line, for diagnostics.
-    pub fn raw_line(&self, line: usize) -> &str {
+    pub(crate) fn raw_line(&self, line: usize) -> &str {
         self.raw.lines().nth(line).unwrap_or("")
     }
 
@@ -112,7 +112,7 @@ impl SourceFile {
     }
 
     /// Extract every `fn` item with its body range.
-    pub fn functions(&self) -> Vec<FnItem> {
+    pub(crate) fn functions(&self) -> Vec<FnItem> {
         let b = self.masked.as_bytes();
         let mut out = Vec::new();
         let mut i = 0;
@@ -174,12 +174,12 @@ impl SourceFile {
     }
 }
 
-pub fn is_ident_char(c: char) -> bool {
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
 /// Find `word` as a whole identifier at or after `from`.
-pub fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
+pub(crate) fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
     let b = text.as_bytes();
     let mut i = from;
     while let Some(p) = text[i..].find(word).map(|p| i + p) {
@@ -195,7 +195,7 @@ pub fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
 }
 
 /// Byte offset of the `}` matching the `{` at `open`.
-pub fn match_brace(masked: &str, open: usize) -> Option<usize> {
+pub(crate) fn match_brace(masked: &str, open: usize) -> Option<usize> {
     let b = masked.as_bytes();
     debug_assert_eq!(b[open], b'{');
     let mut depth = 0i32;

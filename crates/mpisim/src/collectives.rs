@@ -231,21 +231,39 @@ impl<T: Copy + Default> Buffer<T> for Vec<T> {
     }
 }
 
-/// Per-collective wire-byte counter names, sent then received
-/// (recorder counters take `&'static str`, so the mapping is a closed
-/// table).
+/// Every collective op name the runtime records in a
+/// [`CommEvent::Coll`], with its wire-byte counter names, sent then
+/// received (recorder counters take `&'static str`, so the mapping is
+/// a closed table). The event parser interns op names from this same
+/// list, so every recorded stream parses back.
+pub(crate) const COLLECTIVE_OPS: [(&str, [&str; 2]); 8] = [
+    ("bcast", ["wire_sent_bcast", "wire_recv_bcast"]),
+    ("reduce", ["wire_sent_reduce", "wire_recv_reduce"]),
+    ("barrier", ["wire_sent_barrier", "wire_recv_barrier"]),
+    ("allreduce", ["wire_sent_allreduce", "wire_recv_allreduce"]),
+    (
+        "allreduce_ring",
+        ["wire_sent_allreduce_ring", "wire_recv_allreduce_ring"],
+    ),
+    (
+        "allreduce_tree",
+        ["wire_sent_allreduce_tree", "wire_recv_allreduce_tree"],
+    ),
+    (
+        "reduce_scatter",
+        ["wire_sent_reduce_scatter", "wire_recv_reduce_scatter"],
+    ),
+    ("allgather", ["wire_sent_allgather", "wire_recv_allgather"]),
+];
+
+/// Per-collective wire-byte counter names, sent then received.
 fn wire_counters(name: &'static str) -> [&'static str; 2] {
-    match name {
-        "bcast" => ["wire_sent_bcast", "wire_recv_bcast"],
-        "reduce" => ["wire_sent_reduce", "wire_recv_reduce"],
-        "barrier" => ["wire_sent_barrier", "wire_recv_barrier"],
-        "allreduce" => ["wire_sent_allreduce", "wire_recv_allreduce"],
-        "allreduce_ring" => ["wire_sent_allreduce_ring", "wire_recv_allreduce_ring"],
-        "allreduce_tree" => ["wire_sent_allreduce_tree", "wire_recv_allreduce_tree"],
-        "reduce_scatter" => ["wire_sent_reduce_scatter", "wire_recv_reduce_scatter"],
-        "allgather" => ["wire_sent_allgather", "wire_recv_allgather"],
-        _ => ["wire_sent_other", "wire_recv_other"],
-    }
+    COLLECTIVE_OPS
+        .iter()
+        .find(|(op, _)| *op == name)
+        .map_or(["wire_sent_other", "wire_recv_other"], |&(_, counters)| {
+            counters
+        })
 }
 
 /// First element of a `u64` buffer — a header broadcast's command

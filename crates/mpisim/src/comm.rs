@@ -200,7 +200,7 @@ enum Fate {
 
 /// Per-rank fault-injection state: the shared plan plus this rank's
 /// per-link send counters (the logical-progress index that
-/// drop/delay actions key on).
+/// drop actions key on).
 struct FaultCtx {
     plan: Arc<FaultPlan>,
     sent_counts: Vec<u64>,
@@ -266,7 +266,7 @@ impl Comm {
     }
 
     /// The wire codec currently configured on this rank.
-    pub fn wire_codec(&self) -> WireCodec {
+    pub(crate) fn wire_codec(&self) -> WireCodec {
         self.wire_codec
     }
 
@@ -501,14 +501,14 @@ impl Comm {
     /// subsequent send stamps this rank's clock onto the packet and
     /// every receive checks the delivery/consumption invariants.
     /// Collect results with [`Comm::hb_finish`].
-    pub fn enable_hb(&mut self) {
+    pub(crate) fn enable_hb(&mut self) {
         self.hb = Some(HbTracker::new(self.rank, self.size));
     }
 
     /// Switch on seeded schedule perturbation (see the `perturb` field
     /// docs). Distinct seeds explore distinct legal schedules; the
     /// protocol's observable behaviour must not depend on the choice.
-    pub fn enable_perturbation(&mut self, seed: u64) {
+    pub(crate) fn enable_perturbation(&mut self, seed: u64) {
         self.perturb = Some(Prng::new(seed));
     }
 
@@ -526,7 +526,7 @@ impl Comm {
     /// anything parked or undelivered as unconsumed-at-exit, and
     /// return every violation recorded on this rank. Returns empty
     /// when tracking was never enabled.
-    pub fn hb_finish(&mut self) -> Vec<HbViolation> {
+    pub(crate) fn hb_finish(&mut self) -> Vec<HbViolation> {
         if self.hb.is_none() {
             return Vec::new();
         }
@@ -547,15 +547,6 @@ impl Comm {
             hb.on_unconsumed(pkt);
         }
         hb.take_violations()
-    }
-
-    /// Replace the wall-clock source feeding the communication trace
-    /// (e.g. with a `pdnn_util::ManualClock` for bit-reproducible
-    /// simulated runs). The telemetry recorder keeps its own clock;
-    /// build the world with [`crate::build_world_deterministic`] to
-    /// freeze both together.
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
     }
 
     /// Attach a link cost model: every subsequent send advances this
@@ -597,19 +588,13 @@ impl Comm {
 
     /// Take the trace, leaving an empty one (used by the runner at
     /// rank exit).
-    pub fn take_trace(&mut self) -> CommStats {
+    fn take_trace(&mut self) -> CommStats {
         std::mem::take(&mut self.trace)
-    }
-
-    /// Ordered comm-event trace accumulated so far (see
-    /// `crate::events`).
-    pub fn events(&self) -> &[CommEvent] {
-        &self.events
     }
 
     /// Take the comm-event trace, leaving an empty one (used by the
     /// runner at rank exit).
-    pub fn take_events(&mut self) -> Vec<CommEvent> {
+    pub(crate) fn take_events(&mut self) -> Vec<CommEvent> {
         std::mem::take(&mut self.events)
     }
 
@@ -641,7 +626,7 @@ impl Comm {
     /// Take everything recorded on this rank — spans, counters,
     /// gauges, events, *and* the communication trace — as one
     /// [`Telemetry`] snapshot, leaving the rank's sinks empty.
-    pub fn take_telemetry(&mut self) -> Telemetry {
+    pub(crate) fn take_telemetry(&mut self) -> Telemetry {
         let mut telemetry = self.recorder.take();
         telemetry.comm = self.take_trace();
         telemetry
@@ -670,7 +655,7 @@ impl Comm {
         let kind = payload.kind();
         let elems = payload.elems();
         let class = self.class();
-        // Fault injection: drop/delay actions key on the per-link send
+        // Fault injection: drop actions key on the per-link send
         // count (logical progress), so the same plan hits the same
         // message every run.
         let link_fault = match &mut self.fault {
@@ -683,23 +668,12 @@ impl Comm {
         };
         if let Some((plan, n)) = link_fault {
             for action in &plan.actions {
-                match *action {
-                    FaultAction::DropMessage { from, to, nth }
-                        if from == self.rank && to == dst && nth == n =>
-                    {
+                if let FaultAction::DropMessage { from, to, nth } = *action {
+                    if from == self.rank && to == dst && nth == n {
                         self.recorder.counter_add("fault_dropped_sends", 1);
                         self.trace.add_seconds(class, self.clock.now() - start);
                         return Ok(());
                     }
-                    FaultAction::DelayMessage {
-                        from,
-                        to,
-                        nth,
-                        ticks,
-                    } if from == self.rank && to == dst && nth == n => {
-                        std::thread::sleep(FAULT_TICK * ticks);
-                    }
-                    _ => {}
                 }
             }
         }

@@ -16,6 +16,7 @@
 //! workspace (no serde); [`events_to_jsonl`] and
 //! [`events_from_jsonl`] round-trip exactly.
 
+use crate::collectives::COLLECTIVE_OPS;
 use std::fmt::Write as _;
 
 /// One observable communication action on a rank, in program order.
@@ -81,22 +82,14 @@ fn intern_kind(s: &str) -> Option<&'static str> {
     }
 }
 
-/// Intern a collective operation name.
+/// Intern a collective operation name: one the runtime records.
 fn intern_op(s: &str) -> Option<&'static str> {
-    match s {
-        "bcast" => Some("bcast"),
-        "reduce" => Some("reduce"),
-        "barrier" => Some("barrier"),
-        "allreduce" => Some("allreduce"),
-        "allreduce_ring" => Some("allreduce_ring"),
-        "allreduce_tree" => Some("allreduce_tree"),
-        _ => None,
-    }
+    COLLECTIVE_OPS.iter().map(|&(op, _)| op).find(|&op| op == s)
 }
 
 impl CommEvent {
     /// Render this event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::new();
         match self {
             CommEvent::Send { to, tag, kind, len } => {
@@ -141,7 +134,7 @@ impl CommEvent {
     }
 
     /// Parse one JSON object produced by [`CommEvent::to_json`].
-    pub fn from_json(line: &str) -> Result<Self, String> {
+    fn from_json(line: &str) -> Result<Self, String> {
         let fields = parse_flat_object(line)?;
         let get = |key: &str| -> Result<&str, String> {
             fields

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a declarative schedule of failures threaded
 //! through [`crate::run_world_faulted`]: kill rank R right before its
-//! K-th collective, stall a rank for D sim-ticks, or drop/delay the
+//! K-th collective, stall a rank for D sim-ticks, or drop the
 //! N-th point-to-point message on a link. Injection points are indexed
 //! by *logical* progress (per-rank collective sequence numbers,
 //! per-link message counts), never by wall-clock time, so the same
@@ -18,11 +18,9 @@
 //! (a stalled rank that never reports in), where the collective root
 //! evicts the missing rank with `CTRL_EVICT` after its window expires.
 
-use pdnn_util::Prng;
 use std::time::Duration;
 
-/// Duration of one simulated tick used by [`FaultAction::Stall`] and
-/// [`FaultAction::DelayMessage`].
+/// Duration of one simulated tick used by [`FaultAction::Stall`].
 pub const FAULT_TICK: Duration = Duration::from_millis(1);
 
 /// One scheduled failure.
@@ -48,18 +46,6 @@ pub enum FaultAction {
         /// Per-rank collective sequence number to stall before.
         before_collective: u64,
         /// Stall length in sim-ticks.
-        ticks: u32,
-    },
-    /// Delay the `nth` message (0-based, counted per `(from, to)`
-    /// link) by `ticks` × [`FAULT_TICK`] before injection.
-    DelayMessage {
-        /// Sending rank.
-        from: usize,
-        /// Receiving rank.
-        to: usize,
-        /// 0-based message index on the link.
-        nth: u64,
-        /// Delay in sim-ticks.
         ticks: u32,
     },
     /// Silently drop the `nth` message (0-based, counted per
@@ -125,17 +111,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a [`FaultAction::DelayMessage`].
-    pub fn delay_message(mut self, from: usize, to: usize, nth: u64, ticks: u32) -> Self {
-        self.actions.push(FaultAction::DelayMessage {
-            from,
-            to,
-            nth,
-            ticks,
-        });
-        self
-    }
-
     /// Add a [`FaultAction::DropMessage`].
     pub fn drop_message(mut self, from: usize, to: usize, nth: u64) -> Self {
         self.actions
@@ -149,19 +124,6 @@ impl FaultPlan {
         self.worker_timeout = worker;
         self
     }
-
-    /// Seeded single-kill plan: derive the victim (a non-root rank in
-    /// `1..world`) and its death point (a collective index in
-    /// `0..max_collective`) deterministically from `seed`. The same
-    /// seed always produces the same plan.
-    pub fn seeded_kill(seed: u64, world: usize, max_collective: u64) -> Self {
-        assert!(world >= 2, "a seeded kill needs at least one non-root rank");
-        assert!(max_collective >= 1, "need a non-empty collective range");
-        let mut rng = Prng::new(seed ^ 0xFA17_FA17_FA17_FA17);
-        let victim = 1 + rng.index(world - 1);
-        let at = rng.index(usize::try_from(max_collective).unwrap_or(usize::MAX)) as u64;
-        FaultPlan::new(seed).kill(victim, at)
-    }
 }
 
 #[cfg(test)]
@@ -173,10 +135,9 @@ mod tests {
         let plan = FaultPlan::new(7)
             .kill(2, 5)
             .stall(1, 3, 10)
-            .delay_message(0, 1, 4, 2)
             .drop_message(1, 0, 0)
             .with_timeouts(Duration::from_millis(100), Duration::from_secs(5));
-        assert_eq!(plan.actions.len(), 4);
+        assert_eq!(plan.actions.len(), 3);
         assert_eq!(plan.detect_timeout, Duration::from_millis(100));
         assert_eq!(
             plan.actions[0],
@@ -185,26 +146,5 @@ mod tests {
                 before_collective: 5
             }
         );
-    }
-
-    #[test]
-    fn seeded_kill_is_reproducible_and_in_range() {
-        let a = FaultPlan::seeded_kill(42, 4, 20);
-        let b = FaultPlan::seeded_kill(42, 4, 20);
-        assert_eq!(a.actions, b.actions);
-        let FaultAction::Kill {
-            rank,
-            before_collective,
-        } = a.actions[0]
-        else {
-            panic!("expected a kill");
-        };
-        assert!((1..4).contains(&rank));
-        assert!(before_collective < 20);
-        // A different seed explores a different plan at least sometimes.
-        let plans: Vec<_> = (0..16)
-            .map(|s| FaultPlan::seeded_kill(s, 4, 20).actions)
-            .collect();
-        assert!(plans.windows(2).any(|w| w[0] != w[1]));
     }
 }

@@ -110,7 +110,7 @@ pub struct HbTracker {
 
 impl HbTracker {
     /// Fresh tracker for `rank` in an `size`-rank world.
-    pub fn new(rank: usize, size: usize) -> Self {
+    pub(crate) fn new(rank: usize, size: usize) -> Self {
         assert!(rank < size, "hb tracker rank out of range");
         HbTracker {
             rank,
@@ -122,14 +122,14 @@ impl HbTracker {
 
     /// Record a send event: tick the own component and return the
     /// clock to stamp onto the outgoing packet.
-    pub fn on_send(&mut self) -> Vec<u64> {
+    pub(crate) fn on_send(&mut self) -> Vec<u64> {
         self.clock[self.rank] += 1;
         self.clock.clone()
     }
 
     /// Record a packet entering this rank's custody (popped from the
     /// transport channel, whether or not it matches a posted receive).
-    pub fn on_delivered(&mut self, pkt: &Packet) {
+    pub(crate) fn on_delivered(&mut self, pkt: &Packet) {
         let Some(c) = &pkt.clock else { return };
         let comp = c.get(pkt.src).copied().unwrap_or(0);
         let seen = self.last_delivered.get(pkt.src).copied().unwrap_or(0);
@@ -147,7 +147,7 @@ impl HbTracker {
 
     /// Record a packet being consumed by a matching receive: check the
     /// no-future-self-knowledge invariant, then merge and tick.
-    pub fn on_consumed(&mut self, pkt: &Packet) {
+    pub(crate) fn on_consumed(&mut self, pkt: &Packet) {
         let Some(c) = &pkt.clock else { return };
         let claimed = c.get(self.rank).copied().unwrap_or(0);
         if claimed > self.clock[self.rank] {
@@ -167,7 +167,7 @@ impl HbTracker {
     }
 
     /// Record a packet left unconsumed at rank exit.
-    pub fn on_unconsumed(&mut self, pkt: &Packet) {
+    pub(crate) fn on_unconsumed(&mut self, pkt: &Packet) {
         self.violations.push(HbViolation::UnconsumedAtExit {
             src: pkt.src,
             tag: pkt.tag,
@@ -175,7 +175,7 @@ impl HbTracker {
     }
 
     /// All violations recorded so far, leaving the tracker empty.
-    pub fn take_violations(&mut self) -> Vec<HbViolation> {
+    pub(crate) fn take_violations(&mut self) -> Vec<HbViolation> {
         std::mem::take(&mut self.violations)
     }
 }

@@ -8,13 +8,13 @@
 //! doubling allreduce, dissemination barrier, the masterless ring and
 //! tree allreduces, and the flat timed stars a fault plan switches the
 //! rooted collectives to. Every one of them is a hop list in
-//! [`schedule`], run by one interpreter in [`collectives`] and
+//! [`schedule`], run by one interpreter in `collectives` and
 //! model-checked from the same lists by `pdnn-protomc`.
 //!
 //! Functional correctness of the distributed trainer is tested on this
 //! runtime for real (actual threads, actual data movement, actual
 //! synchronization); large-scale *timing* comes from the machine model
-//! in `pdnn-bgq`. Each rank accumulates a [`pdnn_obs::CommStats`]
+//! in `pdnn-perfmodel`. Each rank accumulates a [`pdnn_obs::CommStats`]
 //! splitting its communication into point-to-point and collective
 //! classes, mirroring the paper's Figures 4–5 breakdown, and carries a
 //! `pdnn_obs` recorder ([`Comm::recorder`]) whose snapshot rides
@@ -31,16 +31,16 @@
 //! assert!(results.iter().all(|r| r.result == 6.0));
 //! ```
 
-pub mod collectives;
-pub mod comm;
-pub mod events;
-pub mod fault;
-pub mod hb;
-pub mod message;
+mod collectives;
+mod comm;
+mod events;
+mod fault;
+mod hb;
+mod message;
 mod pool;
-pub mod runner;
+mod runner;
 pub mod schedule;
-pub mod vtime;
+mod vtime;
 pub mod wire;
 
 pub use collectives::{CollElem, ReduceOp};
@@ -53,7 +53,6 @@ pub use message::{Packet, Payload, Src};
 /// benchmark harness (`benchmark/src/layers.rs`); the alias goes when
 /// that harness names `CommStats`.
 pub use pdnn_obs::CommStats as CommTrace;
-pub use pool::PayloadPool;
 pub use runner::{
     build_world, build_world_deterministic, run_world, run_world_deterministic, run_world_faulted,
     run_world_perturbed, RankOutcome,

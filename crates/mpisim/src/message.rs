@@ -34,7 +34,7 @@ pub enum Payload {
 
 impl Payload {
     /// Size on the (simulated) wire, in bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         match self {
             Payload::Empty => 0,
             Payload::F32(v) => 4 * v.len() as u64,
@@ -55,15 +55,6 @@ impl Payload {
         }
     }
 
-    /// Extract an `f64` vector or panic with a protocol error.
-    pub fn into_f64(self) -> Vec<f64> {
-        match self {
-            Payload::F64(v) => v,
-            // pdnn-lint: allow(l3-no-unwrap): documented panicking extractor — a payload-kind mismatch is a protocol bug
-            other => panic!("protocol error: expected F64, got {}", other.kind()),
-        }
-    }
-
     /// Extract a `u64` vector or panic with a protocol error.
     pub fn into_u64(self) -> Vec<u64> {
         match self {
@@ -74,7 +65,7 @@ impl Payload {
     }
 
     /// Element count (bytes count as elements for `Bytes`).
-    pub fn elems(&self) -> usize {
+    pub(crate) fn elems(&self) -> usize {
         match self {
             Payload::Empty => 0,
             Payload::F32(v) => v.len(),
@@ -87,7 +78,7 @@ impl Payload {
     }
 
     /// Short kind name for diagnostics.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Payload::Empty => "Empty",
             Payload::F32(_) => "F32",
@@ -130,7 +121,7 @@ pub enum Src {
 impl Src {
     /// Does a packet from `src` match this selector?
     #[inline]
-    pub fn matches(self, src: usize) -> bool {
+    pub(crate) fn matches(self, src: usize) -> bool {
         match self {
             Src::Any => true,
             Src::Of(r) => r == src,
@@ -163,7 +154,6 @@ mod tests {
     #[test]
     fn typed_extraction() {
         assert_eq!(Payload::F32(vec![1.5]).into_f32(), vec![1.5]);
-        assert_eq!(Payload::F64(vec![2.5]).into_f64(), vec![2.5]);
         assert_eq!(Payload::U64(vec![7]).into_u64(), vec![7]);
     }
 

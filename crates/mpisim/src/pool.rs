@@ -241,11 +241,6 @@ impl PayloadPool {
     pub fn len(&self) -> usize {
         self.local.len()
     }
-
-    /// Whether this rank's own pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.local.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -288,6 +283,6 @@ mod tests {
         // Control and metadata payloads are not kept.
         root.retire(Payload::U64(vec![1, 2]));
         root.retire(Payload::F32(Vec::new()));
-        assert!(root.is_empty());
+        assert!(root.local.is_empty());
     }
 }

@@ -6,9 +6,9 @@
 //! quantization with a deterministic per-message scale
 //! (`max_abs / 127`). The collective hop interpreter
 //! (`crate::collectives`) encodes a chunk straight from the caller's
-//! buffer ([`encode_f32`]) while a codec-armed collective runs, and
+//! buffer (`encode_f32`) while a codec-armed collective runs, and
 //! folds or installs a received image straight into the buffer
-//! ([`decode_into`]), so user code never sees the wire image. The image
+//! (`decode_into`), so user code never sees the wire image. The image
 //! a hop sends is built in a buffer the rank's payload pool
 //! (`crate::pool`) recycled from an image it consumed, so in steady
 //! state a hop allocates nothing. Byte accounting uses the
@@ -79,7 +79,7 @@ impl WireCodec {
 
 /// Narrow `v` to its wire image under `codec`; under
 /// `WireCodec::None` the image is a plain `F32` copy.
-pub fn encode_f32(codec: WireCodec, v: &[f32]) -> Payload {
+fn encode_f32(codec: WireCodec, v: &[f32]) -> Payload {
     encode_f32_in(codec, v, &mut PayloadPool::default())
 }
 
@@ -142,7 +142,7 @@ pub fn encode(codec: WireCodec, payload: Payload) -> Payload {
 /// Decode elements `start .. start + out.len()` of a wire image into
 /// `out`. Returns `false`, leaving `out` untouched, when `payload` is
 /// not an `F16`/`QI8` image; panics when the range runs past it.
-pub fn decode_into(payload: &Payload, start: usize, out: &mut [f32]) -> bool {
+pub(crate) fn decode_into(payload: &Payload, start: usize, out: &mut [f32]) -> bool {
     decode_with(codec::selected(), payload, start, out)
 }
 

@@ -107,16 +107,6 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// True when nothing was recorded at all.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.events.is_empty()
-            && self.comm == CommStats::default()
-            && self.schedule_seed.is_none()
-    }
-
     /// Aggregate span durations into a per-phase timer.
     ///
     /// This is how the legacy `PhaseTimer` views (`master_phases`,
@@ -137,25 +127,6 @@ impl Telemetry {
     /// Gauge value, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// Merge another snapshot into this one (e.g. across ranks).
-    ///
-    /// Spans and events append; counters sum; gauges take the other
-    /// side's latest value; comm statistics sum.
-    pub fn merge(&mut self, other: &Telemetry) {
-        self.spans.extend(other.spans.iter().cloned());
-        for (name, delta) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += delta;
-        }
-        for (name, value) in &other.gauges {
-            self.gauges.insert(name.clone(), *value);
-        }
-        self.events.extend(other.events.iter().cloned());
-        self.comm.merge(&other.comm);
-        if other.schedule_seed.is_some() {
-            self.schedule_seed = other.schedule_seed;
-        }
     }
 }
 
@@ -192,25 +163,5 @@ mod tests {
         assert_eq!(grad.calls, 2);
         assert!((grad.seconds - 1.5).abs() < 1e-12);
         assert!((phases.get("sync").seconds - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_all_sections() {
-        let mut a = Telemetry::default();
-        a.counters.insert("cg_iters".into(), 5);
-        a.gauges.insert("lambda".into(), 1.0);
-        let mut b = Telemetry::default();
-        b.counters.insert("cg_iters".into(), 3);
-        b.gauges.insert("lambda".into(), 0.5);
-        b.spans
-            .push(SpanRecord::new("x", SpanKind::Scalar, 0.0, 1.0));
-        b.comm.collectives_completed = 2;
-        a.merge(&b);
-        assert_eq!(a.counter("cg_iters"), 8);
-        assert_eq!(a.gauge("lambda"), Some(0.5));
-        assert_eq!(a.spans.len(), 1);
-        assert_eq!(a.comm.collectives_completed, 2);
-        assert!(!a.is_empty());
-        assert!(Telemetry::default().is_empty());
     }
 }

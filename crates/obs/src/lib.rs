@@ -8,7 +8,7 @@
 //! [`Event`]s for per-iteration records. Sinks are pluggable:
 //! [`InMemoryRecorder`] accumulates a [`Telemetry`] snapshot for tests
 //! and post-processing, [`jsonl`] exports/imports snapshots as
-//! machine-readable JSONL under `results/`, and [`render`] draws
+//! machine-readable JSONL under `results/`, and `render` draws
 //! terminal Gantt charts and summary tables.
 //!
 //! # Paper-figure map
@@ -20,7 +20,7 @@
 //! | Paper artifact | Sink / field that reproduces it |
 //! |---|---|
 //! | Fig. 1 (scaling) | `Telemetry::phase_totals()` per configuration — end-to-end seconds per phase feed `pdnn_perfmodel::figures::fig1` |
-//! | Figs. 2–3 (cycle breakdown per function) | [`SpanRecord`]s: each span's [`SpanKind`] maps onto `pdnn_bgq::PhaseKind` via `classify_span`, splitting the span's cycles into committed / IU-empty / AXU-stall / FXU-stall / other; exported as `"span"` JSONL lines and `"phase_attribution"` events (fields `committed_gcyc`, `iu_empty_gcyc`, `axu_gcyc`, `fxu_gcyc`, `other_gcyc`) |
+//! | Figs. 2–3 (cycle breakdown per function) | [`SpanRecord`]s: each span's [`SpanKind`] maps onto the BG/Q machine model's `PhaseKind` (`pdnn-perfmodel`'s `bgq::counters`), whose cycle model splits the span's cycles into committed / IU-empty / AXU-stall / FXU-stall / other; exported as `"span"` JSONL lines and `"phase_attribution"` events (fields `committed_gcyc`, `iu_empty_gcyc`, `axu_gcyc`, `fxu_gcyc`, `other_gcyc`) |
 //! | Figs. 4–5 (MPI collective vs point-to-point time per function) | [`CommStats`]: `p2p`/`collective` [`ClassTotals`] (`seconds`, `bytes_sent`, `bytes_received`, `sends`, `recvs`) plus `collectives_completed`; exported as `"comm"` and `"collectives"` JSONL lines and the `mpi_coll_s`/`mpi_p2p_s` fields of `"phase_attribution"` events |
 //! | Table I (per-iteration timing) | counters (`cg_iters`, `hf_iterations`) and the per-iteration `"hf_iteration"` events (fields `iter`, `train_loss`, `rho`, `lambda`, `cg_iters`, `accepted`) |
 //!
@@ -30,12 +30,12 @@
 //! [`Telemetry`] — the export format *is* the figure pipeline, not a
 //! side channel.
 
-pub mod event;
+mod event;
 pub mod jsonl;
-pub mod metrics;
-pub mod recorder;
-pub mod render;
-pub mod span;
+mod metrics;
+mod recorder;
+mod render;
+mod span;
 
 pub use event::{Event, Telemetry, Value};
 pub use metrics::{ClassTotals, CommClass, CommStats};

@@ -17,7 +17,7 @@ pub enum CommClass {
 
 impl CommClass {
     /// Stable lower-snake name used in JSONL export.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CommClass::PointToPoint => "p2p",
             CommClass::Collective => "collective",
@@ -58,7 +58,7 @@ pub struct CommStats {
 
 impl CommStats {
     /// Mutable totals for a class.
-    pub fn class_mut(&mut self, class: CommClass) -> &mut ClassTotals {
+    pub(crate) fn class_mut(&mut self, class: CommClass) -> &mut ClassTotals {
         match class {
             CommClass::PointToPoint => &mut self.p2p,
             CommClass::Collective => &mut self.collective,
@@ -66,7 +66,7 @@ impl CommStats {
     }
 
     /// Totals for a class.
-    pub fn class(&self, class: CommClass) -> &ClassTotals {
+    pub(crate) fn class(&self, class: CommClass) -> &ClassTotals {
         match class {
             CommClass::PointToPoint => &self.p2p,
             CommClass::Collective => &self.collective,
@@ -101,28 +101,6 @@ impl CommStats {
     pub fn total_seconds(&self) -> f64 {
         self.p2p.seconds + self.collective.seconds
     }
-
-    /// Total bytes moved (sent + received, both classes).
-    pub fn total_bytes(&self) -> u64 {
-        self.p2p.bytes_sent
-            + self.p2p.bytes_received
-            + self.collective.bytes_sent
-            + self.collective.bytes_received
-    }
-
-    /// Merge another trace (e.g. summing across ranks).
-    pub fn merge(&mut self, other: &CommStats) {
-        for class in [CommClass::PointToPoint, CommClass::Collective] {
-            let o = *other.class(class);
-            let t = self.class_mut(class);
-            t.seconds += o.seconds;
-            t.bytes_sent += o.bytes_sent;
-            t.bytes_received += o.bytes_received;
-            t.sends += o.sends;
-            t.recvs += o.recvs;
-        }
-        self.collectives_completed += other.collectives_completed;
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +115,6 @@ mod tests {
         assert_eq!(t.p2p.bytes_sent, 10);
         assert_eq!(t.collective.bytes_sent, 20);
         assert_eq!(t.class(CommClass::Collective).bytes_sent, 20);
-        assert_eq!(t.total_bytes(), 30);
     }
 
     #[test]
@@ -153,23 +130,5 @@ mod tests {
         assert_eq!(t.collective.bytes_received, 128);
         assert!((t.collective.seconds - 0.25).abs() < 1e-12);
         assert_eq!(t.collectives_completed, 1);
-    }
-
-    #[test]
-    fn merge_sums_everything() {
-        let mut a = CommStats::default();
-        a.p2p.seconds = 1.0;
-        a.p2p.sends = 2;
-        a.collectives_completed = 1;
-        let mut b = CommStats::default();
-        b.p2p.seconds = 0.5;
-        b.collective.recvs = 3;
-        b.collectives_completed = 4;
-        a.merge(&b);
-        assert!((a.p2p.seconds - 1.5).abs() < 1e-12);
-        assert_eq!(a.p2p.sends, 2);
-        assert_eq!(a.collective.recvs, 3);
-        assert_eq!(a.collectives_completed, 5);
-        assert!((a.total_seconds() - 1.5).abs() < 1e-12);
     }
 }

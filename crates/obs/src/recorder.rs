@@ -127,8 +127,7 @@ impl InMemoryRecorder {
 
     /// Recorder driven by an explicit clock starting at `0.0`.
     ///
-    /// Used by tests and by simulated-time producers that call
-    /// [`InMemoryRecorder::advance_clock`] themselves.
+    /// Tests advance it; elsewhere it reads 0 throughout.
     pub fn with_manual_clock() -> Self {
         InMemoryRecorder {
             inner: Mutex::new(Inner {
@@ -138,29 +137,10 @@ impl InMemoryRecorder {
         }
     }
 
-    /// Advance a manual clock by `dt` seconds.
-    ///
-    /// # Panics
-    /// Panics on a wall-clock recorder or negative `dt`.
-    pub fn advance_clock(&self, dt: f64) {
-        assert!(dt >= 0.0, "clock must advance forward");
-        let mut inner = locked(&self.inner);
-        match &mut inner.clock {
-            ClockSource::Manual(t) => *t += dt,
-            // pdnn-lint: allow(l3-no-unwrap): documented contract panic (see "# Panics" above); mixing manual advance with an injected clock is a wiring bug
-            ClockSource::External(_) => panic!("advance_clock on an externally clocked recorder"),
-        }
-    }
-
     /// Take the accumulated telemetry, resetting the recorder's data
     /// (the clock keeps running).
     pub fn take(&self) -> Telemetry {
         std::mem::take(&mut locked(&self.inner).data)
-    }
-
-    /// Clone of the telemetry accumulated so far.
-    pub fn snapshot(&self) -> Telemetry {
-        locked(&self.inner).data.clone()
     }
 }
 
@@ -220,6 +200,18 @@ impl Recorder for NullRecorder {
 }
 
 #[cfg(test)]
+impl InMemoryRecorder {
+    /// Advance a manual clock by `dt` seconds (tests drive the clock).
+    pub(crate) fn advance_clock(&self, dt: f64) {
+        assert!(dt >= 0.0, "clock must advance forward");
+        match &mut locked(&self.inner).clock {
+            ClockSource::Manual(t) => *t += dt,
+            ClockSource::External(_) => panic!("advance_clock on an externally clocked recorder"),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -275,15 +267,13 @@ mod tests {
         rec.gauge_set("lambda", 0.25);
         rec.advance_clock(2.0);
         rec.event("hf_iteration", vec![("iter".into(), 1u64.into())]);
-        let t = rec.snapshot();
+        let t = rec.take();
         assert_eq!(t.counter("cg_iters"), 8);
         assert_eq!(t.gauge("lambda"), Some(0.25));
         assert_eq!(t.events.len(), 1);
         assert!((t.events[0].t - 2.0).abs() < 1e-12);
         // take() drains; a second take sees nothing.
-        let drained = rec.take();
-        assert_eq!(drained.counter("cg_iters"), 8);
-        assert!(rec.take().is_empty());
+        assert_eq!(rec.take().counter("cg_iters"), 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@ use std::borrow::Cow;
 
 /// What a span's time was spent on.
 ///
-/// This is the telemetry-side vocabulary; `pdnn_bgq` maps it onto its
-/// `PhaseKind` cycle-model categories when reproducing Figures 2–3.
+/// This is the telemetry-side vocabulary; the BG/Q machine model in
+/// `pdnn-perfmodel` maps it onto its `PhaseKind` cycle-model
+/// categories when reproducing Figures 2–3.
 #[derive(Clone, Copy, Debug, Eq, Hash, PartialEq)]
 pub enum SpanKind {
     /// Dense floating-point work (matrix products, CG updates).
@@ -32,7 +33,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable lower-snake name used in JSONL export.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SpanKind::DenseCompute => "dense_compute",
             SpanKind::MemoryBound => "memory_bound",
@@ -45,7 +46,7 @@ impl SpanKind {
     }
 
     /// Inverse of [`SpanKind::as_str`]; `None` for unknown names.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "dense_compute" => SpanKind::DenseCompute,
             "memory_bound" => SpanKind::MemoryBound,
@@ -97,7 +98,7 @@ impl SpanRecord {
     }
 
     /// Duration in seconds.
-    pub fn seconds(&self) -> f64 {
+    pub(crate) fn seconds(&self) -> f64 {
         self.end - self.start
     }
 }

@@ -16,7 +16,7 @@
 //!   socket/file transport (Section V.B): the master contacts workers
 //!   one by one, so "collectives" serialize into `P − 1` p2p messages.
 
-use crate::torus::{Torus, HOP_LATENCY, LINK_BANDWIDTH};
+use super::torus::{Torus, HOP_LATENCY, LINK_BANDWIDTH};
 use pdnn_util::cast;
 
 /// Network model flavor.
@@ -48,10 +48,10 @@ pub enum Network {
 }
 
 /// MPI software overhead per operation on BG/Q (PAMI fast path).
-pub const BGQ_MPI_LATENCY: f64 = 2.5e-6;
+const BGQ_MPI_LATENCY: f64 = 2.5e-6;
 /// Fraction of a single link's bandwidth achieved by the pipelined
 /// collective hardware.
-pub const BGQ_COLLECTIVE_BW_FRACTION: f64 = 0.9;
+const BGQ_COLLECTIVE_BW_FRACTION: f64 = 0.9;
 
 /// Typical commodity-cluster parameters circa the paper (GbE).
 pub fn ethernet_1g() -> Network {
@@ -131,7 +131,7 @@ impl Network {
     /// Time for a sum-reduction of `bytes` from `ranks` ranks to a
     /// root. Modeled with the same shapes as broadcast (reduction
     /// trees mirror broadcast trees; BG/Q has hardware combining).
-    pub fn reduce_time(&self, bytes: u64, ranks: usize) -> f64 {
+    pub(crate) fn reduce_time(&self, bytes: u64, ranks: usize) -> f64 {
         if ranks <= 1 {
             return 0.0;
         }
@@ -149,11 +149,6 @@ impl Network {
                     * (latency + cast::exact_f64(bytes) / bandwidth)
             }
         }
-    }
-
-    /// Allreduce ≈ reduce + broadcast on all three networks.
-    pub fn allreduce_time(&self, bytes: u64, ranks: usize) -> f64 {
-        self.reduce_time(bytes, ranks) + self.bcast_time(bytes, ranks)
     }
 }
 
@@ -215,13 +210,5 @@ mod tests {
     fn single_rank_collectives_are_free() {
         assert_eq!(Network::bgq(1).bcast_time(MB, 1), 0.0);
         assert_eq!(ethernet_1g().reduce_time(MB, 1), 0.0);
-    }
-
-    #[test]
-    fn allreduce_is_reduce_plus_bcast() {
-        let net = Network::bgq(2048);
-        let ar = net.allreduce_time(MB, 2048);
-        let sum = net.reduce_time(MB, 2048) + net.bcast_time(MB, 2048);
-        assert!((ar - sum).abs() < 1e-12);
     }
 }

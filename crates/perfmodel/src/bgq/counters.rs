@@ -9,7 +9,7 @@
 //! share the core and (b) the character of the code (dense FMA kernel
 //! vs pointer-chasing coordination vs waiting in MPI).
 
-use crate::node::{smt_throughput, NodeConfig};
+use super::node::{smt_throughput, NodeConfig};
 use pdnn_obs::SpanKind;
 
 /// What kind of work a phase does — determines its stall profile.
@@ -29,7 +29,7 @@ pub enum PhaseKind {
 
 /// Cycle counts per counter category; `total()` is their sum.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CycleBreakdown {
+pub(crate) struct CycleBreakdown {
     /// Productive committed instructions.
     pub committed: f64,
     /// Instruction-unit-empty cycles (icache / ierat misses).
@@ -43,13 +43,8 @@ pub struct CycleBreakdown {
 }
 
 impl CycleBreakdown {
-    /// Total cycles.
-    pub fn total(&self) -> f64 {
-        self.committed + self.iu_empty + self.axu_dep_stalls + self.fxu_dep_stalls + self.other
-    }
-
     /// Add another breakdown.
-    pub fn merge(&mut self, o: &CycleBreakdown) {
+    pub(crate) fn merge(&mut self, o: &CycleBreakdown) {
         self.committed += o.committed;
         self.iu_empty += o.iu_empty;
         self.axu_dep_stalls += o.axu_dep_stalls;
@@ -90,7 +85,11 @@ fn base_fractions(kind: PhaseKind) -> [f64; 5] {
 /// Fewer threads per core expose more dependency stalls: the committed
 /// fraction is scaled by the SMT throughput curve and the shortfall is
 /// redistributed to the stall categories proportionally.
-pub fn classify_cycles(kind: PhaseKind, config: NodeConfig, total_cycles: f64) -> CycleBreakdown {
+pub(crate) fn classify_cycles(
+    kind: PhaseKind,
+    config: NodeConfig,
+    total_cycles: f64,
+) -> CycleBreakdown {
     assert!(total_cycles >= 0.0, "negative cycle count");
     let base = base_fractions(kind);
     let smt = smt_throughput(config.threads_per_core());
@@ -110,13 +109,11 @@ pub fn classify_cycles(kind: PhaseKind, config: NodeConfig, total_cycles: f64) -
     }
 }
 
-/// [`classify_cycles`] keyed by a telemetry [`SpanKind`].
-///
-/// The bridge from `pdnn_obs` spans to the Figure 2–3 counter
-/// categories: a span's kind picks the stall profile, the machine
-/// model supplies the cycles.
-pub fn classify_span(kind: SpanKind, config: NodeConfig, total_cycles: f64) -> CycleBreakdown {
-    classify_cycles(PhaseKind::from(kind), config, total_cycles)
+#[cfg(test)]
+impl CycleBreakdown {
+    fn total(&self) -> f64 {
+        self.committed + self.iu_empty + self.axu_dep_stalls + self.fxu_dep_stalls + self.other
+    }
 }
 
 #[cfg(test)]
@@ -190,9 +187,6 @@ mod tests {
         for comm in [SpanKind::CommP2p, SpanKind::CommCollective, SpanKind::Wait] {
             assert_eq!(PhaseKind::from(comm), PhaseKind::CommWait);
         }
-        let via_span = classify_span(SpanKind::CommCollective, FULL, 1e6);
-        let via_kind = classify_cycles(PhaseKind::CommWait, FULL, 1e6);
-        assert_eq!(via_span, via_kind);
     }
 
     #[test]

@@ -20,26 +20,26 @@
 use pdnn_util::cast;
 
 /// Core clock (Hz).
-pub const CLOCK_HZ: f64 = 1.6e9;
+pub(crate) const CLOCK_HZ: f64 = 1.6e9;
 /// Cores per node.
-pub const CORES_PER_NODE: usize = 16;
+const CORES_PER_NODE: usize = 16;
 /// Hardware threads per core.
-pub const THREADS_PER_CORE: usize = 4;
+const THREADS_PER_CORE: usize = 4;
 /// Peak FLOPs per core per cycle (4-wide FMA).
-pub const FLOPS_PER_CORE_PER_CYCLE: f64 = 8.0;
+const FLOPS_PER_CORE_PER_CYCLE: f64 = 8.0;
 /// Peak node throughput in FLOP/s (204.8 GF).
 // pdnn-lint: allow(l6-lossy-cast): const expression (checked helpers are not const fn); 16 is exact
-pub const NODE_PEAK_FLOPS: f64 = CLOCK_HZ * FLOPS_PER_CORE_PER_CYCLE * CORES_PER_NODE as f64;
+pub(crate) const NODE_PEAK_FLOPS: f64 = CLOCK_HZ * FLOPS_PER_CORE_PER_CYCLE * CORES_PER_NODE as f64;
 
 /// Fraction of peak a tuned SGEMM reaches with perfect threading
 /// (everything that is not the GEMM inner loop: packing, edge tiles,
 /// activation work, and the paper's "last 5%" effects).
-pub const SGEMM_BASE_EFFICIENCY: f64 = 0.62;
+const SGEMM_BASE_EFFICIENCY: f64 = 0.62;
 
 /// A `ranks-per-node x threads-per-rank` execution configuration
 /// (the paper's `R-rpn-t` notation, e.g. 2048-2-32).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NodeConfig {
+pub(crate) struct NodeConfig {
     /// MPI ranks placed on each node.
     pub ranks_per_node: usize,
     /// OpenMP (rayon) threads per rank.
@@ -48,7 +48,7 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// Validate against the hardware limits (≤ 64 threads/node).
-    pub fn validated(self) -> NodeConfig {
+    pub(crate) fn validated(self) -> NodeConfig {
         assert!(self.ranks_per_node >= 1, "ranks_per_node must be >= 1");
         assert!(self.threads_per_rank >= 1, "threads_per_rank must be >= 1");
         let total = self.ranks_per_node * self.threads_per_rank;
@@ -62,13 +62,13 @@ impl NodeConfig {
     }
 
     /// Total software threads on the node.
-    pub fn threads_per_node(&self) -> usize {
+    fn threads_per_node(&self) -> usize {
         self.ranks_per_node * self.threads_per_rank
     }
 
     /// Hardware threads per core actually occupied (may be
     /// fractional when fewer than 16 threads run).
-    pub fn threads_per_core(&self) -> f64 {
+    pub(crate) fn threads_per_core(&self) -> f64 {
         cast::exact_f64_usize(self.threads_per_node()) / cast::exact_f64_usize(CORES_PER_NODE)
     }
 }
@@ -81,7 +81,7 @@ impl NodeConfig {
 /// four threads hide most remaining stalls. Calibrated to the
 /// qualitative Figure 1(a) scaling (16→32→64 threads/node keeps
 /// improving, with diminishing returns).
-pub fn smt_throughput(threads_per_core: f64) -> f64 {
+pub(crate) fn smt_throughput(threads_per_core: f64) -> f64 {
     let t = threads_per_core.clamp(0.0, cast::exact_f64_usize(THREADS_PER_CORE));
     // Piecewise-linear through (1, 0.52), (2, 0.80), (3, 0.93), (4, 1.0).
     const POINTS: [(f64, f64); 5] = [
@@ -108,7 +108,7 @@ pub fn smt_throughput(threads_per_core: f64) -> f64 {
 /// ordering is `2 ranks x 32 ≳ 4 ranks x 16 > 1 rank x 64` once
 /// rank-level overheads (below) are included — the Figure 1(a)
 /// ordering.
-pub fn thread_scaling(threads_per_rank: usize) -> f64 {
+fn thread_scaling(threads_per_rank: usize) -> f64 {
     // ~4.5% loss per doubling beyond 8 threads.
     let t = cast::exact_f64_usize(threads_per_rank.max(1));
     let doublings = (t / 8.0).log2().max(0.0);
@@ -118,7 +118,7 @@ pub fn thread_scaling(threads_per_rank: usize) -> f64 {
 /// Per-node overhead of hosting several MPI ranks (duplicated
 /// packing buffers, rank-level synchronization, network-interface
 /// sharing).
-pub fn rank_packing_overhead(ranks_per_node: usize) -> f64 {
+fn rank_packing_overhead(ranks_per_node: usize) -> f64 {
     match ranks_per_node {
         0 | 1 => 1.0,
         2 => 0.995,
@@ -129,7 +129,7 @@ pub fn rank_packing_overhead(ranks_per_node: usize) -> f64 {
 }
 
 /// Effective SGEMM-bound FLOP/s of one node under `config`.
-pub fn node_effective_flops(config: NodeConfig) -> f64 {
+pub(crate) fn node_effective_flops(config: NodeConfig) -> f64 {
     let config = config.validated();
     NODE_PEAK_FLOPS
         * SGEMM_BASE_EFFICIENCY
@@ -139,7 +139,7 @@ pub fn node_effective_flops(config: NodeConfig) -> f64 {
 }
 
 /// Effective FLOP/s available to a single rank.
-pub fn rank_effective_flops(config: NodeConfig) -> f64 {
+pub(crate) fn rank_effective_flops(config: NodeConfig) -> f64 {
     node_effective_flops(config) / cast::exact_f64_usize(config.ranks_per_node)
 }
 

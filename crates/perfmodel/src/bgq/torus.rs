@@ -9,11 +9,9 @@
 //! 8192 MPI ranks at 4 ranks/node).
 
 /// Per-link bandwidth, bytes/second each direction.
-pub const LINK_BANDWIDTH: f64 = 2.0e9;
+pub(crate) const LINK_BANDWIDTH: f64 = 2.0e9;
 /// Per-hop router latency, seconds.
-pub const HOP_LATENCY: f64 = 40e-9;
-/// Torus links per node (5 dimensions × 2 directions).
-pub const LINKS_PER_NODE: usize = 10;
+pub(crate) const HOP_LATENCY: f64 = 40e-9;
 
 /// A 5-dimensional torus shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,7 +23,7 @@ pub struct Torus {
 impl Torus {
     /// Standard BG/Q partition shapes for the node counts the paper
     /// uses; other counts get a balanced factorization.
-    pub fn for_nodes(nodes: usize) -> Torus {
+    pub(crate) fn for_nodes(nodes: usize) -> Torus {
         let dims = match nodes {
             32 => [2, 2, 2, 2, 2],
             64 => [4, 2, 2, 2, 2],
@@ -58,12 +56,12 @@ impl Torus {
     }
 
     /// Number of nodes in the partition.
-    pub fn nodes(&self) -> usize {
+    fn nodes(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// Coordinates of node index `id` (row-major over dims).
-    pub fn coords(&self, id: usize) -> [usize; 5] {
+    fn coords(&self, id: usize) -> [usize; 5] {
         assert!(id < self.nodes(), "node {id} out of range");
         let mut c = [0usize; 5];
         let mut rest = id;
@@ -75,7 +73,7 @@ impl Torus {
     }
 
     /// Shortest hop count between two nodes (per-dimension wraparound).
-    pub fn hops(&self, a: usize, b: usize) -> usize {
+    fn hops(&self, a: usize, b: usize) -> usize {
         let ca = self.coords(a);
         let cb = self.coords(b);
         (0..5)
@@ -88,27 +86,18 @@ impl Torus {
     }
 
     /// Network diameter (max shortest-path hops).
-    pub fn diameter(&self) -> usize {
+    pub(crate) fn diameter(&self) -> usize {
         self.dims.iter().map(|&e| e / 2).sum()
     }
 
     /// Mean hop distance from node 0 (by symmetry, from any node).
-    pub fn mean_hops(&self) -> f64 {
+    pub(crate) fn mean_hops(&self) -> f64 {
         let n = self.nodes();
         if n <= 1 {
             return 0.0;
         }
         let total: usize = (1..n).map(|b| self.hops(0, b)).sum();
         pdnn_util::cast::exact_f64_usize(total) / pdnn_util::cast::exact_f64_usize(n - 1)
-    }
-
-    /// Aggregate torus bandwidth per node, bytes/s (the paper's
-    /// "44 GB/s" counts the I/O link too; the compute-torus share is
-    /// 10 × 2 GB/s × 2 directions = 40 GB/s; we expose the
-    /// unidirectional injection bound).
-    pub fn injection_bandwidth() -> f64 {
-        // pdnn-lint: allow(l6-lossy-cast): LINKS_PER_NODE is the constant 10, exactly representable
-        LINKS_PER_NODE as f64 * LINK_BANDWIDTH
     }
 }
 
@@ -203,12 +192,5 @@ mod tests {
         let t = Torus::for_nodes(512);
         let m = t.mean_hops();
         assert!(m > 1.0 && m < t.diameter() as f64);
-    }
-
-    #[test]
-    fn injection_bandwidth_is_20_gbps_unidirectional() {
-        // 10 links × 2 GB/s per direction; the paper's 44 GB/s counts
-        // both directions plus the I/O link.
-        assert!((Torus::injection_bandwidth() - 20.0e9).abs() < 1.0);
     }
 }

@@ -19,19 +19,17 @@ use crate::workload::JobSpec;
 use pdnn_util::cast;
 
 /// BG/Q node power under load, watts.
-pub const BGQ_NODE_WATTS: f64 = 83.0;
+const BGQ_NODE_WATTS: f64 = 83.0;
 /// Commodity dual-socket node power under load, watts.
-pub const XEON_NODE_WATTS: f64 = 350.0;
+const XEON_NODE_WATTS: f64 = 350.0;
 /// Cluster overhead factor (network switches, fans, PSU losses).
-pub const CLUSTER_OVERHEAD: f64 = 1.15;
+const CLUSTER_OVERHEAD: f64 = 1.15;
 /// Processes (sockets) per Xeon node.
-pub const XEON_PROCS_PER_NODE: usize = 2;
+const XEON_PROCS_PER_NODE: usize = 2;
 
 /// Energy summary of a modeled run.
 #[derive(Clone, Debug)]
-pub struct EnergyReport {
-    /// Run label.
-    pub label: String,
+pub(crate) struct EnergyReport {
     /// Wall-clock hours.
     pub hours: f64,
     /// Average machine power, kilowatts.
@@ -41,12 +39,11 @@ pub struct EnergyReport {
 }
 
 /// Energy of a BG/Q run.
-pub fn bgq_energy(job: &JobSpec, run: &BgqRun) -> EnergyReport {
+pub(crate) fn bgq_energy(job: &JobSpec, run: &BgqRun) -> EnergyReport {
     let breakdown: RunBreakdown = bgq_time(job, run);
     let hours = breakdown.total_hours();
     let kilowatts = cast::exact_f64_usize(run.nodes()) * BGQ_NODE_WATTS / 1000.0;
     EnergyReport {
-        label: run.label(),
         hours,
         kilowatts,
         kwh: kilowatts * hours,
@@ -54,13 +51,12 @@ pub fn bgq_energy(job: &JobSpec, run: &BgqRun) -> EnergyReport {
 }
 
 /// Energy of the Xeon-cluster run.
-pub fn xeon_energy(job: &JobSpec, processes: usize) -> EnergyReport {
+pub(crate) fn xeon_energy(job: &JobSpec, processes: usize) -> EnergyReport {
     let breakdown = xeon_time(job, processes);
     let hours = breakdown.total_hours();
     let nodes = processes.div_ceil(XEON_PROCS_PER_NODE);
     let kilowatts = cast::exact_f64_usize(nodes) * XEON_NODE_WATTS * CLUSTER_OVERHEAD / 1000.0;
     EnergyReport {
-        label: format!("xeon-{processes}"),
         hours,
         kilowatts,
         kwh: kilowatts * hours,

@@ -5,11 +5,11 @@
 //! in this module assert the *shape* claims (orderings, ratios,
 //! crossovers) rather than absolute numbers — see EXPERIMENTS.md.
 
+use crate::bgq::counters::{classify_cycles, PhaseKind};
+use crate::bgq::node::CLOCK_HZ;
 use crate::energy::{bgq_energy, xeon_energy};
 use crate::model::{bgq_time, xeon_time, BgqRun};
 use crate::workload::JobSpec;
-use pdnn_bgq::counters::{classify_cycles, PhaseKind};
-use pdnn_bgq::node::CLOCK_HZ;
 use pdnn_obs::{Event, InMemoryRecorder, Recorder, Telemetry, Value};
 use pdnn_util::cast;
 use pdnn_util::report::Table;
@@ -35,7 +35,7 @@ pub fn fig1b_configs() -> Vec<BgqRun> {
 }
 
 /// The three full-SMT configurations used for Figures 2–5.
-pub fn breakdown_configs() -> Vec<BgqRun> {
+fn breakdown_configs() -> Vec<BgqRun> {
     vec![
         BgqRun::new(1024, 1, 64),
         BgqRun::new(2048, 2, 32),
@@ -81,7 +81,7 @@ fn display_name(phase: &str, master_side: bool) -> &'static str {
 /// Model-driven attribution for Figures 2–5 as `pdnn_obs` telemetry.
 ///
 /// Emits one `"phase_attribution"` event per (configuration, function,
-/// side) over the [`breakdown_configs`]: the A2 cycle categories in
+/// side) over the `breakdown_configs`: the A2 cycle categories in
 /// Gcyc plus the per-class MPI seconds. The figure builders
 /// ([`fig2_from`] … [`fig5_from`]) consume exactly this stream — the
 /// bench binaries write it to JSONL first and rebuild the tables from
@@ -327,14 +327,6 @@ pub fn scaling_curve(job: &JobSpec, rank_counts: &[usize]) -> Table {
     t
 }
 
-/// Raw `(ranks, seconds)` series for the scaling curve, for tests.
-pub fn scaling_values(job: &JobSpec, rank_counts: &[usize]) -> Vec<(usize, f64)> {
-    rank_counts
-        .iter()
-        .map(|&r| (r, bgq_time(job, &BgqRun::new(r, 4, 16)).total_seconds()))
-        .collect()
-}
-
 /// The "billions of training examples in a few hours" claim: corpus
 /// size vs modeled training time on two racks (8192-4-16), with the
 /// absolute-size gradient batch and curvature sample of the 400-hour
@@ -357,15 +349,6 @@ pub fn billions_table() -> Table {
     t
 }
 
-/// Raw `(hours, modeled_hours)` pairs for tests.
-pub fn billions_values() -> Vec<(f64, f64)> {
-    let run = BgqRun::new(8192, 4, 16);
-    [50.0f64, 100.0, 400.0, 1000.0, 2800.0]
-        .iter()
-        .map(|&h| (h, bgq_time(&JobSpec::ce_hours(h), &run).total_hours()))
-        .collect()
-}
-
 /// Int8 wire compression shrinks the f32 payload to one byte per
 /// element plus a per-chunk scale header; measured against the
 /// simulator's byte counters the effective payload factor is ~0.26.
@@ -378,7 +361,7 @@ pub const INT8_PAYLOAD_FACTOR: f64 = 0.26;
 /// schedule is one θ broadcast, one gradient reduce, `cg`
 /// (bcast + reduce) pairs for the CG solve, and `backtrack_evals`
 /// trial-θ broadcasts (the scalar held-out reduce is negligible).
-pub fn master_rank0_bytes_per_iter(job: &JobSpec, ranks: usize) -> f64 {
+fn master_rank0_bytes_per_iter(job: &JobSpec, ranks: usize) -> f64 {
     let n = cast::exact_f64(job.param_bytes());
     let lanes = f64::from(ranks.next_power_of_two().trailing_zeros());
     let collectives = 2.0
@@ -393,7 +376,7 @@ pub fn master_rank0_bytes_per_iter(job: &JobSpec, ranks: usize) -> f64 {
 /// what remains is one allreduce per gradient and per CG product, and
 /// a symmetric ring moves `2n·(P-1)/P` out plus the same in through
 /// *every* rank — near-constant in P, no hotspot.
-pub fn ring_rank0_bytes_per_iter(job: &JobSpec, ranks: usize, payload_factor: f64) -> f64 {
+fn ring_rank0_bytes_per_iter(job: &JobSpec, ranks: usize, payload_factor: f64) -> f64 {
     let n = cast::exact_f64(job.param_bytes()) * payload_factor;
     let p = cast::exact_f64_usize(ranks);
     let allreduces = 1.0 + cast::exact_f64_usize(job.cg_iters);
@@ -402,7 +385,7 @@ pub fn ring_rank0_bytes_per_iter(job: &JobSpec, ranks: usize, payload_factor: f6
 
 /// Raw `(ranks, master, ring, ring_int8)` rank-0 bytes per HF
 /// iteration, for tests and the table builder.
-pub fn sync_crossover_values(job: &JobSpec, rank_counts: &[usize]) -> Vec<(usize, f64, f64, f64)> {
+fn sync_crossover_values(job: &JobSpec, rank_counts: &[usize]) -> Vec<(usize, f64, f64, f64)> {
     rank_counts
         .iter()
         .map(|&p| {
@@ -469,7 +452,7 @@ pub fn sync_crossover_table(job: &JobSpec, rank_counts: &[usize]) -> Table {
 /// collectives, commodity-cluster MPI and the original socket fan-out
 /// — across model sizes and rank counts (4 ranks per BG/Q node).
 pub fn comm_ablation() -> Table {
-    use pdnn_bgq::comm_model::{ethernet_1g, socket_1g, Network};
+    use crate::bgq::comm_model::{ethernet_1g, socket_1g, Network};
     let mut t = Table::new(
         "Weight-broadcast time by transport (seconds)",
         &[
@@ -528,6 +511,21 @@ pub fn energy_table() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scaling_values(job: &JobSpec, rank_counts: &[usize]) -> Vec<(usize, f64)> {
+        rank_counts
+            .iter()
+            .map(|&r| (r, bgq_time(job, &BgqRun::new(r, 4, 16)).total_seconds()))
+            .collect()
+    }
+
+    fn billions_values() -> Vec<(f64, f64)> {
+        let run = BgqRun::new(8192, 4, 16);
+        [50.0f64, 100.0, 400.0, 1000.0, 2800.0]
+            .iter()
+            .map(|&h| (h, bgq_time(&JobSpec::ce_hours(h), &run).total_hours()))
+            .collect()
+    }
 
     fn seconds_of(values: &[(String, f64)], label: &str) -> f64 {
         values

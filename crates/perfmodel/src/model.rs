@@ -12,10 +12,10 @@
 //! next command until the reduce lands, and workers cannot proceed
 //! until the next broadcast arrives.
 
+use crate::bgq::comm_model::Network;
+use crate::bgq::counters::PhaseKind;
+use crate::bgq::node::{rank_effective_flops, NodeConfig};
 use crate::workload::JobSpec;
-use pdnn_bgq::comm_model::Network;
-use pdnn_bgq::counters::PhaseKind;
-use pdnn_bgq::node::{rank_effective_flops, NodeConfig};
 use pdnn_util::cast;
 use pdnn_util::Prng;
 
@@ -23,37 +23,37 @@ use pdnn_util::Prng;
 /// activation functions, Python^W glue, short GEMMs from per-rank
 /// batch fragmentation, I/O. Calibrated against Table I (BG/Q 4096
 /// ranks, 50 h CE ≈ 1.3 h).
-pub const BGQ_APP_EFFICIENCY: f64 = 0.15;
+const BGQ_APP_EFFICIENCY: f64 = 0.15;
 
 /// Master scalar throughput for CG vector arithmetic: a single
 /// in-order A2 hardware thread doing memory-bound AXPY/dot chains on
 /// 10-100 M-element vectors — roughly 0.1 GFLOP/s. This serial
 /// component is the Amdahl term behind the paper's sub-linear scaling
 /// beyond 4096 ranks (the workers scale; the master does not).
-pub const MASTER_SCALAR_FLOPS: f64 = 0.1e9;
+const MASTER_SCALAR_FLOPS: f64 = 0.1e9;
 
 /// Parameter-length vector operations the master performs per CG
 /// iteration (residual/direction updates, dots, iterate-series
 /// bookkeeping for the backtracking pass).
-pub const CG_MASTER_VECTOR_OPS: f64 = 20.0;
+const CG_MASTER_VECTOR_OPS: f64 = 20.0;
 
 /// Master-side per-rank coordination cost per collective operation
 /// (command dispatch, completion bookkeeping). Grows linearly with
 /// rank count — the term behind the master-side MPI-time growth in
 /// Figure 4.
-pub const MASTER_PER_RANK_OP_SECONDS: f64 = 50e-6;
+const MASTER_PER_RANK_OP_SECONDS: f64 = 50e-6;
 
 /// The Xeon cluster master runs on an out-of-order core with a real
 /// memory subsystem; its vector arithmetic is ~10x the A2 thread.
-pub const XEON_MASTER_SCALAR_FLOPS: f64 = 1.0e9;
+const XEON_MASTER_SCALAR_FLOPS: f64 = 1.0e9;
 
 /// Per-worker handshake during initial data distribution.
-pub const LOAD_DATA_HANDSHAKE_SECONDS: f64 = 1.2e-3;
+const LOAD_DATA_HANDSHAKE_SECONDS: f64 = 1.2e-3;
 
 /// Xeon cluster: effective FLOP/s per process (a multi-core node
 /// socket running threaded BLAS; calibrated against Table I's 9 h /
 /// 96 processes for the 50 h CE job).
-pub const XEON_PROCESS_FLOPS: f64 = 2.9e9 * 8.0 * 8.0 * 0.28;
+const XEON_PROCESS_FLOPS: f64 = 2.9e9 * 8.0 * 8.0 * 0.28;
 
 /// A BG/Q run configuration, `ranks-ranksPerNode-threads` in the
 /// paper's notation.
@@ -80,7 +80,7 @@ impl BgqRun {
     }
 
     /// Paper-style label, e.g. `4096-4-16`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!(
             "{}-{}-{}",
             self.ranks, self.ranks_per_node, self.threads_per_rank
@@ -88,12 +88,12 @@ impl BgqRun {
     }
 
     /// Nodes occupied.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.ranks / self.ranks_per_node
     }
 
     /// Node-level execution configuration.
-    pub fn node_config(&self) -> NodeConfig {
+    pub(crate) fn node_config(&self) -> NodeConfig {
         NodeConfig {
             ranks_per_node: self.ranks_per_node,
             threads_per_rank: self.threads_per_rank,
@@ -121,13 +121,13 @@ pub struct Phase {
 
 impl Phase {
     /// Wall-clock contribution of the phase.
-    pub fn wall_s(&self) -> f64 {
+    fn wall_s(&self) -> f64 {
         self.wire_coll_s + self.wire_p2p_s + self.worker_compute_s + self.master_compute_s
     }
 
     /// Master MPI time in collectives: wire time plus the wait for
     /// worker compute (the master blocks inside MPI_Reduce).
-    pub fn master_mpi_coll_s(&self) -> f64 {
+    pub(crate) fn master_mpi_coll_s(&self) -> f64 {
         if self.wire_coll_s > 0.0 {
             self.wire_coll_s + self.worker_compute_s
         } else {
@@ -136,13 +136,13 @@ impl Phase {
     }
 
     /// Master MPI time in point-to-point calls.
-    pub fn master_mpi_p2p_s(&self) -> f64 {
+    pub(crate) fn master_mpi_p2p_s(&self) -> f64 {
         self.wire_p2p_s
     }
 
     /// Worker MPI time in collectives: wire plus the wait for master
     /// compute (workers block inside the next MPI_Bcast).
-    pub fn worker_mpi_coll_s(&self) -> f64 {
+    pub(crate) fn worker_mpi_coll_s(&self) -> f64 {
         if self.wire_coll_s > 0.0 {
             self.wire_coll_s + self.master_compute_s
         } else {
@@ -151,7 +151,7 @@ impl Phase {
     }
 
     /// Worker MPI time in point-to-point calls.
-    pub fn worker_mpi_p2p_s(&self) -> f64 {
+    pub(crate) fn worker_mpi_p2p_s(&self) -> f64 {
         self.wire_p2p_s
     }
 }
@@ -212,7 +212,7 @@ pub fn bgq_time(job: &JobSpec, run: &BgqRun) -> RunBreakdown {
     // ---- load_data -------------------------------------------------
     let data_bytes = cast::exact_f64(job.data_bytes());
     let load_wire =
-        data_bytes / (pdnn_bgq::torus::LINK_BANDWIDTH) + workers * LOAD_DATA_HANDSHAKE_SECONDS;
+        data_bytes / (crate::bgq::torus::LINK_BANDWIDTH) + workers * LOAD_DATA_HANDSHAKE_SECONDS;
     let load_data = Phase {
         name: "load_data",
         kind: PhaseKind::MemoryBound,
@@ -294,7 +294,7 @@ pub fn xeon_time(job: &JobSpec, processes: usize) -> RunBreakdown {
     job.validate();
     assert!(processes >= 2, "need a master and at least one worker");
     let workers = cast::exact_f64_usize(processes - 1);
-    let net = pdnn_bgq::comm_model::ethernet_1g();
+    let net = crate::bgq::comm_model::ethernet_1g();
     let proc_flops = XEON_PROCESS_FLOPS;
 
     let frames = cast::exact_f64(job.frames());

@@ -83,7 +83,7 @@ impl JobSpec {
     /// production system used pruned word lattices, not the full
     /// 9.3 k-state denominator, so the per-frame extra work is small
     /// relative to the doubled DNN passes.
-    pub fn seq_50h() -> JobSpec {
+    pub(crate) fn seq_50h() -> JobSpec {
         JobSpec {
             objective: ObjectiveKind::Sequence { states: 300 },
             hf_iters: 30,
@@ -111,7 +111,7 @@ impl JobSpec {
     /// (gradient batch and curvature sample sizes held *absolute*, so
     /// per-iteration cost stays bounded as data grows — how the paper
     /// scales "to billions of training samples").
-    pub fn ce_hours(hours: f64) -> JobSpec {
+    pub(crate) fn ce_hours(hours: f64) -> JobSpec {
         let base = JobSpec::ce_400h();
         // Keep the same absolute gradient batch (5% of 400 h) and
         // curvature sample as the 400-hour job.
@@ -136,7 +136,7 @@ impl JobSpec {
     }
 
     /// Parameter-vector size on the wire (f32).
-    pub fn param_bytes(&self) -> u64 {
+    pub(crate) fn param_bytes(&self) -> u64 {
         4 * self.params()
     }
 
@@ -144,7 +144,7 @@ impl JobSpec {
     /// (sequence training touches numerator and denominator
     /// statistics: ≈2× the per-pass work, as the Table I Xeon ratio
     /// 18.7 h / 9 h implies once comm share is accounted for).
-    pub fn objective_compute_factor(&self) -> f64 {
+    fn objective_compute_factor(&self) -> f64 {
         match self.objective {
             ObjectiveKind::CrossEntropy => 1.0,
             ObjectiveKind::Sequence { .. } => 2.0,
@@ -152,7 +152,7 @@ impl JobSpec {
     }
 
     /// FLOPs per frame of a gradient pass under the objective.
-    pub fn gradient_flops_per_frame(&self) -> f64 {
+    pub(crate) fn gradient_flops_per_frame(&self) -> f64 {
         let base = cast::exact_f64(flops::gradient_flops_per_frame(&self.dims));
         let extra = match self.objective {
             ObjectiveKind::CrossEntropy => 0.0,
@@ -164,25 +164,25 @@ impl JobSpec {
     }
 
     /// FLOPs per frame of one Gauss–Newton product (forward cached).
-    pub fn gn_flops_per_frame(&self) -> f64 {
+    pub(crate) fn gn_flops_per_frame(&self) -> f64 {
         cast::exact_f64(flops::gn_product_flops_per_frame(&self.dims, false))
             * self.objective_compute_factor()
     }
 
     /// FLOPs per frame of a held-out evaluation (forward only).
-    pub fn heldout_flops_per_frame(&self) -> f64 {
+    pub(crate) fn heldout_flops_per_frame(&self) -> f64 {
         cast::exact_f64(flops::loss_eval_flops_per_frame(&self.dims))
             * self.objective_compute_factor()
     }
 
     /// Bytes of acoustic data shipped during load_data.
-    pub fn data_bytes(&self) -> u64 {
+    pub(crate) fn data_bytes(&self) -> u64 {
         // pdnn-lint: allow(l6-lossy-cast): usize -> u64 widening is lossless on supported targets
         self.frames() * (self.feature_dim as u64 * 4 + 4)
     }
 
     /// Sanity checks.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.hours > 0.0, "hours must be positive");
         assert!(self.dims.len() >= 2, "need at least two layer dims");
         assert!(self.hf_iters >= 1 && self.cg_iters >= 1);

@@ -2,12 +2,12 @@
 //! ring and tree allreduce schedules (`SyncStrategy::Ring` /
 //! `SyncStrategy::Tree`).
 //!
-//! The master/worker explorer ([`crate::explorer`]) walks a rooted
+//! The master/worker explorer (`crate::explorer`) walks a rooted
 //! command protocol; the masterless modes have no commands at all —
 //! every rank runs the same replicated program whose only
 //! communication is symmetric allreduces plus one closing barrier.
 //! This module lowers that program into per-rank *micro-step*
-//! automata, one [`MOp`] per send or receive in the hop lists of
+//! automata, one `MOp` per send or receive in the hop lists of
 //! `pdnn_mpisim::schedule` — the same lists `Comm::allreduce_ring`,
 //! `Comm::allreduce_tree` and `Comm::barrier` interpret at run time,
 //! so the checked hops are the executed hops:
@@ -90,25 +90,17 @@ pub enum DMode {
 }
 
 impl DMode {
-    /// The `CommEvent::Coll` op name this mode's allreduces record.
-    pub fn op_name(self) -> &'static str {
-        match self {
-            DMode::Ring => "allreduce_ring",
-            DMode::Tree => "allreduce_tree",
-        }
-    }
-
     /// Every `CommEvent::Coll` op name this mode's replicas record
     /// besides the barrier: the allreduce, and in ring mode the two
     /// halves the sharded CG state runs on their own.
-    pub fn ops(self) -> &'static [&'static str] {
+    fn ops(self) -> &'static [&'static str] {
         match self {
             DMode::Ring => &["allreduce_ring", "reduce_scatter", "allgather"],
             DMode::Tree => &["allreduce_tree"],
         }
     }
 
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             DMode::Ring => "ring",
             DMode::Tree => "tree",
@@ -337,7 +329,7 @@ fn explore_programs(progs: &[Vec<MOp>]) -> DecentralOutcome {
 pub struct DecentralWorld {
     pub mode: DMode,
     /// The world's name in the report: the mode, or `ring-cg-step` for
-    /// the sharded CG step ([`CG_STEP`]).
+    /// the sharded CG step (`CG_STEP`).
     pub label: &'static str,
     pub ranks: usize,
     /// `(victim, collective-entry)` kill placements folded into
@@ -364,7 +356,7 @@ pub fn check_worlds() -> Vec<DecentralWorld> {
 }
 
 /// Verdict per property for one world, for the report renderer.
-pub fn verdicts(outcome: &DecentralOutcome) -> [(&'static str, bool); 3] {
+pub(crate) fn verdicts(outcome: &DecentralOutcome) -> [(&'static str, bool); 3] {
     let p5_ok = !outcome.violations.iter().any(|v| v.rule == P5);
     let p6_ok = !outcome.violations.iter().any(|v| v.rule == P6);
     // Termination is structural (acyclic state graph) + completion is
@@ -688,7 +680,7 @@ pub fn check_recovery_worlds() -> Vec<DecentralWorld> {
 /// Ranks of the sharded-CG-step recovery world.
 const STEP_RANKS: usize = 3;
 
-/// The sharded CG step under a one-kill budget on [`STEP_RANKS`]
+/// The sharded CG step under a one-kill budget on `STEP_RANKS`
 /// ranks: every victim dying entering each of the step's four
 /// collectives, the survivors recovering and re-running the whole
 /// step re-stitched over themselves.
@@ -1353,6 +1345,17 @@ pub fn replay_decentral_run(
         accepted,
         p2p_events,
         coll_events,
+    }
+}
+
+#[cfg(test)]
+impl DMode {
+    /// The `CommEvent::Coll` op name this mode's allreduces record.
+    fn op_name(self) -> &'static str {
+        match self {
+            DMode::Ring => "allreduce_ring",
+            DMode::Tree => "allreduce_tree",
+        }
     }
 }
 

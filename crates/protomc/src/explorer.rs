@@ -40,9 +40,9 @@ use pdnn_core::protocol::{Opcode, TAG_LOAD_DATA};
 use pdnn_mpisim::schedule::{self, Hop, Schedule};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
-pub const P5: &str = "p5-deadlock-free";
-pub const P6: &str = "p6-no-lost-message";
-pub const P7: &str = "p7-recovery-termination";
+pub(crate) const P5: &str = "p5-deadlock-free";
+pub(crate) const P6: &str = "p6-no-lost-message";
+pub(crate) const P7: &str = "p7-recovery-termination";
 
 /// Message key: a collective's sequence number and hop window, or a
 /// p2p tag, mirroring the simulator's tag matching (mismatched keys
@@ -961,7 +961,7 @@ pub(crate) fn classify(
 }
 
 /// Exhaustive breadth-first exploration (the unreduced ground truth).
-pub fn explore(spec: &ProtoSpec, workers: usize, budget: u8) -> ExploreOutcome {
+pub(crate) fn explore(spec: &ProtoSpec, workers: usize, budget: u8) -> ExploreOutcome {
     let init = State::init(spec, workers, budget);
     let mut visited: HashSet<Vec<u8>> = HashSet::new();
     let mut queue = VecDeque::new();

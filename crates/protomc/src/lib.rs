@@ -22,7 +22,7 @@
 //!
 //! * **Reduction cross-check.** Every world is explored twice — full
 //!   breadth-first enumeration and sleep-set partial-order reduction
-//!   ([`por`]) — and [`run_check`] requires identical verdicts.
+//!   (`por`) — and [`run_check`] requires identical verdicts.
 //! * **Trace conformance.** [`conformance`] replays per-rank
 //!   [`pdnn_mpisim::CommEvent`] streams recorded by *real* training
 //!   runs (fault-free and faulted) through the same automata, so the
@@ -43,14 +43,14 @@
 
 pub mod conformance;
 pub mod decentral;
-pub mod explorer;
+mod explorer;
 pub mod mutate;
-pub mod por;
+mod por;
 pub mod report;
-pub mod spec;
+mod spec;
 
-pub use explorer::{explore, ExploreOutcome, Violation, P5, P6, P7};
-pub use por::explore_reduced;
+pub(crate) use explorer::{explore, ExploreOutcome};
+pub(crate) use por::explore_reduced;
 pub use spec::{compile, mermaid, ProtoSpec};
 
 use pdnn_lint::Finding;
@@ -74,11 +74,7 @@ pub struct CheckOutcome {
     pub findings: Vec<Finding>,
 }
 
-impl CheckOutcome {
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.worlds.iter().all(|w| w.agrees)
-    }
-}
+impl CheckOutcome {}
 
 /// Compile the command table into an executable spec. Returns the
 /// spec plus the source anchor (path, line) findings point at: the
@@ -139,8 +135,16 @@ pub fn run_check(
 }
 
 #[cfg(test)]
+impl CheckOutcome {
+    fn is_clean(&self) -> bool {
+        self.findings.is_empty() && self.worlds.iter().all(|w| w.agrees)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::P7;
 
     fn workspace_root() -> std::path::PathBuf {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

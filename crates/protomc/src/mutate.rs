@@ -18,7 +18,7 @@ use pdnn_core::protocol::{Opcode, TAG_LOAD_DATA};
 use pdnn_mpisim::CollElem;
 
 /// One seeded protocol bug.
-pub struct Mutation {
+struct Mutation {
     pub name: &'static str,
     pub expected_rule: &'static str,
     /// What the mutation does, for the report.
@@ -64,7 +64,7 @@ const EXTRA_SEND: AOp = AOp::Send {
 };
 
 /// The full mutation battery.
-pub fn mutations() -> Vec<Mutation> {
+fn mutations() -> Vec<Mutation> {
     vec![
         Mutation {
             name: "worker-drops-gradient-reduce",

@@ -66,7 +66,7 @@ fn edge_key(state_key: &[u8], id: TransId) -> u64 {
 /// Sleep-set depth-first exploration. Verdict-equivalent to
 /// [`crate::explorer::explore`] but with commuting interleavings
 /// pruned; the caller compares both outcomes.
-pub fn explore_reduced(spec: &ProtoSpec, workers: usize, budget: u8) -> ExploreOutcome {
+pub(crate) fn explore_reduced(spec: &ProtoSpec, workers: usize, budget: u8) -> ExploreOutcome {
     let init = ProtoState::init(spec, workers, budget);
     // Sleep-set footprints each distinct state has been expanded
     // under. A new visit is redundant iff some recorded set is a

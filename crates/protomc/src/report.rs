@@ -182,7 +182,7 @@ fn push_conformance(out: &mut String, runs: &[NamedRun]) {
 }
 
 /// Render the whole report (trailing newline included).
-pub fn render(rep: &Report) -> String {
+fn render(rep: &Report) -> String {
     let mut s = String::new();
     s.push_str("{\n  \"tool\": \"pdnn-protomc\",\n");
     let findings = rep.check.map(|c| c.findings.len()).unwrap_or(0);

@@ -156,7 +156,7 @@ pub fn compile() -> ProtoSpec {
 }
 
 impl ProtoSpec {
-    pub fn command_by_opcode(&self, opcode: u64) -> Option<usize> {
+    pub(crate) fn command_by_opcode(&self, opcode: u64) -> Option<usize> {
         self.commands.iter().position(|c| c.opcode == opcode)
     }
 }

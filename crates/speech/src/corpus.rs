@@ -245,7 +245,7 @@ impl Corpus {
     }
 
     /// Utterance lengths in frames (corpus order).
-    pub fn utt_lens(&self) -> Vec<usize> {
+    pub(crate) fn utt_lens(&self) -> Vec<usize> {
         self.utterances.iter().map(Utterance::frames).collect()
     }
 

@@ -19,14 +19,6 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// `y = alpha * x + beta * y`.
-pub fn axpby<T: Scalar>(alpha: T, x: &[T], beta: T, y: &mut [T]) {
-    assert_eq!(x.len(), y.len(), "axpby length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi = alpha.mul_add(xi, beta * *yi);
-    }
-}
-
 /// Scale `x` by `alpha` in place.
 pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
     for xi in x.iter_mut() {
@@ -196,44 +188,12 @@ pub fn nrm2<T: Scalar>(x: &[T]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Sum of absolute values with `f64` accumulation.
-pub fn asum<T: Scalar>(x: &[T]) -> f64 {
-    x.iter().map(|&v| v.to_f64().abs()).sum()
-}
-
-/// Copy `x` into `y`.
-pub fn copy<T: Scalar>(x: &[T], y: &mut [T]) {
-    assert_eq!(x.len(), y.len(), "copy length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// Set every element to zero.
-pub fn zero<T: Scalar>(x: &mut [T]) {
-    for xi in x.iter_mut() {
-        *xi = T::ZERO;
-    }
-}
-
 /// Elementwise `y[i] += x[i]` (alpha = 1 fast path).
 pub fn add<T: Scalar>(x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len(), "add length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi += xi;
     }
-}
-
-/// Largest absolute element (0 for an empty slice).
-pub fn amax<T: Scalar>(x: &[T]) -> f64 {
-    x.iter().map(|&v| v.to_f64().abs()).fold(0.0, f64::max)
-}
-
-/// Linear combination `out = a*x + b*y`, writing a fresh vector.
-pub fn lincomb<T: Scalar>(a: T, x: &[T], b: T, y: &[T]) -> Vec<T> {
-    assert_eq!(x.len(), y.len(), "lincomb length mismatch");
-    x.iter()
-        .zip(y.iter())
-        .map(|(&xi, &yi)| a.mul_add(xi, b * yi))
-        .collect()
 }
 
 #[cfg(test)]
@@ -246,14 +206,6 @@ mod tests {
         let mut y = [10.0f32, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn axpby_combines() {
-        let x = [1.0f64, 1.0];
-        let mut y = [2.0f64, 4.0];
-        axpby(3.0, &x, 0.5, &mut y);
-        assert_eq!(y, [4.0, 5.0]);
     }
 
     #[test]
@@ -301,34 +253,13 @@ mod tests {
     }
 
     #[test]
-    fn asum_and_amax() {
-        let x = [-1.0f32, 2.0, -3.0];
-        assert!((asum(&x) - 6.0).abs() < 1e-12);
-        assert!((amax(&x) - 3.0).abs() < 1e-12);
-        assert_eq!(amax::<f32>(&[]), 0.0);
-    }
-
-    #[test]
-    fn scal_zero_copy_add() {
+    fn scal_and_add() {
         let mut x = [1.0f32, -2.0];
         scal(-2.0, &mut x);
         assert_eq!(x, [-2.0, 4.0]);
-        let mut y = [0.0f32; 2];
-        copy(&x, &mut y);
-        assert_eq!(y, x);
+        let mut y = x;
         add(&x, &mut y);
         assert_eq!(y, [-4.0, 8.0]);
-        zero(&mut y);
-        assert_eq!(y, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn lincomb_produces_fresh_vector() {
-        let x = [1.0f32, 0.0];
-        let y = [0.0f32, 1.0];
-        let z = lincomb(2.0, &x, 3.0, &y);
-        assert_eq!(z, vec![2.0, 3.0]);
-        assert_eq!(x, [1.0, 0.0]);
     }
 
     /// Every length up to 64 (each tail length against many lane

@@ -3,7 +3,7 @@
 //!
 //! Like [`crate::vmath`]'s row passes, each is one loop of IEEE and
 //! integer operations with no data-dependent branch
-//! ([`kernel::codec::codec_pass`]), compiled once per ISA
+//! (`kernel::codec::codec_pass`), compiled once per ISA
 //! ([`instantiations`]). All instantiations agree bitwise; the one used
 //! is picked once per process from the default backend's ISA
 //! ([`selected`]), so `PDNN_BACKEND=scalar` runs the portable loop.

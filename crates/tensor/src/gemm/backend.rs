@@ -54,7 +54,7 @@
 //!
 //! The scalar backend additionally chooses, from CPUID and nothing
 //! else, between two instantiations of the same reference loops (see
-//! [`kernel::scalar`]): on an x86_64 CPU with FMA the one compiled
+//! `kernel::scalar`): on an x86_64 CPU with FMA the one compiled
 //! with the instruction enabled, otherwise the portable one. They
 //! agree bitwise; the choice only keeps the reference off libm.
 //!
@@ -127,7 +127,7 @@ impl<T: Scalar> Merge<T> {
 /// Contract: per element, `Σ = sum_kk ap(kk, i) * bp(kk, j)` is a
 /// fused multiply-add chain from zero with `kk` ascending, and
 /// `C[i * ldc + j]` becomes `merge(α, Σ, C)` as [`Merge`] spells out —
-/// the exact arithmetic [`kernel::scalar::tile`] runs. No element of
+/// the exact arithmetic `kernel::scalar::tile` runs. No element of
 /// `c` outside the live corner is read or written. A panel or C tile
 /// shorter than that panics.
 pub type TileFn<T> = fn(
@@ -156,7 +156,7 @@ pub type AccFn<T> = fn(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]);
 ///
 /// Contract: `acc[c][i] += sum_kk ap(kk, i) * b[c][kk]`, per element a
 /// fused multiply-add chain with `kk` ascending — the exact chain
-/// [`kernel::scalar::bt`] runs.
+/// `kernel::scalar::bt` runs.
 pub type BtFn<T> = fn(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]);
 
 /// Name of the environment variable that overrides backend selection.
@@ -178,9 +178,9 @@ pub enum Isa {
 
 impl Isa {
     /// Every ISA the workspace knows about, scalar first.
-    pub const ALL: [Isa; 4] = [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon];
+    pub(crate) const ALL: [Isa; 4] = [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon];
 
-    /// Stable lowercase name, accepted back by [`parse_selection`].
+    /// Stable lowercase name, accepted back by `parse_selection`.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -191,7 +191,7 @@ impl Isa {
     }
 
     /// Is this ISA usable on the running machine?
-    pub fn available(self) -> bool {
+    pub(crate) fn available(self) -> bool {
         backend_for(self).is_ok()
     }
 }
@@ -284,7 +284,7 @@ impl std::error::Error for BackendError {}
 
 /// Parse a selection string: `auto` means detect (`Ok(None)`), an ISA
 /// name forces that ISA, anything else is an error.
-pub fn parse_selection(s: &str) -> Result<Option<Isa>, BackendError> {
+pub(crate) fn parse_selection(s: &str) -> Result<Option<Isa>, BackendError> {
     let s = s.trim();
     if s.eq_ignore_ascii_case("auto") {
         return Ok(None);
@@ -298,7 +298,7 @@ pub fn parse_selection(s: &str) -> Result<Option<Isa>, BackendError> {
 
 /// Validated backend selection policy.
 ///
-/// Mirrors `HfConfig`: construct via [`BackendConfig::auto`] or the
+/// Mirrors `HfConfig`: construct via `BackendConfig::auto` or the
 /// [`BackendConfigBuilder`] (whose `build` rejects forcing an ISA the
 /// machine lacks), then [`BackendConfig::resolve`] to a backend. By
 /// default the `PDNN_BACKEND` environment variable overrides the
@@ -320,7 +320,7 @@ impl Default for BackendConfig {
 
 impl BackendConfig {
     /// Auto-detect, with the environment override honored.
-    pub fn auto() -> Self {
+    pub(crate) fn auto() -> Self {
         BackendConfig {
             selection: None,
             env_override: true,
@@ -333,7 +333,7 @@ impl BackendConfig {
     }
 
     /// Builder seeded from this config.
-    pub fn into_builder(self) -> BackendConfigBuilder {
+    pub(crate) fn into_builder(self) -> BackendConfigBuilder {
         BackendConfigBuilder {
             selection: self.selection,
             by_name: None,
@@ -371,31 +371,10 @@ pub struct BackendConfigBuilder {
 }
 
 impl BackendConfigBuilder {
-    /// Auto-detect the widest available ISA (the default).
-    pub fn auto(mut self) -> Self {
-        self.selection = None;
-        self.by_name = None;
-        self
-    }
-
-    /// Force a specific ISA.
-    pub fn force(mut self, isa: Isa) -> Self {
-        self.selection = Some(isa);
-        self.by_name = None;
-        self
-    }
-
     /// Select by name (`scalar|avx2|avx512|neon|auto`), e.g. from a
     /// command-line flag; parsing is deferred to [`Self::build`].
     pub fn select_name(mut self, name: &str) -> Self {
         self.by_name = Some(name.to_string());
-        self
-    }
-
-    /// Honor or ignore the `PDNN_BACKEND` environment variable at
-    /// resolve time (on by default).
-    pub fn env_override(mut self, on: bool) -> Self {
-        self.env_override = on;
         self
     }
 
@@ -437,6 +416,30 @@ pub fn default_backend() -> &'static dyn ComputeBackend {
         // pdnn-lint: allow(l3-no-unwrap): env misconfiguration is a startup contract violation; silently substituting a different kernel set would invalidate determinism comparisons
         Err(e) => panic!("{BACKEND_ENV}: {e}"),
     })
+}
+
+#[cfg(test)]
+impl BackendConfigBuilder {
+    /// Auto-detect the widest available ISA (the default).
+    fn auto(mut self) -> Self {
+        self.selection = None;
+        self.by_name = None;
+        self
+    }
+
+    /// Force a specific ISA.
+    fn force(mut self, isa: Isa) -> Self {
+        self.selection = Some(isa);
+        self.by_name = None;
+        self
+    }
+
+    /// Honor or ignore the `PDNN_BACKEND` environment variable at
+    /// resolve time (on by default).
+    fn env_override(mut self, on: bool) -> Self {
+        self.env_override = on;
+        self
+    }
 }
 
 #[cfg(test)]

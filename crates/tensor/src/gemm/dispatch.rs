@@ -90,7 +90,7 @@ mod token {
     isa_token! {
         /// Proof that the running CPU has FMA, the one feature of the
         /// FMA-enabled reference loops
-        /// ([`crate::gemm::kernel::scalar::tile_fma`], the `fma`
+        /// (`crate::gemm::kernel::scalar::tile_fma`, the `fma`
         /// element-wise pass). Only [`Fma::detect`] makes one.
         Fma, fma_kernel, is_x86_feature_detected, ["fma"]
     }
@@ -98,7 +98,7 @@ mod token {
     #[cfg(target_arch = "x86_64")]
     isa_token! {
         /// Proof that the running CPU has AVX2 and FMA, the features of
-        /// the AVX2 kernels of [`crate::gemm::kernel::x86`]. Only
+        /// the AVX2 kernels of `crate::gemm::kernel::x86`. Only
         /// [`Avx2::detect`] makes one.
         Avx2, avx2_kernel, is_x86_feature_detected, ["avx2", "fma"]
     }

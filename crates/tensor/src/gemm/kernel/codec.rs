@@ -189,7 +189,7 @@ fn paired<'a, S, T>(src: &[S], out: &'a mut [T]) -> &'a mut [T] {
 /// # Panics
 /// If `src` and `out` differ in length.
 #[inline(always)]
-pub fn codec_pass(pass: CodecPass<'_>) {
+pub(crate) fn codec_pass(pass: CodecPass<'_>) {
     match pass {
         CodecPass::MaxAbsBits { src, out } => {
             *out = src
@@ -218,7 +218,7 @@ pub fn codec_pass(pass: CodecPass<'_>) {
 #[cfg(target_arch = "x86_64")]
 avx2_kernel! {
     /// [`codec_pass`] compiled for 256-bit AVX2 registers.
-    pub fn codec_pass_avx2(_: Avx2, pass: CodecPass<'_>) {
+    pub(crate) fn codec_pass_avx2(_: Avx2, pass: CodecPass<'_>) {
         codec_pass(pass);
     }
 }
@@ -226,7 +226,7 @@ avx2_kernel! {
 #[cfg(target_arch = "x86_64")]
 avx512_kernel! {
     /// [`codec_pass`] compiled for 512-bit AVX-512 registers.
-    pub fn codec_pass_avx512(_: Avx512, pass: CodecPass<'_>) {
+    pub(crate) fn codec_pass_avx512(_: Avx512, pass: CodecPass<'_>) {
         codec_pass(pass);
     }
 }

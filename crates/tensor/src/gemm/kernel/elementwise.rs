@@ -46,7 +46,7 @@ fn tanh<T: Scalar>(z: T) -> T {
 /// # Panics
 /// If a bias pass gets a `bias` shorter than `row`.
 #[inline(always)]
-pub fn row_op<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
+pub(crate) fn row_op<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
     match op {
         RowOp::Exp => {
             for v in row.iter_mut() {
@@ -71,7 +71,7 @@ pub fn row_op<T: Scalar>(op: RowOp, row: &mut [T], bias: &[T]) {
 #[cfg(target_arch = "x86_64")]
 fma_kernel! {
     /// [`row_op`] compiled with the scalar FMA instruction enabled.
-    pub fn row_op_fma<T: Scalar>(_: Fma, op: RowOp, row: &mut [T], bias: &[T]) {
+    pub(crate) fn row_op_fma<T: Scalar>(_: Fma, op: RowOp, row: &mut [T], bias: &[T]) {
         row_op(op, row, bias);
     }
 }
@@ -79,7 +79,7 @@ fma_kernel! {
 #[cfg(target_arch = "x86_64")]
 avx2_kernel! {
     /// [`row_op`] compiled for 256-bit AVX2 registers with FMA.
-    pub fn row_op_avx2<T: Scalar>(_: Avx2, op: RowOp, row: &mut [T], bias: &[T]) {
+    pub(crate) fn row_op_avx2<T: Scalar>(_: Avx2, op: RowOp, row: &mut [T], bias: &[T]) {
         row_op(op, row, bias);
     }
 }
@@ -87,7 +87,7 @@ avx2_kernel! {
 #[cfg(target_arch = "x86_64")]
 avx512_kernel! {
     /// [`row_op`] compiled for 512-bit AVX-512 registers with FMA.
-    pub fn row_op_avx512<T: Scalar>(_: Avx512, op: RowOp, row: &mut [T], bias: &[T]) {
+    pub(crate) fn row_op_avx512<T: Scalar>(_: Avx512, op: RowOp, row: &mut [T], bias: &[T]) {
         row_op(op, row, bias);
     }
 }

@@ -48,15 +48,15 @@
 //! rule `l7-unsafe-outside-kernel`). An index past a panel or a C tile
 //! panics; it cannot read or write outside the slice.
 
-pub mod codec;
-pub mod elementwise;
-pub mod scalar;
+pub(crate) mod codec;
+pub(crate) mod elementwise;
+pub(crate) mod scalar;
 
 #[cfg(target_arch = "x86_64")]
-pub mod x86;
+pub(crate) mod x86;
 
 #[cfg(target_arch = "aarch64")]
-pub mod neon;
+pub(crate) mod neon;
 
 use super::{MR, NR};
 

@@ -37,7 +37,7 @@ use crate::scalar::Scalar;
 /// `merge(α, Σ, C)`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn tile<T: Scalar>(
+pub(crate) fn tile<T: Scalar>(
     kc: usize,
     ap: &[T],
     bp: &[T],
@@ -83,7 +83,7 @@ pub fn tile<T: Scalar>(
 
 /// [`crate::gemm::backend::AccFn`] view of [`tile`]: the whole tile in
 /// overwrite mode, `acc` standing in for C.
-pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
+pub(crate) fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
     tile(
         kc,
         ap,
@@ -105,7 +105,7 @@ pub fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
 /// B row segment. The columns are independent chains, which is what
 /// hides the FMA latency a single column would serialize on.
 #[inline(always)]
-pub fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]) {
+pub(crate) fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]) {
     let [b0, b1, b2, b3] = b;
     let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
     let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
@@ -122,7 +122,7 @@ pub fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]
 fma_kernel! {
     /// [`tile`] compiled with the hardware FMA instruction enabled.
     #[allow(clippy::too_many_arguments)]
-    pub fn tile_fma<T: Scalar>(
+    pub(crate) fn tile_fma<T: Scalar>(
         _: Fma,
         kc: usize,
         ap: &[T],
@@ -142,7 +142,7 @@ fma_kernel! {
 #[cfg(target_arch = "x86_64")]
 fma_kernel! {
     /// [`bt`] compiled with the hardware FMA instruction enabled.
-    pub fn bt_fma<T: Scalar>(
+    pub(crate) fn bt_fma<T: Scalar>(
         _: Fma,
         kc: usize,
         ap: &[T],

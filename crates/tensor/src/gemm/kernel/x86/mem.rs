@@ -6,7 +6,7 @@
 //! touches no lane at or past that length.
 
 /// 256-bit loads and stores: 8 f32 or 4 f64 lanes.
-pub mod avx2 {
+pub(crate) mod avx2 {
     use core::arch::x86_64::*;
 
     /// Sign-bit mask of the first `len.min(8)` of 8 i32 lanes.
@@ -91,7 +91,7 @@ pub mod avx2 {
 }
 
 /// 512-bit loads and stores: 16 f32 or 8 f64 lanes.
-pub mod avx512 {
+pub(crate) mod avx512 {
     use core::arch::x86_64::*;
 
     /// The first `len.min(16)` lanes of a 16-lane mask.

@@ -4,7 +4,7 @@
 //! (Section V.A): node, core, and thread levels are handled by
 //! separate mechanisms that are designed together.
 //!
-//! * **Thread level** — [`kernel`]: an `MR x NR` register-blocked
+//! * **Thread level** — `kernel`: an `MR x NR` register-blocked
 //!   rank-1-update tile kernel reading zero-padded packed panels with
 //!   unit stride (the paper's QPX FMA kernel, with the tile sized to
 //!   this host family's register file instead of QPX's). The active
@@ -14,7 +14,7 @@
 //!   update: the `kc`-deep FMA chains in registers, then the
 //!   `alpha`/`beta` merge into C ([`backend::Merge`]), masked to the
 //!   live corner of an edge tile.
-//! * **Core level** — [`pack`]: operands are reformatted into
+//! * **Core level** — `pack`: operands are reformatted into
 //!   micro-panels so every inner-loop access is stride-one, the
 //!   software analogue of engaging the L1P stream prefetcher.
 //! * **Node level** — the private `driver` module: cache blocking
@@ -37,8 +37,8 @@
 //! The paper's "implicitly synchronized threads" (partner threads
 //! cooperatively prefetching each other's cache lines) relies on
 //! cycle-level SMT control that portable Rust cannot express; its
-//! effect is an efficiency factor, modeled in `pdnn-bgq` (see
-//! DESIGN.md substitutions).
+//! effect is an efficiency factor, modeled by the BG/Q machine model
+//! in `pdnn-perfmodel` (see DESIGN.md substitutions).
 //!
 //! ## Backend dispatch and the bit-exactness contract
 //!
@@ -69,10 +69,10 @@ pub mod backend;
 pub(crate) mod dispatch;
 mod driver;
 pub(crate) mod kernel;
-pub mod naive;
-pub mod op;
-pub mod pack;
-pub mod prepacked;
+mod naive;
+mod op;
+mod pack;
+mod prepacked;
 pub mod scratch;
 
 pub use prepacked::{PackedA, PackedB};
@@ -142,7 +142,7 @@ impl Blocking {
     /// loop forever; clamp to the micro-tile). `mc` is also rounded
     /// down to a multiple of `MR`, so every stripe starts on a row
     /// panel of a [`PackedA`].
-    pub fn sanitized(self) -> Blocking {
+    fn sanitized(self) -> Blocking {
         Blocking {
             mc: (self.mc / MR * MR).max(MR),
             kc: self.kc.max(1),
@@ -231,11 +231,6 @@ impl GemmContext {
     pub fn with_backend(mut self, backend: &'static dyn backend::ComputeBackend) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Blocking parameters in effect.
@@ -377,7 +372,7 @@ mod tests {
                                 run(op, ctx),
                                 want,
                                 "{label} threads={} {blocking:?} m={m} n={n} k={k} {ta:?}{tb:?}",
-                                ctx.threads()
+                                ctx.threads
                             );
                         }
                     }

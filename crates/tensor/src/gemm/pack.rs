@@ -22,7 +22,7 @@ use super::{Trans, MR, NR};
 /// are zero.
 ///
 /// `out` must have room for `ceil(mc / MR) * kc * MR` elements.
-pub fn pack_a<T: Scalar>(
+pub(crate) fn pack_a<T: Scalar>(
     a: &Matrix<T>,
     trans: Trans,
     ic: usize,
@@ -81,7 +81,7 @@ pub fn pack_a<T: Scalar>(
 /// are zero.
 ///
 /// `out` must have room for `ceil(nc / NR) * kc * NR` elements.
-pub fn pack_b<T: Scalar>(
+pub(crate) fn pack_b<T: Scalar>(
     b: &Matrix<T>,
     trans: Trans,
     pc: usize,
@@ -98,7 +98,7 @@ pub fn pack_b<T: Scalar>(
 /// parameter region (e.g. a layer's slice of a direction vector) pack
 /// without first copying into a matrix.
 #[allow(clippy::too_many_arguments)]
-pub fn pack_b_rows<T: Scalar>(
+pub(crate) fn pack_b_rows<T: Scalar>(
     data: &[T],
     stride: usize,
     trans: Trans,

@@ -74,25 +74,17 @@ impl<T: Scalar> PackedB<T> {
         })
     }
 
-    /// [`Self::new`] with the packed buffer drawn from a [`Workspace`]
-    /// arena instead of a fresh allocation.
+    /// Pack `op(B)` into workspace scratch, reading it straight from a
+    /// row-major slice of `rows x cols` — no intermediate [`Matrix`]
+    /// needed, so a layer's region of a flat direction vector packs
+    /// without the copy that building a matrix first would cost.
     ///
     /// This is the per-call packing path of the CG hot loop: the small
     /// direction matrix `Vw` is packed once per Gauss–Newton product
     /// and retired straight back via [`Self::give_back`], so steady
     /// state packs into recycled memory. The scratch take is safe
-    /// because [`pack::pack_b`] fully overwrites every block region,
+    /// because `pack::pack_b` fully overwrites every block region,
     /// ragged-panel zero padding included.
-    pub fn new_in(b: &Matrix<T>, tb: Trans, blocking: Blocking, ws: &mut Workspace<T>) -> Self {
-        Self::build(b.rows(), b.cols(), b.as_slice(), tb, blocking, |total| {
-            ws.take_vec_scratch(total)
-        })
-    }
-
-    /// [`Self::new_in`] reading `op(B)` straight from a row-major
-    /// slice of `rows x cols` — no intermediate [`Matrix`] needed, so
-    /// a layer's region of a flat direction vector packs without the
-    /// copy that building a matrix first would cost.
     ///
     /// # Panics
     /// If `data.len() != rows * cols`.
@@ -184,14 +176,8 @@ impl<T: Scalar> PackedB<T> {
 
     /// Blocking the panels were packed under (the multiply must use
     /// the same).
-    pub fn blocking(&self) -> Blocking {
+    pub(crate) fn blocking(&self) -> Blocking {
         self.blocking
-    }
-
-    /// Bytes held: the pack, plus any tail a repack into a larger
-    /// buffer left unused.
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
     }
 
     /// The packed panels, laid out as `block_at` says.
@@ -207,7 +193,7 @@ impl<T: Scalar> PackedB<T> {
 /// borrows a stripe's panels out of each k-block, which works because
 /// stripe offsets are always `MR` multiples). Panel `ir` of k-block
 /// `pc` lives at `block_at(MR, m, MR, pc, kc_eff, ir * MR)` — the exact
-/// layout [`pack::pack_a`] produces for a stripe starting at row
+/// layout `pack::pack_a` produces for a stripe starting at row
 /// `ir * MR`, so [`super::GemmOp::packed_a`] is bitwise identical to
 /// [`super::GemmOp::ab`].
 #[derive(Clone, Debug)]
@@ -289,15 +275,26 @@ impl<T: Scalar> PackedA<T> {
         self.blocking
     }
 
-    /// Bytes held: the pack, plus any tail a repack into a larger
-    /// buffer left unused.
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
-    }
-
     /// The packed panels, laid out as `block_at` says.
     pub(super) fn panels(&self) -> &[T] {
         &self.data
+    }
+}
+
+#[cfg(test)]
+impl<T: Scalar> PackedB<T> {
+    /// Bytes held: the pack, plus any tail a repack into a larger
+    /// buffer left unused.
+    fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<T>()
+    }
+}
+
+#[cfg(test)]
+impl<T: Scalar> PackedA<T> {
+    /// Bytes held.
+    fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<T>()
     }
 }
 
@@ -659,7 +656,14 @@ mod tests {
         for seed in 70..73 {
             let b = rand(40, 33, seed);
             let heap = PackedB::new(&b, Trans::T, ctx.blocking());
-            let arena = PackedB::new_in(&b, Trans::T, ctx.blocking(), &mut ws);
+            let arena = PackedB::new_in_from_rows(
+                b.rows(),
+                b.cols(),
+                b.as_slice(),
+                Trans::T,
+                ctx.blocking(),
+                &mut ws,
+            );
             assert_eq!(heap.bytes(), arena.bytes());
             // op(B) = B^T is 33 x 40: inner dim 33, output width 40.
             let x = rand(21, 33, seed + 10);

@@ -11,9 +11,10 @@
 //!
 //! The buffers are handed out with **unspecified contents**: the pack
 //! routines overwrite every region the kernels read, ragged-panel zero
-//! padding included (the contract [`super::PackedB::new_in`] already
-//! relies on), so nothing is zero-filled per call. A buffer only grows,
-//! and only to the phase's high-water mark; nothing is kept beyond it.
+//! padding included (the contract [`super::PackedB::new_in_from_rows`]
+//! already relies on), so nothing is zero-filled per call. A buffer
+//! only grows, and only to the phase's high-water mark; nothing is
+//! kept beyond it.
 //!
 //! Ranks are threads of one process, so each rank retains its own
 //! scratch. The threaded path's stripes run on scoped worker threads

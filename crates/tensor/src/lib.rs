@@ -36,10 +36,10 @@
 pub mod blas1;
 pub mod codec;
 pub mod gemm;
-pub mod matrix;
-pub mod scalar;
+mod matrix;
+mod scalar;
 pub mod vmath;
-pub mod workspace;
+mod workspace;
 
 pub use gemm::{
     available_isas, backend_for, default_backend, detect_best, scalar_backend, BackendConfig,

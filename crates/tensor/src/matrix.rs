@@ -75,11 +75,6 @@ impl<T: Scalar> Matrix<T> {
         Matrix { rows, cols, data }
     }
 
-    /// Identity-like matrix (ones on the main diagonal).
-    pub fn eye(n: usize) -> Self {
-        Self::from_fn(n, n, |r, c| if r == c { T::ONE } else { T::ZERO })
-    }
-
     /// Matrix with i.i.d. `N(0, stddev^2)` entries from `rng`.
     pub fn random_normal(rows: usize, cols: usize, stddev: f64, rng: &mut Prng) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -141,7 +136,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Consume into the backing vector.
-    pub fn into_vec(self) -> Vec<T> {
+    pub(crate) fn into_vec(self) -> Vec<T> {
         self.data
     }
 
@@ -195,37 +190,10 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// `self += other`, elementwise.
-    ///
-    /// # Panics
-    /// On shape mismatch.
-    pub fn add_assign(&mut self, other: &Matrix<T>) {
-        assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
-    }
-
-    /// `self += alpha * other`, elementwise.
-    pub fn axpy(&mut self, alpha: T, other: &Matrix<T>) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a = alpha.mul_add(b, *a);
-        }
-    }
-
     /// Scale every element by `alpha`.
-    pub fn scale(&mut self, alpha: T) {
+    pub(crate) fn scale(&mut self, alpha: T) {
         for v in &mut self.data {
             *v *= alpha;
-        }
-    }
-
-    /// Elementwise (Hadamard) product into self.
-    pub fn hadamard_assign(&mut self, other: &Matrix<T>) {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a *= b;
         }
     }
 
@@ -282,18 +250,6 @@ impl<T: Scalar> Matrix<T> {
             .collect()
     }
 
-    /// Frobenius norm, accumulated in `f64`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&v| {
-                let x = v.to_f64();
-                x * x
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Largest absolute elementwise difference to `other`.
     pub fn max_abs_diff(&self, other: &Matrix<T>) -> f64 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
@@ -325,6 +281,14 @@ impl<T: Scalar> IndexMut<(usize, usize)> for Matrix<T> {
             "index ({r},{c}) out of bounds"
         );
         &mut self.data[r * self.cols + c]
+    }
+}
+
+#[cfg(test)]
+impl<T: Scalar> Matrix<T> {
+    /// Identity-like matrix (ones on the main diagonal).
+    pub(crate) fn eye(n: usize) -> Self {
+        Self::from_fn(n, n, |r, c| if r == c { T::ONE } else { T::ZERO })
     }
 }
 
@@ -390,23 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn add_axpy_scale() {
-        let a: Matrix<f32> = Matrix::filled(2, 2, 1.0);
-        let mut b: Matrix<f32> = Matrix::filled(2, 2, 2.0);
-        b.add_assign(&a);
-        assert_eq!(b[(0, 0)], 3.0);
-        b.axpy(0.5, &a);
-        assert_eq!(b[(1, 1)], 3.5);
+    fn scale_multiplies_in_place() {
+        let mut b: Matrix<f32> = Matrix::filled(2, 2, 3.5);
         b.scale(2.0);
         assert_eq!(b[(0, 1)], 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn add_assign_shape_checked() {
-        let a: Matrix<f32> = Matrix::zeros(2, 2);
-        let mut b: Matrix<f32> = Matrix::zeros(2, 3);
-        b.add_assign(&a);
     }
 
     #[test]
@@ -433,20 +384,6 @@ mod tests {
         assert_eq!(sub[(0, 0)], 2.0);
         assert_eq!(sub[(1, 1)], 5.0);
         assert_eq!(m.rows_slice(1, 3), sub.as_slice());
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m: Matrix<f32> = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hadamard_multiplies_elementwise() {
-        let a: Matrix<f32> = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let mut b: Matrix<f32> = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        b.hadamard_assign(&a);
-        assert_eq!(b.as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]

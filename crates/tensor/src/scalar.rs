@@ -61,7 +61,7 @@ pub trait Scalar:
     /// Fused multiply-add `self * a + b` with a single, exact rounding
     /// (IEEE 754 fusedMultiplyAdd) — one step of a GEMM accumulate
     /// chain, and the reference semantics every kernel in
-    /// [`crate::gemm::kernel`] reproduces bit for bit. Where the
+    /// `crate::gemm::kernel` reproduces bit for bit. Where the
     /// enclosing function does not enable a hardware FMA feature this
     /// is a libm call (still exactly rounded, just slow), which is why
     /// only the accumulate chains use it.
@@ -70,7 +70,7 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Natural exponential: [`vmath::exp_f32`] / [`vmath::exp_f64`],
+    /// Natural exponential: `vmath::exp_f32` / [`vmath::exp_f64`],
     /// never libm.
     fn exp(self) -> Self;
     /// Natural logarithm: [`vmath::ln_f64`] (for `f32` evaluated in

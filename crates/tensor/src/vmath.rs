@@ -6,7 +6,7 @@
 //! never call the platform libm and give the same bits on every host
 //! and ISA:
 //!
-//! * [`exp_f32`] / [`exp_f64`]: `x = n·ln 2 + r` with `n` the nearest
+//! * `exp_f32` / [`exp_f64`]: `x = n·ln 2 + r` with `n` the nearest
 //!   integer to `x·log₂e` (a shifter-constant add, so no rounding
 //!   instruction is needed), a fixed Cody–Waite reduction
 //!   `r = (x − n·C1) − n·C2`, a polynomial in `r` evaluated in
@@ -29,7 +29,7 @@
 //! ## Slice kernels
 //!
 //! [`exp_slice`], [`bias_sigmoid`] and [`bias_tanh`] run one
-//! `#[inline(always)]` loop ([`crate::gemm::kernel::elementwise`])
+//! `#[inline(always)]` loop (`crate::gemm::kernel::elementwise`)
 //! compiled several times: portable, and on x86_64 under
 //! `target_feature` `fma`, `avx2,fma` and `avx512f,avx2,fma`, where the
 //! `fma` steps become `vfmadd` and LLVM vectorizes the loop across
@@ -111,7 +111,7 @@ const LG: [f64; 7] = [
 /// Portable `exp` for `f32` (module docs). Branch-free, so a loop of it
 /// vectorizes.
 #[inline(always)]
-pub fn exp_f32(x: f32) -> f32 {
+pub(crate) fn exp_f32(x: f32) -> f32 {
     let xc = x.clamp(F32_LO, F32_HI); // NaN stays NaN
                                       // t = SHIFT + round(x·log₂e): the integer lands in t's low bits.
     let t = xc.fma(std::f32::consts::LOG2_E, F32_SHIFT);

@@ -157,12 +157,6 @@ impl<T: Scalar> Workspace<T> {
         self.take_exact(len, len + len / 4)
     }
 
-    /// Take a zero-filled `rows x cols` matrix (arena-backed
-    /// `Matrix::zeros`).
-    pub fn take_matrix(&mut self, rows: usize, cols: usize) -> Matrix<T> {
-        Matrix::from_vec(rows, cols, self.take_vec(rows * cols))
-    }
-
     /// Take a `rows x cols` matrix with **unspecified contents** (see
     /// [`Self::take_vec_scratch`]); the caller must fully overwrite it
     /// before reading.
@@ -276,17 +270,6 @@ mod tests {
         let grown = ws.lease_vec(1000);
         assert_eq!(grown.capacity(), 1000);
         assert_eq!(ws.parked(), 1);
-    }
-
-    #[test]
-    fn matrix_round_trip() {
-        let mut ws: Workspace<f64> = Workspace::new();
-        let m = ws.take_matrix(4, 6);
-        assert_eq!(m.shape(), (4, 6));
-        ws.give_matrix(m);
-        let m2 = ws.take_matrix(3, 8);
-        assert_eq!(m2.shape(), (3, 8));
-        assert_eq!(ws.stats().reuses, 1, "24-element buffer should recycle");
     }
 
     #[test]

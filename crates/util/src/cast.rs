@@ -6,16 +6,15 @@
 //! 2^53 a `u64 -> f64` cast is lossy and a negative `f64 -> u64` cast
 //! saturates. `pdnn-lint` rule `l6-lossy-cast` bans bare `as` numeric
 //! casts in those paths; these helpers are the sanctioned replacement.
-//! Each one asserts the conversion is exact (or explicitly documents
-//! its rounding), so accounting bugs fail fast instead of silently
-//! skewing figures.
+//! Each one asserts the conversion is exact, so accounting bugs fail
+//! fast instead of silently skewing figures.
 //!
 //! This module itself lives outside the l6 scope, so the `as` casts
 //! below are legal; the assertions ahead of them are what make the
 //! helpers trustworthy.
 
 /// Largest integer magnitude `f64` represents exactly (2^53).
-pub const F64_EXACT_MAX: u64 = 1 << 53;
+const F64_EXACT_MAX: u64 = 1 << 53;
 
 /// Convert a `u64` counter to `f64`, asserting the value is exactly
 /// representable (≤ 2^53). Counters in this workspace (bytes, frames,
@@ -36,47 +35,6 @@ pub fn exact_f64_usize(n: usize) -> f64 {
     exact_f64(n as u64)
 }
 
-/// Convert an `i64` to `f64`, asserting exact representability
-/// (|value| ≤ 2^53).
-#[inline]
-pub fn exact_f64_i64(n: i64) -> f64 {
-    assert!(
-        n.unsigned_abs() <= F64_EXACT_MAX,
-        "i64 value {n} exceeds 2^53 in magnitude; not exactly representable as f64"
-    );
-    n as f64
-}
-
-/// Convert a non-negative finite `f64` to `u64`, rounding to nearest.
-///
-/// Asserts the input is finite, non-negative, and ≤ 2^53; used when a
-/// modelled time/byte quantity is folded back into an integer counter.
-#[inline]
-pub fn round_u64(x: f64) -> u64 {
-    assert!(
-        x.is_finite() && x >= 0.0,
-        "cannot convert {x} to u64: not a finite non-negative value"
-    );
-    let r = x.round();
-    assert!(
-        r <= F64_EXACT_MAX as f64,
-        "f64 value {x} exceeds 2^53; rounding to u64 would be lossy"
-    );
-    r as u64
-}
-
-/// Convert a `u64` to `usize`, asserting it fits the target's pointer
-/// width.
-#[inline]
-pub fn to_usize(n: u64) -> usize {
-    let v = usize::try_from(n);
-    assert!(
-        v.is_ok(),
-        "u64 value {n} does not fit in usize on this target"
-    );
-    v.unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,31 +51,5 @@ mod tests {
     #[should_panic(expected = "exceeds 2^53")]
     fn exact_f64_rejects_above_2_53() {
         exact_f64(F64_EXACT_MAX + 1);
-    }
-
-    #[test]
-    fn exact_f64_i64_handles_signs() {
-        assert_eq!(exact_f64_i64(-3), -3.0);
-        assert_eq!(exact_f64_i64(7), 7.0);
-    }
-
-    #[test]
-    fn round_u64_rounds_to_nearest() {
-        assert_eq!(round_u64(0.0), 0);
-        assert_eq!(round_u64(2.4), 2);
-        assert_eq!(round_u64(2.6), 3);
-        assert_eq!(round_u64(1e9), 1_000_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a finite non-negative")]
-    fn round_u64_rejects_negative() {
-        round_u64(-1.0);
-    }
-
-    #[test]
-    fn to_usize_roundtrips() {
-        assert_eq!(to_usize(0), 0);
-        assert_eq!(to_usize(123_456), 123_456);
     }
 }

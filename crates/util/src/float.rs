@@ -2,9 +2,8 @@
 //!
 //! Raw `==`/`!=` on floats is banned in library code by `pdnn-lint`
 //! rule `l4-float-exact-compare`: most call sites that write it mean
-//! "close enough", and the ones that genuinely mean bit-exact
-//! comparison should say so. These helpers are the sanctioned
-//! vocabulary for both.
+//! "close enough" and compare within a tolerance; the ones that
+//! genuinely mean an exact test say so with the helper below.
 
 /// True when `x` is exactly `+0.0` or `-0.0`.
 ///
@@ -14,33 +13,6 @@
 #[inline]
 pub fn exactly_zero(x: f64) -> bool {
     x == 0.0 // pdnn-lint: allow(l4-float-exact-compare): this helper defines the approved exact comparison
-}
-
-/// `f32` variant of [`exactly_zero`].
-#[inline]
-pub fn exactly_zero_f32(x: f32) -> bool {
-    x == 0.0 // pdnn-lint: allow(l4-float-exact-compare): this helper defines the approved exact comparison
-}
-
-/// Relative-plus-absolute tolerance equality:
-/// `|a - b| <= abs_tol + rel_tol * max(|a|, |b|)`.
-///
-/// NaN compares unequal to everything, matching IEEE intent.
-#[inline]
-pub fn approx_eq(a: f64, b: f64, rel_tol: f64, abs_tol: f64) -> bool {
-    if a.is_nan() || b.is_nan() {
-        return false;
-    }
-    let scale = a.abs().max(b.abs());
-    (a - b).abs() <= abs_tol + rel_tol * scale
-}
-
-/// [`approx_eq`] with the workspace default tolerances
-/// (`rel 1e-9`, `abs 1e-12`), the right call for f64 quantities that
-/// went through a handful of arithmetic operations.
-#[inline]
-pub fn close(a: f64, b: f64) -> bool {
-    approx_eq(a, b, 1e-9, 1e-12)
 }
 
 #[cfg(test)]
@@ -53,17 +25,5 @@ mod tests {
         assert!(exactly_zero(-0.0));
         assert!(!exactly_zero(f64::MIN_POSITIVE));
         assert!(!exactly_zero(f64::NAN));
-        assert!(exactly_zero_f32(0.0));
-        assert!(!exactly_zero_f32(1e-30));
-    }
-
-    #[test]
-    fn approx_eq_blends_absolute_and_relative() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9, 0.0));
-        assert!(approx_eq(0.0, 1e-13, 0.0, 1e-12));
-        assert!(!approx_eq(1.0, 1.1, 1e-9, 1e-12));
-        assert!(!approx_eq(f64::NAN, f64::NAN, 1.0, 1.0));
-        assert!(close(3.0, 3.0 + 1e-10));
-        assert!(!close(3.0, 3.001));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! This crate deliberately has no heavyweight dependencies. It provides:
 //!
-//! * [`rng`] — a small, fully deterministic xoshiro256++ PRNG with
+//! * `rng` — a small, fully deterministic xoshiro256++ PRNG with
 //!   Gaussian sampling (Box–Muller), stream splitting, and shuffling.
 //!   Every stochastic component in the workspace takes an explicit
 //!   `u64` seed so experiments are reproducible bit-for-bit.
@@ -19,7 +19,7 @@
 //!   bans raw `==`/`!=` on floats in library code).
 //! * [`sync`] — poison-tolerant locking ([`sync::locked`]), the
 //!   sanctioned replacement for `Mutex::lock().unwrap()`.
-//! * [`error`] — the workspace-wide [`Error`] type that fallible
+//! * `error` — the workspace-wide [`Error`] type that fallible
 //!   operations across crates convert into.
 //! * [`cast`] — checked numeric conversions for cycle/byte accounting
 //!   paths (`pdnn-lint` rule `l6-lossy-cast` bans bare `as` casts
@@ -29,10 +29,10 @@
 
 pub mod alloc_count;
 pub mod cast;
-pub mod error;
+mod error;
 pub mod float;
 pub mod report;
-pub mod rng;
+mod rng;
 pub mod stats;
 pub mod sync;
 pub mod timing;

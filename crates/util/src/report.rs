@@ -43,12 +43,6 @@ impl Table {
         self
     }
 
-    /// Append a row of displayable items.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -202,14 +196,5 @@ mod tests {
         let content = fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("config,"));
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn row_display_formats_items() {
-        let mut t = Table::new("", &["n", "x"]);
-        t.row_display(&[1.5, 2.25]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        assert!(t.to_csv().contains("1.5,2.25"));
     }
 }

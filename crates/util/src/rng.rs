@@ -104,7 +104,7 @@ impl Prng {
 
     /// Uniform `f32` in `[0, 1)`.
     #[inline]
-    pub fn uniform_f32(&mut self) -> f32 {
+    fn uniform_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 
@@ -166,7 +166,7 @@ impl Prng {
 
     /// Normal deviate with the given mean and standard deviation.
     #[inline]
-    pub fn normal_with(&mut self, mean: f64, stddev: f64) -> f64 {
+    fn normal_with(&mut self, mean: f64, stddev: f64) -> f64 {
         mean + stddev * self.normal()
     }
 

@@ -16,7 +16,7 @@ use std::time::Instant;
 /// An injectable time source reporting seconds since its own epoch.
 ///
 /// This is the **only** sanctioned route to wall-clock time in the
-/// simulation crates (`pdnn-mpisim`, `pdnn-bgq`, `pdnn-perfmodel`,
+/// simulation crates (`pdnn-mpisim`, `pdnn-perfmodel`,
 /// `pdnn-core`, `pdnn-obs`): components take a `Arc<dyn Clock>` (or
 /// construct a [`WallClock`] via this module) instead of calling
 /// `std::time::Instant::now()` directly, so simulated runs can swap in
@@ -67,46 +67,13 @@ pub struct ManualClock {
 
 impl ManualClock {
     /// Clock frozen at `0.0`.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Shared clock frozen at `0.0`.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
-    }
-
-    /// Advance by `dt` seconds.
-    ///
-    /// # Panics
-    /// Panics if `dt` is negative or NaN (time cannot go backwards).
-    pub fn advance(&self, dt: f64) {
-        assert!(dt >= 0.0, "ManualClock::advance: dt must be >= 0, got {dt}");
-        // Single compare-exchange loop so concurrent advances compose.
-        let mut cur = self.bits.load(Ordering::Acquire);
-        loop {
-            let next = (f64::from_bits(cur) + dt).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Jump to an absolute time `t >= now()`.
-    ///
-    /// # Panics
-    /// Panics if `t` would move the clock backwards.
-    pub fn set(&self, t: f64) {
-        let cur = f64::from_bits(self.bits.load(Ordering::Acquire));
-        assert!(
-            t >= cur,
-            "ManualClock::set: cannot rewind from {cur} to {t}"
-        );
-        self.bits.store(t.to_bits(), Ordering::Release);
     }
 }
 
@@ -142,14 +109,6 @@ impl PhaseTimer {
         Self::default()
     }
 
-    /// Time a closure and attribute its duration to `phase`.
-    pub fn time<R>(&mut self, phase: impl Into<Cow<'static, str>>, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.add(phase, start.elapsed().as_secs_f64());
-        out
-    }
-
     /// Add `seconds` to `phase` directly (used when the caller already
     /// measured, e.g. simulated time).
     pub fn add(&mut self, phase: impl Into<Cow<'static, str>>, seconds: f64) {
@@ -171,15 +130,6 @@ impl PhaseTimer {
     /// Sum of all phase times.
     pub fn total_seconds(&self) -> f64 {
         self.phases.values().map(|p| p.seconds).sum()
-    }
-
-    /// Merge another timer into this one (e.g. across worker threads).
-    pub fn merge(&mut self, other: &PhaseTimer) {
-        for (name, tot) in other.phases.iter() {
-            let entry = self.phases.entry(name.clone()).or_default();
-            entry.seconds += tot.seconds;
-            entry.calls += tot.calls;
-        }
     }
 
     /// Render a fixed-width report, longest phase first.
@@ -219,41 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn manual_clock_advances_and_sets() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), 0.0);
-        c.advance(1.5);
-        c.advance(0.5);
-        assert!((c.now() - 2.0).abs() < 1e-12);
-        c.set(10.0);
-        assert_eq!(c.now(), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot rewind")]
-    fn manual_clock_refuses_to_rewind() {
-        let c = ManualClock::new();
-        c.advance(5.0);
-        c.set(1.0);
-    }
-
-    #[test]
     fn clocks_are_usable_as_trait_objects() {
-        let manual = ManualClock::shared();
-        manual.advance(3.0);
-        let clock: Arc<dyn Clock> = manual;
-        assert!((clock.now() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_accumulates_and_counts() {
-        let mut t = PhaseTimer::new();
-        let x = t.time("work", || 21 * 2);
-        assert_eq!(x, 42);
-        t.time("work", || ());
-        let tot = t.get("work");
-        assert_eq!(tot.calls, 2);
-        assert!(tot.seconds >= 0.0);
+        let clock: Arc<dyn Clock> = ManualClock::shared();
+        assert_eq!(clock.now(), 0.0);
     }
 
     #[test]
@@ -271,21 +189,6 @@ mod tests {
     fn unknown_phase_is_zero() {
         let t = PhaseTimer::new();
         assert_eq!(t.get("nope"), PhaseTotal::default());
-    }
-
-    #[test]
-    fn merge_sums_phase_totals() {
-        let mut a = PhaseTimer::new();
-        a.add("x", 1.0);
-        a.add("y", 2.0);
-        let mut b = PhaseTimer::new();
-        b.add("y", 3.0);
-        b.add("z", 4.0);
-        a.merge(&b);
-        assert!((a.get("x").seconds - 1.0).abs() < 1e-12);
-        assert!((a.get("y").seconds - 5.0).abs() < 1e-12);
-        assert_eq!(a.get("y").calls, 2);
-        assert!((a.get("z").seconds - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use pdnn::bgq::Network;
 use pdnn::mpisim::{run_world, LinkModel, ReduceOp};
 use pdnn::obs::{render_gantt, SpanKind, SpanRecord};
+use pdnn::perfmodel::bgq::Network;
 use std::sync::Arc;
 
 struct BgqLink(Network);

@@ -1,17 +1,17 @@
-//! SGD vs Hessian-free on the same task — the comparison behind the
-//! paper's motivation (Section II.A): serial SGD is the default; HF's
-//! advantage is that its big-batch structure parallelizes, while SGD's
-//! tiny minibatches drown in communication when distributed.
+//! Serial SGD vs Hessian-free on the same task — the comparison behind
+//! the paper's motivation (Section II.A): serial SGD is the default;
+//! HF's advantage is that its big-batch structure parallelizes, while
+//! SGD's tiny minibatches would need a Θ(parameters) allreduce each
+//! when distributed.
 //!
-//! This example trains the same network with both and reports
-//! quality, passes over the data, and (for the parallel-SGD variant)
-//! the measured communication volume per frame.
+//! This example trains the same network with both and reports the
+//! held-out quality each reaches and how many updates it took.
 //!
 //! ```sh
 //! cargo run --release --example sgd_vs_hf
 //! ```
 
-use pdnn::baselines::{train_parallel_sgd, train_sgd, SgdConfig};
+use pdnn::baselines::{train_sgd, SgdConfig};
 use pdnn::core::{DnnProblem, HfConfig, HfOptimizer, Objective};
 use pdnn::dnn::{Activation, Network};
 use pdnn::speech::{Corpus, CorpusSpec};
@@ -68,27 +68,5 @@ fn main() {
         hf_stats.len(),
         hf_last.heldout_after,
         hf_last.heldout_accuracy
-    );
-
-    // ---- the communication pathology of parallel SGD ---------------
-    let psgd_cfg = SgdConfig {
-        epochs: 1,
-        minibatch: 128,
-        ..Default::default()
-    };
-    let out = train_parallel_sgd(&net0, &train, &heldout, &psgd_cfg, 4);
-    let bytes: u64 = out.traces.iter().map(|t| t.collective.bytes_sent).sum();
-    let frames = train.frames() as u64;
-    println!(
-        "\nparallel SGD over 4 ranks, 1 epoch: {} updates, {} bytes moved \
-         ({} bytes per training frame!)",
-        out.updates,
-        pdnn::util::fmt_count(bytes),
-        pdnn::util::fmt_count(bytes / frames.max(1)),
-    );
-    println!(
-        "— the Θ(parameters) allreduce per {} -frame minibatch is why the paper \
-         parallelizes second-order HF instead of SGD.",
-        psgd_cfg.minibatch
     );
 }

@@ -75,3 +75,4 @@ echo "gemm/kernel/** non-test lines: $(nontest "${kernel[@]}") (${kjoined:2})"
 mapfile -t crate_srcs < <(files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | sort -u)
 pub_re='^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) '
 echo "public-API proxy (pub declarations in crates/*/src): $(cat "${crate_srcs[@]}" | grep -cE "$pub_re")"
+echo "public-API listing (results/public_api.txt, pdnn-lint --api): $(total results/public_api.txt) items"

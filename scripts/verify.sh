@@ -45,9 +45,23 @@ gate "tier-1: test suite" cargo test -q
 # checks zero heap growth and no large allocation per packed training
 # step. Each pass also runs pdnn-core's steady_state_allocs gate in
 # release: no rank allocates a 64 KiB+ buffer after the first HF
-# iteration, in serial, master, ring and tree mode. `--no-fail-fast`
-# runs every test binary of the suite past a failing one.
-backend_suite=(-p pdnn-tensor -p pdnn-dnn -p pdnn-core)
+# iteration, in serial, master, ring and tree mode. That gate is left
+# out of the debug suite, where it took minutes per backend; the
+# release run checks the same property. `--no-fail-fast` runs every
+# test binary of the suite past a failing one.
+core_tests=()
+for t in crates/core/tests/*.rs; do
+  t="$(basename "$t" .rs)"
+  [ "$t" = steady_state_allocs ] || core_tests+=(--test "$t")
+done
+backend_suite() {
+  export PDNN_BACKEND="$1"
+  local rc=0
+  cargo test -q --no-fail-fast -p pdnn-tensor -p pdnn-dnn || rc=1
+  cargo test -q --no-fail-fast -p pdnn-core --lib "${core_tests[@]}" || rc=1
+  cargo test -q -p pdnn-core --doc || rc=1
+  return "$rc"
+}
 cpu_has() { grep -qw "$1" /proc/cpuinfo 2>/dev/null; }
 backend_passes=(scalar)
 if cpu_has avx2 && cpu_has fma; then
@@ -57,8 +71,7 @@ else
 fi
 backend_passes+=(auto)
 for b in "${backend_passes[@]}"; do
-  gate "backends: suite under PDNN_BACKEND=$b" \
-    env PDNN_BACKEND="$b" cargo test -q --no-fail-fast "${backend_suite[@]}"
+  gate "backends: suite under PDNN_BACKEND=$b" backend_suite "$b"
   gate "backends: steady_state_allocs under PDNN_BACKEND=$b" \
     env PDNN_BACKEND="$b" cargo test -q --release -p pdnn-core --test steady_state_allocs
 done
@@ -95,6 +108,21 @@ gate "style: rustfmt" cargo fmt --check
 gate "style: clippy (workspace)" cargo clippy --workspace --all-targets -- -D warnings
 
 gate "static analysis: pdnn-lint" cargo run -q -p pdnn-lint
+
+gate "docs: rustdoc, warnings denied" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
+# Public API: one line per `pub` item reachable from a crate root
+# (`pdnn-lint --api`), against results/public_api.txt, so every change
+# shows its API delta. A change that means to move it regenerates the
+# file and says which lines moved.
+api_listing() {
+  cargo run -q -p pdnn-lint -- --api | diff results/public_api.txt - \
+    || { echo "public API differs from results/public_api.txt; if intended, regenerate with:" >&2
+         echo "  cargo run -q -p pdnn-lint -- --api > results/public_api.txt" >&2; exit 1; }
+  echo "public API: identical to results/public_api.txt"
+}
+gate "api: public-API listing" api_listing
 
 # Exhaustive interleaving exploration of the master/worker automata
 # lowered from pdnn_core::protocol::COMMANDS (the command table both

@@ -10,6 +10,7 @@
 //! ```
 //!
 //! Flags (all optional):
+//! ```text
 //!   --utterances N     corpus size                      [160]
 //!   --states N         HMM states / output classes      [6]
 //!   --features N       acoustic feature dimension       [10]
@@ -35,6 +36,7 @@
 //!   --precondition     enable the Fisher CG preconditioner
 //!   --save PATH        write a checkpoint after training
 //!   --resume PATH      initialize from a checkpoint
+//! ```
 
 use pdnn::core::config::Preconditioner;
 use pdnn::core::{

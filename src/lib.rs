@@ -10,16 +10,14 @@
 //! * [`tensor`] — blocked/packed multi-threaded GEMM and BLAS-1.
 //! * [`speech`] — synthetic speech-like corpus and load balancing.
 //! * [`mpisim`] — in-process MPI-style runtime (ranks as threads).
-//! * [`bgq`] — Blue Gene/Q machine model (torus, cores, counters).
 //! * [`perfmodel`] — calibrated scaling model regenerating the paper's
 //!   figures and tables.
-//! * [`baselines`] — serial and synchronous-parallel SGD.
+//! * [`baselines`] — serial SGD, ADPSGD and layer-wise pretraining.
 //! * [`obs`] (`pdnn-obs`) — unified telemetry: recorder API, span
 //!   timelines, comm statistics, JSONL export, terminal rendering.
 //! * [`util`] — deterministic RNG, stats, reporting.
 
 pub use pdnn_baselines as baselines;
-pub use pdnn_bgq as bgq;
 pub use pdnn_core as core;
 pub use pdnn_dnn as dnn;
 pub use pdnn_mpisim as mpisim;

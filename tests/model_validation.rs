@@ -4,8 +4,8 @@
 //! reproduce at small scale. If these diverge, the figure
 //! reproductions are extrapolating the wrong mechanism.
 
-use pdnn::bgq::Network;
 use pdnn::mpisim::{run_world, LinkModel, Payload, ReduceOp, Src};
+use pdnn::perfmodel::bgq::Network;
 use std::sync::Arc;
 
 /// Adapter: the BG/Q torus point-to-point cost drives the functional
