@@ -131,7 +131,7 @@ pub fn evaluate(net: &Network<f32>, ctx: &GemmContext, shard: &Shard) -> (f64, f
         return (0.0, 0.0);
     }
     let logits = net.logits(ctx, &shard.x);
-    let (loss, correct) = cross_entropy_loss_only(&logits, &shard.labels);
+    let (loss, correct) = cross_entropy_loss_only(&logits, &shard.labels, 0.0);
     (
         loss / shard.frames() as f64,
         correct as f64 / shard.frames() as f64,

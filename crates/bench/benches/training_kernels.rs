@@ -54,7 +54,7 @@ fn bench_gradient(c: &mut Criterion) {
     group.bench_function("eval_heldout", |b| {
         b.iter(|| {
             let logits = s.net.logits(&s.ctx, &s.x);
-            pdnn_dnn::loss::cross_entropy_loss_only(&logits, &s.labels)
+            pdnn_dnn::loss::cross_entropy_loss_only(&logits, &s.labels, 0.0)
         })
     });
     group.finish();

@@ -130,7 +130,10 @@ fn mean_of(mut sum: Vec<f32>, frames: f64) -> Vec<f32> {
 }
 
 impl DnnProblem {
-    /// Build a problem around a network and data shards.
+    /// Build a problem around a network and data shards. The gradient
+    /// and held-out passes stream each shard in chunks of
+    /// `ctx.blocking().kc` frames, bitwise the sums of the whole shard
+    /// at once (`crate::shard`).
     ///
     /// # Panics
     /// If a shard is empty, shard feature widths do not match the
@@ -174,19 +177,6 @@ impl DnnProblem {
     /// arena telemetry.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.engine.rec = recorder;
-        self
-    }
-
-    /// Bound the number of frames materialized per forward pass.
-    ///
-    /// Training activations cost `frames x Σ layer widths` floats; a
-    /// 144 M-frame corpus cannot be forwarded in one batch. Chunks
-    /// respect utterance boundaries (required by the sequence
-    /// criterion), so a single utterance longer than the bound still
-    /// forms one chunk.
-    pub fn with_max_batch_frames(mut self, frames: usize) -> Self {
-        assert!(frames > 0, "max_batch_frames must be positive");
-        self.engine.max_batch_frames = frames;
         self
     }
 
@@ -255,35 +245,6 @@ impl HfProblem for DnnProblem {
     fn train_frames(&self) -> u64 {
         self.engine.train_frames() as u64
     }
-}
-
-/// Split a shard's utterances into chunks of at most `max_frames`
-/// frames (a single over-long utterance forms its own chunk).
-/// Returns `(utterance index range, frame row range)` pairs covering
-/// the shard exactly.
-pub fn chunk_ranges(
-    utt_lens: &[usize],
-    max_frames: usize,
-) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
-    assert!(max_frames > 0, "max_frames must be positive");
-    let mut out = Vec::new();
-    let mut u_start = 0usize;
-    let mut f_start = 0usize;
-    let mut f_cursor = 0usize;
-    for (u, &len) in utt_lens.iter().enumerate() {
-        // Close the current chunk if adding this utterance overflows
-        // a non-empty chunk.
-        if f_cursor > f_start && f_cursor - f_start + len > max_frames {
-            out.push((u_start..u, f_start..f_cursor));
-            u_start = u;
-            f_start = f_cursor;
-        }
-        f_cursor += len;
-    }
-    if (f_cursor > f_start || utt_lens.is_empty()) && !utt_lens.is_empty() {
-        out.push((u_start..utt_lens.len(), f_start..f_cursor));
-    }
-    out
 }
 
 /// Deterministically sample a fraction of utterances (at least one).

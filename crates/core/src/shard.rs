@@ -13,8 +13,23 @@
 //! a rank's compute spans, pack-cache counters and arena traffic are
 //! the same under every sync strategy, and the serial baseline runs
 //! the very kernel sequence the ranks run.
+//!
+//! **Streamed passes.** The gradient and held-out sums walk the shard
+//! in chunks of `kc` frames, the rows of one k-block of the GEMM
+//! blocking (`ctx.blocking().kc`), so a rank holds one chunk of
+//! activations, not its whole shard (paper Section V.A.4: 16–64 ranks
+//! share a node's memory). Each chunk is forwarded, then
+//! backpropagated once every utterance touching it has its dlogits:
+//! at once under cross-entropy, when its last utterance closes under
+//! MMI, so the window is `kc` frames plus the longest open utterance.
+//! The sums come out bitwise the whole shard's: the whole-shard
+//! `dW = δᵀ·a` GEMM cuts the frames on the same `kc` grid and merges
+//! each later k-block with `β = 1`, which is how each later chunk's
+//! `dW` merges into the running gradient, and the bias sums and the
+//! `f64` loss continue one running accumulator in frame order. Every
+//! other pass is row-independent.
 
-use crate::problem::{chunk_ranges, extract_utterances_into, sample_utterances, Objective};
+use crate::problem::{extract_utterances_into, sample_utterances, Objective};
 use pdnn_dnn::backprop::backprop_ws;
 use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
 use pdnn_dnn::loss::{cross_entropy_into, cross_entropy_loss_only, softmax_rows_into};
@@ -26,6 +41,7 @@ use pdnn_speech::Shard;
 use pdnn_tensor::gemm::GemmContext;
 use pdnn_tensor::{Matrix, Workspace, WorkspaceStats};
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -99,15 +115,109 @@ fn eval_objective(
     match objective {
         Objective::CrossEntropy => {
             let mut dlogits = ws.take_matrix_scratch(logits.rows(), logits.cols());
-            let (loss, _) = cross_entropy_into(logits, labels, &mut dlogits);
+            let (loss, _) = cross_entropy_into(logits, labels, &mut dlogits, 0.0);
             (loss, dlogits)
         }
         Objective::Sequence(graph) => {
-            let out = mmi_batch_ws(logits, labels, utt_lens, graph, ws, tables);
+            let out = mmi_batch_ws(logits, labels, utt_lens, graph, 0.0, ws, tables);
             ws.give_matrix(out.den_posteriors);
             (out.loss, out.dlogits)
         }
     }
+}
+
+/// The chunks of a streamed pass over `frames` frames: `kc` rows
+/// each, the last one ragged.
+fn chunks(frames: usize, kc: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..frames)
+        .step_by(kc)
+        .map(move |r0| r0..frames.min(r0 + kc))
+}
+
+/// The utterances of a shard, closed in order as a streamed pass
+/// reaches their ends.
+struct Utterances<'s> {
+    lens: &'s [usize],
+    /// Utterances closed so far.
+    closed: usize,
+    /// The frame they end at.
+    end: usize,
+}
+
+impl<'s> Utterances<'s> {
+    fn new(lens: &'s [usize]) -> Self {
+        Utterances {
+            lens,
+            closed: 0,
+            end: 0,
+        }
+    }
+
+    /// Close every utterance that ends by frame `frame`; returns the
+    /// ones this call closed and the frames they cover.
+    fn close_through(&mut self, frame: usize) -> (Range<usize>, Range<usize>) {
+        let (u0, f0) = (self.closed, self.end);
+        while self.closed < self.lens.len() && self.end + self.lens[self.closed] <= frame {
+            self.end += self.lens[self.closed];
+            self.closed += 1;
+        }
+        (u0..self.closed, f0..self.end)
+    }
+}
+
+/// Copy the frames that both `src` (holding frames `src_at`) and
+/// `dst` (holding frames `dst_at`) hold from `src` into `dst`.
+fn copy_overlap(
+    src: &Matrix<f32>,
+    src_at: &Range<usize>,
+    dst: &mut Matrix<f32>,
+    dst_at: &Range<usize>,
+) {
+    let (lo, hi) = (src_at.start.max(dst_at.start), src_at.end.min(dst_at.end));
+    if lo < hi {
+        let cols = src.cols();
+        dst.as_mut_slice()[(lo - dst_at.start) * cols..(hi - dst_at.start) * cols]
+            .copy_from_slice(src.rows_slice(lo - src_at.start, hi - src_at.start));
+    }
+}
+
+/// Frames `rows` of the logits held by `chunks` (each with the frames
+/// it holds, in order): the first chunk's own matrix when it holds
+/// exactly those frames, else a copy gathered into an arena buffer,
+/// which goes back with [`recycle_chunk`].
+fn closed_logits<'c>(
+    chunks: impl Iterator<Item = (&'c Range<usize>, &'c Matrix<f32>)> + Clone,
+    rows: &Range<usize>,
+    cols: usize,
+    ws: &mut Workspace<f32>,
+) -> Cow<'c, Matrix<f32>> {
+    if let Some((_, own)) = chunks.clone().next().filter(|(at, _)| *at == rows) {
+        return Cow::Borrowed(own);
+    }
+    // Scratch take: the chunks cover `rows`, so every row is written.
+    let mut out = ws.take_matrix_scratch(rows.len(), cols);
+    for (at, logits) in chunks {
+        copy_overlap(logits, at, &mut out, rows);
+    }
+    Cow::Owned(out)
+}
+
+/// Frames argmax-classified as their label.
+fn hits(logits: &Matrix<f32>, labels: &[u32]) -> usize {
+    logits
+        .row_argmax()
+        .iter()
+        .zip(labels)
+        .filter(|(&p, &l)| p as u32 == l)
+        .count()
+}
+
+/// One chunk of the streamed gradient pass, forwarded and waiting for
+/// the dlogits of its frames.
+struct PendingChunk {
+    rows: Range<usize>,
+    cache: ForwardCache<f32>,
+    dlogits: Matrix<f32>,
 }
 
 /// Rows `rows` of `x` as a forward-pass input: `x` itself when the
@@ -148,9 +258,6 @@ pub(crate) struct ShardEngine<'a> {
     scratch: Network<f32>,
     train: Shard,
     heldout: Shard,
-    /// Upper bound on frames materialized per forward pass of the
-    /// gradient and held-out sums; `usize::MAX` = the shard at once.
-    pub(crate) max_batch_frames: usize,
     /// The rank's memory owner: every `f32` buffer of every phase is
     /// a take from it, given back when the phase ends.
     ws: Workspace<f32>,
@@ -183,7 +290,6 @@ impl<'a> ShardEngine<'a> {
             net,
             train,
             heldout,
-            max_batch_frames: usize::MAX,
             ws: Workspace::new(),
             tables: Workspace::new(),
             packs: None,
@@ -250,44 +356,101 @@ impl<'a> ShardEngine<'a> {
         self.ws.give_vec(buf);
     }
 
-    /// `(Σ loss, Σ gradient, frames)` over the training shard, at most
-    /// `max_batch_frames` frames at a time. The first chunk's gradient
-    /// is the accumulator, so a shard that fits one chunk costs no copy
-    /// and no add.
+    /// `(Σ loss, Σ gradient, frames)` over the training shard, in one
+    /// streamed pass (module docs): bitwise the sums of the whole shard
+    /// at once, while at most `kc` frames plus the longest open
+    /// utterance are held.
     pub(crate) fn gradient_sums(&mut self) -> (f64, Vec<f32>, f64) {
         let _s = self.rec.span("gradient_loss", SpanKind::DenseCompute);
         if self.train.frames() == 0 {
             return (0.0, self.ws.take_vec(self.net.num_params()), 0.0);
         }
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
-        let (net, train, ws, tables) = (&self.net, &self.train, &mut self.ws, &mut self.tables);
+        let (net, ctx, train) = (&self.net, &self.ctx, &self.train);
+        let (ws, tables) = (&mut self.ws, &mut self.tables);
         let packs = self.packs.as_ref();
-        let mut loss_sum = 0.0f64;
-        let mut total: Vec<f32> = Vec::new();
-        for (utts, rows) in chunk_ranges(&train.utt_lens, self.max_batch_frames) {
-            let x = chunk_input(&train.x, &rows, ws);
-            let cache = net.forward_ws(&self.ctx, &x, packs, ws);
-            let (loss, dlogits) = eval_objective(
-                &self.objective,
-                &cache,
-                &train.labels[rows],
-                &train.utt_lens[utts],
-                ws,
-                tables,
-            );
-            let grad = backprop_ws(net, &self.ctx, &cache, &dlogits, packs, ws);
-            ws.give_matrix(dlogits);
-            cache.give_back(ws);
-            recycle_chunk(x, ws);
-            loss_sum += loss;
-            if total.is_empty() {
-                total = grad;
-            } else {
-                pdnn_tensor::blas1::add(&grad, &mut total);
-                ws.give_vec(grad);
+        let classes = net.output_dim();
+        let mut grad = Vec::new();
+        let mut loss = 0.0f64;
+        let mut utts = Utterances::new(&train.utt_lens);
+        let mut pending: VecDeque<PendingChunk> = VecDeque::new();
+        for rows in chunks(train.frames(), ctx.blocking().kc) {
+            let mut x = ws.take_matrix_scratch(rows.len(), train.x.cols());
+            x.as_mut_slice()
+                .copy_from_slice(train.x.rows_slice(rows.start, rows.end));
+            let cache = net.forward_taken(ctx, x, packs, ws);
+            let ready = match &*self.objective {
+                Objective::CrossEntropy => {
+                    let labels = &train.labels[rows.clone()];
+                    let mut dlogits = ws.take_matrix_scratch(rows.len(), classes);
+                    (loss, _) = cross_entropy_into(cache.logits(), labels, &mut dlogits, loss);
+                    pending.push_back(PendingChunk {
+                        rows: rows.clone(),
+                        cache,
+                        dlogits,
+                    });
+                    rows.end
+                }
+                Objective::Sequence(graph) => {
+                    let (closed, frames) = utts.close_through(rows.end);
+                    let (labels, lens) = (&train.labels[frames.clone()], &train.utt_lens[closed]);
+                    if frames == rows {
+                        // Whole utterances, none open before: the
+                        // chunk's own logits, nothing gathered.
+                        let out =
+                            mmi_batch_ws(cache.logits(), labels, lens, graph, loss, ws, tables);
+                        loss = out.loss;
+                        ws.give_matrix(out.den_posteriors);
+                        pending.push_back(PendingChunk {
+                            rows,
+                            cache,
+                            dlogits: out.dlogits,
+                        });
+                    } else {
+                        // Scratch take: every row is written by the
+                        // MMI pass that closes its utterance, before
+                        // the chunk is backpropagated.
+                        let dlogits = ws.take_matrix_scratch(rows.len(), classes);
+                        pending.push_back(PendingChunk {
+                            rows,
+                            cache,
+                            dlogits,
+                        });
+                        if !frames.is_empty() {
+                            let held = pending.iter().map(|c| (&c.rows, c.cache.logits()));
+                            let logits = closed_logits(held, &frames, classes, ws);
+                            let out = mmi_batch_ws(&logits, labels, lens, graph, loss, ws, tables);
+                            recycle_chunk(logits, ws);
+                            loss = out.loss;
+                            for c in pending.iter_mut() {
+                                copy_overlap(&out.dlogits, &frames, &mut c.dlogits, &c.rows);
+                            }
+                            ws.give_matrix(out.dlogits);
+                            ws.give_matrix(out.den_posteriors);
+                        }
+                    }
+                    frames.end
+                }
+            };
+            while let Some(c) = pending.pop_front_if(|c| c.rows.end <= ready) {
+                // The sum is taken at the first backprop, where a pass
+                // over the whole shard at once takes its gradient.
+                let accumulate = !grad.is_empty();
+                if !accumulate {
+                    grad = ws.take_vec_scratch(net.num_params());
+                }
+                backprop_ws(
+                    net, ctx, &c.cache, &c.dlogits, packs, ws, &mut grad, accumulate,
+                );
+                ws.give_matrix(c.dlogits);
+                c.cache.give_back(ws);
             }
         }
-        (loss_sum, total, train.frames() as f64)
+        debug_assert!(
+            pending.is_empty(),
+            "every utterance closes by the shard's end"
+        );
+        (loss, grad, train.frames() as f64)
     }
 
     /// Redraw the curvature sample: a `fraction` of the local
@@ -325,7 +488,8 @@ impl<'a> ShardEngine<'a> {
                 dist
             }
             Objective::Sequence(graph) => {
-                let out = mmi_batch_ws(logits, &labels, &utt_lens, graph, ws, &mut self.tables);
+                let out =
+                    mmi_batch_ws(logits, &labels, &utt_lens, graph, 0.0, ws, &mut self.tables);
                 ws.give_matrix(out.dlogits);
                 out.den_posteriors
             }
@@ -391,7 +555,9 @@ impl<'a> ShardEngine<'a> {
     }
 
     /// `[Σ loss, Σ correct, frames]` of trial weights `theta` over the
-    /// held-out shard, at most `max_batch_frames` frames at a time.
+    /// held-out shard, streamed like [`Self::gradient_sums`] but
+    /// forward only: under MMI only the logits of chunks with an open
+    /// utterance are held.
     pub(crate) fn heldout_sums(&mut self, theta: &[f32]) -> [f64; 3] {
         let _s = self.rec.span("eval_heldout", SpanKind::DenseCompute);
         if self.heldout.frames() == 0 {
@@ -400,36 +566,47 @@ impl<'a> ShardEngine<'a> {
         // Trial weights change every call: no packs, but the arena
         // recycles the activation scratch.
         self.scratch.set_flat(theta);
-        let (heldout, ws, tables) = (&self.heldout, &mut self.ws, &mut self.tables);
-        let mut loss_sum = 0.0f64;
+        let (net, ctx, heldout) = (&self.scratch, &self.ctx, &self.heldout);
+        let (ws, tables) = (&mut self.ws, &mut self.tables);
+        let mut loss = 0.0f64;
         let mut correct = 0usize;
-        for (utts, rows) in chunk_ranges(&heldout.utt_lens, self.max_batch_frames) {
+        let mut utts = Utterances::new(&heldout.utt_lens);
+        let mut open: VecDeque<(Range<usize>, Matrix<f32>)> = VecDeque::new();
+        for rows in chunks(heldout.frames(), ctx.blocking().kc) {
             let x = chunk_input(&heldout.x, &rows, ws);
-            let logits = self.scratch.logits_ws(&self.ctx, &x, None, ws);
-            let labels = &heldout.labels[rows];
-            let (loss, hits) = match &*self.objective {
-                Objective::CrossEntropy => cross_entropy_loss_only(&logits, labels),
-                Objective::Sequence(graph) => {
-                    let utt_lens = &heldout.utt_lens[utts];
-                    let out = mmi_batch_ws(&logits, labels, utt_lens, graph, ws, tables);
-                    ws.give_matrix(out.dlogits);
-                    ws.give_matrix(out.den_posteriors);
-                    // Frame accuracy is still argmax-vs-alignment.
-                    let hits = logits
-                        .row_argmax()
-                        .iter()
-                        .zip(labels)
-                        .filter(|(&p, &l)| p as u32 == l)
-                        .count();
-                    (out.loss, hits)
-                }
-            };
-            loss_sum += loss;
-            correct += hits;
-            ws.give_matrix(logits);
+            let logits = net.logits_ws(ctx, &x, None, ws);
             recycle_chunk(x, ws);
+            let labels = &heldout.labels[rows.clone()];
+            match &*self.objective {
+                Objective::CrossEntropy => {
+                    let chunk_hits;
+                    (loss, chunk_hits) = cross_entropy_loss_only(&logits, labels, loss);
+                    correct += chunk_hits;
+                    ws.give_matrix(logits);
+                }
+                Objective::Sequence(graph) => {
+                    // Frame accuracy is still argmax-vs-alignment.
+                    correct += hits(&logits, labels);
+                    let (closed, frames) = utts.close_through(rows.end);
+                    open.push_back((rows, logits));
+                    if !frames.is_empty() {
+                        let held = open.iter().map(|(at, l)| (at, l));
+                        let batch = closed_logits(held, &frames, net.output_dim(), ws);
+                        let (labels, lens) =
+                            (&heldout.labels[frames.clone()], &heldout.utt_lens[closed]);
+                        let out = mmi_batch_ws(&batch, labels, lens, graph, loss, ws, tables);
+                        loss = out.loss;
+                        recycle_chunk(batch, ws);
+                        ws.give_matrix(out.dlogits);
+                        ws.give_matrix(out.den_posteriors);
+                    }
+                    while let Some((_, done)) = open.pop_front_if(|(at, _)| at.end <= frames.end) {
+                        ws.give_matrix(done);
+                    }
+                }
+            }
         }
-        [loss_sum, correct as f64, heldout.frames() as f64]
+        [loss, correct as f64, heldout.frames() as f64]
     }
 }
 
@@ -439,6 +616,7 @@ mod tests {
     use pdnn_dnn::Activation;
     use pdnn_obs::NullRecorder;
     use pdnn_speech::{Corpus, CorpusSpec};
+    use pdnn_tensor::gemm::Blocking;
     use pdnn_util::Prng;
 
     fn corpus_and_net() -> (Corpus, Network<f32>) {
@@ -450,14 +628,30 @@ mod tests {
     }
 
     fn engine(net: &Network<f32>, objective: Objective, shard: Shard) -> ShardEngine<'static> {
+        engine_on(GemmContext::sequential(), net, objective, shard)
+    }
+
+    fn engine_on(
+        ctx: GemmContext,
+        net: &Network<f32>,
+        objective: Objective,
+        shard: Shard,
+    ) -> ShardEngine<'static> {
         ShardEngine::new(
             Arc::new(NullRecorder),
-            GemmContext::sequential(),
+            ctx,
             Cow::Owned(objective),
             net.clone(),
             shard.clone(),
             shard,
         )
+    }
+
+    fn with_kc(kc: usize) -> GemmContext {
+        GemmContext::sequential().with_blocking(Blocking {
+            kc,
+            ..Blocking::default()
+        })
     }
 
     #[test]
@@ -487,46 +681,86 @@ mod tests {
         }
     }
 
-    /// A shard that fits one chunk goes to the kernels by reference:
-    /// the engine's arena traffic is exactly that of the bare kernel
-    /// calls, with no take for a copy of the shard.
+    /// A shard that fits one chunk costs the engine exactly the arena
+    /// traffic of the bare kernel calls; the held-out pass reads it by
+    /// reference, with no take for a copy.
     #[test]
     fn one_chunk_sums_add_no_arena_take() {
         let (corpus, net) = corpus_and_net();
         let all: Vec<usize> = (0..corpus.utterances().len()).collect();
         let shard = corpus.shard(&all);
-        let ctx = GemmContext::sequential();
+        let ctx = with_kc(shard.frames());
         let traffic = |s: WorkspaceStats| (s.allocs, s.reuses, s.bytes_reused);
 
-        let mut e = engine(&net, Objective::CrossEntropy, shard.clone());
-        e.max_batch_frames = shard.frames();
+        let mut e = engine_on(ctx.clone(), &net, Objective::CrossEntropy, shard.clone());
         let (loss, grad, frames) = e.gradient_sums();
         let mut ws = Workspace::new();
         let packs = PackedWeights::new(&net, &ctx);
         let cache = net.forward_ws(&ctx, &shard.x, Some(&packs), &mut ws);
         let logits = cache.logits();
         let mut dlogits = ws.take_matrix_scratch(logits.rows(), logits.cols());
-        let (want_loss, _) = cross_entropy_into(logits, &shard.labels, &mut dlogits);
-        let want = backprop_ws(&net, &ctx, &cache, &dlogits, Some(&packs), &mut ws);
+        let mut want = ws.take_vec_scratch(net.num_params());
+        let (want_loss, _) = cross_entropy_into(logits, &shard.labels, &mut dlogits, 0.0);
+        backprop_ws(
+            &net,
+            &ctx,
+            &cache,
+            &dlogits,
+            Some(&packs),
+            &mut ws,
+            &mut want,
+            false,
+        );
         assert_eq!(
             (loss, grad, frames),
             (want_loss, want, shard.frames() as f64)
         );
         assert_eq!(traffic(e.arena_stats()), traffic(ws.stats()));
 
-        let mut e = engine(&net, Objective::CrossEntropy, shard.clone());
+        let mut e = engine_on(ctx.clone(), &net, Objective::CrossEntropy, shard.clone());
         e.heldout_sums(&net.to_flat());
         let mut ws = Workspace::new();
         net.logits_ws(&ctx, &shard.x, None, &mut ws);
         assert_eq!(traffic(e.arena_stats()), traffic(ws.stats()));
 
         // Several chunks: each is one more take, for its copy.
-        let mut e = engine(&net, Objective::CrossEntropy, shard.clone());
-        e.max_batch_frames = shard.frames() / 2;
+        let kc = shard.frames() / 2 + 1;
+        let mut e = engine_on(with_kc(kc), &net, Objective::CrossEntropy, shard.clone());
         e.heldout_sums(&net.to_flat());
-        let chunks = chunk_ranges(&shard.utt_lens, e.max_batch_frames).len() as u64;
         let takes = |s: WorkspaceStats| s.allocs + s.reuses;
-        assert!(chunks > 1);
-        assert_eq!(takes(e.arena_stats()), chunks * (takes(ws.stats()) + 1));
+        assert_eq!(takes(e.arena_stats()), 2 * (takes(ws.stats()) + 1));
+    }
+
+    /// The streamed gradient pass holds one chunk: over shards of 4 and
+    /// 16 chunks its arena peaks at the same high water.
+    #[test]
+    fn gradient_working_set_is_one_chunk() {
+        let kc = 32;
+        let corpus = Corpus::generate(CorpusSpec {
+            utterances: 40,
+            ..CorpusSpec::tiny(5)
+        });
+        let all: Vec<usize> = (0..corpus.utterances().len()).collect();
+        let whole = corpus.shard(&all);
+        assert!(
+            whole.frames() >= 16 * kc,
+            "corpus of {} frames",
+            whole.frames()
+        );
+        let mut rng = Prng::new(1);
+        let dims = [corpus.spec().feature_dim, 16, corpus.spec().states];
+        let net = Network::new(&dims, Activation::Sigmoid, &mut rng);
+        let high_water = |frames: usize| {
+            let shard = Shard {
+                x: whole.x.rows_copy(0, frames),
+                labels: whole.labels[..frames].to_vec(),
+                utt_lens: vec![frames],
+            };
+            let mut e = engine_on(with_kc(kc), &net, Objective::CrossEntropy, shard);
+            let (_, grad, _) = e.gradient_sums();
+            e.recycle(grad);
+            e.arena_stats().high_water_bytes
+        };
+        assert_eq!(high_water(4 * kc), high_water(16 * kc));
     }
 }

@@ -151,7 +151,7 @@ impl HfProblem for UnpackedProblem {
     fn heldout_eval(&mut self, theta: &[f32]) -> HeldoutEval {
         self.scratch.set_flat(theta);
         let logits = self.scratch.logits(&self.ctx, &self.heldout.x);
-        let (loss, correct) = cross_entropy_loss_only(&logits, &self.heldout.labels);
+        let (loss, correct) = cross_entropy_loss_only(&logits, &self.heldout.labels, 0.0);
         let frames = self.heldout.frames();
         HeldoutEval {
             loss: loss / frames as f64,

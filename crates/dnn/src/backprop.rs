@@ -20,21 +20,40 @@ pub fn backprop<T: Scalar>(
     cache: &ForwardCache<T>,
     dlogits: &Matrix<T>,
 ) -> Vec<T> {
-    backprop_ws(net, ctx, cache, dlogits, None, &mut Workspace::new())
+    let mut grad = vec![T::ZERO; net.num_params()];
+    backprop_ws(
+        net,
+        ctx,
+        cache,
+        dlogits,
+        None,
+        &mut Workspace::new(),
+        &mut grad,
+        false,
+    );
+    grad
 }
 
-/// [`backprop`] with arena-recycled scratch and optionally prepacked
-/// weights — the training hot path.
+/// [`backprop`] into a running gradient, with arena-recycled scratch
+/// and optionally prepacked weights — the training hot path.
 ///
-/// Every intermediate (the delta buffer, per-layer `dW`/`db`, and the
-/// returned gradient vector) comes from `ws`; giving the returned
-/// vector back to `ws` after accumulation makes the steady state
-/// allocation-free. Bitwise identical to the unpacked path:
-/// the packed-operand [`GemmOp`] forms replay the exact blocked GEMM.
+/// With `accumulate` false the batch's gradient overwrites `grad`;
+/// with it true the batch is added on: each `dW = δᵀ·a` merges into
+/// the sum so far with `β = 1`, which is the merge the GEMM applies to
+/// its own next k-block of frames, and the bias sums continue row by
+/// row. So a batch cut into blocks of `ctx.blocking().kc` frames and
+/// backpropagated block after block sums bitwise to the whole batch's
+/// gradient.
+///
+/// Every intermediate (the delta buffer, per-layer `dW`) comes from
+/// `ws`. Bitwise identical to the unpacked path: the packed-operand
+/// [`GemmOp`] forms replay the exact blocked GEMM.
 ///
 /// # Panics
-/// If `packs` was built from a different weight version, or on shape
-/// mismatch between `cache`, `dlogits`, and `net`.
+/// If `packs` was built from a different weight version, on shape
+/// mismatch between `cache`, `dlogits`, and `net`, or if `grad` is not
+/// `net.num_params()` long.
+#[allow(clippy::too_many_arguments)]
 pub fn backprop_ws<T: Scalar>(
     net: &Network<T>,
     ctx: &GemmContext,
@@ -42,7 +61,9 @@ pub fn backprop_ws<T: Scalar>(
     dlogits: &Matrix<T>,
     packs: Option<&PackedWeights<T>>,
     ws: &mut Workspace<T>,
-) -> Vec<T> {
+    grad: &mut [T],
+    accumulate: bool,
+) {
     let layers = net.layers();
     assert_eq!(
         cache.acts.len(),
@@ -54,6 +75,7 @@ pub fn backprop_ws<T: Scalar>(
         cache.logits().shape(),
         "dlogits shape mismatch"
     );
+    assert_eq!(grad.len(), net.num_params(), "gradient length mismatch");
     if let Some(p) = packs {
         assert!(
             p.matches(net),
@@ -62,36 +84,34 @@ pub fn backprop_ws<T: Scalar>(
             net.version()
         );
     }
-
-    // Scratch take: the layer loop below writes every flat-gradient
-    // region exactly once (weights by copy, biases by column_sums_into
-    // which zero-fills first).
-    let mut grad = ws.take_vec_scratch(net.num_params());
-    // Compute per-layer flat offsets once.
-    let mut offsets = Vec::with_capacity(layers.len());
-    let mut off = 0;
-    for layer in layers {
-        offsets.push(off);
-        off += layer.num_params();
-    }
+    let beta = if accumulate { T::ONE } else { T::ZERO };
 
     // Seed the delta buffer from the arena instead of cloning dlogits.
     let mut delta = ws.take_matrix_scratch(dlogits.rows(), dlogits.cols());
     delta.as_mut_slice().copy_from_slice(dlogits.as_slice());
+    let mut end = grad.len();
     for l in (0..layers.len()).rev() {
         let layer = &layers[l];
         let a_prev = &cache.acts[l];
         let frames = delta.rows();
         debug_assert_eq!(a_prev.rows(), frames);
+        let (dw_sum, db_sum) = grad[end - layer.num_params()..end].split_at_mut(layer.w.len());
+        end -= layer.num_params();
 
         // dW = delta^T * a_prev  (out x in)
         let mut dw = ws.take_matrix_scratch(layer.outputs(), layer.inputs());
-        GemmOp::ab(&delta, Trans::T, a_prev, Trans::N).run(ctx, &mut dw);
-
-        let base = offsets[l];
-        grad[base..base + dw.len()].copy_from_slice(dw.as_slice());
-        delta.column_sums_into(&mut grad[base + dw.len()..base + dw.len() + layer.b.len()]);
+        if accumulate {
+            dw.as_mut_slice().copy_from_slice(dw_sum);
+        }
+        GemmOp::ab(&delta, Trans::T, a_prev, Trans::N)
+            .beta(beta)
+            .run(ctx, &mut dw);
+        dw_sum.copy_from_slice(dw.as_slice());
         ws.give_matrix(dw);
+        if !accumulate {
+            db_sum.fill(T::ZERO);
+        }
+        delta.column_sums_into(db_sum);
 
         if l > 0 {
             // delta_prev = (delta * W) ∘ f'(a_prev)
@@ -106,7 +126,6 @@ pub fn backprop_ws<T: Scalar>(
         }
     }
     ws.give_matrix(delta);
-    grad
 }
 
 /// Evaluate `loss_kind` on a batch and return `(summed loss, flat
@@ -169,7 +188,7 @@ mod tests {
             let mut n = net.clone();
             n.set_flat(theta);
             let logits = n.logits(&ctx, &x);
-            crate::loss::cross_entropy_loss_only(&logits, &labels).0
+            crate::loss::cross_entropy_loss_only(&logits, &labels, 0.0).0
         };
         let err = gradcheck::max_rel_error(&grad, &gradcheck::fd_gradient(f, &theta0, 1e-5));
         assert!(err < 1e-5, "{dims:?} {act:?}: rel err {err}");
@@ -250,16 +269,57 @@ mod tests {
             let plain_cache = net.forward(&ctx, &x);
             let plain = backprop(&net, &ctx, &plain_cache, &dl);
             let cache = net.forward_ws(&ctx, &x, Some(&packs), &mut ws);
-            let fast = backprop_ws(&net, &ctx, &cache, &dl, Some(&packs), &mut ws);
+            // Stale values in the gradient are overwritten.
+            let mut fast = vec![f32::NAN; net.num_params()];
+            backprop_ws(
+                &net,
+                &ctx,
+                &cache,
+                &dl,
+                Some(&packs),
+                &mut ws,
+                &mut fast,
+                false,
+            );
             assert_eq!(
                 plain_cache.acts, cache.acts,
                 "forward_ws diverged, seed {seed}"
             );
             assert_eq!(plain, fast, "backprop_ws diverged, seed {seed}");
             cache.give_back(&mut ws);
-            ws.give_vec(fast);
         }
         assert!(ws.stats().reuses > 0, "arena never recycled");
+    }
+
+    /// A batch backpropagated in blocks of `kc` frames, the first
+    /// overwriting the gradient and the rest accumulating onto it, sums
+    /// bitwise to the whole batch's gradient, ragged last block
+    /// included.
+    #[test]
+    fn kc_blocks_accumulate_bitwise_to_the_whole_batch() {
+        use pdnn_tensor::gemm::Blocking;
+        let mut rng = Prng::new(42);
+        let net: Network<f32> = Network::new(&[5, 9, 6, 4], Activation::Sigmoid, &mut rng);
+        for kc in [7usize, 64] {
+            let ctx = GemmContext::sequential().with_blocking(Blocking {
+                kc,
+                ..Blocking::default()
+            });
+            let frames = 3 * kc + 5;
+            let x: Matrix<f32> = Matrix::random_normal(frames, 5, 1.0, &mut rng);
+            let dl: Matrix<f32> = Matrix::random_normal(frames, 4, 1.0, &mut rng);
+            let want = backprop(&net, &ctx, &net.forward(&ctx, &x), &dl);
+            let mut ws = Workspace::new();
+            let mut got = vec![f32::NAN; net.num_params()];
+            for (i, r0) in (0..frames).step_by(kc).enumerate() {
+                let r1 = frames.min(r0 + kc);
+                let cache = net.forward_ws(&ctx, &x.rows_copy(r0, r1), None, &mut ws);
+                let d = dl.rows_copy(r0, r1);
+                backprop_ws(&net, &ctx, &cache, &d, None, &mut ws, &mut got, i > 0);
+                cache.give_back(&mut ws);
+            }
+            assert_eq!(got, want, "kc={kc}");
+        }
     }
 
     #[test]

@@ -219,8 +219,7 @@ pub fn gn_product_ws<T: Scalar>(
 
     // ---- 3. linearized backward -----------------------------------
     // Scratch take: the layer loop below writes every flat-gradient
-    // region exactly once (weights by copy, biases by column_sums_into
-    // which zero-fills first).
+    // region (weights by copy, biases zeroed, then summed into).
     let mut out = ws.take_vec_scratch(net.num_params());
     let mut offsets = Vec::with_capacity(layers.len());
     let mut off = 0;
@@ -240,7 +239,9 @@ pub fn gn_product_ws<T: Scalar>(
         }
         let base = offsets[l];
         out[base..base + gw.len()].copy_from_slice(gw.as_slice());
-        delta.column_sums_into(&mut out[base + gw.len()..base + gw.len() + layer.b.len()]);
+        let db = &mut out[base + gw.len()..base + gw.len() + layer.b.len()];
+        db.fill(T::ZERO);
+        delta.column_sums_into(db);
         ws.give_matrix(gw);
 
         if l > 0 {

@@ -98,7 +98,7 @@ pub fn softmax_rows_into<T: Scalar>(logits: &Matrix<T>, out: &mut Matrix<T>) {
 /// If `labels.len() != logits.rows()` or a label is out of range.
 pub fn cross_entropy<T: Scalar>(logits: &Matrix<T>, labels: &[u32]) -> LossOutput<T> {
     let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
-    let (loss, correct) = cross_entropy_into(logits, labels, &mut dlogits);
+    let (loss, correct) = cross_entropy_into(logits, labels, &mut dlogits, 0.0);
     LossOutput {
         loss,
         dlogits,
@@ -107,8 +107,10 @@ pub fn cross_entropy<T: Scalar>(logits: &Matrix<T>, labels: &[u32]) -> LossOutpu
 }
 
 /// [`cross_entropy`] with the logits-gradient written into `dlogits`
-/// (every element overwritten); returns the summed loss and the frames
-/// whose argmax matched.
+/// (every element overwritten); returns the running loss `loss`
+/// continued over the batch's frames, in order, and the frames whose
+/// argmax matched. Fed the running loss of the frames before it, a
+/// batch sums bitwise as it would inside a larger one.
 ///
 /// # Panics
 /// As [`cross_entropy`], or if `dlogits` is not shaped like `logits`.
@@ -116,6 +118,7 @@ pub fn cross_entropy_into<T: Scalar>(
     logits: &Matrix<T>,
     labels: &[u32],
     dlogits: &mut Matrix<T>,
+    mut loss: f64,
 ) -> (f64, usize) {
     assert_eq!(
         labels.len(),
@@ -130,7 +133,6 @@ pub fn cross_entropy_into<T: Scalar>(
         "cross_entropy: dlogits shape"
     );
     let classes = logits.cols();
-    let mut loss = 0.0f64;
     let mut correct = 0usize;
     for (r, &label) in labels.iter().enumerate() {
         let label = label as usize;
@@ -153,11 +155,15 @@ pub fn cross_entropy_into<T: Scalar>(
 
 /// Summed cross-entropy only (no gradient) — used by the held-out
 /// loss evaluations inside backtracking and line search, which are
-/// called many times per HF iteration.
-pub fn cross_entropy_loss_only<T: Scalar>(logits: &Matrix<T>, labels: &[u32]) -> (f64, usize) {
+/// called many times per HF iteration. Like [`cross_entropy_into`], it
+/// continues the running loss `loss` over the batch's frames.
+pub fn cross_entropy_loss_only<T: Scalar>(
+    logits: &Matrix<T>,
+    labels: &[u32],
+    mut loss: f64,
+) -> (f64, usize) {
     assert_eq!(labels.len(), logits.rows(), "loss_only label count");
     let mut scratch = vec![T::ZERO; logits.cols()];
-    let mut loss = 0.0f64;
     let mut correct = 0usize;
     for (r, &label) in labels.iter().enumerate() {
         let label = label as usize;
@@ -250,9 +256,28 @@ mod tests {
         let logits: Matrix<f32> = Matrix::from_vec(3, 2, vec![2.0, 0.0, 0.0, 2.0, 2.0, 0.0]);
         let out = cross_entropy(&logits, &[0, 1, 1]);
         assert_eq!(out.correct, 2);
-        let (loss2, correct2) = cross_entropy_loss_only(&logits, &[0, 1, 1]);
+        let (loss2, correct2) = cross_entropy_loss_only(&logits, &[0, 1, 1], 0.0);
         assert_eq!(correct2, 2);
         assert!((loss2 - out.loss).abs() < 1e-6);
+    }
+
+    /// A batch fed the running loss of the frames before it sums
+    /// bitwise as the whole batch does.
+    #[test]
+    fn running_loss_continues_bitwise() {
+        let mut rng = pdnn_util::Prng::new(3);
+        let logits: Matrix<f32> = Matrix::random_normal(7, 5, 3.0, &mut rng);
+        let labels = [4u32, 0, 2, 2, 1, 3, 0];
+        let whole = cross_entropy(&logits, &labels);
+        let (head, tail) = (logits.rows_copy(0, 3), logits.rows_copy(3, 7));
+        let mut d = Matrix::zeros(3, 5);
+        let (loss, c0) = cross_entropy_into(&head, &labels[..3], &mut d, 0.0);
+        let mut d = Matrix::zeros(4, 5);
+        let (loss, c1) = cross_entropy_into(&tail, &labels[3..], &mut d, loss);
+        assert_eq!((loss, c0 + c1), (whole.loss, whole.correct));
+        let (loss, _) = cross_entropy_loss_only(&head, &labels[..3], 0.0);
+        let (loss, _) = cross_entropy_loss_only(&tail, &labels[3..], loss);
+        assert_eq!(loss, whole.loss);
     }
 
     #[test]

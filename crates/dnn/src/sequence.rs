@@ -234,18 +234,30 @@ pub fn mmi_batch<T: Scalar>(
     graph: &DenominatorGraph,
 ) -> SequenceLossOutput<T> {
     let (mut ws, mut tables) = (Workspace::new(), Workspace::new());
-    mmi_batch_ws(logits, alignment, utt_lens, graph, &mut ws, &mut tables)
+    mmi_batch_ws(
+        logits,
+        alignment,
+        utt_lens,
+        graph,
+        0.0,
+        &mut ws,
+        &mut tables,
+    )
 }
 
 /// [`mmi_batch`] drawing its outputs from `ws` and its forward–backward
-/// tables from `tables` (bitwise the same result). The tables go back
-/// to `tables` before it returns; give the output matrices back to
-/// `ws` when done with them.
+/// tables from `tables` (bitwise the same result), its `loss` the
+/// running loss `loss` continued over the batch's utterances in order:
+/// fed the running loss of the utterances before it, a batch sums
+/// bitwise as it would inside a larger one. The tables go back to
+/// `tables` before it returns; give the output matrices back to `ws`
+/// when done with them.
 pub fn mmi_batch_ws<T: Scalar>(
     logits: &Matrix<T>,
     alignment: &[u32],
     utt_lens: &[usize],
     graph: &DenominatorGraph,
+    mut loss: f64,
     ws: &mut Workspace<T>,
     tables: &mut Workspace<f64>,
 ) -> SequenceLossOutput<T> {
@@ -263,7 +275,6 @@ pub fn mmi_batch_ws<T: Scalar>(
     // Every row of both is written below: the utterances cover the batch.
     let mut dlogits = ws.take_matrix_scratch(total, s);
     let mut gamma = ws.take_matrix_scratch(total, s);
-    let mut loss = 0.0f64;
     let mut start = 0usize;
     for &len in utt_lens {
         assert!(len > 0, "zero-length utterance");
@@ -752,7 +763,7 @@ mod tests {
         let logits = random_logits(1, 4, 3);
         let out = mmi_utterance(&logits, &[2], &g);
         let logits32 = logits.clone();
-        let (ce, _) = crate::loss::cross_entropy_loss_only(&logits32, &[2]);
+        let (ce, _) = crate::loss::cross_entropy_loss_only(&logits32, &[2], 0.0);
         assert!((out.loss - ce).abs() < 1e-9, "mmi={} ce={ce}", out.loss);
     }
 
@@ -846,7 +857,7 @@ mod tests {
         ws.give_vec(vec![f32::NAN; 64]);
         tables.give_vec(vec![f64::NAN; 64]);
         for _ in 0..2 {
-            let got = mmi_batch_ws(&logits, &align, &lens, &g, &mut ws, &mut tables);
+            let got = mmi_batch_ws(&logits, &align, &lens, &g, 0.0, &mut ws, &mut tables);
             assert_eq!(got.loss.to_bits(), want.loss.to_bits());
             let bits =
                 |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -856,6 +867,28 @@ mod tests {
             ws.give_matrix(got.dlogits);
             ws.give_matrix(got.den_posteriors);
         }
+        // Split at the utterance edge, the second half fed the first
+        // half's running loss: the whole batch's loss, bit for bit.
+        let (head, tail) = (logits.rows_copy(0, 4), logits.rows_copy(4, 9));
+        let first = mmi_batch_ws(
+            &head,
+            &align[..4],
+            &lens[..1],
+            &g,
+            0.0,
+            &mut ws,
+            &mut tables,
+        );
+        let both = mmi_batch_ws(
+            &tail,
+            &align[4..],
+            &lens[1..],
+            &g,
+            first.loss,
+            &mut ws,
+            &mut tables,
+        );
+        assert_eq!(both.loss.to_bits(), want.loss.to_bits());
     }
 
     #[test]

@@ -58,7 +58,7 @@ proptest! {
         let f = |theta: &[f64]| {
             let mut n = net.clone();
             n.set_flat(theta);
-            cross_entropy_loss_only(&n.logits(&ctx, &x), &labels).0
+            cross_entropy_loss_only(&n.logits(&ctx, &x), &labels, 0.0).0
         };
         let fd = gradcheck::fd_gradient(f, &theta0, 1e-5);
         let err = gradcheck::max_rel_error(&grad, &fd);

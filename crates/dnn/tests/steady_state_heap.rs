@@ -63,7 +63,8 @@ fn packed_step_has_zero_steady_state_heap_growth() {
     // throughout, every buffer handed back to the arena.
     let step = |ws: &mut Workspace<f32>| {
         let c = net.forward_ws(&ctx, &x, Some(&packs), ws);
-        let g = backprop_ws(&net, &ctx, &c, &dlogits, Some(&packs), ws);
+        let mut g = ws.take_vec_scratch(net.num_params());
+        backprop_ws(&net, &ctx, &c, &dlogits, Some(&packs), ws, &mut g, false);
         let gv = gn_product_ws(
             &net,
             &ctx,

@@ -1,8 +1,8 @@
-//! The seven project rules. Each rule takes a `SourceFile` and emits
+//! The project rules. Each rule takes a `SourceFile` and emits
 //! findings; scoping (which paths a rule applies to) lives here so
 //! RULES.md and the code stay side by side.
 
-use crate::source::{find_word, is_ident_char, SourceFile};
+use crate::source::{find_word, is_ident_char, match_brace, SourceFile};
 use crate::Finding;
 
 /// Static description of one rule, surfaced in `--help`-style listings
@@ -56,6 +56,13 @@ pub const RULES: &[RuleInfo] = &[
                   timed variant so a dead peer cannot block recovery; \
                   intentional blocking waits need a reasoned suppression",
     },
+    RuleInfo {
+        id: L9,
+        summary: "an ISA token value (`Avx2(())`, `Avx512(())`, `Fma(())`, \
+                  `Neon(())`, a token's `remake()`) is made only inside \
+                  `isa_token!` and the entry macros of gemm/dispatch.rs; \
+                  a kernel table is built from a token `detect` made",
+    },
 ];
 
 const L1: &str = "l1-sim-wall-clock";
@@ -66,6 +73,7 @@ const L5: &str = "l5-phase-span";
 const L6: &str = "l6-lossy-cast";
 const L7: &str = "l7-unsafe-outside-kernel";
 const L8: &str = "l8-timed-recv";
+const L9: &str = "l9-isa-token-origin";
 
 /// Rule ids owned by `pdnn-protomc`, the explicit-state model checker:
 /// global protocol properties proved by exhaustive exploration of the
@@ -143,6 +151,7 @@ pub(crate) fn run_all(file: &SourceFile) -> Vec<Finding> {
     l6_lossy_cast(file, &mut out);
     l7_unsafe_outside_kernel(file, &mut out);
     l8_timed_recv(file, &mut out);
+    l9_isa_token_origin(file, &mut out);
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
 }
@@ -573,6 +582,98 @@ fn l8_timed_recv(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// The file whose macros alone may make an ISA token value.
+const DISPATCH_PATH: &str = "crates/tensor/src/gemm/dispatch.rs";
+
+/// The ISA token types of `gemm/dispatch.rs`.
+const ISA_TOKENS: &[&str] = &["Avx2", "Avx512", "Fma", "Neon"];
+
+/// Byte ranges of the bodies of the `macro_rules!` definitions in the
+/// masked text that may make an ISA token: `isa_token!` and the
+/// `*_entry!` macros.
+fn token_macro_bodies(masked: &str) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = find_word(masked, "macro_rules", from) {
+        from = pos + 1;
+        let Some(rest) = masked[pos + "macro_rules".len()..]
+            .trim_start()
+            .strip_prefix('!')
+        else {
+            continue;
+        };
+        let rest = rest.trim_start();
+        let name_len = rest.find(|c: char| !is_ident_char(c)).unwrap_or(rest.len());
+        let name = &rest[..name_len];
+        if name != "isa_token" && !name.ends_with("_entry") {
+            continue;
+        }
+        let name_end = masked.len() - rest.len() + name_len;
+        if let Some(open) = masked[name_end..].find('{').map(|o| name_end + o) {
+            if let Some(close) = match_brace(masked, open) {
+                out.push(open..close);
+            }
+        }
+    }
+    out
+}
+
+/// The identifier (with a leading `$` for a macro metavariable) that
+/// ends just before byte `end`.
+fn ident_before(masked: &str, end: usize) -> &str {
+    let start = masked[..end]
+        .rfind(|c: char| !is_ident_char(c))
+        .map_or(0, |p| p + 1);
+    let start = if masked[..start].ends_with('$') {
+        start - 1
+    } else {
+        start
+    };
+    &masked[start..end]
+}
+
+/// A token made in place outside `isa_token!` and the `*_entry!`
+/// macros would let a kernel table be built, and its kernels run, on a
+/// CPU that `detect` never probed. Test code is not exempt: a test can
+/// run on such a CPU too.
+fn l9_isa_token_origin(file: &SourceFile, out: &mut Vec<Finding>) {
+    if !file.path.ends_with(".rs") {
+        return;
+    }
+    let masked = &file.masked;
+    let allowed = if file.path == DISPATCH_PATH {
+        token_macro_bodies(masked)
+    } else {
+        Vec::new()
+    };
+    let mut sites = Vec::new();
+    for (pos, _) in masked.match_indices("(())") {
+        let name = ident_before(masked, pos);
+        if ISA_TOKENS.contains(&name) || name.starts_with('$') {
+            sites.push(pos - name.len());
+        }
+    }
+    for (pos, _) in masked.match_indices("::remake") {
+        let name = ident_before(masked, pos);
+        sites.push(pos - name.len());
+    }
+    sites.sort_unstable();
+    for pos in sites {
+        if !allowed.iter().any(|r| r.contains(&pos)) {
+            out.push(Finding::new(
+                file,
+                L9,
+                pos,
+                "an ISA token made in place; a kernel table must be built \
+                 from a token `detect` made (only `isa_token!` and the \
+                 entry macros of crates/tensor/src/gemm/dispatch.rs make \
+                 one)"
+                    .to_string(),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,6 +834,40 @@ fn f(x: f64, n: u32) -> bool {
         let masked = "#[cfg(test)]\nmod tests {\n    fn t(p: *mut u8) { unsafe { p.write(0) } }\n}\nfn f() { let s = \"unsafe\"; }\n";
         let hits = findings_for("crates/core/src/x.rs", masked);
         assert!(hits.iter().all(|f| f.rule != L7), "{hits:?}");
+    }
+
+    #[test]
+    fn l9_flags_a_kernel_table_built_from_an_in_place_token() {
+        let dispatch = "crates/tensor/src/gemm/dispatch.rs";
+        // The tree's own shape: tokens made only inside `isa_token!`
+        // and the entry macros.
+        let ok = "mod token {\n    macro_rules! isa_token {\n        ($t:ident) => { pub fn detect() -> Option<$t> { Some($t(())) } unsafe fn remake() -> $t { $t(()) } };\n    }\n}\n\
+                  macro_rules! tile_entry {\n    ($isa:ident, $k:path) => {{ fn entry() { unsafe { $k($isa::remake()) } } entry }};\n}\n\
+                  fn avx2(t: Avx2) -> Kernels { Kernels::avx2(t) }\n";
+        let hits = findings_for(dispatch, ok);
+        assert!(hits.iter().all(|f| f.rule != L9), "{hits:?}");
+        // A table built from an in-place token, by either spelling,
+        // fails in dispatch.rs and anywhere else, test code included.
+        let bad = [
+            "fn table() -> Kernels { Kernels::avx2(unsafe { Avx2::remake() }) }\n",
+            "fn table() -> Kernels { Kernels::scalar_fma(Fma(())) }\n",
+            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = Kernels::neon(Neon(())); }\n}\n",
+            "macro_rules! helper {\n    () => { Avx512(()) };\n}\n",
+        ];
+        for src in bad {
+            for path in [dispatch, "crates/tensor/src/gemm/backend.rs"] {
+                let hits = findings_for(path, src);
+                assert_eq!(
+                    hits.iter().filter(|f| f.rule == L9).count(),
+                    1,
+                    "{path}: {src}"
+                );
+            }
+        }
+        // Strings, comments and look-alikes do not count.
+        let masked = "// Avx2(()) does not compile here\nfn f() { let _ = \"Fma(())\"; let _ = Foo(()); g(()); }\n";
+        let hits = findings_for(dispatch, masked);
+        assert!(hits.iter().all(|f| f.rule != L9), "{hits:?}");
     }
 
     #[test]

@@ -111,12 +111,14 @@ pub(super) fn run<T: Scalar>(
     }
     // Stripe height: small enough to give the pool ~3 stripes per
     // thread for load balance, never below the micro-tile and never
-    // above MC (the L2 A-panel budget). Both bounds are multiples of
-    // MR, so every stripe starts on a row panel of a `PackedA`.
+    // above MC (the L2 A-panel budget), rounded down to MR. Both bounds
+    // are multiples of MR whatever MC is, so every stripe starts on a
+    // row panel of a `PackedA` and its A panels fit the `sh`-row
+    // scratch.
     let sh = m
         .div_ceil(ctx.threads * 3)
         .next_multiple_of(MR)
-        .clamp(MR, blocking.mc);
+        .clamp(MR, (blocking.mc / MR * MR).max(MR));
     let dims = Dims {
         m,
         n,

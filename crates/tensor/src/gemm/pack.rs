@@ -183,20 +183,21 @@ mod tests {
 
     #[test]
     fn pack_a_notrans_layout() {
-        let a = sample(10, 6);
-        let (ic, mc, pc, kc): (usize, usize, usize, usize) = (1, 10 - 1, 2, 3);
+        // One full panel plus one live row, whatever MR is.
+        let a = sample(MR + 2, 6);
+        let (ic, mc, pc, kc): (usize, usize, usize, usize) = (1, MR + 1, 2, 3);
         let panels = mc.div_ceil(MR);
+        assert_eq!(panels, 2);
         let mut buf = vec![-1.0f32; panels * kc * MR];
         pack_a(&a, Trans::N, ic, mc, pc, kc, &mut buf);
         // Element (i=0, kk=0) of panel 0 is A[1, 2].
         assert_eq!(buf[0], a[(1, 2)]);
         // Element (i=3, kk=2) of panel 0 is A[4, 4].
         assert_eq!(buf[2 * MR + 3], a[(4, 4)]);
-        // Panel 1 row 0 is A[1 + MR, 2].
+        // Panel 1 row 0 is A[1 + MR, 2], the block's last live row.
         assert_eq!(buf[kc * MR], a[(1 + MR, 2)]);
-        // Panel 1 has a single live row (mc=9, MR=8); the next row
-        // slot is padding and must be zero.
         assert_eq!(buf[kc * MR], a[(1 + mc - 1, 2)]);
+        // The next row slot of panel 1 is padding and must be zero.
         assert_eq!(buf[kc * MR + 1], 0.0);
     }
 

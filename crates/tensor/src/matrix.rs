@@ -211,21 +211,16 @@ impl<T: Scalar> Matrix<T> {
     /// Sum over rows: returns a length-`cols` vector of column sums.
     pub fn column_sums(&self) -> Vec<T> {
         let mut out = vec![T::ZERO; self.cols];
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &v) in out.iter_mut().zip(row.iter()) {
-                *o += v;
-            }
-        }
+        self.column_sums_into(&mut out);
         out
     }
 
-    /// Sum over rows into a caller-provided buffer (allocation-free
-    /// [`Self::column_sums`]; identical accumulation order, so results
-    /// are bitwise equal).
+    /// Add the rows, in order, onto a caller-provided buffer. On a
+    /// zeroed `out` this is [`Self::column_sums`] bit for bit; on the
+    /// sums of earlier rows it continues them, so a batch summed in
+    /// row blocks, block after block, is bitwise the whole batch's sum.
     pub fn column_sums_into(&self, out: &mut [T]) {
         assert_eq!(out.len(), self.cols, "column_sums_into: out length != cols");
-        out.fill(T::ZERO);
         for r in 0..self.rows {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             for (o, &v) in out.iter_mut().zip(row.iter()) {

@@ -20,7 +20,8 @@
 //! comparing.
 //!
 //! Covered: the serial `DnnProblem` × {CE, sequence} and CE once more
-//! in 64-frame chunks (telemetry from manual-clock recorders on the
+//! under a 64-deep GEMM k-block, so its streamed passes run in 64-frame
+//! chunks (telemetry from manual-clock recorders on the
 //! problem and on the optimizer; no comm events); {master, ring, tree}
 //! × {none, f16, int8} × {CE, sequence} under the frozen clock; one
 //! perturbed-schedule seed per sync mode; and one mid-training kill
@@ -37,7 +38,7 @@ use pdnn::mpisim::{events_to_jsonl, FaultPlan, WireCodec};
 use pdnn::obs::jsonl::to_jsonl_string;
 use pdnn::obs::InMemoryRecorder;
 use pdnn::speech::{Corpus, CorpusSpec};
-use pdnn::tensor::gemm::GemmContext;
+use pdnn::tensor::gemm::{Blocking, GemmContext};
 use pdnn::util::Prng;
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,19 +64,18 @@ fn digest_serial(
     corpus: &Corpus,
     net0: &Network<f32>,
     objective: &Objective,
-    max_batch_frames: usize,
+    ctx: GemmContext,
 ) {
     let (train_ids, held_ids) = corpus.split_heldout(0.2);
     let problem_rec = Arc::new(InMemoryRecorder::with_manual_clock());
     let optimizer_rec = Arc::new(InMemoryRecorder::with_manual_clock());
     let mut problem = DnnProblem::new(
         net0.clone(),
-        GemmContext::sequential(),
+        ctx,
         corpus.shard(&train_ids),
         corpus.shard(&held_ids),
         objective.clone(),
     )
-    .with_max_batch_frames(max_batch_frames)
     .with_recorder(problem_rec.clone());
     let mut hf = HfConfig::small_task();
     hf.max_iters = 3;
@@ -137,10 +137,15 @@ fn main() {
     let syncs = [SyncStrategy::Master, SyncStrategy::Ring, SyncStrategy::Tree];
 
     let ce = Objective::CrossEntropy;
-    digest_serial("serial/ce", &corpus, &net0, &ce, usize::MAX);
-    digest_serial("serial/seq", &corpus, &net0, &sequence, usize::MAX);
+    let sequential = GemmContext::sequential;
+    digest_serial("serial/ce", &corpus, &net0, &ce, sequential());
+    digest_serial("serial/seq", &corpus, &net0, &sequence, sequential());
     // Several chunks per gradient and per held-out evaluation.
-    digest_serial("serial/ce/chunked", &corpus, &net0, &ce, 64);
+    let kc64 = sequential().with_blocking(Blocking {
+        kc: 64,
+        ..Blocking::default()
+    });
+    digest_serial("serial/ce/chunked", &corpus, &net0, &ce, kc64);
     for sync in syncs {
         for codec in [WireCodec::None, WireCodec::F16, WireCodec::Int8] {
             for (name, objective) in [("ce", &Objective::CrossEntropy), ("seq", &sequence)] {

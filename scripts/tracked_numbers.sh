@@ -7,12 +7,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Non-test lines of the given files: each file counts up to its first
-# `#[cfg(test)]` line.
+# Non-test lines of the given files: every line but each
+# `#[cfg(test)]` item (scripts/nontest.awk).
 nontest() {
   [ "$#" -gt 0 ] || { echo 0; return; }
-  awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' "$@"
+  awk -f scripts/nontest.awk "$@"
 }
+
+# The counter first counts its fixture, whose first line states the
+# answer: a miscount stops the script instead of printing wrong numbers.
+fixture=scripts/fixtures/nontest_mid_file.rs
+want=$(sed -n '1s/^\/\/ non-test lines: //p' "$fixture")
+got=$(nontest "$fixture")
+[ "$got" = "$want" ] || { echo "nontest counts $got lines of $fixture, want $want" >&2; exit 1; }
 
 # Every tracked line of the given files.
 total() {
@@ -26,9 +33,9 @@ files() {
 }
 
 # `.rs` files matching the pathspecs, minus `benchmark/`, every
-# `tests/` directory and `run_digest.rs`.
+# `tests/` and `fixtures/` directory and `run_digest.rs`.
 sources() {
-  files "$@" | grep -v -e '^benchmark/' -e '/tests/' -e '^tests/' -e 'run_digest\.rs$' || true
+  files "$@" | grep -v -e '^benchmark/' -e '/tests/' -e '^tests/' -e '/fixtures/' -e 'run_digest\.rs$' || true
 }
 
 mapfile -t workspace < <(sources '*.rs')
