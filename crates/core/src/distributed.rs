@@ -66,7 +66,7 @@ use crate::config::HfConfig;
 use crate::optimizer::{HfOptimizer, IterStats};
 use crate::problem::{HeldoutEval, HfProblem, Objective};
 use crate::protocol::{self, Frame, Opcode};
-use crate::shard::{report_memory, ShardEngine};
+use crate::shard::{report_memory, RankMemory, ShardEngine};
 use crate::stopping::StopState;
 use pdnn_dnn::network::Network;
 use pdnn_mpisim::{
@@ -569,7 +569,12 @@ impl HfProblem for MasterProblem<'_> {
             })
             .unwrap_or_else(|| vec![0.0f32; v.len()]);
         let pool = self.comm.payload_pool().high_water_bytes();
-        report_memory(&*self.rec, self.ws.stats(), Some(pool));
+        let mem = RankMemory {
+            arena: self.ws.stats(),
+            pack_bytes: 0,
+            model_bytes: (self.theta.len() * std::mem::size_of::<f32>()) as u64,
+        };
+        report_memory(&*self.rec, mem, Some(pool));
         gv
     }
 
@@ -716,7 +721,7 @@ fn worker_loop(
             Opcode::GnProduct => {
                 engine.recycle(std::mem::take(&mut frame.sum));
                 let pool = comm.payload_pool().high_water_bytes();
-                report_memory(&*engine.rec, engine.arena_stats(), Some(pool));
+                report_memory(&*engine.rec, engine.memory(), Some(pool));
             }
             // The shutdown row's closing barrier means no rank exits
             // while another may still be mid-collective, so the
@@ -887,7 +892,7 @@ impl HfProblem for DecentralProblem<'_> {
             })
             .unwrap_or_else(|| vec![0.0f32; self.cg_range(v.len()).len()]);
         let pool = self.comm.payload_pool().high_water_bytes();
-        report_memory(&*self.rec, self.engine.arena_stats(), Some(pool));
+        report_memory(&*self.rec, self.engine.memory(), Some(pool));
         gv
     }
 

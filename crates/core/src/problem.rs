@@ -216,7 +216,7 @@ impl HfProblem for DnnProblem {
     fn gn_product(&mut self, v: &[f32]) -> Vec<f32> {
         let (gv, frames) = self.engine.gn_sums(v);
         let gv = mean_of(gv, frames);
-        report_memory(&*self.engine.rec, self.engine.arena_stats(), None);
+        report_memory(&*self.engine.rec, self.engine.memory(), None);
         gv
     }
 
@@ -264,20 +264,6 @@ pub fn sample_utterances(utt_lens: &[usize], fraction: f64, seed: u64) -> Vec<us
 
 /// Copy the given utterances out of a shard into a contiguous batch.
 pub fn extract_utterances(shard: &Shard, ids: &[usize]) -> (Matrix<f32>, Vec<u32>, Vec<usize>) {
-    let (mut x, mut labels, mut utt_lens) = (Matrix::zeros(0, 0), Vec::new(), Vec::new());
-    extract_utterances_into(shard, ids, &mut x, &mut labels, &mut utt_lens);
-    (x, labels, utt_lens)
-}
-
-/// [`extract_utterances`] into the given buffers, which keep their
-/// memory: a batch no larger than the last one allocates nothing.
-pub(crate) fn extract_utterances_into(
-    shard: &Shard,
-    ids: &[usize],
-    x: &mut Matrix<f32>,
-    labels: &mut Vec<u32>,
-    utt_lens: &mut Vec<usize>,
-) {
     // Row offsets of each utterance in the shard.
     let mut offsets = Vec::with_capacity(shard.utt_lens.len() + 1);
     let mut acc = 0usize;
@@ -295,9 +281,8 @@ pub(crate) fn extract_utterances_into(
             shard.utt_lens[i]
         })
         .sum();
-    x.reshape_reusing(total, dim);
-    labels.clear();
-    utt_lens.clear();
+    let mut x = Matrix::zeros(total, dim);
+    let (mut labels, mut utt_lens) = (Vec::new(), Vec::new());
     let mut row = 0usize;
     for &i in ids {
         let (lo, hi) = (offsets[i], offsets[i + 1]);
@@ -307,6 +292,7 @@ pub(crate) fn extract_utterances_into(
         utt_lens.push(len);
         row += len;
     }
+    (x, labels, utt_lens)
 }
 
 #[cfg(test)]

@@ -28,10 +28,21 @@
 //! `dW` merges into the running gradient, and the bias sums and the
 //! `f64` loss continue one running accumulator in frame order. Every
 //! other pass is row-independent.
+//!
+//! **The curvature sample, held once.** [`ShardEngine::draw_sample`]
+//! forwards the sample in the same chunks, straight into its two packed
+//! layouts ([`PackedActivations`]), and keeps only those, its logits
+//! and its distribution: no raw activations. Each Gauss–Newton product
+//! then walks the packed chunks (`gn_product_packed`), bitwise the
+//! whole sample's product, with chunk-sized scratch, so a rank's memory
+//! does not grow with the sample beyond the packs themselves. The
+//! held-out pass reads the trial θ in place (`Network::logits_at`), so
+//! no second network is kept for it.
 
-use crate::problem::{extract_utterances_into, sample_utterances, Objective};
+use crate::problem::{sample_utterances, Objective};
 use pdnn_dnn::backprop::backprop_ws;
-use pdnn_dnn::gauss_newton::{gn_product_ws, Curvature};
+use pdnn_dnn::fisher::empirical_fisher_diagonal_into;
+use pdnn_dnn::gauss_newton::{gn_product_packed, Curvature};
 use pdnn_dnn::loss::{cross_entropy_into, cross_entropy_loss_only, softmax_rows_into};
 use pdnn_dnn::network::{ForwardCache, Network};
 use pdnn_dnn::packed::{PackedActivations, PackedWeights};
@@ -45,21 +56,47 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// The cached curvature minibatch of one CG solve. Its activations and
-/// distribution are arena takes, given back when the sample is dropped.
+/// The curvature minibatch of one CG solve, less its activations: those
+/// are held once, packed chunk by chunk, in the engine's
+/// `sample_packs`. Its logits and distribution are arena takes, given
+/// back when the sample is dropped.
 struct CurvatureSample {
     labels: Vec<u32>,
     utt_lens: Vec<usize>,
-    /// The forward pass of the sample; its input `acts[0]` is the
-    /// gathered frames.
-    cache: ForwardCache<f32>,
+    /// The shard frames of each sampled utterance, in sample order: the
+    /// sample's frames are these laid end to end.
+    spans: Vec<Range<usize>>,
+    /// The sample's logits (the MMI denominator and the Fisher
+    /// diagonal's dlogits need whole utterances).
+    logits: Matrix<f32>,
     /// Softmax rows (CE) or denominator occupancies (MMI).
     dist: Matrix<f32>,
 }
 
 impl CurvatureSample {
     fn frames(&self) -> f64 {
-        self.cache.acts[0].rows() as f64
+        self.logits.rows() as f64
+    }
+}
+
+/// Copy frames `rows` of a sample, the frames of `shard_x` at `spans`
+/// laid end to end, into `x`.
+fn gather_sample_rows(
+    shard_x: &Matrix<f32>,
+    spans: &[Range<usize>],
+    rows: &Range<usize>,
+    x: &mut Matrix<f32>,
+) {
+    let cols = x.cols();
+    let mut at = 0;
+    for span in spans {
+        let (lo, hi) = (rows.start.max(at), rows.end.min(at + span.len()));
+        if lo < hi {
+            let src = span.start + (lo - at);
+            x.as_mut_slice()[(lo - rows.start) * cols..(hi - rows.start) * cols]
+                .copy_from_slice(shard_x.rows_slice(src, src + (hi - lo)));
+        }
+        at += span.len();
     }
 }
 
@@ -85,33 +122,45 @@ fn ensure_packs(
     }
 }
 
+/// What a rank's memory gauges are made of.
+pub(crate) struct RankMemory {
+    /// Its arena's counters (high water and reuse).
+    pub(crate) arena: WorkspaceStats,
+    /// Bytes of its weight packs and packed curvature sample.
+    pub(crate) pack_bytes: u64,
+    /// Bytes of its model's parameters.
+    pub(crate) model_bytes: u64,
+}
+
 /// Publish a rank's memory gauges: its owner's `arena_*` counters,
-/// its thread's `gemm_scratch_bytes`, its communicator's
-/// `payload_pool_high_water_bytes` (if any), and their sum
-/// `memory_high_water_bytes`.
-pub(crate) fn report_memory(rec: &dyn Recorder, arena: WorkspaceStats, pool: Option<u64>) {
+/// its thread's `gemm_scratch_bytes`, its `pack_bytes` and
+/// `model_bytes`, its communicator's `payload_pool_high_water_bytes`
+/// (if any), and their sum `memory_high_water_bytes`.
+pub(crate) fn report_memory(rec: &dyn Recorder, mem: RankMemory, pool: Option<u64>) {
     let scratch = pdnn_tensor::gemm::scratch::retained_bytes() as u64;
-    rec.gauge_set("arena_bytes_reused", arena.bytes_reused as f64);
-    rec.gauge_set("arena_high_water_bytes", arena.high_water_bytes as f64);
+    rec.gauge_set("arena_bytes_reused", mem.arena.bytes_reused as f64);
+    rec.gauge_set("arena_high_water_bytes", mem.arena.high_water_bytes as f64);
     rec.gauge_set("gemm_scratch_bytes", scratch as f64);
+    rec.gauge_set("pack_bytes", mem.pack_bytes as f64);
+    rec.gauge_set("model_bytes", mem.model_bytes as f64);
     if let Some(bytes) = pool {
         rec.gauge_set("payload_pool_high_water_bytes", bytes as f64);
     }
-    let total = arena.high_water_bytes + scratch + pool.unwrap_or(0);
+    let total =
+        mem.arena.high_water_bytes + scratch + mem.pack_bytes + mem.model_bytes + pool.unwrap_or(0);
     rec.gauge_set("memory_high_water_bytes", total as f64);
 }
 
-/// Summed loss + dlogits of a batch under the objective, the dlogits
-/// an arena take: hand them back to `ws`.
+/// Summed loss + dlogits of a batch's `logits` under the objective,
+/// the dlogits an arena take: hand them back to `ws`.
 fn eval_objective(
     objective: &Objective,
-    cache: &ForwardCache<f32>,
+    logits: &Matrix<f32>,
     labels: &[u32],
     utt_lens: &[usize],
     ws: &mut Workspace<f32>,
     tables: &mut Workspace<f64>,
 ) -> (f64, Matrix<f32>) {
-    let logits = cache.logits();
     match objective {
         Objective::CrossEntropy => {
             let mut dlogits = ws.take_matrix_scratch(logits.rows(), logits.cols());
@@ -253,9 +302,6 @@ pub(crate) struct ShardEngine<'a> {
     ctx: GemmContext,
     objective: Cow<'a, Objective>,
     net: Network<f32>,
-    /// Trial-θ evaluation network (held-out probes never disturb the
-    /// packed weights of `net`).
-    scratch: Network<f32>,
     train: Shard,
     heldout: Shard,
     /// The rank's memory owner: every `f32` buffer of every phase is
@@ -266,8 +312,9 @@ pub(crate) struct ShardEngine<'a> {
     tables: Workspace<f64>,
     packs: Option<PackedWeights<f32>>,
     sample: Option<CurvatureSample>,
-    /// Prepacked activation operands of the sample, reused by every
-    /// product of the solve and repacked in place by the next draw.
+    /// The sample's activations, held only here: packed chunk by chunk
+    /// by the draw, read by every product of the solve, and repacked
+    /// in place by the next draw.
     sample_packs: PackedActivations<f32>,
 }
 
@@ -286,7 +333,6 @@ impl<'a> ShardEngine<'a> {
             rec,
             ctx,
             objective,
-            scratch: net.clone(),
             net,
             train,
             heldout,
@@ -317,10 +363,22 @@ impl<'a> ShardEngine<'a> {
         stats
     }
 
+    /// The rank's memory: its arena, its packs (weights and sample) and
+    /// its model.
+    pub(crate) fn memory(&self) -> RankMemory {
+        let weights = self.packs.as_ref().map_or(0, PackedWeights::bytes);
+        RankMemory {
+            arena: self.arena_stats(),
+            pack_bytes: (weights + self.sample_packs.bytes()) as u64,
+            model_bytes: (self.net.num_params() * std::mem::size_of::<f32>()) as u64,
+        }
+    }
+
     /// Drop the curvature sample, giving its buffers back.
     fn drop_sample(&mut self) {
+        self.sample_packs.clear();
         if let Some(s) = self.sample.take() {
-            s.cache.give_back(&mut self.ws);
+            self.ws.give_matrix(s.logits);
             self.ws.give_matrix(s.dist);
         }
     }
@@ -455,7 +513,9 @@ impl<'a> ShardEngine<'a> {
 
     /// Redraw the curvature sample: a `fraction` of the local
     /// utterances from a per-rank stream, so the overall sample is the
-    /// union of the per-rank samples.
+    /// union of the per-rank samples. The sample is forwarded in chunks
+    /// of `kc` frames, each packed straight into `sample_packs`; only
+    /// the packs, the logits and the distribution are kept.
     pub(crate) fn draw_sample(&mut self, seed: u64, fraction: f64, rank: usize) {
         self.drop_sample();
         let _s = self
@@ -466,45 +526,77 @@ impl<'a> ShardEngine<'a> {
         }
         let rank_seed = seed ^ (rank as u64).wrapping_mul(0xA24B_AED4_963E_E407);
         let ids = sample_utterances(&self.train.utt_lens, fraction, rank_seed);
-        let rows: usize = ids.iter().map(|&i| self.train.utt_lens[i]).sum();
+        let starts: Vec<usize> = self
+            .train
+            .utt_lens
+            .iter()
+            .scan(0, |at, &len| {
+                *at += len;
+                Some(*at - len)
+            })
+            .collect();
+        let spans: Vec<Range<usize>> = ids
+            .iter()
+            .map(|&i| starts[i]..starts[i] + self.train.utt_lens[i])
+            .collect();
+        let rows: usize = spans.iter().map(Range::len).sum();
         if rows == 0 {
             return;
         }
-        let ws = &mut self.ws;
-        let mut x = ws.take_matrix_scratch(rows, self.train.x.cols());
-        let (mut labels, mut utt_lens) = (Vec::new(), Vec::new());
-        extract_utterances_into(&self.train, &ids, &mut x, &mut labels, &mut utt_lens);
+        let labels: Vec<u32> = spans
+            .iter()
+            .flat_map(|span| &self.train.labels[span.clone()])
+            .copied()
+            .collect();
+        let utt_lens: Vec<usize> = spans.iter().map(Range::len).collect();
         // The weight packs serve the sample forward too: bitwise the
         // unpacked forward.
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
-        let cache = self
-            .net
-            .forward_taken(&self.ctx, x, self.packs.as_ref(), ws);
-        let logits = cache.logits();
+        let (net, ctx, packs) = (&self.net, &self.ctx, self.packs.as_ref());
+        let ws = &mut self.ws;
+        let classes = net.output_dim();
+        // Scratch take: every chunk writes its rows.
+        let mut logits = ws.take_matrix_scratch(rows, classes);
+        for chunk in chunks(rows, ctx.blocking().kc) {
+            let mut x = ws.take_matrix_scratch(chunk.len(), self.train.x.cols());
+            gather_sample_rows(&self.train.x, &spans, &chunk, &mut x);
+            let cache = net.forward_taken(ctx, x, packs, ws);
+            self.sample_packs.push_chunk(&cache, ctx);
+            logits.as_mut_slice()[chunk.start * classes..chunk.end * classes]
+                .copy_from_slice(cache.logits().as_slice());
+            cache.give_back(ws);
+        }
         let dist = match &*self.objective {
             Objective::CrossEntropy => {
-                let mut dist = ws.take_matrix_scratch(logits.rows(), logits.cols());
-                softmax_rows_into(logits, &mut dist);
+                let mut dist = ws.take_matrix_scratch(rows, classes);
+                softmax_rows_into(&logits, &mut dist);
                 dist
             }
             Objective::Sequence(graph) => {
-                let out =
-                    mmi_batch_ws(logits, &labels, &utt_lens, graph, 0.0, ws, &mut self.tables);
+                let out = mmi_batch_ws(
+                    &logits,
+                    &labels,
+                    &utt_lens,
+                    graph,
+                    0.0,
+                    ws,
+                    &mut self.tables,
+                );
                 ws.give_matrix(out.dlogits);
                 out.den_posteriors
             }
         };
-        self.sample_packs.repack(&cache, &self.ctx);
         self.sample = Some(CurvatureSample {
             labels,
             utt_lens,
-            cache,
+            spans,
+            logits,
             dist,
         });
     }
 
-    /// `(Σ G·v, frames)` over the curvature sample; zeros over zero
-    /// frames when this rank drew none.
+    /// `(Σ G·v, frames)` over the curvature sample, streamed over its
+    /// packed chunks; zeros over zero frames when this rank drew none.
     pub(crate) fn gn_sums(&mut self, v: &[f32]) -> (Vec<f32>, f64) {
         let _s = self
             .rec
@@ -513,21 +605,22 @@ impl<'a> ShardEngine<'a> {
             return (self.ws.take_vec(self.net.num_params()), 0.0);
         };
         ensure_packs(&mut self.packs, &self.net, &self.ctx, &*self.rec);
-        let gv = gn_product_ws(
+        let gv = gn_product_packed(
             &self.net,
             &self.ctx,
-            &s.cache,
+            &self.sample_packs,
             Curvature::Fisher(&s.dist),
             v,
             self.packs.as_ref(),
-            Some(&self.sample_packs),
             &mut self.ws,
         );
         (gv, s.frames())
     }
 
     /// `(Σ empirical-Fisher diagonal, frames)` over the curvature
-    /// sample.
+    /// sample: the dlogits from the kept logits, then each chunk
+    /// forwarded again (the forward is batch-invariant, so bitwise the
+    /// draw's activations) and summed in like a gradient chunk.
     pub(crate) fn fisher_sums(&mut self) -> (Vec<f32>, f64) {
         let _s = self
             .rec
@@ -535,22 +628,31 @@ impl<'a> ShardEngine<'a> {
         let Some(s) = &self.sample else {
             return (self.ws.take_vec(self.net.num_params()), 0.0);
         };
+        // The draw packed the weights of this θ (a new θ drops the
+        // sample).
+        let (net, ctx, packs) = (&self.net, &self.ctx, self.packs.as_ref());
         let (ws, tables) = (&mut self.ws, &mut self.tables);
         let (_, dlogits) = eval_objective(
             &self.objective,
-            &s.cache,
+            &s.logits,
             &s.labels,
             &s.utt_lens,
             ws,
             tables,
         );
-        let diag =
-            pdnn_dnn::fisher::empirical_fisher_diagonal(&self.net, &self.ctx, &s.cache, &dlogits);
-        ws.give_matrix(dlogits);
         // Returned in an arena buffer, so handing it back parks only
-        // what the arena gave out.
-        let mut out = self.ws.take_vec_scratch(diag.len());
-        out.copy_from_slice(&diag);
+        // what the arena gave out; the first chunk writes all of it.
+        let mut out = ws.take_vec_scratch(net.num_params());
+        for (i, rows) in chunks(dlogits.rows(), ctx.blocking().kc).enumerate() {
+            let mut x = ws.take_matrix_scratch(rows.len(), self.train.x.cols());
+            gather_sample_rows(&self.train.x, &s.spans, &rows, &mut x);
+            let cache = net.forward_taken(ctx, x, packs, ws);
+            let d = chunk_input(&dlogits, &rows, ws);
+            empirical_fisher_diagonal_into(net, ctx, &cache, &d, &mut out, i > 0);
+            recycle_chunk(d, ws);
+            cache.give_back(ws);
+        }
+        ws.give_matrix(dlogits);
         (out, s.frames())
     }
 
@@ -563,10 +665,10 @@ impl<'a> ShardEngine<'a> {
         if self.heldout.frames() == 0 {
             return [0.0; 3];
         }
-        // Trial weights change every call: no packs, but the arena
-        // recycles the activation scratch.
-        self.scratch.set_flat(theta);
-        let (net, ctx, heldout) = (&self.scratch, &self.ctx, &self.heldout);
+        // Trial weights change every call: no packs, the GEMMs read
+        // them in place from `theta`, and the arena recycles the
+        // activation scratch.
+        let (net, ctx, heldout) = (&self.net, &self.ctx, &self.heldout);
         let (ws, tables) = (&mut self.ws, &mut self.tables);
         let mut loss = 0.0f64;
         let mut correct = 0usize;
@@ -574,7 +676,7 @@ impl<'a> ShardEngine<'a> {
         let mut open: VecDeque<(Range<usize>, Matrix<f32>)> = VecDeque::new();
         for rows in chunks(heldout.frames(), ctx.blocking().kc) {
             let x = chunk_input(&heldout.x, &rows, ws);
-            let logits = net.logits_ws(ctx, &x, None, ws);
+            let logits = net.logits_at(ctx, &x, theta, ws);
             recycle_chunk(x, ws);
             let labels = &heldout.labels[rows.clone()];
             match &*self.objective {
@@ -762,5 +864,75 @@ mod tests {
             e.arena_stats().high_water_bytes
         };
         assert_eq!(high_water(4 * kc), high_water(16 * kc));
+    }
+
+    /// A shard of one `frames`-frame utterance, from the front of a
+    /// corpus of `utterances`.
+    fn one_utterance(frames: usize) -> (Shard, Network<f32>) {
+        let corpus = Corpus::generate(CorpusSpec {
+            utterances: 40,
+            ..CorpusSpec::tiny(5)
+        });
+        let all: Vec<usize> = (0..corpus.utterances().len()).collect();
+        let whole = corpus.shard(&all);
+        assert!(
+            whole.frames() >= frames,
+            "corpus of {} frames",
+            whole.frames()
+        );
+        let mut rng = Prng::new(1);
+        let dims = [corpus.spec().feature_dim, 16, corpus.spec().states];
+        let shard = Shard {
+            x: whole.x.rows_copy(0, frames),
+            labels: whole.labels[..frames].to_vec(),
+            utt_lens: vec![frames],
+        };
+        (shard, Network::new(&dims, Activation::Sigmoid, &mut rng))
+    }
+
+    /// The sample is held once, as packed chunks, and a GN solve's
+    /// scratch is chunk-sized: over samples of 4 and 16 chunks the
+    /// arena peaks at the same high water.
+    #[test]
+    fn gn_solve_working_set_is_one_chunk() {
+        let kc = 32;
+        let high_water = |frames: usize| {
+            let (shard, net) = one_utterance(frames);
+            let mut e = engine_on(with_kc(kc), &net, Objective::CrossEntropy, shard);
+            e.draw_sample(7, 1.0, 0);
+            let mut rng = Prng::new(2);
+            for _ in 0..3 {
+                let v: Vec<f32> = (0..net.num_params()).map(|_| rng.normal() as f32).collect();
+                let (gv, n) = e.gn_sums(&v);
+                assert_eq!(n, frames as f64);
+                e.recycle(gv);
+            }
+            e.arena_stats().high_water_bytes
+        };
+        assert_eq!(high_water(4 * kc), high_water(16 * kc));
+    }
+
+    /// The packs the draw builds chunk by chunk are the packs of the
+    /// whole sample's forward pass, and the engine holds no other copy
+    /// of its activations.
+    #[test]
+    fn drawn_packs_are_the_whole_sample_packs() {
+        let kc = 16;
+        let (shard, net) = one_utterance(5 * kc + 3);
+        let ctx = with_kc(kc);
+        let mut e = engine_on(ctx.clone(), &net, Objective::CrossEntropy, shard.clone());
+        e.draw_sample(7, 1.0, 0);
+        let want = PackedActivations::new(&net.forward(&ctx, &shard.x), &ctx);
+        assert_eq!(e.sample_packs, want);
+        let logits = net.logits(&ctx, &shard.x);
+        assert_eq!(e.sample.as_ref().map(|s| &s.logits), Some(&logits));
+        // A smaller redraw is still the whole sample's pack: the spare
+        // chunks keep their buffers but hold no frames.
+        let (small, _) = one_utterance(kc + 1);
+        e.reshard(small.clone(), small.clone());
+        e.draw_sample(7, 1.0, 0);
+        let want = PackedActivations::new(&net.forward(&ctx, &small.x), &ctx);
+        assert_eq!(e.sample_packs.frames(), kc + 1);
+        assert_eq!(e.sample_packs, want);
     }
 }

@@ -1,15 +1,21 @@
-//! The streamed gradient and held-out passes, which walk a shard in
+//! The streamed passes, which walk a shard or the curvature sample in
 //! chunks of one GEMM k-block (`kc` frames), must give bitwise the sums
-//! of the whole shard at once, for both objectives — the property that
-//! lets a rank hold one chunk of activations instead of its shard.
+//! of the whole batch at once, for both objectives — the property that
+//! lets a rank hold one chunk of activations instead of its shard, and
+//! its curvature sample only as packed chunks. The gradient and
+//! held-out passes are checked against the library's whole-batch calls;
+//! the Gauss–Newton product against the whole-sample algorithm it
+//! replaced, kept here as the reference.
 
 use pdnn_core::{DnnProblem, HeldoutEval, HfProblem, Objective};
+use pdnn_dnn::fisher::empirical_fisher_diagonal;
 use pdnn_dnn::{
-    backprop_dlogits, loss::cross_entropy_loss_only, loss_and_gradient, mmi_batch, Activation,
-    FrameLoss, Network,
+    backprop_dlogits, cross_entropy, loss::cross_entropy_loss_only, loss_and_gradient, mmi_batch,
+    softmax_rows, Activation, ForwardCache, FrameLoss, Network,
 };
 use pdnn_speech::{Corpus, CorpusSpec, Shard};
-use pdnn_tensor::gemm::{Blocking, GemmContext};
+use pdnn_tensor::gemm::{Blocking, GemmContext, GemmOp, Trans};
+use pdnn_tensor::{MatMut, Matrix};
 use pdnn_util::Prng;
 use proptest::prelude::*;
 
@@ -198,5 +204,186 @@ proptest! {
             Objective::CrossEntropy
         };
         assert_streamed_is_whole(&f, kc, &lens, &objective);
+    }
+}
+
+/// `m ∘ f'(a)`, `f'` from the activation value as the library's masks
+/// compute it.
+fn mask(act: Activation, m: &mut Matrix<f32>, a: &Matrix<f32>) {
+    for (mv, &av) in m.as_mut_slice().iter_mut().zip(a.as_slice()) {
+        *mv *= match act {
+            Activation::Sigmoid => av * (1.0 - av),
+            Activation::Tanh => 1.0 - av * av,
+            Activation::ReLU => f32::from(u8::from(av > 0.0)),
+            Activation::Identity => 1.0,
+        };
+    }
+}
+
+/// The Gauss–Newton product over a whole sample at once, as it was
+/// computed before the sample was streamed: the R-forward, `H_L` and
+/// the linearized backward over the whole-sample activations of
+/// `cache`, each `dW` one GEMM over every frame.
+fn whole_sample_gn(
+    net: &Network<f32>,
+    ctx: &GemmContext,
+    cache: &ForwardCache<f32>,
+    q: &Matrix<f32>,
+    v: &[f32],
+) -> Vec<f32> {
+    let layers = net.layers();
+    let frames = cache.acts[0].rows();
+    let mut parts = Vec::new();
+    let mut rest = v;
+    for layer in layers {
+        let (w, r) = rest.split_at(layer.w.len());
+        let (b, r) = r.split_at(layer.b.len());
+        parts.push((w, b));
+        rest = r;
+    }
+    let mut r: Option<Matrix<f32>> = None;
+    for (l, layer) in layers.iter().enumerate() {
+        let (out, inp) = layer.w.shape();
+        let mut rz = Matrix::zeros(frames, out);
+        let beta = match &r {
+            Some(r_in) => {
+                GemmOp::ab(r_in, Trans::N, &layer.w, Trans::T).run(ctx, &mut rz);
+                1.0
+            }
+            None => 0.0,
+        };
+        let vw = Matrix::from_vec(out, inp, parts[l].0.to_vec());
+        GemmOp::ab(&cache.acts[l], Trans::N, &vw, Trans::T)
+            .beta(beta)
+            .run(ctx, &mut rz);
+        rz.add_row_broadcast(parts[l].1);
+        if l + 1 < layers.len() {
+            mask(layer.act, &mut rz, &cache.acts[l + 1]);
+        }
+        r = Some(rz);
+    }
+    let mut delta = r.expect("at least one layer");
+    for f in 0..frames {
+        let (qr, ur) = (q.row(f), delta.row_mut(f));
+        let dot: f64 = qr
+            .iter()
+            .zip(ur.iter())
+            .map(|(&a, &b)| a as f64 * b as f64)
+            .sum();
+        let dot = dot as f32;
+        for (uv, &qv) in ur.iter_mut().zip(qr) {
+            *uv = qv * (*uv - dot);
+        }
+    }
+    let mut gv = vec![0.0f32; net.num_params()];
+    let mut end = gv.len();
+    for l in (0..layers.len()).rev() {
+        let layer = &layers[l];
+        let (out, inp) = layer.w.shape();
+        let (dw, db) = gv[end - out * inp - out..end].split_at_mut(out * inp);
+        end -= out * inp + out;
+        GemmOp::ab(&delta, Trans::T, &cache.acts[l], Trans::N).run(ctx, MatMut::new(out, inp, dw));
+        delta.column_sums_into(db);
+        if l > 0 {
+            let mut dprev = Matrix::zeros(frames, inp);
+            GemmOp::ab(&delta, Trans::N, &layer.w, Trans::N).run(ctx, &mut dprev);
+            mask(layers[l - 1].act, &mut dprev, &cache.acts[l]);
+            delta = dprev;
+        }
+    }
+    gv
+}
+
+/// A [`DnnProblem`] over `s` draws its whole shard as the curvature
+/// sample (fraction 1 takes every utterance, in order); its streamed
+/// Gauss–Newton products and Fisher diagonal are bitwise the
+/// whole-sample ones, made mean per frame as the problem makes them.
+fn assert_curvature_is_whole_sample(
+    f: &Fixture,
+    ctx: GemmContext,
+    lens: &[usize],
+    objective: &Objective,
+) {
+    let s = shard(f, lens);
+    let kc = ctx.blocking().kc;
+    let mut p = DnnProblem::new(
+        f.net.clone(),
+        ctx.clone(),
+        s.clone(),
+        s.clone(),
+        objective.clone(),
+    );
+    p.sample_curvature(11, 1.0);
+    let cache = f.net.forward(&ctx, &s.x);
+    let (dist, dlogits) = match objective {
+        Objective::CrossEntropy => (
+            softmax_rows(cache.logits()),
+            cross_entropy(cache.logits(), &s.labels).dlogits,
+        ),
+        Objective::Sequence(graph) => {
+            let out = mmi_batch(cache.logits(), &s.labels, &s.utt_lens, graph);
+            (out.den_posteriors, out.dlogits)
+        }
+    };
+    let mean = |mut v: Vec<f32>| {
+        pdnn_tensor::blas1::scal((1.0 / s.frames() as f64) as f32, &mut v);
+        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let name = match objective {
+        Objective::CrossEntropy => "CE",
+        Objective::Sequence(_) => "MMI",
+    };
+    let case = format!("kc={kc} lens={lens:?} {name}");
+    let mut rng = Prng::new(lens.len() as u64);
+    for _ in 0..2 {
+        let v: Vec<f32> = (0..f.net.num_params())
+            .map(|_| rng.normal() as f32)
+            .collect();
+        let want = mean(whole_sample_gn(&f.net, &ctx, &cache, &dist, &v));
+        assert_eq!(bits(&p.gn_product(&v)), want, "{case}: G·v");
+    }
+    let want = mean(empirical_fisher_diagonal(&f.net, &ctx, &cache, &dlogits));
+    let got = p
+        .fisher_diagonal()
+        .expect("the problem has a Fisher diagonal");
+    assert_eq!(bits(&got), want, "{case}: Fisher diagonal");
+}
+
+#[test]
+fn streamed_curvature_is_bitwise_the_whole_sample() {
+    let f = fixture();
+    let objectives = [
+        Objective::CrossEntropy,
+        Objective::Sequence(f.corpus.denominator_graph()),
+    ];
+    for kc in [7usize, 64, Blocking::default().kc] {
+        assert!(f.frames.frames() >= 3 * kc + 5, "the corpus is too short");
+        for frames in [1, kc - 1, kc, kc + 1, 3 * kc + 5] {
+            for lens in layouts(frames, kc) {
+                for objective in &objectives {
+                    assert_curvature_is_whole_sample(&f, with_kc(kc), &lens, objective);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn any_layout_and_chunk_depth_streams_the_curvature_bitwise(
+        lens in proptest::collection::vec(1usize..40, 1..12),
+        kc in 1usize..50,
+        sequence in 0u8..2,
+    ) {
+        let f = fixture();
+        let objective = if sequence == 1 {
+            Objective::Sequence(f.corpus.denominator_graph())
+        } else {
+            Objective::CrossEntropy
+        };
+        assert_curvature_is_whole_sample(&f, with_kc(kc), &lens, &objective);
     }
 }

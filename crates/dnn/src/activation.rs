@@ -17,6 +17,7 @@
 //! backward passes and Gauss–Newton products that consume it never
 //! touch a subnormal.
 
+use pdnn_tensor::gemm::PackedB;
 use pdnn_tensor::{vmath, Matrix, Scalar};
 
 /// Elementwise nonlinearity applied to a layer's pre-activations.
@@ -82,11 +83,44 @@ impl Activation {
     /// activations `a` (the `delta ∘ f'(z)` step of backprop).
     pub(crate) fn mask_derivative<T: Scalar>(self, m: &mut Matrix<T>, a: &Matrix<T>) {
         assert_eq!(m.shape(), a.shape(), "mask_derivative shape mismatch");
+        self.mask_slice(m.as_mut_slice(), a.as_slice());
+    }
+
+    /// [`Self::mask_derivative`] with the activations read back out of
+    /// their pack: row `r` of `m` against row `r` of `op(a)`, whose
+    /// units lie in `NR`-wide runs ([`PackedB::row_runs`]). Bitwise the
+    /// unpacked mask: the pack holds the activations' own values.
+    ///
+    /// # Panics
+    /// If `m` is not `a.k() x a.n()`.
+    pub(crate) fn mask_derivative_packed<T: Scalar>(self, m: &mut Matrix<T>, a: &PackedB<T>) {
+        assert_eq!(m.shape(), (a.k(), a.n()), "mask_derivative shape mismatch");
         if self == Activation::Identity {
             return;
         }
-        for (mv, &av) in m.as_mut_slice().iter_mut().zip(a.as_slice().iter()) {
-            *mv *= self.derivative_from_output(av);
+        for r in 0..m.rows() {
+            let mut row = m.row_mut(r);
+            for run in a.row_runs(r) {
+                let (head, tail) = std::mem::take(&mut row).split_at_mut(run.len());
+                self.mask_slice(head, run);
+                row = tail;
+            }
+        }
+    }
+
+    /// `m[i] *= f'(a[i])`, the variant matched once per slice so each
+    /// arm's loop vectorizes.
+    fn mask_slice<T: Scalar>(self, m: &mut [T], a: &[T]) {
+        fn mask<T: Scalar>(m: &mut [T], a: &[T], f: impl Fn(T) -> T) {
+            for (mv, &av) in m.iter_mut().zip(a) {
+                *mv *= f(av);
+            }
+        }
+        match self {
+            Activation::Sigmoid => mask(m, a, |a| Activation::Sigmoid.derivative_from_output(a)),
+            Activation::Tanh => mask(m, a, |a| Activation::Tanh.derivative_from_output(a)),
+            Activation::ReLU => mask(m, a, |a| Activation::ReLU.derivative_from_output(a)),
+            Activation::Identity => {}
         }
     }
 }
@@ -212,6 +246,25 @@ mod tests {
         Activation::Sigmoid.mask_derivative(&mut m, &a);
         assert!((m[(0, 0)] - 2.0 * 0.25).abs() < 1e-12);
         assert!((m[(0, 1)] - 0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn packed_mask_is_the_mask() {
+        use pdnn_tensor::gemm::{Blocking, Trans, NR};
+        let mut rng = pdnn_util::Prng::new(27);
+        let a: Matrix<f32> = Matrix::from_fn(11, NR + 5, |_, _| rng.uniform() as f32);
+        let m: Matrix<f32> = Matrix::from_fn(11, NR + 5, |r, c| (r as f32 - c as f32) * 0.3);
+        let blocking = Blocking {
+            mc: 8,
+            kc: 4,
+            nc: NR + 2,
+        };
+        for act in [Activation::Sigmoid, Activation::Tanh, Activation::ReLU] {
+            let (mut want, mut got) = (m.clone(), m.clone());
+            act.mask_derivative(&mut want, &a);
+            act.mask_derivative_packed(&mut got, &PackedB::new(&a, Trans::N, blocking));
+            assert_eq!(got, want, "{act:?}");
+        }
     }
 
     #[test]

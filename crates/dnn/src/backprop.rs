@@ -8,7 +8,7 @@ use crate::loss::{cross_entropy, squared_error, FrameLoss};
 use crate::network::{ForwardCache, Network};
 use crate::packed::PackedWeights;
 use pdnn_tensor::gemm::{GemmContext, GemmOp, Trans};
-use pdnn_tensor::{Matrix, Scalar, Workspace};
+use pdnn_tensor::{MatMut, Matrix, Scalar, Workspace};
 
 /// Backpropagate `dlogits` through the network, returning the flat
 /// gradient (same layout as [`Network::to_flat`]).
@@ -45,8 +45,8 @@ pub fn backprop<T: Scalar>(
 /// backpropagated block after block sums bitwise to the whole batch's
 /// gradient.
 ///
-/// Every intermediate (the delta buffer, per-layer `dW`) comes from
-/// `ws`. Bitwise identical to the unpacked path: the packed-operand
+/// Each layer's `dW` is written straight into its region of `grad`;
+/// the delta buffers come from `ws`. Bitwise identical to the unpacked path: the packed-operand
 /// [`GemmOp`] forms replay the exact blocked GEMM.
 ///
 /// # Panics
@@ -98,16 +98,10 @@ pub fn backprop_ws<T: Scalar>(
         let (dw_sum, db_sum) = grad[end - layer.num_params()..end].split_at_mut(layer.w.len());
         end -= layer.num_params();
 
-        // dW = delta^T * a_prev  (out x in)
-        let mut dw = ws.take_matrix_scratch(layer.outputs(), layer.inputs());
-        if accumulate {
-            dw.as_mut_slice().copy_from_slice(dw_sum);
-        }
+        // dW = delta^T * a_prev  (out x in), in the gradient's region.
         GemmOp::ab(&delta, Trans::T, a_prev, Trans::N)
             .beta(beta)
-            .run(ctx, &mut dw);
-        dw_sum.copy_from_slice(dw.as_slice());
-        ws.give_matrix(dw);
+            .run(ctx, MatMut::new(layer.outputs(), layer.inputs(), dw_sum));
         if !accumulate {
             db_sum.fill(T::ZERO);
         }

@@ -22,7 +22,7 @@
 
 use crate::network::{ForwardCache, Network};
 use pdnn_tensor::gemm::{GemmContext, GemmOp, Trans};
-use pdnn_tensor::{Matrix, Scalar};
+use pdnn_tensor::{MatMut, Matrix, Scalar};
 
 /// Estimate `diag(Σ_frames ∇L_f ∘ ∇L_f)` over the batch in `cache`.
 ///
@@ -35,6 +35,29 @@ pub fn empirical_fisher_diagonal<T: Scalar>(
     cache: &ForwardCache<T>,
     dlogits: &Matrix<T>,
 ) -> Vec<T> {
+    let mut out = vec![T::ZERO; net.num_params()];
+    empirical_fisher_diagonal_into(net, ctx, cache, dlogits, &mut out, false);
+    out
+}
+
+/// [`empirical_fisher_diagonal`] into `out`: overwriting it, or with
+/// `accumulate` adding the batch on as `backprop_ws` adds a gradient
+/// (each `D[W]` merged with `β = 1`, the `D[b]` sums continued), so a
+/// batch taken in blocks of `ctx.blocking().kc` frames, block after
+/// block, sums bitwise to the whole batch's diagonal.
+///
+/// [`backprop_ws`]: crate::backprop::backprop_ws
+///
+/// # Panics
+/// On shape mismatch between `cache`, `dlogits`, `net` and `out`.
+pub fn empirical_fisher_diagonal_into<T: Scalar>(
+    net: &Network<T>,
+    ctx: &GemmContext,
+    cache: &ForwardCache<T>,
+    dlogits: &Matrix<T>,
+    out: &mut [T],
+    accumulate: bool,
+) {
     let layers = net.layers();
     assert_eq!(
         cache.acts.len(),
@@ -46,28 +69,26 @@ pub fn empirical_fisher_diagonal<T: Scalar>(
         cache.logits().shape(),
         "dlogits shape mismatch"
     );
-
-    let mut out = vec![T::ZERO; net.num_params()];
-    let mut offsets = Vec::with_capacity(layers.len());
-    let mut off = 0;
-    for layer in layers {
-        offsets.push(off);
-        off += layer.num_params();
-    }
+    assert_eq!(out.len(), net.num_params(), "diagonal length mismatch");
+    let beta = if accumulate { T::ONE } else { T::ZERO };
 
     // Δ² at the output.
     let mut delta2 = dlogits.map(|v| v * v);
+    let mut end = out.len();
     for l in (0..layers.len()).rev() {
         let layer = &layers[l];
         let a_prev = &cache.acts[l];
         let a2 = a_prev.map(|v| v * v);
+        let (dw, db) = out[end - layer.num_params()..end].split_at_mut(layer.w.len());
+        end -= layer.num_params();
 
-        let mut dw = Matrix::zeros(layer.outputs(), layer.inputs());
-        GemmOp::ab(&delta2, Trans::T, &a2, Trans::N).run(ctx, &mut dw);
-        let db = delta2.column_sums();
-        let base = offsets[l];
-        out[base..base + dw.len()].copy_from_slice(dw.as_slice());
-        out[base + dw.len()..base + dw.len() + db.len()].copy_from_slice(&db);
+        GemmOp::ab(&delta2, Trans::T, &a2, Trans::N)
+            .beta(beta)
+            .run(ctx, MatMut::new(layer.outputs(), layer.inputs(), dw));
+        if !accumulate {
+            db.fill(T::ZERO);
+        }
+        delta2.column_sums_into(db);
 
         if l > 0 {
             let w2 = layer.w.map(|v| v * v);
@@ -85,7 +106,6 @@ pub fn empirical_fisher_diagonal<T: Scalar>(
             delta2 = dprev;
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -20,11 +20,25 @@
 //!    second-order activation terms — dropping them is exactly what
 //!    makes the result the Gauss–Newton product instead of the
 //!    (indefinite) Hessian product.
+//!
+//! **Streamed over the sample.** The product runs on the curvature
+//! sample as [`PackedActivations`] hold it: chunks of `kc` frames (one
+//! GEMM k-block each), packed once per CG solve, with no raw
+//! activations beside them. [`gn_product_packed`] takes the three
+//! sweeps chunk by chunk; the masks `f'(z)` are read out of the right
+//! packs, and each chunk's `dW = δᵀ·a` is written (first chunk, `β = 0`)
+//! or merged (`β = 1`) straight into the layer's region of the product
+//! vector, with no `dW` scratch and no copy. Because the whole-sample
+//! GEMM cuts the frames on the same `kc` grid and merges its later
+//! k-blocks the same way, and every other step is row-independent or a
+//! running sum in frame order, the product is bitwise the whole
+//! sample's, while a rank's scratch is a few chunk-sized matrices
+//! whatever the sample size.
 
 use crate::network::{ForwardCache, Network};
-use crate::packed::{PackedActivations, PackedWeights};
+use crate::packed::{ChunkPacks, PackedActivations, PackedWeights};
 use pdnn_tensor::gemm::{GemmContext, GemmOp, PackedB, Trans, MR as GEMM_MR};
-use pdnn_tensor::{Matrix, Scalar, Workspace};
+use pdnn_tensor::{MatMut, Matrix, Scalar, Workspace};
 
 /// Which loss-Hessian `H_L` closes the Gauss–Newton sandwich.
 #[derive(Clone, Copy, Debug)]
@@ -66,16 +80,18 @@ pub fn gn_product<T: Scalar>(
 /// operands — the CG hot path.
 ///
 /// Within one CG solve the weights and the curvature sample are both
-/// fixed, so `packs` (weights) and `acts` (sample activations) can be
-/// built once and replayed across every iteration; only the small
-/// direction matrices `Vw` are packed per call. All scratch comes from
-/// `ws`; give the returned vector back after use for an allocation-free
-/// steady state. Packed and unpacked paths are bitwise identical (the
-/// prepacked drivers replay the exact blocked GEMMs).
+/// fixed, so `packs` (weights) and `acts` (the batch's activations,
+/// packed from `cache`) can be built once and replayed across every
+/// iteration; without `acts` the cache is packed for this call. The
+/// product is [`gn_product_packed`] over the packed batch. All scratch
+/// comes from `ws`; give the returned vector back after use for an
+/// allocation-free steady state. Packed and unpacked weights give
+/// bitwise the same product (the prepacked drivers replay the exact
+/// blocked GEMMs).
 ///
 /// # Panics
-/// If `packs` was built from a different weight version, or if `acts`
-/// does not cover `net`'s depth.
+/// If `packs` was built from a different weight version, or if `cache`
+/// or `acts` does not match `net` or each other.
 #[allow(clippy::too_many_arguments)] // hot-path variant: operand caches are separate by design
 pub fn gn_product_ws<T: Scalar>(
     net: &Network<T>,
@@ -87,12 +103,56 @@ pub fn gn_product_ws<T: Scalar>(
     acts: Option<&PackedActivations<T>>,
     ws: &mut Workspace<T>,
 ) -> Vec<T> {
-    let layers = net.layers();
     assert_eq!(
         cache.acts.len(),
-        layers.len() + 1,
+        net.layers().len() + 1,
         "cache does not match network depth"
     );
+    match acts {
+        Some(pa) => {
+            assert_eq!(
+                pa.frames(),
+                cache.acts[0].rows(),
+                "gn_product_ws: PackedActivations hold another batch"
+            );
+            gn_product_packed(net, ctx, pa, curvature, v, packs, ws)
+        }
+        None => {
+            let pa = PackedActivations::new(cache, ctx);
+            gn_product_packed(net, ctx, &pa, curvature, v, packs, ws)
+        }
+    }
+}
+
+/// `G(θ) v` summed over the batch held in `sample`, streamed chunk by
+/// chunk: each chunk of `kc` frames runs the R-forward, `H_L` and the
+/// linearized backward, and merges its `dW = δᵀ·a` straight into the
+/// layer's region of the returned vector.
+///
+/// The sums are bitwise those of the whole batch at once. The
+/// R-forward, the masks `f'(z)`, `H_L` and `δ·W` are row-independent;
+/// the whole-batch `δᵀ·a` cuts its frames on the same `kc` grid and
+/// merges each later k-block with `β = 1`, which is how each later
+/// chunk merges into the sum; the bias sums continue one running sum in
+/// frame order. So scratch is a few chunk-sized matrices, whatever the
+/// batch size, and the masks are read out of the right packs: the
+/// sample's raw activations need not be held.
+///
+/// `curvature`'s `Fisher` rows are the whole batch's, frame by frame.
+/// The returned vector is an arena take; give it back after use.
+///
+/// # Panics
+/// If `packs` was built from a different weight version, or `sample`
+/// or the Fisher rows do not match `net`'s shape.
+pub fn gn_product_packed<T: Scalar>(
+    net: &Network<T>,
+    ctx: &GemmContext,
+    sample: &PackedActivations<T>,
+    curvature: Curvature<'_, T>,
+    v: &[T],
+    packs: Option<&PackedWeights<T>>,
+    ws: &mut Workspace<T>,
+) -> Vec<T> {
     if let Some(p) = packs {
         assert!(
             p.matches(net),
@@ -101,26 +161,54 @@ pub fn gn_product_ws<T: Scalar>(
             net.version()
         );
     }
-    if let Some(pa) = acts {
+    if let Curvature::Fisher(q) = curvature {
         assert_eq!(
-            pa.layers(),
-            layers.len(),
-            "gn_product_ws: PackedActivations depth mismatch"
+            q.shape(),
+            (sample.frames(), net.output_dim()),
+            "Fisher distribution shape mismatch"
         );
     }
     let parts = net.split_flat(v);
-    let frames = cache.acts[0].rows();
+    if sample.chunks().is_empty() {
+        return ws.take_vec(net.num_params());
+    }
+    // Scratch take: the first chunk writes every region (weights with
+    // β = 0, biases zeroed, then summed into).
+    let mut out = ws.take_vec_scratch(net.num_params());
+    let mut r0 = 0;
+    for (c, chunk) in sample.chunks().iter().enumerate() {
+        assert_eq!(
+            chunk.layers(),
+            net.layers().len(),
+            "gn_product_ws: PackedActivations depth mismatch"
+        );
+        let mut u = r_forward(net, ctx, chunk, &parts, packs, ws);
+        if let Curvature::Fisher(q) = curvature {
+            fisher_hessian(q, r0, &mut u);
+        }
+        linearized_backward(net, ctx, chunk, u, packs, ws, &mut out, c > 0);
+        r0 += chunk.rows();
+    }
+    out
+}
 
-    // ---- 1. R-forward ---------------------------------------------
+/// Sweep 1 over one chunk: `J v` at the logits, an arena take.
+fn r_forward<T: Scalar>(
+    net: &Network<T>,
+    ctx: &GemmContext,
+    chunk: &ChunkPacks<T>,
+    parts: &[(&[T], &[T])],
+    packs: Option<&PackedWeights<T>>,
+    ws: &mut Workspace<T>,
+) -> Matrix<T> {
+    let layers = net.layers();
+    let frames = chunk.rows();
     // r = R{a_l}; zero for the input (inputs don't depend on θ), so
     // the layer-0 `r * W^T` term is skipped and the Vw product writes
     // rz directly (beta = 0 overwrite instead of accumulate).
     let mut r: Option<Matrix<T>> = None;
-    let mut rz_out: Option<Matrix<T>> = None;
     for (l, layer) in layers.iter().enumerate() {
         let (vw_flat, vb) = parts[l];
-        let a_prev = &cache.acts[l];
-
         // Rz = r * W^T + a_prev * Vw^T + Vb
         let mut rz = ws.take_matrix_scratch(frames, layer.outputs());
         let beta_vw = match &r {
@@ -133,130 +221,114 @@ pub fn gn_product_ws<T: Scalar>(
             }
             None => T::ZERO,
         };
-        match acts {
-            Some(pa) => {
-                let left = pa.left(l);
-                if frames <= 2 * GEMM_MR {
-                    // Few frame rows (the strong-scaling per-rank
-                    // shard regime): stream Vw's flat region straight
-                    // out of the direction vector — op(Vw^T) columns
-                    // are Vw rows, already stride-one — and skip the
-                    // pack's extra write + reread of a Vw-sized
-                    // buffer entirely.
-                    GemmOp::packed_a_bt(left, vw_flat)
-                        .beta(beta_vw)
-                        .run(ctx, &mut rz);
-                } else {
-                    // Tall frame blocks amortize the register-blocked
-                    // packed kernel better: pack Vw once straight from
-                    // its flat region (arena scratch; no Vw matrix is
-                    // ever materialized) and multiply with both
-                    // operands prepacked.
-                    let pvw = PackedB::new_in_from_rows(
-                        layer.outputs(),
-                        layer.inputs(),
-                        vw_flat,
-                        Trans::T,
-                        left.blocking(),
-                        ws,
-                    );
-                    GemmOp::packed_ab(left, &pvw)
-                        .beta(beta_vw)
-                        .run(ctx, &mut rz);
-                    pvw.give_back(ws);
-                }
-            }
-            None => {
-                // Unpacked path: the plain GEMM driver wants a Matrix
-                // operand, so materialize Vw from its flat region.
-                let mut vw = ws.take_matrix_scratch(layer.outputs(), layer.inputs());
-                vw.as_mut_slice().copy_from_slice(vw_flat);
-                GemmOp::ab(a_prev, Trans::N, &vw, Trans::T)
-                    .beta(beta_vw)
-                    .run(ctx, &mut rz);
-                ws.give_matrix(vw);
-            }
+        let left = chunk.left(l);
+        if frames <= 2 * GEMM_MR {
+            // Few frame rows (the strong-scaling per-rank sample
+            // regime): stream Vw's flat region straight out of the
+            // direction vector — op(Vw^T) columns are Vw rows, already
+            // stride-one — and skip the pack's extra write + reread of
+            // a Vw-sized buffer entirely.
+            GemmOp::packed_a_bt(left, vw_flat)
+                .beta(beta_vw)
+                .run(ctx, &mut rz);
+        } else {
+            // Tall frame blocks amortize the register-blocked packed
+            // kernel better: pack Vw straight from its flat region
+            // (arena scratch; no Vw matrix is ever materialized) and
+            // multiply with both operands prepacked.
+            let pvw = PackedB::new_in_from_rows(
+                layer.outputs(),
+                layer.inputs(),
+                vw_flat,
+                Trans::T,
+                left.blocking(),
+                ws,
+            );
+            GemmOp::packed_ab(left, &pvw)
+                .beta(beta_vw)
+                .run(ctx, &mut rz);
+            pvw.give_back(ws);
         }
         rz.add_row_broadcast(vb);
         if let Some(r_old) = r.take() {
             ws.give_matrix(r_old);
         }
+        // Ra = f'(z) ∘ Rz, with f' read from the packed activation; the
+        // output layer is Identity: R{a_L} = Rz_L = J v.
+        if l + 1 < layers.len() {
+            layer
+                .act
+                .mask_derivative_packed(&mut rz, chunk.right(l + 1));
+        }
+        r = Some(rz);
+    }
+    // pdnn-lint: allow(l3-no-unwrap): Network::new asserts at least one layer, so the loop above always assigns r
+    r.expect("network has at least one layer")
+}
 
-        if l + 1 == layers.len() {
-            // Output layer is Identity: R{a_L} = Rz_L = J v.
-            rz_out = Some(rz);
-        } else {
-            // Ra = f'(z) ∘ Rz, with f' read from the stored activation.
-            let a_l = &cache.acts[l + 1];
-            layer.act.mask_derivative(&mut rz, a_l);
-            r = Some(rz);
+/// Sweep 2 over one chunk: `u = H_L (J v)` in place, `H_L = diag(q) -
+/// q q^T` per frame, with the chunk's frames at row `r0` of `q`.
+fn fisher_hessian<T: Scalar>(q: &Matrix<T>, r0: usize, u: &mut Matrix<T>) {
+    for rix in 0..u.rows() {
+        let qr = q.row(r0 + rix);
+        let ur = u.row_mut(rix);
+        // dot in f64: q·Rz over up to ~10k classes.
+        let mut dot = 0.0f64;
+        for (qv, uv) in qr.iter().zip(ur.iter()) {
+            dot += qv.to_f64() * uv.to_f64();
+        }
+        let dot_t = T::from_f64(dot);
+        for (uv, &qv) in ur.iter_mut().zip(qr.iter()) {
+            *uv = qv * (*uv - dot_t);
         }
     }
-    // pdnn-lint: allow(l3-no-unwrap): Network::new asserts at least one layer, so the loop above always assigns rz_out
-    let jv = rz_out.expect("network has at least one layer");
+}
 
-    // ---- 2. u = H_L (J v) ------------------------------------------
-    let mut u = jv;
-    match curvature {
-        Curvature::Identity => {}
-        Curvature::Fisher(q) => {
-            assert_eq!(q.shape(), u.shape(), "Fisher distribution shape mismatch");
-            for rix in 0..frames {
-                let qr = q.row(rix);
-                let ur = u.row_mut(rix);
-                // dot in f64: q·Rz over up to ~10k classes.
-                let mut dot = 0.0f64;
-                for (qv, uv) in qr.iter().zip(ur.iter()) {
-                    dot += qv.to_f64() * uv.to_f64();
-                }
-                let dot_t = T::from_f64(dot);
-                for (uv, &qv) in ur.iter_mut().zip(qr.iter()) {
-                    *uv = qv * (*uv - dot_t);
-                }
-            }
-        }
-    }
-
-    // ---- 3. linearized backward -----------------------------------
-    // Scratch take: the layer loop below writes every flat-gradient
-    // region (weights by copy, biases zeroed, then summed into).
-    let mut out = ws.take_vec_scratch(net.num_params());
-    let mut offsets = Vec::with_capacity(layers.len());
-    let mut off = 0;
-    for layer in layers {
-        offsets.push(off);
-        off += layer.num_params();
-    }
-
+/// Sweep 3 over one chunk: backprop `u` without the second-order
+/// activation terms, each layer's `dW` written (`accumulate` false) or
+/// merged with `β = 1` straight into its region of `out`, and the bias
+/// sums continued.
+#[allow(clippy::too_many_arguments)]
+fn linearized_backward<T: Scalar>(
+    net: &Network<T>,
+    ctx: &GemmContext,
+    chunk: &ChunkPacks<T>,
+    u: Matrix<T>,
+    packs: Option<&PackedWeights<T>>,
+    ws: &mut Workspace<T>,
+    out: &mut [T],
+    accumulate: bool,
+) {
+    let layers = net.layers();
+    let beta = if accumulate { T::ONE } else { T::ZERO };
     let mut delta = u;
+    let mut end = out.len();
     for l in (0..layers.len()).rev() {
         let layer = &layers[l];
-        let a_prev = &cache.acts[l];
-        let mut gw = ws.take_matrix_scratch(layer.outputs(), layer.inputs());
-        match acts {
-            Some(pa) => GemmOp::packed_b(&delta, Trans::T, pa.right(l)).run(ctx, &mut gw),
-            None => GemmOp::ab(&delta, Trans::T, a_prev, Trans::N).run(ctx, &mut gw),
+        let (dw, db) = out[end - layer.num_params()..end].split_at_mut(layer.w.len());
+        end -= layer.num_params();
+        GemmOp::packed_b(&delta, Trans::T, chunk.right(l))
+            .beta(beta)
+            .run(ctx, MatMut::new(layer.outputs(), layer.inputs(), dw));
+        if !accumulate {
+            db.fill(T::ZERO);
         }
-        let base = offsets[l];
-        out[base..base + gw.len()].copy_from_slice(gw.as_slice());
-        let db = &mut out[base + gw.len()..base + gw.len() + layer.b.len()];
-        db.fill(T::ZERO);
         delta.column_sums_into(db);
-        ws.give_matrix(gw);
 
         if l > 0 {
-            let mut dprev = ws.take_matrix_scratch(frames, layer.inputs());
+            let mut dprev = ws.take_matrix_scratch(delta.rows(), layer.inputs());
             match packs {
                 Some(p) => GemmOp::packed_b(&delta, Trans::N, p.backward(l)).run(ctx, &mut dprev),
                 None => GemmOp::ab(&delta, Trans::N, &layer.w, Trans::N).run(ctx, &mut dprev),
             }
-            layers[l - 1].act.mask_derivative(&mut dprev, a_prev);
+            layers[l - 1]
+                .act
+                .mask_derivative_packed(&mut dprev, chunk.right(l));
             ws.give_matrix(delta);
             delta = dprev;
         }
     }
     ws.give_matrix(delta);
-    out
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub use activation::Activation;
 pub use backprop::{backprop as backprop_dlogits, backprop_ws, loss_and_gradient};
 pub use checkpoint::{load_network, save_network, CheckpointError};
 pub use decode::{state_error_rate, viterbi_decode, viterbi_decode_batch};
-pub use gauss_newton::{gn_product, gn_product_ws, Curvature};
+pub use gauss_newton::{gn_product, gn_product_packed, gn_product_ws, Curvature};
 pub use loss::{cross_entropy, softmax_rows, FrameLoss, LossOutput};
 pub use network::{ForwardCache, Layer, Network};
 pub use packed::{PackedActivations, PackedWeights};

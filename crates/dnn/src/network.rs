@@ -10,7 +10,7 @@
 use crate::activation::Activation;
 use crate::packed::PackedWeights;
 use pdnn_tensor::gemm::{GemmContext, GemmOp, Trans};
-use pdnn_tensor::{Matrix, Scalar, Workspace};
+use pdnn_tensor::{MatRef, Matrix, Scalar, Workspace};
 use pdnn_util::Prng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -285,17 +285,59 @@ impl<T: Scalar> Network<T> {
                 self.version
             );
         }
+        self.logits_with(x, ws, |l, input, z| {
+            let layer = &self.layers[l];
+            match packs {
+                Some(p) => GemmOp::packed_b(input, Trans::N, p.forward(l)).run(ctx, z),
+                None => GemmOp::ab(input, Trans::N, &layer.w, Trans::T).run(ctx, z),
+            }
+            &layer.b
+        })
+    }
+
+    /// [`Self::logits_ws`] of this network's shape under the parameters
+    /// `theta` (the [`Self::to_flat`] layout), read in place: each
+    /// layer's regions of `theta` are the weight operand and the bias.
+    /// Bitwise the logits of a network set to `theta`, with no copy of
+    /// it.
+    ///
+    /// # Panics
+    /// If `theta` is not `num_params()` long.
+    pub fn logits_at(
+        &self,
+        ctx: &GemmContext,
+        x: &Matrix<T>,
+        theta: &[T],
+        ws: &mut Workspace<T>,
+    ) -> Matrix<T> {
+        let parts = self.split_flat(theta);
+        self.logits_with(x, ws, |l, input, z| {
+            let (w, b) = parts[l];
+            let w = MatRef::new(self.layers[l].outputs(), self.layers[l].inputs(), w);
+            GemmOp::ab(input, Trans::N, w, Trans::T).run(ctx, z);
+            b
+        })
+    }
+
+    /// The logits forward: `affine(l, input, z)` writes layer `l`'s
+    /// `input · Wᵀ` into `z` and returns its bias.
+    fn logits_with<'b>(
+        &self,
+        x: &Matrix<T>,
+        ws: &mut Workspace<T>,
+        affine: impl Fn(usize, &Matrix<T>, &mut Matrix<T>) -> &'b [T],
+    ) -> Matrix<T>
+    where
+        T: 'b,
+    {
         let mut a: Option<Matrix<T>> = None;
         for (i, layer) in self.layers.iter().enumerate() {
             // pdnn-lint: allow(l3-no-unwrap): a is assigned on iteration 0 and only read from iteration 1 on
             let input = if i == 0 { x } else { a.as_ref().unwrap() };
             // Scratch take: the beta = 0 GEMM overwrites all of z.
             let mut z = ws.take_matrix_scratch(input.rows(), layer.outputs());
-            match packs {
-                Some(p) => GemmOp::packed_b(input, Trans::N, p.forward(i)).run(ctx, &mut z),
-                None => GemmOp::ab(input, Trans::N, &layer.w, Trans::T).run(ctx, &mut z),
-            }
-            layer.act.apply_with_bias(&mut z, &layer.b);
+            let bias = affine(i, input, &mut z);
+            layer.act.apply_with_bias(&mut z, bias);
             if let Some(prev) = a.take() {
                 ws.give_matrix(prev);
             }

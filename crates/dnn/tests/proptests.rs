@@ -3,9 +3,9 @@
 
 use pdnn_dnn::gauss_newton::{gn_product, Curvature};
 use pdnn_dnn::loss::{cross_entropy, cross_entropy_loss_only, softmax_rows};
-use pdnn_dnn::sequence::{mmi_utterance, DenominatorGraph};
+use pdnn_dnn::sequence::{mmi_batch, mmi_utterance, DenominatorGraph};
 use pdnn_dnn::{gradcheck, Activation, Network};
-use pdnn_tensor::gemm::GemmContext;
+use pdnn_tensor::gemm::{Blocking, GemmContext};
 use pdnn_tensor::{blas1, Matrix};
 use pdnn_util::Prng;
 use proptest::prelude::*;
@@ -65,27 +65,54 @@ proptest! {
         prop_assert!(err < 1e-4, "rel err {err} dims={dims:?} act={act:?}");
     }
 
+    /// The streamed product (chunks of a random `kc`, several per
+    /// batch once `frames > kc`) stays PSD, symmetric and linear in `v`,
+    /// under the softmax and the MMI denominator curvatures.
     #[test]
     fn gauss_newton_stays_psd_and_symmetric(
         (dims, act) in arch_strategy(),
-        frames in 1usize..6,
+        frames in 1usize..60,
+        kc in 1usize..50,
+        mmi in prop_oneof![Just(false), Just(true)],
         seed in 0u64..1000,
     ) {
-        let ctx = GemmContext::sequential();
+        let ctx = GemmContext::sequential().with_blocking(Blocking {
+            kc,
+            ..Blocking::default()
+        });
         let mut rng = Prng::new(seed ^ 0xF00D);
         let net: Network<f64> = Network::new(&dims, act, &mut rng);
         let x = Matrix::random_normal(frames, dims[0], 1.0, &mut rng);
         let cache = net.forward(&ctx, &x);
-        let q = softmax_rows(cache.logits());
+        let states = *dims.last().unwrap();
+        let q = if mmi {
+            let other = 0.3 / states as f64;
+            let trans: Vec<f64> = (0..states * states)
+                .map(|ij| if ij / states == ij % states { 0.7 + other } else { other })
+                .collect();
+            let g = DenominatorGraph::new(&vec![1.0 / states as f64; states], &trans);
+            let align: Vec<u32> = (0..frames).map(|_| rng.below(states as u64) as u32).collect();
+            // Two utterances when there are frames for both.
+            let lens: Vec<usize> = if frames > 1 { vec![frames / 2, frames - frames / 2] } else { vec![1] };
+            mmi_batch(cache.logits(), &align, &lens, &g).den_posteriors
+        } else {
+            softmax_rows(cache.logits())
+        };
         let n = net.num_params();
         let v1: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
         let v2: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let g1 = gn_product(&net, &ctx, &cache, Curvature::Fisher(&q), &v1);
-        let g2 = gn_product(&net, &ctx, &cache, Curvature::Fisher(&q), &v2);
+        let gn = |v: &[f64]| gn_product(&net, &ctx, &cache, Curvature::Fisher(&q), v);
+        let (g1, g2) = (gn(&v1), gn(&v2));
         prop_assert!(blas1::dot(&v1, &g1) >= -1e-9);
         let a = blas1::dot(&v2, &g1);
         let b = blas1::dot(&v1, &g2);
         prop_assert!((a - b).abs() < 1e-8 * (1.0 + a.abs()), "{a} vs {b}");
+        // Linear in v: G(2 v1 - v2 / 2) = 2 G v1 - G v2 / 2.
+        let combo: Vec<f64> = v1.iter().zip(&v2).map(|(&p, &q)| 2.0 * p - 0.5 * q).collect();
+        for ((&gc, &p), &q) in gn(&combo).iter().zip(&g1).zip(&g2) {
+            let want = 2.0 * p - 0.5 * q;
+            prop_assert!((gc - want).abs() < 1e-9 * (1.0 + want.abs()), "{gc} vs {want}");
+        }
     }
 
     #[test]

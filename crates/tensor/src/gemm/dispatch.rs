@@ -201,8 +201,8 @@ impl Kernels {
             tile_f32: tile::<f32>,
             tile_f64: tile::<f64>,
             acc_f32: acc::<f32>,
-            bt_f32: bt::<f32>,
-            bt_f64: bt::<f64>,
+            bt_f32: bt::<f32, MR>,
+            bt_f64: bt::<f64, MR>,
         }
     }
 

@@ -26,7 +26,7 @@
 
 use rayon::prelude::*;
 
-use crate::matrix::Matrix;
+use crate::matrix::MatMut;
 use crate::scalar::Scalar;
 
 use super::backend::Merge;
@@ -60,7 +60,7 @@ pub(super) fn run<T: Scalar>(
     b: OpB<'_, T>,
     alpha: T,
     beta: T,
-    c: &mut Matrix<T>,
+    c: MatMut<'_, T>,
 ) {
     let (m, k) = match a {
         OpA::Mat(a, ta) => op_shape(ta, a.shape()),
@@ -70,7 +70,7 @@ pub(super) fn run<T: Scalar>(
         OpB::Mat(b, tb) => op_shape(tb, b.shape()),
         OpB::Packed(pb) => (pb.k(), pb.n()),
         OpB::RowsT(rows) => {
-            let n = c.cols();
+            let n = c.shape().1;
             assert_eq!(rows.len(), n * k, "gemm: B slice is not n x k");
             (k, n)
         }
@@ -97,6 +97,7 @@ pub(super) fn run<T: Scalar>(
         (_, OpB::Packed(pb)) => pb.blocking(),
         _ => ctx.blocking,
     };
+    let c = c.into_slice();
     if m == 0 || n == 0 {
         return;
     }
@@ -104,8 +105,8 @@ pub(super) fn run<T: Scalar>(
         // No k-block to merge: C = beta * C, and beta = 0 overwrites
         // (NaN-safe) exactly as a first-block merge would.
         match Merge::first_block(beta) {
-            Merge::Overwrite => c.as_mut_slice().fill(T::ZERO),
-            _ => c.scale(beta),
+            Merge::Overwrite => c.fill(T::ZERO),
+            _ => c.iter_mut().for_each(|v| *v *= beta),
         }
         return;
     }
@@ -127,7 +128,6 @@ pub(super) fn run<T: Scalar>(
         kc: blocking.kc.min(k),
         nc: blocking.nc.min(n),
     };
-    let c = c.as_mut_slice();
     ctx.run_pool(|| match (a, b) {
         (OpA::Packed(pa), OpB::RowsT(rows)) => stream_bt(ctx, dims, alpha, beta, pa, rows, c),
         (OpA::Mat(..), OpB::RowsT(..)) => {

@@ -31,9 +31,11 @@
 //! `load_masked`/`store_masked` (the first `len().min(W)` lanes). The
 //! tile body runs `G` of its `W`-lane column groups per pass of the `kk`
 //! loop: `G = 2` only for the AVX-512 f32 tile, whose two groups span
-//! the tile, so a step feeds `2·MR` chains. The B^T body keeps `MR / W`
-//! registers per column. The tests instantiate both bodies over
-//! emulated `[T; W]` lanes at every (T, W, G) a table uses, so every
+//! the tile, so a step feeds `2·MR` chains. The B^T body takes its row
+//! count `R` (`MR` in every table) and keeps `R / W` registers per
+//! column, plus one masked register when `W` does not divide `R`. The
+//! tests instantiate both bodies over emulated `[T; W]` lanes at every
+//! (T, W, G) a table uses, the B^T body at 8, 12 and 14 rows, so every
 //! width's group loop and edge masks run on any host.
 //!
 //! Every kernel is safe Rust over slices. The SIMD ones are
@@ -199,38 +201,52 @@ macro_rules! tile_kernel {
 pub(crate) use tile_kernel;
 
 /// Streamed-B^T kernel `$name` ([`crate::gemm::backend::BtFn`] after
-/// the `$token`) over ops `$o`, compiled by `$enable!`. A column's `MR`
-/// accumulators are `MR / W` registers. A step is `MR / W` loads of the
-/// contiguous A column and `BT_COLS` broadcasts feeding
-/// `BT_COLS · MR / W` independent chains.
+/// the `$token`, at `R = MR`) over ops `$o`, compiled by `$enable!`,
+/// for an `R`-row A micro-panel. A column's `R` accumulators are
+/// `R / W` whole registers, plus one register of the `R % W` tail rows
+/// when `W` does not divide `R`, loaded and stored masked (its dead
+/// lanes run chains that are never stored). A step is one load per
+/// register of the contiguous A column and `BT_COLS` broadcasts
+/// feeding `BT_COLS · ⌈R / W⌉` independent chains.
 macro_rules! bt_kernel {
-    ($enable:ident fn $name:ident($token:ty, $o:ident)) => {
+    ($enable:ident fn $name:ident($token:ty, $o:ident, R = $r:expr)) => {
         $enable! {
             pub fn $name(
                 _: $token,
                 kc: usize,
                 ap: &[$o::T],
                 b: [&[$o::T]; $crate::gemm::BT_COLS],
-                acc: &mut [[$o::T; $crate::gemm::MR]; $crate::gemm::BT_COLS],
+                acc: &mut [[$o::T; $r]; $crate::gemm::BT_COLS],
             ) {
-                use $crate::gemm::{BT_COLS, MR};
+                use $crate::gemm::BT_COLS;
                 use $o::W;
-                const { assert!(MR % W == 0) };
+                const R: usize = $r;
+                // Whole registers, then the masked tail's (none or one).
+                const Q: usize = R / W;
+                const G: usize = R.div_ceil(W);
                 let [b0, b1, b2, b3] = b;
                 let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
-                let a_rows = $crate::gemm::kernel::rows::<_, MR>(ap, kc).iter();
+                let a_rows = $crate::gemm::kernel::rows::<_, R>(ap, kc).iter();
                 let steps = a_rows.zip(b0).zip(b1).zip(b2).zip(b3);
                 // r[c][q]: lanes q·W.. of column c.
-                let mut r = [[$o::zero(); MR / W]; BT_COLS];
+                let mut r = [[$o::zero(); G]; BT_COLS];
                 for (rc, col) in r.iter_mut().zip(acc.iter()) {
-                    for (rq, q) in rc.iter_mut().zip(col.as_chunks::<W>().0) {
+                    let (whole, tail) = col.as_chunks::<W>();
+                    for (rq, q) in rc.iter_mut().zip(whole) {
                         *rq = $o::load(q);
+                    }
+                    for rq in &mut rc[Q..] {
+                        *rq = $o::load_masked(tail);
                     }
                 }
                 for ((((a, &x0), &x1), &x2), &x3) in steps {
-                    let mut av = [$o::zero(); MR / W];
-                    for (v, q) in av.iter_mut().zip(a.as_chunks::<W>().0) {
+                    let (whole, tail) = a.as_chunks::<W>();
+                    let mut av = [$o::zero(); G];
+                    for (v, q) in av.iter_mut().zip(whole) {
                         *v = $o::load(q);
+                    }
+                    for v in &mut av[Q..] {
+                        *v = $o::load_masked(tail);
                     }
                     for (rc, x) in r.iter_mut().zip([x0, x1, x2, x3]) {
                         let xv = $o::splat(x);
@@ -240,8 +256,12 @@ macro_rules! bt_kernel {
                     }
                 }
                 for (col, rc) in acc.iter_mut().zip(&r) {
-                    for (q, &rq) in col.as_chunks_mut::<W>().0.iter_mut().zip(rc) {
+                    let (whole, tail) = col.as_chunks_mut::<W>();
+                    for (q, &rq) in whole.iter_mut().zip(rc) {
                         $o::store(q, rq);
+                    }
+                    for &rq in &rc[Q..] {
+                        $o::store_masked(tail, rq);
                     }
                 }
             }
@@ -330,14 +350,25 @@ mod tests {
     tile_kernel!(emulated fn tile_f64x2((), f64x2, G = 1));
     tile_kernel!(emulated fn tile_f64x4((), f64x4, G = 1));
     tile_kernel!(emulated fn tile_f64x8((), f64x8, G = 1));
-    bt_kernel!(emulated fn bt_f32x4((), f32x4));
-    bt_kernel!(emulated fn bt_f32x8((), f32x8));
-    bt_kernel!(emulated fn bt_f64x2((), f64x2));
-    bt_kernel!(emulated fn bt_f64x4((), f64x4));
-    bt_kernel!(emulated fn bt_f64x8((), f64x8));
+
+    /// The B^T body over lanes `$o` at `MR` and at 12 and 14 rows, the
+    /// two taller tiles a table might take; 12 and 14 leave a tail
+    /// register at every width but 2 and 4 (and 14 at 4 too).
+    macro_rules! bt_at_every_height {
+        ($o:ident: $mr:ident, $r12:ident, $r14:ident) => {
+            bt_kernel!(emulated fn $mr((), $o, R = MR));
+            bt_kernel!(emulated fn $r12((), $o, R = 12));
+            bt_kernel!(emulated fn $r14((), $o, R = 14));
+        };
+    }
+    bt_at_every_height!(f32x4: bt_f32x4, bt12_f32x4, bt14_f32x4);
+    bt_at_every_height!(f32x8: bt_f32x8, bt12_f32x8, bt14_f32x8);
+    bt_at_every_height!(f64x2: bt_f64x2, bt12_f64x2, bt14_f64x2);
+    bt_at_every_height!(f64x4: bt_f64x4, bt12_f64x4, bt14_f64x4);
+    bt_at_every_height!(f64x8: bt_f64x8, bt12_f64x8, bt14_f64x8);
 
     type Tile<T> = fn((), usize, &[T], &[T], T, Merge<T>, &mut [T], usize, usize, usize);
-    type Bt<T> = fn((), usize, &[T], [&[T]; BT_COLS], &mut [[T; MR]; BT_COLS]);
+    type Bt<T, const R: usize> = fn((), usize, &[T], [&[T]; BT_COLS], &mut [[T; R]; BT_COLS]);
 
     /// Non-round values, so a reassociated or unfused step shows in the
     /// low bits.
@@ -347,8 +378,8 @@ mod tests {
 
     /// Every merge mode, at every `nr_eff` (so every group edge of every
     /// width) and a full, a ragged and a one-row `mr_eff`, in a C wider
-    /// than the tile; and the B^T body, against the scalar reference.
-    fn bodies_match_scalar<T: Scalar>(tile: Tile<T>, bt: Option<Bt<T>>) {
+    /// than the tile, against the scalar reference.
+    fn tile_matches_scalar<T: Scalar>(tile: Tile<T>) {
         let ldc = NR + 3;
         let c0: Vec<T> = values(MR * ldc, |x| x * 0.37 - 5.0);
         for kc in [0, 1, 3, 17] {
@@ -380,28 +411,57 @@ mod tests {
                     }
                 }
             }
+        }
+    }
 
-            let Some(bt) = bt else { continue };
+    /// The B^T body at `R` rows against the scalar reference, from
+    /// non-zero accumulators.
+    fn bt_matches_scalar<T: Scalar, const R: usize>(bt: Bt<T, R>) {
+        for kc in [0, 1, 3, 17] {
+            let ap: Vec<T> = values(kc.max(1) * R, |x| x.sin() * 3.7);
             let rows: Vec<Vec<T>> = (0..BT_COLS)
                 .map(|c| values(kc, |x| ((x + 7.0 * c as f64) * 0.9).tan()))
                 .collect();
             let b: [&[T]; BT_COLS] = std::array::from_fn(|c| rows[c].as_slice());
-            let mut got = [[T::ONE; MR]; BT_COLS];
+            let mut got: [[T; R]; BT_COLS] =
+                std::array::from_fn(|c| std::array::from_fn(|i| T::from_f64((c * R + i) as f64)));
             let mut want = got;
             bt((), kc, &ap, b, &mut got);
             scalar::bt(kc, &ap, b, &mut want);
-            assert!(got == want, "bt kc={kc}");
+            assert!(got == want, "bt R={R} kc={kc}");
         }
     }
 
     #[test]
     fn every_width_of_both_bodies_bitwise_matches_scalar() {
-        bodies_match_scalar::<f32>(tile_f32x4, Some(bt_f32x4));
-        bodies_match_scalar::<f32>(tile_f32x8, Some(bt_f32x8));
+        tile_matches_scalar::<f32>(tile_f32x4);
+        tile_matches_scalar::<f32>(tile_f32x8);
+        tile_matches_scalar::<f32>(tile_f32x16);
+        tile_matches_scalar::<f64>(tile_f64x2);
+        tile_matches_scalar::<f64>(tile_f64x4);
+        tile_matches_scalar::<f64>(tile_f64x8);
         // No table has a 16-lane f32 B^T kernel.
-        bodies_match_scalar::<f32>(tile_f32x16, None);
-        bodies_match_scalar::<f64>(tile_f64x2, Some(bt_f64x2));
-        bodies_match_scalar::<f64>(tile_f64x4, Some(bt_f64x4));
-        bodies_match_scalar::<f64>(tile_f64x8, Some(bt_f64x8));
+        bt_matches_scalar::<f32, MR>(bt_f32x4);
+        bt_matches_scalar::<f32, MR>(bt_f32x8);
+        bt_matches_scalar::<f64, MR>(bt_f64x2);
+        bt_matches_scalar::<f64, MR>(bt_f64x4);
+        bt_matches_scalar::<f64, MR>(bt_f64x8);
+    }
+
+    /// A B^T tile taller than `MR`, or not a multiple of the lane
+    /// count, runs its masked tail register bit for bit like the
+    /// scalar chains.
+    #[test]
+    fn bt_body_takes_any_row_count() {
+        bt_matches_scalar::<f32, 12>(bt12_f32x4);
+        bt_matches_scalar::<f32, 14>(bt14_f32x4);
+        bt_matches_scalar::<f32, 12>(bt12_f32x8);
+        bt_matches_scalar::<f32, 14>(bt14_f32x8);
+        bt_matches_scalar::<f64, 12>(bt12_f64x2);
+        bt_matches_scalar::<f64, 14>(bt14_f64x2);
+        bt_matches_scalar::<f64, 12>(bt12_f64x4);
+        bt_matches_scalar::<f64, 14>(bt14_f64x4);
+        bt_matches_scalar::<f64, 12>(bt12_f64x8);
+        bt_matches_scalar::<f64, 14>(bt14_f64x8);
     }
 }

@@ -26,6 +26,7 @@ use core::arch::aarch64::*;
 
 use super::{bt_kernel, ops, tile_kernel};
 use crate::gemm::dispatch::{neon_kernel, Neon};
+use crate::gemm::MR;
 
 mod mem;
 
@@ -38,5 +39,5 @@ ops!(neon_f64 = neon_kernel(f64 x 2 in float64x2_t, mem):
 // per pass; B^T columns of two f32 or four f64 registers.
 tile_kernel!(neon_kernel fn tile_f32_neon(Neon, neon_f32, G = 1));
 tile_kernel!(neon_kernel fn tile_f64_neon(Neon, neon_f64, G = 1));
-bt_kernel!(neon_kernel fn bt_f32_neon(Neon, neon_f32));
-bt_kernel!(neon_kernel fn bt_f64_neon(Neon, neon_f64));
+bt_kernel!(neon_kernel fn bt_f32_neon(Neon, neon_f32, R = MR));
+bt_kernel!(neon_kernel fn bt_f64_neon(Neon, neon_f64, R = MR));

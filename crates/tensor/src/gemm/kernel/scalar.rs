@@ -101,17 +101,23 @@ pub(crate) fn acc<T: Scalar>(kc: usize, ap: &[T], bp: &[T], acc: &mut [[T; NR]; 
 /// shape), portable instantiation.
 ///
 /// `acc[c][i] += sum_kk ap(kk, i) * b[c][kk]` — `BT_COLS` output
-/// columns of an `MR`-row micro-panel, each against its own contiguous
-/// B row segment. The columns are independent chains, which is what
-/// hides the FMA latency a single column would serialize on.
+/// columns of an `R`-row micro-panel (`MR` in the tables), each against
+/// its own contiguous B row segment. The columns are independent
+/// chains, which is what hides the FMA latency a single column would
+/// serialize on.
 #[inline(always)]
-pub(crate) fn bt<T: Scalar>(kc: usize, ap: &[T], b: [&[T]; BT_COLS], acc: &mut [[T; MR]; BT_COLS]) {
+pub(crate) fn bt<T: Scalar, const R: usize>(
+    kc: usize,
+    ap: &[T],
+    b: [&[T]; BT_COLS],
+    acc: &mut [[T; R]; BT_COLS],
+) {
     let [b0, b1, b2, b3] = b;
     let (b0, b1, b2, b3) = (&b0[..kc], &b1[..kc], &b2[..kc], &b3[..kc]);
-    let steps = rows::<_, MR>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
+    let steps = rows::<_, R>(ap, kc).iter().zip(b0).zip(b1).zip(b2).zip(b3);
     for ((((a_row, &x0), &x1), &x2), &x3) in steps {
         for (col, bv) in acc.iter_mut().zip([x0, x1, x2, x3]) {
-            for i in 0..MR {
+            for i in 0..R {
                 col[i] = a_row[i].fma(bv, col[i]);
             }
         }

@@ -33,6 +33,7 @@ use core::arch::x86_64::*;
 
 use super::{bt_kernel, ops, tile_kernel};
 use crate::gemm::dispatch::{avx2_kernel, avx512_kernel, Avx2, Avx512};
+use crate::gemm::MR;
 
 mod mem;
 
@@ -57,6 +58,6 @@ tile_kernel!(avx512_kernel fn tile_f64_avx512(Avx512, avx512_f64, G = 1));
 // The B^T kernels: a column is one ymm of f32 or zmm of f64, or two ymm
 // of f64. No AVX-512 f32 B^T kernel: one ymm already holds a column, so
 // the AVX-512 table runs the AVX2 one.
-bt_kernel!(avx2_kernel fn bt_f32_avx2(Avx2, avx2_f32));
-bt_kernel!(avx2_kernel fn bt_f64_avx2(Avx2, avx2_f64));
-bt_kernel!(avx512_kernel fn bt_f64_avx512(Avx512, avx512_f64));
+bt_kernel!(avx2_kernel fn bt_f32_avx2(Avx2, avx2_f32, R = MR));
+bt_kernel!(avx2_kernel fn bt_f64_avx2(Avx2, avx2_f64, R = MR));
+bt_kernel!(avx512_kernel fn bt_f64_avx512(Avx512, avx512_f64, R = MR));

@@ -5,7 +5,7 @@
 //! Section V.A motivates the tuned kernel against exactly this kind of
 //! straightforward implementation).
 
-use crate::matrix::Matrix;
+use crate::matrix::{MatMut, MatRef};
 use crate::scalar::Scalar;
 
 use super::Trans;
@@ -17,15 +17,16 @@ use super::Trans;
 /// within one k-block the oracle and the drivers agree on `op(A) *
 /// op(B)` to the bit. Shape contract is identical to the blocked
 /// driver; the public entry is [`super::op::GemmOp::run_reference`].
-pub(crate) fn reference<T: Scalar>(
+pub(crate) fn reference<'a, 'c, T: Scalar>(
     ta: Trans,
     tb: Trans,
     alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
+    a: impl Into<MatRef<'a, T>>,
+    b: impl Into<MatRef<'a, T>>,
     beta: T,
-    c: &mut Matrix<T>,
+    c: impl Into<MatMut<'c, T>>,
 ) {
+    let (a, b, c) = (a.into(), b.into(), c.into());
     let (m, k) = match ta {
         Trans::N => a.shape(),
         Trans::T => {
@@ -45,16 +46,17 @@ pub(crate) fn reference<T: Scalar>(
 
     let at = |i: usize, kk: usize| -> T {
         match ta {
-            Trans::N => a[(i, kk)],
-            Trans::T => a[(kk, i)],
+            Trans::N => a.row(i)[kk],
+            Trans::T => a.row(kk)[i],
         }
     };
     let bt = |kk: usize, j: usize| -> T {
         match tb {
-            Trans::N => b[(kk, j)],
-            Trans::T => b[(j, kk)],
+            Trans::N => b.row(kk)[j],
+            Trans::T => b.row(j)[kk],
         }
     };
+    let c = c.into_slice();
 
     for i in 0..m {
         for j in 0..n {
@@ -62,7 +64,7 @@ pub(crate) fn reference<T: Scalar>(
             for kk in 0..k {
                 acc = at(i, kk).fma(bt(kk, j), acc);
             }
-            c[(i, j)] = alpha * acc + beta * c[(i, j)];
+            c[i * n + j] = alpha * acc + beta * c[i * n + j];
         }
     }
 }
@@ -70,6 +72,7 @@ pub(crate) fn reference<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
 
     #[test]
     fn identity_times_anything() {

@@ -1,8 +1,11 @@
 //! The `GemmOp` descriptor: one entry point for every product form.
 //!
 //! Every product runs on the same blocked driver. [`GemmOp`]
-//! names the operands once — plain matrix,
-//! prepacked panel set, or streamed row-major `B^T` slice — scales
+//! names the operands once — a plain row-major view ([`MatRef`]: a
+//! `&Matrix` or any slice, such as a layer's region of a flat parameter
+//! vector), prepacked panel set, or streamed row-major `B^T` slice —
+//! and writes C into a [`MatMut`] view (a `&mut Matrix` or any slice),
+//! scales
 //! with [`GemmOp::alpha`]/[`GemmOp::beta`], and executes through the
 //! context's [`crate::gemm::backend::ComputeBackend`] with
 //! [`GemmOp::run`]. Operand combinations that have no driver (a plain
@@ -19,7 +22,7 @@
 //! assert_eq!(c[(1, 1)], 1.0 * 0.0 + 2.0 * 1.0 + 3.0 * 2.0);
 //! ```
 
-use crate::matrix::Matrix;
+use crate::matrix::{MatMut, MatRef};
 use crate::scalar::Scalar;
 
 use super::{driver, naive, GemmContext, PackedA, PackedB, Trans};
@@ -27,8 +30,8 @@ use super::{driver, naive, GemmContext, PackedA, PackedB, Trans};
 /// Left operand of a [`GemmOp`].
 #[derive(Clone, Copy, Debug)]
 pub(super) enum OpA<'a, T: Scalar> {
-    /// `op(A)` from a plain matrix.
-    Mat(&'a Matrix<T>, Trans),
+    /// `op(A)` from a plain row-major view.
+    Mat(MatRef<'a, T>, Trans),
     /// A prepacked left operand.
     Packed(&'a PackedA<T>),
 }
@@ -36,8 +39,8 @@ pub(super) enum OpA<'a, T: Scalar> {
 /// Right operand of a [`GemmOp`].
 #[derive(Clone, Copy, Debug)]
 pub(super) enum OpB<'a, T: Scalar> {
-    /// `op(B)` from a plain matrix.
-    Mat(&'a Matrix<T>, Trans),
+    /// `op(B)` from a plain row-major view.
+    Mat(MatRef<'a, T>, Trans),
     /// A prepacked right operand.
     Packed(&'a PackedB<T>),
     /// `B^T` streamed in place from an `n x k` row-major slice.
@@ -67,19 +70,24 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
     }
 
     /// Plain two-matrix product `op(A) * op(B)`.
-    pub fn ab(a: &'a Matrix<T>, ta: Trans, b: &'a Matrix<T>, tb: Trans) -> Self {
-        Self::new(OpA::Mat(a, ta), OpB::Mat(b, tb))
+    pub fn ab(
+        a: impl Into<MatRef<'a, T>>,
+        ta: Trans,
+        b: impl Into<MatRef<'a, T>>,
+        tb: Trans,
+    ) -> Self {
+        Self::new(OpA::Mat(a.into(), ta), OpB::Mat(b.into(), tb))
     }
 
     /// `op(A) * B_packed` — the training forward/backward hot path,
     /// where the weights are packed once per step.
-    pub fn packed_b(a: &'a Matrix<T>, ta: Trans, b: &'a PackedB<T>) -> Self {
-        Self::new(OpA::Mat(a, ta), OpB::Packed(b))
+    pub fn packed_b(a: impl Into<MatRef<'a, T>>, ta: Trans, b: &'a PackedB<T>) -> Self {
+        Self::new(OpA::Mat(a.into(), ta), OpB::Packed(b))
     }
 
     /// `A_packed * op(B)` — the CG loop's fixed-activations side.
-    pub fn packed_a(a: &'a PackedA<T>, b: &'a Matrix<T>, tb: Trans) -> Self {
-        Self::new(OpA::Packed(a), OpB::Mat(b, tb))
+    pub fn packed_a(a: &'a PackedA<T>, b: impl Into<MatRef<'a, T>>, tb: Trans) -> Self {
+        Self::new(OpA::Packed(a), OpB::Mat(b.into(), tb))
     }
 
     /// `A_packed * B_packed` — both operands prepacked; nothing is
@@ -107,15 +115,16 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
         self
     }
 
-    /// Execute on `ctx` through the blocked driver; the microkernels
+    /// Execute on `ctx` through the blocked driver into `c` (a
+    /// `&mut Matrix` or a [`MatMut`] over any slice); the microkernels
     /// come from `ctx`'s backend.
     ///
     /// # Panics
     /// On shape mismatch between the operands and `c`, a streamed `B^T`
     /// slice that is not `n x k`, or two packs built under different
     /// blockings.
-    pub fn run(self, ctx: &GemmContext, c: &mut Matrix<T>) {
-        driver::run(ctx, self.a, self.b, self.alpha, self.beta, c);
+    pub fn run<'c>(self, ctx: &GemmContext, c: impl Into<MatMut<'c, T>>) {
+        driver::run(ctx, self.a, self.b, self.alpha, self.beta, c.into());
     }
 
     /// Execute via the naive triple-loop reference instead of the
@@ -125,10 +134,10 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
     /// # Panics
     /// If either operand is prepacked (the reference reads plain
     /// matrices only), or on shape mismatch.
-    pub fn run_reference(self, c: &mut Matrix<T>) {
+    pub fn run_reference<'c>(self, c: impl Into<MatMut<'c, T>>) {
         match (self.a, self.b) {
             (OpA::Mat(a, ta), OpB::Mat(b, tb)) => {
-                naive::reference(ta, tb, self.alpha, a, b, self.beta, c)
+                naive::reference(ta, tb, self.alpha, a, b, self.beta, c.into())
             }
             // pdnn-lint: allow(l3-no-unwrap): API misuse guard — the reference path is defined for plain matrices only, and silently falling back to the blocked driver would defeat its oracle role
             _ => panic!("GemmOp::run_reference requires plain matrix operands"),
@@ -140,6 +149,7 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
 mod tests {
     use super::*;
     use crate::gemm::{scalar_backend, Blocking};
+    use crate::matrix::Matrix;
     use pdnn_util::Prng;
 
     fn rand(r: usize, c: usize, seed: u64) -> Matrix<f32> {
@@ -157,11 +167,11 @@ mod tests {
         let mut c2 = c0;
         driver::run(
             &ctx,
-            OpA::Mat(&a, Trans::N),
-            OpB::Mat(&b, Trans::N),
+            OpA::Mat((&a).into(), Trans::N),
+            OpB::Mat((&b).into(), Trans::N),
             1.5,
             -0.5,
-            &mut c1,
+            (&mut c1).into(),
         );
         GemmOp::ab(&a, Trans::N, &b, Trans::N)
             .alpha(1.5)

@@ -9,7 +9,7 @@
 //! buffers with unit stride. Ragged edges are zero-padded so the
 //! kernel never branches on panel width.
 
-use crate::matrix::Matrix;
+use crate::matrix::MatRef;
 use crate::scalar::Scalar;
 
 use super::{Trans, MR, NR};
@@ -23,7 +23,7 @@ use super::{Trans, MR, NR};
 ///
 /// `out` must have room for `ceil(mc / MR) * kc * MR` elements.
 pub(crate) fn pack_a<T: Scalar>(
-    a: &Matrix<T>,
+    a: MatRef<'_, T>,
     trans: Trans,
     ic: usize,
     mc: usize,
@@ -82,7 +82,7 @@ pub(crate) fn pack_a<T: Scalar>(
 ///
 /// `out` must have room for `ceil(nc / NR) * kc * NR` elements.
 pub(crate) fn pack_b<T: Scalar>(
-    b: &Matrix<T>,
+    b: MatRef<'_, T>,
     trans: Trans,
     pc: usize,
     kc: usize,
@@ -90,13 +90,11 @@ pub(crate) fn pack_b<T: Scalar>(
     nc: usize,
     out: &mut [T],
 ) {
-    pack_b_rows(b.as_slice(), b.cols(), trans, pc, kc, jc, nc, out);
+    pack_b_rows(b.as_slice(), b.shape().1, trans, pc, kc, jc, nc, out);
 }
 
 /// [`pack_b`] reading from a row-major slice (`stride` elements per
-/// row) instead of a [`Matrix`] — lets callers holding a flat
-/// parameter region (e.g. a layer's slice of a direction vector) pack
-/// without first copying into a matrix.
+/// row) instead of a view.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b_rows<T: Scalar>(
     data: &[T],
@@ -176,6 +174,7 @@ fn transpose_into<T: Scalar>(src: &[&[T]], dst: &mut [T]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
 
     fn sample(rows: usize, cols: usize) -> Matrix<f32> {
         Matrix::from_fn(rows, cols, |r, c| (r * 100 + c) as f32)
@@ -189,7 +188,7 @@ mod tests {
         let panels = mc.div_ceil(MR);
         assert_eq!(panels, 2);
         let mut buf = vec![-1.0f32; panels * kc * MR];
-        pack_a(&a, Trans::N, ic, mc, pc, kc, &mut buf);
+        pack_a((&a).into(), Trans::N, ic, mc, pc, kc, &mut buf);
         // Element (i=0, kk=0) of panel 0 is A[1, 2].
         assert_eq!(buf[0], a[(1, 2)]);
         // Element (i=3, kk=2) of panel 0 is A[4, 4].
@@ -210,8 +209,8 @@ mod tests {
         let mut buf1 = vec![0.0f32; panels * kc * MR];
         let mut buf2 = vec![0.0f32; panels * kc * MR];
         // op(A) = A^T with A 7x9 → op is 9x7; block from (ic, pc).
-        pack_a(&a, Trans::T, ic, mc, pc, kc, &mut buf1);
-        pack_a(&at, Trans::N, ic, mc, pc, kc, &mut buf2);
+        pack_a((&a).into(), Trans::T, ic, mc, pc, kc, &mut buf1);
+        pack_a((&at).into(), Trans::N, ic, mc, pc, kc, &mut buf2);
         assert_eq!(buf1, buf2);
     }
 
@@ -223,7 +222,7 @@ mod tests {
         let panels = nc.div_ceil(NR);
         assert_eq!(panels, 3);
         let mut buf = vec![-1.0f32; panels * kc * NR];
-        pack_b(&b, Trans::N, pc, kc, jc, nc, &mut buf);
+        pack_b((&b).into(), Trans::N, pc, kc, jc, nc, &mut buf);
         // (kk=0, j=0) of panel 0 is B[1, 3].
         assert_eq!(buf[0], b[(1, 3)]);
         // (kk=2, j=5) of panel 0 is B[3, 8].
@@ -242,8 +241,8 @@ mod tests {
         let panels = nc.div_ceil(NR);
         let mut buf1 = vec![0.0f32; panels * kc * NR];
         let mut buf2 = vec![0.0f32; panels * kc * NR];
-        pack_b(&b, Trans::T, pc, kc, jc, nc, &mut buf1);
-        pack_b(&bt, Trans::N, pc, kc, jc, nc, &mut buf2);
+        pack_b((&b).into(), Trans::T, pc, kc, jc, nc, &mut buf1);
+        pack_b((&bt).into(), Trans::N, pc, kc, jc, nc, &mut buf2);
         assert_eq!(buf1, buf2);
     }
 
@@ -324,7 +323,7 @@ mod tests {
                             format!("{trans:?} outer={outer} depth={depth} at ({off_o}, {off_d})");
                         let len = outer.div_ceil(MR) * depth * MR;
                         let (mut got, mut want) = (vec![-1.0f32; len], vec![-2.0f32; len]);
-                        pack_a(&m, trans, off_o, outer, off_d, depth, &mut got);
+                        pack_a((&m).into(), trans, off_o, outer, off_d, depth, &mut got);
                         pack_a_by_element(&m, trans, (off_o, outer, off_d, depth), &mut want);
                         assert_eq!(got, want, "pack_a {case}");
                         // For B, op(B) is depth x outer from (off_d, off_o).
@@ -337,7 +336,7 @@ mod tests {
                         }
                         let len = outer.div_ceil(NR) * depth * NR;
                         let (mut got, mut want) = (vec![-1.0f32; len], vec![-2.0f32; len]);
-                        pack_b(&m, trans, off_d, depth, off_o, outer, &mut got);
+                        pack_b((&m).into(), trans, off_d, depth, off_o, outer, &mut got);
                         pack_b_by_element(&m, trans, (off_d, depth, off_o, outer), &mut want);
                         assert_eq!(got, want, "pack_b {case}");
                     }
@@ -351,6 +350,6 @@ mod tests {
     fn pack_a_checks_capacity() {
         let a = sample(8, 8);
         let mut buf = vec![0.0f32; 4];
-        pack_a(&a, Trans::N, 0, 8, 0, 8, &mut buf);
+        pack_a((&a).into(), Trans::N, 0, 8, 0, 8, &mut buf);
     }
 }

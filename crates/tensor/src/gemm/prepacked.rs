@@ -24,7 +24,7 @@
 //! them, and every form is bitwise [`super::GemmOp::ab`] under the same
 //! blocking.
 
-use crate::matrix::Matrix;
+use crate::matrix::MatRef;
 use crate::scalar::Scalar;
 use crate::workspace::Workspace;
 
@@ -53,7 +53,9 @@ pub(super) fn block_at(
     pc * row + jc / nc * block * kc_eff
 }
 
-/// `op(B)` packed once for repeated multiplication.
+/// `op(B)` packed once for repeated multiplication. Two packs are equal
+/// when they hold the same panels under the same blocking, whatever
+/// tail a repack left in either buffer.
 #[derive(Clone, Debug)]
 pub struct PackedB<T: Scalar> {
     data: Vec<T>,
@@ -68,14 +70,16 @@ impl<T: Scalar> PackedB<T> {
     /// Degenerate shapes (`k == 0` or `n == 0`) produce an empty pack
     /// that [`super::GemmOp::packed_b`] handles through the same early-return
     /// paths as [`super::GemmOp::ab`] (pure `beta` scaling of C).
-    pub fn new(b: &Matrix<T>, tb: Trans, blocking: Blocking) -> Self {
-        Self::build(b.rows(), b.cols(), b.as_slice(), tb, blocking, |total| {
+    pub fn new<'b>(b: impl Into<MatRef<'b, T>>, tb: Trans, blocking: Blocking) -> Self {
+        let b = b.into();
+        let (rows, cols) = b.shape();
+        Self::build(rows, cols, b.as_slice(), tb, blocking, |total| {
             vec![T::ZERO; total]
         })
     }
 
     /// Pack `op(B)` into workspace scratch, reading it straight from a
-    /// row-major slice of `rows x cols` — no intermediate [`Matrix`]
+    /// row-major slice of `rows x cols` — no intermediate matrix
     /// needed, so a layer's region of a flat direction vector packs
     /// without the copy that building a matrix first would cost.
     ///
@@ -115,9 +119,11 @@ impl<T: Scalar> PackedB<T> {
     /// if the new operand needs more room: when the weights (or the
     /// sampled activations) change, the pack is refilled instead of
     /// freed and rebuilt. Bitwise the pack [`Self::new`] would build.
-    pub fn repack(&mut self, b: &Matrix<T>, tb: Trans, blocking: Blocking) {
+    pub fn repack<'b>(&mut self, b: impl Into<MatRef<'b, T>>, tb: Trans, blocking: Blocking) {
+        let b = b.into();
+        let (rows, cols) = b.shape();
         let data = std::mem::take(&mut self.data);
-        *self = Self::build(b.rows(), b.cols(), b.as_slice(), tb, blocking, |total| {
+        *self = Self::build(rows, cols, b.as_slice(), tb, blocking, |total| {
             let mut data = data;
             scratch::grow_to(&mut data, total);
             data
@@ -174,6 +180,35 @@ impl<T: Scalar> PackedB<T> {
         self.n
     }
 
+    /// Bytes the pack holds: its panels, plus any tail a repack into
+    /// a larger buffer left unused.
+    pub fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<T>()
+    }
+
+    /// Row `kk` of `op(B)`, read back out of the panels: its columns in
+    /// order, as the `NR`-wide runs one per panel (the last run of an
+    /// `nc` block ragged), so the runs laid end to end are the row.
+    ///
+    /// # Panics
+    /// If `kk >= k()`.
+    pub fn row_runs(&self, kk: usize) -> impl Iterator<Item = &[T]> + '_ {
+        assert!(kk < self.k, "PackedB::row_runs: row {kk} of {}", self.k);
+        let kc = self.blocking.kc.min(self.k);
+        let nc = self.blocking.nc.min(self.n);
+        let pc = kk / kc * kc;
+        let kc_eff = kc.min(self.k - pc);
+        (0..self.n).step_by(nc).flat_map(move |jc| {
+            let nc_eff = nc.min(self.n - jc);
+            let block = block_at(NR, self.n, nc, pc, kc_eff, jc);
+            // Panel `j / NR` of the block starts `j * kc_eff` in.
+            (0..nc_eff).step_by(NR).map(move |j| {
+                let start = block + j * kc_eff + (kk - pc) * NR;
+                &self.data[start..start + NR.min(nc_eff - j)]
+            })
+        })
+    }
+
     /// Blocking the panels were packed under (the multiply must use
     /// the same).
     pub(crate) fn blocking(&self) -> Blocking {
@@ -196,6 +231,8 @@ impl<T: Scalar> PackedB<T> {
 /// layout `pack::pack_a` produces for a stripe starting at row
 /// `ir * MR`, so [`super::GemmOp::packed_a`] is bitwise identical to
 /// [`super::GemmOp::ab`].
+///
+/// Two packs are equal as [`PackedB`]s are.
 #[derive(Clone, Debug)]
 pub struct PackedA<T: Scalar> {
     data: Vec<T>,
@@ -210,15 +247,15 @@ impl<T: Scalar> PackedA<T> {
     /// Degenerate shapes (`m == 0` or `k == 0`) produce an empty pack
     /// that [`super::GemmOp::packed_a`] handles through the same early-return
     /// paths as [`super::GemmOp::ab`].
-    pub fn new(a: &Matrix<T>, ta: Trans, blocking: Blocking) -> Self {
-        Self::build(a, ta, blocking, |total| vec![T::ZERO; total])
+    pub fn new<'a>(a: impl Into<MatRef<'a, T>>, ta: Trans, blocking: Blocking) -> Self {
+        Self::build(a.into(), ta, blocking, |total| vec![T::ZERO; total])
     }
 
     /// Re-pack `op(A)` into this pack's own buffer, which grows only
     /// if the new operand needs more room (see [`PackedB::repack`]).
-    pub fn repack(&mut self, a: &Matrix<T>, ta: Trans, blocking: Blocking) {
+    pub fn repack<'a>(&mut self, a: impl Into<MatRef<'a, T>>, ta: Trans, blocking: Blocking) {
         let data = std::mem::take(&mut self.data);
-        *self = Self::build(a, ta, blocking, |total| {
+        *self = Self::build(a.into(), ta, blocking, |total| {
             let mut data = data;
             scratch::grow_to(&mut data, total);
             data
@@ -229,7 +266,7 @@ impl<T: Scalar> PackedA<T> {
     /// count; it may be longer (a repacked buffer keeps its high-water
     /// length), and the tail past the blocks is unused.
     fn build(
-        a: &Matrix<T>,
+        a: MatRef<'_, T>,
         ta: Trans,
         blocking: Blocking,
         alloc: impl FnOnce(usize) -> Vec<T>,
@@ -275,26 +312,54 @@ impl<T: Scalar> PackedA<T> {
         self.blocking
     }
 
+    /// Bytes the pack holds: its panels, plus any tail a repack into
+    /// a larger buffer left unused.
+    pub fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<T>()
+    }
+
     /// The packed panels, laid out as `block_at` says.
     pub(super) fn panels(&self) -> &[T] {
         &self.data
     }
 }
 
-#[cfg(test)]
-impl<T: Scalar> PackedB<T> {
-    /// Bytes held: the pack, plus any tail a repack into a larger
-    /// buffer left unused.
-    fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
+impl<T: Scalar> PartialEq for PackedB<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.blocking, self.k, self.n) == (other.blocking, other.k, other.n)
+            && self.used() == other.used()
     }
 }
 
-#[cfg(test)]
+impl<T: Scalar> PackedB<T> {
+    /// The panels, without a repack's unused tail.
+    fn used(&self) -> &[T] {
+        let nc = self.blocking.nc.min(self.n);
+        let empty = self.k == 0 || self.n == 0;
+        &self.data[..if empty {
+            0
+        } else {
+            block_at(NR, self.n, nc, self.k, 0, 0)
+        }]
+    }
+}
+
+impl<T: Scalar> PartialEq for PackedA<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.blocking, self.m, self.k) == (other.blocking, other.m, other.k)
+            && self.used() == other.used()
+    }
+}
+
 impl<T: Scalar> PackedA<T> {
-    /// Bytes held.
-    fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
+    /// The panels, without a repack's unused tail.
+    fn used(&self) -> &[T] {
+        let empty = self.m == 0 || self.k == 0;
+        &self.data[..if empty {
+            0
+        } else {
+            block_at(MR, self.m, MR, self.k, 0, 0)
+        }]
     }
 }
 
@@ -302,6 +367,7 @@ impl<T: Scalar> PackedA<T> {
 mod tests {
     use super::*;
     use crate::gemm::{GemmContext, GemmOp};
+    use crate::matrix::Matrix;
     use pdnn_util::Prng;
 
     fn rand(r: usize, c: usize, seed: u64) -> Matrix<f32> {
@@ -397,6 +463,23 @@ mod tests {
         GemmOp::ab(&a, Trans::N, &b, Trans::N).run(&ctx, &mut c1);
         GemmOp::packed_b(&a, Trans::N, &packed).run(&ctx, &mut c2);
         assert_eq!(c1, c2);
+    }
+
+    /// The runs of every row, end to end, are that row of `op(B)`,
+    /// whatever the blocking cuts of k and n.
+    #[test]
+    fn row_runs_read_back_each_row() {
+        let b = rand(45, 2 * NR + 9, 30);
+        for (kc, nc) in [(256, 1024), (7, 1024), (16, NR + 5), (1, NR)] {
+            let blocking = Blocking { mc: 8, kc, nc };
+            for (tb, op_b) in [(Trans::N, b.clone()), (Trans::T, b.transposed())] {
+                let packed = PackedB::new(&op_b, tb, blocking);
+                for kk in 0..packed.k() {
+                    let row: Vec<f32> = packed.row_runs(kk).flatten().copied().collect();
+                    assert_eq!(row, b.row(kk), "kc={kc} nc={nc} {tb:?} row {kk}");
+                }
+            }
+        }
     }
 
     #[test]

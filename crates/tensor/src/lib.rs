@@ -46,6 +46,6 @@ pub use gemm::{
     BackendConfigBuilder, BackendError, ComputeBackend, GemmContext, GemmOp, Isa, PackedA, PackedB,
     Trans, BACKEND_ENV,
 };
-pub use matrix::Matrix;
+pub use matrix::{MatMut, MatRef, Matrix};
 pub use scalar::Scalar;
 pub use workspace::{Workspace, WorkspaceStats};

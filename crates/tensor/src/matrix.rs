@@ -4,6 +4,12 @@
 //! activations are `[frames x units]`, weights `[out x in]`. Row-major
 //! layout means a batch of frames is a contiguous stack of feature
 //! rows, which is what the packing routines in [`crate::gemm`] expect.
+//!
+//! [`MatRef`] and [`MatMut`] are the same layout over a borrowed slice:
+//! a layer's region of a flat parameter vector is a weight matrix as it
+//! lies, so a GEMM reads its operands from, or writes its product into,
+//! such a region with no copy. `&Matrix` and `&mut Matrix` convert into
+//! them.
 
 use crate::scalar::Scalar;
 use pdnn_util::Prng;
@@ -170,6 +176,11 @@ impl<T: Scalar> Matrix<T> {
         &self.data[r0 * self.cols..r1 * self.cols]
     }
 
+    /// Rows `r0..r1` as a view, no copy.
+    pub fn rows_view(&self, r0: usize, r1: usize) -> MatRef<'_, T> {
+        MatRef::new(r1 - r0, self.cols, self.rows_slice(r0, r1))
+    }
+
     /// Transposed copy.
     pub fn transposed(&self) -> Matrix<T> {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -187,13 +198,6 @@ impl<T: Scalar> Matrix<T> {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Scale every element by `alpha`.
-    pub(crate) fn scale(&mut self, alpha: T) {
-        for v in &mut self.data {
-            *v *= alpha;
         }
     }
 
@@ -279,6 +283,93 @@ impl<T: Scalar> IndexMut<(usize, usize)> for Matrix<T> {
     }
 }
 
+/// A row-major `rows x cols` view over a borrowed slice.
+#[derive(Clone, Copy, Debug)]
+pub struct MatRef<'a, T: Scalar> {
+    rows: usize,
+    cols: usize,
+    data: &'a [T],
+}
+
+impl<'a, T: Scalar> MatRef<'a, T> {
+    /// View `data` as `rows x cols`, row-major.
+    ///
+    /// # Panics
+    /// If `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [T]) -> Self {
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "MatRef::new: slice length {} != {rows}x{cols}",
+            data.len()
+        );
+        MatRef { rows, cols, data }
+    }
+
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// The viewed slice.
+    pub(crate) fn as_slice(&self) -> &'a [T] {
+        self.data
+    }
+
+    /// Row `r`.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &'a [T] {
+        debug_assert!(r < self.rows);
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
+impl<'a, T: Scalar> From<&'a Matrix<T>> for MatRef<'a, T> {
+    fn from(m: &'a Matrix<T>) -> Self {
+        MatRef::new(m.rows, m.cols, &m.data)
+    }
+}
+
+/// A mutable row-major `rows x cols` view over a borrowed slice.
+#[derive(Debug)]
+pub struct MatMut<'a, T: Scalar> {
+    rows: usize,
+    cols: usize,
+    data: &'a mut [T],
+}
+
+impl<'a, T: Scalar> MatMut<'a, T> {
+    /// View `data` as `rows x cols`, row-major.
+    ///
+    /// # Panics
+    /// If `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a mut [T]) -> Self {
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "MatMut::new: slice length {} != {rows}x{cols}",
+            data.len()
+        );
+        MatMut { rows, cols, data }
+    }
+
+    /// `(rows, cols)`.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// The viewed slice.
+    pub(crate) fn into_slice(self) -> &'a mut [T] {
+        self.data
+    }
+}
+
+impl<'a, T: Scalar> From<&'a mut Matrix<T>> for MatMut<'a, T> {
+    fn from(m: &'a mut Matrix<T>) -> Self {
+        MatMut::new(m.rows, m.cols, &mut m.data)
+    }
+}
+
 #[cfg(test)]
 impl<T: Scalar> Matrix<T> {
     /// Identity-like matrix (ones on the main diagonal).
@@ -349,10 +440,17 @@ mod tests {
     }
 
     #[test]
-    fn scale_multiplies_in_place() {
-        let mut b: Matrix<f32> = Matrix::filled(2, 2, 3.5);
-        b.scale(2.0);
-        assert_eq!(b[(0, 1)], 7.0);
+    fn views_share_the_layout() {
+        let mut m: Matrix<f32> = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
+        let v = m.rows_view(1, 3);
+        assert_eq!(v.shape(), (2, 3));
+        assert_eq!(v.row(1), m.row(2));
+        assert_eq!(MatRef::from(&m).as_slice(), m.as_slice());
+        let mut flat = m.as_slice().to_vec();
+        assert_eq!(
+            MatMut::new(4, 3, &mut flat).shape(),
+            MatMut::from(&mut m).shape()
+        );
     }
 
     #[test]

@@ -224,8 +224,15 @@ gate "fault tolerance: kill-and-recover smoke (checkpoint restore)" recovery_smo
 # ComputeBackend::acc_f32, GemmOp::packed_*): an API change that breaks
 # it, or a kernel change that fails one of its output checks, must fail
 # here rather than only in a later benchmark run.
+# The offline build rewrites benchmark/Cargo.lock (it lacks pdnn-obs
+# under pdnn-dnn and still names pdnn-bgq), and benchmark/ is frozen:
+# the file is saved first and put back when the gate's subshell exits,
+# on success and on failure alike.
 bench_smoke() {
-  local bench_out
+  local bench_out lock=benchmark/Cargo.lock saved
+  saved="$(mktemp)"
+  cp "$lock" "$saved"
+  trap "cp '$saved' '$lock'; rm -f '$saved'" EXIT
   bench_out="$(benchmark/run.sh --smoke)" \
     || { echo "$bench_out" >&2; echo "benchmark smoke run exited non-zero" >&2; exit 1; }
   echo "$bench_out" | grep -q ": failed 0 of attempted " \
