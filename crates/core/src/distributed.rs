@@ -571,7 +571,8 @@ impl HfProblem for MasterProblem<'_> {
         let pool = self.comm.payload_pool().high_water_bytes();
         let mem = RankMemory {
             arena: self.ws.stats(),
-            pack_bytes: 0,
+            weight_pack_bytes: 0,
+            sample_pack_bytes: 0,
             model_bytes: (self.theta.len() * std::mem::size_of::<f32>()) as u64,
         };
         report_memory(&*self.rec, mem, Some(pool));

@@ -30,9 +30,12 @@
 //! other pass is row-independent.
 //!
 //! **The curvature sample, held once.** [`ShardEngine::draw_sample`]
-//! forwards the sample in the same chunks, straight into its two packed
-//! layouts ([`PackedActivations`]), and keeps only those, its logits
-//! and its distribution: no raw activations. Each Gauss–Newton product
+//! forwards the sample in the same chunks, straight into its one packed
+//! layout ([`PackedActivations`]: the right operand of the backward's
+//! `δᵀ·a`, which the R-forward reads in place as its left operand), and
+//! keeps only that, its logits and its distribution: no raw
+//! activations. Its gauges are `sample_pack_bytes`, beside the weight
+//! packs' `weight_pack_bytes`. Each Gauss–Newton product
 //! then walks the packed chunks (`gn_product_packed`), bitwise the
 //! whole sample's product, with chunk-sized scratch, so a rank's memory
 //! does not grow with the sample beyond the packs themselves. The
@@ -126,28 +129,32 @@ fn ensure_packs(
 pub(crate) struct RankMemory {
     /// Its arena's counters (high water and reuse).
     pub(crate) arena: WorkspaceStats,
-    /// Bytes of its weight packs and packed curvature sample.
-    pub(crate) pack_bytes: u64,
+    /// Bytes of its weight packs (`W^T` and `W` per layer).
+    pub(crate) weight_pack_bytes: u64,
+    /// Bytes of its packed curvature sample.
+    pub(crate) sample_pack_bytes: u64,
     /// Bytes of its model's parameters.
     pub(crate) model_bytes: u64,
 }
 
 /// Publish a rank's memory gauges: its owner's `arena_*` counters,
-/// its thread's `gemm_scratch_bytes`, its `pack_bytes` and
-/// `model_bytes`, its communicator's `payload_pool_high_water_bytes`
-/// (if any), and their sum `memory_high_water_bytes`.
+/// its thread's `gemm_scratch_bytes`, its `weight_pack_bytes`,
+/// `sample_pack_bytes` and `model_bytes`, its communicator's
+/// `payload_pool_high_water_bytes` (if any), and their sum
+/// `memory_high_water_bytes`.
 pub(crate) fn report_memory(rec: &dyn Recorder, mem: RankMemory, pool: Option<u64>) {
     let scratch = pdnn_tensor::gemm::scratch::retained_bytes() as u64;
     rec.gauge_set("arena_bytes_reused", mem.arena.bytes_reused as f64);
     rec.gauge_set("arena_high_water_bytes", mem.arena.high_water_bytes as f64);
     rec.gauge_set("gemm_scratch_bytes", scratch as f64);
-    rec.gauge_set("pack_bytes", mem.pack_bytes as f64);
+    rec.gauge_set("weight_pack_bytes", mem.weight_pack_bytes as f64);
+    rec.gauge_set("sample_pack_bytes", mem.sample_pack_bytes as f64);
     rec.gauge_set("model_bytes", mem.model_bytes as f64);
     if let Some(bytes) = pool {
         rec.gauge_set("payload_pool_high_water_bytes", bytes as f64);
     }
-    let total =
-        mem.arena.high_water_bytes + scratch + mem.pack_bytes + mem.model_bytes + pool.unwrap_or(0);
+    let packs = mem.weight_pack_bytes + mem.sample_pack_bytes;
+    let total = mem.arena.high_water_bytes + scratch + packs + mem.model_bytes + pool.unwrap_or(0);
     rec.gauge_set("memory_high_water_bytes", total as f64);
 }
 
@@ -369,7 +376,8 @@ impl<'a> ShardEngine<'a> {
         let weights = self.packs.as_ref().map_or(0, PackedWeights::bytes);
         RankMemory {
             arena: self.arena_stats(),
-            pack_bytes: (weights + self.sample_packs.bytes()) as u64,
+            weight_pack_bytes: weights as u64,
+            sample_pack_bytes: self.sample_packs.bytes() as u64,
             model_bytes: (self.net.num_params() * std::mem::size_of::<f32>()) as u64,
         }
     }

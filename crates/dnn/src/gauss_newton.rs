@@ -23,21 +23,24 @@
 //!
 //! **Streamed over the sample.** The product runs on the curvature
 //! sample as [`PackedActivations`] hold it: chunks of `kc` frames (one
-//! GEMM k-block each), packed once per CG solve, with no raw
-//! activations beside them. [`gn_product_packed`] takes the three
-//! sweeps chunk by chunk; the masks `f'(z)` are read out of the right
-//! packs, and each chunk's `dW = δᵀ·a` is written (first chunk, `β = 0`)
-//! or merged (`β = 1`) straight into the layer's region of the product
-//! vector, with no `dW` scratch and no copy. Because the whole-sample
-//! GEMM cuts the frames on the same `kc` grid and merges its later
-//! k-blocks the same way, and every other step is row-independent or a
-//! running sum in frame order, the product is bitwise the whole
-//! sample's, while a rank's scratch is a few chunk-sized matrices
+//! GEMM k-block each), packed once per CG solve in one layout, the
+//! right operand of `δᵀ·a`, with no raw activations beside them.
+//! [`gn_product_packed`] packs every layer's `Vwᵀ` once, then takes the
+//! three sweeps chunk by chunk: the R-forward's `a·Vwᵀ` reads `a` in
+//! place from the right pack's panel rows (`GemmOp::rows_ab`), the
+//! masks `f'(z)` are read out of the same pack, and each chunk's
+//! `dW = δᵀ·a` is written (first chunk, `β = 0`) or merged (`β = 1`)
+//! straight into the layer's region of the product vector, with no
+//! `dW` scratch and no copy. Because the whole-sample GEMM cuts the
+//! frames on the same `kc` grid and merges its later k-blocks the same
+//! way, and every other step is row-independent or a running sum in
+//! frame order, the product is bitwise the whole sample's, while a
+//! rank's scratch is a few chunk-sized matrices (and the `Vw` packs)
 //! whatever the sample size.
 
 use crate::network::{ForwardCache, Network};
 use crate::packed::{ChunkPacks, PackedActivations, PackedWeights};
-use pdnn_tensor::gemm::{GemmContext, GemmOp, PackedB, Trans, MR as GEMM_MR};
+use pdnn_tensor::gemm::{GemmContext, GemmOp, PackedB, Trans};
 use pdnn_tensor::{MatMut, Matrix, Scalar, Workspace};
 
 /// Which loss-Hessian `H_L` closes the Gauss–Newton sandwich.
@@ -82,12 +85,12 @@ pub fn gn_product<T: Scalar>(
 /// Within one CG solve the weights and the curvature sample are both
 /// fixed, so `packs` (weights) and `acts` (the batch's activations,
 /// packed from `cache`) can be built once and replayed across every
-/// iteration; without `acts` the cache is packed for this call. The
-/// product is [`gn_product_packed`] over the packed batch. All scratch
-/// comes from `ws`; give the returned vector back after use for an
-/// allocation-free steady state. Packed and unpacked weights give
-/// bitwise the same product (the prepacked drivers replay the exact
-/// blocked GEMMs).
+/// iteration; without `acts` the cache is packed for this call, in the
+/// one layout the product reads. The product is [`gn_product_packed`]
+/// over the packed batch. All scratch comes from `ws`; give the
+/// returned vector back after use for an allocation-free steady
+/// state. Packed and unpacked weights give bitwise the same product
+/// (the prepacked drivers replay the exact blocked GEMMs).
 ///
 /// # Panics
 /// If `packs` was built from a different weight version, or if `cache`
@@ -125,9 +128,10 @@ pub fn gn_product_ws<T: Scalar>(
 }
 
 /// `G(θ) v` summed over the batch held in `sample`, streamed chunk by
-/// chunk: each chunk of `kc` frames runs the R-forward, `H_L` and the
-/// linearized backward, and merges its `dW = δᵀ·a` straight into the
-/// layer's region of the returned vector.
+/// chunk: each layer's `Vw` is packed once (arena scratch, given back
+/// at the end), then each chunk of `kc` frames runs the R-forward, `H_L`
+/// and the linearized backward, and merges its `dW = δᵀ·a` straight
+/// into the layer's region of the returned vector.
 ///
 /// The sums are bitwise those of the whole batch at once. The
 /// R-forward, the masks `f'(z)`, `H_L` and `δ·W` are row-independent;
@@ -172,6 +176,23 @@ pub fn gn_product_packed<T: Scalar>(
     if sample.chunks().is_empty() {
         return ws.take_vec(net.num_params());
     }
+    // Each layer's Vw, packed once from its flat region (arena scratch;
+    // no Vw matrix is ever materialized) for every chunk's `a·Vwᵀ`.
+    let vw: Vec<PackedB<T>> = net
+        .layers()
+        .iter()
+        .zip(&parts)
+        .map(|(layer, &(vw_flat, _))| {
+            PackedB::new_in_from_rows(
+                layer.outputs(),
+                layer.inputs(),
+                vw_flat,
+                Trans::T,
+                ctx.blocking(),
+                ws,
+            )
+        })
+        .collect();
     // Scratch take: the first chunk writes every region (weights with
     // β = 0, biases zeroed, then summed into).
     let mut out = ws.take_vec_scratch(net.num_params());
@@ -182,21 +203,27 @@ pub fn gn_product_packed<T: Scalar>(
             net.layers().len(),
             "gn_product_ws: PackedActivations depth mismatch"
         );
-        let mut u = r_forward(net, ctx, chunk, &parts, packs, ws);
+        let mut u = r_forward(net, ctx, chunk, &vw, &parts, packs, ws);
         if let Curvature::Fisher(q) = curvature {
             fisher_hessian(q, r0, &mut u);
         }
         linearized_backward(net, ctx, chunk, u, packs, ws, &mut out, c > 0);
         r0 += chunk.rows();
     }
+    for p in vw {
+        p.give_back(ws);
+    }
     out
 }
 
-/// Sweep 1 over one chunk: `J v` at the logits, an arena take.
+/// Sweep 1 over one chunk: `J v` at the logits, an arena take. `vw`
+/// holds each layer's packed `Vwᵀ`, and `parts` the direction's
+/// per-layer regions (only the `Vb` halves are read).
 fn r_forward<T: Scalar>(
     net: &Network<T>,
     ctx: &GemmContext,
     chunk: &ChunkPacks<T>,
+    vw: &[PackedB<T>],
     parts: &[(&[T], &[T])],
     packs: Option<&PackedWeights<T>>,
     ws: &mut Workspace<T>,
@@ -208,7 +235,7 @@ fn r_forward<T: Scalar>(
     // rz directly (beta = 0 overwrite instead of accumulate).
     let mut r: Option<Matrix<T>> = None;
     for (l, layer) in layers.iter().enumerate() {
-        let (vw_flat, vb) = parts[l];
+        let (_, vb) = parts[l];
         // Rz = r * W^T + a_prev * Vw^T + Vb
         let mut rz = ws.take_matrix_scratch(frames, layer.outputs());
         let beta_vw = match &r {
@@ -221,34 +248,11 @@ fn r_forward<T: Scalar>(
             }
             None => T::ZERO,
         };
-        let left = chunk.left(l);
-        if frames <= 2 * GEMM_MR {
-            // Few frame rows (the strong-scaling per-rank sample
-            // regime): stream Vw's flat region straight out of the
-            // direction vector — op(Vw^T) columns are Vw rows, already
-            // stride-one — and skip the pack's extra write + reread of
-            // a Vw-sized buffer entirely.
-            GemmOp::packed_a_bt(left, vw_flat)
-                .beta(beta_vw)
-                .run(ctx, &mut rz);
-        } else {
-            // Tall frame blocks amortize the register-blocked packed
-            // kernel better: pack Vw straight from its flat region
-            // (arena scratch; no Vw matrix is ever materialized) and
-            // multiply with both operands prepacked.
-            let pvw = PackedB::new_in_from_rows(
-                layer.outputs(),
-                layer.inputs(),
-                vw_flat,
-                Trans::T,
-                left.blocking(),
-                ws,
-            );
-            GemmOp::packed_ab(left, &pvw)
-                .beta(beta_vw)
-                .run(ctx, &mut rz);
-            pvw.give_back(ws);
-        }
+        // a_prev is read in place from the chunk's one pack, the right
+        // operand of the backward's `δᵀ·a`.
+        GemmOp::rows_ab(chunk.right(l), &vw[l])
+            .beta(beta_vw)
+            .run(ctx, &mut rz);
         rz.add_row_broadcast(vb);
         if let Some(r_old) = r.take() {
             ws.give_matrix(r_old);

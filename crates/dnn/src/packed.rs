@@ -11,14 +11,14 @@
 //!   the passes need (`W^T` for forward/R-forward, `W` for the
 //!   backward delta propagation), stamped with the [`Network`]'s
 //!   version so stale packs are detected, never silently used.
-//! * [`PackedActivations`] — the curvature sample, held once: a run of
-//!   chunks of `kc` frames (one GEMM k-block each), every chunk's
-//!   per-layer activations packed in both operand roles the
-//!   Gauss–Newton product needs (`PackedA` as the left operand of the
-//!   R-forward, `PackedB` as the right operand of the linearized
-//!   backward). The raw activations are not kept: the masks `f'(z)`
-//!   are read back out of the right pack, where a frame's units lie in
-//!   `NR`-wide runs of one k-block row.
+//! * [`PackedActivations`] — the curvature sample, held once, in one
+//!   layout: a run of chunks of `kc` frames (one GEMM k-block each),
+//!   every chunk's per-layer activations packed as the right operand
+//!   (`PackedB`) of the linearized backward's `δᵀ·a`. The R-forward's
+//!   `a·Vwᵀ` reads the same panels as its left operand, in place
+//!   (`GemmOp::rows_ab`), and the masks `f'(z)` are read back out of
+//!   them too, where a frame's units lie in `NR`-wide runs of one
+//!   k-block row. Neither the raw activations nor a left pack is kept.
 //!
 //! All packing uses the caller's [`GemmContext`] blocking, so the
 //! prepacked drivers are bitwise identical to the plain [`GemmOp`]
@@ -27,7 +27,7 @@
 //! [`GemmOp`]: pdnn_tensor::gemm::GemmOp
 
 use crate::network::{ForwardCache, Network};
-use pdnn_tensor::gemm::{GemmContext, PackedA, PackedB, Trans};
+use pdnn_tensor::gemm::{GemmContext, PackedB, Trans};
 use pdnn_tensor::{MatRef, Scalar};
 
 /// Per-layer packed weight panels, valid for one `Network::version`.
@@ -109,11 +109,11 @@ impl<T: Scalar> PackedWeights<T> {
 /// (`ctx.blocking().kc`, the rows of one k-block of the GEMM), the last
 /// one ragged. A chunk holds each layer's input-side activations (the
 /// batch's input, then every hidden layer's output; not the logits)
-/// packed in both operand roles the Gauss–Newton product needs, and
-/// nothing else: the raw activations are not kept beside the packs.
-/// The right pack is one k-block of the whole batch's, so the
-/// activations are read back out of it where a pass needs them
-/// ([`PackedB::row_runs`]). Chunk by chunk, the product's sums are
+/// packed once, as the right operand of the Gauss–Newton product's
+/// `δᵀ·a`, and nothing else. The pack is one k-block of the whole
+/// batch's, so the R-forward reads it in place as its left operand
+/// (`GemmOp::rows_ab`) and the masks read the activations back out of
+/// it ([`PackedB::row_runs`]). Chunk by chunk, the product's sums are
 /// bitwise the whole batch's (see [`crate::gauss_newton`]).
 #[derive(Clone, Debug)]
 pub struct PackedActivations<T: Scalar> {
@@ -126,11 +126,9 @@ pub struct PackedActivations<T: Scalar> {
 /// One chunk of a [`PackedActivations`].
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct ChunkPacks<T: Scalar> {
-    /// `PackedA(acts[l], Trans::N)` per layer: left operand of
-    /// `rz += a_prev * Vw^T`.
-    left: Vec<PackedA<T>>,
     /// `PackedB(acts[l], Trans::N)` per layer: right operand of
-    /// `dW = delta^T * a_prev`, and where the activations are read back.
+    /// `dW = delta^T * a_prev`, left operand (read as rows) of
+    /// `rz += a_prev * Vw^T`, and where the activations are read back.
     right: Vec<PackedB<T>>,
 }
 
@@ -142,16 +140,11 @@ impl<T: Scalar> ChunkPacks<T> {
 
     /// Layers packed (the network's depth).
     pub(crate) fn layers(&self) -> usize {
-        self.left.len()
+        self.right.len()
     }
 
-    /// Packed left-operand activations for layer `l`.
-    pub(crate) fn left(&self, l: usize) -> &PackedA<T> {
-        &self.left[l]
-    }
-
-    /// Packed right-operand activations for layer `l`: row `f` holds
-    /// the inputs of layer `l` at the chunk's frame `f`.
+    /// Packed activations for layer `l`: row `f` holds the inputs of
+    /// layer `l` at the chunk's frame `f`.
     pub(crate) fn right(&self, l: usize) -> &PackedB<T> {
         &self.right[l]
     }
@@ -163,26 +156,17 @@ impl<T: Scalar> ChunkPacks<T> {
         T: 'a,
     {
         let blocking = ctx.blocking();
-        let n = acts.len();
-        self.left.truncate(n);
-        self.right.truncate(n);
+        self.right.truncate(acts.len());
         for (l, a) in acts.enumerate() {
-            match (self.left.get_mut(l), self.right.get_mut(l)) {
-                (Some(left), Some(right)) => {
-                    left.repack(a, Trans::N, blocking);
-                    right.repack(a, Trans::N, blocking);
-                }
-                _ => {
-                    self.left.push(PackedA::new(a, Trans::N, blocking));
-                    self.right.push(PackedB::new(a, Trans::N, blocking));
-                }
+            match self.right.get_mut(l) {
+                Some(right) => right.repack(a, Trans::N, blocking),
+                None => self.right.push(PackedB::new(a, Trans::N, blocking)),
             }
         }
     }
 
     fn bytes(&self) -> usize {
-        let left: usize = self.left.iter().map(PackedA::bytes).sum();
-        left + self.right.iter().map(PackedB::bytes).sum::<usize>()
+        self.right.iter().map(PackedB::bytes).sum()
     }
 }
 
@@ -268,10 +252,7 @@ impl<T: Scalar> PackedActivations<T> {
             return;
         }
         if self.live == self.chunks.len() {
-            self.chunks.push(ChunkPacks {
-                left: Vec::new(),
-                right: Vec::new(),
-            });
+            self.chunks.push(ChunkPacks { right: Vec::new() });
         }
         self.chunks[self.live].repack(acts, ctx);
         self.live += 1;
@@ -287,7 +268,8 @@ impl<T: Scalar> PackedActivations<T> {
         self.chunks().iter().map(ChunkPacks::rows).sum()
     }
 
-    /// Bytes the packs hold, the spare chunks' buffers included.
+    /// Bytes the packs hold (one right pack per layer and chunk), the
+    /// spare chunks' buffers included.
     pub fn bytes(&self) -> usize {
         self.chunks.iter().map(ChunkPacks::bytes).sum()
     }
@@ -297,6 +279,7 @@ impl<T: Scalar> PackedActivations<T> {
 mod tests {
     use super::*;
     use crate::activation::Activation;
+    use pdnn_tensor::gemm::NR;
     use pdnn_tensor::Matrix;
     use pdnn_util::Prng;
 
@@ -370,11 +353,11 @@ mod tests {
                 run(GemmOp::packed_b(&d, Trans::N, fresh.backward(l)), 9, inp)
             );
         }
-        let w = &net.layers()[0].w;
+        let w = PackedB::new(&net.layers()[0].w, Trans::T, ctx.blocking());
         let (acts, fresh_acts) = (&acts.chunks()[0], &fresh_acts.chunks()[0]);
         assert_eq!(
-            run(GemmOp::packed_a(acts.left(0), w, Trans::T), 9, 40),
-            run(GemmOp::packed_a(fresh_acts.left(0), w, Trans::T), 9, 40)
+            run(GemmOp::rows_ab(acts.right(0), &w), 9, 40),
+            run(GemmOp::rows_ab(fresh_acts.right(0), &w), 9, 40)
         );
         assert_eq!(
             run(GemmOp::packed_b(&a, Trans::T, acts.right(0)), 6, 6),
@@ -392,11 +375,39 @@ mod tests {
         let packed = PackedActivations::new(&cache, &ctx);
         let chunk = &packed.chunks()[0];
         assert_eq!((packed.chunks().len(), packed.frames()), (1, 9));
-        assert_eq!(chunk.left.len(), 3);
-        assert_eq!(chunk.left(0).m(), 9);
-        assert_eq!(chunk.left(0).k(), 4);
-        assert_eq!(chunk.right(2).k(), 9); // delta^T side: frames
+        assert_eq!(chunk.layers(), 3);
+        assert_eq!(chunk.right(0).k(), 9); // frames
+        assert_eq!(chunk.right(0).n(), 4);
+        assert_eq!(chunk.right(2).k(), 9);
         assert_eq!(chunk.right(2).n(), 5);
+    }
+
+    /// Each chunk is held once, in one layout: the pack's bytes are its
+    /// chunks' right packs, nothing beside them.
+    #[test]
+    fn bytes_are_the_right_packs() {
+        use pdnn_tensor::gemm::Blocking;
+        let mut rng = Prng::new(6);
+        let net: Network<f32> = Network::new(&[5, 40, 7, 3], Activation::Sigmoid, &mut rng);
+        let kc = 8;
+        let ctx = GemmContext::sequential().with_blocking(Blocking {
+            kc,
+            ..Blocking::default()
+        });
+        let x: Matrix<f32> = Matrix::random_normal(2 * kc + 3, 5, 1.0, &mut rng);
+        let packed = PackedActivations::new(&net.forward(&ctx, &x), &ctx);
+        assert_eq!(packed.chunks().len(), 3);
+        let right: usize = packed
+            .chunks()
+            .iter()
+            .flat_map(|c| (0..c.layers()).map(move |l| c.right(l).bytes()))
+            .sum();
+        assert_eq!(packed.bytes(), right);
+        // One f32 per activation of each layer input, in NR-wide
+        // panels: the 5- and 7-wide inputs pad to one panel, the 40-wide
+        // to two.
+        let padded: usize = [5usize, 40, 7].iter().map(|&n| n.div_ceil(NR) * NR).sum();
+        assert_eq!(right, x.rows() * padded * std::mem::size_of::<f32>());
     }
 
     /// A batch is cut into chunks of `kc` frames whose packs are the
@@ -428,7 +439,6 @@ mod tests {
             for l in 0..3 {
                 let a = cache.acts[l].rows_view(r0, r1);
                 let fresh_b = PackedB::new(a, Trans::N, ctx.blocking());
-                let fresh_a = PackedA::new(a, Trans::N, ctx.blocking());
                 for f in 0..r1 - r0 {
                     let row: Vec<f32> = chunk.right(l).row_runs(f).flatten().copied().collect();
                     assert_eq!(row, cache.acts[l].row(r0 + f));
@@ -442,14 +452,18 @@ mod tests {
                     assert_eq!(got, want);
                 }
                 let d: Matrix<f32> = Matrix::random_normal(4, r1 - r0, 1.0, &mut rng);
-                let run_a = |p: &PackedA<f32>| {
-                    let w = &net.layers()[l].w;
+                // The R-forward's `a·Wᵀ`, A read as rows of the pack.
+                let w = &net.layers()[l].w;
+                let pw = PackedB::new(w, Trans::T, ctx.blocking());
+                let run_a = |p: &PackedB<f32>| {
                     let mut c = Matrix::zeros(r1 - r0, w.rows());
-                    pdnn_tensor::gemm::GemmOp::packed_a(p, w, Trans::T).run(&ctx, &mut c);
+                    pdnn_tensor::gemm::GemmOp::rows_ab(p, &pw).run(&ctx, &mut c);
                     c
                 };
-                assert_eq!(run_a(chunk.left(l)), run_a(&fresh_a));
-                assert_eq!(run_a(pushed.chunks()[c].left(l)), run_a(&fresh_a));
+                let mut want = Matrix::zeros(r1 - r0, w.rows());
+                pdnn_tensor::gemm::GemmOp::ab(a, Trans::N, w, Trans::T).run(&ctx, &mut want);
+                assert_eq!(run_a(chunk.right(l)), want);
+                assert_eq!(run_a(pushed.chunks()[c].right(l)), want);
                 let mut c1 = Matrix::zeros(4, a.shape().1);
                 let mut c2 = c1.clone();
                 pdnn_tensor::gemm::GemmOp::ab(&d, Trans::N, a, Trans::N).run(&ctx, &mut c1);

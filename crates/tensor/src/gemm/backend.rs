@@ -142,6 +142,48 @@ pub type TileFn<T> = fn(
     nr_eff: usize,
 );
 
+/// [`TileFn`] with its A micro-panel read in place from the panels of
+/// a [`super::PackedB`] ([`PanelRows`]) instead of a packed panel: step
+/// `kk`'s `MR` values lie `NR` apart, one per panel row. The same
+/// contract, with `ap(kk, i)` the pack's row `row0 + i` at step
+/// `kk`'s column; a tile row at or past `mr_eff` reads a live row, and
+/// its chains are never stored.
+pub type RowsTileFn<T> = fn(
+    kc: usize,
+    a: &PanelRows<'_, T>,
+    bp: &[T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+);
+
+/// Where a [`RowsTileFn`] reads its A values: one k-block of `op(A)`
+/// held, as its rows, by a [`super::PackedB`] of one k-block (the
+/// pack's `k` rows are `op(A)`'s rows, its `n` columns `op(A)`'s
+/// columns). Column `kk` of the pack sits in an `NR`-wide column panel
+/// of its `nc`-wide block, row `r` of a panel `NR` values after row
+/// `r - 1`. So a tile's steps are runs of up to `NR` adjacent values,
+/// one run per panel the k-block touches, in column order; a run starts
+/// off a panel edge where the k-block or an `nc` block does. Only the
+/// GEMM driver builds one.
+#[derive(Clone, Copy, Debug)]
+pub struct PanelRows<'a, T> {
+    /// The pack's panels from the `nc` block that holds step 0 on.
+    pub(crate) block: &'a [T],
+    /// Rows of every panel: the pack's `k`.
+    pub(crate) depth: usize,
+    /// The pack's block width, and its columns from `block` on.
+    pub(crate) nc: usize,
+    pub(crate) cols: usize,
+    /// Step 0's column in `block`.
+    pub(crate) col: usize,
+    /// The pack row of the tile's row 0.
+    pub(crate) row0: usize,
+}
+
 /// A backend's f32 [`TileFn`] on one whole `MR x NR` tile in overwrite
 /// mode with `α = 1`: `acc[i][j] = sum_kk ap(kk, i) * bp(kk, j)`. It runs the tile kernel
 /// itself (no second FMA loop); the benchmark's peak probe times it on
@@ -232,6 +274,10 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
     fn tile_f32(&self) -> TileFn<f32>;
     /// f64 micro-tile kernel.
     fn tile_f64(&self) -> TileFn<f64>;
+    /// [`Self::tile_f32`] reading A from panel rows.
+    fn tile_rows_f32(&self) -> RowsTileFn<f32>;
+    /// [`Self::tile_f64`] reading A from panel rows.
+    fn tile_rows_f64(&self) -> RowsTileFn<f64>;
     /// [`Self::tile_f32`] on a whole tile in overwrite mode (the peak
     /// probe's entry point).
     fn acc_f32(&self) -> AccFn<f32>;

@@ -34,7 +34,7 @@
 
 use std::sync::OnceLock;
 
-use super::backend::{AccFn, BtFn, ComputeBackend, Isa, Merge, TileFn};
+use super::backend::{AccFn, BtFn, ComputeBackend, Isa, Merge, PanelRows, RowsTileFn, TileFn};
 use super::kernel;
 use super::{BT_COLS, MR, NR};
 use crate::codec::{CodecFn, CodecPass};
@@ -155,6 +155,32 @@ macro_rules! tile_entry {
     }};
 }
 
+/// The [`RowsTileFn`] entry of panel-row tile kernel `$kernel` for
+/// element type `$t`, under ISA token type `$isa`.
+macro_rules! rows_tile_entry {
+    ($t:ty, $isa:ident, $kernel:path) => {{
+        #[allow(clippy::too_many_arguments)]
+        fn entry(
+            kc: usize,
+            a: &PanelRows<'_, $t>,
+            bp: &[$t],
+            alpha: $t,
+            merge: Merge<$t>,
+            c: &mut [$t],
+            ldc: usize,
+            mr_eff: usize,
+            nr_eff: usize,
+        ) {
+            // SAFETY: as in `tile_entry!`.
+            unsafe {
+                let isa = $isa::remake();
+                $kernel(isa, kc, a, bp, alpha, merge, c, ldc, mr_eff, nr_eff)
+            }
+        }
+        entry as RowsTileFn<$t>
+    }};
+}
+
 /// The [`AccFn`] entry of f32 tile kernel `$kernel` under `$isa`: the
 /// whole tile in overwrite mode, `acc` standing in for C.
 macro_rules! acc_entry {
@@ -187,6 +213,8 @@ pub(crate) struct Kernels {
     isa: Isa,
     tile_f32: TileFn<f32>,
     tile_f64: TileFn<f64>,
+    tile_rows_f32: RowsTileFn<f32>,
+    tile_rows_f64: RowsTileFn<f64>,
     acc_f32: AccFn<f32>,
     bt_f32: BtFn<f32>,
     bt_f64: BtFn<f64>,
@@ -195,11 +223,13 @@ pub(crate) struct Kernels {
 impl Kernels {
     /// The portable reference loops (libm `fma` on an SSE2 baseline).
     fn portable() -> Kernels {
-        use kernel::scalar::{acc, bt, tile};
+        use kernel::scalar::{acc, bt, tile, tile_rows};
         Kernels {
             isa: Isa::Scalar,
             tile_f32: tile::<f32>,
             tile_f64: tile::<f64>,
+            tile_rows_f32: tile_rows::<f32>,
+            tile_rows_f64: tile_rows::<f64>,
             acc_f32: acc::<f32>,
             bt_f32: bt::<f32, MR>,
             bt_f64: bt::<f64, MR>,
@@ -209,11 +239,13 @@ impl Kernels {
     /// The reference loops compiled with the FMA instruction.
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn scalar_fma(_: Fma) -> Kernels {
-        use kernel::scalar::{bt_fma, tile_fma};
+        use kernel::scalar::{bt_fma, tile_fma, tile_rows_fma};
         Kernels {
             isa: Isa::Scalar,
             tile_f32: tile_entry!(f32, Fma, tile_fma::<f32>),
             tile_f64: tile_entry!(f64, Fma, tile_fma::<f64>),
+            tile_rows_f32: rows_tile_entry!(f32, Fma, tile_rows_fma::<f32>),
+            tile_rows_f64: rows_tile_entry!(f64, Fma, tile_rows_fma::<f64>),
             acc_f32: acc_entry!(Fma, tile_fma::<f32>),
             bt_f32: bt_entry!(f32, Fma, bt_fma::<f32>),
             bt_f64: bt_entry!(f64, Fma, bt_fma::<f64>),
@@ -227,6 +259,8 @@ impl Kernels {
             isa: Isa::Avx2,
             tile_f32: tile_entry!(f32, Avx2, tile_f32_avx2),
             tile_f64: tile_entry!(f64, Avx2, tile_f64_avx2),
+            tile_rows_f32: rows_tile_entry!(f32, Avx2, tile_rows_f32_avx2),
+            tile_rows_f64: rows_tile_entry!(f64, Avx2, tile_rows_f64_avx2),
             acc_f32: acc_entry!(Avx2, tile_f32_avx2),
             bt_f32: bt_entry!(f32, Avx2, bt_f32_avx2),
             bt_f64: bt_entry!(f64, Avx2, bt_f64_avx2),
@@ -240,6 +274,8 @@ impl Kernels {
             isa: Isa::Avx512,
             tile_f32: tile_entry!(f32, Avx512, tile_f32_avx512),
             tile_f64: tile_entry!(f64, Avx512, tile_f64_avx512),
+            tile_rows_f32: rows_tile_entry!(f32, Avx512, tile_rows_f32_avx512),
+            tile_rows_f64: rows_tile_entry!(f64, Avx512, tile_rows_f64_avx512),
             acc_f32: acc_entry!(Avx512, tile_f32_avx512),
             // One ymm covers the MR=8 accumulators of a column; the
             // AVX2 kernel is already the right shape (and chain). An
@@ -256,6 +292,8 @@ impl Kernels {
             isa: Isa::Neon,
             tile_f32: tile_entry!(f32, Neon, tile_f32_neon),
             tile_f64: tile_entry!(f64, Neon, tile_f64_neon),
+            tile_rows_f32: rows_tile_entry!(f32, Neon, tile_rows_f32_neon),
+            tile_rows_f64: rows_tile_entry!(f64, Neon, tile_rows_f64_neon),
             acc_f32: acc_entry!(Neon, tile_f32_neon),
             bt_f32: bt_entry!(f32, Neon, bt_f32_neon),
             bt_f64: bt_entry!(f64, Neon, bt_f64_neon),
@@ -278,6 +316,12 @@ impl ComputeBackend for Kernels {
     }
     fn tile_f64(&self) -> TileFn<f64> {
         self.tile_f64
+    }
+    fn tile_rows_f32(&self) -> RowsTileFn<f32> {
+        self.tile_rows_f32
+    }
+    fn tile_rows_f64(&self) -> RowsTileFn<f64> {
+        self.tile_rows_f64
     }
     fn acc_f32(&self) -> AccFn<f32> {
         self.acc_f32
@@ -401,7 +445,7 @@ mod tests {
         // to a libm `fma` call on the x86-64 baseline, ~60x slower, and
         // agrees bitwise, so only the kernel pointers can tell the two
         // apart. Each entry of the FMA table is one nested fn item, so
-        // every build of that table holds the same five pointers.
+        // every build of that table holds the same seven pointers.
         #[cfg(target_arch = "x86_64")]
         if let Some(t) = Fma::detect() {
             let (s, fma, portable) = (
@@ -416,7 +460,15 @@ mod tests {
                     assert!(!std::ptr::fn_addr_eq(fma.$entry, portable.$entry), "{name}: the FMA table runs the portable loop");
                 )*};
             }
-            check!(tile_f32, tile_f64, acc_f32, bt_f32, bt_f64);
+            check!(
+                tile_f32,
+                tile_f64,
+                tile_rows_f32,
+                tile_rows_f64,
+                acc_f32,
+                bt_f32,
+                bt_f64
+            );
         }
     }
 }

@@ -12,11 +12,15 @@
 //! * each stripe borrows its A panels from a [`PackedA`] or packs them
 //!   into its thread's A scratch, then walks the `nc` column blocks,
 //!   the `NR` column panels and the `MR` row panels into the one tile
-//!   kernel call.
+//!   kernel call. A [`super::PackedB`] left operand
+//!   ([`GemmOp::rows_ab`](super::GemmOp::rows_ab)) is borrowed the
+//!   same way, tile by tile: the panel-row tile kernel reads each row
+//!   panel's A values in place from the pack's rows.
 //!
 //! Every C tile meets the k-blocks in `pc` order with the same
 //! [`Merge`], and a pack's panels are the ones the driver would have
-//! packed, so every form is bitwise the same product at every thread
+//! packed (or, read as rows, hold the same A values in the same `kk`
+//! order), so every form is bitwise the same product at every thread
 //! count.
 //!
 //! The streamed-`B^T` form ([`GemmOp::packed_a_bt`](super::GemmOp::packed_a_bt))
@@ -29,7 +33,7 @@ use rayon::prelude::*;
 use crate::matrix::MatMut;
 use crate::scalar::Scalar;
 
-use super::backend::Merge;
+use super::backend::{Merge, PanelRows};
 use super::op::{OpA, OpB};
 use super::prepacked::{block_at, PackedA};
 use super::scratch::{self, Slot};
@@ -65,6 +69,7 @@ pub(super) fn run<T: Scalar>(
     let (m, k) = match a {
         OpA::Mat(a, ta) => op_shape(ta, a.shape()),
         OpA::Packed(pa) => (pa.m(), pa.k()),
+        OpA::Rows(pa) => (pa.k(), pa.n()),
     };
     let (kb, n) = match b {
         OpB::Mat(b, tb) => op_shape(tb, b.shape()),
@@ -84,19 +89,29 @@ pub(super) fn run<T: Scalar>(
     );
     // A pack's panels were laid out under its own blocking, so the
     // product runs under it.
-    let blocking = match (a, b) {
-        (OpA::Packed(pa), OpB::Packed(pb)) => {
-            assert_eq!(
-                pa.blocking(),
-                pb.blocking(),
-                "gemm: operands packed under different blockings"
-            );
-            pa.blocking()
-        }
-        (OpA::Packed(pa), _) => pa.blocking(),
-        (_, OpB::Packed(pb)) => pb.blocking(),
-        _ => ctx.blocking,
+    let a_packed = match a {
+        OpA::Mat(..) => None,
+        OpA::Packed(pa) => Some(pa.blocking()),
+        OpA::Rows(pa) => Some(pa.blocking()),
     };
+    let b_packed = match b {
+        OpB::Packed(pb) => Some(pb.blocking()),
+        _ => None,
+    };
+    let blocking = match (a_packed, b_packed) {
+        (Some(ba), Some(bb)) => {
+            assert_eq!(ba, bb, "gemm: operands packed under different blockings");
+            ba
+        }
+        (ba, bb) => ba.or(bb).unwrap_or(ctx.blocking),
+    };
+    if let OpA::Rows(..) = a {
+        assert!(
+            m <= blocking.kc,
+            "gemm: a rows_ab left pack of {m} rows is more than one k-block ({})",
+            blocking.kc
+        );
+    }
     let c = c.into_slice();
     if m == 0 || n == 0 {
         return;
@@ -130,8 +145,8 @@ pub(super) fn run<T: Scalar>(
     };
     ctx.run_pool(|| match (a, b) {
         (OpA::Packed(pa), OpB::RowsT(rows)) => stream_bt(ctx, dims, alpha, beta, pa, rows, c),
-        (OpA::Mat(..), OpB::RowsT(..)) => {
-            unreachable!("no constructor builds a plain-A x streamed-B^T op")
+        (OpA::Mat(..) | OpA::Rows(..), OpB::RowsT(..)) => {
+            unreachable!("no constructor builds a plain or row-read A x streamed-B^T op")
         }
         _ => nest(ctx, dims, alpha, beta, a, b, c),
     });
@@ -172,6 +187,7 @@ fn nest<T: Scalar>(
         nc,
     } = dims;
     let tile_fn = T::tile_kernel(ctx.backend());
+    let rows_tile_fn = T::rows_tile_kernel(ctx.backend());
     // One block row of a plain B; a pack is borrowed instead.
     let mut b_buf = match b {
         OpB::Mat(..) => scratch::take::<T>(Slot::B, block_at(NR, n, nc, kc, 0, 0)),
@@ -194,6 +210,11 @@ fn nest<T: Scalar>(
             OpB::Packed(pb) => &pb.panels()[block_at(NR, n, nc, pc, kc_eff, 0)..],
             _ => &b_buf[..],
         };
+        // A read as rows: this k-block's step 0 found once.
+        let a_rows = match a {
+            OpA::Rows(pa) => Some(pa.panel_rows(pc)),
+            _ => None,
+        };
         for_each_stripe(ctx, c, sh * n, |(si, stripe)| {
             let ic0 = si * sh;
             let mc_eff = stripe.len() / n;
@@ -205,6 +226,8 @@ fn nest<T: Scalar>(
                     pack::pack_a(a, ta, ic0, mc_eff, pc, kc_eff, &mut a_buf);
                     &a_buf[..]
                 }
+                // Read in place, tile by tile, below.
+                OpA::Rows(..) => &[],
             };
             for jc in (0..n).step_by(nc) {
                 let nc_eff = nc.min(n - jc);
@@ -214,19 +237,21 @@ fn nest<T: Scalar>(
                     let bp_panel = &bp[jr * kc_eff * NR..(jr + 1) * kc_eff * NR];
                     for ir in 0..mc_eff.div_ceil(MR) {
                         let mr_eff = MR.min(mc_eff - ir * MR);
-                        let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];
-                        let c_off = ir * MR * n + jc + jr * NR;
-                        tile_fn(
-                            kc_eff,
-                            ap_panel,
-                            bp_panel,
-                            alpha,
-                            merge,
-                            &mut stripe[c_off..],
-                            n,
-                            mr_eff,
-                            nr_eff,
-                        );
+                        let c_tile = &mut stripe[ir * MR * n + jc + jr * NR..];
+                        if let Some(rows) = a_rows {
+                            let rows = PanelRows {
+                                row0: ic0 + ir * MR,
+                                ..rows
+                            };
+                            rows_tile_fn(
+                                kc_eff, &rows, bp_panel, alpha, merge, c_tile, n, mr_eff, nr_eff,
+                            );
+                        } else {
+                            let ap_panel = &ap[ir * kc_eff * MR..(ir + 1) * kc_eff * MR];
+                            tile_fn(
+                                kc_eff, ap_panel, bp_panel, alpha, merge, c_tile, n, mr_eff, nr_eff,
+                            );
+                        }
                     }
                 }
             }

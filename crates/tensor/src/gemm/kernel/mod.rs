@@ -31,11 +31,18 @@
 //! `load_masked`/`store_masked` (the first `len().min(W)` lanes). The
 //! tile body runs `G` of its `W`-lane column groups per pass of the `kk`
 //! loop: `G = 2` only for the AVX-512 f32 tile, whose two groups span
-//! the tile, so a step feeds `2·MR` chains. The B^T body takes its row
-//! count `R` (`MR` in every table) and keeps `R / W` registers per
-//! column, plus one masked register when `W` does not divide `R`. The
-//! tests instantiate both bodies over emulated `[T; W]` lanes at every
-//! (T, W, G) a table uses, the B^T body at 8, 12 and 14 rows, so every
+//! the tile, so a step feeds `2·MR` chains. The tile body is stamped
+//! once per A addressing ([`ATile`]): a packed panel, `MR` values a step
+//! side by side ([`crate::gemm::backend::TileFn`]), or the rows of a
+//! `PackedB` read in place ([`crate::gemm::backend::RowsTileFn`]), where
+//! a step's values lie `NR` apart and the steps run panel by panel. A
+//! step broadcasts one A value per tile row either way, so both read
+//! `MR` broadcasts, `G` loads and `MR·G` fused multiply-adds a step.
+//! The B^T body takes its row count `R` (`MR` in every table) and keeps
+//! `R / W` registers per column, plus one masked register when `W` does
+//! not divide `R`. The tests instantiate both bodies over emulated
+//! `[T; W]` lanes at every (T, W, G) a table uses, the tile body under
+//! both addressings and the B^T body at 8, 12 and 14 rows, so every
 //! width's group loop and edge masks run on any host.
 //!
 //! Every kernel is safe Rust over slices. The SIMD ones are
@@ -60,6 +67,7 @@ pub(crate) mod x86;
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
 
+use super::backend::PanelRows;
 use super::{MR, NR};
 
 /// The first `kc` rows of a packed panel (`kk`-major, `N` values a
@@ -73,19 +81,161 @@ fn rows<T, const N: usize>(panel: &[T], kc: usize) -> &[[T; N]] {
     &panel.as_chunks().0[..kc]
 }
 
-/// The `kc` steps of a micro-panel pair: step `kk` is row `kk` of the
-/// A panel (`MR` values, one per tile row) and of the B panel (`NR`
-/// values, one per tile column).
-///
-/// # Panics
-/// If either panel is shorter than `kc` steps.
-#[inline(always)]
-fn steps<'a, T>(
-    kc: usize,
-    ap: &'a [T],
-    bp: &'a [T],
-) -> impl Iterator<Item = (&'a [T; MR], &'a [T; NR])> {
-    rows(ap, kc).iter().zip(rows(bp, kc))
+/// Where a tile kernel reads its A micro-panel: a packed panel (`&[T]`,
+/// [`crate::gemm::backend::TileFn`]) or panel rows ([`PanelRows`],
+/// [`crate::gemm::backend::RowsTileFn`]). The kernels are written once
+/// over this, and stamped once per addressing.
+pub(crate) trait ATile<'a, T: 'a>: Copy {
+    /// The steps of one run, each the step's `MR` A values in tile row
+    /// order.
+    type Steps: Iterator<Item: IntoIterator<Item = &'a T>>;
+    /// The runs of a tile, each its steps beside as many rows of the B
+    /// panel (`NR` values a step, one per tile column).
+    type Runs: Iterator<Item = (Self::Steps, &'a [[T; NR]])>;
+
+    /// The `kc` steps in `kk` order as runs, beside the rows of `bp`. A
+    /// tile row at or past `mr_eff` may read another row's values: its
+    /// chains are never stored.
+    ///
+    /// # Panics
+    /// If either side is shorter than `kc` steps.
+    fn step_runs(self, kc: usize, mr_eff: usize, bp: &'a [T]) -> Self::Runs;
+}
+
+/// Packed: one run, step `kk` row `kk` of the A panel, `MR` values side
+/// by side.
+impl<'a, T: 'a> ATile<'a, T> for &'a [T] {
+    type Steps = std::slice::Iter<'a, [T; MR]>;
+    type Runs = std::iter::Once<(Self::Steps, &'a [[T; NR]])>;
+
+    #[inline(always)]
+    fn step_runs(self, kc: usize, _: usize, bp: &'a [T]) -> Self::Runs {
+        std::iter::once((rows::<_, MR>(self, kc).iter(), rows(bp, kc)))
+    }
+}
+
+/// Panel rows: tile row `i` is the pack's row `row0 + i`, so step
+/// `kk`'s values lie `NR` apart, one run per panel ([`RowRuns`]). A dead
+/// row reads the last live row, never past the pack's `depth` rows.
+impl<'a, T: Copy + 'a> ATile<'a, T> for &'a PanelRows<'a, T> {
+    type Steps = RowSteps<'a, T>;
+    type Runs = RowRuns<'a, T>;
+
+    #[inline(always)]
+    fn step_runs(self, kc: usize, mr_eff: usize, bp: &'a [T]) -> RowRuns<'a, T> {
+        let live = mr_eff.max(1);
+        assert!(
+            self.row0 + live <= self.depth,
+            "tile: rows {}..{} of a {}-row pack",
+            self.row0,
+            self.row0 + live,
+            self.depth
+        );
+        let PanelRows {
+            block,
+            depth,
+            nc,
+            cols,
+            col,
+            row0,
+        } = *self;
+        RowRuns {
+            block,
+            panel: col / NR * depth * NR + row0 * NR,
+            stride: depth * NR,
+            lane: col % NR,
+            nc,
+            cols: cols - col,
+            in_block: nc.min(cols) - col,
+            live,
+            b_rows: rows(bp, kc),
+            steps: kc,
+        }
+    }
+}
+
+/// The runs of a [`PanelRows`] tile: its `steps` left, each the rest
+/// of one panel's live columns (cut at the k-block's end) with as many
+/// B rows. A run moves to the next panel, and the last panel of an `nc`
+/// block (ragged when `NR` does not divide `nc`) to the next block's
+/// first: every panel of the pack lies `stride` values after the one
+/// before, so a run's setup divides nothing.
+pub(crate) struct RowRuns<'a, T> {
+    /// The pack's panels from the `nc` block of step 0 on.
+    block: &'a [T],
+    /// Where the tile's first row of the current panel starts in
+    /// `block`, and the values in one panel.
+    panel: usize,
+    stride: usize,
+    /// The run's first lane in the panel.
+    lane: usize,
+    /// The block width, the pack's columns from the current one on, and
+    /// the current block's.
+    nc: usize,
+    cols: usize,
+    in_block: usize,
+    /// The tile's live rows (at least one).
+    live: usize,
+    b_rows: &'a [[T; NR]],
+    steps: usize,
+}
+
+impl<'a, T> Iterator for RowRuns<'a, T> {
+    type Item = (RowSteps<'a, T>, &'a [[T; NR]]);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.steps == 0 {
+            return None;
+        }
+        let lane = self.lane;
+        let len = (NR - lane).min(self.in_block).min(self.steps);
+        let (b_run, rest) = self.b_rows.split_at(len);
+        // The tile's live rows of the panel, whole: a lane past the run
+        // is never read, and a dead row reads the last live one.
+        let live = rows::<_, NR>(&self.block[self.panel..], self.live);
+        let tile_rows: [&[T; NR]; MR] = std::array::from_fn(|i| &live[i.min(self.live - 1)]);
+        let steps = RowSteps {
+            rows: tile_rows.map(|row| &row[lane..lane + len]),
+            len,
+            t: 0,
+        };
+        self.b_rows = rest;
+        self.steps -= len;
+        self.cols -= len;
+        self.in_block -= len;
+        self.lane += len;
+        if self.lane == NR || self.in_block == 0 {
+            self.panel += self.stride;
+            self.lane = 0;
+        }
+        if self.in_block == 0 {
+            self.in_block = self.nc.min(self.cols);
+        }
+        Some((steps, b_run))
+    }
+}
+
+/// The A steps of one run: step `t` reads value `t` of each of the
+/// tile's rows of the run, all `len` long, so no index is checked.
+pub(crate) struct RowSteps<'a, T> {
+    rows: [&'a [T]; MR],
+    len: usize,
+    t: usize,
+}
+
+impl<'a, T> Iterator for RowSteps<'a, T> {
+    type Item = [&'a T; MR];
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<[&'a T; MR]> {
+        if self.t == self.len {
+            return None;
+        }
+        let (rows, t) = (&self.rows, self.t);
+        self.t += 1;
+        Some(std::array::from_fn(|i| &rows[i][t]))
+    }
 }
 
 /// Module `$name`: the ops of one (ISA, element type), each a safe
@@ -122,20 +272,29 @@ macro_rules! ops {
 }
 pub(crate) use ops;
 
-/// Tile kernel `$name` ([`crate::gemm::backend::TileFn`] after the
-/// `$token`) over ops `$o`, compiled by `$enable!`, `$g` column groups
-/// a pass. A pass accumulates its `MR x G·W` block from zero over the
-/// whole `kc` loop (each element's `fma` chain is the scalar one), then
-/// merges `α·Σ` into C rows sliced to the live columns. Passes and
-/// groups wholly past `nr_eff` are skipped.
+/// Tile kernels `$packed` ([`crate::gemm::backend::TileFn`] after the
+/// `$token`) and `$rows` ([`crate::gemm::backend::RowsTileFn`] after
+/// it): one body over ops `$o`, compiled by `$enable!`, `$g` column
+/// groups a pass, stamped once per [`ATile`] addressing. A pass
+/// accumulates its `MR x G·W` block from zero over the whole `kc` loop
+/// (each element's `fma` chain is the scalar one), then merges `α·Σ`
+/// into C rows sliced to the live columns. Passes and groups wholly
+/// past `nr_eff` are skipped. A step is `MR` broadcasts, `G` loads and
+/// `MR·G` fused multiply-adds under either addressing.
 macro_rules! tile_kernel {
-    ($enable:ident fn $name:ident($token:ty, $o:ident, G = $g:literal)) => {
+    ($enable:ident fn $packed:ident, $rows:ident($token:ty, $o:ident, G = $g:literal)) => {
+        $crate::gemm::kernel::tile_kernel!(@one $enable fn $packed($token, $o, $g, &[$o::T]));
+        $crate::gemm::kernel::tile_kernel!(@one $enable fn $rows(
+            $token, $o, $g, &$crate::gemm::backend::PanelRows<'_, $o::T>
+        ));
+    };
+    (@one $enable:ident fn $name:ident($token:ty, $o:ident, $g:literal, $a:ty)) => {
         $enable! {
             #[allow(clippy::too_many_arguments)]
             pub fn $name(
                 _: $token,
                 kc: usize,
-                ap: &[$o::T],
+                a: $a,
                 bp: &[$o::T],
                 alpha: $o::T,
                 merge: $crate::gemm::backend::Merge<$o::T>,
@@ -160,17 +319,19 @@ macro_rules! tile_kernel {
                     }
                     // r[i][h]: row i of group p·G + h.
                     let mut r = [[$o::zero(); G]; MR];
-                    for (a, b) in $crate::gemm::kernel::steps(kc, ap, bp) {
-                        let (groups, _) = b.as_chunks::<W>();
-                        let mut bv = [$o::zero(); G];
-                        for (h, v) in bv.iter_mut().enumerate() {
-                            *v = $o::load(&groups[p * G + h]);
-                        }
-                        for (ri, &ai) in r.iter_mut().zip(a) {
-                            // One rounding per step: the scalar chain's `fma`.
-                            let av = $o::splat(ai);
-                            for (rh, &bh) in ri.iter_mut().zip(&bv) {
-                                *rh = $o::fma(av, bh, *rh);
+                    for (steps, b_run) in $crate::gemm::kernel::ATile::step_runs(a, kc, mr_eff, bp) {
+                        for (a, b) in steps.zip(b_run) {
+                            let (groups, _) = b.as_chunks::<W>();
+                            let mut bv = [$o::zero(); G];
+                            for (h, v) in bv.iter_mut().enumerate() {
+                                *v = $o::load(&groups[p * G + h]);
+                            }
+                            for (ri, &ai) in r.iter_mut().zip(a) {
+                                // One rounding per step: the scalar chain's `fma`.
+                                let av = $o::splat(ai);
+                                for (rh, &bh) in ri.iter_mut().zip(&bv) {
+                                    *rh = $o::fma(av, bh, *rh);
+                                }
                             }
                         }
                     }
@@ -282,7 +443,7 @@ mod tests {
     //! `kernel_fuzz`).
 
     use super::scalar;
-    use crate::gemm::backend::Merge;
+    use crate::gemm::backend::{Merge, PanelRows};
     use crate::gemm::{BT_COLS, MR, NR};
     use crate::scalar::Scalar;
 
@@ -344,12 +505,12 @@ mod tests {
     emulated_ops!(f64x4, f64, 4);
     emulated_ops!(f64x8, f64, 8);
 
-    tile_kernel!(emulated fn tile_f32x4((), f32x4, G = 1));
-    tile_kernel!(emulated fn tile_f32x8((), f32x8, G = 1));
-    tile_kernel!(emulated fn tile_f32x16((), f32x16, G = 2));
-    tile_kernel!(emulated fn tile_f64x2((), f64x2, G = 1));
-    tile_kernel!(emulated fn tile_f64x4((), f64x4, G = 1));
-    tile_kernel!(emulated fn tile_f64x8((), f64x8, G = 1));
+    tile_kernel!(emulated fn tile_f32x4, tile_rows_f32x4((), f32x4, G = 1));
+    tile_kernel!(emulated fn tile_f32x8, tile_rows_f32x8((), f32x8, G = 1));
+    tile_kernel!(emulated fn tile_f32x16, tile_rows_f32x16((), f32x16, G = 2));
+    tile_kernel!(emulated fn tile_f64x2, tile_rows_f64x2((), f64x2, G = 1));
+    tile_kernel!(emulated fn tile_f64x4, tile_rows_f64x4((), f64x4, G = 1));
+    tile_kernel!(emulated fn tile_f64x8, tile_rows_f64x8((), f64x8, G = 1));
 
     /// The B^T body over lanes `$o` at `MR` and at 12 and 14 rows, the
     /// two taller tiles a table might take; 12 and 14 leave a tail
@@ -368,6 +529,8 @@ mod tests {
     bt_at_every_height!(f64x8: bt_f64x8, bt12_f64x8, bt14_f64x8);
 
     type Tile<T> = fn((), usize, &[T], &[T], T, Merge<T>, &mut [T], usize, usize, usize);
+    type RowsTile<T> =
+        fn((), usize, &PanelRows<'_, T>, &[T], T, Merge<T>, &mut [T], usize, usize, usize);
     type Bt<T, const R: usize> = fn((), usize, &[T], [&[T]; BT_COLS], &mut [[T; R]; BT_COLS]);
 
     /// Non-round values, so a reassociated or unfused step shows in the
@@ -430,6 +593,109 @@ mod tests {
             scalar::bt(kc, &ap, b, &mut want);
             assert!(got == want, "bt R={R} kc={kc}");
         }
+    }
+
+    /// The panel-row addressing against the packed one: a tile read in
+    /// place from the rows of a `PackedB` merges into C bit for bit as
+    /// the scalar tile over the same values packed, at every lane width,
+    /// for runs that start off a panel edge (`kk0 % NR != 0`) or cross
+    /// an `nc` block (`nc = 33`), ragged tiles (`mr_eff < MR`, whose
+    /// dead rows read the last live row of the pack) and one-step runs.
+    fn rows_tile_matches_packed<T: Scalar>(tile: RowsTile<T>) {
+        use crate::gemm::{Blocking, PackedB, Trans};
+        use crate::matrix::Matrix;
+        let ldc = NR + 3;
+        let c0: Vec<T> = values(MR * ldc, |x| x * 0.37 - 5.0);
+        let (depth, n) = (2 * MR + 3, 75);
+        let x = Matrix::from_fn(depth, n, |r, c| {
+            T::from_f64(((r * n + c) as f64).sin() * 3.7)
+        });
+        for nc in [33, 40, 1024] {
+            let blocking = Blocking {
+                mc: 16,
+                kc: depth,
+                nc,
+            };
+            let pack = PackedB::new(&x, Trans::N, blocking);
+            for (kk0, kc) in [(0, 75), (7, 40), (30, 1), (31, 3), (33, 42), (64, 11)] {
+                let bp: Vec<T> = values(kc * NR, |v| v.cos() * 1.3 - 0.4);
+                for (row0, mr_eff) in [(0, MR), (MR, MR), (2 * MR, 3), (depth - 1, 1)] {
+                    // The same values packed, dead rows repeating the
+                    // last live one.
+                    let ap: Vec<T> = (0..kc * MR)
+                        .map(|at| x[(row0 + (at % MR).min(mr_eff - 1), kk0 + at / MR)])
+                        .collect();
+                    let a = PanelRows {
+                        row0,
+                        ..pack.panel_rows(kk0)
+                    };
+                    for merge in [Merge::Overwrite, Merge::Accumulate] {
+                        for nr_eff in [NR, NR - 5, 1] {
+                            let (mut got, mut want, mut reference) =
+                                (c0.clone(), c0.clone(), c0.clone());
+                            let alpha = T::from_f64(-1.5);
+                            tile((), kc, &a, &bp, alpha, merge, &mut got, ldc, mr_eff, nr_eff);
+                            scalar::tile(
+                                kc, &ap, &bp, alpha, merge, &mut want, ldc, mr_eff, nr_eff,
+                            );
+                            scalar::tile_rows(
+                                kc,
+                                &a,
+                                &bp,
+                                alpha,
+                                merge,
+                                &mut reference,
+                                ldc,
+                                mr_eff,
+                                nr_eff,
+                            );
+                            let at = format!(
+                                "nc={nc} kk0={kk0} kc={kc} row0={row0} {mr_eff}x{nr_eff} {merge:?}"
+                            );
+                            assert!(got == want, "rows tile {at}");
+                            assert!(reference == want, "scalar rows tile {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_reads_panel_rows_bitwise_as_packed() {
+        rows_tile_matches_packed::<f32>(tile_rows_f32x4);
+        rows_tile_matches_packed::<f32>(tile_rows_f32x8);
+        rows_tile_matches_packed::<f32>(tile_rows_f32x16);
+        rows_tile_matches_packed::<f64>(tile_rows_f64x2);
+        rows_tile_matches_packed::<f64>(tile_rows_f64x4);
+        rows_tile_matches_packed::<f64>(tile_rows_f64x8);
+    }
+
+    /// A tile whose rows run past the pack panics instead of reading
+    /// the next panel.
+    #[test]
+    #[should_panic(expected = "of a 9-row pack")]
+    fn rows_tile_rejects_rows_past_the_pack() {
+        use crate::gemm::{Blocking, PackedB, Trans};
+        use crate::matrix::Matrix;
+        let x: Matrix<f32> = Matrix::zeros(9, 40);
+        let pack = PackedB::new(&x, Trans::N, Blocking::default());
+        let a = PanelRows {
+            row0: 8,
+            ..pack.panel_rows(0)
+        };
+        let mut c = vec![0.0f32; MR * NR];
+        scalar::tile_rows(
+            4,
+            &a,
+            &[0.0; 4 * NR],
+            1.0,
+            Merge::Overwrite,
+            &mut c,
+            NR,
+            2,
+            NR,
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ ops!(neon_f64 = neon_kernel(f64 x 2 in float64x2_t, mem):
 
 // Tiles of eight 4-lane f32 or sixteen 2-lane f64 column groups, one
 // per pass; B^T columns of two f32 or four f64 registers.
-tile_kernel!(neon_kernel fn tile_f32_neon(Neon, neon_f32, G = 1));
-tile_kernel!(neon_kernel fn tile_f64_neon(Neon, neon_f64, G = 1));
+tile_kernel!(neon_kernel fn tile_f32_neon, tile_rows_f32_neon(Neon, neon_f32, G = 1));
+tile_kernel!(neon_kernel fn tile_f64_neon, tile_rows_f64_neon(Neon, neon_f64, G = 1));
 bt_kernel!(neon_kernel fn bt_f32_neon(Neon, neon_f32, R = MR));
 bt_kernel!(neon_kernel fn bt_f64_neon(Neon, neon_f64, R = MR));

@@ -8,12 +8,12 @@
 //!
 //! Each loop exists in two instantiations that produce the same bits:
 //!
-//! * [`tile`] / [`bt`] — portable. On a target whose baseline has no
-//!   FMA instruction (`x86-64`: SSE2 only) every `fma` is a call into
-//!   libm, exactly rounded but ~60x slower than the hardware
-//!   instruction; aarch64 lowers it to `fmadd` natively.
-//! * [`tile_fma`] / [`bt_fma`] (x86_64) — the same loop
-//!   (`#[inline(always)]`) inlined into a safe
+//! * [`tile`] / [`tile_rows`] / [`bt`] — portable. On a target whose
+//!   baseline has no FMA instruction (`x86-64`: SSE2 only) every `fma`
+//!   is a call into libm, exactly rounded but ~60x slower than the
+//!   hardware instruction; aarch64 lowers it to `fmadd` natively.
+//! * [`tile_fma`] / [`tile_rows_fma`] / [`bt_fma`] (x86_64) — the same
+//!   loop (`#[inline(always)]`) inlined into a safe
 //!   `#[target_feature(enable = "fma")]` fn that takes the
 //!   [`Fma`] token, where `fma` is one `vfmadd` and LLVM
 //!   autovectorizes the `j` lanes. This is what keeps the
@@ -21,20 +21,15 @@
 //!   whole training runs; [`crate::gemm::backend`] picks it from
 //!   CPUID.
 
-use super::{rows, steps};
-use crate::gemm::backend::Merge;
+use super::{rows, ATile};
+use crate::gemm::backend::{Merge, PanelRows};
 #[cfg(target_arch = "x86_64")]
 use crate::gemm::dispatch::{fma_kernel, Fma};
 use crate::gemm::{BT_COLS, MR, NR};
 use crate::scalar::Scalar;
 
 /// Reference micro-tile kernel ([`crate::gemm::backend::TileFn`]
-/// shape), portable instantiation.
-///
-/// `Σ[i][j] = sum_kk ap(kk, i) * bp(kk, j)` over the whole tile, both
-/// panels walked front to back with unit stride (this is what packing
-/// buys us), then the live `mr_eff x nr_eff` corner of C takes
-/// `merge(α, Σ, C)`.
+/// shape), portable instantiation: [`tile_with`] over a packed A panel.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn tile<T: Scalar>(
@@ -48,14 +43,54 @@ pub(crate) fn tile<T: Scalar>(
     mr_eff: usize,
     nr_eff: usize,
 ) {
+    tile_with(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
+}
+
+/// Reference micro-tile kernel ([`crate::gemm::backend::RowsTileFn`]
+/// shape), portable instantiation: [`tile_with`] over panel rows.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn tile_rows<T: Scalar>(
+    kc: usize,
+    a: &PanelRows<'_, T>,
+    bp: &[T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    tile_with(kc, a, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
+}
+
+/// The reference tile under either A addressing ([`ATile`]).
+///
+/// `Σ[i][j] = sum_kk a(kk, i) * bp(kk, j)` over the whole tile, the B
+/// panel walked front to back with unit stride (this is what packing
+/// buys us), then the live `mr_eff x nr_eff` corner of C takes
+/// `merge(α, Σ, C)`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile_with<'a, T: Scalar>(
+    kc: usize,
+    a: impl ATile<'a, T>,
+    bp: &'a [T],
+    alpha: T,
+    merge: Merge<T>,
+    c: &mut [T],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
     assert!(mr_eff <= MR && nr_eff <= NR, "tile: tile overrun");
     let mut sums = [[T::ZERO; NR]; MR];
-    for (a_row, b_row) in steps(kc, ap, bp) {
-        for i in 0..MR {
-            let ai = a_row[i];
-            let row = &mut sums[i];
-            for j in 0..NR {
-                row[j] = ai.fma(b_row[j], row[j]);
+    for (steps, b_run) in a.step_runs(kc, mr_eff, bp) {
+        for (a_row, b_row) in steps.zip(b_run) {
+            for (row, &ai) in sums.iter_mut().zip(a_row) {
+                for j in 0..NR {
+                    row[j] = ai.fma(b_row[j], row[j]);
+                }
             }
         }
     }
@@ -142,6 +177,26 @@ fma_kernel! {
     ) {
         // Inlined here, so its `fma` steps compile to `vfmadd`.
         tile(kc, ap, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fma_kernel! {
+    /// [`tile_rows`] compiled with the hardware FMA instruction enabled.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn tile_rows_fma<T: Scalar>(
+        _: Fma,
+        kc: usize,
+        a: &PanelRows<'_, T>,
+        bp: &[T],
+        alpha: T,
+        merge: Merge<T>,
+        c: &mut [T],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        tile_rows(kc, a, bp, alpha, merge, c, ldc, mr_eff, nr_eff);
     }
 }
 

@@ -50,10 +50,10 @@ ops!(avx512_f64 = avx512_kernel(f64 x 8 in __m512d, mem::avx512):
 // groups, one per pass; AVX-512 runs both 16-lane f32 groups in one
 // pass (sixteen chains fed by two B loads a step) and walks four 8-lane
 // f64 groups.
-tile_kernel!(avx2_kernel fn tile_f32_avx2(Avx2, avx2_f32, G = 1));
-tile_kernel!(avx2_kernel fn tile_f64_avx2(Avx2, avx2_f64, G = 1));
-tile_kernel!(avx512_kernel fn tile_f32_avx512(Avx512, avx512_f32, G = 2));
-tile_kernel!(avx512_kernel fn tile_f64_avx512(Avx512, avx512_f64, G = 1));
+tile_kernel!(avx2_kernel fn tile_f32_avx2, tile_rows_f32_avx2(Avx2, avx2_f32, G = 1));
+tile_kernel!(avx2_kernel fn tile_f64_avx2, tile_rows_f64_avx2(Avx2, avx2_f64, G = 1));
+tile_kernel!(avx512_kernel fn tile_f32_avx512, tile_rows_f32_avx512(Avx512, avx512_f32, G = 2));
+tile_kernel!(avx512_kernel fn tile_f64_avx512, tile_rows_f64_avx512(Avx512, avx512_f64, G = 1));
 
 // The B^T kernels: a column is one ymm of f32 or zmm of f64, or two ymm
 // of f64. No AVX-512 f32 B^T kernel: one ymm already holds a column, so

@@ -61,9 +61,10 @@
 //! and [`op::GemmOp::run`] it on a context. Training multiplies every
 //! batch against the *same* weights, and a CG solve multiplies dozens
 //! of directions against the *same* curvature-minibatch activations —
-//! so the hot path prepacks via [`PackedB`]/[`PackedA`] and runs
-//! `GemmOp` against the cached panels, bitwise equal to the plain
-//! two-matrix form under the same blocking.
+//! so the hot path prepacks via [`PackedB`] and runs `GemmOp` against
+//! the cached panels (a one-k-block `PackedB` also serves, read in
+//! place, as a left operand: [`op::GemmOp::rows_ab`]), bitwise equal to
+//! the plain two-matrix form under the same blocking.
 
 pub mod backend;
 pub(crate) mod dispatch;
@@ -379,6 +380,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `rows_ab`, reading A in place from the rows of a one-k-block
+    /// right pack, is bitwise `ab` under every test blocking (k-blocks
+    /// that start off a panel edge at `kc = 7`, `nc` blocks of 33 that
+    /// a k-block crosses), for ragged row counts up to one k-block, on
+    /// one thread and two, under every backend.
+    #[test]
+    fn rows_ab_matches_ab_bitwise() {
+        let blockings = [
+            Blocking::default(),
+            Blocking {
+                mc: 16,
+                kc: 7,
+                nc: 33,
+            },
+            Blocking {
+                mc: 8,
+                kc: 64,
+                nc: 40,
+            },
+            Blocking {
+                mc: 12,
+                kc: 16,
+                nc: 40,
+            },
+        ];
+        let mut rng = Prng::new(13);
+        for blocking in blockings {
+            for isa in available_isas() {
+                let backend = backend_for(isa).expect("listed as available");
+                let seq = GemmContext::sequential()
+                    .with_blocking(blocking)
+                    .with_backend(backend);
+                let par = GemmContext::threaded(2)
+                    .with_blocking(blocking)
+                    .with_backend(backend);
+                let rows = [1, MR - 1, MR + 3, 2 * MR + 1, blocking.kc.min(67)];
+                for m in rows.into_iter().filter(|&m| m <= blocking.kc) {
+                    for n in [1, 30, 75] {
+                        let k = 40;
+                        let a = random_matrix(m, k, &mut rng);
+                        let b = random_matrix(n, k, &mut rng);
+                        let c0 = random_matrix(m, n, &mut rng);
+                        let run = |op: GemmOp<'_, f32>, ctx: &GemmContext| {
+                            let mut c = c0.clone();
+                            op.alpha(0.5).beta(0.25).run(ctx, &mut c);
+                            c
+                        };
+                        let want = run(GemmOp::ab(&a, Trans::N, &b, Trans::T), &seq);
+                        let pa = PackedB::new(&a, Trans::N, blocking);
+                        let pb = PackedB::new(&b, Trans::T, blocking);
+                        for ctx in [&seq, &par] {
+                            assert_eq!(
+                                run(GemmOp::rows_ab(&pa, &pb), ctx),
+                                want,
+                                "{isa} threads={} {blocking:?} m={m} n={n}",
+                                ctx.threads
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one k-block")]
+    fn rows_ab_rejects_a_pack_of_two_k_blocks() {
+        let blocking = Blocking {
+            kc: 8,
+            ..Blocking::default()
+        };
+        let ctx = GemmContext::sequential().with_blocking(blocking);
+        let a: Matrix<f32> = Matrix::zeros(9, 5);
+        let b: Matrix<f32> = Matrix::zeros(5, 3);
+        let (pa, pb) = (
+            PackedB::new(&a, Trans::N, blocking),
+            PackedB::new(&b, Trans::N, blocking),
+        );
+        let mut c: Matrix<f32> = Matrix::zeros(9, 3);
+        GemmOp::rows_ab(&pa, &pb).run(&ctx, &mut c);
     }
 
     #[test]

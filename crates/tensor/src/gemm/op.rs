@@ -10,7 +10,9 @@
 //! context's [`crate::gemm::backend::ComputeBackend`] with
 //! [`GemmOp::run`]. Operand combinations that have no driver (a plain
 //! left matrix against a streamed `B^T`) are unrepresentable: the only
-//! constructor taking a row slice also takes a [`PackedA`].
+//! constructor taking a row slice also takes a [`PackedA`], and the
+//! only one reading A out of a right pack ([`GemmOp::rows_ab`]) takes a
+//! [`PackedB`] on the right.
 //!
 //! ```
 //! use pdnn_tensor::{Matrix, gemm::{GemmContext, GemmOp, Trans}};
@@ -34,6 +36,8 @@ pub(super) enum OpA<'a, T: Scalar> {
     Mat(MatRef<'a, T>, Trans),
     /// A prepacked left operand.
     Packed(&'a PackedA<T>),
+    /// `op(A)` read in place from the rows of a one-k-block right pack.
+    Rows(&'a PackedB<T>),
 }
 
 /// Right operand of a [`GemmOp`].
@@ -96,6 +100,25 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
         Self::new(OpA::Packed(a), OpB::Packed(b))
     }
 
+    /// `A · B_packed` with `A` the `k x n` matrix the right pack `a`
+    /// holds, read in place from its panels: no left pack is built or
+    /// kept. The tile kernel broadcasts one A value per tile row per
+    /// step, and in `a`'s panels row `i` sits `NR` values after row
+    /// `i − 1`, so it reads them there as it reads a [`PackedA`]'s.
+    /// Bitwise [`Self::packed_ab`] over `PackedA` of the same matrix.
+    ///
+    /// This is how a chunk of the curvature sample, held once as the
+    /// right operand of the backward's `δᵀ·a`, is also the left operand
+    /// of the R-forward's `a·Vwᵀ`.
+    ///
+    /// # Panics
+    /// At [`Self::run`], if `a` holds more than one k-block of rows
+    /// (`a.k()` past its blocking's `kc`), or the two packs were built
+    /// under different blockings.
+    pub fn rows_ab(a: &'a PackedB<T>, b: &'a PackedB<T>) -> Self {
+        Self::new(OpA::Rows(a), OpB::Packed(b))
+    }
+
     /// `A_packed * B^T` with `B` an `n x k` row-major slice streamed
     /// in place (no packing of the right operand at all) — wins when
     /// `op(A)` is short; see the prepacked module docs.
@@ -121,8 +144,9 @@ impl<'a, T: Scalar> GemmOp<'a, T> {
     ///
     /// # Panics
     /// On shape mismatch between the operands and `c`, a streamed `B^T`
-    /// slice that is not `n x k`, or two packs built under different
-    /// blockings.
+    /// slice that is not `n x k`, two packs built under different
+    /// blockings, or a [`Self::rows_ab`] left pack of more than one
+    /// k-block.
     pub fn run<'c>(self, ctx: &GemmContext, c: impl Into<MatMut<'c, T>>) {
         driver::run(ctx, self.a, self.b, self.alpha, self.beta, c.into());
     }

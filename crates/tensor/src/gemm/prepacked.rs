@@ -10,11 +10,16 @@
 //! [`PackedB`] packs `op(B)` once into the micro-panel layout the
 //! kernel consumes; [`super::GemmOp::packed_b`] then runs the blocked
 //! driver reading panels straight out of it. [`PackedA`] is the mirror
-//! for the *left* operand: a CG solve holds the curvature-minibatch
-//! activations fixed across dozens of Gauss–Newton products, so the
-//! `a_prev * Vw^T` R-forward GEMMs can read a once-packed A while only
-//! the small direction matrix is packed per call
-//! ([`super::GemmOp::packed_a`]).
+//! for the *left* operand ([`super::GemmOp::packed_a`]).
+//!
+//! A `PackedB` of one k-block also serves as a left operand, read in
+//! place ([`super::GemmOp::rows_ab`]): a CG solve holds the
+//! curvature-minibatch activations fixed across dozens of Gauss–Newton
+//! products, packed once as the right operand of the backward's
+//! `δᵀ·a`, and the R-forward's `a·Vwᵀ` reads the same panels as its A,
+//! the tile kernel broadcasting each step's values from the pack's
+//! rows ([`super::backend::PanelRows`]). So the sample is held in one
+//! layout, not two.
 //!
 //! Both packs lie on the regular grid `block_at` computes, which is
 //! also the layout the driver packs a plain operand into: a `PackedB`
@@ -28,6 +33,7 @@ use crate::matrix::MatRef;
 use crate::scalar::Scalar;
 use crate::workspace::Workspace;
 
+use super::backend::PanelRows;
 use super::{op_shape, pack, scratch, Blocking, Trans, MR, NR};
 
 /// Offset of block `(pc, jc)` of an operand `n` wide, packed in
@@ -218,6 +224,24 @@ impl<T: Scalar> PackedB<T> {
     /// The packed panels, laid out as `block_at` says.
     pub(super) fn panels(&self) -> &[T] {
         &self.data
+    }
+
+    /// The A micro-panels of the k-block of a left operand `op(A)`
+    /// that this pack holds as its rows ([`super::GemmOp::rows_ab`]):
+    /// step 0 is column `kk0`, and the tile's row 0 the pack's row 0
+    /// until the driver moves it. The pack holds one k-block, so its
+    /// `k` rows lie in every column panel.
+    pub(super) fn panel_rows(&self, kk0: usize) -> PanelRows<'_, T> {
+        let nc = self.blocking.nc.min(self.n);
+        let jc = kk0 / nc * nc;
+        PanelRows {
+            block: &self.data[block_at(NR, self.n, nc, 0, self.k, jc)..],
+            depth: self.k,
+            nc,
+            cols: self.n - jc,
+            col: kk0 - jc,
+            row0: 0,
+        }
     }
 }
 

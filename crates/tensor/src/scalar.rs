@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 use std::sync::OnceLock;
 use std::thread::LocalKey;
 
-use crate::gemm::backend::{default_backend, BtFn, ComputeBackend, TileFn};
+use crate::gemm::backend::{default_backend, BtFn, ComputeBackend, RowsTileFn, TileFn};
 use crate::gemm::scratch::{self, PackScratch};
 use crate::vmath::{self, RowOpFn};
 
@@ -88,6 +88,8 @@ pub trait Scalar:
     /// projection of [`ComputeBackend::tile_f32`]/`tile_f64`; resolved
     /// once per GEMM driver call, not per micro-tile).
     fn tile_kernel(backend: &dyn ComputeBackend) -> TileFn<Self>;
+    /// The `backend`'s panel-row micro-tile kernel for this type.
+    fn rows_tile_kernel(backend: &dyn ComputeBackend) -> RowsTileFn<Self>;
     /// The `backend`'s streaming-B^T column kernel for this type.
     fn bt_kernel(backend: &dyn ComputeBackend) -> BtFn<Self>;
     /// The element-wise row kernel for this type, picked once per
@@ -99,7 +101,7 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $tile:ident, $bt:ident, $exp:expr, $ln:expr, $scratch:ident) => {
+    ($t:ty, $tile:ident, $rows_tile:ident, $bt:ident, $exp:expr, $ln:expr, $scratch:ident) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -155,6 +157,10 @@ macro_rules! impl_scalar {
                 backend.$tile()
             }
             #[inline(always)]
+            fn rows_tile_kernel(backend: &dyn ComputeBackend) -> RowsTileFn<Self> {
+                backend.$rows_tile()
+            }
+            #[inline(always)]
             fn bt_kernel(backend: &dyn ComputeBackend) -> BtFn<Self> {
                 backend.$bt()
             }
@@ -174,6 +180,7 @@ macro_rules! impl_scalar {
 impl_scalar!(
     f32,
     tile_f32,
+    tile_rows_f32,
     bt_f32,
     vmath::exp_f32,
     vmath::ln_f32,
@@ -182,6 +189,7 @@ impl_scalar!(
 impl_scalar!(
     f64,
     tile_f64,
+    tile_rows_f64,
     bt_f64,
     vmath::exp_f64,
     vmath::ln_f64,

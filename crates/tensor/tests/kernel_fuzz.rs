@@ -50,7 +50,7 @@ fn rand_matrix<T: Scalar>(rows: usize, cols: usize, rng: &mut Prng) -> Matrix<T>
     })
 }
 
-/// All five operand forms of one `(m, n, k)` product under `ctx`.
+/// Every operand form of one `(m, n, k)` product under `ctx`.
 fn all_forms<T: Scalar>(
     ctx: &GemmContext,
     m: usize,
@@ -68,13 +68,20 @@ fn all_forms<T: Scalar>(
     let pa = PackedA::new(&a, Trans::N, ctx.blocking());
     let pb = PackedB::new(&b, Trans::T, ctx.blocking());
 
-    let ops: Vec<GemmOp<'_, T>> = vec![
+    // A read in place from the rows of a right pack, where it is one
+    // k-block deep.
+    let pr = PackedB::new(&a, Trans::N, ctx.blocking());
+
+    let mut ops: Vec<GemmOp<'_, T>> = vec![
         GemmOp::ab(&a, Trans::N, &b, Trans::T),
         GemmOp::packed_b(&a, Trans::N, &pb),
         GemmOp::packed_a(&pa, &b, Trans::T),
         GemmOp::packed_ab(&pa, &pb),
         GemmOp::packed_a_bt(&pa, b.as_slice()),
     ];
+    if m <= ctx.blocking().kc {
+        ops.push(GemmOp::rows_ab(&pr, &pb));
+    }
     ops.into_iter()
         .map(|op| {
             let mut c = c0.clone();
